@@ -1,2187 +1,14 @@
 //! A command-line driver for the Propeller reproduction.
 //!
-//! ```text
-//! propeller_cli list
-//!     List the available benchmark specs (Table 2).
-//!
-//! propeller_cli run <benchmark> [--scale S] [--seed N] [--out DIR]
-//!                   [--trace-out FILE] [--faults SPEC] [--jobs N]
-//!                   [--flamegraph-out FILE] [--heatmap-out FILE]
-//!                   [--provenance]
-//!     Generate the benchmark, run the 4-phase pipeline, evaluate
-//!     against the baseline, and (with --out) write cc_prof.txt and
-//!     ld_prof.txt — the two artifacts of Figure 1 — plus
-//!     run_report.json, the machine-readable RunReport (deterministic
-//!     metrics, layout provenance, embedded telemetry snapshot). With
-//!     --trace-out, record telemetry for the whole run, write a Chrome
-//!     Trace Event Format JSON (load it at chrome://tracing or
-//!     ui.perfetto.dev) and print the span tree and metrics to stdout.
-//!     With --faults, inject the scheduled faults (grammar:
-//!     comma-separated `kind=probability[:limit]`, e.g.
-//!     `transient=0.5,corrupt-cache=1:2`) seeded by --seed, and print
-//!     the degradation ledger the run accumulated surviving them.
-//!     --flamegraph-out collects symbol attribution during the Phase 3
-//!     profiling run and writes its cycle-weighted call stacks in
-//!     Brendan Gregg's folded format (pipe into flamegraph.pl); it
-//!     also embeds the per-symbol attribution table in
-//!     run_report.json. --heatmap-out writes the Phase 3 code-access
-//!     heat map (Figure 7) as CSV, or as a PGM grayscale image when
-//!     FILE ends in `.pgm`. --jobs sets the worker threads for the
-//!     Phase 2/4 codegen fan-out and Ext-TSP gain evaluation (default:
-//!     the machine's available parallelism; 1 forces the serial legacy
-//!     path) — every artifact is bit-identical at every job count.
-//!     --provenance arms full layout-decision provenance collection
-//!     (every Ext-TSP candidate merge with its gain and the best
-//!     rejected alternative, the profile edges funding each CFG edge
-//!     weight, final linker placements with relaxation deltas) and,
-//!     with --out, writes layout_provenance.json beside
-//!     run_report.json; arming never changes the layout or
-//!     run_report.json, and the provenance artifact itself is
-//!     bit-identical at every --jobs count.
-//!
-//! propeller_cli explain <benchmark> <function>[:<block>] [--scale S]
-//!                       [--seed N]
-//!     Explain one function's (or one basic block's) final layout end
-//!     to end: the sample mass it received, which profile edges funded
-//!     its CFG edge weights, every accepted Ext-TSP merge step with
-//!     its gain and the best rejected alternative at that moment, the
-//!     emitted hot-block order, the final placement slot and address
-//!     with per-symbol relaxation deltas, joined against the
-//!     attributed microarchitectural counters from simulating the
-//!     optimized binary.
-//!
-//! propeller_cli layout-diff <A.json> <B.json>
-//!     Diff two layout_provenance.json documents: symbols whose final
-//!     placement moved, ranked by attributed cycle delta (order delta
-//!     when attribution is absent), plus the first merge decision
-//!     where the two runs diverged. A self-diff prints `identical` —
-//!     the CI provenance gate greps for it.
-//!
-//! propeller_cli perf-report <benchmark> [--scale S] [--seed N]
-//!                           [--top N] [--event E] [--out FILE]
-//!                           [--flamegraph-out FILE]
-//!     Simulate the baseline, Propeller, and (when it runs) BOLT
-//!     binaries on the identical evaluation workload with symbol
-//!     attribution on, and print `perf report`-style top-N tables:
-//!     per-symbol counts, % of total, and deltas of each variant
-//!     against the baseline. --event restricts to one event (default:
-//!     a key set — cycles, l1i_misses, itlb_misses, baclears,
-//!     dsb_misses); --top sizes the table (default 10). --out writes
-//!     perf_report.json (per-variant attribution rows);
-//!     --flamegraph-out writes the Propeller run's folded stacks.
-//!
-//! propeller_cli annotate <benchmark> <function> [--scale S] [--seed N]
-//!                        [--event E]
-//!     `perf annotate` for one function: walk its blocks in the
-//!     Propeller-optimized layout order with per-block event counts,
-//!     the cluster each block landed in, and the Ext-TSP provenance
-//!     recorded when the layout was planned (--event defaults to
-//!     cycles).
-//!
-//! propeller_cli doctor <benchmark> [--scale S] [--seed N]
-//!                      [--faults SPEC] [--jobs N]
-//!     Run the pipeline and audit the profile it consumed: hot-text
-//!     sample coverage, unmapped-address rate, fall-through inference
-//!     confidence, sample-capture ratio, and the stale-profile skew
-//!     score from re-simulating the optimized binary. The run collects
-//!     layout provenance and audits it too: provenance.coverage WARNs
-//!     when hot functions lack decision records, and provenance.replay
-//!     WARNs when replaying the recorded merge steps does not
-//!     reconstruct the emitted order. The report also
-//!     compares measured wall-clock against the cost model per phase
-//!     (WARN when the pool ran >5x slower than perfect scaling at the
-//!     configured --jobs), and ends with the degradation section (what
-//!     the run gave up surviving injected faults — WARN at most, never
-//!     FAIL, because degraded runs still ship correct binaries). Exits
-//!     nonzero when any dimension FAILs its threshold.
-//!
-//! propeller_cli chaos [<benchmark>] [--scale S] [--seed N] [--out DIR]
-//!     Run the built-in fault matrix (zero faults, transient storm,
-//!     timeout storm, cache chaos, partial and total profile loss,
-//!     permanent codegen failure, kitchen sink) against the benchmark
-//!     (default clang at scale 0.004). Each scenario must complete all
-//!     four phases, ship a binary that retires the same blocks as the
-//!     baseline, and account for every injected fault exactly in its
-//!     degradation ledger. With --out, write chaos_report.json (the
-//!     per-scenario ledgers). Exits nonzero on any violation — the CI
-//!     chaos gate.
-//!
-//! propeller_cli compare <benchmark> [--scale S] [--seed N] [--json]
-//!                       [--out FILE]
-//!     Run both Propeller and the BOLT comparator on the same profile
-//!     and print the head-to-head summary. With --json, emit a
-//!     RunReport JSON (diffable with `propeller_cli diff`) instead;
-//!     --out writes it to FILE rather than stdout.
-//!
-//! propeller_cli diff <A.json> <B.json> [C.json ...] [--tolerance PCT]
-//!     Diff RunReports. With exactly two (baseline A, candidate B):
-//!     metric deltas with per-direction regression gating plus
-//!     structural layout changes. With three or more: a per-metric
-//!     trend table across all reports in order, gating every
-//!     consecutive pair. Exits nonzero when a gated metric worsened by
-//!     more than the tolerance (default 0) — the CI bench gate.
-//!
-//! propeller_cli fleet [<benchmark>] [--releases N] [--machines M]
-//!                     [--drift D] [--scale S] [--seed N] [--jobs N]
-//!                     [--skew-threshold T] [--history-window W]
-//!                     [--out DIR] [--provenance]
-//!     Simulate a continuous profile lifecycle: evolve the program
-//!     across N releases at drift rate D (0 = identical releases, the
-//!     control arm), collect LBR samples on each release from M
-//!     machines with Zipf traffic shares, merge current plus windowed
-//!     historical profiles (translated across binaries, decayed by
-//!     age), score the merged profile's staleness skew, and let the
-//!     relink-vs-reuse policy (threshold T) pick what ships — all
-//!     against a shared action cache so unchanged objects never
-//!     rebuild. Prints the per-release ledger: skew, decision,
-//!     achieved speedup vs an oracle fresh-profile relink, the gap
-//!     between them, and the release's cache hit rate (the
-//!     speedup-vs-staleness curve). With --out, write
-//!     fleet_report.json, fleet_curve.csv and fleet_timeline.csv (the
-//!     ledger as a release-indexed time series: skew, gap, hit rate,
-//!     speedup gauges plus a cumulative translation-drop counter).
-//!     With --provenance, arm
-//!     layout-decision provenance on every relink and cite each
-//!     release's top placement divergences (first diverging merge
-//!     decision, biggest symbol moves) in its ledger row and
-//!     fleet_report.json. At --drift 0 the run
-//!     self-checks that post-warmup releases are bit-identical and
-//!     exits nonzero if not — the CI fleet gate.
-//!
-//! propeller_cli traffic [<benchmark>] [--scale S] [--seed N]
-//!                       [--requests N] [--tenants N] [--slots N]
-//!                       [--queue N] [--mean-gap SECS] [--faults SPEC]
-//!                       [--jobs N] [--cache-capacity N] [--soak]
-//!                       [--verify-batch] [--out DIR] [--trace-out FILE]
-//!     Drive the multi-tenant relink service with a seeded traffic
-//!     plan: Zipf tenant shares, bursts, client cancellations, and
-//!     oversize jobs the admission controller must refuse against the
-//!     12 GiB per-action ceiling. Every admitted job runs the real
-//!     4-phase pipeline against one shared content-addressed cache;
-//!     scheduling (queueing, deadlines, seeded-jitter client retry) is
-//!     entirely in modeled sim-seconds, so the run replays
-//!     bit-identically and the per-tenant ServiceLedger is
-//!     byte-identical across --jobs counts. --faults adds the
-//!     service-level kinds (burst-amplify, cancel-job, drop-queue,
-//!     evict-storm) alongside the pipeline kinds; the ledger accounts
-//!     for every fired fault one-for-one and the run exits nonzero on
-//!     any accounting violation. --verify-batch additionally relinks
-//!     every distinct completed-job signature in batch mode and
-//!     requires byte-identical binaries — the relink-as-a-service
-//!     correctness contract. --soak runs the built-in 8-scenario chaos
-//!     matrix (each at --jobs 1 and 8 plus a replay) instead of a
-//!     single run — the CI serve gate. --out writes
-//!     service_ledger.json (and per-scenario soak_<name>.json under
-//!     --soak); --trace-out writes a Chrome trace with one lane per
-//!     tenant.
-//!
-//! propeller_cli timeline [<benchmark>] [--scale S] [--seed N]
-//!                        [--requests N] [--tenants N] [--slots N]
-//!                        [--queue N] [--mean-gap SECS] [--faults SPEC]
-//!                        [--jobs N] [--interval SECS] [--out DIR]
-//!                        [--trace-out FILE]
-//!     Run the same seeded traffic plan as `traffic` with the
-//!     modeled-clock time-series recorder armed: per-tenant queue
-//!     depth, slots in use, admission/rejection/retry counters, cache
-//!     hit rate, RSS headroom, and submit-to-publish latency events
-//!     (with log2 histograms), all keyed by sim-microseconds. Prints
-//!     the per-tenant latency percentile table. --out writes
-//!     timeline.csv (the canonical fixed-order export — byte-identical
-//!     across --jobs counts and replays, the CI slo-gate `cmp`s it)
-//!     and timeline_sampled.csv (fixed-interval resample, last value
-//!     carried forward, --interval sets the grid). --trace-out writes
-//!     the Chrome trace with every series appended as counter tracks.
-//!
-//! propeller_cli slo [<benchmark>] [--scale S] [--seed N]
-//!                   [--requests N] [--tenants N] [--slots N]
-//!                   [--queue N] [--mean-gap SECS] [--faults SPEC]
-//!                   [--jobs N] [--config FILE] [--out DIR]
-//!     Run the traffic plan with the timeline armed and evaluate
-//!     declarative service-level objectives against it: latency
-//!     percentiles from the recorded histograms, queue-depth maxima
-//!     from the series, rejection/timeout/cache rates from the ledger,
-//!     and error-budget burn rates over sliding modeled-time windows.
-//!     --config FILE points at a TOML file of [[objective]] sections
-//!     (keys: name, metric, tenant, max_warn, max_fail, min_warn,
-//!     min_fail, window_secs, target); without it the built-in service
-//!     objectives apply. Prints the findings and verdict; --out writes
-//!     slo_report.json and timeline.csv. Exits nonzero when any
-//!     objective FAILs — the CI slo gate.
-//!
-//! propeller_cli serve [<benchmark>] [--scale S] [--seed N]
-//!                     [--slots N] [--queue N] [--faults SPEC]
-//!                     [--jobs N]
-//!     The long-running service as a stdin REPL. Commands: `submit
-//!     <tenant> [program-seed]` enqueues a relink (arrivals tick one
-//!     modeled second apart), `drain` advances the modeled clock until
-//!     the queue empties, `ledger` prints the per-tenant table,
-//!     `shutdown` (or EOF) drains, prints the final ledger, and exits
-//!     nonzero if any tenant's accounting is inexact. The shared cache
-//!     persists across drains, so repeated submissions of one tenant
-//!     hit warm artifacts exactly like a real relink server.
-//!
-//! propeller_cli service-diff <A.json> <B.json>
-//!     Diff two service ledgers counter-by-counter. Byte-identical
-//!     ledgers print OK; any divergence is a FAIL finding and a
-//!     nonzero exit — the determinism gate CI runs across --jobs 1
-//!     vs --jobs 8 traffic ledgers.
-//!
-//! propeller_cli dump <benchmark> [--scale S] [--seed N]
-//!     Print the generated program as an IR listing.
-//!
-//! propeller_cli map <benchmark> [--scale S] [--seed N]
-//!     Print the optimized binary's linker map.
-//! ```
-//!
-//! `fleet` also accepts `--faults SPEC`: the plan injects into every
-//! production release build (never the oracle arm), and each release's
-//! ledger row records the degradation its build survived.
+//! Every subcommand — its positionals, the flags it accepts, what it
+//! does, and whether its `--scale` is absolute or a multiplier — is one
+//! row of the command table in `cli/mod.rs`. That table is the single
+//! source of truth: `main` dispatches through it, the flag parser
+//! rejects anything a row does not list, and running `propeller_cli`
+//! with no arguments prints the help text generated from it.
 
-use propeller::{
-    EvalReport, FaultKind, FaultPlan, Propeller, PropellerOptions,
-};
-use propeller_bench::{run_benchmark, RunConfig};
-use propeller_doctor::{
-    audit_pipeline, degradation_findings, diagnose, diff_docs, diff_reports,
-    diff_service_ledgers, evaluate_slo, provenance_findings, render_annotate, render_explain,
-    render_layout_diff, render_perf_report, service_findings, trend_reports,
-    AttributionSection, DoctorConfig, ProvenanceDoc, RelinkPolicy, RunReport, Severity,
-    SloConfig,
-};
-use propeller_faults::ServiceLedger;
-use propeller_fleet::{run_fleet, FleetOptions};
-use propeller_serve::{
-    gen_traffic, run_soak, soak_scenarios, RelinkService, ServeOptions, TrafficConfig,
-};
-use propeller_sim::{heatmap_csv, heatmap_pgm, AttributedCounters, Event, SimOptions};
-use propeller_synth::{all_specs, generate, spec_by_name, GenParams};
-use propeller_telemetry::{
-    chrome::{to_chrome_trace, to_chrome_trace_with_series},
-    report::render_text,
-    JsonValue, Telemetry, TimeSeries,
-};
-use propeller_wpa::cluster_map_to_text;
-use std::process::ExitCode;
+mod cli;
 
-/// What went wrong in a CLI invocation, with a `source()` chain down
-/// to the failing layer. Every fallible path in `main` funnels through
-/// [`fail`], which renders the chain — no `unwrap`/`expect` on state
-/// that a run can actually reach.
-#[derive(Debug)]
-enum CliError {
-    /// An internal pipeline contract broke: an artifact that the
-    /// completed phases must have produced is absent.
-    MissingArtifact { what: &'static str, needs: &'static str },
-    Pipeline { source: propeller::PipelineError },
-    Serve { source: propeller_serve::ServeError },
-    Io { path: String, source: std::io::Error },
-    Parse { path: String, detail: String },
-}
-
-impl std::fmt::Display for CliError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CliError::MissingArtifact { what, needs } => write!(
-                f,
-                "internal contract broken: {what} is missing although {needs}; \
-                 please report this"
-            ),
-            CliError::Pipeline { .. } => write!(f, "pipeline failed"),
-            CliError::Serve { .. } => write!(f, "relink service failed"),
-            CliError::Io { path, .. } => write!(f, "cannot access {path}"),
-            CliError::Parse { path, detail } => write!(f, "cannot parse {path}: {detail}"),
-        }
-    }
-}
-
-impl std::error::Error for CliError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CliError::Pipeline { source } => Some(source),
-            CliError::Serve { source } => Some(source),
-            CliError::Io { source, .. } => Some(source),
-            CliError::MissingArtifact { .. } | CliError::Parse { .. } => None,
-        }
-    }
-}
-
-/// Renders `e` and its whole `source()` chain to stderr and returns
-/// the failure exit code.
-fn fail(e: CliError) -> ExitCode {
-    eprintln!("error: {e}");
-    let mut cur = std::error::Error::source(&e);
-    while let Some(s) = cur {
-        eprintln!("  caused by: {s}");
-        cur = s.source();
-    }
-    ExitCode::FAILURE
-}
-
-/// `Option` → `Result` for artifacts the completed phases guarantee.
-fn require<T>(opt: Option<T>, what: &'static str, needs: &'static str) -> Result<T, CliError> {
-    opt.ok_or(CliError::MissingArtifact { what, needs })
-}
-
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: propeller_cli <list | run <bench> | doctor <bench> | chaos [bench] | \
-         fleet [bench] | traffic [bench] | timeline [bench] | slo [bench] | \
-         serve [bench] | \
-         service-diff <A.json> <B.json> | compare <bench> | perf-report <bench> | \
-         annotate <bench> <function> | explain <bench> <function>[:<block>] | \
-         diff <A.json> <B.json> [C.json ...] | layout-diff <A.json> <B.json> | \
-         dump <bench> | map <bench>> \
-         [--scale S] [--seed N] [--out PATH] [--trace-out FILE] [--json] \
-         [--tolerance PCT] [--faults SPEC] [--jobs N] [--top N] [--event E] \
-         [--releases N] [--machines M] [--drift D] [--skew-threshold T] \
-         [--history-window W] [--flamegraph-out FILE] [--heatmap-out FILE] \
-         [--provenance] [--requests N] [--tenants N] [--slots N] [--queue N] \
-         [--cache-capacity N] [--mean-gap SECS] [--soak] [--verify-batch] \
-         [--interval SECS] [--config FILE]"
-    );
-    ExitCode::FAILURE
-}
-
-/// Run one traffic plan with the modeled-clock timeline armed. Shared
-/// by the `timeline` and `slo` subcommands: the service executes the
-/// same real work as `traffic`, but every scheduling decision also
-/// lands in the [`TimeSeries`]. With `trace`, the Chrome trace is
-/// rendered with the series appended as counter events.
-fn run_traffic_timeline(
-    benchmark: &str,
-    scale: f64,
-    cfg: &TrafficConfig,
-    sopts: ServeOptions,
-    trace: bool,
-) -> Result<(propeller_serve::ServiceReport, TimeSeries, Option<String>), CliError> {
-    let mut svc = RelinkService::new(benchmark, scale, sopts)
-        .map_err(|source| CliError::Serve { source })?;
-    svc.arm_timeline();
-    if trace {
-        svc.set_telemetry(Telemetry::enabled());
-    }
-    let traffic = gen_traffic(cfg);
-    let report = svc.run(&traffic).map_err(|source| CliError::Serve { source })?;
-    let timeline = svc.timeline().cloned().unwrap_or_else(TimeSeries::new);
-    let chrome = trace.then(|| to_chrome_trace_with_series(&svc.telemetry().drain(), &timeline));
-    Ok((report, timeline, chrome))
-}
-
-/// The per-tenant latency percentile table both timeline-backed
-/// subcommands print.
-fn render_latency_table(report: &propeller_serve::ServiceReport, ts: &TimeSeries) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{:<8} {:>9} {:>10} {:>10} {:>10}",
-        "tenant", "completed", "p50_ms", "p95_ms", "p99_ms"
-    );
-    for (name, row) in &report.ledger.tenants {
-        let q = |q: f64| {
-            ts.histogram(&format!("latency_ms.{name}"))
-                .and_then(|h| h.quantile(q))
-                .map_or_else(|| "-".to_string(), |v| format!("{v:.1}"))
-        };
-        let _ = writeln!(
-            out,
-            "{:<8} {:>9} {:>10} {:>10} {:>10}",
-            name,
-            row.completed,
-            q(0.50),
-            q(0.95),
-            q(0.99)
-        );
-    }
-    out
-}
-
-fn generate_for(args: &Args) -> Option<propeller_synth::GeneratedBenchmark> {
-    let spec = spec_by_name(&args.benchmark)?;
-    Some(generate(
-        &spec,
-        &GenParams {
-            scale: args.scale.unwrap_or(spec.default_scale),
-            seed: args.seed,
-            funcs_per_module: 12,
-            entry_points: 4,
-        },
-    ))
-}
-
-struct Args {
-    benchmark: String,
-    scale: Option<f64>,
-    seed: u64,
-    out: Option<String>,
-    trace_out: Option<String>,
-    json: bool,
-    faults: Option<String>,
-    jobs: Option<usize>,
-    flamegraph_out: Option<String>,
-    heatmap_out: Option<String>,
-    top: usize,
-    event: Option<String>,
-    provenance: bool,
-}
-
-fn parse_args(mut rest: impl Iterator<Item = String>) -> Option<Args> {
-    let benchmark = rest.next()?;
-    let mut args = Args {
-        benchmark,
-        scale: None,
-        seed: 0xA5_2023,
-        out: None,
-        trace_out: None,
-        json: false,
-        faults: None,
-        jobs: None,
-        flamegraph_out: None,
-        heatmap_out: None,
-        top: 10,
-        event: None,
-        provenance: false,
-    };
-    while let Some(flag) = rest.next() {
-        match flag.as_str() {
-            "--scale" => args.scale = Some(rest.next()?.parse().ok()?),
-            "--seed" => args.seed = rest.next()?.parse().ok()?,
-            "--out" => args.out = Some(rest.next()?),
-            "--trace-out" => args.trace_out = Some(rest.next()?),
-            "--json" => args.json = true,
-            "--faults" => args.faults = Some(rest.next()?),
-            "--jobs" => args.jobs = Some(rest.next()?.parse().ok().filter(|&j| j > 0)?),
-            "--flamegraph-out" => args.flamegraph_out = Some(rest.next()?),
-            "--heatmap-out" => args.heatmap_out = Some(rest.next()?),
-            "--top" => args.top = rest.next()?.parse().ok()?,
-            "--event" => args.event = Some(rest.next()?),
-            "--provenance" => args.provenance = true,
-            _ => return None,
-        }
-    }
-    Some(args)
-}
-
-/// Resolves `--event` (or the `default` when absent); prints the
-/// valid names on a bad value.
-fn event_for(args: &Args, default: Event) -> Result<Event, ExitCode> {
-    match &args.event {
-        None => Ok(default),
-        Some(name) => Event::from_name(name).ok_or_else(|| {
-            let names: Vec<&str> = Event::ALL.iter().map(|e| e.name()).collect();
-            eprintln!("unknown event {name:?} (one of: {})", names.join(", "));
-            ExitCode::FAILURE
-        }),
-    }
-}
-
-/// Pipeline options for a CLI invocation: the default options, plus
-/// the parsed `--faults` plan and `--jobs` count when given. Only a
-/// non-empty plan changes anything — fault-free invocations keep the
-/// exact default options so their output stays bit-identical to builds
-/// without the fault layer. (`--jobs` never changes output at all:
-/// every parallel stage reduces in submission order.)
-fn options_for(args: &Args) -> Result<PropellerOptions, ExitCode> {
-    let mut opts = PropellerOptions::default();
-    if let Some(jobs) = args.jobs {
-        opts.jobs = jobs;
-    }
-    if let Some(spec) = &args.faults {
-        match FaultPlan::parse(spec) {
-            Ok(plan) if plan.is_none() => {}
-            Ok(plan) => {
-                opts.faults = plan;
-                // The injection schedule derives from the pipeline
-                // seed, so --seed replays the exact same faults.
-                opts.seed = args.seed;
-            }
-            Err(e) => {
-                eprintln!("invalid --faults spec: {e}");
-                return Err(ExitCode::FAILURE);
-            }
-        }
-    }
-    Ok(opts)
-}
-
-/// Assembles the layout-provenance document from a pipeline that ran
-/// with `PropellerOptions::provenance` armed. The document is empty
-/// (but well-formed) when the run was not armed.
-fn collect_provenance(
-    pipeline: &Propeller,
-    benchmark: &str,
-    scale: f64,
-    seed: u64,
-) -> Result<ProvenanceDoc, CliError> {
-    let wpa = require(pipeline.wpa_output(), "the WPA output", "phase 3 completed")?;
-    let rich = wpa.rich.clone().unwrap_or_default();
-    let placements = pipeline
-        .po_binary()
-        .map(|b| b.placements.clone())
-        .unwrap_or_default();
-    Ok(ProvenanceDoc::collect(
-        benchmark,
-        scale,
-        seed,
-        &rich,
-        &wpa.provenance,
-        &placements,
-        None,
-    ))
-}
-
-fn write_file(path: &std::path::Path, contents: String) -> Result<(), CliError> {
-    std::fs::write(path, contents).map_err(|source| CliError::Io {
-        path: path.display().to_string(),
-        source,
-    })?;
-    println!("wrote {}", path.display());
-    Ok(())
-}
-
-/// The built-in chaos matrix: every fault family alone and in
-/// combination, bracketed by the clean run (must stay ledger-clean)
-/// and total profile loss (must fall back to the identity layout).
-fn chaos_matrix() -> Vec<(&'static str, FaultPlan)> {
-    let parse = |s: &str| FaultPlan::parse(s).expect("static chaos plan literal parses");
-    vec![
-        ("zero-faults", FaultPlan::none()),
-        ("transient-storm", parse("transient=0.7")),
-        ("timeout-storm", parse("timeout=0.5")),
-        ("cache-chaos", parse("corrupt-cache=0.5,evict-cache=0.3")),
-        (
-            "partial-profile-loss",
-            parse("corrupt-lbr=0.4,truncate-samples=0.3"),
-        ),
-        ("full-profile-loss", FaultPlan::full_profile_loss()),
-        ("permanent-codegen", parse("permanent-codegen=1")),
-        (
-            "kitchen-sink",
-            parse(
-                "transient=0.4,timeout=0.2,corrupt-cache=0.4,evict-cache=0.2,\
-                 corrupt-lbr=0.3,truncate-samples=0.3,permanent-codegen=0.5",
-            ),
-        ),
-    ]
-}
-
-/// Runs one chaos scenario and appends every violated invariant to
-/// `violations`. Returns the scenario's JSON summary.
-fn run_chaos_scenario(
-    name: &str,
-    plan: &FaultPlan,
-    spec: &propeller_synth::BenchmarkSpec,
-    scale: f64,
-    seed: u64,
-    violations: &mut Vec<String>,
-) -> JsonValue {
-    let fail = |violations: &mut Vec<String>, what: String| {
-        violations.push(format!("[{name}] {what}"));
-    };
-    let gen = generate(
-        spec,
-        &GenParams {
-            scale,
-            seed,
-            funcs_per_module: 12,
-            entry_points: 4,
-        },
-    );
-    let opts = PropellerOptions {
-        faults: plan.clone(),
-        seed,
-        ..PropellerOptions::default()
-    };
-    let mut pipeline = Propeller::new(gen.program, gen.entries, opts);
-    let mut members = vec![
-        ("name".to_string(), JsonValue::Str(name.to_string())),
-        ("plan".to_string(), JsonValue::Str(plan.to_spec_string())),
-    ];
-    match pipeline.run_all() {
-        Ok(report) => {
-            let ledger = &report.degradation;
-            // Survival: the degraded binary must still retire exactly
-            // the baseline's block trace (correctness), with finite
-            // accounting.
-            match pipeline.evaluate(150_000) {
-                Ok(eval) => {
-                    if eval.optimized.blocks != eval.baseline.blocks {
-                        fail(
-                            violations,
-                            format!(
-                                "optimized binary retires {} blocks, baseline {} — not \
-                                 semantically equivalent",
-                                eval.optimized.blocks, eval.baseline.blocks
-                            ),
-                        );
-                    }
-                    members.push((
-                        "speedup_pct".to_string(),
-                        JsonValue::Num(eval.speedup_pct()),
-                    ));
-                }
-                Err(e) => fail(violations, format!("evaluation failed: {e}")),
-            }
-            if !ledger.retry_backoff_secs.is_finite() {
-                fail(violations, "retry backoff accumulated to a non-finite value".into());
-            }
-            // Exact accounting: every fault the injector fired must be
-            // visible in the ledger, one-for-one.
-            if let Some(inj) = pipeline.fault_injector() {
-                let books = [
-                    (FaultKind::TransientActionFailure, ledger.action_retries),
-                    (FaultKind::ActionTimeout, ledger.action_timeouts),
-                    (FaultKind::CacheCorruption, ledger.cache_corruptions),
-                    (FaultKind::CacheEviction, ledger.cache_evictions),
-                    (FaultKind::LbrRecordCorruption, ledger.lbr_records_corrupted),
-                    (FaultKind::SampleTruncation, ledger.lbr_samples_truncated),
-                    (FaultKind::PermanentCodegenFailure, ledger.objects_fallen_back),
-                ];
-                for (kind, booked) in books {
-                    let fired = inj.fired(kind);
-                    if fired != booked {
-                        fail(
-                            violations,
-                            format!(
-                                "injector fired {fired} {} fault(s) but the ledger \
-                                 accounts for {booked}",
-                                kind.key()
-                            ),
-                        );
-                    }
-                }
-                if ledger.cache_rebuilds != ledger.cache_corruptions + ledger.cache_evictions {
-                    fail(
-                        violations,
-                        format!(
-                            "{} cache rebuilds for {} corruptions + {} evictions",
-                            ledger.cache_rebuilds,
-                            ledger.cache_corruptions,
-                            ledger.cache_evictions
-                        ),
-                    );
-                }
-            } else if !plan.is_none() {
-                fail(violations, "non-empty plan but no injector was armed".into());
-            }
-            if plan.is_none() && !ledger.is_clean() {
-                fail(violations, format!("zero-fault run dirtied the ledger: {ledger}"));
-            }
-            print!("{}", ledger.render());
-            members.push((
-                "layout_mode".to_string(),
-                JsonValue::Str(ledger.layout_mode.as_str().to_string()),
-            ));
-            members.push((
-                "degradation".to_string(),
-                JsonValue::Obj(
-                    ledger
-                        .entries()
-                        .into_iter()
-                        .map(|(k, v)| (k.to_string(), JsonValue::Num(v)))
-                        .collect(),
-                ),
-            ));
-        }
-        Err(e) => fail(violations, format!("pipeline failed to complete: {e}")),
-    }
-    members.push((
-        "survived".to_string(),
-        JsonValue::Bool(!violations.iter().any(|v| v.starts_with(&format!("[{name}]")))),
-    ));
-    JsonValue::Obj(members)
-}
-
-/// The `chaos` subcommand: run every scenario, print each ledger,
-/// write the JSON artifact, and fail on any violated invariant.
-fn run_chaos_matrix(
-    spec: &propeller_synth::BenchmarkSpec,
-    scale: f64,
-    seed: u64,
-    out: Option<&str>,
-) -> Result<(), ExitCode> {
-    let mut violations = Vec::new();
-    let mut scenarios = Vec::new();
-    for (name, plan) in chaos_matrix() {
-        let plan_str = plan.to_spec_string();
-        println!(
-            "=== chaos scenario {name} (plan: {}) ===",
-            if plan_str.is_empty() { "<none>" } else { &plan_str }
-        );
-        scenarios.push(run_chaos_scenario(name, &plan, spec, scale, seed, &mut violations));
-    }
-    if let Some(dir) = out {
-        let dir = std::path::Path::new(dir);
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("cannot create {}: {e}", dir.display());
-            return Err(ExitCode::FAILURE);
-        }
-        let doc = JsonValue::Obj(vec![
-            ("benchmark".to_string(), JsonValue::Str(spec.name.to_string())),
-            ("scale".to_string(), JsonValue::Num(scale)),
-            ("seed".to_string(), JsonValue::Num(seed as f64)),
-            ("scenarios".to_string(), JsonValue::Arr(scenarios)),
-        ]);
-        write_file(&dir.join("chaos_report.json"), doc.to_string_pretty()).map_err(fail)?;
-    }
-    if violations.is_empty() {
-        println!("chaos gate: all {} scenarios survived", chaos_matrix().len());
-        Ok(())
-    } else {
-        for v in &violations {
-            eprintln!("chaos violation: {v}");
-        }
-        eprintln!("chaos gate: {} violation(s)", violations.len());
-        Err(ExitCode::FAILURE)
-    }
-}
-
-fn main() -> ExitCode {
-    let mut argv = std::env::args();
-    let _ = argv.next();
-    match argv.next().as_deref() {
-        Some("list") => {
-            println!(
-                "{:<15} {:>10} {:>9} {:>10} {:>7} {:>9}",
-                "benchmark", "text", "funcs", "blocks", "%cold", "scale"
-            );
-            for s in all_specs() {
-                println!(
-                    "{:<15} {:>9}M {:>9} {:>10} {:>6.0}% {:>9.4}",
-                    s.name,
-                    s.text_bytes / (1024 * 1024),
-                    s.funcs,
-                    s.blocks,
-                    s.cold_object_fraction * 100.0,
-                    s.default_scale
-                );
-            }
-            ExitCode::SUCCESS
-        }
-        Some("run") => {
-            let Some(args) = parse_args(argv) else {
-                return usage();
-            };
-            let Some(spec) = spec_by_name(&args.benchmark) else {
-                eprintln!("unknown benchmark {:?} (try `list`)", args.benchmark);
-                return ExitCode::FAILURE;
-            };
-            let scale = args.scale.unwrap_or(spec.default_scale);
-            let gen = generate(
-                &spec,
-                &GenParams {
-                    scale,
-                    seed: args.seed,
-                    funcs_per_module: 12,
-                    entry_points: 4,
-                },
-            );
-            println!("{}: {}", spec.name, gen.program.stats());
-            let mut opts = match options_for(&args) {
-                Ok(o) => o,
-                Err(code) => return code,
-            };
-            // The export flags arm the matching Phase 3 collectors;
-            // without them the options stay bit-identical to the
-            // defaults, so baseline run_report.json does not change.
-            if args.heatmap_out.is_some() {
-                opts.heatmap = Some((64, 64));
-            }
-            if args.flamegraph_out.is_some() {
-                opts.attribution = true;
-            }
-            if args.provenance {
-                opts.provenance = true;
-            }
-            let mut pipeline = Propeller::new(gen.program, gen.entries, opts);
-            // `--out` embeds a metrics snapshot in the RunReport, so
-            // telemetry must be live for either output flag.
-            if args.trace_out.is_some() || args.out.is_some() {
-                pipeline.set_telemetry(Telemetry::enabled());
-            }
-            let report = match pipeline.run_all() {
-                Ok(r) => r,
-                Err(source) => return fail(CliError::Pipeline { source }),
-            };
-            println!(
-                "hot functions: {}; hot modules: {:.0}%; relaxation: {} jumps deleted, {} branches shrunk",
-                report.hot_functions,
-                report.hot_module_fraction * 100.0,
-                report.deleted_jumps,
-                report.shrunk_branches
-            );
-            println!(
-                "ir cache: {}/{} hits; object cache: {}/{} hits",
-                report.ir_cache.hits,
-                report.ir_cache.lookups,
-                report.object_cache.hits,
-                report.object_cache.lookups
-            );
-            if !report.degradation.is_clean() {
-                print!("{}", report.degradation.render());
-            }
-            let eval = match pipeline.evaluate(400_000) {
-                Ok(e) => e,
-                Err(source) => return fail(CliError::Pipeline { source }),
-            };
-            println!(
-                "speedup over PGO+ThinLTO baseline: {:+.2}% ({} -> {} cycles)",
-                eval.speedup_pct(),
-                eval.baseline.cycles,
-                eval.optimized.cycles
-            );
-            if let Some(path) = &args.flamegraph_out {
-                let folded = match require(
-                    pipeline.profile_folded(),
-                    "the folded profile",
-                    "--flamegraph-out armed attribution",
-                ) {
-                    Ok(f) => f,
-                    Err(e) => return fail(e),
-                };
-                if let Err(e) = write_file(std::path::Path::new(path), folded.to_text()) {
-                    return fail(e);
-                }
-            }
-            if let Some(path) = &args.heatmap_out {
-                let hm = match require(
-                    pipeline.profile_heatmap(),
-                    "the heat map",
-                    "--heatmap-out armed collection",
-                ) {
-                    Ok(h) => h,
-                    Err(e) => return fail(e),
-                };
-                let text = if path.ends_with(".pgm") {
-                    heatmap_pgm(hm)
-                } else {
-                    heatmap_csv(hm)
-                };
-                if let Err(e) = write_file(std::path::Path::new(path), text) {
-                    return fail(e);
-                }
-            }
-            let trace = pipeline
-                .telemetry()
-                .is_enabled()
-                .then(|| pipeline.telemetry().drain());
-            if let Some(path) = &args.trace_out {
-                let trace = match require(
-                    trace.as_ref(),
-                    "the telemetry trace",
-                    "--trace-out enabled telemetry",
-                ) {
-                    Ok(t) => t,
-                    Err(e) => return fail(e),
-                };
-                if let Err(source) = std::fs::write(path, to_chrome_trace(trace)) {
-                    return fail(CliError::Io { path: path.clone(), source });
-                }
-                println!("wrote {path} (open at chrome://tracing or ui.perfetto.dev)\n");
-                print!("{}", render_text(trace));
-            }
-            if let Some(dir) = args.out {
-                let dir = std::path::Path::new(&dir);
-                if let Err(e) = std::fs::create_dir_all(dir) {
-                    eprintln!("cannot create {}: {e}", dir.display());
-                    return ExitCode::FAILURE;
-                }
-                let wpa = match require(
-                    pipeline.wpa_output(),
-                    "the WPA output",
-                    "phase 3 completed",
-                ) {
-                    Ok(w) => w,
-                    Err(e) => return fail(e),
-                };
-                let cc = cluster_map_to_text(&wpa.cluster_map, pipeline.program());
-                let ld = wpa.symbol_order.to_file_contents();
-                let audit = match audit_pipeline(&pipeline) {
-                    Ok(a) => a,
-                    Err(e) => {
-                        eprintln!("audit failed: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                let mut run_report = RunReport::collect(
-                    spec.name,
-                    scale,
-                    args.seed,
-                    &pipeline,
-                    &report,
-                    Some(&eval),
-                    Some(&audit),
-                    trace.map(|t| t.metrics),
-                );
-                // Only set when attribution actually ran, so baseline
-                // reports stay bit-identical.
-                if let Some(attr) = pipeline.profile_attribution() {
-                    run_report.attribution =
-                        Some(AttributionSection::from_attribution(attr, args.top));
-                }
-                for (name, contents) in [
-                    ("cc_prof.txt", cc),
-                    ("ld_prof.txt", ld),
-                    ("run_report.json", run_report.to_json_string()),
-                ] {
-                    if let Err(e) = write_file(&dir.join(name), contents) {
-                        return fail(e);
-                    }
-                }
-                if args.provenance {
-                    let mut doc =
-                        match collect_provenance(&pipeline, spec.name, scale, args.seed) {
-                            Ok(d) => d,
-                            Err(e) => return fail(e),
-                        };
-                    if let Some(attr) = pipeline.profile_attribution() {
-                        doc.attribution = attr
-                            .symbols
-                            .iter()
-                            .map(|s| (s.name.clone(), s.total.cycles))
-                            .collect();
-                    }
-                    if let Err(e) = doc.validate_replay() {
-                        eprintln!("provenance replay check failed: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                    if let Err(e) = write_file(
-                        &dir.join("layout_provenance.json"),
-                        doc.to_json_string(),
-                    ) {
-                        return fail(e);
-                    }
-                }
-            }
-            ExitCode::SUCCESS
-        }
-        Some("doctor") => {
-            let Some(args) = parse_args(argv) else {
-                return usage();
-            };
-            let Some(spec) = spec_by_name(&args.benchmark) else {
-                eprintln!("unknown benchmark {:?} (try `list`)", args.benchmark);
-                return ExitCode::FAILURE;
-            };
-            let gen = generate(
-                &spec,
-                &GenParams {
-                    scale: args.scale.unwrap_or(spec.default_scale),
-                    seed: args.seed,
-                    funcs_per_module: 12,
-                    entry_points: 4,
-                },
-            );
-            let mut opts = match options_for(&args) {
-                Ok(o) => o,
-                Err(code) => return code,
-            };
-            // The doctor always collects provenance: arming changes
-            // no layout and no report, and the coverage/replay audit
-            // needs the decision records to exist.
-            opts.provenance = true;
-            let jobs = opts.jobs;
-            let mut pipeline = Propeller::new(gen.program, gen.entries, opts);
-            if let Err(source) = pipeline.run_all() {
-                return fail(CliError::Pipeline { source });
-            }
-            let audit = match audit_pipeline(&pipeline) {
-                Ok(a) => a,
-                Err(e) => {
-                    eprintln!("audit failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let cfg = DoctorConfig::default();
-            let mut findings = diagnose(&audit, &cfg);
-            findings.extend(propeller_doctor::wall_clock_findings(pipeline.times(), jobs));
-            let scale = args.scale.unwrap_or(spec.default_scale);
-            let doc = match collect_provenance(&pipeline, spec.name, scale, args.seed) {
-                Ok(d) => d,
-                Err(e) => return fail(e),
-            };
-            let wpa = match require(
-                pipeline.wpa_output(),
-                "the WPA output",
-                "phase 3 completed",
-            ) {
-                Ok(w) => w,
-                Err(e) => return fail(e),
-            };
-            findings.extend(provenance_findings(&wpa.provenance, &doc, &cfg));
-            findings.extend(degradation_findings(pipeline.degradation()));
-            print!("{}", propeller_doctor::render(&findings));
-            if propeller_doctor::worst(&findings) == Severity::Fail {
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
-        Some("chaos") => {
-            let mut benchmark = "clang".to_string();
-            let mut scale = 0.004f64;
-            let mut seed = 77u64;
-            let mut out: Option<String> = None;
-            let mut first = true;
-            while let Some(tok) = argv.next() {
-                match tok.as_str() {
-                    "--scale" => {
-                        let Some(s) = argv.next().and_then(|s| s.parse().ok()) else {
-                            return usage();
-                        };
-                        scale = s;
-                    }
-                    "--seed" => {
-                        let Some(s) = argv.next().and_then(|s| s.parse().ok()) else {
-                            return usage();
-                        };
-                        seed = s;
-                    }
-                    "--out" => {
-                        let Some(dir) = argv.next() else {
-                            return usage();
-                        };
-                        out = Some(dir);
-                    }
-                    t if first && !t.starts_with("--") => benchmark = t.to_string(),
-                    _ => return usage(),
-                }
-                first = false;
-            }
-            let Some(spec) = spec_by_name(&benchmark) else {
-                eprintln!("unknown benchmark {benchmark:?} (try `list`)");
-                return ExitCode::FAILURE;
-            };
-            match run_chaos_matrix(&spec, scale, seed, out.as_deref()) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(code) => code,
-            }
-        }
-        Some("fleet") => {
-            let mut benchmark = "clang".to_string();
-            let mut scale: Option<f64> = None;
-            let mut out: Option<String> = None;
-            let mut fopts = FleetOptions::default();
-            let mut first = true;
-            while let Some(tok) = argv.next() {
-                macro_rules! val {
-                    () => {
-                        match argv.next().and_then(|s| s.parse().ok()) {
-                            Some(v) => v,
-                            None => return usage(),
-                        }
-                    };
-                }
-                match tok.as_str() {
-                    "--scale" => scale = Some(val!()),
-                    "--seed" => fopts.seed = val!(),
-                    "--releases" => fopts.releases = val!(),
-                    "--machines" => fopts.machines = val!(),
-                    "--drift" => fopts.drift = val!(),
-                    "--jobs" => fopts.jobs = val!(),
-                    "--skew-threshold" => fopts.policy = RelinkPolicy { max_skew: val!() },
-                    "--history-window" => fopts.history_window = val!(),
-                    "--provenance" => fopts.provenance = true,
-                    "--faults" => {
-                        let Some(spec) = argv.next() else {
-                            return usage();
-                        };
-                        match FaultPlan::parse(&spec) {
-                            Ok(plan) => fopts.faults = plan,
-                            Err(e) => {
-                                eprintln!("invalid --faults spec: {e}");
-                                return ExitCode::FAILURE;
-                            }
-                        }
-                    }
-                    "--out" => {
-                        let Some(dir) = argv.next() else {
-                            return usage();
-                        };
-                        out = Some(dir);
-                    }
-                    t if first && !t.starts_with("--") => benchmark = t.to_string(),
-                    _ => return usage(),
-                }
-                first = false;
-            }
-            let Some(spec) = spec_by_name(&benchmark) else {
-                eprintln!("unknown benchmark {benchmark:?} (try `list`)");
-                return ExitCode::FAILURE;
-            };
-            let scale = scale.unwrap_or(spec.default_scale);
-            let report = match run_fleet(&spec, scale, &fopts) {
-                Ok(r) => r,
-                Err(e) => {
-                    eprintln!("fleet run failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            println!(
-                "fleet: {} scale {} seed {} | {} releases, {} machines, drift {}, \
-                 skew threshold {}, history window {}",
-                report.benchmark,
-                report.scale,
-                report.seed,
-                fopts.releases,
-                report.machines,
-                report.drift,
-                report.skew_threshold,
-                report.history_window,
-            );
-            println!(
-                "{:>7}  {:>6}  {:>9}  {:>9}  {:>9}  {:>8}  {:>6}  {:>9}",
-                "release", "skew", "decision", "achieved%", "oracle%", "gap%", "cache%", "dropped"
-            );
-            for r in &report.records {
-                println!(
-                    "{:>7}  {:>6.3}  {:>9}  {:>9.3}  {:>9.3}  {:>8.3}  {:>6.1}  {:>9}",
-                    r.release,
-                    r.skew,
-                    r.decision,
-                    r.achieved_speedup_pct,
-                    r.oracle_speedup_pct,
-                    r.gap_pct,
-                    r.cache_hit_rate * 100.0,
-                    r.dropped_records,
-                );
-                for d in &r.divergences {
-                    println!("         | {d}");
-                }
-            }
-            println!("mean post-bootstrap gap: {:.3}%", report.mean_gap_pct());
-            if let Some(dir) = &out {
-                if let Err(e) = std::fs::create_dir_all(dir) {
-                    eprintln!("cannot create {dir}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                let json_path = format!("{dir}/fleet_report.json");
-                let csv_path = format!("{dir}/fleet_curve.csv");
-                let tl_path = format!("{dir}/fleet_timeline.csv");
-                if let Err(e) = std::fs::write(&json_path, report.to_json_string())
-                    .and_then(|()| std::fs::write(&csv_path, report.curve_csv()))
-                    .and_then(|()| std::fs::write(&tl_path, report.timeseries().to_csv()))
-                {
-                    eprintln!("cannot write fleet artifacts under {dir}: {e}");
-                    return ExitCode::FAILURE;
-                }
-                println!("wrote {json_path}, {csv_path} and {tl_path}");
-            }
-            if report.drift == 0.0 && !report.steady_after_warmup(report.history_window) {
-                eprintln!(
-                    "FLEET GATE: zero-drift run is not steady after the {}-release warmup \
-                     (identical releases produced different ledger rows)",
-                    report.history_window
-                );
-                return ExitCode::FAILURE;
-            }
-            ExitCode::SUCCESS
-        }
-        Some("traffic") => {
-            let mut benchmark = "clang".to_string();
-            let mut scale: Option<f64> = None;
-            let mut seed: Option<u64> = None;
-            let mut cfg = TrafficConfig::default();
-            // Keep CLI service runs CI-cheap; the library default
-            // budget targets the larger in-process harnesses.
-            let mut sopts = ServeOptions { profile_budget: 30_000, ..ServeOptions::default() };
-            let mut jobs = 1usize;
-            let mut soak = false;
-            let mut verify_batch = false;
-            let mut out: Option<String> = None;
-            let mut trace_out: Option<String> = None;
-            let mut first = true;
-            while let Some(tok) = argv.next() {
-                macro_rules! val {
-                    () => {
-                        match argv.next().and_then(|s| s.parse().ok()) {
-                            Some(v) => v,
-                            None => return usage(),
-                        }
-                    };
-                }
-                match tok.as_str() {
-                    "--scale" => scale = Some(val!()),
-                    "--seed" => seed = Some(val!()),
-                    "--requests" => cfg.requests = val!(),
-                    "--tenants" => cfg.tenants = val!(),
-                    "--mean-gap" => cfg.mean_gap_secs = val!(),
-                    "--slots" => sopts.slots = val!(),
-                    "--queue" => sopts.queue_capacity = val!(),
-                    "--cache-capacity" => sopts.cache_capacity = Some(val!()),
-                    "--jobs" => jobs = val!(),
-                    "--soak" => soak = true,
-                    "--verify-batch" => verify_batch = true,
-                    "--faults" => {
-                        let Some(spec) = argv.next() else {
-                            return usage();
-                        };
-                        match FaultPlan::parse(&spec) {
-                            Ok(plan) => sopts.faults = plan,
-                            Err(e) => {
-                                eprintln!("invalid --faults spec: {e}");
-                                return ExitCode::FAILURE;
-                            }
-                        }
-                    }
-                    "--out" => {
-                        let Some(dir) = argv.next() else {
-                            return usage();
-                        };
-                        out = Some(dir);
-                    }
-                    "--trace-out" => {
-                        let Some(path) = argv.next() else {
-                            return usage();
-                        };
-                        trace_out = Some(path);
-                    }
-                    t if first && !t.starts_with("--") => benchmark = t.to_string(),
-                    _ => return usage(),
-                }
-                first = false;
-            }
-            let scale = scale.unwrap_or(cfg.scale);
-            if let Some(s) = seed {
-                cfg.seed = s;
-                sopts.seed = s;
-            }
-            if let Some(dir) = &out {
-                if let Err(source) = std::fs::create_dir_all(dir) {
-                    return fail(CliError::Io { path: dir.clone(), source });
-                }
-            }
-            if soak {
-                // The CI serve gate: the full scenario matrix, each at
-                // --jobs 1 and the requested parallelism plus a
-                // replay, with byte-identical ledgers required.
-                let jobs_matrix = if jobs <= 1 { vec![1, 8] } else { vec![1, jobs] };
-                let outcomes = match run_soak(
-                    &soak_scenarios(),
-                    scale,
-                    sopts.profile_budget,
-                    &jobs_matrix,
-                    verify_batch,
-                ) {
-                    Ok(o) => o,
-                    Err(e) => {
-                        eprintln!("soak gate: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                println!(
-                    "{:<20} {:>9} {:>8} {:>9} {:>8} {:>7} {:>8} {:>5}",
-                    "scenario", "completed", "rejected", "cancelled", "timeouts", "retries",
-                    "hit-rate", "sigs"
-                );
-                for o in &outcomes {
-                    let t = o.ledger.totals();
-                    let hit_rate = if t.cache_lookups > 0 {
-                        t.cache_hits as f64 / t.cache_lookups as f64 * 100.0
-                    } else {
-                        0.0
-                    };
-                    println!(
-                        "{:<20} {:>9} {:>8} {:>9} {:>8} {:>7} {:>7.1}% {:>5}",
-                        o.name,
-                        t.completed,
-                        t.rejected_memory + t.rejected_queue,
-                        t.cancelled_by_client + t.cancelled_by_fault,
-                        t.deadline_timeouts,
-                        t.retries,
-                        hit_rate,
-                        o.signatures_verified,
-                    );
-                    if let Some(dir) = &out {
-                        let path =
-                            std::path::Path::new(dir).join(format!("soak_{}.json", o.name));
-                        if let Err(e) = write_file(&path, o.ledger_json.clone()) {
-                            return fail(e);
-                        }
-                    }
-                }
-                println!(
-                    "soak gate: all {} scenarios passed at jobs {:?} + replay{}",
-                    outcomes.len(),
-                    jobs_matrix,
-                    if verify_batch { " with batch-equivalent binaries" } else { "" }
-                );
-                return ExitCode::SUCCESS;
-            }
-            cfg.benchmark = benchmark.clone();
-            cfg.scale = scale;
-            sopts.jobs = jobs;
-            let profile_budget = sopts.profile_budget;
-            let mut svc = match RelinkService::new(&benchmark, scale, sopts) {
-                Ok(s) => s,
-                Err(source) => return fail(CliError::Serve { source }),
-            };
-            if trace_out.is_some() {
-                svc.set_telemetry(Telemetry::enabled());
-            }
-            let traffic = gen_traffic(&cfg);
-            let report = match svc.run(&traffic) {
-                Ok(r) => r,
-                Err(source) => return fail(CliError::Serve { source }),
-            };
-            let totals = report.ledger.totals();
-            println!(
-                "traffic: {} arrivals ({} burst clones) over {:.1} modeled s -> {} completed",
-                totals.arrivals(),
-                totals.burst_clones,
-                report.ledger.makespan_secs,
-                totals.completed,
-            );
-            print!("{}", report.ledger.render());
-            let findings = service_findings(&report.ledger);
-            print!("{}", propeller_doctor::render(&findings));
-            for v in &report.violations {
-                eprintln!("accounting violation: {v}");
-            }
-            if let Some(path) = &trace_out {
-                let trace = svc.telemetry().drain();
-                if let Err(source) = std::fs::write(path, to_chrome_trace(&trace)) {
-                    return fail(CliError::Io { path: path.clone(), source });
-                }
-                println!("wrote {path} (one lane per tenant; open at ui.perfetto.dev)");
-            }
-            if let Some(dir) = &out {
-                let path = std::path::Path::new(dir).join("service_ledger.json");
-                if let Err(e) = write_file(&path, report.ledger.to_json_string()) {
-                    return fail(e);
-                }
-            }
-            let mut batch_mismatches = 0usize;
-            if verify_batch {
-                // One batch relink per distinct signature; every
-                // same-signature service job must match byte-for-byte.
-                let mut by_sig: std::collections::BTreeMap<
-                    (u32, u64, u64, String),
-                    Vec<&propeller_serve::CompletedJob>,
-                > = std::collections::BTreeMap::new();
-                for job in &report.completed {
-                    by_sig
-                        .entry((
-                            job.tenant,
-                            job.program_seed,
-                            job.job_seed,
-                            job.plan.to_spec_string(),
-                        ))
-                        .or_default()
-                        .push(job);
-                }
-                let signatures = by_sig.len();
-                for jobs_of_sig in by_sig.values() {
-                    let batch = match propeller_serve::batch_binary(
-                        &benchmark,
-                        scale,
-                        jobs_of_sig[0],
-                        1,
-                        profile_budget,
-                    ) {
-                        Ok(b) => b,
-                        Err(source) => return fail(CliError::Serve { source }),
-                    };
-                    for job in jobs_of_sig {
-                        if job.image != batch {
-                            eprintln!(
-                                "batch divergence: job {} (tenant t{}) shipped bytes \
-                                 differing from the equivalent batch relink",
-                                job.id, job.tenant
-                            );
-                            batch_mismatches += 1;
-                        }
-                    }
-                }
-                if batch_mismatches == 0 {
-                    println!(
-                        "batch equivalence: {signatures} signature(s) verified byte-identical"
-                    );
-                }
-            }
-            let exact = report.violations.is_empty()
-                && report.ledger.accounts_exactly()
-                && batch_mismatches == 0
-                && propeller_doctor::worst(&findings) != Severity::Fail;
-            if exact {
-                ExitCode::SUCCESS
-            } else {
-                eprintln!("traffic gate: accounting or batch-equivalence failure");
-                ExitCode::FAILURE
-            }
-        }
-        Some(cmd @ ("timeline" | "slo")) => {
-            let mut benchmark = "clang".to_string();
-            let mut scale: Option<f64> = None;
-            let mut seed: Option<u64> = None;
-            let mut cfg = TrafficConfig::default();
-            let mut sopts = ServeOptions { profile_budget: 30_000, ..ServeOptions::default() };
-            let mut jobs = 1usize;
-            let mut interval_secs = 10.0f64;
-            let mut config_path: Option<String> = None;
-            let mut out: Option<String> = None;
-            let mut trace_out: Option<String> = None;
-            let mut first = true;
-            while let Some(tok) = argv.next() {
-                macro_rules! val {
-                    () => {
-                        match argv.next().and_then(|s| s.parse().ok()) {
-                            Some(v) => v,
-                            None => return usage(),
-                        }
-                    };
-                }
-                match tok.as_str() {
-                    "--scale" => scale = Some(val!()),
-                    "--seed" => seed = Some(val!()),
-                    "--requests" => cfg.requests = val!(),
-                    "--tenants" => cfg.tenants = val!(),
-                    "--mean-gap" => cfg.mean_gap_secs = val!(),
-                    "--slots" => sopts.slots = val!(),
-                    "--queue" => sopts.queue_capacity = val!(),
-                    "--cache-capacity" => sopts.cache_capacity = Some(val!()),
-                    "--jobs" => jobs = val!(),
-                    "--interval" if cmd == "timeline" => interval_secs = val!(),
-                    "--config" if cmd == "slo" => {
-                        let Some(path) = argv.next() else {
-                            return usage();
-                        };
-                        config_path = Some(path);
-                    }
-                    "--faults" => {
-                        let Some(spec) = argv.next() else {
-                            return usage();
-                        };
-                        match FaultPlan::parse(&spec) {
-                            Ok(plan) => sopts.faults = plan,
-                            Err(e) => {
-                                eprintln!("invalid --faults spec: {e}");
-                                return ExitCode::FAILURE;
-                            }
-                        }
-                    }
-                    "--out" => {
-                        let Some(dir) = argv.next() else {
-                            return usage();
-                        };
-                        out = Some(dir);
-                    }
-                    "--trace-out" => {
-                        let Some(path) = argv.next() else {
-                            return usage();
-                        };
-                        trace_out = Some(path);
-                    }
-                    t if first && !t.starts_with("--") => benchmark = t.to_string(),
-                    _ => return usage(),
-                }
-                first = false;
-            }
-            let scale = scale.unwrap_or(cfg.scale);
-            if let Some(s) = seed {
-                cfg.seed = s;
-                sopts.seed = s;
-            }
-            cfg.benchmark = benchmark.clone();
-            cfg.scale = scale;
-            sopts.jobs = jobs;
-            if let Some(dir) = &out {
-                if let Err(source) = std::fs::create_dir_all(dir) {
-                    return fail(CliError::Io { path: dir.clone(), source });
-                }
-            }
-            let slo_cfg = if cmd == "slo" {
-                match &config_path {
-                    Some(path) => {
-                        let text = match std::fs::read_to_string(path) {
-                            Ok(t) => t,
-                            Err(source) => {
-                                return fail(CliError::Io { path: path.clone(), source })
-                            }
-                        };
-                        match SloConfig::parse(&text) {
-                            Ok(c) => Some(c),
-                            Err(e) => {
-                                return fail(CliError::Parse {
-                                    path: path.clone(),
-                                    detail: e.to_string(),
-                                })
-                            }
-                        }
-                    }
-                    None => Some(SloConfig::default_service()),
-                }
-            } else {
-                None
-            };
-            let (report, timeline, chrome) = match run_traffic_timeline(
-                &benchmark,
-                scale,
-                &cfg,
-                sopts,
-                trace_out.is_some(),
-            ) {
-                Ok(r) => r,
-                Err(e) => return fail(e),
-            };
-            let totals = report.ledger.totals();
-            println!(
-                "{cmd}: {} arrivals over {:.1} modeled s -> {} completed; {} series recorded",
-                totals.arrivals(),
-                report.ledger.makespan_secs,
-                totals.completed,
-                timeline.names().len(),
-            );
-            print!("{}", render_latency_table(&report, &timeline));
-            if let Some(path) = &trace_out {
-                if let Some(json) = chrome {
-                    if let Err(source) = std::fs::write(path, json) {
-                        return fail(CliError::Io { path: path.clone(), source });
-                    }
-                    println!(
-                        "wrote {path} (tenant lanes + counter tracks; open at ui.perfetto.dev)"
-                    );
-                }
-            }
-            if let Some(dir) = &out {
-                let path = std::path::Path::new(dir).join("timeline.csv");
-                if let Err(e) = write_file(&path, timeline.to_csv()) {
-                    return fail(e);
-                }
-                if cmd == "timeline" {
-                    let interval_us = (interval_secs.max(1e-6) * 1e6) as u64;
-                    let path = std::path::Path::new(dir).join("timeline_sampled.csv");
-                    if let Err(e) = write_file(&path, timeline.sampled_csv(interval_us)) {
-                        return fail(e);
-                    }
-                }
-            }
-            for v in &report.violations {
-                eprintln!("accounting violation: {v}");
-            }
-            if let Some(slo_cfg) = slo_cfg {
-                let slo = evaluate_slo(&timeline, &report.ledger, &slo_cfg);
-                print!("{}", slo.render());
-                if let Some(dir) = &out {
-                    let path = std::path::Path::new(dir).join("slo_report.json");
-                    if let Err(e) = write_file(&path, slo.to_json_string()) {
-                        return fail(e);
-                    }
-                }
-                if slo.verdict() == Severity::Fail {
-                    eprintln!("slo gate: objectives violated");
-                    return ExitCode::FAILURE;
-                }
-            }
-            if report.violations.is_empty() && report.ledger.accounts_exactly() {
-                ExitCode::SUCCESS
-            } else {
-                eprintln!("{cmd}: service accounting failure");
-                ExitCode::FAILURE
-            }
-        }
-        Some("serve") => {
-            let mut benchmark = "clang".to_string();
-            let mut scale: Option<f64> = None;
-            let mut sopts = ServeOptions { profile_budget: 30_000, ..ServeOptions::default() };
-            let mut first = true;
-            while let Some(tok) = argv.next() {
-                macro_rules! val {
-                    () => {
-                        match argv.next().and_then(|s| s.parse().ok()) {
-                            Some(v) => v,
-                            None => return usage(),
-                        }
-                    };
-                }
-                match tok.as_str() {
-                    "--scale" => scale = Some(val!()),
-                    "--seed" => sopts.seed = val!(),
-                    "--slots" => sopts.slots = val!(),
-                    "--queue" => sopts.queue_capacity = val!(),
-                    "--cache-capacity" => sopts.cache_capacity = Some(val!()),
-                    "--jobs" => sopts.jobs = val!(),
-                    "--faults" => {
-                        let Some(spec) = argv.next() else {
-                            return usage();
-                        };
-                        match FaultPlan::parse(&spec) {
-                            Ok(plan) => sopts.faults = plan,
-                            Err(e) => {
-                                eprintln!("invalid --faults spec: {e}");
-                                return ExitCode::FAILURE;
-                            }
-                        }
-                    }
-                    t if first && !t.starts_with("--") => benchmark = t.to_string(),
-                    _ => return usage(),
-                }
-                first = false;
-            }
-            let scale = scale.unwrap_or(0.002);
-            // Program-seed defaults fold tenants onto shared variants,
-            // exactly like generated traffic, so repeat submissions
-            // exercise warm cross-tenant cache hits.
-            let seed_cfg = TrafficConfig {
-                benchmark: benchmark.clone(),
-                scale,
-                seed: sopts.seed,
-                ..TrafficConfig::default()
-            };
-            let mut svc = match RelinkService::new(&benchmark, scale, sopts) {
-                Ok(s) => s,
-                Err(source) => return fail(CliError::Serve { source }),
-            };
-            println!(
-                "relink service ready on {benchmark} (scale {scale}); commands: \
-                 submit <tenant> [program-seed] | drain | ledger | shutdown"
-            );
-            let mut next_id = 0u64;
-            let mut next_arrival_us = 0u64;
-            for line in std::io::stdin().lines() {
-                let line = match line {
-                    Ok(l) => l,
-                    Err(source) => {
-                        return fail(CliError::Io { path: "<stdin>".into(), source })
-                    }
-                };
-                let mut parts = line.split_whitespace();
-                match parts.next() {
-                    None => {}
-                    Some("submit") => {
-                        let Some(tenant) = parts
-                            .next()
-                            .and_then(|t| t.trim_start_matches('t').parse::<u32>().ok())
-                        else {
-                            eprintln!("usage: submit <tenant> [program-seed]");
-                            continue;
-                        };
-                        let program_seed = parts
-                            .next()
-                            .and_then(|s| s.parse().ok())
-                            .unwrap_or_else(|| {
-                                propeller_serve::traffic::program_seed_for(&seed_cfg, tenant)
-                            });
-                        // Arrivals tick one modeled second apart; the
-                        // service clamps to its own clock if later.
-                        next_arrival_us += 1_000_000;
-                        svc.submit(propeller_serve::JobRequest {
-                            id: next_id,
-                            tenant,
-                            arrival_us: next_arrival_us,
-                            program_seed,
-                            declared_peak_bytes: propeller_serve::traffic::NORMAL_PEAK_BYTES,
-                            cancel_after_secs: None,
-                        });
-                        println!("queued job {next_id} for t{tenant} (program {program_seed:#x})");
-                        next_id += 1;
-                    }
-                    Some("drain") => {
-                        if let Err(source) = svc.drain() {
-                            return fail(CliError::Serve { source });
-                        }
-                        let report = svc.report();
-                        println!(
-                            "drained: {} job(s) completed, modeled makespan {:.1}s",
-                            report.completed.len(),
-                            report.ledger.makespan_secs
-                        );
-                    }
-                    Some("ledger") => print!("{}", svc.report().ledger.render()),
-                    Some("shutdown") => break,
-                    Some(other) => {
-                        eprintln!(
-                            "unknown command {other:?} (submit | drain | ledger | shutdown)"
-                        );
-                    }
-                }
-            }
-            if let Err(source) = svc.drain() {
-                return fail(CliError::Serve { source });
-            }
-            let report = svc.report();
-            print!("{}", report.ledger.render());
-            for v in &report.violations {
-                eprintln!("accounting violation: {v}");
-            }
-            if report.violations.is_empty() && report.ledger.accounts_exactly() {
-                ExitCode::SUCCESS
-            } else {
-                eprintln!("serve gate: ledger does not account exactly");
-                ExitCode::FAILURE
-            }
-        }
-        Some("service-diff") => {
-            let mut paths: Vec<String> = Vec::new();
-            for tok in argv {
-                if tok.starts_with("--") {
-                    return usage();
-                }
-                paths.push(tok);
-            }
-            if paths.len() != 2 {
-                return usage();
-            }
-            let load = |path: &String| -> Result<ServiceLedger, CliError> {
-                let text = std::fs::read_to_string(path)
-                    .map_err(|source| CliError::Io { path: path.clone(), source })?;
-                ServiceLedger::from_json_str(&text)
-                    .map_err(|detail| CliError::Parse { path: path.clone(), detail })
-            };
-            let (a, b) = match (load(&paths[0]), load(&paths[1])) {
-                (Ok(a), Ok(b)) => (a, b),
-                (Err(e), _) | (_, Err(e)) => return fail(e),
-            };
-            let findings = diff_service_ledgers(&a, &b);
-            print!("{}", propeller_doctor::render(&findings));
-            if propeller_doctor::worst(&findings) == Severity::Fail {
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
-        Some("compare") => {
-            let Some(args) = parse_args(argv) else {
-                return usage();
-            };
-            let mut cfg = RunConfig {
-                seed: args.seed,
-                ..RunConfig::default()
-            };
-            if let Some(s) = args.scale {
-                cfg.scale_mult = s; // multiplier on the spec default
-            }
-            let a = run_benchmark(&args.benchmark, &cfg);
-            if args.json {
-                let eval = EvalReport {
-                    baseline: a.base_counters,
-                    optimized: a.prop_counters,
-                };
-                let audit = audit_pipeline(&a.pipeline).ok();
-                let mut run_report = RunReport::collect(
-                    a.spec.name,
-                    a.scale,
-                    args.seed,
-                    &a.pipeline,
-                    &a.report,
-                    Some(&eval),
-                    audit.as_ref(),
-                    None,
-                );
-                if let (Ok(out), Some(c)) = (&a.bolt, &a.bolt_counters) {
-                    if !out.crash_on_startup {
-                        run_report.metrics.insert(
-                            "bolt.speedup_pct".into(),
-                            c.speedup_pct_over(&a.base_counters),
-                        );
-                    }
-                }
-                let text = run_report.to_json_string();
-                match &args.out {
-                    Some(path) => {
-                        if let Err(e) = write_file(std::path::Path::new(path), text) {
-                            return fail(e);
-                        }
-                    }
-                    None => print!("{text}"),
-                }
-                return ExitCode::SUCCESS;
-            }
-            println!(
-                "{} ({}): Propeller {:+.2}%",
-                a.spec.name,
-                a.spec.metric,
-                a.prop_counters.speedup_pct_over(&a.base_counters)
-            );
-            match (&a.bolt, &a.bolt_counters) {
-                (Ok(out), Some(c)) if !out.crash_on_startup => println!(
-                    "{} ({}): BOLT      {:+.2}%",
-                    a.spec.name,
-                    a.spec.metric,
-                    c.speedup_pct_over(&a.base_counters)
-                ),
-                (Ok(_), _) => println!("{}: BOLT-optimized binary crashes at startup", a.spec.name),
-                (Err(e), _) => println!("{}: BOLT failed: {e}", a.spec.name),
-            }
-            ExitCode::SUCCESS
-        }
-        Some("perf-report") => {
-            let Some(args) = parse_args(argv) else {
-                return usage();
-            };
-            let mut cfg = RunConfig {
-                seed: args.seed,
-                ..RunConfig::default()
-            };
-            if let Some(s) = args.scale {
-                cfg.scale_mult = s; // multiplier on the spec default
-            }
-            let a = run_benchmark(&args.benchmark, &cfg);
-            let opts = SimOptions {
-                attribution: true,
-                ..SimOptions::default()
-            };
-            // The same evaluation workload for every variant, so the
-            // per-symbol deltas decompose the aggregate speedup.
-            let runs: Vec<(&str, propeller_sim::SimReport)> = a
-                .comparable_layouts()
-                .into_iter()
-                .map(|(label, layout)| (label, a.simulate_layout_full(layout, &opts)))
-                .collect();
-            let mut attrs: Vec<(&str, &AttributedCounters)> = Vec::with_capacity(runs.len());
-            for (l, r) in &runs {
-                match require(
-                    r.attribution.as_ref(),
-                    "per-symbol attribution",
-                    "the simulation requested it",
-                ) {
-                    Ok(a) => attrs.push((*l, a)),
-                    Err(e) => return fail(e),
-                }
-            }
-            let (base, variants) = match require(
-                attrs.split_first(),
-                "the baseline attribution",
-                "the baseline layout is always simulated",
-            ) {
-                Ok(p) => p,
-                Err(e) => return fail(e),
-            };
-            let events = match &args.event {
-                Some(_) => match event_for(&args, Event::Cycles) {
-                    Ok(e) => vec![e],
-                    Err(code) => return code,
-                },
-                None => vec![
-                    Event::Cycles,
-                    Event::L1iMisses,
-                    Event::ItlbMisses,
-                    Event::Baclears,
-                    Event::DsbMisses,
-                ],
-            };
-            println!("{} · scale {:.4} · seed {}", a.spec.name, a.scale, args.seed);
-            for (label, run) in runs.iter().skip(1) {
-                println!(
-                    "{label}: {:+.2}% cycles vs {}",
-                    run.counters.speedup_pct_over(&runs[0].1.counters),
-                    runs[0].0
-                );
-            }
-            for event in events {
-                println!();
-                print!("{}", render_perf_report(event, args.top, *base, variants));
-            }
-            if let Some(path) = &args.out {
-                let variants_json = JsonValue::Obj(
-                    attrs
-                        .iter()
-                        .map(|(l, attr)| {
-                            (
-                                (*l).to_string(),
-                                AttributionSection::from_attribution(attr, args.top)
-                                    .to_json(),
-                            )
-                        })
-                        .collect(),
-                );
-                let doc = JsonValue::Obj(vec![
-                    ("benchmark".to_string(), JsonValue::Str(a.spec.name.to_string())),
-                    ("scale".to_string(), JsonValue::Num(a.scale)),
-                    ("seed".to_string(), JsonValue::Num(args.seed as f64)),
-                    ("top".to_string(), JsonValue::Num(args.top as f64)),
-                    ("variants".to_string(), variants_json),
-                ]);
-                if let Err(e) =
-                    write_file(std::path::Path::new(path), doc.to_string_pretty())
-                {
-                    return fail(e);
-                }
-            }
-            if let Some(path) = &args.flamegraph_out {
-                let folded = match require(
-                    runs.iter()
-                        .find(|(l, _)| *l == "propeller")
-                        .and_then(|(_, r)| r.folded.as_ref()),
-                    "the propeller run's folded stacks",
-                    "attribution was requested for every variant",
-                ) {
-                    Ok(f) => f,
-                    Err(e) => return fail(e),
-                };
-                if let Err(e) = write_file(std::path::Path::new(path), folded.to_text()) {
-                    return fail(e);
-                }
-            }
-            ExitCode::SUCCESS
-        }
-        Some("annotate") => {
-            let Some(bench) = argv.next().filter(|t| !t.starts_with("--")) else {
-                return usage();
-            };
-            let Some(function) = argv.next().filter(|t| !t.starts_with("--")) else {
-                return usage();
-            };
-            let Some(args) = parse_args(std::iter::once(bench).chain(argv)) else {
-                return usage();
-            };
-            let event = match event_for(&args, Event::Cycles) {
-                Ok(e) => e,
-                Err(code) => return code,
-            };
-            let mut cfg = RunConfig {
-                seed: args.seed,
-                ..RunConfig::default()
-            };
-            if let Some(s) = args.scale {
-                cfg.scale_mult = s; // multiplier on the spec default
-            }
-            let a = run_benchmark(&args.benchmark, &cfg);
-            let opts = SimOptions {
-                attribution: true,
-                ..SimOptions::default()
-            };
-            let layouts = a.comparable_layouts();
-            let (_, prop_layout) = match require(
-                layouts.iter().find(|(l, _)| *l == "propeller"),
-                "the propeller layout",
-                "every benchmark run produces one",
-            ) {
-                Ok(p) => p,
-                Err(e) => return fail(e),
-            };
-            let run = a.simulate_layout_full(prop_layout, &opts);
-            let attr = match require(
-                run.attribution.as_ref(),
-                "per-symbol attribution",
-                "the simulation requested it",
-            ) {
-                Ok(a) => a,
-                Err(e) => return fail(e),
-            };
-            let Some(sym) = attr.symbol(&function) else {
-                eprintln!(
-                    "function {function:?} retired no events in the {} run",
-                    a.spec.name
-                );
-                let hot = attr.top_by(Event::Cycles, 10);
-                if !hot.is_empty() {
-                    let names: Vec<&str> =
-                        hot.iter().map(|&i| attr.symbols[i].name.as_str()).collect();
-                    eprintln!("hottest symbols: {}", names.join(", "));
-                }
-                return ExitCode::FAILURE;
-            };
-            let wpa = match require(
-                a.pipeline.wpa_output(),
-                "the WPA output",
-                "phase 3 completed",
-            ) {
-                Ok(w) => w,
-                Err(e) => return fail(e),
-            };
-            let prov = wpa
-                .provenance
-                .functions
-                .iter()
-                .find(|f| f.func_symbol == function);
-            print!("{}", render_annotate(sym, event, prov));
-            ExitCode::SUCCESS
-        }
-        Some("explain") => {
-            let Some(bench) = argv.next().filter(|t| !t.starts_with("--")) else {
-                return usage();
-            };
-            let Some(target) = argv.next().filter(|t| !t.starts_with("--")) else {
-                return usage();
-            };
-            let Some(args) = parse_args(std::iter::once(bench).chain(argv)) else {
-                return usage();
-            };
-            // `<function>[:<block>]` — the suffix is a block id only
-            // when it parses as a number, so plain symbol names that
-            // happen to contain a colon keep working.
-            let (function, block) = match target.rsplit_once(':') {
-                Some((f, b)) => match b.parse::<u32>() {
-                    Ok(id) => (f.to_string(), Some(id)),
-                    Err(_) => (target.clone(), None),
-                },
-                None => (target.clone(), None),
-            };
-            let mut cfg = RunConfig {
-                seed: args.seed,
-                provenance: true,
-                ..RunConfig::default()
-            };
-            if let Some(s) = args.scale {
-                cfg.scale_mult = s; // multiplier on the spec default
-            }
-            let a = run_benchmark(&args.benchmark, &cfg);
-            let doc = match collect_provenance(&a.pipeline, a.spec.name, a.scale, args.seed) {
-                Ok(d) => d,
-                Err(e) => return fail(e),
-            };
-            // Simulate the shipped binary with attribution on, so the
-            // explanation ends at measured microarchitectural cost.
-            let opts = SimOptions {
-                attribution: true,
-                ..SimOptions::default()
-            };
-            let layouts = a.comparable_layouts();
-            let (_, prop_layout) = match require(
-                layouts.iter().find(|(l, _)| *l == "propeller"),
-                "the propeller layout",
-                "every benchmark run produces one",
-            ) {
-                Ok(p) => p,
-                Err(e) => return fail(e),
-            };
-            let run = a.simulate_layout_full(prop_layout, &opts);
-            let attr = match require(
-                run.attribution.as_ref(),
-                "per-symbol attribution",
-                "the simulation requested it",
-            ) {
-                Ok(a) => a,
-                Err(e) => return fail(e),
-            };
-            match render_explain(&doc, &function, block, attr.symbol(&function)) {
-                Ok(text) => {
-                    print!("{text}");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("{e}");
-                    let hot = attr.top_by(Event::Cycles, 10);
-                    if !hot.is_empty() {
-                        let names: Vec<&str> =
-                            hot.iter().map(|&i| attr.symbols[i].name.as_str()).collect();
-                        eprintln!("hottest symbols: {}", names.join(", "));
-                    }
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        Some("diff") => {
-            let mut paths: Vec<String> = Vec::new();
-            let mut tolerance = 0.0f64;
-            while let Some(tok) = argv.next() {
-                match tok.as_str() {
-                    "--tolerance" => {
-                        let Some(t) = argv.next().and_then(|t| t.parse().ok()) else {
-                            return usage();
-                        };
-                        tolerance = t;
-                    }
-                    t if !t.starts_with("--") => paths.push(t.to_string()),
-                    _ => return usage(),
-                }
-            }
-            if paths.len() < 2 {
-                return usage();
-            }
-            let load = |path: &str| -> Result<RunReport, ExitCode> {
-                let text = std::fs::read_to_string(path).map_err(|e| {
-                    eprintln!("cannot read {path}: {e}");
-                    ExitCode::FAILURE
-                })?;
-                RunReport::parse(&text).map_err(|e| {
-                    eprintln!("cannot parse {path}: {e}");
-                    ExitCode::FAILURE
-                })
-            };
-            let mut reports = Vec::with_capacity(paths.len());
-            for path in &paths {
-                match load(path) {
-                    Ok(r) => reports.push(r),
-                    Err(code) => return code,
-                }
-            }
-            let regressed = if reports.len() == 2 {
-                let d = diff_reports(&reports[0], &reports[1], tolerance);
-                print!("{}", d.render());
-                d.has_regression()
-            } else {
-                let labeled: Vec<(String, &RunReport)> = paths
-                    .iter()
-                    .cloned()
-                    .zip(reports.iter())
-                    .collect();
-                let t = trend_reports(&labeled, tolerance);
-                print!("{}", t.render());
-                t.has_regression()
-            };
-            if regressed {
-                ExitCode::FAILURE
-            } else {
-                ExitCode::SUCCESS
-            }
-        }
-        Some("layout-diff") => {
-            let mut paths: Vec<String> = Vec::new();
-            for tok in argv {
-                if tok.starts_with("--") {
-                    return usage();
-                }
-                paths.push(tok);
-            }
-            if paths.len() != 2 {
-                return usage();
-            }
-            let load = |path: &str| -> Result<ProvenanceDoc, ExitCode> {
-                let text = std::fs::read_to_string(path).map_err(|e| {
-                    eprintln!("cannot read {path}: {e}");
-                    ExitCode::FAILURE
-                })?;
-                ProvenanceDoc::parse(&text).map_err(|e| {
-                    eprintln!("cannot parse {path}: {e}");
-                    ExitCode::FAILURE
-                })
-            };
-            let (a, b) = match (load(&paths[0]), load(&paths[1])) {
-                (Ok(a), Ok(b)) => (a, b),
-                (Err(code), _) | (_, Err(code)) => return code,
-            };
-            // Divergence between two runs is information, not failure:
-            // always exit zero so CI can diff across releases.
-            print!("{}", render_layout_diff(&paths[0], &paths[1], &diff_docs(&a, &b)));
-            ExitCode::SUCCESS
-        }
-        Some("dump") => {
-            let Some(args) = parse_args(argv) else {
-                return usage();
-            };
-            let Some(gen) = generate_for(&args) else {
-                eprintln!("unknown benchmark {:?}", args.benchmark);
-                return ExitCode::FAILURE;
-            };
-            print!("{}", propeller_ir::pretty::program_to_string(&gen.program));
-            ExitCode::SUCCESS
-        }
-        Some("map") => {
-            let Some(args) = parse_args(argv) else {
-                return usage();
-            };
-            let Some(gen) = generate_for(&args) else {
-                eprintln!("unknown benchmark {:?}", args.benchmark);
-                return ExitCode::FAILURE;
-            };
-            let mut pipeline =
-                Propeller::new(gen.program, gen.entries, PropellerOptions::default());
-            if let Err(source) = pipeline.run_all() {
-                return fail(CliError::Pipeline { source });
-            }
-            let binary = match require(
-                pipeline.po_binary(),
-                "the optimized binary",
-                "phase 4 completed",
-            ) {
-                Ok(b) => b,
-                Err(e) => return fail(e),
-            };
-            print!("{}", binary.map_report());
-            ExitCode::SUCCESS
-        }
-        _ => usage(),
-    }
+fn main() -> std::process::ExitCode {
+    cli::main()
 }

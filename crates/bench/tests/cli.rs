@@ -1,0 +1,250 @@
+//! End-to-end tests of the `propeller_cli` binary: the artifacts CI
+//! `cmp`s, the exit-code contract (usage errors and unknown benchmarks
+//! exit 1, never a panic's 101), and the shared service-run path behind
+//! `traffic` / `timeline` / `slo`.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output, Stdio};
+
+fn cli(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_propeller_cli"))
+        .args(args)
+        .stdin(Stdio::null())
+        .output()
+        .expect("spawn propeller_cli")
+}
+
+/// A fresh directory per test, so parallel tests never share a file.
+fn scratch(name: &str) -> PathBuf {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("cli_{name}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
+/// Runs the CLI with `--out <scratch>/<sub>` appended, requires exit 0,
+/// and returns the output directory plus captured stdout.
+fn run_ok(base: &Path, sub: &str, args: &[&str]) -> (PathBuf, String) {
+    let dir = base.join(sub);
+    let mut argv = args.to_vec();
+    argv.extend(["--out", dir.to_str().expect("utf-8 path")]);
+    let out = cli(&argv);
+    assert!(
+        out.status.success(),
+        "{argv:?} exited {:?}: {}",
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr)
+    );
+    (dir, String::from_utf8(out.stdout).expect("utf-8 stdout"))
+}
+
+fn read(path: PathBuf) -> Vec<u8> {
+    std::fs::read(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+}
+
+/// Every subcommand with the positionals it needs to get past argument
+/// parsing; `true` marks the ones whose first positional is a benchmark.
+const SUBCOMMANDS: [(&str, &[&str], bool); 18] = [
+    ("list", &[], false),
+    ("run", &["clang"], true),
+    ("doctor", &["clang"], true),
+    ("chaos", &["clang"], true),
+    ("fleet", &["clang"], true),
+    ("traffic", &["clang"], true),
+    ("timeline", &["clang"], true),
+    ("slo", &["clang"], true),
+    ("serve", &["clang"], true),
+    ("service-diff", &["a.json", "b.json"], false),
+    ("compare", &["clang"], true),
+    ("perf-report", &["clang"], true),
+    ("annotate", &["clang", "clang_fn1"], true),
+    ("explain", &["clang", "clang_fn1"], true),
+    ("diff", &["a.json", "b.json"], false),
+    ("layout-diff", &["a.json", "b.json"], false),
+    ("dump", &["clang"], true),
+    ("map", &["clang"], true),
+];
+
+#[test]
+fn armed_run_reproduces_the_committed_baseline() {
+    let base = scratch("baseline");
+    let (dir, _) = run_ok(
+        &base,
+        "out",
+        &[
+            "run",
+            "clang",
+            "--scale",
+            "0.004",
+            "--seed",
+            "77",
+            "--provenance",
+            "--jobs",
+            "1",
+        ],
+    );
+    let baseline = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../ci/bench_baseline.json");
+    assert!(
+        read(dir.join("run_report.json")) == read(baseline),
+        "run_report.json drifted from ci/bench_baseline.json"
+    );
+    for artifact in ["cc_prof.txt", "ld_prof.txt", "layout_provenance.json"] {
+        assert!(!read(dir.join(artifact)).is_empty(), "{artifact} is empty");
+    }
+}
+
+#[test]
+fn bad_invocations_exit_one_never_panic() {
+    for (name, positionals, takes_bench) in SUBCOMMANDS {
+        let mut argv = vec![name];
+        argv.extend(positionals);
+        argv.push("--bogus");
+        let out = cli(&argv);
+        assert_eq!(out.status.code(), Some(1), "{argv:?} must be a usage error");
+        if takes_bench {
+            argv.pop();
+            argv[1] = "nosuch";
+            let out = cli(&argv);
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{argv:?}: {stderr}");
+            assert!(
+                stderr.contains("unknown benchmark \"nosuch\" (try `list`)"),
+                "{argv:?}: {stderr}"
+            );
+        }
+    }
+}
+
+#[test]
+fn unread_flags_and_out_of_range_numbers_are_usage_errors() {
+    for argv in [
+        &["dump", "clang", "--top", "5"][..],
+        &["dump", "clang", "--provenance"],
+        &["map", "clang", "--json"],
+        &["traffic", "clang", "--jobs", "0"],
+        &["fleet", "clang", "--jobs", "0"],
+        &["serve", "clang", "--jobs", "0"],
+        &["run", "clang", "--jobs", "0"],
+    ] {
+        assert_eq!(cli(argv).status.code(), Some(1), "{argv:?}");
+    }
+    // 2^53: the first seed the JSON reports cannot round-trip.
+    let out = cli(&["run", "clang", "--seed", "9007199254740992"]);
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("9007199254740991"),
+        "limit not named: {stderr}"
+    );
+}
+
+/// `(arrivals, makespan, completed)` from a service run's summary line,
+/// e.g. `traffic: 6 arrivals (2 burst clones) over 31.4 modeled s -> 4 completed`.
+fn ledger_totals(stdout: &str) -> (String, String, String) {
+    let line = stdout.lines().next().expect("summary line");
+    let words: Vec<&str> = line.split_whitespace().collect();
+    let after = |key: &str| {
+        let at = words
+            .iter()
+            .position(|w| *w == key)
+            .unwrap_or_else(|| panic!("{key} in {line}"));
+        words[at + 1].to_string()
+    };
+    (words[1].to_string(), after("over"), after("->"))
+}
+
+#[test]
+fn traffic_timeline_and_slo_share_one_service_run() {
+    let base = scratch("service");
+    let plan = [
+        "clang",
+        "--requests",
+        "4",
+        "--tenants",
+        "2",
+        "--seed",
+        "77",
+        "--scale",
+        "0.002",
+    ];
+    let run = |cmd: &'static str| {
+        let argv: Vec<&str> = std::iter::once(cmd).chain(plan).collect();
+        run_ok(&base, cmd, &argv)
+    };
+    let (_, traffic) = run("traffic");
+    let (tl_dir, timeline) = run("timeline");
+    let (slo_dir, slo) = run("slo");
+    assert_eq!(ledger_totals(&traffic), ledger_totals(&timeline));
+    assert_eq!(ledger_totals(&traffic), ledger_totals(&slo));
+    assert!(
+        read(tl_dir.join("timeline.csv")) == read(slo_dir.join("timeline.csv")),
+        "timeline and slo recorded different series for one plan"
+    );
+}
+
+#[test]
+fn ledgers_are_byte_identical_across_jobs() {
+    let base = scratch("jobs");
+    let traffic = [
+        "traffic",
+        "clang",
+        "--requests",
+        "4",
+        "--tenants",
+        "2",
+        "--seed",
+        "77",
+    ];
+    let fleet = [
+        "fleet",
+        "clang",
+        "--scale",
+        "0.004",
+        "--releases",
+        "3",
+        "--drift",
+        "0",
+    ];
+    for (tag, args, artifact) in [
+        ("traffic", &traffic[..], "service_ledger.json"),
+        ("fleet", &fleet[..], "fleet_report.json"),
+    ] {
+        let at_jobs = |jobs: &'static str| {
+            let argv: Vec<&str> = args.iter().copied().chain(["--jobs", jobs]).collect();
+            read(
+                run_ok(&base, &format!("{tag}_j{jobs}"), &argv)
+                    .0
+                    .join(artifact),
+            )
+        };
+        assert!(
+            at_jobs("1") == at_jobs("8"),
+            "{artifact} differs between --jobs 1 and 8"
+        );
+    }
+}
+
+/// The usage text is generated from the command table, so it must
+/// name every subcommand, and every flag it advertises must have a
+/// setter behind it: `--flag 1 --bogus` has to get past `--flag` and
+/// die on `--bogus` with a usage error, not a panic.
+#[test]
+fn usage_lists_every_subcommand_and_only_settable_flags() {
+    let out = cli(&[]);
+    assert_eq!(out.status.code(), Some(1));
+    let usage = String::from_utf8_lossy(&out.stderr).into_owned();
+    for (name, positionals, _) in SUBCOMMANDS {
+        let prefix = format!("propeller_cli {name} ");
+        let synopsis = usage
+            .lines()
+            .find(|line| format!("{line} ").starts_with(&prefix))
+            .unwrap_or_else(|| panic!("usage omits `{name}`:\n{usage}"));
+        for word in synopsis.split(' ').filter(|word| word.starts_with("[--")) {
+            let flag = word.trim_matches(['[', ']']);
+            let mut argv = vec![name];
+            argv.extend(positionals);
+            argv.extend([flag, "1", "--bogus"]);
+            assert_eq!(cli(&argv).status.code(), Some(1), "{argv:?}");
+        }
+    }
+}

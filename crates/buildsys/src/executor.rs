@@ -275,10 +275,10 @@ impl Executor {
     /// Executes one phase of independent actions.
     ///
     /// Wall-clock:
-    /// * distributed — `dispatch_secs + max(action cpu)`: every action
-    ///   gets its own worker, so the phase takes as long as its
+    /// * distributed — `dispatch_secs + max(action latency)`: every
+    ///   action gets its own worker, so the phase takes as long as its
     ///   longest action, plus the scheduler overhead;
-    /// * workstation — `sum(action cpu)`: serial execution.
+    /// * workstation — `sum(action latency)`: serial execution.
     ///
     /// An empty phase (everything was a cache hit) costs nothing.
     ///
@@ -288,38 +288,7 @@ impl Executor {
     /// declared peak RSS exceeds the distributed per-action limit; no
     /// action of the phase runs in that case.
     pub fn run_phase(&self, actions: &[ActionSpec]) -> Result<PhaseReport, BuildError> {
-        if let Some(limit) = self.machine.ram_limit() {
-            if let Some(over) = actions.iter().find(|a| a.peak_rss_bytes > limit) {
-                return Err(BuildError::ActionOverMemoryLimit {
-                    action: over.name.clone(),
-                    needed_bytes: over.peak_rss_bytes,
-                    limit_bytes: limit,
-                });
-            }
-        }
-        if actions.is_empty() {
-            return Ok(PhaseReport::default());
-        }
-        let cpu_secs: f64 = actions.iter().map(|a| a.cpu_secs).sum();
-        let critical_path = actions.iter().map(|a| a.cpu_secs).fold(0.0, f64::max);
-        let wall_secs = match self.machine {
-            MachineConfig::Distributed { dispatch_secs, .. } => dispatch_secs + critical_path,
-            MachineConfig::Workstation => cpu_secs,
-        };
-        Ok(PhaseReport {
-            wall_secs,
-            cpu_secs,
-            num_actions: actions.len(),
-            max_action_memory: actions
-                .iter()
-                .map(|a| a.peak_rss_bytes)
-                .max()
-                .unwrap_or(0),
-            // Modeled phases execute nothing locally; measured timing
-            // is merged in by callers that ran real work on the pool.
-            wall_us: 0,
-            busy_us: 0,
-        })
+        self.run_phase_traced(actions, &Telemetry::disabled(), None)
     }
 
     /// [`run_phase`](Executor::run_phase), plus one telemetry span per
@@ -327,7 +296,7 @@ impl Executor {
     ///
     /// Actions here are *modeled* — their cost lives in the cost model,
     /// not in local wall-clock — so each span is emitted with zero wall
-    /// duration, its modeled CPU seconds as simulated time, and its
+    /// duration, its modeled latency as simulated time, and its
     /// declared peak RSS. The phase's wall-clock (dispatch + critical
     /// path, or serial sum) stays on the `parent` span the caller owns.
     pub fn run_phase_traced(
@@ -336,24 +305,7 @@ impl Executor {
         tel: &Telemetry,
         parent: Option<SpanId>,
     ) -> Result<PhaseReport, BuildError> {
-        let report = self.run_phase(actions)?;
-        if tel.is_enabled() {
-            for a in actions {
-                tel.emit_span(
-                    format!("action:{}", a.name),
-                    parent,
-                    a.cpu_secs,
-                    a.peak_rss_bytes,
-                );
-                tel.observe("executor.action_rss_bytes", a.peak_rss_bytes as f64);
-            }
-            tel.counter_add("executor.actions", actions.len() as u64);
-            tel.gauge_max(
-                "executor.max_action_rss_bytes",
-                report.max_action_memory as f64,
-            );
-        }
-        Ok(report)
+        self.run_actions(actions, tel, parent, None).map(|(report, _)| report)
     }
 
     /// [`run_phase_traced`](Executor::run_phase_traced) with fault
@@ -371,9 +323,9 @@ impl Executor {
     /// backoff; all of it lands in the phase's wall/CPU accounting, so
     /// chaos shows up in Table-5-style numbers instead of being free.
     ///
-    /// Without an injector (or with an empty plan) this is exactly
-    /// [`run_phase_traced`](Executor::run_phase_traced): same report,
-    /// same spans, zero [`ResilienceReport`] — the guarantee behind
+    /// Without an injector (or with an empty plan) no attempt can fail,
+    /// so every action's latency is exactly its CPU seconds and the
+    /// [`ResilienceReport`] stays zero — the guarantee behind
     /// "zero-fault runs are bit-identical".
     pub fn run_phase_resilient_traced(
         &self,
@@ -381,15 +333,22 @@ impl Executor {
         tel: &Telemetry,
         parent: Option<SpanId>,
     ) -> Result<(PhaseReport, ResilienceReport), BuildError> {
-        let inj = match &self.faults {
-            Some(inj) if !inj.plan().is_none() => inj,
-            _ => {
-                let report = self.run_phase_traced(actions, tel, parent)?;
-                return Ok((report, ResilienceReport::default()));
-            }
-        };
-        // Admission control is unchanged: an over-limit action is a
-        // plan error, not a fault to retry.
+        let inj = self.faults.as_deref().filter(|inj| !inj.plan().is_none());
+        self.run_actions(actions, tel, parent, inj)
+    }
+
+    /// The one phase runner behind the three entry points above:
+    /// admission control, then each action's modeled worker timeline
+    /// (failed attempts + backoffs + the final successful run), then
+    /// the wall-clock formula.
+    fn run_actions(
+        &self,
+        actions: &[ActionSpec],
+        tel: &Telemetry,
+        parent: Option<SpanId>,
+        inj: Option<&FaultInjector>,
+    ) -> Result<(PhaseReport, ResilienceReport), BuildError> {
+        // An over-limit action is a plan error, not a fault to retry.
         if let Some(limit) = self.machine.ram_limit() {
             if let Some(over) = actions.iter().find(|a| a.peak_rss_bytes > limit) {
                 return Err(BuildError::ActionOverMemoryLimit {
@@ -407,24 +366,20 @@ impl Executor {
         let mut critical_path = 0.0f64;
         let mut serial_latency = 0.0f64;
         for a in actions {
-            // One worker's modeled timeline for this action: failed
-            // attempts + backoffs + the final successful run.
             let mut work = 0.0f64; // CPU the attempts burned
             let mut waited = 0.0f64; // backoff between attempts
             let mut attempt: u32 = 0;
-            loop {
-                let retryable = attempt + 1 < self.retry.max_attempts.max(1);
-                // Roll order is fixed (hang before crash) and rolls
-                // only happen while budget remains, so every fired
-                // fault is observed and retried exactly once.
-                if retryable && inj.fires(FaultKind::ActionTimeout, &a.name) {
+            // Roll order is fixed (hang before crash) and rolls only
+            // happen while budget remains, so every fired fault is
+            // observed and retried exactly once.
+            while let Some(inj) = inj.filter(|_| attempt + 1 < self.retry.max_attempts.max(1)) {
+                if inj.fires(FaultKind::ActionTimeout, &a.name) {
                     work += self.retry.timeout_secs;
                     res.timeouts += 1;
-                } else if retryable && inj.fires(FaultKind::TransientActionFailure, &a.name) {
+                } else if inj.fires(FaultKind::TransientActionFailure, &a.name) {
                     work += a.cpu_secs;
                     res.retries += 1;
                 } else {
-                    work += a.cpu_secs;
                     break;
                 }
                 let backoff = self.retry.backoff_secs(inj, &a.name, attempt);
@@ -432,6 +387,7 @@ impl Executor {
                 res.backoff_secs += backoff;
                 attempt += 1;
             }
+            work += a.cpu_secs;
             let latency = work + waited;
             cpu_secs += work;
             critical_path = critical_path.max(latency);
@@ -450,6 +406,8 @@ impl Executor {
             cpu_secs,
             num_actions: actions.len(),
             max_action_memory: actions.iter().map(|a| a.peak_rss_bytes).max().unwrap_or(0),
+            // Modeled phases execute nothing locally; measured timing
+            // is merged in by callers that ran real work on the pool.
             wall_us: 0,
             busy_us: 0,
         };
@@ -561,14 +519,27 @@ mod tests {
     }
 
     #[test]
-    fn resilient_without_faults_matches_legacy_exactly() {
-        let ex = Executor::new(MachineConfig::distributed());
+    fn resilient_without_faults_is_the_closed_form() {
         let tel = Telemetry::enabled();
-        let (r, res) = ex.run_phase_resilient_traced(&phase(), &tel, None).unwrap();
-        assert_eq!(r, ex.run_phase(&phase()).unwrap());
-        assert_eq!(res, ResilienceReport::default());
+        for (machine, wall_secs) in [
+            (MachineConfig::Distributed { ram_limit: GIB, dispatch_secs: 2.0 }, 2.0 + 4.0),
+            (MachineConfig::workstation(), 1.0 + 4.0 + 2.0),
+        ] {
+            let ex = Executor::new(machine);
+            let (r, res) = ex.run_phase_resilient_traced(&phase(), &tel, None).unwrap();
+            let expect = PhaseReport {
+                wall_secs,
+                cpu_secs: 1.0 + 4.0 + 2.0,
+                num_actions: 3,
+                max_action_memory: 300,
+                wall_us: 0,
+                busy_us: 0,
+            };
+            assert_eq!(r, expect, "bit-exact, not approximately");
+            assert_eq!(res, ResilienceReport::default());
+        }
         let trace = tel.drain();
-        assert_eq!(trace.spans.len(), 3);
+        assert_eq!(trace.spans.len(), 6);
         assert_eq!(trace.metrics.counter("executor.action_retries"), 0);
     }
 
