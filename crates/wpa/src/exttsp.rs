@@ -9,9 +9,39 @@
 //! blocks, always applying the highest-gain merge; the priority queue
 //! with lazy invalidation implements the paper's "logarithmic time
 //! retrieval of the most profitable action" improvement.
+//!
+//! # Cost of one gain evaluation
+//!
+//! Retrieval is logarithmic; *evaluating* a candidate pair `(x, y)` is
+//! not. Every split point of `x` re-scores the whole merged sequence,
+//! so one [`Optimizer::best_merge`] is `O(|x| · (|x| + |y| + deg))`
+//! when `|x| ≤ chain_split_threshold` and `O(|x| + |y| + deg)` above
+//! it (`deg` = outgoing edges of the two chains). That work is plain
+//! array reads: every node carries its [`Place`] (chain, index and byte
+//! offset in that chain), so a variant `X1·Y·X2` is scored by walking
+//! the three slices where they lie and shifting offsets — no position
+//! map, no sequence copy, no allocation. Each chain caches its own
+//! score, so the `base` a gain is measured against costs two loads.
+//! (Before PR 13 the same evaluation built a SipHash `HashMap` and a
+//! fresh `Vec` per split point and re-scored both chains per call:
+//! the same asymptotics, about ten times the time.)
+//!
+//! # The floating-point order is part of the contract
+//!
+//! `run_report.json` carries every merge gain as an `f64`, and CI
+//! `cmp`s it across `--jobs` and against a committed baseline. A
+//! sequence score is therefore always accumulated the same way: one
+//! `f64` from `0.0`, blocks in sequence order, each block's outgoing
+//! edges in input order. A chain's cached score is the *re-scored*
+//! merged sequence, never `base + gain`, which rounds differently.
+//! `exttsp/reference.rs` keeps the old implementation as the
+//! bit-for-bit test oracle.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashMap};
+
+#[cfg(test)]
+mod reference;
 
 /// A layout node (a basic block, or a whole section for the
 /// inter-procedural variant).
@@ -97,30 +127,78 @@ fn edge_score(params: &ExtTspParams, w: u64, src_end: u64, dst_start: u64) -> f6
     0.0
 }
 
+/// The caller's problem over dense node indices. Ids are translated
+/// once, here at the API boundary; nothing past it hashes.
+struct DenseGraph {
+    sizes: Vec<u64>,
+    /// `(src, dst, weight)` of every edge whose endpoints are both
+    /// nodes, in input order.
+    edges: Vec<(usize, usize, u64)>,
+}
+
+fn dense_index(nodes: &[Node]) -> HashMap<u32, usize> {
+    nodes.iter().enumerate().map(|(i, n)| (n.id, i)).collect()
+}
+
+impl DenseGraph {
+    fn new(nodes: &[Node], edges: &[Edge], dense: &HashMap<u32, usize>) -> Self {
+        DenseGraph {
+            sizes: nodes.iter().map(|n| n.size as u64).collect(),
+            edges: edges
+                .iter()
+                .filter_map(|e| Some((*dense.get(&e.src)?, *dense.get(&e.dst)?, e.weight)))
+                .collect(),
+        }
+    }
+
+    /// Ext-TSP score of laying out `order` (dense indices); edges with
+    /// an endpoint outside `order` do not score.
+    fn score(&self, order: impl IntoIterator<Item = usize>, params: &ExtTspParams) -> f64 {
+        const ABSENT: u64 = u64::MAX;
+        let mut pos = vec![ABSENT; self.sizes.len()];
+        let mut cursor = 0u64;
+        for i in order {
+            pos[i] = cursor;
+            cursor += self.sizes[i];
+        }
+        let mut total = 0.0;
+        for &(s, d, w) in &self.edges {
+            if pos[s] != ABSENT && pos[d] != ABSENT {
+                total += edge_score(params, w, pos[s] + self.sizes[s], pos[d]);
+            }
+        }
+        total
+    }
+}
+
 /// Computes the Ext-TSP score of a complete layout. Exposed for tests,
-/// benches and the ablation harness.
+/// benches and the ablation harness. Ids in `order` that are not in
+/// `nodes` are skipped, like edges with an unknown endpoint.
 pub fn score_layout(order: &[u32], nodes: &[Node], edges: &[Edge], params: &ExtTspParams) -> f64 {
-    let size_of: HashMap<u32, u64> = nodes.iter().map(|n| (n.id, n.size as u64)).collect();
-    let mut pos: HashMap<u32, u64> = HashMap::with_capacity(order.len());
-    let mut cursor = 0u64;
-    for &id in order {
-        pos.insert(id, cursor);
-        cursor += size_of[&id];
-    }
-    let mut total = 0.0;
-    for e in edges {
-        let (Some(&sp), Some(&dp)) = (pos.get(&e.src), pos.get(&e.dst)) else {
-            continue;
-        };
-        total += edge_score(params, e.weight, sp + size_of[&e.src], dp);
-    }
-    total
+    let dense = dense_index(nodes);
+    let order = order.iter().filter_map(|id| dense.get(id).copied());
+    DenseGraph::new(nodes, edges, &dense).score(order, params)
 }
 
 #[derive(Clone, Debug)]
 struct Chain {
     blocks: Vec<usize>, // dense node indices
     version: u64,
+    /// Total bytes of `blocks`.
+    size: u64,
+    /// Score of the edges internal to `blocks`, re-scored from scratch
+    /// whenever `blocks` changes.
+    score: f64,
+}
+
+/// Where a node currently sits.
+#[derive(Copy, Clone)]
+struct Place {
+    chain: usize,
+    /// Index in the chain's block list.
+    idx: usize,
+    /// Byte offset from the chain's start.
+    off: u64,
 }
 
 #[derive(Copy, Clone)]
@@ -137,7 +215,7 @@ struct HeapEntry {
 
 impl PartialEq for HeapEntry {
     fn eq(&self, other: &Self) -> bool {
-        self.gain == other.gain
+        self.cmp(other) == Ordering::Equal
     }
 }
 impl Eq for HeapEntry {}
@@ -166,118 +244,200 @@ impl Ord for HeapEntry {
 /// The greedy chain-merging optimizer.
 struct Optimizer<'a> {
     params: &'a ExtTspParams,
-    sizes: Vec<u64>,
-    /// Incident edges per dense node index: `(other end, weight,
-    /// is_outgoing)`.
-    incident: Vec<Vec<(usize, u64, bool)>>,
+    sizes: &'a [u64],
+    /// Outgoing `(dst, weight)` edges per node, in input order.
+    out: Vec<Vec<(usize, u64)>>,
     chains: Vec<Option<Chain>>,
-    chain_of: Vec<usize>,
-    neighbors: Vec<HashSet<usize>>,
+    place: Vec<Place>,
+    /// Chains sharing an edge with chain `c`, ascending.
+    neighbors: Vec<Vec<usize>>,
     entry_idx: usize,
 }
 
 impl<'a> Optimizer<'a> {
-    /// Scores all edges internal to the block sequence `seq`.
-    fn score_seq(&self, seq: &[usize]) -> f64 {
-        let mut pos = HashMap::with_capacity(seq.len());
-        let mut cursor = 0u64;
-        for &b in seq {
-            pos.insert(b, cursor);
-            cursor += self.sizes[b];
+    fn new(graph: &'a DenseGraph, entry_idx: usize, params: &'a ExtTspParams) -> Self {
+        let n = graph.sizes.len();
+        let mut out = vec![Vec::new(); n];
+        let mut neighbors = vec![Vec::new(); n];
+        for &(s, d, w) in &graph.edges {
+            out[s].push((d, w));
+            if s != d {
+                neighbors[s].push(d);
+                neighbors[d].push(s);
+            }
         }
+        for list in &mut neighbors {
+            list.sort_unstable();
+            list.dedup();
+        }
+        let mut opt = Optimizer {
+            params,
+            sizes: &graph.sizes,
+            out,
+            chains: Vec::with_capacity(n),
+            place: (0..n)
+                .map(|b| Place {
+                    chain: b,
+                    idx: 0,
+                    off: 0,
+                })
+                .collect(),
+            neighbors,
+            entry_idx,
+        };
+        for b in 0..n {
+            // A singleton scores only its self-loops.
+            let score = opt.score_segments([(&[b][..], 0)], |p| (p.chain == b).then_some(0));
+            opt.chains.push(Some(Chain {
+                blocks: vec![b],
+                version: 0,
+                size: graph.sizes[b],
+                score,
+            }));
+        }
+        opt
+    }
+
+    /// Scores all edges internal to the sequence formed by laying
+    /// `segments` end to end. Each segment is a run of blocks that are
+    /// already contiguous in some chain, plus the shift that turns their
+    /// chain offsets into sequence offsets; `pos` gives the sequence
+    /// offset of any node, `None` when it is not part of the sequence.
+    fn score_segments<const N: usize>(
+        &self,
+        segments: [(&[usize], u64); N],
+        pos: impl Fn(Place) -> Option<u64>,
+    ) -> f64 {
         let mut total = 0.0;
-        for &b in seq {
-            for &(other, w, outgoing) in &self.incident[b] {
-                if !outgoing {
-                    continue;
-                }
-                if let Some(&dp) = pos.get(&other) {
-                    total += edge_score(self.params, w, pos[&b] + self.sizes[b], dp);
+        for (blocks, shift) in segments {
+            for &b in blocks {
+                let end = self.place[b].off + shift + self.sizes[b];
+                for &(other, w) in &self.out[b] {
+                    if let Some(dp) = pos(self.place[other]) {
+                        total += edge_score(self.params, w, end, dp);
+                    }
                 }
             }
         }
         total
     }
 
+    /// Score of `X1 · Y · X2`, where `X1 = x[..k]` and `X2 = x[k..]`
+    /// (`k = |x|` is plain concatenation).
+    fn score_merged(&self, x: usize, y: usize, k: usize) -> f64 {
+        let (cx, cy) = (self.chain(x), self.chain(y));
+        let y_at = cx.blocks.get(k).map_or(cx.size, |&b| self.place[b].off);
+        self.score_segments(
+            [
+                (&cx.blocks[..k], 0),
+                (&cy.blocks, y_at),
+                (&cx.blocks[k..], cy.size),
+            ],
+            |p| {
+                if p.chain == x {
+                    Some(if p.idx < k { p.off } else { p.off + cy.size })
+                } else if p.chain == y {
+                    Some(y_at + p.off)
+                } else {
+                    None
+                }
+            },
+        )
+    }
+
     fn chain(&self, c: usize) -> &Chain {
         self.chains[c].as_ref().expect("live chain")
     }
 
-    /// Whether a merged sequence would violate the entry-first
-    /// constraint.
-    fn entry_ok(&self, seq: &[usize]) -> bool {
-        matches!(
-            seq.iter().position(|&b| b == self.entry_idx),
-            Some(0) | None
-        )
+    /// Whether `X1 · Y · X2` split at `k` keeps the entry block first
+    /// (or does not contain it).
+    fn entry_ok(&self, x: usize, y: usize, k: usize) -> bool {
+        let e = self.place[self.entry_idx];
+        if e.chain == x {
+            e.idx == 0 && k > 0
+        } else if e.chain == y {
+            e.idx == 0 && k == 0
+        } else {
+            true
+        }
     }
 
     /// Enumerates merge variants of chains `x` and `y` and returns the
     /// best `(gain, split)` if any is valid and positive.
     fn best_merge(&self, x: usize, y: usize) -> Option<(f64, usize)> {
-        let cx = self.chain(x);
-        let cy = self.chain(y);
-        let base = self.score_seq(&cx.blocks) + self.score_seq(&cy.blocks);
+        let len = self.chain(x).blocks.len();
+        let base = self.chain(x).score + self.chain(y).score;
         let mut best: Option<(f64, usize)> = None;
-        let mut consider = |seq: &[usize], split: usize, this: &Self| {
-            if !this.entry_ok(seq) {
+        let mut consider = |k: usize, split: usize| {
+            if !self.entry_ok(x, y, k) {
                 return;
             }
-            let gain = this.score_seq(seq) - base;
+            let gain = self.score_merged(x, y, k) - base;
             if gain > best.map_or(0.0, |(g, _)| g) + 1e-9 {
                 best = Some((gain, split));
             }
         };
         // concat(x, y)
-        let mut seq = cx.blocks.clone();
-        seq.extend_from_slice(&cy.blocks);
-        consider(&seq, usize::MAX, self);
-        // Splits of x with y inserted: X1 Y X2 (split = 1..len). A
-        // split at len(x) is concat; at 0 it is concat(y, x) — both
-        // covered by the loop bounds when x is small enough.
-        if cx.blocks.len() <= self.params.chain_split_threshold {
-            for k in 0..cx.blocks.len() {
-                let mut seq = Vec::with_capacity(cx.blocks.len() + cy.blocks.len());
-                seq.extend_from_slice(&cx.blocks[..k]);
-                seq.extend_from_slice(&cy.blocks);
-                seq.extend_from_slice(&cx.blocks[k..]);
-                consider(&seq, k, self);
+        consider(len, usize::MAX);
+        // Splits of x with y inserted: X1 Y X2; a split at 0 is
+        // concat(y, x), which a chain too large to split still gets.
+        if len <= self.params.chain_split_threshold {
+            for k in 0..len {
+                consider(k, k);
             }
         } else {
-            // Large chain: still allow concat(y, x).
-            let mut seq = cy.blocks.clone();
-            seq.extend_from_slice(&cx.blocks);
-            consider(&seq, 0, self);
+            consider(0, 0);
         }
         best
     }
 
     /// Applies the merge described by `(x, y, split)`.
     fn apply(&mut self, x: usize, y: usize, split: usize) {
+        let k = if split == usize::MAX {
+            self.chain(x).blocks.len()
+        } else {
+            split
+        };
+        let score = self.score_merged(x, y, k);
         let cy = self.chains[y].take().expect("live chain");
         let cx = self.chains[x].as_mut().expect("live chain");
-        if split == usize::MAX {
-            cx.blocks.extend_from_slice(&cy.blocks);
-        } else {
-            let tail = cx.blocks.split_off(split);
-            cx.blocks.extend_from_slice(&cy.blocks);
-            cx.blocks.extend_from_slice(&tail);
-        }
+        cx.blocks.splice(k..k, cy.blocks);
         cx.version += 1;
-        for &b in &cy.blocks {
-            self.chain_of[b] = x;
+        cx.size += cy.size;
+        cx.score = score;
+        let mut off = match k.checked_sub(1) {
+            Some(prev) => self.place[cx.blocks[prev]].off + self.sizes[cx.blocks[prev]],
+            None => 0,
+        };
+        for (idx, &b) in cx.blocks.iter().enumerate().skip(k) {
+            self.place[b] = Place { chain: x, idx, off };
+            off += self.sizes[b];
         }
-        // Merge neighbor sets.
+        // Neighbors: y's become x's, the smaller list folded into the
+        // larger.
         let ny = std::mem::take(&mut self.neighbors[y]);
-        for n in ny {
-            if n != x {
-                self.neighbors[n].remove(&y);
-                self.neighbors[n].insert(x);
-                self.neighbors[x].insert(n);
+        let nx = std::mem::take(&mut self.neighbors[x]);
+        for &n in ny.iter().filter(|&&n| n != x) {
+            let list = &mut self.neighbors[n];
+            if let Ok(i) = list.binary_search(&y) {
+                list.remove(i);
+            }
+            if let Err(i) = list.binary_search(&x) {
+                list.insert(i, x);
             }
         }
-        self.neighbors[x].remove(&y);
-        self.neighbors[x].remove(&x);
+        let (mut merged, small) = if nx.len() >= ny.len() {
+            (nx, ny)
+        } else {
+            (ny, nx)
+        };
+        for n in small {
+            if let Err(i) = merged.binary_search(&n) {
+                merged.insert(i, n);
+            }
+        }
+        merged.retain(|&n| n != x && n != y);
+        self.neighbors[x] = merged;
     }
 }
 
@@ -308,25 +468,58 @@ fn best_queued_alternative(opt: &Optimizer<'_>, heap: &BinaryHeap<HeapEntry>) ->
     })
 }
 
+/// Estimated block visits (≈ 5 ns each) every worker thread of a gain
+/// batch must have before the batch is fanned out. Spawning and joining
+/// a pair of scoped threads costs 80–120 µs, and the batches that
+/// dominate real runs are smaller than that; at half this value the
+/// benchmark's inter-procedural workload ran 1.5–4 ms (of 21) slower at
+/// `jobs = 2` than at `jobs = 1`.
+const WORK_PER_THREAD: u64 = 1 << 16;
+
+#[cfg(test)]
+thread_local! {
+    /// Batches this thread fanned out, so tests can tell the parallel
+    /// path was really taken.
+    static FAN_OUTS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// Evaluates [`Optimizer::best_merge`] for every ordered pair in
-/// `pairs`, returning results in `pairs` order. With `jobs > 1` the
-/// pair list is cut into contiguous chunks evaluated on scoped worker
-/// threads and the per-chunk results are concatenated in chunk order —
-/// `best_merge` is read-only, so the output is byte-for-byte the same
-/// as the serial evaluation regardless of thread interleaving.
+/// `pairs`, returning results in `pairs` order. With `jobs > 1` and
+/// enough estimated work per worker (from the chain lengths alone, so
+/// the decision is a function of the input) the pair list is cut into
+/// contiguous chunks evaluated on scoped worker threads and the
+/// per-chunk results are concatenated in chunk order — `best_merge` is
+/// read-only, so the output is byte-for-byte the same as the serial
+/// evaluation regardless of thread interleaving.
 fn eval_pairs(
     opt: &Optimizer<'_>,
     pairs: &[(usize, usize)],
     jobs: usize,
 ) -> Vec<Option<(f64, usize)>> {
-    let jobs = jobs.max(1).min(pairs.len());
-    // Tiny batches are not worth a thread spawn; `jobs == 1` must take
-    // this branch so the legacy serial path stays byte-identical in
-    // behavior *and* in work done.
-    if jobs <= 1 || pairs.len() < 8 {
+    let work = |&(x, y): &(usize, usize)| -> u64 {
+        let (lx, ly) = (
+            opt.chain(x).blocks.len() as u64,
+            opt.chain(y).blocks.len() as u64,
+        );
+        if lx <= opt.params.chain_split_threshold as u64 {
+            lx * (lx + ly)
+        } else {
+            lx + ly
+        }
+    };
+    let workers = if jobs > 1 {
+        let affordable = pairs.iter().map(work).sum::<u64>() / WORK_PER_THREAD;
+        jobs.min(pairs.len())
+            .min(usize::try_from(affordable).unwrap_or(usize::MAX))
+    } else {
+        1
+    };
+    if workers <= 1 {
         return pairs.iter().map(|&(x, y)| opt.best_merge(x, y)).collect();
     }
-    let chunk = pairs.len().div_ceil(jobs);
+    #[cfg(test)]
+    FAN_OUTS.with(|c| c.set(c.get() + 1));
+    let chunk = pairs.len().div_ceil(workers);
     let mut out = Vec::with_capacity(pairs.len());
     std::thread::scope(|s| {
         let handles: Vec<_> = pairs
@@ -560,97 +753,43 @@ pub fn order_nodes_logged(
     mut log: Option<&mut MergeLog>,
 ) -> Vec<u32> {
     assert!(!nodes.is_empty(), "need at least one node");
-    let mut dense: HashMap<u32, usize> = HashMap::with_capacity(nodes.len());
-    for (i, n) in nodes.iter().enumerate() {
-        let prev = dense.insert(n.id, i);
-        assert!(prev.is_none(), "duplicate node id {}", n.id);
-    }
+    let dense = dense_index(nodes);
+    assert_eq!(dense.len(), nodes.len(), "duplicate node id");
     let entry_idx = *dense.get(&entry).expect("entry must be a node");
-
-    let mut incident = vec![Vec::new(); nodes.len()];
-    for e in edges {
-        let (Some(&s), Some(&d)) = (dense.get(&e.src), dense.get(&e.dst)) else {
-            continue;
-        };
-        incident[s].push((d, e.weight, true));
-        if s != d {
-            incident[d].push((s, e.weight, false));
-        }
-    }
-
-    let mut opt = Optimizer {
-        params,
-        sizes: nodes.iter().map(|n| n.size as u64).collect(),
-        incident,
-        chains: (0..nodes.len())
-            .map(|i| {
-                Some(Chain {
-                    blocks: vec![i],
-                    version: 0,
-                })
-            })
-            .collect(),
-        chain_of: (0..nodes.len()).collect(),
-        neighbors: vec![HashSet::new(); nodes.len()],
-        entry_idx,
-    };
-    for e in edges {
-        let (Some(&s), Some(&d)) = (dense.get(&e.src), dense.get(&e.dst)) else {
-            continue;
-        };
-        if s != d {
-            opt.neighbors[s].insert(d);
-            opt.neighbors[d].insert(s);
-        }
-    }
+    let graph = DenseGraph::new(nodes, edges, &dense);
+    let mut opt = Optimizer::new(&graph, entry_idx, params);
 
     let mut heap = BinaryHeap::new();
-    let push_pair = |opt: &Optimizer, heap: &mut BinaryHeap<HeapEntry>, x: usize, y: usize| {
-        if let Some((gain, split)) = opt.best_merge(x, y) {
-            heap.push(HeapEntry {
-                gain,
-                x,
-                y,
-                vx: opt.chain(x).version,
-                vy: opt.chain(y).version,
-                split,
-            });
-        }
-    };
-    // Pushes a batch of evaluated pairs in submission order — the heap
-    // sees the exact sequence the serial code would have pushed, so the
-    // pop order (and every tie-break) is independent of `params.jobs`.
-    let push_evaluated = |opt: &Optimizer,
-                          heap: &mut BinaryHeap<HeapEntry>,
-                          ordered: &[(usize, usize)],
-                          evals: Vec<Option<(f64, usize)>>| {
-        for (&(x, y), ev) in ordered.iter().zip(evals) {
-            if let Some((gain, split)) = ev {
-                heap.push(HeapEntry {
-                    gain,
-                    x,
-                    y,
-                    vx: opt.chain(x).version,
-                    vy: opt.chain(y).version,
-                    split,
-                });
+    // Evaluates a batch of pairs and pushes the results in submission
+    // order — the heap sees the exact sequence the serial code would
+    // have pushed, so the pop order (and every tie-break) is
+    // independent of `params.jobs`.
+    let push_evaluated =
+        |opt: &Optimizer, heap: &mut BinaryHeap<HeapEntry>, ordered: &[(usize, usize)]| {
+            let evals = eval_pairs(opt, ordered, params.jobs);
+            for (&(x, y), ev) in ordered.iter().zip(evals) {
+                if let Some((gain, split)) = ev {
+                    heap.push(HeapEntry {
+                        gain,
+                        x,
+                        y,
+                        vx: opt.chain(x).version,
+                        vy: opt.chain(y).version,
+                        split,
+                    });
+                }
             }
-        }
-    };
+        };
     let detail_on = log.as_deref().is_some_and(|l| l.detail.is_some());
-    let mut evaluations = 0u64;
-    let mut pairs: Vec<(usize, usize)> = (0..nodes.len())
+    // Neighbor lists ascend, so this is every adjacent unordered pair
+    // in ascending `(x, y)` order, both directions each.
+    let ordered: Vec<(usize, usize)> = (0..nodes.len())
         .flat_map(|x| opt.neighbors[x].iter().map(move |&y| (x, y)))
         .filter(|&(x, y)| x < y)
-        .collect();
-    pairs.sort_unstable();
-    let ordered: Vec<(usize, usize)> = pairs
-        .into_iter()
         .flat_map(|(x, y)| [(x, y), (y, x)])
         .collect();
-    evaluations += ordered.len() as u64;
-    let evals = eval_pairs(&opt, &ordered, params.jobs);
-    push_evaluated(&opt, &mut heap, &ordered, evals);
+    let mut evaluations = ordered.len() as u64;
+    push_evaluated(&opt, &mut heap, &ordered);
 
     let mut merges = 0u64;
     while let Some(entry) = heap.pop() {
@@ -664,7 +803,7 @@ pub fn order_nodes_logged(
         if opt.chain(x).version != entry.vx || opt.chain(y).version != entry.vy {
             // Stale: recompute and requeue.
             evaluations += 1;
-            push_pair(&opt, &mut heap, x, y);
+            push_evaluated(&opt, &mut heap, &[(x, y)]);
             continue;
         }
         // The rejected alternative must be read before `apply` bumps
@@ -695,15 +834,12 @@ pub fn order_nodes_logged(
                 });
             }
         }
-        let mut affected: Vec<usize> = opt.neighbors[x].iter().copied().collect();
-        affected.sort_unstable();
-        let ordered: Vec<(usize, usize)> = affected
-            .into_iter()
-            .flat_map(|n| [(x, n), (n, x)])
+        let ordered: Vec<(usize, usize)> = opt.neighbors[x]
+            .iter()
+            .flat_map(|&n| [(x, n), (n, x)])
             .collect();
         evaluations += ordered.len() as u64;
-        let evals = eval_pairs(&opt, &ordered, params.jobs);
-        push_evaluated(&opt, &mut heap, &ordered, evals);
+        push_evaluated(&opt, &mut heap, &ordered);
     }
     if let Some(detail) = log.as_deref_mut().and_then(|l| l.detail.as_mut()) {
         detail.evaluations = evaluations;
@@ -714,51 +850,42 @@ pub fn order_nodes_logged(
     }
 
     // Assemble: entry chain first, then remaining chains by density.
-    let mut rest: Vec<usize> = Vec::new();
-    let entry_chain = opt.chain_of[entry_idx];
-    for (ci, c) in opt.chains.iter().enumerate() {
-        if c.is_some() && ci != entry_chain {
-            rest.push(ci);
-        }
-    }
-    let density = |ci: usize| -> f64 {
-        let c = opt.chain(ci);
-        let count: u64 = c.blocks.iter().map(|&b| nodes[b].count).sum();
-        let size: u64 = c.blocks.iter().map(|&b| opt.sizes[b]).sum::<u64>().max(1);
-        count as f64 / size as f64
-    };
-    rest.sort_by(|&a, &b| {
-        density(b)
-            .total_cmp(&density(a))
-            .then_with(|| opt.chain(a).blocks[0].cmp(&opt.chain(b).blocks[0]))
+    let entry_chain = opt.place[entry_idx].chain;
+    let mut rest: Vec<(f64, &Chain)> = opt
+        .chains
+        .iter()
+        .enumerate()
+        .filter(|&(ci, _)| ci != entry_chain)
+        .filter_map(|(_, c)| c.as_ref())
+        .map(|c| {
+            let count: u64 = c.blocks.iter().map(|&b| nodes[b].count).sum();
+            (count as f64 / c.size.max(1) as f64, c)
+        })
+        .collect();
+    rest.sort_by(|a, b| {
+        b.0.total_cmp(&a.0)
+            .then_with(|| a.1.blocks[0].cmp(&b.1.blocks[0]))
     });
-
-    let mut order = Vec::with_capacity(nodes.len());
-    for &b in &opt.chain(entry_chain).blocks {
-        order.push(nodes[b].id);
-    }
-    for ci in rest {
-        for &b in &opt.chain(ci).blocks {
-            order.push(nodes[b].id);
-        }
-    }
+    let order: Vec<usize> = std::iter::once(opt.chain(entry_chain))
+        .chain(rest.into_iter().map(|(_, c)| c))
+        .flat_map(|c| c.blocks.iter().copied())
+        .collect();
 
     // Greedy chain merging can lock in early merges and end up scoring
     // below the incoming (original) order on loop-dense graphs. Never
     // return a layout worse than the one the compiler already had.
-    let input_order: Vec<u32> = nodes.iter().map(|n| n.id).collect();
-    let merged_score = score_layout(&order, nodes, edges, params);
-    let input_score = score_layout(&input_order, nodes, edges, params);
-    let fall_back = input_order.first() == Some(&entry) && merged_score + 1e-9 < input_score;
+    let merged_score = graph.score(order.iter().copied(), params);
+    let input_score = graph.score(0..nodes.len(), params);
+    let fall_back = entry_idx == 0 && merged_score + 1e-9 < input_score;
     if let Some(log) = log {
         log.input_score = input_score;
         log.final_score = if fall_back { input_score } else { merged_score };
         log.used_input_order = fall_back;
     }
     if fall_back {
-        return input_order;
+        return nodes.iter().map(|n| n.id).collect();
     }
-    order
+    order.into_iter().map(|b| nodes[b].id).collect()
 }
 
 #[cfg(test)]
@@ -927,6 +1054,11 @@ mod tests {
         assert_eq!(a.cmp(&c), Ordering::Greater, "smaller x pops first");
         assert_eq!(a.cmp(&b), Ordering::Greater, "smaller y pops first");
         assert_eq!(d.cmp(&a), Ordering::Greater, "smaller split pops first");
+        // `Eq` agrees with `Ord`: equal gain alone is not equality.
+        for (p, q) in [(&a, &b), (&a, &c), (&a, &d), (&a, &a)] {
+            assert_eq!(p == q, p.cmp(q) == Ordering::Equal);
+        }
+        assert!(a != d && a == entry(0, 1, usize::MAX));
         for perm in [
             vec![&a, &b, &c, &d],
             vec![&d, &c, &b, &a],
@@ -1082,43 +1214,231 @@ mod tests {
 
     #[test]
     fn parallel_gain_evaluation_is_bit_identical_to_serial() {
-        // A dense-enough graph that the initial batch and the
-        // post-merge re-evaluations both clear the parallel threshold.
-        let ns: Vec<Node> = (0..60)
+        // Large enough that re-evaluations around long chains clear
+        // `WORK_PER_THREAD` for several workers, with long-range
+        // shortcuts so chains meet many others.
+        let n = 240u32;
+        let ns: Vec<Node> = (0..n)
             .map(|i| Node {
                 id: i,
                 size: 12 + (i % 9),
                 count: (i as u64 * 41) % 120,
             })
             .collect();
-        let es: Vec<Edge> = (0..59)
+        let es: Vec<Edge> = (0..n - 1)
             .map(|i| edge(i, i + 1, ((i as u64 * 17) % 60) + 1))
-            .chain((0..25).map(|i| edge((i * 5) % 60, (i * 7 + 3) % 60, 35)))
-            .chain((0..12).map(|i| edge((i * 11 + 1) % 60, (i * 2) % 60, 50)))
+            .chain((0..100).map(|i| edge((i * 5) % n, (i * 7 + 3) % n, 35)))
+            .chain((0..50).map(|i| edge((i * 11 + 1) % n, (i * 2) % n, 50)))
             .collect();
+        let tel = propeller_telemetry::Telemetry::disabled();
         let serial = ExtTspParams::default();
-        let mut log1 = MergeLog::default();
-        let a = order_nodes_logged(
-            &ns,
-            &es,
-            0,
-            &serial,
-            &propeller_telemetry::Telemetry::disabled(),
-            Some(&mut log1),
-        );
+        let mut log1 = MergeLog::with_detail();
+        let a = order_nodes_logged(&ns, &es, 0, &serial, &tel, Some(&mut log1));
+        assert_eq!(FAN_OUTS.get(), 0, "jobs = 1 never spawns");
         for jobs in [2, 3, 8] {
             let parallel = ExtTspParams { jobs, ..serial };
-            let mut log2 = MergeLog::default();
-            let b = order_nodes_logged(
-                &ns,
-                &es,
-                0,
-                &parallel,
-                &propeller_telemetry::Telemetry::disabled(),
-                Some(&mut log2),
+            let before = FAN_OUTS.get();
+            let mut log2 = MergeLog::with_detail();
+            let b = order_nodes_logged(&ns, &es, 0, &parallel, &tel, Some(&mut log2));
+            assert!(
+                FAN_OUTS.get() > before,
+                "the gate never opened at jobs={jobs}"
             );
             assert_eq!(a, b, "layout diverged at jobs={jobs}");
-            assert_eq!(log1, log2, "merge log diverged at jobs={jobs}");
+            assert_eq!(
+                log_bits(&log1),
+                log_bits(&log2),
+                "merge log diverged at jobs={jobs}"
+            );
         }
+    }
+
+    #[test]
+    fn small_batches_stay_inline_at_any_job_count() {
+        let ns = nodes(&[(0, 20, 100), (1, 20, 5), (2, 20, 95), (3, 20, 100)]);
+        let es = vec![edge(0, 1, 5), edge(0, 2, 95), edge(1, 3, 5), edge(2, 3, 95)];
+        let params = ExtTspParams {
+            jobs: 8,
+            ..ExtTspParams::default()
+        };
+        let before = FAN_OUTS.get();
+        order_nodes(&ns, &es, 0, &params);
+        assert_eq!(FAN_OUTS.get(), before);
+    }
+
+    #[test]
+    fn score_layout_skips_ids_that_are_not_nodes() {
+        let ns = nodes(&[(0, 10, 1), (1, 10, 1), (2, 10, 1)]);
+        let es = vec![edge(0, 1, 10), edge(1, 2, 10), edge(7, 0, 99)];
+        let p = ExtTspParams::default();
+        let clean = score_layout(&[0, 1, 2], &ns, &es, &p);
+        assert!((clean - 20.0).abs() < 1e-9);
+        // An unknown id occupies no bytes and scores nothing.
+        assert_eq!(score_layout(&[0, 9, 1, 2, 7], &ns, &es, &p), clean);
+        assert_eq!(score_layout(&[9], &ns, &es, &p), 0.0);
+    }
+
+    /// A merge log with every float as its bit pattern, so comparisons
+    /// are exact (and `-0.0`/`NaN` cannot hide a difference).
+    fn log_bits(log: &MergeLog) -> impl PartialEq + std::fmt::Debug {
+        let alt = |r: &RejectedAlt| (r.x, r.y, r.gain.to_bits(), r.split);
+        let detail = log.detail.as_ref().expect("detail armed");
+        (
+            log.merges
+                .iter()
+                .map(|m| (m.gain.to_bits(), m.split))
+                .collect::<Vec<_>>(),
+            (
+                log.final_score.to_bits(),
+                log.input_score.to_bits(),
+                log.used_input_order,
+            ),
+            detail
+                .steps
+                .iter()
+                .map(|s| {
+                    (
+                        s.x,
+                        s.y,
+                        s.gain.to_bits(),
+                        s.split,
+                        s.rejected.as_ref().map(alt),
+                    )
+                })
+                .collect::<Vec<_>>(),
+            detail.evaluations,
+        )
+    }
+
+    /// A random Ext-TSP problem: sparse ids, zero-sized nodes,
+    /// self-loops, duplicate edges, edges to ids that are not nodes,
+    /// any node as entry.
+    fn random_problem(
+        raw_nodes: &[(u32, u16)],
+        raw_edges: &[(u16, u16, u64)],
+        entry_pick: u16,
+    ) -> (Vec<Node>, Vec<Edge>, u32) {
+        let n = raw_nodes.len() as u32;
+        let id = |i: u32| i * 3 + 1;
+        let ns: Vec<Node> = raw_nodes
+            .iter()
+            .zip(0..)
+            .map(|(&(size, count), i)| Node {
+                id: id(i),
+                size,
+                count: count as u64,
+            })
+            .collect();
+        // `% (n + 1)`: index n maps to an id no node has.
+        let es: Vec<Edge> = raw_edges
+            .iter()
+            .map(|&(s, d, w)| edge(id(s as u32 % (n + 1)), id(d as u32 % (n + 1)), w))
+            .collect();
+        (ns, es, id(entry_pick as u32 % n))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(192))]
+
+        /// The rewritten inner loop against the kept pre-rewrite
+        /// implementation: same order, same log, every f64 to the bit.
+        #[test]
+        fn matches_the_reference_implementation_bit_for_bit(
+            raw_nodes in proptest::collection::vec((0u32..300, proptest::any::<u16>()), 2..49),
+            raw_edges in proptest::collection::vec(
+                (proptest::any::<u16>(), proptest::any::<u16>(), 1u64..2000), 0..160),
+            entry_pick in proptest::any::<u16>(),
+            knobs in 0usize..6,
+        ) {
+            let (ns, es, entry) = random_problem(&raw_nodes, &raw_edges, entry_pick);
+            let params = ExtTspParams {
+                chain_split_threshold: [0, 3, 128][knobs % 3],
+                jobs: [1, 4][knobs / 3],
+                ..ExtTspParams::default()
+            };
+            let tel = propeller_telemetry::Telemetry::disabled();
+            let mut new = MergeLog::with_detail();
+            let order = order_nodes_logged(&ns, &es, entry, &params, &tel, Some(&mut new));
+            let mut old = MergeLog::with_detail();
+            let expected = reference::order_nodes_logged(&ns, &es, entry, &params, Some(&mut old));
+            proptest::prop_assert_eq!(&order, &expected);
+            proptest::prop_assert_eq!(log_bits(&new), log_bits(&old));
+            proptest::prop_assert_eq!(
+                score_layout(&order, &ns, &es, &params).to_bits(),
+                reference::score_layout(&order, &ns, &es, &params).to_bits()
+            );
+            if !new.used_input_order {
+                let steps = &new.detail.as_ref().unwrap().steps;
+                proptest::prop_assert_eq!(replay_merges(&ns, entry, steps), Ok(order));
+            }
+        }
+    }
+
+    /// Independent layout oracle (ROADMAP 5a): on graphs of at most 8
+    /// nodes every entry-first permutation is scored, and the greedy
+    /// result must sit between the input order and that optimum.
+    ///
+    /// Worst greedy/optimal ratio observed over the 160 cases below:
+    /// 0.808; 141 of the 151 cases whose optimum is positive reach it
+    /// exactly.
+    #[test]
+    fn greedy_layout_sits_between_input_order_and_brute_force_optimum() {
+        const WORST_RATIO_FLOOR: f64 = 0.80;
+        fn permutations(items: &mut [usize], k: usize, visit: &mut impl FnMut(&[usize])) {
+            if k == items.len() {
+                return visit(items);
+            }
+            for i in k..items.len() {
+                items.swap(k, i);
+                permutations(items, k + 1, visit);
+                items.swap(k, i);
+            }
+        }
+        let tel = propeller_telemetry::Telemetry::disabled();
+        let params = ExtTspParams::default();
+        let mut worst = 1.0f64;
+        for case in 0..160u64 {
+            let mut rng = proptest::test_runner::TestRng::deterministic(case);
+            let n = rng.usize_in(3, 9);
+            let raw_nodes: Vec<(u32, u16)> = (0..n)
+                .map(|_| (rng.u64_in(1, 400) as u32, rng.next_u64() as u16))
+                .collect();
+            let raw_edges: Vec<(u16, u16, u64)> = (0..rng.usize_in(1, 3 * n))
+                .map(|_| {
+                    (
+                        rng.next_u64() as u16,
+                        rng.next_u64() as u16,
+                        rng.u64_in(1, 500),
+                    )
+                })
+                .collect();
+            let (ns, es, entry) = random_problem(&raw_nodes, &raw_edges, rng.next_u64() as u16);
+            let mut log = MergeLog::default();
+            let order = order_nodes_logged(&ns, &es, entry, &params, &tel, Some(&mut log));
+            assert_eq!(order[0], entry);
+
+            let dense = dense_index(&ns);
+            let graph = DenseGraph::new(&ns, &es, &dense);
+            let mut perm: Vec<usize> = (0..n).collect();
+            perm.swap(0, dense[&entry]);
+            let mut optimal = f64::MIN;
+            permutations(&mut perm, 1, &mut |p| {
+                optimal = optimal.max(graph.score(p.iter().copied(), &params));
+            });
+            assert!(
+                log.final_score <= optimal + 1e-9,
+                "case {case}: beat the optimum?"
+            );
+            if ns[0].id == entry {
+                assert!(log.input_score <= log.final_score + 1e-9, "case {case}");
+            }
+            if optimal > 0.0 {
+                worst = worst.min(log.final_score / optimal);
+            }
+        }
+        assert!(
+            worst >= WORST_RATIO_FLOOR,
+            "greedy fell to {worst:.4} of optimal"
+        );
     }
 }

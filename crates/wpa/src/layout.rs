@@ -1,6 +1,6 @@
 //! The WPA driver: from profile to `cc_prof` + `ld_prof`.
 
-use crate::dcfg::{Dcfg, DcfgFunction, EdgeFunding};
+use crate::dcfg::{Dcfg, DcfgFunction, EdgeFunding, EdgeKind};
 use crate::exttsp::{order_nodes_logged, order_nodes_traced, Edge, MergeLog, MergeStep, Node};
 use crate::mapper::AddressMapper;
 use crate::options::{GlobalOrder, IntraOrder, WpaOptions};
@@ -293,16 +293,19 @@ pub fn run_wpa_agg_traced(
         }
         stats.hot_functions += 1;
 
-        // Collect the complete block list with sizes.
-        let mut size_of: HashMap<u32, u32> = HashMap::new();
-        let mut all_blocks: Vec<u32> = Vec::new();
-        for (_, entries) in &fmap.ranges {
-            for e in entries {
-                size_of.insert(e.bb_id, e.size);
-                all_blocks.push(e.bb_id);
-            }
-        }
-        all_blocks.sort_unstable();
+        // The complete block list with sizes, ascending by block id;
+        // every per-block lookup below is a binary search in it.
+        let mut blocks: Vec<(u32, u32)> = fmap
+            .ranges
+            .iter()
+            .flat_map(|(_, entries)| entries.iter().map(|e| (e.bb_id, e.size)))
+            .collect();
+        blocks.sort_unstable();
+        let size_of = |b: u32| -> u32 {
+            blocks
+                .binary_search_by_key(&b, |&(id, _)| id)
+                .map_or(0, |i| blocks[i].1)
+        };
 
         let count = |b: u32| dc.block_counts.get(&b).copied().unwrap_or(0);
         // Hot/cold classification: hardware samples by default; the
@@ -321,22 +324,16 @@ pub fn run_wpa_agg_traced(
                 None => count(b) >= opts.hot_threshold,
             }
         };
-        let mut hot: Vec<u32> = all_blocks
+        // The entry executed if anything did; force it hot so the
+        // primary cluster starts with it. Both lists stay ascending.
+        let (mut hot, cold): (Vec<u32>, Vec<u32>) = blocks
             .iter()
-            .copied()
-            .filter(|&b| is_hot(b))
-            .collect();
-        if !hot.contains(&0) {
-            // The entry executed if anything did; force it hot so the
-            // primary cluster starts with it.
+            .map(|&(b, _)| b)
+            .partition(|&b| b == 0 || is_hot(b));
+        if hot.first() != Some(&0) {
             hot.insert(0, 0);
         }
         stats.hot_blocks += hot.len();
-        let cold: Vec<u32> = all_blocks
-            .iter()
-            .copied()
-            .filter(|b| !hot.contains(b))
-            .collect();
 
         // Intra-function order. The Ext-TSP problem (nodes + edges) is
         // also what the rich provenance record snapshots, so it is
@@ -352,14 +349,16 @@ pub fn run_wpa_agg_traced(
                 .iter()
                 .map(|&b| Node {
                     id: b,
-                    size: size_of[&b],
+                    size: size_of(b),
                     count: count(b),
                 })
                 .collect();
             let mut edges: Vec<Edge> = dc
                 .edges
                 .iter()
-                .filter(|(&(s, d, _), _)| hot.contains(&s) && hot.contains(&d))
+                .filter(|(&(s, d, _), _)| {
+                    hot.binary_search(&s).is_ok() && hot.binary_search(&d).is_ok()
+                })
                 .map(|(&(s, d, _), &w)| Edge {
                     src: s,
                     dst: d,
@@ -436,11 +435,7 @@ pub fn run_wpa_agg_traced(
         for c in &clusters {
             let symbol = c.name.symbol(&fmap.func_symbol);
             let weight: u64 = c.blocks.iter().map(|b| count(b.0)).sum();
-            let size: u64 = c
-                .blocks
-                .iter()
-                .map(|b| size_of.get(&b.0).copied().unwrap_or(0) as u64)
-                .sum();
+            let size: u64 = c.blocks.iter().map(|b| size_of(b.0) as u64).sum();
             let is_cold = matches!(c.name, ClusterName::Cold);
             fn_prov.clusters.push(ClusterProvenance {
                 symbol: symbol.clone(),
@@ -639,10 +634,9 @@ pub fn run_wpa_agg_traced(
 /// `k + 1` segments (never cutting before the entry block).
 fn cut_chain(order: &[u32], dc: &DcfgFunction, k: usize) -> Vec<Vec<u32>> {
     let edge_weight = |a: u32, b: u32| -> u64 {
-        dc.edges
+        [EdgeKind::Branch, EdgeKind::Fallthrough]
             .iter()
-            .filter(|(&(s, d, _), _)| s == a && d == b)
-            .map(|(_, &w)| w)
+            .filter_map(|&kind| dc.edges.get(&(a, b, kind)))
             .sum()
     };
     // Candidate cut positions 1..len, ranked by the weight of the edge
@@ -672,7 +666,6 @@ mod tests {
     #[test]
     fn cut_chain_splits_at_coldest_edges() {
         let mut dc = DcfgFunction::default();
-        use crate::dcfg::EdgeKind;
         dc.edges.insert((0, 1, EdgeKind::Branch), 100);
         dc.edges.insert((1, 2, EdgeKind::Branch), 1); // coldest
         dc.edges.insert((2, 3, EdgeKind::Branch), 50);
