@@ -15,7 +15,7 @@ use propeller_faults::{
     DegradationLedger, FaultInjector, FaultKind, FaultPlan, LayoutMode, RetryPolicy,
 };
 use propeller_ir::{FunctionId, Program};
-use propeller_linker::{link_traced, LinkInput, LinkOptions, LinkedBinary};
+use propeller_linker::{link_refs_traced, LinkInputRef, LinkOptions, LinkedBinary};
 use propeller_obj::ContentHash;
 use propeller_profile::{
     degrade_profile, salvage_profile, AggregatedProfile, HardwareProfile, SamplingConfig,
@@ -584,15 +584,15 @@ impl Propeller {
             .collect();
         let program = self.program.clone();
         let (artifacts, actions, pool) = self.codegen_batch(&program, plan, span_id)?;
-        let inputs: Vec<LinkInput> = artifacts
+        let inputs: Vec<LinkInputRef> = artifacts
             .iter()
-            .map(|a| LinkInput::new(a.object.clone(), a.debug_layout.clone()))
+            .map(|a| LinkInputRef::new(&a.object, &a.debug_layout))
             .collect();
         let (codegen_phase, res) =
             self.executor
                 .run_phase_resilient_traced(&actions, &self.tel, span_id)?;
         self.absorb_resilience(res);
-        let bin = link_traced(
+        let bin = link_refs_traced(
             &inputs,
             &LinkOptions {
                 output_name: "app.pm".into(),
@@ -892,15 +892,15 @@ impl Propeller {
         let (artifacts, mut actions, pool) =
             self.codegen_batch(&phase4_program.clone(), plan, span_id)?;
         actions.append(&mut failed_actions);
-        let inputs: Vec<LinkInput> = artifacts
+        let inputs: Vec<LinkInputRef> = artifacts
             .iter()
-            .map(|a| LinkInput::new(a.object.clone(), a.debug_layout.clone()))
+            .map(|a| LinkInputRef::new(&a.object, &a.debug_layout))
             .collect();
         let (codegen_phase, res) =
             self.executor
                 .run_phase_resilient_traced(&actions, &self.tel, span_id)?;
         self.absorb_resilience(res);
-        let bin = link_traced(
+        let bin = link_refs_traced(
             &inputs,
             &LinkOptions {
                 output_name: "app.propeller".into(),
@@ -996,11 +996,11 @@ impl Propeller {
             .collect();
         let program = self.program.clone();
         let (artifacts, _, _) = self.codegen_batch(&program, plan, span_id)?;
-        let inputs: Vec<LinkInput> = artifacts
+        let inputs: Vec<LinkInputRef> = artifacts
             .iter()
-            .map(|a| LinkInput::new(a.object.clone(), a.debug_layout.clone()))
+            .map(|a| LinkInputRef::new(&a.object, &a.debug_layout))
             .collect();
-        let bin = Arc::new(link_traced(
+        let bin = Arc::new(link_refs_traced(
             &inputs,
             &LinkOptions {
                 output_name: "app.baseline".into(),

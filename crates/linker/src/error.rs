@@ -20,16 +20,14 @@ pub enum LinkError {
         /// The symbol the branch targets.
         symbol: String,
     },
-    /// A metadata section could not be decoded.
+    /// Input metadata is corrupt: an undecodable section, or a
+    /// relocation or symbol pointing outside its section or object.
     BadMetadata {
         /// The object containing the section.
         object: String,
         /// Description of the failure.
         detail: String,
     },
-    /// The relaxation pass failed to converge (should not happen; kept
-    /// as an error rather than a panic for robustness).
-    RelaxationDiverged,
 }
 
 impl fmt::Display for LinkError {
@@ -45,7 +43,6 @@ impl fmt::Display for LinkError {
             LinkError::BadMetadata { object, detail } => {
                 write!(f, "bad metadata in {object}: {detail}")
             }
-            LinkError::RelaxationDiverged => write!(f, "relaxation failed to converge"),
         }
     }
 }

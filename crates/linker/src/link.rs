@@ -6,10 +6,12 @@ use crate::binary::{
 };
 use crate::error::LinkError;
 use crate::ordering::SymbolOrdering;
-use crate::relax::{assign_addresses, parse_sites, relax, resolve, Sec, SiteState};
+use crate::relax::{assign_addresses, parse_sites, relax, resolve, Sec, SiteState, Target};
 use propeller_codegen::isa::op;
 use propeller_codegen::DebugLayout;
-use propeller_obj::{BbAddrMap, ObjectFile, RelocKind, SectionKind, SizeBreakdown, SymbolKind};
+use propeller_obj::{
+    BbAddrMap, ObjectFile, Reloc, RelocKind, SectionKind, SizeBreakdown, SymbolKind,
+};
 use propeller_telemetry::{SpanId, Telemetry};
 use std::collections::HashMap;
 
@@ -38,6 +40,36 @@ impl LinkInput {
         LinkInput {
             object,
             debug_layout: None,
+        }
+    }
+}
+
+/// A borrowed [`LinkInput`] — all the link reads. A caller whose objects
+/// live elsewhere (the pipeline's cached `Arc<CodegenResult>`s) links
+/// through [`link_refs_traced`] without copying them.
+#[derive(Copy, Clone, Debug)]
+pub struct LinkInputRef<'a> {
+    /// The relocatable object.
+    pub object: &'a ObjectFile,
+    /// The codegen layout table for this object's functions.
+    pub debug_layout: Option<&'a DebugLayout>,
+}
+
+impl<'a> LinkInputRef<'a> {
+    /// Borrows an object with its layout table.
+    pub fn new(object: &'a ObjectFile, debug_layout: &'a DebugLayout) -> Self {
+        LinkInputRef {
+            object,
+            debug_layout: Some(debug_layout),
+        }
+    }
+}
+
+impl<'a> From<&'a LinkInput> for LinkInputRef<'a> {
+    fn from(input: &'a LinkInput) -> Self {
+        LinkInputRef {
+            object: &input.object,
+            debug_layout: input.debug_layout.as_ref(),
         }
     }
 }
@@ -84,7 +116,8 @@ impl Default for LinkOptions {
 /// # Errors
 ///
 /// Returns [`LinkError`] on duplicate or undefined global symbols,
-/// displacement overflow, undecodable metadata, or relaxation failure.
+/// displacement overflow, or corrupt metadata (an undecodable address
+/// map, a relocation or symbol pointing outside its section or object).
 pub fn link(inputs: &[LinkInput], opts: &LinkOptions) -> Result<LinkedBinary, LinkError> {
     link_traced(inputs, opts, &Telemetry::disabled(), None)
 }
@@ -103,6 +136,21 @@ pub fn link_traced(
     tel: &Telemetry,
     parent: Option<SpanId>,
 ) -> Result<LinkedBinary, LinkError> {
+    let refs: Vec<LinkInputRef> = inputs.iter().map(LinkInputRef::from).collect();
+    link_refs_traced(&refs, opts, tel, parent)
+}
+
+/// [`link_traced`] over borrowed inputs.
+///
+/// # Errors
+///
+/// Same as [`link`].
+pub fn link_refs_traced(
+    inputs: &[LinkInputRef],
+    opts: &LinkOptions,
+    tel: &Telemetry,
+    parent: Option<SpanId>,
+) -> Result<LinkedBinary, LinkError> {
     let mut link_span = tel.span_under(format!("link:{}", opts.output_name), parent);
     let link_id = link_span.id();
     let bin = link_impl(inputs, opts, tel, link_id)?;
@@ -111,79 +159,85 @@ pub fn link_traced(
 }
 
 fn link_impl(
-    inputs: &[LinkInput],
+    inputs: &[LinkInputRef],
     opts: &LinkOptions,
     tel: &Telemetry,
     link_id: Option<SpanId>,
 ) -> Result<LinkedBinary, LinkError> {
-    // Flatten sections and build the global symbol table.
-    let mut secs: Vec<Sec> = Vec::new();
-    let mut symtab: HashMap<String, (usize, u32)> = HashMap::new();
+    // Flatten sections and build the global symbol table. Sections stay
+    // borrowed; `primary_symbol[i]` is the function symbol naming the
+    // start of section `i`, if one does.
+    let n_sections = inputs.iter().map(|i| i.object.sections().len()).sum();
+    let n_symbols = inputs.iter().map(|i| i.object.symbols().len()).sum();
+    let mut secs: Vec<Sec> = Vec::with_capacity(n_sections);
+    let mut symtab: HashMap<&str, Target> = HashMap::with_capacity(n_symbols);
+    let mut primary_symbol: Vec<Option<&str>> = vec![None; n_sections];
     let mut obj_has_relaxable: Vec<bool> = Vec::with_capacity(inputs.len());
     let mut input_bytes = 0u64;
     let mut total_relocs = 0usize;
     for (oi, input) in inputs.iter().enumerate() {
-        let obj = &input.object;
+        let obj = input.object;
         input_bytes += obj.size_breakdown().total() as u64;
         let mut has_relaxable = false;
         let sec_base = secs.len();
         for s in obj.sections() {
             total_relocs += s.relocs.len();
-            has_relaxable |= s.relaxable && s.kind == SectionKind::Text;
-            secs.push(Sec {
-                obj_idx: oi,
-                name: s.name.clone(),
-                kind: s.kind,
-                bytes: s.bytes.clone(),
-                relocs: s.relocs.clone(),
-                block_map: s.block_map.clone(),
-                relaxable: s.relaxable,
-                align: s.align,
-                sites: Vec::new(),
-                addr: 0,
-            });
+            let sec = Sec::new(oi, s);
+            has_relaxable |= sec.is_relaxable_text();
+            secs.push(sec);
         }
         obj_has_relaxable.push(has_relaxable);
         for sym in obj.symbols() {
             if !sym.global {
                 continue;
             }
+            if sym.section.index() >= obj.sections().len() {
+                return Err(LinkError::BadMetadata {
+                    object: obj.name.clone(),
+                    detail: format!(
+                        "symbol {:?} is defined in {}, but the object has {} section(s)",
+                        sym.name,
+                        sym.section,
+                        obj.sections().len()
+                    ),
+                });
+            }
             let gidx = sec_base + sym.section.index();
-            if symtab
-                .insert(sym.name.clone(), (gidx, sym.offset))
-                .is_some()
-            {
+            let def = Target {
+                sec: gidx as u32,
+                off: sym.offset,
+            };
+            if symtab.insert(&sym.name, def).is_some() {
                 return Err(LinkError::DuplicateSymbol(sym.name.clone()));
+            }
+            if sym.kind == SymbolKind::Func && sym.offset == 0 {
+                primary_symbol[gidx] = Some(&sym.name);
             }
         }
     }
 
+    // Resolve every relocation that will be applied, once: from here on
+    // targets are indices, not names. An undefined symbol stays `None`
+    // until a stage needs it, which then reports it as it always has.
+    for sec in secs.iter_mut().filter(|s| s.input.kind.is_loaded()) {
+        let object = &inputs[sec.obj_idx].object.name;
+        // Not `collect`: through `Result` it loses the size hint and
+        // reallocates as it grows.
+        sec.targets.reserve_exact(sec.input.relocs.len());
+        for r in &sec.input.relocs {
+            sec.targets.push(resolve_reloc(&symtab, r, object)?);
+        }
+    }
+
     // Text ordering: symbol-ordering-file rank first, then input order.
-    let primary_symbol: HashMap<usize, &str> = inputs
-        .iter()
-        .scan(0usize, |base, input| {
-            let start = *base;
-            *base += input.object.sections().len();
-            Some((start, input))
-        })
-        .flat_map(|(start, input)| {
-            input
-                .object
-                .symbols()
-                .iter()
-                .filter(|s| s.global && s.kind == SymbolKind::Func && s.offset == 0)
-                .map(move |s| (start + s.section.index(), s.name.as_str()))
-        })
-        .collect();
     let mut text_order: Vec<usize> = (0..secs.len())
-        .filter(|&i| secs[i].kind == SectionKind::Text)
+        .filter(|&i| secs[i].input.kind == SectionKind::Text)
         .collect();
     {
         let _ordering_span = tel.span_under("link.ordering", link_id);
         if let Some(order) = &opts.symbol_order {
-            text_order.sort_by_key(|&i| {
-                let rank = primary_symbol
-                    .get(&i)
+            text_order.sort_by_cached_key(|&i| {
+                let rank = primary_symbol[i]
                     .and_then(|name| order.rank(name))
                     .unwrap_or(usize::MAX);
                 (rank, i)
@@ -194,21 +248,10 @@ fn link_impl(
     // Relaxation.
     let (deleted, shrunk) = if opts.relax {
         let _relax_span = tel.span_under("link.relax", link_id);
-        for s in secs.iter_mut() {
-            if s.relaxable && s.kind == SectionKind::Text {
-                let section = propeller_obj::Section {
-                    name: s.name.clone(),
-                    kind: s.kind,
-                    bytes: s.bytes.clone(),
-                    relocs: s.relocs.clone(),
-                    align: s.align,
-                    block_map: s.block_map.clone(),
-                    relaxable: true,
-                };
-                s.sites = parse_sites(&section)?;
-            }
+        for s in secs.iter_mut().filter(|s| s.is_relaxable_text()) {
+            s.sites = parse_sites(s.input)?;
         }
-        let (deleted, shrunk, iters) = relax(&mut secs, &text_order, &symtab, opts.base)?;
+        let (deleted, shrunk, iters) = relax(&mut secs, &text_order, opts.base)?;
         if tel.is_enabled() {
             tel.counter_add("link.relax_iterations", iters);
             tel.counter_add("link.deleted_jumps", deleted);
@@ -220,9 +263,12 @@ fn link_impl(
     };
 
     let text_end = assign_addresses(&mut secs, &text_order, opts.base);
-    let image_end = secs
-        .iter()
-        .filter(|s| s.kind.is_loaded())
+    // The image covers [image_start, image_end): the span of the loaded
+    // sections. `image_start` is the link base whenever a section sits
+    // there, which alignment of the first one can prevent.
+    let loaded = || secs.iter().filter(|s| s.input.kind.is_loaded());
+    let image_start = loaded().map(|s| s.addr).min().unwrap_or(opts.base);
+    let image_end = loaded()
         .map(|s| s.addr + s.final_size() as u64)
         .max()
         .unwrap_or(opts.base);
@@ -239,20 +285,18 @@ fn link_impl(
             prev_end = secs[i].addr + secs[i].final_size() as u64;
         }
     }
-    for i in 0..secs.len() {
-        if !secs[i].kind.is_loaded() {
-            continue;
-        }
-        emit_section(&mut image, &secs, i, &symtab, inputs)?;
+    for sec in loaded() {
+        let start = (sec.addr - image_start) as usize;
+        let out = &mut image[start..start + sec.final_size() as usize];
+        emit_section(out, &secs, sec, &inputs[sec.obj_idx].object.name)?;
     }
     drop(emit_span);
 
     // Build the output symbol map.
-    let mut symbols = HashMap::with_capacity(symtab.len());
-    for (name, &(sec_idx, off)) in &symtab {
-        let sec = &secs[sec_idx];
-        symbols.insert(name.clone(), sec.addr + sec.new_offset(off) as u64);
-    }
+    let symbols = symtab
+        .iter()
+        .map(|(&name, &def)| (name.to_string(), resolve(&secs, def)))
+        .collect();
 
     // Merge metadata and compute the size breakdown.
     let mut bb_addr_map = BbAddrMap::default();
@@ -261,9 +305,10 @@ fn link_impl(
         ..SizeBreakdown::default()
     };
     for s in &secs {
-        match s.kind {
+        let bytes = &s.input.bytes;
+        match s.input.kind {
             SectionKind::Text => {}
-            SectionKind::EhFrame => breakdown.eh_frame += s.bytes.len(),
+            SectionKind::EhFrame => breakdown.eh_frame += bytes.len(),
             SectionKind::BbAddrMap => {
                 if opts.strip_bb_addr_map {
                     continue;
@@ -271,22 +316,20 @@ fn link_impl(
                 if opts.drop_cold_bb_addr_map && !obj_has_relaxable[s.obj_idx] {
                     continue;
                 }
-                let decoded =
-                    BbAddrMap::decode(&s.bytes).map_err(|e| LinkError::BadMetadata {
-                        object: inputs[s.obj_idx].object.name.clone(),
-                        detail: e.to_string(),
-                    })?;
+                let decoded = BbAddrMap::decode(bytes).map_err(|e| LinkError::BadMetadata {
+                    object: inputs[s.obj_idx].object.name.clone(),
+                    detail: e.to_string(),
+                })?;
                 bb_addr_map.merge(decoded);
             }
-            SectionKind::Rela => breakdown.relocs += s.bytes.len(),
+            SectionKind::Rela => breakdown.relocs += bytes.len(),
             SectionKind::RoData | SectionKind::DebugRanges | SectionKind::Other => {
-                breakdown.other += s.bytes.len()
+                breakdown.other += bytes.len()
             }
         }
     }
-    breakdown.bb_addr_map = bb_addr_map.encode().len();
-    if bb_addr_map.functions.is_empty() {
-        breakdown.bb_addr_map = 0;
+    if !bb_addr_map.functions.is_empty() {
+        breakdown.bb_addr_map = bb_addr_map.encoded_len();
     }
     if opts.retain_relocs {
         breakdown.relocs += total_relocs * 24;
@@ -295,21 +338,20 @@ fn link_impl(
     // Final per-block layout.
     let mut layout = FinalLayout::default();
     for input in inputs {
-        let Some(dl) = &input.debug_layout else {
+        let Some(dl) = input.debug_layout else {
             continue;
         };
         for fl in &dl.functions {
-            let mut blocks = Vec::new();
+            let mut blocks = Vec::with_capacity(fl.fragments.iter().map(|f| f.blocks.len()).sum());
             for frag in &fl.fragments {
-                let &(sec_idx, sym_off) =
-                    symtab
-                        .get(&frag.section_symbol)
-                        .ok_or_else(|| LinkError::UndefinedSymbol {
-                            symbol: frag.section_symbol.clone(),
-                            object: input.object.name.clone(),
-                        })?;
-                debug_assert_eq!(sym_off, 0, "fragment symbols name section starts");
-                let sec = &secs[sec_idx];
+                let def = symtab.get(frag.section_symbol.as_str()).ok_or_else(|| {
+                    LinkError::UndefinedSymbol {
+                        symbol: frag.section_symbol.clone(),
+                        object: input.object.name.clone(),
+                    }
+                })?;
+                debug_assert_eq!(def.off, 0, "fragment symbols name section starts");
+                let sec = &secs[def.sec as usize];
                 for p in &frag.blocks {
                     let start = sec.new_offset(p.offset);
                     let end = sec.new_offset(p.offset + p.size);
@@ -345,12 +387,10 @@ fn link_impl(
                 }
             }
             SymbolPlacement {
-                symbol: primary_symbol
-                    .get(&i)
-                    .map_or_else(|| s.name.clone(), |n| (*n).to_string()),
+                symbol: primary_symbol[i].unwrap_or(&s.input.name).to_string(),
                 order: pos as u32,
                 addr: s.addr,
-                input_size: s.bytes.len() as u64,
+                input_size: s.input.bytes.len() as u64,
                 final_size: s.final_size() as u64,
                 deleted_jumps,
                 shrunk_branches,
@@ -361,8 +401,8 @@ fn link_impl(
     let placed = secs
         .iter()
         .map(|s| PlacedSection {
-            name: s.name.clone(),
-            kind: s.kind,
+            name: s.input.name.clone(),
+            kind: s.input.kind,
             addr: s.addr,
             size: s.final_size() as u64,
         })
@@ -393,122 +433,107 @@ fn link_impl(
     })
 }
 
-/// Emits one loaded section into the image, applying relocations and
-/// relaxation decisions.
-fn emit_section(
-    image: &mut [u8],
-    secs: &[Sec],
-    idx: usize,
-    symtab: &HashMap<String, (usize, u32)>,
-    inputs: &[LinkInput],
-) -> Result<(), LinkError> {
-    let sec = &secs[idx];
-    let obj_name = &inputs[sec.obj_idx].object.name;
-    // The image covers [base, image_end); translate by the smallest
-    // loaded address, which is the link base.
-    //
-    // Infallible: `emit_section` is only called with the index of a
-    // loaded section (the caller iterates the loaded set), so the
-    // filtered iterator contains at least `secs[idx]` itself.
-    let min_addr = secs
-        .iter()
-        .filter(|s| s.kind.is_loaded())
-        .map(|s| s.addr)
-        .min()
-        .expect("at least one loaded section");
-    let start = (sec.addr - min_addr) as usize;
+/// Looks up `r`'s symbol and folds in the addend. `Ok(None)` is an
+/// undefined symbol; a target before its section's start, or past what
+/// an offset can hold, is corrupt metadata.
+fn resolve_reloc(
+    symtab: &HashMap<&str, Target>,
+    r: &Reloc,
+    object: &str,
+) -> Result<Option<Target>, LinkError> {
+    let Some(def) = symtab.get(r.symbol.as_str()) else {
+        return Ok(None);
+    };
+    let off = (def.off as i64)
+        .checked_add(r.addend)
+        .and_then(|off| u32::try_from(off).ok())
+        .ok_or_else(|| LinkError::BadMetadata {
+            object: object.to_string(),
+            detail: format!(
+                "relocation at {} against {:?} has addend {}, which points outside any section",
+                r.offset, r.symbol, r.addend
+            ),
+        })?;
+    Ok(Some(Target { sec: def.sec, off }))
+}
 
+/// Emits one loaded section into `out` — its slot in the image, exactly
+/// its final size — applying relocations and relaxation decisions.
+fn emit_section(out: &mut [u8], secs: &[Sec], sec: &Sec, obj_name: &str) -> Result<(), LinkError> {
+    let bytes = &sec.input.bytes;
+    let relocs = &sec.input.relocs;
     if sec.sites.is_empty() {
-        // Copy and patch in place.
-        let end = start + sec.bytes.len();
-        image[start..end].copy_from_slice(&sec.bytes);
-        for r in &sec.relocs {
-            let target = resolve(secs, symtab, &r.symbol, r.addend, obj_name)?;
-            patch(
-                image,
-                start + r.offset as usize,
-                r.kind,
-                target,
-                sec.addr + r.offset as u64,
-                &r.symbol,
-            )?;
-        }
+        out.copy_from_slice(bytes);
     } else {
         // Rebuild: walk original bytes around the relaxed branch sites.
-        let mut out = Vec::with_capacity(sec.bytes.len());
+        let mut at = 0usize;
         let mut cursor = 0usize;
         for site in &sec.sites {
-            out.extend_from_slice(&sec.bytes[cursor..site.inst_start as usize]);
-            let target = resolve(secs, symtab, &site.symbol, site.addend, obj_name)?;
-            let inst_addr = sec.addr + out.len() as u64;
+            put(out, &mut at, &bytes[cursor..site.inst_start as usize]);
+            let symbol = &relocs[site.reloc as usize].symbol;
+            let target = resolve(secs, sec.target(site.reloc as usize, obj_name)?);
+            let inst_addr = sec.addr + at as u64;
+            let overflow = || LinkError::DisplacementOverflow {
+                symbol: symbol.clone(),
+            };
             match site.state {
                 SiteState::Deleted => {}
                 SiteState::Short => {
                     let disp = target as i64 - (inst_addr as i64 + 2);
-                    let d8 = i8::try_from(disp).map_err(|_| LinkError::DisplacementOverflow {
-                        symbol: site.symbol.clone(),
-                    })?;
-                    out.push(if site.cond { op::BR_SHORT } else { op::JMP_SHORT });
-                    out.push(d8 as u8);
+                    let d8 = i8::try_from(disp).map_err(|_| overflow())?;
+                    let opcode = if site.cond {
+                        op::BR_SHORT
+                    } else {
+                        op::JMP_SHORT
+                    };
+                    put(out, &mut at, &[opcode, d8 as u8]);
                 }
                 SiteState::Long => {
                     let disp = target as i64 - (inst_addr as i64 + site.orig_len as i64);
-                    let d32 = i32::try_from(disp).map_err(|_| LinkError::DisplacementOverflow {
-                        symbol: site.symbol.clone(),
-                    })?;
+                    let d32 = i32::try_from(disp).map_err(|_| overflow())?;
                     if site.cond {
-                        out.extend_from_slice(&[op::BR_LONG, 0]);
+                        put(out, &mut at, &[op::BR_LONG, 0]);
                     } else {
-                        out.push(op::JMP_LONG);
+                        put(out, &mut at, &[op::JMP_LONG]);
                     }
-                    out.extend_from_slice(&d32.to_le_bytes());
+                    put(out, &mut at, &d32.to_le_bytes());
                 }
             }
             cursor = (site.inst_start + site.orig_len) as usize;
         }
-        out.extend_from_slice(&sec.bytes[cursor..]);
-        debug_assert_eq!(out.len(), sec.final_size() as usize);
-        // Patch the remaining (non-branch) relocations at their moved
-        // offsets.
-        for r in &sec.relocs {
-            if r.kind == RelocKind::BranchPc32 {
-                continue;
-            }
-            let target = resolve(secs, symtab, &r.symbol, r.addend, obj_name)?;
-            let new_off = sec.new_offset(r.offset) as usize;
-            let field_addr = sec.addr + new_off as u64;
-            patch_slice(&mut out, new_off, r.kind, target, field_addr, &r.symbol)?;
+        put(out, &mut at, &bytes[cursor..]);
+        debug_assert_eq!(at, out.len());
+    }
+    // Patch relocations at their (possibly moved) offsets; relaxed
+    // branches were rewritten above.
+    for (k, r) in relocs.iter().enumerate() {
+        if r.kind == RelocKind::BranchPc32 && !sec.sites.is_empty() {
+            continue;
         }
-        let end = start + out.len();
-        image[start..end].copy_from_slice(&out);
+        let target = resolve(secs, sec.target(k, obj_name)?);
+        let pos = sec.new_offset(r.offset) as usize;
+        // Checked against the section's own slot, so a relocation
+        // offset past its end cannot reach a neighbour's bytes.
+        let field = out
+            .get_mut(pos..pos.saturating_add(r.kind.width()))
+            .ok_or_else(|| LinkError::BadMetadata {
+                object: obj_name.to_string(),
+                detail: format!(
+                    "relocation at {} in {} points outside the {}-byte section",
+                    r.offset,
+                    sec.input.name,
+                    bytes.len()
+                ),
+            })?;
+        write_field(field, r.kind, target, sec.addr + pos as u64, &r.symbol)?;
     }
     Ok(())
 }
 
-fn patch(
-    image: &mut [u8],
-    pos: usize,
-    kind: RelocKind,
-    target: u64,
-    field_addr: u64,
-    symbol: &str,
-) -> Result<(), LinkError> {
-    let width = kind.width();
-    let slice = &mut image[pos..pos + width];
-    write_field(slice, kind, target, field_addr, symbol)
-}
-
-fn patch_slice(
-    out: &mut [u8],
-    pos: usize,
-    kind: RelocKind,
-    target: u64,
-    field_addr: u64,
-    symbol: &str,
-) -> Result<(), LinkError> {
-    let width = kind.width();
-    let slice = &mut out[pos..pos + width];
-    write_field(slice, kind, target, field_addr, symbol)
+/// Copies `chunk` to `out[*at..]` and advances `at` past it.
+fn put(out: &mut [u8], at: &mut usize, chunk: &[u8]) {
+    out[*at..*at + chunk.len()].copy_from_slice(chunk);
+    *at += chunk.len();
 }
 
 fn write_field(

@@ -10,8 +10,17 @@
 
 use crate::error::LinkError;
 use propeller_codegen::isa::{fits_short, op};
-use propeller_obj::{BlockSpan, Reloc, RelocKind, Section, SectionKind};
-use std::collections::HashMap;
+use propeller_obj::{RelocKind, Section, SectionKind};
+
+/// Where a relocation's `symbol + addend` points, in input coordinates:
+/// resolved once per link, so no later stage hashes a symbol name.
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub(crate) struct Target {
+    /// Index of the defining section in the flattened section list.
+    pub sec: u32,
+    /// Pre-relaxation offset within that section.
+    pub off: u32,
+}
 
 /// A branch site inside a relaxable section.
 #[derive(Clone, Debug)]
@@ -22,10 +31,9 @@ pub(crate) struct Site {
     pub orig_len: u32,
     /// Conditional branch (`true`) or unconditional jump (`false`).
     pub cond: bool,
-    /// Target symbol.
-    pub symbol: String,
-    /// Target addend (block offset within the target section).
-    pub addend: i64,
+    /// Index of the branch's relocation in the section's `relocs` (and
+    /// of its resolved target in [`Sec::targets`]).
+    pub reloc: u32,
     /// Current form decision.
     pub state: SiteState,
 }
@@ -57,25 +65,18 @@ impl Site {
     }
 }
 
-/// A section being linked, with its relaxation state.
+/// A section being linked: the borrowed input plus what the link adds
+/// to it (resolved relocation targets, relaxation state, address).
 #[derive(Clone, Debug)]
-pub(crate) struct Sec {
+pub(crate) struct Sec<'a> {
     /// Index of the owning input object.
     pub obj_idx: usize,
-    /// Section name.
-    pub name: String,
-    /// Content kind.
-    pub kind: SectionKind,
-    /// Original bytes.
-    pub bytes: Vec<u8>,
-    /// Original relocations.
-    pub relocs: Vec<Reloc>,
-    /// Original block spans.
-    pub block_map: Vec<BlockSpan>,
-    /// Whether relaxation may rewrite this section.
-    pub relaxable: bool,
-    /// Alignment.
-    pub align: u32,
+    /// The input section: name, kind, bytes, relocations, alignment.
+    pub input: &'a Section,
+    /// The target of each of `input.relocs`, `None` where the symbol is
+    /// undefined. Filled for loaded sections only — the others'
+    /// relocations are never applied.
+    pub targets: Vec<Option<Target>>,
     /// Parsed branch sites (relaxable sections only), sorted by
     /// `inst_start`.
     pub sites: Vec<Site>,
@@ -83,7 +84,23 @@ pub(crate) struct Sec {
     pub addr: u64,
 }
 
-impl Sec {
+impl<'a> Sec<'a> {
+    /// Wraps an input section; targets, sites and address come later.
+    pub fn new(obj_idx: usize, input: &'a Section) -> Self {
+        Sec {
+            obj_idx,
+            input,
+            targets: Vec::new(),
+            sites: Vec::new(),
+            addr: 0,
+        }
+    }
+
+    /// Whether the relaxation pass may rewrite this section.
+    pub fn is_relaxable_text(&self) -> bool {
+        self.input.relaxable && self.input.kind == SectionKind::Text
+    }
+
     /// Maps an original offset to its post-relaxation offset.
     pub fn new_offset(&self, orig: u32) -> u32 {
         let saved: u32 = self
@@ -97,14 +114,23 @@ impl Sec {
 
     /// Final size after relaxation.
     pub fn final_size(&self) -> u32 {
-        self.new_offset(self.bytes.len() as u32)
+        self.new_offset(self.input.bytes.len() as u32)
     }
 
     /// Whether `site_idx` is the final instruction of the section (the
     /// only position where a fall-through jump can be deleted).
     pub fn is_tail(&self, site_idx: usize) -> bool {
         let s = &self.sites[site_idx];
-        !s.cond && s.inst_start + s.orig_len == self.bytes.len() as u32
+        !s.cond && s.inst_start + s.orig_len == self.input.bytes.len() as u32
+    }
+
+    /// The resolved target of relocation `reloc`; `referrer` is what an
+    /// undefined-symbol error names as the referencing object.
+    pub fn target(&self, reloc: usize, referrer: &str) -> Result<Target, LinkError> {
+        self.targets[reloc].ok_or_else(|| LinkError::UndefinedSymbol {
+            symbol: self.input.relocs[reloc].symbol.clone(),
+            object: referrer.to_string(),
+        })
     }
 }
 
@@ -115,54 +141,58 @@ impl Sec {
 /// for jumps; a `BR_LONG` opcode two bytes before (with a zero condition
 /// byte between) identifies conditional branches.
 pub(crate) fn parse_sites(section: &Section) -> Result<Vec<Site>, LinkError> {
+    let bad = |detail: String| LinkError::BadMetadata {
+        object: section.name.clone(),
+        detail,
+    };
     let mut sites = Vec::new();
-    for r in &section.relocs {
+    for (reloc, r) in section.relocs.iter().enumerate() {
         if r.kind != RelocKind::BranchPc32 {
             continue;
         }
         let off = r.offset as usize;
-        // A relocation pointing past the section would make the opcode
-        // peeks below index out of bounds — corrupt metadata must
-        // surface as a typed error, not a panic.
-        if off > section.bytes.len() {
-            return Err(LinkError::BadMetadata {
-                object: section.name.clone(),
-                detail: format!(
-                    "branch relocation at {} points outside the {}-byte section",
-                    r.offset,
-                    section.bytes.len()
-                ),
-            });
+        // A field reaching past the section would make the opcode peeks
+        // below, and the byte walk at emit, index out of bounds —
+        // corrupt metadata must surface as a typed error, not a panic.
+        if off.saturating_add(r.kind.width()) > section.bytes.len() {
+            return Err(bad(format!(
+                "branch relocation at {} points outside the {}-byte section",
+                r.offset,
+                section.bytes.len()
+            )));
         }
         // In-bounds by the check above: `off - 1`/`off - 2` < `off`
-        // ≤ `bytes.len()`.
-        let site = if off >= 1 && section.bytes[off - 1] == op::JMP_LONG {
-            Site {
-                inst_start: r.offset - 1,
-                orig_len: 5,
-                cond: false,
-                symbol: r.symbol.clone(),
-                addend: r.addend,
-                state: SiteState::Long,
-            }
+        // < `bytes.len()`.
+        let (back, cond) = if off >= 1 && section.bytes[off - 1] == op::JMP_LONG {
+            (1, false)
         } else if off >= 2 && section.bytes[off - 2] == op::BR_LONG {
-            Site {
-                inst_start: r.offset - 2,
-                orig_len: 6,
-                cond: true,
-                symbol: r.symbol.clone(),
-                addend: r.addend,
-                state: SiteState::Long,
-            }
+            (2, true)
         } else {
-            return Err(LinkError::BadMetadata {
-                object: section.name.clone(),
-                detail: format!("branch relocation at {} has no branch opcode", r.offset),
-            });
+            return Err(bad(format!(
+                "branch relocation at {} has no branch opcode",
+                r.offset
+            )));
         };
-        sites.push(site);
+        sites.push(Site {
+            inst_start: r.offset - back,
+            orig_len: back + 4,
+            cond,
+            reloc: reloc as u32,
+            state: SiteState::Long,
+        });
     }
     sites.sort_by_key(|s| s.inst_start);
+    // Emit copies the bytes between consecutive sites; overlapping ones
+    // would hand it a reversed range.
+    if let Some(w) = sites
+        .windows(2)
+        .find(|w| w[0].inst_start + w[0].orig_len > w[1].inst_start)
+    {
+        return Err(bad(format!(
+            "branch instructions at {} and {} overlap",
+            w[0].inst_start, w[1].inst_start
+        )));
+    }
     Ok(sites)
 }
 
@@ -171,38 +201,26 @@ pub(crate) fn parse_sites(section: &Section) -> Result<Vec<Site>, LinkError> {
 pub(crate) fn assign_addresses(secs: &mut [Sec], text_order: &[usize], base: u64) -> u64 {
     let mut cursor = base;
     for &i in text_order {
-        let align = secs[i].align.max(1) as u64;
+        let align = secs[i].input.align.max(1) as u64;
         cursor = cursor.div_ceil(align) * align;
         secs[i].addr = cursor;
         cursor += secs[i].final_size() as u64;
     }
     let text_end = cursor;
     for s in secs.iter_mut() {
-        if s.kind == SectionKind::RoData {
+        if s.input.kind == SectionKind::RoData {
             cursor = cursor.div_ceil(16) * 16;
             s.addr = cursor;
-            cursor += s.bytes.len() as u64;
+            cursor += s.input.bytes.len() as u64;
         }
     }
     text_end
 }
 
-/// Resolves `symbol + addend` to a final virtual address.
-pub(crate) fn resolve(
-    secs: &[Sec],
-    symtab: &HashMap<String, (usize, u32)>,
-    symbol: &str,
-    addend: i64,
-    object: &str,
-) -> Result<u64, LinkError> {
-    let &(sec_idx, sym_off) = symtab.get(symbol).ok_or_else(|| LinkError::UndefinedSymbol {
-        symbol: symbol.to_string(),
-        object: object.to_string(),
-    })?;
-    let sec = &secs[sec_idx];
-    let orig = sym_off as i64 + addend;
-    debug_assert!(orig >= 0);
-    Ok(sec.addr + sec.new_offset(orig as u32) as u64)
+/// The final virtual address of a resolved target.
+pub(crate) fn resolve(secs: &[Sec], target: Target) -> u64 {
+    let sec = &secs[target.sec as usize];
+    sec.addr + sec.new_offset(target.off) as u64
 }
 
 /// Runs the relaxation fixpoint: fall-through jump deletion plus branch
@@ -211,20 +229,20 @@ pub(crate) fn resolve(
 ///
 /// Decisions are recomputed from scratch each iteration against the
 /// previous iteration's addresses (Jacobi style) until stable, then
-/// verified; if the loop fails to stabilize or verify, the pass falls
-/// back to the always-correct all-long, no-deletion state.
+/// verified. Non-convergence is not an error: if the loop fails to
+/// stabilize or verify, the pass falls back to the always-correct
+/// all-long, no-deletion state.
 pub(crate) fn relax(
     secs: &mut [Sec],
     text_order: &[usize],
-    symtab: &HashMap<String, (usize, u32)>,
     base: u64,
 ) -> Result<(u64, u64, u64), LinkError> {
     const MAX_ITERS: usize = 64;
-    // Identify, per text-order position, which section follows.
-    let next_in_order: HashMap<usize, usize> = text_order
-        .windows(2)
-        .map(|w| (w[0], w[1]))
-        .collect();
+    // Which section follows each one in the text order.
+    let mut next_in_order: Vec<Option<usize>> = vec![None; secs.len()];
+    for w in text_order.windows(2) {
+        next_in_order[w[0]] = Some(w[1]);
+    }
 
     let mut stable = false;
     let mut iters = 0u64;
@@ -234,22 +252,13 @@ pub(crate) fn relax(
         // Compute fresh decisions against current addresses.
         let mut new_states: Vec<(usize, usize, SiteState)> = Vec::new();
         for &si in text_order {
-            if !secs[si].relaxable {
+            let sec = &secs[si];
+            if !sec.input.relaxable {
                 continue;
             }
-            for k in 0..secs[si].sites.len() {
-                let target = resolve(
-                    secs,
-                    symtab,
-                    &secs[si].sites[k].symbol,
-                    secs[si].sites[k].addend,
-                    &secs[si].name,
-                )?;
-                let sec = &secs[si];
-                let site = &sec.sites[k];
-                let state = if sec.is_tail(k)
-                    && tail_deletable(secs, symtab, si, k, next_in_order.get(&si).copied())
-                {
+            for (k, site) in sec.sites.iter().enumerate() {
+                let target = resolve(secs, sec.target(site.reloc as usize, &sec.input.name)?);
+                let state = if sec.is_tail(k) && tail_deletable(secs, si, k, next_in_order[si]) {
                     SiteState::Deleted
                 } else {
                     let site_addr = sec.addr + sec.new_offset(site.inst_start) as u64;
@@ -276,7 +285,7 @@ pub(crate) fn relax(
 
     if stable {
         assign_addresses(secs, text_order, base);
-        if verify(secs, text_order, symtab, &next_in_order)? {
+        if verify(secs, text_order, &next_in_order)? {
             let mut deleted = 0;
             let mut shrunk = 0;
             for s in secs.iter() {
@@ -309,27 +318,20 @@ pub(crate) fn relax(
 /// The check is structural (next-section identity plus a zero-gap
 /// alignment condition) rather than comparing addresses, because the
 /// target's address itself shifts when the jump is deleted.
-fn tail_deletable(
-    secs: &[Sec],
-    symtab: &HashMap<String, (usize, u32)>,
-    sec_idx: usize,
-    site_idx: usize,
-    next_idx: Option<usize>,
-) -> bool {
+fn tail_deletable(secs: &[Sec], sec_idx: usize, site_idx: usize, next_idx: Option<usize>) -> bool {
     let Some(ni) = next_idx else {
         return false;
     };
     let sec = &secs[sec_idx];
     let site = &sec.sites[site_idx];
-    let Some(&(tsec_idx, sym_off)) = symtab.get(&site.symbol) else {
+    let Some(target) = sec.targets[site.reloc as usize] else {
         return false;
     };
-    if tsec_idx != ni {
+    if target.sec as usize != ni {
         return false;
     }
     let tsec = &secs[ni];
-    let orig_target = sym_off as i64 + site.addend;
-    if orig_target < 0 || tsec.new_offset(orig_target as u32) != 0 {
+    if tsec.new_offset(target.off) != 0 {
         return false;
     }
     // End address of this section assuming the tail jump is deleted:
@@ -342,28 +344,26 @@ fn tail_deletable(
         .filter(|&(i, _)| i != site_idx)
         .map(|(_, s)| s.savings())
         .sum();
-    let end = sec.addr + (sec.bytes.len() as u32 - saved - site.orig_len) as u64;
-    end.is_multiple_of(tsec.align.max(1) as u64)
+    let end = sec.addr + (sec.input.bytes.len() as u32 - saved - site.orig_len) as u64;
+    end.is_multiple_of(tsec.input.align.max(1) as u64)
 }
 
 /// Checks every decision against final addresses.
 fn verify(
     secs: &[Sec],
     text_order: &[usize],
-    symtab: &HashMap<String, (usize, u32)>,
-    next_in_order: &HashMap<usize, usize>,
+    next_in_order: &[Option<usize>],
 ) -> Result<bool, LinkError> {
     for &si in text_order {
         let sec = &secs[si];
-        if !sec.relaxable {
+        if !sec.input.relaxable {
             continue;
         }
         for (k, site) in sec.sites.iter().enumerate() {
-            let target = resolve(secs, symtab, &site.symbol, site.addend, &sec.name)?;
+            let target = resolve(secs, sec.target(site.reloc as usize, &sec.input.name)?);
             match site.state {
                 SiteState::Deleted => {
-                    let ok = sec.is_tail(k)
-                        && tail_deletable(secs, symtab, si, k, next_in_order.get(&si).copied());
+                    let ok = sec.is_tail(k) && tail_deletable(secs, si, k, next_in_order[si]);
                     if !ok {
                         return Ok(false);
                     }
@@ -385,19 +385,19 @@ fn verify(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use propeller_obj::Reloc;
 
-    fn sec_with_sites(size: u32, sites: Vec<Site>) -> Sec {
+    fn text(size: usize, align: u32) -> Section {
+        let mut s = Section::new(".text.t", SectionKind::Text, vec![0; size]);
+        s.align = align;
+        s.relaxable = true;
+        s
+    }
+
+    fn sec_with_sites(input: &Section, sites: Vec<Site>) -> Sec<'_> {
         Sec {
-            obj_idx: 0,
-            name: ".text.t".into(),
-            kind: SectionKind::Text,
-            bytes: vec![0; size as usize],
-            relocs: Vec::new(),
-            block_map: Vec::new(),
-            relaxable: true,
-            align: 1,
             sites,
-            addr: 0,
+            ..Sec::new(0, input)
         }
     }
 
@@ -406,15 +406,15 @@ mod tests {
             inst_start,
             orig_len: 5,
             cond: false,
-            symbol: "x".into(),
-            addend: 0,
+            reloc: 0,
             state,
         }
     }
 
     #[test]
     fn new_offset_accounts_for_savings() {
-        let mut s = sec_with_sites(20, vec![jmp_site(5, SiteState::Short)]);
+        let input = text(20, 1);
+        let mut s = sec_with_sites(&input, vec![jmp_site(5, SiteState::Short)]);
         // Site at [5,10) shrunk to 2 bytes: savings 3.
         assert_eq!(s.new_offset(0), 0);
         assert_eq!(s.new_offset(5), 5);
@@ -429,9 +429,10 @@ mod tests {
 
     #[test]
     fn tail_detection() {
-        let s = sec_with_sites(20, vec![jmp_site(15, SiteState::Long)]);
+        let input = text(20, 1);
+        let s = sec_with_sites(&input, vec![jmp_site(15, SiteState::Long)]);
         assert!(s.is_tail(0));
-        let s = sec_with_sites(20, vec![jmp_site(5, SiteState::Long)]);
+        let s = sec_with_sites(&input, vec![jmp_site(5, SiteState::Long)]);
         assert!(!s.is_tail(0));
     }
 
@@ -441,22 +442,29 @@ mod tests {
         bytes.extend_from_slice(&[op::BR_LONG, 0, 0, 0, 0, 0]); // cond at 3
         bytes.extend_from_slice(&[op::JMP_LONG, 0, 0, 0, 0]); // jmp at 9
         let mut sec = Section::new(".text.x", SectionKind::Text, bytes);
-        sec.relocs.push(Reloc::new(5, RelocKind::BranchPc32, "a", 0));
-        sec.relocs.push(Reloc::new(10, RelocKind::BranchPc32, "b", 4));
         sec.relocs.push(Reloc::new(4, RelocKind::CallPc32, "c", 0)); // ignored
+        sec.relocs
+            .push(Reloc::new(10, RelocKind::BranchPc32, "b", 4));
+        sec.relocs
+            .push(Reloc::new(5, RelocKind::BranchPc32, "a", 0));
         let sites = parse_sites(&sec).unwrap();
         assert_eq!(sites.len(), 2);
         assert!(sites[0].cond);
         assert_eq!(sites[0].inst_start, 3);
+        assert_eq!(sites[0].orig_len, 6);
         assert!(!sites[1].cond);
         assert_eq!(sites[1].inst_start, 9);
-        assert_eq!(sites[1].addend, 4);
+        assert_eq!(sites[1].orig_len, 5);
+        // Sorted by address, each still naming its own relocation.
+        assert_eq!(sec.relocs[sites[0].reloc as usize].symbol, "a");
+        assert_eq!(sec.relocs[sites[1].reloc as usize].addend, 4);
     }
 
     #[test]
     fn parse_sites_rejects_garbage() {
         let mut sec = Section::new(".text.x", SectionKind::Text, vec![0u8; 8]);
-        sec.relocs.push(Reloc::new(4, RelocKind::BranchPc32, "a", 0));
+        sec.relocs
+            .push(Reloc::new(4, RelocKind::BranchPc32, "a", 0));
         assert!(matches!(
             parse_sites(&sec),
             Err(LinkError::BadMetadata { .. })
@@ -465,11 +473,13 @@ mod tests {
 
     #[test]
     fn parse_sites_rejects_out_of_bounds_reloc_without_panicking() {
-        // A relocation offset past the section bytes used to index out
-        // of bounds; it must come back as typed corrupt-metadata.
-        for off in [9u32, 100, u32::MAX] {
-            let mut sec = Section::new(".text.x", SectionKind::Text, vec![0u8; 8]);
-            sec.relocs.push(Reloc::new(off, RelocKind::BranchPc32, "a", 0));
+        // A relocation whose field starts or ends past the section
+        // bytes used to index out of bounds (the opcode peek, or emit's
+        // byte walk); it must come back as typed corrupt-metadata.
+        for off in [5u32, 8, 9, 100, u32::MAX] {
+            let mut sec = Section::new(".text.x", SectionKind::Text, vec![op::JMP_LONG; 8]);
+            sec.relocs
+                .push(Reloc::new(off, RelocKind::BranchPc32, "a", 0));
             let err = parse_sites(&sec).unwrap_err();
             match err {
                 LinkError::BadMetadata { detail, .. } => {
@@ -481,14 +491,28 @@ mod tests {
     }
 
     #[test]
+    fn parse_sites_rejects_overlapping_branches() {
+        // Two "jumps" two bytes apart: the second opcode sits inside
+        // the first one's displacement field.
+        let mut sec = Section::new(".text.x", SectionKind::Text, vec![op::JMP_LONG; 12]);
+        sec.relocs
+            .push(Reloc::new(1, RelocKind::BranchPc32, "a", 0));
+        sec.relocs
+            .push(Reloc::new(3, RelocKind::BranchPc32, "b", 0));
+        match parse_sites(&sec).unwrap_err() {
+            LinkError::BadMetadata { detail, .. } => {
+                assert!(detail.contains("overlap"), "{detail}")
+            }
+            other => panic!("expected BadMetadata, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn assign_addresses_respects_alignment() {
+        let (a, b) = (text(10, 1), text(5, 16));
         let mut secs = vec![
-            sec_with_sites(10, Vec::new()),
-            {
-                let mut s = sec_with_sites(5, Vec::new());
-                s.align = 16;
-                s
-            },
+            sec_with_sites(&a, Vec::new()),
+            sec_with_sites(&b, Vec::new()),
         ];
         let end = assign_addresses(&mut secs, &[0, 1], 0x1000);
         assert_eq!(secs[0].addr, 0x1000);

@@ -1,10 +1,14 @@
 //! End-to-end linker tests driving real codegen output.
 
 use propeller_codegen::{
-    codegen_module, isa::decode, isa::Decoded, ClusterMap, CodegenOptions, FunctionClusters,
+    codegen_module, isa::decode, isa::op, isa::Decoded, ClusterMap, CodegenOptions,
+    FunctionClusters,
 };
 use propeller_ir::{BlockId, FunctionBuilder, Inst, Program, ProgramBuilder, Terminator};
 use propeller_linker::{link, LinkError, LinkInput, LinkOptions, SymbolOrdering};
+use propeller_obj::{
+    ObjectFile, Reloc, RelocKind, Section, SectionId, SectionKind, Symbol, SymbolKind,
+};
 
 /// Two modules:
 ///  * `a.cc`: `hot` (4 blocks: entry condbr -> cold_path | fast; both ->
@@ -373,4 +377,94 @@ fn map_report_lists_every_section() {
         assert!(map.contains(&s.name), "missing section {} in map", s.name);
     }
     assert!(map.contains("inputs"));
+}
+
+/// One object, two 8-byte non-relaxable text sections `.text.a` / `.text.b`
+/// (16-aligned, so `b` sits 16 bytes after `a`) defining `a` and `b`.
+/// `b`'s bytes are a recognisable pattern no relocation should touch.
+fn two_section_object() -> ObjectFile {
+    let mut obj = ObjectFile::new("hostile.o");
+    for (name, fill) in [("a", op::NOP), ("b", 0xAB)] {
+        let id = obj.add_section(Section::new(
+            format!(".text.{name}"),
+            SectionKind::Text,
+            vec![fill; 8],
+        ));
+        obj.add_symbol(Symbol {
+            name: name.into(),
+            section: id,
+            offset: 0,
+            size: 8,
+            global: true,
+            kind: SymbolKind::Func,
+        });
+    }
+    obj
+}
+
+fn assert_bad_metadata(obj: ObjectFile, needle: &str) {
+    for relax in [false, true] {
+        let opts = LinkOptions {
+            relax,
+            ..LinkOptions::default()
+        };
+        match link(&[LinkInput::opaque(obj.clone())], &opts) {
+            Err(LinkError::BadMetadata { object, detail }) => {
+                assert_eq!(object, "hostile.o");
+                assert!(detail.contains(needle), "{detail}");
+            }
+            other => panic!("expected BadMetadata, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn relocation_offset_outside_its_section_is_rejected() {
+    // The well-formed object links, and `b` keeps its bytes.
+    let bin = link(
+        &[LinkInput::opaque(two_section_object())],
+        &LinkOptions::default(),
+    )
+    .unwrap();
+    assert_eq!(bin.read(bin.symbol("b").unwrap(), 8).unwrap(), [0xAB; 8]);
+
+    // 16 would land the field on `.text.b`'s slot in the image (it used
+    // to be written there without complaint); 5 straddles the section
+    // end; 1000 is past the image (it used to panic).
+    for offset in [16, 5, 1000, u32::MAX] {
+        let mut obj = two_section_object();
+        obj.sections_mut()[0]
+            .relocs
+            .push(Reloc::new(offset, RelocKind::Abs64, "a", 0));
+        assert_bad_metadata(obj, "outside");
+    }
+}
+
+#[test]
+fn relocation_target_before_its_section_is_rejected() {
+    // `b - 1` and `b + i64::MIN`: negative section offsets, which a
+    // release build used to wrap into a huge address.
+    for addend in [-1, i64::MIN, i64::MAX] {
+        let mut obj = two_section_object();
+        obj.sections_mut()[0]
+            .relocs
+            .push(Reloc::new(0, RelocKind::Abs64, "b", addend));
+        assert_bad_metadata(obj, "addend");
+    }
+}
+
+#[test]
+fn symbol_in_a_nonexistent_section_is_rejected() {
+    for section in [2, 7, u32::MAX] {
+        let mut obj = two_section_object();
+        obj.add_symbol(Symbol {
+            name: "ghost".into(),
+            section: SectionId(section),
+            offset: 0,
+            size: 0,
+            global: true,
+            kind: SymbolKind::Func,
+        });
+        assert_bad_metadata(obj, "ghost");
+    }
 }

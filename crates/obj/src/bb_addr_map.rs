@@ -25,6 +25,22 @@ fn put_uleb(out: &mut Vec<u8>, mut v: u32) {
     }
 }
 
+/// Bytes [`put_uleb`] writes for `v`.
+fn uleb_len(v: u32) -> usize {
+    match v {
+        0..=0x7f => 1,
+        0x80..=0x3fff => 2,
+        0x4000..=0x1f_ffff => 3,
+        0x20_0000..=0xfff_ffff => 4,
+        _ => 5,
+    }
+}
+
+/// Bytes [`put_str`] writes for `s`: a `u32` length, then the bytes.
+fn str_len(s: &str) -> usize {
+    4 + s.len()
+}
+
 fn get_uleb(buf: &mut &[u8], context: &'static str) -> Result<u32, ObjError> {
     let mut v: u32 = 0;
     let mut shift = 0u32;
@@ -144,6 +160,29 @@ impl BbAddrMap {
         out
     }
 
+    /// `self.encode().len()`, without building the buffer (the linker
+    /// only needs the merged map's size for its [`SizeBreakdown`]).
+    ///
+    /// [`SizeBreakdown`]: crate::SizeBreakdown
+    pub fn encoded_len(&self) -> usize {
+        let mut len = uleb_len(self.functions.len() as u32);
+        for f in &self.functions {
+            len += str_len(&f.func_symbol) + uleb_len(f.ranges.len() as u32);
+            for (range_sym, entries) in &f.ranges {
+                len += if range_sym == &f.func_symbol {
+                    str_len("")
+                } else {
+                    str_len(range_sym)
+                };
+                len += uleb_len(entries.len() as u32);
+                for e in entries {
+                    len += uleb_len(e.bb_id) + uleb_len(e.offset) + uleb_len(e.size) + 1;
+                }
+            }
+        }
+        len
+    }
+
     /// Decodes section bytes.
     ///
     /// # Errors
@@ -234,6 +273,19 @@ mod tests {
     fn round_trip() {
         let m = sample();
         assert_eq!(BbAddrMap::decode(&m.encode()).unwrap(), m);
+    }
+
+    #[test]
+    fn uleb_len_matches_put_uleb_at_every_width_boundary() {
+        for shift in [7, 14, 21, 28] {
+            for v in [(1u32 << shift) - 1, 1 << shift] {
+                let mut out = Vec::new();
+                put_uleb(&mut out, v);
+                assert_eq!(uleb_len(v), out.len(), "v={v:#x}");
+            }
+        }
+        assert_eq!(uleb_len(0), 1);
+        assert_eq!(uleb_len(u32::MAX), 5);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! well-formed objects and rejects arbitrary garbage without panicking.
 
 use propeller_obj::{
-    BlockSpan, ObjectFile, Reloc, RelocKind, Section, SectionKind, Symbol, SymbolKind,
+    BbAddrMap, BbEntry, BbFlags, BlockSpan, FuncAddrMap, ObjectFile, Reloc, RelocKind, Section,
+    SectionKind, Symbol, SymbolKind,
 };
 use proptest::prelude::*;
 
@@ -85,6 +86,54 @@ prop_compose! {
     }
 }
 
+prop_compose! {
+    /// Entry fields span every ULEB128 width; every third range reuses
+    /// the function symbol (encoded as the empty string).
+    fn arb_bb_addr_map()(
+        functions in prop::collection::vec(
+            (
+                "[a-z_]{1,12}",
+                prop::collection::vec(
+                    (
+                        "[a-z_.]{1,12}",
+                        prop::collection::vec(
+                            (any::<u32>(), any::<u32>(), 0u32..70_000, any::<u8>()),
+                            0..6,
+                        ),
+                    ),
+                    0..4,
+                ),
+            ),
+            0..5,
+        ),
+    ) -> BbAddrMap {
+        let functions = functions
+            .into_iter()
+            .map(|(func_symbol, ranges)| FuncAddrMap {
+                ranges: ranges
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, (sym, entries))| {
+                        let sym = if i % 3 == 0 { func_symbol.clone() } else { sym };
+                        let entries = entries
+                            .into_iter()
+                            .map(|(bb_id, offset, size, flags)| BbEntry {
+                                bb_id: bb_id >> (bb_id % 32),
+                                offset: offset >> (offset % 32),
+                                size,
+                                flags: BbFlags(flags),
+                            })
+                            .collect();
+                        (sym, entries)
+                    })
+                    .collect(),
+                func_symbol,
+            })
+            .collect();
+        BbAddrMap { functions }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -95,6 +144,13 @@ proptest! {
         prop_assert_eq!(&obj, &decoded);
         // Hash is stable through the round trip.
         prop_assert_eq!(obj.content_hash(), decoded.content_hash());
+    }
+
+    #[test]
+    fn bb_addr_map_round_trips_and_predicts_its_length(map in arb_bb_addr_map()) {
+        let bytes = map.encode();
+        prop_assert_eq!(map.encoded_len(), bytes.len());
+        prop_assert_eq!(BbAddrMap::decode(&bytes).expect("own encoding decodes"), map);
     }
 
     #[test]
