@@ -233,10 +233,13 @@ pub fn write_file(path: impl AsRef<std::path::Path>, contents: String) -> Result
 }
 
 /// Reads `path` and parses it with the document type's own parser.
-pub fn load<T>(path: &str, parse: fn(&str) -> Result<T, String>) -> Result<T, CliError> {
+pub fn load<T, E>(path: &str, parse: fn(&str) -> Result<T, E>) -> Result<T, CliError>
+where
+    E: std::error::Error + 'static,
+{
     let text = std::fs::read_to_string(path).map_err(CliError::io(path))?;
-    parse(&text).map_err(|detail| CliError::Parse {
+    parse(&text).map_err(|e| CliError::Parse {
         path: path.to_string(),
-        detail,
+        source: Box::new(e),
     })
 }

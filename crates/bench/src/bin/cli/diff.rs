@@ -44,8 +44,8 @@ pub fn layout_diff(p: &Parsed) -> Result<ExitCode, CliError> {
 }
 
 pub fn service_diff(p: &Parsed) -> Result<ExitCode, CliError> {
-    let a = load(&p.positionals[0], ServiceLedger::from_json_str)?;
-    let b = load(&p.positionals[1], ServiceLedger::from_json_str)?;
+    let a = load(&p.positionals[0], ServiceLedger::parse)?;
+    let b = load(&p.positionals[1], ServiceLedger::parse)?;
     let findings = diff_service_ledgers(&a, &b);
     print!("{}", propeller_doctor::render(&findings));
     Ok(exit_code(

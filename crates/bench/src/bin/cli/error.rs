@@ -25,7 +25,7 @@ pub enum CliError {
     },
     Parse {
         path: String,
-        detail: String,
+        source: Box<dyn std::error::Error>,
     },
     /// The command line itself is wrong; rendered above the usage text.
     Usage(String),
@@ -56,7 +56,7 @@ impl std::fmt::Display for CliError {
             CliError::Pipeline(_) => write!(f, "error: pipeline failed"),
             CliError::Serve(_) => write!(f, "error: relink service failed"),
             CliError::Io { path, .. } => write!(f, "error: cannot access {path}"),
-            CliError::Parse { path, detail } => write!(f, "error: cannot parse {path}: {detail}"),
+            CliError::Parse { path, .. } => write!(f, "error: cannot parse {path}"),
             CliError::Usage(msg) => write!(f, "{msg}\n{}", super::usage()),
             CliError::UnknownBenchmark(name) => {
                 write!(f, "unknown benchmark {name:?} (try `list`)")
@@ -73,6 +73,7 @@ impl std::error::Error for CliError {
             CliError::Pipeline(source) => Some(source),
             CliError::Serve(source) => Some(source),
             CliError::Io { source, .. } => Some(source),
+            CliError::Parse { source, .. } => Some(source.as_ref()),
             _ => None,
         }
     }

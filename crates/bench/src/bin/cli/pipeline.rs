@@ -13,7 +13,8 @@ use propeller_doctor::{
 };
 use propeller_sim::{heatmap_csv, heatmap_pgm, AttributedCounters, Event, SimOptions, SimReport};
 use propeller_synth::{all_specs, BenchmarkSpec};
-use propeller_telemetry::{chrome::to_chrome_trace, json::obj, report::render_text};
+use propeller_telemetry::json::{num_entries, obj};
+use propeller_telemetry::{chrome::to_chrome_trace, report::render_text};
 use propeller_telemetry::{JsonValue, Telemetry};
 use propeller_wpa::cluster_map_to_text;
 use std::process::ExitCode;
@@ -266,7 +267,7 @@ fn run_chaos_scenario(
                     eval.optimized.blocks, eval.baseline.blocks
                 ));
             }
-            members.push(("speedup_pct", JsonValue::Num(eval.speedup_pct())));
+            members.push(("speedup_pct", eval.speedup_pct().into()));
         }
         Err(e) => broken.push(format!("evaluation failed: {e}")),
     }
@@ -310,15 +311,8 @@ fn run_chaos_scenario(
         broken.push(format!("zero-fault run dirtied the ledger: {ledger}"));
     }
     print!("{}", ledger.render());
-    members.push((
-        "layout_mode",
-        JsonValue::Str(ledger.layout_mode.as_str().to_string()),
-    ));
-    let entries = ledger
-        .entries()
-        .into_iter()
-        .map(|(k, v)| (k, JsonValue::Num(v)));
-    members.push(("degradation", obj(entries)));
+    members.push(("layout_mode", ledger.layout_mode.as_str().into()));
+    members.push(("degradation", num_entries(ledger.entries())));
     (members, broken)
 }
 
@@ -340,12 +334,9 @@ pub fn chaos(p: &Parsed) -> Result<ExitCode, CliError> {
         };
         println!("=== chaos scenario {name} (plan: {shown}) ===");
         let (members, broken) = run_chaos_scenario(plan, &spec, scale, seed);
-        let mut doc = vec![
-            ("name", JsonValue::Str(name.to_string())),
-            ("plan", JsonValue::Str(plan_str.clone())),
-        ];
+        let mut doc = vec![("name", (*name).into()), ("plan", plan_str.as_str().into())];
         doc.extend(members);
-        doc.push(("survived", JsonValue::Bool(broken.is_empty())));
+        doc.push(("survived", broken.is_empty().into()));
         scenarios.push(obj(doc));
         let tagged = broken
             .into_iter()
@@ -354,9 +345,9 @@ pub fn chaos(p: &Parsed) -> Result<ExitCode, CliError> {
     }
     if let Some(dir) = p.out_dir()? {
         let doc = obj([
-            ("benchmark", JsonValue::Str(spec.name.to_string())),
-            ("scale", JsonValue::Num(scale)),
-            ("seed", JsonValue::Num(seed as f64)),
+            ("benchmark", spec.name.into()),
+            ("scale", scale.into()),
+            ("seed", seed.into()),
             ("scenarios", JsonValue::Arr(scenarios)),
         ]);
         write_file(dir.join("chaos_report.json"), doc.to_string_pretty())?;
@@ -509,10 +500,10 @@ pub fn perf_report(p: &Parsed) -> Result<ExitCode, CliError> {
         let section = |attr| AttributionSection::from_attribution(attr, top).to_json();
         let variants = attrs.iter().map(|(label, attr)| (*label, section(attr)));
         let doc = obj([
-            ("benchmark", JsonValue::Str(a.spec.name.to_string())),
-            ("scale", JsonValue::Num(a.scale)),
-            ("seed", JsonValue::Num(p.seed() as f64)),
-            ("top", JsonValue::Num(top as f64)),
+            ("benchmark", a.spec.name.into()),
+            ("scale", a.scale.into()),
+            ("seed", p.seed().into()),
+            ("top", top.into()),
             ("variants", obj(variants)),
         ]);
         write_file(path, doc.to_string_pretty())?;

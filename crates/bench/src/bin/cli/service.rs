@@ -357,9 +357,7 @@ pub fn timeline(p: &Parsed) -> Result<ExitCode, CliError> {
 
 pub fn slo(p: &Parsed) -> Result<ExitCode, CliError> {
     let slo_cfg = match &p.config {
-        Some(path) => load(path, |text| {
-            SloConfig::parse(text).map_err(|e| e.to_string())
-        })?,
+        Some(path) => load(path, SloConfig::parse)?,
         None => SloConfig::default_service(),
     };
     timeline_run(p, Some(slo_cfg))

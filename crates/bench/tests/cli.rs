@@ -115,6 +115,50 @@ fn bad_invocations_exit_one_never_panic() {
     }
 }
 
+/// `diff`, `layout-diff` and `service-diff` on a file that is not the
+/// artifact they read: exit 1 through the one `error: cannot parse
+/// PATH` + cause path — never a panic (101), a stack overflow (134) or
+/// an exit 0 over an all-defaults document.
+#[test]
+fn malformed_artifacts_are_parse_errors() {
+    let dir = scratch("malformed");
+    let file = |name: &str, contents: &[u8]| {
+        let path = dir.join(name);
+        std::fs::write(&path, contents).expect("write scratch file");
+        path.to_str().expect("utf-8 path").to_string()
+    };
+    let baseline = read(Path::new(env!("CARGO_MANIFEST_DIR")).join("../../ci/bench_baseline.json"));
+    let good = file("baseline.json", &baseline);
+    let cut = file("cut.json", &baseline[..2000]);
+    let deep = file("deep.json", &b"[".repeat(50_000));
+    let empty = file("empty.json", b"{}");
+    let ill_typed = file(
+        "ill_typed.json",
+        br#"{"benchmark": 3, "scale": 1, "seed": 0, "metrics": {}, "wall": {}, "layout": []}"#,
+    );
+    for (argv, cause) in [
+        // A `{}` ledger used to read as all zeros: exit 0, "no diverging counters".
+        (["service-diff", &empty, &empty], "missing `service_ledger.benchmark`"),
+        (["service-diff", &good, &good], "missing `service_ledger.plan`"),
+        (["service-diff", &cut, &cut], "JSON error at byte 2000"),
+        (["diff", &good, &cut], "JSON error at byte 2000"),
+        (["diff", &good, &empty], "missing `run_report.benchmark`"),
+        (["diff", &ill_typed, &good], "expected a string at `run_report.benchmark`"),
+        (["layout-diff", &cut, &cut], "JSON error at byte 2000"),
+        (["layout-diff", &good, &good], "missing `layout_provenance.functions`"),
+        (["diff", &good, &deep], "nesting deeper than 128"),
+        (["layout-diff", &deep, &deep], "nesting deeper than 128"),
+        (["service-diff", &deep, &deep], "nesting deeper than 128"),
+    ] {
+        let out = cli(&argv);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{argv:?}: {stderr}");
+        assert!(stderr.starts_with("error: cannot parse "), "{argv:?}: {stderr}");
+        assert!(stderr.contains("  caused by: ") && stderr.contains(cause), "{argv:?}: {stderr}");
+    }
+    assert!(cli(&["diff", &good, &good]).status.success());
+}
+
 #[test]
 fn unread_flags_and_out_of_range_numbers_are_usage_errors() {
     for argv in [

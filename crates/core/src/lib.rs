@@ -52,8 +52,8 @@ pub use report::{EvalReport, PhaseTimes, PropellerReport};
 // Re-export the pieces a downstream user needs to drive the pipeline.
 pub use propeller_buildsys::{CostModel, MachineConfig};
 pub use propeller_faults::{
-    DegradationLedger, FaultInjector, FaultKind, FaultPlan, FaultPlanParseError, FaultSpec,
-    LayoutMode, RetryPolicy,
+    splitmix64, DegradationLedger, FaultInjector, FaultKind, FaultPlan, FaultPlanParseError,
+    FaultSpec, LayoutMode, RetryPolicy,
 };
 pub use propeller_linker::LinkedBinary;
 pub use propeller_profile::SamplingConfig;

@@ -11,7 +11,7 @@
 //! it.
 
 use propeller_sim::{AttributedCounters, CounterSet, Event, SymbolAttribution};
-use propeller_telemetry::JsonValue;
+use propeller_telemetry::json::{arr, obj, read_doc, JsonValue, Reader, SchemaError};
 use propeller_wpa::FunctionProvenance;
 use std::fmt::Write as _;
 
@@ -61,68 +61,60 @@ impl AttributionSection {
         self.symbols.iter().find(|s| s.symbol == symbol)
     }
 
-    /// Serializes as a JSON array of per-symbol objects.
+    /// Serializes as a JSON array of per-symbol objects: the symbol,
+    /// then one member per [`Event`] in [`Event::ALL`] order.
     pub fn to_json(&self) -> JsonValue {
-        JsonValue::Arr(
-            self.symbols
-                .iter()
-                .map(|s| {
-                    let mut members =
-                        vec![("symbol".to_string(), JsonValue::Str(s.symbol.clone()))];
-                    for e in Event::ALL {
-                        members.push((e.name().to_string(), JsonValue::Num(e.get(&s.counters) as f64)));
-                    }
-                    JsonValue::Obj(members)
-                })
-                .collect(),
-        )
+        arr(&self.symbols, |s| {
+            let events = Event::ALL.map(|e| (e.name(), e.get(&s.counters).into()));
+            obj([("symbol", s.symbol.as_str().into())].into_iter().chain(events))
+        })
     }
 
-    /// Reconstructs [`AttributionSection::to_json`] output.
+    /// Reads back what [`AttributionSection::to_json`] wrote.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed row.
-    pub fn from_json(v: &JsonValue) -> Result<AttributionSection, String> {
-        let rows = v.as_arr().ok_or("`attribution` is not an array")?;
-        let mut symbols = Vec::with_capacity(rows.len());
-        for row in rows {
-            let symbol = row
-                .get("symbol")
-                .and_then(JsonValue::as_str)
-                .ok_or("attribution row missing `symbol`")?
-                .to_string();
+    /// Names the first row member that is absent or not a count.
+    pub fn read(r: Reader<'_>) -> Result<AttributionSection, SchemaError> {
+        let symbols = r.to_arr(|row| {
             let mut counters = CounterSet::default();
             for e in Event::ALL {
-                let val = row
-                    .get(e.name())
-                    .and_then(JsonValue::as_u64)
-                    .ok_or_else(|| format!("attribution row `{symbol}` missing `{}`", e.name()))?;
-                // Round-trip through the event accessor pair keeps this
-                // in lockstep with CounterSet's field set.
-                set_event(&mut counters, e, val);
+                *event_mut(&mut counters, e) = row.u64(e.name())?;
             }
-            symbols.push(SymbolCounters { symbol, counters });
-        }
+            Ok(SymbolCounters {
+                symbol: row.str("symbol")?.to_string(),
+                counters,
+            })
+        })?;
         Ok(AttributionSection { symbols })
+    }
+
+    /// Parses a serialized section.
+    ///
+    /// # Errors
+    ///
+    /// Reports both JSON syntax errors and schema mismatches.
+    pub fn parse(text: &str) -> Result<AttributionSection, SchemaError> {
+        read_doc("attribution", text, AttributionSection::read)
     }
 }
 
-fn set_event(c: &mut CounterSet, e: Event, v: u64) {
+/// The field [`Event::get`] reads, for writing.
+fn event_mut(c: &mut CounterSet, e: Event) -> &mut u64 {
     match e {
-        Event::Cycles => c.cycles = v,
-        Event::Insts => c.insts = v,
-        Event::Blocks => c.blocks = v,
-        Event::TakenBranches => c.taken_branches = v,
-        Event::Fallthroughs => c.fallthroughs = v,
-        Event::L1iMisses => c.l1i_misses = v,
-        Event::L2CodeMisses => c.l2_code_misses = v,
-        Event::L3CodeMisses => c.l3_code_misses = v,
-        Event::ItlbMisses => c.itlb_misses = v,
-        Event::StlbWalks => c.stlb_walks = v,
-        Event::Baclears => c.baclears = v,
-        Event::DsbMisses => c.dsb_misses = v,
-        Event::Prefetches => c.prefetches = v,
+        Event::Cycles => &mut c.cycles,
+        Event::Insts => &mut c.insts,
+        Event::Blocks => &mut c.blocks,
+        Event::TakenBranches => &mut c.taken_branches,
+        Event::Fallthroughs => &mut c.fallthroughs,
+        Event::L1iMisses => &mut c.l1i_misses,
+        Event::L2CodeMisses => &mut c.l2_code_misses,
+        Event::L3CodeMisses => &mut c.l3_code_misses,
+        Event::ItlbMisses => &mut c.itlb_misses,
+        Event::StlbWalks => &mut c.stlb_walks,
+        Event::Baclears => &mut c.baclears,
+        Event::DsbMisses => &mut c.dsb_misses,
+        Event::Prefetches => &mut c.prefetches,
     }
 }
 
@@ -336,18 +328,19 @@ mod tests {
             &attr(&[("a", 100, 3), ("b", 40, 1)]),
             10,
         );
-        let back = AttributionSection::from_json(&s.to_json()).unwrap();
+        let back = AttributionSection::parse(&s.to_json().to_string_pretty()).unwrap();
         assert_eq!(back, s);
     }
 
     #[test]
     fn section_json_rejects_malformed_rows() {
-        assert!(AttributionSection::from_json(&JsonValue::Num(3.0)).is_err());
-        let missing = JsonValue::Arr(vec![JsonValue::Obj(vec![(
-            "symbol".into(),
-            JsonValue::Str("x".into()),
-        )])]);
-        assert!(AttributionSection::from_json(&missing).is_err());
+        let err = |text| AttributionSection::parse(text).unwrap_err().to_string();
+        assert_eq!(err("3"), "expected an array at `attribution`");
+        assert_eq!(err(r#"[{"symbol": "x"}]"#), "missing `attribution[0].cycles`");
+        assert_eq!(
+            err(r#"[{"symbol": "x", "cycles": 1.9}]"#),
+            "expected an integer in 0..=18446744073709551615 at `attribution[0].cycles`"
+        );
     }
 
     #[test]

@@ -24,9 +24,9 @@
 
 use crate::doctor::{DoctorConfig, Finding, Severity};
 use propeller_linker::SymbolPlacement;
-use propeller_profile::MergeProvenance;
+use propeller_profile::{MergeProvenance, SourceContribution};
 use propeller_sim::SymbolAttribution;
-use propeller_telemetry::JsonValue;
+use propeller_telemetry::json::{arr, obj, read_doc, JsonValue, Reader, SchemaError};
 use propeller_wpa::exttsp::{replay_merges, Edge, MergeStep, Node, RejectedAlt};
 use propeller_wpa::{
     EdgeFunding, EdgeKind, FundingRecord, LayoutProvenance, RichProvenance,
@@ -193,49 +193,29 @@ impl ProvenanceDoc {
     }
 
     /// Serializes the document as a [`JsonValue`] with a fixed member
-    /// order.
+    /// order. `merge_sources` and `attribution` are omitted when
+    /// absent or empty.
     pub fn to_json(&self) -> JsonValue {
-        let mut members = vec![
-            ("benchmark".to_string(), JsonValue::Str(self.benchmark.clone())),
-            ("scale".to_string(), JsonValue::Num(self.scale)),
-            ("seed".to_string(), JsonValue::Num(self.seed as f64)),
-            (
-                "functions".to_string(),
-                JsonValue::Arr(self.functions.iter().map(function_to_json).collect()),
-            ),
-            (
-                "funding".to_string(),
-                JsonValue::Arr(
-                    self.funding.records.iter().map(funding_to_json).collect(),
-                ),
-            ),
-            (
-                "placements".to_string(),
-                JsonValue::Arr(
-                    self.placements.iter().map(placement_to_json).collect(),
-                ),
-            ),
-        ];
-        if let Some(m) = &self.merge_sources {
-            members.push(("merge_sources".to_string(), merge_sources_to_json(m)));
-        }
-        if !self.attribution.is_empty() {
-            members.push((
-                "attribution".to_string(),
-                JsonValue::Arr(
-                    self.attribution
-                        .iter()
-                        .map(|(sym, cycles)| {
-                            JsonValue::Obj(vec![
-                                ("symbol".to_string(), JsonValue::Str(sym.clone())),
-                                ("cycles".to_string(), JsonValue::Num(*cycles as f64)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ));
-        }
-        JsonValue::Obj(members)
+        obj([
+            ("benchmark", self.benchmark.as_str().into()),
+            ("scale", self.scale.into()),
+            ("seed", self.seed.into()),
+            ("functions", arr(&self.functions, function_to_json)),
+            ("funding", arr(&self.funding.records, funding_to_json)),
+            ("placements", arr(&self.placements, placement_to_json)),
+        ])
+        .with(
+            "merge_sources",
+            self.merge_sources.as_ref().map(merge_sources_to_json),
+        )
+        .with(
+            "attribution",
+            (!self.attribution.is_empty()).then(|| {
+                arr(&self.attribution, |(symbol, cycles)| {
+                    obj([("symbol", symbol.as_str().into()), ("cycles", cycles.into())])
+                })
+            }),
+        )
     }
 
     /// The pretty-printed JSON document.
@@ -243,76 +223,22 @@ impl ProvenanceDoc {
         self.to_json().to_string_pretty()
     }
 
-    /// Reconstructs a document from [`ProvenanceDoc::to_json`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first missing or ill-typed member.
-    pub fn from_json(v: &JsonValue) -> Result<ProvenanceDoc, String> {
-        let benchmark = v
-            .get("benchmark")
-            .and_then(JsonValue::as_str)
-            .ok_or("missing `benchmark`")?
-            .to_string();
-        let scale = v
-            .get("scale")
-            .and_then(JsonValue::as_f64)
-            .ok_or("missing `scale`")?;
-        let seed = v
-            .get("seed")
-            .and_then(JsonValue::as_u64)
-            .ok_or("missing `seed`")?;
-        let mut functions = Vec::new();
-        for f in v
-            .get("functions")
-            .and_then(JsonValue::as_arr)
-            .ok_or("missing `functions`")?
-        {
-            functions.push(function_from_json(f)?);
-        }
-        let mut funding = EdgeFunding::default();
-        for r in v
-            .get("funding")
-            .and_then(JsonValue::as_arr)
-            .ok_or("missing `funding`")?
-        {
-            funding.records.push(funding_from_json(r)?);
-        }
-        let mut placements = Vec::new();
-        for p in v
-            .get("placements")
-            .and_then(JsonValue::as_arr)
-            .ok_or("missing `placements`")?
-        {
-            placements.push(placement_from_json(p)?);
-        }
-        let merge_sources = match v.get("merge_sources") {
-            Some(m) => Some(merge_sources_from_json(m)?),
-            None => None,
-        };
-        let mut attribution = Vec::new();
-        if let Some(arr) = v.get("attribution").and_then(JsonValue::as_arr) {
-            for a in arr {
-                attribution.push((
-                    a.get("symbol")
-                        .and_then(JsonValue::as_str)
-                        .ok_or("attribution row missing `symbol`")?
-                        .to_string(),
-                    a.get("cycles")
-                        .and_then(JsonValue::as_u64)
-                        .ok_or("attribution row missing `cycles`")?,
-                ));
-            }
-        }
+    fn read(r: Reader<'_>) -> Result<ProvenanceDoc, SchemaError> {
         Ok(ProvenanceDoc {
-            benchmark,
-            scale,
-            seed,
-            functions,
-            funding,
-            placements,
-            merge_sources,
-            attribution,
+            benchmark: r.str("benchmark")?.to_string(),
+            scale: r.f64("scale")?,
+            seed: r.u64("seed")?,
+            functions: r.arr("functions", read_function)?,
+            funding: EdgeFunding {
+                records: r.arr("funding", read_funding)?,
+            },
+            placements: r.arr("placements", read_placement)?,
+            merge_sources: r.opt("merge_sources", read_merge_sources)?,
+            attribution: r
+                .opt("attribution", |a| {
+                    a.to_arr(|row| Ok((row.str("symbol")?.to_string(), row.u64("cycles")?)))
+                })?
+                .unwrap_or_default(),
         })
     }
 
@@ -320,343 +246,195 @@ impl ProvenanceDoc {
     ///
     /// # Errors
     ///
-    /// Reports both JSON syntax errors and schema mismatches.
-    pub fn parse(text: &str) -> Result<ProvenanceDoc, String> {
-        let v = JsonValue::parse(text).map_err(|e| e.to_string())?;
-        ProvenanceDoc::from_json(&v)
+    /// Reports JSON syntax errors and the first member that is absent
+    /// or holds the wrong thing, by path.
+    pub fn parse(text: &str) -> Result<ProvenanceDoc, SchemaError> {
+        read_doc("layout_provenance", text, ProvenanceDoc::read)
     }
-}
-
-fn node_to_json(n: &Node) -> JsonValue {
-    JsonValue::Obj(vec![
-        ("id".to_string(), JsonValue::Num(n.id as f64)),
-        ("size".to_string(), JsonValue::Num(n.size as f64)),
-        ("count".to_string(), JsonValue::Num(n.count as f64)),
-    ])
-}
-
-fn edge_to_json(e: &Edge) -> JsonValue {
-    JsonValue::Obj(vec![
-        ("src".to_string(), JsonValue::Num(e.src as f64)),
-        ("dst".to_string(), JsonValue::Num(e.dst as f64)),
-        ("weight".to_string(), JsonValue::Num(e.weight as f64)),
-    ])
-}
-
-fn split_to_json(split: Option<usize>) -> JsonValue {
-    match split {
-        Some(s) => JsonValue::Num(s as f64),
-        None => JsonValue::Null,
-    }
-}
-
-fn step_to_json(s: &MergeStep) -> JsonValue {
-    JsonValue::Obj(vec![
-        ("x".to_string(), JsonValue::Num(s.x as f64)),
-        ("y".to_string(), JsonValue::Num(s.y as f64)),
-        ("gain".to_string(), JsonValue::Num(s.gain)),
-        ("split".to_string(), split_to_json(s.split)),
-        (
-            "rejected".to_string(),
-            match &s.rejected {
-                Some(r) => JsonValue::Obj(vec![
-                    ("x".to_string(), JsonValue::Num(r.x as f64)),
-                    ("y".to_string(), JsonValue::Num(r.y as f64)),
-                    ("gain".to_string(), JsonValue::Num(r.gain)),
-                    ("split".to_string(), split_to_json(r.split)),
-                ]),
-                None => JsonValue::Null,
-            },
-        ),
-    ])
 }
 
 fn function_to_json(f: &ProvenanceFunction) -> JsonValue {
-    JsonValue::Obj(vec![
-        ("func".to_string(), JsonValue::Str(f.func_symbol.clone())),
-        ("func_index".to_string(), JsonValue::Num(f.func_index as f64)),
-        (
-            "nodes".to_string(),
-            JsonValue::Arr(f.nodes.iter().map(node_to_json).collect()),
-        ),
-        (
-            "edges".to_string(),
-            JsonValue::Arr(f.edges.iter().map(edge_to_json).collect()),
-        ),
-        (
-            "steps".to_string(),
-            JsonValue::Arr(f.steps.iter().map(step_to_json).collect()),
-        ),
-        ("evaluations".to_string(), JsonValue::Num(f.evaluations as f64)),
-        (
-            "used_input_order".to_string(),
-            JsonValue::Bool(f.used_input_order),
-        ),
-        ("final_score".to_string(), JsonValue::Num(f.final_score)),
-        ("input_score".to_string(), JsonValue::Num(f.input_score)),
-        (
-            "order".to_string(),
-            JsonValue::Arr(f.order.iter().map(|&b| JsonValue::Num(b as f64)).collect()),
-        ),
+    let node = |n: &Node| {
+        obj([
+            ("id", n.id.into()),
+            ("size", n.size.into()),
+            ("count", n.count.into()),
+        ])
+    };
+    let edge = |e: &Edge| {
+        obj([
+            ("src", e.src.into()),
+            ("dst", e.dst.into()),
+            ("weight", e.weight.into()),
+        ])
+    };
+    let step = |s: &MergeStep| {
+        let rejected = s.rejected.map(|r| {
+            obj([
+                ("x", r.x.into()),
+                ("y", r.y.into()),
+                ("gain", r.gain.into()),
+                ("split", r.split.into()),
+            ])
+        });
+        obj([
+            ("x", s.x.into()),
+            ("y", s.y.into()),
+            ("gain", s.gain.into()),
+            ("split", s.split.into()),
+            ("rejected", rejected.into()),
+        ])
+    };
+    obj([
+        ("func", f.func_symbol.as_str().into()),
+        ("func_index", f.func_index.into()),
+        ("nodes", arr(&f.nodes, node)),
+        ("edges", arr(&f.edges, edge)),
+        ("steps", arr(&f.steps, step)),
+        ("evaluations", f.evaluations.into()),
+        ("used_input_order", f.used_input_order.into()),
+        ("final_score", f.final_score.into()),
+        ("input_score", f.input_score.into()),
+        ("order", arr(&f.order, JsonValue::from)),
     ])
 }
 
 fn funding_to_json(r: &FundingRecord) -> JsonValue {
-    JsonValue::Obj(vec![
-        ("func".to_string(), JsonValue::Num(r.func as f64)),
-        ("src".to_string(), JsonValue::Num(r.src as f64)),
-        ("dst".to_string(), JsonValue::Num(r.dst as f64)),
-        ("kind".to_string(), JsonValue::Str(r.kind.label().to_string())),
-        ("from".to_string(), JsonValue::Num(r.from as f64)),
-        ("to".to_string(), JsonValue::Num(r.to as f64)),
-        ("weight".to_string(), JsonValue::Num(r.weight as f64)),
+    obj([
+        ("func", r.func.into()),
+        ("src", r.src.into()),
+        ("dst", r.dst.into()),
+        ("kind", r.kind.label().into()),
+        ("from", r.from.into()),
+        ("to", r.to.into()),
+        ("weight", r.weight.into()),
     ])
 }
 
 fn placement_to_json(p: &SymbolPlacement) -> JsonValue {
-    JsonValue::Obj(vec![
-        ("symbol".to_string(), JsonValue::Str(p.symbol.clone())),
-        ("order".to_string(), JsonValue::Num(p.order as f64)),
-        ("addr".to_string(), JsonValue::Num(p.addr as f64)),
-        ("input_size".to_string(), JsonValue::Num(p.input_size as f64)),
-        ("final_size".to_string(), JsonValue::Num(p.final_size as f64)),
-        (
-            "deleted_jumps".to_string(),
-            JsonValue::Num(p.deleted_jumps as f64),
-        ),
-        (
-            "shrunk_branches".to_string(),
-            JsonValue::Num(p.shrunk_branches as f64),
-        ),
+    obj([
+        ("symbol", p.symbol.as_str().into()),
+        ("order", p.order.into()),
+        ("addr", p.addr.into()),
+        ("input_size", p.input_size.into()),
+        ("final_size", p.final_size.into()),
+        ("deleted_jumps", p.deleted_jumps.into()),
+        ("shrunk_branches", p.shrunk_branches.into()),
     ])
 }
 
 fn merge_sources_to_json(m: &MergeProvenance) -> JsonValue {
-    JsonValue::Obj(vec![
-        ("max_age".to_string(), JsonValue::Num(m.max_age as f64)),
-        ("decay_num".to_string(), JsonValue::Num(m.decay_num as f64)),
-        ("decay_den".to_string(), JsonValue::Num(m.decay_den as f64)),
-        (
-            "sources".to_string(),
-            JsonValue::Arr(
-                m.sources
-                    .iter()
-                    .map(|s| {
-                        JsonValue::Obj(vec![
-                            ("index".to_string(), JsonValue::Num(s.index as f64)),
-                            ("weight".to_string(), JsonValue::Num(s.weight as f64)),
-                            ("age".to_string(), JsonValue::Num(s.age as f64)),
-                            (
-                                "effective".to_string(),
-                                JsonValue::Num(s.effective as f64),
-                            ),
-                            (
-                                "branch_total".to_string(),
-                                JsonValue::Num(s.branch_total as f64),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
+    let source = |s: &SourceContribution| {
+        obj([
+            ("index", s.index.into()),
+            ("weight", s.weight.into()),
+            ("age", s.age.into()),
+            ("effective", s.effective.into()),
+            ("branch_total", s.branch_total.into()),
+        ])
+    };
+    obj([
+        ("max_age", m.max_age.into()),
+        ("decay_num", m.decay_num.into()),
+        ("decay_den", m.decay_den.into()),
+        ("sources", arr(&m.sources, source)),
     ])
 }
 
-fn usize_of(v: &JsonValue, key: &str, what: &str) -> Result<usize, String> {
-    v.get(key)
-        .and_then(JsonValue::as_u64)
-        .map(|n| n as usize)
-        .ok_or_else(|| format!("{what} missing `{key}`"))
-}
-
-fn split_from_json(v: Option<&JsonValue>) -> Result<Option<usize>, String> {
-    match v {
-        None | Some(JsonValue::Null) => Ok(None),
-        Some(s) => Ok(Some(s.as_u64().ok_or("bad `split`")? as usize)),
-    }
-}
-
-fn function_from_json(v: &JsonValue) -> Result<ProvenanceFunction, String> {
-    let mut nodes = Vec::new();
-    for n in v
-        .get("nodes")
-        .and_then(JsonValue::as_arr)
-        .ok_or("function missing `nodes`")?
-    {
-        nodes.push(Node {
-            id: usize_of(n, "id", "node")? as u32,
-            size: usize_of(n, "size", "node")? as u32,
-            count: n
-                .get("count")
-                .and_then(JsonValue::as_u64)
-                .ok_or("node missing `count`")?,
-        });
-    }
-    let mut edges = Vec::new();
-    for e in v
-        .get("edges")
-        .and_then(JsonValue::as_arr)
-        .ok_or("function missing `edges`")?
-    {
-        edges.push(Edge {
-            src: usize_of(e, "src", "edge")? as u32,
-            dst: usize_of(e, "dst", "edge")? as u32,
-            weight: e
-                .get("weight")
-                .and_then(JsonValue::as_u64)
-                .ok_or("edge missing `weight`")?,
-        });
-    }
-    let mut steps = Vec::new();
-    for s in v
-        .get("steps")
-        .and_then(JsonValue::as_arr)
-        .ok_or("function missing `steps`")?
-    {
-        let rejected = match s.get("rejected") {
-            None | Some(JsonValue::Null) => None,
-            Some(r) => Some(RejectedAlt {
-                x: usize_of(r, "x", "rejected")?,
-                y: usize_of(r, "y", "rejected")?,
-                gain: r
-                    .get("gain")
-                    .and_then(JsonValue::as_f64)
-                    .ok_or("rejected missing `gain`")?,
-                split: split_from_json(r.get("split"))?,
-            }),
-        };
-        steps.push(MergeStep {
-            x: usize_of(s, "x", "step")?,
-            y: usize_of(s, "y", "step")?,
-            gain: s
-                .get("gain")
-                .and_then(JsonValue::as_f64)
-                .ok_or("step missing `gain`")?,
-            split: split_from_json(s.get("split"))?,
-            rejected,
-        });
-    }
+fn read_function(r: Reader<'_>) -> Result<ProvenanceFunction, SchemaError> {
+    let node = |n: Reader<'_>| {
+        Ok(Node {
+            id: n.u32("id")?,
+            size: n.u32("size")?,
+            count: n.u64("count")?,
+        })
+    };
+    let edge = |e: Reader<'_>| {
+        Ok(Edge {
+            src: e.u32("src")?,
+            dst: e.u32("dst")?,
+            weight: e.u64("weight")?,
+        })
+    };
+    let rejected = |a: Reader<'_>| {
+        Ok(RejectedAlt {
+            x: a.usize("x")?,
+            y: a.usize("y")?,
+            gain: a.f64("gain")?,
+            split: a.opt("split", Reader::to_usize)?,
+        })
+    };
+    let step = |s: Reader<'_>| {
+        Ok(MergeStep {
+            x: s.usize("x")?,
+            y: s.usize("y")?,
+            gain: s.f64("gain")?,
+            split: s.opt("split", Reader::to_usize)?,
+            rejected: s.opt("rejected", rejected)?,
+        })
+    };
     Ok(ProvenanceFunction {
-        func_symbol: v
-            .get("func")
-            .and_then(JsonValue::as_str)
-            .ok_or("function missing `func`")?
-            .to_string(),
-        func_index: usize_of(v, "func_index", "function")? as u32,
-        nodes,
-        edges,
-        steps,
-        evaluations: v
-            .get("evaluations")
-            .and_then(JsonValue::as_u64)
-            .ok_or("function missing `evaluations`")?,
-        used_input_order: matches!(
-            v.get("used_input_order"),
-            Some(JsonValue::Bool(true))
-        ),
-        final_score: v
-            .get("final_score")
-            .and_then(JsonValue::as_f64)
-            .ok_or("function missing `final_score`")?,
-        input_score: v
-            .get("input_score")
-            .and_then(JsonValue::as_f64)
-            .ok_or("function missing `input_score`")?,
-        order: v
-            .get("order")
-            .and_then(JsonValue::as_arr)
-            .ok_or("function missing `order`")?
-            .iter()
-            .map(|b| b.as_u64().map(|b| b as u32).ok_or("bad block id"))
-            .collect::<Result<_, _>>()?,
+        func_symbol: r.str("func")?.to_string(),
+        func_index: r.u32("func_index")?,
+        nodes: r.arr("nodes", node)?,
+        edges: r.arr("edges", edge)?,
+        steps: r.arr("steps", step)?,
+        evaluations: r.u64("evaluations")?,
+        used_input_order: r.bool("used_input_order")?,
+        final_score: r.f64("final_score")?,
+        input_score: r.f64("input_score")?,
+        order: r.arr("order", Reader::to_u32)?,
     })
 }
 
-fn funding_from_json(v: &JsonValue) -> Result<FundingRecord, String> {
-    let kind = match v
-        .get("kind")
-        .and_then(JsonValue::as_str)
-        .ok_or("funding record missing `kind`")?
-    {
-        "branch" => EdgeKind::Branch,
-        "fallthrough" => EdgeKind::Fallthrough,
-        other => return Err(format!("unknown funding kind `{other}`")),
-    };
+fn read_funding(r: Reader<'_>) -> Result<FundingRecord, SchemaError> {
+    let kind = r.get("kind", |k| match k.to_str()? {
+        "branch" => Ok(EdgeKind::Branch),
+        "fallthrough" => Ok(EdgeKind::Fallthrough),
+        _ => Err(SchemaError::Expected {
+            what: "`branch` or `fallthrough`".to_string(),
+            path: String::new(),
+        }),
+    })?;
     Ok(FundingRecord {
-        func: usize_of(v, "func", "funding record")? as u32,
-        src: usize_of(v, "src", "funding record")? as u32,
-        dst: usize_of(v, "dst", "funding record")? as u32,
+        func: r.u32("func")?,
+        src: r.u32("src")?,
+        dst: r.u32("dst")?,
         kind,
-        from: v
-            .get("from")
-            .and_then(JsonValue::as_u64)
-            .ok_or("funding record missing `from`")?,
-        to: v
-            .get("to")
-            .and_then(JsonValue::as_u64)
-            .ok_or("funding record missing `to`")?,
-        weight: v
-            .get("weight")
-            .and_then(JsonValue::as_u64)
-            .ok_or("funding record missing `weight`")?,
+        from: r.u64("from")?,
+        to: r.u64("to")?,
+        weight: r.u64("weight")?,
     })
 }
 
-fn placement_from_json(v: &JsonValue) -> Result<SymbolPlacement, String> {
+fn read_placement(r: Reader<'_>) -> Result<SymbolPlacement, SchemaError> {
     Ok(SymbolPlacement {
-        symbol: v
-            .get("symbol")
-            .and_then(JsonValue::as_str)
-            .ok_or("placement missing `symbol`")?
-            .to_string(),
-        order: usize_of(v, "order", "placement")? as u32,
-        addr: v
-            .get("addr")
-            .and_then(JsonValue::as_u64)
-            .ok_or("placement missing `addr`")?,
-        input_size: v
-            .get("input_size")
-            .and_then(JsonValue::as_u64)
-            .ok_or("placement missing `input_size`")?,
-        final_size: v
-            .get("final_size")
-            .and_then(JsonValue::as_u64)
-            .ok_or("placement missing `final_size`")?,
-        deleted_jumps: usize_of(v, "deleted_jumps", "placement")? as u32,
-        shrunk_branches: usize_of(v, "shrunk_branches", "placement")? as u32,
+        symbol: r.str("symbol")?.to_string(),
+        order: r.u32("order")?,
+        addr: r.u64("addr")?,
+        input_size: r.u64("input_size")?,
+        final_size: r.u64("final_size")?,
+        deleted_jumps: r.u32("deleted_jumps")?,
+        shrunk_branches: r.u32("shrunk_branches")?,
     })
 }
 
-fn merge_sources_from_json(v: &JsonValue) -> Result<MergeProvenance, String> {
-    let mut m = MergeProvenance {
-        max_age: usize_of(v, "max_age", "merge_sources")? as u32,
-        decay_num: usize_of(v, "decay_num", "merge_sources")? as u32,
-        decay_den: usize_of(v, "decay_den", "merge_sources")? as u32,
-        sources: Vec::new(),
+fn read_merge_sources(r: Reader<'_>) -> Result<MergeProvenance, SchemaError> {
+    let source = |s: Reader<'_>| {
+        Ok(SourceContribution {
+            index: s.usize("index")?,
+            weight: s.u64("weight")?,
+            age: s.u32("age")?,
+            effective: s.get("effective", Reader::to_u128)?,
+            branch_total: s.u64("branch_total")?,
+        })
     };
-    for s in v
-        .get("sources")
-        .and_then(JsonValue::as_arr)
-        .ok_or("merge_sources missing `sources`")?
-    {
-        m.sources.push(propeller_profile::SourceContribution {
-            index: usize_of(s, "index", "source")?,
-            weight: s
-                .get("weight")
-                .and_then(JsonValue::as_u64)
-                .ok_or("source missing `weight`")?,
-            age: usize_of(s, "age", "source")? as u32,
-            effective: s
-                .get("effective")
-                .and_then(JsonValue::as_f64)
-                .ok_or("source missing `effective`")? as u128,
-            branch_total: s
-                .get("branch_total")
-                .and_then(JsonValue::as_u64)
-                .ok_or("source missing `branch_total`")?,
-        });
-    }
-    Ok(m)
+    Ok(MergeProvenance {
+        max_age: r.u32("max_age")?,
+        decay_num: r.u32("decay_num")?,
+        decay_den: r.u32("decay_den")?,
+        sources: r.arr("sources", source)?,
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -1254,6 +1032,30 @@ mod tests {
         assert!(json.contains("attribution"));
         let back = ProvenanceDoc::parse(&json).unwrap();
         assert_eq!(back, doc);
+    }
+
+    #[test]
+    fn narrowing_reads_are_errors_with_a_path() {
+        let text = sample_doc().to_json_string();
+        let err = |from: &str, to: &str| {
+            assert!(text.contains(from), "{from} not in {text}");
+            ProvenanceDoc::parse(&text.replacen(from, to, 1)).unwrap_err().to_string()
+        };
+        // Used to wrap to function 0 through `as u32`.
+        assert_eq!(
+            err("\"func_index\": 3", "\"func_index\": 4294967296"),
+            "expected an integer in 0..=4294967295 at `layout_provenance.functions[0].func_index`"
+        );
+        assert_eq!(
+            err("\"kind\": \"branch\"", "\"kind\": \"call\""),
+            "expected `branch` or `fallthrough` at `layout_provenance.funding[0].kind`"
+        );
+        assert_eq!(
+            err("\"addr\": 4194304", "\"addr\": \"0x400000\""),
+            "expected an integer in 0..=18446744073709551615 at \
+             `layout_provenance.placements[0].addr`"
+        );
+        assert_eq!(err("\"placements\"", "\"placed\""), "missing `layout_provenance.placements`");
     }
 
     #[test]

@@ -12,6 +12,7 @@ use crate::audit::ProfileAudit;
 use crate::perf::AttributionSection;
 use propeller::{EvalReport, Propeller, PropellerReport};
 use propeller_faults::DegradationLedger;
+use propeller_telemetry::json::{arr, num_entries, obj, read_doc, Reader, SchemaError};
 use propeller_telemetry::{JsonValue, MetricsSnapshot};
 use propeller_wpa::{ClusterProvenance, FunctionProvenance, LayoutProvenance};
 use std::collections::BTreeMap;
@@ -164,63 +165,33 @@ impl RunReport {
     }
 
     /// Serializes the report as a [`JsonValue`].
+    ///
+    /// The last four members are omitted when empty, clean or absent:
+    /// a fault-free, unarmed run serializes bit-identically to reports
+    /// written before the fault layer, telemetry embedding and
+    /// attribution existed (the bench-gate baseline relies on this).
     pub fn to_json(&self) -> JsonValue {
-        let num_map = |m: &BTreeMap<String, f64>| {
-            JsonValue::Obj(
-                m.iter()
-                    .map(|(k, v)| (k.clone(), JsonValue::Num(*v)))
-                    .collect(),
-            )
-        };
-        let mut members = vec![
-            ("benchmark".to_string(), JsonValue::Str(self.benchmark.clone())),
-            ("scale".to_string(), JsonValue::Num(self.scale)),
-            ("seed".to_string(), JsonValue::Num(self.seed as f64)),
-            ("metrics".to_string(), num_map(&self.metrics)),
-            ("wall".to_string(), num_map(&self.wall)),
-            (
-                "layout".to_string(),
-                JsonValue::Arr(
-                    self.layout
-                        .functions
-                        .iter()
-                        .map(function_to_json)
-                        .collect(),
-                ),
-            ),
-        ];
-        // Omitted when empty/clean so fault-free runs serialize
-        // bit-identically to reports written before the fault layer
-        // existed (the bench-gate baseline relies on this).
-        if !self.fault_plan.is_empty() {
-            members.push((
-                "fault_plan".to_string(),
-                JsonValue::Str(self.fault_plan.clone()),
-            ));
-        }
-        if !self.degradation.is_clean() {
-            members.push((
-                "degradation".to_string(),
-                JsonValue::Obj(
-                    self.degradation
-                        .entries()
-                        .into_iter()
-                        .map(|(k, v)| (k.to_string(), JsonValue::Num(v)))
-                        .collect(),
-                ),
-            ));
-        }
-        if let Some(tel) = &self.telemetry {
-            members.push(("telemetry".to_string(), tel.to_json()));
-        }
-        // Also optional: reports without attribution (the default, and
-        // every pre-attribution baseline) must not mention it.
-        if let Some(attr) = &self.attribution {
-            if !attr.is_empty() {
-                members.push(("attribution".to_string(), attr.to_json()));
-            }
-        }
-        JsonValue::Obj(members)
+        obj([
+            ("benchmark", self.benchmark.as_str().into()),
+            ("scale", self.scale.into()),
+            ("seed", self.seed.into()),
+            ("metrics", num_entries(&self.metrics)),
+            ("wall", num_entries(&self.wall)),
+            ("layout", arr(&self.layout.functions, function_to_json)),
+        ])
+        .with(
+            "fault_plan",
+            (!self.fault_plan.is_empty()).then(|| self.fault_plan.as_str().into()),
+        )
+        .with("degradation", self.degradation.to_json())
+        .with("telemetry", self.telemetry.as_ref().map(MetricsSnapshot::to_json))
+        .with(
+            "attribution",
+            self.attribution
+                .as_ref()
+                .filter(|attr| !attr.is_empty())
+                .map(AttributionSection::to_json),
+        )
     }
 
     /// The pretty-printed JSON document.
@@ -228,89 +199,20 @@ impl RunReport {
         self.to_json().to_string_pretty()
     }
 
-    /// Reconstructs a report from [`RunReport::to_json`] output.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the first missing or ill-typed member.
-    pub fn from_json(v: &JsonValue) -> Result<RunReport, String> {
-        let benchmark = v
-            .get("benchmark")
-            .and_then(JsonValue::as_str)
-            .ok_or("missing `benchmark`")?
-            .to_string();
-        let scale = v
-            .get("scale")
-            .and_then(JsonValue::as_f64)
-            .ok_or("missing `scale`")?;
-        let seed = v
-            .get("seed")
-            .and_then(JsonValue::as_u64)
-            .ok_or("missing `seed`")?;
-        let num_map = |key: &str| -> Result<BTreeMap<String, f64>, String> {
-            let mut out = BTreeMap::new();
-            for (k, val) in v
-                .get(key)
-                .and_then(JsonValue::as_obj)
-                .ok_or_else(|| format!("missing `{key}`"))?
-            {
-                out.insert(
-                    k.clone(),
-                    val.as_f64().ok_or_else(|| format!("`{key}.{k}` not a number"))?,
-                );
-            }
-            Ok(out)
-        };
-        let mut layout = LayoutProvenance::default();
-        for f in v
-            .get("layout")
-            .and_then(JsonValue::as_arr)
-            .ok_or("missing `layout`")?
-        {
-            layout.functions.push(function_from_json(f)?);
-        }
-        // Both fault members are optional: reports from clean runs
-        // (and all pre-fault-layer baselines) simply lack them.
-        let fault_plan = v
-            .get("fault_plan")
-            .and_then(JsonValue::as_str)
-            .unwrap_or("")
-            .to_string();
-        let degradation = match v.get("degradation").and_then(JsonValue::as_obj) {
-            Some(obj) => {
-                let mut pairs = Vec::new();
-                for (k, val) in obj {
-                    pairs.push((
-                        k.as_str(),
-                        val.as_f64()
-                            .ok_or_else(|| format!("`degradation.{k}` not a number"))?,
-                    ));
-                }
-                DegradationLedger::from_entries(pairs)
-            }
-            None => DegradationLedger::default(),
-        };
-        let telemetry = match v.get("telemetry") {
-            Some(t) => {
-                Some(MetricsSnapshot::from_json(t).ok_or("malformed `telemetry`")?)
-            }
-            None => None,
-        };
-        let attribution = match v.get("attribution") {
-            Some(a) => Some(AttributionSection::from_json(a)?),
-            None => None,
-        };
+    fn read(r: Reader<'_>) -> Result<RunReport, SchemaError> {
         Ok(RunReport {
-            benchmark,
-            scale,
-            seed,
-            metrics: num_map("metrics")?,
-            wall: num_map("wall")?,
-            layout,
-            fault_plan,
-            degradation,
-            telemetry,
-            attribution,
+            benchmark: r.str("benchmark")?.to_string(),
+            scale: r.f64("scale")?,
+            seed: r.u64("seed")?,
+            metrics: r.num_entries("metrics")?,
+            wall: r.num_entries("wall")?,
+            layout: LayoutProvenance {
+                functions: r.arr("layout", read_function)?,
+            },
+            fault_plan: r.opt("fault_plan", Reader::to_str)?.unwrap_or("").to_string(),
+            degradation: r.opt("degradation", DegradationLedger::read)?.unwrap_or_default(),
+            telemetry: r.opt("telemetry", MetricsSnapshot::read)?,
+            attribution: r.opt("attribution", AttributionSection::read)?,
         })
     }
 
@@ -318,10 +220,10 @@ impl RunReport {
     ///
     /// # Errors
     ///
-    /// Reports both JSON syntax errors and schema mismatches.
-    pub fn parse(text: &str) -> Result<RunReport, String> {
-        let v = JsonValue::parse(text).map_err(|e| e.to_string())?;
-        RunReport::from_json(&v)
+    /// Reports JSON syntax errors and the first member that is absent
+    /// or holds the wrong thing, by path.
+    pub fn parse(text: &str) -> Result<RunReport, SchemaError> {
+        read_doc("run_report", text, RunReport::read)
     }
 }
 
@@ -334,117 +236,52 @@ fn hit_rate(hits: u64, lookups: u64) -> f64 {
 }
 
 fn function_to_json(f: &FunctionProvenance) -> JsonValue {
-    JsonValue::Obj(vec![
-        ("func".to_string(), JsonValue::Str(f.func_symbol.clone())),
-        (
-            "total_samples".to_string(),
-            JsonValue::Num(f.total_samples as f64),
-        ),
-        ("hot_blocks".to_string(), JsonValue::Num(f.hot_blocks as f64)),
-        (
-            "cold_blocks".to_string(),
-            JsonValue::Num(f.cold_blocks as f64),
-        ),
-        (
-            "merge_gains".to_string(),
-            JsonValue::Arr(f.merge_gains.iter().map(|&g| JsonValue::Num(g)).collect()),
-        ),
-        ("layout_score".to_string(), JsonValue::Num(f.layout_score)),
-        ("input_score".to_string(), JsonValue::Num(f.input_score)),
-        (
-            "used_input_order".to_string(),
-            JsonValue::Bool(f.used_input_order),
-        ),
-        (
-            "clusters".to_string(),
-            JsonValue::Arr(f.clusters.iter().map(cluster_to_json).collect()),
-        ),
+    obj([
+        ("func", f.func_symbol.as_str().into()),
+        ("total_samples", f.total_samples.into()),
+        ("hot_blocks", f.hot_blocks.into()),
+        ("cold_blocks", f.cold_blocks.into()),
+        ("merge_gains", arr(&f.merge_gains, JsonValue::from)),
+        ("layout_score", f.layout_score.into()),
+        ("input_score", f.input_score.into()),
+        ("used_input_order", f.used_input_order.into()),
+        ("clusters", arr(&f.clusters, cluster_to_json)),
     ])
 }
 
 fn cluster_to_json(c: &ClusterProvenance) -> JsonValue {
-    JsonValue::Obj(vec![
-        ("symbol".to_string(), JsonValue::Str(c.symbol.clone())),
-        (
-            "blocks".to_string(),
-            JsonValue::Arr(c.blocks.iter().map(|&b| JsonValue::Num(b as f64)).collect()),
-        ),
-        ("weight".to_string(), JsonValue::Num(c.weight as f64)),
-        ("size".to_string(), JsonValue::Num(c.size as f64)),
-        ("cold".to_string(), JsonValue::Bool(c.cold)),
-        (
-            "order_pos".to_string(),
-            match c.symbol_order_pos {
-                Some(p) => JsonValue::Num(p as f64),
-                None => JsonValue::Null,
-            },
-        ),
+    obj([
+        ("symbol", c.symbol.as_str().into()),
+        ("blocks", arr(&c.blocks, JsonValue::from)),
+        ("weight", c.weight.into()),
+        ("size", c.size.into()),
+        ("cold", c.cold.into()),
+        ("order_pos", c.symbol_order_pos.into()),
     ])
 }
 
-fn function_from_json(v: &JsonValue) -> Result<FunctionProvenance, String> {
-    let str_of = |key: &str| {
-        v.get(key)
-            .and_then(JsonValue::as_str)
-            .map(str::to_string)
-            .ok_or_else(|| format!("layout entry missing `{key}`"))
-    };
-    let num_of = |key: &str| {
-        v.get(key)
-            .and_then(JsonValue::as_f64)
-            .ok_or_else(|| format!("layout entry missing `{key}`"))
-    };
-    let mut clusters = Vec::new();
-    for c in v
-        .get("clusters")
-        .and_then(JsonValue::as_arr)
-        .ok_or("layout entry missing `clusters`")?
-    {
-        clusters.push(cluster_from_json(c)?);
-    }
+fn read_function(r: Reader<'_>) -> Result<FunctionProvenance, SchemaError> {
     Ok(FunctionProvenance {
-        func_symbol: str_of("func")?,
-        total_samples: num_of("total_samples")? as u64,
-        hot_blocks: num_of("hot_blocks")? as usize,
-        cold_blocks: num_of("cold_blocks")? as usize,
-        merge_gains: v
-            .get("merge_gains")
-            .and_then(JsonValue::as_arr)
-            .ok_or("layout entry missing `merge_gains`")?
-            .iter()
-            .map(|g| g.as_f64().ok_or("bad merge gain"))
-            .collect::<Result<_, _>>()?,
-        layout_score: num_of("layout_score")?,
-        input_score: num_of("input_score")?,
-        used_input_order: matches!(v.get("used_input_order"), Some(JsonValue::Bool(true))),
-        clusters,
+        func_symbol: r.str("func")?.to_string(),
+        total_samples: r.u64("total_samples")?,
+        hot_blocks: r.usize("hot_blocks")?,
+        cold_blocks: r.usize("cold_blocks")?,
+        merge_gains: r.arr("merge_gains", Reader::to_f64)?,
+        layout_score: r.f64("layout_score")?,
+        input_score: r.f64("input_score")?,
+        used_input_order: r.bool("used_input_order")?,
+        clusters: r.arr("clusters", read_cluster)?,
     })
 }
 
-fn cluster_from_json(v: &JsonValue) -> Result<ClusterProvenance, String> {
+fn read_cluster(r: Reader<'_>) -> Result<ClusterProvenance, SchemaError> {
     Ok(ClusterProvenance {
-        symbol: v
-            .get("symbol")
-            .and_then(JsonValue::as_str)
-            .ok_or("cluster missing `symbol`")?
-            .to_string(),
-        blocks: v
-            .get("blocks")
-            .and_then(JsonValue::as_arr)
-            .ok_or("cluster missing `blocks`")?
-            .iter()
-            .map(|b| b.as_u64().map(|b| b as u32).ok_or("bad block id"))
-            .collect::<Result<_, _>>()?,
-        weight: v
-            .get("weight")
-            .and_then(JsonValue::as_u64)
-            .ok_or("cluster missing `weight`")?,
-        size: v
-            .get("size")
-            .and_then(JsonValue::as_u64)
-            .ok_or("cluster missing `size`")?,
-        cold: matches!(v.get("cold"), Some(JsonValue::Bool(true))),
-        symbol_order_pos: v.get("order_pos").and_then(JsonValue::as_u64).map(|p| p as usize),
+        symbol: r.str("symbol")?.to_string(),
+        blocks: r.arr("blocks", Reader::to_u32)?,
+        weight: r.u64("weight")?,
+        size: r.u64("size")?,
+        cold: r.bool("cold")?,
+        symbol_order_pos: r.opt("order_pos", Reader::to_usize)?,
     })
 }
 
@@ -567,13 +404,53 @@ mod tests {
 
     #[test]
     fn rejects_schema_violations() {
-        assert!(RunReport::parse("{}").is_err());
-        assert!(RunReport::parse("not json").is_err());
+        let err = |text| RunReport::parse(text).unwrap_err().to_string();
+        assert_eq!(err("{}"), "missing `run_report.benchmark`");
+        assert!(err("not json").starts_with("JSON error at byte 0"));
         let missing_metrics =
             r#"{"benchmark": "x", "scale": 1, "seed": 0, "wall": {}, "layout": []}"#;
-        assert!(RunReport::parse(missing_metrics).is_err());
+        assert_eq!(err(missing_metrics), "missing `run_report.metrics`");
         let bad_metric = r#"{"benchmark": "x", "scale": 1, "seed": 0,
             "metrics": {"m": "not a number"}, "wall": {}, "layout": []}"#;
-        assert!(RunReport::parse(bad_metric).is_err());
+        assert_eq!(err(bad_metric), "expected a number at `run_report.metrics.m`");
+        // Present but ill-typed is not "missing".
+        let ill_typed = r#"{"benchmark": 3, "scale": 1, "seed": 0,
+            "metrics": {}, "wall": {}, "layout": []}"#;
+        assert_eq!(err(ill_typed), "expected a string at `run_report.benchmark`");
+    }
+
+    #[test]
+    fn narrowing_reads_are_errors_with_a_path() {
+        let text = sample_report().to_json_string();
+        let err = |from: &str, to: &str| {
+            assert!(text.contains(from), "{from} not in {text}");
+            RunReport::parse(&text.replacen(from, to, 1)).unwrap_err().to_string()
+        };
+        // `1.9` used to read as 1, `1e30` as u64::MAX, and a block id
+        // of 2^32 wrapped to 0.
+        assert_eq!(
+            err("\"seed\": 7", "\"seed\": 1.9"),
+            "expected an integer in 0..=18446744073709551615 at `run_report.seed`"
+        );
+        assert_eq!(
+            err("\"weight\": 400", "\"weight\": 1e30"),
+            "expected an integer in 0..=18446744073709551615 at \
+             `run_report.layout[0].clusters[0].weight`"
+        );
+        assert_eq!(
+            err("\"blocks\": [\n            0,", "\"blocks\": [\n            4294967296,"),
+            "expected an integer in 0..=4294967295 at `run_report.layout[0].clusters[0].blocks[0]`"
+        );
+        assert_eq!(
+            err("\"cold\": true", "\"cold\": 1"),
+            "expected a boolean at `run_report.layout[0].clusters[1].cold`"
+        );
+        assert_eq!(
+            err("\"order_pos\": 0", "\"order_pos\": -1"),
+            format!(
+                "expected an integer in 0..={} at `run_report.layout[0].clusters[0].order_pos`",
+                usize::MAX
+            )
+        );
     }
 }

@@ -28,7 +28,8 @@
 
 use crate::doctor::{worst, Finding, Severity};
 use propeller_faults::{ServiceLedger, TenantLedger};
-use propeller_telemetry::{JsonValue, TimeSeries};
+use propeller_telemetry::json::{arr, obj};
+use propeller_telemetry::TimeSeries;
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -271,30 +272,17 @@ impl SloReport {
     /// Machine-readable JSON with a fixed member order (deterministic
     /// bytes — the slo-gate `cmp`s this across `--jobs` counts).
     pub fn to_json_string(&self) -> String {
-        JsonValue::Obj(vec![
-            (
-                "verdict".into(),
-                JsonValue::Str(self.verdict().label().trim().to_string()),
-            ),
-            (
-                "findings".into(),
-                JsonValue::Arr(
-                    self.findings
-                        .iter()
-                        .map(|f| {
-                            JsonValue::Obj(vec![
-                                (
-                                    "severity".into(),
-                                    JsonValue::Str(f.severity.label().trim().to_string()),
-                                ),
-                                ("metric".into(), JsonValue::Str(f.metric.clone())),
-                                ("value".into(), JsonValue::Num(f.value)),
-                                ("message".into(), JsonValue::Str(f.message.clone())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+        let finding = |f: &Finding| {
+            obj([
+                ("severity", f.severity.label().trim().into()),
+                ("metric", f.metric.as_str().into()),
+                ("value", f.value.into()),
+                ("message", f.message.as_str().into()),
+            ])
+        };
+        obj([
+            ("verdict", self.verdict().label().trim().into()),
+            ("findings", arr(&self.findings, finding)),
         ])
         .to_string_pretty()
     }

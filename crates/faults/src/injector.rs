@@ -16,8 +16,11 @@ use crate::plan::{FaultKind, FaultPlan};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, HashMap};
 
-/// splitmix64 finalizer: a high-quality 64-bit mixing function.
-fn mix(mut z: u64) -> u64 {
+/// The splitmix64 step: a bijective, high-quality 64-bit mixer. Every
+/// seed the fault injector, the relink service and the fleet loop
+/// derive (per site, per tenant, per machine) is a composition of
+/// this one function, so a seed derived anywhere replays everywhere.
+pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -105,8 +108,11 @@ impl FaultInjector {
                 return false;
             }
         }
-        let draw = unit_f64(mix(
-            self.seed ^ mix(kind as u64 + 1) ^ mix(kh) ^ mix(index.wrapping_add(0x5EED)),
+        let draw = unit_f64(splitmix64(
+            self.seed
+                ^ splitmix64(kind as u64 + 1)
+                ^ splitmix64(kh)
+                ^ splitmix64(index.wrapping_add(0x5EED)),
         ));
         if draw < spec.probability {
             *st.fired.entry(kind).or_insert(0) += 1;
@@ -131,7 +137,9 @@ impl FaultInjector {
     /// the occurrence state — used for backoff jitter, where the value
     /// must depend only on `(seed, label, n)`.
     pub fn unit(&self, label: &str, n: u64) -> f64 {
-        unit_f64(mix(self.seed ^ mix(key_hash(label)) ^ mix(n.wrapping_add(0x0B0F))))
+        unit_f64(splitmix64(
+            self.seed ^ splitmix64(key_hash(label)) ^ splitmix64(n.wrapping_add(0x0B0F)),
+        ))
     }
 }
 

@@ -7,6 +7,7 @@
 //! and a clean ledger ([`DegradationLedger::is_clean`]) certifies the
 //! run took the exact undegraded path.
 
+use propeller_telemetry::json::{num_entries, JsonValue, Reader, SchemaError};
 use std::fmt;
 
 /// Which symbol-ordering mode the final relink used.
@@ -137,6 +138,23 @@ impl DegradationLedger {
         l
     }
 
+    /// The `degradation` member of a report: `None` while clean, so a
+    /// fault-free artifact stays byte-identical to one written before
+    /// the fault layer existed.
+    pub fn to_json(&self) -> Option<JsonValue> {
+        (!self.is_clean()).then(|| num_entries(self.entries()))
+    }
+
+    /// Reads back what [`DegradationLedger::to_json`] wrote.
+    ///
+    /// # Errors
+    ///
+    /// An entry is absent, not a number, or not a value its field
+    /// holds (a fractional or negative count).
+    pub fn read(r: Reader<'_>) -> Result<DegradationLedger, SchemaError> {
+        read_entries(r, DegradationLedger::entries, DegradationLedger::from_entries)
+    }
+
     /// Record the ledger as telemetry counters/gauges under `prefix`
     /// (e.g. `faults.action_retries`). No-op on a disabled handle;
     /// callers also skip it for clean ledgers so zero-fault traces
@@ -171,6 +189,33 @@ impl DegradationLedger {
         out.push_str(&format!("  {:<24} {}\n", "layout_mode", self.layout_mode.as_str()));
         out
     }
+}
+
+/// Reads every entry a ledger's `entries()` names from the object at
+/// `r` and rebuilds the ledger through its `from_entries`. That
+/// narrows counts with `as`, so the rebuilt ledger's entries are held
+/// against what was read: a fractional, negative or oversized count is
+/// an error, not a truncation. Members `entries()` does not name are
+/// ignored, so old readers tolerate new counters.
+pub(crate) fn read_entries<L: Default>(
+    r: Reader<'_>,
+    entries: fn(&L) -> Vec<(&'static str, f64)>,
+    from_entries: fn(Vec<(&'static str, f64)>) -> L,
+) -> Result<L, SchemaError> {
+    let read = entries(&L::default())
+        .into_iter()
+        .map(|(name, _)| Ok((name, r.f64(name)?)))
+        .collect::<Result<Vec<_>, _>>()?;
+    let ledger = from_entries(read.clone());
+    for ((name, v), (_, kept)) in read.into_iter().zip(entries(&ledger)) {
+        if v != kept {
+            return Err(SchemaError::Expected {
+                what: "a value the ledger holds exactly".to_string(),
+                path: name.to_string(),
+            });
+        }
+    }
+    Ok(ledger)
 }
 
 impl fmt::Display for DegradationLedger {

@@ -30,7 +30,7 @@ mod ledger;
 mod plan;
 mod service;
 
-pub use injector::{FaultInjector, RetryPolicy};
+pub use injector::{splitmix64, FaultInjector, RetryPolicy};
 pub use ledger::{DegradationLedger, LayoutMode};
 pub use plan::{FaultKind, FaultPlan, FaultPlanParseError, FaultSpec};
 pub use service::{ServiceLedger, TenantLedger};

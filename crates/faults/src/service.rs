@@ -12,8 +12,8 @@
 //! already depends on this crate; service findings and the ledger diff
 //! gate would otherwise force a dependency cycle.
 
-use crate::ledger::DegradationLedger;
-use propeller_telemetry::JsonValue;
+use crate::ledger::{read_entries, DegradationLedger};
+use propeller_telemetry::json::{num_entries, obj, read_doc, JsonValue, Reader, SchemaError};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -210,41 +210,14 @@ impl TenantLedger {
     }
 
     fn to_json(&self) -> JsonValue {
-        let mut obj: Vec<(String, JsonValue)> = self
-            .entries()
-            .into_iter()
-            .map(|(name, v)| (name.to_string(), JsonValue::Num(v)))
-            .collect();
-        if !self.degradation.is_clean() {
-            obj.push((
-                "degradation".to_string(),
-                JsonValue::Obj(
-                    self.degradation
-                        .entries()
-                        .into_iter()
-                        .map(|(name, v)| (name.to_string(), JsonValue::Num(v)))
-                        .collect(),
-                ),
-            ));
-        }
-        JsonValue::Obj(obj)
+        num_entries(self.entries()).with("degradation", self.degradation.to_json())
     }
 
-    fn from_json(v: &JsonValue) -> Option<TenantLedger> {
-        let obj = match v {
-            JsonValue::Obj(pairs) => pairs,
-            _ => return None,
-        };
-        let mut t = TenantLedger::from_entries(obj.iter().filter_map(|(name, v)| {
-            v.as_f64().map(|n| (name.as_str(), n))
-        }));
-        if let Some(JsonValue::Obj(deg)) = obj.iter().find(|(n, _)| n == "degradation").map(|(_, v)| v)
-        {
-            t.degradation = DegradationLedger::from_entries(
-                deg.iter().filter_map(|(name, v)| v.as_f64().map(|n| (name.as_str(), n))),
-            );
-        }
-        Some(t)
+    fn read(r: Reader<'_>) -> Result<TenantLedger, SchemaError> {
+        Ok(TenantLedger {
+            degradation: r.opt("degradation", DegradationLedger::read)?.unwrap_or_default(),
+            ..read_entries(r, TenantLedger::entries, TenantLedger::from_entries)?
+        })
     }
 }
 
@@ -289,57 +262,46 @@ impl ServiceLedger {
     }
 
     /// Canonical JSON — the byte-stable artifact CI `cmp`s across
-    /// `--jobs` counts and replays.
+    /// `--jobs` counts and replays. `totals` is derived, so the reader
+    /// skips it.
     pub fn to_json_string(&self) -> String {
-        let totals = self.totals();
-        let obj = JsonValue::Obj(vec![
-            ("benchmark".to_string(), JsonValue::Str(self.benchmark.clone())),
-            ("seed".to_string(), JsonValue::Num(self.seed as f64)),
-            ("plan".to_string(), JsonValue::Str(self.plan.clone())),
-            ("slots".to_string(), JsonValue::Num(self.slots as f64)),
-            ("queue_capacity".to_string(), JsonValue::Num(self.queue_capacity as f64)),
-            ("deadline_secs".to_string(), JsonValue::Num(self.deadline_secs)),
-            ("makespan_secs".to_string(), JsonValue::Num(self.makespan_secs)),
+        obj([
+            ("benchmark", self.benchmark.as_str().into()),
+            ("seed", self.seed.into()),
+            ("plan", self.plan.as_str().into()),
+            ("slots", self.slots.into()),
+            ("queue_capacity", self.queue_capacity.into()),
+            ("deadline_secs", self.deadline_secs.into()),
+            ("makespan_secs", self.makespan_secs.into()),
             (
-                "tenants".to_string(),
-                JsonValue::Obj(
-                    self.tenants
-                        .iter()
-                        .map(|(name, row)| (name.clone(), row.to_json()))
-                        .collect(),
-                ),
+                "tenants",
+                obj(self.tenants.iter().map(|(name, row)| (name, row.to_json()))),
             ),
-            ("totals".to_string(), totals.to_json()),
-        ]);
-        obj.to_string_pretty()
+            ("totals", self.totals().to_json()),
+        ])
+        .to_string_pretty()
     }
 
-    /// Parse a ledger previously written by
+    /// Parses a ledger previously written by
     /// [`to_json_string`](ServiceLedger::to_json_string).
-    pub fn from_json_str(text: &str) -> Result<ServiceLedger, String> {
-        let v = JsonValue::parse(text).map_err(|e| format!("service ledger: {e}"))?;
-        let mut ledger = ServiceLedger {
-            benchmark: v
-                .get("benchmark")
-                .and_then(|b| b.as_str())
-                .unwrap_or_default()
-                .to_string(),
-            seed: v.get("seed").and_then(|s| s.as_f64()).unwrap_or(0.0) as u64,
-            plan: v.get("plan").and_then(|p| p.as_str()).unwrap_or_default().to_string(),
-            slots: v.get("slots").and_then(|s| s.as_f64()).unwrap_or(0.0) as u64,
-            queue_capacity: v.get("queue_capacity").and_then(|q| q.as_f64()).unwrap_or(0.0) as u64,
-            deadline_secs: v.get("deadline_secs").and_then(|d| d.as_f64()).unwrap_or(0.0),
-            makespan_secs: v.get("makespan_secs").and_then(|m| m.as_f64()).unwrap_or(0.0),
-            tenants: BTreeMap::new(),
-        };
-        if let Some(JsonValue::Obj(rows)) = v.get("tenants") {
-            for (name, row) in rows {
-                let t = TenantLedger::from_json(row)
-                    .ok_or_else(|| format!("service ledger: bad tenant row {name:?}"))?;
-                ledger.tenants.insert(name.clone(), t);
-            }
-        }
-        Ok(ledger)
+    ///
+    /// # Errors
+    ///
+    /// Reports JSON syntax errors and any member the writer emits that
+    /// is absent or holds the wrong thing.
+    pub fn parse(text: &str) -> Result<ServiceLedger, SchemaError> {
+        read_doc("service_ledger", text, |r| {
+            Ok(ServiceLedger {
+                benchmark: r.str("benchmark")?.to_string(),
+                seed: r.u64("seed")?,
+                plan: r.str("plan")?.to_string(),
+                slots: r.u64("slots")?,
+                queue_capacity: r.u64("queue_capacity")?,
+                deadline_secs: r.f64("deadline_secs")?,
+                makespan_secs: r.f64("makespan_secs")?,
+                tenants: r.get("tenants", |t| t.to_map(TenantLedger::read))?,
+            })
+        })
     }
 
     /// Human-readable per-tenant table (CLI output).
@@ -473,9 +435,59 @@ mod tests {
         ledger.tenants.insert("t0".to_string(), sample_tenant());
         ledger.tenants.insert("t1".to_string(), TenantLedger::default());
         let text = ledger.to_json_string();
-        let back = ServiceLedger::from_json_str(&text).unwrap();
+        let back = ServiceLedger::parse(&text).unwrap();
         assert_eq!(back, ledger);
         assert_eq!(back.to_json_string(), text);
+    }
+
+    #[test]
+    fn parse_requires_what_the_writer_emits() {
+        // Used to read as an all-zero ledger, so `service-diff` of two
+        // such files reported "no diverging counters".
+        let err = ServiceLedger::parse("{}").unwrap_err().to_string();
+        assert_eq!(err, "missing `service_ledger.benchmark`");
+
+        let mut ledger = ServiceLedger { benchmark: "clang".to_string(), ..Default::default() };
+        ledger.tenants.insert("t0".to_string(), sample_tenant());
+        let text = ledger.to_json_string();
+        for member in [
+            "benchmark", "seed", "plan", "slots", "queue_capacity", "deadline_secs",
+            "makespan_secs", "tenants",
+        ] {
+            let cut = text.replacen(&format!("\"{member}\""), "\"renamed\"", 1);
+            let err = ServiceLedger::parse(&cut).unwrap_err().to_string();
+            assert_eq!(err, format!("missing `service_ledger.{member}`"));
+        }
+        let row = |from: &str, to: &str| {
+            ServiceLedger::parse(&text.replacen(from, to, 1)).unwrap_err().to_string()
+        };
+        // A tenant row's counters used to be dropped when ill-typed and
+        // truncated when fractional.
+        assert_eq!(
+            row("\"completed\": 8", "\"completed\": \"8\""),
+            "expected a number at `service_ledger.tenants.t0.completed`"
+        );
+        assert_eq!(
+            row("\"completed\": 8", "\"completed\": 8.5"),
+            "expected a value the ledger holds exactly at `service_ledger.tenants.t0.completed`"
+        );
+        assert_eq!(
+            row("\"retries\": 3", "\"retries\": -3"),
+            "expected a value the ledger holds exactly at `service_ledger.tenants.t0.retries`"
+        );
+        assert_eq!(
+            row("\"cache_rebuilds\": 1", "\"cache_rebuilds\": 1e30"),
+            "expected a value the ledger holds exactly at \
+             `service_ledger.tenants.t0.degradation.cache_rebuilds`"
+        );
+        assert_eq!(row("\"busy_secs\"", "\"idle_secs\""), "missing `service_ledger.tenants.t0.busy_secs`");
+        assert_eq!(
+            row("\"seed\": 0", "\"seed\": 0.5"),
+            "expected an integer in 0..=18446744073709551615 at `service_ledger.seed`"
+        );
+        // New counters from a newer writer are still tolerated.
+        let newer = text.replacen("\"completed\": 8", "\"completed\": 8, \"preempted\": 2", 1);
+        assert_eq!(ServiceLedger::parse(&newer), Ok(ledger));
     }
 
     #[test]

@@ -34,7 +34,9 @@ mod translate;
 
 pub use translate::{translate_profile, TranslationStats};
 
-use propeller::{BuildCaches, DegradationLedger, FaultPlan, Propeller, PropellerOptions};
+use propeller::{
+    splitmix64, BuildCaches, DegradationLedger, FaultPlan, Propeller, PropellerOptions,
+};
 use propeller_doctor::{diff_docs, layout_skew_agg, ProvenanceDoc, RelinkDecision, RelinkPolicy};
 use propeller_linker::LinkedBinary;
 use propeller_profile::{
@@ -43,6 +45,7 @@ use propeller_profile::{
 };
 use propeller_sim::{collect_profile, ProgramImage, Workload};
 use propeller_synth::{evolve, generate, BenchmarkSpec, DriftParams, GenParams};
+use propeller_telemetry::json::{arr, obj};
 use propeller_telemetry::{JsonValue, TimeSeries};
 use propeller_wpa::AddressMapper;
 use std::fmt::Write as _;
@@ -154,66 +157,27 @@ pub struct ReleaseRecord {
 
 impl ReleaseRecord {
     fn to_json(&self) -> JsonValue {
-        let mut members = vec![
-            ("release".into(), JsonValue::Num(f64::from(self.release))),
-            ("functions".into(), JsonValue::Num(self.functions as f64)),
-            ("skew".into(), JsonValue::Num(self.skew)),
-            ("decision".into(), JsonValue::Str(self.decision.clone())),
-            (
-                "achieved_speedup_pct".into(),
-                JsonValue::Num(self.achieved_speedup_pct),
-            ),
-            (
-                "oracle_speedup_pct".into(),
-                JsonValue::Num(self.oracle_speedup_pct),
-            ),
-            ("gap_pct".into(), JsonValue::Num(self.gap_pct)),
-            (
-                "hot_functions".into(),
-                JsonValue::Num(self.hot_functions as f64),
-            ),
-            (
-                "cache_lookups".into(),
-                JsonValue::Num(self.cache_lookups as f64),
-            ),
-            ("cache_hits".into(), JsonValue::Num(self.cache_hits as f64)),
-            (
-                "cache_hit_rate".into(),
-                JsonValue::Num(self.cache_hit_rate),
-            ),
-            (
-                "translated_records".into(),
-                JsonValue::Num(self.translated_records as f64),
-            ),
-            (
-                "dropped_records".into(),
-                JsonValue::Num(self.dropped_records as f64),
-            ),
-        ];
-        if !self.divergences.is_empty() {
-            members.push((
-                "divergences".into(),
-                JsonValue::Arr(
-                    self.divergences
-                        .iter()
-                        .map(|d| JsonValue::Str(d.clone()))
-                        .collect(),
-                ),
-            ));
-        }
-        if !self.degradation.is_clean() {
-            members.push((
-                "degradation".into(),
-                JsonValue::Obj(
-                    self.degradation
-                        .entries()
-                        .into_iter()
-                        .map(|(k, v)| (k.to_string(), JsonValue::Num(v)))
-                        .collect(),
-                ),
-            ));
-        }
-        JsonValue::Obj(members)
+        obj([
+            ("release", self.release.into()),
+            ("functions", self.functions.into()),
+            ("skew", self.skew.into()),
+            ("decision", self.decision.as_str().into()),
+            ("achieved_speedup_pct", self.achieved_speedup_pct.into()),
+            ("oracle_speedup_pct", self.oracle_speedup_pct.into()),
+            ("gap_pct", self.gap_pct.into()),
+            ("hot_functions", self.hot_functions.into()),
+            ("cache_lookups", self.cache_lookups.into()),
+            ("cache_hits", self.cache_hits.into()),
+            ("cache_hit_rate", self.cache_hit_rate.into()),
+            ("translated_records", self.translated_records.into()),
+            ("dropped_records", self.dropped_records.into()),
+        ])
+        .with(
+            "divergences",
+            (!self.divergences.is_empty())
+                .then(|| arr(&self.divergences, |d| d.as_str().into())),
+        )
+        .with("degradation", self.degradation.to_json())
     }
 }
 
@@ -241,24 +205,15 @@ pub struct FleetReport {
 impl FleetReport {
     /// The report as a JSON value with a fixed member order.
     pub fn to_json(&self) -> JsonValue {
-        JsonValue::Obj(vec![
-            ("benchmark".into(), JsonValue::Str(self.benchmark.clone())),
-            ("scale".into(), JsonValue::Num(self.scale)),
-            ("seed".into(), JsonValue::Num(self.seed as f64)),
-            ("drift".into(), JsonValue::Num(self.drift)),
-            ("machines".into(), JsonValue::Num(self.machines as f64)),
-            (
-                "skew_threshold".into(),
-                JsonValue::Num(self.skew_threshold),
-            ),
-            (
-                "history_window".into(),
-                JsonValue::Num(f64::from(self.history_window)),
-            ),
-            (
-                "records".into(),
-                JsonValue::Arr(self.records.iter().map(ReleaseRecord::to_json).collect()),
-            ),
+        obj([
+            ("benchmark", self.benchmark.as_str().into()),
+            ("scale", self.scale.into()),
+            ("seed", self.seed.into()),
+            ("drift", self.drift.into()),
+            ("machines", self.machines.into()),
+            ("skew_threshold", self.skew_threshold.into()),
+            ("history_window", self.history_window.into()),
+            ("records", arr(&self.records, ReleaseRecord::to_json)),
         ])
     }
 
@@ -347,13 +302,6 @@ impl FleetReport {
     }
 }
 
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
 /// Splits `total` into Zipf-weighted machine budgets (`1/(m+1)`)
 /// summing to exactly `total`, largest-remainder rounded.
 fn machine_budgets(total: u64, machines: usize) -> Vec<u64> {
@@ -424,7 +372,7 @@ pub fn run_fleet(
     // keeps its workload identity across releases, so the zero-drift
     // control arm re-collects byte-identical profiles every release.
     let machine_seeds: Vec<u64> = (0..opts.machines.max(1))
-        .map(|m| splitmix(opts.seed ^ splitmix(0xF1EE7 + m as u64)))
+        .map(|m| splitmix64(opts.seed ^ splitmix64(0xF1EE7 + m as u64)))
         .collect();
     let budgets = machine_budgets(opts.profile_budget, opts.machines);
 

@@ -30,12 +30,3 @@ pub use service::{
 };
 pub use soak::{run_soak, soak_scenarios, SoakOutcome, SoakScenario};
 pub use traffic::{gen_traffic, JobRequest, TrafficConfig};
-
-/// splitmix64 — the same bijective mixer the fault injector uses, kept
-/// private there; re-derived here for traffic/seed hashing.
-pub(crate) fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}

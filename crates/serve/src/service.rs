@@ -30,8 +30,8 @@
 
 use propeller::{BuildCaches, Propeller, PropellerOptions};
 use propeller_faults::{
-    DegradationLedger, FaultInjector, FaultKind, FaultPlan, LayoutMode, ServiceLedger,
-    TenantLedger,
+    splitmix64 as mix, DegradationLedger, FaultInjector, FaultKind, FaultPlan, LayoutMode,
+    ServiceLedger, TenantLedger,
 };
 use propeller_obj::ContentHash;
 use propeller_synth::{generate, spec_by_name, BenchmarkSpec, GenParams};
@@ -39,7 +39,6 @@ use propeller_telemetry::{Telemetry, TimeSeries, TENANT_LANE_BASE};
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::fmt;
 
-use crate::mix;
 use crate::traffic::JobRequest;
 
 /// Service configuration. Everything that shapes scheduling is in

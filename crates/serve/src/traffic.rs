@@ -9,7 +9,7 @@
 //! pure function of the [`TrafficConfig`], so a traffic run replays
 //! bit-identically.
 
-use crate::mix;
+use propeller_faults::splitmix64 as mix;
 
 /// The shape of one synthetic traffic run.
 #[derive(Clone, Debug, PartialEq)]

@@ -10,8 +10,28 @@
 //!
 //! Object member order is preserved (members are a `Vec`, not a map):
 //! diffs of two serialized reports stay stable and human-readable.
+//!
+//! Every persisted artifact's codec is written in one vocabulary from
+//! here. Writing: `From<number | bool | string | Option<_>>` for
+//! [`JsonValue`], [`obj`], [`arr`], [`num_entries`] and
+//! [`JsonValue::with`] for members that are omitted when empty.
+//! Reading: [`read_doc`] hands the parsed document to a [`Reader`],
+//! whose accessors check what they narrow (an integer read rejects
+//! fractions, negatives and values beyond the target type) and fail
+//! with one [`SchemaError`] naming the member's path.
 
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+/// Arrays and objects may nest this deep; a document nesting deeper is
+/// a syntax error rather than a parser stack overflow.
+const MAX_DEPTH: usize = 128;
+
+/// `v` as the integer it is, if it is one: non-negative, without a
+/// fraction, and below `2^128` (where `as` would saturate).
+fn uint_of(v: f64) -> Option<u128> {
+    (v >= 0.0 && v.fract() == 0.0 && v < 2f64.powi(128)).then_some(v as u128)
+}
 
 /// A parsed or to-be-serialized JSON value.
 #[derive(Clone, PartialEq, Debug)]
@@ -50,12 +70,11 @@ impl JsonValue {
         }
     }
 
-    /// The numeric value as `u64`, if this is a non-negative number.
+    /// The numeric value as `u64`, if this is a non-negative integer
+    /// below `2^64`. Integers above `2^53` lost their low bits when
+    /// they were written; they still read back as what was written.
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            JsonValue::Num(v) if *v >= 0.0 => Some(*v as u64),
-            _ => None,
-        }
+        uint_of(self.as_f64()?).and_then(|n| u64::try_from(n).ok())
     }
 
     /// The string value, if this is a string.
@@ -80,6 +99,15 @@ impl JsonValue {
             JsonValue::Obj(m) => Some(m),
             _ => None,
         }
+    }
+
+    /// Appends `key: value` to an object when there is a value — the
+    /// spelling of a member that is omitted when empty or clean.
+    pub fn with(mut self, key: &str, value: Option<JsonValue>) -> JsonValue {
+        if let (JsonValue::Obj(members), Some(value)) = (&mut self, value) {
+            members.push((key.to_string(), value));
+        }
+        self
     }
 
     /// Serializes compactly (no whitespace).
@@ -170,6 +198,7 @@ impl JsonValue {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -184,6 +213,299 @@ impl JsonValue {
 /// Convenience: an object value from `(key, value)` pairs.
 pub fn obj(members: impl IntoIterator<Item = (impl Into<String>, JsonValue)>) -> JsonValue {
     JsonValue::Obj(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
+}
+
+/// An array value: `f` of each item, in order.
+pub fn arr<T>(items: impl IntoIterator<Item = T>, f: impl FnMut(T) -> JsonValue) -> JsonValue {
+    JsonValue::Arr(items.into_iter().map(f).collect())
+}
+
+/// An object of numbers from `(name, value)` pairs in the order given
+/// — a ledger's `entries()`, or a name-keyed map of counters.
+pub fn num_entries<K: Into<String>, V: Into<JsonValue>>(
+    entries: impl IntoIterator<Item = (K, V)>,
+) -> JsonValue {
+    obj(entries.into_iter().map(|(k, v)| (k, v.into())))
+}
+
+macro_rules! json_num_from {
+    ($($t:ty),*) => {$(
+        impl From<$t> for JsonValue {
+            /// Integers above `2^53` round to the nearest `f64`.
+            fn from(v: $t) -> JsonValue {
+                JsonValue::Num(v as f64)
+            }
+        }
+        impl From<&$t> for JsonValue {
+            fn from(v: &$t) -> JsonValue {
+                JsonValue::from(*v)
+            }
+        }
+    )*};
+}
+json_num_from!(u32, u64, usize, u128);
+
+impl From<f64> for JsonValue {
+    fn from(v: f64) -> JsonValue {
+        JsonValue::Num(v)
+    }
+}
+
+impl From<&f64> for JsonValue {
+    fn from(v: &f64) -> JsonValue {
+        JsonValue::Num(*v)
+    }
+}
+
+impl From<bool> for JsonValue {
+    fn from(v: bool) -> JsonValue {
+        JsonValue::Bool(v)
+    }
+}
+
+impl From<&str> for JsonValue {
+    fn from(v: &str) -> JsonValue {
+        JsonValue::Str(v.to_string())
+    }
+}
+
+impl From<String> for JsonValue {
+    fn from(v: String) -> JsonValue {
+        JsonValue::Str(v)
+    }
+}
+
+/// `None` is `null`.
+impl<T: Into<JsonValue>> From<Option<T>> for JsonValue {
+    fn from(v: Option<T>) -> JsonValue {
+        v.map_or(JsonValue::Null, Into::into)
+    }
+}
+
+/// Why a text is not the artifact its reader expects. Paths read like
+/// `run_report.layout[3].clusters[0].size`.
+#[derive(Clone, PartialEq, Debug)]
+pub enum SchemaError {
+    /// Not a JSON document at all (cut off, garbled, nested too deep).
+    Syntax(JsonError),
+    /// A member its writer always emits is absent.
+    Missing {
+        /// The absent member.
+        path: String,
+    },
+    /// A member is present but does not hold what it should.
+    Expected {
+        /// What should be there, with its article: `a string`.
+        what: String,
+        /// The offending member.
+        path: String,
+    },
+}
+
+impl SchemaError {
+    fn expected(what: impl Into<String>) -> SchemaError {
+        SchemaError::Expected {
+            what: what.into(),
+            path: String::new(),
+        }
+    }
+
+    /// The same error seen from one level further out: `outer` is the
+    /// member key or `[index]` the failing reader was entered through.
+    fn within(mut self, outer: &str) -> SchemaError {
+        if let SchemaError::Missing { path } | SchemaError::Expected { path, .. } = &mut self {
+            let dot = if path.is_empty() || path.starts_with('[') {
+                ""
+            } else {
+                "."
+            };
+            *path = format!("{outer}{dot}{path}");
+        }
+        self
+    }
+}
+
+impl std::fmt::Display for SchemaError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SchemaError::Syntax(e) => write!(f, "{e}"),
+            SchemaError::Missing { path } => write!(f, "missing `{path}`"),
+            SchemaError::Expected { what, path } => write!(f, "expected {what} at `{path}`"),
+        }
+    }
+}
+
+impl std::error::Error for SchemaError {}
+
+/// Parses `text` and hands the document to `read`; `doc` names the
+/// document at the root of error paths.
+///
+/// # Errors
+///
+/// A [`SchemaError::Syntax`] when `text` is not JSON, otherwise
+/// whatever `read` objects to.
+pub fn read_doc<T>(
+    doc: &str,
+    text: &str,
+    read: impl FnOnce(Reader<'_>) -> Result<T, SchemaError>,
+) -> Result<T, SchemaError> {
+    let v = JsonValue::parse(text).map_err(SchemaError::Syntax)?;
+    read(Reader(&v)).map_err(|e| e.within(doc))
+}
+
+/// A read cursor on one value of a parsed document. `to_*` read the
+/// value itself; the keyed accessors read a member of it (which makes
+/// it an object, or an error). Errors come back located: each level
+/// they pass on the way out prepends its key or index.
+#[derive(Copy, Clone, Debug)]
+pub struct Reader<'a>(&'a JsonValue);
+
+impl<'a> Reader<'a> {
+    /// The string.
+    pub fn to_str(self) -> Result<&'a str, SchemaError> {
+        self.0.as_str().ok_or_else(|| SchemaError::expected("a string"))
+    }
+
+    /// The number.
+    pub fn to_f64(self) -> Result<f64, SchemaError> {
+        self.0.as_f64().ok_or_else(|| SchemaError::expected("a number"))
+    }
+
+    /// The boolean.
+    pub fn to_bool(self) -> Result<bool, SchemaError> {
+        match self.0 {
+            JsonValue::Bool(b) => Ok(*b),
+            _ => Err(SchemaError::expected("a boolean")),
+        }
+    }
+
+    fn to_uint<T: TryFrom<u128> + std::fmt::Display>(self, max: T) -> Result<T, SchemaError> {
+        self.0
+            .as_f64()
+            .and_then(uint_of)
+            .and_then(|n| T::try_from(n).ok())
+            .ok_or_else(|| SchemaError::expected(format!("an integer in 0..={max}")))
+    }
+
+    /// The number, when it is an integer a `u64` holds.
+    pub fn to_u64(self) -> Result<u64, SchemaError> {
+        self.to_uint(u64::MAX)
+    }
+
+    /// The number, when it is an integer a `u32` holds.
+    pub fn to_u32(self) -> Result<u32, SchemaError> {
+        self.to_uint(u32::MAX)
+    }
+
+    /// The number, when it is an integer a `usize` holds.
+    pub fn to_usize(self) -> Result<usize, SchemaError> {
+        self.to_uint(usize::MAX)
+    }
+
+    /// The number, when it is an integer a `u128` holds.
+    pub fn to_u128(self) -> Result<u128, SchemaError> {
+        self.to_uint(u128::MAX)
+    }
+
+    /// `read` of each array element, in order.
+    pub fn to_arr<T>(
+        self,
+        mut read: impl FnMut(Reader<'a>) -> Result<T, SchemaError>,
+    ) -> Result<Vec<T>, SchemaError> {
+        let Some(items) = self.0.as_arr() else {
+            return Err(SchemaError::expected("an array"));
+        };
+        items
+            .iter()
+            .enumerate()
+            .map(|(i, item)| read(Reader(item)).map_err(|e| e.within(&format!("[{i}]"))))
+            .collect()
+    }
+
+    /// `read` of each member of an object keyed by free-form names
+    /// (metric names, tenants), as the sorted map its writer iterated.
+    pub fn to_map<T>(
+        self,
+        mut read: impl FnMut(Reader<'a>) -> Result<T, SchemaError>,
+    ) -> Result<BTreeMap<String, T>, SchemaError> {
+        self.members()?
+            .iter()
+            .map(|(k, v)| Ok((k.clone(), read(Reader(v)).map_err(|e| e.within(k))?)))
+            .collect()
+    }
+
+    fn members(self) -> Result<&'a [(String, JsonValue)], SchemaError> {
+        self.0.as_obj().ok_or_else(|| SchemaError::expected("an object"))
+    }
+
+    /// `read` of the member `key`, which must be present.
+    pub fn get<T>(
+        self,
+        key: &str,
+        read: impl FnOnce(Reader<'a>) -> Result<T, SchemaError>,
+    ) -> Result<T, SchemaError> {
+        self.opt(key, read)?.ok_or_else(|| SchemaError::Missing {
+            path: key.to_string(),
+        })
+    }
+
+    /// `read` of the member `key`, or `None` when it is absent or
+    /// `null` — a member its writer omits when empty.
+    pub fn opt<T>(
+        self,
+        key: &str,
+        read: impl FnOnce(Reader<'a>) -> Result<T, SchemaError>,
+    ) -> Result<Option<T>, SchemaError> {
+        self.members()?;
+        match self.0.get(key) {
+            None | Some(JsonValue::Null) => Ok(None),
+            Some(v) => read(Reader(v)).map(Some).map_err(|e| e.within(key)),
+        }
+    }
+
+    /// The string member `key`.
+    pub fn str(self, key: &str) -> Result<&'a str, SchemaError> {
+        self.get(key, Reader::to_str)
+    }
+
+    /// The number member `key`.
+    pub fn f64(self, key: &str) -> Result<f64, SchemaError> {
+        self.get(key, Reader::to_f64)
+    }
+
+    /// The boolean member `key`.
+    pub fn bool(self, key: &str) -> Result<bool, SchemaError> {
+        self.get(key, Reader::to_bool)
+    }
+
+    /// The integer member `key`, checked as [`Reader::to_u64`] does.
+    pub fn u64(self, key: &str) -> Result<u64, SchemaError> {
+        self.get(key, Reader::to_u64)
+    }
+
+    /// The integer member `key`, checked as [`Reader::to_u32`] does.
+    pub fn u32(self, key: &str) -> Result<u32, SchemaError> {
+        self.get(key, Reader::to_u32)
+    }
+
+    /// The integer member `key`, checked as [`Reader::to_usize`] does.
+    pub fn usize(self, key: &str) -> Result<usize, SchemaError> {
+        self.get(key, Reader::to_usize)
+    }
+
+    /// `read` of each element of the array member `key`.
+    pub fn arr<T>(
+        self,
+        key: &str,
+        read: impl FnMut(Reader<'a>) -> Result<T, SchemaError>,
+    ) -> Result<Vec<T>, SchemaError> {
+        self.get(key, |a| a.to_arr(read))
+    }
+
+    /// The member `key` as what [`num_entries`] wrote: names to numbers.
+    pub fn num_entries(self, key: &str) -> Result<BTreeMap<String, f64>, SchemaError> {
+        self.get(key, |o| o.to_map(Reader::to_f64))
+    }
 }
 
 /// A JSON parse error: byte offset plus message.
@@ -206,6 +528,8 @@ impl std::error::Error for JsonError {}
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -237,8 +561,8 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         self.skip_ws();
         match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -247,6 +571,19 @@ impl<'a> Parser<'a> {
             Some(c) => Err(self.err(format!("unexpected byte {:?}", *c as char))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, lit: &str, v: JsonValue) -> Result<JsonValue, JsonError> {
@@ -268,9 +605,11 @@ impl<'a> Parser<'a> {
             }
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii");
-        text.parse::<f64>()
-            .map(JsonValue::Num)
-            .map_err(|_| self.err(format!("bad number `{text}`")))
+        match text.parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(JsonValue::Num(v)),
+            Ok(_) => Err(self.err(format!("number `{text}` is out of range"))),
+            Err(_) => Err(self.err(format!("bad number `{text}`"))),
+        }
     }
 
     fn string(&mut self) -> Result<String, JsonError> {
@@ -478,6 +817,135 @@ mod tests {
         ] {
             assert_eq!(JsonValue::parse(text).unwrap().as_f64(), Some(want));
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(JsonValue::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = JsonValue::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!((err.offset, err.message.as_str()), (MAX_DEPTH, "nesting deeper than 128"));
+        // Used to overflow the stack and abort the process.
+        let err = JsonValue::parse(&"[".repeat(50_000)).unwrap_err();
+        assert_eq!(err.message, "nesting deeper than 128");
+        let objects = r#"{"a":"#.repeat(MAX_DEPTH + 1);
+        assert!(JsonValue::parse(&objects).unwrap_err().message.contains("nesting"));
+        // Depth counts open containers, not containers seen.
+        let wide = format!("[{}]", vec!["[[]]"; 1000].join(","));
+        assert!(JsonValue::parse(&wide).is_ok());
+    }
+
+    #[test]
+    fn non_finite_numbers_are_rejected() {
+        for bad in ["1e999", "-1e999", "[1, 2e400]"] {
+            let err = JsonValue::parse(bad).unwrap_err();
+            assert!(err.message.contains("out of range"), "{bad}: {err}");
+        }
+        assert_eq!(JsonValue::parse("1e308").unwrap().as_f64(), Some(1e308));
+    }
+
+    #[test]
+    fn as_u64_refuses_to_narrow() {
+        let n = |text| JsonValue::parse(text).unwrap().as_u64();
+        assert_eq!(n("1.9"), None);
+        assert_eq!(n("1e30"), None);
+        assert_eq!(n("18446744073709551616"), None);
+        assert_eq!(n("-0.5"), None);
+        assert_eq!(n("0"), Some(0));
+        assert_eq!(n("4294967296"), Some(1 << 32));
+        // Above 2^53 the writer already rounded; the reader hands back
+        // what was written.
+        assert_eq!(n("9007199254740993"), Some(9_007_199_254_740_992));
+        assert_eq!(n("18446744073709549568"), Some(u64::MAX - 2047));
+    }
+
+    #[test]
+    fn writer_vocabulary() {
+        let v = obj([
+            ("s", "x".into()),
+            ("n", 7u32.into()),
+            ("big", (1u64 << 40).into()),
+            ("f", 0.5.into()),
+            ("b", true.into()),
+            ("none", None::<usize>.into()),
+            ("some", Some(3usize).into()),
+            ("a", arr(&[1u32, 2], JsonValue::from)),
+            ("e", num_entries([("k", 1.5), ("j", 2.0)])),
+        ])
+        .with("absent", None)
+        .with("present", Some("y".into()));
+        assert_eq!(
+            v.to_string_compact(),
+            r#"{"s":"x","n":7,"big":1099511627776,"f":0.5,"b":true,"none":null,"some":3,"a":[1,2],"e":{"k":1.5,"j":2},"present":"y"}"#
+        );
+    }
+
+    fn read<T>(
+        text: &str,
+        f: impl FnOnce(Reader<'_>) -> Result<T, SchemaError>,
+    ) -> Result<T, String> {
+        read_doc("doc", text, f).map_err(|e| e.to_string())
+    }
+
+    #[test]
+    fn reader_accessors_check_what_they_narrow() {
+        let text = r#"{"s": "x", "n": 7, "f": 1.9, "neg": -1, "wide": 4294967296,
+            "huge": 1e30, "b": false, "null": null, "a": [1, 2], "m": {"k": 1.5}}"#;
+        assert_eq!(read(text, |r| r.str("s").map(str::len)), Ok(1));
+        assert_eq!(read(text, |r| r.u32("n")), Ok(7));
+        assert_eq!(read(text, |r| r.f64("f")), Ok(1.9));
+        assert_eq!(read(text, |r| r.bool("b")), Ok(false));
+        assert_eq!(read(text, |r| r.u64("wide")), Ok(1 << 32));
+        assert_eq!(read(text, |r| r.usize("wide")), Ok(1 << 32));
+        assert_eq!(read(text, |r| r.get("huge", Reader::to_u128)), Ok(1e30 as u128));
+        assert_eq!(read(text, |r| r.arr("a", Reader::to_u32)), Ok(vec![1, 2]));
+        assert_eq!(
+            read(text, |r| r.num_entries("m")),
+            Ok(BTreeMap::from([("k".to_string(), 1.5)]))
+        );
+        assert_eq!(read(text, |r| r.opt("s", |s| s.to_str().map(str::len))), Ok(Some(1)));
+        assert_eq!(read(text, |r| r.opt("null", |s| s.to_str().map(str::len))), Ok(None));
+        assert_eq!(read(text, |r| r.opt("nope", |s| s.to_str().map(str::len))), Ok(None));
+
+        let err = |f: fn(Reader<'_>) -> Result<u64, SchemaError>| read(text, f).unwrap_err();
+        assert_eq!(err(|r| r.u64("nope")), "missing `doc.nope`");
+        assert_eq!(err(|r| r.u64("null")), "missing `doc.null`");
+        assert_eq!(err(|r| r.u64("s")), "expected an integer in 0..=18446744073709551615 at `doc.s`");
+        let u32_err = "expected an integer in 0..=4294967295 at ";
+        assert_eq!(err(|r| r.u32("f").map(u64::from)), format!("{u32_err}`doc.f`"));
+        assert_eq!(err(|r| r.u32("neg").map(u64::from)), format!("{u32_err}`doc.neg`"));
+        assert_eq!(err(|r| r.u32("wide").map(u64::from)), format!("{u32_err}`doc.wide`"));
+        assert!(err(|r| r.u64("huge")).starts_with("expected an integer"));
+        assert_eq!(err(|r| r.str("n").map(|_| 0)), "expected a string at `doc.n`");
+        assert_eq!(err(|r| r.f64("s").map(|_| 0)), "expected a number at `doc.s`");
+        assert_eq!(err(|r| r.bool("n").map(|_| 0)), "expected a boolean at `doc.n`");
+        assert_eq!(err(|r| r.arr("m", Reader::to_u64).map(|_| 0)), "expected an array at `doc.m`");
+        assert_eq!(err(|r| r.num_entries("a").map(|_| 0)), "expected an object at `doc.a`");
+        assert_eq!(err(|r| r.get("s", |s| s.u64("k"))), "expected an object at `doc.s`");
+    }
+
+    #[test]
+    fn reader_errors_carry_the_path() {
+        let text = r#"{"layout": [{"clusters": []}, {"clusters": [{"size": 1}, {"size": "x"}]}]}"#;
+        let sizes = |r: Reader<'_>| {
+            r.arr("layout", |f| f.arr("clusters", |c| c.u64("size")))
+        };
+        assert_eq!(
+            read(text, sizes).unwrap_err(),
+            "expected an integer in 0..=18446744073709551615 at `doc.layout[1].clusters[1].size`"
+        );
+        let weights = |r: Reader<'_>| r.arr("layout", |f| f.arr("clusters", |c| c.u64("weight")));
+        assert_eq!(read(text, weights).unwrap_err(), "missing `doc.layout[1].clusters[0].weight`");
+        assert_eq!(read("[1, 2]", |r| r.u64("k")).unwrap_err(), "expected an object at `doc`");
+        assert_eq!(
+            read("[1, 2", |r| r.u64("k")).unwrap_err(),
+            "JSON error at byte 5: expected `,` or `]`"
+        );
+        assert_eq!(
+            read(r#"{"t": {"a b": {"n": -1}}}"#, |r| r.get("t", |t| t.to_map(|row| row.u32("n"))))
+                .unwrap_err(),
+            "expected an integer in 0..=4294967295 at `doc.t.a b.n`"
+        );
     }
 
     #[test]

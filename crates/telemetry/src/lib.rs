@@ -47,7 +47,7 @@ pub mod report;
 pub mod timeseries;
 
 pub use chrome::TENANT_LANE_BASE;
-pub use json::{JsonError, JsonValue};
+pub use json::{JsonError, JsonValue, Reader, SchemaError};
 pub use metrics::{Histogram, MetricsRegistry, MetricsSnapshot, HISTOGRAM_BUCKETS};
 pub use span::{Span, SpanId, SpanRecord};
 pub use timeseries::{Point, Series, SeriesKind, TimeSeries};

@@ -6,7 +6,7 @@
 //! in any order and grouping without changing the result (property
 //! tested in `tests/metrics_props.rs`).
 
-use crate::json::JsonValue;
+use crate::json::{arr, num_entries, obj, read_doc, JsonValue, Reader, SchemaError};
 use std::collections::BTreeMap;
 
 /// Number of histogram buckets. Bucket `i < HISTOGRAM_BUCKETS - 1`
@@ -241,81 +241,63 @@ impl MetricsSnapshot {
     /// `counters`, `gauges` and `histograms` members, so one artifact
     /// (e.g. the doctor's `RunReport`) can embed the full registry.
     pub fn to_json(&self) -> JsonValue {
-        let counters = self
-            .counters
-            .iter()
-            .map(|(k, v)| (k.clone(), JsonValue::Num(*v as f64)))
-            .collect();
-        let gauges = self
-            .gauges
-            .iter()
-            .map(|(k, v)| (k.clone(), JsonValue::Num(*v)))
-            .collect();
-        let histograms = self
-            .histograms
-            .iter()
-            .map(|(k, h)| {
-                let buckets = h
-                    .buckets
-                    .iter()
-                    .map(|&n| JsonValue::Num(n as f64))
-                    .collect();
-                let mut members = vec![
-                    ("count".to_string(), JsonValue::Num(h.count as f64)),
-                    ("sum".to_string(), JsonValue::Num(h.sum)),
-                    ("buckets".to_string(), JsonValue::Arr(buckets)),
-                ];
-                if h.count > 0 {
-                    members.push(("min".to_string(), JsonValue::Num(h.min)));
-                    members.push(("max".to_string(), JsonValue::Num(h.max)));
-                }
-                (k.clone(), JsonValue::Obj(members))
-            })
-            .collect();
-        JsonValue::Obj(vec![
-            ("counters".to_string(), JsonValue::Obj(counters)),
-            ("gauges".to_string(), JsonValue::Obj(gauges)),
-            ("histograms".to_string(), JsonValue::Obj(histograms)),
+        let histogram = |h: &Histogram| {
+            // An empty histogram's extremes are ±infinity, which JSON
+            // cannot say, so they are left out.
+            obj([
+                ("count", h.count.into()),
+                ("sum", h.sum.into()),
+                ("buckets", arr(&h.buckets, JsonValue::from)),
+            ])
+            .with("min", (h.count > 0).then(|| h.min.into()))
+            .with("max", (h.count > 0).then(|| h.max.into()))
+        };
+        obj([
+            ("counters", num_entries(&self.counters)),
+            ("gauges", num_entries(&self.gauges)),
+            (
+                "histograms",
+                obj(self.histograms.iter().map(|(k, h)| (k, histogram(h)))),
+            ),
         ])
     }
 
-    /// Reconstructs a snapshot from [`MetricsSnapshot::to_json`]
-    /// output. Unknown members are ignored; a malformed histogram (bad
-    /// bucket count, missing fields) yields `None`.
-    pub fn from_json(v: &JsonValue) -> Option<MetricsSnapshot> {
-        let mut snap = MetricsSnapshot::default();
-        if let Some(members) = v.get("counters").and_then(JsonValue::as_obj) {
-            for (k, val) in members {
-                snap.counters.insert(k.clone(), val.as_u64()?);
-            }
-        }
-        if let Some(members) = v.get("gauges").and_then(JsonValue::as_obj) {
-            for (k, val) in members {
-                snap.gauges.insert(k.clone(), val.as_f64()?);
-            }
-        }
-        if let Some(members) = v.get("histograms").and_then(JsonValue::as_obj) {
-            for (k, val) in members {
-                let mut h = Histogram {
-                    count: val.get("count")?.as_u64()?,
-                    sum: val.get("sum")?.as_f64()?,
-                    ..Histogram::default()
-                };
-                let buckets = val.get("buckets")?.as_arr()?;
-                if buckets.len() != HISTOGRAM_BUCKETS {
-                    return None;
-                }
-                for (slot, b) in h.buckets.iter_mut().zip(buckets) {
-                    *slot = b.as_u64()?;
-                }
-                if h.count > 0 {
-                    h.min = val.get("min")?.as_f64()?;
-                    h.max = val.get("max")?.as_f64()?;
-                }
-                snap.histograms.insert(k.clone(), h);
-            }
-        }
-        Some(snap)
+    /// Reads back what [`MetricsSnapshot::to_json`] wrote.
+    ///
+    /// # Errors
+    ///
+    /// Names the first member that is absent or holds the wrong thing
+    /// (a negative counter, a histogram with the wrong bucket count).
+    pub fn read(r: Reader<'_>) -> Result<MetricsSnapshot, SchemaError> {
+        let histogram = |h: Reader<'_>| {
+            let count = h.u64("count")?;
+            let buckets = h.arr("buckets", Reader::to_u64)?;
+            let extreme = |key, empty| if count > 0 { h.f64(key) } else { Ok(empty) };
+            Ok(Histogram {
+                buckets: buckets.try_into().map_err(|_| SchemaError::Expected {
+                    what: format!("{HISTOGRAM_BUCKETS} bucket counts"),
+                    path: "buckets".to_string(),
+                })?,
+                count,
+                sum: h.f64("sum")?,
+                min: extreme("min", f64::INFINITY)?,
+                max: extreme("max", f64::NEG_INFINITY)?,
+            })
+        };
+        Ok(MetricsSnapshot {
+            counters: r.get("counters", |c| c.to_map(Reader::to_u64))?,
+            gauges: r.num_entries("gauges")?,
+            histograms: r.get("histograms", |h| h.to_map(histogram))?,
+        })
+    }
+
+    /// Parses a serialized snapshot.
+    ///
+    /// # Errors
+    ///
+    /// Reports both JSON syntax errors and schema mismatches.
+    pub fn parse(text: &str) -> Result<MetricsSnapshot, SchemaError> {
+        read_doc("metrics", text, MetricsSnapshot::read)
     }
 }
 
@@ -415,26 +397,38 @@ mod tests {
         reg.observe("exttsp.merge_gain", 3.0);
         reg.observe("exttsp.merge_gain", 700.5);
         let snap = reg.snapshot();
-        let text = snap.to_json().to_string_pretty();
-        let back = MetricsSnapshot::from_json(&JsonValue::parse(&text).unwrap()).unwrap();
+        let back = MetricsSnapshot::parse(&snap.to_json().to_string_pretty()).unwrap();
         assert_eq!(back, snap);
         assert!(back.histograms["exttsp.merge_gain"].is_consistent());
     }
 
     #[test]
     fn snapshot_json_rejects_malformed_histograms() {
-        let v = JsonValue::parse(
-            r#"{"histograms": {"h": {"count": 1, "sum": 2.0, "buckets": [0, 1]}}}"#,
+        let err = MetricsSnapshot::parse(
+            r#"{"counters": {}, "gauges": {},
+                "histograms": {"h": {"count": 1, "sum": 2.0, "buckets": [0, 1]}}}"#,
         )
-        .unwrap();
-        assert_eq!(MetricsSnapshot::from_json(&v), None);
+        .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "expected 40 bucket counts at `metrics.histograms.h.buckets`"
+        );
+        // A snapshot always carries all three registries.
+        let err = MetricsSnapshot::parse(r#"{"counters": {}, "histograms": {}}"#).unwrap_err();
+        assert_eq!(err.to_string(), "missing `metrics.gauges`");
+        // Counters are counts: what `as u64` used to truncate is refused.
+        for bad in ["1.9", "-1", "1e30", "\"7\""] {
+            let text = format!(r#"{{"counters": {{"c": {bad}}}, "gauges": {{}}, "histograms": {{}}}}"#);
+            let err = MetricsSnapshot::parse(&text).unwrap_err().to_string();
+            assert!(err.contains("integer") && err.ends_with("`metrics.counters.c`"), "{err}");
+        }
     }
 
     #[test]
     fn empty_snapshot_round_trips() {
         let snap = MetricsSnapshot::default();
-        let v = snap.to_json();
-        assert_eq!(MetricsSnapshot::from_json(&v), Some(snap));
+        let text = snap.to_json().to_string_compact();
+        assert_eq!(MetricsSnapshot::parse(&text), Ok(snap));
     }
 
     #[test]
