@@ -9,7 +9,7 @@ use propeller_bench::{run_benchmark, BenchArtifacts, RunConfig};
 use propeller_doctor::{
     audit_pipeline, degradation_findings, diagnose, provenance_findings, render_annotate,
     render_explain, render_perf_report, wall_clock_findings, worst, AttributionSection,
-    DoctorConfig, ProvenanceDoc, RunReport, Severity,
+    ProvenanceDoc, RunReport, Severity,
 };
 use propeller_sim::{heatmap_csv, heatmap_pgm, AttributedCounters, Event, SimOptions, SimReport};
 use propeller_synth::{all_specs, BenchmarkSpec};
@@ -197,12 +197,11 @@ pub fn doctor(p: &Parsed) -> Result<ExitCode, CliError> {
     let jobs = opts.jobs;
     let mut pipeline = Propeller::new(gen.program, gen.entries, opts);
     pipeline.run_all()?;
-    let cfg = DoctorConfig::default();
-    let mut findings = diagnose(&audit(&pipeline)?, &cfg);
+    let mut findings = diagnose(&audit(&pipeline)?);
     findings.extend(wall_clock_findings(pipeline.times(), jobs));
     let doc = collect_provenance(&pipeline, spec.name, scale, seed)?;
     let wpa = wpa_of(&pipeline)?;
-    findings.extend(provenance_findings(&wpa.provenance, &doc, &cfg));
+    findings.extend(provenance_findings(&wpa.provenance, &doc));
     findings.extend(degradation_findings(pipeline.degradation()));
     print!("{}", propeller_doctor::render(&findings));
     Ok(exit_code(worst(&findings) != Severity::Fail))

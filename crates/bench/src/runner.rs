@@ -3,7 +3,7 @@
 
 use propeller::{Propeller, PropellerOptions};
 use propeller_bolt::{run_bolt, BoltError, BoltOptions, BoltOutput};
-use propeller_buildsys::{CostModel, MachineConfig, GIB};
+use propeller_buildsys::{cost, MachineConfig, GIB};
 use propeller_codegen::{codegen_module, CodegenOptions};
 use propeller_ir::ProgramStats;
 use propeller_linker::{link, LinkInput, LinkOptions, LinkedBinary};
@@ -95,8 +95,6 @@ pub struct BenchArtifacts {
     pub uarch: UarchConfig,
     /// Evaluation workload.
     pub workload: Workload,
-    /// Cost model for time accounting.
-    pub cost: CostModel,
 }
 
 impl BenchArtifacts {
@@ -104,11 +102,6 @@ impl BenchArtifacts {
     /// Table 2 scale (all such figures are linear in program size).
     pub fn full_scale(&self, v: u64) -> u64 {
         (v as f64 / self.scale) as u64
-    }
-
-    /// Same, for float quantities.
-    pub fn full_scale_f(&self, v: f64) -> f64 {
-        v / self.scale
     }
 
     /// The per-action memory limit for this benchmark's build.
@@ -170,14 +163,8 @@ impl BenchArtifacts {
         out
     }
 
-    /// Whether the BOLT-optimized binary can actually run.
-    pub fn bolt_runs(&self) -> bool {
-        matches!(&self.bolt, Ok(out) if !out.crash_on_startup)
-    }
-
     /// Full-scale build/optimization wall times (Figure 9 / Table 5).
     pub fn full_scale_times(&self) -> FullScaleTimes {
-        let c = &self.cost;
         let insts_full = self.full_scale(self.program_stats.num_insts as u64);
         let input_bytes_full =
             self.full_scale(self.baseline.stats.input_bytes);
@@ -188,7 +175,7 @@ impl BenchArtifacts {
         // longest single action plus scheduler throughput over the
         // action count (§2.1: ~15M actions/day fleet-wide).
         let modules_full = self.full_scale(self.program_stats.num_modules as u64);
-        let module_cpu = c.codegen_secs(
+        let module_cpu = cost::codegen_secs(
             self.program_stats.num_insts as u64 / self.program_stats.num_modules.max(1) as u64,
         );
         const QUEUE_ACTIONS_PER_SEC: f64 = 3000.0;
@@ -200,13 +187,13 @@ impl BenchArtifacts {
                 _ => (cpu / 72.0).max(max_single),
             }
         };
-        let backends_all = on_machine(c.codegen_secs(insts_full), module_cpu, modules_full);
+        let backends_all = on_machine(cost::codegen_secs(insts_full), module_cpu, modules_full);
         let backends_hot = on_machine(
-            c.codegen_secs((insts_full as f64 * hot) as u64),
+            cost::codegen_secs((insts_full as f64 * hot) as u64),
             module_cpu,
             (modules_full as f64 * hot) as u64,
         );
-        let link = c.link_secs(input_bytes_full);
+        let link = cost::link_secs(input_bytes_full);
         // The relink drops the cold objects' address-map sections, so
         // it processes fewer bytes than the Phase 2 link (§3.4).
         let pm_map_bytes = self.full_scale(
@@ -217,19 +204,19 @@ impl BenchArtifacts {
         );
         let cold = 1.0 - hot;
         let relink =
-            c.link_secs(input_bytes_full.saturating_sub((pm_map_bytes as f64 * cold) as u64));
-        let convert = c.profile_conversion_secs(self.full_scale(self.profile.raw_size_bytes()));
-        let wpa = c.wpa_secs(self.full_scale(self.wpa_stats.dcfg_edges as u64));
+            cost::link_secs(input_bytes_full.saturating_sub((pm_map_bytes as f64 * cold) as u64));
+        let convert = cost::profile_conversion_secs(self.full_scale(self.profile.raw_size_bytes()));
+        let wpa = cost::wpa_secs(self.full_scale(self.wpa_stats.dcfg_edges as u64));
         let bolt = match &self.bolt {
             Ok(o) => {
-                c.disassembly_secs(text_full)
-                    + c.wpa_secs(self.full_scale(o.stats.blocks_reconstructed))
-                    + c.link_secs(self.full_scale(o.stats.new_text_bytes) + text_full)
+                cost::disassembly_secs(text_full)
+                    + cost::wpa_secs(self.full_scale(o.stats.blocks_reconstructed))
+                    + cost::link_secs(self.full_scale(o.stats.new_text_bytes) + text_full)
             }
             Err(_) => 0.0,
         };
-        let bolt_convert = c.disassembly_secs(text_full)
-            + c.profile_conversion_secs(self.full_scale(self.profile.raw_size_bytes()));
+        let bolt_convert = cost::disassembly_secs(text_full)
+            + cost::profile_conversion_secs(self.full_scale(self.profile.raw_size_bytes()));
         FullScaleTimes {
             backends_all,
             backends_hot,
@@ -240,8 +227,8 @@ impl BenchArtifacts {
             bolt,
             bolt_convert,
             compile_frontend: on_machine(
-                c.compile_secs(insts_full),
-                c.compile_secs(
+                cost::compile_secs(insts_full),
+                cost::compile_secs(
                     self.program_stats.num_insts as u64
                         / self.program_stats.num_modules.max(1) as u64,
                 ),
@@ -316,7 +303,6 @@ pub fn run_benchmark(name: &str, cfg: &RunConfig) -> BenchArtifacts {
         provenance: cfg.provenance,
         ..PropellerOptions::default()
     };
-    let cost = opts.cost;
     let mut pipeline = Propeller::new(gen.program, gen.entries.clone(), opts);
     pipeline.set_telemetry(cfg.tel.clone());
     let report = pipeline.run_all().expect("pipeline");
@@ -384,7 +370,6 @@ pub fn run_benchmark(name: &str, cfg: &RunConfig) -> BenchArtifacts {
         bolt_counters,
         uarch,
         workload,
-        cost,
     }
 }
 

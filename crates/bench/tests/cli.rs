@@ -3,6 +3,8 @@
 //! exit 1, never a panic's 101), and the shared service-run path behind
 //! `traffic` / `timeline` / `slo`.
 
+use propeller_faults::ServiceLedger;
+use propeller_obj::ContentHash;
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
 
@@ -266,6 +268,105 @@ fn ledgers_are_byte_identical_across_jobs() {
             "{artifact} differs between --jobs 1 and 8"
         );
     }
+}
+
+/// Asserts the FNV-1a digest of `bytes`, printing the new one on a
+/// mismatch.
+#[track_caller]
+fn pin(what: &str, bytes: &[u8], golden: u64) {
+    let digest = ContentHash::of_bytes(bytes).0;
+    assert_eq!(digest, golden, "{what} digest is {digest:#018x}");
+}
+
+const SERVICE_LEDGER_DIGEST: u64 = 0x76d8_4665_7a26_4b0a;
+const CHAOS_REPORT_DIGEST: u64 = 0x16c1_cb45_a003_1aab;
+const FLEET_REPORT_DIGEST: u64 = 0xd180_1e91_eec5_0da5;
+const COMPARE_JSON_DIGEST: u64 = 0x76d4_bd0f_ec5e_172e;
+
+/// FNV-1a digests of the artifacts that the built-in constants decide
+/// (values that used to be option fields nobody set): the service's
+/// client-retry budget and backoff, storm size and cancel estimate; the
+/// pipeline's retry policy and profile floor; the fleet's age decay;
+/// BOLT's three always-on passes. Recorded by running these cases
+/// against the commit before the fields became constants — a digest
+/// that moves means a shipped byte moved.
+#[test]
+fn artifacts_decided_by_builtin_constants_are_pinned() {
+    let base = scratch("constants");
+
+    // One slot and a two-deep queue under back-to-back arrivals: the
+    // queue refuses, clients back off and give up, every started job
+    // rolls an eviction storm, and t1's first job is cancelled by fault
+    // before t1 ever completed one (held for 0.4 of the 30 s estimate).
+    let (dir, _) = run_ok(
+        &base,
+        "traffic",
+        &[
+            "traffic",
+            "clang",
+            "--requests",
+            "8",
+            "--tenants",
+            "2",
+            "--seed",
+            "77",
+            "--scale",
+            "0.002",
+            "--queue",
+            "2",
+            "--slots",
+            "1",
+            "--mean-gap",
+            "2",
+            "--faults",
+            "cancel-job=0.4,evict-storm=1",
+        ],
+    );
+    let ledger = read(dir.join("service_ledger.json"));
+    let text = std::str::from_utf8(&ledger).expect("utf-8 ledger");
+    let totals = ServiceLedger::parse(text).expect("ledger parses").totals();
+    assert!(
+        totals.retries > 0
+            && totals.retry_backoff_secs > 0.0
+            && totals.rejected_queue > 0
+            && totals.storm_evicted_entries > 0
+            && totals.cancelled_by_fault > 0,
+        "the run no longer exercises every service constant: {totals:?}"
+    );
+    pin("service_ledger.json", &ledger, SERVICE_LEDGER_DIGEST);
+
+    // Retry backoff seconds under the default policy, and which
+    // scenarios fall below the profile floor to the identity layout.
+    let (dir, _) = run_ok(&base, "chaos", &["chaos", "--seed", "77"]);
+    pin("chaos_report.json", &read(dir.join("chaos_report.json")), CHAOS_REPORT_DIGEST);
+
+    // Skew under the default age decay; at threshold 0.7 release 1
+    // reuses and release 2 relinks against the merged stale profile.
+    let (dir, stdout) = run_ok(
+        &base,
+        "fleet",
+        &[
+            "fleet",
+            "clang",
+            "--scale",
+            "0.004",
+            "--releases",
+            "3",
+            "--seed",
+            "77",
+            "--drift",
+            "0.5",
+            "--skew-threshold",
+            "0.7",
+        ],
+    );
+    assert!(stdout.contains(" reuse ") && stdout.contains(" relink "), "{stdout}");
+    pin("fleet_report.json", &read(dir.join("fleet_report.json")), FLEET_REPORT_DIGEST);
+
+    // `bolt.speedup_pct`: block reordering, splitting and hfsort all on.
+    let out = cli(&["compare", "clang", "--scale", "0.12", "--seed", "77", "--json"]);
+    assert!(out.status.success());
+    pin("compare --json", &out.stdout, COMPARE_JSON_DIGEST);
 }
 
 /// The usage text is generated from the command table, so it must

@@ -8,24 +8,19 @@ use crate::rewrite::{rewrite, FunctionPlan};
 use propeller_linker::{FinalLayout, LinkedBinary};
 use propeller_obj::SizeBreakdown;
 use propeller_profile::{AggregatedProfile, HardwareProfile};
-use propeller_telemetry::{SpanId, Telemetry};
-use propeller_wpa::exttsp::{order_nodes_traced, Edge, ExtTspParams, Node};
+use propeller_wpa::exttsp::{order_nodes, Edge, ExtTspParams, Node};
 use std::collections::HashMap;
 
-/// Configuration of the comparator, mirroring the paper's command
-/// lines (§5, Methodology).
+/// Configuration of the comparator. The paper's command line (§5,
+/// Methodology) is fixed: `-reorder-blocks=cache+` (Ext-TSP block
+/// reordering), `-split-functions` / `-split-all-cold` and
+/// `-reorder-functions=hfsort` always run.
 #[derive(Clone, PartialEq, Debug)]
 pub struct BoltOptions {
     /// Selective processing (Lightning BOLT `-lite`): only sampled
     /// functions are carried through the optimization stage, reducing
     /// its memory. Profile conversion still disassembles everything.
     pub lite: bool,
-    /// `-reorder-blocks=cache+` (Ext-TSP block reordering).
-    pub reorder_blocks: bool,
-    /// `-split-functions` / `-split-all-cold`.
-    pub split_functions: bool,
-    /// `-reorder-functions=hfsort`.
-    pub reorder_functions: bool,
     /// Align the new text segment to 2 MiB for hugepages (BOLT's
     /// default; §5.3).
     pub huge_page_align: bool,
@@ -38,9 +33,6 @@ impl Default for BoltOptions {
     fn default() -> Self {
         BoltOptions {
             lite: false,
-            reorder_blocks: true,
-            split_functions: true,
-            reorder_functions: true,
             huge_page_align: true,
             input_has_integrity_checks: false,
         }
@@ -161,48 +153,6 @@ pub fn run_bolt(
     profile: &HardwareProfile,
     opts: &BoltOptions,
 ) -> Result<BoltOutput, BoltError> {
-    run_bolt_traced(binary, profile, opts, &Telemetry::disabled(), None)
-}
-
-/// [`run_bolt`], plus telemetry: a `bolt` span under `parent` (peak
-/// bytes = the larger of the two modeled stage peaks) with stage
-/// children for disassembly, profile conversion, layout planning,
-/// hfsort and rewrite, and counters for decoded instructions and
-/// reconstructed blocks.
-///
-/// # Errors
-///
-/// Same as [`run_bolt`].
-pub fn run_bolt_traced(
-    binary: &LinkedBinary,
-    profile: &HardwareProfile,
-    opts: &BoltOptions,
-    tel: &Telemetry,
-    parent: Option<SpanId>,
-) -> Result<BoltOutput, BoltError> {
-    let mut bolt_span = tel.span_under("bolt", parent);
-    let bolt_id = bolt_span.id();
-    let out = run_bolt_impl(binary, profile, opts, tel, bolt_id)?;
-    if tel.is_enabled() {
-        bolt_span.set_peak_bytes(
-            out.stats
-                .profile_conversion_peak_memory
-                .max(out.stats.optimize_peak_memory),
-        );
-        tel.counter_add("bolt.insts_decoded", out.stats.insts_decoded);
-        tel.counter_add("bolt.blocks_reconstructed", out.stats.blocks_reconstructed);
-        tel.counter_add("bolt.optimized_functions", out.stats.optimized_functions as u64);
-    }
-    Ok(out)
-}
-
-fn run_bolt_impl(
-    binary: &LinkedBinary,
-    profile: &HardwareProfile,
-    opts: &BoltOptions,
-    tel: &Telemetry,
-    bolt_id: Option<SpanId>,
-) -> Result<BoltOutput, BoltError> {
     if binary.size_breakdown.relocs == 0 {
         return Err(BoltError::MissingRelocations);
     }
@@ -213,7 +163,6 @@ fn run_bolt_impl(
 
     // Linear disassembly of every discovered function (conversion
     // requires full coverage).
-    let disasm_span = tel.span_under("bolt.disassemble", bolt_id);
     let mut cfgs: Vec<Option<RecCfg>> = Vec::with_capacity(funcs.len());
     let mut stats = BoltStats {
         functions_discovered: funcs.len(),
@@ -232,23 +181,15 @@ fn run_bolt_impl(
         }
         cfgs.push(cfg);
     }
-    drop(disasm_span);
 
     // perf2bolt.
-    let agg;
-    let prof;
-    {
-        let mut s = tel.span_under("bolt.convert_profile", bolt_id);
-        agg = AggregatedProfile::from_profile(profile);
-        prof = convert_profile(&funcs, &cfgs, &agg);
-        stats.profile_conversion_peak_memory = stats.insts_decoded * BYTES_PER_INST_RECORD
-            + agg.modeled_memory_bytes()
-            + profile.raw_size_bytes();
-        s.set_peak_bytes(stats.profile_conversion_peak_memory);
-    }
+    let agg = AggregatedProfile::from_profile(profile);
+    let prof = convert_profile(&funcs, &cfgs, &agg);
+    stats.profile_conversion_peak_memory = stats.insts_decoded * BYTES_PER_INST_RECORD
+        + agg.modeled_memory_bytes()
+        + profile.raw_size_bytes();
 
     // Plan per-function layouts.
-    let plan_span = tel.span_under("bolt.plan_layouts", bolt_id);
     let mut plans: Vec<FunctionPlan> = Vec::new();
     let mut opt_insts = 0u64;
     for (fi, cfg) in cfgs.iter().enumerate() {
@@ -263,40 +204,29 @@ fn run_bolt_impl(
         if !hot.contains(&0) {
             hot.insert(0, 0);
         }
-        let hot_order: Vec<usize> = if opts.reorder_blocks {
-            let nodes: Vec<Node> = hot
-                .iter()
-                .map(|&b| Node {
-                    id: b as u32,
-                    size: cfg.blocks[b].size as u32,
-                    count: count(b),
-                })
-                .collect();
-            let mut edges: Vec<Edge> = prof.edges[fi]
-                .iter()
-                .filter(|(&(s, d), _)| hot.contains(&s) && hot.contains(&d))
-                .map(|(&(s, d), &w)| Edge {
-                    src: s as u32,
-                    dst: d as u32,
-                    weight: w,
-                })
-                .collect();
-            edges.sort_unstable_by_key(|e| (e.src, e.dst));
-            order_nodes_traced(&nodes, &edges, 0, &ExtTspParams::default(), tel)
-                .into_iter()
-                .map(|b| b as usize)
-                .collect()
-        } else {
-            hot.clone()
-        };
+        let nodes: Vec<Node> = hot
+            .iter()
+            .map(|&b| Node {
+                id: b as u32,
+                size: cfg.blocks[b].size as u32,
+                count: count(b),
+            })
+            .collect();
+        let mut edges: Vec<Edge> = prof.edges[fi]
+            .iter()
+            .filter(|(&(s, d), _)| hot.contains(&s) && hot.contains(&d))
+            .map(|(&(s, d), &w)| Edge {
+                src: s as u32,
+                dst: d as u32,
+                weight: w,
+            })
+            .collect();
+        edges.sort_unstable_by_key(|e| (e.src, e.dst));
+        let hot_order: Vec<usize> = order_nodes(&nodes, &edges, 0, &ExtTspParams::default())
+            .into_iter()
+            .map(|b| b as usize)
+            .collect();
         let cold: Vec<usize> = (0..cfg.blocks.len()).filter(|b| !hot.contains(b)).collect();
-        let (hot_order, cold) = if opts.split_functions {
-            (hot_order, cold)
-        } else {
-            let mut all = hot_order;
-            all.extend(&cold);
-            (all, Vec::new())
-        };
         plans.push(FunctionPlan {
             func_idx: fi,
             hot_order,
@@ -304,33 +234,21 @@ fn run_bolt_impl(
         });
     }
 
-    drop(plan_span);
-
     // hfsort over the optimized functions.
-    let hfsort_span = tel.span_under("bolt.hfsort", bolt_id);
-    let planned: Vec<usize> = plans.iter().map(|p| p.func_idx).collect();
-    let func_order: Vec<usize> = if opts.reorder_functions {
-        let infos: Vec<FuncInfo> = planned
-            .iter()
-            .map(|&fi| FuncInfo {
-                id: fi as u32,
-                size: funcs[fi].size,
-                samples: prof.counts[fi].values().sum(),
-            })
-            .collect();
-        hfsort_order(&infos, &prof.calls)
-            .into_iter()
-            .map(|id| id as usize)
-            .collect()
-    } else {
-        planned.clone()
-    };
+    let infos: Vec<FuncInfo> = plans
+        .iter()
+        .map(|p| FuncInfo {
+            id: p.func_idx as u32,
+            size: funcs[p.func_idx].size,
+            samples: prof.counts[p.func_idx].values().sum(),
+        })
+        .collect();
+    let func_order: Vec<usize> = hfsort_order(&infos, &prof.calls)
+        .into_iter()
+        .map(|id| id as usize)
+        .collect();
 
-    drop(hfsort_span);
-
-    let rewrite_span = tel.span_under("bolt.rewrite", bolt_id);
     let (layout, rstats) = rewrite(binary, &cfgs, &plans, &func_order, opts.huge_page_align);
-    drop(rewrite_span);
     stats.optimized_functions = rstats.optimized_functions;
     stats.new_text_bytes = rstats.new_text_bytes;
     stats.alignment_padding = rstats.alignment_padding;

@@ -30,5 +30,5 @@ mod rewrite;
 mod driver;
 mod error;
 
-pub use driver::{run_bolt, run_bolt_traced, BoltOptions, BoltOutput, BoltStats};
+pub use driver::{run_bolt, BoltOptions, BoltOutput, BoltStats};
 pub use error::BoltError;

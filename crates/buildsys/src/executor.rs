@@ -91,8 +91,8 @@ pub struct Executor {
     /// When present, scheduled faults
     /// ([transient failures](FaultKind::TransientActionFailure) and
     /// [timeouts](FaultKind::ActionTimeout)) hit actions run through
-    /// [`run_phase_resilient_traced`](Executor::run_phase_resilient_traced),
-    /// which retries them under `retry`.
+    /// [`run_phase`](Executor::run_phase), which retries them under
+    /// `retry`.
     faults: Option<Arc<FaultInjector>>,
     retry: RetryPolicy,
     /// Local worker-pool width for [`execute_indexed`]
@@ -113,8 +113,8 @@ pub struct PoolStats {
     pub busy_us: u64,
 }
 
-/// Per-phase retry accounting from a resilient run, feeding the
-/// degradation ledger. All-zero when no fault fired.
+/// Per-phase retry accounting from one [`Executor::run_phase`],
+/// feeding the degradation ledger. All-zero when no fault fired.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ResilienceReport {
     /// Attempts that failed transiently and were retried.
@@ -157,12 +157,8 @@ impl Executor {
         self.jobs
     }
 
-    /// The attached fault injector, if any.
-    pub fn faults(&self) -> Option<&Arc<FaultInjector>> {
-        self.faults.as_ref()
-    }
-
-    /// The retry policy used by the resilient phase runner.
+    /// The retry policy [`run_phase`](Executor::run_phase) absorbs
+    /// faults under.
     pub fn retry_policy(&self) -> RetryPolicy {
         self.retry
     }
@@ -272,7 +268,10 @@ impl Executor {
         Ok((out, stats))
     }
 
-    /// Executes one phase of independent actions.
+    /// Executes one phase of independent actions: admission control,
+    /// then each action's modeled worker timeline (failed attempts +
+    /// backoffs + the final successful run), then the wall-clock
+    /// formula.
     ///
     /// Wall-clock:
     /// * distributed — `dispatch_secs + max(action latency)`: every
@@ -282,71 +281,41 @@ impl Executor {
     ///
     /// An empty phase (everything was a cache hit) costs nothing.
     ///
-    /// # Errors
+    /// Telemetry: one span per action under `parent`. Actions here are
+    /// *modeled* — their cost lives in the cost model, not in local
+    /// wall-clock — so each span is emitted with zero wall duration,
+    /// its modeled latency as simulated time, and its declared peak
+    /// RSS. The phase's wall-clock (dispatch + critical path, or serial
+    /// sum) stays on the `parent` span the caller owns.
     ///
-    /// Returns [`BuildError::ActionOverMemoryLimit`] if any action's
-    /// declared peak RSS exceeds the distributed per-action limit; no
-    /// action of the phase runs in that case.
-    pub fn run_phase(&self, actions: &[ActionSpec]) -> Result<PhaseReport, BuildError> {
-        self.run_phase_traced(actions, &Telemetry::disabled(), None)
-    }
-
-    /// [`run_phase`](Executor::run_phase), plus one telemetry span per
-    /// action under `parent`.
-    ///
-    /// Actions here are *modeled* — their cost lives in the cost model,
-    /// not in local wall-clock — so each span is emitted with zero wall
-    /// duration, its modeled latency as simulated time, and its
-    /// declared peak RSS. The phase's wall-clock (dispatch + critical
-    /// path, or serial sum) stays on the `parent` span the caller owns.
-    pub fn run_phase_traced(
-        &self,
-        actions: &[ActionSpec],
-        tel: &Telemetry,
-        parent: Option<SpanId>,
-    ) -> Result<PhaseReport, BuildError> {
-        self.run_actions(actions, tel, parent, None).map(|(report, _)| report)
-    }
-
-    /// [`run_phase_traced`](Executor::run_phase_traced) with fault
-    /// absorption: transient failures and timeouts scheduled by the
-    /// attached injector are retried under the [`RetryPolicy`], with
+    /// Fault absorption: transient failures and timeouts scheduled by
+    /// the attached injector are retried under the [`RetryPolicy`], with
     /// exponential backoff + deterministic jitter charged in *modeled*
-    /// seconds (nothing sleeps).
-    ///
-    /// Retry semantics: faults only roll on attempts that still have
-    /// retry budget left, so the final budgeted attempt of a flaky
-    /// action always succeeds — modeling the build system reassigning
-    /// the action to a healthy worker. Failed attempts burn their full
-    /// modeled cost (the action's CPU seconds for a transient crash,
-    /// the timeout deadline for a hang), and each retry waits out a
-    /// backoff; all of it lands in the phase's wall/CPU accounting, so
-    /// chaos shows up in Table-5-style numbers instead of being free.
+    /// seconds (nothing sleeps). Faults only roll on attempts that
+    /// still have retry budget left, so the final budgeted attempt of a
+    /// flaky action always succeeds — modeling the build system
+    /// reassigning the action to a healthy worker. Failed attempts burn
+    /// their full modeled cost (the action's CPU seconds for a
+    /// transient crash, the timeout deadline for a hang), and each
+    /// retry waits out a backoff; all of it lands in the phase's
+    /// wall/CPU accounting, so chaos shows up in Table-5-style numbers
+    /// instead of being free.
     ///
     /// Without an injector (or with an empty plan) no attempt can fail,
     /// so every action's latency is exactly its CPU seconds and the
     /// [`ResilienceReport`] stays zero — the guarantee behind
     /// "zero-fault runs are bit-identical".
-    pub fn run_phase_resilient_traced(
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BuildError::ActionOverMemoryLimit`] if any action's
+    /// declared peak RSS exceeds the distributed per-action limit; no
+    /// action of the phase runs in that case.
+    pub fn run_phase(
         &self,
         actions: &[ActionSpec],
         tel: &Telemetry,
         parent: Option<SpanId>,
-    ) -> Result<(PhaseReport, ResilienceReport), BuildError> {
-        let inj = self.faults.as_deref().filter(|inj| !inj.plan().is_none());
-        self.run_actions(actions, tel, parent, inj)
-    }
-
-    /// The one phase runner behind the three entry points above:
-    /// admission control, then each action's modeled worker timeline
-    /// (failed attempts + backoffs + the final successful run), then
-    /// the wall-clock formula.
-    fn run_actions(
-        &self,
-        actions: &[ActionSpec],
-        tel: &Telemetry,
-        parent: Option<SpanId>,
-        inj: Option<&FaultInjector>,
     ) -> Result<(PhaseReport, ResilienceReport), BuildError> {
         // An over-limit action is a plan error, not a fault to retry.
         if let Some(limit) = self.machine.ram_limit() {
@@ -361,6 +330,7 @@ impl Executor {
         if actions.is_empty() {
             return Ok((PhaseReport::default(), ResilienceReport::default()));
         }
+        let inj = self.faults.as_deref().filter(|inj| !inj.plan().is_none());
         let mut res = ResilienceReport::default();
         let mut cpu_secs = 0.0f64;
         let mut critical_path = 0.0f64;
@@ -443,7 +413,7 @@ mod tests {
             ram_limit: GIB,
             dispatch_secs: 2.0,
         });
-        let r = ex.run_phase(&phase()).unwrap();
+        let (r, _) = ex.run_phase(&phase(), &Telemetry::disabled(), None).unwrap();
         assert!((r.wall_secs - 6.0).abs() < 1e-12, "2 + max(1,4,2)");
         assert!((r.cpu_secs - 7.0).abs() < 1e-12);
         assert_eq!(r.num_actions, 3);
@@ -453,14 +423,14 @@ mod tests {
     #[test]
     fn workstation_wall_is_serial_sum() {
         let ex = Executor::new(MachineConfig::workstation());
-        let r = ex.run_phase(&phase()).unwrap();
+        let (r, _) = ex.run_phase(&phase(), &Telemetry::disabled(), None).unwrap();
         assert!((r.wall_secs - 7.0).abs() < 1e-12, "1 + 4 + 2 serially");
     }
 
     #[test]
     fn empty_phase_is_free() {
         let ex = Executor::new(MachineConfig::distributed());
-        let r = ex.run_phase(&[]).unwrap();
+        let (r, _) = ex.run_phase(&[], &Telemetry::disabled(), None).unwrap();
         assert_eq!(r, PhaseReport::default());
     }
 
@@ -468,10 +438,14 @@ mod tests {
     fn distributed_rejects_over_limit_action() {
         let ex = Executor::new(MachineConfig::distributed());
         let err = ex
-            .run_phase(&[
-                ActionSpec::new("ok", 1.0, GIB),
-                ActionSpec::new("llvm-bolt", 600.0, 36 * GIB),
-            ])
+            .run_phase(
+                &[
+                    ActionSpec::new("ok", 1.0, GIB),
+                    ActionSpec::new("llvm-bolt", 600.0, 36 * GIB),
+                ],
+                &Telemetry::disabled(),
+                None,
+            )
             .unwrap_err();
         assert_eq!(
             err,
@@ -486,8 +460,12 @@ mod tests {
     #[test]
     fn workstation_admits_any_size() {
         let ex = Executor::new(MachineConfig::workstation());
-        let r = ex
-            .run_phase(&[ActionSpec::new("llvm-bolt", 600.0, 36 * GIB)])
+        let (r, _) = ex
+            .run_phase(
+                &[ActionSpec::new("llvm-bolt", 600.0, 36 * GIB)],
+                &Telemetry::disabled(),
+                None,
+            )
             .unwrap();
         assert_eq!(r.max_action_memory, 36 * GIB);
     }
@@ -498,7 +476,7 @@ mod tests {
         let ex = Executor::new(MachineConfig::distributed());
         let parent = {
             let phase_span = tel.span("phase");
-            ex.run_phase_traced(&phase(), &tel, phase_span.id()).unwrap();
+            ex.run_phase(&phase(), &tel, phase_span.id()).unwrap();
             phase_span.id().unwrap()
         };
         let trace = tel.drain();
@@ -513,7 +491,7 @@ mod tests {
     fn traced_phase_on_disabled_handle_records_nothing() {
         let tel = Telemetry::disabled();
         let ex = Executor::new(MachineConfig::distributed());
-        let r = ex.run_phase_traced(&phase(), &tel, None).unwrap();
+        let (r, _) = ex.run_phase(&phase(), &tel, None).unwrap();
         assert_eq!(r.num_actions, 3);
         assert!(tel.drain().spans.is_empty());
     }
@@ -526,7 +504,7 @@ mod tests {
             (MachineConfig::workstation(), 1.0 + 4.0 + 2.0),
         ] {
             let ex = Executor::new(machine);
-            let (r, res) = ex.run_phase_resilient_traced(&phase(), &tel, None).unwrap();
+            let (r, res) = ex.run_phase(&phase(), &tel, None).unwrap();
             let expect = PhaseReport {
                 wall_secs,
                 cpu_secs: 1.0 + 4.0 + 2.0,
@@ -553,7 +531,7 @@ mod tests {
             .with_faults(Arc::new(FaultInjector::new(plan, 3)), rp);
         let actions = [ActionSpec::new("a", 1.0, 100)];
         let (r, res) = ex
-            .run_phase_resilient_traced(&actions, &Telemetry::disabled(), None)
+            .run_phase(&actions, &Telemetry::disabled(), None)
             .unwrap();
         // 4 attempts: 3 transient failures + the guaranteed final
         // success, plus backoffs 0.5 + 1.0 + 2.0.
@@ -573,7 +551,7 @@ mod tests {
             .with_faults(Arc::new(FaultInjector::new(plan, 3)), rp);
         let actions = [ActionSpec::new("a", 1.0, 100)];
         let (r, res) = ex
-            .run_phase_resilient_traced(&actions, &Telemetry::disabled(), None)
+            .run_phase(&actions, &Telemetry::disabled(), None)
             .unwrap();
         assert_eq!(res.timeouts, 1);
         // Hung attempt (10 s) + backoff (0.5 s) + clean rerun (1 s).
@@ -594,7 +572,7 @@ mod tests {
                 Arc::new(FaultInjector::new(plan.clone(), seed)),
                 RetryPolicy::default(),
             );
-            ex.run_phase_resilient_traced(&phase(), &Telemetry::disabled(), None).unwrap()
+            ex.run_phase(&phase(), &Telemetry::disabled(), None).unwrap()
         };
         assert_eq!(run(7), run(7));
     }
@@ -607,7 +585,7 @@ mod tests {
         let ex = Executor::new(MachineConfig::distributed())
             .with_faults(Arc::new(FaultInjector::new(plan, 1)), RetryPolicy::default());
         let err = ex
-            .run_phase_resilient_traced(
+            .run_phase(
                 &[ActionSpec::new("llvm-bolt", 600.0, 36 * GIB)],
                 &Telemetry::disabled(),
                 None,
@@ -620,7 +598,7 @@ mod tests {
     fn exactly_at_limit_is_admitted() {
         let ex = Executor::new(MachineConfig::distributed());
         assert!(ex
-            .run_phase(&[ActionSpec::new("edge", 1.0, 12 * GIB)])
+            .run_phase(&[ActionSpec::new("edge", 1.0, 12 * GIB)], &Telemetry::disabled(), None)
             .is_ok());
     }
 

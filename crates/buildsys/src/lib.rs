@@ -12,16 +12,16 @@
 //!   excludes monolithic rewriters) plus a wall-clock model —
 //!   dispatch overhead + critical path when distributed, a serial sum
 //!   on a workstation;
-//! * a [`CostModel`] turning work sizes into CPU seconds for the
-//!   Table 5 / Fig. 9 build-time accounting;
-//! * a [`MemoryMeter`] that charges modeled data structures their
-//!   honest byte cost, for the Fig. 4 peak-RSS comparison.
+//! * the [`cost`] functions turning work sizes into CPU seconds for
+//!   the Table 5 / Fig. 9 build-time accounting.
 //!
 //! # Example
 //!
 //! ```
 //! use propeller_buildsys::{ActionSpec, BuildError, Executor, MachineConfig, GIB};
+//! use propeller_telemetry::Telemetry;
 //!
+//! let tel = Telemetry::disabled();
 //! let distributed = Executor::new(MachineConfig::distributed());
 //!
 //! // Phase-sized actions fit comfortably…
@@ -29,31 +29,28 @@
 //!     ActionSpec::new("codegen m1.cc", 1.4, 2 * GIB),
 //!     ActionSpec::new("codegen m2.cc", 0.9, 2 * GIB),
 //! ];
-//! let report = distributed.run_phase(&phase).unwrap();
+//! let (report, _) = distributed.run_phase(&phase, &tel, None).unwrap();
 //! assert_eq!(report.num_actions, 2);
 //! assert!((report.wall_secs - (2.0 + 1.4)).abs() < 1e-12);
 //!
 //! // …but a monolithic 36 GiB rewrite is rejected outright.
 //! let bolt = ActionSpec::new("llvm-bolt", 600.0, 36 * GIB);
 //! assert!(matches!(
-//!     distributed.run_phase(std::slice::from_ref(&bolt)),
+//!     distributed.run_phase(std::slice::from_ref(&bolt), &tel, None),
 //!     Err(BuildError::ActionOverMemoryLimit { .. })
 //! ));
 //! ```
 
 mod action;
 mod cache;
-mod cost;
+pub mod cost;
 mod error;
 mod executor;
-mod meter;
 
 pub use action::{ActionSpec, PhaseReport};
 pub use cache::{ActionCache, CacheEvent, CacheStats};
-pub use cost::CostModel;
 pub use error::BuildError;
 pub use executor::{default_jobs, Executor, MachineConfig, PoolStats, ResilienceReport};
-pub use meter::{MemoryMeter, MeteredSize};
 
 /// One gibibyte, the unit of the paper's per-action memory limits.
 pub const GIB: u64 = 1 << 30;

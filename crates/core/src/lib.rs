@@ -50,7 +50,7 @@ pub use pipeline::{BuildCaches, Propeller, PropellerOptions};
 pub use report::{EvalReport, PhaseTimes, PropellerReport};
 
 // Re-export the pieces a downstream user needs to drive the pipeline.
-pub use propeller_buildsys::{CostModel, MachineConfig};
+pub use propeller_buildsys::MachineConfig;
 pub use propeller_faults::{
     splitmix64, DegradationLedger, FaultInjector, FaultKind, FaultPlan, FaultPlanParseError,
     FaultSpec, LayoutMode, RetryPolicy,

@@ -5,8 +5,8 @@ use crate::fingerprint::module_fingerprint;
 use crate::report::{EvalReport, PhaseTimes, PropellerReport};
 use parking_lot::Mutex;
 use propeller_buildsys::{
-    ActionCache, ActionSpec, CacheEvent, CostModel, Executor, MachineConfig, PhaseReport,
-    PoolStats, ResilienceReport,
+    cost, ActionCache, ActionSpec, CacheEvent, Executor, MachineConfig, PhaseReport, PoolStats,
+    ResilienceReport,
 };
 use propeller_codegen::{
     codegen_module_traced, CodegenError, CodegenOptions, CodegenResult, FunctionClusters,
@@ -23,8 +23,7 @@ use propeller_profile::{
 use propeller_sim::{simulate_traced, CounterSet, ProgramImage, SimOptions, UarchConfig, Workload};
 use propeller_telemetry::{SpanId, Telemetry};
 use propeller_wpa::{
-    apply_prefetches, prefetch_directives, run_wpa_agg_traced, run_wpa_traced, WpaOptions,
-    WpaOutput,
+    apply_prefetches, prefetch_directives, run_wpa_agg_traced, WpaOptions, WpaOutput,
 };
 use std::sync::Arc;
 
@@ -51,8 +50,6 @@ pub struct PropellerOptions {
     pub uarch: UarchConfig,
     /// Machine the build runs on (distributed by default).
     pub machine: MachineConfig,
-    /// Build-action cost model.
-    pub cost: CostModel,
     /// Workload seed.
     pub seed: u64,
     /// §3.5 software prefetch insertion: `Some(min_misses)` enables
@@ -64,14 +61,6 @@ pub struct PropellerOptions {
     /// path — zero-fault runs are bit-identical to builds without a
     /// fault layer.
     pub faults: FaultPlan,
-    /// Retry budget / backoff for transient action failures and
-    /// timeouts (only consulted when `faults` schedules any).
-    pub retry: RetryPolicy,
-    /// Minimum fraction of LBR records that must survive salvage for
-    /// the WPA layout to be trusted. Below the floor, the hot
-    /// functions are marked cold and the relink falls back to the
-    /// identity symbol order (a correct, baseline-equivalent layout).
-    pub profile_floor: f64,
     /// Figure-7 heat-map resolution `(address buckets, time buckets)`
     /// for the Phase 3 profiling run; `None` (the default) collects no
     /// heat map.
@@ -100,12 +89,9 @@ impl Default for PropellerOptions {
             profile_budget: 200_000,
             uarch: UarchConfig::default(),
             machine: MachineConfig::distributed(),
-            cost: CostModel::default(),
             seed: 0x5eed,
             prefetch: None,
             faults: FaultPlan::none(),
-            retry: RetryPolicy::default(),
-            profile_floor: 0.25,
             heatmap: None,
             attribution: false,
             provenance: false,
@@ -113,6 +99,12 @@ impl Default for PropellerOptions {
         }
     }
 }
+
+/// Minimum fraction of LBR records that must survive salvage for the
+/// WPA layout to be trusted. Below the floor, the hot functions are
+/// marked cold and the relink falls back to the identity symbol order
+/// (a correct, baseline-equivalent layout).
+const PROFILE_FLOOR: f64 = 0.25;
 
 /// Content-addressed build caches, shareable between pipeline
 /// instances: successive releases of the same application reuse each
@@ -280,7 +272,7 @@ impl Propeller {
         };
         let mut executor = Executor::new(opts.machine).with_jobs(opts.jobs);
         if let Some(inj) = &injector {
-            executor = executor.with_faults(inj.clone(), opts.retry);
+            executor = executor.with_faults(inj.clone(), RetryPolicy::default());
         }
         let fingerprints = program.modules().iter().map(module_fingerprint).collect();
         Propeller {
@@ -394,8 +386,7 @@ impl Propeller {
         self.injector.as_ref()
     }
 
-    /// Folds one resilient phase run's retry accounting into the
-    /// ledger.
+    /// Folds one phase run's retry accounting into the ledger.
     fn absorb_resilience(&mut self, res: ResilienceReport) {
         self.ledger.action_retries += res.retries;
         self.ledger.action_timeouts += res.timeouts;
@@ -453,7 +444,7 @@ impl Propeller {
                 let insts: u64 = m.functions.iter().map(|f| f.num_insts() as u64).sum();
                 actions.push(ActionSpec::new(
                     format!("compile {}", m.name),
-                    self.opts.cost.compile_secs(insts),
+                    cost::compile_secs(insts),
                     64 << 20,
                 ));
             }
@@ -462,8 +453,7 @@ impl Propeller {
             self.absorb_cache_event(e);
         }
         let (report, res) =
-            self.executor
-                .run_phase_resilient_traced(&actions, &self.tel, span.id())?;
+            self.executor.run_phase(&actions, &self.tel, span.id())?;
         self.absorb_resilience(res);
         span.set_sim_secs(report.wall_secs);
         span.set_peak_bytes(report.max_action_memory);
@@ -533,7 +523,6 @@ impl Propeller {
                 (*pos, *key, r)
             })?;
 
-        let cost = self.opts.cost;
         let mut actions = Vec::with_capacity(computed.len());
         {
             let mut cache = self.caches.obj.lock();
@@ -545,7 +534,7 @@ impl Propeller {
                 let insts: u64 = module.functions.iter().map(|f| f.num_insts() as u64).sum();
                 actions.push(ActionSpec::new(
                     format!("codegen {}", module.name),
-                    cost.codegen_secs(insts),
+                    cost::codegen_secs(insts),
                     (64 << 20) + artifact.stats.text_bytes as u64 * 8,
                 ));
                 artifacts[pos] = Some(artifact);
@@ -589,8 +578,7 @@ impl Propeller {
             .map(|a| LinkInputRef::new(&a.object, &a.debug_layout))
             .collect();
         let (codegen_phase, res) =
-            self.executor
-                .run_phase_resilient_traced(&actions, &self.tel, span_id)?;
+            self.executor.run_phase(&actions, &self.tel, span_id)?;
         self.absorb_resilience(res);
         let bin = link_refs_traced(
             &inputs,
@@ -601,10 +589,10 @@ impl Propeller {
             &self.tel,
             span_id,
         )?;
-        let (link_phase, res) = self.executor.run_phase_resilient_traced(
+        let (link_phase, res) = self.executor.run_phase(
             &[ActionSpec::new(
                 "link app.pm",
-                self.opts.cost.link_secs(bin.stats.input_bytes),
+                cost::link_secs(bin.stats.input_bytes),
                 bin.stats.modeled_peak_memory,
             )],
             &self.tel,
@@ -670,13 +658,25 @@ impl Propeller {
             survival = stats.survival_rate();
             profile = salvaged;
         }
-        let wpa = run_wpa_traced(&self.program, &pm, &profile, &self.opts.wpa, &self.tel, span_id);
+        let agg = {
+            let _s = self.tel.span_under("wpa.aggregate_profile", span_id);
+            AggregatedProfile::from_profile(&profile)
+        };
+        let wpa = run_wpa_agg_traced(
+            &self.program,
+            &pm,
+            &agg,
+            profile.raw_size_bytes(),
+            &self.opts.wpa,
+            &self.tel,
+            span_id,
+        );
         // Coverage floor: when too little of the profile survived, the
         // layout it implies cannot be trusted. Mark the affected hot
         // functions cold and fall back to the identity symbol order —
         // Phase 4 then reuses every Phase 2 artifact and the relink
         // yields a correct, baseline-equivalent binary.
-        let wpa = if survival < self.opts.profile_floor {
+        let wpa = if survival < PROFILE_FLOOR {
             self.ledger.functions_marked_cold += wpa.stats.hot_functions as u64;
             self.ledger.layout_mode = LayoutMode::IdentityFallback;
             if self.tel.is_enabled() {
@@ -686,9 +686,9 @@ impl Propeller {
         } else {
             wpa
         };
-        let cpu = self.opts.cost.profile_conversion_secs(profile.raw_size_bytes())
-            + self.opts.cost.wpa_secs(wpa.stats.dcfg_edges as u64);
-        let (report, res) = self.executor.run_phase_resilient_traced(
+        let cpu = cost::profile_conversion_secs(profile.raw_size_bytes())
+            + cost::wpa_secs(wpa.stats.dcfg_edges as u64);
+        let (report, res) = self.executor.run_phase(
             &[ActionSpec::new(
                 "whole-program analysis",
                 cpu,
@@ -740,9 +740,9 @@ impl Propeller {
             &self.tel,
             span_id,
         );
-        let cpu = self.opts.cost.profile_conversion_secs(profile_bytes)
-            + self.opts.cost.wpa_secs(wpa.stats.dcfg_edges as u64);
-        let (report, res) = self.executor.run_phase_resilient_traced(
+        let cpu = cost::profile_conversion_secs(profile_bytes)
+            + cost::wpa_secs(wpa.stats.dcfg_edges as u64);
+        let (report, res) = self.executor.run_phase(
             &[ActionSpec::new(
                 "whole-program analysis (merged profile)",
                 cpu,
@@ -867,8 +867,8 @@ impl Propeller {
                             module.functions.iter().map(|f| f.num_insts() as u64).sum();
                         failed_actions.push(ActionSpec::new(
                             format!("codegen {} (permanent failure)", module.name),
-                            f64::from(self.opts.retry.max_attempts.max(1))
-                                * self.opts.cost.codegen_secs(insts),
+                            f64::from(self.executor.retry_policy().max_attempts.max(1))
+                                * cost::codegen_secs(insts),
                             64 << 20,
                         ));
                         self.ledger.objects_fallen_back += 1;
@@ -897,8 +897,7 @@ impl Propeller {
             .map(|a| LinkInputRef::new(&a.object, &a.debug_layout))
             .collect();
         let (codegen_phase, res) =
-            self.executor
-                .run_phase_resilient_traced(&actions, &self.tel, span_id)?;
+            self.executor.run_phase(&actions, &self.tel, span_id)?;
         self.absorb_resilience(res);
         let bin = link_refs_traced(
             &inputs,
@@ -912,10 +911,10 @@ impl Propeller {
             &self.tel,
             span_id,
         )?;
-        let (link_phase, res) = self.executor.run_phase_resilient_traced(
+        let (link_phase, res) = self.executor.run_phase(
             &[ActionSpec::new(
                 "relink app.propeller",
-                self.opts.cost.link_secs(bin.stats.input_bytes),
+                cost::link_secs(bin.stats.input_bytes),
                 bin.stats.modeled_peak_memory,
             )],
             &self.tel,

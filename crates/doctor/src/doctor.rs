@@ -42,58 +42,31 @@ pub struct Finding {
     pub message: String,
 }
 
-/// WARN/FAIL thresholds for each audited dimension.
-#[derive(Copy, Clone, PartialEq, Debug)]
-pub struct DoctorConfig {
-    /// Coverage below this warns (default 0.90).
-    pub coverage_warn: f64,
-    /// Coverage below this fails (default 0.75).
-    pub coverage_fail: f64,
-    /// Unmapped-address rate above this warns (default 0.01).
-    pub unmapped_warn: f64,
-    /// Unmapped-address rate above this fails (default 0.10).
-    pub unmapped_fail: f64,
-    /// Fall-through confidence below this warns (default 0.95).
-    pub fallthrough_warn: f64,
-    /// Sample-capture ratio below this warns (default 0.90).
-    pub capture_warn: f64,
-    /// Sample-capture ratio below this fails (default 0.50).
-    pub capture_fail: f64,
-    /// Skew score above this warns (default 0.40 — fresh profiles
-    /// re-simulated over ~50k events sit near 0.25 from sampling noise
-    /// alone, so the bar must clear that floor).
-    pub skew_warn: f64,
-    /// Skew score above this fails (default 0.70).
-    pub skew_fail: f64,
-    /// Measured-wall-vs-pool-model divergence ratio above this warns
-    /// (default 5.0): a phase whose real wall clock exceeds 5× the
-    /// `busy/jobs` prediction at the configured job count is not
-    /// getting the parallelism it was asked for (oversubscribed
-    /// machine, serialized work, or lock contention).
-    pub wall_divergence_warn: f64,
-    /// Provenance coverage (hot functions with a full decision record /
-    /// hot functions) below this warns (default 0.95). Only consulted
-    /// when a provenance document was collected at all.
-    pub provenance_coverage_warn: f64,
-}
-
-impl Default for DoctorConfig {
-    fn default() -> Self {
-        DoctorConfig {
-            coverage_warn: 0.90,
-            coverage_fail: 0.75,
-            unmapped_warn: 0.01,
-            unmapped_fail: 0.10,
-            fallthrough_warn: 0.95,
-            capture_warn: 0.90,
-            capture_fail: 0.50,
-            skew_warn: 0.40,
-            skew_fail: 0.70,
-            wall_divergence_warn: 5.0,
-            provenance_coverage_warn: 0.95,
-        }
-    }
-}
+/// Hot-text sample coverage below this warns.
+const COVERAGE_WARN: f64 = 0.90;
+/// Hot-text sample coverage below this fails.
+const COVERAGE_FAIL: f64 = 0.75;
+/// Unmapped-address rate above this warns.
+const UNMAPPED_WARN: f64 = 0.01;
+/// Unmapped-address rate above this fails.
+const UNMAPPED_FAIL: f64 = 0.10;
+/// Fall-through confidence below this warns.
+const FALLTHROUGH_WARN: f64 = 0.95;
+/// Sample-capture ratio below this warns.
+const CAPTURE_WARN: f64 = 0.90;
+/// Sample-capture ratio below this fails.
+const CAPTURE_FAIL: f64 = 0.50;
+/// Skew score above this warns — fresh profiles re-simulated over ~50k
+/// events sit near 0.25 from sampling noise alone, so the bar must
+/// clear that floor.
+const SKEW_WARN: f64 = 0.40;
+/// Skew score above this fails.
+const SKEW_FAIL: f64 = 0.70;
+/// Measured-wall-vs-pool-model divergence ratio above this warns: a
+/// phase whose real wall clock exceeds 5× the `busy/jobs` prediction at
+/// the configured job count is not getting the parallelism it was asked
+/// for (oversubscribed machine, serialized work, or lock contention).
+const WALL_DIVERGENCE_WARN: f64 = 5.0;
 
 /// Grades a value where *low* is bad.
 fn grade_low(v: f64, warn: f64, fail: Option<f64>) -> Severity {
@@ -115,15 +88,12 @@ fn grade_high(v: f64, warn: f64, fail: f64) -> Severity {
     }
 }
 
-/// Evaluates every audited dimension against `cfg`, in a fixed order.
-pub fn diagnose(audit: &ProfileAudit, cfg: &DoctorConfig) -> Vec<Finding> {
+/// Evaluates every audited dimension against its threshold, in a fixed
+/// order.
+pub fn diagnose(audit: &ProfileAudit) -> Vec<Finding> {
     let mut out = Vec::new();
     out.push(Finding {
-        severity: grade_low(
-            audit.sample_coverage,
-            cfg.coverage_warn,
-            Some(cfg.coverage_fail),
-        ),
+        severity: grade_low(audit.sample_coverage, COVERAGE_WARN, Some(COVERAGE_FAIL)),
         metric: "doctor.sample_coverage".into(),
         value: audit.sample_coverage,
         message: format!(
@@ -135,7 +105,7 @@ pub fn diagnose(audit: &ProfileAudit, cfg: &DoctorConfig) -> Vec<Finding> {
         ),
     });
     out.push(Finding {
-        severity: grade_high(audit.unmapped_rate, cfg.unmapped_warn, cfg.unmapped_fail),
+        severity: grade_high(audit.unmapped_rate, UNMAPPED_WARN, UNMAPPED_FAIL),
         metric: "doctor.unmapped_rate".into(),
         value: audit.unmapped_rate,
         message: format!(
@@ -147,7 +117,7 @@ pub fn diagnose(audit: &ProfileAudit, cfg: &DoctorConfig) -> Vec<Finding> {
         ),
     });
     out.push(Finding {
-        severity: grade_low(audit.fallthrough_confidence, cfg.fallthrough_warn, None),
+        severity: grade_low(audit.fallthrough_confidence, FALLTHROUGH_WARN, None),
         metric: "doctor.fallthrough_confidence".into(),
         value: audit.fallthrough_confidence,
         message: format!(
@@ -157,11 +127,7 @@ pub fn diagnose(audit: &ProfileAudit, cfg: &DoctorConfig) -> Vec<Finding> {
         ),
     });
     out.push(Finding {
-        severity: grade_low(
-            audit.sample_capture_ratio,
-            cfg.capture_warn,
-            Some(cfg.capture_fail),
-        ),
+        severity: grade_low(audit.sample_capture_ratio, CAPTURE_WARN, Some(CAPTURE_FAIL)),
         metric: "doctor.sample_capture_ratio".into(),
         value: audit.sample_capture_ratio,
         message: format!(
@@ -172,7 +138,7 @@ pub fn diagnose(audit: &ProfileAudit, cfg: &DoctorConfig) -> Vec<Finding> {
     });
     if let Some(skew) = audit.skew {
         out.push(Finding {
-            severity: grade_high(skew, cfg.skew_warn, cfg.skew_fail),
+            severity: grade_high(skew, SKEW_WARN, SKEW_FAIL),
             metric: "doctor.skew".into(),
             value: skew,
             message: format!(
@@ -263,21 +229,12 @@ pub fn degradation_findings(ledger: &DegradationLedger) -> Vec<Finding> {
 /// Audits measured wall-clock against the worker-pool model: for each
 /// phase that ran real local work, `wall × jobs / busy` says how far
 /// the real clock diverged from the `wall ≈ busy/jobs` prediction.
-/// Ratios above [`DoctorConfig::wall_divergence_warn`] WARN — the run
+/// Ratios above `WALL_DIVERGENCE_WARN` (5×) WARN — the run
 /// was correct (modeled times and reports are clock-independent) but
 /// the machine did not deliver the parallelism `--jobs` asked for.
 /// Phases that measured nothing (modeled-only, or all cache hits) get
 /// a single OK finding.
 pub fn wall_clock_findings(times: &propeller::PhaseTimes, jobs: usize) -> Vec<Finding> {
-    wall_clock_findings_with(times, jobs, &DoctorConfig::default())
-}
-
-/// [`wall_clock_findings`] with explicit thresholds.
-pub fn wall_clock_findings_with(
-    times: &propeller::PhaseTimes,
-    jobs: usize,
-    cfg: &DoctorConfig,
-) -> Vec<Finding> {
     let phases = [
         ("phase1", &times.phase1),
         ("phase2", &times.phase2),
@@ -289,7 +246,7 @@ pub fn wall_clock_findings_with(
         let Some(divergence) = report.wall_model_divergence(jobs) else {
             continue;
         };
-        let severity = if divergence > cfg.wall_divergence_warn {
+        let severity = if divergence > WALL_DIVERGENCE_WARN {
             Severity::Warn
         } else {
             Severity::Ok
@@ -405,7 +362,7 @@ mod tests {
 
     #[test]
     fn healthy_audit_is_all_ok() {
-        let findings = diagnose(&healthy(), &DoctorConfig::default());
+        let findings = diagnose(&healthy());
         assert!(findings.iter().all(|f| f.severity == Severity::Ok));
         assert_eq!(worst(&findings), Severity::Ok);
         assert!(render(&findings).contains("profile is healthy"));
@@ -413,27 +370,25 @@ mod tests {
 
     #[test]
     fn low_coverage_warns_then_fails() {
-        let cfg = DoctorConfig::default();
         let mut a = healthy();
         a.sample_coverage = 0.85;
-        let f = diagnose(&a, &cfg);
+        let f = diagnose(&a);
         assert_eq!(
             f.iter().find(|f| f.metric == "doctor.sample_coverage").unwrap().severity,
             Severity::Warn
         );
         a.sample_coverage = 0.5;
-        assert_eq!(worst(&diagnose(&a, &cfg)), Severity::Fail);
+        assert_eq!(worst(&diagnose(&a)), Severity::Fail);
     }
 
     #[test]
     fn truncation_and_unmapped_mass_fail() {
-        let cfg = DoctorConfig::default();
         let mut a = healthy();
         a.sample_capture_ratio = 0.4;
-        assert_eq!(worst(&diagnose(&a, &cfg)), Severity::Fail);
+        assert_eq!(worst(&diagnose(&a)), Severity::Fail);
         let mut b = healthy();
         b.unmapped_rate = 0.2;
-        assert_eq!(worst(&diagnose(&b, &cfg)), Severity::Fail);
+        assert_eq!(worst(&diagnose(&b)), Severity::Fail);
     }
 
     #[test]
@@ -467,7 +422,7 @@ mod tests {
         let mut a = healthy();
         a.skew = None;
         a.skipped_funcs = 2;
-        let f = diagnose(&a, &DoctorConfig::default());
+        let f = diagnose(&a);
         assert!(f.iter().all(|f| f.metric != "doctor.skew"));
         assert_eq!(worst(&f), Severity::Warn);
         assert!(render(&f).contains("degraded"));

@@ -46,8 +46,7 @@ pub use diff::{
 };
 pub use policy::{RelinkDecision, RelinkPolicy};
 pub use doctor::{
-    degradation_findings, diagnose, render, wall_clock_findings, wall_clock_findings_with, worst,
-    DoctorConfig, Finding, Severity,
+    degradation_findings, diagnose, render, wall_clock_findings, worst, Finding, Severity,
 };
 pub use perf::{render_annotate, render_perf_report, AttributionSection, SymbolCounters};
 pub use provenance::{

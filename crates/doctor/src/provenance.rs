@@ -22,7 +22,7 @@
 //! `run_report.json`, never inside it: the default report surface is
 //! bit-identical whether or not provenance was armed.
 
-use crate::doctor::{DoctorConfig, Finding, Severity};
+use crate::doctor::{Finding, Severity};
 use propeller_linker::SymbolPlacement;
 use propeller_profile::{MergeProvenance, SourceContribution};
 use propeller_sim::SymbolAttribution;
@@ -891,14 +891,14 @@ pub fn render_explain(
 // doctor findings
 // ---------------------------------------------------------------------
 
+/// Provenance coverage (hot functions with a full decision record /
+/// hot functions) below this warns.
+const COVERAGE_WARN: f64 = 0.95;
+
 /// Grades provenance coverage: every hot-classified function in the
 /// run's layout should carry a full decision record in the armed
 /// document. Returns a single OK finding at full coverage.
-pub fn provenance_findings(
-    layout: &LayoutProvenance,
-    doc: &ProvenanceDoc,
-    cfg: &DoctorConfig,
-) -> Vec<Finding> {
+pub fn provenance_findings(layout: &LayoutProvenance, doc: &ProvenanceDoc) -> Vec<Finding> {
     let hot = layout.functions.len();
     if hot == 0 {
         return vec![Finding {
@@ -915,7 +915,7 @@ pub fn provenance_findings(
         .count();
     let ratio = covered as f64 / hot as f64;
     let mut out = vec![Finding {
-        severity: if ratio < cfg.provenance_coverage_warn {
+        severity: if ratio < COVERAGE_WARN {
             Severity::Warn
         } else {
             Severity::Ok
@@ -1164,7 +1164,6 @@ mod tests {
 
     #[test]
     fn findings_warn_on_missing_records() {
-        let cfg = DoctorConfig::default();
         let doc = sample_doc();
         let mut layout = LayoutProvenance::default();
         let hot = |sym: &str| propeller_wpa::FunctionProvenance {
@@ -1179,11 +1178,11 @@ mod tests {
             clusters: Vec::new(),
         };
         layout.functions.push(hot("hot_a"));
-        let ok = provenance_findings(&layout, &doc, &cfg);
+        let ok = provenance_findings(&layout, &doc);
         assert_eq!(ok[0].severity, Severity::Ok);
         assert!((ok[0].value - 1.0).abs() < 1e-9);
         layout.functions.push(hot("hot_b"));
-        let warn = provenance_findings(&layout, &doc, &cfg);
+        let warn = provenance_findings(&layout, &doc);
         assert_eq!(warn[0].severity, Severity::Warn);
         assert!((warn[0].value - 0.5).abs() < 1e-9);
         assert!(warn[0].message.contains("1 of 2"));

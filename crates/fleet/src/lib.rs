@@ -40,8 +40,8 @@ use propeller::{
 use propeller_doctor::{diff_docs, layout_skew_agg, ProvenanceDoc, RelinkDecision, RelinkPolicy};
 use propeller_linker::LinkedBinary;
 use propeller_profile::{
-    merge_profiles, merge_profiles_logged, AggregatedProfile, HardwareProfile, MergeOptions,
-    MergeProvenance, ProfileSource,
+    merge_profiles_logged, AggregatedProfile, HardwareProfile, MergeOptions, MergeProvenance,
+    ProfileSource,
 };
 use propeller_sim::{collect_profile, ProgramImage, Workload};
 use propeller_synth::{evolve, generate, BenchmarkSpec, DriftParams, GenParams};
@@ -77,8 +77,6 @@ pub struct FleetOptions {
     /// Worker threads for the underlying pipelines (bit-identical
     /// output at every value).
     pub jobs: usize,
-    /// Age decay applied when merging historical profiles.
-    pub decay: MergeOptions,
     /// Arm layout provenance: each release collects a full decision
     /// record and its ledger row cites the top placement divergences
     /// from the previous release. Off by default; arming never changes
@@ -104,7 +102,6 @@ impl Default for FleetOptions {
             profile_budget: 120_000,
             eval_budget: 400_000,
             jobs: 1,
-            decay: MergeOptions::default(),
             provenance: false,
             faults: FaultPlan::none(),
         }
@@ -331,15 +328,13 @@ struct HistoryEntry {
     release: u32,
 }
 
-fn agg_sources(profiles: &[(AggregatedProfile, u64, u32)]) -> Vec<ProfileSource> {
-    profiles
-        .iter()
-        .map(|(agg, weight, age)| ProfileSource {
-            agg: agg.clone(),
-            weight: *weight,
-            age: *age,
-        })
-        .collect()
+/// Merges `sources` under the default age decay (a profile's influence
+/// halves per release of staleness). Armed runs also get the log of
+/// which sources funded the merge at what decayed weight.
+fn merge(sources: &[ProfileSource], armed: bool) -> (AggregatedProfile, Option<MergeProvenance>) {
+    let mut log = MergeProvenance::default();
+    let agg = merge_profiles_logged(sources, &MergeOptions::default(), armed.then_some(&mut log));
+    (agg, armed.then_some(log))
 }
 
 /// Runs the fleet loop.
@@ -432,21 +427,21 @@ pub fn run_fleet(
             machine_profiles.push(profile);
         }
         let fresh_bytes: u64 = machine_profiles.iter().map(|p| p.raw_size_bytes()).sum();
-        let fresh_sources: Vec<(AggregatedProfile, u64, u32)> = machine_profiles
+        let fresh_sources: Vec<ProfileSource> = machine_profiles
             .iter()
-            .map(|p| {
-                (
-                    AggregatedProfile::from_profile(p),
-                    p.samples.len() as u64,
-                    0,
-                )
+            .map(|p| ProfileSource {
+                agg: AggregatedProfile::from_profile(p),
+                weight: p.samples.len() as u64,
+                age: 0,
             })
             .collect();
-        let fresh_agg = merge_profiles(&agg_sources(&fresh_sources), &opts.decay);
+        // Only the bootstrap release ships the fresh merge, so only it
+        // logs the funding.
+        let (fresh_agg, fresh_log) = merge(&fresh_sources, opts.provenance && release == 0);
 
         // The stale merge: every windowed past release's machines,
         // translated into this binary's address space, decayed by age.
-        let mut stale_sources: Vec<(AggregatedProfile, u64, u32)> = Vec::new();
+        let mut stale_sources: Vec<ProfileSource> = Vec::new();
         let mut stale_bytes = 0u64;
         let mut translated_records = 0u64;
         let mut dropped_records = 0u64;
@@ -458,59 +453,45 @@ pub fn run_fleet(
                 translated_records += tstats.records_in;
                 dropped_records += tstats.records_dropped;
                 stale_bytes += translated.raw_size_bytes();
-                stale_sources.push((
-                    AggregatedProfile::from_profile(&translated),
-                    translated.samples.len() as u64,
+                stale_sources.push(ProfileSource {
+                    agg: AggregatedProfile::from_profile(&translated),
+                    weight: translated.samples.len() as u64,
                     age,
-                ));
+                });
             }
         }
 
-        let (skew, decision_str, decision) = if release == 0 {
+        // The merge a relink would ship is made once per release and
+        // serves both the skew decision and Phase 3.
+        let stale_agg;
+        let (skew, decision_str, decision, ship) = if release == 0 {
             // Bootstrap: no history exists, the first release relinks
             // against its own fresh collection.
-            (0.0, "bootstrap".to_string(), RelinkDecision::Relink)
+            let ship = (&fresh_agg, fresh_bytes, fresh_log);
+            (0.0, "bootstrap".to_string(), RelinkDecision::Relink, ship)
         } else {
-            let stale_agg = merge_profiles(&agg_sources(&stale_sources), &opts.decay);
+            let log;
+            (stale_agg, log) = merge(&stale_sources, opts.provenance);
             let skew = layout_skew_agg(&pm, &stale_agg, &pm, &fresh_agg);
             let decision = opts.policy.decide(skew);
-            (skew, decision.as_str().to_string(), decision)
+            let ship = (&stale_agg, stale_bytes, log);
+            (skew, decision.as_str().to_string(), decision, ship)
         };
 
-        // Ship the release the policy chose. Armed runs log which
+        // Ship the release the policy chose. Armed runs cite which
         // sources funded the shipped merge at what decayed weight.
-        let mut merge_prov: Option<MergeProvenance> = None;
-        match decision {
-            RelinkDecision::Relink if release == 0 => {
-                if opts.provenance {
-                    let mut log = MergeProvenance::default();
-                    merge_profiles_logged(
-                        &agg_sources(&fresh_sources),
-                        &opts.decay,
-                        Some(&mut log),
-                    );
-                    merge_prov = Some(log);
-                }
-                prod.phase3_analyze_merged(&fresh_agg, fresh_bytes)
-                    .map_err(|e| e.to_string())?;
-            }
+        let merge_prov = match decision {
             RelinkDecision::Relink => {
-                let mut log = MergeProvenance::default();
-                let stale_agg = merge_profiles_logged(
-                    &agg_sources(&stale_sources),
-                    &opts.decay,
-                    opts.provenance.then_some(&mut log),
-                );
-                if opts.provenance {
-                    merge_prov = Some(log);
-                }
-                prod.phase3_analyze_merged(&stale_agg, stale_bytes)
+                let (agg, bytes, log) = ship;
+                prod.phase3_analyze_merged(agg, bytes)
                     .map_err(|e| e.to_string())?;
+                log
             }
             RelinkDecision::Reuse => {
                 prod.phase3_reuse_layout().map_err(|e| e.to_string())?;
+                None
             }
-        }
+        };
         prod.phase4_relink().map_err(|e| e.to_string())?;
         let hot_functions = prod
             .wpa_output()

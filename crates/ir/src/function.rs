@@ -91,11 +91,6 @@ impl Function {
         out
     }
 
-    /// Whether any block is an exception landing pad.
-    pub fn has_landing_pads(&self) -> bool {
-        self.blocks.iter().any(|b| b.is_landing_pad)
-    }
-
     /// Checks structural invariants.
     ///
     /// # Errors

@@ -27,5 +27,5 @@ pub use binary::{
     SymbolPlacement,
 };
 pub use error::LinkError;
-pub use link::{link, link_refs_traced, link_traced, LinkInput, LinkInputRef, LinkOptions};
+pub use link::{link, link_refs_traced, LinkInput, LinkInputRef, LinkOptions};
 pub use ordering::SymbolOrdering;

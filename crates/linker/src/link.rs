@@ -119,28 +119,15 @@ impl Default for LinkOptions {
 /// displacement overflow, or corrupt metadata (an undecodable address
 /// map, a relocation or symbol pointing outside its section or object).
 pub fn link(inputs: &[LinkInput], opts: &LinkOptions) -> Result<LinkedBinary, LinkError> {
-    link_traced(inputs, opts, &Telemetry::disabled(), None)
-}
-
-/// [`link`], plus telemetry: a `link:<output>` span under `parent`
-/// with `link.ordering` / `link.relax` / `link.emit` stage children,
-/// a `link.relax_iterations` counter (fixpoint sweeps), and
-/// `link.deleted_jumps` / `link.shrunk_branches` counters.
-///
-/// # Errors
-///
-/// Same as [`link`].
-pub fn link_traced(
-    inputs: &[LinkInput],
-    opts: &LinkOptions,
-    tel: &Telemetry,
-    parent: Option<SpanId>,
-) -> Result<LinkedBinary, LinkError> {
     let refs: Vec<LinkInputRef> = inputs.iter().map(LinkInputRef::from).collect();
-    link_refs_traced(&refs, opts, tel, parent)
+    link_refs_traced(&refs, opts, &Telemetry::disabled(), None)
 }
 
-/// [`link_traced`] over borrowed inputs.
+/// [`link`] over borrowed inputs, plus telemetry: a `link:<output>`
+/// span under `parent` with `link.ordering` / `link.relax` /
+/// `link.emit` stage children, a `link.relax_iterations` counter
+/// (fixpoint sweeps), and `link.deleted_jumps` / `link.shrunk_branches`
+/// counters.
 ///
 /// # Errors
 ///

@@ -14,7 +14,9 @@ use propeller_codegen::{
     codegen_module, Cluster, ClusterMap, ClusterName, CodegenOptions, FunctionClusters,
 };
 use propeller_ir::{BlockId, Program};
-use propeller_linker::{link_traced, LinkInput, LinkOptions, LinkedBinary, SymbolOrdering};
+use propeller_linker::{
+    link_refs_traced, LinkInput, LinkInputRef, LinkOptions, LinkedBinary, SymbolOrdering,
+};
 use propeller_obj::ContentHash;
 use propeller_synth::{generate, spec_by_name, GenParams};
 use propeller_telemetry::Telemetry;
@@ -121,7 +123,8 @@ fn compile(p: &Program, cg: &CodegenOptions) -> Vec<LinkInput> {
 /// Jacobi sweeps relaxation took (0 when it did not run).
 fn link_counted(inputs: &[LinkInput], opts: &LinkOptions) -> (LinkedBinary, u64) {
     let tel = Telemetry::enabled();
-    let bin = link_traced(inputs, opts, &tel, None).expect("link");
+    let refs: Vec<LinkInputRef> = inputs.iter().map(LinkInputRef::from).collect();
+    let bin = link_refs_traced(&refs, opts, &tel, None).expect("link");
     let sweeps = tel
         .drain()
         .metrics

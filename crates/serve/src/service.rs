@@ -53,15 +53,6 @@ pub struct ServeOptions {
     /// Max modeled seconds an arrival may wait (queue + backoff)
     /// before it starts; older jobs time out at dequeue.
     pub deadline_secs: f64,
-    /// Client retry budget against queue-full refusals and queue
-    /// drops, including the first submission.
-    pub retry_max_attempts: u32,
-    /// Backoff before the first client retry, modeled seconds.
-    pub retry_base_secs: f64,
-    /// Backoff multiplier per failed attempt.
-    pub retry_multiplier: f64,
-    /// Jitter fraction: wait is `backoff * (1 + frac * u)`.
-    pub retry_jitter_frac: f64,
     /// Default fault plan for the service scheduler and every job.
     pub faults: FaultPlan,
     /// Per-tenant plan overrides (pipeline kinds — e.g. one tenant
@@ -75,15 +66,10 @@ pub struct ServeOptions {
     /// Shared-cache capacity bound (entries per cache; `None` =
     /// unbounded).
     pub cache_capacity: Option<usize>,
-    /// Entries force-evicted per `evict-storm` fire.
-    pub storm_evictions: usize,
     /// Extra arrivals cloned per `burst-amplify` fire.
     pub burst_clones: usize,
     /// Phase 3 profiling block budget per job.
     pub profile_budget: u64,
-    /// Slot-time estimate for a job cancelled before its tenant ever
-    /// completed one (modeled seconds).
-    pub duration_estimate_secs: f64,
 }
 
 impl Default for ServeOptions {
@@ -92,22 +78,31 @@ impl Default for ServeOptions {
             slots: 2,
             queue_capacity: 6,
             deadline_secs: 240.0,
-            retry_max_attempts: 3,
-            retry_base_secs: 2.0,
-            retry_multiplier: 2.0,
-            retry_jitter_frac: 0.5,
             faults: FaultPlan::none(),
             tenant_faults: Vec::new(),
             seed: 0x5E12_51CE,
             jobs: 1,
             cache_capacity: None,
-            storm_evictions: 6,
             burst_clones: 2,
             profile_budget: 60_000,
-            duration_estimate_secs: 30.0,
         }
     }
 }
+
+/// Client retry budget against queue-full refusals and queue drops,
+/// including the first submission.
+const RETRY_MAX_ATTEMPTS: u32 = 3;
+/// Backoff before the first client retry, modeled seconds.
+const RETRY_BASE_SECS: f64 = 2.0;
+/// Backoff multiplier per failed attempt.
+const RETRY_MULTIPLIER: f64 = 2.0;
+/// Jitter fraction: wait is `backoff * (1 + frac * u)`.
+const RETRY_JITTER_FRAC: f64 = 0.5;
+/// Entries force-evicted per `evict-storm` fire.
+const STORM_EVICTIONS: usize = 6;
+/// Slot-time estimate for a job cancelled before its tenant ever
+/// completed one (modeled seconds).
+const DURATION_ESTIMATE_SECS: f64 = 30.0;
 
 /// A job the service ran to completion: everything needed to replay it
 /// as an equivalent batch run and compare bytes.
@@ -485,15 +480,15 @@ impl RelinkService {
         }
         // Queue full (or the enqueue was dropped): client-side retry
         // with seeded-jitter exponential backoff, all modeled.
-        if attempt + 1 < self.opts.retry_max_attempts {
-            let base = self.opts.retry_base_secs * self.opts.retry_multiplier.powi(attempt as i32);
+        if attempt + 1 < RETRY_MAX_ATTEMPTS {
+            let base = RETRY_BASE_SECS * RETRY_MULTIPLIER.powi(attempt as i32);
             let u = match &self.scheduler_inj {
                 Some(inj) => inj.unit(&format!("backoff j{}", req.id), u64::from(attempt)),
                 None => crate::traffic::unit_f64(mix(
                     self.opts.seed ^ mix(req.id + 0xBACC) ^ mix(u64::from(attempt) + 1),
                 )),
             };
-            let backoff = base * (1.0 + self.opts.retry_jitter_frac * u);
+            let backoff = base * (1.0 + RETRY_JITTER_FRAC * u);
             let row = self.tenant_mut(req.tenant);
             row.retries += 1;
             row.retry_backoff_secs += backoff;
@@ -564,7 +559,7 @@ impl RelinkService {
             .durations
             .get(&(tenant, req.program_seed))
             .copied()
-            .unwrap_or(self.opts.duration_estimate_secs);
+            .unwrap_or(DURATION_ESTIMATE_SECS);
         // Fault-driven cancellation: the owner kills the job mid
         // flight. Transactional — nothing is published, the slot frees
         // at the modeled cancel instant.
@@ -607,7 +602,7 @@ impl RelinkService {
             inj.fires(FaultKind::CacheEvictionStorm, &format!("storm j{}", req.id))
         });
         if storm {
-            let evicted = self.caches.evict_oldest_objects(self.opts.storm_evictions);
+            let evicted = self.caches.evict_oldest_objects(STORM_EVICTIONS);
             let row = self.tenant_mut(tenant);
             row.eviction_storms += 1;
             row.storm_evicted_entries += evicted;

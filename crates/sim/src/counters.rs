@@ -38,30 +38,6 @@ pub struct CounterSet {
 }
 
 impl CounterSet {
-    /// Field-wise sum of `self` and `other` — the conservation
-    /// discipline of sharded simulation: every event a shard counted
-    /// appears exactly once in the merged set, and the merge is
-    /// commutative/associative over integers, so a fixed shard order
-    /// makes the result bit-identical regardless of which thread ran
-    /// which shard.
-    pub fn merged_with(&self, other: &CounterSet) -> CounterSet {
-        CounterSet {
-            insts: self.insts + other.insts,
-            blocks: self.blocks + other.blocks,
-            cycles: self.cycles + other.cycles,
-            taken_branches: self.taken_branches + other.taken_branches,
-            fallthroughs: self.fallthroughs + other.fallthroughs,
-            l1i_misses: self.l1i_misses + other.l1i_misses,
-            l2_code_misses: self.l2_code_misses + other.l2_code_misses,
-            l3_code_misses: self.l3_code_misses + other.l3_code_misses,
-            itlb_misses: self.itlb_misses + other.itlb_misses,
-            stlb_walks: self.stlb_walks + other.stlb_walks,
-            baclears: self.baclears + other.baclears,
-            dsb_misses: self.dsb_misses + other.dsb_misses,
-            prefetches: self.prefetches + other.prefetches,
-        }
-    }
-
     /// True when the run retired no work at all (no instructions and
     /// no cycles). Every ratio metric below treats an empty run as
     /// neutral — 0.0 IPC, 0.0% speedup, 0.0% delta — rather than

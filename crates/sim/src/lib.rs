@@ -26,7 +26,6 @@ mod export;
 mod heatmap;
 mod image;
 mod rng;
-mod shard;
 
 pub use attr::{
     AttributedCounters, BlockAttribution, Event, FoldedStacks, SymbolAttribution,
@@ -35,7 +34,6 @@ pub use cache::SetAssocCache;
 pub use config::{CacheConfig, Penalties, TlbConfig, UarchConfig, Workload};
 pub use counters::{CounterSet, SimReport};
 pub use engine::{collect_profile, simulate, simulate_traced, SimOptions};
-pub use shard::{shard_budgets, shard_seeds, simulate_sharded};
 pub use export::{heatmap_csv, heatmap_pgm};
 pub use heatmap::HeatMap;
 pub use image::{ImageError, ProgramImage, SimBlock, SimTerm};

@@ -6,9 +6,10 @@
 //! source those numbers flow through:
 //!
 //! * nested **spans** ([`Span`]) carrying real wall time, cost-model
-//!   *simulated* time, and peak bytes (bridged from
-//!   `buildsys::MemoryMeter`-style accounting), collected into
-//!   per-thread shards and merged when the trace is drained;
+//!   *simulated* time, and peak bytes (the modeled memory of the
+//!   structures a stage builds, or an action's declared peak RSS),
+//!   collected into per-thread shards and merged when the trace is
+//!   drained;
 //! * a **metrics registry**: named monotonic counters, gauges, and
 //!   fixed-bucket histograms whose merge is associative (so shard
 //!   merging is order-independent);
@@ -321,11 +322,6 @@ impl TraceData {
     /// The first span named `name`, if any.
     pub fn find(&self, name: &str) -> Option<&SpanRecord> {
         self.spans.iter().find(|s| s.name == name)
-    }
-
-    /// Every span named `name`.
-    pub fn spans_named(&self, name: &str) -> Vec<&SpanRecord> {
-        self.spans.iter().filter(|s| s.name == name).collect()
     }
 
     /// Total simulated seconds across root spans (children are assumed

@@ -28,8 +28,8 @@ pub struct SpanRecord {
     /// Cost-model simulated seconds attributed to this span (0 when
     /// not applicable).
     pub sim_secs: f64,
-    /// Peak bytes attributed to this span (e.g. a `MemoryMeter` high
-    /// water mark or an action's declared peak RSS).
+    /// Peak bytes attributed to this span (e.g. a stage's
+    /// `modeled_memory_bytes()` or an action's declared peak RSS).
     pub peak_bytes: u64,
     /// Worker-pool lane that recorded this span, when the recording
     /// code ran under [`crate::Telemetry::with_worker`]. Chrome traces
@@ -101,16 +101,8 @@ impl Span {
         }
     }
 
-    /// Adds to the simulated seconds (for spans covering several
-    /// modeled steps).
-    pub fn add_sim_secs(&mut self, secs: f64) {
-        if let Some(l) = &mut self.live {
-            l.sim_secs += secs;
-        }
-    }
-
     /// Sets the peak bytes attributed to this span — the bridge from
-    /// `buildsys::MemoryMeter::peak_bytes()` and action peak-RSS
+    /// `modeled_memory_bytes()` accounting and action peak-RSS
     /// declarations.
     pub fn set_peak_bytes(&mut self, bytes: u64) {
         if let Some(l) = &mut self.live {

@@ -75,19 +75,6 @@ impl EdgeFunding {
     }
 }
 
-/// One weighted intra-function edge.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub struct DcfgEdge {
-    /// Source block id.
-    pub src: u32,
-    /// Destination block id.
-    pub dst: u32,
-    /// Observed weight.
-    pub weight: u64,
-    /// Dominant observation kind.
-    pub kind: EdgeKind,
-}
-
 /// The dynamic CFG of one function: only blocks and edges that actually
 /// appeared in samples exist here.
 #[derive(Clone, Debug, Default)]
@@ -99,19 +86,6 @@ pub struct DcfgFunction {
 }
 
 impl DcfgFunction {
-    /// Flattened edge list.
-    pub fn edge_list(&self) -> Vec<DcfgEdge> {
-        self.edges
-            .iter()
-            .map(|(&(src, dst, kind), &weight)| DcfgEdge {
-                src,
-                dst,
-                weight,
-                kind,
-            })
-            .collect()
-    }
-
     /// Total dynamic weight of the function.
     pub fn total_count(&self) -> u64 {
         self.block_counts.values().sum()

@@ -712,34 +712,20 @@ pub fn replay_merges(nodes: &[Node], entry: u32, steps: &[MergeStep]) -> Result<
 ///
 /// Panics if `entry` is not among `nodes` or ids are duplicated.
 pub fn order_nodes(nodes: &[Node], edges: &[Edge], entry: u32, params: &ExtTspParams) -> Vec<u32> {
-    order_nodes_traced(
+    order_nodes_logged(
         nodes,
         edges,
         entry,
         params,
         &propeller_telemetry::Telemetry::disabled(),
+        None,
     )
 }
 
 /// [`order_nodes`], recording an `exttsp.merges` counter and an
 /// `exttsp.merge_gain` histogram (the score gain of every chain merge
-/// the optimizer commits) into `tel`.
-///
-/// # Panics
-///
-/// Same as [`order_nodes`].
-pub fn order_nodes_traced(
-    nodes: &[Node],
-    edges: &[Edge],
-    entry: u32,
-    params: &ExtTspParams,
-    tel: &propeller_telemetry::Telemetry,
-) -> Vec<u32> {
-    order_nodes_logged(nodes, edges, entry, params, tel, None)
-}
-
-/// [`order_nodes_traced`], additionally filling `log` (when given) with
-/// the committed merges and the final-vs-input layout scores.
+/// the optimizer commits) into `tel`, and filling `log` (when given)
+/// with the committed merges and the final-vs-input layout scores.
 ///
 /// # Panics
 ///

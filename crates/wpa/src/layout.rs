@@ -1,7 +1,7 @@
 //! The WPA driver: from profile to `cc_prof` + `ld_prof`.
 
 use crate::dcfg::{Dcfg, DcfgFunction, EdgeFunding, EdgeKind};
-use crate::exttsp::{order_nodes_logged, order_nodes_traced, Edge, MergeLog, MergeStep, Node};
+use crate::exttsp::{order_nodes_logged, Edge, MergeLog, MergeStep, Node};
 use crate::mapper::AddressMapper;
 use crate::options::{GlobalOrder, IntraOrder, WpaOptions};
 use propeller_codegen::{Cluster, ClusterMap, ClusterName, FunctionClusters};
@@ -190,22 +190,6 @@ pub fn run_wpa(
     profile: &HardwareProfile,
     opts: &WpaOptions,
 ) -> WpaOutput {
-    run_wpa_traced(program, binary, profile, opts, &Telemetry::disabled(), None)
-}
-
-/// [`run_wpa`], plus telemetry: a `wpa` span under `parent` (peak bytes
-/// = the run's modeled peak memory) with stage children for profile
-/// aggregation, address mapping, dynamic-CFG construction, intra- and
-/// inter-procedural layout, and counters for hot functions/blocks,
-/// DCFG edges and Ext-TSP merges.
-pub fn run_wpa_traced(
-    program: &Program,
-    binary: &LinkedBinary,
-    profile: &HardwareProfile,
-    opts: &WpaOptions,
-    tel: &Telemetry,
-    parent: Option<SpanId>,
-) -> WpaOutput {
     let agg = AggregatedProfile::from_profile(profile);
     run_wpa_agg_traced(
         program,
@@ -213,12 +197,16 @@ pub fn run_wpa_traced(
         &agg,
         profile.raw_size_bytes(),
         opts,
-        tel,
-        parent,
+        &Telemetry::disabled(),
+        None,
     )
 }
 
-/// [`run_wpa_traced`] over an already-aggregated profile.
+/// [`run_wpa`] over an already-aggregated profile, plus telemetry: a
+/// `wpa` span under `parent` (peak bytes = the run's modeled peak
+/// memory) with stage children for address mapping, dynamic-CFG
+/// construction, intra- and inter-procedural layout, and counters for
+/// hot functions/blocks, DCFG edges and Ext-TSP merges.
 ///
 /// The fleet lifecycle merges many machines' samples (with weights and
 /// age decay) before analysis, so the raw [`HardwareProfile`] no longer
@@ -237,9 +225,6 @@ pub fn run_wpa_agg_traced(
 ) -> WpaOutput {
     let mut wpa_span = tel.span_under("wpa", parent);
     let wpa_id = wpa_span.id();
-    {
-        let _s = tel.span_under("wpa.aggregate_profile", wpa_id);
-    }
     let mapper = {
         let _s = tel.span_under("wpa.address_mapping", wpa_id);
         AddressMapper::from_binary(binary)
@@ -562,7 +547,7 @@ pub fn run_wpa_agg_traced(
                 // Section-level locality windows are page-scale.
                 params.forward_window = 4096;
                 params.backward_window = 4096;
-                order_nodes_traced(&nodes, &edges, entry, &params, tel)
+                order_nodes_logged(&nodes, &edges, entry, &params, tel, None)
                     .into_iter()
                     .map(|i| planned[i as usize].symbol.clone())
                     .collect()

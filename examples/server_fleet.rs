@@ -13,6 +13,7 @@ use propeller_buildsys::GIB;
 use propeller_examples::print_comparison;
 use propeller_ir::Terminator;
 use propeller_synth::{generate, spec_by_name, GenParams};
+use propeller_telemetry::Telemetry;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let spec = spec_by_name("bigtable").expect("known benchmark");
@@ -82,7 +83,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
     let full_scale_bolt_peak = 36 * GIB; // Figure 4's Search-class number
     let action = propeller_buildsys::ActionSpec::new("llvm-bolt", 600.0, full_scale_bolt_peak);
-    match executor.run_phase(&[action]) {
+    match executor.run_phase(&[action], &Telemetry::disabled(), None) {
         Err(e) => println!("\nmonolithic rewriter on the distributed build: {e}"),
         Ok(_) => unreachable!("36 GiB action must exceed the limit"),
     }

@@ -6,8 +6,8 @@
 
 use propeller::{Propeller, PropellerOptions};
 use propeller_doctor::{
-    audit_pipeline, audit_profile_with_reference, diagnose, diff_reports, worst, DoctorConfig,
-    ExpectedLoad, RunReport, Severity,
+    audit_pipeline, audit_profile_with_reference, diagnose, diff_reports, worst, ExpectedLoad,
+    RunReport, Severity,
 };
 use propeller_integration_tests::small_benchmark;
 use propeller_profile::{LbrRecord, LbrSample};
@@ -31,7 +31,7 @@ fn healthy_run_audits_clean() {
     assert!((audit.sample_capture_ratio - 1.0).abs() < 1e-9);
     assert_eq!(audit.unmapped_rate, 0.0);
     assert!(audit.skew.is_some(), "phase 4 ran, skew must be measured");
-    let findings = diagnose(&audit, &DoctorConfig::default());
+    let findings = diagnose(&audit);
     assert_ne!(
         worst(&findings),
         Severity::Fail,
@@ -80,7 +80,7 @@ fn truncated_profile_is_flagged_low_coverage() {
         "capture ratio {:.3} should be ~half",
         audit.sample_capture_ratio
     );
-    let findings = diagnose(&audit, &DoctorConfig::default());
+    let findings = diagnose(&audit);
     let coverage = findings
         .iter()
         .find(|f| f.metric == "doctor.sample_coverage")

@@ -11,8 +11,7 @@
 
 use propeller::{Propeller, PropellerOptions};
 use propeller_doctor::{
-    diff_docs, provenance_findings, render_explain, DoctorConfig, ProvenanceDoc, RunReport,
-    Severity,
+    diff_docs, provenance_findings, render_explain, ProvenanceDoc, RunReport, Severity,
 };
 use propeller_integration_tests::small_benchmark;
 use propeller_telemetry::Telemetry;
@@ -156,7 +155,7 @@ fn doctor_findings_report_full_coverage_on_an_armed_run() {
     let (p, _) = run_pipeline(BENCH, SCALE, SEED, 1, true);
     let doc = doc_for(&p, BENCH, SCALE, SEED);
     let wpa = p.wpa_output().expect("phase 3 ran");
-    let findings = provenance_findings(&wpa.provenance, &doc, &DoctorConfig::default());
+    let findings = provenance_findings(&wpa.provenance, &doc);
     assert!(!findings.is_empty(), "no provenance findings rendered");
     for f in &findings {
         assert_eq!(

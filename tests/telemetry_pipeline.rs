@@ -73,11 +73,15 @@ fn phase_spans_nest_their_action_children() {
         .collect();
     assert!(kid_names.contains(&"simulate"));
     assert!(kid_names.contains(&"wpa"));
+    // Aggregation runs before WPA proper, so its span wraps the work as
+    // a sibling just ahead of `wpa`, not an empty child of it.
+    let aggregate = kid_names.iter().position(|n| *n == "wpa.aggregate_profile");
+    let wpa_at = kid_names.iter().position(|n| *n == "wpa");
+    assert!(aggregate.is_some() && aggregate < wpa_at, "{kid_names:?}");
     let wpa = trace.find("wpa").expect("wpa span");
-    assert!(trace
-        .children(wpa.id)
-        .iter()
-        .any(|s| s.name == "wpa.intra_layout"));
+    let stages = trace.children(wpa.id);
+    assert!(stages.iter().any(|s| s.name == "wpa.intra_layout"));
+    assert!(stages.iter().all(|s| s.name != "wpa.aggregate_profile"));
 
     // Phase 4 relinks with relaxation.
     let p4 = trace.find("phase4.relink").expect("phase 4 span");
