@@ -10,11 +10,12 @@
 #   loc            non-blank, non-`//` lines
 #
 # pub_fn and loc stop at each file's first #[cfg(test)]; all three skip
-# exttsp/reference.rs (a test-only reference implementation).
+# every reference.rs (test-only reference implementations, compiled
+# under #[cfg(test)] by the module that declares them).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-files=$(find crates/*/src -name '*.rs' ! -path '*/exttsp/reference.rs' | LC_ALL=C sort)
+files=$(find crates/*/src -name '*.rs' ! -path '*/reference.rs' | LC_ALL=C sort)
 
 # shellcheck disable=SC2086
 option_fields=$(awk '

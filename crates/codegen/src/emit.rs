@@ -10,33 +10,41 @@
 //!   carries a static relocation and uses the long encoding, fall-through
 //!   jumps are kept explicit, and the section is marked `relaxable` so
 //!   the linker may later delete redundant jumps and shrink branches.
+//!
+//! Emission is three passes over flat tables — nothing is hashed and
+//! nothing is allocated per block:
+//!
+//! 1. **plan**: one [`BlockPlan`] per block in emission order — body
+//!    size, up to two branch slots, return / fall-through flags;
+//! 2. **resolve**: offsets and sizes are assigned over that slice, and
+//!    in the resolved regime long branches shrink to a fixpoint;
+//! 3. **emit**: bytes are written straight from the IR into a buffer of
+//!    the now-known size.
 
 use crate::error::CodegenError;
 use crate::isa::{fits_short, len, op};
 use crate::layout::{BlockPlacement, ClusterName, FragmentLayout, FunctionClusters, FunctionLayout};
 use propeller_ir::{BlockId, Function, Inst, Program, Terminator};
 use propeller_obj::{BbEntry, BbFlags, BlockSpan, Reloc, RelocKind, Section, SectionKind};
-use std::collections::HashMap;
 
 /// One emitted text fragment plus its metadata.
-#[derive(Clone, Debug)]
-pub struct EmittedFragment {
+#[derive(Clone, PartialEq, Debug)]
+pub(crate) struct EmittedFragment {
     /// The text section (bytes, relocations, block map).
     pub section: Section,
     /// Symbol naming the fragment (function name, `<fn>.cold`, ...).
     pub symbol: String,
-    /// Block placements, parallel to `section.block_map`.
-    pub layout: FragmentLayout,
     /// Basic block address map entries for this fragment.
     pub bb_entries: Vec<BbEntry>,
 }
 
 /// The result of emitting one function.
-#[derive(Clone, Debug)]
-pub struct EmittedFunction {
+#[derive(Clone, PartialEq, Debug)]
+pub(crate) struct EmittedFunction {
     /// Fragments in cluster order.
     pub fragments: Vec<EmittedFragment>,
-    /// Layout side table for the simulator.
+    /// Layout side table for the simulator; its fragments are parallel
+    /// to `fragments`.
     pub layout: FunctionLayout,
     /// Number of branch sites that required static relocations.
     pub relocated_branches: usize,
@@ -44,24 +52,9 @@ pub struct EmittedFunction {
 
 impl EmittedFunction {
     /// Total text bytes across fragments.
-    pub fn text_size(&self) -> usize {
+    pub(crate) fn text_size(&self) -> usize {
         self.fragments.iter().map(|f| f.section.size()).sum()
     }
-}
-
-/// An intermediate, pre-encoding item.
-#[derive(Clone, Debug)]
-enum Item {
-    /// Straight-line bytes (ALU/LOAD/STORE/NOP encodings).
-    Raw(Vec<u8>),
-    /// Call needing a relocation.
-    Call { callee_symbol: String },
-    /// Software prefetch needing a relocation.
-    Prefetch { target_symbol: String },
-    /// A branch to another block. `cond` distinguishes Jcc from JMP.
-    Branch { cond: bool, target: BlockId },
-    /// Return.
-    Ret,
 }
 
 /// A branch form decision.
@@ -80,6 +73,39 @@ fn branch_len(cond: bool, form: Form) -> usize {
     }
 }
 
+/// A branch to another block at a block's end. `cond` distinguishes
+/// Jcc from JMP.
+#[derive(Copy, Clone)]
+struct Branch {
+    cond: bool,
+    target: BlockId,
+    form: Form,
+}
+
+/// Everything size assignment and emission need to know about one
+/// block, so neither pass goes back to an intermediate item list.
+#[derive(Copy, Clone)]
+struct BlockPlan {
+    block: BlockId,
+    /// Bytes of the straight-line instructions.
+    body: u32,
+    /// Calls and prefetches among them: one relocation each.
+    body_relocs: u32,
+    /// The terminator's branches in emission order (a conditional
+    /// branch first, then its unconditional partner).
+    branches: [Option<Branch>; 2],
+    ret: bool,
+    /// Control reaches the next block of the cluster implicitly.
+    fallthrough: bool,
+    /// Offset within the cluster's section, as of the last [`assign`].
+    offset: u32,
+    /// Encoded size, as of the last [`assign`].
+    size: u32,
+}
+
+/// Where a block was placed: `(cluster index, index into the plans)`.
+type Pos = (u32, u32);
+
 /// Emits `function` according to `clusters`.
 ///
 /// `relocate_branches` selects the relocated regime; it is required
@@ -90,7 +116,7 @@ fn branch_len(cond: bool, form: Form) -> usize {
 /// Returns [`CodegenError::BadClusterPartition`] /
 /// [`CodegenError::UnknownBlock`] if `clusters` is not a permutation of
 /// the function's blocks.
-pub fn emit_function(
+pub(crate) fn emit_function(
     function: &Function,
     program: &Program,
     clusters: &FunctionClusters,
@@ -100,348 +126,304 @@ pub fn emit_function(
         relocate_branches || clusters.clusters.len() <= 1,
         "multi-cluster emission requires relocated branches"
     );
-    validate_partition(function, clusters)?;
+    let pos = place_blocks(function, clusters)?;
+    let mut plans = plan_blocks(function, clusters, &pos);
 
-    // Cluster symbols and block -> (cluster, position) map.
-    let cluster_symbols: Vec<String> = clusters
-        .clusters
-        .iter()
-        .map(|c| c.name.symbol(&function.name))
-        .collect();
-    let mut pos: HashMap<BlockId, (usize, usize)> = HashMap::new();
-    for (ci, c) in clusters.clusters.iter().enumerate() {
-        for (bi, &b) in c.blocks.iter().enumerate() {
-            pos.insert(b, (ci, bi));
-        }
-    }
-
-    // Lower every block into items, planning branch emission.
-    // per cluster: Vec<(BlockId, Vec<Item>, implicit_fallthrough)>
-    let mut lowered: Vec<Vec<(BlockId, Vec<Item>, bool)>> = Vec::new();
-    for (ci, c) in clusters.clusters.iter().enumerate() {
-        let mut blocks = Vec::with_capacity(c.blocks.len());
-        for (bi, &bid) in c.blocks.iter().enumerate() {
-            let block = function.block(bid).expect("validated");
-            let mut items = Vec::new();
-            let mut raw = Vec::new();
-            for inst in &block.insts {
-                match inst {
-                    Inst::Alu => raw.extend_from_slice(&[op::ALU, 0, 0]),
-                    Inst::Load => raw.extend_from_slice(&[op::LOAD, 0, 0, 0]),
-                    Inst::Store => raw.extend_from_slice(&[op::STORE, 0, 0, 0]),
-                    Inst::Nop => raw.push(op::NOP),
-                    Inst::Call(callee) => {
-                        if !raw.is_empty() {
-                            items.push(Item::Raw(std::mem::take(&mut raw)));
-                        }
-                        let callee_symbol = program
-                            .function(*callee)
-                            .expect("program validated")
-                            .name
-                            .clone();
-                        items.push(Item::Call { callee_symbol });
-                    }
-                    Inst::Prefetch(target) => {
-                        if !raw.is_empty() {
-                            items.push(Item::Raw(std::mem::take(&mut raw)));
-                        }
-                        let target_symbol = program
-                            .function(*target)
-                            .expect("program validated")
-                            .name
-                            .clone();
-                        items.push(Item::Prefetch { target_symbol });
-                    }
-                }
-            }
-            if !raw.is_empty() {
-                items.push(Item::Raw(raw));
-            }
-            let next_in_cluster = |target: BlockId| pos.get(&target) == Some(&(ci, bi + 1));
-            let mut fallthrough = false;
-            match block.term {
-                Terminator::Ret => items.push(Item::Ret),
-                Terminator::Jump(t) => {
-                    if next_in_cluster(t) {
-                        fallthrough = true;
-                    } else {
-                        items.push(Item::Branch {
-                            cond: false,
-                            target: t,
-                        });
-                    }
-                }
-                Terminator::CondBr {
-                    taken, fallthrough: ft, ..
-                } => {
-                    if next_in_cluster(ft) {
-                        items.push(Item::Branch {
-                            cond: true,
-                            target: taken,
-                        });
-                        fallthrough = true;
-                    } else if next_in_cluster(taken) {
-                        // Invert the condition so the hot path falls
-                        // through.
-                        items.push(Item::Branch {
-                            cond: true,
-                            target: ft,
-                        });
-                        fallthrough = true;
-                    } else {
-                        items.push(Item::Branch {
-                            cond: true,
-                            target: taken,
-                        });
-                        items.push(Item::Branch {
-                            cond: false,
-                            target: ft,
-                        });
-                    }
-                }
-            }
-            blocks.push((bid, items, fallthrough));
-        }
-        lowered.push(blocks);
-        let _ = ci;
-    }
-
-    // Phase A: size assignment. Compute per-cluster block offsets.
-    // In the relocated regime all branches are long. In the resolved
-    // regime, iterate shrinking to a fixpoint.
-    let mut offsets: Vec<Vec<u32>> = Vec::new(); // [cluster][block_pos]
-    let mut sizes: Vec<Vec<u32>> = Vec::new();
-    let mut forms_per_cluster: Vec<HashMap<(usize, usize), Form>> = Vec::new();
-    for (ci, blocks) in lowered.iter().enumerate() {
-        let lp_nop = needs_landing_pad_nop(function, &clusters.clusters[ci].blocks);
-        // forms keyed by (block position, item index)
-        let mut forms: HashMap<(usize, usize), Form> = HashMap::new();
-        for (bi, (_, items, _)) in blocks.iter().enumerate() {
-            for (ii, item) in items.iter().enumerate() {
-                if matches!(item, Item::Branch { .. }) {
-                    forms.insert((bi, ii), Form::Long);
-                }
-            }
-        }
-        let compute = |forms: &HashMap<(usize, usize), Form>| -> (Vec<u32>, Vec<u32>) {
-            let mut offs = Vec::with_capacity(blocks.len());
-            let mut szs = Vec::with_capacity(blocks.len());
-            let mut cursor: u32 = if lp_nop { 1 } else { 0 };
-            for (bi, (_, items, _)) in blocks.iter().enumerate() {
-                offs.push(cursor);
-                let mut size = 0u32;
-                for (ii, item) in items.iter().enumerate() {
-                    size += match item {
-                        Item::Raw(b) => b.len() as u32,
-                        Item::Call { .. } => len::CALL as u32,
-                        Item::Prefetch { .. } => len::PREFETCH as u32,
-                        Item::Ret => len::RET as u32,
-                        Item::Branch { cond, .. } => branch_len(*cond, forms[&(bi, ii)]) as u32,
-                    };
-                }
-                szs.push(size);
-                cursor += size;
-            }
-            (offs, szs)
-        };
-        let (mut offs, mut szs) = compute(&forms);
+    // Size assignment, cluster by cluster. In the relocated regime all
+    // branches stay long; in the resolved regime (a single cluster)
+    // they shrink to a fixpoint.
+    let mut start = 0;
+    for c in &clusters.clusters {
+        let cluster = &mut plans[start..start + c.blocks.len()];
+        let lp_nop = needs_landing_pad_nop(function, &c.blocks);
+        assign(cluster, lp_nop);
         if !relocate_branches {
-            // Shrink resolvable branches to a fixpoint.
-            for _ in 0..8 {
-                let mut changed = false;
-                // Walk items computing each branch's end offset.
-                for (bi, (_, items, _)) in blocks.iter().enumerate() {
-                    let mut cursor = offs[bi];
-                    for (ii, item) in items.iter().enumerate() {
-                        let l = match item {
-                            Item::Raw(b) => b.len() as u32,
-                            Item::Call { .. } => len::CALL as u32,
-                            Item::Prefetch { .. } => len::PREFETCH as u32,
-                            Item::Ret => len::RET as u32,
-                            Item::Branch { cond, .. } => {
-                                branch_len(*cond, forms[&(bi, ii)]) as u32
-                            }
-                        };
-                        if let Item::Branch { cond, target } = item {
-                            if forms[&(bi, ii)] == Form::Long {
-                                // Target must be intra-cluster in the
-                                // resolved regime (single cluster).
-                                let (_, tpos) = pos[target];
-                                let short_end = cursor as i64
-                                    + branch_len(*cond, Form::Short) as i64;
-                                let disp = offs[tpos] as i64 - short_end;
-                                if fits_short(disp) {
-                                    forms.insert((bi, ii), Form::Short);
-                                    changed = true;
-                                }
-                            }
-                        }
-                        cursor += l;
-                    }
-                }
-                if !changed {
-                    break;
-                }
-                let r = compute(&forms);
-                offs = r.0;
-                szs = r.1;
-            }
+            shrink_branches(cluster, &pos, lp_nop);
         }
-        offsets.push(offs);
-        sizes.push(szs);
-        forms_per_cluster.push(forms);
+        start += c.blocks.len();
     }
 
-    // Phase B: byte emission with final offsets known for all clusters.
+    // The layout's fragments double as the cluster symbol table that
+    // section-crossing relocations name.
+    let mut layout = FunctionLayout {
+        function: function.id,
+        func_symbol: function.name.clone(),
+        fragments: clusters
+            .clusters
+            .iter()
+            .map(|c| FragmentLayout {
+                section_symbol: c.name.symbol(&function.name),
+                blocks: Vec::new(),
+            })
+            .collect(),
+    };
+
+    // Byte emission with final offsets known for all clusters.
     let mut fragments = Vec::with_capacity(clusters.clusters.len());
     let mut relocated_branches = 0usize;
-    for (ci, blocks) in lowered.iter().enumerate() {
-        let lp_nop = needs_landing_pad_nop(function, &clusters.clusters[ci].blocks);
-        let forms = &forms_per_cluster[ci];
-        let mut bytes: Vec<u8> = Vec::new();
-        let mut relocs: Vec<Reloc> = Vec::new();
+    let mut start = 0;
+    for (ci, c) in clusters.clusters.iter().enumerate() {
+        let cluster = &plans[start..start + c.blocks.len()];
+        start += c.blocks.len();
+        let lp_nop = needs_landing_pad_nop(function, &c.blocks);
+        let text_len = cluster
+            .last()
+            .map_or(u32::from(lp_nop), |p| p.offset + p.size);
+        let num_relocs: u32 = cluster
+            .iter()
+            .map(|p| {
+                let branches = p.branches.iter().flatten().count() as u32;
+                p.body_relocs + if relocate_branches { branches } else { 0 }
+            })
+            .sum();
+        let mut bytes: Vec<u8> = Vec::with_capacity(text_len as usize);
+        let mut relocs: Vec<Reloc> = Vec::with_capacity(num_relocs as usize);
         if lp_nop {
             bytes.push(op::NOP);
         }
-        let mut block_map = Vec::with_capacity(blocks.len());
-        let mut placements = Vec::with_capacity(blocks.len());
-        let mut bb_entries = Vec::with_capacity(blocks.len());
-        for (bi, (bid, items, implicit_ft)) in blocks.iter().enumerate() {
-            let block_off = offsets[ci][bi];
-            debug_assert_eq!(bytes.len() as u32, block_off);
-            for (ii, item) in items.iter().enumerate() {
-                match item {
-                    Item::Raw(raw) => bytes.extend_from_slice(raw),
-                    Item::Ret => bytes.push(op::RET),
-                    Item::Call { callee_symbol } => {
-                        bytes.push(op::CALL);
-                        relocs.push(Reloc::new(
-                            bytes.len() as u32,
-                            RelocKind::CallPc32,
-                            callee_symbol.clone(),
-                            0,
-                        ));
-                        bytes.extend_from_slice(&[0; 4]);
+        let mut block_map = Vec::with_capacity(cluster.len());
+        let mut placements = Vec::with_capacity(cluster.len());
+        let mut bb_entries = Vec::with_capacity(cluster.len());
+        for plan in cluster {
+            debug_assert_eq!(bytes.len() as u32, plan.offset);
+            let block = &function.blocks[plan.block.index()];
+            for inst in &block.insts {
+                let (opcode, target) = match *inst {
+                    Inst::Alu => {
+                        bytes.extend_from_slice(&[op::ALU, 0, 0]);
+                        continue;
                     }
-                    Item::Prefetch { target_symbol } => {
-                        bytes.push(op::PREFETCH);
-                        relocs.push(Reloc::new(
-                            bytes.len() as u32,
-                            RelocKind::CallPc32,
-                            target_symbol.clone(),
-                            0,
-                        ));
-                        bytes.extend_from_slice(&[0; 4]);
+                    Inst::Load => {
+                        bytes.extend_from_slice(&[op::LOAD, 0, 0, 0]);
+                        continue;
                     }
-                    Item::Branch { cond, target } => {
-                        let (tci, tpos) = pos[target];
-                        let form = forms[&(bi, ii)];
+                    Inst::Store => {
+                        bytes.extend_from_slice(&[op::STORE, 0, 0, 0]);
+                        continue;
+                    }
+                    Inst::Nop => {
+                        bytes.push(op::NOP);
+                        continue;
+                    }
+                    Inst::Call(callee) => (op::CALL, callee),
+                    Inst::Prefetch(target) => (op::PREFETCH, target),
+                };
+                bytes.push(opcode);
+                let symbol = &program.function(target).expect("program validated").name;
+                relocs.push(Reloc::new(
+                    bytes.len() as u32,
+                    RelocKind::CallPc32,
+                    symbol.clone(),
+                    0,
+                ));
+                bytes.extend_from_slice(&[0; 4]);
+            }
+            if plan.ret {
+                bytes.push(op::RET);
+            }
+            for br in plan.branches.iter().flatten() {
+                let (tci, tpos) = pos[br.target.index()];
+                let target_offset = plans[tpos as usize].offset;
+                let inst_end = bytes.len() as i64 + branch_len(br.cond, br.form) as i64;
+                let disp = target_offset as i64 - inst_end;
+                match br.form {
+                    Form::Short => {
+                        debug_assert!(!relocate_branches && fits_short(disp));
+                        bytes.push(if br.cond { op::BR_SHORT } else { op::JMP_SHORT });
+                        bytes.push(disp as i8 as u8);
+                    }
+                    Form::Long => {
+                        if br.cond {
+                            bytes.extend_from_slice(&[op::BR_LONG, 0]);
+                        } else {
+                            bytes.push(op::JMP_LONG);
+                        }
                         if relocate_branches {
-                            debug_assert_eq!(form, Form::Long);
                             relocated_branches += 1;
-                            if *cond {
-                                bytes.extend_from_slice(&[op::BR_LONG, 0]);
-                            } else {
-                                bytes.push(op::JMP_LONG);
-                            }
                             relocs.push(Reloc::new(
                                 bytes.len() as u32,
                                 RelocKind::BranchPc32,
-                                cluster_symbols[tci].clone(),
-                                offsets[tci][tpos] as i64,
+                                layout.fragments[tci as usize].section_symbol.clone(),
+                                target_offset as i64,
                             ));
                             bytes.extend_from_slice(&[0; 4]);
                         } else {
-                            debug_assert_eq!(tci, ci, "resolved branches are intra-section");
-                            let inst_len = branch_len(*cond, form) as i64;
-                            let disp =
-                                offsets[tci][tpos] as i64 - (bytes.len() as i64 + inst_len);
-                            match form {
-                                Form::Short => {
-                                    debug_assert!(fits_short(disp));
-                                    bytes.push(if *cond { op::BR_SHORT } else { op::JMP_SHORT });
-                                    bytes.push(disp as i8 as u8);
+                            debug_assert_eq!(tci as usize, ci, "resolved branches are intra-section");
+                            let disp32 = i32::try_from(disp).map_err(|_| {
+                                CodegenError::DisplacementOverflow {
+                                    function: function.id,
                                 }
-                                Form::Long => {
-                                    let disp32 = i32::try_from(disp).map_err(|_| {
-                                        CodegenError::DisplacementOverflow {
-                                            function: function.id,
-                                        }
-                                    })?;
-                                    if *cond {
-                                        bytes.extend_from_slice(&[op::BR_LONG, 0]);
-                                    } else {
-                                        bytes.push(op::JMP_LONG);
-                                    }
-                                    bytes.extend_from_slice(&disp32.to_le_bytes());
-                                }
-                            }
+                            })?;
+                            bytes.extend_from_slice(&disp32.to_le_bytes());
                         }
                     }
                 }
             }
-            let size = sizes[ci][bi];
             block_map.push(BlockSpan {
-                offset: block_off,
-                size,
+                offset: plan.offset,
+                size: plan.size,
             });
             placements.push(BlockPlacement {
-                block: *bid,
-                offset: block_off,
-                size,
+                block: plan.block,
+                offset: plan.offset,
+                size: plan.size,
             });
-            let block = function.block(*bid).expect("validated");
             let mut flags = BbFlags::default();
             if block.is_landing_pad {
                 flags = flags | BbFlags::LANDING_PAD;
             }
-            if block.term.is_return() {
+            if plan.ret {
                 flags = flags | BbFlags::RETURN;
             }
-            if *implicit_ft {
+            if plan.fallthrough {
                 flags = flags | BbFlags::FALLTHROUGH;
             }
             bb_entries.push(BbEntry {
-                bb_id: bid.0,
-                offset: block_off,
-                size,
+                bb_id: plan.block.0,
+                offset: plan.offset,
+                size: plan.size,
                 flags,
             });
         }
-        let symbol = cluster_symbols[ci].clone();
-        let is_primary = matches!(clusters.clusters[ci].name, ClusterName::Primary);
-        let mut section = Section::new(
-            format!(".text.{symbol}"),
-            SectionKind::Text,
-            bytes,
-        );
+        debug_assert_eq!(bytes.len() as u32, text_len);
+        let symbol = layout.fragments[ci].section_symbol.clone();
+        let mut section = Section::new(format!(".text.{symbol}"), SectionKind::Text, bytes);
         section.relocs = relocs;
         section.block_map = block_map;
         section.relaxable = relocate_branches;
         // Non-primary cluster sections pack tightly (alignment 1) so
         // fall-through deletion across adjacent sections is possible.
-        section.align = if is_primary { 16 } else { 1 };
+        section.align = if matches!(c.name, ClusterName::Primary) { 16 } else { 1 };
+        layout.fragments[ci].blocks = placements;
         fragments.push(EmittedFragment {
             section,
-            symbol: symbol.clone(),
-            layout: FragmentLayout {
-                section_symbol: symbol,
-                blocks: placements.clone(),
-            },
+            symbol,
             bb_entries,
         });
     }
 
-    let layout = FunctionLayout {
-        function: function.id,
-        func_symbol: function.name.clone(),
-        fragments: fragments.iter().map(|f| f.layout.clone()).collect(),
-    };
     Ok(EmittedFunction {
         fragments,
         layout,
         relocated_branches,
     })
+}
+
+/// Plans every block in emission order: sizes its body and decides
+/// which branches its terminator needs given what follows it in its
+/// cluster. All branches start long.
+fn plan_blocks(function: &Function, clusters: &FunctionClusters, pos: &[Pos]) -> Vec<BlockPlan> {
+    let mut plans = Vec::with_capacity(pos.len());
+    for (ci, c) in clusters.clusters.iter().enumerate() {
+        for &bid in &c.blocks {
+            let block = &function.blocks[bid.index()];
+            let (mut body, mut body_relocs) = (0u32, 0u32);
+            for inst in &block.insts {
+                body += match inst {
+                    Inst::Alu => len::ALU,
+                    Inst::Load => len::LOAD,
+                    Inst::Store => len::STORE,
+                    Inst::Nop => len::NOP,
+                    Inst::Call(_) => {
+                        body_relocs += 1;
+                        len::CALL
+                    }
+                    Inst::Prefetch(_) => {
+                        body_relocs += 1;
+                        len::PREFETCH
+                    }
+                } as u32;
+            }
+            let next = (ci as u32, plans.len() as u32 + 1);
+            let next_in_cluster = |target: BlockId| pos[target.index()] == next;
+            let long = |cond, target| {
+                Some(Branch {
+                    cond,
+                    target,
+                    form: Form::Long,
+                })
+            };
+            let (branches, fallthrough) = match block.term {
+                Terminator::Ret => ([None, None], false),
+                Terminator::Jump(t) if next_in_cluster(t) => ([None, None], true),
+                Terminator::Jump(t) => ([long(false, t), None], false),
+                Terminator::CondBr {
+                    taken, fallthrough: ft, ..
+                } => {
+                    if next_in_cluster(ft) {
+                        ([long(true, taken), None], true)
+                    } else if next_in_cluster(taken) {
+                        // Invert the condition so the hot path falls
+                        // through.
+                        ([long(true, ft), None], true)
+                    } else {
+                        ([long(true, taken), long(false, ft)], false)
+                    }
+                }
+            };
+            plans.push(BlockPlan {
+                block: bid,
+                body,
+                body_relocs,
+                branches,
+                ret: block.term.is_return(),
+                fallthrough,
+                offset: 0,
+                size: 0,
+            });
+        }
+    }
+    plans
+}
+
+/// Assigns every block of one cluster its offset and size under the
+/// current branch forms.
+fn assign(cluster: &mut [BlockPlan], lp_nop: bool) {
+    let mut cursor = u32::from(lp_nop);
+    for p in cluster {
+        p.offset = cursor;
+        p.size = p.body + if p.ret { len::RET as u32 } else { 0 };
+        for br in p.branches.iter().flatten() {
+            p.size += branch_len(br.cond, br.form) as u32;
+        }
+        cursor += p.size;
+    }
+}
+
+/// Shrinks the resolvable long branches of the function's only cluster
+/// (so a [`Pos`] plan index indexes `cluster`) to a fixpoint, in at
+/// most 8 sweeps. Within a sweep every position —
+/// a branch's own and its target's — is the one the last [`assign`]
+/// gave it: a shrink only takes effect in the next sweep's layout.
+fn shrink_branches(cluster: &mut [BlockPlan], pos: &[Pos], lp_nop: bool) {
+    for _ in 0..8 {
+        let mut changed = false;
+        for i in 0..cluster.len() {
+            let mut cursor = cluster[i].offset + cluster[i].body;
+            for slot in 0..2 {
+                let Some(br) = cluster[i].branches[slot] else {
+                    break;
+                };
+                if br.form == Form::Long {
+                    let (_, tpos) = pos[br.target.index()];
+                    let short_end = cursor as i64 + branch_len(br.cond, Form::Short) as i64;
+                    let disp = cluster[tpos as usize].offset as i64 - short_end;
+                    if fits_short(disp) {
+                        cluster[i].branches[slot] = Some(Branch {
+                            form: Form::Short,
+                            ..br
+                        });
+                        changed = true;
+                    }
+                }
+                cursor += branch_len(br.cond, br.form) as u32;
+            }
+        }
+        if !changed {
+            break;
+        }
+        assign(cluster, lp_nop);
+    }
 }
 
 /// §4.5: if a fragment's first block is a landing pad, a nop must be
@@ -453,13 +435,14 @@ fn needs_landing_pad_nop(function: &Function, blocks: &[BlockId]) -> bool {
         .is_some_and(|b| b.is_landing_pad)
 }
 
-fn validate_partition(
-    function: &Function,
-    clusters: &FunctionClusters,
-) -> Result<(), CodegenError> {
+/// Checks that `clusters` is a permutation of the function's blocks and
+/// returns each block's placement, indexed by block id.
+fn place_blocks(function: &Function, clusters: &FunctionClusters) -> Result<Vec<Pos>, CodegenError> {
+    const UNPLACED: Pos = (u32::MAX, u32::MAX);
     let n = function.num_blocks();
-    let mut seen = vec![false; n];
-    for c in &clusters.clusters {
+    let mut pos = vec![UNPLACED; n];
+    let mut placed = 0u32;
+    for (ci, c) in clusters.clusters.iter().enumerate() {
         for &b in &c.blocks {
             if b.index() >= n {
                 return Err(CodegenError::UnknownBlock {
@@ -467,23 +450,27 @@ fn validate_partition(
                     block: b,
                 });
             }
-            if seen[b.index()] {
+            if pos[b.index()] != UNPLACED {
                 return Err(CodegenError::BadClusterPartition {
                     function: function.id,
                     block: b,
                 });
             }
-            seen[b.index()] = true;
+            pos[b.index()] = (ci as u32, placed);
+            placed += 1;
         }
     }
-    if let Some(missing) = seen.iter().position(|s| !s) {
+    if let Some(missing) = pos.iter().position(|&p| p == UNPLACED) {
         return Err(CodegenError::BadClusterPartition {
             function: function.id,
             block: BlockId(missing as u32),
         });
     }
-    Ok(())
+    Ok(pos)
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -737,5 +724,293 @@ mod tests {
             off += d.len();
         }
         assert_eq!(off, bytes.len());
+    }
+
+    /// The reference emitter's result in this module's types. Its
+    /// per-fragment `layout` copy is gone from [`EmittedFragment`]; it
+    /// was always the function layout's fragment of the same index.
+    fn lowered(r: reference::EmittedFunction) -> EmittedFunction {
+        for (frag, fl) in r.fragments.iter().zip(&r.layout.fragments) {
+            assert_eq!(&frag.layout, fl);
+        }
+        EmittedFunction {
+            fragments: r
+                .fragments
+                .into_iter()
+                .map(|f| EmittedFragment {
+                    section: f.section,
+                    symbol: f.symbol,
+                    bb_entries: f.bb_entries,
+                })
+                .collect(),
+            layout: r.layout,
+            relocated_branches: r.relocated_branches,
+        }
+    }
+
+    fn both(
+        f: &Function,
+        p: &Program,
+        clusters: &FunctionClusters,
+        relocate: bool,
+    ) -> [Result<EmittedFunction, CodegenError>; 2] {
+        [
+            emit_function(f, p, clusters, relocate),
+            reference::emit_function(f, p, clusters, relocate).map(lowered),
+        ]
+    }
+
+    /// A function whose block shapes are decoded from one random word
+    /// each: empty bodies, mixed straight-line code with calls and
+    /// prefetches, ALU runs sized around the short-branch range (so
+    /// both forms and shrink cascades occur), landing pads, and
+    /// terminators that target the next block, the one after it, the
+    /// block itself, or anywhere — with `taken == fallthrough` allowed.
+    fn random_function(raw: &[u64]) -> (Program, propeller_ir::FunctionId) {
+        let mut pb = ProgramBuilder::new();
+        let m = pb.add_module("m.cc");
+        let leaves = ["leaf_a", "leaf_b"].map(|name| {
+            let mut leaf = FunctionBuilder::new(name);
+            leaf.add_block(vec![Inst::Alu], Terminator::Ret);
+            pb.add_function(m, leaf)
+        });
+        let n = raw.len() as u64;
+        let mut f = FunctionBuilder::new("subject");
+        for (i, &w) in raw.iter().enumerate() {
+            let i = i as u64;
+            let count = (w >> 8) as usize;
+            let insts = match w & 7 {
+                0 | 1 => Vec::new(),
+                2 | 3 => (0..1 + count % 6)
+                    .map(|j| match (w >> (11 + 3 * j)) & 7 {
+                        0 => Inst::Load,
+                        1 => Inst::Store,
+                        2 => Inst::Nop,
+                        3 => Inst::Call(leaves[0]),
+                        4 => Inst::Call(leaves[1]),
+                        5 => Inst::Prefetch(leaves[0]),
+                        _ => Inst::Alu,
+                    })
+                    .collect(),
+                // 120..123 bytes: with a 2- or 6-byte branch behind it,
+                // the span a shrink chain link needs.
+                4 => {
+                    let mut pad = vec![Inst::Alu; 40];
+                    pad.extend(vec![Inst::Nop; count % 4]);
+                    pad
+                }
+                5 => vec![Inst::Alu; 30 + count % 20],
+                6 => vec![Inst::Alu; 50 + count % 80],
+                _ => vec![Inst::Call(leaves[count % 2])],
+            };
+            let target = |choice: u64, anywhere: u64| {
+                BlockId(match choice & 3 {
+                    0 => (i + 1) % n,
+                    1 => (i + 2) % n,
+                    2 => i,
+                    _ => anywhere % n,
+                } as u32)
+            };
+            let taken = target(w >> 36, w >> 48);
+            let term = match (w >> 33) & 7 {
+                0 => Terminator::Ret,
+                1 | 2 => Terminator::Jump(taken),
+                _ => Terminator::CondBr {
+                    taken,
+                    fallthrough: match (w >> 38) & 3 {
+                        1 => taken,
+                        2 => target(3, w >> 56),
+                        _ => target(0, 0),
+                    },
+                    prob_taken: 0.5,
+                },
+            };
+            let b = f.add_block(insts, term);
+            if (w >> 30) & 7 == 0 {
+                f.set_landing_pad(b);
+            }
+        }
+        let fid = pb.add_function(m, f);
+        // Unchecked: a function without blocks is a case too.
+        (pb.finish_unchecked(), fid)
+    }
+
+    /// Deals the blocks into `k` clusters (some possibly empty), in id
+    /// order or shuffled; optionally a landing pad leads the last one.
+    fn random_partition(f: &Function, raw: &[u64], k: usize, shape: u64) -> FunctionClusters {
+        let names = match k {
+            1 => vec![ClusterName::Primary],
+            2 => vec![ClusterName::Primary, ClusterName::Cold],
+            _ => vec![ClusterName::Primary, ClusterName::Numbered(1), ClusterName::Cold],
+        };
+        let mut clusters: Vec<crate::layout::Cluster> = names
+            .into_iter()
+            .map(|name| crate::layout::Cluster {
+                name,
+                blocks: Vec::new(),
+            })
+            .collect();
+        for (i, &w) in raw.iter().enumerate() {
+            clusters[(w >> 41) as usize % k].blocks.push(BlockId(i as u32));
+        }
+        if shape & 1 == 1 {
+            for c in &mut clusters {
+                c.blocks.sort_by_key(|b| (raw[b.index()] >> 20) & 0xffff);
+            }
+        }
+        let last = &mut clusters[k - 1].blocks;
+        if shape & 2 == 2 {
+            if let Some(at) = last.iter().position(|b| f.blocks[b.index()].is_landing_pad) {
+                last.swap(0, at);
+            }
+        }
+        FunctionClusters { clusters }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The dense passes against the kept pre-rewrite emitter: the
+        /// whole result equal, in both regimes, over one to three
+        /// clusters, and the same error for a partition that drops,
+        /// repeats or invents a block.
+        #[test]
+        fn matches_the_reference_emitter(
+            raw in proptest::collection::vec(proptest::any::<u64>(), 0..41),
+            shape in proptest::any::<u64>(),
+        ) {
+            let (p, fid) = random_function(&raw);
+            let f = p.function(fid).unwrap();
+
+            let single = random_partition(f, &raw, 1, shape);
+            let [new, old] = both(f, &p, &single, false);
+            proptest::prop_assert_eq!(new, old);
+            let [new, old] = both(f, &p, &single, true);
+            proptest::prop_assert_eq!(new, old);
+
+            let mut split = random_partition(f, &raw, 2 + (shape >> 2) as usize % 2, shape >> 3);
+            let [new, old] = both(f, &p, &split, true);
+            proptest::prop_assert!(new.is_ok());
+            proptest::prop_assert_eq!(new, old);
+
+            let victim = &mut split.clusters[(shape >> 8) as usize % 2].blocks;
+            let at = (shape >> 16) as usize % (victim.len() + 1);
+            match ((shape >> 5) & 3, victim.get(at).copied()) {
+                (0, Some(_)) => drop(victim.remove(at)),
+                (1, Some(b)) => victim.push(b),
+                (2, _) => victim.insert(at, BlockId(raw.len() as u32 + (shape >> 24) as u32 % 3)),
+                _ => return Ok(()),
+            }
+            let [new, old] = both(f, &p, &split, true);
+            proptest::prop_assert!(new.is_err());
+            proptest::prop_assert_eq!(new, old);
+        }
+    }
+
+    /// `links` branch-only blocks, each jumping over a 121-byte pad and
+    /// the next link: link `i` reaches short range only once link
+    /// `i + 1` has shrunk, so every sweep shrinks exactly one link,
+    /// last first.
+    fn shrink_chain(links: u32) -> (Program, propeller_ir::FunctionId) {
+        let mut pb = ProgramBuilder::new();
+        let m = pb.add_module("m.cc");
+        let mut f = FunctionBuilder::new("chain");
+        for i in 0..links {
+            f.add_block(
+                Vec::new(),
+                Terminator::CondBr {
+                    taken: BlockId(2 * i + 3),
+                    fallthrough: BlockId(2 * i + 1),
+                    prob_taken: 0.5,
+                },
+            );
+            let mut pad = vec![Inst::Alu; 40];
+            pad.push(Inst::Nop);
+            f.add_block(pad, Terminator::Jump(BlockId(2 * i + 2)));
+        }
+        f.add_block(Vec::new(), Terminator::Jump(BlockId(2 * links + 1)));
+        f.add_block(Vec::new(), Terminator::Ret);
+        let fid = pb.add_function(m, f);
+        (pb.finish().unwrap(), fid)
+    }
+
+    #[test]
+    fn shrink_chains_take_one_sweep_per_link_and_stop_after_eight() {
+        for links in [1, 2, 7, 8, 9, 12] {
+            let (p, fid) = shrink_chain(links);
+            let f = p.function(fid).unwrap();
+            let [new, old] = both(f, &p, &original_clusters(f), false);
+            assert_eq!(new, old, "{links} links");
+            // Links beyond the eighth from the end never got their
+            // sweep and keep the long form.
+            let sec = &new.unwrap().fragments[0].section;
+            for link in 0..links {
+                let want = if link + 8 < links { 6 } else { 2 };
+                assert_eq!(
+                    sec.block_map[2 * link as usize].size,
+                    want,
+                    "link {link} of {links}"
+                );
+            }
+        }
+    }
+
+    /// A block's second branch is measured from where the sweep found
+    /// it, even when the first branch shrank a moment earlier in the
+    /// same sweep. Blocks: `pad` (122 bytes), `two` (`jcc` forward to
+    /// `far`, `jmp` back to `pad`), a nop, `far` (120 bytes), then
+    /// `links` backward links, each reaching short range once the block
+    /// it targets — `two`, or the link before it — has fully shrunk.
+    /// `two`'s `jmp` is 130 bytes from `pad` until its `jcc` has shrunk
+    /// and the sizes were re-assigned, so it shrinks in sweep 2 and link
+    /// `k` in sweep `2 + k`: the seventh link never gets its sweep. An
+    /// emitter that let the `jmp` see the `jcc`'s new length would
+    /// shrink everything one sweep earlier, the seventh link included.
+    #[test]
+    fn second_branch_of_a_block_is_measured_from_its_sweep_start_position() {
+        let links = 7u32;
+        let mut pb = ProgramBuilder::new();
+        let m = pb.add_module("m.cc");
+        let mut f = FunctionBuilder::new("two_branches");
+        let mut pad = vec![Inst::Alu; 40];
+        pad.extend([Inst::Nop, Inst::Nop]);
+        f.add_block(pad, Terminator::Jump(BlockId(1)));
+        f.add_block(
+            Vec::new(),
+            Terminator::CondBr {
+                taken: BlockId(3),
+                fallthrough: BlockId(0),
+                prob_taken: 0.5,
+            },
+        );
+        f.add_block(vec![Inst::Nop], Terminator::Jump(BlockId(3)));
+        f.add_block(vec![Inst::Alu; 40], Terminator::Jump(BlockId(4)));
+        for k in 0..links {
+            // Link k is block 4 + 2k and targets the previous link's
+            // block (`two` for the first).
+            f.add_block(
+                Vec::new(),
+                Terminator::CondBr {
+                    taken: BlockId(if k == 0 { 1 } else { 2 + 2 * k }),
+                    fallthrough: BlockId(5 + 2 * k),
+                    prob_taken: 0.5,
+                },
+            );
+            let mut pad = vec![Inst::Alu; 40];
+            pad.push(Inst::Nop);
+            f.add_block(pad, Terminator::Jump(BlockId(6 + 2 * k)));
+        }
+        f.add_block(Vec::new(), Terminator::Ret);
+        let fid = pb.add_function(m, f);
+        let p = pb.finish().unwrap();
+        let f = p.function(fid).unwrap();
+        let [new, old] = both(f, &p, &original_clusters(f), false);
+        assert_eq!(new, old);
+        let sec = &new.unwrap().fragments[0].section;
+        assert_eq!(sec.block_map[1].size, 4, "both of `two`'s branches shrank");
+        for k in 0..links {
+            let want = if k + 1 < links { 2 } else { 6 };
+            assert_eq!(sec.block_map[4 + 2 * k as usize].size, want, "link {k}");
+        }
     }
 }

@@ -27,7 +27,6 @@ mod layout;
 mod module;
 mod options;
 
-pub use emit::{emit_function, EmittedFragment, EmittedFunction};
 pub use error::CodegenError;
 pub use layout::{BlockPlacement, Cluster, ClusterName, DebugLayout, FragmentLayout, FunctionClusters, FunctionLayout};
 pub use module::{codegen_module, codegen_module_traced, CodegenResult, ModuleStats};

@@ -1,6 +1,6 @@
 //! Module-level code generation: one distributed build action.
 
-use crate::emit::{emit_function, EmittedFunction};
+use crate::emit::emit_function;
 use crate::error::CodegenError;
 use crate::layout::{DebugLayout, FunctionClusters};
 use crate::options::{BbSectionsMode, CodegenOptions};
@@ -8,6 +8,7 @@ use propeller_ir::{BlockId, Function, Module, Program};
 use propeller_obj::{
     BbAddrMap, FuncAddrMap, ObjectFile, Reloc, RelocKind, Section, SectionKind, Symbol,
 };
+use std::borrow::Cow;
 
 /// Aggregate statistics from one codegen action; used by the build
 /// system's cost model.
@@ -91,13 +92,14 @@ pub fn codegen_module_traced(
     tel: &propeller_telemetry::Telemetry,
     parent: Option<propeller_telemetry::SpanId>,
 ) -> Result<CodegenResult, CodegenError> {
+    if !tel.is_enabled() {
+        return codegen_module_impl(module, program, opts);
+    }
     let _span = tel.span_under(format!("codegen:{}", module.name), parent);
     let result = codegen_module_impl(module, program, opts);
-    if tel.is_enabled() {
-        if let Ok(r) = &result {
-            tel.counter_add("codegen.modules", 1);
-            tel.observe("codegen.text_bytes", r.stats.text_bytes as f64);
-        }
+    if let Ok(r) = &result {
+        tel.counter_add("codegen.modules", 1);
+        tel.observe("codegen.text_bytes", r.stats.text_bytes as f64);
     }
     result
 }
@@ -127,7 +129,7 @@ fn codegen_module_impl(
 
     for f in &module.functions {
         let (clusters, relocate) = plan_function(f, opts);
-        let emitted: EmittedFunction = emit_function(f, program, &clusters, relocate)?;
+        let emitted = emit_function(f, program, &clusters, relocate)?;
         stats.num_functions += 1;
         stats.num_fragments += emitted.fragments.len();
         stats.text_bytes += emitted.text_size();
@@ -217,17 +219,17 @@ fn codegen_module_impl(
 }
 
 /// Chooses the cluster partition and emission regime for a function.
-fn plan_function(f: &Function, opts: &CodegenOptions) -> (FunctionClusters, bool) {
-    let original = || (0..f.num_blocks() as u32).map(BlockId).collect::<Vec<_>>();
-    match &opts.bb_sections {
-        BbSectionsMode::Off | BbSectionsMode::Labels => {
-            (FunctionClusters::single(original()), false)
+fn plan_function<'a>(
+    f: &Function,
+    opts: &'a CodegenOptions,
+) -> (Cow<'a, FunctionClusters>, bool) {
+    if let BbSectionsMode::Clusters(map) = &opts.bb_sections {
+        if let Some(clusters) = map.get(f.id) {
+            return (Cow::Borrowed(clusters), true);
         }
-        BbSectionsMode::Clusters(map) => match map.get(f.id) {
-            Some(clusters) => (clusters.clone(), true),
-            None => (FunctionClusters::single(original()), false),
-        },
     }
+    let original = (0..f.num_blocks() as u32).map(BlockId).collect();
+    (Cow::Owned(FunctionClusters::single(original)), false)
 }
 
 #[cfg(test)]

@@ -14,9 +14,9 @@ use propeller_codegen::{
 use propeller_faults::{
     DegradationLedger, FaultInjector, FaultKind, FaultPlan, LayoutMode, RetryPolicy,
 };
-use propeller_ir::{FunctionId, Program};
+use propeller_ir::{FunctionId, Module, Program};
 use propeller_linker::{link_refs_traced, LinkInputRef, LinkOptions, LinkedBinary};
-use propeller_obj::ContentHash;
+use propeller_obj::{ContentHash, ContentHasher};
 use propeller_profile::{
     degrade_profile, salvage_profile, AggregatedProfile, HardwareProfile, SamplingConfig,
 };
@@ -25,6 +25,7 @@ use propeller_telemetry::{SpanId, Telemetry};
 use propeller_wpa::{
     apply_prefetches, prefetch_directives, run_wpa_agg_traced, WpaOptions, WpaOutput,
 };
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// What [`Propeller::codegen_batch`] hands back: artifacts in plan
@@ -229,15 +230,32 @@ fn tag(s: &str) -> ContentHash {
 }
 
 fn clusters_hash(clusters: &FunctionClusters) -> ContentHash {
-    let mut bytes = Vec::new();
+    let mut h = ContentHasher::default();
     for c in &clusters.clusters {
-        bytes.push(0xC1);
+        h.write(&[0xC1]);
         for b in &c.blocks {
-            bytes.extend_from_slice(&b.0.to_le_bytes());
+            h.write(&b.0.to_le_bytes());
         }
     }
-    ContentHash::of_bytes(&bytes)
+    h.finish()
 }
+
+/// Instructions in a module — what the cost model charges its compile
+/// and codegen actions for.
+fn module_insts(module: &Module) -> u64 {
+    module.functions.iter().map(|f| f.num_insts() as u64).sum()
+}
+
+/// Instructions of cache-miss modules every pool worker of a codegen
+/// batch must have before the batch is fanned out. Spawning and joining
+/// scoped threads costs more than a small batch gains: on the
+/// benchmark's 2-core host `serve_mix` (batches of one ≈ 25 k-instruction
+/// program at most) took 0.101 s per op fanned out at `jobs = 2` against
+/// 0.095 s at `jobs = 1`, and `fleet_drift` (≈ 70 k) 0.222 s against
+/// 0.200 s; capped like this `jobs = 2` reads 0.093 s and 0.205 s, and
+/// `cold_build` (≈ 800 k instructions in its Phase 2 batch, both
+/// workers) is not slower (EXPERIMENTS.md, PR 18).
+const INSTS_PER_WORKER: u64 = 1 << 16;
 
 impl Propeller {
     /// Creates a pipeline over `program` with the given workload entry
@@ -441,10 +459,9 @@ impl Propeller {
                 // Miss (incl. a corrupt or evicted entry that was just
                 // invalidated): recompile and re-insert a clean entry.
                 self.caches.ir.lock().insert(fp, fp);
-                let insts: u64 = m.functions.iter().map(|f| f.num_insts() as u64).sum();
                 actions.push(ActionSpec::new(
                     format!("compile {}", m.name),
-                    cost::compile_secs(insts),
+                    cost::compile_secs(module_insts(m)),
                     64 << 20,
                 ));
             }
@@ -484,7 +501,7 @@ impl Propeller {
             // against cache entries are deterministic regardless of
             // worker interleaving below.
             let mut cache = self.caches.obj.lock();
-            for (pos, (module_idx, key, cg)) in plan.iter().enumerate() {
+            for (pos, (_, key, cg)) in plan.iter().enumerate() {
                 let (artifact, event) = cache.lookup_verified(*key, injector.as_deref());
                 events.push(event);
                 match artifact {
@@ -493,7 +510,6 @@ impl Propeller {
                     // so the rebuild below re-inserts a clean artifact.
                     None => misses.push((pos, *key, cg.clone())),
                 }
-                let _ = module_idx;
             }
         }
         for e in events {
@@ -511,8 +527,18 @@ impl Propeller {
         // runs the items inline, the exact legacy path.
         let tel = self.tel.clone();
         let plan_ref = &plan;
+        // The pool is only as wide as the misses can pay for
+        // ([`INSTS_PER_WORKER`]) — a function of the batch alone, so the
+        // same batch takes the same path on every run.
+        let miss_insts: u64 = misses
+            .iter()
+            .map(|(pos, ..)| module_insts(&modules[plan[*pos].0]))
+            .sum();
+        let affordable = usize::try_from(miss_insts / INSTS_PER_WORKER).unwrap_or(usize::MAX);
         let (computed, pool): (Vec<ComputedModule>, PoolStats) = self
             .executor
+            .clone()
+            .with_jobs(self.executor.jobs().min(affordable))
             .execute_indexed("codegen batch", &misses, |w, _i, (pos, key, cg)| {
                 let module_idx = plan_ref[*pos].0;
                 let r = tel
@@ -529,12 +555,10 @@ impl Propeller {
             for (pos, key, result) in computed {
                 let artifact = result?;
                 cache.insert(key, artifact.clone());
-                let module_idx = plan[pos].0;
-                let module = &modules[module_idx];
-                let insts: u64 = module.functions.iter().map(|f| f.num_insts() as u64).sum();
+                let module = &modules[plan[pos].0];
                 actions.push(ActionSpec::new(
                     format!("codegen {}", module.name),
-                    cost::codegen_secs(insts),
+                    cost::codegen_secs(module_insts(module)),
                     (64 << 20) + artifact.stats.text_bytes as u64 * 8,
                 ));
                 artifacts[pos] = Some(artifact);
@@ -818,11 +842,14 @@ impl Propeller {
             }
             _ => self.program.clone(),
         };
-        let phase4_fingerprints: Vec<ContentHash> = phase4_program
-            .modules()
-            .iter()
-            .map(module_fingerprint)
-            .collect();
+        // Without prefetch insertion Phase 4 regenerates from the very
+        // program `with_caches` fingerprinted.
+        let phase4_fingerprints: Cow<[ContentHash]> =
+            if Arc::ptr_eq(&phase4_program, &self.program) {
+                Cow::Borrowed(&self.fingerprints)
+            } else {
+                Cow::Owned(phase4_program.modules().iter().map(module_fingerprint).collect())
+            };
 
         // A module is hot iff any of its functions has directives.
         let mut hot_modules = 0usize;
@@ -837,7 +864,7 @@ impl Propeller {
         for (i, (module, fp)) in phase4_program
             .modules()
             .iter()
-            .zip(&phase4_fingerprints)
+            .zip(phase4_fingerprints.iter())
             .enumerate()
         {
             let directive_hash = module
@@ -863,12 +890,10 @@ impl Propeller {
                         // cluster-optimized. If that cached artifact
                         // is itself corrupt or evicted, codegen_batch
                         // rebuilds it (a counted cache rebuild).
-                        let insts: u64 =
-                            module.functions.iter().map(|f| f.num_insts() as u64).sum();
                         failed_actions.push(ActionSpec::new(
                             format!("codegen {} (permanent failure)", module.name),
                             f64::from(self.executor.retry_policy().max_attempts.max(1))
-                                * cost::codegen_secs(insts),
+                                * cost::codegen_secs(module_insts(module)),
                             64 << 20,
                         ));
                         self.ledger.objects_fallen_back += 1;

@@ -138,6 +138,9 @@ pub fn link_refs_traced(
     tel: &Telemetry,
     parent: Option<SpanId>,
 ) -> Result<LinkedBinary, LinkError> {
+    if !tel.is_enabled() {
+        return link_impl(inputs, opts, tel, None);
+    }
     let mut link_span = tel.span_under(format!("link:{}", opts.output_name), parent);
     let link_id = link_span.id();
     let bin = link_impl(inputs, opts, tel, link_id)?;

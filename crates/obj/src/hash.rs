@@ -16,34 +16,53 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 impl ContentHash {
     /// Hashes a byte slice.
     pub fn of_bytes(bytes: &[u8]) -> Self {
-        let mut h = FNV_OFFSET;
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        ContentHash(h)
+        Self::of_parts([bytes])
     }
 
     /// Combines this hash with another, order-sensitively.
     pub fn combine(self, other: ContentHash) -> Self {
-        let mut h = self.0;
-        for b in other.0.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(FNV_PRIME);
-        }
-        ContentHash(h)
+        let mut h = ContentHasher(self.0);
+        h.write(&other.0.to_le_bytes());
+        h.finish()
     }
 
     /// Hashes an iterator of byte slices as if concatenated.
     pub fn of_parts<'a>(parts: impl IntoIterator<Item = &'a [u8]>) -> Self {
-        let mut h = FNV_OFFSET;
+        let mut h = ContentHasher::default();
         for part in parts {
-            for &b in part {
-                h ^= b as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
+            h.write(part);
         }
-        ContentHash(h)
+        h.finish()
+    }
+}
+
+/// A running FNV-1a state: bytes go in in any number of pieces, and
+/// [`finish`](ContentHasher::finish) is the [`ContentHash`] of their
+/// concatenation — for content that would otherwise have to be copied
+/// into one buffer just to be hashed.
+#[derive(Copy, Clone, Debug)]
+pub struct ContentHasher(u64);
+
+impl Default for ContentHasher {
+    fn default() -> Self {
+        ContentHasher(FNV_OFFSET)
+    }
+}
+
+impl ContentHasher {
+    /// Feeds the next bytes.
+    #[inline]
+    pub fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(FNV_PRIME);
+        }
+    }
+
+    /// The hash of everything written so far.
+    #[inline]
+    pub fn finish(self) -> ContentHash {
+        ContentHash(self.0)
     }
 }
 
@@ -77,6 +96,25 @@ mod tests {
         let whole = ContentHash::of_bytes(b"abcdef");
         let parts = ContentHash::of_parts([b"abc".as_slice(), b"def".as_slice()]);
         assert_eq!(whole, parts);
+    }
+
+    #[test]
+    fn streamed_pieces_equal_the_whole_and_known_vectors() {
+        // Published FNV-1a 64 test vectors.
+        assert_eq!(ContentHash::of_bytes(b"").0, 0xcbf2_9ce4_8422_2325);
+        assert_eq!(ContentHash::of_bytes(b"a").0, 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(ContentHash::of_bytes(b"foobar").0, 0x8594_4171_f739_67e8);
+        let mut h = ContentHasher::default();
+        for piece in [b"fo".as_slice(), b"", b"oba", b"r"] {
+            h.write(piece);
+        }
+        assert_eq!(h.finish(), ContentHash::of_bytes(b"foobar"));
+        // `combine` continues the state with the other hash's bytes.
+        let (a, b) = (ContentHash::of_bytes(b"a"), ContentHash::of_bytes(b"b"));
+        let mut h = ContentHasher::default();
+        h.write(b"a");
+        h.write(&b.0.to_le_bytes());
+        assert_eq!(a.combine(b), h.finish());
     }
 
     #[test]

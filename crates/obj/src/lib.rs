@@ -35,7 +35,7 @@ mod symbol;
 
 pub use bb_addr_map::{BbAddrMap, BbEntry, BbFlags, FuncAddrMap};
 pub use error::ObjError;
-pub use hash::ContentHash;
+pub use hash::{ContentHash, ContentHasher};
 pub use object::{ObjectFile, SizeBreakdown};
 pub use reloc::{Reloc, RelocKind};
 pub use section::{BlockSpan, Section, SectionId, SectionKind};

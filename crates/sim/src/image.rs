@@ -153,6 +153,146 @@ impl ProgramImage {
     /// Returns [`ImageError`] if any function or block lacks layout
     /// information, or sizes are inconsistent with the ISA.
     pub fn build(program: &Program, layout: &FinalLayout) -> Result<Self, ImageError> {
+        let mut fn_index = HashMap::with_capacity(program.num_functions());
+        // `first_block[i]` is where function `i`'s blocks start in the
+        // flat placement table below; the last entry is its length.
+        let mut first_block = Vec::with_capacity(program.num_functions() + 1);
+        let mut num_blocks = 0usize;
+        for (i, f) in program.functions().enumerate() {
+            fn_index.insert(f.id, i);
+            first_block.push(num_blocks);
+            num_blocks += f.blocks.len();
+        }
+        first_block.push(num_blocks);
+        // Validate the width once at the boundary: every dense function
+        // index below (call/prefetch targets here, call-chain entries
+        // in the engine and attribution) is stored as `u32`, so the
+        // `as u32` narrowings downstream are lossless by construction.
+        if u32::try_from(fn_index.len()).is_err() {
+            return Err(ImageError::TooManyFunctions {
+                count: fn_index.len(),
+            });
+        }
+
+        // Every block's `(addr, size)`, indexed by function then block
+        // id. A function the layout names twice merges, later blocks
+        // winning; entries for functions or blocks the program does not
+        // have are ignored.
+        let mut placed: Vec<Option<(u64, u32)>> = vec![None; num_blocks];
+        let mut has_layout = vec![false; first_block.len() - 1];
+        for fl in &layout.functions {
+            let Some(&i) = fn_index.get(&fl.function) else {
+                continue;
+            };
+            has_layout[i] = true;
+            let blocks = &mut placed[first_block[i]..first_block[i + 1]];
+            for b in &fl.blocks {
+                if let Some(slot) = blocks.get_mut(b.block.index()) {
+                    *slot = Some((b.addr, b.size));
+                }
+            }
+        }
+
+        let mut functions = Vec::with_capacity(has_layout.len());
+        let mut text_start = u64::MAX;
+        let mut text_end = 0u64;
+        for (i, f) in program.functions().enumerate() {
+            if !has_layout[i] {
+                return Err(ImageError::MissingFunction(f.name.clone()));
+            }
+            let blocks_placed = &placed[first_block[i]..first_block[i + 1]];
+            let mut blocks = Vec::with_capacity(f.blocks.len());
+            for b in &f.blocks {
+                let (addr, size) = blocks_placed
+                    .get(b.id.index())
+                    .copied()
+                    .flatten()
+                    .ok_or_else(|| ImageError::MissingBlock {
+                        function: f.name.clone(),
+                        block: b.id.0,
+                    })?;
+                text_start = text_start.min(addr);
+                text_end = text_end.max(addr + size as u64);
+                let mut calls = Vec::new();
+                let mut prefetches = Vec::new();
+                let mut off = 0u32;
+                let mut straight = 0u32;
+                for inst in &b.insts {
+                    match inst {
+                        // Lossless: the function count was checked
+                        // against u32::MAX above.
+                        Inst::Call(callee) => calls.push((off, fn_index[callee] as u32)),
+                        Inst::Prefetch(target) => prefetches.push(fn_index[target] as u32),
+                        _ => {}
+                    }
+                    straight += 1;
+                    off += inst_bytes(inst);
+                }
+                let trailing = size as i64 - off as i64
+                    - i64::from(matches!(b.term, Terminator::Ret));
+                let branch_insts =
+                    branch_count(trailing).ok_or_else(|| ImageError::BadBranchBytes {
+                        function: f.name.clone(),
+                        block: b.id.0,
+                        bytes: trailing,
+                    })?;
+                let term = match b.term {
+                    Terminator::Jump(t) => SimTerm::Jump(t.0),
+                    Terminator::CondBr {
+                        taken,
+                        fallthrough,
+                        prob_taken,
+                    } => SimTerm::Cond {
+                        taken: taken.0,
+                        ft: fallthrough.0,
+                        p: prob_taken,
+                    },
+                    Terminator::Ret => SimTerm::Ret,
+                };
+                blocks.push(SimBlock {
+                    prefetches,
+                    addr,
+                    size,
+                    straight_insts: straight,
+                    branch_insts: branch_insts
+                        + u32::from(matches!(b.term, Terminator::Ret)),
+                    calls,
+                    term,
+                });
+            }
+            functions.push(SimFunction {
+                name: f.name.clone(),
+                blocks,
+            });
+        }
+        if functions.is_empty() || text_start == u64::MAX {
+            text_start = 0;
+            text_end = 0;
+        }
+        Ok(ProgramImage {
+            functions,
+            fn_index,
+            text_start,
+            text_end,
+        })
+    }
+
+    /// Total text footprint in bytes.
+    pub fn text_size(&self) -> u64 {
+        self.text_end - self.text_start
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use propeller_ir::{BlockId, FunctionBuilder, FunctionId, ProgramBuilder};
+    use propeller_linker::{FinalBlock, FinalFunctionLayout};
+
+    /// The pre-PR-18 builder, kept verbatim as the oracle the flat
+    /// placement table is compared against: every block keyed through
+    /// a `HashMap` per function inside a `HashMap` of functions.
+    fn build_reference(program: &Program, layout: &FinalLayout) -> Result<ProgramImage, ImageError> {
         let mut placed: HashMap<propeller_ir::FunctionId, HashMap<u32, (u64, u32)>> =
             HashMap::new();
         for fl in &layout.functions {
@@ -258,15 +398,144 @@ impl ProgramImage {
         })
     }
 
-    /// Total text footprint in bytes.
-    pub fn text_size(&self) -> u64 {
-        self.text_end - self.text_start
+    /// Four functions of one to five blocks with calls and prefetches,
+    /// and the layout a linker would give them: blocks back to back
+    /// from 0x1000, all branches long.
+    fn fixture() -> (Program, FinalLayout) {
+        let mut pb = ProgramBuilder::new();
+        let m = pb.add_module("m.cc");
+        for (fi, num_blocks) in [3u32, 1, 5, 2].into_iter().enumerate() {
+            let mut f = FunctionBuilder::new(format!("f{fi}"));
+            for b in 0..num_blocks {
+                let other = FunctionId((fi as u32 + 1 + b) % 4);
+                let insts = match b % 3 {
+                    0 => vec![Inst::Alu, Inst::Call(other), Inst::Load],
+                    1 => vec![Inst::Prefetch(other), Inst::Nop, Inst::Call(other)],
+                    _ => Vec::new(),
+                };
+                let term = if b + 1 == num_blocks {
+                    Terminator::Ret
+                } else if b % 2 == 0 {
+                    Terminator::CondBr {
+                        taken: BlockId(num_blocks - 1),
+                        fallthrough: BlockId(b + 1),
+                        prob_taken: 0.25,
+                    }
+                } else {
+                    Terminator::Jump(BlockId(0))
+                };
+                f.add_block(insts, term);
+            }
+            pb.add_function(m, f);
+        }
+        let program = pb.finish().unwrap();
+        let mut addr = 0x1000u64;
+        let functions = program
+            .functions()
+            .map(|f| FinalFunctionLayout {
+                function: f.id,
+                func_symbol: f.name.clone(),
+                blocks: f
+                    .blocks
+                    .iter()
+                    .map(|b| {
+                        let size = b.insts.iter().map(inst_bytes).sum::<u32>()
+                            + match b.term {
+                                Terminator::Ret => 1,
+                                Terminator::Jump(_) => 5,
+                                Terminator::CondBr { .. } => 6,
+                            };
+                        let placed = FinalBlock {
+                            block: b.id,
+                            addr,
+                            size,
+                        };
+                        addr += u64::from(size);
+                        placed
+                    })
+                    .collect(),
+            })
+            .collect();
+        (program, FinalLayout { functions })
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
+    type Parts = (Vec<SimFunction>, HashMap<FunctionId, usize>, u64, u64);
+
+    fn parts(r: Result<ProgramImage, ImageError>) -> Result<Parts, ImageError> {
+        r.map(|i| (i.functions, i.fn_index, i.text_start, i.text_end))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        /// Same image or same error as the nested-map builder, over
+        /// layouts damaged in up to four ways at once — so which of
+        /// several errors surfaces is compared too.
+        #[test]
+        fn matches_the_reference_builder(
+            damage in proptest::collection::vec(
+                (0u8..8, proptest::any::<u16>(), proptest::any::<u16>()), 0..5),
+        ) {
+            let (program, mut layout) = fixture();
+            for (kind, a, b) in damage {
+                let fi = a as usize % layout.functions.len();
+                let num_blocks = layout.functions[fi].blocks.len();
+                let bi = b as usize % num_blocks.max(1);
+                match kind {
+                    // A function named twice: the copy is moved, and
+                    // loses a block so that the merge is partial.
+                    0 => {
+                        let mut copy = layout.functions[fi].clone();
+                        for blk in &mut copy.blocks {
+                            blk.addr += 0x10_0000;
+                        }
+                        copy.blocks.truncate(bi);
+                        layout.functions.push(copy);
+                    }
+                    // A function named but without any block.
+                    1 => layout.functions[fi].blocks.clear(),
+                    2 => drop(layout.functions.remove(fi)),
+                    3 if num_blocks > 0 => drop(layout.functions[fi].blocks.remove(bi)),
+                    // A block id the function does not have.
+                    4 => layout.functions[fi].blocks.push(FinalBlock {
+                        block: BlockId(num_blocks as u32 + u32::from(b % 3)),
+                        addr: 0x10,
+                        size: 1,
+                    }),
+                    // A function the program does not have.
+                    5 => layout.functions.insert(fi, FinalFunctionLayout {
+                        function: FunctionId(4 + u32::from(b)),
+                        func_symbol: "foreign".into(),
+                        blocks: vec![FinalBlock { block: BlockId(0), addr: 0, size: 1 }],
+                    }),
+                    6 if num_blocks > 0 => layout.functions[fi].blocks[bi].size += 1 + u32::from(a % 2),
+                    _ => {}
+                }
+                if layout.functions.is_empty() {
+                    break;
+                }
+            }
+            let new = parts(ProgramImage::build(&program, &layout));
+            let old = parts(build_reference(&program, &layout));
+            proptest::prop_assert_eq!(new, old);
+        }
+    }
+
+    #[test]
+    fn an_earlier_missing_block_beats_a_later_missing_function() {
+        let (program, mut layout) = fixture();
+        layout.functions[0].blocks.remove(1);
+        layout.functions.remove(2);
+        let err = ProgramImage::build(&program, &layout).unwrap_err();
+        assert_eq!(
+            err,
+            ImageError::MissingBlock {
+                function: "f0".into(),
+                block: 1
+            }
+        );
+        assert_eq!(build_reference(&program, &layout).unwrap_err(), err);
+    }
 
     #[test]
     fn branch_count_table() {

@@ -143,11 +143,59 @@ fn clang_under_kitchen_sink_faults_is_jobs_invariant() {
          corrupt-lbr=0.3,truncate-samples=0.3,permanent-codegen=0.5",
     )
     .expect("plan parses");
-    let serial = artifacts_at("clang", 0.004, 0xA5_2023, &plan, 1);
+    let serial = artifacts_at("clang", POOLED_SCALE, 0xA5_2023, &plan, 1);
     for jobs in [2, 8] {
-        let parallel = artifacts_at("clang", 0.004, 0xA5_2023, &plan, jobs);
+        let parallel = artifacts_at("clang", POOLED_SCALE, 0xA5_2023, &plan, jobs);
         assert_identical(&serial, &parallel, jobs);
     }
+}
+
+/// The clang scale at which a cold Phase 2 batch holds the ≥ 2^17
+/// instructions that pay for two pool workers (`codegen_batch` fans out
+/// one worker per 2^16 instructions of cache misses), so `jobs > 1`
+/// really runs the pool there.
+const POOLED_SCALE: f64 = 0.006;
+
+/// Distinct worker lanes stamped on the `codegen:*` spans of a cold
+/// Phase 1–2 run, and the program's instruction count.
+fn codegen_lanes(scale: f64, jobs: usize) -> (usize, usize) {
+    let gen = small_benchmark("clang", scale, 0xA5_2023);
+    let insts = gen.program.stats().num_insts;
+    let opts = PropellerOptions {
+        jobs,
+        ..PropellerOptions::default()
+    };
+    let mut p = Propeller::new(gen.program, gen.entries, opts);
+    p.set_telemetry(Telemetry::enabled());
+    p.phase1_compile().expect("phase 1");
+    p.phase2_build_metadata().expect("phase 2");
+    let spans = p.telemetry().drain().spans;
+    let mut lanes: Vec<_> = spans
+        .iter()
+        .filter(|s| s.name.starts_with("codegen:"))
+        .map(|s| s.worker)
+        .collect();
+    assert!(!lanes.is_empty(), "no codegen span recorded");
+    lanes.sort_unstable();
+    lanes.dedup();
+    (lanes.len(), insts)
+}
+
+/// The fan-out is bought by the batch, not by `--jobs`: a batch too
+/// small to pay for a second thread runs inline on lane 0 whatever the
+/// job count, and the scale the fixed-seed gate above uses does run the
+/// pool.
+#[test]
+fn codegen_fans_out_only_when_the_batch_pays_for_the_threads() {
+    let (lanes, insts) = codegen_lanes(0.002, 8);
+    assert!(insts < 1 << 17, "{insts} instructions afford a second worker");
+    assert_eq!(lanes, 1, "a {insts}-instruction batch was fanned out");
+
+    let (lanes, insts) = codegen_lanes(POOLED_SCALE, 8);
+    assert!(insts >= 1 << 17, "only {insts} instructions at {POOLED_SCALE}");
+    assert!(lanes >= 2, "a {insts}-instruction batch ran on {lanes} lane(s)");
+    let (lanes, _) = codegen_lanes(POOLED_SCALE, 1);
+    assert_eq!(lanes, 1, "jobs = 1 is the inline path");
 }
 
 /// A worker that panics must surface as a typed [`PipelineError`] —
