@@ -123,6 +123,17 @@ impl BuildCaches {
         Self::default()
     }
 
+    /// A copy that shares nothing but the artifacts themselves: what
+    /// these caches hold now can be looked up in it, and nothing looked
+    /// up in or inserted into it is seen by, or counted against, the
+    /// original.
+    pub fn snapshot(&self) -> Self {
+        BuildCaches {
+            ir: Arc::new(Mutex::new(self.ir.lock().clone())),
+            obj: Arc::new(Mutex::new(self.obj.lock().clone())),
+        }
+    }
+
     /// Object-cache statistics (cumulative across every pipeline
     /// sharing these caches).
     pub fn object_stats(&self) -> propeller_buildsys::CacheStats {
@@ -271,12 +282,14 @@ impl Propeller {
     /// Creates a pipeline that shares `caches` with other pipelines —
     /// the incremental-release scenario: a later build of a slightly
     /// changed program hits the cache for every unchanged module.
+    /// Pipelines over one program can share it as an `Arc`.
     pub fn with_caches(
-        program: Program,
+        program: impl Into<Arc<Program>>,
         entries: Vec<(FunctionId, f64)>,
         opts: PropellerOptions,
         caches: BuildCaches,
     ) -> Self {
+        let program = program.into();
         let mut opts = opts;
         // One knob drives every parallel stage: the Ext-TSP gain
         // evaluation honors the same worker count as the codegen pool.
@@ -294,7 +307,7 @@ impl Propeller {
         }
         let fingerprints = program.modules().iter().map(module_fingerprint).collect();
         Propeller {
-            program: Arc::new(program),
+            program,
             entries,
             opts,
             executor,
@@ -1066,34 +1079,50 @@ impl Propeller {
         sim_opts: &SimOptions,
     ) -> Result<(propeller_sim::SimReport, propeller_sim::SimReport), PipelineError> {
         let baseline = self.build_baseline()?;
-        let Some(po) = self.po_binary.clone() else {
+        let span = self.tel.span("evaluate");
+        let base =
+            self.simulate_on(&self.program, &baseline, block_budget, sim_opts, span.id())?;
+        let opt = self.evaluate_optimized(block_budget, sim_opts, span.id())?;
+        Ok((base, opt))
+    }
+
+    /// The optimized half of [`Propeller::evaluate_with`] alone, its
+    /// `simulate` span under `parent`: for a caller that already holds
+    /// the baseline's counters — another pipeline over the same program,
+    /// seed, microarchitecture and budget measured them.
+    ///
+    /// # Errors
+    ///
+    /// Fails if Phase 4 has not run, or image construction fails.
+    pub fn evaluate_optimized(
+        &self,
+        block_budget: u64,
+        sim_opts: &SimOptions,
+        parent: Option<SpanId>,
+    ) -> Result<propeller_sim::SimReport, PipelineError> {
+        let (Some(po), Some(program)) = (&self.po_binary, &self.phase4_program) else {
             return Err(PipelineError::PhaseOrder { needs: "phase 4" });
         };
-        let workload = self.workload(block_budget);
-        let base_img = ProgramImage::build(&self.program, &baseline.layout)?;
-        let opt_program = self
-            .phase4_program
-            .clone()
-            .ok_or(PipelineError::PhaseOrder { needs: "phase 4" })?;
-        let opt_img = ProgramImage::build(&opt_program, &po.layout)?;
-        let span = self.tel.span("evaluate");
-        let span_id = span.id();
-        let base = simulate_traced(
-            &base_img,
-            &workload,
+        self.simulate_on(program, po, block_budget, sim_opts, parent)
+    }
+
+    /// Runs this pipeline's workload over `binary`'s layout of `program`.
+    fn simulate_on(
+        &self,
+        program: &Program,
+        binary: &LinkedBinary,
+        block_budget: u64,
+        sim_opts: &SimOptions,
+        parent: Option<SpanId>,
+    ) -> Result<propeller_sim::SimReport, PipelineError> {
+        let image = ProgramImage::build(program, &binary.layout)?;
+        Ok(simulate_traced(
+            &image,
+            &self.workload(block_budget),
             &self.opts.uarch,
             sim_opts,
             &self.tel,
-            span_id,
-        );
-        let opt = simulate_traced(
-            &opt_img,
-            &workload,
-            &self.opts.uarch,
-            sim_opts,
-            &self.tel,
-            span_id,
-        );
-        Ok((base, opt))
+            parent,
+        ))
     }
 }

@@ -1,7 +1,9 @@
 //! End-to-end pipeline tests on generated benchmarks.
 
-use propeller::{PipelineError, Propeller, PropellerOptions};
+use propeller::{BuildCaches, PipelineError, Propeller, PropellerOptions};
+use propeller_sim::SimOptions;
 use propeller_synth::{generate, spec_by_name, GenParams};
+use std::sync::Arc;
 
 fn pipeline(scale: f64, seed: u64) -> Propeller {
     let spec = spec_by_name("541.leela").unwrap();
@@ -39,6 +41,9 @@ fn four_phases_run_and_improve_performance() {
     );
     // Taken branches drop (the §5.4 effect).
     assert!(eval.optimized.taken_branches < eval.baseline.taken_branches);
+    // The optimized half alone is the same run.
+    let alone = p.evaluate_optimized(200_000, &SimOptions::default(), None).unwrap();
+    assert_eq!(alone.counters, eval.optimized);
 }
 
 #[test]
@@ -60,6 +65,10 @@ fn phase_order_is_enforced() {
     ));
     assert!(matches!(
         p.evaluate(1000),
+        Err(PipelineError::PhaseOrder { needs: "phase 4" })
+    ));
+    assert!(matches!(
+        p.evaluate_optimized(1000, &SimOptions::default(), None),
         Err(PipelineError::PhaseOrder { needs: "phase 4" })
     ));
 }
@@ -116,4 +125,46 @@ fn optimized_binary_size_stays_close_to_baseline() {
         (po - base).abs() / base < 0.10,
         "text size: baseline {base}, optimized {po}"
     );
+}
+
+#[test]
+fn a_cache_snapshot_serves_hits_and_never_writes_through() {
+    let spec = spec_by_name("541.leela").unwrap();
+    let g = generate(
+        &spec,
+        &GenParams {
+            scale: 0.15,
+            seed: 9,
+            funcs_per_module: 12,
+            entry_points: 3,
+        },
+    );
+    let program = Arc::new(g.program);
+    let modules = program.num_modules() as u64;
+    let caches = BuildCaches::new();
+    let mut first = Propeller::with_caches(
+        program.clone(),
+        g.entries.clone(),
+        PropellerOptions::default(),
+        caches.clone(),
+    );
+    first.phase1_compile().unwrap();
+    first.phase2_build_metadata().unwrap();
+    let before = (caches.ir_stats(), caches.object_stats(), caches.len());
+
+    // A second pipeline over the same program on a snapshot: Phases 1-2
+    // are all hits, Phase 4 and the baseline insert — into the copy.
+    let snapshot = caches.snapshot();
+    let mut second =
+        Propeller::with_caches(program, g.entries, PropellerOptions::default(), snapshot.clone());
+    second.phase1_compile().unwrap();
+    second.phase2_build_metadata().unwrap();
+    let warm = snapshot.object_stats().since(&before.1);
+    assert_eq!((warm.lookups, warm.hits, warm.insertions), (modules, modules, 0));
+    second.phase3_profile_and_analyze().unwrap();
+    second.phase4_relink().unwrap();
+    second.evaluate(20_000).unwrap();
+    assert!(snapshot.object_stats().insertions > before.1.insertions + modules);
+    assert!(snapshot.len().1 > before.2 .1);
+    assert_eq!((caches.ir_stats(), caches.object_stats(), caches.len()), before);
 }

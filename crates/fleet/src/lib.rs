@@ -20,11 +20,18 @@
 //!    ([`propeller_doctor::RelinkPolicy`]);
 //! 5. **Relink** — the chosen Phase 3/4 runs against a *shared* action
 //!    cache, so only drifted-hot objects regenerate release over
-//!    release;
+//!    release. The oracle arm (the same release relinked on its own
+//!    fresh collection) builds on a [`BuildCaches::snapshot`] of that
+//!    cache taken after production's Phase 2: every labels object is a
+//!    hit, and nothing the oracle looks up or inserts reaches
+//!    production's caches or their hit-rate accounting;
 //! 6. **Ledger** — each release records achieved speedup vs an oracle
 //!    fresh-profile relink, the skew, the decision, and the per-release
 //!    cache hit rate: the speedup-vs-staleness curve the paper implies
-//!    but never plots.
+//!    but never plots. Both arms hold the same program, seed,
+//!    microarchitecture and budget, so the baseline is built and run
+//!    once, by production's `evaluate`, and the oracle arm measures
+//!    only its optimized binary against those counters.
 //!
 //! Everything is a pure function of `(spec, scale, options)`:
 //! [`FleetReport::to_json_string`] is bit-identical across runs and
@@ -33,17 +40,17 @@
 mod translate;
 
 pub use translate::{translate_profile, TranslationStats};
+use translate::{LayoutIndex, Translator};
 
 use propeller::{
     splitmix64, BuildCaches, DegradationLedger, FaultPlan, Propeller, PropellerOptions,
 };
 use propeller_doctor::{diff_docs, layout_skew_agg, ProvenanceDoc, RelinkDecision, RelinkPolicy};
-use propeller_linker::LinkedBinary;
 use propeller_profile::{
     merge_profiles_logged, AggregatedProfile, HardwareProfile, MergeOptions, MergeProvenance,
     ProfileSource,
 };
-use propeller_sim::{collect_profile, ProgramImage, Workload};
+use propeller_sim::{collect_profile, ProgramImage, SimOptions, Workload};
 use propeller_synth::{evolve, generate, BenchmarkSpec, DriftParams, GenParams};
 use propeller_telemetry::json::{arr, obj};
 use propeller_telemetry::{JsonValue, TimeSeries};
@@ -322,7 +329,8 @@ fn machine_budgets(total: u64, machines: usize) -> Vec<u64> {
 
 /// One past release retained in the merge window.
 struct HistoryEntry {
-    pm_binary: Arc<LinkedBinary>,
+    /// Address map of the metadata binary the profiles were sampled on.
+    mapper: AddressMapper,
     machine_profiles: Vec<HardwareProfile>,
     /// Release index the profiles were collected on.
     release: u32,
@@ -350,7 +358,6 @@ pub fn run_fleet(
     opts: &FleetOptions,
 ) -> Result<FleetReport, String> {
     let prod_caches = BuildCaches::new();
-    let oracle_caches = BuildCaches::new();
     // The oracle arm always runs this clean configuration; production
     // additionally carries the injected fault plan.
     let oracle_popts = PropellerOptions {
@@ -396,28 +403,31 @@ pub fn run_fleet(
             );
         }
 
+        // Both arms share this release's program; it moves back into
+        // `bench`, for the next `evolve`, once they are done with it.
+        let program = Arc::new(bench.program);
+
         // Production build of this release, sharing caches with every
         // earlier release: phases 1-2 give the metadata binary the
         // fleet samples against.
         let cache_before = prod_caches.object_stats();
         let mut prod = Propeller::with_caches(
-            bench.program.clone(),
+            program.clone(),
             bench.entries.clone(),
             popts.clone(),
             prod_caches.clone(),
         );
         prod.phase1_compile().map_err(|e| e.to_string())?;
         prod.phase2_build_metadata().map_err(|e| e.to_string())?;
-        let pm = Arc::new(
-            prod.pm_binary()
-                .ok_or("phase 2 produced no binary")?
-                .clone(),
-        );
+        // What the oracle arm builds on: every labels object of this
+        // release, and no way to write production's caches.
+        let snapshot = prod_caches.snapshot();
+        let pm = prod.pm_binary().ok_or("phase 2 produced no binary")?;
+        let mapper = AddressMapper::from_binary(pm);
 
         // Per-machine collection on this release's binary: unequal
         // traffic shares, per-machine seeds, one profile each.
-        let image =
-            ProgramImage::build(prod.program(), &pm.layout).map_err(|e| e.to_string())?;
+        let image = ProgramImage::build(&program, &pm.layout).map_err(|e| e.to_string())?;
         let mut machine_profiles = Vec::with_capacity(opts.machines);
         for (m, &budget) in budgets.iter().enumerate() {
             let mut w = Workload::new(bench.entries.clone(), budget);
@@ -445,11 +455,12 @@ pub fn run_fleet(
         let mut stale_bytes = 0u64;
         let mut translated_records = 0u64;
         let mut dropped_records = 0u64;
+        let pm_index = LayoutIndex::new(pm);
         for entry in &history {
-            let old_mapper = AddressMapper::from_binary(&entry.pm_binary);
+            let mut translator = Translator::new(&entry.mapper, &pm_index);
             let age = release - entry.release;
             for p in &entry.machine_profiles {
-                let (translated, tstats) = translate_profile(p, &old_mapper, &pm);
+                let (translated, tstats) = translator.translate(p);
                 translated_records += tstats.records_in;
                 dropped_records += tstats.records_dropped;
                 stale_bytes += translated.raw_size_bytes();
@@ -472,7 +483,7 @@ pub fn run_fleet(
         } else {
             let log;
             (stale_agg, log) = merge(&stale_sources, opts.provenance);
-            let skew = layout_skew_agg(&pm, &stale_agg, &pm, &fresh_agg);
+            let skew = layout_skew_agg(pm, &stale_agg, pm, &fresh_agg);
             let decision = opts.policy.decide(skew);
             let ship = (&stale_agg, stale_bytes, log);
             (skew, decision.as_str().to_string(), decision, ship)
@@ -538,20 +549,17 @@ pub fn run_fleet(
             prev_doc = Some(doc);
         }
         let cache_delta = prod_caches.object_stats().since(&cache_before);
-        let achieved = prod
-            .evaluate(opts.eval_budget)
-            .map_err(|e| e.to_string())?
-            .speedup_pct();
+        let eval = prod.evaluate(opts.eval_budget).map_err(|e| e.to_string())?;
+        let achieved = eval.speedup_pct();
 
         // Oracle arm: the same release relinked against its own fresh
-        // collection — what a zero-staleness fleet would ship. Runs on
-        // its own cache chain so it never pollutes production's
-        // hit-rate accounting.
+        // collection — what a zero-staleness fleet would ship. Its
+        // baseline is the one production just measured.
         let mut oracle = Propeller::with_caches(
-            bench.program.clone(),
+            program.clone(),
             bench.entries.clone(),
             oracle_popts.clone(),
-            oracle_caches.clone(),
+            snapshot,
         );
         oracle.phase1_compile().map_err(|e| e.to_string())?;
         oracle.phase2_build_metadata().map_err(|e| e.to_string())?;
@@ -560,13 +568,14 @@ pub fn run_fleet(
             .map_err(|e| e.to_string())?;
         oracle.phase4_relink().map_err(|e| e.to_string())?;
         let oracle_speedup = oracle
-            .evaluate(opts.eval_budget)
+            .evaluate_optimized(opts.eval_budget, &SimOptions::default(), None)
             .map_err(|e| e.to_string())?
-            .speedup_pct();
+            .counters
+            .speedup_pct_over(&eval.baseline);
 
         records.push(ReleaseRecord {
             release,
-            functions: bench.program.num_functions(),
+            functions: program.num_functions(),
             skew,
             decision: decision_str,
             achieved_speedup_pct: achieved,
@@ -583,7 +592,7 @@ pub fn run_fleet(
         });
 
         history.push(HistoryEntry {
-            pm_binary: pm,
+            mapper,
             machine_profiles,
             release,
         });
@@ -591,6 +600,8 @@ pub fn run_fleet(
             let excess = history.len() - opts.history_window as usize;
             history.drain(..excess);
         }
+        drop((prod, oracle));
+        bench.program = Arc::unwrap_or_clone(program);
     }
 
     Ok(FleetReport {

@@ -57,17 +57,20 @@ impl SetAssocCache {
         let tag = addr >> self.line_shift;
         let set = (tag & self.set_mask) as usize;
         let base = set * self.assoc;
-        let ways = &mut self.ways[base..base + self.assoc];
-        if let Some(pos) = ways.iter().position(|&w| w == tag) {
-            // Move to MRU.
-            ways[..=pos].rotate_right(1);
-            true
-        } else {
-            self.misses += 1;
-            ways.rotate_right(1);
-            ways[0] = tag;
-            false
+        // One pass that searches and ages at once: `tag` goes in at the
+        // MRU way and every way down to the one that held it (or, on a
+        // miss, the LRU way, which falls off) moves along by one. Most
+        // accesses re-touch the line just used and stop at the first
+        // way.
+        let mut carry = tag;
+        for way in &mut self.ways[base..base + self.assoc] {
+            carry = std::mem::replace(way, carry);
+            if carry == tag {
+                return true;
+            }
         }
+        self.misses += 1;
+        false
     }
 
     /// The line/page granularity in bytes.
@@ -96,6 +99,60 @@ impl SetAssocCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `access` as it was before it searched and aged in one pass:
+    /// `position`, then `rotate_right`.
+    fn reference_access(c: &mut SetAssocCache, addr: u64) -> bool {
+        c.accesses += 1;
+        let tag = addr >> c.line_shift;
+        let set = (tag & c.set_mask) as usize;
+        let base = set * c.assoc;
+        let ways = &mut c.ways[base..base + c.assoc];
+        if let Some(pos) = ways.iter().position(|&w| w == tag) {
+            // Move to MRU.
+            ways[..=pos].rotate_right(1);
+            true
+        } else {
+            c.misses += 1;
+            ways.rotate_right(1);
+            ways[0] = tag;
+            false
+        }
+    }
+
+    #[test]
+    fn one_pass_access_matches_the_reference_on_random_streams() {
+        let mut rng = crate::rng::SplitMix64::new(0xCAC4E);
+        for (sets, assoc) in [(4, 1), (8, 2), (2, 8), (4, 16), (1, 3)] {
+            let mut new = SetAssocCache::new(sets, assoc, 64);
+            let mut old = new.clone();
+            // Twice the capacity in lines, with runs of repeats: hits at
+            // every way, misses, and evictions.
+            let lines = 2 * (sets * assoc) as u64;
+            let mut addr = 0;
+            for step in 0..20_000 {
+                if rng.below(3) != 0 {
+                    addr = rng.below(lines) * 64 + rng.below(64);
+                }
+                assert_eq!(
+                    new.access(addr),
+                    reference_access(&mut old, addr),
+                    "{sets}x{assoc}, step {step}"
+                );
+                assert_eq!(new.ways, old.ways, "{sets}x{assoc}, step {step}");
+            }
+            assert_eq!((new.accesses, new.misses), (old.accesses, old.misses));
+            assert!(new.misses > 100 && new.misses < new.accesses / 2);
+        }
+        // A tag equal to the invalid marker (1-byte lines, as the BTB
+        // has): both bodies "hit" the first empty way.
+        let mut new = SetAssocCache::new(1, 4, 1);
+        let mut old = new.clone();
+        for addr in [7, u64::MAX, 9, u64::MAX, 7, 11, 12, 13, u64::MAX, 7] {
+            assert_eq!(new.access(addr), reference_access(&mut old, addr), "{addr:#x}");
+            assert_eq!(new.ways, old.ways, "{addr:#x}");
+        }
+    }
 
     #[test]
     fn hits_within_line() {

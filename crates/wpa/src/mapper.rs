@@ -2,12 +2,13 @@
 //! address map — the step that replaces disassembly.
 
 use propeller_linker::LinkedBinary;
+use std::sync::OnceLock;
 
 /// A resolved sample location.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct MappedLoc {
+#[derive(Copy, Clone, PartialEq, Eq, Debug)]
+pub struct MappedLoc<'a> {
     /// The owning function's primary symbol.
-    pub func_symbol: String,
+    pub func_symbol: &'a str,
     /// The machine basic block id within that function.
     pub bb_id: u32,
     /// Byte offset of the address within the block.
@@ -28,6 +29,10 @@ struct Interval {
 pub struct AddressMapper {
     intervals: Vec<Interval>,
     func_symbols: Vec<String>,
+    /// Function indices ordered by `(symbol, index)`, sorted on the
+    /// first [`AddressMapper::func_index`] call: building the mapper is
+    /// on every Phase 3's path, asking for an index by name is not.
+    by_symbol: OnceLock<Vec<u32>>,
     skipped_funcs: usize,
 }
 
@@ -71,31 +76,34 @@ impl AddressMapper {
         AddressMapper {
             intervals,
             func_symbols,
+            by_symbol: OnceLock::new(),
             skipped_funcs,
         }
     }
 
-    /// Resolves an address to its block, if any block covers it.
-    pub fn lookup(&self, addr: u64) -> Option<MappedLoc> {
+    /// Resolves an address to `(function index, bb id, byte offset
+    /// within the block)`, if any block covers it — the one search the
+    /// other lookups are views of.
+    pub fn lookup_offset(&self, addr: u64) -> Option<(u32, u32, u32)> {
         let idx = self.intervals.partition_point(|i| i.start <= addr);
-        let iv = &self.intervals[..idx].last()?;
-        if addr < iv.end {
-            Some(MappedLoc {
-                func_symbol: self.func_symbols[iv.func_idx as usize].clone(),
-                bb_id: iv.bb_id,
-                offset_in_block: (addr - iv.start) as u32,
-            })
-        } else {
-            None
-        }
+        let iv = self.intervals[..idx].last()?;
+        (addr < iv.end).then(|| (iv.func_idx, iv.bb_id, (addr - iv.start) as u32))
     }
 
-    /// Resolves to indices (cheaper form used by the DCFG builder):
+    /// Resolves an address to its block, if any block covers it.
+    pub fn lookup(&self, addr: u64) -> Option<MappedLoc<'_>> {
+        let (func_idx, bb_id, offset_in_block) = self.lookup_offset(addr)?;
+        Some(MappedLoc {
+            func_symbol: self.func_symbol(func_idx),
+            bb_id,
+            offset_in_block,
+        })
+    }
+
+    /// Resolves to indices (the form the DCFG builder uses):
     /// `(function index, bb id)`.
     pub fn lookup_idx(&self, addr: u64) -> Option<(u32, u32)> {
-        let idx = self.intervals.partition_point(|i| i.start <= addr);
-        let iv = &self.intervals[..idx].last()?;
-        (addr < iv.end).then_some((iv.func_idx, iv.bb_id))
+        self.lookup_offset(addr).map(|(f, b, _)| (f, b))
     }
 
     /// All blocks whose start lies within `[lo, hi]`, as
@@ -114,12 +122,20 @@ impl AddressMapper {
         &self.func_symbols[idx as usize]
     }
 
-    /// The function index for a symbol, if mapped.
+    /// The function index for a symbol, if mapped; the first one when
+    /// the address map names the symbol more than once.
     pub fn func_index(&self, symbol: &str) -> Option<u32> {
-        self.func_symbols
-            .iter()
-            .position(|s| s == symbol)
-            .map(|i| i as u32)
+        let by_symbol = self.by_symbol.get_or_init(|| {
+            let mut order: Vec<u32> = (0..self.func_symbols.len() as u32).collect();
+            // Stable, so equal symbols stay in index order.
+            order.sort_by_key(|&i| self.func_symbol(i));
+            order
+        });
+        let at = by_symbol.partition_point(|&i| self.func_symbol(i) < symbol);
+        by_symbol
+            .get(at)
+            .copied()
+            .filter(|&i| self.func_symbol(i) == symbol)
     }
 
     /// Number of functions with mappable blocks.
@@ -210,6 +226,26 @@ mod tests {
         assert_eq!(mapper.num_functions(), 2, "resolvable functions kept");
         assert_eq!(mapper.num_skipped_functions(), 1);
         assert!(mapper.func_index("ghost").is_none());
+    }
+
+    #[test]
+    fn func_index_is_the_first_position_of_the_symbol() {
+        let mut bin = metadata_binary();
+        // The address map names `alpha` a second time, after `beta`.
+        let again = bin.bb_addr_map.functions[0].clone();
+        bin.bb_addr_map.functions.push(again);
+        let mapper = AddressMapper::from_binary(&bin);
+        assert_eq!(mapper.num_functions(), 3);
+        assert_eq!(mapper.func_index("alpha"), Some(0), "first of two");
+        assert_eq!(mapper.func_index("beta"), Some(1));
+        assert_eq!(mapper.func_symbol(2), "alpha", "the last index");
+        assert_eq!(mapper.func_index("gamma"), None);
+        assert_eq!(mapper.func_index(""), None);
+        // Every index resolves like the linear scan it replaced.
+        for (i, s) in mapper.func_symbols.iter().enumerate() {
+            let first = mapper.func_symbols.iter().position(|t| t == s);
+            assert_eq!(mapper.func_index(s), first.map(|p| p as u32), "index {i}");
+        }
     }
 
     #[test]

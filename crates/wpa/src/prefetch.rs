@@ -54,8 +54,8 @@ pub fn prefetch_directives(
             continue; // not a function entry
         }
         let (Some(&caller_id), Some(&target_id)) = (
-            name_to_id.get(site.func_symbol.as_str()),
-            name_to_id.get(callee.func_symbol.as_str()),
+            name_to_id.get(site.func_symbol),
+            name_to_id.get(callee.func_symbol),
         ) else {
             continue;
         };

@@ -2,6 +2,7 @@
 //! across runs and worker counts, zero-drift steady state (the control
 //! arm), and the speedup-vs-staleness curve worsening with drift.
 
+use propeller::FaultPlan;
 use propeller_doctor::RelinkPolicy;
 use propeller_fleet::{run_fleet, FleetOptions};
 use propeller_synth::spec_by_name;
@@ -126,4 +127,40 @@ fn tight_threshold_flips_the_policy_to_reuse() {
     // The reuse path must stay as deterministic as the relink path.
     let again = run_fleet(&spec, 0.002, &opts).unwrap();
     assert_eq!(report.to_json_string(), again.to_json_string());
+}
+
+#[test]
+fn oracle_column_is_fault_free_and_production_caches_are_its_own() {
+    let spec = spec_by_name("clang").unwrap();
+    let mut clean = small_opts();
+    clean.drift = 0.3;
+    let faulted = FleetOptions {
+        faults: FaultPlan::parse(
+            "transient=0.5,corrupt-cache=0.5,evict-cache=0.3,permanent-codegen=0.3",
+        )
+        .unwrap(),
+        ..clean.clone()
+    };
+    let clean_report = run_fleet(&spec, 0.002, &clean).unwrap();
+    let faulted_report = run_fleet(&spec, 0.002, &faulted).unwrap();
+    // The plan bites production...
+    assert!(faulted_report.records.iter().any(|r| !r.degradation.is_clean()));
+    assert!(clean_report.records.iter().all(|r| r.degradation.is_clean()));
+    // ...and never the yardstick: the oracle arm runs clean whatever
+    // production's caches and baseline went through.
+    let oracle = |r: &propeller_fleet::FleetReport| -> Vec<u64> {
+        r.records.iter().map(|r| r.oracle_speedup_pct.to_bits()).collect()
+    };
+    assert_eq!(oracle(&clean_report), oracle(&faulted_report));
+    // The bootstrap release relinks on its own fresh collection, so
+    // both arms ship the same layout over the same baseline.
+    let first = &clean_report.records[0];
+    assert_eq!(first.achieved_speedup_pct.to_bits(), first.oracle_speedup_pct.to_bits());
+    // Nobody but production writes production's caches: a second fleet
+    // on fresh state books the same lookups and hits release by release.
+    let again = run_fleet(&spec, 0.002, &clean).unwrap();
+    let cache = |r: &propeller_fleet::FleetReport| -> Vec<(u64, u64)> {
+        r.records.iter().map(|r| (r.cache_lookups, r.cache_hits)).collect()
+    };
+    assert_eq!(cache(&clean_report), cache(&again));
 }
