@@ -9,9 +9,12 @@
 #   pub_fn         lines starting `pub fn`
 #   loc            non-blank, non-`//` lines
 #
-# pub_fn and loc stop at each file's first #[cfg(test)]; all three skip
-# every reference.rs (test-only reference implementations, compiled
-# under #[cfg(test)] by the module that declares them).
+# pub_fn and loc stop at the #[cfg(test)] that opens a file's
+# `mod tests {` block and skip any other #[cfg(test)]-guarded item or
+# statement (through its `;`, or its closing brace when it has a body);
+# all three skip every reference.rs (test-only reference
+# implementations, compiled under #[cfg(test)] by the module that
+# declares them).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,9 +31,17 @@ option_fields=$(awk '
 
 # shellcheck disable=SC2086
 read -r pub_fn loc < <(awk '
-    FNR == 1 { in_tests = 0 }
-    /^[[:space:]]*#\[cfg\(test\)\]/ { in_tests = 1 }
+    FNR == 1 { in_tests = 0; guarded = 0 }
     in_tests { next }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { guarded = 1; depth = 0; next }
+    guarded && /^[[:space:]]*(#\[|\/\/)/ { next }
+    guarded && depth == 0 && /^[[:space:]]*mod tests \{/ { in_tests = 1; next }
+    guarded {
+        line = $0
+        depth += gsub(/\{/, "", line) - gsub(/\}/, "", line)
+        if (depth <= 0 && /[;}][[:space:]]*$/) guarded = 0
+        next
+    }
     /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
     { loc++ }
     /^[[:space:]]*pub fn / { fns++ }

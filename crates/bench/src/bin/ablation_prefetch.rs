@@ -27,8 +27,7 @@ fn main() {
             &GenParams {
                 scale: (spec.default_scale * cfg.scale_mult).min(1.0),
                 seed: cfg.seed,
-                funcs_per_module: 12,
-                entry_points: 4,
+                ..GenParams::for_spec(&spec)
             },
         );
         let run = |prefetch: Option<u64>| {

@@ -153,7 +153,11 @@ impl Parsed {
             "--drift" => self.drift = Some(num(flag, &v)?),
             "--skew-threshold" => self.skew_threshold = Some(num(flag, &v)?),
             "--history-window" => self.history_window = Some(num(flag, &v)?),
-            "--interval" => self.interval = Some(num(flag, &v)?),
+            "--interval" => {
+                let secs = num(flag, &v).ok().filter(|&s: &f64| s.is_finite() && s > 0.0);
+                let positive = || CliError::Usage(format!("--interval {v}: need a positive number"));
+                self.interval = Some(secs.ok_or_else(positive)?);
+            }
             "--config" => self.config = Some(v),
             _ => unreachable!("{flag} is in a synopsis but has no setter"),
         }
@@ -210,13 +214,7 @@ impl Parsed {
 
 /// Generates `spec`'s synthetic program at an absolute `scale`.
 pub fn generate_at(spec: &BenchmarkSpec, scale: f64, seed: u64) -> GeneratedBenchmark {
-    let params = GenParams {
-        scale,
-        seed,
-        funcs_per_module: 12,
-        entry_points: 4,
-    };
-    generate(spec, &params)
+    generate(spec, &GenParams { scale, seed, ..GenParams::for_spec(spec) })
 }
 
 /// Writes `contents` to `path` without announcing it.

@@ -114,14 +114,16 @@ pub const COMMANDS: &[Command] = &[
         synopsis: "timeline [bench]",
         flags: &[PROGRAM, SERVICE, DIR_AND_TRACE, "[--interval SECS]"],
         about: "Run `traffic`'s plan with the modeled-clock time series armed; --out DIR writes \
-                timeline.csv and timeline_sampled.csv (resampled every --interval, default 10).",
+                timeline.csv and timeline_sampled.csv (resampled every --interval, which must be \
+                positive; default 10).",
         run: service::timeline,
     },
     Command {
         synopsis: "slo [bench]",
         flags: &[PROGRAM, SERVICE, DIR_AND_TRACE, "[--config FILE]"],
-        about: "Evaluate the objectives in --config (TOML; default: built-in) against the \
-                armed timeline; --out DIR writes slo_report.json. Exits nonzero on any FAIL.",
+        about: "Evaluate the objectives in --config (TOML; default: built-in; a window_secs must \
+                be positive) against the armed timeline; --out DIR writes slo_report.json. Exits \
+                nonzero on any FAIL.",
         run: service::slo,
     },
     Command {

@@ -4,7 +4,7 @@
 use super::args::{generate_at, write_file, write_quiet};
 use super::error::{exit_code, gate, require};
 use super::{CliError, Parsed};
-use propeller::{EvalReport, FaultKind, FaultPlan, Propeller, PropellerOptions};
+use propeller::{EvalReport, FaultPlan, Propeller, PropellerOptions};
 use propeller_bench::{run_benchmark, BenchArtifacts, RunConfig};
 use propeller_doctor::{
     audit_pipeline, degradation_findings, diagnose, provenance_findings, render_annotate,
@@ -36,32 +36,6 @@ pub fn list(_: &Parsed) -> Result<ExitCode, CliError> {
         );
     }
     Ok(ExitCode::SUCCESS)
-}
-
-/// Assembles the layout-provenance document from a pipeline that ran
-/// with `PropellerOptions::provenance` armed. The document is empty
-/// (but well-formed) when the run was not armed.
-fn collect_provenance(
-    pipeline: &Propeller,
-    benchmark: &str,
-    scale: f64,
-    seed: u64,
-) -> Result<ProvenanceDoc, CliError> {
-    let wpa = wpa_of(pipeline)?;
-    let rich = wpa.rich.clone().unwrap_or_default();
-    let placements = pipeline
-        .po_binary()
-        .map(|b| b.placements.clone())
-        .unwrap_or_default();
-    Ok(ProvenanceDoc::collect(
-        benchmark,
-        scale,
-        seed,
-        &rich,
-        &wpa.provenance,
-        &placements,
-        None,
-    ))
 }
 
 fn wpa_of(pipeline: &Propeller) -> Result<&propeller_wpa::WpaOutput, CliError> {
@@ -171,7 +145,7 @@ pub fn run(p: &Parsed) -> Result<ExitCode, CliError> {
     write_file(dir.join("ld_prof.txt"), wpa.symbol_order.to_file_contents())?;
     write_file(dir.join("run_report.json"), run_report.to_json_string())?;
     if p.provenance {
-        let mut doc = collect_provenance(&pipeline, spec.name, scale, seed)?;
+        let mut doc = ProvenanceDoc::collect(spec.name, scale, seed, &pipeline, None);
         if let Some(attr) = pipeline.profile_attribution() {
             doc.attribution = attr
                 .symbols
@@ -199,7 +173,7 @@ pub fn doctor(p: &Parsed) -> Result<ExitCode, CliError> {
     pipeline.run_all()?;
     let mut findings = diagnose(&audit(&pipeline)?);
     findings.extend(wall_clock_findings(pipeline.times(), jobs));
-    let doc = collect_provenance(&pipeline, spec.name, scale, seed)?;
+    let doc = ProvenanceDoc::collect(spec.name, scale, seed, &pipeline, None);
     let wpa = wpa_of(&pipeline)?;
     findings.extend(provenance_findings(&wpa.provenance, &doc));
     findings.extend(degradation_findings(pipeline.degradation()));
@@ -276,27 +250,7 @@ fn run_chaos_scenario(
     // Exact accounting: every fault the injector fired must be visible
     // in the ledger, one-for-one.
     if let Some(inj) = pipeline.fault_injector() {
-        let books = [
-            (FaultKind::TransientActionFailure, ledger.action_retries),
-            (FaultKind::ActionTimeout, ledger.action_timeouts),
-            (FaultKind::CacheCorruption, ledger.cache_corruptions),
-            (FaultKind::CacheEviction, ledger.cache_evictions),
-            (FaultKind::LbrRecordCorruption, ledger.lbr_records_corrupted),
-            (FaultKind::SampleTruncation, ledger.lbr_samples_truncated),
-            (
-                FaultKind::PermanentCodegenFailure,
-                ledger.objects_fallen_back,
-            ),
-        ];
-        for (kind, booked) in books {
-            let fired = inj.fired(kind);
-            if fired != booked {
-                broken.push(format!(
-                    "injector fired {fired} {} fault(s) but the ledger accounts for {booked}",
-                    kind.key()
-                ));
-            }
-        }
+        broken.extend(ledger.unbooked_faults(inj));
         if ledger.cache_rebuilds != ledger.cache_corruptions + ledger.cache_evictions {
             broken.push(format!(
                 "{} cache rebuilds for {} corruptions + {} evictions",
@@ -546,7 +500,7 @@ pub fn explain(p: &Parsed) -> Result<ExitCode, CliError> {
     // Simulate the shipped binary with attribution on, so the
     // explanation ends at measured microarchitectural cost.
     let (a, runs) = attributed_runs(p, true, Some("propeller"))?;
-    let doc = collect_provenance(&a.pipeline, a.spec.name, a.scale, p.seed())?;
+    let doc = ProvenanceDoc::collect(a.spec.name, a.scale, p.seed(), &a.pipeline, None);
     let attr = attr_of(&runs[0].1)?;
     let text = render_explain(&doc, function, block, attr.symbol(function))
         .map_err(|e| with_hottest(e, attr))?;

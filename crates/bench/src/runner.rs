@@ -271,15 +271,7 @@ pub struct FullScaleTimes {
 pub fn run_benchmark(name: &str, cfg: &RunConfig) -> BenchArtifacts {
     let spec = spec_by_name(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
     let scale = (spec.default_scale * cfg.scale_mult).min(1.0);
-    let gen = generate(
-        &spec,
-        &GenParams {
-            scale,
-            seed: cfg.seed,
-            funcs_per_module: 12,
-            entry_points: 4,
-        },
-    );
+    let gen = generate(&spec, &GenParams { scale, seed: cfg.seed, ..GenParams::for_spec(&spec) });
     let program_stats = gen.program.stats();
 
     let machine = match spec.kind {
@@ -391,15 +383,7 @@ pub fn run_layout_variants(
     use propeller_wpa::run_wpa;
     let spec = spec_by_name(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
     let scale = (spec.default_scale * cfg.scale_mult).min(1.0);
-    let gen = generate(
-        &spec,
-        &GenParams {
-            scale,
-            seed: cfg.seed,
-            funcs_per_module: 12,
-            entry_points: 4,
-        },
-    );
+    let gen = generate(&spec, &GenParams { scale, seed: cfg.seed, ..GenParams::for_spec(&spec) });
     let uarch = if spec.hugepages {
         UarchConfig::with_hugepages()
     } else {

@@ -184,6 +184,47 @@ fn unread_flags_and_out_of_range_numbers_are_usage_errors() {
     );
 }
 
+/// A zero `--interval` or `window_secs` used to be clamped to one modeled
+/// microsecond and walked across the whole makespan (an 18 s `slo`, an
+/// allocation-failure abort in `timeline`). Both are typed errors now,
+/// raised where the value enters — before any job runs.
+#[test]
+fn zero_interval_and_zero_window_are_typed_errors_before_any_work() {
+    let base = scratch("zero_step");
+    let out_dir = base.join("out");
+    let shape = [
+        "clang", "--requests", "10", "--tenants", "3", "--slots", "2", "--queue", "6", "--seed",
+        "12648430", "--mean-gap", "60", "--out",
+    ];
+    let rejected = |cmd: &str, flag: &str, value: &str| {
+        let mut argv = vec![cmd];
+        argv.extend(shape);
+        argv.extend([out_dir.to_str().expect("utf-8 path"), flag, value]);
+        let t0 = std::time::Instant::now();
+        let out = cli(&argv);
+        let took = t0.elapsed();
+        assert_eq!(out.status.code(), Some(1), "{argv:?}");
+        assert!(took.as_secs_f64() < 1.0, "{argv:?} took {took:?}");
+        assert!(!out_dir.exists(), "{argv:?} ran the service before rejecting its input");
+        String::from_utf8_lossy(&out.stderr).into_owned()
+    };
+    for bad in ["0", "-1", "nan", "inf"] {
+        let stderr = rejected("timeline", "--interval", bad);
+        assert!(stderr.contains(&format!("--interval {bad}")), "{stderr}");
+        assert!(stderr.contains("usage:"), "not the usage path: {stderr}");
+
+        let config = base.join(format!("window_{bad}.toml"));
+        let text = format!(
+            "[[objective]]\nmetric = \"p99_latency_ms\"\nmax_warn = 600000.0\n\
+             window_secs = {bad}\ntarget = 0.99\n"
+        );
+        std::fs::write(&config, text).expect("write slo config");
+        let stderr = rejected("slo", "--config", config.to_str().expect("utf-8 path"));
+        assert!(stderr.contains("error: cannot parse"), "{stderr}");
+        assert!(stderr.contains("slo config line 4: `window_secs`"), "{stderr}");
+    }
+}
+
 /// `(arrivals, makespan, completed)` from a service run's summary line,
 /// e.g. `traffic: 6 arrivals (2 burst clones) over 31.4 modeled s -> 4 completed`.
 fn ledger_totals(stdout: &str) -> (String, String, String) {

@@ -182,10 +182,12 @@ impl Executor {
     ///
     /// # Errors
     ///
-    /// A panic inside `f` is caught on the worker, the remaining items
-    /// still run, and the *lowest-index* panic surfaces as
-    /// [`BuildError::WorkerPanicked`] — a typed error, never a hang or
-    /// a propagated unwind.
+    /// A panic inside `f` is caught where it happens and the
+    /// *lowest-index* panic surfaces as [`BuildError::WorkerPanicked`]
+    /// — a typed error, never a hang or a propagated unwind. On the
+    /// pool the other workers keep draining, so the remaining items
+    /// still run; inline, the loop returns at the first panic, which is
+    /// the lowest index — the same error either way.
     pub fn execute_indexed<T, R, F>(
         &self,
         what: &str,

@@ -6,7 +6,6 @@ use crate::report::{EvalReport, PhaseTimes, PropellerReport};
 use parking_lot::Mutex;
 use propeller_buildsys::{
     cost, ActionCache, ActionSpec, CacheEvent, Executor, MachineConfig, PhaseReport, PoolStats,
-    ResilienceReport,
 };
 use propeller_codegen::{
     codegen_module_traced, CodegenError, CodegenOptions, CodegenResult, FunctionClusters,
@@ -20,8 +19,10 @@ use propeller_obj::{ContentHash, ContentHasher};
 use propeller_profile::{
     degrade_profile, salvage_profile, AggregatedProfile, HardwareProfile, SamplingConfig,
 };
-use propeller_sim::{simulate_traced, CounterSet, ProgramImage, SimOptions, UarchConfig, Workload};
-use propeller_telemetry::{SpanId, Telemetry};
+use propeller_sim::{
+    simulate_traced, CounterSet, ProgramImage, SimOptions, SimReport, UarchConfig, Workload,
+};
+use propeller_telemetry::{Span, SpanId, Telemetry};
 use propeller_wpa::{
     apply_prefetches, prefetch_directives, run_wpa_agg_traced, WpaOptions, WpaOutput,
 };
@@ -206,26 +207,19 @@ pub struct Propeller {
     compiled: bool,
     pm_binary: Option<Arc<LinkedBinary>>,
     baseline_binary: Option<Arc<LinkedBinary>>,
-    profile: Option<HardwareProfile>,
+    /// The Phase 3 profiling run, whole: the `perf record` profile (what
+    /// survived salvage, under a fault plan) beside the `perf stat`
+    /// counters of the same execution — profile-quality audits compare
+    /// the two — and whichever of heat map (the Figure 7 "before"
+    /// picture: the PM binary still has the baseline layout), symbol
+    /// attribution, folded stacks and call-site misses the options
+    /// requested.
+    profiling_run: Option<SimReport>,
     wpa_output: Option<WpaOutput>,
     po_binary: Option<Arc<LinkedBinary>>,
     /// The program Phase 4 regenerated from (prefetch-augmented when
     /// the §3.5 pass is enabled).
     phase4_program: Option<Arc<Program>>,
-    /// Counters of the Phase 3 profiling run — the `perf stat` view of
-    /// the same execution `perf record` sampled; profile-quality audits
-    /// compare the profile against these.
-    profiled_counters: Option<CounterSet>,
-    /// Heat map of the Phase 3 profiling run, when the options request
-    /// one (the Figure 7 "before" picture: the PM binary still has the
-    /// baseline layout).
-    profile_heatmap: Option<propeller_sim::HeatMap>,
-    /// Symbol attribution of the Phase 3 profiling run, when requested.
-    profile_attribution: Option<propeller_sim::AttributedCounters>,
-    /// Folded call stacks of the Phase 3 profiling run (cycle-weighted
-    /// flamegraph input), collected together with the attribution.
-    profile_folded: Option<propeller_sim::FoldedStacks>,
-    call_misses: Option<std::collections::HashMap<(u64, u64), u64>>,
     times: PhaseTimes,
     hot_module_fraction: f64,
     tel: Telemetry,
@@ -316,15 +310,10 @@ impl Propeller {
             compiled: false,
             pm_binary: None,
             baseline_binary: None,
-            profile: None,
+            profiling_run: None,
             wpa_output: None,
             po_binary: None,
             phase4_program: None,
-            profiled_counters: None,
-            profile_heatmap: None,
-            profile_attribution: None,
-            profile_folded: None,
-            call_misses: None,
             times: PhaseTimes::default(),
             hot_module_fraction: 0.0,
             tel: Telemetry::disabled(),
@@ -362,7 +351,7 @@ impl Propeller {
 
     /// The collected hardware profile, if Phase 3 ran.
     pub fn profile(&self) -> Option<&HardwareProfile> {
-        self.profile.as_ref()
+        self.profiling_run.as_ref()?.profile.as_ref()
     }
 
     /// The WPA output, if Phase 3 ran.
@@ -372,19 +361,19 @@ impl Propeller {
 
     /// Simulator counters of the Phase 3 profiling run, if it ran.
     pub fn profiled_counters(&self) -> Option<&CounterSet> {
-        self.profiled_counters.as_ref()
+        self.profiling_run.as_ref().map(|run| &run.counters)
     }
 
     /// Heat map of the Phase 3 profiling run, if
     /// [`PropellerOptions::heatmap`] requested one and Phase 3 ran.
     pub fn profile_heatmap(&self) -> Option<&propeller_sim::HeatMap> {
-        self.profile_heatmap.as_ref()
+        self.profiling_run.as_ref()?.heatmap.as_ref()
     }
 
     /// Symbol attribution of the Phase 3 profiling run, if
     /// [`PropellerOptions::attribution`] requested it and Phase 3 ran.
     pub fn profile_attribution(&self) -> Option<&propeller_sim::AttributedCounters> {
-        self.profile_attribution.as_ref()
+        self.profiling_run.as_ref()?.attribution.as_ref()
     }
 
     /// Folded call stacks of the Phase 3 profiling run, if
@@ -392,7 +381,7 @@ impl Propeller {
     /// ran. [`propeller_sim::FoldedStacks::to_text`] is the flamegraph
     /// input format.
     pub fn profile_folded(&self) -> Option<&propeller_sim::FoldedStacks> {
-        self.profile_folded.as_ref()
+        self.profiling_run.as_ref()?.folded.as_ref()
     }
 
     /// The program Phase 4 regenerated from (prefetch-augmented when
@@ -417,11 +406,18 @@ impl Propeller {
         self.injector.as_ref()
     }
 
-    /// Folds one phase run's retry accounting into the ledger.
-    fn absorb_resilience(&mut self, res: ResilienceReport) {
+    /// Runs modeled actions on the executor and books what their retries
+    /// cost in the ledger.
+    fn run_actions(
+        &mut self,
+        actions: &[ActionSpec],
+        parent: Option<SpanId>,
+    ) -> Result<PhaseReport, PipelineError> {
+        let (report, res) = self.executor.run_phase(actions, &self.tel, parent)?;
         self.ledger.action_retries += res.retries;
         self.ledger.action_timeouts += res.timeouts;
         self.ledger.retry_backoff_secs += res.backoff_secs;
+        Ok(report)
     }
 
     /// Folds one verified cache lookup's outcome into the ledger. A
@@ -482,9 +478,7 @@ impl Propeller {
         for e in events {
             self.absorb_cache_event(e);
         }
-        let (report, res) =
-            self.executor.run_phase(&actions, &self.tel, span.id())?;
-        self.absorb_resilience(res);
+        let report = self.run_actions(&actions, span.id())?;
         span.set_sim_secs(report.wall_secs);
         span.set_peak_bytes(report.max_action_memory);
         self.compiled = true;
@@ -592,6 +586,46 @@ impl Propeller {
         Ok((artifacts, actions, pool))
     }
 
+    /// Backends, then link — the one way this pipeline makes a binary
+    /// (§3.1 over every module for `PM` and the baseline; §3.4 for `PO`,
+    /// whose cold objects the batch finds in the cache). `plan` is
+    /// [`Propeller::codegen_batch`]'s. `charge` puts the build on the
+    /// cost model: the link action's name, plus modeled actions already
+    /// spent that produced no object. `None` builds for free — the
+    /// baseline, which exists only to be measured against.
+    fn build_binary(
+        &mut self,
+        program: &Program,
+        plan: Vec<(usize, ContentHash, Arc<CodegenOptions>)>,
+        link: &LinkOptions,
+        mut charge: Option<(&str, Vec<ActionSpec>)>,
+        parent: Option<SpanId>,
+    ) -> Result<(Arc<LinkedBinary>, PhaseReport), PipelineError> {
+        let (artifacts, mut actions, pool) = self.codegen_batch(program, plan, parent)?;
+        let inputs: Vec<LinkInputRef> = artifacts
+            .iter()
+            .map(|a| LinkInputRef::new(&a.object, &a.debug_layout))
+            .collect();
+        // Under a fault plan the order is part of the result: the
+        // codegen actions roll before the link runs, its action after.
+        let mut report = PhaseReport::default();
+        if let Some((_, spent)) = &mut charge {
+            actions.append(spent);
+            report = self.run_actions(&actions, parent)?;
+        }
+        let bin = link_refs_traced(&inputs, link, &self.tel, parent)?;
+        if let Some((link_action, _)) = charge {
+            let link_cost = cost::link_secs(bin.stats.input_bytes);
+            let action = ActionSpec::new(link_action, link_cost, bin.stats.modeled_peak_memory);
+            report = report.then(&self.run_actions(&[action], parent)?);
+            // Measured pool timing rides in PhaseReport only — never the
+            // run report, whose bytes must not depend on real clocks.
+            report.wall_us = pool.wall_us;
+            report.busy_us = pool.busy_us;
+        }
+        Ok((Arc::new(bin), report))
+    }
+
     /// Phase 2: code-generate every module with BB address map
     /// metadata and link the `PM` binary.
     ///
@@ -603,48 +637,52 @@ impl Propeller {
             return Err(PipelineError::PhaseOrder { needs: "phase 1" });
         }
         let mut span = self.tel.span("phase2.build_metadata");
-        let span_id = span.id();
         let cg = Arc::new(CodegenOptions::with_labels());
         let plan: Vec<_> = (0..self.program.num_modules())
             .map(|i| (i, self.fingerprints[i].combine(tag("labels")), cg.clone()))
             .collect();
-        let program = self.program.clone();
-        let (artifacts, actions, pool) = self.codegen_batch(&program, plan, span_id)?;
-        let inputs: Vec<LinkInputRef> = artifacts
-            .iter()
-            .map(|a| LinkInputRef::new(&a.object, &a.debug_layout))
-            .collect();
-        let (codegen_phase, res) =
-            self.executor.run_phase(&actions, &self.tel, span_id)?;
-        self.absorb_resilience(res);
-        let bin = link_refs_traced(
-            &inputs,
-            &LinkOptions {
-                output_name: "app.pm".into(),
-                ..LinkOptions::default()
-            },
-            &self.tel,
-            span_id,
-        )?;
-        let (link_phase, res) = self.executor.run_phase(
-            &[ActionSpec::new(
-                "link app.pm",
-                cost::link_secs(bin.stats.input_bytes),
-                bin.stats.modeled_peak_memory,
-            )],
-            &self.tel,
-            span_id,
-        )?;
-        self.absorb_resilience(res);
-        self.times.phase2 = codegen_phase.then(&link_phase);
-        // Measured pool timing rides in PhaseReport only — never the
-        // run report, whose bytes must not depend on real clocks.
-        self.times.phase2.wall_us = pool.wall_us;
-        self.times.phase2.busy_us = pool.busy_us;
-        span.set_sim_secs(self.times.phase2.wall_secs);
-        span.set_peak_bytes(self.times.phase2.max_action_memory);
-        self.pm_binary = Some(Arc::new(bin));
-        Ok(self.times.phase2)
+        let link = LinkOptions { output_name: "app.pm".into(), ..LinkOptions::default() };
+        let charge = Some(("link app.pm", Vec::new()));
+        let (bin, report) =
+            self.build_binary(&self.program.clone(), plan, &link, charge, span.id())?;
+        self.times.phase2 = report;
+        span.set_sim_secs(report.wall_secs);
+        span.set_peak_bytes(report.max_action_memory);
+        self.pm_binary = Some(bin);
+        Ok(report)
+    }
+
+    /// What every Phase 3 starts with: the `PM` binary to analyse
+    /// against, and the phase's span.
+    fn begin_phase3(&self, span: &'static str) -> Result<(Arc<LinkedBinary>, Span), PipelineError> {
+        let pm = self.pm_binary.clone().ok_or(PipelineError::PhaseOrder { needs: "phase 2" })?;
+        Ok((pm, self.tel.span(span)))
+    }
+
+    /// What every Phase 3 ends with: `wpa` becomes the layout Phase 4
+    /// relinks by. `analysis` is the modeled action that produced it —
+    /// its name and the raw profile bytes it converted — or `None` when
+    /// nothing was analysed and the phase cost nothing.
+    fn finish_phase3(
+        &mut self,
+        mut span: Span,
+        wpa: WpaOutput,
+        analysis: Option<(&str, u64)>,
+    ) -> Result<PhaseReport, PipelineError> {
+        let report = match analysis {
+            Some((action, profile_bytes)) => {
+                let cpu = cost::profile_conversion_secs(profile_bytes)
+                    + cost::wpa_secs(wpa.stats.dcfg_edges as u64);
+                let action = ActionSpec::new(action, cpu, wpa.stats.modeled_peak_memory);
+                self.run_actions(&[action], span.id())?
+            }
+            None => PhaseReport::default(),
+        };
+        self.times.phase3 = report;
+        span.set_sim_secs(report.wall_secs);
+        span.set_peak_bytes(report.max_action_memory);
+        self.wpa_output = Some(wpa);
+        Ok(report)
     }
 
     /// Phase 3: run the workload under the profiler, then whole-program
@@ -655,13 +693,10 @@ impl Propeller {
     /// Propagates build-system failures (e.g. WPA exceeding the
     /// per-action memory limit) and image-construction failures.
     pub fn phase3_profile_and_analyze(&mut self) -> Result<PhaseReport, PipelineError> {
-        let Some(pm) = self.pm_binary.clone() else {
-            return Err(PipelineError::PhaseOrder { needs: "phase 2" });
-        };
-        let mut span = self.tel.span("phase3.profile_and_analyze");
+        let (pm, span) = self.begin_phase3("phase3.profile_and_analyze")?;
         let span_id = span.id();
         let image = ProgramImage::build(&self.program, &pm.layout)?;
-        let run = simulate_traced(
+        let mut run = simulate_traced(
             &image,
             &self.workload(self.opts.profile_budget),
             &self.opts.uarch,
@@ -674,12 +709,7 @@ impl Propeller {
             &self.tel,
             span_id,
         );
-        self.call_misses = run.call_misses;
-        self.profiled_counters = Some(run.counters);
-        self.profile_heatmap = run.heatmap;
-        self.profile_attribution = run.attribution;
-        self.profile_folded = run.folded;
-        let mut profile = run.profile.ok_or(PipelineError::Internal {
+        let profile = run.profile.as_mut().ok_or(PipelineError::Internal {
             what: "profiler returned no profile despite sampling being enabled",
         })?;
         // Model in-flight profile damage, then salvage what survives:
@@ -687,23 +717,25 @@ impl Propeller {
         // committed prefix. The pipeline continues on whatever is
         // left — possibly nothing.
         let mut survival = 1.0f64;
-        if let Some(inj) = self.injector.clone() {
-            let stats = degrade_profile(&mut profile, &inj);
+        if let Some(inj) = &self.injector {
+            let stats = degrade_profile(profile, inj);
             let (salvaged, stats) =
-                salvage_profile(&profile, pm.text_start..pm.text_end, stats);
+                salvage_profile(profile, pm.text_start..pm.text_end, stats);
             stats.record_into(&mut self.ledger);
             survival = stats.survival_rate();
-            profile = salvaged;
+            *profile = salvaged;
         }
         let agg = {
             let _s = self.tel.span_under("wpa.aggregate_profile", span_id);
-            AggregatedProfile::from_profile(&profile)
+            AggregatedProfile::from_profile(profile)
         };
+        let profile_bytes = profile.raw_size_bytes();
+        self.profiling_run = Some(run);
         let wpa = run_wpa_agg_traced(
             &self.program,
             &pm,
             &agg,
-            profile.raw_size_bytes(),
+            profile_bytes,
             &self.opts.wpa,
             &self.tel,
             span_id,
@@ -723,24 +755,7 @@ impl Propeller {
         } else {
             wpa
         };
-        let cpu = cost::profile_conversion_secs(profile.raw_size_bytes())
-            + cost::wpa_secs(wpa.stats.dcfg_edges as u64);
-        let (report, res) = self.executor.run_phase(
-            &[ActionSpec::new(
-                "whole-program analysis",
-                cpu,
-                wpa.stats.modeled_peak_memory,
-            )],
-            &self.tel,
-            span_id,
-        )?;
-        self.absorb_resilience(res);
-        self.times.phase3 = report;
-        span.set_sim_secs(report.wall_secs);
-        span.set_peak_bytes(report.max_action_memory);
-        self.profile = Some(profile);
-        self.wpa_output = Some(wpa);
-        Ok(report)
+        self.finish_phase3(span, wpa, Some(("whole-program analysis", profile_bytes)))
     }
 
     /// Phase 3 variant for the fleet lifecycle: whole-program analysis
@@ -750,9 +765,9 @@ impl Propeller {
     ///
     /// `profile_bytes` is the modeled raw size of the samples behind
     /// `agg`, used for the conversion-cost and memory models. The
-    /// pipeline's own profile/counter slots stay empty — this phase
-    /// consumes samples collected on *other* machines (and possibly an
-    /// older binary, translated into this one's address space).
+    /// pipeline's own profiling run stays empty — this phase consumes
+    /// samples collected on *other* machines (and possibly an older
+    /// binary, translated into this one's address space).
     ///
     /// # Errors
     ///
@@ -763,11 +778,7 @@ impl Propeller {
         agg: &AggregatedProfile,
         profile_bytes: u64,
     ) -> Result<PhaseReport, PipelineError> {
-        let Some(pm) = self.pm_binary.clone() else {
-            return Err(PipelineError::PhaseOrder { needs: "phase 2" });
-        };
-        let mut span = self.tel.span("phase3.analyze_merged");
-        let span_id = span.id();
+        let (pm, span) = self.begin_phase3("phase3.analyze_merged")?;
         let wpa = run_wpa_agg_traced(
             &self.program,
             &pm,
@@ -775,25 +786,10 @@ impl Propeller {
             profile_bytes,
             &self.opts.wpa,
             &self.tel,
-            span_id,
+            span.id(),
         );
-        let cpu = cost::profile_conversion_secs(profile_bytes)
-            + cost::wpa_secs(wpa.stats.dcfg_edges as u64);
-        let (report, res) = self.executor.run_phase(
-            &[ActionSpec::new(
-                "whole-program analysis (merged profile)",
-                cpu,
-                wpa.stats.modeled_peak_memory,
-            )],
-            &self.tel,
-            span_id,
-        )?;
-        self.absorb_resilience(res);
-        self.times.phase3 = report;
-        span.set_sim_secs(report.wall_secs);
-        span.set_peak_bytes(report.max_action_memory);
-        self.wpa_output = Some(wpa);
-        Ok(report)
+        let analysis = ("whole-program analysis (merged profile)", profile_bytes);
+        self.finish_phase3(span, wpa, Some(analysis))
     }
 
     /// Phase 3 variant for the fleet lifecycle's *reuse* decision: skip
@@ -810,15 +806,8 @@ impl Propeller {
     ///
     /// Fails if Phase 2 has not produced the metadata binary yet.
     pub fn phase3_reuse_layout(&mut self) -> Result<PhaseReport, PipelineError> {
-        if self.pm_binary.is_none() {
-            return Err(PipelineError::PhaseOrder { needs: "phase 2" });
-        }
-        let mut span = self.tel.span("phase3.reuse_layout");
-        let report = PhaseReport::default();
-        self.times.phase3 = report;
-        span.set_sim_secs(report.wall_secs);
-        self.wpa_output = Some(WpaOutput::identity_fallback(Default::default()));
-        Ok(report)
+        let (_, span) = self.begin_phase3("phase3.reuse_layout")?;
+        self.finish_phase3(span, WpaOutput::identity_fallback(Default::default()), None)
     }
 
     /// Phase 4: regenerate hot modules with basic block sections, reuse
@@ -840,7 +829,8 @@ impl Propeller {
         // then regenerate hot modules from the augmented IR (the
         // paper's "summary-based directive" driving the distributed
         // codegen actions).
-        let phase4_program: Arc<Program> = match (self.opts.prefetch, &self.call_misses) {
+        let call_misses = self.profiling_run.as_ref().and_then(|run| run.call_misses.as_ref());
+        let phase4_program: Arc<Program> = match (self.opts.prefetch, call_misses) {
             (Some(min_misses), Some(misses)) => {
                 // Phase 3 required the PM binary, so it exists here;
                 // stay typed rather than panicking if that invariant
@@ -927,46 +917,21 @@ impl Propeller {
             plan.push((i, key, cg));
         }
         self.hot_module_fraction = hot_modules as f64 / self.program.num_modules().max(1) as f64;
-        let (artifacts, mut actions, pool) =
-            self.codegen_batch(&phase4_program.clone(), plan, span_id)?;
-        actions.append(&mut failed_actions);
-        let inputs: Vec<LinkInputRef> = artifacts
-            .iter()
-            .map(|a| LinkInputRef::new(&a.object, &a.debug_layout))
-            .collect();
-        let (codegen_phase, res) =
-            self.executor.run_phase(&actions, &self.tel, span_id)?;
-        self.absorb_resilience(res);
-        let bin = link_refs_traced(
-            &inputs,
-            &LinkOptions {
-                output_name: "app.propeller".into(),
-                symbol_order: Some(symbol_order),
-                relax: true,
-                drop_cold_bb_addr_map: true,
-                ..LinkOptions::default()
-            },
-            &self.tel,
-            span_id,
-        )?;
-        let (link_phase, res) = self.executor.run_phase(
-            &[ActionSpec::new(
-                "relink app.propeller",
-                cost::link_secs(bin.stats.input_bytes),
-                bin.stats.modeled_peak_memory,
-            )],
-            &self.tel,
-            span_id,
-        )?;
-        self.absorb_resilience(res);
-        self.times.phase4 = codegen_phase.then(&link_phase);
-        self.times.phase4.wall_us = pool.wall_us;
-        self.times.phase4.busy_us = pool.busy_us;
-        span.set_sim_secs(self.times.phase4.wall_secs);
-        span.set_peak_bytes(self.times.phase4.max_action_memory);
-        self.po_binary = Some(Arc::new(bin));
+        let link = LinkOptions {
+            output_name: "app.propeller".into(),
+            symbol_order: Some(symbol_order),
+            relax: true,
+            drop_cold_bb_addr_map: true,
+            ..LinkOptions::default()
+        };
+        let charge = Some(("relink app.propeller", failed_actions));
+        let (bin, report) = self.build_binary(&phase4_program, plan, &link, charge, span_id)?;
+        self.times.phase4 = report;
+        span.set_sim_secs(report.wall_secs);
+        span.set_peak_bytes(report.max_action_memory);
+        self.po_binary = Some(bin);
         self.phase4_program = Some(phase4_program);
-        Ok(self.times.phase4)
+        Ok(report)
     }
 
     /// Runs all four phases.
@@ -1011,7 +976,7 @@ impl Propeller {
             shrunk_branches: po.stats.shrunk_branches,
             optimized_binary_name: po.name.clone(),
             degradation: self.ledger.clone(),
-            profile_attribution: self.profile_attribution.clone(),
+            profile_attribution: self.profile_attribution().cloned(),
         })
     }
 
@@ -1026,26 +991,12 @@ impl Propeller {
             return Ok(b.clone());
         }
         let span = self.tel.span("baseline.build");
-        let span_id = span.id();
         let cg = Arc::new(CodegenOptions::baseline());
         let plan: Vec<_> = (0..self.program.num_modules())
             .map(|i| (i, self.fingerprints[i].combine(tag("baseline")), cg.clone()))
             .collect();
-        let program = self.program.clone();
-        let (artifacts, _, _) = self.codegen_batch(&program, plan, span_id)?;
-        let inputs: Vec<LinkInputRef> = artifacts
-            .iter()
-            .map(|a| LinkInputRef::new(&a.object, &a.debug_layout))
-            .collect();
-        let bin = Arc::new(link_refs_traced(
-            &inputs,
-            &LinkOptions {
-                output_name: "app.baseline".into(),
-                ..LinkOptions::default()
-            },
-            &self.tel,
-            span_id,
-        )?);
+        let link = LinkOptions { output_name: "app.baseline".into(), ..LinkOptions::default() };
+        let (bin, _) = self.build_binary(&self.program.clone(), plan, &link, None, span.id())?;
         self.baseline_binary = Some(bin.clone());
         Ok(bin)
     }
@@ -1066,7 +1017,7 @@ impl Propeller {
 
     /// [`Propeller::evaluate`] with caller-chosen collection options —
     /// the same workload runs over the baseline and optimized images,
-    /// and both full [`propeller_sim::SimReport`]s come back (counters
+    /// and both full [`SimReport`]s come back (counters
     /// plus whatever attribution/heat-map/flamegraph data `opts`
     /// requested).
     ///
@@ -1077,7 +1028,7 @@ impl Propeller {
         &mut self,
         block_budget: u64,
         sim_opts: &SimOptions,
-    ) -> Result<(propeller_sim::SimReport, propeller_sim::SimReport), PipelineError> {
+    ) -> Result<(SimReport, SimReport), PipelineError> {
         let baseline = self.build_baseline()?;
         let span = self.tel.span("evaluate");
         let base =
@@ -1099,7 +1050,7 @@ impl Propeller {
         block_budget: u64,
         sim_opts: &SimOptions,
         parent: Option<SpanId>,
-    ) -> Result<propeller_sim::SimReport, PipelineError> {
+    ) -> Result<SimReport, PipelineError> {
         let (Some(po), Some(program)) = (&self.po_binary, &self.phase4_program) else {
             return Err(PipelineError::PhaseOrder { needs: "phase 4" });
         };
@@ -1114,7 +1065,7 @@ impl Propeller {
         block_budget: u64,
         sim_opts: &SimOptions,
         parent: Option<SpanId>,
-    ) -> Result<propeller_sim::SimReport, PipelineError> {
+    ) -> Result<SimReport, PipelineError> {
         let image = ProgramImage::build(program, &binary.layout)?;
         Ok(simulate_traced(
             &image,

@@ -31,12 +31,11 @@ pub struct ExpectedLoad {
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct ProfileAudit {
     /// Fraction of hot text bytes whose block received at least one
-    /// mapped sample. Hot text is the WPA hot classification — blocks
-    /// at or above [`WpaOptions::hot_threshold`] plus the forced-hot
-    /// entry block, within functions meeting
-    /// [`WpaOptions::min_function_samples`] — computed from the
-    /// *reference* profile (the audited profile itself by default).
-    /// 1.0 when nothing qualified as hot.
+    /// mapped sample. Hot text is WPA's sampled-hot classification
+    /// ([`WpaOptions::block_is_sampled_hot`] within functions passing
+    /// [`WpaOptions::function_is_hot`]) of the *reference* profile (the
+    /// audited profile itself by default). 1.0 when nothing qualified
+    /// as hot.
     pub sample_coverage: f64,
     /// Hot text bytes with ≥ 1 mapped sample in the audited profile.
     pub covered_bytes: u64,
@@ -92,6 +91,13 @@ pub fn audit_profile(
 /// no longer witnesses. Self-referenced, the score instead measures how
 /// much of the hot layout is evidence-backed rather than inferred
 /// (forced-hot entry blocks that sampling never hit).
+///
+/// Hot text is always graded by sampled counts
+/// ([`WpaOptions::function_is_hot`], [`WpaOptions::block_is_sampled_hot`]):
+/// no `Program` reaches this function, so under
+/// [`propeller_wpa::ColdSource::PgoFrequencies`] — where WPA splits by
+/// the compile-time frequencies instead — the audited set is the
+/// sampled-hot one, not the one the layout used.
 pub fn audit_profile_with_reference(
     binary: &LinkedBinary,
     profile: &HardwareProfile,
@@ -106,12 +112,10 @@ pub fn audit_profile_with_reference(
         .map(|r| Dcfg::build(&mapper, &AggregatedProfile::from_profile(r)));
     let ref_dcfg = ref_dcfg.as_ref().unwrap_or(&dcfg);
 
-    // Coverage: replicate the WPA hot classification (block count at or
-    // above `hot_threshold`, entry forced hot, within functions meeting
-    // `min_function_samples`) on the reference, then ask how many of
-    // those hot text bytes the audited profile actually observed.
-    // Uncovered hot bytes are layout decisions made without evidence.
-    let min_samples = opts.min_function_samples.max(1);
+    // Coverage: ask WPA's own hot tests which text bytes the reference
+    // makes hot, then how many of those the audited profile actually
+    // observed. Uncovered hot bytes are layout decisions made without
+    // evidence.
     let mut covered_bytes = 0u64;
     let mut auditable_bytes = 0u64;
     for fmap in &binary.bb_addr_map.functions {
@@ -119,14 +123,14 @@ pub fn audit_profile_with_reference(
             continue;
         };
         let rc = &ref_dcfg.functions[fi as usize];
-        if rc.total_count() < min_samples {
+        if !opts.function_is_hot(rc.total_count()) {
             continue;
         }
         let dc = &dcfg.functions[fi as usize];
         for (_, entries) in &fmap.ranges {
             for e in entries {
                 let ref_count = rc.block_counts.get(&e.bb_id).copied().unwrap_or(0);
-                if e.bb_id != 0 && ref_count < opts.hot_threshold {
+                if !opts.block_is_sampled_hot(e.bb_id, ref_count) {
                     continue;
                 }
                 auditable_bytes += e.size as u64;

@@ -255,6 +255,39 @@ fn relative_delta_pct(a: f64, b: f64) -> f64 {
     }
 }
 
+/// The delta of one value that changed, `None` when it did not. A
+/// worsening move must exceed the tolerance to gate; the magnitude
+/// compared is the size of the *bad* move relative to the baseline, so
+/// tolerance 0 gates every worsening change.
+fn delta_of(
+    key: &str,
+    a: f64,
+    b: f64,
+    direction: Direction,
+    tolerance_pct: f64,
+) -> Option<MetricDelta> {
+    if a == b {
+        return None;
+    }
+    let delta_pct = relative_delta_pct(a, b);
+    let regression = match direction {
+        Direction::HigherBetter => b < a && -delta_pct > tolerance_pct,
+        Direction::LowerBetter => b > a && delta_pct > tolerance_pct,
+        Direction::Informational => false,
+    };
+    Some(MetricDelta { key: key.to_string(), a, b, delta_pct, direction, regression })
+}
+
+/// Lower-better when the two runs are comparable, informational
+/// otherwise — the direction of every ledger entry and cycle count.
+fn lower_better_if(gated: bool) -> Direction {
+    if gated {
+        Direction::LowerBetter
+    } else {
+        Direction::Informational
+    }
+}
+
 fn diff_metric_maps(
     a: &BTreeMap<String, f64>,
     b: &BTreeMap<String, f64>,
@@ -269,31 +302,12 @@ fn diff_metric_maps(
             only_a.push(k.clone());
             continue;
         };
-        if va == vb {
-            continue;
-        }
         let direction = if gated {
             direction_of(k)
         } else {
             Direction::Informational
         };
-        let delta_pct = relative_delta_pct(va, vb);
-        // A worsening move must exceed the tolerance to gate. The
-        // magnitude compared is the size of the *bad* move relative to
-        // the baseline, so tolerance 0 gates every worsening change.
-        let regression = match direction {
-            Direction::HigherBetter => vb < va && -delta_pct > tolerance_pct,
-            Direction::LowerBetter => vb > va && delta_pct > tolerance_pct,
-            Direction::Informational => false,
-        };
-        deltas.push(MetricDelta {
-            key: k.clone(),
-            a: va,
-            b: vb,
-            delta_pct,
-            direction,
-            regression,
-        });
+        deltas.extend(delta_of(k, va, vb, direction, tolerance_pct));
     }
     for k in b.keys() {
         if !a.contains_key(k) {
@@ -367,32 +381,12 @@ fn diff_layouts(a: &[FunctionProvenance], b: &[FunctionProvenance]) -> Vec<Layou
 /// faults means resilience got worse — but only gates when the plans
 /// were equal.
 fn diff_degradation(a: &RunReport, b: &RunReport, tolerance_pct: f64) -> Vec<MetricDelta> {
-    let gated = a.fault_plan == b.fault_plan;
-    let mut deltas = Vec::new();
-    for ((k, va), (_, vb)) in a
-        .degradation
-        .entries()
-        .into_iter()
-        .zip(b.degradation.entries())
-    {
-        if va == vb {
-            continue;
-        }
-        let delta_pct = relative_delta_pct(va, vb);
-        deltas.push(MetricDelta {
-            key: k.to_string(),
-            a: va,
-            b: vb,
-            delta_pct,
-            direction: if gated {
-                Direction::LowerBetter
-            } else {
-                Direction::Informational
-            },
-            regression: gated && vb > va && delta_pct > tolerance_pct,
-        });
-    }
-    deltas
+    let direction = lower_better_if(a.fault_plan == b.fault_plan);
+    let (ea, eb) = (a.degradation.entries(), b.degradation.entries());
+    ea.into_iter()
+        .zip(eb)
+        .filter_map(|((k, va), (_, vb))| delta_of(k, va, vb, direction, tolerance_pct))
+        .collect()
 }
 
 /// Per-symbol attributed-cycle deltas — the `perf report` gate. Only
@@ -404,31 +398,14 @@ fn diff_attribution(a: &RunReport, b: &RunReport, tolerance_pct: f64) -> Vec<Met
     let (Some(sa), Some(sb)) = (&a.attribution, &b.attribution) else {
         return Vec::new();
     };
-    let gated = a.fault_plan == b.fault_plan;
-    let mut deltas = Vec::new();
-    for row in &sa.symbols {
-        let Some(other) = sb.get(&row.symbol) else {
-            continue;
-        };
-        let (va, vb) = (row.counters.cycles as f64, other.counters.cycles as f64);
-        if va == vb {
-            continue;
-        }
-        let delta_pct = relative_delta_pct(va, vb);
-        deltas.push(MetricDelta {
-            key: row.symbol.clone(),
-            a: va,
-            b: vb,
-            delta_pct,
-            direction: if gated {
-                Direction::LowerBetter
-            } else {
-                Direction::Informational
-            },
-            regression: gated && vb > va && delta_pct > tolerance_pct,
-        });
-    }
-    deltas
+    let direction = lower_better_if(a.fault_plan == b.fault_plan);
+    sa.symbols
+        .iter()
+        .filter_map(|row| {
+            let (va, vb) = (row.counters.cycles, sb.get(&row.symbol)?.counters.cycles);
+            delta_of(&row.symbol, va as f64, vb as f64, direction, tolerance_pct)
+        })
+        .collect()
 }
 
 /// Diffs candidate report `b` against baseline report `a` at the given

@@ -23,46 +23,21 @@
 //! bit-identical whether or not provenance was armed.
 
 use crate::doctor::{Finding, Severity};
+use propeller::Propeller;
 use propeller_linker::SymbolPlacement;
 use propeller_profile::{MergeProvenance, SourceContribution};
 use propeller_sim::SymbolAttribution;
 use propeller_telemetry::json::{arr, obj, read_doc, JsonValue, Reader, SchemaError};
 use propeller_wpa::exttsp::{replay_merges, Edge, MergeStep, Node, RejectedAlt};
-use propeller_wpa::{
-    EdgeFunding, EdgeKind, FundingRecord, LayoutProvenance, RichProvenance,
-};
+use propeller_wpa::{EdgeFunding, EdgeKind, FundingRecord, LayoutProvenance};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
-/// One hot function's full decision record inside a [`ProvenanceDoc`]:
-/// the Ext-TSP problem, the committed merge steps, and the emitted
-/// hot-block order the steps reconstruct.
-#[derive(Clone, PartialEq, Debug)]
-pub struct ProvenanceFunction {
-    /// The function's primary symbol.
-    pub func_symbol: String,
-    /// Mapper function index — joins the funding ledger.
-    pub func_index: u32,
-    /// Hot nodes exactly as handed to the optimizer.
-    pub nodes: Vec<Node>,
-    /// Hot-to-hot edges exactly as handed to the optimizer.
-    pub edges: Vec<Edge>,
-    /// Committed merges in commit order, each with the best rejected
-    /// alternative at commit time.
-    pub steps: Vec<MergeStep>,
-    /// Total candidate merge evaluations (accepted and rejected).
-    pub evaluations: u64,
-    /// Whether the optimizer fell back to the input order.
-    pub used_input_order: bool,
-    /// Ext-TSP score of the emitted order.
-    pub final_score: f64,
-    /// Ext-TSP score of the input order.
-    pub input_score: f64,
-    /// The emitted hot-block order (all hot clusters concatenated, in
-    /// cluster order). When `used_input_order` is false, replaying
-    /// `steps` over `nodes` reconstructs exactly this sequence.
-    pub order: Vec<u32>,
-}
+/// One hot function's full decision record inside a [`ProvenanceDoc`]
+/// — the record WPA wrote, as it wrote it: the Ext-TSP problem, the
+/// committed merge steps, and the emitted hot-block order the steps
+/// reconstruct.
+pub use propeller_wpa::RichFunctionRecord as ProvenanceFunction;
 
 /// The `layout_provenance.json` document.
 #[derive(Clone, PartialEq, Debug, Default)]
@@ -90,59 +65,26 @@ pub struct ProvenanceDoc {
 }
 
 impl ProvenanceDoc {
-    /// Assembles the document from the armed pipeline's collections.
-    ///
-    /// `layout` supplies the emitted hot-block order per function (the
-    /// concatenation of its hot clusters); `rich` supplies the
-    /// replayable decision record; `placements` is the linker's final
-    /// text order.
+    /// Gathers the document from a pipeline that ran with
+    /// [`propeller::PropellerOptions::provenance`] armed: Phase 3's
+    /// decision records and funding ledger, Phase 4's final text order.
+    /// Whatever the pipeline does not hold (it was not armed, or a
+    /// phase has not run) is empty, and the document still well-formed.
     pub fn collect(
         benchmark: &str,
         scale: f64,
         seed: u64,
-        rich: &RichProvenance,
-        layout: &LayoutProvenance,
-        placements: &[SymbolPlacement],
+        pipeline: &Propeller,
         merge_sources: Option<MergeProvenance>,
     ) -> ProvenanceDoc {
-        let emitted: HashMap<&str, Vec<u32>> = layout
-            .functions
-            .iter()
-            .map(|f| {
-                let order: Vec<u32> = f
-                    .clusters
-                    .iter()
-                    .filter(|c| !c.cold)
-                    .flat_map(|c| c.blocks.iter().copied())
-                    .collect();
-                (f.func_symbol.as_str(), order)
-            })
-            .collect();
+        let rich = pipeline.wpa_output().and_then(|w| w.rich.clone()).unwrap_or_default();
         ProvenanceDoc {
             benchmark: benchmark.to_string(),
             scale,
             seed,
-            functions: rich
-                .functions
-                .iter()
-                .map(|r| ProvenanceFunction {
-                    func_symbol: r.func_symbol.clone(),
-                    func_index: r.func_index,
-                    nodes: r.nodes.clone(),
-                    edges: r.edges.clone(),
-                    steps: r.steps.clone(),
-                    evaluations: r.evaluations,
-                    used_input_order: r.used_input_order,
-                    final_score: r.final_score,
-                    input_score: r.input_score,
-                    order: emitted
-                        .get(r.func_symbol.as_str())
-                        .cloned()
-                        .unwrap_or_default(),
-                })
-                .collect(),
-            funding: rich.funding.clone(),
-            placements: placements.to_vec(),
+            functions: rich.functions,
+            funding: rich.funding,
+            placements: pipeline.po_binary().map(|b| b.placements.clone()).unwrap_or_default(),
             merge_sources,
             attribution: Vec::new(),
         }

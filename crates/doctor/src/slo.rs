@@ -179,8 +179,12 @@ impl SloConfig {
             };
             let as_num = |value: &str| -> Result<f64, SloParseError> {
                 let v = value.split('#').next().unwrap_or("").trim();
+                // `nan` and `inf` parse as `f64`s; no bound, target or
+                // window means anything at either.
                 v.parse::<f64>()
-                    .map_err(|_| err(format!("`{key}` expects a number, got {v:?}")))
+                    .ok()
+                    .filter(|n| n.is_finite())
+                    .ok_or_else(|| err(format!("`{key}` expects a number, got {v:?}")))
             };
             match key {
                 "name" => obj.name = as_str(value)?,
@@ -202,7 +206,16 @@ impl SloConfig {
                 "max_fail" => obj.max_fail = Some(as_num(value)?),
                 "min_warn" => obj.min_warn = Some(as_num(value)?),
                 "min_fail" => obj.min_fail = Some(as_num(value)?),
-                "window_secs" => obj.window_secs = Some(as_num(value)?),
+                "window_secs" => {
+                    // The burn evaluation slides a window of this width
+                    // across the whole run: zero is not a narrow window
+                    // but an unbounded amount of work.
+                    let secs = as_num(value)?;
+                    if secs <= 0.0 {
+                        return Err(err(format!("`window_secs` must be positive, got {secs}")));
+                    }
+                    obj.window_secs = Some(secs);
+                }
                 "target" => obj.target = Some(as_num(value)?),
                 other => return Err(err(format!("unknown key {other:?}"))),
             }
@@ -586,6 +599,29 @@ min_warn = 0.5
         assert!(err.message.contains("unknown metric"));
         let err = SloConfig::parse("[[objective]]\nmax_warn = lots").unwrap_err();
         assert!(err.message.contains("expects a number"));
+    }
+
+    #[test]
+    fn a_window_that_is_not_positive_and_finite_is_an_error_on_its_line() {
+        let with = |key: &str, value: &str| {
+            SloConfig::parse(&format!(
+                "[[objective]]\nmetric = \"p99_latency_ms\"\n# burn\n{key} = {value}\n"
+            ))
+        };
+        for bad in ["0", "0.0", "-1", "nan", "inf", "-inf"] {
+            let err = with("window_secs", bad).unwrap_err();
+            assert_eq!(err.line, 4, "window_secs = {bad}");
+            assert!(err.message.contains("window_secs"), "{}", err.message);
+        }
+        for key in ["max_warn", "max_fail", "min_warn", "min_fail", "target"] {
+            for bad in ["nan", "inf"] {
+                let err = with(key, bad).unwrap_err();
+                assert_eq!(err.line, 4, "{key} = {bad}");
+                assert!(err.message.contains(key), "{}", err.message);
+            }
+        }
+        let ok = with("window_secs", "0.5").expect("a positive window parses");
+        assert_eq!(ok.objectives[0].window_secs, Some(0.5));
     }
 
     #[test]

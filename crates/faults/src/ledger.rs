@@ -7,6 +7,8 @@
 //! and a clean ledger ([`DegradationLedger::is_clean`]) certifies the
 //! run took the exact undegraded path.
 
+use crate::injector::FaultInjector;
+use crate::plan::FaultKind;
 use propeller_telemetry::json::{num_entries, JsonValue, Reader, SchemaError};
 use std::fmt;
 
@@ -76,6 +78,53 @@ impl DegradationLedger {
     /// output.
     pub fn is_clean(&self) -> bool {
         *self == DegradationLedger::default()
+    }
+
+    /// Exact accounting, checked: every pipeline fault `inj` fired must
+    /// be booked one-for-one in the counter that answers for its kind.
+    /// Returns one sentence per kind whose books do not balance — none
+    /// for a run that accounted exactly.
+    pub fn unbooked_faults(&self, inj: &FaultInjector) -> Vec<String> {
+        [
+            (FaultKind::TransientActionFailure, self.action_retries),
+            (FaultKind::ActionTimeout, self.action_timeouts),
+            (FaultKind::CacheCorruption, self.cache_corruptions),
+            (FaultKind::CacheEviction, self.cache_evictions),
+            (FaultKind::LbrRecordCorruption, self.lbr_records_corrupted),
+            (FaultKind::SampleTruncation, self.lbr_samples_truncated),
+            (FaultKind::PermanentCodegenFailure, self.objects_fallen_back),
+        ]
+        .into_iter()
+        .filter_map(|(kind, booked)| {
+            let fired = inj.fired(kind);
+            (fired != booked).then(|| {
+                format!(
+                    "injector fired {fired} {} fault(s) but the ledger accounts for {booked}",
+                    kind.key()
+                )
+            })
+        })
+        .collect()
+    }
+
+    /// Adds `other`'s counters into `self` — a job's ledger into its
+    /// tenant's row, tenant rows into totals. The aggregate's own
+    /// layout mode is `Optimized` whatever went in: which jobs fell
+    /// back is counted beside it ([`crate::TenantLedger::identity_fallbacks`]).
+    pub fn absorb(&mut self, other: &DegradationLedger) {
+        self.action_retries += other.action_retries;
+        self.action_timeouts += other.action_timeouts;
+        self.retry_backoff_secs += other.retry_backoff_secs;
+        self.cache_corruptions += other.cache_corruptions;
+        self.cache_evictions += other.cache_evictions;
+        self.cache_rebuilds += other.cache_rebuilds;
+        self.lbr_records_corrupted += other.lbr_records_corrupted;
+        self.lbr_records_dropped += other.lbr_records_dropped;
+        self.lbr_samples_truncated += other.lbr_samples_truncated;
+        self.lbr_records_truncated += other.lbr_records_truncated;
+        self.functions_marked_cold += other.functions_marked_cold;
+        self.objects_fallen_back += other.objects_fallen_back;
+        self.layout_mode = LayoutMode::Optimized;
     }
 
     /// The ledger as stable `(name, value)` pairs, in a fixed order —
@@ -266,6 +315,85 @@ mod tests {
         };
         let back = DegradationLedger::from_entries(l.entries());
         assert_eq!(back, l);
+    }
+
+    /// A ledger whose every entry is distinct and nonzero, so a sum
+    /// that skips or crosses a counter cannot pass.
+    fn numbered(base: f64) -> DegradationLedger {
+        let names = DegradationLedger::default().entries();
+        DegradationLedger::from_entries(
+            names.into_iter().enumerate().map(|(i, (name, _))| (name, base + i as f64)),
+        )
+    }
+
+    #[test]
+    fn absorb_sums_every_counter_and_keeps_the_mode_optimized() {
+        let (mut sum, other) = (numbered(1.0), numbered(100.0));
+        assert_eq!(other.layout_mode, LayoutMode::IdentityFallback);
+        let before = sum.entries();
+        sum.absorb(&other);
+        for ((name, got), ((_, a), (_, b))) in
+            sum.entries().into_iter().zip(before.into_iter().zip(other.entries()))
+        {
+            let want = if name == "layout_identity_fallback" { 0.0 } else { a + b };
+            assert_eq!(got, want, "{name}");
+        }
+        assert_eq!(sum.layout_mode, LayoutMode::Optimized);
+    }
+
+    #[test]
+    fn unbooked_faults_names_exactly_the_kind_that_is_off() {
+        use crate::plan::FaultPlan;
+        // Every pipeline kind fires on every roll; roll kind `i` `i + 1`
+        // times so no two kinds share a count.
+        let plan = FaultPlan::parse(
+            "transient=1,timeout=1,corrupt-cache=1,evict-cache=1,corrupt-lbr=1,\
+             truncate-samples=1,permanent-codegen=1",
+        )
+        .unwrap();
+        let inj = FaultInjector::new(plan, 7);
+        let kinds = &FaultKind::ALL[..7];
+        for (i, &kind) in kinds.iter().enumerate() {
+            for n in 0..=i {
+                assert!(inj.fires(kind, &format!("site {n}")));
+            }
+        }
+        let exact = DegradationLedger {
+            action_retries: 1,
+            action_timeouts: 2,
+            cache_corruptions: 3,
+            cache_evictions: 4,
+            lbr_records_corrupted: 5,
+            lbr_samples_truncated: 6,
+            objects_fallen_back: 7,
+            // Derived counters no fault kind answers to: never named.
+            cache_rebuilds: 7,
+            lbr_records_dropped: 5,
+            ..DegradationLedger::default()
+        };
+        assert_eq!(exact.unbooked_faults(&inj), Vec::<String>::new());
+        let bumps: [fn(&mut DegradationLedger); 7] = [
+            |l| l.action_retries += 1,
+            |l| l.action_timeouts += 1,
+            |l| l.cache_corruptions += 1,
+            |l| l.cache_evictions += 1,
+            |l| l.lbr_records_corrupted += 1,
+            |l| l.lbr_samples_truncated += 1,
+            |l| l.objects_fallen_back += 1,
+        ];
+        for (i, (&kind, bump)) in kinds.iter().zip(bumps).enumerate() {
+            let mut off = exact.clone();
+            bump(&mut off);
+            let fired = i as u64 + 1;
+            assert_eq!(
+                off.unbooked_faults(&inj),
+                vec![format!(
+                    "injector fired {fired} {} fault(s) but the ledger accounts for {}",
+                    kind.key(),
+                    fired + 1
+                )]
+            );
+        }
     }
 
     #[test]

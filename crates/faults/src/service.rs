@@ -193,19 +193,8 @@ impl TenantLedger {
             .zip(other.entries())
             .map(|((name, a), (_, b))| (name, a + b))
             .collect();
-        let degradation = DegradationLedger::from_entries(
-            self.degradation
-                .entries()
-                .into_iter()
-                .zip(other.degradation.entries())
-                .map(|((name, a), (_, b))| {
-                    if name == "layout_identity_fallback" {
-                        (name, 0.0)
-                    } else {
-                        (name, a + b)
-                    }
-                }),
-        );
+        let mut degradation = std::mem::take(&mut self.degradation);
+        degradation.absorb(&other.degradation);
         *self = TenantLedger { degradation, ..TenantLedger::from_entries(merged) };
     }
 

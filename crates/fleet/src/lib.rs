@@ -513,27 +513,7 @@ pub fn run_fleet(
         // the top placement divergences from the previous release.
         let mut divergences: Vec<String> = Vec::new();
         if opts.provenance {
-            let rich = prod
-                .wpa_output()
-                .and_then(|w| w.rich.clone())
-                .unwrap_or_default();
-            let layout = prod
-                .wpa_output()
-                .map(|w| w.provenance.clone())
-                .unwrap_or_default();
-            let placements = prod
-                .po_binary()
-                .map(|b| b.placements.clone())
-                .unwrap_or_default();
-            let doc = ProvenanceDoc::collect(
-                spec.name,
-                scale,
-                opts.seed,
-                &rich,
-                &layout,
-                &placements,
-                merge_prov,
-            );
+            let doc = ProvenanceDoc::collect(spec.name, scale, opts.seed, &prod, merge_prov);
             if let Some(prev) = &prev_doc {
                 let d = diff_docs(prev, &doc);
                 if let Some(div) = &d.first_divergence {

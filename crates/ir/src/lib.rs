@@ -29,7 +29,6 @@
 
 mod block;
 mod builder;
-mod callgraph;
 mod error;
 mod freq;
 mod function;
@@ -42,7 +41,6 @@ mod stats;
 
 pub use block::BasicBlock;
 pub use builder::{FunctionBuilder, ProgramBuilder};
-pub use callgraph::{CallEdge, CallGraph};
 pub use error::IrError;
 pub use freq::propagate_frequencies;
 pub use function::Function;

@@ -28,7 +28,7 @@
 //! no cache inserts, no binary — so a cancellation can never leak
 //! partial state into other tenants' builds.
 
-use propeller::{BuildCaches, Propeller, PropellerOptions};
+use propeller::{BuildCaches, PipelineError, Propeller, PropellerOptions};
 use propeller_faults::{
     splitmix64 as mix, DegradationLedger, FaultInjector, FaultKind, FaultPlan, LayoutMode,
     ServiceLedger, TenantLedger,
@@ -140,7 +140,7 @@ pub struct ServiceReport {
 #[derive(Debug)]
 pub enum ServeError {
     UnknownBenchmark(String),
-    Pipeline { job: u64, tenant: u32, source: propeller::PipelineError },
+    Pipeline { job: u64, tenant: u32, source: PipelineError },
 }
 
 impl fmt::Display for ServeError {
@@ -613,28 +613,16 @@ impl RelinkService {
         // keeps shared-cache mutation deterministic.
         let plan = self.plan_for(tenant);
         let seed = job_seed(self.opts.seed, tenant, req.program_seed);
-        let gen = generate(
-            &self.spec,
-            &GenParams {
-                scale: self.scale,
-                seed: req.program_seed,
-                funcs_per_module: 12,
-                entry_points: 4,
-            },
-        );
-        let opts = PropellerOptions {
-            faults: plan.clone(),
-            seed,
-            jobs: self.opts.jobs,
-            profile_budget: self.opts.profile_budget,
-            ..PropellerOptions::default()
-        };
         self.caches.set_tenant(tenant);
-        let mut pipeline =
-            Propeller::with_caches(gen.program, gen.entries, opts, self.caches.clone());
-        pipeline
-            .run_all()
-            .map_err(|source| ServeError::Pipeline { job: req.id, tenant, source })?;
+        let (pipeline, image) = relink(
+            &self.spec,
+            self.scale,
+            (req.program_seed, &plan, seed),
+            self.opts.jobs,
+            self.opts.profile_budget,
+            self.caches.clone(),
+        )
+        .map_err(|source| ServeError::Pipeline { job: req.id, tenant, source })?;
         let duration = pipeline.times().total_wall_secs();
         let peak = [
             pipeline.times().phase1.max_action_memory,
@@ -649,35 +637,10 @@ impl RelinkService {
         // Exact accounting per job: everything the job's injector
         // fired must be booked in its ledger, one-for-one.
         if let Some(inj) = pipeline.fault_injector() {
-            let books = [
-                (FaultKind::TransientActionFailure, ledger.action_retries),
-                (FaultKind::ActionTimeout, ledger.action_timeouts),
-                (FaultKind::CacheCorruption, ledger.cache_corruptions),
-                (FaultKind::CacheEviction, ledger.cache_evictions),
-                (FaultKind::LbrRecordCorruption, ledger.lbr_records_corrupted),
-                (FaultKind::SampleTruncation, ledger.lbr_samples_truncated),
-                (FaultKind::PermanentCodegenFailure, ledger.objects_fallen_back),
-            ];
-            for (kind, booked) in books {
-                let fired = inj.fired(kind);
-                if fired != booked {
-                    self.violations.push(format!(
-                        "job {} (t{tenant}): injector fired {fired} {} fault(s) but the \
-                         job ledger accounts for {booked}",
-                        req.id,
-                        kind.key()
-                    ));
-                }
-            }
+            let job = req.id;
+            let unbooked = ledger.unbooked_faults(inj).into_iter();
+            self.violations.extend(unbooked.map(|what| format!("job {job} (t{tenant}): {what}")));
         }
-        let binary = pipeline
-            .po_binary()
-            .ok_or(ServeError::Pipeline {
-                job: req.id,
-                tenant,
-                source: propeller::PipelineError::PhaseOrder { needs: "phase 4" },
-            })?;
-        let image = binary.image.clone();
         let digest = ContentHash::of_bytes(&image).0;
         let row = self.tenant_mut(tenant);
         row.completed += 1;
@@ -688,22 +651,7 @@ impl RelinkService {
         if ledger.layout_mode == LayoutMode::IdentityFallback {
             row.identity_fallbacks += 1;
         }
-        // Aggregate the job's degradation into the tenant row. The
-        // per-job layout mode is counted in `identity_fallbacks`
-        // above; the aggregate's own mode field stays `Optimized`.
-        row.degradation = DegradationLedger::from_entries(
-            row.degradation
-                .entries()
-                .into_iter()
-                .zip(ledger.entries())
-                .map(|((name, a), (_, b))| {
-                    if name == "layout_identity_fallback" {
-                        (name, 0.0)
-                    } else {
-                        (name, a + b)
-                    }
-                }),
-        );
+        row.degradation.absorb(&ledger);
         self.durations.insert((tenant, req.program_seed), duration);
         // Publish-time observability: the job's latency is stamped at
         // the modeled publish instant (submit + queue + run), not at
@@ -813,32 +761,36 @@ pub fn batch_binary(
 ) -> Result<Vec<u8>, ServeError> {
     let spec = spec_by_name(benchmark)
         .ok_or_else(|| ServeError::UnknownBenchmark(benchmark.to_string()))?;
-    let gen = generate(
-        &spec,
-        &GenParams {
-            scale,
-            seed: job.program_seed,
-            funcs_per_module: 12,
-            entry_points: 4,
-        },
-    );
+    let what = (job.program_seed, &job.plan, job.job_seed);
+    relink(&spec, scale, what, jobs, profile_budget, BuildCaches::new())
+        .map(|(_, image)| image)
+        .map_err(|source| ServeError::Pipeline { job: job.id, tenant: job.tenant, source })
+}
+
+/// One relink, the same in the service and in batch: the program
+/// `program_seed` generates, through all four phases against `caches`
+/// under `plan` and pipeline seed `seed`. Returns the finished pipeline
+/// and the shipped image.
+fn relink(
+    spec: &BenchmarkSpec,
+    scale: f64,
+    (program_seed, plan, seed): (u64, &FaultPlan, u64),
+    jobs: usize,
+    profile_budget: u64,
+    caches: BuildCaches,
+) -> Result<(Propeller, Vec<u8>), PipelineError> {
+    let params = GenParams { scale, seed: program_seed, ..GenParams::for_spec(spec) };
+    let gen = generate(spec, &params);
     let opts = PropellerOptions {
-        faults: job.plan.clone(),
-        seed: job.job_seed,
+        faults: plan.clone(),
+        seed,
         jobs,
         profile_budget,
         ..PropellerOptions::default()
     };
-    let mut pipeline = Propeller::new(gen.program, gen.entries, opts);
-    pipeline.run_all().map_err(|source| ServeError::Pipeline {
-        job: job.id,
-        tenant: job.tenant,
-        source,
-    })?;
-    let binary = pipeline.po_binary().ok_or(ServeError::Pipeline {
-        job: job.id,
-        tenant: job.tenant,
-        source: propeller::PipelineError::PhaseOrder { needs: "phase 4" },
-    })?;
-    Ok(binary.image.clone())
+    let mut pipeline = Propeller::with_caches(gen.program, gen.entries, opts, caches);
+    pipeline.run_all()?;
+    let shipped = pipeline.po_binary().ok_or(PipelineError::PhaseOrder { needs: "phase 4" })?;
+    let image = shipped.image.clone();
+    Ok((pipeline, image))
 }

@@ -7,11 +7,10 @@
 //! `args`; every counter and gauge becomes a counter (`"ph": "C"`)
 //! event so they plot as tracks.
 //!
-//! The writer emits JSON by hand — the workspace has no serde — and
-//! escapes strings per RFC 8259, so the output is always
-//! syntactically valid.
+//! Every event is one [`crate::json`] object written compactly, one
+//! event per line.
 
-use crate::json::{escape_json, json_f64};
+use crate::json::{obj, JsonValue};
 use crate::timeseries::TimeSeries;
 use crate::{SpanRecord, TraceData};
 
@@ -41,24 +40,44 @@ fn lane_name(w: u64) -> String {
     }
 }
 
-fn span_event(s: &SpanRecord) -> String {
-    format!(
-        "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{},\
-         \"args\":{{\"span_id\":{},\"parent_id\":{},\"sim_secs\":{},\"peak_bytes\":{},\
-         \"worker\":{}}}}}",
-        escape_json(&s.name),
-        if s.dur_us == 0 { "action" } else { "span" },
-        s.start_us,
+fn span_event(s: &SpanRecord) -> JsonValue {
+    let args = obj([
+        ("span_id", s.id.0.into()),
+        ("parent_id", s.parent.map(|p| p.0).into()),
+        ("sim_secs", s.sim_secs.into()),
+        ("peak_bytes", s.peak_bytes.into()),
+        ("worker", s.worker.into()),
+    ]);
+    obj([
+        ("name", s.name.as_str().into()),
+        ("cat", if s.dur_us == 0 { "action" } else { "span" }.into()),
+        ("ph", "X".into()),
+        ("ts", s.start_us.into()),
         // chrome://tracing hides true zero-width events; give modeled
         // actions a 1us sliver so they stay visible.
-        s.dur_us.max(1),
-        s.worker.map_or(s.thread, |w| WORKER_LANE_BASE + w),
-        s.id.0,
-        s.parent.map_or("null".to_string(), |p| p.0.to_string()),
-        json_f64(s.sim_secs),
-        s.peak_bytes,
-        s.worker.map_or("null".to_string(), |w| w.to_string()),
-    )
+        ("dur", s.dur_us.max(1).into()),
+        ("pid", 1u32.into()),
+        ("tid", s.worker.map_or(s.thread, |w| WORKER_LANE_BASE + w).into()),
+        ("args", args),
+    ])
+}
+
+/// A counter (`"ph": "C"`) event: `name` reads `value` at `ts`.
+fn counter_event(name: &str, ts: u64, value: JsonValue) -> JsonValue {
+    obj([
+        ("name", name.into()),
+        ("ph", "C".into()),
+        ("ts", ts.into()),
+        ("pid", 1u32.into()),
+        ("args", obj([("value", value)])),
+    ])
+}
+
+/// A metadata (`"ph": "M"`) event naming the process, or lane `tid`.
+fn name_event(what: &str, tid: Option<u64>, name: &str) -> JsonValue {
+    obj([("name", what.into()), ("ph", "M".into()), ("pid", 1u32.into())])
+        .with("tid", tid.map(Into::into))
+        .with("args", Some(obj([("name", name.into())])))
 }
 
 /// Renders a drained trace as a Chrome Trace Event Format JSON
@@ -75,69 +94,33 @@ pub fn to_chrome_trace(trace: &TraceData) -> String {
 /// byte-stable for byte-stable inputs.
 pub fn to_chrome_trace_with_series(trace: &TraceData, series: &TimeSeries) -> String {
     let mut events = trace_events(trace);
-    events.extend(series_counter_events(series));
+    for (name, s) in series.iter() {
+        events.extend(s.ordered().iter().map(|p| counter_event(name, p.t_us, p.value.into())));
+    }
     render_trace(events)
 }
 
-/// The counter events for one [`TimeSeries`], one per point, in
-/// canonical series/point order.
-pub fn series_counter_events(series: &TimeSeries) -> Vec<String> {
-    let mut events = Vec::new();
-    for (name, s) in series.iter() {
-        for p in s.ordered() {
-            events.push(format!(
-                "{{\"name\":\"{}\",\"ph\":\"C\",\"ts\":{},\"pid\":1,\
-                 \"args\":{{\"value\":{}}}}}",
-                escape_json(name),
-                p.t_us,
-                json_f64(p.value),
-            ));
-        }
-    }
-    events
+fn render_trace(events: Vec<JsonValue>) -> String {
+    let lines: Vec<String> = events.iter().map(JsonValue::to_string_compact).collect();
+    format!("{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n{}\n]}}\n", lines.join(",\n"))
 }
 
-fn render_trace(events: Vec<String>) -> String {
-    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    out.push_str(&events.join(",\n"));
-    out.push_str("\n]}\n");
-    out
-}
-
-fn trace_events(trace: &TraceData) -> Vec<String> {
-    let mut events: Vec<String> = Vec::with_capacity(trace.spans.len() + 8);
-    events.push(
-        "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\
-         \"args\":{\"name\":\"propeller\"}}"
-            .to_string(),
-    );
+fn trace_events(trace: &TraceData) -> Vec<JsonValue> {
+    let mut events = Vec::with_capacity(trace.spans.len() + 8);
+    events.push(name_event("process_name", None, "propeller"));
     let mut workers: Vec<u64> = trace.spans.iter().filter_map(|s| s.worker).collect();
     workers.sort_unstable();
     workers.dedup();
     for w in workers {
-        events.push(format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{},\
-             \"args\":{{\"name\":\"{}\"}}}}",
-            WORKER_LANE_BASE + w,
-            escape_json(&lane_name(w)),
-        ));
+        events.push(name_event("thread_name", Some(WORKER_LANE_BASE + w), &lane_name(w)));
     }
-    for s in &trace.spans {
-        events.push(span_event(s));
-    }
+    events.extend(trace.spans.iter().map(span_event));
     let ts = trace.spans.iter().map(|s| s.start_us + s.dur_us).max().unwrap_or(0);
     for (name, v) in &trace.metrics.counters {
-        events.push(format!(
-            "{{\"name\":\"{}\",\"ph\":\"C\",\"ts\":{ts},\"pid\":1,\"args\":{{\"value\":{v}}}}}",
-            escape_json(name),
-        ));
+        events.push(counter_event(name, ts, v.into()));
     }
     for (name, v) in &trace.metrics.gauges {
-        events.push(format!(
-            "{{\"name\":\"{}\",\"ph\":\"C\",\"ts\":{ts},\"pid\":1,\"args\":{{\"value\":{}}}}}",
-            escape_json(name),
-            json_f64(*v),
-        ));
+        events.push(counter_event(name, ts, v.into()));
     }
     events
 }
@@ -146,119 +129,6 @@ fn trace_events(trace: &TraceData) -> Vec<String> {
 mod tests {
     use super::*;
     use crate::Telemetry;
-
-    /// A minimal JSON syntax checker: enough to guarantee the exporter
-    /// never emits something `JSON.parse` would reject (balanced
-    /// structure, valid strings/numbers/literals).
-    fn check_json(s: &str) -> Result<(), String> {
-        let b = s.as_bytes();
-        let mut i = 0usize;
-        fn skip_ws(b: &[u8], i: &mut usize) {
-            while *i < b.len() && (b[*i] as char).is_whitespace() {
-                *i += 1;
-            }
-        }
-        fn value(b: &[u8], i: &mut usize) -> Result<(), String> {
-            skip_ws(b, i);
-            match b.get(*i) {
-                Some(b'{') => {
-                    *i += 1;
-                    skip_ws(b, i);
-                    if b.get(*i) == Some(&b'}') {
-                        *i += 1;
-                        return Ok(());
-                    }
-                    loop {
-                        skip_ws(b, i);
-                        string(b, i)?;
-                        skip_ws(b, i);
-                        if b.get(*i) != Some(&b':') {
-                            return Err(format!("expected : at {i}"));
-                        }
-                        *i += 1;
-                        value(b, i)?;
-                        skip_ws(b, i);
-                        match b.get(*i) {
-                            Some(b',') => *i += 1,
-                            Some(b'}') => {
-                                *i += 1;
-                                return Ok(());
-                            }
-                            _ => return Err(format!("expected , or }} at {i}")),
-                        }
-                    }
-                }
-                Some(b'[') => {
-                    *i += 1;
-                    skip_ws(b, i);
-                    if b.get(*i) == Some(&b']') {
-                        *i += 1;
-                        return Ok(());
-                    }
-                    loop {
-                        value(b, i)?;
-                        skip_ws(b, i);
-                        match b.get(*i) {
-                            Some(b',') => *i += 1,
-                            Some(b']') => {
-                                *i += 1;
-                                return Ok(());
-                            }
-                            _ => return Err(format!("expected , or ] at {i}")),
-                        }
-                    }
-                }
-                Some(b'"') => string(b, i),
-                Some(b't') => literal(b, i, "true"),
-                Some(b'f') => literal(b, i, "false"),
-                Some(b'n') => literal(b, i, "null"),
-                Some(c) if c.is_ascii_digit() || *c == b'-' => {
-                    *i += 1;
-                    while *i < b.len()
-                        && (b[*i].is_ascii_digit()
-                            || matches!(b[*i], b'.' | b'e' | b'E' | b'+' | b'-'))
-                    {
-                        *i += 1;
-                    }
-                    Ok(())
-                }
-                other => Err(format!("unexpected {other:?} at {i}")),
-            }
-        }
-        fn string(b: &[u8], i: &mut usize) -> Result<(), String> {
-            if b.get(*i) != Some(&b'"') {
-                return Err(format!("expected string at {i}"));
-            }
-            *i += 1;
-            while let Some(&c) = b.get(*i) {
-                match c {
-                    b'"' => {
-                        *i += 1;
-                        return Ok(());
-                    }
-                    b'\\' => *i += 2,
-                    c if c < 0x20 => return Err(format!("raw control char at {i}")),
-                    _ => *i += 1,
-                }
-            }
-            Err("unterminated string".into())
-        }
-        fn literal(b: &[u8], i: &mut usize, lit: &str) -> Result<(), String> {
-            if b[*i..].starts_with(lit.as_bytes()) {
-                *i += lit.len();
-                Ok(())
-            } else {
-                Err(format!("bad literal at {i}"))
-            }
-        }
-        value(b, &mut i)?;
-        skip_ws(b, &mut i);
-        if i == b.len() {
-            Ok(())
-        } else {
-            Err(format!("trailing garbage at {i}"))
-        }
-    }
 
     #[test]
     fn exports_valid_json_with_all_event_kinds() {
@@ -272,7 +142,7 @@ mod tests {
         tel.counter_add("cache.hits", 3);
         tel.gauge_max("rss", 1.5e9);
         let json = to_chrome_trace(&tel.drain());
-        check_json(&json).expect("valid JSON");
+        JsonValue::parse(&json).expect("valid JSON");
         assert!(json.contains("\"traceEvents\""));
         assert!(json.contains("action:compile"));
         assert!(json.contains("cache.hits"));
@@ -282,7 +152,7 @@ mod tests {
     #[test]
     fn empty_trace_is_valid() {
         let json = to_chrome_trace(&Telemetry::enabled().drain());
-        check_json(&json).expect("valid JSON");
+        JsonValue::parse(&json).expect("valid JSON");
     }
 
     /// Regression test for the tenant/worker lane collision: serve
@@ -299,7 +169,7 @@ mod tests {
             let _s = tel.span("tenant job");
         });
         let json = to_chrome_trace(&tel.drain());
-        check_json(&json).expect("valid JSON");
+        JsonValue::parse(&json).expect("valid JSON");
         assert!(json.contains("\"name\":\"worker 2\""));
         assert!(json.contains("\"name\":\"tenant 1\""));
         // Worker 2 keeps its historical tid; tenant 1 must NOT share
@@ -323,7 +193,7 @@ mod tests {
         ts.gauge("queue_depth.t0", 1_500_000, 3.0);
         ts.counter_add("rejected.t0", 2_000_000, 1.0);
         let json = to_chrome_trace_with_series(&tel.drain(), &ts);
-        check_json(&json).expect("valid JSON");
+        JsonValue::parse(&json).expect("valid JSON");
         assert!(json.contains("\"name\":\"queue_depth.t0\",\"ph\":\"C\",\"ts\":1500000"));
         assert!(json.contains("\"name\":\"rejected.t0\",\"ph\":\"C\",\"ts\":2000000"));
         // Byte-stable for identical inputs.
@@ -342,10 +212,55 @@ mod tests {
             let _s = tel.span("pooled work");
         });
         let json = to_chrome_trace(&tel.drain());
-        check_json(&json).expect("valid JSON");
+        JsonValue::parse(&json).expect("valid JSON");
         assert!(json.contains("\"tid\":1002"));
         assert!(json.contains("worker 2"));
         assert!(json.contains("\"worker\":2"));
     }
 
+    /// The document for a hand-made trace, byte for byte: member order
+    /// and number formatting are what `trace.json` consumers and the
+    /// CI artifact diff see.
+    #[test]
+    fn document_bytes_are_pinned() {
+        use crate::span::SpanId;
+        let span = |id, parent, name: &str, dur_us, sim_secs, worker| SpanRecord {
+            id: SpanId(id),
+            parent,
+            name: name.to_string(),
+            thread: 3,
+            start_us: 10 * id,
+            dur_us,
+            sim_secs,
+            peak_bytes: 36 << 30,
+            worker,
+        };
+        let mut trace = TraceData {
+            spans: vec![
+                span(1, None, "phase \"2\"", 250, 1.5, None),
+                span(2, Some(SpanId(1)), "action:link app.pm", 0, 0.1 + 0.2, Some(1)),
+            ],
+            ..TraceData::default()
+        };
+        trace.metrics.counters.insert("cache.obj.hits".into(), 40);
+        trace.metrics.gauges.insert("faults.retry_backoff_secs".into(), 2.25);
+        let mut series = TimeSeries::new();
+        series.gauge("queue_depth.t0", 1_500_000, 3.0);
+        assert_eq!(
+            to_chrome_trace_with_series(&trace, &series),
+            concat!(
+                "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n",
+                "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{\"name\":\"propeller\"}},\n",
+                "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":1001,\"args\":{\"name\":\"worker 1\"}},\n",
+                "{\"name\":\"phase \\\"2\\\"\",\"cat\":\"span\",\"ph\":\"X\",\"ts\":10,\"dur\":250,\"pid\":1,\"tid\":3,\
+                 \"args\":{\"span_id\":1,\"parent_id\":null,\"sim_secs\":1.5,\"peak_bytes\":38654705664,\"worker\":null}},\n",
+                "{\"name\":\"action:link app.pm\",\"cat\":\"action\",\"ph\":\"X\",\"ts\":20,\"dur\":1,\"pid\":1,\"tid\":1001,\
+                 \"args\":{\"span_id\":2,\"parent_id\":1,\"sim_secs\":0.30000000000000004,\"peak_bytes\":38654705664,\"worker\":1}},\n",
+                "{\"name\":\"cache.obj.hits\",\"ph\":\"C\",\"ts\":260,\"pid\":1,\"args\":{\"value\":40}},\n",
+                "{\"name\":\"faults.retry_backoff_secs\",\"ph\":\"C\",\"ts\":260,\"pid\":1,\"args\":{\"value\":2.25}},\n",
+                "{\"name\":\"queue_depth.t0\",\"ph\":\"C\",\"ts\":1500000,\"pid\":1,\"args\":{\"value\":3}}\n",
+                "]}\n",
+            )
+        );
+    }
 }

@@ -715,7 +715,7 @@ impl<'a> Parser<'a> {
 }
 
 /// Escapes `s` as the contents of a JSON string literal.
-pub fn escape_json(s: &str) -> String {
+fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
         match c {

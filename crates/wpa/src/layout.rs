@@ -113,6 +113,11 @@ pub struct RichFunctionRecord {
     pub final_score: f64,
     /// Ext-TSP score of the input order.
     pub input_score: f64,
+    /// The emitted hot-block order (the function's non-cold clusters
+    /// concatenated, in cluster order). When `used_input_order` is
+    /// false, replaying `steps` over `nodes` reconstructs exactly this
+    /// sequence.
+    pub order: Vec<u32>,
 }
 
 /// Everything [`run_wpa_agg_traced`] collects when
@@ -271,9 +276,7 @@ pub fn run_wpa_agg_traced(
             continue;
         };
         let dc: &DcfgFunction = &dcfg.functions[fi as usize];
-        if dc.total_count() < opts.min_function_samples.max(1) {
-            // Wholly cold (or too thinly sampled to trust): untouched,
-            // reused from cache.
+        if !opts.function_is_hot(dc.total_count()) {
             continue;
         }
         stats.hot_functions += 1;
@@ -305,16 +308,14 @@ pub fn run_wpa_agg_traced(
         };
         let is_hot = |b: u32| -> bool {
             match &pgo_hot {
-                Some(flags) => flags.get(b as usize).copied().unwrap_or(false),
-                None => count(b) >= opts.hot_threshold,
+                Some(flags) => b == 0 || flags.get(b as usize).copied().unwrap_or(false),
+                None => opts.block_is_sampled_hot(b, count(b)),
             }
         };
-        // The entry executed if anything did; force it hot so the
-        // primary cluster starts with it. Both lists stay ascending.
-        let (mut hot, cold): (Vec<u32>, Vec<u32>) = blocks
-            .iter()
-            .map(|&(b, _)| b)
-            .partition(|&b| b == 0 || is_hot(b));
+        // The entry is hot either way, so the primary cluster starts
+        // with it. Both lists stay ascending.
+        let (mut hot, cold): (Vec<u32>, Vec<u32>) =
+            blocks.iter().map(|&(b, _)| b).partition(|&b| is_hot(b));
         if hot.first() != Some(&0) {
             hot.insert(0, 0);
         }
@@ -459,6 +460,11 @@ pub fn run_wpa_agg_traced(
                 used_input_order: merge_log.used_input_order,
                 final_score: merge_log.final_score,
                 input_score: merge_log.input_score,
+                order: clusters
+                    .iter()
+                    .filter(|c| !matches!(c.name, ClusterName::Cold))
+                    .flat_map(|c| c.blocks.iter().map(|b| b.0))
+                    .collect(),
             });
         }
 

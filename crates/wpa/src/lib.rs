@@ -27,7 +27,7 @@ mod mapper;
 mod options;
 mod prefetch;
 
-pub use cc_prof::{cluster_map_from_text, cluster_map_to_text, CcProfError};
+pub use cc_prof::cluster_map_to_text;
 pub use dcfg::{Dcfg, DcfgFunction, EdgeFunding, EdgeKind, FundingRecord};
 pub use layout::{
     run_wpa, run_wpa_agg_traced, ClusterProvenance, FunctionProvenance,

@@ -97,6 +97,20 @@ impl WpaOptions {
             ..Self::default()
         }
     }
+
+    /// Whether a function sampled `total_count` times gets layout
+    /// directives at all; below the floor it is left untouched and its
+    /// object is reused from the cache.
+    pub fn function_is_hot(&self, total_count: u64) -> bool {
+        total_count >= self.min_function_samples.max(1)
+    }
+
+    /// Whether block `bb_id` of a hot function, sampled `count` times,
+    /// is hot by the hardware samples. The entry executed if anything
+    /// did, so it is hot whatever its count.
+    pub fn block_is_sampled_hot(&self, bb_id: u32, count: u64) -> bool {
+        bb_id == 0 || count >= self.hot_threshold
+    }
 }
 
 #[cfg(test)]

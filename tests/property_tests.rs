@@ -506,14 +506,7 @@ fn provenance_run(
     let report = p.run_all().expect("pipeline completes");
     let run_report =
         RunReport::collect(bench, scale, seed, &p, &report, None, None, None);
-    let wpa = p.wpa_output().expect("phase 3 ran");
-    let rich = wpa.rich.clone().unwrap_or_default();
-    let placements = p
-        .po_binary()
-        .map(|b| b.placements.clone())
-        .unwrap_or_default();
-    let doc =
-        ProvenanceDoc::collect(bench, scale, seed, &rich, &wpa.provenance, &placements, None);
+    let doc = ProvenanceDoc::collect(bench, scale, seed, &p, None);
     (doc, run_report.to_json_string())
 }
 

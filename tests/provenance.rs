@@ -48,13 +48,7 @@ fn run_pipeline(bench: &str, scale: f64, seed: u64, jobs: usize, armed: bool) ->
 /// Assembles the provenance document the way `propeller_cli run
 /// --provenance` does.
 fn doc_for(p: &Propeller, bench: &str, scale: f64, seed: u64) -> ProvenanceDoc {
-    let wpa = p.wpa_output().expect("phase 3 ran");
-    let rich = wpa.rich.clone().expect("provenance was armed");
-    let placements = p
-        .po_binary()
-        .map(|b| b.placements.clone())
-        .unwrap_or_default();
-    ProvenanceDoc::collect(bench, scale, seed, &rich, &wpa.provenance, &placements, None)
+    ProvenanceDoc::collect(bench, scale, seed, p, None)
 }
 
 const BENCH: &str = "clang";
