@@ -4,7 +4,9 @@
 
 use super::{CliError, Command};
 use propeller::{FaultPlan, PropellerOptions};
-use propeller_synth::{generate, spec_by_name, BenchmarkSpec, GenParams, GeneratedBenchmark};
+use propeller_bench::runner::{generate_at, RunConfig};
+use propeller_synth::{spec_by_name, BenchmarkSpec, GeneratedBenchmark};
+use std::ops::{Bound, RangeBounds, RangeInclusive};
 use std::path::PathBuf;
 use std::str::FromStr;
 
@@ -77,6 +79,28 @@ fn num<T: FromStr>(flag: &str, value: &str) -> Result<T, CliError> {
         .map_err(|_| CliError::Usage(format!("{flag}: invalid value {value:?}")))
 }
 
+/// [`num`], then the range check; `need` says what would have passed.
+/// Every numeric flag with a range is checked here, where it enters, so
+/// no subcommand starts work on a value it cannot honor. (A NaN is in
+/// no range.)
+fn num_in<T: FromStr + PartialOrd>(
+    flag: &str,
+    value: &str,
+    need: &str,
+    range: impl RangeBounds<T>,
+) -> Result<T, CliError> {
+    let checked = num(flag, value).ok().filter(|v| range.contains(v));
+    checked.ok_or_else(|| CliError::Usage(format!("{flag} {value}: need {need}")))
+}
+
+/// Every finite number above zero, and those with zero.
+const POSITIVE: (Bound<f64>, Bound<f64>) = (Bound::Excluded(0.0), Bound::Included(f64::MAX));
+const NON_NEGATIVE: RangeInclusive<f64> = 0.0..=f64::MAX;
+
+fn spec_named(name: &str) -> Result<BenchmarkSpec, CliError> {
+    spec_by_name(name).ok_or_else(|| CliError::UnknownBenchmark(name.to_string()))
+}
+
 impl Parsed {
     /// Parses `argv` (everything after the subcommand name) against
     /// `cmd`'s accepted flags and positional arity. A flag the
@@ -112,20 +136,19 @@ impl Parsed {
 
     fn set(&mut self, flag: &str, v: String) -> Result<(), CliError> {
         match flag {
-            "--scale" => self.program.scale = Some(num(flag, &v)?),
+            "--scale" => {
+                self.program.scale = Some(num_in(flag, &v, "a positive number", POSITIVE)?)
+            }
             "--seed" => {
-                let seed: u64 = num(flag, &v)?;
-                if seed > MAX_SEED {
-                    return Err(CliError::Usage(format!(
-                        "--seed {seed} exceeds {MAX_SEED} (2^53 - 1), the largest seed the \
-                         JSON reports can record exactly"
-                    )));
-                }
-                self.program.seed = Some(seed);
+                let need = "at most 9007199254740991 (2^53 - 1), the largest seed the JSON \
+                            reports can record exactly";
+                self.program.seed = Some(num_in(flag, &v, need, ..=MAX_SEED)?);
             }
             "--requests" => self.service.requests = Some(num(flag, &v)?),
             "--tenants" => self.service.tenants = Some(num(flag, &v)?),
-            "--mean-gap" => self.service.mean_gap = Some(num(flag, &v)?),
+            "--mean-gap" => {
+                self.service.mean_gap = Some(num_in(flag, &v, "a positive number", POSITIVE)?)
+            }
             "--slots" => self.service.slots = Some(num(flag, &v)?),
             "--queue" => self.service.queue = Some(num(flag, &v)?),
             "--cache-capacity" => self.service.cache_capacity = Some(num(flag, &v)?),
@@ -133,9 +156,7 @@ impl Parsed {
                 self.service.faults = Some(FaultPlan::parse(&v).map_err(CliError::BadFaultSpec)?)
             }
             "--jobs" => {
-                let jobs = num(flag, &v).ok().filter(|&j: &usize| j > 0);
-                let at_least_one = || CliError::Usage(format!("--jobs {v}: need at least 1"));
-                self.service.jobs = Some(jobs.ok_or_else(at_least_one)?);
+                self.service.jobs = Some(num_in(flag, &v, "at least 1", 1..)?)
             }
             "--out" => self.outputs.out = Some(v),
             "--trace-out" => self.outputs.trace_out = Some(v),
@@ -147,17 +168,18 @@ impl Parsed {
             "--verify-batch" => self.verify_batch = true,
             "--top" => self.top = Some(num(flag, &v)?),
             "--event" => self.event = Some(v),
-            "--tolerance" => self.tolerance = Some(num(flag, &v)?),
-            "--releases" => self.releases = Some(num(flag, &v)?),
-            "--machines" => self.machines = Some(num(flag, &v)?),
-            "--drift" => self.drift = Some(num(flag, &v)?),
-            "--skew-threshold" => self.skew_threshold = Some(num(flag, &v)?),
-            "--history-window" => self.history_window = Some(num(flag, &v)?),
-            "--interval" => {
-                let secs = num(flag, &v).ok().filter(|&s: &f64| s.is_finite() && s > 0.0);
-                let positive = || CliError::Usage(format!("--interval {v}: need a positive number"));
-                self.interval = Some(secs.ok_or_else(positive)?);
+            "--tolerance" => {
+                self.tolerance = Some(num_in(flag, &v, "a non-negative number", NON_NEGATIVE)?)
             }
+            "--releases" => self.releases = Some(num_in(flag, &v, "at least 1", 1..)?),
+            "--machines" => self.machines = Some(num_in(flag, &v, "at least 1", 1..)?),
+            "--drift" => self.drift = Some(num_in(flag, &v, "a number in [0, 1]", 0.0..=1.0)?),
+            "--skew-threshold" => {
+                let need = "a non-negative number";
+                self.skew_threshold = Some(num_in(flag, &v, need, NON_NEGATIVE)?);
+            }
+            "--history-window" => self.history_window = Some(num(flag, &v)?),
+            "--interval" => self.interval = Some(num_in(flag, &v, "a positive number", POSITIVE)?),
             "--config" => self.config = Some(v),
             _ => unreachable!("{flag} is in a synopsis but has no setter"),
         }
@@ -167,8 +189,26 @@ impl Parsed {
     /// The one place a benchmark name becomes a spec: the first
     /// positional, or `clang` where the subcommand makes it optional.
     pub fn resolve(&self) -> Result<BenchmarkSpec, CliError> {
-        let name = self.positionals.first().map_or("clang", String::as_str);
-        spec_by_name(name).ok_or_else(|| CliError::UnknownBenchmark(name.to_string()))
+        spec_named(self.positionals.first().map_or("clang", String::as_str))
+    }
+
+    /// The benchmarks a paper-artifact row covers: its positionals, or
+    /// the `paper`'s own list when there are none. Every name resolves
+    /// before any of them runs.
+    pub fn benches(&self, paper: &[&str]) -> Result<Vec<BenchmarkSpec>, CliError> {
+        let named: Vec<&str> = self.positionals.iter().map(String::as_str).collect();
+        let names = if named.is_empty() { paper } else { &named };
+        names.iter().map(|name| spec_named(name)).collect()
+    }
+
+    /// The comparison harness's configuration. For its rows `--scale`
+    /// multiplies each spec's default scale.
+    pub fn run_config(&self, provenance: bool) -> RunConfig {
+        RunConfig {
+            seed: self.seed(),
+            scale_mult: self.program.scale.unwrap_or(1.0),
+            provenance,
+        }
     }
 
     /// Resolves the benchmark and generates it at `--scale` (absolute;
@@ -210,11 +250,6 @@ impl Parsed {
         std::fs::create_dir_all(dir).map_err(CliError::io(dir))?;
         Ok(Some(PathBuf::from(dir)))
     }
-}
-
-/// Generates `spec`'s synthetic program at an absolute `scale`.
-pub fn generate_at(spec: &BenchmarkSpec, scale: f64, seed: u64) -> GeneratedBenchmark {
-    generate(spec, &GenParams { scale, seed, ..GenParams::for_spec(spec) })
 }
 
 /// Writes `contents` to `path` without announcing it.

@@ -6,6 +6,7 @@
 mod args;
 mod diff;
 mod error;
+mod paper;
 mod pipeline;
 mod service;
 
@@ -24,8 +25,10 @@ pub struct Command {
     /// so the help cannot drift from it.
     pub flags: &'static [&'static str],
     pub about: &'static str,
-    pub run: fn(&Parsed) -> Result<ExitCode, CliError>,
+    pub run: Run,
 }
+
+type Run = fn(&Parsed) -> Result<ExitCode, CliError>;
 
 impl Command {
     pub fn name(&self) -> &'static str {
@@ -57,6 +60,11 @@ const SCHEDULER: &str = "[--slots N] [--queue N] [--cache-capacity N]";
 const SERVICE: &str = "[--requests N] [--tenants N] [--mean-gap SECS] [--slots N] [--queue N] \
                        [--cache-capacity N] [--faults SPEC] [--jobs N]";
 const DIR_AND_TRACE: &str = "[--out DIR] [--trace-out FILE]";
+
+/// A paper-artifact row: `<name> [bench ...]`, scaled by `--scale MULT`.
+const fn artifact(synopsis: &'static str, about: &'static str, run: Run) -> Command {
+    Command { synopsis, flags: &[PROGRAM_MULT], about, run }
+}
 
 pub const COMMANDS: &[Command] = &[
     Command {
@@ -167,6 +175,71 @@ pub const COMMANDS: &[Command] = &[
         about: "Explain one function's (or block's) layout from sample mass to placed bytes.",
         run: pipeline::explain,
     },
+    artifact(
+        "table2 [bench ...]",
+        "Table 2: benchmark characteristics, paper targets vs the generated programs.",
+        paper::table2,
+    ),
+    artifact(
+        "table3 [bench ...]",
+        "Table 3: Propeller and BOLT speedups over the PGO+ThinLTO baseline.",
+        paper::table3,
+    ),
+    artifact(
+        "table5 [bench ...]",
+        "Table 5: build phases of the warehouse-scale applications, modeled minutes.",
+        paper::table5,
+    ),
+    artifact(
+        "fig4 [bench ...]",
+        "Figure 4: peak memory of profile conversion + WPA, Propeller vs perf2bolt.",
+        paper::fig4,
+    ),
+    artifact(
+        "fig5 [bench ...]",
+        "Figure 5: peak memory of the Phase 4 relink vs BOLT vs the baseline link.",
+        paper::fig5,
+    ),
+    artifact(
+        "fig6 [bench ...]",
+        "Figure 6: section sizes of the Base/PM/PO/BM/BO binaries, normalized to Base.",
+        paper::fig6,
+    ),
+    artifact(
+        "fig7 [bench ...]",
+        "Figure 7: instruction-access heat maps, baseline vs Propeller vs BOLT (clang).",
+        paper::fig7,
+    ),
+    artifact(
+        "fig8 [bench ...]",
+        "Figure 8: front-end counters normalized to the baseline (search, clang).",
+        paper::fig8,
+    ),
+    artifact(
+        "fig9 [bench ...]",
+        "Figure 9: optimization run time, backends + relink vs BOLT's rewrite.",
+        paper::fig9,
+    ),
+    artifact(
+        "spec-table [bench ...]",
+        "§5.4: layout optimizations on the SPEC2017 integer benchmarks.",
+        paper::spec_table,
+    ),
+    artifact(
+        "ablation-split [bench ...]",
+        "§4.6 ablation: hot/cold splitting by hardware samples vs the PGO heuristic (clang).",
+        paper::ablation_split,
+    ),
+    artifact(
+        "ablation-interproc [bench ...]",
+        "§4.7 ablation: intra-function vs inter-procedural layout, and layout time (clang).",
+        paper::ablation_interproc,
+    ),
+    artifact(
+        "ablation-prefetch [bench ...]",
+        "§3.5 ablation: software prefetch insertion on top of code layout.",
+        paper::ablation_prefetch,
+    ),
     Command {
         synopsis: "diff <A.json> <B.json> [C.json ...]",
         flags: &["[--tolerance PCT]"],
@@ -206,7 +279,8 @@ pub fn usage() -> String {
         ));
     }
     out.push_str("\n--scale S is the absolute generator scale (default: the benchmark's own); ");
-    out.push_str("--scale MULT multiplies the benchmark's default scale.\n");
+    out.push_str("--scale MULT multiplies the benchmark's default scale. A `[bench ...]` row ");
+    out.push_str("covers the paper's benchmarks for that artifact unless some are named.\n");
     out
 }
 

@@ -1,11 +1,12 @@
 //! The single-pipeline subcommands: `list`, `run`, `doctor`, `chaos`,
 //! `compare`, `perf-report`, `annotate`, `explain`, `dump`, `map`.
 
-use super::args::{generate_at, write_file, write_quiet};
+use super::args::{write_file, write_quiet};
 use super::error::{exit_code, gate, require};
 use super::{CliError, Parsed};
 use propeller::{EvalReport, FaultPlan, Propeller, PropellerOptions};
-use propeller_bench::{run_benchmark, BenchArtifacts, RunConfig};
+use propeller_bench::runner::generate_at;
+use propeller_bench::{run_benchmark, BenchArtifacts};
 use propeller_doctor::{
     audit_pipeline, degradation_findings, diagnose, provenance_findings, render_annotate,
     render_explain, render_perf_report, wall_clock_findings, worst, AttributionSection,
@@ -316,14 +317,7 @@ pub fn chaos(p: &Parsed) -> Result<ExitCode, CliError> {
 /// Resolves the benchmark and runs the full comparison harness on it.
 /// Here `--scale` multiplies the spec's default scale.
 fn run_bench(p: &Parsed, provenance: bool) -> Result<BenchArtifacts, CliError> {
-    let spec = p.resolve()?;
-    let cfg = RunConfig {
-        seed: p.seed(),
-        scale_mult: p.program.scale.unwrap_or(1.0),
-        provenance,
-        ..RunConfig::default()
-    };
-    Ok(run_benchmark(spec.name, &cfg))
+    Ok(run_benchmark(&p.resolve()?, &p.run_config(provenance))?)
 }
 
 /// One comparable layout's label and its simulation on the evaluation
@@ -348,11 +342,11 @@ fn attributed_runs(
         attribution: true,
         ..SimOptions::default()
     };
-    let layouts = a.comparable_layouts().into_iter();
-    let runs: Vec<_> = layouts
+    let layouts = a.comparable_layouts()?.into_iter();
+    let runs = layouts
         .filter(|(label, _)| only.is_none_or(|o| o == *label))
-        .map(|(label, layout)| (label, a.simulate_layout_full(layout, &opts)))
-        .collect();
+        .map(|(label, layout)| Ok((label, a.simulate_layout(layout, &a.uarch, &opts)?)))
+        .collect::<Result<Vec<_>, CliError>>()?;
     let needs = "every benchmark run produces them";
     require(runs.first(), "a simulated layout", needs)?;
     Ok((a, runs))
@@ -386,10 +380,7 @@ fn event_flag(p: &Parsed) -> Result<Option<Event>, CliError> {
 
 pub fn compare(p: &Parsed) -> Result<ExitCode, CliError> {
     let a = run_bench(p, false)?;
-    let bolt_speedup = match (&a.bolt, &a.bolt_counters) {
-        (Ok(out), Some(c)) if !out.crash_on_startup => Some(c.speedup_pct_over(&a.base_counters)),
-        _ => None,
-    };
+    let bolt_speedup = a.bolt_counters.map(|c| c.speedup_pct_over(&a.base_counters));
     if p.json {
         let eval = EvalReport {
             baseline: a.base_counters,

@@ -1,63 +1,74 @@
 //! The shared benchmark runner: one call produces every binary and
-//! measurement a table/figure binary needs.
+//! measurement a paper-artifact row needs.
 
-use propeller::{Propeller, PropellerOptions};
+use propeller::{BuildCaches, EvalReport, PipelineError, Propeller, PropellerOptions};
 use propeller_bolt::{run_bolt, BoltError, BoltOptions, BoltOutput};
 use propeller_buildsys::{cost, MachineConfig, GIB};
 use propeller_codegen::{codegen_module, CodegenOptions};
-use propeller_ir::ProgramStats;
-use propeller_linker::{link, LinkInput, LinkOptions, LinkedBinary};
-use propeller_profile::{HardwareProfile, SamplingConfig};
-use propeller_sim::{simulate, CounterSet, HeatMap, ProgramImage, SimOptions, UarchConfig, Workload};
-use propeller_synth::{generate, spec_by_name, BenchKind, BenchmarkSpec, GenParams};
+use propeller_linker::{link, FinalLayout, LinkInput, LinkOptions, LinkedBinary};
+use propeller_profile::SamplingConfig;
+use propeller_sim::{simulate, CounterSet, ProgramImage, SimOptions, SimReport, UarchConfig};
+use propeller_synth::{generate, BenchKind, BenchmarkSpec, GenParams, GeneratedBenchmark};
 use propeller_telemetry::Telemetry;
 use propeller_wpa::WpaStats;
 use std::sync::Arc;
 
-/// Experiment configuration shared by all harness binaries.
+/// Branches per LBR sample in [`run_benchmark`]'s profiling run.
+const COMPARISON_PERIOD: u64 = 53;
+
+/// Blocks executed while profiling.
+const PROFILE_BUDGET: u64 = 500_000;
+
+/// Blocks executed per evaluation run.
+const EVAL_BUDGET: u64 = 800_000;
+
+/// Experiment configuration shared by all harness rows.
 #[derive(Clone, Debug)]
 pub struct RunConfig {
     /// Extra multiplier on each spec's default scale (pass `< 1.0` for
     /// quicker runs).
     pub scale_mult: f64,
-    /// Blocks executed while profiling.
-    pub profile_budget: u64,
-    /// Blocks executed per evaluation run.
-    pub eval_budget: u64,
     /// Workload/generation seed.
     pub seed: u64,
-    /// Telemetry handle threaded into the pipeline; disabled by
-    /// default, so uninstrumented runs pay one branch per site.
-    pub tel: Telemetry,
     /// Arm full layout-decision provenance collection in Phase 3.
     /// Off by default; arming never changes any layout or report.
     pub provenance: bool,
 }
 
-impl Default for RunConfig {
-    fn default() -> Self {
-        RunConfig {
-            scale_mult: 1.0,
-            profile_budget: 500_000,
-            eval_budget: 800_000,
-            seed: 0xA5_2023,
-            tel: Telemetry::disabled(),
-            provenance: false,
-        }
-    }
+/// The scale a harness run generates `spec` at: its default times
+/// `mult`, never above Table 2 size.
+pub fn scaled(spec: &BenchmarkSpec, mult: f64) -> f64 {
+    (spec.default_scale * mult).min(1.0)
 }
 
-impl RunConfig {
-    /// Reads `PROPELLER_QUICK=1` from the environment for fast smoke
-    /// runs of the harness binaries.
-    pub fn from_env() -> Self {
-        let mut cfg = RunConfig::default();
-        if std::env::var("PROPELLER_QUICK").is_ok_and(|v| v == "1") {
-            cfg.scale_mult = 0.25;
-            cfg.profile_budget = 80_000;
-            cfg.eval_budget = 120_000;
-        }
-        cfg
+/// Generates `spec`'s synthetic program at an absolute `scale`.
+pub fn generate_at(spec: &BenchmarkSpec, scale: f64, seed: u64) -> GeneratedBenchmark {
+    generate(spec, &GenParams { scale, seed, ..GenParams::for_spec(spec) })
+}
+
+/// Pipeline options of a harness run: the machine the paper built
+/// `spec` on and the µarch it ran on, sampled every `period` branches.
+fn harness_options(spec: &BenchmarkSpec, cfg: &RunConfig, period: u64) -> PropellerOptions {
+    let machine = match spec.kind {
+        BenchKind::WarehouseScale => MachineConfig::Distributed {
+            ram_limit: spec.action_ram_gib * GIB,
+            dispatch_secs: 2.0,
+        },
+        _ => MachineConfig::workstation(),
+    };
+    let uarch = if spec.hugepages {
+        UarchConfig::with_hugepages()
+    } else {
+        UarchConfig::default()
+    };
+    PropellerOptions {
+        sampling: SamplingConfig { period },
+        profile_budget: PROFILE_BUDGET,
+        uarch,
+        machine,
+        seed: cfg.seed,
+        provenance: cfg.provenance,
+        ..PropellerOptions::default()
     }
 }
 
@@ -67,8 +78,6 @@ pub struct BenchArtifacts {
     pub spec: BenchmarkSpec,
     /// Scale actually generated at.
     pub scale: f64,
-    /// Aggregate program characteristics of the generated program.
-    pub program_stats: ProgramStats,
     /// The Propeller pipeline (owns the program and all its binaries).
     pub pipeline: Propeller,
     /// Pipeline summary.
@@ -80,10 +89,6 @@ pub struct BenchArtifacts {
     pub bm: LinkedBinary,
     /// The BOLT run (may legitimately fail).
     pub bolt: Result<BoltOutput, BoltError>,
-    /// The profile both optimizers consumed.
-    pub profile: HardwareProfile,
-    /// WPA statistics.
-    pub wpa_stats: WpaStats,
     /// Counters: baseline / Propeller / BOLT (None when BOLT failed or
     /// its output crashes at startup).
     pub base_counters: CounterSet,
@@ -93,8 +98,6 @@ pub struct BenchArtifacts {
     pub bolt_counters: Option<CounterSet>,
     /// Microarchitecture used for all simulations.
     pub uarch: UarchConfig,
-    /// Evaluation workload.
-    pub workload: Workload,
 }
 
 impl BenchArtifacts {
@@ -104,68 +107,48 @@ impl BenchArtifacts {
         (v as f64 / self.scale) as u64
     }
 
-    /// The per-action memory limit for this benchmark's build.
-    pub fn action_ram_limit(&self) -> u64 {
-        self.spec.action_ram_gib * GIB
+    /// The Phase 2 metadata binary.
+    pub fn pm(&self) -> Result<&LinkedBinary, PipelineError> {
+        self.pipeline.pm_binary().ok_or(PipelineError::PhaseOrder { needs: "phase 2" })
     }
 
-    /// Simulates a layout and returns the counters plus an optional
-    /// heat map (used by Figures 7 and 8).
+    /// The Phase 4 optimized binary.
+    pub fn po(&self) -> Result<&LinkedBinary, PipelineError> {
+        self.pipeline.po_binary().ok_or(PipelineError::PhaseOrder { needs: "phase 4" })
+    }
+
+    /// Simulates a layout on the evaluation workload under `uarch` with
+    /// caller-chosen collection options and returns the full report —
+    /// attribution tables, folded stacks, heat maps, whatever `opts`
+    /// requested. On [`BenchArtifacts::uarch`] with default options the
+    /// counters match the `*_counters` fields exactly.
     pub fn simulate_layout(
         &self,
-        layout: &propeller_linker::FinalLayout,
-        heatmap: Option<(usize, usize)>,
-    ) -> (CounterSet, Option<HeatMap>) {
-        let img = ProgramImage::build(self.pipeline.program(), layout).expect("image");
-        let r = simulate(
-            &img,
-            &self.workload,
-            &self.uarch,
-            &SimOptions {
-                sampling: None,
-                heatmap,
-                collect_call_misses: false,
-                attribution: false,
-            },
-        );
-        (r.counters, r.heatmap)
+        layout: &FinalLayout,
+        uarch: &UarchConfig,
+        opts: &SimOptions,
+    ) -> Result<SimReport, PipelineError> {
+        simulate_on(&self.pipeline, layout, uarch, opts)
     }
 
-    /// Simulates a layout with caller-chosen collection options and
-    /// returns the full report — attribution tables, folded stacks,
-    /// heat maps, whatever `opts` requested. The evaluation workload
-    /// is identical to [`BenchArtifacts::simulate_layout`]'s, so
-    /// counters match the `*_counters` fields exactly.
-    pub fn simulate_layout_full(
-        &self,
-        layout: &propeller_linker::FinalLayout,
-        opts: &SimOptions,
-    ) -> propeller_sim::SimReport {
-        let img = ProgramImage::build(self.pipeline.program(), layout).expect("image");
-        simulate(&img, &self.workload, &self.uarch, opts)
+    /// BOLT's output, when its rewrite succeeded and the binary it
+    /// wrote starts.
+    pub fn bolt_runnable(&self) -> Option<&BoltOutput> {
+        runnable(&self.bolt)
     }
 
     /// The three comparable layouts as `(label, layout)` — baseline
     /// always, Propeller always, BOLT when its output runs.
-    pub fn comparable_layouts(&self) -> Vec<(&'static str, &propeller_linker::FinalLayout)> {
-        let mut out = vec![
-            ("baseline", &self.baseline.layout),
-            (
-                "propeller",
-                &self.pipeline.po_binary().expect("phase 4 ran").layout,
-            ),
-        ];
-        if let Ok(b) = &self.bolt {
-            if !b.crash_on_startup {
-                out.push(("bolt", &b.layout));
-            }
-        }
-        out
+    pub fn comparable_layouts(&self) -> Result<Vec<(&'static str, &FinalLayout)>, PipelineError> {
+        let mut out = vec![("baseline", &self.baseline.layout), ("propeller", &self.po()?.layout)];
+        out.extend(self.bolt_runnable().map(|b| ("bolt", &b.layout)));
+        Ok(out)
     }
 
     /// Full-scale build/optimization wall times (Figure 9 / Table 5).
     pub fn full_scale_times(&self) -> FullScaleTimes {
-        let insts_full = self.full_scale(self.program_stats.num_insts as u64);
+        let stats = self.pipeline.program().stats();
+        let insts_full = self.full_scale(stats.num_insts as u64);
         let input_bytes_full =
             self.full_scale(self.baseline.stats.input_bytes);
         let text_full = self.full_scale(self.baseline.text_end - self.baseline.text_start);
@@ -174,10 +157,9 @@ impl BenchArtifacts {
         // module count scales. Distributed wall time is bounded by the
         // longest single action plus scheduler throughput over the
         // action count (§2.1: ~15M actions/day fleet-wide).
-        let modules_full = self.full_scale(self.program_stats.num_modules as u64);
-        let module_cpu = cost::codegen_secs(
-            self.program_stats.num_insts as u64 / self.program_stats.num_modules.max(1) as u64,
-        );
+        let modules_full = self.full_scale(stats.num_modules as u64);
+        let module_insts = stats.num_insts as u64 / stats.num_modules.max(1) as u64;
+        let module_cpu = cost::codegen_secs(module_insts);
         const QUEUE_ACTIONS_PER_SEC: f64 = 3000.0;
         let on_machine = |cpu: f64, max_single: f64, actions: u64| -> f64 {
             match self.spec.kind {
@@ -205,8 +187,9 @@ impl BenchArtifacts {
         let cold = 1.0 - hot;
         let relink =
             cost::link_secs(input_bytes_full.saturating_sub((pm_map_bytes as f64 * cold) as u64));
-        let convert = cost::profile_conversion_secs(self.full_scale(self.profile.raw_size_bytes()));
-        let wpa = cost::wpa_secs(self.full_scale(self.wpa_stats.dcfg_edges as u64));
+        let profile_bytes = self.pipeline.profile().map_or(0, |p| p.raw_size_bytes());
+        let convert = cost::profile_conversion_secs(self.full_scale(profile_bytes));
+        let wpa = cost::wpa_secs(self.full_scale(self.report.wpa.dcfg_edges as u64));
         let bolt = match &self.bolt {
             Ok(o) => {
                 cost::disassembly_secs(text_full)
@@ -215,8 +198,6 @@ impl BenchArtifacts {
             }
             Err(_) => 0.0,
         };
-        let bolt_convert = cost::disassembly_secs(text_full)
-            + cost::profile_conversion_secs(self.full_scale(self.profile.raw_size_bytes()));
         FullScaleTimes {
             backends_all,
             backends_hot,
@@ -225,13 +206,9 @@ impl BenchArtifacts {
             convert,
             wpa,
             bolt,
-            bolt_convert,
             compile_frontend: on_machine(
                 cost::compile_secs(insts_full),
-                cost::compile_secs(
-                    self.program_stats.num_insts as u64
-                        / self.program_stats.num_modules.max(1) as u64,
-                ),
+                cost::compile_secs(module_insts),
                 modules_full,
             ),
         }
@@ -256,209 +233,162 @@ pub struct FullScaleTimes {
     pub wpa: f64,
     /// `llvm-bolt` runtime (disassemble + optimize + rewrite).
     pub bolt: f64,
-    /// `perf2bolt` runtime (disassemble + convert).
-    pub bolt_convert: f64,
     /// Phase 1 frontend compile.
     pub compile_frontend: f64,
 }
 
-/// Runs the full experiment for one named benchmark.
-///
-/// # Panics
-///
-/// Panics if `name` is unknown or any infallible pipeline step fails —
-/// harness binaries want loud failures.
-pub fn run_benchmark(name: &str, cfg: &RunConfig) -> BenchArtifacts {
-    let spec = spec_by_name(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
-    let scale = (spec.default_scale * cfg.scale_mult).min(1.0);
-    let gen = generate(&spec, &GenParams { scale, seed: cfg.seed, ..GenParams::for_spec(&spec) });
-    let program_stats = gen.program.stats();
+/// A BOLT run's output, when the rewrite succeeded and its binary starts.
+fn runnable(bolt: &Result<BoltOutput, BoltError>) -> Option<&BoltOutput> {
+    bolt.as_ref().ok().filter(|b| !b.crash_on_startup)
+}
 
-    let machine = match spec.kind {
-        BenchKind::WarehouseScale => MachineConfig::Distributed {
-            ram_limit: spec.action_ram_gib * GIB,
-            dispatch_secs: 2.0,
-        },
-        _ => MachineConfig::workstation(),
-    };
-    let uarch = if spec.hugepages {
-        UarchConfig::with_hugepages()
-    } else {
-        UarchConfig::default()
-    };
-    let opts = PropellerOptions {
-        sampling: SamplingConfig { period: 53 },
-        profile_budget: cfg.profile_budget,
-        uarch,
-        machine,
-        seed: cfg.seed,
-        provenance: cfg.provenance,
-        ..PropellerOptions::default()
-    };
-    let mut pipeline = Propeller::new(gen.program, gen.entries.clone(), opts);
-    pipeline.set_telemetry(cfg.tel.clone());
-    let report = pipeline.run_all().expect("pipeline");
-    let baseline = pipeline.build_baseline().expect("baseline");
-    let profile = pipeline.profile().expect("profiled").clone();
-    let wpa_stats = pipeline.wpa_output().expect("wpa").stats;
+/// Runs the evaluation workload over `layout` of `pipeline`'s program.
+fn simulate_on(
+    pipeline: &Propeller,
+    layout: &FinalLayout,
+    uarch: &UarchConfig,
+    opts: &SimOptions,
+) -> Result<SimReport, PipelineError> {
+    let img = ProgramImage::build(pipeline.program(), layout)?;
+    Ok(simulate(&img, &pipeline.workload(EVAL_BUDGET), uarch, opts))
+}
 
+/// Runs the full experiment for one benchmark.
+///
+/// # Errors
+///
+/// Propagates any pipeline, codegen, link or image-construction
+/// failure.
+pub fn run_benchmark(
+    spec: &BenchmarkSpec,
+    cfg: &RunConfig,
+) -> Result<BenchArtifacts, PipelineError> {
+    let scale = scaled(spec, cfg.scale_mult);
+    let gen = generate_at(spec, scale, cfg.seed);
+    let opts = harness_options(spec, cfg, COMPARISON_PERIOD);
+    let uarch = opts.uarch;
+    let mut pipeline = Propeller::new(gen.program, gen.entries, opts);
+    let report = pipeline.run_all()?;
+    let baseline = pipeline.build_baseline()?;
+    let profile = pipeline.profile().ok_or(PipelineError::PhaseOrder { needs: "phase 3" })?;
     // BM: the baseline relinked with --emit-relocs for BOLT.
-    let bm = {
-        let program = pipeline.program();
-        let inputs: Vec<LinkInput> = program
-            .modules()
-            .iter()
-            .map(|m| {
-                let r = codegen_module(m, program, &CodegenOptions::baseline()).expect("codegen");
-                LinkInput::new(r.object, r.debug_layout)
-            })
-            .collect();
-        link(
-            &inputs,
-            &LinkOptions {
-                output_name: "app.bm".into(),
-                retain_relocs: true,
-                ..LinkOptions::default()
-            },
-        )
-        .expect("bm link")
-    };
+    let program = pipeline.program();
+    let inputs = program
+        .modules()
+        .iter()
+        .map(|m| {
+            let r = codegen_module(m, program, &CodegenOptions::baseline())?;
+            Ok(LinkInput::new(r.object, r.debug_layout))
+        })
+        .collect::<Result<Vec<_>, PipelineError>>()?;
+    let bm = link(
+        &inputs,
+        &LinkOptions {
+            output_name: "app.bm".into(),
+            retain_relocs: true,
+            ..LinkOptions::default()
+        },
+    )?;
     let bolt = run_bolt(
         &bm,
-        &profile,
+        profile,
         &BoltOptions {
             input_has_integrity_checks: spec.bolt_startup_crash,
             ..BoltOptions::default()
         },
     );
 
-    let mut workload = Workload::new(gen.entries, cfg.eval_budget);
-    workload.seed = cfg.seed;
-
-    let sim_of = |layout: &propeller_linker::FinalLayout| -> CounterSet {
-        let img = ProgramImage::build(pipeline.program(), layout).expect("image");
-        simulate(&img, &workload, &uarch, &SimOptions::default()).counters
+    let counters_of = |layout: &FinalLayout| {
+        simulate_on(&pipeline, layout, &uarch, &SimOptions::default()).map(|r| r.counters)
     };
-    let base_counters = sim_of(&baseline.layout);
-    let prop_counters = sim_of(&pipeline.po_binary().expect("po").layout);
-    let bolt_counters = match &bolt {
-        Ok(out) if !out.crash_on_startup => Some(sim_of(&out.layout)),
-        _ => None,
-    };
+    let base_counters = counters_of(&baseline.layout)?;
+    let po = pipeline.po_binary().ok_or(PipelineError::PhaseOrder { needs: "phase 4" })?;
+    let prop_counters = counters_of(&po.layout)?;
+    let bolt_counters = runnable(&bolt).map(|b| counters_of(&b.layout)).transpose()?;
 
-    BenchArtifacts {
-        spec,
+    Ok(BenchArtifacts {
+        spec: spec.clone(),
         scale,
-        program_stats,
         pipeline,
         report,
         baseline,
         bm,
         bolt,
-        profile,
-        wpa_stats,
         base_counters,
         prop_counters,
         bolt_counters,
         uarch,
-        workload,
-    }
+    })
 }
 
-/// Compares several WPA configurations on one benchmark against the
-/// baseline, using one shared profile (for the §4.6/§4.7 ablations).
+/// One configuration's outcome in [`run_variants`].
+pub struct VariantRun {
+    /// The caller's label for the configuration.
+    pub label: String,
+    /// Baseline and optimized counters on the evaluation workload.
+    pub eval: EvalReport,
+    /// WPA statistics.
+    pub wpa_stats: WpaStats,
+    /// Measured wall seconds of the whole-program analysis.
+    pub wpa_wall_secs: f64,
+}
+
+/// What one variant changes in the harness's pipeline options.
+pub type OptionsPatch = fn(&mut PropellerOptions);
+
+/// Compares several pipeline configurations on one benchmark against
+/// the baseline (the §3.5/§4.6/§4.7 ablations): one pipeline per
+/// variant, differing only in what its patch sets, profiled at one
+/// sample per `period` branches. They share one set of build caches, so
+/// the metadata and baseline builds happen once and every variant
+/// analyses the same profile of the same `PM` binary.
 ///
-/// Returns the baseline counters plus `(label, counters, wpa stats)`
-/// for every variant.
+/// # Errors
 ///
-/// # Panics
-///
-/// Panics on any pipeline failure — ablation binaries want loud
-/// failures.
-pub fn run_layout_variants(
-    name: &str,
+/// Propagates the first pipeline failure.
+pub fn run_variants(
+    spec: &BenchmarkSpec,
     cfg: &RunConfig,
-    variants: &[(&str, propeller_wpa::WpaOptions)],
-) -> (CounterSet, Vec<(String, CounterSet, WpaStats)>) {
-    use propeller_wpa::run_wpa;
-    let spec = spec_by_name(name).unwrap_or_else(|| panic!("unknown benchmark {name}"));
-    let scale = (spec.default_scale * cfg.scale_mult).min(1.0);
-    let gen = generate(&spec, &GenParams { scale, seed: cfg.seed, ..GenParams::for_spec(&spec) });
-    let uarch = if spec.hugepages {
-        UarchConfig::with_hugepages()
-    } else {
-        UarchConfig::default()
-    };
-    let compile = |cg: &CodegenOptions, lk: &LinkOptions| -> LinkedBinary {
-        let inputs: Vec<LinkInput> = gen
-            .program
-            .modules()
-            .iter()
-            .map(|m| {
-                let r = codegen_module(m, &gen.program, cg).expect("codegen");
-                LinkInput::new(r.object, r.debug_layout)
-            })
-            .collect();
-        link(&inputs, lk).expect("link")
-    };
-    let pm = compile(&CodegenOptions::with_labels(), &LinkOptions::default());
-    let mut workload = Workload::new(gen.entries.clone(), cfg.eval_budget);
-    workload.seed = cfg.seed;
-    let mut profile_workload = workload.clone();
-    profile_workload.block_budget = cfg.profile_budget;
-    let pm_img = ProgramImage::build(&gen.program, &pm.layout).expect("image");
-    let profile = simulate(
-        &pm_img,
-        &profile_workload,
-        &uarch,
-        &SimOptions {
-            sampling: Some(SamplingConfig { period: 101 }),
-            heatmap: None,
-            collect_call_misses: false,
-            attribution: false,
-        },
-    )
-    .profile
-    .expect("sampling");
-
-    let baseline = compile(&CodegenOptions::baseline(), &LinkOptions::default());
-    let base_img = ProgramImage::build(&gen.program, &baseline.layout).expect("image");
-    let base = simulate(&base_img, &workload, &uarch, &SimOptions::default()).counters;
-
-    let mut out = Vec::new();
-    for (label, wpa_opts) in variants {
-        let wpa = run_wpa(&gen.program, &pm, &profile, wpa_opts);
-        let po = compile(
-            &CodegenOptions::with_clusters(wpa.cluster_map.clone()),
-            &LinkOptions {
-                symbol_order: Some(wpa.symbol_order.clone()),
-                relax: true,
-                drop_cold_bb_addr_map: true,
-                ..LinkOptions::default()
-            },
-        );
-        let img = ProgramImage::build(&gen.program, &po.layout).expect("image");
-        let counters = simulate(&img, &workload, &uarch, &SimOptions::default()).counters;
-        out.push((label.to_string(), counters, wpa.stats));
+    period: u64,
+    variants: &[(&str, OptionsPatch)],
+) -> Result<Vec<VariantRun>, PipelineError> {
+    let gen = generate_at(spec, scaled(spec, cfg.scale_mult), cfg.seed);
+    let program = Arc::new(gen.program);
+    let caches = BuildCaches::new();
+    let mut out = Vec::with_capacity(variants.len());
+    for (label, patch) in variants {
+        let mut opts = harness_options(spec, cfg, period);
+        patch(&mut opts);
+        let mut pipeline =
+            Propeller::with_caches(program.clone(), gen.entries.clone(), opts, caches.clone());
+        // Armed only to time the analysis; telemetry changes no output.
+        pipeline.set_telemetry(Telemetry::enabled());
+        let report = pipeline.run_all()?;
+        let eval = pipeline.evaluate(EVAL_BUDGET)?;
+        let trace = pipeline.telemetry().drain();
+        let wpa_wall_secs = trace.find("wpa").map_or(0.0, |s| s.dur_us as f64 / 1e6);
+        out.push(VariantRun {
+            label: label.to_string(),
+            eval,
+            wpa_stats: report.wpa,
+            wpa_wall_secs,
+        });
     }
-    (base, out)
+    Ok(out)
 }
 
-/// The benchmarks most binaries iterate over, in the paper's order.
-pub fn default_benchmarks() -> Vec<&'static str> {
-    vec!["clang", "mysql", "spanner", "search", "bigtable", "superroot"]
-}
+/// The benchmarks most artifacts iterate over, in the paper's order.
+pub const DEFAULT_BENCHMARKS: [&str; 6] =
+    ["clang", "mysql", "spanner", "search", "bigtable", "superroot"];
 
 /// The SPEC2017 subset.
-pub fn spec_benchmarks() -> Vec<&'static str> {
-    vec![
-        "500.perlbench",
-        "502.gcc",
-        "505.mcf",
-        "523.xalancbmk",
-        "525.x264",
-        "531.deepsjeng",
-        "541.leela",
-        "557.xz",
-    ]
-}
+pub const SPEC_BENCHMARKS: [&str; 8] = [
+    "500.perlbench",
+    "502.gcc",
+    "505.mcf",
+    "523.xalancbmk",
+    "525.x264",
+    "531.deepsjeng",
+    "541.leela",
+    "557.xz",
+];

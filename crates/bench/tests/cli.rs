@@ -1,7 +1,8 @@
 //! End-to-end tests of the `propeller_cli` binary: the artifacts CI
 //! `cmp`s, the exit-code contract (usage errors and unknown benchmarks
 //! exit 1, never a panic's 101), and the shared service-run path behind
-//! `traffic` / `timeline` / `slo`.
+//! `traffic` / `timeline` / `slo`, and one run of every paper-artifact
+//! row.
 
 use propeller_faults::ServiceLedger;
 use propeller_obj::ContentHash;
@@ -46,7 +47,7 @@ fn read(path: PathBuf) -> Vec<u8> {
 
 /// Every subcommand with the positionals it needs to get past argument
 /// parsing; `true` marks the ones whose first positional is a benchmark.
-const SUBCOMMANDS: [(&str, &[&str], bool); 18] = [
+const SUBCOMMANDS: [(&str, &[&str], bool); 31] = [
     ("list", &[], false),
     ("run", &["clang"], true),
     ("doctor", &["clang"], true),
@@ -65,6 +66,19 @@ const SUBCOMMANDS: [(&str, &[&str], bool); 18] = [
     ("layout-diff", &["a.json", "b.json"], false),
     ("dump", &["clang"], true),
     ("map", &["clang"], true),
+    ("table2", &["clang"], true),
+    ("table3", &["clang"], true),
+    ("table5", &["clang"], true),
+    ("fig4", &["clang"], true),
+    ("fig5", &["clang"], true),
+    ("fig6", &["clang"], true),
+    ("fig7", &["clang"], true),
+    ("fig8", &["clang"], true),
+    ("fig9", &["clang"], true),
+    ("spec-table", &["clang"], true),
+    ("ablation-split", &["clang"], true),
+    ("ablation-interproc", &["clang"], true),
+    ("ablation-prefetch", &["clang"], true),
 ];
 
 #[test]
@@ -174,6 +188,56 @@ fn unread_flags_and_out_of_range_numbers_are_usage_errors() {
     ] {
         assert_eq!(cli(argv).status.code(), Some(1), "{argv:?}");
     }
+
+    // Numbers outside what the subcommand can honor are rejected where
+    // they enter, before any program is generated. `--scale inf` used to
+    // abort on a 6 EB allocation (134), `--scale nan` ran at Table 2 full
+    // scale, `--scale 0` a 2-module program, `--releases 0` an empty
+    // ledger with exit 0 — and `diff --tolerance nan` passed every
+    // regression, which turned CI's bench gate off.
+    let dir = scratch("out_of_range");
+    let baseline = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../ci/bench_baseline.json");
+    let text = String::from_utf8(read(baseline.clone())).expect("utf-8 baseline");
+    let speedup = "\"eval.speedup_pct\": 2.8832914387810327";
+    assert!(text.contains(speedup), "the baseline's speedup moved; update this test");
+    let regressed = dir.join("regressed.json");
+    std::fs::write(&regressed, text.replace(speedup, "\"eval.speedup_pct\": 0.01"))
+        .expect("write regressed report");
+    let good = baseline.to_str().expect("utf-8 path");
+    let bad = regressed.to_str().expect("utf-8 path");
+    let gated = cli(&["diff", good, bad]);
+    assert_eq!(gated.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&gated.stdout).contains("REGRESSION"));
+    for argv in [
+        &["diff", good, bad, "--tolerance", "nan"][..],
+        &["diff", good, bad, "--tolerance", "inf"],
+        &["diff", good, bad, "--tolerance", "-1"],
+        &["run", "clang", "--scale", "inf"],
+        &["run", "clang", "--scale", "0"],
+        &["run", "clang", "--scale", "-1"],
+        &["compare", "clang", "--scale", "nan"],
+        &["table3", "--scale", "nan"],
+        &["fleet", "clang", "--drift", "nan"],
+        &["fleet", "clang", "--drift", "1.5"],
+        &["fleet", "clang", "--drift", "-0.1"],
+        &["fleet", "clang", "--skew-threshold", "nan"],
+        &["fleet", "clang", "--skew-threshold", "-1"],
+        &["fleet", "clang", "--releases", "0"],
+        &["fleet", "clang", "--machines", "0"],
+        &["traffic", "clang", "--mean-gap", "0"],
+        &["traffic", "clang", "--mean-gap", "nan"],
+    ] {
+        let t0 = std::time::Instant::now();
+        let out = cli(argv);
+        let took = t0.elapsed();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{argv:?}: {stderr}");
+        let named = format!("{} {}: need ", argv[argv.len() - 2], argv[argv.len() - 1]);
+        assert!(stderr.starts_with(&named) && stderr.contains("usage:"), "{argv:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{argv:?} started work before rejecting its input");
+        assert!(took.as_secs_f64() < 1.0, "{argv:?} took {took:?}");
+    }
+
     // 2^53: the first seed the JSON reports cannot round-trip.
     let out = cli(&["run", "clang", "--seed", "9007199254740992"]);
     assert_eq!(out.status.code(), Some(1));
@@ -222,6 +286,51 @@ fn zero_interval_and_zero_window_are_typed_errors_before_any_work() {
         let stderr = rejected("slo", "--config", config.to_str().expect("utf-8 path"));
         assert!(stderr.contains("error: cannot parse"), "{stderr}");
         assert!(stderr.contains("slo config line 4: `window_secs`"), "{stderr}");
+    }
+}
+
+/// The paper's evaluation end to end: every artifact row on one small
+/// benchmark prints its title, its table header and as many table rows
+/// as it has benchmarks (or configurations, for the ablations).
+#[test]
+fn every_paper_artifact_row_runs() {
+    // (row, benchmark, title, first header cell, table rows).
+    let rows: [(&str, &str, &str, &str, usize); 13] = [
+        ("table2", "505.mcf", "Table 2: benchmark characteristics", "Benchmark", 1),
+        ("table3", "505.mcf", "Table 3: performance improvements", "Benchmark", 1),
+        ("table5", "505.mcf", "Table 5: build phases", "Benchmark", 1),
+        ("fig4", "505.mcf", "Figure 4: peak memory", "Benchmark", 1),
+        ("fig5", "505.mcf", "Figure 5: peak memory", "Benchmark", 1),
+        ("fig6", "505.mcf", "Figure 6 [505.mcf]: section sizes", "binary", 5),
+        ("fig8", "505.mcf", "Figure 8 [505.mcf]: counters normalized", "binary", 2),
+        ("fig9", "505.mcf", "Figure 9: optimization run time", "Benchmark", 1),
+        ("spec-table", "505.mcf", "SPEC2017 integer benchmarks", "Benchmark", 1),
+        ("ablation-prefetch", "505.mcf", "§3.5 ablation: software prefetch", "Benchmark", 1),
+        ("ablation-split", "clang", "§4.6 ablation: function splitting on clang", "config", 4),
+        ("ablation-interproc", "clang", "§4.7 ablation: inter-procedural layout on", "config", 3),
+        ("fig7", "clang", "Figure 7(a): baseline (PGO+ThinLTO), active rows = ", "", 0),
+    ];
+    for (row, bench, title, header, table_rows) in rows {
+        let argv = [row, bench, "--scale", "0.05"];
+        let out = cli(&argv);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{argv:?}: {stderr}");
+        let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+        let mut lines = stdout.lines();
+        assert!(lines.next().is_some_and(|line| line.starts_with(title)), "{argv:?}:\n{stdout}");
+        if row == "fig7" {
+            // Three 40-row heat maps, not a table.
+            for panel in ["Figure 7(b): + Propeller", "propeller band is "] {
+                assert!(stdout.contains(panel), "{argv:?} lacks {panel:?}:\n{stdout}");
+            }
+            assert!(stdout.lines().count() > 2 * 40, "{argv:?}:\n{stdout}");
+            continue;
+        }
+        assert_eq!(lines.next(), Some(""), "{argv:?}:\n{stdout}");
+        assert!(lines.next().is_some_and(|line| line.starts_with(header)), "{argv:?}:\n{stdout}");
+        assert!(lines.next().is_some_and(|line| line.starts_with("---")), "{argv:?}:\n{stdout}");
+        let body = lines.take_while(|line| !line.is_empty()).count();
+        assert_eq!(body, table_rows, "{argv:?}:\n{stdout}");
     }
 }
 

@@ -79,7 +79,7 @@ impl AttributionSection {
         let symbols = r.to_arr(|row| {
             let mut counters = CounterSet::default();
             for e in Event::ALL {
-                *event_mut(&mut counters, e) = row.u64(e.name())?;
+                *e.field_mut(&mut counters) = row.u64(e.name())?;
             }
             Ok(SymbolCounters {
                 symbol: row.str("symbol")?.to_string(),
@@ -96,25 +96,6 @@ impl AttributionSection {
     /// Reports both JSON syntax errors and schema mismatches.
     pub fn parse(text: &str) -> Result<AttributionSection, SchemaError> {
         read_doc("attribution", text, AttributionSection::read)
-    }
-}
-
-/// The field [`Event::get`] reads, for writing.
-fn event_mut(c: &mut CounterSet, e: Event) -> &mut u64 {
-    match e {
-        Event::Cycles => &mut c.cycles,
-        Event::Insts => &mut c.insts,
-        Event::Blocks => &mut c.blocks,
-        Event::TakenBranches => &mut c.taken_branches,
-        Event::Fallthroughs => &mut c.fallthroughs,
-        Event::L1iMisses => &mut c.l1i_misses,
-        Event::L2CodeMisses => &mut c.l2_code_misses,
-        Event::L3CodeMisses => &mut c.l3_code_misses,
-        Event::ItlbMisses => &mut c.itlb_misses,
-        Event::StlbWalks => &mut c.stlb_walks,
-        Event::Baclears => &mut c.baclears,
-        Event::DsbMisses => &mut c.dsb_misses,
-        Event::Prefetches => &mut c.prefetches,
     }
 }
 

@@ -20,116 +20,80 @@ use crate::counters::CounterSet;
 use crate::image::ProgramImage;
 use std::collections::BTreeMap;
 
-/// One hardware event the attribution layer can slice by. Each maps
-/// onto a [`CounterSet`] field (and, through it, a Table 4 event).
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub enum Event {
+/// Declares [`Event`] from the one table that pairs each variant with
+/// the [`CounterSet`] field it counts. The field's name is also the
+/// event's stable name, so the variant list, the names and both field
+/// accessors cannot drift apart.
+macro_rules! events {
+    ($($(#[$doc:meta])* $variant:ident => $field:ident,)*) => {
+        /// One hardware event the attribution layer can slice by. Each maps
+        /// onto a [`CounterSet`] field (and, through it, a Table 4 event).
+        #[derive(Copy, Clone, PartialEq, Eq, Debug)]
+        pub enum Event {
+            $($(#[$doc])* $variant,)*
+        }
+
+        impl Event {
+            /// Every attributable event, in the table's order.
+            pub const ALL: [Event; [$(Event::$variant),*].len()] = [$(Event::$variant),*];
+
+            /// The event's stable name (JSON keys, CLI `--event` values).
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Event::$variant => stringify!($field),)*
+                }
+            }
+
+            /// Reads this event's count out of a counter set.
+            pub fn get(self, c: &CounterSet) -> u64 {
+                match self {
+                    $(Event::$variant => c.$field,)*
+                }
+            }
+
+            /// This event's count in a counter set, for writing.
+            pub fn field_mut(self, c: &mut CounterSet) -> &mut u64 {
+                match self {
+                    $(Event::$variant => &mut c.$field,)*
+                }
+            }
+        }
+    };
+}
+
+events! {
     /// Total cycles.
-    Cycles,
+    Cycles => cycles,
     /// Instructions retired.
-    Insts,
+    Insts => insts,
     /// Basic blocks executed.
-    Blocks,
+    Blocks => blocks,
     /// Taken branches (B2).
-    TakenBranches,
+    TakenBranches => taken_branches,
     /// Not-taken (fall-through) transfers.
-    Fallthroughs,
+    Fallthroughs => fallthroughs,
     /// L1 i-cache misses (I1).
-    L1iMisses,
+    L1iMisses => l1i_misses,
     /// L2 code read misses (I2).
-    L2CodeMisses,
+    L2CodeMisses => l2_code_misses,
     /// Code misses served from memory (I3).
-    L3CodeMisses,
+    L3CodeMisses => l3_code_misses,
     /// First-level iTLB misses (T1).
-    ItlbMisses,
+    ItlbMisses => itlb_misses,
     /// STLB misses causing a page walk (T2).
-    StlbWalks,
+    StlbWalks => stlb_walks,
     /// Front-end resteers from BTB misses (B1).
-    Baclears,
+    Baclears => baclears,
     /// DSB window misses.
-    DsbMisses,
+    DsbMisses => dsb_misses,
     /// Software prefetches executed.
-    Prefetches,
+    Prefetches => prefetches,
 }
 
 impl Event {
-    /// Every attributable event, in [`CounterSet`] field order.
-    pub const ALL: [Event; 13] = [
-        Event::Cycles,
-        Event::Insts,
-        Event::Blocks,
-        Event::TakenBranches,
-        Event::Fallthroughs,
-        Event::L1iMisses,
-        Event::L2CodeMisses,
-        Event::L3CodeMisses,
-        Event::ItlbMisses,
-        Event::StlbWalks,
-        Event::Baclears,
-        Event::DsbMisses,
-        Event::Prefetches,
-    ];
-
-    /// The event's stable name (JSON keys, CLI `--event` values).
-    pub fn name(self) -> &'static str {
-        match self {
-            Event::Cycles => "cycles",
-            Event::Insts => "insts",
-            Event::Blocks => "blocks",
-            Event::TakenBranches => "taken_branches",
-            Event::Fallthroughs => "fallthroughs",
-            Event::L1iMisses => "l1i_misses",
-            Event::L2CodeMisses => "l2_code_misses",
-            Event::L3CodeMisses => "l3_code_misses",
-            Event::ItlbMisses => "itlb_misses",
-            Event::StlbWalks => "stlb_walks",
-            Event::Baclears => "baclears",
-            Event::DsbMisses => "dsb_misses",
-            Event::Prefetches => "prefetches",
-        }
-    }
-
     /// Parses [`Event::name`] output.
     pub fn from_name(s: &str) -> Option<Event> {
         Event::ALL.into_iter().find(|e| e.name() == s)
-    }
-
-    /// Reads this event's count out of a counter set.
-    pub fn get(self, c: &CounterSet) -> u64 {
-        match self {
-            Event::Cycles => c.cycles,
-            Event::Insts => c.insts,
-            Event::Blocks => c.blocks,
-            Event::TakenBranches => c.taken_branches,
-            Event::Fallthroughs => c.fallthroughs,
-            Event::L1iMisses => c.l1i_misses,
-            Event::L2CodeMisses => c.l2_code_misses,
-            Event::L3CodeMisses => c.l3_code_misses,
-            Event::ItlbMisses => c.itlb_misses,
-            Event::StlbWalks => c.stlb_walks,
-            Event::Baclears => c.baclears,
-            Event::DsbMisses => c.dsb_misses,
-            Event::Prefetches => c.prefetches,
-        }
-    }
-
-    /// Writes this event's count into a counter set.
-    fn set(self, c: &mut CounterSet, v: u64) {
-        match self {
-            Event::Cycles => c.cycles = v,
-            Event::Insts => c.insts = v,
-            Event::Blocks => c.blocks = v,
-            Event::TakenBranches => c.taken_branches = v,
-            Event::Fallthroughs => c.fallthroughs = v,
-            Event::L1iMisses => c.l1i_misses = v,
-            Event::L2CodeMisses => c.l2_code_misses = v,
-            Event::L3CodeMisses => c.l3_code_misses = v,
-            Event::ItlbMisses => c.itlb_misses = v,
-            Event::StlbWalks => c.stlb_walks = v,
-            Event::Baclears => c.baclears = v,
-            Event::DsbMisses => c.dsb_misses = v,
-            Event::Prefetches => c.prefetches = v,
-        }
     }
 }
 
@@ -140,7 +104,7 @@ fn add_delta(into: &mut CounterSet, prev: &CounterSet, cur: &CounterSet) {
     for e in Event::ALL {
         let d = e.get(cur) - e.get(prev);
         if d != 0 {
-            e.set(into, e.get(into) + d);
+            *e.field_mut(into) += d;
         }
     }
 }
@@ -148,7 +112,7 @@ fn add_delta(into: &mut CounterSet, prev: &CounterSet, cur: &CounterSet) {
 /// Sums every event of `b` into `a`.
 pub(crate) fn add_counters(a: &mut CounterSet, b: &CounterSet) {
     for e in Event::ALL {
-        e.set(a, e.get(a) + e.get(b));
+        *e.field_mut(a) += e.get(b);
     }
 }
 
@@ -421,7 +385,7 @@ mod tests {
     fn event_get_set_cover_every_field() {
         let mut c = CounterSet::default();
         for (i, e) in Event::ALL.into_iter().enumerate() {
-            e.set(&mut c, (i as u64 + 1) * 7);
+            *e.field_mut(&mut c) = (i as u64 + 1) * 7;
         }
         for (i, e) in Event::ALL.into_iter().enumerate() {
             assert_eq!(e.get(&c), (i as u64 + 1) * 7, "{}", e.name());
