@@ -50,7 +50,9 @@ mod executor;
 pub use action::{ActionSpec, PhaseReport};
 pub use cache::{ActionCache, CacheEvent, CacheStats};
 pub use error::BuildError;
-pub use executor::{default_jobs, Executor, MachineConfig, PoolStats, ResilienceReport};
+pub use executor::{
+    default_jobs, panic_message, Executor, MachineConfig, PoolStats, ResilienceReport,
+};
 
 /// One gibibyte, the unit of the paper's per-action memory limits.
 pub const GIB: u64 = 1 << 30;

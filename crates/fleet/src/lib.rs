@@ -10,7 +10,10 @@
 //!    ([`propeller_synth::evolve`]): functions added/deleted, blocks
 //!    resized, branch behavior drifting at a tunable rate;
 //! 2. **Collect** — machines with unequal traffic shares each run the
-//!    workload on release *k*'s metadata binary under their own seed;
+//!    workload on release *k*'s metadata binary under their own seed,
+//!    fanned out over the worker pool codegen uses
+//!    (`Executor::execute_indexed`; profiles come back in machine
+//!    order);
 //! 3. **Merge** — per-machine profiles (current and up to
 //!    [`FleetOptions::history_window`] past releases, translated across
 //!    binaries) merge weighted by sample volume with age decay
@@ -33,6 +36,16 @@
 //!    once, by production's `evaluate`, and the oracle arm measures
 //!    only its optimized binary against those counters.
 //!
+//! Steps 3 (past the fresh merge) to 6 are two lanes that share only
+//! the fresh merge, the program and the entry points: *production* —
+//! translate, stale merge, skew, decide, Phase 3/4, provenance,
+//! `evaluate` — and *oracle* — Phases 1–4 on the snapshot, then
+//! `evaluate_optimized`. With one worker (`two_lanes`) production runs
+//! to completion, then the oracle, on the calling thread; with two or
+//! more the oracle runs on a thread of its own beside production. The
+//! fault injector, the cache accounting and the provenance document
+//! live on production's lane only, which is always the calling thread.
+//!
 //! Everything is a pure function of `(spec, scale, options)`:
 //! [`FleetReport::to_json_string`] is bit-identical across runs and
 //! worker counts.
@@ -43,8 +56,10 @@ pub use translate::{translate_profile, TranslationStats};
 use translate::{LayoutIndex, Translator};
 
 use propeller::{
-    splitmix64, BuildCaches, DegradationLedger, FaultPlan, Propeller, PropellerOptions,
+    splitmix64, BuildCaches, CounterSet, DegradationLedger, FaultPlan, PipelineError, Propeller,
+    PropellerOptions,
 };
+use propeller_buildsys::{panic_message, Executor};
 use propeller_doctor::{diff_docs, layout_skew_agg, ProvenanceDoc, RelinkDecision, RelinkPolicy};
 use propeller_profile::{
     merge_profiles_logged, AggregatedProfile, HardwareProfile, MergeOptions, MergeProvenance,
@@ -56,6 +71,7 @@ use propeller_telemetry::json::{arr, obj};
 use propeller_telemetry::{JsonValue, TimeSeries};
 use propeller_wpa::AddressMapper;
 use std::fmt::Write as _;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 /// Fleet-loop configuration.
@@ -81,8 +97,11 @@ pub struct FleetOptions {
     pub profile_budget: u64,
     /// Block budget for the speedup evaluation of each release.
     pub eval_budget: u64,
-    /// Worker threads for the underlying pipelines (bit-identical
-    /// output at every value).
+    /// Worker threads (bit-identical output at every value). It is the
+    /// `jobs` of both arms' pipelines and the width of the pool the
+    /// machines' collections fan out on; from 2 up, a release's oracle
+    /// arm also runs beside its production arm instead of after it —
+    /// two lanes, never more. At 1 no thread is spawned.
     pub jobs: usize,
     /// Arm layout provenance: each release collects a full decision
     /// record and its ledger row cites the top placement divergences
@@ -345,6 +364,38 @@ fn merge(sources: &[ProfileSource], armed: bool) -> (AggregatedProfile, Option<M
     (agg, armed.then_some(log))
 }
 
+/// Runs a release's two arms and returns what each made, production's
+/// first. With one worker they run on the calling thread, production to
+/// completion before the oracle starts; with more the oracle runs on a
+/// thread of its own beside production — two lanes, whatever `jobs`
+/// says beyond that. Production's error wins when both fail, and a
+/// panic on either lane comes back as an error naming lane and release.
+fn two_lanes<P, O: Send>(
+    jobs: usize,
+    release: u32,
+    production: impl FnOnce() -> Result<P, String>,
+    oracle: impl FnOnce() -> Result<O, String> + Send,
+) -> Result<(P, O), String> {
+    let panicked = |lane: &str, payload: Box<dyn std::any::Any + Send>| {
+        let message = panic_message(&*payload);
+        format!("{lane} lane of release {release} panicked: {message}")
+    };
+    let production = || {
+        catch_unwind(AssertUnwindSafe(production)).unwrap_or_else(|p| Err(panicked("production", p)))
+    };
+    let oracle =
+        || catch_unwind(AssertUnwindSafe(oracle)).unwrap_or_else(|p| Err(panicked("oracle", p)));
+    if jobs < 2 {
+        let shipped = production()?;
+        return Ok((shipped, oracle()?));
+    }
+    let (shipped, ideal) = std::thread::scope(|s| {
+        let ideal = s.spawn(oracle);
+        (production(), ideal.join().expect("a lane catches its own panic"))
+    });
+    Ok((shipped?, ideal?))
+}
+
 /// Runs the fleet loop.
 ///
 /// # Errors
@@ -358,25 +409,20 @@ pub fn run_fleet(
     opts: &FleetOptions,
 ) -> Result<FleetReport, String> {
     let prod_caches = BuildCaches::new();
-    // The oracle arm always runs this clean configuration; production
-    // additionally carries the injected fault plan.
+    // The oracle arm always runs this clean configuration: no fault
+    // plan, and no decision record, which nothing would read.
     let oracle_popts = PropellerOptions {
         seed: opts.seed,
         jobs: opts.jobs,
-        provenance: opts.provenance,
         ..PropellerOptions::default()
     };
     let popts = PropellerOptions {
         faults: opts.faults.clone(),
+        provenance: opts.provenance,
         ..oracle_popts.clone()
     };
-    // Machine collection seeds are fixed for the whole run — a machine
-    // keeps its workload identity across releases, so the zero-drift
-    // control arm re-collects byte-identical profiles every release.
-    let machine_seeds: Vec<u64> = (0..opts.machines.max(1))
-        .map(|m| splitmix64(opts.seed ^ splitmix64(0xF1EE7 + m as u64)))
-        .collect();
     let budgets = machine_budgets(opts.profile_budget, opts.machines);
+    let pool = Executor::new(popts.machine).with_jobs(opts.jobs);
 
     let mut bench = generate(
         spec,
@@ -426,16 +472,19 @@ pub fn run_fleet(
         let mapper = AddressMapper::from_binary(pm);
 
         // Per-machine collection on this release's binary: unequal
-        // traffic shares, per-machine seeds, one profile each.
+        // traffic shares, one profile each, in machine order whichever
+        // worker ran it. A machine's seed is fixed for the whole run —
+        // it keeps its workload identity across releases, so the
+        // zero-drift control arm re-collects byte-identical profiles
+        // every release.
         let image = ProgramImage::build(&program, &pm.layout).map_err(|e| e.to_string())?;
-        let mut machine_profiles = Vec::with_capacity(opts.machines);
-        for (m, &budget) in budgets.iter().enumerate() {
-            let mut w = Workload::new(bench.entries.clone(), budget);
-            w.seed = machine_seeds[m];
-            let (profile, _) =
-                collect_profile(&image, &w, &popts.uarch, popts.sampling);
-            machine_profiles.push(profile);
-        }
+        let (machine_profiles, _) = pool
+            .execute_indexed("machine collection", &budgets, |_, m, &budget| {
+                let mut w = Workload::new(bench.entries.clone(), budget);
+                w.seed = splitmix64(opts.seed ^ splitmix64(0xF1EE7 + m as u64));
+                collect_profile(&image, &w, &popts.uarch, popts.sampling).0
+            })
+            .map_err(|e| e.to_string())?;
         let fresh_bytes: u64 = machine_profiles.iter().map(|p| p.raw_size_bytes()).sum();
         let fresh_sources: Vec<ProfileSource> = machine_profiles
             .iter()
@@ -449,127 +498,141 @@ pub fn run_fleet(
         // logs the funding.
         let (fresh_agg, fresh_log) = merge(&fresh_sources, opts.provenance && release == 0);
 
-        // The stale merge: every windowed past release's machines,
-        // translated into this binary's address space, decayed by age.
-        let mut stale_sources: Vec<ProfileSource> = Vec::new();
-        let mut stale_bytes = 0u64;
-        let mut translated_records = 0u64;
-        let mut dropped_records = 0u64;
-        let pm_index = LayoutIndex::new(pm);
-        for entry in &history {
-            let mut translator = Translator::new(&entry.mapper, &pm_index);
-            let age = release - entry.release;
-            for p in &entry.machine_profiles {
-                let (translated, tstats) = translator.translate(p);
-                translated_records += tstats.records_in;
-                dropped_records += tstats.records_dropped;
-                stale_bytes += translated.raw_size_bytes();
-                stale_sources.push(ProfileSource {
-                    agg: AggregatedProfile::from_profile(&translated),
-                    weight: translated.samples.len() as u64,
-                    age,
-                });
-            }
-        }
-
-        // The merge a relink would ship is made once per release and
-        // serves both the skew decision and Phase 3.
-        let stale_agg;
-        let (skew, decision_str, decision, ship) = if release == 0 {
-            // Bootstrap: no history exists, the first release relinks
-            // against its own fresh collection.
-            let ship = (&fresh_agg, fresh_bytes, fresh_log);
-            (0.0, "bootstrap".to_string(), RelinkDecision::Relink, ship)
-        } else {
-            let log;
-            (stale_agg, log) = merge(&stale_sources, opts.provenance);
-            let skew = layout_skew_agg(pm, &stale_agg, pm, &fresh_agg);
-            let decision = opts.policy.decide(skew);
-            let ship = (&stale_agg, stale_bytes, log);
-            (skew, decision.as_str().to_string(), decision, ship)
-        };
-
-        // Ship the release the policy chose. Armed runs cite which
-        // sources funded the shipped merge at what decayed weight.
-        let merge_prov = match decision {
-            RelinkDecision::Relink => {
-                let (agg, bytes, log) = ship;
-                prod.phase3_analyze_merged(agg, bytes)
-                    .map_err(|e| e.to_string())?;
-                log
-            }
-            RelinkDecision::Reuse => {
-                prod.phase3_reuse_layout().map_err(|e| e.to_string())?;
-                None
-            }
-        };
-        prod.phase4_relink().map_err(|e| e.to_string())?;
-        let hot_functions = prod
-            .wpa_output()
-            .map(|w| w.stats.hot_functions)
-            .unwrap_or(0);
-
-        // Armed: assemble this release's provenance document and cite
-        // the top placement divergences from the previous release.
-        let mut divergences: Vec<String> = Vec::new();
-        if opts.provenance {
-            let doc = ProvenanceDoc::collect(spec.name, scale, opts.seed, &prod, merge_prov);
-            if let Some(prev) = &prev_doc {
-                let d = diff_docs(prev, &doc);
-                if let Some(div) = &d.first_divergence {
-                    divergences.push(div.clone());
-                }
-                for m in d.moved.iter().take(3) {
-                    divergences.push(format!(
-                        "{} moved: order {} -> {}, addr {:#x} -> {:#x}",
-                        m.symbol, m.order_a, m.order_b, m.addr_a, m.addr_b
-                    ));
+        // Production's lane: ship what the policy chooses and measure
+        // it. Everything a ledger byte or the fault injector's firing
+        // order depends on happens here, on the calling thread.
+        let production = || -> Result<(ReleaseRecord, CounterSet), String> {
+            // The stale merge: every windowed past release's machines,
+            // translated into this binary's address space, decayed by
+            // age.
+            let pm = prod.pm_binary().ok_or("phase 2 produced no binary")?;
+            let mut stale_sources: Vec<ProfileSource> = Vec::new();
+            let mut stale_bytes = 0u64;
+            let mut translated_records = 0u64;
+            let mut dropped_records = 0u64;
+            let pm_index = LayoutIndex::new(pm);
+            for entry in &history {
+                let mut translator = Translator::new(&entry.mapper, &pm_index);
+                let age = release - entry.release;
+                for p in &entry.machine_profiles {
+                    let (translated, tstats) = translator.translate(p);
+                    translated_records += tstats.records_in;
+                    dropped_records += tstats.records_dropped;
+                    stale_bytes += translated.raw_size_bytes();
+                    stale_sources.push(ProfileSource {
+                        agg: AggregatedProfile::from_profile(&translated),
+                        weight: translated.samples.len() as u64,
+                        age,
+                    });
                 }
             }
-            prev_doc = Some(doc);
-        }
-        let cache_delta = prod_caches.object_stats().since(&cache_before);
-        let eval = prod.evaluate(opts.eval_budget).map_err(|e| e.to_string())?;
-        let achieved = eval.speedup_pct();
 
-        // Oracle arm: the same release relinked against its own fresh
-        // collection — what a zero-staleness fleet would ship. Its
-        // baseline is the one production just measured.
-        let mut oracle = Propeller::with_caches(
-            program.clone(),
-            bench.entries.clone(),
-            oracle_popts.clone(),
-            snapshot,
-        );
-        oracle.phase1_compile().map_err(|e| e.to_string())?;
-        oracle.phase2_build_metadata().map_err(|e| e.to_string())?;
-        oracle
-            .phase3_analyze_merged(&fresh_agg, fresh_bytes)
-            .map_err(|e| e.to_string())?;
-        oracle.phase4_relink().map_err(|e| e.to_string())?;
-        let oracle_speedup = oracle
-            .evaluate_optimized(opts.eval_budget, &SimOptions::default(), None)
-            .map_err(|e| e.to_string())?
-            .counters
-            .speedup_pct_over(&eval.baseline);
+            // The merge a relink would ship is made once per release
+            // and serves both the skew decision and Phase 3.
+            let stale_agg;
+            let (skew, decision_str, decision, ship) = if release == 0 {
+                // Bootstrap: no history exists, the first release
+                // relinks against its own fresh collection.
+                let ship = (&fresh_agg, fresh_bytes, fresh_log);
+                (0.0, "bootstrap".to_string(), RelinkDecision::Relink, ship)
+            } else {
+                let log;
+                (stale_agg, log) = merge(&stale_sources, opts.provenance);
+                let skew = layout_skew_agg(pm, &stale_agg, pm, &fresh_agg);
+                let decision = opts.policy.decide(skew);
+                let ship = (&stale_agg, stale_bytes, log);
+                (skew, decision.as_str().to_string(), decision, ship)
+            };
 
-        records.push(ReleaseRecord {
-            release,
-            functions: program.num_functions(),
-            skew,
-            decision: decision_str,
-            achieved_speedup_pct: achieved,
-            oracle_speedup_pct: oracle_speedup,
-            gap_pct: oracle_speedup - achieved,
-            hot_functions,
-            cache_lookups: cache_delta.lookups,
-            cache_hits: cache_delta.hits,
-            cache_hit_rate: cache_delta.hit_rate(),
-            translated_records,
-            dropped_records,
-            divergences,
-            degradation: prod.degradation().clone(),
-        });
+            // Ship the release the policy chose. Armed runs cite which
+            // sources funded the shipped merge at what decayed weight.
+            let merge_prov = match decision {
+                RelinkDecision::Relink => {
+                    let (agg, bytes, log) = ship;
+                    prod.phase3_analyze_merged(agg, bytes)
+                        .map_err(|e| e.to_string())?;
+                    log
+                }
+                RelinkDecision::Reuse => {
+                    prod.phase3_reuse_layout().map_err(|e| e.to_string())?;
+                    None
+                }
+            };
+            prod.phase4_relink().map_err(|e| e.to_string())?;
+
+            // Armed: assemble this release's provenance document and
+            // cite the top placement divergences from the previous
+            // release.
+            let mut divergences: Vec<String> = Vec::new();
+            if opts.provenance {
+                let doc = ProvenanceDoc::collect(spec.name, scale, opts.seed, &prod, merge_prov);
+                if let Some(prev) = &prev_doc {
+                    let d = diff_docs(prev, &doc);
+                    if let Some(div) = &d.first_divergence {
+                        divergences.push(div.clone());
+                    }
+                    for m in d.moved.iter().take(3) {
+                        divergences.push(format!(
+                            "{} moved: order {} -> {}, addr {:#x} -> {:#x}",
+                            m.symbol, m.order_a, m.order_b, m.addr_a, m.addr_b
+                        ));
+                    }
+                }
+                prev_doc = Some(doc);
+            }
+            let cache_delta = prod_caches.object_stats().since(&cache_before);
+            let eval = prod.evaluate(opts.eval_budget).map_err(|e| e.to_string())?;
+            // The oracle's two columns are filled in once both lanes
+            // are back.
+            let record = ReleaseRecord {
+                release,
+                functions: program.num_functions(),
+                skew,
+                decision: decision_str,
+                achieved_speedup_pct: eval.speedup_pct(),
+                oracle_speedup_pct: 0.0,
+                gap_pct: 0.0,
+                hot_functions: prod.wpa_output().map_or(0, |w| w.stats.hot_functions),
+                cache_lookups: cache_delta.lookups,
+                cache_hits: cache_delta.hits,
+                cache_hit_rate: cache_delta.hit_rate(),
+                translated_records,
+                dropped_records,
+                divergences,
+                degradation: prod.degradation().clone(),
+            };
+            Ok((record, eval.baseline))
+        };
+
+        // The oracle's lane: the same release relinked against its own
+        // fresh collection — what a zero-staleness fleet would ship —
+        // on the snapshot, so it shares nothing mutable with
+        // production. Both arms hold the same program, seed,
+        // microarchitecture and budget: the oracle measures only its
+        // optimized binary, against the baseline production measures.
+        let oracle = || {
+            let mut oracle = Propeller::with_caches(
+                program.clone(),
+                bench.entries.clone(),
+                oracle_popts.clone(),
+                snapshot,
+            );
+            let mut relink = || -> Result<CounterSet, PipelineError> {
+                oracle.phase1_compile()?;
+                oracle.phase2_build_metadata()?;
+                oracle.phase3_analyze_merged(&fresh_agg, fresh_bytes)?;
+                oracle.phase4_relink()?;
+                let sim = SimOptions::default();
+                Ok(oracle.evaluate_optimized(opts.eval_budget, &sim, None)?.counters)
+            };
+            relink().map_err(|e| e.to_string())
+        };
+
+        let ((mut record, baseline), oracle_counters) =
+            two_lanes(opts.jobs, release, production, oracle)?;
+        record.oracle_speedup_pct = oracle_counters.speedup_pct_over(&baseline);
+        record.gap_pct = record.oracle_speedup_pct - record.achieved_speedup_pct;
+        records.push(record);
 
         history.push(HistoryEntry {
             mapper,
@@ -580,8 +643,12 @@ pub fn run_fleet(
             let excess = history.len() - opts.history_window as usize;
             history.drain(..excess);
         }
-        drop((prod, oracle));
-        bench.program = Arc::unwrap_or_clone(program);
+        // The oracle's pipeline went with its lane; with production's
+        // gone too the program has one owner again and moves, not
+        // copies, into the next release.
+        drop(prod);
+        bench.program = Arc::try_unwrap(program)
+            .map_err(|_| format!("a pipeline outlived release {release}"))?;
     }
 
     Ok(FleetReport {
@@ -599,6 +666,80 @@ pub fn run_fleet(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn one_worker_runs_production_to_completion_before_the_oracle() {
+        let log = std::sync::Mutex::new(Vec::new());
+        let say = |what| log.lock().unwrap().push(what);
+        let got = two_lanes(
+            1,
+            0,
+            || {
+                say("production starts");
+                say("production ends");
+                Ok('p')
+            },
+            || {
+                say("oracle");
+                Ok('o')
+            },
+        );
+        assert_eq!(got, Ok(('p', 'o')));
+        let log = log.into_inner().unwrap();
+        assert_eq!(log, ["production starts", "production ends", "oracle"]);
+    }
+
+    #[test]
+    fn two_workers_run_both_lanes_at_once_and_answer_in_lane_order() {
+        // Each lane waits for the other to have started: run one after
+        // the other they would never meet.
+        let both_running = std::sync::Barrier::new(2);
+        for jobs in [2, 8] {
+            let got = two_lanes(
+                jobs,
+                0,
+                || {
+                    both_running.wait();
+                    Ok(std::thread::current().id())
+                },
+                || {
+                    both_running.wait();
+                    Ok(std::thread::current().id())
+                },
+            );
+            let (production, oracle) = got.expect("both lanes finish");
+            assert_eq!(production, std::thread::current().id());
+            assert_ne!(oracle, production);
+        }
+    }
+
+    #[test]
+    fn errors_and_panics_are_the_same_result_at_every_worker_count() {
+        let fail = |lane: &str| Err::<(), _>(format!("{lane} failed"));
+        for jobs in [1, 2] {
+            let both = two_lanes(jobs, 3, || fail("production"), || fail("oracle"));
+            assert_eq!(both, Err("production failed".to_string()), "jobs {jobs}");
+            let oracle = two_lanes(jobs, 3, || Ok(()), || fail("oracle"));
+            assert_eq!(oracle, Err("oracle failed".to_string()), "jobs {jobs}");
+            let panicked = two_lanes(jobs, 3, || Ok(()), || -> Result<(), String> {
+                panic!("no layout for {}", "main")
+            });
+            assert_eq!(
+                panicked,
+                Err("oracle lane of release 3 panicked: no layout for main".to_string()),
+                "jobs {jobs}"
+            );
+            // A panic is production's error like any other: it wins.
+            let panicked = two_lanes(jobs, 3, || -> Result<(), String> { panic!("boom") }, || {
+                fail("oracle")
+            });
+            assert_eq!(
+                panicked,
+                Err("production lane of release 3 panicked: boom".to_string()),
+                "jobs {jobs}"
+            );
+        }
+    }
 
     #[test]
     fn machine_budgets_conserve_and_skew_zipf() {

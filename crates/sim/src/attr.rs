@@ -222,9 +222,8 @@ impl FoldedStacks {
 }
 
 /// One block's in-flight attribution state.
+#[derive(Clone, Default)]
 struct BlockSlot {
-    addr: u64,
-    size: u32,
     counters: CounterSet,
     cycles_f: f64,
 }
@@ -232,57 +231,42 @@ struct BlockSlot {
 /// The engine-side collector. Charges counter deltas to
 /// `(function, block)` contexts and folded cycle weights to call
 /// chains while the simulation runs.
-pub(crate) struct AttrSink {
-    names: Vec<String>,
-    blocks: Vec<Vec<BlockSlot>>,
+pub(crate) struct AttrSink<'a> {
+    image: &'a ProgramImage,
+    /// One slot per block of `image.blocks`.
+    blocks: Vec<BlockSlot>,
     folded: BTreeMap<Vec<u32>, f64>,
 }
 
-impl AttrSink {
-    pub(crate) fn new(image: &ProgramImage) -> Self {
+impl<'a> AttrSink<'a> {
+    pub(crate) fn new(image: &'a ProgramImage) -> Self {
         AttrSink {
-            names: image.functions.iter().map(|f| f.name.clone()).collect(),
-            blocks: image
-                .functions
-                .iter()
-                .map(|f| {
-                    f.blocks
-                        .iter()
-                        .map(|b| BlockSlot {
-                            addr: b.addr,
-                            size: b.size,
-                            counters: CounterSet::default(),
-                            cycles_f: 0.0,
-                        })
-                        .collect()
-                })
-                .collect(),
+            image,
+            blocks: vec![BlockSlot::default(); image.blocks.len()],
             folded: BTreeMap::new(),
         }
     }
 
     /// Charges the window between the `prev` and `cur` engine
-    /// snapshots (each a `(counters, cycles)` pair) to block `b` of
-    /// function `f`, and its cycle delta to the call chain (with `f`
-    /// as the leaf).
+    /// snapshots (each a `(counters, cycles)` pair) to block `b` (an
+    /// index into the image's `blocks`) of function `f`, and its cycle
+    /// delta to the call chain (with `f` as the leaf).
     pub(crate) fn charge(
         &mut self,
         chain: &[u32],
-        f: usize,
-        b: usize,
+        f: u32,
+        b: u32,
         prev: (&CounterSet, f64),
         cur: (&CounterSet, f64),
     ) {
-        let slot = &mut self.blocks[f][b];
+        let slot = &mut self.blocks[b as usize];
         add_delta(&mut slot.counters, prev.0, cur.0);
         let dc = cur.1 - prev.1;
         if dc > 0.0 {
             slot.cycles_f += dc;
-            // Lossless: `f` is a dense image index and
-            // `ProgramImage::build` caps the function count at u32::MAX.
             let mut key: Vec<u32> = chain.to_vec();
-            if key.last() != Some(&(f as u32)) {
-                key.push(f as u32);
+            if key.last() != Some(&f) {
+                key.push(f);
             }
             *self.folded.entry(key).or_insert(0.0) += dc;
         }
@@ -296,15 +280,18 @@ impl AttrSink {
         // non-negative, so each block gets `round(cum) - assigned`.
         let mut assigned = 0u64;
         let mut cum = 0.0f64;
-        let mut symbols = Vec::with_capacity(self.names.len());
+        let mut symbols = Vec::with_capacity(self.image.names.len());
         // Track the hottest block to absorb the final remainder (float
         // summation order here differs from the engine's event order,
         // so the two roundings can disagree by an ulp's worth).
         let mut hottest: Option<(usize, usize)> = None;
         let mut hottest_cycles = 0.0f64;
-        for (fi, (name, slots)) in self.names.into_iter().zip(self.blocks).enumerate() {
-            let mut blocks = Vec::with_capacity(slots.len());
-            for (bi, slot) in slots.into_iter().enumerate() {
+        let image = self.image;
+        for (fi, (name, w)) in image.names.iter().zip(image.first_block.windows(2)).enumerate() {
+            let span = w[0] as usize..w[1] as usize;
+            let mut blocks = Vec::with_capacity(span.len());
+            let placed = &image.blocks[span.clone()];
+            for (bi, (slot, at)) in self.blocks[span].iter().zip(placed).enumerate() {
                 cum += slot.cycles_f;
                 let up_to = cum.round() as u64;
                 let cycles = up_to.saturating_sub(assigned);
@@ -316,13 +303,13 @@ impl AttrSink {
                 let mut counters = slot.counters;
                 counters.cycles = cycles;
                 blocks.push(BlockAttribution {
-                    addr: slot.addr,
-                    size: slot.size,
+                    addr: at.addr,
+                    size: at.size,
                     counters,
                 });
             }
             symbols.push(SymbolAttribution {
-                name,
+                name: name.clone(),
                 total: CounterSet::default(),
                 blocks,
             });

@@ -42,10 +42,19 @@ struct Frontend {
     counters: CounterSet,
     cfg: UarchConfig,
     heatmap: Option<HeatMap>,
+    /// The line `fetch` touched last, `None` once a `prefetch` has
+    /// touched the caches since. iTLB, L1i and DSB all hold that line
+    /// at MRU, so fetching it again would hit all three and move
+    /// nothing: `fetch` skips it. Every call fetches the callee's entry
+    /// line twice in a row, and most blocks start in the line their
+    /// predecessor ended in.
+    last_line: Option<u64>,
 }
 
 impl Frontend {
-    fn new(cfg: &UarchConfig, image: &ProgramImage, opts: &SimOptions, budget: u64) -> Self {
+    /// A cold front end; a heat map, if `opts` asks for one, covers
+    /// the `text` address range.
+    fn new(cfg: &UarchConfig, text: (u64, u64), opts: &SimOptions, budget: u64) -> Self {
         let page = if cfg.itlb.hugepages { 2 << 20 } else { 4096 };
         let l1_entries = if cfg.itlb.hugepages {
             cfg.itlb.l1_entries_2m
@@ -54,8 +63,8 @@ impl Frontend {
         };
         let heatmap = opts.heatmap.map(|(rows, cols)| {
             HeatMap::new(
-                image.text_start,
-                image.text_end.max(image.text_start + 1),
+                text.0,
+                text.1.max(text.0 + 1),
                 rows,
                 cols,
                 budget * 2,
@@ -73,6 +82,7 @@ impl Frontend {
             counters: CounterSet::default(),
             cfg: *cfg,
             heatmap,
+            last_line: None,
         }
     }
 
@@ -84,32 +94,35 @@ impl Frontend {
         let mut a = addr & !(line - 1);
         let end = addr + len.max(1) as u64;
         while a < end {
-            if !self.itlb.access(a) {
-                self.counters.itlb_misses += 1;
-                if !self.stlb.access(a) {
-                    self.counters.stlb_walks += 1;
-                    self.cycles += self.cfg.penalties.stlb_walk;
-                } else {
-                    self.cycles += self.cfg.penalties.itlb_miss;
-                }
-            }
-            if !self.l1i.access(a) {
-                missed = true;
-                self.counters.l1i_misses += 1;
-                if !self.l2.access(a) {
-                    self.counters.l2_code_misses += 1;
-                    if !self.l3.access(a) {
-                        self.counters.l3_code_misses += 1;
-                        self.cycles += self.cfg.penalties.l3_miss;
+            if self.last_line != Some(a) {
+                self.last_line = Some(a);
+                if !self.itlb.access(a) {
+                    self.counters.itlb_misses += 1;
+                    if !self.stlb.access(a) {
+                        self.counters.stlb_walks += 1;
+                        self.cycles += self.cfg.penalties.stlb_walk;
                     } else {
-                        self.cycles += self.cfg.penalties.l2_miss;
+                        self.cycles += self.cfg.penalties.itlb_miss;
                     }
-                } else {
-                    self.cycles += self.cfg.penalties.l1i_miss;
                 }
-            }
-            if !self.dsb.access(a) {
-                self.counters.dsb_misses += 1;
+                if !self.l1i.access(a) {
+                    missed = true;
+                    self.counters.l1i_misses += 1;
+                    if !self.l2.access(a) {
+                        self.counters.l2_code_misses += 1;
+                        if !self.l3.access(a) {
+                            self.counters.l3_code_misses += 1;
+                            self.cycles += self.cfg.penalties.l3_miss;
+                        } else {
+                            self.cycles += self.cfg.penalties.l2_miss;
+                        }
+                    } else {
+                        self.cycles += self.cfg.penalties.l1i_miss;
+                    }
+                }
+                if !self.dsb.access(a) {
+                    self.counters.dsb_misses += 1;
+                }
             }
             if let Some(h) = &mut self.heatmap {
                 h.record(a);
@@ -123,6 +136,7 @@ impl Frontend {
     /// TLBs without stall penalties or demand-miss counter charges.
     fn prefetch(&mut self, addr: u64) {
         self.counters.prefetches += 1;
+        self.last_line = None;
         if !self.itlb.access(addr) {
             self.stlb.access(addr);
         }
@@ -187,10 +201,21 @@ impl Sampler {
 }
 
 struct Frame {
-    f: usize,
-    b: usize,
-    call_idx: usize,
+    /// Dense function index.
+    f: u32,
+    /// The current block, in [`ProgramImage::blocks`].
+    b: u32,
+    /// The next call site to take, in [`ProgramImage::calls`]; set on
+    /// entering `b`.
+    call_idx: u32,
     entered: bool,
+}
+
+impl Frame {
+    /// A frame about to enter block `b` of function `f`.
+    fn at(f: u32, b: u32) -> Self {
+        Frame { f, b, call_idx: 0, entered: false }
+    }
 }
 
 /// [`simulate`], plus telemetry: a `simulate` span under `parent`
@@ -270,24 +295,24 @@ pub fn simulate(
     uarch: &UarchConfig,
     opts: &SimOptions,
 ) -> SimReport {
-    let mut fe = Frontend::new(uarch, image, opts, workload.block_budget);
+    let text = (image.text_start, image.text_end);
+    let mut fe = Frontend::new(uarch, text, opts, workload.block_budget);
     let mut rng = SplitMix64::new(workload.seed);
     let mut sampler = opts
         .sampling
         .as_ref()
         .map(|cfg| Sampler::new(cfg, "simulated-binary"));
 
-    let entries: Vec<(usize, f64)> = workload
+    // Lossless `as u32`: `ProgramImage::build` rejects programs whose
+    // function count exceeds u32::MAX.
+    let entries: Vec<(u32, f64)> = workload
         .entries
         .iter()
         .map(|(fid, w)| {
-            (
-                *image
-                    .fn_index
-                    .get(fid)
-                    .unwrap_or_else(|| panic!("entry {fid} not in image")),
-                *w,
-            )
+            let f = image
+                .index_of(*fid)
+                .unwrap_or_else(|| panic!("entry {fid} not in image"));
+            (f as u32, *w)
         })
         .collect();
     let total_weight: f64 = entries.iter().map(|(_, w)| w).sum();
@@ -335,37 +360,34 @@ pub fn simulate(
                 }
                 draw -= w;
             }
-            stack.push(Frame {
-                f: chosen,
-                b: 0,
-                call_idx: 0,
-                entered: false,
-            });
-            // Lossless: `ProgramImage::build` rejects programs whose
-            // function count exceeds u32::MAX.
-            call_chain.push(chosen as u32);
+            stack.push(Frame::at(chosen, image.first_block[chosen as usize]));
+            call_chain.push(chosen);
         }
         let top = stack.last_mut().expect("nonempty");
-        let block = &image.functions[top.f].blocks[top.b];
+        let block = &image.blocks[top.b as usize];
         if !top.entered {
             top.entered = true;
+            top.call_idx = block.calls.0;
             executed_blocks += 1;
             charged!(top.f, top.b, {
                 fe.counters.blocks += 1;
                 fe.fetch(block.addr, block.size);
                 fe.retire(block.straight_insts);
-                for &target in &block.prefetches {
-                    fe.prefetch(image.functions[target as usize].blocks[0].addr);
+                let (from, to) = block.prefetches;
+                for &target in &image.prefetches[from as usize..to as usize] {
+                    let entry = image.first_block[target as usize];
+                    fe.prefetch(image.blocks[entry as usize].addr);
                 }
             });
         }
-        if top.call_idx < block.calls.len() {
-            let (off, callee) = block.calls[top.call_idx];
+        if top.call_idx < block.calls.1 {
+            let (off, callee) = image.calls[top.call_idx as usize];
             let (cf, cb) = (top.f, top.b);
             top.call_idx += 1;
             if stack.len() < workload.max_call_depth {
                 let from = block.addr + off as u64;
-                let to = image.functions[callee as usize].blocks[0].addr;
+                let callee_entry = image.first_block[callee as usize];
+                let to = image.blocks[callee_entry as usize].addr;
                 // The transfer itself belongs to the call site...
                 charged!(cf, cb, {
                     fe.taken(from, true);
@@ -375,7 +397,7 @@ pub fn simulate(
                 // the caller would have hidden. It is charged to the
                 // callee's entry block, where `perf` reports it.
                 let missed: bool;
-                charged!(callee as usize, 0, {
+                charged!(callee, callee_entry, {
                     missed = fe.fetch(to, 1);
                 });
                 if missed && opts.collect_call_misses {
@@ -384,12 +406,7 @@ pub fn simulate(
                 if let Some(s) = &mut sampler {
                     s.record(from, to);
                 }
-                stack.push(Frame {
-                    f: callee as usize,
-                    b: 0,
-                    call_idx: 0,
-                    entered: false,
-                });
+                stack.push(Frame::at(callee, callee_entry));
                 call_chain.push(callee);
             }
             continue;
@@ -407,9 +424,8 @@ pub fn simulate(
                     fe.retire(block.branch_insts);
                     stack.pop();
                     if let Some(caller) = stack.last() {
-                        let cblock = &image.functions[caller.f].blocks[caller.b];
-                        let (call_off, _) = cblock.calls[caller.call_idx - 1];
-                        let to = cblock.addr + call_off as u64 + CALL_LEN;
+                        let (call_off, _) = image.calls[caller.call_idx as usize - 1];
+                        let to = image.blocks[caller.b as usize].addr + call_off as u64 + CALL_LEN;
                         fe.taken(from, false);
                         if let Some(s) = &mut sampler {
                             s.record(from, to);
@@ -421,7 +437,7 @@ pub fn simulate(
             SimTerm::Jump(t) => {
                 charged!(top.f, top.b, {
                     fe.retire(block.branch_insts);
-                    let target = &image.functions[top.f].blocks[t as usize];
+                    let target = &image.blocks[t as usize];
                     if block.branch_insts == 0 {
                         debug_assert_eq!(target.addr, end, "deleted jump implies adjacency");
                         fe.counters.fallthroughs += 1;
@@ -432,14 +448,13 @@ pub fn simulate(
                         }
                     }
                 });
-                top.b = t as usize;
-                top.call_idx = 0;
+                top.b = t;
                 top.entered = false;
             }
             SimTerm::Cond { taken, ft, p } => {
                 let choose_taken = rng.chance(p);
                 let t = if choose_taken { taken } else { ft };
-                let target_addr = image.functions[top.f].blocks[t as usize].addr;
+                let target_addr = image.blocks[t as usize].addr;
                 let contiguous = target_addr == end;
                 // Executed branch instructions: the first Jcc always;
                 // the trailing JMP only on the (non-contiguous)
@@ -460,8 +475,7 @@ pub fn simulate(
                         }
                     }
                 });
-                top.b = t as usize;
-                top.call_idx = 0;
+                top.b = t;
                 top.entered = false;
             }
         }
@@ -482,5 +496,106 @@ pub fn simulate(
         call_misses: opts.collect_call_misses.then_some(call_misses),
         attribution,
         folded,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::{CacheConfig, TlbConfig};
+
+    /// A core small enough that a few hundred accesses over four pages
+    /// evict at every level.
+    fn tiny_core() -> UarchConfig {
+        let cache = |capacity, assoc| CacheConfig {
+            capacity,
+            assoc,
+            line: 64,
+        };
+        UarchConfig {
+            l1i: cache(512, 2),
+            l2: cache(2048, 2),
+            l3: cache(8192, 4),
+            itlb: TlbConfig {
+                l1_entries_4k: 2,
+                l1_entries_2m: 2,
+                stlb_entries: 3,
+                hugepages: false,
+            },
+            btb_entries: 8,
+            dsb_windows: 8,
+            ..UarchConfig::default()
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The same-line filter is invisible: a front end that never
+        /// remembers its last line returns, counts, charges and maps
+        /// exactly the same, step by step — over same-line repeats,
+        /// multi-line fetches across a page boundary, and a prefetch
+        /// between two fetches of one line.
+        #[test]
+        fn same_line_filter_changes_nothing(
+            heatmap in proptest::any::<bool>(),
+            ops in proptest::collection::vec(
+                (0u8..6, proptest::any::<u16>(), proptest::any::<u8>()), 1..400),
+        ) {
+            let opts = SimOptions {
+                heatmap: heatmap.then_some((8, 4)),
+                ..SimOptions::default()
+            };
+            let text = (0x1000, 0x5000);
+            let mut filtered = Frontend::new(&tiny_core(), text, &opts, 300);
+            let mut plain = Frontend::new(&tiny_core(), text, &opts, 300);
+            let mut addr = text.0;
+            for (step, (kind, a, len)) in ops.into_iter().enumerate() {
+                let fresh = text.0 + u64::from(a) % (text.1 - text.0);
+                match kind {
+                    // A fetch somewhere else, up to four lines long.
+                    0 | 1 => addr = fresh,
+                    // The line just fetched, or the one after it.
+                    2 => addr = (addr & !63) + u64::from(a % 96),
+                    3 => {}
+                    4 => {
+                        let target = if a % 2 == 0 { addr } else { fresh };
+                        filtered.prefetch(target);
+                        plain.prefetch(target);
+                    }
+                    _ => {
+                        filtered.taken(fresh, a % 3 != 0);
+                        plain.taken(fresh, a % 3 != 0);
+                    }
+                }
+                if kind < 4 {
+                    plain.last_line = None;
+                    proptest::prop_assert_eq!(
+                        filtered.fetch(addr, u32::from(len)),
+                        plain.fetch(addr, u32::from(len)),
+                        "step {}", step
+                    );
+                }
+                proptest::prop_assert_eq!(filtered.counters, plain.counters, "step {}", step);
+                proptest::prop_assert_eq!(
+                    filtered.cycles.to_bits(), plain.cycles.to_bits(), "step {}", step);
+                proptest::prop_assert_eq!(&filtered.heatmap, &plain.heatmap, "step {}", step);
+            }
+        }
+    }
+
+    #[test]
+    fn a_repeated_line_is_skipped_until_a_prefetch_touches_the_caches() {
+        let mut fe = Frontend::new(&tiny_core(), (0, 0x1000), &SimOptions::default(), 1);
+        assert!(fe.fetch(0x100, 1));
+        assert!(!fe.fetch(0x13f, 1));
+        assert_eq!(fe.l1i.accesses(), 1, "same line: skipped");
+        // Two lines, the first already fetched: only the second is new.
+        assert!(fe.fetch(0x120, 64));
+        assert_eq!((fe.l1i.accesses(), fe.last_line), (2, Some(0x140)));
+        fe.prefetch(0x140);
+        assert_eq!(fe.last_line, None);
+        assert!(!fe.fetch(0x140, 1));
+        assert_eq!(fe.l1i.accesses(), 4, "the prefetch and the fetch after it both access");
     }
 }

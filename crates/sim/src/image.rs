@@ -1,13 +1,13 @@
 //! The simulator's executable view: CFG structure married to final
 //! addresses.
 
-use propeller_ir::{Inst, Program, Terminator};
+use propeller_ir::{FunctionId, Inst, Program, Terminator};
 use propeller_linker::FinalLayout;
-use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 
-/// A terminator in simulator form (successors as dense block indices).
+/// A terminator in simulator form (successors as indices into
+/// [`ProgramImage::blocks`]).
 #[derive(Copy, Clone, PartialEq, Debug)]
 pub enum SimTerm {
     /// Unconditional jump.
@@ -26,10 +26,8 @@ pub enum SimTerm {
 }
 
 /// One executable basic block.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Copy, Clone, PartialEq, Debug)]
 pub struct SimBlock {
-    /// Dense indices of functions this block software-prefetches.
-    pub prefetches: Vec<u32>,
     /// Final virtual address.
     pub addr: u64,
     /// Final size in bytes (post-relaxation).
@@ -39,28 +37,39 @@ pub struct SimBlock {
     /// Number of branch instructions encoded at the block end (0-2),
     /// derived from the final size; relaxation-aware.
     pub branch_insts: u32,
-    /// Call sites: `(byte offset of the call, dense callee index)`.
-    pub calls: Vec<(u32, u32)>,
+    /// Its call sites: `[start, end)` in [`ProgramImage::calls`].
+    pub calls: (u32, u32),
+    /// Its software prefetches: `[start, end)` in
+    /// [`ProgramImage::prefetches`].
+    pub prefetches: (u32, u32),
     /// The terminator.
     pub term: SimTerm,
 }
 
-/// One executable function.
-#[derive(Clone, PartialEq, Debug)]
-pub struct SimFunction {
-    /// Symbol name (diagnostics).
-    pub name: String,
-    /// Blocks indexed densely; block 0 is the entry.
-    pub blocks: Vec<SimBlock>,
-}
-
-/// The whole executable, ready to simulate.
+/// The whole executable, ready to simulate. Functions are indexed
+/// densely in program order; function `f`'s blocks are
+/// `blocks[first_block[f]..first_block[f + 1]]`, entry first.
 #[derive(Clone, Debug)]
 pub struct ProgramImage {
-    /// Functions, densely indexed.
-    pub functions: Vec<SimFunction>,
-    /// Maps IR function ids to dense indices.
-    pub fn_index: HashMap<propeller_ir::FunctionId, usize>,
+    /// Symbol names (diagnostics), by dense function index.
+    pub names: Vec<String>,
+    /// Where each function's blocks start in `blocks`, plus one last
+    /// entry: the number of blocks.
+    pub first_block: Vec<u32>,
+    /// Every block of every function.
+    pub blocks: Vec<SimBlock>,
+    /// Every call site, in block order: `(byte offset of the call in
+    /// its block, dense callee index)`.
+    pub calls: Vec<(u32, u32)>,
+    /// Dense indices of the functions software-prefetched, in block
+    /// order.
+    pub prefetches: Vec<u32>,
+    /// `(IR function id, dense index)` sorted by id, one entry per id.
+    /// Ids are dense in creation order (`propeller_ir::FunctionId`), so
+    /// each id sits at its own position and a lookup is one probe; ids
+    /// edited apart are found by binary search, so that an id never
+    /// sizes an allocation.
+    ids: Vec<(u32, u32)>,
     /// Lowest text address.
     pub text_start: u64,
     /// One past the highest text address.
@@ -145,6 +154,20 @@ fn branch_count(bytes: i64) -> Option<u32> {
     }
 }
 
+/// Looks `id` up in [`ProgramImage::ids`]: at its own position, else
+/// by binary search.
+fn index_in(ids: &[(u32, u32)], id: FunctionId) -> Option<usize> {
+    let at = |pos: usize| ids.get(pos).filter(|e| e.0 == id.0);
+    at(id.index())
+        .or_else(|| at(ids.partition_point(|e| e.0 <= id.0).checked_sub(1)?))
+        .map(|e| e.1 as usize)
+}
+
+/// Where the next entry of `arena` goes, as the `u32` blocks store.
+fn end_of<T>(arena: &[T]) -> u32 {
+    u32::try_from(arena.len()).expect("image arenas are u32-indexed")
+}
+
 impl ProgramImage {
     /// Builds the image from a program and the linker's final layout.
     ///
@@ -152,40 +175,48 @@ impl ProgramImage {
     ///
     /// Returns [`ImageError`] if any function or block lacks layout
     /// information, or sizes are inconsistent with the ISA.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the program has more than `u32::MAX` blocks, or calls
+    /// a function it does not have.
     pub fn build(program: &Program, layout: &FinalLayout) -> Result<Self, ImageError> {
-        let mut fn_index = HashMap::with_capacity(program.num_functions());
-        // `first_block[i]` is where function `i`'s blocks start in the
-        // flat placement table below; the last entry is its length.
+        // `first_block[i]` is where function `i`'s blocks start, both
+        // in `blocks` and in the placement table below.
         let mut first_block = Vec::with_capacity(program.num_functions() + 1);
         let mut num_blocks = 0usize;
-        for (i, f) in program.functions().enumerate() {
-            fn_index.insert(f.id, i);
-            first_block.push(num_blocks);
+        for f in program.functions() {
+            first_block.push(num_blocks as u32);
             num_blocks += f.blocks.len();
         }
-        first_block.push(num_blocks);
+        first_block.push(num_blocks as u32);
+        assert!(u32::try_from(num_blocks).is_ok(), "image block indices are u32");
+        let span = |i: usize| first_block[i] as usize..first_block[i + 1] as usize;
+        let count = first_block.len() - 1;
         // Validate the width once at the boundary: every dense function
         // index below (call/prefetch targets here, call-chain entries
         // in the engine and attribution) is stored as `u32`, so the
         // `as u32` narrowings downstream are lossless by construction.
-        if u32::try_from(fn_index.len()).is_err() {
-            return Err(ImageError::TooManyFunctions {
-                count: fn_index.len(),
-            });
+        if u32::try_from(count).is_err() {
+            return Err(ImageError::TooManyFunctions { count });
         }
+        // Of two functions with one id the later wins.
+        let mut ids: Vec<_> = program.functions().map(|f| f.id.0).zip(0u32..).collect();
+        ids.sort_unstable_by_key(|&(id, i)| (id, std::cmp::Reverse(i)));
+        ids.dedup_by_key(|entry| entry.0);
 
         // Every block's `(addr, size)`, indexed by function then block
         // id. A function the layout names twice merges, later blocks
         // winning; entries for functions or blocks the program does not
         // have are ignored.
         let mut placed: Vec<Option<(u64, u32)>> = vec![None; num_blocks];
-        let mut has_layout = vec![false; first_block.len() - 1];
+        let mut has_layout = vec![false; count];
         for fl in &layout.functions {
-            let Some(&i) = fn_index.get(&fl.function) else {
+            let Some(i) = index_in(&ids, fl.function) else {
                 continue;
             };
             has_layout[i] = true;
-            let blocks = &mut placed[first_block[i]..first_block[i + 1]];
+            let blocks = &mut placed[span(i)];
             for b in &fl.blocks {
                 if let Some(slot) = blocks.get_mut(b.block.index()) {
                     *slot = Some((b.addr, b.size));
@@ -193,15 +224,19 @@ impl ProgramImage {
             }
         }
 
-        let mut functions = Vec::with_capacity(has_layout.len());
+        let dense = |id: &FunctionId| index_in(&ids, *id).expect("callee is in the program") as u32;
+        let mut names = Vec::with_capacity(count);
+        let mut blocks = Vec::with_capacity(num_blocks);
+        let mut calls = Vec::new();
+        let mut prefetches = Vec::new();
         let mut text_start = u64::MAX;
         let mut text_end = 0u64;
         for (i, f) in program.functions().enumerate() {
             if !has_layout[i] {
                 return Err(ImageError::MissingFunction(f.name.clone()));
             }
-            let blocks_placed = &placed[first_block[i]..first_block[i + 1]];
-            let mut blocks = Vec::with_capacity(f.blocks.len());
+            let blocks_placed = &placed[span(i)];
+            let global = |b: propeller_ir::BlockId| first_block[i] + b.0;
             for b in &f.blocks {
                 let (addr, size) = blocks_placed
                     .get(b.id.index())
@@ -213,23 +248,29 @@ impl ProgramImage {
                     })?;
                 text_start = text_start.min(addr);
                 text_end = text_end.max(addr + size as u64);
-                let mut calls = Vec::new();
-                let mut prefetches = Vec::new();
-                let mut off = 0u32;
-                let mut straight = 0u32;
+                // Size the block first: most blocks have no 5-byte
+                // instruction, so nothing to record.
+                let (mut straight, mut bytes, mut fives) = (0u32, 0u32, 0u32);
                 for inst in &b.insts {
-                    match inst {
-                        // Lossless: the function count was checked
-                        // against u32::MAX above.
-                        Inst::Call(callee) => calls.push((off, fn_index[callee] as u32)),
-                        Inst::Prefetch(target) => prefetches.push(fn_index[target] as u32),
-                        _ => {}
-                    }
+                    let n = inst_bytes(inst);
                     straight += 1;
-                    off += inst_bytes(inst);
+                    bytes += n;
+                    fives += u32::from(n == 5);
                 }
-                let trailing = size as i64 - off as i64
-                    - i64::from(matches!(b.term, Terminator::Ret));
+                let (call0, prefetch0) = (end_of(&calls), end_of(&prefetches));
+                if fives > 0 {
+                    let mut off = 0u32;
+                    for inst in &b.insts {
+                        match inst {
+                            Inst::Call(callee) => calls.push((off, dense(callee))),
+                            Inst::Prefetch(target) => prefetches.push(dense(target)),
+                            _ => {}
+                        }
+                        off += inst_bytes(inst);
+                    }
+                }
+                let ret = matches!(b.term, Terminator::Ret);
+                let trailing = size as i64 - bytes as i64 - i64::from(ret);
                 let branch_insts =
                     branch_count(trailing).ok_or_else(|| ImageError::BadBranchBytes {
                         function: f.name.clone(),
@@ -237,62 +278,86 @@ impl ProgramImage {
                         bytes: trailing,
                     })?;
                 let term = match b.term {
-                    Terminator::Jump(t) => SimTerm::Jump(t.0),
+                    Terminator::Jump(t) => SimTerm::Jump(global(t)),
                     Terminator::CondBr {
                         taken,
                         fallthrough,
                         prob_taken,
                     } => SimTerm::Cond {
-                        taken: taken.0,
-                        ft: fallthrough.0,
+                        taken: global(taken),
+                        ft: global(fallthrough),
                         p: prob_taken,
                     },
                     Terminator::Ret => SimTerm::Ret,
                 };
                 blocks.push(SimBlock {
-                    prefetches,
                     addr,
                     size,
                     straight_insts: straight,
-                    branch_insts: branch_insts
-                        + u32::from(matches!(b.term, Terminator::Ret)),
-                    calls,
+                    branch_insts: branch_insts + u32::from(ret),
+                    calls: (call0, end_of(&calls)),
+                    prefetches: (prefetch0, end_of(&prefetches)),
                     term,
                 });
             }
-            functions.push(SimFunction {
-                name: f.name.clone(),
-                blocks,
-            });
+            names.push(f.name.clone());
         }
-        if functions.is_empty() || text_start == u64::MAX {
+        if text_start == u64::MAX {
             text_start = 0;
             text_end = 0;
         }
         Ok(ProgramImage {
-            functions,
-            fn_index,
+            names,
+            first_block,
+            blocks,
+            calls,
+            prefetches,
+            ids,
             text_start,
             text_end,
         })
     }
 
-    /// Total text footprint in bytes.
-    pub fn text_size(&self) -> u64 {
-        self.text_end - self.text_start
+    /// The dense index of the function with IR id `id`.
+    pub fn index_of(&self, id: FunctionId) -> Option<usize> {
+        index_in(&self.ids, id)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use propeller_ir::{BlockId, FunctionBuilder, FunctionId, ProgramBuilder};
+    use propeller_ir::{BlockId, FunctionBuilder, ProgramBuilder};
     use propeller_linker::{FinalBlock, FinalFunctionLayout};
+    use std::collections::HashMap;
 
-    /// The pre-PR-18 builder, kept verbatim as the oracle the flat
-    /// placement table is compared against: every block keyed through
-    /// a `HashMap` per function inside a `HashMap` of functions.
-    fn build_reference(program: &Program, layout: &FinalLayout) -> Result<ProgramImage, ImageError> {
+    /// A block as the pre-PR-22 image held it: its own two `Vec`s, and
+    /// `term` naming successors by their index within the function.
+    #[derive(Clone, PartialEq, Debug)]
+    struct RefBlock {
+        prefetches: Vec<u32>,
+        addr: u64,
+        size: u32,
+        straight_insts: u32,
+        branch_insts: u32,
+        calls: Vec<(u32, u32)>,
+        term: SimTerm,
+    }
+
+    #[derive(Clone, PartialEq, Debug)]
+    struct RefFunction {
+        name: String,
+        blocks: Vec<RefBlock>,
+    }
+
+    /// The nested image: functions, id map, text bounds.
+    type Parts = (Vec<RefFunction>, HashMap<FunctionId, usize>, u64, u64);
+
+    /// The pre-PR-18 builder, kept verbatim (but for the names of its
+    /// result types) as the oracle the flat image is compared against:
+    /// every block keyed through a `HashMap` per function inside a
+    /// `HashMap` of functions, every block and function its own `Vec`s.
+    fn build_reference(program: &Program, layout: &FinalLayout) -> Result<Parts, ImageError> {
         let mut placed: HashMap<propeller_ir::FunctionId, HashMap<u32, (u64, u32)>> =
             HashMap::new();
         for fl in &layout.functions {
@@ -370,7 +435,7 @@ mod tests {
                     },
                     Terminator::Ret => SimTerm::Ret,
                 };
-                blocks.push(SimBlock {
+                blocks.push(RefBlock {
                     prefetches,
                     addr,
                     size,
@@ -381,7 +446,7 @@ mod tests {
                     term,
                 });
             }
-            functions.push(SimFunction {
+            functions.push(RefFunction {
                 name: f.name.clone(),
                 blocks,
             });
@@ -390,12 +455,49 @@ mod tests {
             text_start = 0;
             text_end = 0;
         }
-        Ok(ProgramImage {
-            functions,
-            fn_index,
-            text_start,
-            text_end,
-        })
+        Ok((functions, fn_index, text_start, text_end))
+    }
+
+    /// The flat image viewed as the nested one. The id map is probed
+    /// with every id the program or the layout names.
+    fn nested(image: &ProgramImage, program: &Program, layout: &FinalLayout) -> Parts {
+        let functions = image
+            .names
+            .iter()
+            .zip(image.first_block.windows(2))
+            .map(|(name, w)| RefFunction {
+                name: name.clone(),
+                blocks: image.blocks[w[0] as usize..w[1] as usize]
+                    .iter()
+                    .map(|b| RefBlock {
+                        prefetches: image.prefetches
+                            [b.prefetches.0 as usize..b.prefetches.1 as usize]
+                            .to_vec(),
+                        addr: b.addr,
+                        size: b.size,
+                        straight_insts: b.straight_insts,
+                        branch_insts: b.branch_insts,
+                        calls: image.calls[b.calls.0 as usize..b.calls.1 as usize].to_vec(),
+                        term: match b.term {
+                            SimTerm::Jump(t) => SimTerm::Jump(t - w[0]),
+                            SimTerm::Cond { taken, ft, p } => SimTerm::Cond {
+                                taken: taken - w[0],
+                                ft: ft - w[0],
+                                p,
+                            },
+                            SimTerm::Ret => SimTerm::Ret,
+                        },
+                    })
+                    .collect(),
+            })
+            .collect();
+        let fn_index = program
+            .functions()
+            .map(|f| f.id)
+            .chain(layout.functions.iter().map(|fl| fl.function))
+            .filter_map(|id| Some((id, image.index_of(id)?)))
+            .collect();
+        (functions, fn_index, image.text_start, image.text_end)
     }
 
     /// Four functions of one to five blocks with calls and prefetches,
@@ -459,12 +561,6 @@ mod tests {
         (program, FinalLayout { functions })
     }
 
-    type Parts = (Vec<SimFunction>, HashMap<FunctionId, usize>, u64, u64);
-
-    fn parts(r: Result<ProgramImage, ImageError>) -> Result<Parts, ImageError> {
-        r.map(|i| (i.functions, i.fn_index, i.text_start, i.text_end))
-    }
-
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
 
@@ -515,10 +611,46 @@ mod tests {
                     break;
                 }
             }
-            let new = parts(ProgramImage::build(&program, &layout));
-            let old = parts(build_reference(&program, &layout));
-            proptest::prop_assert_eq!(new, old);
+            let new = ProgramImage::build(&program, &layout)
+                .map(|image| nested(&image, &program, &layout));
+            proptest::prop_assert_eq!(new, build_reference(&program, &layout));
         }
+    }
+
+    /// Ids edited apart — one of them `u32::MAX` — are found by binary
+    /// search: same image, and no allocation sized by an id.
+    #[test]
+    fn sparse_function_ids_match_the_reference_builder() {
+        let (mut program, mut layout) = fixture();
+        let renamed = |id: FunctionId| FunctionId([7, u32::MAX, 900_000, 12][id.index()]);
+        for m in program.modules_mut() {
+            for f in &mut m.functions {
+                f.id = renamed(f.id);
+                for inst in f.blocks.iter_mut().flat_map(|b| &mut b.insts) {
+                    match inst {
+                        Inst::Call(id) | Inst::Prefetch(id) => *id = renamed(*id),
+                        _ => {}
+                    }
+                }
+            }
+        }
+        for fl in &mut layout.functions {
+            fl.function = renamed(fl.function);
+        }
+        let image = ProgramImage::build(&program, &layout).unwrap();
+        assert_eq!(image.ids, [(7, 0), (12, 3), (900_000, 2), (u32::MAX, 1)]);
+        assert_eq!(image.index_of(FunctionId(u32::MAX)), Some(1));
+        for absent in [0, 8, 899_999, u32::MAX - 1] {
+            assert_eq!(image.index_of(FunctionId(absent)), None);
+        }
+        assert_eq!(
+            nested(&image, &program, &layout),
+            build_reference(&program, &layout).unwrap()
+        );
+        // The builder's own ids each sit at their own position.
+        let (program, layout) = fixture();
+        let image = ProgramImage::build(&program, &layout).unwrap();
+        assert_eq!(image.ids, [(0, 0), (1, 1), (2, 2), (3, 3)]);
     }
 
     #[test]
