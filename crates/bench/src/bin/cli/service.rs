@@ -9,11 +9,10 @@ use propeller_doctor::{evaluate_slo, service_findings, RelinkPolicy, Severity, S
 use propeller_fleet::{run_fleet, FleetOptions};
 use propeller_serve::traffic::{program_seed_for, NORMAL_PEAK_BYTES};
 use propeller_serve::{
-    batch_binary, gen_traffic, run_soak, soak_scenarios, CompletedJob, JobRequest, RelinkService,
-    ServeOptions, ServiceReport, TrafficConfig,
+    gen_traffic, run_soak, soak_scenarios, verify_batch, JobRequest, RelinkService, ServeOptions,
+    ServiceReport, TrafficConfig,
 };
 use propeller_telemetry::{chrome::to_chrome_trace_with_series, Telemetry, TimeSeries};
-use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 pub fn fleet(p: &Parsed) -> Result<ExitCode, CliError> {
@@ -204,45 +203,6 @@ fn soak(p: &Parsed, scale: f64, profile_budget: u64, jobs: usize) -> Result<Exit
     Ok(ExitCode::SUCCESS)
 }
 
-/// One batch relink per distinct completed signature; every
-/// same-signature service job must match it byte-for-byte. Returns the
-/// number of jobs that did not.
-fn batch_mismatches(
-    cfg: &TrafficConfig,
-    profile_budget: u64,
-    report: &ServiceReport,
-) -> Result<usize, CliError> {
-    let mut by_sig: BTreeMap<(u32, u64, u64, String), Vec<&CompletedJob>> = BTreeMap::new();
-    for job in &report.completed {
-        let sig = (
-            job.tenant,
-            job.program_seed,
-            job.job_seed,
-            job.plan.to_spec_string(),
-        );
-        by_sig.entry(sig).or_default().push(job);
-    }
-    let mut mismatches = 0usize;
-    for jobs_of_sig in by_sig.values() {
-        let batch = batch_binary(&cfg.benchmark, cfg.scale, jobs_of_sig[0], 1, profile_budget)?;
-        for job in jobs_of_sig.iter().filter(|job| job.image != batch) {
-            eprintln!(
-                "batch divergence: job {} (tenant t{}) shipped bytes differing from the \
-                 equivalent batch relink",
-                job.id, job.tenant
-            );
-            mismatches += 1;
-        }
-    }
-    if mismatches == 0 {
-        println!(
-            "batch equivalence: {} signature(s) verified byte-identical",
-            by_sig.len()
-        );
-    }
-    Ok(mismatches)
-}
-
 pub fn traffic(p: &Parsed) -> Result<ExitCode, CliError> {
     let (cfg, sopts) = service_plan(p)?;
     let profile_budget = sopts.profile_budget;
@@ -273,10 +233,22 @@ pub fn traffic(p: &Parsed) -> Result<ExitCode, CliError> {
             report.ledger.to_json_string(),
         )?;
     }
-    let mismatches = match p.verify_batch {
-        true => batch_mismatches(&cfg, profile_budget, &report)?,
-        false => 0,
-    };
+    let mut mismatches = 0;
+    if p.verify_batch {
+        let (signatures, divergent) =
+            verify_batch(&cfg.benchmark, cfg.scale, profile_budget, &report)?;
+        for job in &divergent {
+            eprintln!(
+                "batch divergence: job {} (tenant t{}) shipped bytes differing from the \
+                 equivalent batch relink",
+                job.id, job.tenant
+            );
+        }
+        if divergent.is_empty() {
+            println!("batch equivalence: {signatures} signature(s) verified byte-identical");
+        }
+        mismatches = divergent.len();
+    }
     let exact = report.violations.is_empty()
         && report.ledger.accounts_exactly()
         && mismatches == 0
@@ -305,13 +277,30 @@ fn print_latency_table(report: &ServiceReport, ts: &TimeSeries) {
     }
 }
 
+/// Most ticks per series `timeline_sampled.csv` may hold. The resampled
+/// CSV is for reading and plotting, and `timeline.csv` already keeps
+/// every point at full resolution, so ticks past what a plot can show
+/// add bytes and no information: at `--interval 0.000001` a 10-minute
+/// makespan is 6·10⁸ rows per series, gigabytes of output.
+const SAMPLED_ROW_BUDGET: u64 = 10_000;
+
 /// `timeline` and `slo`: the traffic plan with the timeline armed;
 /// `slo` additionally evaluates `slo_cfg` against it.
 fn timeline_run(p: &Parsed, slo_cfg: Option<SloConfig>) -> Result<ExitCode, CliError> {
     let cmd = p.cmd;
     let (cfg, sopts) = service_plan(p)?;
-    let dir = p.out_dir()?;
     let (report, timeline, chrome) = run_service(&cfg, sopts, true, p.outputs.trace_out.is_some())?;
+    // Only `timeline --out` writes the resampled CSV.
+    let interval_secs = p.interval.unwrap_or(10.0);
+    let rows = (timeline.end_us() as f64 / (interval_secs * 1e6)).floor();
+    if slo_cfg.is_none() && p.outputs.out.is_some() && rows > SAMPLED_ROW_BUDGET as f64 {
+        return Err(CliError::Usage(format!(
+            "--interval {interval_secs}: need at most {SAMPLED_ROW_BUDGET} rows per series in \
+             timeline_sampled.csv, got {rows} over the {:.1} s modeled makespan",
+            timeline.end_us() as f64 / 1e6
+        )));
+    }
+    let dir = p.out_dir()?;
     let totals = report.ledger.totals();
     println!(
         "{cmd}: {} arrivals over {:.1} modeled s -> {} completed; {} series recorded",
@@ -328,10 +317,9 @@ fn timeline_run(p: &Parsed, slo_cfg: Option<SloConfig>) -> Result<ExitCode, CliE
     if let Some(dir) = &dir {
         write_file(dir.join("timeline.csv"), timeline.to_csv())?;
         if slo_cfg.is_none() {
-            let interval_us = (p.interval.unwrap_or(10.0).max(1e-6) * 1e6) as u64;
             write_file(
                 dir.join("timeline_sampled.csv"),
-                timeline.sampled_csv(interval_us),
+                timeline.sampled_csv((interval_secs * 1e6) as u64),
             )?;
         }
     }

@@ -251,7 +251,8 @@ fn unread_flags_and_out_of_range_numbers_are_usage_errors() {
 /// A zero `--interval` or `window_secs` used to be clamped to one modeled
 /// microsecond and walked across the whole makespan (an 18 s `slo`, an
 /// allocation-failure abort in `timeline`). Both are typed errors now,
-/// raised where the value enters — before any job runs.
+/// raised where the value enters — before any job runs. So is an
+/// interval that would resample the makespan into too many rows.
 #[test]
 fn zero_interval_and_zero_window_are_typed_errors_before_any_work() {
     let base = scratch("zero_step");
@@ -287,6 +288,21 @@ fn zero_interval_and_zero_window_are_typed_errors_before_any_work() {
         assert!(stderr.contains("error: cannot parse"), "{stderr}");
         assert!(stderr.contains("slo config line 4: `window_secs`"), "{stderr}");
     }
+
+    // A positive interval too fine for the makespan used to be resampled
+    // anyway: at 1 µs a 4-request run wrote 6.7 GB of CSV. Here the 517.6 s
+    // makespan at 10 ms is 51 761 rows per series. The makespan is known
+    // only once the service has run, so this refusal comes after the work
+    // but before anything is printed or written.
+    let mut argv = vec!["timeline"];
+    argv.extend(shape);
+    argv.extend([out_dir.to_str().expect("utf-8 path"), "--interval", "0.01"]);
+    let out = cli(&argv);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(out.stdout.is_empty() && !out_dir.exists(), "output before the refusal");
+    assert!(stderr.starts_with("--interval 0.01: need at most 10000 rows"), "{stderr}");
+    assert!(stderr.contains("got 51761 over the 517.6 s modeled makespan"), "{stderr}");
 }
 
 /// The paper's evaluation end to end: every artifact row on one small
@@ -517,6 +533,33 @@ fn artifacts_decided_by_builtin_constants_are_pinned() {
     let out = cli(&["compare", "clang", "--scale", "0.12", "--seed", "77", "--json"]);
     assert!(out.status.success());
     pin("compare --json", &out.stdout, COMPARE_JSON_DIGEST);
+}
+
+/// `ci/gates.sh` is the one list of what CI runs: every subcommand is
+/// the argv of at least one `inv NAME EXIT SUBCOMMAND ...` line there,
+/// and CI's matrix runs exactly the groups it declares.
+#[test]
+fn every_subcommand_is_run_by_a_ci_gate() {
+    let repo = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let gates = String::from_utf8(read(repo.join("ci/gates.sh"))).expect("utf-8 gates.sh");
+    let workflow = String::from_utf8(read(repo.join(".github/workflows/ci.yml"))).expect("utf-8");
+    let groups = |text: &str, prefix: &str, split: char| -> Vec<String> {
+        let line = text.lines().find_map(|line| line.trim().strip_prefix(prefix));
+        let list = line.unwrap_or_else(|| panic!("no `{prefix}` line"));
+        let list = list.trim().trim_matches(['(', ')', '[', ']']);
+        list.split(split).map(|group| group.trim().to_string()).collect()
+    };
+    assert_eq!(groups(&gates, "GATE_GROUPS=", ' '), groups(&workflow, "group:", ','));
+    let started: Vec<&str> = gates
+        .lines()
+        .filter_map(|line| {
+            let mut words = line.split_whitespace();
+            (words.next() == Some("inv")).then(|| words.nth(2)).flatten()
+        })
+        .collect();
+    for (name, _, _) in SUBCOMMANDS {
+        assert!(started.contains(&name), "no `inv` line in ci/gates.sh runs `{name}`");
+    }
 }
 
 /// The usage text is generated from the command table, so it must

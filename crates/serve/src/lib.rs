@@ -26,7 +26,8 @@ mod soak;
 pub mod traffic;
 
 pub use service::{
-    batch_binary, job_seed, CompletedJob, RelinkService, ServeError, ServeOptions, ServiceReport,
+    batch_binary, job_seed, verify_batch, CompletedJob, RelinkService, ServeError, ServeOptions,
+    ServiceReport,
 };
 pub use soak::{run_soak, soak_scenarios, SoakOutcome, SoakScenario};
 pub use traffic::{gen_traffic, JobRequest, TrafficConfig};

@@ -36,7 +36,7 @@ use propeller_faults::{
 use propeller_obj::ContentHash;
 use propeller_synth::{generate, spec_by_name, BenchmarkSpec, GenParams};
 use propeller_telemetry::{Telemetry, TimeSeries, TENANT_LANE_BASE};
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::fmt;
 
 use crate::traffic::JobRequest;
@@ -765,6 +765,30 @@ pub fn batch_binary(
     relink(&spec, scale, what, jobs, profile_budget, BuildCaches::new())
         .map(|(_, image)| image)
         .map_err(|source| ServeError::Pipeline { job: job.id, tenant: job.tenant, source })
+}
+
+/// Batch equivalence over a drained service: one [`batch_binary`] per
+/// distinct completed-job signature `(tenant, program, job seed, plan)`,
+/// which every same-signature job's shipped bytes must equal. Returns
+/// the number of signatures verified and the jobs that diverged, in
+/// signature order.
+pub fn verify_batch<'r>(
+    benchmark: &str,
+    scale: f64,
+    profile_budget: u64,
+    report: &'r ServiceReport,
+) -> Result<(usize, Vec<&'r CompletedJob>), ServeError> {
+    let mut by_sig: BTreeMap<_, Vec<&CompletedJob>> = BTreeMap::new();
+    for job in &report.completed {
+        let sig = (job.tenant, job.program_seed, job.job_seed, job.plan.to_spec_string());
+        by_sig.entry(sig).or_default().push(job);
+    }
+    let mut divergent = Vec::new();
+    for jobs_of_sig in by_sig.values() {
+        let batch = batch_binary(benchmark, scale, jobs_of_sig[0], 1, profile_budget)?;
+        divergent.extend(jobs_of_sig.iter().filter(|job| job.image != batch));
+    }
+    Ok((by_sig.len(), divergent))
 }
 
 /// One relink, the same in the service and in batch: the program

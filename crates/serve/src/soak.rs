@@ -13,7 +13,7 @@
 //!    `(program, plan, seed)`, and repeated relinks of one signature
 //!    are idempotent.
 
-use crate::service::{batch_binary, RelinkService, ServeOptions, ServiceReport};
+use crate::service::{RelinkService, ServeOptions, ServiceReport};
 use crate::traffic::{gen_traffic, TrafficConfig};
 use propeller_faults::{FaultKind, FaultPlan, ServiceLedger};
 use std::collections::BTreeMap;
@@ -301,34 +301,18 @@ pub fn run_soak(
             }
         }
 
-        // Contract 2: batch equivalence and idempotence. One batch
-        // relink per distinct signature; every same-signature service
-        // job must match it byte-for-byte.
+        // Contract 2: batch equivalence and idempotence.
         let reference_run = &runs[0].1;
-        let mut signatures = 0usize;
-        if verify_batch {
-            let mut by_sig: BTreeMap<(u32, u64, u64, String), Vec<&crate::CompletedJob>> =
-                BTreeMap::new();
-            for job in &reference_run.completed {
-                by_sig
-                    .entry((job.tenant, job.program_seed, job.job_seed, job.plan.to_spec_string()))
-                    .or_default()
-                    .push(job);
-            }
-            signatures = by_sig.len();
-            for (sig, jobs_of_sig) in by_sig {
-                let batch = batch_binary("clang", scale, jobs_of_sig[0], 1, profile_budget)
-                    .map_err(|e| format!("{}: batch relink: {}", scn.name, err_chain(&e)))?;
-                for job in jobs_of_sig {
-                    if job.image != batch {
-                        return Err(format!(
-                            "{}: job {} (tenant t{}, sig {:?}) shipped bytes differing from \
-                             the equivalent batch relink",
-                            scn.name, job.id, job.tenant, sig
-                        ));
-                    }
-                }
-            }
+        let (signatures, divergent) = match verify_batch {
+            true => crate::verify_batch("clang", scale, profile_budget, reference_run)
+                .map_err(|e| format!("{}: batch relink: {}", scn.name, err_chain(&e)))?,
+            false => (0, Vec::new()),
+        };
+        if let Some(job) = divergent.first() {
+            return Err(format!(
+                "{}: job {} (tenant t{}) shipped bytes differing from the equivalent batch relink",
+                scn.name, job.id, job.tenant
+            ));
         }
 
         outcomes.push(SoakOutcome {
