@@ -1,14 +1,11 @@
-//! The report-comparing subcommands: `diff`, `layout-diff`,
-//! `service-diff`.
+//! The report-comparing subcommands: `diff`, `layout-diff`.
 
 use super::args::load;
 use super::error::exit_code;
 use super::{CliError, Parsed};
 use propeller_doctor::{
-    diff_docs, diff_reports, diff_service_ledgers, render_layout_diff, trend_reports,
-    ProvenanceDoc, RunReport, Severity,
+    diff_docs, diff_reports, render_layout_diff, trend_reports, ProvenanceDoc, RunReport,
 };
-use propeller_faults::ServiceLedger;
 use std::process::ExitCode;
 
 pub fn diff(p: &Parsed) -> Result<ExitCode, CliError> {
@@ -41,14 +38,4 @@ pub fn layout_diff(p: &Parsed) -> Result<ExitCode, CliError> {
     // exit zero so CI can diff across releases.
     print!("{}", render_layout_diff(a, b, &delta));
     Ok(ExitCode::SUCCESS)
-}
-
-pub fn service_diff(p: &Parsed) -> Result<ExitCode, CliError> {
-    let a = load(&p.positionals[0], ServiceLedger::parse)?;
-    let b = load(&p.positionals[1], ServiceLedger::parse)?;
-    let findings = diff_service_ledgers(&a, &b);
-    print!("{}", propeller_doctor::render(&findings));
-    Ok(exit_code(
-        propeller_doctor::worst(&findings) != Severity::Fail,
-    ))
 }

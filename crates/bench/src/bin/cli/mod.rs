@@ -142,12 +142,6 @@ pub const COMMANDS: &[Command] = &[
         run: service::serve,
     },
     Command {
-        synopsis: "service-diff <A.json> <B.json>",
-        flags: &[],
-        about: "Diff two service ledgers counter by counter; any divergence exits nonzero.",
-        run: diff::service_diff,
-    },
-    Command {
         synopsis: "compare <bench>",
         flags: &[PROGRAM_MULT, "[--json] [--out FILE]"],
         about: "Propeller vs the BOLT comparator on one profile; --json emits a RunReport.",

@@ -47,7 +47,7 @@ fn read(path: PathBuf) -> Vec<u8> {
 
 /// Every subcommand with the positionals it needs to get past argument
 /// parsing; `true` marks the ones whose first positional is a benchmark.
-const SUBCOMMANDS: [(&str, &[&str], bool); 31] = [
+const SUBCOMMANDS: [(&str, &[&str], bool); 30] = [
     ("list", &[], false),
     ("run", &["clang"], true),
     ("doctor", &["clang"], true),
@@ -57,7 +57,6 @@ const SUBCOMMANDS: [(&str, &[&str], bool); 31] = [
     ("timeline", &["clang"], true),
     ("slo", &["clang"], true),
     ("serve", &["clang"], true),
-    ("service-diff", &["a.json", "b.json"], false),
     ("compare", &["clang"], true),
     ("perf-report", &["clang"], true),
     ("annotate", &["clang", "clang_fn1"], true),
@@ -131,8 +130,8 @@ fn bad_invocations_exit_one_never_panic() {
     }
 }
 
-/// `diff`, `layout-diff` and `service-diff` on a file that is not the
-/// artifact they read: exit 1 through the one `error: cannot parse
+/// `diff` and `layout-diff` on a file that is not the artifact they
+/// read: exit 1 through the one `error: cannot parse
 /// PATH` + cause path — never a panic (101), a stack overflow (134) or
 /// an exit 0 over an all-defaults document.
 #[test]
@@ -153,10 +152,6 @@ fn malformed_artifacts_are_parse_errors() {
         br#"{"benchmark": 3, "scale": 1, "seed": 0, "metrics": {}, "wall": {}, "layout": []}"#,
     );
     for (argv, cause) in [
-        // A `{}` ledger used to read as all zeros: exit 0, "no diverging counters".
-        (["service-diff", &empty, &empty], "missing `service_ledger.benchmark`"),
-        (["service-diff", &good, &good], "missing `service_ledger.plan`"),
-        (["service-diff", &cut, &cut], "JSON error at byte 2000"),
         (["diff", &good, &cut], "JSON error at byte 2000"),
         (["diff", &good, &empty], "missing `run_report.benchmark`"),
         (["diff", &ill_typed, &good], "expected a string at `run_report.benchmark`"),
@@ -164,7 +159,6 @@ fn malformed_artifacts_are_parse_errors() {
         (["layout-diff", &good, &good], "missing `layout_provenance.functions`"),
         (["diff", &good, &deep], "nesting deeper than 128"),
         (["layout-diff", &deep, &deep], "nesting deeper than 128"),
-        (["service-diff", &deep, &deep], "nesting deeper than 128"),
     ] {
         let out = cli(&argv);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -237,6 +231,20 @@ fn unread_flags_and_out_of_range_numbers_are_usage_errors() {
         assert!(out.stdout.is_empty(), "{argv:?} started work before rejecting its input");
         assert!(took.as_secs_f64() < 1.0, "{argv:?} took {took:?}");
     }
+
+    // Two clauses for one kind used to keep only the last: this ran clean.
+    let t0 = std::time::Instant::now();
+    let out = cli(&["run", "clang", "--scale", "0.002", "--faults", "transient=0.9,transient=0"]);
+    let took = t0.elapsed();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(out.stdout.is_empty(), "a repeated --faults key started work: {stderr}");
+    assert!(took.as_secs_f64() < 1.0, "a repeated --faults key took {took:?}");
+    assert_eq!(
+        stderr,
+        "invalid --faults spec: bad fault clause \"transient=0\": \"transient\" is already \
+         set by an earlier clause\n"
+    );
 
     // 2^53: the first seed the JSON reports cannot round-trip.
     let out = cli(&["run", "clang", "--seed", "9007199254740992"]);

@@ -437,8 +437,8 @@ mod tests {
 
     #[test]
     fn corruption_is_detected_invalidated_and_rebuildable() {
-        use propeller_faults::{FaultPlan, FaultSpec};
-        let plan = FaultPlan { cache_corruption: FaultSpec::always(), ..FaultPlan::none() };
+        use propeller_faults::FaultPlan;
+        let plan = FaultPlan::parse("corrupt-cache=1").unwrap();
         let inj = FaultInjector::new(plan, 1);
         let mut c = ActionCache::new();
         c.insert(key(5), "artifact");
@@ -455,8 +455,8 @@ mod tests {
 
     #[test]
     fn eviction_is_a_silent_miss() {
-        use propeller_faults::{FaultPlan, FaultSpec};
-        let plan = FaultPlan { cache_eviction: FaultSpec::always(), ..FaultPlan::none() };
+        use propeller_faults::FaultPlan;
+        let plan = FaultPlan::parse("evict-cache=1").unwrap();
         let inj = FaultInjector::new(plan, 2);
         let mut c = ActionCache::new();
         c.insert(key(6), 99);

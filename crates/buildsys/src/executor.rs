@@ -525,9 +525,8 @@ mod tests {
 
     #[test]
     fn always_transient_retries_and_charges_wasted_work() {
-        use propeller_faults::{FaultPlan, FaultSpec};
-        let plan =
-            FaultPlan { transient_action_failure: FaultSpec::always(), ..FaultPlan::none() };
+        use propeller_faults::FaultPlan;
+        let plan = FaultPlan::parse("transient=1").unwrap();
         let rp = RetryPolicy { jitter_frac: 0.0, ..RetryPolicy::default() };
         let ex = Executor::new(MachineConfig::workstation())
             .with_faults(Arc::new(FaultInjector::new(plan, 3)), rp);
@@ -546,8 +545,8 @@ mod tests {
 
     #[test]
     fn always_timeout_burns_deadline_not_cpu() {
-        use propeller_faults::{FaultPlan, FaultSpec};
-        let plan = FaultPlan { action_timeout: FaultSpec::count(1.0, 1), ..FaultPlan::none() };
+        use propeller_faults::FaultPlan;
+        let plan = FaultPlan::parse("timeout=1:1").unwrap();
         let rp = RetryPolicy { jitter_frac: 0.0, timeout_secs: 10.0, ..RetryPolicy::default() };
         let ex = Executor::new(MachineConfig::workstation())
             .with_faults(Arc::new(FaultInjector::new(plan, 3)), rp);
@@ -563,12 +562,8 @@ mod tests {
 
     #[test]
     fn resilient_runs_are_deterministic() {
-        use propeller_faults::{FaultPlan, FaultSpec};
-        let plan = FaultPlan {
-            transient_action_failure: FaultSpec::p(0.4),
-            action_timeout: FaultSpec::p(0.2),
-            ..FaultPlan::none()
-        };
+        use propeller_faults::FaultPlan;
+        let plan = FaultPlan::parse("transient=0.4,timeout=0.2").unwrap();
         let run = |seed| {
             let ex = Executor::new(MachineConfig::distributed()).with_faults(
                 Arc::new(FaultInjector::new(plan.clone(), seed)),
@@ -581,9 +576,8 @@ mod tests {
 
     #[test]
     fn resilient_still_rejects_over_limit_actions() {
-        use propeller_faults::{FaultPlan, FaultSpec};
-        let plan =
-            FaultPlan { transient_action_failure: FaultSpec::always(), ..FaultPlan::none() };
+        use propeller_faults::FaultPlan;
+        let plan = FaultPlan::parse("transient=1").unwrap();
         let ex = Executor::new(MachineConfig::distributed())
             .with_faults(Arc::new(FaultInjector::new(plan, 1)), RetryPolicy::default());
         let err = ex

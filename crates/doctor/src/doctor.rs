@@ -3,7 +3,7 @@
 //! gave up to survive injected faults.
 
 use crate::audit::ProfileAudit;
-use propeller_faults::{DegradationLedger, LayoutMode};
+use propeller_faults::{DegradationCounter, DegradationLedger, LayoutMode};
 use std::fmt::Write as _;
 
 /// How bad a finding is.
@@ -165,27 +165,9 @@ pub fn diagnose(audit: &ProfileAudit) -> Vec<Finding> {
     out
 }
 
-/// What a nonzero ledger entry means, in doctor-report prose.
-fn degradation_message(name: &str) -> &'static str {
-    match name {
-        "action_retries" => "build actions retried after transient failures",
-        "action_timeouts" => "build actions hung, timed out, and were rescheduled",
-        "retry_backoff_secs" => "modeled seconds spent waiting in retry backoff",
-        "cache_corruptions" => "cache entries failed digest verification and were invalidated",
-        "cache_evictions" => "cache entries evicted from under the pipeline",
-        "cache_rebuilds" => "artifacts rebuilt after cache corruption or eviction",
-        "lbr_records_corrupted" => "LBR records corrupted in the raw profile",
-        "lbr_records_dropped" => "out-of-range LBR records dropped by salvage",
-        "lbr_samples_truncated" => "profile samples truncated mid-capture",
-        "lbr_records_truncated" => "LBR records lost to sample truncation",
-        "functions_marked_cold" => "hot functions demoted to cold after profile loss",
-        "objects_fallen_back" => "hot objects shipped from cached baseline codegen",
-        _ => "degradation recorded under fault injection",
-    }
-}
-
 /// The degradation section of the doctor report: one finding per
-/// nonzero [`DegradationLedger`] entry.
+/// nonzero [`DegradationLedger`] counter, in its table's words, then
+/// one for the identity-fallback layout.
 ///
 /// Degradation is never [`Severity::Fail`] — the whole point of the
 /// graceful-degradation design is that the output binary stays correct;
@@ -201,17 +183,19 @@ pub fn degradation_findings(ledger: &DegradationLedger) -> Vec<Finding> {
         }];
     }
     let mut out = Vec::new();
-    for (name, v) in ledger.entries() {
-        // The layout mode gets its own dedicated finding below.
-        if name == "layout_identity_fallback" || v == 0.0 {
-            continue;
+    for counter in DegradationCounter::ALL {
+        let value = counter.get(ledger);
+        if value != 0.0 {
+            out.push(Finding {
+                severity: Severity::Warn,
+                metric: format!("faults.{}", counter.name()),
+                value,
+                message: counter
+                    .message()
+                    .unwrap_or("degradation recorded under fault injection")
+                    .into(),
+            });
         }
-        out.push(Finding {
-            severity: Severity::Warn,
-            metric: format!("faults.{name}"),
-            value: v,
-            message: degradation_message(name).into(),
-        });
     }
     if ledger.layout_mode == LayoutMode::IdentityFallback {
         out.push(Finding {

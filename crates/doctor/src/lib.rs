@@ -54,7 +54,5 @@ pub use provenance::{
     ProvenanceDiff, ProvenanceDoc, ProvenanceFunction,
 };
 pub use report::RunReport;
-pub use service::{diff_service_ledgers, service_findings};
-pub use slo::{
-    diff_timeseries, evaluate_slo, SloConfig, SloObjective, SloParseError, SloReport,
-};
+pub use service::service_findings;
+pub use slo::{evaluate_slo, SloConfig, SloObjective, SloParseError, SloReport};

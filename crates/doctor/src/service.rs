@@ -1,14 +1,11 @@
-//! Service-ledger findings and the ledger diff gate.
+//! Service-ledger findings.
 //!
 //! The relink service's acceptance contract is *exact* accounting:
 //! every arrival terminates in exactly one outcome counter and the
 //! canonical ledger JSON is byte-identical across `--jobs` counts and
-//! replays. The findings here turn a [`ServiceLedger`] into the same
-//! WARN/FAIL vocabulary the rest of the doctor speaks, and
-//! [`diff_service_ledgers`] is the CI gate that `cmp`s two ledgers
-//! counter-by-counter — any divergence between a `--jobs 1` and a
-//! `--jobs 8` run of the same traffic is a determinism bug, severity
-//! FAIL.
+//! replays (CI `cmp`s the files). The findings here turn a
+//! [`ServiceLedger`] into the same WARN/FAIL vocabulary the rest of the
+//! doctor speaks.
 
 use crate::doctor::{Finding, Severity};
 use propeller_faults::{ServiceLedger, TenantLedger};
@@ -100,75 +97,6 @@ fn tenant_pressure(name: &str, row: &TenantLedger) -> Vec<(String, f64, String)>
     out
 }
 
-/// The determinism gate: diff two ledgers of what must be the same
-/// traffic (e.g. `--jobs 1` vs `--jobs 8`, or a replay). Any
-/// difference — configuration, makespan, or any tenant counter — is a
-/// FAIL finding; byte-identical ledgers produce a single OK.
-pub fn diff_service_ledgers(a: &ServiceLedger, b: &ServiceLedger) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let mut fail = |metric: String, value: f64, message: String| {
-        out.push(Finding { severity: Severity::Fail, metric, value, message });
-    };
-    if a.benchmark != b.benchmark || a.seed != b.seed || a.plan != b.plan {
-        fail(
-            "service.diff.config".into(),
-            0.0,
-            format!(
-                "ledgers describe different runs: {}/{}/{:?} vs {}/{}/{:?}",
-                a.benchmark, a.seed, a.plan, b.benchmark, b.seed, b.plan
-            ),
-        );
-    }
-    if a.makespan_secs != b.makespan_secs {
-        fail(
-            "service.diff.makespan_secs".into(),
-            b.makespan_secs - a.makespan_secs,
-            format!(
-                "modeled makespan diverged: {} vs {} — scheduling is not jobs-invariant",
-                a.makespan_secs, b.makespan_secs
-            ),
-        );
-    }
-    let names: std::collections::BTreeSet<&String> =
-        a.tenants.keys().chain(b.tenants.keys()).collect();
-    for name in names {
-        match (a.tenants.get(name), b.tenants.get(name)) {
-            (Some(ra), Some(rb)) => {
-                for ((metric, va), (_, vb)) in ra.entries().into_iter().zip(rb.entries()) {
-                    if va != vb {
-                        fail(
-                            format!("service.diff.{name}.{metric}"),
-                            vb - va,
-                            format!("tenant {name}: {metric} diverged ({va} vs {vb})"),
-                        );
-                    }
-                }
-                if ra.degradation != rb.degradation {
-                    fail(
-                        format!("service.diff.{name}.degradation"),
-                        0.0,
-                        format!("tenant {name}: aggregate degradation ledgers diverged"),
-                    );
-                }
-            }
-            _ => fail(
-                format!("service.diff.{name}"),
-                0.0,
-                format!("tenant {name} present in only one ledger"),
-            ),
-        }
-    }
-    if out.is_empty() {
-        out.push(Finding {
-            severity: Severity::Ok,
-            metric: "service.diff.none".into(),
-            value: 0.0,
-            message: "ledgers are identical counter-for-counter".into(),
-        });
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -223,22 +151,5 @@ mod tests {
         });
         let findings = service_findings(&ledger);
         assert_eq!(worst(&findings), Severity::Warn);
-    }
-
-    #[test]
-    fn identical_ledgers_diff_clean() {
-        let ledger = ledger_with(TenantLedger { submitted: 1, completed: 1, ..Default::default() });
-        let findings = diff_service_ledgers(&ledger, &ledger);
-        assert_eq!(worst(&findings), Severity::Ok);
-    }
-
-    #[test]
-    fn any_counter_divergence_fails_the_diff() {
-        let a = ledger_with(TenantLedger { submitted: 1, completed: 1, ..Default::default() });
-        let mut b = a.clone();
-        b.tenants.get_mut("t0").unwrap().cache_hits = 5;
-        let findings = diff_service_ledgers(&a, &b);
-        assert_eq!(worst(&findings), Severity::Fail);
-        assert!(findings.iter().any(|f| f.metric == "service.diff.t0.cache_hits"));
     }
 }

@@ -474,66 +474,6 @@ fn objective_message(obj: &SloObjective, tenant: &str, v: f64) -> String {
     format!("tenant {tenant}: {} = {v:.4} ({bound})", obj.metric)
 }
 
-/// The timeline determinism gate: diff two timelines that must
-/// describe the same traffic (`--jobs 1` vs `--jobs 8`, or a replay).
-/// Any divergence — a series present on one side, a differing point —
-/// is a FAIL finding; identical timelines produce a single OK.
-pub fn diff_timeseries(a: &TimeSeries, b: &TimeSeries) -> Vec<Finding> {
-    let mut out = Vec::new();
-    let names: std::collections::BTreeSet<&str> =
-        a.names().into_iter().chain(b.names()).collect();
-    for name in names {
-        match (a.get(name), b.get(name)) {
-            (Some(sa), Some(sb)) => {
-                let (pa, pb) = (sa.ordered(), sb.ordered());
-                if pa.len() != pb.len() {
-                    out.push(Finding {
-                        severity: Severity::Fail,
-                        metric: format!("timeline.diff.{name}"),
-                        value: pb.len() as f64 - pa.len() as f64,
-                        message: format!(
-                            "series {name}: {} vs {} points — recording is not jobs-invariant",
-                            pa.len(),
-                            pb.len()
-                        ),
-                    });
-                    continue;
-                }
-                if let Some((x, y)) = pa
-                    .iter()
-                    .zip(&pb)
-                    .find(|(x, y)| x.t_us != y.t_us || x.value.to_bits() != y.value.to_bits())
-                {
-                    out.push(Finding {
-                        severity: Severity::Fail,
-                        metric: format!("timeline.diff.{name}"),
-                        value: y.value - x.value,
-                        message: format!(
-                            "series {name} diverged: ({} µs, {}) vs ({} µs, {})",
-                            x.t_us, x.value, y.t_us, y.value
-                        ),
-                    });
-                }
-            }
-            _ => out.push(Finding {
-                severity: Severity::Fail,
-                metric: format!("timeline.diff.{name}"),
-                value: 0.0,
-                message: format!("series {name} present in only one timeline"),
-            }),
-        }
-    }
-    if out.is_empty() {
-        out.push(Finding {
-            severity: Severity::Ok,
-            metric: "timeline.diff.none".into(),
-            value: 0.0,
-            message: "timelines are identical point-for-point".into(),
-        });
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -712,26 +652,5 @@ min_warn = 0.5
         assert!(report.findings[0].metric.contains("none"));
         // JSON is well-formed and deterministic.
         assert_eq!(report.to_json_string(), report.to_json_string());
-    }
-
-    #[test]
-    fn timeline_diff_fails_on_any_divergence() {
-        let mut a = TimeSeries::new();
-        a.gauge("queue_depth.t0", 5, 1.0);
-        let b = a.clone();
-        assert_eq!(worst(&diff_timeseries(&a, &b)), Severity::Ok);
-        let mut c = a.clone();
-        c.gauge("queue_depth.t0", 9, 2.0);
-        let f = diff_timeseries(&a, &c);
-        assert_eq!(worst(&f), Severity::Fail);
-        assert!(f[0].message.contains("points"));
-        let mut d = TimeSeries::new();
-        d.gauge("queue_depth.t0", 5, 3.0);
-        let f = diff_timeseries(&a, &d);
-        assert_eq!(worst(&f), Severity::Fail);
-        assert!(f[0].message.contains("diverged"));
-        let mut e = TimeSeries::new();
-        e.gauge("slots_in_use", 5, 1.0);
-        assert_eq!(worst(&diff_timeseries(&a, &e)), Severity::Fail);
     }
 }

@@ -199,11 +199,10 @@ impl RetryPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::FaultSpec;
 
     #[test]
     fn decisions_are_deterministic_per_seed() {
-        let plan = FaultPlan { transient_action_failure: FaultSpec::p(0.5), ..FaultPlan::none() };
+        let plan = FaultPlan::parse("transient=0.5").unwrap();
         let a = FaultInjector::new(plan.clone(), 42);
         let b = FaultInjector::new(plan.clone(), 42);
         let c = FaultInjector::new(plan, 43);
@@ -226,7 +225,7 @@ mod tests {
 
     #[test]
     fn decisions_are_independent_of_cross_site_order() {
-        let plan = FaultPlan { cache_corruption: FaultSpec::p(0.5), ..FaultPlan::none() };
+        let plan = FaultPlan::parse("corrupt-cache=0.5").unwrap();
         let a = FaultInjector::new(plan.clone(), 9);
         let b = FaultInjector::new(plan, 9);
         // a rolls x then y; b rolls y then x. Per-site streams must
@@ -241,11 +240,7 @@ mod tests {
 
     #[test]
     fn probability_one_always_fires_and_zero_never() {
-        let plan = FaultPlan {
-            action_timeout: FaultSpec::always(),
-            transient_action_failure: FaultSpec::never(),
-            ..FaultPlan::none()
-        };
+        let plan = FaultPlan::parse("timeout=1,transient=0").unwrap();
         let inj = FaultInjector::new(plan, 1);
         for i in 0..32 {
             let k = format!("a{i}");

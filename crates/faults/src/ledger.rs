@@ -6,11 +6,135 @@
 //! fault the injector fired shows up in precisely one ledger counter,
 //! and a clean ledger ([`DegradationLedger::is_clean`]) certifies the
 //! run took the exact undegraded path.
+//!
+//! The `ledger!` table below is the one list of the ledger's
+//! counters: each row is the field, its JSON and telemetry name, its
+//! term in `absorb` and its doctor message. [`crate::TenantLedger`] is
+//! declared the same way.
 
 use crate::injector::FaultInjector;
 use crate::plan::FaultKind;
 use propeller_telemetry::json::{num_entries, JsonValue, Reader, SchemaError};
 use std::fmt;
+
+/// Declares a ledger from the one table of its counters. Each row,
+/// `Variant => field: type`, optionally `= "note"`, becomes a public
+/// field of the struct and a variant of its counter enum; the note is
+/// read through the enum method the table names after `notes`. The
+/// members after the table are written by hand and take part through
+/// [`Member`]. Generated: the struct, the enum (`ALL`, `name`, `get`
+/// and the note method) and the ledger's `entries`, `from_entries`,
+/// `absorb` and `bump`.
+macro_rules! ledger {
+    (@note $note:literal) => { Some($note) };
+    (@note) => { None };
+    (
+        $(#[$meta:meta])*
+        pub struct $ledger:ident {
+            $($(#[$doc:meta])* $variant:ident => $field:ident: $ty:ty $(= $note:literal)?,)*
+        }
+        $(#[$cmeta:meta])*
+        pub enum $counter:ident, notes $notes:ident;
+        $($(#[$mdoc:meta])* pub $member:ident: $mty:ty,)*
+    ) => {
+        $(#[$meta])*
+        #[derive(Clone, Debug, Default, PartialEq)]
+        pub struct $ledger {
+            $($(#[$doc])* pub $field: $ty,)*
+            $($(#[$mdoc])* pub $member: $mty,)*
+        }
+
+        $(#[$cmeta])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        pub enum $counter {
+            $($(#[$doc])* $variant,)*
+        }
+
+        impl $counter {
+            /// Every counter, in the table's (and the entries') order.
+            pub const ALL: [$counter; [$($counter::$variant),*].len()] =
+                [$($counter::$variant),*];
+
+            /// The counter's field name, which is also its entry name.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $($counter::$variant => stringify!($field),)*
+                }
+            }
+
+            /// The counter's note in the table, if it has one.
+            pub fn $notes(self) -> Option<&'static str> {
+                match self {
+                    $($counter::$variant => $crate::ledger::ledger!(@note $($note)?),)*
+                }
+            }
+
+            /// The counter's value in `ledger`.
+            pub fn get(self, ledger: &$ledger) -> f64 {
+                match self {
+                    $($counter::$variant => ledger.$field as f64,)*
+                }
+            }
+        }
+
+        impl $ledger {
+            /// Stable `(name, value)` pairs in a fixed order — the table's
+            /// counters, then the members' entries. The single source for
+            /// the ledger's JSON.
+            pub fn entries(&self) -> Vec<(&'static str, f64)> {
+                let counters = $counter::ALL.into_iter().map(|c| (c.name(), c.get(self)));
+                let mut out: Vec<_> = counters.collect();
+                $(out.extend($crate::ledger::Member::entry(&self.$member));)*
+                out
+            }
+
+            /// Rebuilds a ledger from `entries()`-shaped pairs. Unknown
+            /// names are ignored so old readers tolerate new counters.
+            pub fn from_entries<'a>(pairs: impl IntoIterator<Item = (&'a str, f64)>) -> Self {
+                let mut ledger = Self::default();
+                for (name, v) in pairs {
+                    match name {
+                        $(stringify!($field) => ledger.$field = v as $ty,)*
+                        _ => {
+                            $($crate::ledger::Member::read_entry(&mut ledger.$member, name, v);)*
+                        }
+                    }
+                }
+                ledger
+            }
+
+            /// Adds `other` into `self`, each counter in its own type (a
+            /// job's ledger into its tenant's row, rows into totals).
+            pub fn absorb(&mut self, other: &Self) {
+                $(self.$field += other.$field;)*
+                $($crate::ledger::Member::absorb(&mut self.$member, &other.$member);)*
+            }
+
+            /// Counts one more `counter` event.
+            pub fn bump(&mut self, counter: $counter) {
+                match counter {
+                    $($counter::$variant => self.$field += 1 as $ty,)*
+                }
+            }
+        }
+    };
+}
+pub(crate) use ledger;
+
+/// A ledger member written by hand beside the counter table: the entry
+/// it adds after the counters, if any, and how it sums.
+pub(crate) trait Member {
+    /// This member's `(name, value)` entry.
+    fn entry(&self) -> Option<(&'static str, f64)> {
+        None
+    }
+
+    /// Reads this member back from an entry the table does not name.
+    fn read_entry(&mut self, _name: &str, _v: f64) {}
+
+    /// Adds `other`'s member into `self`'s.
+    fn absorb(&mut self, other: &Self);
+}
 
 /// Which symbol-ordering mode the final relink used.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -33,41 +157,83 @@ impl LayoutMode {
     }
 }
 
-/// Counters for every degradation event of one pipeline run.
-///
-/// All counters are modeled events, so the ledger is deterministic for
-/// a fixed `(seed, plan)` and `PartialEq` makes replay checks exact.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct DegradationLedger {
-    /// Transient action failures the executor retried.
-    pub action_retries: u64,
-    /// Action attempts that hit the retry policy's modeled deadline.
-    pub action_timeouts: u64,
-    /// Modeled seconds spent in retry backoff (incl. jitter).
-    pub retry_backoff_secs: f64,
-    /// Cache entries whose content digest failed verification.
-    pub cache_corruptions: u64,
-    /// Cache entries that had been silently evicted before lookup.
-    pub cache_evictions: u64,
-    /// Artifacts rebuilt because their cache entry was corrupt or
-    /// evicted (one per corruption/eviction that had a live entry).
-    pub cache_rebuilds: u64,
-    /// LBR records the injector corrupted in flight.
-    pub lbr_records_corrupted: u64,
-    /// Corrupt records the phase-3 salvage pass dropped.
-    pub lbr_records_dropped: u64,
-    /// LBR samples that lost the tail of their record stack.
-    pub lbr_samples_truncated: u64,
-    /// Records lost to those truncations.
-    pub lbr_records_truncated: u64,
-    /// Hot functions demoted to cold because profile coverage fell
-    /// below the configured floor.
-    pub functions_marked_cold: u64,
-    /// Hot objects whose re-codegen permanently failed and that fell
-    /// back to the cached baseline (labels) codegen.
-    pub objects_fallen_back: u64,
+/// The layout mode's entry: the mode encoded as 0/1.
+const LAYOUT_ENTRY: &str = "layout_identity_fallback";
+
+impl Member for LayoutMode {
+    fn entry(&self) -> Option<(&'static str, f64)> {
+        Some((LAYOUT_ENTRY, if *self == LayoutMode::IdentityFallback { 1.0 } else { 0.0 }))
+    }
+
+    fn read_entry(&mut self, name: &str, v: f64) {
+        if name == LAYOUT_ENTRY {
+            *self = if v != 0.0 { LayoutMode::IdentityFallback } else { LayoutMode::Optimized };
+        }
+    }
+
+    /// An aggregate's layout mode is `Optimized` whatever went in: which
+    /// jobs fell back is counted beside it
+    /// ([`crate::TenantLedger::identity_fallbacks`]).
+    fn absorb(&mut self, _other: &Self) {
+        *self = LayoutMode::Optimized;
+    }
+}
+
+ledger! {
+    /// Counters for every degradation event of one pipeline run.
+    ///
+    /// All counters are modeled events, so the ledger is deterministic for
+    /// a fixed `(seed, plan)` and `PartialEq` makes replay checks exact.
+    pub struct DegradationLedger {
+        /// Transient action failures the executor retried.
+        ActionRetries => action_retries: u64 = "build actions retried after transient failures",
+        /// Action attempts that hit the retry policy's modeled deadline.
+        ActionTimeouts => action_timeouts: u64 =
+            "build actions hung, timed out, and were rescheduled",
+        /// Modeled seconds spent in retry backoff (incl. jitter).
+        RetryBackoffSecs => retry_backoff_secs: f64 =
+            "modeled seconds spent waiting in retry backoff",
+        /// Cache entries whose content digest failed verification.
+        CacheCorruptions => cache_corruptions: u64 =
+            "cache entries failed digest verification and were invalidated",
+        /// Cache entries that had been silently evicted before lookup.
+        CacheEvictions => cache_evictions: u64 = "cache entries evicted from under the pipeline",
+        /// Artifacts rebuilt because their cache entry was corrupt or
+        /// evicted (one per corruption/eviction that had a live entry).
+        CacheRebuilds => cache_rebuilds: u64 =
+            "artifacts rebuilt after cache corruption or eviction",
+        /// LBR records the injector corrupted in flight.
+        LbrRecordsCorrupted => lbr_records_corrupted: u64 =
+            "LBR records corrupted in the raw profile",
+        /// Corrupt records the phase-3 salvage pass dropped.
+        LbrRecordsDropped => lbr_records_dropped: u64 =
+            "out-of-range LBR records dropped by salvage",
+        /// LBR samples that lost the tail of their record stack.
+        LbrSamplesTruncated => lbr_samples_truncated: u64 =
+            "profile samples truncated mid-capture",
+        /// Records lost to those truncations.
+        LbrRecordsTruncated => lbr_records_truncated: u64 =
+            "LBR records lost to sample truncation",
+        /// Hot functions demoted to cold because profile coverage fell
+        /// below the configured floor.
+        FunctionsMarkedCold => functions_marked_cold: u64 =
+            "hot functions demoted to cold after profile loss",
+        /// Hot objects whose re-codegen permanently failed and that fell
+        /// back to the cached baseline (labels) codegen.
+        ObjectsFallenBack => objects_fallen_back: u64 =
+            "hot objects shipped from cached baseline codegen",
+    }
+    /// One counter of a [`DegradationLedger`]; its note is the doctor's
+    /// message for a nonzero count.
+    pub enum DegradationCounter, notes message;
     /// Layout mode the relink actually used.
     pub layout_mode: LayoutMode,
+}
+
+impl Member for DegradationLedger {
+    fn absorb(&mut self, other: &Self) {
+        DegradationLedger::absorb(self, other);
+    }
 }
 
 impl DegradationLedger {
@@ -107,86 +273,6 @@ impl DegradationLedger {
         .collect()
     }
 
-    /// Adds `other`'s counters into `self` — a job's ledger into its
-    /// tenant's row, tenant rows into totals. The aggregate's own
-    /// layout mode is `Optimized` whatever went in: which jobs fell
-    /// back is counted beside it ([`crate::TenantLedger::identity_fallbacks`]).
-    pub fn absorb(&mut self, other: &DegradationLedger) {
-        self.action_retries += other.action_retries;
-        self.action_timeouts += other.action_timeouts;
-        self.retry_backoff_secs += other.retry_backoff_secs;
-        self.cache_corruptions += other.cache_corruptions;
-        self.cache_evictions += other.cache_evictions;
-        self.cache_rebuilds += other.cache_rebuilds;
-        self.lbr_records_corrupted += other.lbr_records_corrupted;
-        self.lbr_records_dropped += other.lbr_records_dropped;
-        self.lbr_samples_truncated += other.lbr_samples_truncated;
-        self.lbr_records_truncated += other.lbr_records_truncated;
-        self.functions_marked_cold += other.functions_marked_cold;
-        self.objects_fallen_back += other.objects_fallen_back;
-        self.layout_mode = LayoutMode::Optimized;
-    }
-
-    /// The ledger as stable `(name, value)` pairs, in a fixed order —
-    /// the single source for report JSON, telemetry metrics, and the
-    /// doctor diff. `layout_identity_fallback` encodes the layout
-    /// mode as 0/1.
-    pub fn entries(&self) -> Vec<(&'static str, f64)> {
-        vec![
-            ("action_retries", self.action_retries as f64),
-            ("action_timeouts", self.action_timeouts as f64),
-            ("retry_backoff_secs", self.retry_backoff_secs),
-            ("cache_corruptions", self.cache_corruptions as f64),
-            ("cache_evictions", self.cache_evictions as f64),
-            ("cache_rebuilds", self.cache_rebuilds as f64),
-            ("lbr_records_corrupted", self.lbr_records_corrupted as f64),
-            ("lbr_records_dropped", self.lbr_records_dropped as f64),
-            ("lbr_samples_truncated", self.lbr_samples_truncated as f64),
-            ("lbr_records_truncated", self.lbr_records_truncated as f64),
-            ("functions_marked_cold", self.functions_marked_cold as f64),
-            ("objects_fallen_back", self.objects_fallen_back as f64),
-            (
-                "layout_identity_fallback",
-                match self.layout_mode {
-                    LayoutMode::Optimized => 0.0,
-                    LayoutMode::IdentityFallback => 1.0,
-                },
-            ),
-        ]
-    }
-
-    /// Rebuild a ledger from `entries()`-shaped pairs (report JSON
-    /// round-trip). Unknown names are ignored so old readers tolerate
-    /// new counters.
-    pub fn from_entries<'a>(pairs: impl IntoIterator<Item = (&'a str, f64)>) -> Self {
-        let mut l = DegradationLedger::default();
-        for (name, v) in pairs {
-            match name {
-                "action_retries" => l.action_retries = v as u64,
-                "action_timeouts" => l.action_timeouts = v as u64,
-                "retry_backoff_secs" => l.retry_backoff_secs = v,
-                "cache_corruptions" => l.cache_corruptions = v as u64,
-                "cache_evictions" => l.cache_evictions = v as u64,
-                "cache_rebuilds" => l.cache_rebuilds = v as u64,
-                "lbr_records_corrupted" => l.lbr_records_corrupted = v as u64,
-                "lbr_records_dropped" => l.lbr_records_dropped = v as u64,
-                "lbr_samples_truncated" => l.lbr_samples_truncated = v as u64,
-                "lbr_records_truncated" => l.lbr_records_truncated = v as u64,
-                "functions_marked_cold" => l.functions_marked_cold = v as u64,
-                "objects_fallen_back" => l.objects_fallen_back = v as u64,
-                "layout_identity_fallback" => {
-                    l.layout_mode = if v != 0.0 {
-                        LayoutMode::IdentityFallback
-                    } else {
-                        LayoutMode::Optimized
-                    }
-                }
-                _ => {}
-            }
-        }
-        l
-    }
-
     /// The `degradation` member of a report: `None` while clean, so a
     /// fault-free artifact stays byte-identical to one written before
     /// the fault layer existed.
@@ -213,7 +299,7 @@ impl DegradationLedger {
             return;
         }
         for (name, v) in self.entries() {
-            if name == "retry_backoff_secs" || name == "layout_identity_fallback" {
+            if name == "retry_backoff_secs" || name == LAYOUT_ENTRY {
                 tel.gauge_set(&format!("{prefix}.{name}"), v);
             } else {
                 tel.counter_add(&format!("{prefix}.{name}"), v as u64);
@@ -228,7 +314,7 @@ impl DegradationLedger {
         }
         let mut out = String::from("degradation ledger:\n");
         for (name, v) in self.entries() {
-            if name == "layout_identity_fallback" {
+            if name == LAYOUT_ENTRY {
                 continue;
             }
             if v != 0.0 {
@@ -317,28 +403,43 @@ mod tests {
         assert_eq!(back, l);
     }
 
-    /// A ledger whose every entry is distinct and nonzero, so a sum
+    /// `entries`' names, each with a distinct nonzero value, so a sum
     /// that skips or crosses a counter cannot pass.
-    fn numbered(base: f64) -> DegradationLedger {
-        let names = DegradationLedger::default().entries();
-        DegradationLedger::from_entries(
-            names.into_iter().enumerate().map(|(i, (name, _))| (name, base + i as f64)),
-        )
+    fn numbered(entries: Vec<(&'static str, f64)>, base: f64) -> Vec<(&'static str, f64)> {
+        entries.into_iter().enumerate().map(|(i, (name, _))| (name, base + i as f64)).collect()
     }
 
     #[test]
     fn absorb_sums_every_counter_and_keeps_the_mode_optimized() {
-        let (mut sum, other) = (numbered(1.0), numbered(100.0));
-        assert_eq!(other.layout_mode, LayoutMode::IdentityFallback);
-        let before = sum.entries();
+        use crate::service::TenantLedger;
+        let row = |base: f64| TenantLedger {
+            degradation: DegradationLedger::from_entries(numbered(
+                DegradationLedger::default().entries(),
+                base,
+            )),
+            ..TenantLedger::from_entries(numbered(TenantLedger::default().entries(), base))
+        };
+        let (mut sum, other) = (row(1.0), row(100.0));
+        assert_eq!(other.degradation.layout_mode, LayoutMode::IdentityFallback);
+        let before = sum.clone();
         sum.absorb(&other);
-        for ((name, got), ((_, a), (_, b))) in
-            sum.entries().into_iter().zip(before.into_iter().zip(other.entries()))
-        {
-            let want = if name == "layout_identity_fallback" { 0.0 } else { a + b };
-            assert_eq!(got, want, "{name}");
-        }
-        assert_eq!(sum.layout_mode, LayoutMode::Optimized);
+        let summed = |got: Vec<(&str, f64)>, a: Vec<(&str, f64)>, b: Vec<(&str, f64)>| {
+            for ((name, got), ((_, a), (_, b))) in got.into_iter().zip(a.into_iter().zip(b)) {
+                let want = if name == "layout_identity_fallback" { 0.0 } else { a + b };
+                assert_eq!(got, want, "{name}");
+            }
+        };
+        summed(sum.entries(), before.entries(), other.entries());
+        let degradation = |row: &TenantLedger| row.degradation.entries();
+        summed(degradation(&sum), degradation(&before), degradation(&other));
+        assert_eq!(sum.degradation.layout_mode, LayoutMode::Optimized);
+
+        // Tenant rows used to be summed through `f64`, which rounds
+        // 2^53 + 1 plus 1 down to 2^53.
+        let big = (1u64 << 53) + 1;
+        let mut sum = TenantLedger { cache_lookups: big, ..TenantLedger::default() };
+        sum.absorb(&TenantLedger { cache_lookups: 1, ..TenantLedger::default() });
+        assert_eq!(sum.cache_lookups, big + 1);
     }
 
     #[test]

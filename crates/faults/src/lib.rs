@@ -31,6 +31,6 @@ mod plan;
 mod service;
 
 pub use injector::{splitmix64, FaultInjector, RetryPolicy};
-pub use ledger::{DegradationLedger, LayoutMode};
+pub use ledger::{DegradationCounter, DegradationLedger, LayoutMode};
 pub use plan::{FaultKind, FaultPlan, FaultPlanParseError, FaultSpec};
-pub use service::{ServiceLedger, TenantLedger};
+pub use service::{ServiceLedger, TenantCounter, TenantLedger};

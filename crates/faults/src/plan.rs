@@ -9,59 +9,69 @@
 
 use std::fmt;
 
-/// Every distinct failure mode the injector can schedule.
-///
-/// The variants map one-to-one onto the degradation paths of the
-/// pipeline: the executor retries transient failures and timeouts, the
-/// action cache invalidates corrupt or evicted entries, phase 3
-/// salvages corrupt/truncated LBR data, and phase 4 falls back to the
-/// baseline codegen when a hot object permanently fails to rebuild.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum FaultKind {
+/// Declares [`FaultKind`] from the one table that pairs each variant
+/// with its `--faults` spec key, so the variant list, [`FaultKind::ALL`]
+/// and the keys cannot drift apart.
+macro_rules! fault_kinds {
+    ($($(#[$doc:meta])* $variant:ident => $key:literal,)*) => {
+        /// Every distinct failure mode the injector can schedule.
+        ///
+        /// The variants map one-to-one onto the degradation paths of the
+        /// pipeline: the executor retries transient failures and timeouts,
+        /// the action cache invalidates corrupt or evicted entries, phase 3
+        /// salvages corrupt/truncated LBR data, and phase 4 falls back to
+        /// the baseline codegen when a hot object permanently fails to
+        /// rebuild.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        pub enum FaultKind {
+            $($(#[$doc])* $variant,)*
+        }
+
+        impl FaultKind {
+            /// All kinds in canonical (spec-string) order.
+            pub const ALL: [FaultKind; [$(FaultKind::$variant),*].len()] =
+                [$(FaultKind::$variant),*];
+
+            /// The `--faults` spec key for this kind.
+            pub fn key(self) -> &'static str {
+                match self {
+                    $(FaultKind::$variant => $key,)*
+                }
+            }
+        }
+    };
+}
+
+fault_kinds! {
     /// A distributed action fails but would succeed if rescheduled.
-    TransientActionFailure,
+    TransientActionFailure => "transient",
     /// A distributed action hangs until the retry policy's deadline.
-    ActionTimeout,
+    ActionTimeout => "timeout",
     /// A cache entry's stored content digest no longer matches its key.
-    CacheCorruption,
+    CacheCorruption => "corrupt-cache",
     /// A cache entry silently disappears before lookup.
-    CacheEviction,
+    CacheEviction => "evict-cache",
     /// An LBR record's addresses are garbage (point outside .text).
-    LbrRecordCorruption,
+    LbrRecordCorruption => "corrupt-lbr",
     /// An LBR sample loses the tail of its record stack.
-    SampleTruncation,
+    SampleTruncation => "truncate-samples",
     /// Hot-object re-codegen fails on every attempt; no retry helps.
-    PermanentCodegenFailure,
+    PermanentCodegenFailure => "permanent-codegen",
     /// A tenant's arrival spawns extra copies of itself — the thundering
     /// herd a shared relink service must absorb without starving others.
-    TenantBurstAmplification,
+    TenantBurstAmplification => "burst-amplify",
     /// An admitted job is cancelled mid-flight by its owner; the service
     /// must roll back without publishing partial artifacts.
-    JobCancellation,
+    JobCancellation => "cancel-job",
     /// A queued job is silently dropped before it can be scheduled; the
     /// client retries with backoff as if the enqueue had been refused.
-    QueueDrop,
+    QueueDrop => "drop-queue",
     /// Cache pressure spikes and the service force-evicts the oldest
     /// shared-cache entries, regardless of which tenant inserted them.
-    CacheEvictionStorm,
+    CacheEvictionStorm => "evict-storm",
 }
 
 impl FaultKind {
-    /// All kinds in canonical (spec-string) order.
-    pub const ALL: [FaultKind; 11] = [
-        FaultKind::TransientActionFailure,
-        FaultKind::ActionTimeout,
-        FaultKind::CacheCorruption,
-        FaultKind::CacheEviction,
-        FaultKind::LbrRecordCorruption,
-        FaultKind::SampleTruncation,
-        FaultKind::PermanentCodegenFailure,
-        FaultKind::TenantBurstAmplification,
-        FaultKind::JobCancellation,
-        FaultKind::QueueDrop,
-        FaultKind::CacheEvictionStorm,
-    ];
-
     /// The kinds rolled by the relink service's scheduler rather than
     /// by the pipeline itself. The pipeline never consults these, so a
     /// plan containing only service kinds still drives every batch run
@@ -72,23 +82,6 @@ impl FaultKind {
         FaultKind::QueueDrop,
         FaultKind::CacheEvictionStorm,
     ];
-
-    /// The `--faults` spec key for this kind.
-    pub fn key(self) -> &'static str {
-        match self {
-            FaultKind::TransientActionFailure => "transient",
-            FaultKind::ActionTimeout => "timeout",
-            FaultKind::CacheCorruption => "corrupt-cache",
-            FaultKind::CacheEviction => "evict-cache",
-            FaultKind::LbrRecordCorruption => "corrupt-lbr",
-            FaultKind::SampleTruncation => "truncate-samples",
-            FaultKind::PermanentCodegenFailure => "permanent-codegen",
-            FaultKind::TenantBurstAmplification => "burst-amplify",
-            FaultKind::JobCancellation => "cancel-job",
-            FaultKind::QueueDrop => "drop-queue",
-            FaultKind::CacheEvictionStorm => "evict-storm",
-        }
-    }
 
     fn from_key(key: &str) -> Option<FaultKind> {
         FaultKind::ALL.iter().copied().find(|k| k.key() == key)
@@ -137,20 +130,13 @@ impl Default for FaultSpec {
     }
 }
 
-/// The full fault schedule for one pipeline run.
+/// The full fault schedule for one pipeline run: one [`FaultSpec`] per
+/// [`FaultKind`], indexed by the kind. Every disabled spec is stored as
+/// [`FaultSpec::never`], so two plans are equal iff they schedule the
+/// same faults.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultPlan {
-    pub transient_action_failure: FaultSpec,
-    pub action_timeout: FaultSpec,
-    pub cache_corruption: FaultSpec,
-    pub cache_eviction: FaultSpec,
-    pub lbr_record_corruption: FaultSpec,
-    pub sample_truncation: FaultSpec,
-    pub permanent_codegen_failure: FaultSpec,
-    pub tenant_burst_amplification: FaultSpec,
-    pub job_cancellation: FaultSpec,
-    pub queue_drop: FaultSpec,
-    pub cache_eviction_storm: FaultSpec,
+    specs: [FaultSpec; FaultKind::ALL.len()],
 }
 
 impl FaultPlan {
@@ -174,42 +160,22 @@ impl FaultPlan {
 
     /// The spec scheduled for `kind`.
     pub fn spec(&self, kind: FaultKind) -> FaultSpec {
-        match kind {
-            FaultKind::TransientActionFailure => self.transient_action_failure,
-            FaultKind::ActionTimeout => self.action_timeout,
-            FaultKind::CacheCorruption => self.cache_corruption,
-            FaultKind::CacheEviction => self.cache_eviction,
-            FaultKind::LbrRecordCorruption => self.lbr_record_corruption,
-            FaultKind::SampleTruncation => self.sample_truncation,
-            FaultKind::PermanentCodegenFailure => self.permanent_codegen_failure,
-            FaultKind::TenantBurstAmplification => self.tenant_burst_amplification,
-            FaultKind::JobCancellation => self.job_cancellation,
-            FaultKind::QueueDrop => self.queue_drop,
-            FaultKind::CacheEvictionStorm => self.cache_eviction_storm,
-        }
+        self.specs[kind as usize]
     }
 
-    fn spec_mut(&mut self, kind: FaultKind) -> &mut FaultSpec {
-        match kind {
-            FaultKind::TransientActionFailure => &mut self.transient_action_failure,
-            FaultKind::ActionTimeout => &mut self.action_timeout,
-            FaultKind::CacheCorruption => &mut self.cache_corruption,
-            FaultKind::CacheEviction => &mut self.cache_eviction,
-            FaultKind::LbrRecordCorruption => &mut self.lbr_record_corruption,
-            FaultKind::SampleTruncation => &mut self.sample_truncation,
-            FaultKind::PermanentCodegenFailure => &mut self.permanent_codegen_failure,
-            FaultKind::TenantBurstAmplification => &mut self.tenant_burst_amplification,
-            FaultKind::JobCancellation => &mut self.job_cancellation,
-            FaultKind::QueueDrop => &mut self.queue_drop,
-            FaultKind::CacheEvictionStorm => &mut self.cache_eviction_storm,
-        }
+    /// Schedules `spec` for `kind`; a spec that can never fire is
+    /// stored as [`FaultSpec::never`].
+    pub fn set(&mut self, kind: FaultKind, spec: FaultSpec) {
+        self.specs[kind as usize] = if spec.is_disabled() { FaultSpec::never() } else { spec };
     }
 
     /// A plan that destroys the entire profile: every LBR record is
     /// corrupted, so phase 3 salvages nothing and the layout falls
     /// back to identity order.
     pub fn full_profile_loss() -> FaultPlan {
-        FaultPlan { lbr_record_corruption: FaultSpec::always(), ..FaultPlan::default() }
+        let mut plan = FaultPlan::none();
+        plan.set(FaultKind::LbrRecordCorruption, FaultSpec::always());
+        plan
     }
 
     /// Parse a `--faults` spec string.
@@ -220,46 +186,35 @@ impl FaultPlan {
     /// in `[0, 1]`.
     pub fn parse(spec: &str) -> Result<FaultPlan, FaultPlanParseError> {
         let mut plan = FaultPlan::none();
-        for clause in spec.split(',') {
-            let clause = clause.trim();
-            if clause.is_empty() {
-                continue;
+        let mut seen = Vec::new();
+        for clause in spec.split(',').map(str::trim).filter(|c| !c.is_empty()) {
+            let bad = |message: String| FaultPlanParseError { clause: clause.to_string(), message };
+            let (key, value) = clause
+                .split_once('=')
+                .ok_or_else(|| bad("expected key=probability[:limit]".to_string()))?;
+            let key = key.trim();
+            let kind = FaultKind::from_key(key).ok_or_else(|| {
+                let known = FaultKind::ALL.map(|k| k.key()).join(", ");
+                bad(format!("unknown fault kind {key:?} (known: {known})"))
+            })?;
+            // A second clause for a kind would silently override the first.
+            if seen.contains(&kind) {
+                return Err(bad(format!("{key:?} is already set by an earlier clause")));
             }
-            let (key, value) = clause.split_once('=').ok_or_else(|| FaultPlanParseError {
-                clause: clause.to_string(),
-                message: "expected key=probability[:limit]".to_string(),
-            })?;
-            let kind = FaultKind::from_key(key.trim()).ok_or_else(|| FaultPlanParseError {
-                clause: clause.to_string(),
-                message: format!(
-                    "unknown fault kind {:?} (known: {})",
-                    key.trim(),
-                    FaultKind::ALL.map(|k| k.key()).join(", ")
-                ),
-            })?;
+            seen.push(kind);
             let (prob_str, limit_str) = match value.split_once(':') {
-                Some((p, l)) => (p, Some(l)),
-                None => (value, None),
+                Some((p, l)) => (p.trim(), Some(l.trim())),
+                None => (value.trim(), None),
             };
             let probability: f64 =
-                prob_str.trim().parse().map_err(|_| FaultPlanParseError {
-                    clause: clause.to_string(),
-                    message: format!("bad probability {:?}", prob_str.trim()),
-                })?;
+                prob_str.parse().map_err(|_| bad(format!("bad probability {prob_str:?}")))?;
             if !(0.0..=1.0).contains(&probability) {
-                return Err(FaultPlanParseError {
-                    clause: clause.to_string(),
-                    message: format!("probability {probability} outside [0, 1]"),
-                });
+                return Err(bad(format!("probability {probability} outside [0, 1]")));
             }
-            let limit = match limit_str {
-                Some(l) => Some(l.trim().parse().map_err(|_| FaultPlanParseError {
-                    clause: clause.to_string(),
-                    message: format!("bad occurrence limit {:?}", l.trim()),
-                })?),
-                None => None,
-            };
-            *plan.spec_mut(kind) = FaultSpec { probability, limit };
+            let limit = limit_str
+                .map(|l| l.parse().map_err(|_| bad(format!("bad occurrence limit {l:?}"))))
+                .transpose()?;
+            plan.set(kind, FaultSpec { probability, limit });
         }
         Ok(plan)
     }
@@ -314,9 +269,9 @@ mod tests {
     fn parse_roundtrip() {
         let spec = "transient=0.3,corrupt-cache=0.1:2,permanent-codegen=1";
         let plan = FaultPlan::parse(spec).unwrap();
-        assert_eq!(plan.transient_action_failure, FaultSpec::p(0.3));
-        assert_eq!(plan.cache_corruption, FaultSpec::count(0.1, 2));
-        assert_eq!(plan.permanent_codegen_failure, FaultSpec::always());
+        assert_eq!(plan.spec(FaultKind::TransientActionFailure), FaultSpec::p(0.3));
+        assert_eq!(plan.spec(FaultKind::CacheCorruption), FaultSpec::count(0.1, 2));
+        assert_eq!(plan.spec(FaultKind::PermanentCodegenFailure), FaultSpec::always());
         let canonical = plan.to_spec_string();
         assert_eq!(FaultPlan::parse(&canonical).unwrap(), plan);
     }
@@ -336,13 +291,41 @@ mod tests {
     }
 
     #[test]
+    fn a_repeated_key_is_an_error_naming_it() {
+        // Used to keep only the last clause: `transient=0.9,transient=0`
+        // ran fault-free.
+        let err = FaultPlan::parse("transient=0.9,timeout=0.1, transient=0").unwrap_err();
+        assert_eq!(err.clause, "transient=0");
+        assert_eq!(
+            err.to_string(),
+            "bad fault clause \"transient=0\": \"transient\" is already set by an earlier clause"
+        );
+    }
+
+    #[test]
+    fn plans_are_equal_iff_their_canonical_strings_are() {
+        // A disabled clause with a limit used to be kept as written: a plan
+        // unequal to `none()` whose canonical string was still "".
+        for spec in ["transient=0:5", "timeout=0.5:0", "corrupt-lbr=-0", "cancel-job=0:0"] {
+            let plan = FaultPlan::parse(spec).unwrap();
+            assert_eq!(plan.to_spec_string(), "", "{spec}");
+            assert_eq!(plan, FaultPlan::none(), "{spec}");
+        }
+        let mut set = FaultPlan::none();
+        set.set(FaultKind::QueueDrop, FaultSpec::count(0.0, 3));
+        assert_eq!(set, FaultPlan::none());
+        set.set(FaultKind::QueueDrop, FaultSpec::count(0.5, 3));
+        assert_eq!(set, FaultPlan::parse("drop-queue=0.5:3").unwrap());
+    }
+
+    #[test]
     fn service_kinds_parse_and_roundtrip() {
         let spec = "burst-amplify=0.2,cancel-job=0.1:3,drop-queue=0.25,evict-storm=1";
         let plan = FaultPlan::parse(spec).unwrap();
-        assert_eq!(plan.tenant_burst_amplification, FaultSpec::p(0.2));
-        assert_eq!(plan.job_cancellation, FaultSpec::count(0.1, 3));
-        assert_eq!(plan.queue_drop, FaultSpec::p(0.25));
-        assert_eq!(plan.cache_eviction_storm, FaultSpec::always());
+        assert_eq!(plan.spec(FaultKind::TenantBurstAmplification), FaultSpec::p(0.2));
+        assert_eq!(plan.spec(FaultKind::JobCancellation), FaultSpec::count(0.1, 3));
+        assert_eq!(plan.spec(FaultKind::QueueDrop), FaultSpec::p(0.25));
+        assert_eq!(plan.spec(FaultKind::CacheEvictionStorm), FaultSpec::always());
         assert!(plan.has_service_faults());
         assert!(!plan.is_none());
         let canonical = plan.to_spec_string();

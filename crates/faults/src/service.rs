@@ -9,75 +9,86 @@
 //! across `--jobs` counts and replays of the same seed.
 //!
 //! The types live here (not in `crates/serve`) because the doctor
-//! already depends on this crate; service findings and the ledger diff
-//! gate would otherwise force a dependency cycle.
+//! already depends on this crate; service findings would otherwise
+//! force a dependency cycle.
+//!
+//! The `ledger!` table below is the one list of a tenant row's
+//! counters: each row is the field, its JSON name, its term in `absorb`
+//! and — through [`TenantCounter`] — what the scheduler books, and
+//! under which timeline series.
 
-use crate::ledger::{read_entries, DegradationLedger};
+use crate::ledger::{ledger, read_entries, DegradationLedger};
 use propeller_telemetry::json::{num_entries, obj, read_doc, JsonValue, Reader, SchemaError};
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// Exact accounting for one tenant's traffic through the service.
-///
-/// Terminal-outcome invariant: every arrival (submitted + burst
-/// clones) ends in exactly one of `completed`, `rejected_memory`,
-/// `rejected_queue`, `cancelled_by_client`, `cancelled_by_fault`, or
-/// `deadline_timeouts`. `retries` and `queue_drops` are intermediate
-/// events — a retried arrival is still the same arrival.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct TenantLedger {
-    /// Arrivals from the traffic plan itself.
-    pub submitted: u64,
-    /// Extra arrivals spawned by `burst-amplify` faults.
-    pub burst_clones: u64,
-    /// Jobs that reached a relink slot (including ones later cancelled
-    /// mid-flight).
-    pub admitted: u64,
-    /// Jobs that ran to completion and shipped a binary.
-    pub completed: u64,
-    /// Arrivals refused at admission: declared peak RSS above the
-    /// per-action memory ceiling.
-    pub rejected_memory: u64,
-    /// Arrivals that exhausted their client retry budget against a
-    /// full (or dropping) queue.
-    pub rejected_queue: u64,
-    /// Client re-submissions after a queue-full refusal or a queue
-    /// drop.
-    pub retries: u64,
-    /// Queued entries silently dropped by `drop-queue` faults.
-    pub queue_drops: u64,
-    /// Jobs cancelled by their owner (traffic-scheduled).
-    pub cancelled_by_client: u64,
-    /// Jobs cancelled mid-flight by `cancel-job` faults.
-    pub cancelled_by_fault: u64,
-    /// Jobs that aged out in the queue past their deadline.
-    pub deadline_timeouts: u64,
-    /// `evict-storm` faults triggered while this tenant's job started.
-    pub eviction_storms: u64,
-    /// Shared-cache entries force-evicted by this tenant's storms.
-    pub storm_evicted_entries: u64,
-    /// Shared-cache lookups attributed to this tenant.
-    pub cache_lookups: u64,
-    /// ... of which hits.
-    pub cache_hits: u64,
-    /// ... of which misses.
-    pub cache_misses: u64,
-    /// Shared-cache insertions attributed to this tenant.
-    pub cache_insertions: u64,
-    /// Entries this tenant inserted that were later pressure-evicted
-    /// (capacity bound or storm), regardless of who triggered it.
-    pub pressure_evictions: u64,
-    /// Completed jobs whose pipeline ledger was not clean.
-    pub degraded_jobs: u64,
-    /// Completed jobs that shipped the identity-fallback layout.
-    pub identity_fallbacks: u64,
-    /// Modeled seconds of client backoff before re-submissions.
-    pub retry_backoff_secs: f64,
-    /// Modeled seconds arrivals spent queued before starting.
-    pub queue_wait_secs: f64,
-    /// Modeled seconds of slot time this tenant consumed.
-    pub busy_secs: f64,
-    /// Aggregate pipeline degradation across this tenant's jobs.
+ledger! {
+    /// Exact accounting for one tenant's traffic through the service.
+    ///
+    /// Terminal-outcome invariant: every arrival (submitted + burst
+    /// clones) ends in exactly one of `completed`, `rejected_memory`,
+    /// `rejected_queue`, `cancelled_by_client`, `cancelled_by_fault`, or
+    /// `deadline_timeouts`. `retries` and `queue_drops` are intermediate
+    /// events — a retried arrival is still the same arrival.
+    pub struct TenantLedger {
+        /// Arrivals from the traffic plan itself.
+        Submitted => submitted: u64,
+        /// Extra arrivals spawned by `burst-amplify` faults.
+        BurstClones => burst_clones: u64,
+        /// Jobs that reached a relink slot (including ones later cancelled
+        /// mid-flight).
+        Admitted => admitted: u64,
+        /// Jobs that ran to completion and shipped a binary.
+        Completed => completed: u64,
+        /// Arrivals refused at admission: declared peak RSS above the
+        /// per-action memory ceiling.
+        RejectedMemory => rejected_memory: u64,
+        /// Arrivals that exhausted their client retry budget against a
+        /// full (or dropping) queue.
+        RejectedQueue => rejected_queue: u64,
+        /// Client re-submissions after a queue-full refusal or a queue
+        /// drop.
+        Retries => retries: u64,
+        /// Queued entries silently dropped by `drop-queue` faults.
+        QueueDrops => queue_drops: u64,
+        /// Jobs cancelled by their owner (traffic-scheduled).
+        CancelledByClient => cancelled_by_client: u64 = "cancelled",
+        /// Jobs cancelled mid-flight by `cancel-job` faults.
+        CancelledByFault => cancelled_by_fault: u64 = "cancelled",
+        /// Jobs that aged out in the queue past their deadline.
+        DeadlineTimeouts => deadline_timeouts: u64,
+        /// `evict-storm` faults triggered while this tenant's job started.
+        EvictionStorms => eviction_storms: u64,
+        /// Shared-cache entries force-evicted by this tenant's storms.
+        StormEvictedEntries => storm_evicted_entries: u64,
+        /// Shared-cache lookups attributed to this tenant.
+        CacheLookups => cache_lookups: u64,
+        /// ... of which hits.
+        CacheHits => cache_hits: u64,
+        /// ... of which misses.
+        CacheMisses => cache_misses: u64,
+        /// Shared-cache insertions attributed to this tenant.
+        CacheInsertions => cache_insertions: u64,
+        /// Entries this tenant inserted that were later pressure-evicted
+        /// (capacity bound or storm), regardless of who triggered it.
+        PressureEvictions => pressure_evictions: u64,
+        /// Completed jobs whose pipeline ledger was not clean.
+        DegradedJobs => degraded_jobs: u64,
+        /// Completed jobs that shipped the identity-fallback layout.
+        IdentityFallbacks => identity_fallbacks: u64,
+        /// Modeled seconds of client backoff before re-submissions.
+        RetryBackoffSecs => retry_backoff_secs: f64,
+        /// Modeled seconds arrivals spent queued before starting.
+        QueueWaitSecs => queue_wait_secs: f64,
+        /// Modeled seconds of slot time this tenant consumed.
+        BusySecs => busy_secs: f64,
+    }
+    /// One counter of a [`TenantLedger`]. Its note names the timeline
+    /// series the relink service books it under, per tenant, when that
+    /// is not the counter's own name.
+    pub enum TenantCounter, notes series;
+    /// Aggregate pipeline degradation across this tenant's jobs. It
+    /// travels as its own JSON member, not among the entries.
     pub degradation: DegradationLedger,
 }
 
@@ -115,87 +126,6 @@ impl TenantLedger {
             && self.degraded_jobs == 0
             && self.identity_fallbacks == 0
             && self.degradation.is_clean()
-    }
-
-    /// Stable `(name, value)` pairs in a fixed order — the single
-    /// source for ledger JSON and the service diff.
-    pub fn entries(&self) -> Vec<(&'static str, f64)> {
-        vec![
-            ("submitted", self.submitted as f64),
-            ("burst_clones", self.burst_clones as f64),
-            ("admitted", self.admitted as f64),
-            ("completed", self.completed as f64),
-            ("rejected_memory", self.rejected_memory as f64),
-            ("rejected_queue", self.rejected_queue as f64),
-            ("retries", self.retries as f64),
-            ("queue_drops", self.queue_drops as f64),
-            ("cancelled_by_client", self.cancelled_by_client as f64),
-            ("cancelled_by_fault", self.cancelled_by_fault as f64),
-            ("deadline_timeouts", self.deadline_timeouts as f64),
-            ("eviction_storms", self.eviction_storms as f64),
-            ("storm_evicted_entries", self.storm_evicted_entries as f64),
-            ("cache_lookups", self.cache_lookups as f64),
-            ("cache_hits", self.cache_hits as f64),
-            ("cache_misses", self.cache_misses as f64),
-            ("cache_insertions", self.cache_insertions as f64),
-            ("pressure_evictions", self.pressure_evictions as f64),
-            ("degraded_jobs", self.degraded_jobs as f64),
-            ("identity_fallbacks", self.identity_fallbacks as f64),
-            ("retry_backoff_secs", self.retry_backoff_secs),
-            ("queue_wait_secs", self.queue_wait_secs),
-            ("busy_secs", self.busy_secs),
-        ]
-    }
-
-    /// Rebuild from `entries()`-shaped pairs; unknown names are
-    /// ignored so old readers tolerate new counters. The nested
-    /// degradation ledger travels separately.
-    pub fn from_entries<'a>(pairs: impl IntoIterator<Item = (&'a str, f64)>) -> TenantLedger {
-        let mut t = TenantLedger::default();
-        for (name, v) in pairs {
-            match name {
-                "submitted" => t.submitted = v as u64,
-                "burst_clones" => t.burst_clones = v as u64,
-                "admitted" => t.admitted = v as u64,
-                "completed" => t.completed = v as u64,
-                "rejected_memory" => t.rejected_memory = v as u64,
-                "rejected_queue" => t.rejected_queue = v as u64,
-                "retries" => t.retries = v as u64,
-                "queue_drops" => t.queue_drops = v as u64,
-                "cancelled_by_client" => t.cancelled_by_client = v as u64,
-                "cancelled_by_fault" => t.cancelled_by_fault = v as u64,
-                "deadline_timeouts" => t.deadline_timeouts = v as u64,
-                "eviction_storms" => t.eviction_storms = v as u64,
-                "storm_evicted_entries" => t.storm_evicted_entries = v as u64,
-                "cache_lookups" => t.cache_lookups = v as u64,
-                "cache_hits" => t.cache_hits = v as u64,
-                "cache_misses" => t.cache_misses = v as u64,
-                "cache_insertions" => t.cache_insertions = v as u64,
-                "pressure_evictions" => t.pressure_evictions = v as u64,
-                "degraded_jobs" => t.degraded_jobs = v as u64,
-                "identity_fallbacks" => t.identity_fallbacks = v as u64,
-                "retry_backoff_secs" => t.retry_backoff_secs = v,
-                "queue_wait_secs" => t.queue_wait_secs = v,
-                "busy_secs" => t.busy_secs = v,
-                _ => {}
-            }
-        }
-        t
-    }
-
-    /// Add `other` into `self` (tenant rows into totals). The layout
-    /// mode of the aggregate degradation stays `Optimized`; per-job
-    /// fallbacks are counted in `identity_fallbacks` instead.
-    pub fn absorb(&mut self, other: &TenantLedger) {
-        let merged: Vec<(&'static str, f64)> = self
-            .entries()
-            .into_iter()
-            .zip(other.entries())
-            .map(|((name, a), (_, b))| (name, a + b))
-            .collect();
-        let mut degradation = std::mem::take(&mut self.degradation);
-        degradation.absorb(&other.degradation);
-        *self = TenantLedger { degradation, ..TenantLedger::from_entries(merged) };
     }
 
     fn to_json(&self) -> JsonValue {
@@ -431,8 +361,8 @@ mod tests {
 
     #[test]
     fn parse_requires_what_the_writer_emits() {
-        // Used to read as an all-zero ledger, so `service-diff` of two
-        // such files reported "no diverging counters".
+        // Used to read as an all-zero ledger, so two such files compared
+        // as equal ledgers.
         let err = ServiceLedger::parse("{}").unwrap_err().to_string();
         assert_eq!(err, "missing `service_ledger.benchmark`");
 

@@ -134,7 +134,7 @@ pub fn salvage_profile(
 mod tests {
     use super::*;
     use crate::LbrRecord;
-    use propeller_faults::{FaultPlan, FaultSpec};
+    use propeller_faults::FaultPlan;
 
     fn profile_with(records_per_sample: &[usize]) -> HardwareProfile {
         let mut p = HardwareProfile::new("bin");
@@ -169,8 +169,7 @@ mod tests {
     #[test]
     fn full_corruption_drops_everything() {
         let mut p = profile_with(&[4, 2]);
-        let plan =
-            FaultPlan { lbr_record_corruption: FaultSpec::always(), ..FaultPlan::none() };
+        let plan = FaultPlan::parse("corrupt-lbr=1").unwrap();
         let inj = FaultInjector::new(plan, 7);
         let stats = degrade_profile(&mut p, &inj);
         assert_eq!(stats.records_corrupted, 6);
@@ -185,7 +184,7 @@ mod tests {
     fn truncation_halves_samples_and_keeps_prefix() {
         let mut p = profile_with(&[8]);
         let first = p.samples[0].records[0];
-        let plan = FaultPlan { sample_truncation: FaultSpec::always(), ..FaultPlan::none() };
+        let plan = FaultPlan::parse("truncate-samples=1").unwrap();
         let inj = FaultInjector::new(plan, 7);
         let stats = degrade_profile(&mut p, &inj);
         assert_eq!(stats.samples_truncated, 1);
@@ -199,11 +198,7 @@ mod tests {
 
     #[test]
     fn degradation_is_deterministic() {
-        let plan = FaultPlan {
-            lbr_record_corruption: FaultSpec::p(0.3),
-            sample_truncation: FaultSpec::p(0.2),
-            ..FaultPlan::none()
-        };
+        let plan = FaultPlan::parse("corrupt-lbr=0.3,truncate-samples=0.2").unwrap();
         let run = |seed| {
             let mut p = profile_with(&[8, 8, 8, 8]);
             let inj = FaultInjector::new(plan.clone(), seed);
@@ -224,7 +219,7 @@ mod tests {
     #[test]
     fn stats_fold_into_ledger() {
         let mut p = profile_with(&[8]);
-        let plan = FaultPlan { sample_truncation: FaultSpec::always(), ..FaultPlan::none() };
+        let plan = FaultPlan::parse("truncate-samples=1").unwrap();
         let inj = FaultInjector::new(plan, 7);
         let stats = degrade_profile(&mut p, &inj);
         let (_, stats) = salvage_profile(&p, TEXT, stats);

@@ -31,7 +31,7 @@
 use propeller::{BuildCaches, PipelineError, Propeller, PropellerOptions};
 use propeller_faults::{
     splitmix64 as mix, DegradationLedger, FaultInjector, FaultKind, FaultPlan, LayoutMode,
-    ServiceLedger, TenantLedger,
+    ServiceLedger, TenantCounter, TenantLedger,
 };
 use propeller_obj::ContentHash;
 use propeller_synth::{generate, spec_by_name, BenchmarkSpec, GenParams};
@@ -303,11 +303,14 @@ impl RelinkService {
         self.timeline.as_ref()
     }
 
-    /// Bumps the per-tenant cumulative counter `metric.t{tenant}` on
-    /// the armed timeline.
-    fn tl_count(&mut self, metric: &str, tenant: u32, t_us: u64) {
+    /// Books one `counter` event of `tenant` at `t_us`: the tenant's
+    /// ledger row and, on the armed timeline, the cumulative series
+    /// `{series}.t{tenant}` — the counter's table note, else its name.
+    fn book(&mut self, tenant: u32, counter: TenantCounter, t_us: u64) {
+        self.tenant_mut(tenant).bump(counter);
         if let Some(ts) = self.timeline.as_mut() {
-            ts.counter_add(&format!("{metric}.t{tenant}"), t_us, 1.0);
+            let series = counter.series().unwrap_or(counter.name());
+            ts.counter_add(&format!("{series}.t{tenant}"), t_us, 1.0);
         }
     }
 
@@ -366,8 +369,7 @@ impl RelinkService {
     /// REPL submissions after a drain stay monotonic).
     pub fn submit(&mut self, req: JobRequest) {
         let t = req.arrival_us.max(self.now_us);
-        self.tenant_mut(req.tenant).submitted += 1;
-        self.tl_count("submitted", req.tenant, t);
+        self.book(req.tenant, TenantCounter::Submitted, t);
         self.push_event(t, Ev::Arrive { submit_us: t, req, attempt: 0, is_clone: false });
     }
 
@@ -429,8 +431,7 @@ impl RelinkService {
                         cancel_after_secs: None,
                         ..req.clone()
                     };
-                    self.tenant_mut(req.tenant).burst_clones += 1;
-                    self.tl_count("burst_clones", req.tenant, t);
+                    self.book(req.tenant, TenantCounter::BurstClones, t);
                     self.push_event(t, Ev::Arrive {
                         submit_us: t,
                         req: clone,
@@ -446,8 +447,7 @@ impl RelinkService {
         // die.
         if let Some(ceiling) = self.ceiling_bytes {
             if req.declared_peak_bytes > ceiling {
-                self.tenant_mut(req.tenant).rejected_memory += 1;
-                self.tl_count("rejected_memory", req.tenant, now);
+                self.book(req.tenant, TenantCounter::RejectedMemory, now);
                 return Ok(());
             }
         }
@@ -475,8 +475,7 @@ impl RelinkService {
                 self.tl_queue_depth(tenant, now);
                 return Ok(());
             }
-            self.tenant_mut(req.tenant).queue_drops += 1;
-            self.tl_count("queue_drops", req.tenant, now);
+            self.book(req.tenant, TenantCounter::QueueDrops, now);
         }
         // Queue full (or the enqueue was dropped): client-side retry
         // with seeded-jitter exponential backoff, all modeled.
@@ -489,15 +488,12 @@ impl RelinkService {
                 )),
             };
             let backoff = base * (1.0 + RETRY_JITTER_FRAC * u);
-            let row = self.tenant_mut(req.tenant);
-            row.retries += 1;
-            row.retry_backoff_secs += backoff;
-            self.tl_count("retries", req.tenant, now);
+            self.book(req.tenant, TenantCounter::Retries, now);
+            self.tenant_mut(req.tenant).retry_backoff_secs += backoff;
             let t = self.now_us + (backoff * 1e6) as u64;
             self.push_event(t, Ev::Arrive { submit_us, req, attempt: attempt + 1, is_clone });
         } else {
-            self.tenant_mut(req.tenant).rejected_queue += 1;
-            self.tl_count("rejected_queue", req.tenant, now);
+            self.book(req.tenant, TenantCounter::RejectedQueue, now);
         }
         Ok(())
     }
@@ -528,16 +524,14 @@ impl RelinkService {
             // spent retrying counts against it too.
             let age = (self.now_us.saturating_sub(q.submit_us)) as f64 / 1e6;
             if age > self.opts.deadline_secs {
-                self.tenants[q.req.tenant as usize].deadline_timeouts += 1;
-                self.tl_count("deadline_timeouts", q.req.tenant, now);
+                self.book(q.req.tenant, TenantCounter::DeadlineTimeouts, now);
                 continue;
             }
             // Cancelled while queued: the owner gave up before a slot
             // opened.
             if let Some(c) = q.req.cancel_after_secs {
                 if q.submit_us + (c * 1e6) as u64 <= self.now_us {
-                    self.tenants[q.req.tenant as usize].cancelled_by_client += 1;
-                    self.tl_count("cancelled", q.req.tenant, now);
+                    self.book(q.req.tenant, TenantCounter::CancelledByClient, now);
                     continue;
                 }
             }
@@ -552,8 +546,7 @@ impl RelinkService {
     fn start_job(&mut self, req: JobRequest, submit_us: u64) -> Result<(), ServeError> {
         let now = self.now_us;
         let tenant = req.tenant;
-        self.tenant_mut(tenant).admitted += 1;
-        self.tl_count("admitted", tenant, now);
+        self.book(tenant, TenantCounter::Admitted, now);
         self.tl_slots(now);
         let est = self
             .durations
@@ -575,10 +568,8 @@ impl RelinkService {
                         .map(|inj| inj.unit(&format!("cancel j{}", req.id), 1))
                         .unwrap_or(0.5);
             let held = est * frac;
-            let row = self.tenant_mut(tenant);
-            row.cancelled_by_fault += 1;
-            row.busy_secs += held;
-            self.tl_count("cancelled", tenant, now);
+            self.book(tenant, TenantCounter::CancelledByFault, now);
+            self.tenant_mut(tenant).busy_secs += held;
             self.push_event(now + (held * 1e6) as u64, Ev::Finish);
             return Ok(());
         }
@@ -588,10 +579,8 @@ impl RelinkService {
             let cancel_abs = submit_us + (c * 1e6) as u64;
             if cancel_abs <= now + (est * 1e6) as u64 {
                 let held = (cancel_abs.saturating_sub(now)) as f64 / 1e6;
-                let row = self.tenant_mut(tenant);
-                row.cancelled_by_client += 1;
-                row.busy_secs += held;
-                self.tl_count("cancelled", tenant, now);
+                self.book(tenant, TenantCounter::CancelledByClient, now);
+                self.tenant_mut(tenant).busy_secs += held;
                 self.push_event(cancel_abs.max(now), Ev::Finish);
                 return Ok(());
             }
@@ -642,8 +631,14 @@ impl RelinkService {
             self.violations.extend(unbooked.map(|what| format!("job {job} (t{tenant}): {what}")));
         }
         let digest = ContentHash::of_bytes(&image).0;
+        // Publish-time observability: the job's completion and latency
+        // are stamped at the modeled publish instant (submit + queue +
+        // run), not at the start event — `Point.seq` keeps the export
+        // order canonical even though publish lies in the scheduler's
+        // future.
+        let publish_us = now + (duration * 1e6) as u64;
+        self.book(tenant, TenantCounter::Completed, publish_us);
         let row = self.tenant_mut(tenant);
-        row.completed += 1;
         row.busy_secs += duration;
         if !ledger.is_clean() {
             row.degraded_jobs += 1;
@@ -653,19 +648,12 @@ impl RelinkService {
         }
         row.degradation.absorb(&ledger);
         self.durations.insert((tenant, req.program_seed), duration);
-        // Publish-time observability: the job's latency is stamped at
-        // the modeled publish instant (submit + queue + run), not at
-        // the start event — `Point.seq` keeps the export order
-        // canonical even though publish lies in the scheduler's
-        // future.
-        let publish_us = now + (duration * 1e6) as u64;
         let ir = self.caches.tenant_ir_stats(tenant);
         let obj = self.caches.tenant_object_stats(tenant);
         let ceiling = self.ceiling_bytes;
         if let Some(ts) = self.timeline.as_mut() {
             let latency_ms = (publish_us.saturating_sub(submit_us)) as f64 / 1e3;
             ts.event(&format!("latency_ms.t{tenant}"), publish_us, latency_ms);
-            ts.counter_add(&format!("completed.t{tenant}"), publish_us, 1.0);
             let lookups = ir.lookups + obj.lookups;
             if lookups > 0 {
                 let rate = (ir.hits + obj.hits) as f64 / lookups as f64;

@@ -153,8 +153,7 @@ fn below_floor_partial_loss_demotes_the_surviving_hot_set() {
     // ~85% record corruption: enough survives for WPA to claim a hot
     // set, but survival sits under the default 0.25 trust floor — the
     // claimed hot functions must be demoted rather than trusted.
-    let mut plan = FaultPlan::none();
-    plan.lbr_record_corruption = propeller::FaultSpec::p(0.85);
+    let plan = FaultPlan::parse("corrupt-lbr=0.85").unwrap();
     let (p, report, eval) = run_with(plan, 5);
     let l = &report.degradation;
     assert_eq!(l.layout_mode, LayoutMode::IdentityFallback);
@@ -188,16 +187,12 @@ fn arb_plan() -> impl Strategy<Value = FaultPlan> {
                 n => propeller::FaultSpec::count(prob, u64::from(n)),
             }
         };
-        FaultPlan {
-            transient_action_failure: spec(knobs[0]),
-            action_timeout: spec(knobs[1]),
-            cache_corruption: spec(knobs[2]),
-            cache_eviction: spec(knobs[3]),
-            lbr_record_corruption: spec(knobs[4]),
-            sample_truncation: spec(knobs[5]),
-            permanent_codegen_failure: spec(knobs[6]),
-            ..FaultPlan::default()
+        let mut plan = FaultPlan::none();
+        let pipeline_kinds = FaultKind::ALL.into_iter().filter(|k| !FaultKind::SERVICE.contains(k));
+        for (kind, knob) in pipeline_kinds.zip(knobs) {
+            plan.set(kind, spec(knob));
         }
+        plan
     })
 }
 

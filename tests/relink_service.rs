@@ -9,7 +9,7 @@
 //!   asserting the per-tenant cache invariant `hits + misses ==
 //!   lookups` and cross-interleaving ledger byte-identity.
 
-use propeller::{FaultPlan, FaultSpec};
+use propeller::{FaultKind, FaultPlan, FaultSpec};
 use propeller_serve::{
     gen_traffic, run_soak, soak_scenarios, RelinkService, ServeOptions, TrafficConfig,
 };
@@ -179,15 +179,18 @@ fn cancel_stride_beyond_plan_cancels_nothing() {
 fn arb_service_plan() -> impl Strategy<Value = FaultPlan> {
     (0u8..4, 0u8..4, 0u8..4, 0u8..4, 0u8..3).prop_map(|(burst, cancel, drop, storm, pipe)| {
         let p = |q: u8| FaultSpec::p(f64::from(q) / 8.0);
-        FaultPlan {
-            tenant_burst_amplification: p(burst),
-            job_cancellation: p(cancel),
-            queue_drop: p(drop),
-            cache_eviction_storm: p(storm),
-            cache_corruption: p(pipe),
-            transient_action_failure: p(pipe),
-            ..FaultPlan::default()
+        let mut plan = FaultPlan::none();
+        for (kind, q) in [
+            (FaultKind::TenantBurstAmplification, burst),
+            (FaultKind::JobCancellation, cancel),
+            (FaultKind::QueueDrop, drop),
+            (FaultKind::CacheEvictionStorm, storm),
+            (FaultKind::CacheCorruption, pipe),
+            (FaultKind::TransientActionFailure, pipe),
+        ] {
+            plan.set(kind, p(q));
         }
+        plan
     })
 }
 

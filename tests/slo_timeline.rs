@@ -8,7 +8,7 @@
 //! (findings, never panics).
 
 use propeller::FaultPlan;
-use propeller_doctor::{diff_timeseries, evaluate_slo, worst, Severity, SloConfig};
+use propeller_doctor::{evaluate_slo, Severity, SloConfig};
 use propeller_serve::{gen_traffic, RelinkService, ServeOptions, TrafficConfig};
 use propeller_telemetry::{chrome::to_chrome_trace, Telemetry, TimeSeries, TENANT_LANE_BASE};
 
@@ -58,7 +58,6 @@ fn timeline_and_slo_are_byte_identical_across_jobs_and_replays() {
     assert_eq!(t1.to_csv(), t8.to_csv(), "timeline CSV diverged across --jobs");
     assert_eq!(t1.to_csv(), tr.to_csv(), "timeline CSV diverged across replays");
     assert_eq!(t1.sampled_csv(10_000_000), t8.sampled_csv(10_000_000));
-    assert_eq!(worst(&diff_timeseries(&t1, &t8)), Severity::Ok);
     let cfg = SloConfig::default_service();
     let s1 = evaluate_slo(&t1, &r1.ledger, &cfg);
     let s8 = evaluate_slo(&t8, &r8.ledger, &cfg);
