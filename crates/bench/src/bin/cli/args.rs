@@ -145,11 +145,11 @@ impl Parsed {
                 self.program.seed = Some(num_in(flag, &v, need, ..=MAX_SEED)?);
             }
             "--requests" => self.service.requests = Some(num(flag, &v)?),
-            "--tenants" => self.service.tenants = Some(num(flag, &v)?),
+            "--tenants" => self.service.tenants = Some(num_in(flag, &v, "at least 1", 1..)?),
             "--mean-gap" => {
                 self.service.mean_gap = Some(num_in(flag, &v, "a positive number", POSITIVE)?)
             }
-            "--slots" => self.service.slots = Some(num(flag, &v)?),
+            "--slots" => self.service.slots = Some(num_in(flag, &v, "at least 1", 1..)?),
             "--queue" => self.service.queue = Some(num(flag, &v)?),
             "--cache-capacity" => self.service.cache_capacity = Some(num(flag, &v)?),
             "--faults" => {

@@ -16,8 +16,8 @@ use std::process::ExitCode;
 
 /// One subcommand.
 pub struct Command {
-    /// Name and positionals, e.g. `diff <A.json> <B.json> [C.json ...]`:
-    /// `<x>` is required, `[x]` optional, `...` repeats.
+    /// Name and positionals, e.g. `table2 [bench ...]`: `<x>` is
+    /// required, `[x]` optional, `...` repeats.
     pub synopsis: &'static str,
     /// Accepted flags, written as the (often shared) synopsis fragments
     /// the usage text prints: `[--flag]` is a switch, `[--flag META]`
@@ -235,10 +235,10 @@ pub const COMMANDS: &[Command] = &[
         paper::ablation_prefetch,
     ),
     Command {
-        synopsis: "diff <A.json> <B.json> [C.json ...]",
+        synopsis: "diff <A.json> <B.json>",
         flags: &["[--tolerance PCT]"],
-        about: "Diff two RunReports, or trend three or more; exits nonzero when a gated metric \
-                worsened by more than --tolerance percent (default 0).",
+        about: "Diff two RunReports; exits nonzero when a gated metric worsened by more than \
+                --tolerance percent (default 0).",
         run: diff::diff,
     },
     Command {

@@ -3,7 +3,7 @@
 
 use propeller::{BuildCaches, EvalReport, PipelineError, Propeller, PropellerOptions};
 use propeller_bolt::{run_bolt, BoltError, BoltOptions, BoltOutput};
-use propeller_buildsys::{cost, MachineConfig, GIB};
+use propeller_buildsys::{cost, MachineConfig, DISPATCH_SECS, GIB};
 use propeller_codegen::{codegen_module, CodegenOptions};
 use propeller_linker::{link, FinalLayout, LinkInput, LinkOptions, LinkedBinary};
 use propeller_profile::SamplingConfig;
@@ -52,7 +52,6 @@ fn harness_options(spec: &BenchmarkSpec, cfg: &RunConfig, period: u64) -> Propel
     let machine = match spec.kind {
         BenchKind::WarehouseScale => MachineConfig::Distributed {
             ram_limit: spec.action_ram_gib * GIB,
-            dispatch_secs: 2.0,
         },
         _ => MachineConfig::workstation(),
     };
@@ -164,7 +163,7 @@ impl BenchArtifacts {
         let on_machine = |cpu: f64, max_single: f64, actions: u64| -> f64 {
             match self.spec.kind {
                 BenchKind::WarehouseScale => {
-                    2.0 + max_single + actions as f64 / QUEUE_ACTIONS_PER_SEC
+                    DISPATCH_SECS + max_single + actions as f64 / QUEUE_ACTIONS_PER_SEC
                 }
                 _ => (cpu / 72.0).max(max_single),
             }
@@ -294,7 +293,6 @@ pub fn run_benchmark(
         profile,
         &BoltOptions {
             input_has_integrity_checks: spec.bolt_startup_crash,
-            ..BoltOptions::default()
         },
     );
 

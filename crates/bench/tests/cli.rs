@@ -187,9 +187,12 @@ fn unread_flags_and_out_of_range_numbers_are_usage_errors() {
     // they enter, before any program is generated. `--scale inf` used to
     // abort on a 6 EB allocation (134), `--scale nan` ran at Table 2 full
     // scale, `--scale 0` a 2-module program, `--releases 0` an empty
-    // ledger with exit 0 — and `diff --tolerance nan` passed every
+    // ledger with exit 0, `--slots 0` ran one slot and wrote a ledger
+    // recording zero — and `diff --tolerance nan` passed every
     // regression, which turned CI's bench gate off.
     let dir = scratch("out_of_range");
+    let never = dir.join("never");
+    let never = never.to_str().expect("utf-8 path");
     let baseline = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../ci/bench_baseline.json");
     let text = String::from_utf8(read(baseline.clone())).expect("utf-8 baseline");
     let speedup = "\"eval.speedup_pct\": 2.8832914387810327";
@@ -220,6 +223,9 @@ fn unread_flags_and_out_of_range_numbers_are_usage_errors() {
         &["fleet", "clang", "--machines", "0"],
         &["traffic", "clang", "--mean-gap", "0"],
         &["traffic", "clang", "--mean-gap", "nan"],
+        &["traffic", "clang", "--requests", "2", "--out", never, "--slots", "0"],
+        &["traffic", "clang", "--requests", "2", "--out", never, "--tenants", "0"],
+        &["serve", "clang", "--slots", "0"],
     ] {
         let t0 = std::time::Instant::now();
         let out = cli(argv);
@@ -231,6 +237,7 @@ fn unread_flags_and_out_of_range_numbers_are_usage_errors() {
         assert!(out.stdout.is_empty(), "{argv:?} started work before rejecting its input");
         assert!(took.as_secs_f64() < 1.0, "{argv:?} took {took:?}");
     }
+    assert!(!Path::new(never).exists(), "a rejected invocation wrote its --out directory");
 
     // Two clauses for one kind used to keep only the last: this ran clean.
     let t0 = std::time::Instant::now();

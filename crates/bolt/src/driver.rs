@@ -14,29 +14,14 @@ use std::collections::HashMap;
 /// Configuration of the comparator. The paper's command line (§5,
 /// Methodology) is fixed: `-reorder-blocks=cache+` (Ext-TSP block
 /// reordering), `-split-functions` / `-split-all-cold` and
-/// `-reorder-functions=hfsort` always run.
-#[derive(Clone, PartialEq, Debug)]
+/// `-reorder-functions=hfsort` always run, in Table 3's `-lite=0`
+/// configuration (every function carried through the optimization
+/// stage), with the new text aligned to 2 MiB for hugepages (§5.3).
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct BoltOptions {
-    /// Selective processing (Lightning BOLT `-lite`): only sampled
-    /// functions are carried through the optimization stage, reducing
-    /// its memory. Profile conversion still disassembles everything.
-    pub lite: bool,
-    /// Align the new text segment to 2 MiB for hugepages (BOLT's
-    /// default; §5.3).
-    pub huge_page_align: bool,
     /// The input contains restartable sequences or FIPS-140-2
     /// integrity-checked modules that naive rewriting corrupts (§5.8).
     pub input_has_integrity_checks: bool,
-}
-
-impl Default for BoltOptions {
-    fn default() -> Self {
-        BoltOptions {
-            lite: false,
-            huge_page_align: true,
-            input_has_integrity_checks: false,
-        }
-    }
 }
 
 /// Work and memory measures of one BOLT run.
@@ -191,14 +176,12 @@ pub fn run_bolt(
 
     // Plan per-function layouts.
     let mut plans: Vec<FunctionPlan> = Vec::new();
-    let mut opt_insts = 0u64;
     for (fi, cfg) in cfgs.iter().enumerate() {
         let Some(cfg) = cfg else { continue };
         let total: u64 = prof.counts[fi].values().sum();
         if total == 0 {
             continue;
         }
-        opt_insts += cfg.blocks.len() as u64 * 4; // re-decoded per stage
         let count = |b: usize| prof.counts[fi].get(&b).copied().unwrap_or(0);
         let mut hot: Vec<usize> = (0..cfg.blocks.len()).filter(|&b| count(b) > 0).collect();
         if !hot.contains(&0) {
@@ -248,17 +231,13 @@ pub fn run_bolt(
         .map(|id| id as usize)
         .collect();
 
-    let (layout, rstats) = rewrite(binary, &cfgs, &plans, &func_order, opts.huge_page_align);
+    let (layout, rstats) = rewrite(binary, &cfgs, &plans, &func_order);
     stats.optimized_functions = rstats.optimized_functions;
     stats.new_text_bytes = rstats.new_text_bytes;
     stats.alignment_padding = rstats.alignment_padding;
 
-    let stage_insts = if opts.lite {
-        opt_insts.max(1)
-    } else {
-        stats.insts_decoded
-    };
-    stats.optimize_peak_memory = stage_insts * BYTES_PER_INST_RECORD
+    // `-lite=0`: the optimization stage holds every decoded instruction.
+    stats.optimize_peak_memory = stats.insts_decoded * BYTES_PER_INST_RECORD
         + stats.blocks_reconstructed * BYTES_PER_BLOCK_RECORD
         + 2 * stats.text_bytes;
 

@@ -82,6 +82,10 @@ fn new_block_size(
     b.straight_bytes + branch_bytes
 }
 
+/// Bytes the new text segment is aligned to: a 2 MiB hugepage, BOLT's
+/// default (§5.3).
+const SEGMENT_ALIGN: u64 = 2 << 20;
+
 /// Applies the plans, producing the post-rewrite block layout and size
 /// accounting.
 ///
@@ -94,12 +98,10 @@ pub fn rewrite(
     cfgs: &[Option<RecCfg>],
     plans: &[FunctionPlan],
     func_order: &[usize],
-    huge_page_align: bool,
 ) -> (FinalLayout, RewriteStats) {
     let mut stats = RewriteStats::default();
     let old_end = binary.base + binary.image.len() as u64;
-    let align: u64 = if huge_page_align { 2 << 20 } else { 4096 };
-    let seg_base = old_end.div_ceil(align) * align;
+    let seg_base = old_end.div_ceil(SEGMENT_ALIGN) * SEGMENT_ALIGN;
     stats.alignment_padding = seg_base - old_end;
 
     let plan_by_func: HashMap<usize, &FunctionPlan> =

@@ -125,60 +125,6 @@ fn bolt_binary_is_much_larger_than_input() {
         bm.size_breakdown.text,
         out.size_breakdown.text
     );
-    // Without hugepage alignment the growth is smaller.
-    let no_huge = run_bolt(
-        &bm,
-        &profile,
-        &BoltOptions {
-            huge_page_align: false,
-            ..BoltOptions::default()
-        },
-    )
-    .unwrap();
-    assert!(no_huge.size_breakdown.text < out.size_breakdown.text);
-}
-
-#[test]
-fn lite_mode_reduces_optimize_memory() {
-    let (p, entries) = fixture();
-    let bm = build(
-        &p,
-        &CodegenOptions::baseline(),
-        &LinkOptions {
-            retain_relocs: true,
-            ..LinkOptions::default()
-        },
-    );
-    let img = ProgramImage::build(&p, &bm.layout).unwrap();
-    let profile = simulate(
-        &img,
-        &Workload::new(entries, 150_000),
-        &UarchConfig::default(),
-        &SimOptions {
-            sampling: Some(SamplingConfig { period: 61 }),
-            heatmap: None,
-            collect_call_misses: false,
-            attribution: false,
-        },
-    )
-    .profile
-    .unwrap();
-    let full = run_bolt(&bm, &profile, &BoltOptions::default()).unwrap();
-    let lite = run_bolt(
-        &bm,
-        &profile,
-        &BoltOptions {
-            lite: true,
-            ..BoltOptions::default()
-        },
-    )
-    .unwrap();
-    assert!(lite.stats.optimize_peak_memory < full.stats.optimize_peak_memory);
-    // Profile conversion disassembles everything either way.
-    assert_eq!(
-        lite.stats.profile_conversion_peak_memory,
-        full.stats.profile_conversion_peak_memory
-    );
 }
 
 #[test]
@@ -211,7 +157,6 @@ fn integrity_checked_binaries_crash_at_startup() {
         &profile,
         &BoltOptions {
             input_has_integrity_checks: true,
-            ..BoltOptions::default()
         },
     )
     .unwrap();

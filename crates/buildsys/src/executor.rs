@@ -3,7 +3,7 @@
 //! worker pool that executes the real work behind the modeled actions.
 
 use crate::{ActionSpec, BuildError, PhaseReport, GIB};
-use propeller_faults::{FaultInjector, FaultKind, RetryPolicy};
+use propeller_faults::{FaultInjector, FaultKind};
 use propeller_telemetry::{SpanId, Telemetry};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -13,6 +13,32 @@ use std::time::Instant;
 /// The default worker count: one per available hardware thread.
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
+}
+
+/// Total attempts per action, including the first. The final budgeted
+/// attempt of a *transient* failure always succeeds (modeling a
+/// reschedule onto a healthy worker), so only
+/// [`FaultKind::PermanentCodegenFailure`] can exhaust the budget.
+pub const MAX_ATTEMPTS: u32 = 4;
+/// Backoff before the first retry, in modeled seconds.
+const BASE_BACKOFF_SECS: f64 = 0.5;
+/// Multiplier applied to the backoff after each failed attempt.
+const BACKOFF_MULTIPLIER: f64 = 2.0;
+/// Jitter as a fraction of the backoff: the modeled wait is
+/// `backoff * (1 + JITTER_FRAC * u)` with `u` uniform in `[0, 1)`.
+const JITTER_FRAC: f64 = 0.5;
+/// Modeled seconds a hung action burns before the executor gives up on
+/// it and reschedules.
+const TIMEOUT_SECS: f64 = 30.0;
+/// Scheduler dispatch overhead added to each distributed phase's
+/// wall-clock, in modeled seconds.
+pub const DISPATCH_SECS: f64 = 2.0;
+
+/// Modeled backoff (with deterministic jitter) after failed attempt
+/// number `attempt` (0-based) of the action named `key`.
+fn backoff_secs(inj: &FaultInjector, key: &str, attempt: u32) -> f64 {
+    let base = BASE_BACKOFF_SECS * BACKOFF_MULTIPLIER.powi(attempt as i32);
+    base * (1.0 + JITTER_FRAC * inj.unit(key, u64::from(attempt)))
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -32,13 +58,10 @@ pub enum MachineConfig {
     /// The warehouse distributed build system (§2.1): effectively
     /// unbounded independent workers, one action per worker, but a
     /// hard per-action memory ceiling and a fixed scheduling/dispatch
-    /// overhead per phase.
+    /// overhead per phase ([`DISPATCH_SECS`]).
     Distributed {
         /// Per-action peak-RSS limit in bytes (the paper's 12 GB).
         ram_limit: u64,
-        /// Scheduler dispatch overhead added to each phase's
-        /// wall-clock.
-        dispatch_secs: f64,
     },
     /// A single developer workstation: actions run back to back on one
     /// machine, with no per-action admission limit (this is where
@@ -47,13 +70,9 @@ pub enum MachineConfig {
 }
 
 impl MachineConfig {
-    /// The default distributed build: 12 GiB per-action limit, 2 s
-    /// dispatch overhead.
+    /// The default distributed build: 12 GiB per-action limit.
     pub fn distributed() -> Self {
-        MachineConfig::Distributed {
-            ram_limit: 12 * GIB,
-            dispatch_secs: 2.0,
-        }
+        MachineConfig::Distributed { ram_limit: 12 * GIB }
     }
 
     /// A workstation build.
@@ -64,7 +83,7 @@ impl MachineConfig {
     /// The per-action memory limit, if this machine enforces one.
     pub fn ram_limit(&self) -> Option<u64> {
         match self {
-            MachineConfig::Distributed { ram_limit, .. } => Some(*ram_limit),
+            MachineConfig::Distributed { ram_limit } => Some(*ram_limit),
             MachineConfig::Workstation => None,
         }
     }
@@ -91,14 +110,11 @@ pub struct Executor {
     /// When present, scheduled faults
     /// ([transient failures](FaultKind::TransientActionFailure) and
     /// [timeouts](FaultKind::ActionTimeout)) hit actions run through
-    /// [`run_phase`](Executor::run_phase), which retries them under
-    /// `retry`.
+    /// [`run_phase`](Executor::run_phase), which retries them.
     faults: Option<Arc<FaultInjector>>,
-    retry: RetryPolicy,
     /// Local worker-pool width for [`execute_indexed`]
-    /// (Executor::execute_indexed). `1` runs everything inline on the
-    /// calling thread (the exact legacy path); the default is one
-    /// worker per hardware thread.
+    /// (Executor::execute_indexed). `1` runs everything on the calling
+    /// thread; the default is one worker per hardware thread.
     jobs: usize,
 }
 
@@ -132,21 +148,19 @@ impl Executor {
         Executor {
             machine,
             faults: None,
-            retry: RetryPolicy::default(),
             jobs: default_jobs(),
         }
     }
 
-    /// Attaches a fault injector and the retry policy that absorbs the
-    /// faults it schedules.
-    pub fn with_faults(mut self, faults: Arc<FaultInjector>, retry: RetryPolicy) -> Self {
+    /// Attaches a fault injector whose faults
+    /// [`run_phase`](Executor::run_phase) absorbs by retrying.
+    pub fn with_faults(mut self, faults: Arc<FaultInjector>) -> Self {
         self.faults = Some(faults);
-        self.retry = retry;
         self
     }
 
-    /// Sets the local worker-pool width (`--jobs`). `1` ⇒ the exact
-    /// serial legacy path; values are clamped to at least 1.
+    /// Sets the local worker-pool width (`--jobs`). `1` runs every item
+    /// on the calling thread; values are clamped to at least 1.
     pub fn with_jobs(mut self, jobs: usize) -> Self {
         self.jobs = jobs.max(1);
         self
@@ -157,37 +171,25 @@ impl Executor {
         self.jobs
     }
 
-    /// The retry policy [`run_phase`](Executor::run_phase) absorbs
-    /// faults under.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
-    /// The machine this executor schedules onto.
-    pub fn machine(&self) -> MachineConfig {
-        self.machine
-    }
-
     /// Runs `f` over every item on the worker pool and returns the
     /// results **in item order**, bit-identically to a serial loop.
     ///
     /// Determinism contract: `f(worker, index, &item)` must be a pure
     /// function of `(index, item)` — the `worker` argument is a lane id
-    /// for telemetry only. Workers pull indices from a shared cursor
+    /// for telemetry only. Lanes pull indices from a shared cursor
     /// (dynamic load balancing), write each result into its slot, and
     /// the slots are read back in index order; result order, and
     /// therefore every downstream fold over the results, is independent
-    /// of thread interleaving. With `jobs == 1` (or one item) the items
-    /// run inline on the calling thread — the exact legacy path.
+    /// of thread interleaving. The calling thread is lane 0; lanes 1..
+    /// are spawned only when `jobs` and the item count both exceed one,
+    /// so `jobs == 1` (or one item) runs everything on the caller.
     ///
     /// # Errors
     ///
     /// A panic inside `f` is caught where it happens and the
     /// *lowest-index* panic surfaces as [`BuildError::WorkerPanicked`]
-    /// — a typed error, never a hang or a propagated unwind. On the
-    /// pool the other workers keep draining, so the remaining items
-    /// still run; inline, the loop returns at the first panic, which is
-    /// the lowest index — the same error either way.
+    /// — a typed error, never a hang or a propagated unwind. The lanes
+    /// keep draining past a panic, so the remaining items still run.
     pub fn execute_indexed<T, R, F>(
         &self,
         what: &str,
@@ -201,47 +203,27 @@ impl Executor {
     {
         let start = Instant::now();
         let workers = self.jobs.min(items.len()).max(1);
-        if workers == 1 {
-            let mut out = Vec::with_capacity(items.len());
-            let mut busy_us = 0u64;
-            for (i, item) in items.iter().enumerate() {
-                let t0 = Instant::now();
-                let r = std::panic::catch_unwind(AssertUnwindSafe(|| f(0, i, item)));
-                busy_us += t0.elapsed().as_micros() as u64;
-                match r {
-                    Ok(v) => out.push(v),
-                    Err(payload) => {
-                        return Err(BuildError::WorkerPanicked {
-                            what: what.to_string(),
-                            message: panic_message(&*payload),
-                        })
-                    }
-                }
-            }
-            let stats = PoolStats { wall_us: start.elapsed().as_micros() as u64, busy_us };
-            return Ok((out, stats));
-        }
-
         let next = AtomicUsize::new(0);
         let busy = AtomicU64::new(0);
         let slots: parking_lot::Mutex<Vec<Option<std::thread::Result<R>>>> =
             parking_lot::Mutex::new((0..items.len()).map(|_| None).collect());
-        let f = &f;
-        let (next_ref, busy_ref, slots_ref) = (&next, &busy, &slots);
+        let lane = |w: usize| loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else { break };
+            let t0 = Instant::now();
+            // Catch the unwind *inside* the lane: a panicking closure
+            // must not take the scope (and the caller) down with it, and
+            // the other lanes keep draining.
+            let r = std::panic::catch_unwind(AssertUnwindSafe(|| f(w, i, item)));
+            busy.fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
+            slots.lock()[i] = Some(r);
+        };
+        let lane = &lane;
         crossbeam::thread::scope(|s| {
-            for w in 0..workers {
-                s.spawn(move |_| loop {
-                    let i = next_ref.fetch_add(1, Ordering::Relaxed);
-                    let Some(item) = items.get(i) else { break };
-                    let t0 = Instant::now();
-                    // Catch the unwind *inside* the worker: a panicking
-                    // closure must not take the scope (and the caller)
-                    // down with it, and other workers keep draining.
-                    let r = std::panic::catch_unwind(AssertUnwindSafe(|| f(w, i, item)));
-                    busy_ref.fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
-                    slots_ref.lock()[i] = Some(r);
-                });
+            for w in 1..workers {
+                s.spawn(move |_| lane(w));
             }
+            lane(0);
         })
         .expect("pool workers catch their own panics");
 
@@ -276,7 +258,7 @@ impl Executor {
     /// formula.
     ///
     /// Wall-clock:
-    /// * distributed — `dispatch_secs + max(action latency)`: every
+    /// * distributed — [`DISPATCH_SECS`] `+ max(action latency)`: every
     ///   action gets its own worker, so the phase takes as long as its
     ///   longest action, plus the scheduler overhead;
     /// * workstation — `sum(action latency)`: serial execution.
@@ -291,7 +273,7 @@ impl Executor {
     /// sum) stays on the `parent` span the caller owns.
     ///
     /// Fault absorption: transient failures and timeouts scheduled by
-    /// the attached injector are retried under the [`RetryPolicy`], with
+    /// the attached injector are retried up to [`MAX_ATTEMPTS`] times, with
     /// exponential backoff + deterministic jitter charged in *modeled*
     /// seconds (nothing sleeps). Faults only roll on attempts that
     /// still have retry budget left, so the final budgeted attempt of a
@@ -344,9 +326,9 @@ impl Executor {
             // Roll order is fixed (hang before crash) and rolls only
             // happen while budget remains, so every fired fault is
             // observed and retried exactly once.
-            while let Some(inj) = inj.filter(|_| attempt + 1 < self.retry.max_attempts.max(1)) {
+            while let Some(inj) = inj.filter(|_| attempt + 1 < MAX_ATTEMPTS) {
                 if inj.fires(FaultKind::ActionTimeout, &a.name) {
-                    work += self.retry.timeout_secs;
+                    work += TIMEOUT_SECS;
                     res.timeouts += 1;
                 } else if inj.fires(FaultKind::TransientActionFailure, &a.name) {
                     work += a.cpu_secs;
@@ -354,7 +336,7 @@ impl Executor {
                 } else {
                     break;
                 }
-                let backoff = self.retry.backoff_secs(inj, &a.name, attempt);
+                let backoff = backoff_secs(inj, &a.name, attempt);
                 waited += backoff;
                 res.backoff_secs += backoff;
                 attempt += 1;
@@ -370,7 +352,7 @@ impl Executor {
             }
         }
         let wall_secs = match self.machine {
-            MachineConfig::Distributed { dispatch_secs, .. } => dispatch_secs + critical_path,
+            MachineConfig::Distributed { .. } => DISPATCH_SECS + critical_path,
             MachineConfig::Workstation => serial_latency,
         };
         let report = PhaseReport {
@@ -411,12 +393,9 @@ mod tests {
 
     #[test]
     fn distributed_wall_is_dispatch_plus_critical_path() {
-        let ex = Executor::new(MachineConfig::Distributed {
-            ram_limit: GIB,
-            dispatch_secs: 2.0,
-        });
+        let ex = Executor::new(MachineConfig::Distributed { ram_limit: GIB });
         let (r, _) = ex.run_phase(&phase(), &Telemetry::disabled(), None).unwrap();
-        assert!((r.wall_secs - 6.0).abs() < 1e-12, "2 + max(1,4,2)");
+        assert!((r.wall_secs - (DISPATCH_SECS + 4.0)).abs() < 1e-12, "dispatch + max(1,4,2)");
         assert!((r.cpu_secs - 7.0).abs() < 1e-12);
         assert_eq!(r.num_actions, 3);
         assert_eq!(r.max_action_memory, 300);
@@ -502,7 +481,7 @@ mod tests {
     fn resilient_without_faults_is_the_closed_form() {
         let tel = Telemetry::enabled();
         for (machine, wall_secs) in [
-            (MachineConfig::Distributed { ram_limit: GIB, dispatch_secs: 2.0 }, 2.0 + 4.0),
+            (MachineConfig::Distributed { ram_limit: GIB }, DISPATCH_SECS + 4.0),
             (MachineConfig::workstation(), 1.0 + 4.0 + 2.0),
         ] {
             let ex = Executor::new(machine);
@@ -524,40 +503,57 @@ mod tests {
     }
 
     #[test]
+    fn backoff_grows_and_jitter_is_bounded() {
+        let inj = FaultInjector::new(propeller_faults::FaultPlan::none(), 5);
+        let b0 = backoff_secs(&inj, "compile m0", 0);
+        let b1 = backoff_secs(&inj, "compile m0", 1);
+        let b2 = backoff_secs(&inj, "compile m0", 2);
+        assert!((BASE_BACKOFF_SECS..BASE_BACKOFF_SECS * (1.0 + JITTER_FRAC)).contains(&b0));
+        assert!(b1 > b0 / (1.0 + JITTER_FRAC));
+        assert!(b2 > b1 / (1.0 + JITTER_FRAC));
+        // Deterministic.
+        assert_eq!(b0, backoff_secs(&inj, "compile m0", 0));
+    }
+
+    #[test]
     fn always_transient_retries_and_charges_wasted_work() {
         use propeller_faults::FaultPlan;
-        let plan = FaultPlan::parse("transient=1").unwrap();
-        let rp = RetryPolicy { jitter_frac: 0.0, ..RetryPolicy::default() };
-        let ex = Executor::new(MachineConfig::workstation())
-            .with_faults(Arc::new(FaultInjector::new(plan, 3)), rp);
+        let inj = Arc::new(FaultInjector::new(FaultPlan::parse("transient=1").unwrap(), 3));
+        let ex = Executor::new(MachineConfig::workstation()).with_faults(inj.clone());
         let actions = [ActionSpec::new("a", 1.0, 100)];
         let (r, res) = ex
             .run_phase(&actions, &Telemetry::disabled(), None)
             .unwrap();
-        // 4 attempts: 3 transient failures + the guaranteed final
-        // success, plus backoffs 0.5 + 1.0 + 2.0.
-        assert_eq!(res.retries, 3);
+        // MAX_ATTEMPTS attempts: every one but the last a transient
+        // failure, the last the guaranteed success; each failure waits
+        // out its backoff.
+        let failures = MAX_ATTEMPTS - 1;
+        let backoff: f64 = (0..failures).map(|k| backoff_secs(&inj, "a", k)).sum();
+        let unjittered: f64 = (0..failures)
+            .map(|k| BASE_BACKOFF_SECS * BACKOFF_MULTIPLIER.powi(k as i32))
+            .sum();
+        assert!((unjittered..unjittered * (1.0 + JITTER_FRAC)).contains(&backoff));
+        assert_eq!(res.retries, u64::from(failures));
         assert_eq!(res.timeouts, 0);
-        assert!((res.backoff_secs - 3.5).abs() < 1e-12);
-        assert!((r.cpu_secs - 4.0).abs() < 1e-12);
-        assert!((r.wall_secs - 7.5).abs() < 1e-12);
+        assert!((res.backoff_secs - backoff).abs() < 1e-12);
+        assert!((r.cpu_secs - f64::from(MAX_ATTEMPTS)).abs() < 1e-12);
+        assert!((r.wall_secs - (f64::from(MAX_ATTEMPTS) + backoff)).abs() < 1e-12);
     }
 
     #[test]
     fn always_timeout_burns_deadline_not_cpu() {
         use propeller_faults::FaultPlan;
-        let plan = FaultPlan::parse("timeout=1:1").unwrap();
-        let rp = RetryPolicy { jitter_frac: 0.0, timeout_secs: 10.0, ..RetryPolicy::default() };
-        let ex = Executor::new(MachineConfig::workstation())
-            .with_faults(Arc::new(FaultInjector::new(plan, 3)), rp);
+        let inj = Arc::new(FaultInjector::new(FaultPlan::parse("timeout=1:1").unwrap(), 3));
+        let ex = Executor::new(MachineConfig::workstation()).with_faults(inj.clone());
         let actions = [ActionSpec::new("a", 1.0, 100)];
         let (r, res) = ex
             .run_phase(&actions, &Telemetry::disabled(), None)
             .unwrap();
         assert_eq!(res.timeouts, 1);
-        // Hung attempt (10 s) + backoff (0.5 s) + clean rerun (1 s).
-        assert!((r.cpu_secs - 11.0).abs() < 1e-12);
-        assert!((r.wall_secs - 11.5).abs() < 1e-12);
+        // Hung attempt (the deadline) + backoff + clean rerun (1 s).
+        let backoff = backoff_secs(&inj, "a", 0);
+        assert!((r.cpu_secs - (TIMEOUT_SECS + 1.0)).abs() < 1e-12);
+        assert!((r.wall_secs - (TIMEOUT_SECS + 1.0 + backoff)).abs() < 1e-12);
     }
 
     #[test]
@@ -565,10 +561,8 @@ mod tests {
         use propeller_faults::FaultPlan;
         let plan = FaultPlan::parse("transient=0.4,timeout=0.2").unwrap();
         let run = |seed| {
-            let ex = Executor::new(MachineConfig::distributed()).with_faults(
-                Arc::new(FaultInjector::new(plan.clone(), seed)),
-                RetryPolicy::default(),
-            );
+            let ex = Executor::new(MachineConfig::distributed())
+                .with_faults(Arc::new(FaultInjector::new(plan.clone(), seed)));
             ex.run_phase(&phase(), &Telemetry::disabled(), None).unwrap()
         };
         assert_eq!(run(7), run(7));
@@ -579,7 +573,7 @@ mod tests {
         use propeller_faults::FaultPlan;
         let plan = FaultPlan::parse("transient=1").unwrap();
         let ex = Executor::new(MachineConfig::distributed())
-            .with_faults(Arc::new(FaultInjector::new(plan, 1)), RetryPolicy::default());
+            .with_faults(Arc::new(FaultInjector::new(plan, 1)));
         let err = ex
             .run_phase(
                 &[ActionSpec::new("llvm-bolt", 600.0, 36 * GIB)],
@@ -621,7 +615,7 @@ mod tests {
         let (empty, _) = ex.execute_indexed("noop", &[] as &[u32], |_, _, &x| x).unwrap();
         assert!(empty.is_empty());
         let (one, _) = ex.execute_indexed("one", &[7u32], |w, _, &x| (w, x)).unwrap();
-        // A single item runs inline on the calling thread as worker 0.
+        // A single item runs on the calling thread as lane 0.
         assert_eq!(one, vec![(0, 7)]);
     }
 

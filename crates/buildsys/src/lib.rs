@@ -52,6 +52,7 @@ pub use cache::{ActionCache, CacheEvent, CacheStats};
 pub use error::BuildError;
 pub use executor::{
     default_jobs, panic_message, Executor, MachineConfig, PoolStats, ResilienceReport,
+    DISPATCH_SECS, MAX_ATTEMPTS,
 };
 
 /// One gibibyte, the unit of the paper's per-action memory limits.

@@ -68,13 +68,6 @@ impl ClusterMap {
 pub struct CodegenOptions {
     /// Basic block section emission mode.
     pub bb_sections: BbSectionsMode,
-    /// Emit `.llvm_bb_addr_map` metadata. Implied by
-    /// [`BbSectionsMode::Labels`] and [`BbSectionsMode::Clusters`]; can
-    /// be forced on independently for testing.
-    pub emit_bb_addr_map: bool,
-    /// Size of the module's read-only data, as a fraction of its text
-    /// size (models string tables, vtables, jump tables...).
-    pub rodata_fraction: f64,
     /// Emit DWARF `.debug_ranges`-style records, one range per text
     /// fragment with two relocations each (§4.3).
     pub debug_ranges: bool,
@@ -84,8 +77,6 @@ impl Default for CodegenOptions {
     fn default() -> Self {
         CodegenOptions {
             bb_sections: BbSectionsMode::Off,
-            emit_bb_addr_map: false,
-            rodata_fraction: 0.30,
             debug_ranges: false,
         }
     }
@@ -101,7 +92,6 @@ impl CodegenOptions {
     pub fn with_labels() -> Self {
         CodegenOptions {
             bb_sections: BbSectionsMode::Labels,
-            emit_bb_addr_map: true,
             ..Self::default()
         }
     }
@@ -111,14 +101,14 @@ impl CodegenOptions {
     pub fn with_clusters(map: ClusterMap) -> Self {
         CodegenOptions {
             bb_sections: BbSectionsMode::Clusters(map),
-            emit_bb_addr_map: true,
             ..Self::default()
         }
     }
 
-    /// Whether the address map section should be emitted.
+    /// Whether the `.llvm_bb_addr_map` section should be emitted: in
+    /// [`BbSectionsMode::Labels`] and [`BbSectionsMode::Clusters`].
     pub fn wants_bb_addr_map(&self) -> bool {
-        self.emit_bb_addr_map || !matches!(self.bb_sections, BbSectionsMode::Off)
+        !matches!(self.bb_sections, BbSectionsMode::Off)
     }
 }
 

@@ -53,7 +53,7 @@ pub use report::{EvalReport, PhaseTimes, PropellerReport};
 pub use propeller_buildsys::MachineConfig;
 pub use propeller_faults::{
     splitmix64, DegradationLedger, FaultInjector, FaultKind, FaultPlan, FaultPlanParseError,
-    FaultSpec, LayoutMode, RetryPolicy,
+    FaultSpec, LayoutMode,
 };
 pub use propeller_linker::LinkedBinary;
 pub use propeller_profile::SamplingConfig;

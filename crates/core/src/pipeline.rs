@@ -6,13 +6,12 @@ use crate::report::{EvalReport, PhaseTimes, PropellerReport};
 use parking_lot::Mutex;
 use propeller_buildsys::{
     cost, ActionCache, ActionSpec, CacheEvent, Executor, MachineConfig, PhaseReport, PoolStats,
+    MAX_ATTEMPTS,
 };
 use propeller_codegen::{
     codegen_module_traced, CodegenError, CodegenOptions, CodegenResult, FunctionClusters,
 };
-use propeller_faults::{
-    DegradationLedger, FaultInjector, FaultKind, FaultPlan, LayoutMode, RetryPolicy,
-};
+use propeller_faults::{DegradationLedger, FaultInjector, FaultKind, FaultPlan, LayoutMode};
 use propeller_ir::{FunctionId, Module, Program};
 use propeller_linker::{link_refs_traced, LinkInputRef, LinkOptions, LinkedBinary};
 use propeller_obj::{ContentHash, ContentHasher};
@@ -297,7 +296,7 @@ impl Propeller {
         };
         let mut executor = Executor::new(opts.machine).with_jobs(opts.jobs);
         if let Some(inj) = &injector {
-            executor = executor.with_faults(inj.clone(), RetryPolicy::default());
+            executor = executor.with_faults(inj.clone());
         }
         let fingerprints = program.modules().iter().map(module_fingerprint).collect();
         Propeller {
@@ -895,7 +894,7 @@ impl Propeller {
                         // rebuilds it (a counted cache rebuild).
                         failed_actions.push(ActionSpec::new(
                             format!("codegen {} (permanent failure)", module.name),
-                            f64::from(self.executor.retry_policy().max_attempts.max(1))
+                            f64::from(MAX_ATTEMPTS)
                                 * cost::codegen_secs(module_insts(module)),
                             64 << 20,
                         ));

@@ -36,7 +36,7 @@ pub enum Direction {
 /// Exact names are matched first; unknown keys fall back to substring
 /// heuristics, and anything still ambiguous is informational — the gate
 /// never guesses a direction to fail on.
-pub fn direction_of(key: &str) -> Direction {
+fn direction_of(key: &str) -> Direction {
     match key {
         "doctor.sample_coverage"
         | "doctor.fallthrough_confidence"
@@ -437,122 +437,6 @@ pub fn diff_reports(a: &RunReport, b: &RunReport, tolerance_pct: f64) -> DiffRep
     }
 }
 
-/// A series diff over three or more reports — the fleet release
-/// inspection view: one row per metric, one column per report, plus the
-/// full pairwise gate over every consecutive pair.
-#[derive(Clone, PartialEq, Debug, Default)]
-pub struct TrendReport {
-    /// Labels of the input reports, in order (file names at the CLI).
-    pub labels: Vec<String>,
-    /// Per-metric value series, keyed by metric name. A report missing
-    /// the metric contributes `None` at its position.
-    pub series: BTreeMap<String, Vec<Option<f64>>>,
-    /// `diff(reports[i], reports[i+1])` for every consecutive pair —
-    /// the exact same gate machinery two-report `diff` uses.
-    pub steps: Vec<DiffReport>,
-    /// The tolerance every step was gated at, in percent.
-    pub tolerance_pct: f64,
-}
-
-impl TrendReport {
-    /// True when any consecutive step regresses.
-    pub fn has_regression(&self) -> bool {
-        self.steps.iter().any(DiffReport::has_regression)
-    }
-
-    /// Renders the per-metric trend table plus a one-line verdict per
-    /// step.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(out, "  {:<30}", "metric");
-        for l in &self.labels {
-            // File paths are long; the stem is enough to tell columns
-            // apart in a release series.
-            let stem = l.rsplit('/').next().unwrap_or(l);
-            let _ = write!(out, " {stem:>14.14}");
-        }
-        out.push('\n');
-        for (key, values) in &self.series {
-            let _ = write!(out, "  {key:<30}");
-            for v in values {
-                match v {
-                    Some(v) => {
-                        let _ = write!(out, " {v:>14.4}");
-                    }
-                    None => {
-                        let _ = write!(out, " {:>14}", "-");
-                    }
-                }
-            }
-            // Direction annotation: does the series end worse than it
-            // started, per the metric's gate direction?
-            let ends = values.iter().flatten().copied().collect::<Vec<_>>();
-            if let (Some(&first), Some(&last)) = (ends.first(), ends.last()) {
-                let worse = match direction_of(key) {
-                    Direction::HigherBetter => last < first,
-                    Direction::LowerBetter => last > first,
-                    Direction::Informational => false,
-                };
-                if worse {
-                    let _ = write!(out, "  worsening");
-                }
-            }
-            out.push('\n');
-        }
-        for (i, step) in self.steps.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "  step {} -> {}: {}",
-                self.labels.get(i).map(String::as_str).unwrap_or("?"),
-                self.labels.get(i + 1).map(String::as_str).unwrap_or("?"),
-                if step.has_regression() {
-                    "REGRESSION"
-                } else {
-                    "ok"
-                }
-            );
-        }
-        let _ = writeln!(
-            out,
-            "{} report(s), tolerance {}%: {}",
-            self.labels.len(),
-            self.tolerance_pct,
-            if self.has_regression() {
-                "REGRESSION"
-            } else {
-                "ok"
-            }
-        );
-        out
-    }
-}
-
-/// Diffs a series of reports (release order) at the given tolerance:
-/// every consecutive pair runs through [`diff_reports`], and all
-/// metrics are pivoted into per-metric trend rows. Two reports reduce
-/// to a single-step trend; the CLI keeps its classic two-report output
-/// for that case.
-pub fn trend_reports(reports: &[(String, &RunReport)], tolerance_pct: f64) -> TrendReport {
-    let mut series: BTreeMap<String, Vec<Option<f64>>> = BTreeMap::new();
-    for (i, (_, r)) in reports.iter().enumerate() {
-        for (k, &v) in &r.metrics {
-            series
-                .entry(k.clone())
-                .or_insert_with(|| vec![None; reports.len()])[i] = Some(v);
-        }
-    }
-    let steps = reports
-        .windows(2)
-        .map(|w| diff_reports(w[0].1, w[1].1, tolerance_pct))
-        .collect();
-    TrendReport {
-        labels: reports.iter().map(|(l, _)| l.clone()).collect(),
-        series,
-        steps,
-        tolerance_pct,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -785,44 +669,6 @@ mod tests {
         // A symbol leaving the top-N is a ranking change, not a delta.
         let a = with_attr(report_with(&[]), &[("gone", 100)]);
         assert!(diff_reports(&a, &b, 0.0).attribution_deltas.is_empty());
-    }
-
-    #[test]
-    fn trend_over_three_reports_gates_each_step() {
-        let a = report_with(&[("eval.speedup_pct", 10.0), ("doctor.skew", 0.05)]);
-        let b = report_with(&[("eval.speedup_pct", 9.8), ("doctor.skew", 0.05)]);
-        let c = report_with(&[("eval.speedup_pct", 6.0), ("doctor.skew", 0.55)]);
-        let reports = vec![
-            ("r0.json".to_string(), &a),
-            ("r1.json".to_string(), &b),
-            ("r2.json".to_string(), &c),
-        ];
-        let t = trend_reports(&reports, 5.0);
-        assert_eq!(t.steps.len(), 2);
-        // r0 -> r1 drops speedup 2% (within 5%); r1 -> r2 drops ~39%.
-        assert!(!t.steps[0].has_regression());
-        assert!(t.steps[1].has_regression());
-        assert!(t.has_regression());
-        assert_eq!(
-            t.series["eval.speedup_pct"],
-            vec![Some(10.0), Some(9.8), Some(6.0)]
-        );
-        let rendered = t.render();
-        assert!(rendered.contains("eval.speedup_pct"));
-        assert!(rendered.contains("worsening"));
-        assert!(rendered.contains("REGRESSION"));
-    }
-
-    #[test]
-    fn trend_handles_missing_metrics_and_stays_clean_on_flat_series() {
-        let mut a = report_with(&[("eval.speedup_pct", 4.0)]);
-        a.metrics.insert("old.metric".into(), 1.0);
-        let b = report_with(&[("eval.speedup_pct", 4.0)]);
-        let reports = vec![("a".to_string(), &a), ("b".to_string(), &b)];
-        let t = trend_reports(&reports, 0.0);
-        assert!(!t.has_regression());
-        assert_eq!(t.series["old.metric"], vec![Some(1.0), None]);
-        assert!(t.render().contains('-'));
     }
 
     #[test]

@@ -40,10 +40,7 @@ pub use audit::{
     audit_pipeline, audit_profile, audit_profile_with_reference, layout_skew, layout_skew_agg,
     ExpectedLoad, ProfileAudit,
 };
-pub use diff::{
-    diff_reports, direction_of, trend_reports, DiffReport, Direction, LayoutChange, MetricDelta,
-    TrendReport,
-};
+pub use diff::{diff_reports, DiffReport, Direction, LayoutChange, MetricDelta};
 pub use policy::{RelinkDecision, RelinkPolicy};
 pub use doctor::{
     degradation_findings, diagnose, render, wall_clock_findings, worst, Finding, Severity,

@@ -28,7 +28,7 @@ use propeller_linker::SymbolPlacement;
 use propeller_profile::{MergeProvenance, SourceContribution};
 use propeller_sim::SymbolAttribution;
 use propeller_telemetry::json::{arr, obj, read_doc, JsonValue, Reader, SchemaError};
-use propeller_wpa::exttsp::{replay_merges, Edge, MergeStep, Node, RejectedAlt};
+use propeller_wpa::exttsp::{replay_merges, ChainReplay, Edge, MergeStep, Node, RejectedAlt};
 use propeller_wpa::{EdgeFunding, EdgeKind, FundingRecord, LayoutProvenance};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -695,8 +695,7 @@ pub fn render_explain(
     // 3. Merge decisions. Replaying the chains tells us which steps
     //    involved the selected block.
     let block_idx = block.and_then(|b| f.nodes.iter().position(|n| n.id == b));
-    let mut chains: Vec<Option<Vec<usize>>> =
-        (0..f.nodes.len()).map(|i| Some(vec![i])).collect();
+    let mut replay = ChainReplay::new(f.nodes.len());
     let _ = writeln!(
         out,
         "  merge decisions: {} committed of {} evaluated",
@@ -704,36 +703,9 @@ pub fn render_explain(
         f.evaluations
     );
     for (i, s) in f.steps.iter().enumerate() {
-        let involved = match block_idx {
-            Some(bi) => {
-                let has = |c: usize| {
-                    chains
-                        .get(c)
-                        .and_then(|c| c.as_ref())
-                        .is_some_and(|m| m.contains(&bi))
-                };
-                has(s.x) || has(s.y)
-            }
-            None => true,
-        };
-        // Advance the replay regardless, so membership stays exact.
-        if s.x < chains.len() && s.y < chains.len() {
-            if let (Some(cx), Some(cy)) = (chains[s.x].take(), chains[s.y].take()) {
-                let mut merged = Vec::with_capacity(cx.len() + cy.len());
-                match s.split {
-                    Some(p) if p <= cx.len() => {
-                        merged.extend_from_slice(&cx[..p]);
-                        merged.extend_from_slice(&cy);
-                        merged.extend_from_slice(&cx[p..]);
-                    }
-                    _ => {
-                        merged.extend_from_slice(&cx);
-                        merged.extend_from_slice(&cy);
-                    }
-                }
-                chains[s.x] = Some(merged);
-            }
-        }
+        // A step involved the block when the chain it built holds it.
+        let merged = replay.apply(s);
+        let involved = block_idx.is_none_or(|bi| merged.is_ok_and(|m| m.contains(&bi)));
         if !involved {
             continue;
         }

@@ -1,4 +1,4 @@
-//! The deterministic fault injector and the executor retry policy.
+//! The deterministic fault injector.
 //!
 //! Determinism is the whole point: a chaos run must be replayable
 //! (same seed + same plan ⇒ identical faults ⇒ identical
@@ -39,7 +39,7 @@ fn key_hash(key: &str) -> u64 {
 }
 
 /// Map a hash to a uniform `f64` in `[0, 1)` using the top 53 bits.
-fn unit_f64(h: u64) -> f64 {
+pub fn unit_f64(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
@@ -152,50 +152,6 @@ impl std::fmt::Debug for FaultInjector {
     }
 }
 
-/// How the executor retries flaky actions.
-///
-/// All durations are **modeled seconds** charged through the cost
-/// model into `PhaseReport::wall_secs`; nothing here ever sleeps.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct RetryPolicy {
-    /// Total attempts per action, including the first. The final
-    /// budgeted attempt of a *transient* failure always succeeds
-    /// (modeling a reschedule onto a healthy worker), so only
-    /// [`FaultKind::PermanentCodegenFailure`] can exhaust the budget.
-    pub max_attempts: u32,
-    /// Backoff before the first retry, in modeled seconds.
-    pub base_backoff_secs: f64,
-    /// Multiplier applied to the backoff after each failed attempt.
-    pub backoff_multiplier: f64,
-    /// Jitter as a fraction of the backoff: the modeled wait is
-    /// `backoff * (1 + jitter_frac * u)` with `u` uniform in `[0, 1)`.
-    pub jitter_frac: f64,
-    /// Modeled seconds a hung action burns before the executor gives
-    /// up on it and reschedules.
-    pub timeout_secs: f64,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            base_backoff_secs: 0.5,
-            backoff_multiplier: 2.0,
-            jitter_frac: 0.5,
-            timeout_secs: 30.0,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Modeled backoff (with deterministic jitter) after failed
-    /// attempt number `attempt` (0-based) of the action named `key`.
-    pub fn backoff_secs(&self, inj: &FaultInjector, key: &str, attempt: u32) -> f64 {
-        let base = self.base_backoff_secs * self.backoff_multiplier.powi(attempt as i32);
-        base * (1.0 + self.jitter_frac * inj.unit(key, u64::from(attempt)))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -250,19 +206,5 @@ mod tests {
         assert_eq!(inj.fired(FaultKind::ActionTimeout), 32);
         assert_eq!(inj.fired(FaultKind::TransientActionFailure), 0);
         assert_eq!(inj.rolls(FaultKind::TransientActionFailure), 32);
-    }
-
-    #[test]
-    fn backoff_grows_and_jitter_is_bounded() {
-        let inj = FaultInjector::new(FaultPlan::none(), 5);
-        let rp = RetryPolicy::default();
-        let b0 = rp.backoff_secs(&inj, "compile m0", 0);
-        let b1 = rp.backoff_secs(&inj, "compile m0", 1);
-        let b2 = rp.backoff_secs(&inj, "compile m0", 2);
-        assert!(b0 >= rp.base_backoff_secs && b0 < rp.base_backoff_secs * (1.0 + rp.jitter_frac));
-        assert!(b1 > b0 / (1.0 + rp.jitter_frac));
-        assert!(b2 > b1 / (1.0 + rp.jitter_frac));
-        // Deterministic.
-        assert_eq!(b0, rp.backoff_secs(&inj, "compile m0", 0));
     }
 }

@@ -15,8 +15,6 @@
 //!   `buildsys::ActionCache`, and `profile`; decisions are pure
 //!   hashes of `(seed, kind, site, occurrence)`, so chaos runs replay
 //!   bit-identically regardless of thread interleaving;
-//! * [`RetryPolicy`] — the executor's retry budget and exponential
-//!   backoff + jitter, all in modeled (cost-model) seconds;
 //! * [`DegradationLedger`] — exact accounting of every degradation
 //!   the pipeline performed (retries, cache rebuilds, salvaged
 //!   samples, per-object codegen fallbacks, layout mode), flowing
@@ -30,7 +28,7 @@ mod ledger;
 mod plan;
 mod service;
 
-pub use injector::{splitmix64, FaultInjector, RetryPolicy};
+pub use injector::{splitmix64, unit_f64, FaultInjector};
 pub use ledger::{DegradationCounter, DegradationLedger, LayoutMode};
 pub use plan::{FaultKind, FaultPlan, FaultPlanParseError, FaultSpec};
 pub use service::{ServiceLedger, TenantCounter, TenantLedger};

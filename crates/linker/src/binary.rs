@@ -119,7 +119,7 @@ pub struct LinkedBinary {
     pub sections: Vec<PlacedSection>,
     /// Global symbol addresses.
     pub symbols: HashMap<String, u64>,
-    /// Merged basic block address map (empty if stripped).
+    /// Merged basic block address map.
     pub bb_addr_map: BbAddrMap,
     /// File-size accounting by kind (Figure 6).
     pub size_breakdown: SizeBreakdown,

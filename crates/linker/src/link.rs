@@ -88,8 +88,6 @@ pub struct LinkOptions {
     /// relaxable text ("Any address map metadata sections in the cold
     /// native objects are dropped by the linker", §3.4).
     pub drop_cold_bb_addr_map: bool,
-    /// Drop all `.llvm_bb_addr_map` sections (baseline builds).
-    pub strip_bb_addr_map: bool,
     /// Retain static relocations in the output as a `.rela` section
     /// (the "BM" metadata binary BOLT-style rewriters require, §5.3).
     pub retain_relocs: bool,
@@ -104,7 +102,6 @@ impl Default for LinkOptions {
             symbol_order: None,
             relax: false,
             drop_cold_bb_addr_map: false,
-            strip_bb_addr_map: false,
             retain_relocs: false,
             base: 0x40_0000,
         }
@@ -300,9 +297,6 @@ fn link_impl(
             SectionKind::Text => {}
             SectionKind::EhFrame => breakdown.eh_frame += bytes.len(),
             SectionKind::BbAddrMap => {
-                if opts.strip_bb_addr_map {
-                    continue;
-                }
                 if opts.drop_cold_bb_addr_map && !obj_has_relaxable[s.obj_idx] {
                     continue;
                 }

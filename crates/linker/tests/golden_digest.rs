@@ -164,10 +164,7 @@ fn link_matches_the_digests_pinned_before_the_linear_rewrite() {
 
         let (baseline, _) = link_counted(
             &compile(&p, &CodegenOptions::baseline()),
-            &LinkOptions {
-                strip_bb_addr_map: true,
-                ..LinkOptions::default()
-            },
+            &LinkOptions::default(),
         );
         let (labels, _) = link_counted(
             &compile(&p, &CodegenOptions::with_labels()),

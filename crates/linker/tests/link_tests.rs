@@ -269,16 +269,11 @@ fn bb_addr_map_merged_or_stripped() {
     assert_eq!(kept.bb_addr_map.functions.len(), 3);
     assert!(kept.size_breakdown.bb_addr_map > 0);
 
-    let stripped = link(
-        &inputs,
-        &LinkOptions {
-            strip_bb_addr_map: true,
-            ..LinkOptions::default()
-        },
-    )
-    .unwrap();
-    assert!(stripped.bb_addr_map.functions.is_empty());
-    assert_eq!(stripped.size_breakdown.bb_addr_map, 0);
+    // A baseline binary carries no map: its objects never emit one.
+    let inputs = compile(&p, &CodegenOptions::baseline());
+    let baseline = link(&inputs, &LinkOptions::default()).unwrap();
+    assert!(baseline.bb_addr_map.functions.is_empty());
+    assert_eq!(baseline.size_breakdown.bb_addr_map, 0);
 }
 
 #[test]

@@ -30,8 +30,8 @@
 
 use propeller::{BuildCaches, PipelineError, Propeller, PropellerOptions};
 use propeller_faults::{
-    splitmix64 as mix, DegradationLedger, FaultInjector, FaultKind, FaultPlan, LayoutMode,
-    ServiceLedger, TenantCounter, TenantLedger,
+    splitmix64 as mix, unit_f64, DegradationLedger, FaultInjector, FaultKind, FaultPlan,
+    LayoutMode, ServiceLedger, TenantCounter, TenantLedger,
 };
 use propeller_obj::ContentHash;
 use propeller_synth::{generate, spec_by_name, BenchmarkSpec, GenParams};
@@ -46,7 +46,7 @@ use crate::traffic::JobRequest;
 /// never changes any output byte.
 #[derive(Clone, Debug)]
 pub struct ServeOptions {
-    /// Concurrent relink slots.
+    /// Concurrent relink slots; `RelinkService::new` raises 0 to 1.
     pub slots: usize,
     /// Bounded queue capacity (total across tenants).
     pub queue_capacity: usize,
@@ -66,8 +66,6 @@ pub struct ServeOptions {
     /// Shared-cache capacity bound (entries per cache; `None` =
     /// unbounded).
     pub cache_capacity: Option<usize>,
-    /// Extra arrivals cloned per `burst-amplify` fire.
-    pub burst_clones: usize,
     /// Phase 3 profiling block budget per job.
     pub profile_budget: u64,
 }
@@ -83,7 +81,6 @@ impl Default for ServeOptions {
             seed: 0x5E12_51CE,
             jobs: 1,
             cache_capacity: None,
-            burst_clones: 2,
             profile_budget: 60_000,
         }
     }
@@ -100,6 +97,8 @@ const RETRY_MULTIPLIER: f64 = 2.0;
 const RETRY_JITTER_FRAC: f64 = 0.5;
 /// Entries force-evicted per `evict-storm` fire.
 const STORM_EVICTIONS: usize = 6;
+/// Extra arrivals cloned per `burst-amplify` fire.
+pub(crate) const BURST_CLONES: usize = 2;
 /// Slot-time estimate for a job cancelled before its tenant ever
 /// completed one (modeled seconds).
 const DURATION_ESTIMATE_SECS: f64 = 30.0;
@@ -249,7 +248,9 @@ pub struct RelinkService {
 
 impl RelinkService {
     /// Create a service for `benchmark` at `scale` with fresh caches.
-    pub fn new(benchmark: &str, scale: f64, opts: ServeOptions) -> Result<Self, ServeError> {
+    pub fn new(benchmark: &str, scale: f64, mut opts: ServeOptions) -> Result<Self, ServeError> {
+        // The effective slot count, so the ledger records what ran.
+        opts.slots = opts.slots.max(1);
         let spec = spec_by_name(benchmark)
             .ok_or_else(|| ServeError::UnknownBenchmark(benchmark.to_string()))?;
         let scheduler_inj = opts.faults.has_service_faults().then(|| {
@@ -260,7 +261,7 @@ impl RelinkService {
         let ceiling_bytes = PropellerOptions::default().machine.ram_limit();
         let tenants_hint = 4;
         Ok(RelinkService {
-            free_slots: opts.slots.max(1),
+            free_slots: opts.slots,
             scheduler_inj,
             caches,
             tel: Telemetry::disabled(),
@@ -327,7 +328,7 @@ impl RelinkService {
 
     /// Records the slots-in-use gauge at `t_us`.
     fn tl_slots(&mut self, t_us: u64) {
-        let in_use = (self.opts.slots.max(1) - self.free_slots) as f64;
+        let in_use = (self.opts.slots - self.free_slots) as f64;
         if let Some(ts) = self.timeline.as_mut() {
             ts.gauge("slots_in_use", t_us, in_use);
         }
@@ -421,7 +422,7 @@ impl RelinkService {
 
                     inj.fires(FaultKind::TenantBurstAmplification, &format!("arrive j{}", req.id)));
             if fires {
-                for k in 0..self.opts.burst_clones {
+                for k in 0..BURST_CLONES {
                     let clone_id = self.next_clone_id;
                     self.next_clone_id += 1;
                     let t = now + (k as u64 + 1) * 100_000;
@@ -483,7 +484,7 @@ impl RelinkService {
             let base = RETRY_BASE_SECS * RETRY_MULTIPLIER.powi(attempt as i32);
             let u = match &self.scheduler_inj {
                 Some(inj) => inj.unit(&format!("backoff j{}", req.id), u64::from(attempt)),
-                None => crate::traffic::unit_f64(mix(
+                None => unit_f64(mix(
                     self.opts.seed ^ mix(req.id + 0xBACC) ^ mix(u64::from(attempt) + 1),
                 )),
             };

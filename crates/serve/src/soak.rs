@@ -13,7 +13,7 @@
 //!    `(program, plan, seed)`, and repeated relinks of one signature
 //!    are idempotent.
 
-use crate::service::{RelinkService, ServeOptions, ServiceReport};
+use crate::service::{RelinkService, ServeOptions, ServiceReport, BURST_CLONES};
 use crate::traffic::{gen_traffic, TrafficConfig};
 use propeller_faults::{FaultKind, FaultPlan, ServiceLedger};
 use std::collections::BTreeMap;
@@ -104,7 +104,6 @@ impl SoakScenario {
             jobs,
             cache_capacity: self.cache_capacity,
             profile_budget,
-            ..ServeOptions::default()
         })
     }
 }
@@ -235,9 +234,8 @@ fn check_run(name: &str, tag: &str, svc: &RelinkService, report: &ServiceReport)
         }
     }
     let burst_fired = svc.scheduler_fired(FaultKind::TenantBurstAmplification);
-    // Each burst fire spawns a fixed clone fan-out (ServeOptions
-    // default, which the soak does not override).
-    let expect_clones = burst_fired * ServeOptions::default().burst_clones as u64;
+    // Each burst fire spawns a fixed clone fan-out.
+    let expect_clones = burst_fired * BURST_CLONES as u64;
     if expect_clones != totals.burst_clones {
         return Err(format!(
             "{name} [{tag}]: {burst_fired} burst fires should book {expect_clones} clones, \

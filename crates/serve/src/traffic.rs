@@ -9,7 +9,7 @@
 //! pure function of the [`TrafficConfig`], so a traffic run replays
 //! bit-identically.
 
-use propeller_faults::splitmix64 as mix;
+use propeller_faults::{splitmix64 as mix, unit_f64};
 
 /// The shape of one synthetic traffic run.
 #[derive(Clone, Debug, PartialEq)]
@@ -90,11 +90,6 @@ pub const NORMAL_PEAK_BYTES: u64 = 6 << 30;
 /// Declared footprint of an oversize job: above the ceiling, so the
 /// admission controller must refuse it.
 pub const OVERSIZE_PEAK_BYTES: u64 = 16 << 30;
-
-/// Map a hash to a uniform `f64` in `[0, 1)` (top 53 bits).
-pub(crate) fn unit_f64(h: u64) -> f64 {
-    (h >> 11) as f64 / (1u64 << 53) as f64
-}
 
 /// The program seed of `tenant` under `cfg` — tenants fold onto
 /// `program_variants` distinct programs.

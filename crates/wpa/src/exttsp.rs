@@ -66,20 +66,21 @@ pub struct Edge {
     pub weight: u64,
 }
 
-/// Scoring and search parameters; defaults follow the published
-/// constants.
+/// Score of a perfect fall-through.
+const FALLTHROUGH_WEIGHT: f64 = 1.0;
+/// Peak score of a short forward jump.
+const FORWARD_WEIGHT: f64 = 0.1;
+/// Peak score of a short backward jump.
+const BACKWARD_WEIGHT: f64 = 0.1;
+
+/// Scoring windows and search parameters; defaults follow the
+/// published constants.
 #[derive(Copy, Clone, PartialEq, Debug)]
 pub struct ExtTspParams {
     /// Maximum forward jump distance that still scores.
     pub forward_window: u64,
     /// Maximum backward jump distance that still scores.
     pub backward_window: u64,
-    /// Score of a perfect fall-through.
-    pub fallthrough_weight: f64,
-    /// Peak score of a short forward jump.
-    pub forward_weight: f64,
-    /// Peak score of a short backward jump.
-    pub backward_weight: f64,
     /// Chains no longer than this are considered for 3-way split
     /// merges; longer chains only concatenate (the scalability knob of
     /// §4.7).
@@ -97,9 +98,6 @@ impl Default for ExtTspParams {
         ExtTspParams {
             forward_window: 1024,
             backward_window: 640,
-            fallthrough_weight: 1.0,
-            forward_weight: 0.1,
-            backward_weight: 0.1,
             chain_split_threshold: 128,
             jobs: 1,
         }
@@ -111,17 +109,17 @@ impl Default for ExtTspParams {
 fn edge_score(params: &ExtTspParams, w: u64, src_end: u64, dst_start: u64) -> f64 {
     let w = w as f64;
     if src_end == dst_start {
-        return w * params.fallthrough_weight;
+        return w * FALLTHROUGH_WEIGHT;
     }
     if dst_start > src_end {
         let d = dst_start - src_end;
         if d < params.forward_window {
-            return w * params.forward_weight * (1.0 - d as f64 / params.forward_window as f64);
+            return w * FORWARD_WEIGHT * (1.0 - d as f64 / params.forward_window as f64);
         }
     } else {
         let d = src_end - dst_start;
         if d < params.backward_window {
-            return w * params.backward_weight * (1.0 - d as f64 / params.backward_window as f64);
+            return w * BACKWARD_WEIGHT * (1.0 - d as f64 / params.backward_window as f64);
         }
     }
     0.0
@@ -627,6 +625,53 @@ impl MergeLog {
     }
 }
 
+/// The chains a recorded merge sequence builds, one step at a time,
+/// from fresh singleton chains — the one replay rule behind
+/// [`replay_merges`] and the doctor's `explain`.
+#[derive(Debug)]
+pub struct ChainReplay {
+    /// Per chain id (dense index of its founding node): its nodes in
+    /// order, `None` once absorbed.
+    chains: Vec<Option<Vec<usize>>>,
+}
+
+impl ChainReplay {
+    /// `n` singleton chains: chain `i` holds node `i`.
+    pub fn new(n: usize) -> ChainReplay {
+        ChainReplay {
+            chains: (0..n).map(|i| Some(vec![i])).collect(),
+        }
+    }
+
+    /// Lays chain `step.y` into chain `step.x` — after `x`'s first
+    /// `split` nodes, or at its end for a concatenation — and returns
+    /// the merged chain.
+    ///
+    /// # Errors
+    ///
+    /// Reports a structurally impossible step (a chain id out of range
+    /// or already absorbed, a chain absorbing itself, a split beyond
+    /// the receiving chain); the chains are then left as they were.
+    pub fn apply(&mut self, step: &MergeStep) -> Result<&[usize], String> {
+        let (x, y) = (step.x, step.y);
+        let live = |c: usize| self.chains.get(c).and_then(Option::as_ref);
+        let len = live(x)
+            .ok_or_else(|| format!("receiving chain {x} is out of range or already dead"))?
+            .len();
+        if x == y || live(y).is_none() {
+            return Err(format!("absorbed chain {y} is out of range or already dead"));
+        }
+        let k = step.split.unwrap_or(len);
+        if k > len {
+            return Err(format!("split {k} beyond chain length {len}"));
+        }
+        let absorbed = self.chains[y].take().unwrap_or_default();
+        let merged = self.chains[x].get_or_insert_with(Vec::new);
+        merged.splice(k..k, absorbed);
+        Ok(merged)
+    }
+}
+
 /// Replays a recorded merge sequence over fresh singleton chains and
 /// reassembles the final node order with the exact rule the optimizer
 /// uses (entry chain first, remaining chains by descending density,
@@ -643,29 +688,11 @@ pub fn replay_merges(nodes: &[Node], entry: u32, steps: &[MergeStep]) -> Result<
         .iter()
         .position(|n| n.id == entry)
         .ok_or_else(|| format!("entry node {entry} not in node list"))?;
-    let mut chains: Vec<Option<Vec<usize>>> = (0..nodes.len()).map(|i| Some(vec![i])).collect();
+    let mut replay = ChainReplay::new(nodes.len());
     for (si, s) in steps.iter().enumerate() {
-        if s.x >= chains.len() || s.y >= chains.len() {
-            return Err(format!("step {si}: chain id out of range"));
-        }
-        let cy = chains[s.y]
-            .take()
-            .ok_or_else(|| format!("step {si}: absorbed chain {} already dead", s.y))?;
-        let cx = chains[s.x]
-            .as_mut()
-            .ok_or_else(|| format!("step {si}: receiving chain {} already dead", s.x))?;
-        match s.split {
-            None => cx.extend_from_slice(&cy),
-            Some(k) => {
-                if k > cx.len() {
-                    return Err(format!("step {si}: split {k} beyond chain length {}", cx.len()));
-                }
-                let tail = cx.split_off(k);
-                cx.extend_from_slice(&cy);
-                cx.extend_from_slice(&tail);
-            }
-        }
+        replay.apply(s).map_err(|e| format!("step {si}: {e}"))?;
     }
+    let chains = replay.chains;
     let entry_chain = chains
         .iter()
         .position(|c| c.as_ref().is_some_and(|b| b.contains(&entry_idx)))

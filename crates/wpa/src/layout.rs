@@ -475,7 +475,6 @@ pub fn run_wpa_agg_traced(
     // Global order.
     let global_span = tel.span_under("wpa.global_order", wpa_id);
     let hot_symbols: Vec<String> = match opts.global {
-        GlobalOrder::InputOrder => planned.iter().map(|p| p.symbol.clone()).collect(),
         GlobalOrder::HotFirst => {
             let mut idx: Vec<usize> = (0..planned.len()).collect();
             idx.sort_by(|&a, &b| {

@@ -15,8 +15,6 @@ pub enum IntraOrder {
 /// How text sections are ordered globally (`ld_prof`).
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub enum GlobalOrder {
-    /// Leave sections in input order (ablation baseline).
-    InputOrder,
     /// Hot primaries by descending execution density, cold clusters
     /// last — the paper's default for the intra-function configuration.
     #[default]

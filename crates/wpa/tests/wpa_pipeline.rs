@@ -6,7 +6,7 @@ use propeller_ir::{BlockId, FunctionBuilder, FunctionId, Inst, Program, ProgramB
 use propeller_linker::{link, LinkInput, LinkOptions, LinkedBinary};
 use propeller_profile::SamplingConfig;
 use propeller_sim::{simulate, ProgramImage, SimOptions, UarchConfig, Workload};
-use propeller_wpa::{run_wpa, GlobalOrder, IntraOrder, WpaOptions};
+use propeller_wpa::{run_wpa, IntraOrder, WpaOptions};
 
 /// A program with layout headroom: workers have a rarely-taken cold
 /// block sitting between the entry and the hot tail.
@@ -222,39 +222,4 @@ fn interprocedural_mode_emits_numbered_clusters() {
         &SimOptions::default(),
     );
     assert!(r.counters.insts > 0);
-}
-
-#[test]
-fn global_order_modes_differ() {
-    let (p, driver) = program(16);
-    let pm = link_with(&p, &CodegenOptions::with_labels(), &LinkOptions::default());
-    let profile = profile_binary(&p, &pm, driver, 60_000);
-    let hot_first = run_wpa(
-        &p,
-        &pm,
-        &profile,
-        &WpaOptions {
-            global: GlobalOrder::HotFirst,
-            ..WpaOptions::default()
-        },
-    );
-    let input_order = run_wpa(
-        &p,
-        &pm,
-        &profile,
-        &WpaOptions {
-            global: GlobalOrder::InputOrder,
-            ..WpaOptions::default()
-        },
-    );
-    assert_eq!(
-        hot_first.symbol_order.len(),
-        input_order.symbol_order.len()
-    );
-    // Same set of symbols regardless of mode.
-    let mut a = hot_first.symbol_order.names().to_vec();
-    let mut b = input_order.symbol_order.names().to_vec();
-    a.sort();
-    b.sort();
-    assert_eq!(a, b);
 }

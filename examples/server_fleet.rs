@@ -27,10 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let opts = PropellerOptions {
-        machine: MachineConfig::Distributed {
-            ram_limit: spec.action_ram_gib * GIB,
-            dispatch_secs: 2.0,
-        },
+        machine: MachineConfig::Distributed { ram_limit: spec.action_ram_gib * GIB },
         ..PropellerOptions::default()
     };
     // The build caches persist across releases, like the production
@@ -79,7 +76,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // above the per-action limit.
     let executor = propeller_buildsys::Executor::new(MachineConfig::Distributed {
         ram_limit: spec.action_ram_gib * GIB,
-        dispatch_secs: 2.0,
     });
     let full_scale_bolt_peak = 36 * GIB; // Figure 4's Search-class number
     let action = propeller_buildsys::ActionSpec::new("llvm-bolt", 600.0, full_scale_bolt_peak);
