@@ -18,6 +18,7 @@ source "$(dirname "$0")/gates.sh"
 MASKS=(
     -e 's/wall [0-9.]+ ms/wall _ ms/g'                           # span tree of --trace-out
     -e 's/"(ts|dur)":[0-9.]+/"\1":_/g'                           # trace.json event times
+    -e 's/"cat":"(action|span)"/"cat":_/g'                       # and the 0 µs test behind "action"
     -e '/^  \[[A-Z ]{4}\] wall\./d'                              # doctor's wall.* findings
     -e 's/^verdict: profile is (healthy|degraded).*/verdict: _/' # and the WARN they can cause
     -e 's/^(layout computation wall time:).*/\1 _/'              # ablation-interproc's timing

@@ -5,6 +5,7 @@
 
 use crate::mapper::AddressMapper;
 use propeller_profile::AggregatedProfile;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// How a dynamic edge was observed.
@@ -88,8 +89,18 @@ pub struct DcfgFunction {
 impl DcfgFunction {
     /// Total dynamic weight of the function.
     pub fn total_count(&self) -> u64 {
-        self.block_counts.values().sum()
+        self.block_counts
+            .values()
+            .fold(0, |s, &c| s.saturating_add(c))
     }
+}
+
+/// Adds `w` to a weight, pinning it at `u64::MAX` like the aggregated
+/// profile's own counts: a saturated-hot edge must stay hot, never wrap
+/// to cold.
+pub(crate) fn saturating_add<K>(entry: Entry<'_, K, u64>, w: u64) {
+    let c = entry.or_insert(0);
+    *c = c.saturating_add(w);
 }
 
 /// The whole-program dynamic CFG.
@@ -151,10 +162,12 @@ impl Dcfg {
                 continue;
             };
             if sf == df {
-                *dcfg.functions[sf as usize]
-                    .edges
-                    .entry((sb, db, EdgeKind::Branch))
-                    .or_insert(0) += w;
+                saturating_add(
+                    dcfg.functions[sf as usize]
+                        .edges
+                        .entry((sb, db, EdgeKind::Branch)),
+                    w,
+                );
                 if let Some(funding) = funding.as_deref_mut() {
                     funding.records.push(FundingRecord {
                         func: sf,
@@ -167,9 +180,9 @@ impl Dcfg {
                     });
                 }
             } else if db == 0 {
-                *dcfg.calls.entry((sf, sb, df)).or_insert(0) += w;
+                saturating_add(dcfg.calls.entry((sf, sb, df)), w);
             } else {
-                *dcfg.returns.entry((df, sf)).or_insert(0) += w;
+                saturating_add(dcfg.returns.entry((df, sf)), w);
             }
         }
         for (&(lo, hi), &w) in &profile.fallthroughs {
@@ -183,7 +196,7 @@ impl Dcfg {
             // The block containing `lo` (a return may land mid-block).
             dcfg.addr_lookups = dcfg.addr_lookups.saturating_add(w);
             if let Some((f, b)) = mapper.lookup_idx(lo) {
-                *dcfg.functions[f as usize].block_counts.entry(b).or_insert(0) += w;
+                saturating_add(dcfg.functions[f as usize].block_counts.entry(b), w);
                 prev = Some((f, b));
             } else {
                 dcfg.addr_unmapped = dcfg.addr_unmapped.saturating_add(w);
@@ -192,13 +205,15 @@ impl Dcfg {
                 if prev == Some((f, b)) {
                     continue; // `lo` was exactly the block start
                 }
-                *dcfg.functions[f as usize].block_counts.entry(b).or_insert(0) += w;
+                saturating_add(dcfg.functions[f as usize].block_counts.entry(b), w);
                 if let Some((pf, pb)) = prev {
                     if pf == f {
-                        *dcfg.functions[f as usize]
-                            .edges
-                            .entry((pb, b, EdgeKind::Fallthrough))
-                            .or_insert(0) += w;
+                        saturating_add(
+                            dcfg.functions[f as usize]
+                                .edges
+                                .entry((pb, b, EdgeKind::Fallthrough)),
+                            w,
+                        );
                         if let Some(funding) = funding.as_deref_mut() {
                             funding.records.push(FundingRecord {
                                 func: f,
@@ -264,12 +279,17 @@ impl Dcfg {
 mod tests {
     use super::*;
     use propeller_codegen::{codegen_module, CodegenOptions};
+    use propeller_ir::Program;
     use propeller_ir::{BlockId, FunctionBuilder, Inst, ProgramBuilder, Terminator};
     use propeller_linker::{link, LinkInput, LinkOptions, LinkedBinary};
     use propeller_profile::{HardwareProfile, LbrRecord, LbrSample};
 
-    /// alpha: bb0(9B) -> bb1; beta: bb0 -> ret.
     fn binary() -> LinkedBinary {
+        link_program(&program())
+    }
+
+    /// alpha: bb0(9B) -> bb1; beta: bb0 -> ret.
+    fn program() -> Program {
         let mut pb = ProgramBuilder::new();
         let m = pb.add_module("m.cc");
         let mut f = FunctionBuilder::new("alpha");
@@ -287,8 +307,11 @@ mod tests {
         let mut g = FunctionBuilder::new("beta");
         g.add_block(vec![Inst::Store; 2], Terminator::Ret);
         pb.add_function(m, g);
-        let p = pb.finish().unwrap();
-        let r = codegen_module(&p.modules()[0], &p, &CodegenOptions::with_labels()).unwrap();
+        pb.finish().unwrap()
+    }
+
+    fn link_program(p: &Program) -> LinkedBinary {
+        let r = codegen_module(&p.modules()[0], p, &CodegenOptions::with_labels()).unwrap();
         link(
             &[LinkInput::new(r.object, r.debug_layout)],
             &LinkOptions::default(),
@@ -430,6 +453,70 @@ mod tests {
         let total: u64 = recs.iter().map(|r| r.weight).sum();
         assert_eq!(total, armed.functions[0].edges[&(0, 1, EdgeKind::Branch)]);
         assert_eq!(funding.for_func(0).len(), funding.records.len());
+    }
+
+    #[test]
+    fn saturated_weights_stay_saturated_through_interprocedural_wpa() {
+        // The aggregated profile pins its counts at u64::MAX, so every
+        // sum of them must pin too; wrapped, the hottest edge turns
+        // cold. Two records from different addresses in alpha's bb0 to
+        // bb1 sum past u64::MAX, as do two fall-through ranges over
+        // bb0 → bb1. A light bb1 → bb2 branch makes all three blocks
+        // hot, so the inter-procedural split gives each its own section
+        // and the two saturated edges join the same pair of sections.
+        let p = program();
+        let bin = link_program(&p);
+        let alpha = bin.symbol("alpha").unwrap();
+        let block = |id: u32| {
+            let f = bin
+                .layout
+                .functions
+                .iter()
+                .find(|f| f.func_symbol == "alpha");
+            f.unwrap()
+                .blocks
+                .iter()
+                .find(|b| b.block == BlockId(id))
+                .unwrap()
+                .addr
+        };
+        let half = u64::MAX / 2 + 1;
+        let mut agg = AggregatedProfile::default();
+        agg.branches.insert((alpha + 1, block(1)), half);
+        agg.branches.insert((alpha + 2, block(1)), half);
+        agg.branches.insert((block(1), block(2)), 7);
+        agg.fallthroughs.insert((alpha, block(1)), half);
+        agg.fallthroughs.insert((alpha, block(1) + 1), half);
+
+        let dcfg = Dcfg::build(&AddressMapper::from_binary(&bin), &agg);
+        let af = &dcfg.functions[0];
+        assert_eq!(af.edges[&(0, 1, EdgeKind::Branch)], u64::MAX);
+        assert_eq!(af.edges[&(0, 1, EdgeKind::Fallthrough)], u64::MAX);
+        assert_eq!(af.block_counts[&0], u64::MAX);
+        assert_eq!(af.total_count(), u64::MAX);
+
+        let out = crate::run_wpa_agg_traced(
+            &p,
+            &bin,
+            &agg,
+            0,
+            &crate::WpaOptions::interprocedural(),
+            &propeller_telemetry::Telemetry::disabled(),
+            None,
+        );
+        assert_eq!(out.stats.hot_functions, 1);
+        let prov = &out.provenance.functions[0];
+        assert_eq!(prov.total_samples, u64::MAX);
+        let weights: Vec<(&str, u64)> = prov
+            .clusters
+            .iter()
+            .map(|c| (c.symbol.as_str(), c.weight))
+            .collect();
+        assert_eq!(
+            weights,
+            [("alpha", u64::MAX), ("alpha.1", u64::MAX), ("alpha.2", 7)]
+        );
+        assert_eq!(out.symbol_order.names(), ["alpha.1", "alpha", "alpha.2"]);
     }
 
     #[test]

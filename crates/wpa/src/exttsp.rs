@@ -13,18 +13,29 @@
 //! # Cost of one gain evaluation
 //!
 //! Retrieval is logarithmic; *evaluating* a candidate pair `(x, y)` is
-//! not. Every split point of `x` re-scores the whole merged sequence,
-//! so one [`Optimizer::best_merge`] is `O(|x| · (|x| + |y| + deg))`
-//! when `|x| ≤ chain_split_threshold` and `O(|x| + |y| + deg)` above
-//! it (`deg` = outgoing edges of the two chains). That work is plain
-//! array reads: every node carries its [`Place`] (chain, index and byte
-//! offset in that chain), so a variant `X1·Y·X2` is scored by walking
-//! the three slices where they lie and shifting offsets — no position
-//! map, no sequence copy, no allocation. Each chain caches its own
-//! score, so the `base` a gain is measured against costs two loads.
-//! (Before PR 13 the same evaluation built a SipHash `HashMap` and a
-//! fresh `Vec` per split point and re-scored both chains per call:
-//! the same asymptotics, about ten times the time.)
+//! not. A pair has up to `|x| + 1` merge variants (concatenation, then
+//! every split of `x` while `|x| ≤ chain_split_threshold`), and fully
+//! scoring one walks every block of both chains: `O(|x| + |y| + deg)`
+//! (`deg` = outgoing edges of the two chains). That walk is plain array
+//! reads — every node carries its [`Place`] (chain, index and byte
+//! offset in that chain), so `X1·Y·X2` is scored where its three slices
+//! lie, with shifted offsets, no position map and no sequence copy —
+//! and each chain caches its own score, so the `base` a gain is
+//! measured against costs two loads.
+//!
+//! Most variants cannot win, and [`Optimizer::best_merge`] proves that
+//! before scoring them. Relative to `base`, merging changes only two
+//! kinds of terms: edges between `x` and `y` (usually one to three),
+//! and edges inside `x` that cross the split, whose distance grows by
+//! `|Y|` bytes so that their score can only shrink. One walk per pair
+//! ([`MergeScratch::load`]) collects the first kind and a prefix sum of
+//! the second kind's losses over `k`; each variant then gets an upper
+//! bound on its gain in `O(#x↔y edges)`, and only a variant whose bound
+//! could beat the running best is fully scored. A pair therefore costs
+//! `O(|x| + |y| + deg + |x| · #x↔y edges)` plus a few full scorings
+//! (on the benchmark's inter-procedural problem, one variant in ten).
+//! The bound is exact in `f64`, so the decisions — and every gain — are
+//! the ones the unfiltered scan makes; see [`MergeScratch::load`].
 //!
 //! # The floating-point order is part of the contract
 //!
@@ -361,17 +372,45 @@ impl<'a> Optimizer<'a> {
     }
 
     /// Enumerates merge variants of chains `x` and `y` and returns the
-    /// best `(gain, split)` if any is valid and positive.
+    /// best `(gain, split)` if any is valid and positive. A variant is
+    /// fully scored only when its bound says it could replace the
+    /// running best.
     fn best_merge(&self, x: usize, y: usize) -> Option<(f64, usize)> {
+        SCRATCH.with_borrow_mut(|scratch| self.best_merge_in(x, y, scratch))
+    }
+
+    fn best_merge_in(
+        &self,
+        x: usize,
+        y: usize,
+        scratch: &mut MergeScratch,
+    ) -> Option<(f64, usize)> {
         let len = self.chain(x).blocks.len();
+        let splits = len <= self.params.chain_split_threshold;
         let base = self.chain(x).score + self.chain(y).score;
+        let slack = scratch.load(self, x, y, splits);
         let mut best: Option<(f64, usize)> = None;
         let mut consider = |k: usize, split: usize| {
             if !self.entry_ok(x, y, k) {
                 return;
             }
+            let threshold = best.map_or(0.0, |(g, _)| g) + 1e-9;
+            let cannot_win = scratch.estimate(self, x, k) + slack <= threshold;
+            #[cfg(test)]
+            SCORINGS.with(|c| {
+                let (candidates, full) = c.get();
+                c.set((candidates + 1, full + u64::from(!cannot_win)));
+            });
+            if cannot_win {
+                #[cfg(test)]
+                assert!(
+                    self.score_merged(x, y, k) - base <= threshold,
+                    "the bound skipped a variant that wins: ({x}, {y}, {k})"
+                );
+                return;
+            }
             let gain = self.score_merged(x, y, k) - base;
-            if gain > best.map_or(0.0, |(g, _)| g) + 1e-9 {
+            if gain > threshold {
                 best = Some((gain, split));
             }
         };
@@ -379,7 +418,7 @@ impl<'a> Optimizer<'a> {
         consider(len, usize::MAX);
         // Splits of x with y inserted: X1 Y X2; a split at 0 is
         // concat(y, x), which a chain too large to split still gets.
-        if len <= self.params.chain_split_threshold {
+        if splits {
             for k in 0..len {
                 consider(k, k);
             }
@@ -439,6 +478,193 @@ impl<'a> Optimizer<'a> {
     }
 }
 
+/// An edge between the two chains of a candidate pair, with where its
+/// ends sit in their own chains.
+#[derive(Copy, Clone)]
+struct PairEdge {
+    weight: u64,
+    /// Whether the `x` end is the source.
+    x_is_src: bool,
+    /// Index of the `x` end in `x`: a split at `k ≤ x_idx` moves it
+    /// behind `y`.
+    x_idx: usize,
+    x_off: u64,
+    x_size: u64,
+    y_off: u64,
+    y_size: u64,
+}
+
+/// What [`Optimizer::best_merge`] needs to bound every variant of one
+/// pair `(x, y)`: its `x`↔`y` edges and, per split `k`, the score the
+/// edges inside `x` lose to it.
+struct MergeScratch {
+    /// `x → y` and `y → x` edges.
+    pair: Vec<PairEdge>,
+    /// `loss[k]` for `0 ≤ k < |x|` when `x` may split, else empty.
+    loss: Vec<f64>,
+    /// `|Y|` in bytes.
+    y_size: u64,
+}
+
+thread_local! {
+    /// The [`MergeScratch`] of the thread evaluating gains — the serial
+    /// loop's, or one fan-out worker's — reused across pairs and runs,
+    /// so evaluation allocates only while its buffers grow past the
+    /// largest pair the thread has seen.
+    static SCRATCH: std::cell::RefCell<MergeScratch> = const {
+        std::cell::RefCell::new(MergeScratch {
+            pair: Vec::new(),
+            loss: Vec::new(),
+            y_size: 0,
+        })
+    };
+}
+
+impl MergeScratch {
+    /// Fills the scratch for the pair `(x, y)` (`splits`: whether `x`
+    /// may split) and returns the `slack` that makes
+    /// `estimate(k) + slack` an upper bound on the gain of variant `k`
+    /// *as `best_merge` computes it in `f64`*.
+    ///
+    /// # Why the filter is exact
+    ///
+    /// Write `S(k)` for the merged score `score_merged(x, y, k)`. Its
+    /// terms are the edges inside `x`, inside `y` and between them;
+    /// every one is `≥ 0`. Against `score(X) + score(Y)`:
+    /// - an edge inside `y`, or inside `x` not crossing the split,
+    ///   keeps its distance, so `edge_score` returns the same `f64`;
+    /// - an edge inside `x` whose ends sit on both sides of `k` keeps
+    ///   its direction and its distance grows by `|Y|` (a zero-distance
+    ///   fall-through becomes a jump of `|Y|`), and `edge_score` is
+    ///   non-increasing in the distance — in `f64` too, since `d / win`,
+    ///   `1 − ·` and the products are monotone roundings — so its term
+    ///   drops by a `loss_e ≥ 0`;
+    /// - an edge between `x` and `y` is scored here with `edge_score`
+    ///   on the exact offsets `score_merged` uses, so its `f64` term is
+    ///   the same one.
+    ///
+    /// So in exact arithmetic over those `f64` terms,
+    /// `Σterms(S(k)) = Σterms(X) + Σterms(Y) + Σ_{x↔y}(k) − Σ_{e crosses k} loss_e`,
+    /// and `estimate(k)` computes the last two sums. What remains is
+    /// rounding. Let `u = 2⁻⁵³` and
+    /// `T = score(X) + score(Y) + Σ_{x↔y} w + Σ_e t_e` (`t_e` = the term
+    /// of a crossing-capable edge before the split). Every term, every
+    /// partial sum and every prefix of the loss array lies in `[−T, T]`
+    /// (each `x↔y` term is at most `w as f64`, each loss at most its
+    /// `t_e`), so each of the `m` roundings involved — `S(k)`,
+    /// `score(X)`, `score(Y)` and `base` as the optimizer sums them;
+    /// the `x↔y` sum, the losses, the difference array and its prefix
+    /// sums and the final subtractions here; `estimate + slack` — is
+    /// off by at most `u·T`. Hence
+    /// `S(k) − base ≤ estimate(k) + m·u·T` in exact arithmetic and, as
+    /// `slack = 4·m·u·T` leaves `3·m·u·T` for the rounding of `T` itself
+    /// and of the comparison, `fl(estimate + slack) ≤ threshold` implies
+    /// `S(k) − base ≤ threshold`, so the rounded gain cannot exceed
+    /// `threshold` (a representable number) either: the variant could
+    /// not have replaced `best`. The bound never assumes weights below
+    /// 2⁵³: `w as f64` rounds the same way on both sides.
+    fn load(&mut self, opt: &Optimizer<'_>, x: usize, y: usize, splits: bool) -> f64 {
+        let (cx, cy) = (opt.chain(x), opt.chain(y));
+        let params = opt.params;
+        self.pair.clear();
+        self.loss.clear();
+        if splits {
+            self.loss.resize(cx.blocks.len(), 0.0);
+        }
+        self.y_size = cy.size;
+        let mut magnitude = cx.score + cy.score;
+        // Roundings: base, estimate − loss, estimate + slack, and the
+        // prefix sums; the rest are counted per edge below.
+        let mut roundings = 3 + self.loss.len();
+        for (xi, &b) in cx.blocks.iter().enumerate() {
+            let end = opt.place[b].off + opt.sizes[b];
+            for &(other, weight) in &opt.out[b] {
+                let p = opt.place[other];
+                if p.chain == x {
+                    // Its term in S(k) and in score(X).
+                    roundings += 2;
+                    if splits && p.idx != xi {
+                        let kept = edge_score(params, weight, end, p.off);
+                        let moved = if xi < p.idx {
+                            edge_score(params, weight, end, p.off + cy.size)
+                        } else {
+                            edge_score(params, weight, end + cy.size, p.off)
+                        };
+                        let (lo, hi) = (xi.min(p.idx), xi.max(p.idx));
+                        // Crosses every split k in lo+1 ..= hi.
+                        self.loss[lo + 1] += kept - moved;
+                        if let Some(l) = self.loss.get_mut(hi + 1) {
+                            *l -= kept - moved;
+                        }
+                        magnitude += kept;
+                        roundings += 3;
+                    }
+                } else if p.chain == y {
+                    self.pair.push(PairEdge {
+                        weight,
+                        x_is_src: true,
+                        x_idx: xi,
+                        x_off: opt.place[b].off,
+                        x_size: opt.sizes[b],
+                        y_off: p.off,
+                        y_size: opt.sizes[other],
+                    });
+                }
+            }
+        }
+        for &b in &cy.blocks {
+            for &(other, weight) in &opt.out[b] {
+                let p = opt.place[other];
+                if p.chain == y {
+                    roundings += 2;
+                } else if p.chain == x {
+                    self.pair.push(PairEdge {
+                        weight,
+                        x_is_src: false,
+                        x_idx: p.idx,
+                        x_off: p.off,
+                        x_size: opt.sizes[other],
+                        y_off: opt.place[b].off,
+                        y_size: opt.sizes[b],
+                    });
+                }
+            }
+        }
+        for k in 1..self.loss.len() {
+            self.loss[k] += self.loss[k - 1];
+        }
+        for e in &self.pair {
+            // Its term in S(k) and in the estimate.
+            roundings += 2;
+            magnitude += e.weight as f64;
+        }
+        4.0 * roundings as f64 * (f64::EPSILON / 2.0) * magnitude
+    }
+
+    /// The split-dependent part of the gain of variant `k` of the
+    /// loaded pair (`k = |x|`: concatenation): the `x↔y` terms minus
+    /// the crossing losses.
+    fn estimate(&self, opt: &Optimizer<'_>, x: usize, k: usize) -> f64 {
+        let cx = opt.chain(x);
+        let y_at = cx.blocks.get(k).map_or(cx.size, |&b| opt.place[b].off);
+        let mut gain = 0.0;
+        for e in &self.pair {
+            let x_at = if e.x_idx < k {
+                e.x_off
+            } else {
+                e.x_off + self.y_size
+            };
+            let y_pos = y_at + e.y_off;
+            gain += if e.x_is_src {
+                edge_score(opt.params, e.weight, x_at + e.x_size, y_pos)
+            } else {
+                edge_score(opt.params, e.weight, y_pos + e.y_size, x_at)
+            };
+        }
+        gain - self.loss.get(k).copied().unwrap_or(0.0)
+    }
+}
+
 /// The best live, version-fresh, positive-gain candidate currently in
 /// `heap`, as the rejected-alternative record. A linear scan over the
 /// heap's backing store: selection by the total [`HeapEntry`] order, so
@@ -466,19 +692,28 @@ fn best_queued_alternative(opt: &Optimizer<'_>, heap: &BinaryHeap<HeapEntry>) ->
     })
 }
 
-/// Estimated block visits (≈ 5 ns each) every worker thread of a gain
-/// batch must have before the batch is fanned out. Spawning and joining
-/// a pair of scoped threads costs 80–120 µs, and the batches that
-/// dominate real runs are smaller than that; at half this value the
-/// benchmark's inter-procedural workload ran 1.5–4 ms (of 21) slower at
-/// `jobs = 2` than at `jobs = 1`.
-const WORK_PER_THREAD: u64 = 1 << 16;
+/// Estimated work units (≈ 5 ns each) every worker thread of a gain
+/// batch must have before the batch is fanned out. [`eval_pairs`]
+/// charges a pair `20 + 6·(|x| + |y|)`: a least-squares fit over the
+/// 1 908 batches of ≥ 200 blocks in the benchmark's `refresh_interproc`
+/// gave ≈ 104 ns per pair plus ≈ 27 ns per block of the two chains.
+/// Measured on a 2-vCPU VM, where spawning and joining two scoped
+/// threads costs ≈ 60 µs: batches of 2¹⁷–2¹⁹ units (1–3 ms inline) ran
+/// about 25 % slower split over two workers than inline, and from 2¹⁹
+/// up (3–6 ms) only broke even; at 2¹⁶ per thread the default-scale
+/// `ablation-interproc` fanned out nine batches of its 782-section
+/// layout and took 65 ms at `jobs = 2` against 63 ms at `jobs = 1`.
+const WORK_PER_THREAD: u64 = 1 << 18;
 
 #[cfg(test)]
 thread_local! {
     /// Batches this thread fanned out, so tests can tell the parallel
     /// path was really taken.
     static FAN_OUTS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    /// `(candidates, full scorings)` of the merge variants this thread
+    /// evaluated: variants past `entry_ok`, and those the bound could
+    /// not rule out.
+    static SCORINGS: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
 }
 
 /// Evaluates [`Optimizer::best_merge`] for every ordered pair in
@@ -495,15 +730,7 @@ fn eval_pairs(
     jobs: usize,
 ) -> Vec<Option<(f64, usize)>> {
     let work = |&(x, y): &(usize, usize)| -> u64 {
-        let (lx, ly) = (
-            opt.chain(x).blocks.len() as u64,
-            opt.chain(y).blocks.len() as u64,
-        );
-        if lx <= opt.params.chain_split_threshold as u64 {
-            lx * (lx + ly)
-        } else {
-            lx + ly
-        }
+        20 + 6 * (opt.chain(x).blocks.len() + opt.chain(y).blocks.len()) as u64
     };
     let workers = if jobs > 1 {
         let affordable = pairs.iter().map(work).sum::<u64>() / WORK_PER_THREAD;
@@ -705,7 +932,9 @@ pub fn replay_merges(nodes: &[Node], entry: u32, steps: &[MergeStep]) -> Result<
     }
     let density = |ci: usize| -> f64 {
         let blocks = chains[ci].as_ref().expect("live chain");
-        let count: u64 = blocks.iter().map(|&b| nodes[b].count).sum();
+        let count = blocks
+            .iter()
+            .fold(0u64, |s, &b| s.saturating_add(nodes[b].count));
         let size: u64 = blocks
             .iter()
             .map(|&b| nodes[b].size as u64)
@@ -871,7 +1100,10 @@ pub fn order_nodes_logged(
         .filter(|&(ci, _)| ci != entry_chain)
         .filter_map(|(_, c)| c.as_ref())
         .map(|c| {
-            let count: u64 = c.blocks.iter().map(|&b| nodes[b].count).sum();
+            let count = c
+                .blocks
+                .iter()
+                .fold(0u64, |s, &b| s.saturating_add(nodes[b].count));
             (count as f64 / c.size.max(1) as f64, c)
         })
         .collect();
@@ -1195,6 +1427,27 @@ mod tests {
     }
 
     #[test]
+    fn a_chain_of_saturated_counts_stays_the_densest() {
+        // Chain {1, 2} sums two counts past u64::MAX. Pinned, it is the
+        // densest chain after the entry's; wrapped, it would read as
+        // cold and trail node 3.
+        let half = u64::MAX / 2 + 1;
+        let ns = nodes(&[(0, 10, 1), (1, 10, half), (2, 10, half), (3, 10, 1000)]);
+        let mut log = MergeLog::with_detail();
+        let order = order_nodes_logged(
+            &ns,
+            &[edge(1, 2, 100)],
+            0,
+            &ExtTspParams::default(),
+            &propeller_telemetry::Telemetry::disabled(),
+            Some(&mut log),
+        );
+        assert_eq!(order, [0, 1, 2, 3]);
+        let steps = &log.detail.as_ref().unwrap().steps;
+        assert_eq!(replay_merges(&ns, 0, steps), Ok(order));
+    }
+
+    #[test]
     fn replay_rejects_malformed_steps() {
         let ns = nodes(&[(0, 10, 1), (1, 10, 1)]);
         let dead = MergeStep {
@@ -1230,7 +1483,7 @@ mod tests {
         // Large enough that re-evaluations around long chains clear
         // `WORK_PER_THREAD` for several workers, with long-range
         // shortcuts so chains meet many others.
-        let n = 240u32;
+        let n = 1200u32;
         let ns: Vec<Node> = (0..n)
             .map(|i| Node {
                 id: i,
@@ -1240,8 +1493,8 @@ mod tests {
             .collect();
         let es: Vec<Edge> = (0..n - 1)
             .map(|i| edge(i, i + 1, ((i as u64 * 17) % 60) + 1))
-            .chain((0..100).map(|i| edge((i * 5) % n, (i * 7 + 3) % n, 35)))
-            .chain((0..50).map(|i| edge((i * 11 + 1) % n, (i * 2) % n, 50)))
+            .chain((0..n / 2).map(|i| edge((i * 5) % n, (i * 7 + 3) % n, 35)))
+            .chain((0..n / 4).map(|i| edge((i * 11 + 1) % n, (i * 2) % n, 50)))
             .collect();
         let tel = propeller_telemetry::Telemetry::disabled();
         let serial = ExtTspParams::default();
@@ -1264,6 +1517,71 @@ mod tests {
                 "merge log diverged at jobs={jobs}"
             );
         }
+    }
+
+    #[test]
+    fn the_bound_leaves_few_variants_to_full_scoring_on_a_sparse_section_graph() {
+        // Shaped like the benchmark's inter-procedural problem (166
+        // sections, 212 edges), where 3 922 of 44 404 candidate variants
+        // (8.8 %) are fully scored: sizes 3–501 bytes, median 78; half
+        // the weights at most 4, one in twenty above 100; half the
+        // edges between neighbouring sections (a function's clusters),
+        // the rest calls up to about 100 sections away, 70 % forward;
+        // page-scale windows; the densest section as entry. Without the
+        // bound every candidate is scored.
+        let mut rng = proptest::test_runner::TestRng::deterministic(29);
+        let n = 170u32;
+        let ns: Vec<Node> = (0..n)
+            .map(|id| {
+                let r = rng.u64_in(0, 1000);
+                Node {
+                    id,
+                    size: (3 + r * r * r / 2_000_000) as u32,
+                    count: rng.u64_in(0, 3000),
+                }
+            })
+            .collect();
+        let es: Vec<Edge> = (0..215)
+            .map(|_| {
+                let src = rng.u64_in(0, n as u64) as u32;
+                let hop = if rng.u64_in(0, 100) < 55 {
+                    1
+                } else {
+                    rng.u64_in(2, 100) as u32
+                };
+                let dst = if rng.u64_in(0, 100) < 70 {
+                    (src + hop) % n
+                } else {
+                    (src + n - hop) % n
+                };
+                let weight = match rng.u64_in(0, 100) {
+                    0..50 => rng.u64_in(1, 5),
+                    50..76 => rng.u64_in(5, 17),
+                    76..94 => rng.u64_in(17, 101),
+                    _ => rng.u64_in(101, 1400),
+                };
+                edge(src, dst, weight)
+            })
+            .collect();
+        let entry = ns
+            .iter()
+            .max_by(|a, b| {
+                (a.count as f64 / a.size as f64).total_cmp(&(b.count as f64 / b.size as f64))
+            })
+            .map_or(0, |n| n.id);
+        let params = ExtTspParams {
+            forward_window: 4096,
+            backward_window: 4096,
+            ..ExtTspParams::default()
+        };
+        SCORINGS.set((0, 0));
+        order_nodes(&ns, &es, entry, &params);
+        let (candidates, full) = SCORINGS.get();
+        assert!(candidates > 10_000, "a problem this size has many variants");
+        assert!(
+            full * 100 <= candidates * 15,
+            "{full} of {candidates} variants fully scored"
+        );
     }
 
     #[test]
@@ -1355,6 +1673,12 @@ mod tests {
 
         /// The rewritten inner loop against the kept pre-rewrite
         /// implementation: same order, same log, every f64 to the bit.
+        /// Besides plain draws, the regimes where the bound on skipped
+        /// variants is tightest: one weight for every edge (exact ties,
+        /// decided by the `(x, y, split)` key), weights where `w as f64`
+        /// rounds (from 2⁵³ and just below `u64::MAX`), windows of 1–64
+        /// bytes (many terms at or past the window edge), and up to 200
+        /// nodes, so that chains grow past the split threshold.
         #[test]
         fn matches_the_reference_implementation_bit_for_bit(
             raw_nodes in proptest::collection::vec((0u32..300, proptest::any::<u16>()), 2..49),
@@ -1362,13 +1686,46 @@ mod tests {
                 (proptest::any::<u16>(), proptest::any::<u16>(), 1u64..2000), 0..160),
             entry_pick in proptest::any::<u16>(),
             knobs in 0usize..6,
+            weights in 0usize..4,
+            windows in (0usize..2, 1u64..=64, 1u64..=64),
+            grow in (
+                0usize..16,
+                proptest::collection::vec((0u32..300, proptest::any::<u16>()), 125..153),
+                proptest::collection::vec(
+                    (proptest::any::<u16>(), proptest::any::<u16>(), 1u64..2000), 0..60),
+            ),
         ) {
+            let (mut raw_nodes, mut raw_edges, mut entry_pick) = (raw_nodes, raw_edges, entry_pick);
+            let big = grow.0 == 0;
+            if big {
+                // A path from the entry through the added nodes, heavier
+                // than any drawn edge, so that chains grow long.
+                let first = raw_nodes.len() as u16;
+                entry_pick = first - 1;
+                raw_edges.extend(
+                    grow.1.iter().zip(first..).map(|(&(_, c), i)| (i - 1, i, 2000 + c as u64 % 2000)),
+                );
+                raw_nodes.extend(grow.1);
+                raw_edges.extend(grow.2);
+            }
+            let shared = raw_edges.first().map_or(1, |e| e.2);
+            for e in &mut raw_edges {
+                e.2 = match weights {
+                    0 => e.2,
+                    1 => shared,
+                    2 => (1 << 53) + e.2,
+                    _ => u64::MAX - 4096 + e.2,
+                };
+            }
             let (ns, es, entry) = random_problem(&raw_nodes, &raw_edges, entry_pick);
-            let params = ExtTspParams {
-                chain_split_threshold: [0, 3, 128][knobs % 3],
+            let mut params = ExtTspParams {
+                chain_split_threshold: if big { 128 } else { [0, 3, 128][knobs % 3] },
                 jobs: [1, 4][knobs / 3],
                 ..ExtTspParams::default()
             };
+            if windows.0 == 1 {
+                (params.forward_window, params.backward_window) = (windows.1, windows.2);
+            }
             let tel = propeller_telemetry::Telemetry::disabled();
             let mut new = MergeLog::with_detail();
             let order = order_nodes_logged(&ns, &es, entry, &params, &tel, Some(&mut new));

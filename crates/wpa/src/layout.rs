@@ -1,6 +1,6 @@
 //! The WPA driver: from profile to `cc_prof` + `ld_prof`.
 
-use crate::dcfg::{Dcfg, DcfgFunction, EdgeFunding, EdgeKind};
+use crate::dcfg::{saturating_add, Dcfg, DcfgFunction, EdgeFunding, EdgeKind};
 use crate::exttsp::{order_nodes_logged, Edge, MergeLog, MergeStep, Node};
 use crate::mapper::AddressMapper;
 use crate::options::{GlobalOrder, IntraOrder, WpaOptions};
@@ -420,7 +420,10 @@ pub fn run_wpa_agg_traced(
         };
         for c in &clusters {
             let symbol = c.name.symbol(&fmap.func_symbol);
-            let weight: u64 = c.blocks.iter().map(|b| count(b.0)).sum();
+            let weight = c
+                .blocks
+                .iter()
+                .fold(0u64, |s, b| s.saturating_add(count(b.0)));
             let size: u64 = c.blocks.iter().map(|b| size_of(b.0) as u64).sum();
             let is_cold = matches!(c.name, ClusterName::Cold);
             fn_prov.clusters.push(ClusterProvenance {
@@ -516,7 +519,7 @@ pub fn run_wpa_agg_traced(
                         continue;
                     };
                     if src != dst {
-                        *edge_w.entry((src as u32, dst as u32)).or_insert(0) += w;
+                        saturating_add(edge_w.entry((src as u32, dst as u32)), w);
                     }
                 }
                 // Intra-function edges crossing clusters also connect
@@ -530,7 +533,7 @@ pub fn run_wpa_agg_traced(
                             continue;
                         };
                         if src != dst {
-                            *edge_w.entry((src as u32, dst as u32)).or_insert(0) += w;
+                            saturating_add(edge_w.entry((src as u32, dst as u32)), w);
                         }
                     }
                 }
@@ -627,7 +630,7 @@ fn cut_chain(order: &[u32], dc: &DcfgFunction, k: usize) -> Vec<Vec<u32>> {
         [EdgeKind::Branch, EdgeKind::Fallthrough]
             .iter()
             .filter_map(|&kind| dc.edges.get(&(a, b, kind)))
-            .sum()
+            .fold(0, |s, &w| s.saturating_add(w))
     };
     // Candidate cut positions 1..len, ranked by the weight of the edge
     // they would break.
