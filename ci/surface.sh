@@ -1,24 +1,54 @@
 #!/usr/bin/env bash
 # Surface counter for ROADMAP item 4's gate ("public API item count and
-# total LOC both go down"). Prints three numbers over crates/*/src and
-# fails only when option_fields exceeds ci/surface_budget.txt, so a new
-# option needs the budget edited in the same diff.
+# total LOC both go down"). Prints four numbers over crates/*/src and
+# fails when option_fields or test_only_fn exceeds its budget in
+# ci/surface_budget.txt, so a new option, or a new entry point only its
+# own tests call, needs the budget edited in the same diff.
 #
 #   option_fields  pub fields of pub structs named
 #                  *Options|*Config|*Params|*Policy|*Model
 #   pub_fn         lines starting `pub fn`
 #   loc            non-blank, non-`//` lines
+#   test_only_fn   pub_fn names that appear as a word in the non-test
+#                  text of crates/*/src and benchmark/src only in
+#                  their own `fn NAME` (listed on stderr)
 #
-# pub_fn and loc stop at the #[cfg(test)] that opens a file's
-# `mod tests {` block and skip any other #[cfg(test)]-guarded item or
-# statement (through its `;`, or its closing brace when it has a body);
-# all three skip every reference.rs (test-only reference
-# implementations, compiled under #[cfg(test)] by the module that
-# declares them).
+# pub_fn, loc and test_only_fn read the non-test text: each file stops
+# at the #[cfg(test)] that opens its `mod tests {` block and skips any
+# other #[cfg(test)]-guarded item or statement (through its `;`, or its
+# closing brace when it has a body); all four skip every reference.rs
+# (test-only reference implementations, compiled under #[cfg(test)] by
+# the module that declares them).
+#
+# test_only_fn goes by name, so it misses a dead function that shares
+# its name with a live one (a `parse` nobody calls next to a `parse`
+# somebody does).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-files=$(find crates/*/src -name '*.rs' ! -path '*/reference.rs' | LC_ALL=C sort)
+rust_files() {
+    find "$@" -name '*.rs' ! -path '*/reference.rs' | LC_ALL=C sort
+}
+files=$(rust_files crates/*/src)
+
+# Prints the non-test, non-blank, non-`//` lines of the files it is given.
+non_test() {
+    awk '
+        FNR == 1 { in_tests = 0; guarded = 0 }
+        in_tests { next }
+        /^[[:space:]]*#\[cfg\(test\)\]/ { guarded = 1; depth = 0; next }
+        guarded && /^[[:space:]]*(#\[|\/\/)/ { next }
+        guarded && depth == 0 && /^[[:space:]]*mod tests \{/ { in_tests = 1; next }
+        guarded {
+            line = $0
+            depth += gsub(/\{/, "", line) - gsub(/\}/, "", line)
+            if (depth <= 0 && /[;}][[:space:]]*$/) guarded = 0
+            next
+        }
+        /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
+        { print }
+    ' "$@"
+}
 
 # shellcheck disable=SC2086
 option_fields=$(awk '
@@ -30,30 +60,39 @@ option_fields=$(awk '
 ' $files)
 
 # shellcheck disable=SC2086
-read -r pub_fn loc < <(awk '
-    FNR == 1 { in_tests = 0; guarded = 0 }
-    in_tests { next }
-    /^[[:space:]]*#\[cfg\(test\)\]/ { guarded = 1; depth = 0; next }
-    guarded && /^[[:space:]]*(#\[|\/\/)/ { next }
-    guarded && depth == 0 && /^[[:space:]]*mod tests \{/ { in_tests = 1; next }
-    guarded {
-        line = $0
-        depth += gsub(/\{/, "", line) - gsub(/\}/, "", line)
-        if (depth <= 0 && /[;}][[:space:]]*$/) guarded = 0
-        next
-    }
-    /^[[:space:]]*$/ || /^[[:space:]]*\/\// { next }
-    { loc++ }
-    /^[[:space:]]*pub fn / { fns++ }
-    END { print fns + 0, loc + 0 }
-' $files)
+text=$(non_test $files)
+loc=$(grep -c '' <<<"$text")
+pub_fn=$(grep -c '^[[:space:]]*pub fn ' <<<"$text" || true)
 
-budget=$(grep -E '^[0-9]+$' ci/surface_budget.txt)
+# Every word of the non-test text except the name in `fn NAME`.
+# shellcheck disable=SC2046
+used=$({ printf '%s\n' "$text"; non_test $(rust_files benchmark/src); } \
+    | sed -E 's/(^|[^A-Za-z0-9_])fn [A-Za-z_][A-Za-z0-9_]*/\1/g' \
+    | grep -oE '[A-Za-z_][A-Za-z0-9_]*' | LC_ALL=C sort -u)
+test_only=$(sed -nE 's/^[[:space:]]*pub fn ([A-Za-z_][A-Za-z0-9_]*).*/\1/p' <<<"$text" \
+    | LC_ALL=C sort -u | LC_ALL=C comm -23 - <(printf '%s\n' "$used"))
+test_only_fn=$(grep -c . <<<"$test_only" || true)
+
+budget() {
+    sed -nE "s/^$1=([0-9]+)$/\1/p" ci/surface_budget.txt
+}
 echo "option_fields=$option_fields"
 echo "pub_fn=$pub_fn"
 echo "loc=$loc"
-if [ "$option_fields" -gt "$budget" ]; then
-    echo "surface: option_fields $option_fields exceeds the budget of $budget in ci/surface_budget.txt" >&2
-    echo "surface: a new option needs two callers that set different values, and the budget raised in the same diff" >&2
-    exit 1
+echo "test_only_fn=$test_only_fn"
+if [ "$test_only_fn" -gt 0 ]; then
+    # shellcheck disable=SC2086
+    echo "surface: called only by their own tests:" $test_only >&2
 fi
+status=0
+if [ "$option_fields" -gt "$(budget option_fields)" ]; then
+    echo "surface: option_fields $option_fields exceeds the budget of $(budget option_fields) in ci/surface_budget.txt" >&2
+    echo "surface: a new option needs two callers that set different values, and the budget raised in the same diff" >&2
+    status=1
+fi
+if [ "$test_only_fn" -gt "$(budget test_only_fn)" ]; then
+    echo "surface: test_only_fn $test_only_fn exceeds the budget of $(budget test_only_fn) in ci/surface_budget.txt" >&2
+    echo "surface: delete the entry point nothing but its tests calls, or give it a caller" >&2
+    status=1
+fi
+exit "$status"

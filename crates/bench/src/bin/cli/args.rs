@@ -178,7 +178,7 @@ impl Parsed {
                 let need = "a non-negative number";
                 self.skew_threshold = Some(num_in(flag, &v, need, NON_NEGATIVE)?);
             }
-            "--history-window" => self.history_window = Some(num(flag, &v)?),
+            "--history-window" => self.history_window = Some(num_in(flag, &v, "at least 1", 1..)?),
             "--interval" => self.interval = Some(num_in(flag, &v, "a positive number", POSITIVE)?),
             "--config" => self.config = Some(v),
             _ => unreachable!("{flag} is in a synopsis but has no setter"),

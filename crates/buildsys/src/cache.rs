@@ -30,12 +30,10 @@ pub enum CacheEvent {
 
 /// Cumulative cache counters.
 ///
-/// Invariant: `hits + misses == lookups` ([`ActionCache::get_or_compute`]
-/// counts as one lookup).
+/// Invariant: `hits + misses == lookups`.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
 pub struct CacheStats {
-    /// Total lookups served (including the implicit lookup of
-    /// `get_or_compute`).
+    /// Total lookups served.
     pub lookups: u64,
     /// Lookups that found an artifact.
     pub hits: u64,
@@ -345,19 +343,6 @@ impl<T: Clone> ActionCache<T> {
             }
         }
     }
-
-    /// Returns the cached artifact for `key`, or computes, stores and
-    /// returns it. The boolean is `true` on a cache hit.
-    pub fn get_or_compute(&mut self, key: ContentHash, compute: impl FnOnce() -> T) -> (T, bool) {
-        match self.lookup(key) {
-            Some(v) => (v, true),
-            None => {
-                let v = compute();
-                self.insert(key, v.clone());
-                (v, false)
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -401,23 +386,6 @@ mod tests {
         let s = c.stats();
         assert_eq!((s.lookups, s.hits, s.misses, s.insertions), (3, 1, 2, 1));
         assert!((s.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn get_or_compute_is_idempotent() {
-        let mut c = ActionCache::new();
-        let mut calls = 0;
-        let (v, hit) = c.get_or_compute(key(7), || {
-            calls += 1;
-            42
-        });
-        assert_eq!((v, hit, calls), (42, false, 1));
-        let (v, hit) = c.get_or_compute(key(7), || {
-            calls += 1;
-            unreachable!("cached key must not recompute")
-        });
-        assert_eq!((v, hit, calls), (42, true, 1));
-        assert_eq!(c.len(), 1);
     }
 
     #[test]

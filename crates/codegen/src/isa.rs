@@ -115,11 +115,6 @@ impl Decoded {
     pub fn is_empty(&self) -> bool {
         false
     }
-
-    /// Whether control cannot fall through past this instruction.
-    pub fn ends_block_stream(&self) -> bool {
-        matches!(self, Decoded::Jump { .. } | Decoded::Ret)
-    }
 }
 
 /// Decodes the instruction at the start of `bytes`.
@@ -229,13 +224,5 @@ mod tests {
         assert!(fits_short(-128));
         assert!(!fits_short(128));
         assert!(!fits_short(-129));
-    }
-
-    #[test]
-    fn stream_enders() {
-        assert!(Decoded::Ret.ends_block_stream());
-        assert!(Decoded::Jump { disp: 0, len: 2 }.ends_block_stream());
-        assert!(!Decoded::CondBr { disp: 0, len: 2 }.ends_block_stream());
-        assert!(!Decoded::Straight { len: 3 }.ends_block_stream());
     }
 }

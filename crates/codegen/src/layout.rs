@@ -110,18 +110,6 @@ pub struct FunctionLayout {
     pub fragments: Vec<FragmentLayout>,
 }
 
-impl FunctionLayout {
-    /// Looks up a block's `(fragment index, placement)`.
-    pub fn find_block(&self, block: BlockId) -> Option<(usize, BlockPlacement)> {
-        for (i, frag) in self.fragments.iter().enumerate() {
-            if let Some(p) = frag.blocks.iter().find(|p| p.block == block) {
-                return Some((i, *p));
-            }
-        }
-        None
-    }
-}
-
 /// The codegen side table the execution simulator uses as its "debug
 /// info": where every block of every function landed.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
@@ -156,35 +144,5 @@ mod tests {
         let fc = FunctionClusters::hot_cold(vec![BlockId(0)], vec![BlockId(1)]);
         assert_eq!(fc.clusters.len(), 2);
         assert_eq!(fc.num_blocks(), 2);
-    }
-
-    #[test]
-    fn find_block_scans_fragments() {
-        let layout = FunctionLayout {
-            function: FunctionId(0),
-            func_symbol: "f".into(),
-            fragments: vec![
-                FragmentLayout {
-                    section_symbol: "f".into(),
-                    blocks: vec![BlockPlacement {
-                        block: BlockId(0),
-                        offset: 0,
-                        size: 4,
-                    }],
-                },
-                FragmentLayout {
-                    section_symbol: "f.cold".into(),
-                    blocks: vec![BlockPlacement {
-                        block: BlockId(1),
-                        offset: 0,
-                        size: 2,
-                    }],
-                },
-            ],
-        };
-        let (frag, p) = layout.find_block(BlockId(1)).unwrap();
-        assert_eq!(frag, 1);
-        assert_eq!(p.size, 2);
-        assert!(layout.find_block(BlockId(9)).is_none());
     }
 }

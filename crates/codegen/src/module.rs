@@ -394,6 +394,6 @@ mod tests {
         let p = build_program();
         let a = codegen_module(&p.modules()[0], &p, &CodegenOptions::with_labels()).unwrap();
         let b = codegen_module(&p.modules()[0], &p, &CodegenOptions::with_labels()).unwrap();
-        assert_eq!(a.object.content_hash(), b.object.content_hash());
+        assert_eq!(a.object.encode(), b.object.encode());
     }
 }

@@ -11,7 +11,7 @@
 //! it.
 
 use propeller_sim::{AttributedCounters, CounterSet, Event, SymbolAttribution};
-use propeller_telemetry::json::{arr, obj, read_doc, JsonValue, Reader, SchemaError};
+use propeller_telemetry::json::{arr, obj, JsonValue, Reader, SchemaError};
 use propeller_wpa::FunctionProvenance;
 use std::fmt::Write as _;
 
@@ -87,15 +87,6 @@ impl AttributionSection {
             })
         })?;
         Ok(AttributionSection { symbols })
-    }
-
-    /// Parses a serialized section.
-    ///
-    /// # Errors
-    ///
-    /// Reports both JSON syntax errors and schema mismatches.
-    pub fn parse(text: &str) -> Result<AttributionSection, SchemaError> {
-        read_doc("attribution", text, AttributionSection::read)
     }
 }
 
@@ -272,7 +263,12 @@ pub fn render_annotate(
 mod tests {
     use super::*;
     use propeller_sim::BlockAttribution;
+    use propeller_telemetry::json::read_doc;
     use propeller_wpa::ClusterProvenance;
+
+    fn parse(text: &str) -> Result<AttributionSection, SchemaError> {
+        read_doc("attribution", text, AttributionSection::read)
+    }
 
     fn attr(rows: &[(&str, u64, u64)]) -> AttributedCounters {
         AttributedCounters {
@@ -309,13 +305,13 @@ mod tests {
             &attr(&[("a", 100, 3), ("b", 40, 1)]),
             10,
         );
-        let back = AttributionSection::parse(&s.to_json().to_string_pretty()).unwrap();
+        let back = parse(&s.to_json().to_string_pretty()).unwrap();
         assert_eq!(back, s);
     }
 
     #[test]
     fn section_json_rejects_malformed_rows() {
-        let err = |text| AttributionSection::parse(text).unwrap_err().to_string();
+        let err = |text| parse(text).unwrap_err().to_string();
         assert_eq!(err("3"), "expected an array at `attribution`");
         assert_eq!(err(r#"[{"symbol": "x"}]"#), "missing `attribution[0].cycles`");
         assert_eq!(

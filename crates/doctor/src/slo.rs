@@ -64,7 +64,7 @@ pub struct SloObjective {
     /// Sliding burn-rate window in modeled seconds (latency metrics
     /// only; requires `target` and `max_warn`).
     pub window_secs: Option<f64>,
-    /// The SLO target as a good-event fraction in `[0, 1)`, e.g.
+    /// The SLO target as a good-event fraction in `(0, 1)`, e.g.
     /// `0.99` for "99% of jobs publish under `max_warn` ms".
     pub target: Option<f64>,
 }
@@ -138,9 +138,11 @@ impl SloConfig {
     /// `[[objective]]` section headers, `key = value` pairs (quoted
     /// strings or bare numbers), and full-line or trailing `#`
     /// comments. No external TOML crate — the grammar is small enough
-    /// to hand-roll and the error messages carry line numbers.
+    /// to hand-roll and the error messages carry line numbers. A key
+    /// may appear once per objective.
     pub fn parse(text: &str) -> Result<SloConfig, SloParseError> {
         let mut objectives: Vec<SloObjective> = Vec::new();
+        let mut seen: Vec<&str> = Vec::new();
         for (idx, raw) in text.lines().enumerate() {
             let lineno = idx + 1;
             let err = |message: String| SloParseError { line: lineno, message };
@@ -150,6 +152,7 @@ impl SloConfig {
             }
             if line == "[[objective]]" {
                 objectives.push(SloObjective::named("", "*"));
+                seen.clear();
                 continue;
             }
             if line.starts_with('[') {
@@ -168,6 +171,10 @@ impl SloConfig {
             };
             let key = key.trim();
             let value = value.trim();
+            if seen.contains(&key) {
+                return Err(err(format!("`{key}` is already set in this [[objective]]")));
+            }
+            seen.push(key);
             let as_str = |value: &str| -> Result<String, SloParseError> {
                 if let Some(rest) = value.strip_prefix('"') {
                     let Some(end) = rest.find('"') else {
@@ -216,7 +223,15 @@ impl SloConfig {
                     }
                     obj.window_secs = Some(secs);
                 }
-                "target" => obj.target = Some(as_num(value)?),
+                "target" => {
+                    // The error budget is `1 - target`: at 1 or above it
+                    // is empty or negative, at 0 or below nothing is bad.
+                    let target = as_num(value)?;
+                    if target <= 0.0 || target >= 1.0 {
+                        return Err(err(format!("`target` must be in (0, 1), got {target}")));
+                    }
+                    obj.target = Some(target);
+                }
                 other => return Err(err(format!("unknown key {other:?}"))),
             }
         }
@@ -539,6 +554,27 @@ min_warn = 0.5
         assert!(err.message.contains("unknown metric"));
         let err = SloConfig::parse("[[objective]]\nmax_warn = lots").unwrap_err();
         assert!(err.message.contains("expects a number"));
+        // A repeated key used to keep the last value: this graded cache
+        // hit rate under the name of the latency metric.
+        let err = SloConfig::parse(
+            "[[objective]]\nmetric = \"p99_latency_ms\"\nmax_warn = 1\nmetric = \"cache_hit_rate\"",
+        )
+        .unwrap_err();
+        assert_eq!(err.line, 4);
+        assert_eq!(err.message, "`metric` is already set in this [[objective]]");
+        // ... but each objective has its own keys.
+        let two = "[[objective]]\nmetric = \"p99_latency_ms\"\n[[objective]]\nmetric = \"p50_latency_ms\"";
+        assert_eq!(SloConfig::parse(two).expect("parses").objectives.len(), 2);
+        // A target of 1 or more left a negative error budget.
+        for bad in ["1.5", "1", "0", "-0.5"] {
+            let err = SloConfig::parse(&format!("[[objective]]\ntarget = {bad}")).unwrap_err();
+            assert_eq!(err.line, 2, "target = {bad}");
+            assert!(
+                err.message.starts_with("`target` must be in (0, 1)"),
+                "{}",
+                err.message
+            );
+        }
     }
 
     #[test]

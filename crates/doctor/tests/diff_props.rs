@@ -3,9 +3,9 @@
 //! never fail a no-change build), serialization does not perturb that,
 //! and gating honors metric direction.
 //!
-//! The second half holds the five readable artifacts (run report,
-//! provenance document, attribution section, service ledger, metrics
-//! snapshot) to their codec contract: what is written parses back to
+//! The second half holds the four readable artifacts (run report,
+//! provenance document, attribution section, metrics snapshot) to their
+//! codec contract: what is written parses back to
 //! the same value, and a damaged document — cut short, a member
 //! deleted, a number swapped for something else — is a typed error or
 //! a sane value, never a panic and never a silently defaulted member.
@@ -14,12 +14,11 @@ use propeller_doctor::{
     diff_reports, AttributionSection, ProvenanceDoc, ProvenanceFunction, RunReport,
     SymbolCounters,
 };
-use propeller_faults::{
-    splitmix64, DegradationLedger, LayoutMode, ServiceLedger, TenantLedger,
-};
+use propeller_faults::{splitmix64, DegradationLedger, LayoutMode};
 use propeller_linker::SymbolPlacement;
 use propeller_profile::{MergeProvenance, SourceContribution};
 use propeller_sim::CounterSet;
+use propeller_telemetry::json::read_doc;
 use propeller_telemetry::{JsonValue, MetricsRegistry, MetricsSnapshot, SchemaError};
 use propeller_wpa::exttsp::{Edge, MergeStep, Node, RejectedAlt};
 use propeller_wpa::{ClusterProvenance, EdgeFunding, EdgeKind, FundingRecord, FunctionProvenance};
@@ -357,29 +356,15 @@ fn provenance_doc(d: &mut Dice) -> ProvenanceDoc {
     }
 }
 
-fn service_ledger(d: &mut Dice) -> ServiceLedger {
-    let tenant = |d: &mut Dice| TenantLedger {
-        submitted: d.count(),
-        burst_clones: d.count(),
-        completed: d.count(),
-        retries: d.count(),
-        cache_lookups: d.count(),
-        identity_fallbacks: d.count(),
-        retry_backoff_secs: d.real().abs(),
-        busy_secs: d.real().abs(),
-        degradation: degradation(d),
-        ..TenantLedger::default()
-    };
-    ServiceLedger {
-        benchmark: d.name(),
-        seed: d.count(),
-        plan: d.name(),
-        slots: d.count(),
-        queue_capacity: d.count(),
-        deadline_secs: d.real().abs(),
-        makespan_secs: d.real().abs(),
-        tenants: (0..d.len()).map(|i| (format!("t{i} {}", d.name()), tenant(d))).collect(),
-    }
+/// The attribution section and the metrics snapshot travel inside a
+/// run report; standalone, they are read the way `RunReport::parse`
+/// reads its members.
+fn attribution_doc(text: &str) -> Result<AttributionSection, SchemaError> {
+    read_doc("attribution", text, AttributionSection::read)
+}
+
+fn metrics_doc(text: &str) -> Result<MetricsSnapshot, SchemaError> {
+    read_doc("metrics", text, MetricsSnapshot::read)
 }
 
 /// One readable artifact: a serialized value and its type's parser,
@@ -390,7 +375,7 @@ struct Artifact {
     reparse: fn(&str) -> Result<String, SchemaError>,
 }
 
-fn artifacts(seed: u64) -> [Artifact; 5] {
+fn artifacts(seed: u64) -> [Artifact; 4] {
     let d = &mut Dice(seed);
     let pretty = |v: JsonValue| v.to_string_pretty();
     [
@@ -407,17 +392,12 @@ fn artifacts(seed: u64) -> [Artifact; 5] {
         Artifact {
             name: "attribution",
             text: pretty(attribution(d).to_json()),
-            reparse: |t| AttributionSection::parse(t).map(|v| v.to_json().to_string_pretty()),
-        },
-        Artifact {
-            name: "service_ledger",
-            text: service_ledger(d).to_json_string(),
-            reparse: |t| ServiceLedger::parse(t).map(|v| v.to_json_string()),
+            reparse: |t| attribution_doc(t).map(|v| v.to_json().to_string_pretty()),
         },
         Artifact {
             name: "metrics",
             text: pretty(metrics(d).to_json()),
-            reparse: |t| MetricsSnapshot::parse(t).map(|v| v.to_json().to_string_pretty()),
+            reparse: |t| metrics_doc(t).map(|v| v.to_json().to_string_pretty()),
         },
     ]
 }
@@ -476,19 +456,17 @@ fn keys(path: &[Seg]) -> Vec<&str> {
 
 /// Whether a reader must notice that the member at `path` is gone:
 /// everything its writer always emits. Not required are members that
-/// are omitted when empty or `null` when absent, entries of name-keyed
-/// maps, and the ledger's derived `totals`.
+/// are omitted when empty or `null` when absent, and entries of
+/// name-keyed maps.
 fn required(path: &[Seg]) -> bool {
-    const OMITTABLE: [&str; 11] = [
+    const OMITTABLE: [&str; 10] = [
         "fault_plan", "degradation", "telemetry", "attribution", "merge_sources", "min", "max",
-        "split", "rejected", "order_pos", "totals",
+        "split", "rejected", "order_pos",
     ];
-    const NAME_KEYED: [&str; 6] = ["metrics", "wall", "counters", "gauges", "histograms", "tenants"];
+    const NAME_KEYED: [&str; 5] = ["metrics", "wall", "counters", "gauges", "histograms"];
     let keys = keys(path);
     let (last, outer) = keys.split_last().expect("a member path ends in a key");
-    !OMITTABLE.contains(last)
-        && !outer.contains(&"totals")
-        && !outer.last().is_some_and(|map| NAME_KEYED.contains(map))
+    !OMITTABLE.contains(last) && !outer.last().is_some_and(|map| NAME_KEYED.contains(map))
 }
 
 /// A damaged document must come back as an error, or as a value that
@@ -517,13 +495,12 @@ proptest! {
             prop_assert_eq!(back.as_ref(), Ok(&a.text), "{}", a.name);
         }
         let d = &mut Dice(seed);
-        let (r, p, s) = (run_report(d), provenance_doc(d), service_ledger(d));
+        let (r, p) = (run_report(d), provenance_doc(d));
         prop_assert_eq!(RunReport::parse(&r.to_json_string()), Ok(r));
         prop_assert_eq!(ProvenanceDoc::parse(&p.to_json_string()), Ok(p));
-        prop_assert_eq!(ServiceLedger::parse(&s.to_json_string()), Ok(s));
         let (m, a) = (metrics(d), attribution(d));
-        prop_assert_eq!(MetricsSnapshot::parse(&m.to_json().to_string_compact()), Ok(m));
-        prop_assert_eq!(AttributionSection::parse(&a.to_json().to_string_compact()), Ok(a));
+        prop_assert_eq!(metrics_doc(&m.to_json().to_string_compact()), Ok(m));
+        prop_assert_eq!(attribution_doc(&a.to_json().to_string_compact()), Ok(a));
     }
 
     #[test]
@@ -577,10 +554,9 @@ proptest! {
                     let mut damaged = tree.clone();
                     *at_mut(&mut damaged, path, false).expect("path of a number") = hostile.clone();
                     let parsed = survives(&a, &damaged.to_string_pretty())?;
-                    // Every number a reader reads is type-checked; only
-                    // the derived `totals` row is not read at all.
+                    // Every number a reader reads is type-checked.
                     prop_assert!(
-                        !parsed || hostile.as_f64().is_some() || keys(path).contains(&"totals"),
+                        !parsed || hostile.as_f64().is_some(),
                         "{}: a string at {path:?} parsed", a.name
                     );
                 }

@@ -1,6 +1,6 @@
 //! Basic blocks.
 
-use crate::ids::{BlockId, FunctionId};
+use crate::ids::BlockId;
 use crate::inst::{Inst, Terminator};
 
 /// A straight-line sequence of instructions ending in a [`Terminator`].
@@ -46,11 +46,6 @@ impl BasicBlock {
         false
     }
 
-    /// Iterates over callees invoked by this block, in source order.
-    pub fn callees(&self) -> impl Iterator<Item = FunctionId> + '_ {
-        self.insts.iter().filter_map(|i| i.callee())
-    }
-
     /// Successor blocks and probabilities (delegates to the terminator).
     pub fn successors(&self) -> Vec<(BlockId, f64)> {
         self.term.successors()
@@ -60,6 +55,7 @@ impl BasicBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::FunctionId;
 
     fn sample() -> BasicBlock {
         BasicBlock::new(
@@ -73,12 +69,6 @@ mod tests {
     fn len_counts_terminator() {
         assert_eq!(sample().len(), 4);
         assert!(!sample().is_empty());
-    }
-
-    #[test]
-    fn callees_filters_calls() {
-        let callees: Vec<_> = sample().callees().collect();
-        assert_eq!(callees, vec![FunctionId(3)]);
     }
 
     #[test]

@@ -12,8 +12,7 @@ use std::collections::HashMap;
 /// Incrementally constructs a [`Function`].
 ///
 /// Blocks receive dense ids in insertion order; the first block added is
-/// the entry unless [`FunctionBuilder::set_entry`] moves another block to
-/// position zero.
+/// the entry.
 ///
 /// # Example
 ///
@@ -64,23 +63,6 @@ impl FunctionBuilder {
         self.blocks[block.index()].is_landing_pad = true;
     }
 
-    /// Declares which block is the function entry.
-    ///
-    /// The entry must already be block 0 (the common case when it is the
-    /// first block added); this method only asserts that, keeping block
-    /// ids stable for already-recorded branches.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `entry` is not block 0.
-    pub fn set_entry(&mut self, entry: BlockId) {
-        assert_eq!(
-            entry,
-            BlockId(0),
-            "the entry block must be the first block added"
-        );
-    }
-
     /// Number of blocks added so far.
     pub fn num_blocks(&self) -> usize {
         self.blocks.len()
@@ -111,13 +93,6 @@ impl ProgramBuilder {
         let id = ModuleId(self.modules.len() as u32);
         self.modules.push(Module::new(id, name));
         id
-    }
-
-    /// Reserves the id the *next* call to [`ProgramBuilder::add_function`]
-    /// will assign. Useful for creating mutually-recursive call sites
-    /// before the callee exists.
-    pub fn peek_next_function_id(&self) -> FunctionId {
-        FunctionId(self.next_function)
     }
 
     /// Finalizes `builder` into `module`, returning the new function's id.
@@ -191,18 +166,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_matches_assignment() {
-        let mut pb = ProgramBuilder::new();
-        let m = pb.add_module("a.cc");
-        let peeked = pb.peek_next_function_id();
-        let mut f = FunctionBuilder::new("self_call");
-        f.add_block(vec![Inst::Call(peeked)], Terminator::Ret);
-        let actual = pb.add_function(m, f);
-        assert_eq!(peeked, actual);
-        pb.finish().unwrap();
-    }
-
-    #[test]
     fn finish_rejects_duplicate_names() {
         let mut pb = ProgramBuilder::new();
         let m = pb.add_module("a.cc");
@@ -222,14 +185,5 @@ mod tests {
         f.add_block(vec![Inst::Call(FunctionId(42))], Terminator::Ret);
         pb.add_function(m, f);
         assert!(matches!(pb.finish(), Err(IrError::UnknownCallee { .. })));
-    }
-
-    #[test]
-    #[should_panic(expected = "entry block must be the first")]
-    fn set_entry_enforces_position_zero() {
-        let mut fb = FunctionBuilder::new("f");
-        fb.add_block(Vec::new(), Terminator::Ret);
-        let second = fb.add_block(Vec::new(), Terminator::Ret);
-        fb.set_entry(second);
     }
 }

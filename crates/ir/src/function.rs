@@ -50,15 +50,6 @@ impl Function {
         self.blocks.iter().map(BasicBlock::len).sum()
     }
 
-    /// Sum of block frequencies weighted by block length; a proxy for the
-    /// function's share of dynamic instructions.
-    pub fn dynamic_weight(&self) -> u128 {
-        self.blocks
-            .iter()
-            .map(|b| b.freq as u128 * b.len() as u128)
-            .sum()
-    }
-
     /// The function entry frequency (frequency of the entry block).
     pub fn entry_freq(&self) -> u64 {
         self.entry().freq
@@ -67,28 +58,6 @@ impl Function {
     /// Returns `true` if no block has a nonzero frequency.
     pub fn is_cold(&self) -> bool {
         self.blocks.iter().all(|b| b.freq == 0)
-    }
-
-    /// Predecessor lists for every block, indexed by block id.
-    pub fn predecessors(&self) -> Vec<Vec<BlockId>> {
-        let mut preds = vec![Vec::new(); self.blocks.len()];
-        for b in &self.blocks {
-            for (succ, _) in b.successors() {
-                preds[succ.index()].push(b.id);
-            }
-        }
-        preds
-    }
-
-    /// All call sites: `(calling block, callee)` pairs in layout order.
-    pub fn call_sites(&self) -> Vec<(BlockId, FunctionId)> {
-        let mut out = Vec::new();
-        for b in &self.blocks {
-            for callee in b.callees() {
-                out.push((b.id, callee));
-            }
-        }
-        out
     }
 
     /// Checks structural invariants.
@@ -203,28 +172,12 @@ mod tests {
     }
 
     #[test]
-    fn predecessors_are_inverted_successors() {
-        let f = diamond();
-        let preds = f.predecessors();
-        assert!(preds[0].is_empty());
-        assert_eq!(preds[1], vec![BlockId(0)]);
-        assert_eq!(preds[2], vec![BlockId(0)]);
-        assert_eq!(preds[3], vec![BlockId(1), BlockId(2)]);
-    }
-
-    #[test]
-    fn call_sites_found() {
-        assert_eq!(diamond().call_sites(), vec![(BlockId(3), FunctionId(9))]);
-    }
-
-    #[test]
     fn counts_and_weights() {
         let f = diamond();
         assert_eq!(f.num_blocks(), 4);
         assert_eq!(f.num_insts(), 8);
         assert_eq!(f.entry_freq(), 100);
         assert!(!f.is_cold());
-        assert_eq!(f.dynamic_weight(), 100 * 2 + 25 * 2 + 75 * 2 + 100 * 2);
     }
 
     #[test]

@@ -20,8 +20,7 @@
 //! let mut pb = ProgramBuilder::new();
 //! let module = pb.add_module("main.cc");
 //! let mut f = FunctionBuilder::new("main");
-//! let entry = f.add_block(vec![Inst::Alu; 4], Terminator::Ret);
-//! f.set_entry(entry);
+//! f.add_block(vec![Inst::Alu; 4], Terminator::Ret);
 //! pb.add_function(module, f);
 //! let program = pb.finish().expect("valid program");
 //! assert_eq!(program.num_functions(), 1);

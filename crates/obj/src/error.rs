@@ -20,8 +20,6 @@ pub enum ObjError {
     },
     /// A string field was not valid UTF-8.
     BadString,
-    /// A section index referenced a nonexistent section.
-    BadSectionIndex(u32),
 }
 
 impl fmt::Display for ObjError {
@@ -34,7 +32,6 @@ impl fmt::Display for ObjError {
                 write!(f, "bad tag {value} while decoding {context}")
             }
             ObjError::BadString => write!(f, "invalid utf-8 in object string table"),
-            ObjError::BadSectionIndex(i) => write!(f, "section index {i} out of range"),
         }
     }
 }
@@ -50,6 +47,11 @@ mod tests {
         assert!(ObjError::Truncated { context: "symbol" }
             .to_string()
             .contains("symbol"));
-        assert!(ObjError::BadSectionIndex(9).to_string().contains('9'));
+        assert!(ObjError::BadTag {
+            context: "flags",
+            value: 9
+        }
+        .to_string()
+        .contains('9'));
     }
 }

@@ -1,16 +1,14 @@
-//! Object files: sections + symbols, with a binary wire format.
+//! Object files: sections + symbols, with a byte form for digests.
 
 use crate::error::ObjError;
-use crate::hash::ContentHash;
-use crate::reloc::{Reloc, RelocKind};
 use crate::section::{Section, SectionId, SectionKind};
-use crate::symbol::{Symbol, SymbolKind};
+use crate::symbol::Symbol;
 use bytes::{Buf, BufMut};
 
 /// A relocatable object file.
 ///
-/// Produced by the codegen backend for each module, cached by content
-/// hash in the build system, and consumed by the linker.
+/// Produced by the codegen backend for each module, cached by the build
+/// system under the module's fingerprint, and consumed by the linker.
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct ObjectFile {
     /// Originating file name, e.g. `"s_1.o"`.
@@ -39,15 +37,6 @@ impl SizeBreakdown {
     /// Sum of all categories.
     pub fn total(&self) -> usize {
         self.text + self.eh_frame + self.bb_addr_map + self.relocs + self.other
-    }
-
-    /// Adds another breakdown into this one.
-    pub fn accumulate(&mut self, other: &SizeBreakdown) {
-        self.text += other.text;
-        self.eh_frame += other.eh_frame;
-        self.bb_addr_map += other.bb_addr_map;
-        self.relocs += other.relocs;
-        self.other += other.other;
     }
 }
 
@@ -115,13 +104,8 @@ impl ObjectFile {
         b
     }
 
-    /// Content hash of the encoded object (the build-cache key for the
-    /// artifact).
-    pub fn content_hash(&self) -> ContentHash {
-        ContentHash::of_bytes(&self.encode())
-    }
-
-    /// Serializes the object to the wire format.
+    /// Serializes the object to its byte form: what the codegen golden
+    /// digest pins. Nothing reads it back.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(256 + self.sections.iter().map(Section::size).sum::<usize>());
         out.put_u32_le(0x504f_424a); // "POBJ"
@@ -158,110 +142,6 @@ impl ObjectFile {
         }
         out
     }
-
-    /// Decodes an object from the wire format.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ObjError`] if the stream is truncated, has a bad magic
-    /// number or tag, contains invalid UTF-8, or references a
-    /// nonexistent section.
-    pub fn decode(mut bytes: &[u8]) -> Result<Self, ObjError> {
-        let buf = &mut bytes;
-        let magic = get_u32(buf, "magic")?;
-        if magic != 0x504f_424a {
-            return Err(ObjError::BadTag {
-                context: "magic",
-                value: magic,
-            });
-        }
-        let name = get_str(buf, "object name")?;
-        let nsec = get_u32(buf, "section count")? as usize;
-        let mut sections = Vec::with_capacity(nsec);
-        for _ in 0..nsec {
-            let sname = get_str(buf, "section name")?;
-            let ktag = get_u8(buf, "section kind")?;
-            let kind = SectionKind::from_tag(ktag).ok_or(ObjError::BadTag {
-                context: "section kind",
-                value: ktag as u32,
-            })?;
-            let align = get_u32(buf, "section align")?;
-            let len = get_u32(buf, "section len")? as usize;
-            if buf.remaining() < len {
-                return Err(ObjError::Truncated {
-                    context: "section bytes",
-                });
-            }
-            let mut data = vec![0u8; len];
-            buf.copy_to_slice(&mut data);
-            let nrel = get_u32(buf, "reloc count")? as usize;
-            let mut relocs = Vec::with_capacity(nrel);
-            for _ in 0..nrel {
-                let offset = get_u32(buf, "reloc offset")?;
-                let rtag = get_u8(buf, "reloc kind")?;
-                let kind = RelocKind::from_tag(rtag).ok_or(ObjError::BadTag {
-                    context: "reloc kind",
-                    value: rtag as u32,
-                })?;
-                let symbol = get_str(buf, "reloc symbol")?;
-                let addend = get_i64(buf, "reloc addend")?;
-                relocs.push(Reloc {
-                    offset,
-                    kind,
-                    symbol,
-                    addend,
-                });
-            }
-            let nspan = get_u32(buf, "block map count")? as usize;
-            let mut block_map = Vec::with_capacity(nspan);
-            for _ in 0..nspan {
-                block_map.push(crate::section::BlockSpan {
-                    offset: get_u32(buf, "block span offset")?,
-                    size: get_u32(buf, "block span size")?,
-                });
-            }
-            let relaxable = get_u8(buf, "relaxable flag")? != 0;
-            sections.push(Section {
-                name: sname,
-                kind,
-                bytes: data,
-                relocs,
-                align,
-                block_map,
-                relaxable,
-            });
-        }
-        let nsym = get_u32(buf, "symbol count")? as usize;
-        let mut symbols = Vec::with_capacity(nsym);
-        for _ in 0..nsym {
-            let name = get_str(buf, "symbol name")?;
-            let section = get_u32(buf, "symbol section")?;
-            if section as usize >= sections.len() {
-                return Err(ObjError::BadSectionIndex(section));
-            }
-            let offset = get_u32(buf, "symbol offset")?;
-            let size = get_u32(buf, "symbol size")?;
-            let global = get_u8(buf, "symbol global")? != 0;
-            let ktag = get_u8(buf, "symbol kind")?;
-            let kind = SymbolKind::from_tag(ktag).ok_or(ObjError::BadTag {
-                context: "symbol kind",
-                value: ktag as u32,
-            })?;
-            symbols.push(Symbol {
-                name,
-                section: SectionId(section),
-                offset,
-                size,
-                global,
-                kind,
-            });
-        }
-        Ok(ObjectFile {
-            name,
-            sections,
-            symbols,
-        })
-    }
 }
 
 pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
@@ -276,18 +156,11 @@ pub(crate) fn get_u8(buf: &mut &[u8], context: &'static str) -> Result<u8, ObjEr
     Ok(buf.get_u8())
 }
 
-pub(crate) fn get_u32(buf: &mut &[u8], context: &'static str) -> Result<u32, ObjError> {
+fn get_u32(buf: &mut &[u8], context: &'static str) -> Result<u32, ObjError> {
     if buf.remaining() < 4 {
         return Err(ObjError::Truncated { context });
     }
     Ok(buf.get_u32_le())
-}
-
-pub(crate) fn get_i64(buf: &mut &[u8], context: &'static str) -> Result<i64, ObjError> {
-    if buf.remaining() < 8 {
-        return Err(ObjError::Truncated { context });
-    }
-    Ok(buf.get_i64_le())
 }
 
 pub(crate) fn get_str(buf: &mut &[u8], context: &'static str) -> Result<String, ObjError> {
@@ -303,6 +176,8 @@ pub(crate) fn get_str(buf: &mut &[u8], context: &'static str) -> Result<String, 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::ContentHash;
+    use crate::reloc::{Reloc, RelocKind};
 
     fn sample() -> ObjectFile {
         let mut obj = ObjectFile::new("s_1.o");
@@ -320,32 +195,6 @@ mod tests {
     }
 
     #[test]
-    fn encode_decode_round_trip() {
-        let obj = sample();
-        let decoded = ObjectFile::decode(&obj.encode()).unwrap();
-        assert_eq!(obj, decoded);
-    }
-
-    #[test]
-    fn decode_rejects_bad_magic() {
-        let mut bytes = sample().encode();
-        bytes[0] ^= 0xff;
-        assert!(matches!(
-            ObjectFile::decode(&bytes),
-            Err(ObjError::BadTag { context: "magic", .. })
-        ));
-    }
-
-    #[test]
-    fn decode_rejects_truncation_everywhere() {
-        let bytes = sample().encode();
-        for cut in 0..bytes.len() {
-            // Every proper prefix must fail cleanly, never panic.
-            assert!(ObjectFile::decode(&bytes[..cut]).is_err(), "cut={cut}");
-        }
-    }
-
-    #[test]
     fn size_breakdown_classifies_kinds() {
         let b = sample().size_breakdown();
         assert_eq!(b.text, 4);
@@ -356,11 +205,12 @@ mod tests {
 
     #[test]
     fn content_hash_changes_with_content() {
+        let hash = |obj: &ObjectFile| ContentHash::of_bytes(&obj.encode());
         let a = sample();
         let mut b = sample();
         b.sections_mut()[0].bytes[0] = 0xEE;
-        assert_ne!(a.content_hash(), b.content_hash());
-        assert_eq!(a.content_hash(), sample().content_hash());
+        assert_ne!(hash(&a), hash(&b));
+        assert_eq!(hash(&a), hash(&sample()));
     }
 
     #[test]
@@ -369,14 +219,5 @@ mod tests {
         assert!(obj.global_symbol("foo").is_some());
         assert!(obj.global_symbol("foo.meta").is_none()); // local
         assert!(obj.global_symbol("nope").is_none());
-    }
-
-    #[test]
-    fn accumulate_sums_categories() {
-        let mut total = SizeBreakdown::default();
-        total.accumulate(&sample().size_breakdown());
-        total.accumulate(&sample().size_breakdown());
-        assert_eq!(total.text, 8);
-        assert_eq!(total.bb_addr_map, 20);
     }
 }

@@ -38,16 +38,6 @@ impl RelocKind {
             RelocKind::Abs64 => 3,
         }
     }
-
-    pub(crate) fn from_tag(tag: u8) -> Option<Self> {
-        Some(match tag {
-            0 => RelocKind::CallPc32,
-            1 => RelocKind::BranchPc32,
-            2 => RelocKind::BranchPc8,
-            3 => RelocKind::Abs64,
-            _ => return None,
-        })
-    }
 }
 
 /// A relocation record: patch `width` bytes at `offset` with the address
@@ -90,19 +80,6 @@ mod tests {
         assert_eq!(RelocKind::BranchPc32.width(), 4);
         assert_eq!(RelocKind::BranchPc8.width(), 1);
         assert_eq!(RelocKind::Abs64.width(), 8);
-    }
-
-    #[test]
-    fn tags_round_trip() {
-        for k in [
-            RelocKind::CallPc32,
-            RelocKind::BranchPc32,
-            RelocKind::BranchPc8,
-            RelocKind::Abs64,
-        ] {
-            assert_eq!(RelocKind::from_tag(k.tag()), Some(k));
-        }
-        assert_eq!(RelocKind::from_tag(77), None);
     }
 
     #[test]

@@ -59,19 +59,6 @@ impl SectionKind {
             SectionKind::Other => 6,
         }
     }
-
-    pub(crate) fn from_tag(tag: u8) -> Option<Self> {
-        Some(match tag {
-            0 => SectionKind::Text,
-            1 => SectionKind::BbAddrMap,
-            2 => SectionKind::EhFrame,
-            3 => SectionKind::Rela,
-            4 => SectionKind::RoData,
-            5 => SectionKind::DebugRanges,
-            6 => SectionKind::Other,
-            _ => return None,
-        })
-    }
 }
 
 /// The span of one basic block within a text section, in file order.
@@ -157,21 +144,5 @@ mod tests {
         assert!(!SectionKind::BbAddrMap.is_loaded());
         assert!(!SectionKind::Rela.is_loaded());
         assert!(!SectionKind::EhFrame.is_loaded());
-    }
-
-    #[test]
-    fn tag_round_trip() {
-        for kind in [
-            SectionKind::Text,
-            SectionKind::BbAddrMap,
-            SectionKind::EhFrame,
-            SectionKind::Rela,
-            SectionKind::RoData,
-            SectionKind::DebugRanges,
-            SectionKind::Other,
-        ] {
-            assert_eq!(SectionKind::from_tag(kind.tag()), Some(kind));
-        }
-        assert_eq!(SectionKind::from_tag(200), None);
     }
 }

@@ -22,15 +22,6 @@ impl SymbolKind {
             SymbolKind::Label => 2,
         }
     }
-
-    pub(crate) fn from_tag(tag: u8) -> Option<Self> {
-        Some(match tag {
-            0 => SymbolKind::Func,
-            1 => SymbolKind::Object,
-            2 => SymbolKind::Label,
-            _ => return None,
-        })
-    }
 }
 
 /// A named location within a section.
@@ -89,13 +80,5 @@ mod tests {
         assert!(!l.global);
         assert_eq!(l.kind, SymbolKind::Label);
         assert_eq!(l.size, 0);
-    }
-
-    #[test]
-    fn kind_tags_round_trip() {
-        for k in [SymbolKind::Func, SymbolKind::Object, SymbolKind::Label] {
-            assert_eq!(SymbolKind::from_tag(k.tag()), Some(k));
-        }
-        assert_eq!(SymbolKind::from_tag(9), None);
     }
 }

@@ -87,13 +87,6 @@ impl SetAssocCache {
     pub fn misses(&self) -> u64 {
         self.misses
     }
-
-    /// Invalidates all contents and zeroes counters.
-    pub fn reset(&mut self) {
-        self.ways.fill(u64::MAX);
-        self.accesses = 0;
-        self.misses = 0;
-    }
 }
 
 #[cfg(test)]
@@ -193,15 +186,6 @@ mod tests {
             assert!(c.access(i * 64));
         }
         assert_eq!(c.misses(), before);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut c = SetAssocCache::new(2, 1, 64);
-        c.access(0);
-        c.reset();
-        assert_eq!(c.accesses(), 0);
-        assert!(!c.access(0));
     }
 
     #[test]

@@ -56,17 +56,6 @@ impl CounterSet {
         }
     }
 
-    /// `metric` per thousand retired instructions (the usual
-    /// normalization for miss-rate comparisons); 0.0 when nothing
-    /// retired.
-    pub fn per_kilo_insts(&self, metric: impl Fn(&CounterSet) -> u64) -> f64 {
-        if self.insts == 0 {
-            0.0
-        } else {
-            metric(self) as f64 * 1000.0 / self.insts as f64
-        }
-    }
-
     /// Relative speedup of `self` over `baseline` in percent, measured
     /// in cycles per instruction at equal work (the Table 3 metric:
     /// positive means `self` is faster). If either run is empty the
@@ -179,7 +168,6 @@ mod tests {
         assert_eq!(empty.delta_pct(&real, |c| c.l1i_misses), 0.0);
         assert_eq!(real.delta_pct(&empty, |c| c.l1i_misses), 0.0);
         assert_eq!(empty.ipc(), 0.0);
-        assert_eq!(empty.per_kilo_insts(|c| c.l1i_misses), 0.0);
         // All finite — no ∞/NaN escapes the guards.
         for v in [
             empty.speedup_pct_over(&real),
@@ -188,15 +176,5 @@ mod tests {
         ] {
             assert!(v.is_finite());
         }
-    }
-
-    #[test]
-    fn per_kilo_insts_normalizes() {
-        let c = CounterSet {
-            insts: 2000,
-            l1i_misses: 10,
-            ..CounterSet::default()
-        };
-        assert!((c.per_kilo_insts(|c| c.l1i_misses) - 5.0).abs() < 1e-9);
     }
 }

@@ -70,13 +70,6 @@ impl JsonValue {
         }
     }
 
-    /// The numeric value as `u64`, if this is a non-negative integer
-    /// below `2^64`. Integers above `2^53` lost their low bits when
-    /// they were written; they still read back as what was written.
-    pub fn as_u64(&self) -> Option<u64> {
-        uint_of(self.as_f64()?).and_then(|n| u64::try_from(n).ok())
-    }
-
     /// The string value, if this is a string.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -784,10 +777,9 @@ mod tests {
     fn accessors() {
         let v = JsonValue::parse(r#"{"s": "x", "n": 7, "a": [1]}"#).unwrap();
         assert_eq!(v.get("s").and_then(JsonValue::as_str), Some("x"));
-        assert_eq!(v.get("n").and_then(JsonValue::as_u64), Some(7));
+        assert_eq!(v.get("n").and_then(JsonValue::as_f64), Some(7.0));
         assert_eq!(v.get("a").and_then(JsonValue::as_arr).map(<[_]>::len), Some(1));
         assert_eq!(v.get("missing"), None);
-        assert_eq!(JsonValue::Num(-1.0).as_u64(), None);
     }
 
     #[test]
@@ -845,8 +837,8 @@ mod tests {
     }
 
     #[test]
-    fn as_u64_refuses_to_narrow() {
-        let n = |text| JsonValue::parse(text).unwrap().as_u64();
+    fn to_u64_refuses_to_narrow() {
+        let n = |text| read(text, |r| r.to_u64()).ok();
         assert_eq!(n("1.9"), None);
         assert_eq!(n("1e30"), None);
         assert_eq!(n("18446744073709551616"), None);

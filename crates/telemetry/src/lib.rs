@@ -323,12 +323,6 @@ impl TraceData {
     pub fn find(&self, name: &str) -> Option<&SpanRecord> {
         self.spans.iter().find(|s| s.name == name)
     }
-
-    /// Total simulated seconds across root spans (children are assumed
-    /// to be attributed within their parents).
-    pub fn total_sim_secs(&self) -> f64 {
-        self.roots().iter().map(|s| s.sim_secs).sum()
-    }
 }
 
 #[cfg(test)]

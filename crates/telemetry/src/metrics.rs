@@ -6,7 +6,7 @@
 //! in any order and grouping without changing the result (property
 //! tested in `tests/metrics_props.rs`).
 
-use crate::json::{arr, num_entries, obj, read_doc, JsonValue, Reader, SchemaError};
+use crate::json::{arr, num_entries, obj, JsonValue, Reader, SchemaError};
 use std::collections::BTreeMap;
 
 /// Number of histogram buckets. Bucket `i < HISTOGRAM_BUCKETS - 1`
@@ -290,20 +290,16 @@ impl MetricsSnapshot {
             histograms: r.get("histograms", |h| h.to_map(histogram))?,
         })
     }
-
-    /// Parses a serialized snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Reports both JSON syntax errors and schema mismatches.
-    pub fn parse(text: &str) -> Result<MetricsSnapshot, SchemaError> {
-        read_doc("metrics", text, MetricsSnapshot::read)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::read_doc;
+
+    fn parse(text: &str) -> Result<MetricsSnapshot, SchemaError> {
+        read_doc("metrics", text, MetricsSnapshot::read)
+    }
 
     #[test]
     fn histogram_buckets_observations() {
@@ -397,14 +393,14 @@ mod tests {
         reg.observe("exttsp.merge_gain", 3.0);
         reg.observe("exttsp.merge_gain", 700.5);
         let snap = reg.snapshot();
-        let back = MetricsSnapshot::parse(&snap.to_json().to_string_pretty()).unwrap();
+        let back = parse(&snap.to_json().to_string_pretty()).unwrap();
         assert_eq!(back, snap);
         assert!(back.histograms["exttsp.merge_gain"].is_consistent());
     }
 
     #[test]
     fn snapshot_json_rejects_malformed_histograms() {
-        let err = MetricsSnapshot::parse(
+        let err = parse(
             r#"{"counters": {}, "gauges": {},
                 "histograms": {"h": {"count": 1, "sum": 2.0, "buckets": [0, 1]}}}"#,
         )
@@ -414,12 +410,12 @@ mod tests {
             "expected 40 bucket counts at `metrics.histograms.h.buckets`"
         );
         // A snapshot always carries all three registries.
-        let err = MetricsSnapshot::parse(r#"{"counters": {}, "histograms": {}}"#).unwrap_err();
+        let err = parse(r#"{"counters": {}, "histograms": {}}"#).unwrap_err();
         assert_eq!(err.to_string(), "missing `metrics.gauges`");
         // Counters are counts: what `as u64` used to truncate is refused.
         for bad in ["1.9", "-1", "1e30", "\"7\""] {
             let text = format!(r#"{{"counters": {{"c": {bad}}}, "gauges": {{}}, "histograms": {{}}}}"#);
-            let err = MetricsSnapshot::parse(&text).unwrap_err().to_string();
+            let err = parse(&text).unwrap_err().to_string();
             assert!(err.contains("integer") && err.ends_with("`metrics.counters.c`"), "{err}");
         }
     }
@@ -428,7 +424,7 @@ mod tests {
     fn empty_snapshot_round_trips() {
         let snap = MetricsSnapshot::default();
         let text = snap.to_json().to_string_compact();
-        assert_eq!(MetricsSnapshot::parse(&text), Ok(snap));
+        assert_eq!(parse(&text), Ok(snap));
     }
 
     #[test]

@@ -221,7 +221,6 @@ mod tests {
         };
         let trace = tel.drain();
         assert!((subtree_sim_secs(&trace, pid) - 6.0).abs() < 1e-12);
-        assert!((trace.total_sim_secs() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -54,15 +54,6 @@ impl SeriesKind {
             SeriesKind::Event => "event",
         }
     }
-
-    fn parse(s: &str) -> Option<SeriesKind> {
-        match s {
-            "gauge" => Some(SeriesKind::Gauge),
-            "counter" => Some(SeriesKind::Counter),
-            "event" => Some(SeriesKind::Event),
-            _ => None,
-        }
-    }
 }
 
 /// One recorded point: a sim-microsecond timestamp and a value. `seq`
@@ -115,27 +106,12 @@ impl Series {
         self.points.is_empty()
     }
 
-    /// The value at `t_us`: the last point at or before it (gauges and
-    /// counters), `None` before the first point.
-    pub fn value_at(&self, t_us: u64) -> Option<f64> {
-        self.ordered()
-            .iter()
-            .take_while(|p| p.t_us <= t_us)
-            .last()
-            .map(|p| p.value)
-    }
-
     /// Largest recorded value (`None` when empty).
     pub fn max_value(&self) -> Option<f64> {
         self.points
             .iter()
             .map(|p| p.value)
             .max_by(f64::total_cmp)
-    }
-
-    /// The last point's value in time order (`None` when empty).
-    pub fn last_value(&self) -> Option<f64> {
-        self.ordered().last().map(|p| p.value)
     }
 
     /// Largest point timestamp (`None` when empty).
@@ -305,37 +281,6 @@ impl TimeSeries {
         }
         out
     }
-
-    /// Parses a [`TimeSeries::to_csv`] document back. Histograms are
-    /// rebuilt from event rows, and insertion sequence follows row
-    /// order, so `parse(ts.to_csv()).to_csv() == ts.to_csv()`. Returns
-    /// `None` on a malformed document (bad header, kind, or number).
-    pub fn from_csv(text: &str) -> Option<TimeSeries> {
-        let mut lines = text.lines();
-        if lines.next()? != "series,kind,t_us,value" {
-            return None;
-        }
-        let mut ts = TimeSeries::new();
-        for line in lines {
-            if line.is_empty() {
-                continue;
-            }
-            let mut cols = line.splitn(4, ',');
-            let name = cols.next()?;
-            let kind = SeriesKind::parse(cols.next()?)?;
-            let t_us: u64 = cols.next()?.parse().ok()?;
-            let value: f64 = cols.next()?.parse().ok()?;
-            match kind {
-                SeriesKind::Gauge => ts.gauge(name, t_us, value),
-                SeriesKind::Event => ts.event(name, t_us, value),
-                SeriesKind::Counter => {
-                    // Re-push the absolute total, not a delta.
-                    ts.push(name, SeriesKind::Counter, t_us, value);
-                }
-            }
-        }
-        Some(ts)
-    }
 }
 
 #[cfg(test)]
@@ -343,7 +288,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn csv_is_canonical_and_round_trips() {
+    fn csv_is_canonical() {
         let mut ts = TimeSeries::new();
         ts.gauge("z.depth", 5, 2.0);
         ts.counter_add("a.rejected", 10, 1.0);
@@ -364,23 +309,21 @@ mod tests {
              z.depth,gauge,40,1\n\
              z.depth,gauge,50,0\n"
         );
-        let back = TimeSeries::from_csv(&csv).unwrap();
-        assert_eq!(back.to_csv(), csv);
-        assert_eq!(back.histogram("lat").unwrap().count(), 1);
     }
 
     #[test]
-    fn counter_accumulates_and_value_at_carries_forward() {
+    fn counter_accumulates_and_samples_carry_forward() {
         let mut ts = TimeSeries::new();
         ts.counter_add("n", 10, 1.0);
         ts.counter_add("n", 20, 1.0);
         ts.counter_add("n", 20, 3.0);
         let s = ts.get("n").unwrap();
-        assert_eq!(s.last_value(), Some(5.0));
-        assert_eq!(s.value_at(9), None);
-        assert_eq!(s.value_at(10), Some(1.0));
-        assert_eq!(s.value_at(15), Some(1.0));
-        assert_eq!(s.value_at(1000), Some(5.0));
+        let totals: Vec<f64> = s.ordered().iter().map(|p| p.value).collect();
+        assert_eq!(totals, [1.0, 2.0, 5.0]);
+        assert_eq!(
+            s.sample(5, 25),
+            [(10, 1.0), (15, 1.0), (20, 5.0), (25, 5.0)]
+        );
     }
 
     #[test]
@@ -418,18 +361,5 @@ mod tests {
         assert_eq!(h.count(), 4);
         assert_eq!(h.quantile(1.0), Some(10.0));
         assert!(ts.histogram("missing").is_none());
-    }
-
-    #[test]
-    fn malformed_csv_is_rejected() {
-        for bad in [
-            "",
-            "wrong,header\n",
-            "series,kind,t_us,value\nx,notakind,0,1\n",
-            "series,kind,t_us,value\nx,gauge,notanumber,1\n",
-            "series,kind,t_us,value\nx,gauge,0,notanumber\n",
-        ] {
-            assert!(TimeSeries::from_csv(bad).is_none(), "{bad:?} should fail");
-        }
     }
 }

@@ -62,14 +62,6 @@ pub struct EdgeFunding {
 }
 
 impl EdgeFunding {
-    /// The records funding one specific edge.
-    pub fn for_edge(&self, func: u32, src: u32, dst: u32) -> Vec<&FundingRecord> {
-        self.records
-            .iter()
-            .filter(|r| r.func == func && r.src == src && r.dst == dst)
-            .collect()
-    }
-
     /// The records funding any edge of one function.
     pub fn for_func(&self, func: u32) -> Vec<&FundingRecord> {
         self.records.iter().filter(|r| r.func == func).collect()
@@ -443,7 +435,11 @@ mod tests {
             plain.functions[0].edges[&(0, 1, EdgeKind::Branch)]
         );
         // The edge weight traces back to the exact raw address pair.
-        let recs = funding.for_edge(0, 0, 1);
+        let recs: Vec<&FundingRecord> = funding
+            .records
+            .iter()
+            .filter(|r| (r.func, r.src, r.dst) == (0, 0, 1))
+            .collect();
         assert_eq!(recs.len(), 1);
         assert_eq!(recs[0].from, alpha + 2);
         assert_eq!(recs[0].to, bb1.addr);

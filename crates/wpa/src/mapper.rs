@@ -150,11 +150,6 @@ impl AddressMapper {
         self.skipped_funcs
     }
 
-    /// Number of block intervals.
-    pub fn num_intervals(&self) -> usize {
-        self.intervals.len()
-    }
-
     /// Modeled memory of the interval table (the dominant Phase 3
     /// structure besides the DCFG): ~32 bytes per interval.
     pub fn modeled_memory_bytes(&self) -> u64 {
@@ -193,7 +188,7 @@ mod tests {
         let bin = metadata_binary();
         let mapper = AddressMapper::from_binary(&bin);
         assert_eq!(mapper.num_functions(), 2);
-        assert_eq!(mapper.num_intervals(), 3);
+        assert_eq!(mapper.intervals.len(), 3);
         let alpha = bin.symbol("alpha").unwrap();
         let loc = mapper.lookup(alpha).unwrap();
         assert_eq!(loc.func_symbol, "alpha");
