@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Surface counter for ROADMAP item 4's gate ("public API item count and
-# total LOC both go down"). Prints four numbers over crates/*/src and
-# fails when option_fields or test_only_fn exceeds its budget in
-# ci/surface_budget.txt, so a new option, or a new entry point only its
-# own tests call, needs the budget edited in the same diff.
+# total LOC both go down"). Prints five numbers over crates/*/src and
+# fails when option_fields, test_only_fn or twins exceeds its budget in
+# ci/surface_budget.txt, so a new option, a new entry point only its
+# own tests call, or a new twin needs the budget edited in the same
+# diff.
 #
 #   option_fields  pub fields of pub structs named
 #                  *Options|*Config|*Params|*Policy|*Model
@@ -12,6 +13,11 @@
 #   test_only_fn   pub_fn names that appear as a word in the non-test
 #                  text of crates/*/src and benchmark/src only in
 #                  their own `fn NAME` (listed on stderr)
+#   twins          pub_fn names X with a pub_fn twin named X_traced,
+#                  X_logged, X_agg, X_agg_traced, X_with or X_with_*
+#                  (listed on stderr): a second entry point for one
+#                  body. A twin under another name (`link` and
+#                  `link_refs_traced`) is not counted.
 #
 # pub_fn, loc and test_only_fn read the non-test text: each file stops
 # at the #[cfg(test)] that opens its `mod tests {` block and skips any
@@ -73,6 +79,19 @@ test_only=$(sed -nE 's/^[[:space:]]*pub fn ([A-Za-z_][A-Za-z0-9_]*).*/\1/p' <<<"
     | LC_ALL=C sort -u | LC_ALL=C comm -23 - <(printf '%s\n' "$used"))
 test_only_fn=$(grep -c . <<<"$test_only" || true)
 
+twin_list=$(sed -nE 's/^[[:space:]]*pub fn ([A-Za-z_][A-Za-z0-9_]*).*/\1/p' <<<"$text" \
+    | LC_ALL=C sort -u | awk '
+        { name[$0] = 1 }
+        END {
+            for (x in name) for (y in name)
+                if (index(y, x "_") == 1 &&
+                    substr(y, length(x) + 2) ~ /^(traced|logged|agg|agg_traced|with|with_.*)$/) {
+                    print x "/" y
+                    break
+                }
+        }' | LC_ALL=C sort)
+twins=$(grep -c . <<<"$twin_list" || true)
+
 budget() {
     sed -nE "s/^$1=([0-9]+)$/\1/p" ci/surface_budget.txt
 }
@@ -80,9 +99,14 @@ echo "option_fields=$option_fields"
 echo "pub_fn=$pub_fn"
 echo "loc=$loc"
 echo "test_only_fn=$test_only_fn"
+echo "twins=$twins"
 if [ "$test_only_fn" -gt 0 ]; then
     # shellcheck disable=SC2086
     echo "surface: called only by their own tests:" $test_only >&2
+fi
+if [ "$twins" -gt 0 ]; then
+    # shellcheck disable=SC2086
+    echo "surface: twin entry points:" $twin_list >&2
 fi
 status=0
 if [ "$option_fields" -gt "$(budget option_fields)" ]; then
@@ -93,6 +117,11 @@ fi
 if [ "$test_only_fn" -gt "$(budget test_only_fn)" ]; then
     echo "surface: test_only_fn $test_only_fn exceeds the budget of $(budget test_only_fn) in ci/surface_budget.txt" >&2
     echo "surface: delete the entry point nothing but its tests calls, or give it a caller" >&2
+    status=1
+fi
+if [ "$twins" -gt "$(budget twins)" ]; then
+    echo "surface: twins $twins exceeds the budget of $(budget twins) in ci/surface_budget.txt" >&2
+    echo "surface: fold the twin into its base entry point, callers passing what it defaulted" >&2
     status=1
 fi
 exit "$status"

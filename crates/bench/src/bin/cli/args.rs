@@ -144,7 +144,7 @@ impl Parsed {
                             reports can record exactly";
                 self.program.seed = Some(num_in(flag, &v, need, ..=MAX_SEED)?);
             }
-            "--requests" => self.service.requests = Some(num(flag, &v)?),
+            "--requests" => self.service.requests = Some(num_in(flag, &v, "at least 1", 1..)?),
             "--tenants" => self.service.tenants = Some(num_in(flag, &v, "at least 1", 1..)?),
             "--mean-gap" => {
                 self.service.mean_gap = Some(num_in(flag, &v, "a positive number", POSITIVE)?)

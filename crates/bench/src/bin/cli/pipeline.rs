@@ -16,7 +16,7 @@ use propeller_sim::{heatmap_csv, heatmap_pgm, AttributedCounters, Event, SimOpti
 use propeller_synth::{all_specs, BenchmarkSpec};
 use propeller_telemetry::json::{num_entries, obj};
 use propeller_telemetry::{chrome::to_chrome_trace, report::render_text};
-use propeller_telemetry::{JsonValue, Telemetry};
+use propeller_telemetry::{JsonValue, Telemetry, TimeSeries};
 use propeller_wpa::cluster_map_to_text;
 use std::process::ExitCode;
 
@@ -114,9 +114,9 @@ pub fn run(p: &Parsed) -> Result<ExitCode, CliError> {
     if let Some(path) = &out.trace_out {
         let needs = "--trace-out enabled telemetry";
         let trace = require(trace.as_ref(), "the telemetry trace", needs)?;
-        write_quiet(path, to_chrome_trace(trace))?;
+        write_quiet(path, to_chrome_trace(trace, &TimeSeries::new()))?;
         println!("wrote {path} (open at chrome://tracing or ui.perfetto.dev)\n");
-        print!("{}", render_text(trace));
+        print!("{}", render_text(trace, 16));
     }
     let Some(dir) = p.out_dir()? else {
         return Ok(ExitCode::SUCCESS);

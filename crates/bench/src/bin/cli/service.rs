@@ -12,7 +12,7 @@ use propeller_serve::{
     gen_traffic, run_soak, soak_scenarios, verify_batch, JobRequest, RelinkService, ServeOptions,
     ServiceReport, TrafficConfig,
 };
-use propeller_telemetry::{chrome::to_chrome_trace_with_series, Telemetry, TimeSeries};
+use propeller_telemetry::{chrome::to_chrome_trace, Telemetry, TimeSeries};
 use std::process::ExitCode;
 
 pub fn fleet(p: &Parsed) -> Result<ExitCode, CliError> {
@@ -87,19 +87,35 @@ pub fn fleet(p: &Parsed) -> Result<ExitCode, CliError> {
     gate(steady, unsteady)
 }
 
+/// The latest arrival a traffic plan may schedule, in modeled seconds:
+/// half the service's `u64` microsecond clock, leaving the other half
+/// for the queued jobs' modeled durations.
+const MAX_PLAN_SECS: f64 = (u64::MAX / 2) as f64 / 1e6;
+
 /// The traffic plan and service options a service subcommand's flags
 /// describe. With `--seed`, one value seeds both the traffic generator
 /// and the service; without it each keeps its own default.
 fn service_plan(p: &Parsed) -> Result<(TrafficConfig, ServeOptions), CliError> {
     let spec = p.resolve()?;
     let d = TrafficConfig::default();
+    let requests = p.service.requests.unwrap_or(d.requests);
+    let mean_gap_secs = p.service.mean_gap.unwrap_or(d.mean_gap_secs);
+    // A gap is up to 1.5 mean gaps, and an arrival past the clock would
+    // wrap it and read every latency as zero.
+    let max_gap = MAX_PLAN_SECS / 1.5 / requests as f64;
+    if mean_gap_secs > max_gap {
+        return Err(CliError::Usage(format!(
+            "--mean-gap {mean_gap_secs:?}: need at most {max_gap:e} with --requests {requests}, \
+             for every arrival to fit the modeled clock"
+        )));
+    }
     let cfg = TrafficConfig {
         benchmark: spec.name.to_string(),
         scale: p.program.scale.unwrap_or(d.scale),
         seed: p.program.seed.unwrap_or(d.seed),
-        requests: p.service.requests.unwrap_or(d.requests),
+        requests,
         tenants: p.service.tenants.unwrap_or(d.tenants),
-        mean_gap_secs: p.service.mean_gap.unwrap_or(d.mean_gap_secs),
+        mean_gap_secs,
         ..d
     };
     let d = ServeOptions::default();
@@ -138,7 +154,7 @@ fn run_service(
     }
     let report = svc.run(&gen_traffic(cfg))?;
     let timeline = svc.timeline().cloned().unwrap_or_default();
-    let chrome = trace.then(|| to_chrome_trace_with_series(&svc.telemetry().drain(), &timeline));
+    let chrome = trace.then(|| to_chrome_trace(&svc.telemetry().drain(), &timeline));
     Ok((report, timeline, chrome))
 }
 

@@ -151,6 +151,27 @@ fn malformed_artifacts_are_parse_errors() {
         "ill_typed.json",
         br#"{"benchmark": 3, "scale": 1, "seed": 0, "metrics": {}, "wall": {}, "layout": []}"#,
     );
+    // A repeated name used to be resolved silently: the metrics map kept
+    // the last value, and the second placement of `f` read as a move.
+    let text = String::from_utf8(baseline.clone()).expect("utf-8 baseline");
+    let repeated = text.replacen("\"metrics\": {", "\"metrics\": {\"eval.speedup_pct\": 1,", 1);
+    let repeated_metric = file("repeated_metric.json", repeated.as_bytes());
+    let placement = |order| {
+        format!(
+            r#"{{"symbol": "f", "order": {order}, "addr": 0, "input_size": 1, "final_size": 1,
+                "deleted_jumps": 0, "shrunk_branches": 0}}"#
+        )
+    };
+    let repeated_symbol = file(
+        "repeated_symbol.json",
+        format!(
+            r#"{{"benchmark": "x", "scale": 1, "seed": 0, "functions": [], "funding": [],
+                "placements": [{}, {}]}}"#,
+            placement(0),
+            placement(1)
+        )
+        .as_bytes(),
+    );
     for (argv, cause) in [
         (["diff", &good, &cut], "JSON error at byte 2000"),
         (["diff", &good, &empty], "missing `run_report.benchmark`"),
@@ -159,6 +180,11 @@ fn malformed_artifacts_are_parse_errors() {
         (["layout-diff", &good, &good], "missing `layout_provenance.functions`"),
         (["diff", &good, &deep], "nesting deeper than 128"),
         (["layout-diff", &deep, &deep], "nesting deeper than 128"),
+        (["diff", &good, &repeated_metric], "repeated member name \"eval.speedup_pct\""),
+        (
+            ["layout-diff", &repeated_symbol, &repeated_symbol],
+            "expected a name no earlier row has at `layout_provenance.placements[1].symbol`",
+        ),
     ] {
         let out = cli(&argv);
         let stderr = String::from_utf8_lossy(&out.stderr);
@@ -224,6 +250,11 @@ fn unread_flags_and_out_of_range_numbers_are_usage_errors() {
         &["fleet", "clang", "--history-window", "0"],
         &["traffic", "clang", "--mean-gap", "0"],
         &["traffic", "clang", "--mean-gap", "nan"],
+        // Zero arrivals ran and met every objective; a 1e308 s gap
+        // wrapped the modeled clock.
+        &["traffic", "clang", "--requests", "0"],
+        &["slo", "clang", "--requests", "0"],
+        &["traffic", "clang", "--requests", "3", "--mean-gap", "1e308"],
         &["traffic", "clang", "--requests", "2", "--out", never, "--slots", "0"],
         &["traffic", "clang", "--requests", "2", "--out", never, "--tenants", "0"],
         &["serve", "clang", "--slots", "0"],

@@ -205,10 +205,9 @@ pub fn run_bolt(
             })
             .collect();
         edges.sort_unstable_by_key(|e| (e.src, e.dst));
-        let hot_order: Vec<usize> = order_nodes(&nodes, &edges, 0, &ExtTspParams::default())
-            .into_iter()
-            .map(|b| b as usize)
-            .collect();
+        let params = ExtTspParams::default();
+        let hot_order = order_nodes(&nodes, &edges, 0, &params, &Default::default(), None);
+        let hot_order: Vec<usize> = hot_order.into_iter().map(|b| b as usize).collect();
         let cold: Vec<usize> = (0..cfg.blocks.len()).filter(|b| !hot.contains(b)).collect();
         plans.push(FunctionPlan {
             func_idx: fi,

@@ -69,21 +69,11 @@ pub struct ProfileAudit {
 }
 
 /// Audits `profile` against the metadata binary it was collected from,
-/// with the profile itself defining what counts as hot text.
+/// measuring coverage against the hot text implied by `reference` (or
+/// by `profile` itself when `None`).
 ///
 /// `expected` enables the sample-capture ratio; pass `None` when the
 /// `perf stat` counters of the profiled run are unavailable.
-pub fn audit_profile(
-    binary: &LinkedBinary,
-    profile: &HardwareProfile,
-    opts: &WpaOptions,
-    expected: Option<ExpectedLoad>,
-) -> ProfileAudit {
-    audit_profile_with_reference(binary, profile, None, opts, expected)
-}
-
-/// Audits `profile`, measuring coverage against the hot text implied by
-/// `reference` (or by `profile` itself when `None`).
 ///
 /// The split matters when grading a *degraded* collection: auditing a
 /// truncated or stale profile against the hot text a trusted earlier
@@ -252,28 +242,12 @@ fn edge_distribution(
 /// exhibits (stale profile, workload drift). Both profiles are reduced
 /// to `(function, src, dst)` block edges first, so the comparison is
 /// invariant to the re-layout itself.
-pub fn layout_skew(
-    pm_binary: &LinkedBinary,
-    pm_profile: &HardwareProfile,
-    po_binary: &LinkedBinary,
-    po_profile: &HardwareProfile,
-) -> f64 {
-    layout_skew_agg(
-        pm_binary,
-        &AggregatedProfile::from_profile(pm_profile),
-        po_binary,
-        &AggregatedProfile::from_profile(po_profile),
-    )
-}
-
-/// [`layout_skew`] over already-aggregated profiles.
 ///
-/// The fleet release loop compares the merged stale profile (collected
-/// on earlier releases, translated into the current binary's address
-/// space) against the fresh distribution of the current release; by the
-/// time that comparison happens only aggregated counts exist, so the
-/// raw-sample wrapper above cannot be used.
-pub fn layout_skew_agg(
+/// The profiles come aggregated: the fleet release loop compares the
+/// merged stale profile (collected on earlier releases, translated into
+/// the current binary's address space) against the fresh distribution
+/// of the current release, and by then only aggregated counts exist.
+pub fn layout_skew(
     p_binary: &LinkedBinary,
     p_agg: &AggregatedProfile,
     q_binary: &LinkedBinary,
@@ -310,7 +284,7 @@ pub fn audit_pipeline(pipeline: &Propeller) -> Result<ProfileAudit, String> {
         taken_branches: c.taken_branches,
         period: opts.sampling.period,
     });
-    let mut audit = audit_profile(pm, profile, &opts.wpa, expected);
+    let mut audit = audit_profile_with_reference(pm, profile, None, &opts.wpa, expected);
     if let (Some(po), Some(program)) = (pipeline.po_binary(), pipeline.phase4_program()) {
         let image =
             ProgramImage::build(program, &po.layout).map_err(|e| e.to_string())?;
@@ -320,7 +294,8 @@ pub fn audit_pipeline(pipeline: &Propeller) -> Result<ProfileAudit, String> {
             &opts.uarch,
             opts.sampling,
         );
-        audit.skew = Some(layout_skew(pm, profile, po, &po_profile));
+        let agg = AggregatedProfile::from_profile;
+        audit.skew = Some(layout_skew(pm, &agg(profile), po, &agg(&po_profile)));
     }
     Ok(audit)
 }
@@ -399,7 +374,7 @@ mod tests {
     fn self_audit_covers_its_own_hot_text() {
         let bin = binary();
         let prof = alpha_profile(&bin, 4);
-        let audit = audit_profile(&bin, &prof, &loose_opts(), None);
+        let audit = audit_profile_with_reference(&bin, &prof, None, &loose_opts(), None);
         // alpha is hot but bb2 (4 loads) was never sampled, so it is
         // not hot text; beta is wholly cold. Every hot block has the
         // sample that made it hot, so self-coverage is complete.
@@ -457,7 +432,8 @@ mod tests {
     #[test]
     fn cold_program_is_vacuously_covered() {
         let bin = binary();
-        let audit = audit_profile(&bin, &HardwareProfile::new("t"), &loose_opts(), None);
+        let empty = HardwareProfile::new("t");
+        let audit = audit_profile_with_reference(&bin, &empty, None, &loose_opts(), None);
         assert_eq!(audit.auditable_bytes, 0);
         assert_eq!(audit.sample_coverage, 1.0);
         assert_eq!(audit.addr_lookups, 0);
@@ -473,7 +449,7 @@ mod tests {
                 to: 0xbeef_0000,
             }]));
         }
-        let audit = audit_profile(&bin, &prof, &loose_opts(), None);
+        let audit = audit_profile_with_reference(&bin, &prof, None, &loose_opts(), None);
         assert!(audit.addr_unmapped > 0);
         assert!(audit.unmapped_rate > 0.0 && audit.unmapped_rate < 1.0);
         assert_eq!(
@@ -490,12 +466,12 @@ mod tests {
             taken_branches: 100,
             period: 10,
         });
-        let a = audit_profile(&bin, &full, &loose_opts(), expected);
+        let a = audit_profile_with_reference(&bin, &full, None, &loose_opts(), expected);
         assert_eq!(a.expected_samples, 10);
         assert!((a.sample_capture_ratio - 1.0).abs() < 1e-12);
         let mut truncated = full.clone();
         truncated.samples.truncate(5);
-        let b = audit_profile(&bin, &truncated, &loose_opts(), expected);
+        let b = audit_profile_with_reference(&bin, &truncated, None, &loose_opts(), expected);
         assert!((b.sample_capture_ratio - 0.5).abs() < 1e-12);
     }
 
@@ -515,7 +491,7 @@ mod tests {
             LbrRecord { from: b0, to: b1 },
             LbrRecord { from: b0, to: b1 },
         ]));
-        let audit = audit_profile(&bin, &prof, &loose_opts(), None);
+        let audit = audit_profile_with_reference(&bin, &prof, None, &loose_opts(), None);
         assert!((audit.fallthrough_confidence - 0.5).abs() < 1e-12);
     }
 
@@ -523,7 +499,8 @@ mod tests {
     fn skew_is_zero_for_identical_behavior_and_positive_for_drift() {
         let bin = binary();
         let prof = alpha_profile(&bin, 8);
-        assert_eq!(layout_skew(&bin, &prof, &bin, &prof), 0.0);
+        let agg = AggregatedProfile::from_profile;
+        assert_eq!(layout_skew(&bin, &agg(&prof), &bin, &agg(&prof)), 0.0);
         // Drifted behavior: the same binary, but execution now goes
         // bb0 -> bb2 instead of bb0 -> bb1.
         let b0 = block_addr(&bin, "alpha", 0);
@@ -535,7 +512,7 @@ mod tests {
                 LbrRecord { from: b2 + 1, to: b0 },
             ]));
         }
-        let skew = layout_skew(&bin, &prof, &bin, &drifted);
+        let skew = layout_skew(&bin, &agg(&prof), &bin, &agg(&drifted));
         assert!(skew > 0.5, "disjoint edge sets should skew hard, got {skew}");
         assert!(skew <= 1.0);
     }

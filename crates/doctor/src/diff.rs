@@ -15,7 +15,7 @@
 //! so every delta (metrics and ledger alike) is reported
 //! informationally and nothing fails the gate.
 
-use crate::report::RunReport;
+use crate::report::{metric, RunReport};
 use propeller_wpa::FunctionProvenance;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -31,35 +31,14 @@ pub enum Direction {
     Informational,
 }
 
-/// The gate direction of a metric key.
-///
-/// Exact names are matched first; unknown keys fall back to substring
-/// heuristics, and anything still ambiguous is informational — the gate
+/// The gate direction of a metric key: the one [`metric::ALL`] declares
+/// it with, and informational for a key it does not declare — the gate
 /// never guesses a direction to fail on.
 fn direction_of(key: &str) -> Direction {
-    match key {
-        "doctor.sample_coverage"
-        | "doctor.fallthrough_confidence"
-        | "doctor.sample_capture_ratio"
-        | "eval.speedup_pct"
-        | "eval.base_ipc"
-        | "eval.opt_ipc"
-        | "cache.ir_hit_rate"
-        | "cache.obj_hit_rate" => Direction::HigherBetter,
-        "doctor.skew"
-        | "doctor.unmapped_rate"
-        | "mapper.skipped_funcs"
-        | "mapper.unmapped_addrs"
-        | "eval.opt_cycles"
-        | "eval.l1i_miss_delta_pct"
-        | "eval.itlb_miss_delta_pct"
-        | "eval.baclears_delta_pct" => Direction::LowerBetter,
-        k if k.ends_with("_hit_rate") || k.ends_with("coverage") => Direction::HigherBetter,
-        k if k.contains("miss") || k.contains("unmapped") || k.contains("skew") => {
-            Direction::LowerBetter
-        }
-        _ => Direction::Informational,
-    }
+    metric::ALL
+        .iter()
+        .find(|(k, _)| *k == key)
+        .map_or(Direction::Informational, |&(_, direction)| direction)
 }
 
 /// One changed metric.
@@ -669,6 +648,52 @@ mod tests {
         // A symbol leaving the top-N is a ranking change, not a delta.
         let a = with_attr(report_with(&[]), &[("gone", 100)]);
         assert!(diff_reports(&a, &b, 0.0).attribution_deltas.is_empty());
+    }
+
+    #[test]
+    fn every_emitted_key_keeps_its_gate_direction() {
+        use Direction::*;
+        // The directions the name heuristics gave these keys before the
+        // catalogue declared them.
+        let pinned = [
+            ("cache.ir_hit_rate", HigherBetter),
+            ("cache.obj_hit_rate", HigherBetter),
+            ("doctor.fallthrough_confidence", HigherBetter),
+            ("doctor.sample_capture_ratio", HigherBetter),
+            ("doctor.sample_coverage", HigherBetter),
+            ("doctor.skew", LowerBetter),
+            ("doctor.unmapped_rate", LowerBetter),
+            ("eval.baclears_delta_pct", LowerBetter),
+            ("eval.base_cycles", Informational),
+            ("eval.base_ipc", HigherBetter),
+            ("eval.itlb_miss_delta_pct", LowerBetter),
+            ("eval.l1i_miss_delta_pct", LowerBetter),
+            ("eval.opt_cycles", LowerBetter),
+            ("eval.opt_ipc", HigherBetter),
+            ("eval.speedup_pct", HigherBetter),
+            ("hot_module_fraction", Informational),
+            ("mapper.addr_lookups", Informational),
+            ("mapper.skipped_funcs", LowerBetter),
+            ("mapper.unmapped_addrs", LowerBetter),
+            ("relax.deleted_jumps", Informational),
+            ("relax.shrunk_branches", Informational),
+            ("wpa.dcfg_edges", Informational),
+            ("wpa.functions_seen", Informational),
+            ("wpa.hot_blocks", Informational),
+            ("wpa.hot_functions", Informational),
+            ("wpa.modeled_peak_memory", Informational),
+            ("wpa.profile_bytes", Informational),
+        ];
+        let mut declared = metric::ALL.to_vec();
+        declared.sort_by_key(|&(k, _)| k);
+        assert_eq!(declared, pinned);
+        for (key, direction) in pinned {
+            assert_eq!(direction_of(key), direction, "{key}");
+        }
+        // A report `collect` wrote carries exactly the declared keys.
+        let baseline = RunReport::parse(include_str!("../../../ci/bench_baseline.json"))
+            .expect("the bench baseline parses");
+        assert!(baseline.metrics.keys().map(String::as_str).eq(pinned.map(|(k, _)| k)));
     }
 
     #[test]

@@ -3,6 +3,7 @@
 //! gave up to survive injected faults.
 
 use crate::audit::ProfileAudit;
+use crate::report::metric;
 use propeller_faults::{DegradationCounter, DegradationLedger, LayoutMode};
 use std::fmt::Write as _;
 
@@ -94,7 +95,7 @@ pub fn diagnose(audit: &ProfileAudit) -> Vec<Finding> {
     let mut out = Vec::new();
     out.push(Finding {
         severity: grade_low(audit.sample_coverage, COVERAGE_WARN, Some(COVERAGE_FAIL)),
-        metric: "doctor.sample_coverage".into(),
+        metric: metric::DOCTOR_SAMPLE_COVERAGE.into(),
         value: audit.sample_coverage,
         message: format!(
             "{:.1}% of hot text bytes received mapped samples \
@@ -106,7 +107,7 @@ pub fn diagnose(audit: &ProfileAudit) -> Vec<Finding> {
     });
     out.push(Finding {
         severity: grade_high(audit.unmapped_rate, UNMAPPED_WARN, UNMAPPED_FAIL),
-        metric: "doctor.unmapped_rate".into(),
+        metric: metric::DOCTOR_UNMAPPED_RATE.into(),
         value: audit.unmapped_rate,
         message: format!(
             "{:.2}% of sample mass hit addresses with no mapped block \
@@ -118,7 +119,7 @@ pub fn diagnose(audit: &ProfileAudit) -> Vec<Finding> {
     });
     out.push(Finding {
         severity: grade_low(audit.fallthrough_confidence, FALLTHROUGH_WARN, None),
-        metric: "doctor.fallthrough_confidence".into(),
+        metric: metric::DOCTOR_FALLTHROUGH_CONFIDENCE.into(),
         value: audit.fallthrough_confidence,
         message: format!(
             "{:.1}% of fall-through range weight is well-formed \
@@ -128,7 +129,7 @@ pub fn diagnose(audit: &ProfileAudit) -> Vec<Finding> {
     });
     out.push(Finding {
         severity: grade_low(audit.sample_capture_ratio, CAPTURE_WARN, Some(CAPTURE_FAIL)),
-        metric: "doctor.sample_capture_ratio".into(),
+        metric: metric::DOCTOR_SAMPLE_CAPTURE_RATIO.into(),
         value: audit.sample_capture_ratio,
         message: format!(
             "{} samples captured of ~{} expected from the run's \
@@ -139,7 +140,7 @@ pub fn diagnose(audit: &ProfileAudit) -> Vec<Finding> {
     if let Some(skew) = audit.skew {
         out.push(Finding {
             severity: grade_high(skew, SKEW_WARN, SKEW_FAIL),
-            metric: "doctor.skew".into(),
+            metric: metric::DOCTOR_SKEW.into(),
             value: skew,
             message: format!(
                 "profile-vs-optimized edge distributions differ by \
@@ -154,7 +155,7 @@ pub fn diagnose(audit: &ProfileAudit) -> Vec<Finding> {
         } else {
             Severity::Ok
         },
-        metric: "mapper.skipped_funcs".into(),
+        metric: metric::MAPPER_SKIPPED_FUNCS.into(),
         value: audit.skipped_funcs as f64,
         message: format!(
             "{} address-map function(s) dropped because no range symbol \

@@ -32,13 +32,13 @@ pub mod doctor;
 pub mod perf;
 pub mod policy;
 pub mod provenance;
+mod records;
 pub mod report;
 pub mod service;
 pub mod slo;
 
 pub use audit::{
-    audit_pipeline, audit_profile, audit_profile_with_reference, layout_skew, layout_skew_agg,
-    ExpectedLoad, ProfileAudit,
+    audit_pipeline, audit_profile_with_reference, layout_skew, ExpectedLoad, ProfileAudit,
 };
 pub use diff::{diff_reports, DiffReport, Direction, LayoutChange, MetricDelta};
 pub use policy::{RelinkDecision, RelinkPolicy};

@@ -11,7 +11,7 @@
 //! it.
 
 use propeller_sim::{AttributedCounters, CounterSet, Event, SymbolAttribution};
-use propeller_telemetry::json::{arr, obj, JsonValue, Reader, SchemaError};
+use propeller_telemetry::json::{arr, obj, FromJson, JsonValue, Reader, SchemaError};
 use propeller_wpa::FunctionProvenance;
 use std::fmt::Write as _;
 
@@ -69,20 +69,19 @@ impl AttributionSection {
             obj([("symbol", s.symbol.as_str().into())].into_iter().chain(events))
         })
     }
+}
 
-    /// Reads back what [`AttributionSection::to_json`] wrote.
-    ///
-    /// # Errors
-    ///
-    /// Names the first row member that is absent or not a count.
-    pub fn read(r: Reader<'_>) -> Result<AttributionSection, SchemaError> {
+/// Reads back what [`AttributionSection::to_json`] wrote: a row member
+/// that is absent or not a count is an error naming it.
+impl FromJson for AttributionSection {
+    fn from_json(r: Reader<'_>) -> Result<AttributionSection, SchemaError> {
         let symbols = r.to_arr(|row| {
             let mut counters = CounterSet::default();
             for e in Event::ALL {
-                *e.field_mut(&mut counters) = row.u64(e.name())?;
+                *e.field_mut(&mut counters) = row.get(e.name())?;
             }
             Ok(SymbolCounters {
-                symbol: row.str("symbol")?.to_string(),
+                symbol: row.get("symbol")?,
                 counters,
             })
         })?;
@@ -267,7 +266,7 @@ mod tests {
     use propeller_wpa::ClusterProvenance;
 
     fn parse(text: &str) -> Result<AttributionSection, SchemaError> {
-        read_doc("attribution", text, AttributionSection::read)
+        read_doc("attribution", text, AttributionSection::from_json)
     }
 
     fn attr(rows: &[(&str, u64, u64)]) -> AttributedCounters {

@@ -4,7 +4,7 @@
 //! (merged, possibly stale) profile, or ship the baseline-equivalent
 //! identity layout and wait for fresher samples. The input to that
 //! choice is the stale-profile skew score
-//! ([`crate::audit::layout_skew_agg`]): the total-variation distance
+//! ([`crate::audit::layout_skew`]): the total-variation distance
 //! between the stale profile's edge distribution and the current
 //! release's fresh behavior.
 //!

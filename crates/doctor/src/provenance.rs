@@ -23,13 +23,14 @@
 //! bit-identical whether or not provenance was armed.
 
 use crate::doctor::{Finding, Severity};
+use crate::records::{field, unique_rows, Field};
 use propeller::Propeller;
 use propeller_linker::SymbolPlacement;
-use propeller_profile::{MergeProvenance, SourceContribution};
+use propeller_profile::MergeProvenance;
 use propeller_sim::SymbolAttribution;
 use propeller_telemetry::json::{arr, obj, read_doc, JsonValue, Reader, SchemaError};
-use propeller_wpa::exttsp::{replay_merges, ChainReplay, Edge, MergeStep, Node, RejectedAlt};
-use propeller_wpa::{EdgeFunding, EdgeKind, FundingRecord, LayoutProvenance};
+use propeller_wpa::exttsp::{replay_merges, ChainReplay, MergeStep};
+use propeller_wpa::{EdgeFunding, FundingRecord, LayoutProvenance};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -142,14 +143,11 @@ impl ProvenanceDoc {
             ("benchmark", self.benchmark.as_str().into()),
             ("scale", self.scale.into()),
             ("seed", self.seed.into()),
-            ("functions", arr(&self.functions, function_to_json)),
-            ("funding", arr(&self.funding.records, funding_to_json)),
-            ("placements", arr(&self.placements, placement_to_json)),
+            ("functions", self.functions.write()),
+            ("funding", self.funding.records.write()),
+            ("placements", self.placements.write()),
         ])
-        .with(
-            "merge_sources",
-            self.merge_sources.as_ref().map(merge_sources_to_json),
-        )
+        .with("merge_sources", self.merge_sources.as_ref().map(Field::write))
         .with(
             "attribution",
             (!self.attribution.is_empty()).then(|| {
@@ -167,20 +165,18 @@ impl ProvenanceDoc {
 
     fn read(r: Reader<'_>) -> Result<ProvenanceDoc, SchemaError> {
         Ok(ProvenanceDoc {
-            benchmark: r.str("benchmark")?.to_string(),
-            scale: r.f64("scale")?,
-            seed: r.u64("seed")?,
-            functions: r.arr("functions", read_function)?,
+            benchmark: r.get("benchmark")?,
+            scale: r.get("scale")?,
+            seed: r.get("seed")?,
+            functions: unique_rows(r, "functions", "func")?,
             funding: EdgeFunding {
-                records: r.arr("funding", read_funding)?,
+                records: field(r, "funding")?,
             },
-            placements: r.arr("placements", read_placement)?,
-            merge_sources: r.opt("merge_sources", read_merge_sources)?,
-            attribution: r
-                .opt("attribution", |a| {
-                    a.to_arr(|row| Ok((row.str("symbol")?.to_string(), row.u64("cycles")?)))
-                })?
-                .unwrap_or_default(),
+            placements: unique_rows(r, "placements", "symbol")?,
+            merge_sources: field(r, "merge_sources")?,
+            attribution: r.member("attribution", Some(Vec::new()), |a| {
+                a.to_arr(|row| Ok((row.get("symbol")?, row.get("cycles")?)))
+            })?,
         })
     }
 
@@ -193,190 +189,6 @@ impl ProvenanceDoc {
     pub fn parse(text: &str) -> Result<ProvenanceDoc, SchemaError> {
         read_doc("layout_provenance", text, ProvenanceDoc::read)
     }
-}
-
-fn function_to_json(f: &ProvenanceFunction) -> JsonValue {
-    let node = |n: &Node| {
-        obj([
-            ("id", n.id.into()),
-            ("size", n.size.into()),
-            ("count", n.count.into()),
-        ])
-    };
-    let edge = |e: &Edge| {
-        obj([
-            ("src", e.src.into()),
-            ("dst", e.dst.into()),
-            ("weight", e.weight.into()),
-        ])
-    };
-    let step = |s: &MergeStep| {
-        let rejected = s.rejected.map(|r| {
-            obj([
-                ("x", r.x.into()),
-                ("y", r.y.into()),
-                ("gain", r.gain.into()),
-                ("split", r.split.into()),
-            ])
-        });
-        obj([
-            ("x", s.x.into()),
-            ("y", s.y.into()),
-            ("gain", s.gain.into()),
-            ("split", s.split.into()),
-            ("rejected", rejected.into()),
-        ])
-    };
-    obj([
-        ("func", f.func_symbol.as_str().into()),
-        ("func_index", f.func_index.into()),
-        ("nodes", arr(&f.nodes, node)),
-        ("edges", arr(&f.edges, edge)),
-        ("steps", arr(&f.steps, step)),
-        ("evaluations", f.evaluations.into()),
-        ("used_input_order", f.used_input_order.into()),
-        ("final_score", f.final_score.into()),
-        ("input_score", f.input_score.into()),
-        ("order", arr(&f.order, JsonValue::from)),
-    ])
-}
-
-fn funding_to_json(r: &FundingRecord) -> JsonValue {
-    obj([
-        ("func", r.func.into()),
-        ("src", r.src.into()),
-        ("dst", r.dst.into()),
-        ("kind", r.kind.label().into()),
-        ("from", r.from.into()),
-        ("to", r.to.into()),
-        ("weight", r.weight.into()),
-    ])
-}
-
-fn placement_to_json(p: &SymbolPlacement) -> JsonValue {
-    obj([
-        ("symbol", p.symbol.as_str().into()),
-        ("order", p.order.into()),
-        ("addr", p.addr.into()),
-        ("input_size", p.input_size.into()),
-        ("final_size", p.final_size.into()),
-        ("deleted_jumps", p.deleted_jumps.into()),
-        ("shrunk_branches", p.shrunk_branches.into()),
-    ])
-}
-
-fn merge_sources_to_json(m: &MergeProvenance) -> JsonValue {
-    let source = |s: &SourceContribution| {
-        obj([
-            ("index", s.index.into()),
-            ("weight", s.weight.into()),
-            ("age", s.age.into()),
-            ("effective", s.effective.into()),
-            ("branch_total", s.branch_total.into()),
-        ])
-    };
-    obj([
-        ("max_age", m.max_age.into()),
-        ("decay_num", m.decay_num.into()),
-        ("decay_den", m.decay_den.into()),
-        ("sources", arr(&m.sources, source)),
-    ])
-}
-
-fn read_function(r: Reader<'_>) -> Result<ProvenanceFunction, SchemaError> {
-    let node = |n: Reader<'_>| {
-        Ok(Node {
-            id: n.u32("id")?,
-            size: n.u32("size")?,
-            count: n.u64("count")?,
-        })
-    };
-    let edge = |e: Reader<'_>| {
-        Ok(Edge {
-            src: e.u32("src")?,
-            dst: e.u32("dst")?,
-            weight: e.u64("weight")?,
-        })
-    };
-    let rejected = |a: Reader<'_>| {
-        Ok(RejectedAlt {
-            x: a.usize("x")?,
-            y: a.usize("y")?,
-            gain: a.f64("gain")?,
-            split: a.opt("split", Reader::to_usize)?,
-        })
-    };
-    let step = |s: Reader<'_>| {
-        Ok(MergeStep {
-            x: s.usize("x")?,
-            y: s.usize("y")?,
-            gain: s.f64("gain")?,
-            split: s.opt("split", Reader::to_usize)?,
-            rejected: s.opt("rejected", rejected)?,
-        })
-    };
-    Ok(ProvenanceFunction {
-        func_symbol: r.str("func")?.to_string(),
-        func_index: r.u32("func_index")?,
-        nodes: r.arr("nodes", node)?,
-        edges: r.arr("edges", edge)?,
-        steps: r.arr("steps", step)?,
-        evaluations: r.u64("evaluations")?,
-        used_input_order: r.bool("used_input_order")?,
-        final_score: r.f64("final_score")?,
-        input_score: r.f64("input_score")?,
-        order: r.arr("order", Reader::to_u32)?,
-    })
-}
-
-fn read_funding(r: Reader<'_>) -> Result<FundingRecord, SchemaError> {
-    let kind = r.get("kind", |k| match k.to_str()? {
-        "branch" => Ok(EdgeKind::Branch),
-        "fallthrough" => Ok(EdgeKind::Fallthrough),
-        _ => Err(SchemaError::Expected {
-            what: "`branch` or `fallthrough`".to_string(),
-            path: String::new(),
-        }),
-    })?;
-    Ok(FundingRecord {
-        func: r.u32("func")?,
-        src: r.u32("src")?,
-        dst: r.u32("dst")?,
-        kind,
-        from: r.u64("from")?,
-        to: r.u64("to")?,
-        weight: r.u64("weight")?,
-    })
-}
-
-fn read_placement(r: Reader<'_>) -> Result<SymbolPlacement, SchemaError> {
-    Ok(SymbolPlacement {
-        symbol: r.str("symbol")?.to_string(),
-        order: r.u32("order")?,
-        addr: r.u64("addr")?,
-        input_size: r.u64("input_size")?,
-        final_size: r.u64("final_size")?,
-        deleted_jumps: r.u32("deleted_jumps")?,
-        shrunk_branches: r.u32("shrunk_branches")?,
-    })
-}
-
-fn read_merge_sources(r: Reader<'_>) -> Result<MergeProvenance, SchemaError> {
-    let source = |s: Reader<'_>| {
-        Ok(SourceContribution {
-            index: s.usize("index")?,
-            weight: s.u64("weight")?,
-            age: s.u32("age")?,
-            effective: s.get("effective", Reader::to_u128)?,
-            branch_total: s.u64("branch_total")?,
-        })
-    };
-    Ok(MergeProvenance {
-        max_age: r.u32("max_age")?,
-        decay_num: r.u32("decay_num")?,
-        decay_den: r.u32("decay_den")?,
-        sources: r.arr("sources", source)?,
-    })
 }
 
 // ---------------------------------------------------------------------
@@ -852,6 +664,8 @@ pub fn provenance_findings(layout: &LayoutProvenance, doc: &ProvenanceDoc) -> Ve
 #[cfg(test)]
 mod tests {
     use super::*;
+    use propeller_wpa::exttsp::{Edge, Node, RejectedAlt};
+    use propeller_wpa::EdgeKind;
 
     fn sample_doc() -> ProvenanceDoc {
         ProvenanceDoc {

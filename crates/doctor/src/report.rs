@@ -10,11 +10,12 @@
 
 use crate::audit::ProfileAudit;
 use crate::perf::AttributionSection;
+use crate::records::{unique_rows, Field};
 use propeller::{EvalReport, Propeller, PropellerReport};
 use propeller_faults::DegradationLedger;
-use propeller_telemetry::json::{arr, num_entries, obj, read_doc, Reader, SchemaError};
+use propeller_telemetry::json::{num_entries, obj, read_doc, Reader, SchemaError};
 use propeller_telemetry::{JsonValue, MetricsSnapshot};
-use propeller_wpa::{ClusterProvenance, FunctionProvenance, LayoutProvenance};
+use propeller_wpa::LayoutProvenance;
 use std::collections::BTreeMap;
 
 /// One run's machine-readable report.
@@ -48,6 +49,52 @@ pub struct RunReport {
     pub attribution: Option<AttributionSection>,
 }
 
+/// Declares the keys [`RunReport::collect`] writes to `metrics`, each
+/// with the [`Direction`] the bench gate reads it in.
+macro_rules! metrics {
+    ($($name:ident = $key:literal, $direction:ident;)*) => {
+        /// The keys [`RunReport::collect`] writes to `metrics`: the one
+        /// list that `collect`, the doctor's findings and [`crate::diff`]
+        /// read them from.
+        pub mod metric {
+            use crate::diff::Direction;
+            $(#[doc = concat!("`", $key, "`")] pub const $name: &str = $key;)*
+            /// Every key with its gate direction.
+            pub const ALL: &[(&str, Direction)] = &[$(($key, Direction::$direction)),*];
+        }
+    };
+}
+
+metrics! {
+    WPA_FUNCTIONS_SEEN = "wpa.functions_seen", Informational;
+    WPA_HOT_FUNCTIONS = "wpa.hot_functions", Informational;
+    WPA_HOT_BLOCKS = "wpa.hot_blocks", Informational;
+    WPA_DCFG_EDGES = "wpa.dcfg_edges", Informational;
+    WPA_PROFILE_BYTES = "wpa.profile_bytes", Informational;
+    WPA_MODELED_PEAK_MEMORY = "wpa.modeled_peak_memory", Informational;
+    MAPPER_SKIPPED_FUNCS = "mapper.skipped_funcs", LowerBetter;
+    MAPPER_ADDR_LOOKUPS = "mapper.addr_lookups", Informational;
+    MAPPER_UNMAPPED_ADDRS = "mapper.unmapped_addrs", LowerBetter;
+    CACHE_IR_HIT_RATE = "cache.ir_hit_rate", HigherBetter;
+    CACHE_OBJ_HIT_RATE = "cache.obj_hit_rate", HigherBetter;
+    HOT_MODULE_FRACTION = "hot_module_fraction", Informational;
+    RELAX_DELETED_JUMPS = "relax.deleted_jumps", Informational;
+    RELAX_SHRUNK_BRANCHES = "relax.shrunk_branches", Informational;
+    EVAL_SPEEDUP_PCT = "eval.speedup_pct", HigherBetter;
+    EVAL_BASE_CYCLES = "eval.base_cycles", Informational;
+    EVAL_OPT_CYCLES = "eval.opt_cycles", LowerBetter;
+    EVAL_BASE_IPC = "eval.base_ipc", HigherBetter;
+    EVAL_OPT_IPC = "eval.opt_ipc", HigherBetter;
+    EVAL_L1I_MISS_DELTA_PCT = "eval.l1i_miss_delta_pct", LowerBetter;
+    EVAL_ITLB_MISS_DELTA_PCT = "eval.itlb_miss_delta_pct", LowerBetter;
+    EVAL_BACLEARS_DELTA_PCT = "eval.baclears_delta_pct", LowerBetter;
+    DOCTOR_SAMPLE_COVERAGE = "doctor.sample_coverage", HigherBetter;
+    DOCTOR_UNMAPPED_RATE = "doctor.unmapped_rate", LowerBetter;
+    DOCTOR_FALLTHROUGH_CONFIDENCE = "doctor.fallthrough_confidence", HigherBetter;
+    DOCTOR_SAMPLE_CAPTURE_RATIO = "doctor.sample_capture_ratio", HigherBetter;
+    DOCTOR_SKEW = "doctor.skew", LowerBetter;
+}
+
 impl RunReport {
     /// Assembles a report from a completed pipeline.
     ///
@@ -65,69 +112,45 @@ impl RunReport {
         audit: Option<&ProfileAudit>,
         telemetry: Option<MetricsSnapshot>,
     ) -> RunReport {
+        use metric::*;
         let mut m = BTreeMap::new();
+        let mut put = |key: &str, v: f64| m.insert(key.to_string(), v);
         let w = &summary.wpa;
-        m.insert("wpa.functions_seen".into(), w.functions_seen as f64);
-        m.insert("wpa.hot_functions".into(), w.hot_functions as f64);
-        m.insert("wpa.hot_blocks".into(), w.hot_blocks as f64);
-        m.insert("wpa.dcfg_edges".into(), w.dcfg_edges as f64);
-        m.insert("wpa.profile_bytes".into(), w.profile_bytes as f64);
-        m.insert(
-            "wpa.modeled_peak_memory".into(),
-            w.modeled_peak_memory as f64,
-        );
-        m.insert("mapper.skipped_funcs".into(), w.skipped_funcs as f64);
-        m.insert("mapper.addr_lookups".into(), w.addr_lookups as f64);
-        m.insert("mapper.unmapped_addrs".into(), w.addr_unmapped as f64);
-        m.insert(
-            "cache.ir_hit_rate".into(),
-            hit_rate(summary.ir_cache.hits, summary.ir_cache.lookups),
-        );
-        m.insert(
-            "cache.obj_hit_rate".into(),
+        put(WPA_FUNCTIONS_SEEN, w.functions_seen as f64);
+        put(WPA_HOT_FUNCTIONS, w.hot_functions as f64);
+        put(WPA_HOT_BLOCKS, w.hot_blocks as f64);
+        put(WPA_DCFG_EDGES, w.dcfg_edges as f64);
+        put(WPA_PROFILE_BYTES, w.profile_bytes as f64);
+        put(WPA_MODELED_PEAK_MEMORY, w.modeled_peak_memory as f64);
+        put(MAPPER_SKIPPED_FUNCS, w.skipped_funcs as f64);
+        put(MAPPER_ADDR_LOOKUPS, w.addr_lookups as f64);
+        put(MAPPER_UNMAPPED_ADDRS, w.addr_unmapped as f64);
+        put(CACHE_IR_HIT_RATE, hit_rate(summary.ir_cache.hits, summary.ir_cache.lookups));
+        put(
+            CACHE_OBJ_HIT_RATE,
             hit_rate(summary.object_cache.hits, summary.object_cache.lookups),
         );
-        m.insert(
-            "hot_module_fraction".into(),
-            summary.hot_module_fraction,
-        );
-        m.insert("relax.deleted_jumps".into(), summary.deleted_jumps as f64);
-        m.insert(
-            "relax.shrunk_branches".into(),
-            summary.shrunk_branches as f64,
-        );
+        put(HOT_MODULE_FRACTION, summary.hot_module_fraction);
+        put(RELAX_DELETED_JUMPS, summary.deleted_jumps as f64);
+        put(RELAX_SHRUNK_BRANCHES, summary.shrunk_branches as f64);
         if let Some(e) = eval {
-            m.insert("eval.speedup_pct".into(), e.speedup_pct());
-            m.insert("eval.base_cycles".into(), e.baseline.cycles as f64);
-            m.insert("eval.opt_cycles".into(), e.optimized.cycles as f64);
-            m.insert("eval.base_ipc".into(), e.baseline.ipc());
-            m.insert("eval.opt_ipc".into(), e.optimized.ipc());
-            m.insert(
-                "eval.l1i_miss_delta_pct".into(),
-                e.optimized.delta_pct(&e.baseline, |c| c.l1i_misses),
-            );
-            m.insert(
-                "eval.itlb_miss_delta_pct".into(),
-                e.optimized.delta_pct(&e.baseline, |c| c.itlb_misses),
-            );
-            m.insert(
-                "eval.baclears_delta_pct".into(),
-                e.optimized.delta_pct(&e.baseline, |c| c.baclears),
-            );
+            put(EVAL_SPEEDUP_PCT, e.speedup_pct());
+            let (base, opt) = (&e.baseline, &e.optimized);
+            put(EVAL_BASE_CYCLES, base.cycles as f64);
+            put(EVAL_OPT_CYCLES, opt.cycles as f64);
+            put(EVAL_BASE_IPC, base.ipc());
+            put(EVAL_OPT_IPC, opt.ipc());
+            put(EVAL_L1I_MISS_DELTA_PCT, opt.delta_pct(base, |c| c.l1i_misses));
+            put(EVAL_ITLB_MISS_DELTA_PCT, opt.delta_pct(base, |c| c.itlb_misses));
+            put(EVAL_BACLEARS_DELTA_PCT, opt.delta_pct(base, |c| c.baclears));
         }
         if let Some(a) = audit {
-            m.insert("doctor.sample_coverage".into(), a.sample_coverage);
-            m.insert("doctor.unmapped_rate".into(), a.unmapped_rate);
-            m.insert(
-                "doctor.fallthrough_confidence".into(),
-                a.fallthrough_confidence,
-            );
-            m.insert(
-                "doctor.sample_capture_ratio".into(),
-                a.sample_capture_ratio,
-            );
+            put(DOCTOR_SAMPLE_COVERAGE, a.sample_coverage);
+            put(DOCTOR_UNMAPPED_RATE, a.unmapped_rate);
+            put(DOCTOR_FALLTHROUGH_CONFIDENCE, a.fallthrough_confidence);
+            put(DOCTOR_SAMPLE_CAPTURE_RATIO, a.sample_capture_ratio);
             if let Some(skew) = a.skew {
-                m.insert("doctor.skew".into(), skew);
+                put(DOCTOR_SKEW, skew);
             }
         }
 
@@ -177,7 +200,7 @@ impl RunReport {
             ("seed", self.seed.into()),
             ("metrics", num_entries(&self.metrics)),
             ("wall", num_entries(&self.wall)),
-            ("layout", arr(&self.layout.functions, function_to_json)),
+            ("layout", self.layout.functions.write()),
         ])
         .with(
             "fault_plan",
@@ -201,18 +224,18 @@ impl RunReport {
 
     fn read(r: Reader<'_>) -> Result<RunReport, SchemaError> {
         Ok(RunReport {
-            benchmark: r.str("benchmark")?.to_string(),
-            scale: r.f64("scale")?,
-            seed: r.u64("seed")?,
-            metrics: r.num_entries("metrics")?,
-            wall: r.num_entries("wall")?,
+            benchmark: r.get("benchmark")?,
+            scale: r.get("scale")?,
+            seed: r.get("seed")?,
+            metrics: r.get("metrics")?,
+            wall: r.get("wall")?,
             layout: LayoutProvenance {
-                functions: r.arr("layout", read_function)?,
+                functions: unique_rows(r, "layout", "func")?,
             },
-            fault_plan: r.opt("fault_plan", Reader::to_str)?.unwrap_or("").to_string(),
-            degradation: r.opt("degradation", DegradationLedger::read)?.unwrap_or_default(),
-            telemetry: r.opt("telemetry", MetricsSnapshot::read)?,
-            attribution: r.opt("attribution", AttributionSection::read)?,
+            fault_plan: r.opt("fault_plan")?.unwrap_or_default(),
+            degradation: r.opt("degradation")?.unwrap_or_default(),
+            telemetry: r.opt("telemetry")?,
+            attribution: r.opt("attribution")?,
         })
     }
 
@@ -235,59 +258,10 @@ fn hit_rate(hits: u64, lookups: u64) -> f64 {
     }
 }
 
-fn function_to_json(f: &FunctionProvenance) -> JsonValue {
-    obj([
-        ("func", f.func_symbol.as_str().into()),
-        ("total_samples", f.total_samples.into()),
-        ("hot_blocks", f.hot_blocks.into()),
-        ("cold_blocks", f.cold_blocks.into()),
-        ("merge_gains", arr(&f.merge_gains, JsonValue::from)),
-        ("layout_score", f.layout_score.into()),
-        ("input_score", f.input_score.into()),
-        ("used_input_order", f.used_input_order.into()),
-        ("clusters", arr(&f.clusters, cluster_to_json)),
-    ])
-}
-
-fn cluster_to_json(c: &ClusterProvenance) -> JsonValue {
-    obj([
-        ("symbol", c.symbol.as_str().into()),
-        ("blocks", arr(&c.blocks, JsonValue::from)),
-        ("weight", c.weight.into()),
-        ("size", c.size.into()),
-        ("cold", c.cold.into()),
-        ("order_pos", c.symbol_order_pos.into()),
-    ])
-}
-
-fn read_function(r: Reader<'_>) -> Result<FunctionProvenance, SchemaError> {
-    Ok(FunctionProvenance {
-        func_symbol: r.str("func")?.to_string(),
-        total_samples: r.u64("total_samples")?,
-        hot_blocks: r.usize("hot_blocks")?,
-        cold_blocks: r.usize("cold_blocks")?,
-        merge_gains: r.arr("merge_gains", Reader::to_f64)?,
-        layout_score: r.f64("layout_score")?,
-        input_score: r.f64("input_score")?,
-        used_input_order: r.bool("used_input_order")?,
-        clusters: r.arr("clusters", read_cluster)?,
-    })
-}
-
-fn read_cluster(r: Reader<'_>) -> Result<ClusterProvenance, SchemaError> {
-    Ok(ClusterProvenance {
-        symbol: r.str("symbol")?.to_string(),
-        blocks: r.arr("blocks", Reader::to_u32)?,
-        weight: r.u64("weight")?,
-        size: r.u64("size")?,
-        cold: r.bool("cold")?,
-        symbol_order_pos: r.opt("order_pos", Reader::to_usize)?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use propeller_wpa::{ClusterProvenance, FunctionProvenance};
 
     pub(crate) fn sample_report() -> RunReport {
         let mut r = RunReport {

@@ -234,6 +234,14 @@ impl SloConfig {
                 }
                 other => return Err(err(format!("unknown key {other:?}"))),
             }
+            // A WARN bound past its FAIL bound grades values FAIL that
+            // never crossed the WARN line.
+            if let Some((w, f)) = obj.max_warn.zip(obj.max_fail).filter(|(w, f)| w > f) {
+                return Err(err(format!("`max_warn` {w} is above `max_fail` {f}")));
+            }
+            if let Some((w, f)) = obj.min_warn.zip(obj.min_fail).filter(|(w, f)| w < f) {
+                return Err(err(format!("`min_warn` {w} is below `min_fail` {f}")));
+            }
         }
         for (i, obj) in objectives.iter().enumerate() {
             if obj.metric.is_empty() {
@@ -480,11 +488,15 @@ pub fn evaluate_slo(timeline: &TimeSeries, ledger: &ServiceLedger, cfg: &SloConf
     SloReport { findings }
 }
 
+/// The finding's message: the FAIL bound `v` crossed, if it crossed
+/// one, otherwise the objective's WARN bound.
 fn objective_message(obj: &SloObjective, tenant: &str, v: f64) -> String {
-    let bound = match (obj.max_warn, obj.min_warn) {
-        (Some(w), _) => format!("warn above {w}"),
-        (None, Some(w)) => format!("warn below {w}"),
-        (None, None) => "no bounds".to_string(),
+    let bound = match (obj.max_fail, obj.min_fail, obj.max_warn, obj.min_warn) {
+        (Some(f), ..) if v > f => format!("fail above {f}"),
+        (_, Some(f), ..) if v < f => format!("fail below {f}"),
+        (.., Some(w), _) => format!("warn above {w}"),
+        (.., None, Some(w)) => format!("warn below {w}"),
+        (.., None, None) => "no bounds".to_string(),
     };
     format!("tenant {tenant}: {} = {v:.4} ({bound})", obj.metric)
 }
@@ -565,6 +577,18 @@ min_warn = 0.5
         // ... but each objective has its own keys.
         let two = "[[objective]]\nmetric = \"p99_latency_ms\"\n[[objective]]\nmetric = \"p50_latency_ms\"";
         assert_eq!(SloConfig::parse(two).expect("parses").objectives.len(), 2);
+        // Inverted bounds used to parse: a value between them graded
+        // FAIL without crossing the WARN line.
+        for (bounds, message) in [
+            ("max_warn = 10\nmax_fail = 1", "`max_warn` 10 is above `max_fail` 1"),
+            ("min_fail = 0.9\nmin_warn = 0.5", "`min_warn` 0.5 is below `min_fail` 0.9"),
+        ] {
+            let text = format!("[[objective]]\nmetric = \"cache_hit_rate\"\n{bounds}");
+            let err = SloConfig::parse(&text).unwrap_err();
+            assert_eq!((err.line, err.message.as_str()), (4, message), "{bounds}");
+        }
+        let equal = "[[objective]]\nmetric = \"cache_hit_rate\"\nmin_warn = 0.5\nmin_fail = 0.5";
+        assert!(SloConfig::parse(equal).is_ok());
         // A target of 1 or more left a negative error budget.
         for bad in ["1.5", "1", "0", "-0.5"] {
             let err = SloConfig::parse(&format!("[[objective]]\ntarget = {bad}")).unwrap_err();
@@ -625,6 +649,31 @@ min_warn = 0.5
         assert_eq!(find("slo.t0.p99_latency_ms").severity, Severity::Ok);
         assert_eq!(report.verdict(), Severity::Fail);
         assert!(report.render().contains("objectives violated"));
+    }
+
+    #[test]
+    fn a_fail_line_names_the_fail_bound_it_crossed() {
+        let ledger = ledger_with(&[("t0", busy_row())]);
+        let mut ts = TimeSeries::new();
+        ts.gauge("queue_depth.t0", 0, 5.0);
+        let message = |max_warn, max_fail| {
+            let mut obj = SloObjective::named("queue_depth_max", "*");
+            (obj.max_warn, obj.max_fail) = (Some(max_warn), Some(max_fail));
+            let report = evaluate_slo(&ts, &ledger, &SloConfig { objectives: vec![obj] });
+            let f = &report.findings[0];
+            (f.severity, f.message.clone())
+        };
+        // Used to read "(warn above 1)" on the FAIL line.
+        let fail = (Severity::Fail, "tenant t0: queue_depth_max = 5.0000 (fail above 4)".into());
+        assert_eq!(message(1.0, 4.0), fail);
+        let warn = (Severity::Warn, "tenant t0: queue_depth_max = 5.0000 (warn above 1)".into());
+        assert_eq!(message(1.0, 10.0), warn);
+        // Hit rate 15/20 = 0.75 under a 0.8 floor.
+        let mut hit = SloObjective::named("cache_hit_rate", "*");
+        (hit.min_warn, hit.min_fail) = (Some(0.9), Some(0.8));
+        let report = evaluate_slo(&ts, &ledger, &SloConfig { objectives: vec![hit] });
+        let message = &report.findings[0].message;
+        assert_eq!(message, "tenant t0: cache_hit_rate = 0.7500 (fail below 0.8)");
     }
 
     #[test]

@@ -18,7 +18,7 @@ use propeller_faults::{splitmix64, DegradationLedger, LayoutMode};
 use propeller_linker::SymbolPlacement;
 use propeller_profile::{MergeProvenance, SourceContribution};
 use propeller_sim::CounterSet;
-use propeller_telemetry::json::read_doc;
+use propeller_telemetry::json::{read_doc, FromJson};
 use propeller_telemetry::{JsonValue, MetricsRegistry, MetricsSnapshot, SchemaError};
 use propeller_wpa::exttsp::{Edge, MergeStep, Node, RejectedAlt};
 use propeller_wpa::{ClusterProvenance, EdgeFunding, EdgeKind, FundingRecord, FunctionProvenance};
@@ -192,6 +192,15 @@ impl Dice {
     fn vec<T>(&mut self, mut f: impl FnMut(&mut Dice) -> T) -> Vec<T> {
         (0..self.len()).map(|_| f(self)).collect()
     }
+
+    /// [`Dice::vec`] without the rows whose `name` an earlier row has:
+    /// the readers reject a repeated function or symbol name.
+    fn rows<T>(&mut self, f: impl FnMut(&mut Dice) -> T, name: fn(&T) -> &String) -> Vec<T> {
+        let mut seen = std::collections::HashSet::new();
+        let mut rows = self.vec(f);
+        rows.retain(|row| seen.insert(name(row).clone()));
+        rows
+    }
 }
 
 fn degradation(d: &mut Dice) -> DegradationLedger {
@@ -269,7 +278,7 @@ fn run_report(d: &mut Dice) -> RunReport {
         r.metrics.insert(d.name(), d.real());
         r.wall.insert(d.name(), d.real());
     }
-    r.layout.functions = d.vec(|d| FunctionProvenance {
+    r.layout.functions = d.rows(|d| FunctionProvenance {
         func_symbol: d.name(),
         total_samples: d.count(),
         hot_blocks: d.small() as usize,
@@ -286,7 +295,7 @@ fn run_report(d: &mut Dice) -> RunReport {
             cold: d.flag(),
             symbol_order_pos: d.flag().then(|| d.small() as usize),
         }),
-    });
+    }, |f| &f.func_symbol);
     r
 }
 
@@ -296,7 +305,7 @@ fn provenance_doc(d: &mut Dice) -> ProvenanceDoc {
         benchmark: d.name(),
         scale: d.real(),
         seed: d.count(),
-        functions: d.vec(|d| ProvenanceFunction {
+        functions: d.rows(|d| ProvenanceFunction {
             func_symbol: d.name(),
             func_index: d.small(),
             nodes: d.vec(|d| Node { id: d.small(), size: d.small(), count: d.count() }),
@@ -318,7 +327,7 @@ fn provenance_doc(d: &mut Dice) -> ProvenanceDoc {
             final_score: d.real(),
             input_score: d.real(),
             order: d.vec(Dice::small),
-        }),
+        }, |f| &f.func_symbol),
         funding: EdgeFunding {
             records: d.vec(|d| FundingRecord {
                 func: d.small(),
@@ -330,7 +339,7 @@ fn provenance_doc(d: &mut Dice) -> ProvenanceDoc {
                 weight: d.count(),
             }),
         },
-        placements: d.vec(|d| SymbolPlacement {
+        placements: d.rows(|d| SymbolPlacement {
             symbol: d.name(),
             order: d.small(),
             addr: d.count(),
@@ -338,7 +347,7 @@ fn provenance_doc(d: &mut Dice) -> ProvenanceDoc {
             final_size: d.count(),
             deleted_jumps: d.small(),
             shrunk_branches: d.small(),
-        }),
+        }, |p| &p.symbol),
         merge_sources: d.flag().then(|| MergeProvenance {
             max_age: d.small(),
             decay_num: d.small(),
@@ -360,11 +369,11 @@ fn provenance_doc(d: &mut Dice) -> ProvenanceDoc {
 /// run report; standalone, they are read the way `RunReport::parse`
 /// reads its members.
 fn attribution_doc(text: &str) -> Result<AttributionSection, SchemaError> {
-    read_doc("attribution", text, AttributionSection::read)
+    read_doc("attribution", text, AttributionSection::from_json)
 }
 
 fn metrics_doc(text: &str) -> Result<MetricsSnapshot, SchemaError> {
-    read_doc("metrics", text, MetricsSnapshot::read)
+    read_doc("metrics", text, MetricsSnapshot::from_json)
 }
 
 /// One readable artifact: a serialized value and its type's parser,

@@ -14,7 +14,7 @@
 
 use crate::injector::FaultInjector;
 use crate::plan::FaultKind;
-use propeller_telemetry::json::{num_entries, JsonValue, Reader, SchemaError};
+use propeller_telemetry::json::{num_entries, FromJson, JsonValue, Reader, SchemaError};
 use std::fmt;
 
 /// Declares a ledger from the one table of its counters. Each row,
@@ -280,16 +280,6 @@ impl DegradationLedger {
         (!self.is_clean()).then(|| num_entries(self.entries()))
     }
 
-    /// Reads back what [`DegradationLedger::to_json`] wrote.
-    ///
-    /// # Errors
-    ///
-    /// An entry is absent, not a number, or not a value its field
-    /// holds (a fractional or negative count).
-    pub fn read(r: Reader<'_>) -> Result<DegradationLedger, SchemaError> {
-        read_entries(r, DegradationLedger::entries, DegradationLedger::from_entries)
-    }
-
     /// Record the ledger as telemetry counters/gauges under `prefix`
     /// (e.g. `faults.action_retries`). No-op on a disabled handle;
     /// callers also skip it for clean ledgers so zero-fault traces
@@ -326,31 +316,31 @@ impl DegradationLedger {
     }
 }
 
-/// Reads every entry a ledger's `entries()` names from the object at
-/// `r` and rebuilds the ledger through its `from_entries`. That
-/// narrows counts with `as`, so the rebuilt ledger's entries are held
-/// against what was read: a fractional, negative or oversized count is
-/// an error, not a truncation. Members `entries()` does not name are
-/// ignored, so old readers tolerate new counters.
-pub(crate) fn read_entries<L: Default>(
-    r: Reader<'_>,
-    entries: fn(&L) -> Vec<(&'static str, f64)>,
-    from_entries: fn(Vec<(&'static str, f64)>) -> L,
-) -> Result<L, SchemaError> {
-    let read = entries(&L::default())
-        .into_iter()
-        .map(|(name, _)| Ok((name, r.f64(name)?)))
-        .collect::<Result<Vec<_>, _>>()?;
-    let ledger = from_entries(read.clone());
-    for ((name, v), (_, kept)) in read.into_iter().zip(entries(&ledger)) {
-        if v != kept {
-            return Err(SchemaError::Expected {
-                what: "a value the ledger holds exactly".to_string(),
-                path: name.to_string(),
-            });
+/// Reads back what [`DegradationLedger::to_json`] wrote: every entry
+/// `entries()` names, rebuilt through `from_entries`. That narrows
+/// counts with `as`, so the rebuilt ledger's entries are held against
+/// what was read: an absent entry, a non-number, or a fractional,
+/// negative or oversized count is an error, not a truncation. Members
+/// `entries()` does not name are ignored, so old readers tolerate new
+/// counters.
+impl FromJson for DegradationLedger {
+    fn from_json(r: Reader<'_>) -> Result<DegradationLedger, SchemaError> {
+        let read = DegradationLedger::default()
+            .entries()
+            .into_iter()
+            .map(|(name, _)| Ok((name, r.get(name)?)))
+            .collect::<Result<Vec<_>, _>>()?;
+        let ledger = DegradationLedger::from_entries(read.clone());
+        for ((name, v), (_, kept)) in read.into_iter().zip(ledger.entries()) {
+            if v != kept {
+                return Err(SchemaError::Expected {
+                    what: "a value the ledger holds exactly".to_string(),
+                    path: name.to_string(),
+                });
+            }
         }
+        Ok(ledger)
     }
-    Ok(ledger)
 }
 
 impl fmt::Display for DegradationLedger {

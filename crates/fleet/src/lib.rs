@@ -60,7 +60,7 @@ use propeller::{
     PropellerOptions,
 };
 use propeller_buildsys::{panic_message, Executor};
-use propeller_doctor::{diff_docs, layout_skew_agg, ProvenanceDoc, RelinkDecision, RelinkPolicy};
+use propeller_doctor::{diff_docs, layout_skew, ProvenanceDoc, RelinkDecision, RelinkPolicy};
 use propeller_profile::{
     merge_profiles_logged, AggregatedProfile, HardwareProfile, MergeOptions, MergeProvenance,
     ProfileSource,
@@ -538,7 +538,7 @@ pub fn run_fleet(
             } else {
                 let log;
                 (stale_agg, log) = merge(&stale_sources, opts.provenance);
-                let skew = layout_skew_agg(pm, &stale_agg, pm, &fresh_agg);
+                let skew = layout_skew(pm, &stale_agg, pm, &fresh_agg);
                 let decision = opts.policy.decide(skew);
                 let ship = (&stale_agg, stale_bytes, log);
                 (skew, decision.as_str().to_string(), decision, ship)

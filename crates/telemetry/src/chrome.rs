@@ -81,18 +81,13 @@ fn name_event(what: &str, tid: Option<u64>, name: &str) -> JsonValue {
 }
 
 /// Renders a drained trace as a Chrome Trace Event Format JSON
-/// document.
-pub fn to_chrome_trace(trace: &TraceData) -> String {
-    render_trace(trace_events(trace))
-}
-
-/// Renders a drained trace plus a modeled-clock [`TimeSeries`]: every
-/// series point becomes a counter (`"ph": "C"`) event at its
+/// document, plus a modeled-clock [`TimeSeries`] (empty for none):
+/// every series point becomes a counter (`"ph": "C"`) event at its
 /// sim-microsecond timestamp, so queue depths, slot occupancy and
 /// rejection totals plot as tracks alongside the span lanes. Point
 /// order is the series' canonical order, so the document is
 /// byte-stable for byte-stable inputs.
-pub fn to_chrome_trace_with_series(trace: &TraceData, series: &TimeSeries) -> String {
+pub fn to_chrome_trace(trace: &TraceData, series: &TimeSeries) -> String {
     let mut events = trace_events(trace);
     for (name, s) in series.iter() {
         events.extend(s.ordered().iter().map(|p| counter_event(name, p.t_us, p.value.into())));
@@ -141,7 +136,7 @@ mod tests {
         }
         tel.counter_add("cache.hits", 3);
         tel.gauge_max("rss", 1.5e9);
-        let json = to_chrome_trace(&tel.drain());
+        let json = to_chrome_trace(&tel.drain(), &TimeSeries::new());
         JsonValue::parse(&json).expect("valid JSON");
         assert!(json.contains("\"traceEvents\""));
         assert!(json.contains("action:compile"));
@@ -151,7 +146,7 @@ mod tests {
 
     #[test]
     fn empty_trace_is_valid() {
-        let json = to_chrome_trace(&Telemetry::enabled().drain());
+        let json = to_chrome_trace(&Telemetry::enabled().drain(), &TimeSeries::new());
         JsonValue::parse(&json).expect("valid JSON");
     }
 
@@ -168,7 +163,7 @@ mod tests {
         tel.with_worker(TENANT_LANE_BASE + 1, || {
             let _s = tel.span("tenant job");
         });
-        let json = to_chrome_trace(&tel.drain());
+        let json = to_chrome_trace(&tel.drain(), &TimeSeries::new());
         JsonValue::parse(&json).expect("valid JSON");
         assert!(json.contains("\"name\":\"worker 2\""));
         assert!(json.contains("\"name\":\"tenant 1\""));
@@ -184,7 +179,6 @@ mod tests {
 
     #[test]
     fn series_points_export_as_counter_events() {
-        use crate::timeseries::TimeSeries;
         let tel = Telemetry::enabled();
         {
             let _s = tel.span("run");
@@ -192,12 +186,12 @@ mod tests {
         let mut ts = TimeSeries::new();
         ts.gauge("queue_depth.t0", 1_500_000, 3.0);
         ts.counter_add("rejected.t0", 2_000_000, 1.0);
-        let json = to_chrome_trace_with_series(&tel.drain(), &ts);
+        let json = to_chrome_trace(&tel.drain(), &ts);
         JsonValue::parse(&json).expect("valid JSON");
         assert!(json.contains("\"name\":\"queue_depth.t0\",\"ph\":\"C\",\"ts\":1500000"));
         assert!(json.contains("\"name\":\"rejected.t0\",\"ph\":\"C\",\"ts\":2000000"));
         // Byte-stable for identical inputs.
-        let again = to_chrome_trace_with_series(&Telemetry::enabled().drain(), &ts);
+        let again = to_chrome_trace(&Telemetry::enabled().drain(), &ts);
         let counters: Vec<&str> =
             json.lines().filter(|l| l.contains("\"ph\":\"C\"")).collect();
         let counters2: Vec<&str> =
@@ -211,7 +205,7 @@ mod tests {
         tel.with_worker(2, || {
             let _s = tel.span("pooled work");
         });
-        let json = to_chrome_trace(&tel.drain());
+        let json = to_chrome_trace(&tel.drain(), &TimeSeries::new());
         JsonValue::parse(&json).expect("valid JSON");
         assert!(json.contains("\"tid\":1002"));
         assert!(json.contains("worker 2"));
@@ -247,7 +241,7 @@ mod tests {
         let mut series = TimeSeries::new();
         series.gauge("queue_depth.t0", 1_500_000, 3.0);
         assert_eq!(
-            to_chrome_trace_with_series(&trace, &series),
+            to_chrome_trace(&trace, &series),
             concat!(
                 "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n",
                 "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{\"name\":\"propeller\"}},\n",

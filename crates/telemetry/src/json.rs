@@ -6,7 +6,8 @@
 //! goes through this module. The writer escapes per RFC 8259; the
 //! reader accepts exactly what the writer produces (plus arbitrary
 //! whitespace), so round-tripping is lossless for everything the
-//! pipeline serializes.
+//! pipeline serializes. A member name may appear once per object: a
+//! repeat is a syntax error, never a silent choice between the two.
 //!
 //! Object member order is preserved (members are a `Vec`, not a map):
 //! diffs of two serialized reports stay stable and human-readable.
@@ -16,9 +17,10 @@
 //! [`JsonValue`], [`obj`], [`arr`], [`num_entries`] and
 //! [`JsonValue::with`] for members that are omitted when empty.
 //! Reading: [`read_doc`] hands the parsed document to a [`Reader`],
-//! whose accessors check what they narrow (an integer read rejects
-//! fractions, negatives and values beyond the target type) and fail
-//! with one [`SchemaError`] naming the member's path.
+//! whose [`Reader::get`] reads a member as any [`FromJson`] type. The
+//! reads check what they narrow (an integer read rejects fractions,
+//! negatives and values beyond the target type) and fail with one
+//! [`SchemaError`] naming the member's path.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -221,7 +223,7 @@ pub fn num_entries<K: Into<String>, V: Into<JsonValue>>(
     obj(entries.into_iter().map(|(k, v)| (k, v.into())))
 }
 
-macro_rules! json_num_from {
+macro_rules! json_uint {
     ($($t:ty),*) => {$(
         impl From<$t> for JsonValue {
             /// Integers above `2^53` round to the nearest `f64`.
@@ -234,9 +236,17 @@ macro_rules! json_num_from {
                 JsonValue::from(*v)
             }
         }
+        /// An integer the type holds: not a fraction, a negative or a
+        /// value beyond its range.
+        impl FromJson for $t {
+            fn from_json(r: Reader<'_>) -> Result<$t, SchemaError> {
+                let n = r.0.as_f64().and_then(uint_of).and_then(|n| <$t>::try_from(n).ok());
+                n.ok_or_else(|| SchemaError::expected(format!("an integer in 0..={}", <$t>::MAX)))
+            }
+        }
     )*};
 }
-json_num_from!(u32, u64, usize, u128);
+json_uint!(u32, u64, usize, u128);
 
 impl From<f64> for JsonValue {
     fn from(v: f64) -> JsonValue {
@@ -346,60 +356,14 @@ pub fn read_doc<T>(
     read(Reader(&v)).map_err(|e| e.within(doc))
 }
 
-/// A read cursor on one value of a parsed document. `to_*` read the
-/// value itself; the keyed accessors read a member of it (which makes
-/// it an object, or an error). Errors come back located: each level
-/// they pass on the way out prepends its key or index.
+/// A read cursor on one value of a parsed document. [`Reader::get`]
+/// reads a member of it (which makes it an object, or an error) as the
+/// type asked for. Errors come back located: each level they pass on
+/// the way out prepends its key or index.
 #[derive(Copy, Clone, Debug)]
 pub struct Reader<'a>(&'a JsonValue);
 
 impl<'a> Reader<'a> {
-    /// The string.
-    pub fn to_str(self) -> Result<&'a str, SchemaError> {
-        self.0.as_str().ok_or_else(|| SchemaError::expected("a string"))
-    }
-
-    /// The number.
-    pub fn to_f64(self) -> Result<f64, SchemaError> {
-        self.0.as_f64().ok_or_else(|| SchemaError::expected("a number"))
-    }
-
-    /// The boolean.
-    pub fn to_bool(self) -> Result<bool, SchemaError> {
-        match self.0 {
-            JsonValue::Bool(b) => Ok(*b),
-            _ => Err(SchemaError::expected("a boolean")),
-        }
-    }
-
-    fn to_uint<T: TryFrom<u128> + std::fmt::Display>(self, max: T) -> Result<T, SchemaError> {
-        self.0
-            .as_f64()
-            .and_then(uint_of)
-            .and_then(|n| T::try_from(n).ok())
-            .ok_or_else(|| SchemaError::expected(format!("an integer in 0..={max}")))
-    }
-
-    /// The number, when it is an integer a `u64` holds.
-    pub fn to_u64(self) -> Result<u64, SchemaError> {
-        self.to_uint(u64::MAX)
-    }
-
-    /// The number, when it is an integer a `u32` holds.
-    pub fn to_u32(self) -> Result<u32, SchemaError> {
-        self.to_uint(u32::MAX)
-    }
-
-    /// The number, when it is an integer a `usize` holds.
-    pub fn to_usize(self) -> Result<usize, SchemaError> {
-        self.to_uint(usize::MAX)
-    }
-
-    /// The number, when it is an integer a `u128` holds.
-    pub fn to_u128(self) -> Result<u128, SchemaError> {
-        self.to_uint(u128::MAX)
-    }
-
     /// `read` of each array element, in order.
     pub fn to_arr<T>(
         self,
@@ -415,89 +379,102 @@ impl<'a> Reader<'a> {
             .collect()
     }
 
-    /// `read` of each member of an object keyed by free-form names
-    /// (metric names, tenants), as the sorted map its writer iterated.
-    pub fn to_map<T>(
+    /// The member `key` as a `T`.
+    pub fn get<T: FromJson>(self, key: &str) -> Result<T, SchemaError> {
+        self.member(key, T::absent(), T::from_json)
+    }
+
+    /// The member `key` as a `T`, or `None` when it is absent or
+    /// `null` — a member its writer omits when empty.
+    pub fn opt<T: FromJson>(self, key: &str) -> Result<Option<T>, SchemaError> {
+        self.get(key)
+    }
+
+    /// `read` of the member `key`. An absent or `null` member is
+    /// `absent`, and missing when that is `None`.
+    pub fn member<T>(
         self,
-        mut read: impl FnMut(Reader<'a>) -> Result<T, SchemaError>,
-    ) -> Result<BTreeMap<String, T>, SchemaError> {
-        self.members()?
-            .iter()
-            .map(|(k, v)| Ok((k.clone(), read(Reader(v)).map_err(|e| e.within(k))?)))
-            .collect()
+        key: &str,
+        absent: Option<T>,
+        read: impl FnOnce(Reader<'a>) -> Result<T, SchemaError>,
+    ) -> Result<T, SchemaError> {
+        match self.members()?.iter().find(|(k, _)| k == key) {
+            None | Some((_, JsonValue::Null)) => absent.ok_or_else(|| SchemaError::Missing {
+                path: key.to_string(),
+            }),
+            Some((_, v)) => read(Reader(v)).map_err(|e| e.within(key)),
+        }
     }
 
     fn members(self) -> Result<&'a [(String, JsonValue)], SchemaError> {
         self.0.as_obj().ok_or_else(|| SchemaError::expected("an object"))
     }
+}
 
-    /// `read` of the member `key`, which must be present.
-    pub fn get<T>(
-        self,
-        key: &str,
-        read: impl FnOnce(Reader<'a>) -> Result<T, SchemaError>,
-    ) -> Result<T, SchemaError> {
-        self.opt(key, read)?.ok_or_else(|| SchemaError::Missing {
-            path: key.to_string(),
-        })
+/// A value [`Reader::get`] reads by its type: each primitive and
+/// container once here, and each document type that is a member of
+/// another beside its writer.
+pub trait FromJson: Sized {
+    /// Reads the value at `r`.
+    ///
+    /// # Errors
+    ///
+    /// `r` does not hold a `Self`, or holds a number `Self` would have
+    /// to narrow.
+    fn from_json(r: Reader<'_>) -> Result<Self, SchemaError>;
+
+    /// What an absent or `null` member reads as: missing, except for an
+    /// `Option`, whose `None` it is.
+    fn absent() -> Option<Self> {
+        None
     }
+}
 
-    /// `read` of the member `key`, or `None` when it is absent or
-    /// `null` — a member its writer omits when empty.
-    pub fn opt<T>(
-        self,
-        key: &str,
-        read: impl FnOnce(Reader<'a>) -> Result<T, SchemaError>,
-    ) -> Result<Option<T>, SchemaError> {
-        self.members()?;
-        match self.0.get(key) {
-            None | Some(JsonValue::Null) => Ok(None),
-            Some(v) => read(Reader(v)).map(Some).map_err(|e| e.within(key)),
+impl FromJson for String {
+    fn from_json(r: Reader<'_>) -> Result<String, SchemaError> {
+        r.0.as_str().map(str::to_string).ok_or_else(|| SchemaError::expected("a string"))
+    }
+}
+
+impl FromJson for f64 {
+    fn from_json(r: Reader<'_>) -> Result<f64, SchemaError> {
+        r.0.as_f64().ok_or_else(|| SchemaError::expected("a number"))
+    }
+}
+
+impl FromJson for bool {
+    fn from_json(r: Reader<'_>) -> Result<bool, SchemaError> {
+        match r.0 {
+            JsonValue::Bool(b) => Ok(*b),
+            _ => Err(SchemaError::expected("a boolean")),
         }
     }
+}
 
-    /// The string member `key`.
-    pub fn str(self, key: &str) -> Result<&'a str, SchemaError> {
-        self.get(key, Reader::to_str)
+impl<T: FromJson> FromJson for Option<T> {
+    fn from_json(r: Reader<'_>) -> Result<Option<T>, SchemaError> {
+        T::from_json(r).map(Some)
     }
 
-    /// The number member `key`.
-    pub fn f64(self, key: &str) -> Result<f64, SchemaError> {
-        self.get(key, Reader::to_f64)
+    fn absent() -> Option<Option<T>> {
+        Some(None)
     }
+}
 
-    /// The boolean member `key`.
-    pub fn bool(self, key: &str) -> Result<bool, SchemaError> {
-        self.get(key, Reader::to_bool)
+impl<T: FromJson> FromJson for Vec<T> {
+    fn from_json(r: Reader<'_>) -> Result<Vec<T>, SchemaError> {
+        r.to_arr(T::from_json)
     }
+}
 
-    /// The integer member `key`, checked as [`Reader::to_u64`] does.
-    pub fn u64(self, key: &str) -> Result<u64, SchemaError> {
-        self.get(key, Reader::to_u64)
-    }
-
-    /// The integer member `key`, checked as [`Reader::to_u32`] does.
-    pub fn u32(self, key: &str) -> Result<u32, SchemaError> {
-        self.get(key, Reader::to_u32)
-    }
-
-    /// The integer member `key`, checked as [`Reader::to_usize`] does.
-    pub fn usize(self, key: &str) -> Result<usize, SchemaError> {
-        self.get(key, Reader::to_usize)
-    }
-
-    /// `read` of each element of the array member `key`.
-    pub fn arr<T>(
-        self,
-        key: &str,
-        read: impl FnMut(Reader<'a>) -> Result<T, SchemaError>,
-    ) -> Result<Vec<T>, SchemaError> {
-        self.get(key, |a| a.to_arr(read))
-    }
-
-    /// The member `key` as what [`num_entries`] wrote: names to numbers.
-    pub fn num_entries(self, key: &str) -> Result<BTreeMap<String, f64>, SchemaError> {
-        self.get(key, |o| o.to_map(Reader::to_f64))
+/// An object keyed by free-form names (metric names, tenants), as the
+/// sorted map its writer iterated.
+impl<T: FromJson> FromJson for BTreeMap<String, T> {
+    fn from_json(r: Reader<'_>) -> Result<BTreeMap<String, T>, SchemaError> {
+        r.members()?
+            .iter()
+            .map(|(k, v)| Ok((k.clone(), T::from_json(Reader(v)).map_err(|e| e.within(k))?)))
+            .collect()
     }
 }
 
@@ -667,7 +644,14 @@ impl<'a> Parser<'a> {
         }
         loop {
             self.skip_ws();
+            let at = self.pos;
             let key = self.string()?;
+            if members.iter().any(|(k, _)| *k == key) {
+                return Err(JsonError {
+                    offset: at,
+                    message: format!("repeated member name {key:?}"),
+                });
+            }
             self.skip_ws();
             self.expect(b':')?;
             let v = self.value()?;
@@ -790,6 +774,11 @@ mod tests {
         ] {
             assert!(JsonValue::parse(bad).is_err(), "{bad:?} should fail");
         }
+        // A repeated name used to parse: a map read kept the last value
+        // and a member read the first.
+        let err = JsonValue::parse(r#"{"m": {"k": 5, "k": 1}}"#).unwrap_err();
+        assert_eq!((err.offset, err.message.as_str()), (15, r#"repeated member name "k""#));
+        assert!(JsonValue::parse(r#"[{"k": 5}, {"k": 1}]"#).is_ok());
     }
 
     #[test]
@@ -838,7 +827,7 @@ mod tests {
 
     #[test]
     fn to_u64_refuses_to_narrow() {
-        let n = |text| read(text, |r| r.to_u64()).ok();
+        let n = |text| read(text, u64::from_json).ok();
         assert_eq!(n("1.9"), None);
         assert_eq!(n("1e30"), None);
         assert_eq!(n("18446744073709551616"), None);
@@ -883,59 +872,74 @@ mod tests {
     fn reader_accessors_check_what_they_narrow() {
         let text = r#"{"s": "x", "n": 7, "f": 1.9, "neg": -1, "wide": 4294967296,
             "huge": 1e30, "b": false, "null": null, "a": [1, 2], "m": {"k": 1.5}}"#;
-        assert_eq!(read(text, |r| r.str("s").map(str::len)), Ok(1));
-        assert_eq!(read(text, |r| r.u32("n")), Ok(7));
-        assert_eq!(read(text, |r| r.f64("f")), Ok(1.9));
-        assert_eq!(read(text, |r| r.bool("b")), Ok(false));
-        assert_eq!(read(text, |r| r.u64("wide")), Ok(1 << 32));
-        assert_eq!(read(text, |r| r.usize("wide")), Ok(1 << 32));
-        assert_eq!(read(text, |r| r.get("huge", Reader::to_u128)), Ok(1e30 as u128));
-        assert_eq!(read(text, |r| r.arr("a", Reader::to_u32)), Ok(vec![1, 2]));
+        assert_eq!(read(text, |r| r.get::<String>("s")), Ok("x".to_string()));
+        assert_eq!(read(text, |r| r.get::<u32>("n")), Ok(7));
+        assert_eq!(read(text, |r| r.get::<f64>("f")), Ok(1.9));
+        assert_eq!(read(text, |r| r.get::<bool>("b")), Ok(false));
+        assert_eq!(read(text, |r| r.get::<u64>("wide")), Ok(1 << 32));
+        assert_eq!(read(text, |r| r.get::<usize>("wide")), Ok(1 << 32));
+        assert_eq!(read(text, |r| r.get::<u128>("huge")), Ok(1e30 as u128));
+        assert_eq!(read(text, |r| r.get::<Vec<u32>>("a")), Ok(vec![1, 2]));
         assert_eq!(
-            read(text, |r| r.num_entries("m")),
+            read(text, |r| r.get::<BTreeMap<String, f64>>("m")),
             Ok(BTreeMap::from([("k".to_string(), 1.5)]))
         );
-        assert_eq!(read(text, |r| r.opt("s", |s| s.to_str().map(str::len))), Ok(Some(1)));
-        assert_eq!(read(text, |r| r.opt("null", |s| s.to_str().map(str::len))), Ok(None));
-        assert_eq!(read(text, |r| r.opt("nope", |s| s.to_str().map(str::len))), Ok(None));
+        assert_eq!(read(text, |r| r.opt::<String>("s")), Ok(Some("x".to_string())));
+        assert_eq!(read(text, |r| r.opt::<String>("null")), Ok(None));
+        assert_eq!(read(text, |r| r.opt::<String>("nope")), Ok(None));
+        assert_eq!(read(text, |r| r.get::<Option<u32>>("nope")), Ok(None));
 
         let err = |f: fn(Reader<'_>) -> Result<u64, SchemaError>| read(text, f).unwrap_err();
-        assert_eq!(err(|r| r.u64("nope")), "missing `doc.nope`");
-        assert_eq!(err(|r| r.u64("null")), "missing `doc.null`");
-        assert_eq!(err(|r| r.u64("s")), "expected an integer in 0..=18446744073709551615 at `doc.s`");
+        assert_eq!(err(|r| r.get("nope")), "missing `doc.nope`");
+        assert_eq!(err(|r| r.get("null")), "missing `doc.null`");
+        let u64_err = "expected an integer in 0..=18446744073709551615 at ";
+        assert_eq!(err(|r| r.get("s")), format!("{u64_err}`doc.s`"));
         let u32_err = "expected an integer in 0..=4294967295 at ";
-        assert_eq!(err(|r| r.u32("f").map(u64::from)), format!("{u32_err}`doc.f`"));
-        assert_eq!(err(|r| r.u32("neg").map(u64::from)), format!("{u32_err}`doc.neg`"));
-        assert_eq!(err(|r| r.u32("wide").map(u64::from)), format!("{u32_err}`doc.wide`"));
-        assert!(err(|r| r.u64("huge")).starts_with("expected an integer"));
-        assert_eq!(err(|r| r.str("n").map(|_| 0)), "expected a string at `doc.n`");
-        assert_eq!(err(|r| r.f64("s").map(|_| 0)), "expected a number at `doc.s`");
-        assert_eq!(err(|r| r.bool("n").map(|_| 0)), "expected a boolean at `doc.n`");
-        assert_eq!(err(|r| r.arr("m", Reader::to_u64).map(|_| 0)), "expected an array at `doc.m`");
-        assert_eq!(err(|r| r.num_entries("a").map(|_| 0)), "expected an object at `doc.a`");
-        assert_eq!(err(|r| r.get("s", |s| s.u64("k"))), "expected an object at `doc.s`");
+        assert_eq!(err(|r| r.get::<u32>("f").map(u64::from)), format!("{u32_err}`doc.f`"));
+        assert_eq!(err(|r| r.get::<u32>("neg").map(u64::from)), format!("{u32_err}`doc.neg`"));
+        assert_eq!(err(|r| r.get::<u32>("wide").map(u64::from)), format!("{u32_err}`doc.wide`"));
+        assert!(err(|r| r.get("huge")).starts_with("expected an integer"));
+        assert_eq!(err(|r| r.get::<String>("n").map(|_| 0)), "expected a string at `doc.n`");
+        assert_eq!(err(|r| r.get::<f64>("s").map(|_| 0)), "expected a number at `doc.s`");
+        assert_eq!(err(|r| r.get::<bool>("n").map(|_| 0)), "expected a boolean at `doc.n`");
+        assert_eq!(err(|r| r.get::<Vec<u64>>("m").map(|_| 0)), "expected an array at `doc.m`");
+        assert_eq!(
+            err(|r| r.get::<BTreeMap<String, f64>>("a").map(|_| 0)),
+            "expected an object at `doc.a`"
+        );
+        assert_eq!(
+            err(|r| r.member("s", None, |s| s.get("k"))),
+            "expected an object at `doc.s`"
+        );
     }
 
     #[test]
     fn reader_errors_carry_the_path() {
         let text = r#"{"layout": [{"clusters": []}, {"clusters": [{"size": 1}, {"size": "x"}]}]}"#;
-        let sizes = |r: Reader<'_>| {
-            r.arr("layout", |f| f.arr("clusters", |c| c.u64("size")))
+        let clusters = |key: &'static str| {
+            move |r: Reader<'_>| {
+                r.member("layout", None, |l| {
+                    l.to_arr(|f| f.member("clusters", None, |c| c.to_arr(|c| c.get::<u64>(key))))
+                })
+            }
         };
         assert_eq!(
-            read(text, sizes).unwrap_err(),
+            read(text, clusters("size")).unwrap_err(),
             "expected an integer in 0..=18446744073709551615 at `doc.layout[1].clusters[1].size`"
         );
-        let weights = |r: Reader<'_>| r.arr("layout", |f| f.arr("clusters", |c| c.u64("weight")));
-        assert_eq!(read(text, weights).unwrap_err(), "missing `doc.layout[1].clusters[0].weight`");
-        assert_eq!(read("[1, 2]", |r| r.u64("k")).unwrap_err(), "expected an object at `doc`");
         assert_eq!(
-            read("[1, 2", |r| r.u64("k")).unwrap_err(),
+            read(text, clusters("weight")).unwrap_err(),
+            "missing `doc.layout[1].clusters[0].weight`"
+        );
+        let k = |r: Reader<'_>| r.get::<u64>("k");
+        assert_eq!(read("[1, 2]", k).unwrap_err(), "expected an object at `doc`");
+        assert_eq!(
+            read("[1, 2", k).unwrap_err(),
             "JSON error at byte 5: expected `,` or `]`"
         );
+        let tenants = |r: Reader<'_>| r.get::<BTreeMap<String, BTreeMap<String, u32>>>("t");
         assert_eq!(
-            read(r#"{"t": {"a b": {"n": -1}}}"#, |r| r.get("t", |t| t.to_map(|row| row.u32("n"))))
-                .unwrap_err(),
+            read(r#"{"t": {"a b": {"n": -1}}}"#, tenants).unwrap_err(),
             "expected an integer in 0..=4294967295 at `doc.t.a b.n`"
         );
     }

@@ -6,7 +6,7 @@
 //! in any order and grouping without changing the result (property
 //! tested in `tests/metrics_props.rs`).
 
-use crate::json::{arr, num_entries, obj, JsonValue, Reader, SchemaError};
+use crate::json::{arr, num_entries, obj, FromJson, JsonValue, Reader, SchemaError};
 use std::collections::BTreeMap;
 
 /// Number of histogram buckets. Bucket `i < HISTOGRAM_BUCKETS - 1`
@@ -261,33 +261,35 @@ impl MetricsSnapshot {
             ),
         ])
     }
+}
 
-    /// Reads back what [`MetricsSnapshot::to_json`] wrote.
-    ///
-    /// # Errors
-    ///
-    /// Names the first member that is absent or holds the wrong thing
-    /// (a negative counter, a histogram with the wrong bucket count).
-    pub fn read(r: Reader<'_>) -> Result<MetricsSnapshot, SchemaError> {
-        let histogram = |h: Reader<'_>| {
-            let count = h.u64("count")?;
-            let buckets = h.arr("buckets", Reader::to_u64)?;
-            let extreme = |key, empty| if count > 0 { h.f64(key) } else { Ok(empty) };
-            Ok(Histogram {
-                buckets: buckets.try_into().map_err(|_| SchemaError::Expected {
-                    what: format!("{HISTOGRAM_BUCKETS} bucket counts"),
-                    path: "buckets".to_string(),
-                })?,
-                count,
-                sum: h.f64("sum")?,
-                min: extreme("min", f64::INFINITY)?,
-                max: extreme("max", f64::NEG_INFINITY)?,
-            })
-        };
+/// Reads back what [`MetricsSnapshot::to_json`] wrote: an absent member
+/// or one that holds the wrong thing (a negative counter, a histogram
+/// with the wrong bucket count) is an error naming it.
+impl FromJson for MetricsSnapshot {
+    fn from_json(r: Reader<'_>) -> Result<MetricsSnapshot, SchemaError> {
         Ok(MetricsSnapshot {
-            counters: r.get("counters", |c| c.to_map(Reader::to_u64))?,
-            gauges: r.num_entries("gauges")?,
-            histograms: r.get("histograms", |h| h.to_map(histogram))?,
+            counters: r.get("counters")?,
+            gauges: r.get("gauges")?,
+            histograms: r.get("histograms")?,
+        })
+    }
+}
+
+impl FromJson for Histogram {
+    fn from_json(h: Reader<'_>) -> Result<Histogram, SchemaError> {
+        let count = h.get("count")?;
+        let buckets: Vec<u64> = h.get("buckets")?;
+        let extreme = |key, empty| if count > 0 { h.get(key) } else { Ok(empty) };
+        Ok(Histogram {
+            buckets: buckets.try_into().map_err(|_| SchemaError::Expected {
+                what: format!("{HISTOGRAM_BUCKETS} bucket counts"),
+                path: "buckets".to_string(),
+            })?,
+            count,
+            sum: h.get("sum")?,
+            min: extreme("min", f64::INFINITY)?,
+            max: extreme("max", f64::NEG_INFINITY)?,
         })
     }
 }
@@ -298,7 +300,7 @@ mod tests {
     use crate::json::read_doc;
 
     fn parse(text: &str) -> Result<MetricsSnapshot, SchemaError> {
-        read_doc("metrics", text, MetricsSnapshot::read)
+        read_doc("metrics", text, MetricsSnapshot::from_json)
     }
 
     #[test]

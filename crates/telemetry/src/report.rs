@@ -63,7 +63,7 @@ fn write_span(
 
 /// Renders the span tree (eliding beyond `max_children` children per
 /// span) followed by the metrics table.
-pub fn render_text_with_limit(trace: &TraceData, max_children: usize) -> String {
+pub fn render_text(trace: &TraceData, max_children: usize) -> String {
     let mut out = String::new();
     out.push_str("== span tree ==\n");
     if trace.spans.is_empty() {
@@ -114,11 +114,6 @@ pub fn render_text_with_limit(trace: &TraceData, max_children: usize) -> String 
         }
     }
     out
-}
-
-/// Renders with the default child limit (16 per span).
-pub fn render_text(trace: &TraceData) -> String {
-    render_text_with_limit(trace, 16)
 }
 
 /// A one-line bucket sparkline for non-empty histogram ranges.
@@ -185,7 +180,7 @@ mod tests {
         tel.counter_add("cache.hits", 12);
         tel.gauge_max("peak", 5.0);
         tel.observe("gain", 3.0);
-        let text = render_text(&tel.drain());
+        let text = render_text(&tel.drain(), 16);
         assert!(text.contains("phase1"));
         assert!(text.contains("action:a"));
         assert!(text.contains("sim 2.000 s"));
@@ -203,7 +198,7 @@ mod tests {
                 tel.emit_span(format!("action:{i}"), p.id(), 0.1, 0);
             }
         }
-        let text = render_text_with_limit(&tel.drain(), 4);
+        let text = render_text(&tel.drain(), 4);
         assert!(text.contains("… 36 more spans"));
         assert!(!text.contains("action:39"));
     }
@@ -232,7 +227,7 @@ mod tests {
 
     #[test]
     fn empty_trace_renders() {
-        let text = render_text(&Telemetry::enabled().drain());
+        let text = render_text(&Telemetry::enabled().drain(), 16);
         assert!(text.contains("(no spans recorded)"));
     }
 }

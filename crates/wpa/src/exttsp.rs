@@ -825,7 +825,7 @@ pub struct MergeDetail {
     pub evaluations: u64,
 }
 
-/// What one [`order_nodes_logged`] run did, for provenance reporting.
+/// What one [`order_nodes`] run did, for provenance reporting.
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct MergeLog {
     /// Every committed merge, in order.
@@ -903,7 +903,7 @@ impl ChainReplay {
 /// reassembles the final node order with the exact rule the optimizer
 /// uses (entry chain first, remaining chains by descending density,
 /// ties by founding block). Returns the reconstructed order, which must
-/// equal what [`order_nodes_logged`] returned when it recorded `steps`
+/// equal what [`order_nodes`] returned when it recorded `steps`
 /// (unless that run fell back to the input order).
 ///
 /// # Errors
@@ -959,7 +959,11 @@ pub fn replay_merges(nodes: &[Node], entry: u32, steps: &[MergeStep]) -> Result<
     Ok(order)
 }
 
-/// Orders `nodes` to maximize the Ext-TSP score, keeping `entry` first.
+/// Orders `nodes` to maximize the Ext-TSP score, keeping `entry` first,
+/// recording an `exttsp.merges` counter and an `exttsp.merge_gain`
+/// histogram (the score gain of every chain merge the optimizer
+/// commits) into `tel`, and filling `log` (when given) with the
+/// committed merges and the final-vs-input layout scores.
 ///
 /// Nodes never observed in an edge stay in their own chains and are
 /// appended in descending density order after the merged hot chains.
@@ -967,26 +971,7 @@ pub fn replay_merges(nodes: &[Node], entry: u32, steps: &[MergeStep]) -> Result<
 /// # Panics
 ///
 /// Panics if `entry` is not among `nodes` or ids are duplicated.
-pub fn order_nodes(nodes: &[Node], edges: &[Edge], entry: u32, params: &ExtTspParams) -> Vec<u32> {
-    order_nodes_logged(
-        nodes,
-        edges,
-        entry,
-        params,
-        &propeller_telemetry::Telemetry::disabled(),
-        None,
-    )
-}
-
-/// [`order_nodes`], recording an `exttsp.merges` counter and an
-/// `exttsp.merge_gain` histogram (the score gain of every chain merge
-/// the optimizer commits) into `tel`, and filling `log` (when given)
-/// with the committed merges and the final-vs-input layout scores.
-///
-/// # Panics
-///
-/// Same as [`order_nodes`].
-pub fn order_nodes_logged(
+pub fn order_nodes(
     nodes: &[Node],
     edges: &[Edge],
     entry: u32,
@@ -1136,6 +1121,12 @@ pub fn order_nodes_logged(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use propeller_telemetry::Telemetry;
+
+    /// [`order_nodes`] at the default parameters, untraced and unlogged.
+    fn default_order(ns: &[Node], es: &[Edge], entry: u32) -> Vec<u32> {
+        order_nodes(ns, es, entry, &ExtTspParams::default(), &Telemetry::disabled(), None)
+    }
 
     fn nodes(sizes: &[(u32, u32, u64)]) -> Vec<Node> {
         sizes
@@ -1158,7 +1149,7 @@ mod tests {
             edge(1, 3, 5),
             edge(2, 3, 95),
         ];
-        let order = order_nodes(&ns, &es, 0, &ExtTspParams::default());
+        let order = default_order(&ns, &es, 0);
         assert_eq!(order[0], 0);
         // 2 must directly follow 0; 3 follows 2.
         let p2 = order.iter().position(|&b| b == 2).unwrap();
@@ -1176,7 +1167,7 @@ mod tests {
         // A loop back edge 2 -> 0 would love to put 2 before 0.
         let ns = nodes(&[(0, 10, 100), (1, 10, 100), (2, 10, 100)]);
         let es = vec![edge(0, 1, 100), edge(1, 2, 100), edge(2, 0, 99)];
-        let order = order_nodes(&ns, &es, 0, &ExtTspParams::default());
+        let order = default_order(&ns, &es, 0);
         assert_eq!(order[0], 0, "{order:?}");
         assert_eq!(order.len(), 3);
     }
@@ -1185,7 +1176,7 @@ mod tests {
     fn isolated_nodes_appended_by_density() {
         let ns = nodes(&[(0, 10, 10), (7, 10, 0), (8, 10, 500)]);
         let es = vec![];
-        let order = order_nodes(&ns, &es, 0, &ExtTspParams::default());
+        let order = default_order(&ns, &es, 0);
         assert_eq!(order, vec![0, 8, 7]);
     }
 
@@ -1196,7 +1187,7 @@ mod tests {
         // needs splitting the (0,1) chain if it formed first.
         let ns = nodes(&[(0, 10, 110), (1, 10, 110), (2, 10, 100)]);
         let es = vec![edge(0, 1, 30), edge(0, 2, 100), edge(2, 1, 100)];
-        let order = order_nodes(&ns, &es, 0, &ExtTspParams::default());
+        let order = default_order(&ns, &es, 0);
         assert_eq!(order, vec![0, 2, 1]);
     }
 
@@ -1236,8 +1227,8 @@ mod tests {
             .map(|i| edge(i, i + 1, ((i as u64 * 13) % 50) + 1))
             .chain((0..10).map(|i| edge(i * 2, (i * 3 + 5) % 30, 40)))
             .collect();
-        let a = order_nodes(&ns, &es, 0, &ExtTspParams::default());
-        let b = order_nodes(&ns, &es, 0, &ExtTspParams::default());
+        let a = default_order(&ns, &es, 0);
+        let b = default_order(&ns, &es, 0);
         assert_eq!(a, b);
         assert_eq!(a.len(), 30);
         let mut sorted = a.clone();
@@ -1256,12 +1247,12 @@ mod tests {
         ];
         let p = ExtTspParams::default();
         let mut log = MergeLog::default();
-        let order = order_nodes_logged(
+        let order = order_nodes(
             &ns,
             &es,
             0,
             &p,
-            &propeller_telemetry::Telemetry::disabled(),
+            &Telemetry::disabled(),
             Some(&mut log),
         );
         assert!(!log.merges.is_empty());
@@ -1274,7 +1265,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "entry must be a node")]
     fn unknown_entry_panics() {
-        order_nodes(&nodes(&[(0, 1, 0)]), &[], 9, &ExtTspParams::default());
+        default_order(&nodes(&[(0, 1, 0)]), &[], 9);
     }
 
     #[test]
@@ -1337,12 +1328,12 @@ mod tests {
         let ns = nodes(&[(0, 10, 1), (1, 10, 50), (2, 10, 50), (3, 10, 50), (4, 10, 50)]);
         let es = vec![edge(1, 2, 40), edge(3, 4, 40), edge(0, 1, 1), edge(0, 3, 1)];
         let mut log = MergeLog::with_detail();
-        order_nodes_logged(
+        order_nodes(
             &ns,
             &es,
             0,
             &ExtTspParams::default(),
-            &propeller_telemetry::Telemetry::disabled(),
+            &Telemetry::disabled(),
             Some(&mut log),
         );
         let steps = &log.detail.as_ref().unwrap().steps;
@@ -1367,11 +1358,11 @@ mod tests {
             .chain((0..15).map(|i| edge((i * 7) % 40, (i * 3 + 2) % 40, 30)))
             .collect();
         let p = ExtTspParams::default();
-        let tel = propeller_telemetry::Telemetry::disabled();
+        let tel = Telemetry::disabled();
         let mut plain = MergeLog::default();
-        let a = order_nodes_logged(&ns, &es, 0, &p, &tel, Some(&mut plain));
+        let a = order_nodes(&ns, &es, 0, &p, &tel, Some(&mut plain));
         let mut armed = MergeLog::with_detail();
-        let b = order_nodes_logged(&ns, &es, 0, &p, &tel, Some(&mut armed));
+        let b = order_nodes(&ns, &es, 0, &p, &tel, Some(&mut armed));
         assert_eq!(a, b, "arming detail must not perturb the layout");
         assert_eq!(plain.merges, armed.merges);
         let detail = armed.detail.unwrap();
@@ -1409,12 +1400,12 @@ mod tests {
             .chain([edge(0, 1, 1)])
             .collect();
         let mut log = MergeLog::with_detail();
-        let order = order_nodes_logged(
+        let order = order_nodes(
             &ns,
             &es,
             0,
             &ExtTspParams::default(),
-            &propeller_telemetry::Telemetry::disabled(),
+            &Telemetry::disabled(),
             Some(&mut log),
         );
         assert!(!log.used_input_order);
@@ -1434,12 +1425,12 @@ mod tests {
         let half = u64::MAX / 2 + 1;
         let ns = nodes(&[(0, 10, 1), (1, 10, half), (2, 10, half), (3, 10, 1000)]);
         let mut log = MergeLog::with_detail();
-        let order = order_nodes_logged(
+        let order = order_nodes(
             &ns,
             &[edge(1, 2, 100)],
             0,
             &ExtTspParams::default(),
-            &propeller_telemetry::Telemetry::disabled(),
+            &Telemetry::disabled(),
             Some(&mut log),
         );
         assert_eq!(order, [0, 1, 2, 3]);
@@ -1496,16 +1487,16 @@ mod tests {
             .chain((0..n / 2).map(|i| edge((i * 5) % n, (i * 7 + 3) % n, 35)))
             .chain((0..n / 4).map(|i| edge((i * 11 + 1) % n, (i * 2) % n, 50)))
             .collect();
-        let tel = propeller_telemetry::Telemetry::disabled();
+        let tel = Telemetry::disabled();
         let serial = ExtTspParams::default();
         let mut log1 = MergeLog::with_detail();
-        let a = order_nodes_logged(&ns, &es, 0, &serial, &tel, Some(&mut log1));
+        let a = order_nodes(&ns, &es, 0, &serial, &tel, Some(&mut log1));
         assert_eq!(FAN_OUTS.get(), 0, "jobs = 1 never spawns");
         for jobs in [2, 3, 8] {
             let parallel = ExtTspParams { jobs, ..serial };
             let before = FAN_OUTS.get();
             let mut log2 = MergeLog::with_detail();
-            let b = order_nodes_logged(&ns, &es, 0, &parallel, &tel, Some(&mut log2));
+            let b = order_nodes(&ns, &es, 0, &parallel, &tel, Some(&mut log2));
             assert!(
                 FAN_OUTS.get() > before,
                 "the gate never opened at jobs={jobs}"
@@ -1575,7 +1566,7 @@ mod tests {
             ..ExtTspParams::default()
         };
         SCORINGS.set((0, 0));
-        order_nodes(&ns, &es, entry, &params);
+        order_nodes(&ns, &es, entry, &params, &Telemetry::disabled(), None);
         let (candidates, full) = SCORINGS.get();
         assert!(candidates > 10_000, "a problem this size has many variants");
         assert!(
@@ -1593,7 +1584,7 @@ mod tests {
             ..ExtTspParams::default()
         };
         let before = FAN_OUTS.get();
-        order_nodes(&ns, &es, 0, &params);
+        order_nodes(&ns, &es, 0, &params, &Telemetry::disabled(), None);
         assert_eq!(FAN_OUTS.get(), before);
     }
 
@@ -1726,9 +1717,9 @@ mod tests {
             if windows.0 == 1 {
                 (params.forward_window, params.backward_window) = (windows.1, windows.2);
             }
-            let tel = propeller_telemetry::Telemetry::disabled();
+            let tel = Telemetry::disabled();
             let mut new = MergeLog::with_detail();
-            let order = order_nodes_logged(&ns, &es, entry, &params, &tel, Some(&mut new));
+            let order = order_nodes(&ns, &es, entry, &params, &tel, Some(&mut new));
             let mut old = MergeLog::with_detail();
             let expected = reference::order_nodes_logged(&ns, &es, entry, &params, Some(&mut old));
             proptest::prop_assert_eq!(&order, &expected);
@@ -1764,7 +1755,7 @@ mod tests {
                 items.swap(k, i);
             }
         }
-        let tel = propeller_telemetry::Telemetry::disabled();
+        let tel = Telemetry::disabled();
         let params = ExtTspParams::default();
         let mut worst = 1.0f64;
         for case in 0..160u64 {
@@ -1784,7 +1775,7 @@ mod tests {
                 .collect();
             let (ns, es, entry) = random_problem(&raw_nodes, &raw_edges, rng.next_u64() as u16);
             let mut log = MergeLog::default();
-            let order = order_nodes_logged(&ns, &es, entry, &params, &tel, Some(&mut log));
+            let order = order_nodes(&ns, &es, entry, &params, &tel, Some(&mut log));
             assert_eq!(order[0], entry);
 
             let dense = dense_index(&ns);

@@ -1,7 +1,7 @@
 //! The WPA driver: from profile to `cc_prof` + `ld_prof`.
 
 use crate::dcfg::{saturating_add, Dcfg, DcfgFunction, EdgeFunding, EdgeKind};
-use crate::exttsp::{order_nodes_logged, Edge, MergeLog, MergeStep, Node};
+use crate::exttsp::{order_nodes, Edge, MergeLog, MergeStep, Node};
 use crate::mapper::AddressMapper;
 use crate::options::{GlobalOrder, IntraOrder, WpaOptions};
 use propeller_codegen::{Cluster, ClusterMap, ClusterName, FunctionClusters};
@@ -362,7 +362,7 @@ pub fn run_wpa_agg_traced(
                 hot.clone()
             }
             IntraOrder::ExtTsp => {
-                order_nodes_logged(&nodes, &edges, 0, &opts.exttsp, tel, Some(&mut merge_log))
+                order_nodes(&nodes, &edges, 0, &opts.exttsp, tel, Some(&mut merge_log))
             }
         };
 
@@ -555,7 +555,7 @@ pub fn run_wpa_agg_traced(
                 // Section-level locality windows are page-scale.
                 params.forward_window = 4096;
                 params.backward_window = 4096;
-                order_nodes_logged(&nodes, &edges, entry, &params, tel, None)
+                order_nodes(&nodes, &edges, entry, &params, tel, None)
                     .into_iter()
                     .map(|i| planned[i as usize].symbol.clone())
                     .collect()

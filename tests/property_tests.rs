@@ -5,6 +5,7 @@ use propeller_codegen::{codegen_module, CodegenOptions};
 use propeller_ir::{BlockId, FunctionBuilder, Inst, Program, ProgramBuilder, Terminator};
 use propeller_linker::{link, LinkInput, LinkOptions, SymbolOrdering};
 use propeller_obj::{BbAddrMap, BbEntry, BbFlags, ContentHash, FuncAddrMap};
+use propeller_telemetry::Telemetry;
 use propeller_wpa::exttsp::{order_nodes, score_layout, Edge, ExtTspParams, Node};
 use proptest::prelude::*;
 
@@ -122,7 +123,7 @@ proptest! {
             .map(|(s, d, w)| Edge { src: s as u32 % n, dst: d as u32 % n, weight: w })
             .collect();
         let params = ExtTspParams::default();
-        let order = order_nodes(&nodes, &edges, 0, &params);
+        let order = order_nodes(&nodes, &edges, 0, &params, &Telemetry::disabled(), None);
         prop_assert_eq!(order.len(), nodes.len());
         prop_assert_eq!(order[0], 0, "entry must stay first");
         let mut sorted = order.clone();
@@ -311,7 +312,7 @@ proptest! {
             .collect();
         let params = ExtTspParams::default();
         let greedy = score_layout(
-            &order_nodes(&nodes, &edges, 0, &params),
+            &order_nodes(&nodes, &edges, 0, &params, &Telemetry::disabled(), None),
             &nodes,
             &edges,
             &params,

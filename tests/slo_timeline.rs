@@ -125,7 +125,7 @@ fn tenant_spans_render_in_their_own_lane_band() {
         trace.spans.iter().any(|s| s.worker.is_some_and(|w| w >= TENANT_LANE_BASE)),
         "tenant job spans must be stamped in the tenant lane band"
     );
-    let json = to_chrome_trace(&trace);
+    let json = to_chrome_trace(&trace, &TimeSeries::new());
     assert!(json.contains("\"tenant 0\""), "tenant lanes must be named");
     // No span may sit in the old colliding band: tenant t used to
     // stamp worker id t+1, landing on the same tid as buildsys worker

@@ -4,7 +4,8 @@
 
 use propeller::{Propeller, PropellerOptions};
 use propeller_integration_tests::small_benchmark;
-use propeller_telemetry::{chrome::to_chrome_trace, report::render_text, TraceData, Telemetry};
+use propeller_telemetry::{chrome::to_chrome_trace, report::render_text};
+use propeller_telemetry::{Telemetry, TimeSeries, TraceData};
 
 fn traced_run() -> TraceData {
     let gen = small_benchmark("clang", 0.01, 7);
@@ -123,7 +124,7 @@ fn run_records_headline_counters() {
 #[test]
 fn chrome_trace_of_a_run_is_well_formed() {
     let trace = traced_run();
-    let json = to_chrome_trace(&trace);
+    let json = to_chrome_trace(&trace, &TimeSeries::new());
     assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
     for phase in PHASES {
         assert!(
@@ -135,7 +136,7 @@ fn chrome_trace_of_a_run_is_well_formed() {
     assert!(json.contains("\"ph\":\"X\""));
     assert!(json.contains("\"ph\":\"C\""));
     // The human rendering mentions every phase too.
-    let text = render_text(&trace);
+    let text = render_text(&trace, 16);
     for phase in PHASES {
         assert!(text.contains(phase));
     }
