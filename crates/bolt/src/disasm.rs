@@ -44,11 +44,11 @@ pub struct DisassembledFunction {
 /// symbol inside the text segment anchors a function; extents run to
 /// the next symbol.
 pub fn discover_functions(binary: &LinkedBinary) -> Vec<DiscoveredFunction> {
-    let mut syms: Vec<(&String, u64)> = binary
+    let mut syms: Vec<(&str, u64)> = binary
         .symbols
         .iter()
         .filter(|&(_, &a)| a >= binary.text_start && a < binary.text_end)
-        .map(|(n, &a)| (n, a))
+        .map(|(n, &a)| (&**n, a))
         .collect();
     syms.sort_by(|a, b| a.1.cmp(&b.1).then_with(|| a.0.cmp(b.0)));
     let mut out = Vec::with_capacity(syms.len());
@@ -62,7 +62,7 @@ pub fn discover_functions(binary: &LinkedBinary) -> Vec<DiscoveredFunction> {
             .map(|&(_, a)| a)
             .unwrap_or(binary.text_end);
         out.push(DiscoveredFunction {
-            name: name.clone(),
+            name: name.to_string(),
             addr,
             size: end - addr,
         });

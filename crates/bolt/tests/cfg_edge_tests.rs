@@ -132,14 +132,14 @@ fn non_simple_function_excluded_from_rewriting() {
         .layout
         .functions
         .iter()
-        .find(|f| f.func_symbol == "bbb_corrupt")
+        .find(|f| &*f.func_symbol == "bbb_corrupt")
         .unwrap()
         .blocks[0];
     let after = out
         .layout
         .functions
         .iter()
-        .find(|f| f.func_symbol == "bbb_corrupt")
+        .find(|f| &*f.func_symbol == "bbb_corrupt")
         .unwrap()
         .blocks[0];
     assert_eq!(orig, after);

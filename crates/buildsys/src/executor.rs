@@ -7,12 +7,15 @@ use propeller_faults::{FaultInjector, FaultKind};
 use propeller_telemetry::{SpanId, Telemetry};
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-/// The default worker count: one per available hardware thread.
+/// The default worker count: one per available hardware thread. Probed
+/// once per process — the probe reads cgroup files, and every pipeline
+/// asks.
 pub fn default_jobs() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4)
+    static JOBS: OnceLock<usize> = OnceLock::new();
+    *JOBS.get_or_init(|| std::thread::available_parallelism().map_or(4, |n| n.get()))
 }
 
 /// Total attempts per action, including the first. The final budgeted

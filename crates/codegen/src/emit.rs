@@ -12,30 +12,33 @@
 //!   the linker may later delete redundant jumps and shrink branches.
 //!
 //! Emission is three passes over flat tables — nothing is hashed and
-//! nothing is allocated per block:
+//! nothing is allocated per block, and the tables live in a [`Scratch`]
+//! that a module's functions reuse:
 //!
 //! 1. **plan**: one [`BlockPlan`] per block in emission order — body
 //!    size, up to two branch slots, return / fall-through flags;
 //! 2. **resolve**: offsets and sizes are assigned over that slice, and
 //!    in the resolved regime long branches shrink to a fixpoint;
 //! 3. **emit**: bytes are written straight from the IR into a buffer of
-//!    the now-known size.
+//!    the now-known size, and each block's `.llvm_bb_addr_map` entry
+//!    straight into the module's map.
 
 use crate::error::CodegenError;
-use crate::isa::{fits_short, len, op};
+use crate::isa::{fits_short, len, op, INST_ENCODING};
 use crate::layout::{BlockPlacement, ClusterName, FragmentLayout, FunctionClusters, FunctionLayout};
 use propeller_ir::{BlockId, Function, Inst, Program, Terminator};
-use propeller_obj::{BbEntry, BbFlags, BlockSpan, Reloc, RelocKind, Section, SectionKind};
+use propeller_obj::{
+    BbAddrMapWriter, BbEntry, BbFlags, BlockSpan, Reloc, RelocKind, Section, SectionKind,
+};
+use std::sync::Arc;
 
-/// One emitted text fragment plus its metadata.
+/// One emitted text fragment and the symbol naming its start.
 #[derive(Clone, PartialEq, Debug)]
 pub(crate) struct EmittedFragment {
     /// The text section (bytes, relocations, block map).
     pub section: Section,
     /// Symbol naming the fragment (function name, `<fn>.cold`, ...).
-    pub symbol: String,
-    /// Basic block address map entries for this fragment.
-    pub bb_entries: Vec<BbEntry>,
+    pub symbol: Arc<str>,
 }
 
 /// The result of emitting one function.
@@ -55,6 +58,17 @@ impl EmittedFunction {
     pub(crate) fn text_size(&self) -> usize {
         self.fragments.iter().map(|f| f.section.size()).sum()
     }
+}
+
+/// The per-function tables of [`emit_function`], kept across a
+/// module's functions so that each reuses the last one's capacity.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    pos: Vec<Pos>,
+    plans: Vec<BlockPlan>,
+    /// Where a cluster or section name is formatted before its one
+    /// allocation.
+    name: String,
 }
 
 /// A branch form decision.
@@ -106,7 +120,8 @@ struct BlockPlan {
 /// Where a block was placed: `(cluster index, index into the plans)`.
 type Pos = (u32, u32);
 
-/// Emits `function` according to `clusters`.
+/// Emits `function` according to `clusters`, writing its
+/// `.llvm_bb_addr_map` record into `addr_map` when one is given.
 ///
 /// `relocate_branches` selects the relocated regime; it is required
 /// (and asserted) whenever more than one cluster exists.
@@ -115,19 +130,24 @@ type Pos = (u32, u32);
 ///
 /// Returns [`CodegenError::BadClusterPartition`] /
 /// [`CodegenError::UnknownBlock`] if `clusters` is not a permutation of
-/// the function's blocks.
+/// the function's blocks, and [`CodegenError::UnknownFunction`] if the
+/// function calls or prefetches a function the program does not have.
+/// A failed function may have written part of its record to `addr_map`.
 pub(crate) fn emit_function(
     function: &Function,
     program: &Program,
     clusters: &FunctionClusters,
     relocate_branches: bool,
+    scratch: &mut Scratch,
+    mut addr_map: Option<&mut BbAddrMapWriter>,
 ) -> Result<EmittedFunction, CodegenError> {
     assert!(
         relocate_branches || clusters.clusters.len() <= 1,
         "multi-cluster emission requires relocated branches"
     );
-    let pos = place_blocks(function, clusters)?;
-    let mut plans = plan_blocks(function, clusters, &pos);
+    let Scratch { pos, plans, name } = scratch;
+    place_blocks(function, clusters, pos)?;
+    plan_blocks(function, clusters, pos, plans);
 
     // Size assignment, cluster by cluster. In the relocated regime all
     // branches stay long; in the resolved regime (a single cluster)
@@ -138,7 +158,7 @@ pub(crate) fn emit_function(
         let lp_nop = needs_landing_pad_nop(function, &c.blocks);
         assign(cluster, lp_nop);
         if !relocate_branches {
-            shrink_branches(cluster, &pos, lp_nop);
+            shrink_branches(cluster, pos, lp_nop);
         }
         start += c.blocks.len();
     }
@@ -152,11 +172,14 @@ pub(crate) fn emit_function(
             .clusters
             .iter()
             .map(|c| FragmentLayout {
-                section_symbol: c.name.symbol(&function.name),
+                section_symbol: c.name.symbol_in(&function.name, name),
                 blocks: Vec::new(),
             })
             .collect(),
     };
+    if let Some(map) = addr_map.as_deref_mut() {
+        map.function(&function.name, clusters.clusters.len());
+    }
 
     // Byte emission with final offsets known for all clusters.
     let mut fragments = Vec::with_capacity(clusters.clusters.len());
@@ -165,6 +188,10 @@ pub(crate) fn emit_function(
     for (ci, c) in clusters.clusters.iter().enumerate() {
         let cluster = &plans[start..start + c.blocks.len()];
         start += c.blocks.len();
+        let symbol = layout.fragments[ci].section_symbol.clone();
+        if let Some(map) = addr_map.as_deref_mut() {
+            map.range(&function.name, &symbol, cluster.len());
+        }
         let lp_nop = needs_landing_pad_nop(function, &c.blocks);
         let text_len = cluster
             .last()
@@ -183,40 +210,29 @@ pub(crate) fn emit_function(
         }
         let mut block_map = Vec::with_capacity(cluster.len());
         let mut placements = Vec::with_capacity(cluster.len());
-        let mut bb_entries = Vec::with_capacity(cluster.len());
         for plan in cluster {
             debug_assert_eq!(bytes.len() as u32, plan.offset);
             let block = &function.blocks[plan.block.index()];
+            // Straight-line code: opcodes from the table into the body's
+            // zeroed slice; calls and prefetches get their relocation.
+            let body_start = bytes.len();
+            bytes.resize(body_start + plan.body as usize, 0);
+            let mut at = body_start;
             for inst in &block.insts {
-                let (opcode, target) = match *inst {
-                    Inst::Alu => {
-                        bytes.extend_from_slice(&[op::ALU, 0, 0]);
-                        continue;
-                    }
-                    Inst::Load => {
-                        bytes.extend_from_slice(&[op::LOAD, 0, 0, 0]);
-                        continue;
-                    }
-                    Inst::Store => {
-                        bytes.extend_from_slice(&[op::STORE, 0, 0, 0]);
-                        continue;
-                    }
-                    Inst::Nop => {
-                        bytes.push(op::NOP);
-                        continue;
-                    }
-                    Inst::Call(callee) => (op::CALL, callee),
-                    Inst::Prefetch(target) => (op::PREFETCH, target),
-                };
-                bytes.push(opcode);
-                let symbol = &program.function(target).expect("program validated").name;
-                relocs.push(Reloc::new(
-                    bytes.len() as u32,
-                    RelocKind::CallPc32,
-                    symbol.clone(),
-                    0,
-                ));
-                bytes.extend_from_slice(&[0; 4]);
+                let (length, opcode) = INST_ENCODING[inst.kind()];
+                bytes[at] = opcode;
+                if let Some(target) = inst.referenced_function() {
+                    let callee = program
+                        .function(target)
+                        .ok_or(CodegenError::UnknownFunction(target))?;
+                    relocs.push(Reloc::new(
+                        at as u32 + 1,
+                        RelocKind::CallPc32,
+                        callee.name.clone(),
+                        0,
+                    ));
+                }
+                at += usize::from(length);
             }
             if plan.ret {
                 bytes.push(op::RET);
@@ -268,26 +284,30 @@ pub(crate) fn emit_function(
                 offset: plan.offset,
                 size: plan.size,
             });
-            let mut flags = BbFlags::default();
-            if block.is_landing_pad {
-                flags = flags | BbFlags::LANDING_PAD;
+            if let Some(map) = addr_map.as_deref_mut() {
+                let mut flags = BbFlags::default();
+                if block.is_landing_pad {
+                    flags = flags | BbFlags::LANDING_PAD;
+                }
+                if plan.ret {
+                    flags = flags | BbFlags::RETURN;
+                }
+                if plan.fallthrough {
+                    flags = flags | BbFlags::FALLTHROUGH;
+                }
+                map.entry(BbEntry {
+                    bb_id: plan.block.0,
+                    offset: plan.offset,
+                    size: plan.size,
+                    flags,
+                });
             }
-            if plan.ret {
-                flags = flags | BbFlags::RETURN;
-            }
-            if plan.fallthrough {
-                flags = flags | BbFlags::FALLTHROUGH;
-            }
-            bb_entries.push(BbEntry {
-                bb_id: plan.block.0,
-                offset: plan.offset,
-                size: plan.size,
-                flags,
-            });
         }
         debug_assert_eq!(bytes.len() as u32, text_len);
-        let symbol = layout.fragments[ci].section_symbol.clone();
-        let mut section = Section::new(format!(".text.{symbol}"), SectionKind::Text, bytes);
+        name.clear();
+        name.push_str(".text.");
+        name.push_str(&symbol);
+        let mut section = Section::new(name.as_str(), SectionKind::Text, bytes);
         section.relocs = relocs;
         section.block_map = block_map;
         section.relaxable = relocate_branches;
@@ -295,11 +315,7 @@ pub(crate) fn emit_function(
         // fall-through deletion across adjacent sections is possible.
         section.align = if matches!(c.name, ClusterName::Primary) { 16 } else { 1 };
         layout.fragments[ci].blocks = placements;
-        fragments.push(EmittedFragment {
-            section,
-            symbol,
-            bb_entries,
-        });
+        fragments.push(EmittedFragment { section, symbol });
     }
 
     Ok(EmittedFunction {
@@ -309,30 +325,23 @@ pub(crate) fn emit_function(
     })
 }
 
-/// Plans every block in emission order: sizes its body and decides
-/// which branches its terminator needs given what follows it in its
-/// cluster. All branches start long.
-fn plan_blocks(function: &Function, clusters: &FunctionClusters, pos: &[Pos]) -> Vec<BlockPlan> {
-    let mut plans = Vec::with_capacity(pos.len());
+/// Plans every block into `plans`, in emission order: sizes its body
+/// and decides which branches its terminator needs given what follows
+/// it in its cluster. All branches start long.
+fn plan_blocks(
+    function: &Function,
+    clusters: &FunctionClusters,
+    pos: &[Pos],
+    plans: &mut Vec<BlockPlan>,
+) {
+    plans.clear();
     for (ci, c) in clusters.clusters.iter().enumerate() {
         for &bid in &c.blocks {
             let block = &function.blocks[bid.index()];
             let (mut body, mut body_relocs) = (0u32, 0u32);
-            for inst in &block.insts {
-                body += match inst {
-                    Inst::Alu => len::ALU,
-                    Inst::Load => len::LOAD,
-                    Inst::Store => len::STORE,
-                    Inst::Nop => len::NOP,
-                    Inst::Call(_) => {
-                        body_relocs += 1;
-                        len::CALL
-                    }
-                    Inst::Prefetch(_) => {
-                        body_relocs += 1;
-                        len::PREFETCH
-                    }
-                } as u32;
+            for &inst in &block.insts {
+                body += u32::from(INST_ENCODING[inst.kind()].0);
+                body_relocs += u32::from(matches!(inst, Inst::Call(_) | Inst::Prefetch(_)));
             }
             let next = (ci as u32, plans.len() as u32 + 1);
             let next_in_cluster = |target: BlockId| pos[target.index()] == next;
@@ -373,7 +382,6 @@ fn plan_blocks(function: &Function, clusters: &FunctionClusters, pos: &[Pos]) ->
             });
         }
     }
-    plans
 }
 
 /// Assigns every block of one cluster its offset and size under the
@@ -436,11 +444,16 @@ fn needs_landing_pad_nop(function: &Function, blocks: &[BlockId]) -> bool {
 }
 
 /// Checks that `clusters` is a permutation of the function's blocks and
-/// returns each block's placement, indexed by block id.
-fn place_blocks(function: &Function, clusters: &FunctionClusters) -> Result<Vec<Pos>, CodegenError> {
+/// fills `pos` with each block's placement, indexed by block id.
+fn place_blocks(
+    function: &Function,
+    clusters: &FunctionClusters,
+    pos: &mut Vec<Pos>,
+) -> Result<(), CodegenError> {
     const UNPLACED: Pos = (u32::MAX, u32::MAX);
     let n = function.num_blocks();
-    let mut pos = vec![UNPLACED; n];
+    pos.clear();
+    pos.resize(n, UNPLACED);
     let mut placed = 0u32;
     for (ci, c) in clusters.clusters.iter().enumerate() {
         for &b in &c.blocks {
@@ -466,7 +479,7 @@ fn place_blocks(function: &Function, clusters: &FunctionClusters) -> Result<Vec<
             block: BlockId(missing as u32),
         });
     }
-    Ok(pos)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -477,6 +490,62 @@ mod tests {
     use super::*;
     use crate::isa::{decode, Decoded};
     use propeller_ir::{FunctionBuilder, ProgramBuilder};
+    use propeller_obj::{BbAddrMap, FuncAddrMap};
+    use std::cell::RefCell;
+
+    thread_local! {
+        /// One scratch for every emission a test thread makes, so each
+        /// starts from whatever the last one left behind.
+        static SCRATCH: RefCell<Scratch> = RefCell::default();
+    }
+
+    /// [`emit_function`] with this thread's scratch.
+    fn emit_into(
+        f: &Function,
+        p: &Program,
+        clusters: &FunctionClusters,
+        relocate: bool,
+        map: Option<&mut BbAddrMapWriter>,
+    ) -> Result<EmittedFunction, CodegenError> {
+        SCRATCH.with(|s| emit_function(f, p, clusters, relocate, &mut s.borrow_mut(), map))
+    }
+
+    /// Emits without an address map.
+    fn emit(
+        f: &Function,
+        p: &Program,
+        clusters: &FunctionClusters,
+        relocate: bool,
+    ) -> Result<EmittedFunction, CodegenError> {
+        emit_into(f, p, clusters, relocate, None)
+    }
+
+    /// Emits `f` as the only function of an address map, returning the
+    /// map's bytes alongside.
+    fn emit_mapped(
+        f: &Function,
+        p: &Program,
+        clusters: &FunctionClusters,
+        relocate: bool,
+    ) -> Result<(EmittedFunction, Vec<u8>), CodegenError> {
+        let mut map = BbAddrMapWriter::new(Vec::new(), 1);
+        let e = emit_into(f, p, clusters, relocate, Some(&mut map))?;
+        Ok((e, map.finish()))
+    }
+
+    /// Each fragment's address-map entries, as decoded from the record
+    /// emission wrote.
+    fn entries(
+        f: &Function,
+        p: &Program,
+        clusters: &FunctionClusters,
+        relocate: bool,
+    ) -> Vec<Vec<BbEntry>> {
+        let (_, bytes) = emit_mapped(f, p, clusters, relocate).unwrap();
+        let mut map = BbAddrMap::decode(&bytes, Arc::from).unwrap();
+        let record = map.functions.pop().unwrap();
+        record.ranges.into_iter().map(|(_, e)| e).collect()
+    }
 
     /// Builds a program with one function shaped as:
     /// bb0: alu; condbr bb2 (p=.1) else bb1
@@ -513,7 +582,7 @@ mod tests {
     fn resolved_emission_uses_short_branches_and_fallthrough() {
         let (p, fid) = fixture();
         let f = p.function(fid).unwrap();
-        let e = emit_function(f, &p, &original_clusters(f), false).unwrap();
+        let e = emit(f, &p, &original_clusters(f), false).unwrap();
         assert_eq!(e.fragments.len(), 1);
         assert_eq!(e.relocated_branches, 0);
         let sec = &e.fragments[0].section;
@@ -535,7 +604,7 @@ mod tests {
     fn resolved_branch_displacements_are_correct() {
         let (p, fid) = fixture();
         let f = p.function(fid).unwrap();
-        let e = emit_function(f, &p, &original_clusters(f), false).unwrap();
+        let e = emit(f, &p, &original_clusters(f), false).unwrap();
         let bytes = &e.fragments[0].section.bytes;
         // Decode bb0's branch at offset 3 (after one ALU).
         let d = decode(&bytes[3..]).unwrap();
@@ -557,12 +626,12 @@ mod tests {
             vec![BlockId(0), BlockId(1), BlockId(3)],
             vec![BlockId(2)],
         );
-        let e = emit_function(f, &p, &clusters, true).unwrap();
+        let e = emit(f, &p, &clusters, true).unwrap();
         assert_eq!(e.fragments.len(), 2);
         let hot = &e.fragments[0];
         let cold = &e.fragments[1];
-        assert_eq!(hot.symbol, "main_fn");
-        assert_eq!(cold.symbol, "main_fn.cold");
+        assert_eq!(&*hot.symbol, "main_fn");
+        assert_eq!(&*cold.symbol, "main_fn.cold");
         assert!(hot.section.relaxable);
         // Hot: bb0 alu(3)+br_long(6)=9; bb1 call(5)+jmp_long(5)=10 (jump
         // to bb3 is explicit because... bb3 IS next in cluster, so jump
@@ -580,7 +649,7 @@ mod tests {
             .iter()
             .find(|r| r.kind == RelocKind::BranchPc32)
             .unwrap();
-        assert_eq!(r.symbol, "main_fn");
+        assert_eq!(&*r.symbol, "main_fn");
         assert_eq!(r.addend, 14);
         // Branch relocation count: bb0's condbr + cold's jump.
         assert_eq!(e.relocated_branches, 2);
@@ -604,7 +673,7 @@ mod tests {
         let fid = pb.add_function(m, f);
         let p = pb.finish().unwrap();
         let f = p.function(fid).unwrap();
-        let e = emit_function(f, &p, &original_clusters(f), false).unwrap();
+        let e = emit(f, &p, &original_clusters(f), false).unwrap();
         let sec = &e.fragments[0].section;
         // bb0 emits exactly one short branch (to bb2), falling through
         // to bb1.
@@ -631,13 +700,14 @@ mod tests {
         let f = p.function(fid).unwrap();
         // Put the landing pad alone in a cold section: nop required.
         let clusters = FunctionClusters::hot_cold(vec![BlockId(0)], vec![BlockId(1)]);
-        let e = emit_function(f, &p, &clusters, true).unwrap();
+        let e = emit(f, &p, &clusters, true).unwrap();
         let cold = &e.fragments[1];
         assert_eq!(cold.section.bytes[0], op::NOP);
         assert_eq!(cold.section.block_map[0].offset, 1);
         // And the bb entry reflects both the offset and the flag.
-        assert_eq!(cold.bb_entries[0].offset, 1);
-        assert!(cold.bb_entries[0].flags.contains(BbFlags::LANDING_PAD));
+        let cold_entries = &entries(f, &p, &clusters, true)[1];
+        assert_eq!(cold_entries[0].offset, 1);
+        assert!(cold_entries[0].flags.contains(BbFlags::LANDING_PAD));
     }
 
     #[test]
@@ -647,19 +717,19 @@ mod tests {
         // Missing bb3.
         let c = FunctionClusters::single(vec![BlockId(0), BlockId(1), BlockId(2)]);
         assert!(matches!(
-            emit_function(f, &p, &c, true),
+            emit(f, &p, &c, true),
             Err(CodegenError::BadClusterPartition { .. })
         ));
         // Unknown block.
         let c = FunctionClusters::single(vec![BlockId(0), BlockId(9)]);
         assert!(matches!(
-            emit_function(f, &p, &c, true),
+            emit(f, &p, &c, true),
             Err(CodegenError::UnknownBlock { .. })
         ));
         // Duplicate block.
         let c = FunctionClusters::single(vec![BlockId(0), BlockId(0)]);
         assert!(matches!(
-            emit_function(f, &p, &c, true),
+            emit(f, &p, &c, true),
             Err(CodegenError::BadClusterPartition { .. })
         ));
     }
@@ -668,8 +738,7 @@ mod tests {
     fn bb_entries_carry_fallthrough_and_return_flags() {
         let (p, fid) = fixture();
         let f = p.function(fid).unwrap();
-        let e = emit_function(f, &p, &original_clusters(f), false).unwrap();
-        let entries = &e.fragments[0].bb_entries;
+        let entries = &entries(f, &p, &original_clusters(f), false)[0];
         // bb0 falls through to bb1 (condbr, fallthrough next).
         assert!(entries[0].flags.contains(BbFlags::FALLTHROUGH));
         // bb1 jumps explicitly: no fallthrough flag.
@@ -699,7 +768,7 @@ mod tests {
         let fid = pb.add_function(m, f);
         let p = pb.finish().unwrap();
         let f = p.function(fid).unwrap();
-        let e = emit_function(f, &p, &original_clusters(f), false).unwrap();
+        let e = emit(f, &p, &original_clusters(f), false).unwrap();
         let sec = &e.fragments[0].section;
         // bb0's branch skips 300 bytes of ALU: long form (6 bytes).
         assert_eq!(sec.block_map[0].size, 6);
@@ -716,7 +785,7 @@ mod tests {
     fn whole_section_decodes_as_instruction_stream() {
         let (p, fid) = fixture();
         let f = p.function(fid).unwrap();
-        let e = emit_function(f, &p, &original_clusters(f), false).unwrap();
+        let e = emit(f, &p, &original_clusters(f), false).unwrap();
         let bytes = &e.fragments[0].section.bytes;
         let mut off = 0;
         while off < bytes.len() {
@@ -726,26 +795,38 @@ mod tests {
         assert_eq!(off, bytes.len());
     }
 
-    /// The reference emitter's result in this module's types. Its
-    /// per-fragment `layout` copy is gone from [`EmittedFragment`]; it
-    /// was always the function layout's fragment of the same index.
-    fn lowered(r: reference::EmittedFunction) -> EmittedFunction {
+    /// The reference emitter's result in this module's types, with its
+    /// fragments' address-map entries encoded as the function's record.
+    /// Its per-fragment `layout` copy is gone from [`EmittedFragment`];
+    /// it was always the function layout's fragment of the same index.
+    fn lowered(r: reference::EmittedFunction) -> (EmittedFunction, Vec<u8>) {
         for (frag, fl) in r.fragments.iter().zip(&r.layout.fragments) {
             assert_eq!(&frag.layout, fl);
         }
-        EmittedFunction {
+        let record = FuncAddrMap {
+            func_symbol: r.layout.func_symbol.clone(),
+            ranges: r
+                .fragments
+                .iter()
+                .map(|f| (Arc::from(f.symbol.as_str()), f.bb_entries.clone()))
+                .collect(),
+        };
+        let function = EmittedFunction {
             fragments: r
                 .fragments
                 .into_iter()
                 .map(|f| EmittedFragment {
                     section: f.section,
-                    symbol: f.symbol,
-                    bb_entries: f.bb_entries,
+                    symbol: f.symbol.into(),
                 })
                 .collect(),
             layout: r.layout,
             relocated_branches: r.relocated_branches,
-        }
+        };
+        let map = BbAddrMap {
+            functions: vec![record],
+        };
+        (function, map.encode())
     }
 
     fn both(
@@ -753,9 +834,9 @@ mod tests {
         p: &Program,
         clusters: &FunctionClusters,
         relocate: bool,
-    ) -> [Result<EmittedFunction, CodegenError>; 2] {
+    ) -> [Result<(EmittedFunction, Vec<u8>), CodegenError>; 2] {
         [
-            emit_function(f, p, clusters, relocate),
+            emit_mapped(f, p, clusters, relocate),
             reference::emit_function(f, p, clusters, relocate).map(lowered),
         ]
     }
@@ -943,7 +1024,7 @@ mod tests {
             assert_eq!(new, old, "{links} links");
             // Links beyond the eighth from the end never got their
             // sweep and keep the long form.
-            let sec = &new.unwrap().fragments[0].section;
+            let sec = &new.unwrap().0.fragments[0].section;
             for link in 0..links {
                 let want = if link + 8 < links { 6 } else { 2 };
                 assert_eq!(
@@ -1006,7 +1087,7 @@ mod tests {
         let f = p.function(fid).unwrap();
         let [new, old] = both(f, &p, &original_clusters(f), false);
         assert_eq!(new, old);
-        let sec = &new.unwrap().fragments[0].section;
+        let sec = &new.unwrap().0.fragments[0].section;
         assert_eq!(sec.block_map[1].size, 4, "both of `two`'s branches shrank");
         for k in 0..links {
             let want = if k + 1 < links { 2 } else { 6 };

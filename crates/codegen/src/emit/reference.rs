@@ -94,7 +94,7 @@ pub fn emit_function(
     let cluster_symbols: Vec<String> = clusters
         .clusters
         .iter()
-        .map(|c| c.name.symbol(&function.name))
+        .map(|c| c.name.symbol(&function.name).to_string())
         .collect();
     let mut pos: HashMap<BlockId, (usize, usize)> = HashMap::new();
     for (ci, c) in clusters.clusters.iter().enumerate() {
@@ -126,7 +126,7 @@ pub fn emit_function(
                             .function(*callee)
                             .expect("program validated")
                             .name
-                            .clone();
+                            .to_string();
                         items.push(Item::Call { callee_symbol });
                     }
                     Inst::Prefetch(target) => {
@@ -137,7 +137,7 @@ pub fn emit_function(
                             .function(*target)
                             .expect("program validated")
                             .name
-                            .clone();
+                            .to_string();
                         items.push(Item::Prefetch { target_symbol });
                     }
                 }
@@ -413,7 +413,7 @@ pub fn emit_function(
             section,
             symbol: symbol.clone(),
             layout: FragmentLayout {
-                section_symbol: symbol,
+                section_symbol: symbol.into(),
                 blocks: placements.clone(),
             },
             bb_entries,

@@ -22,8 +22,8 @@ pub enum CodegenError {
         /// The nonexistent block.
         block: BlockId,
     },
-    /// A cluster map entry references a function not present in the
-    /// module being compiled.
+    /// A cluster map entry, or a call or prefetch, references a
+    /// function the program does not have.
     UnknownFunction(FunctionId),
     /// A branch displacement overflowed the 32-bit long form (function
     /// fragment larger than 2 GiB; cannot occur with realistic inputs
@@ -45,7 +45,7 @@ impl fmt::Display for CodegenError {
                 write!(f, "cluster map for {function} names nonexistent {block}")
             }
             CodegenError::UnknownFunction(id) => {
-                write!(f, "cluster map names function {id} not in this module")
+                write!(f, "function {id} is not in the program")
             }
             CodegenError::DisplacementOverflow { function } => {
                 write!(f, "branch displacement overflow in {function}")

@@ -10,6 +10,8 @@
 //! instruction length), which is what makes the BOLT-style comparator's
 //! linear disassembler possible.
 
+use propeller_ir::{FunctionId, Inst};
+
 /// Opcode bytes.
 pub mod op {
     /// Register ALU operation (3 bytes).
@@ -63,6 +65,20 @@ pub mod len {
     /// Length of [`super::op::NOP`].
     pub const NOP: usize = 1;
 }
+
+/// `(length, opcode)` of every straight-line IR instruction, indexed by
+/// [`Inst::kind`]. Operand bytes are emitted as zeros; a call's or a
+/// prefetch's four are the displacement its relocation fills.
+pub const INST_ENCODING: [(u8, u8); Inst::KINDS] = {
+    let mut table = [(0, 0); Inst::KINDS];
+    table[Inst::Alu.kind()] = (len::ALU as u8, op::ALU);
+    table[Inst::Load.kind()] = (len::LOAD as u8, op::LOAD);
+    table[Inst::Store.kind()] = (len::STORE as u8, op::STORE);
+    table[Inst::Call(FunctionId(0)).kind()] = (len::CALL as u8, op::CALL);
+    table[Inst::Prefetch(FunctionId(0)).kind()] = (len::PREFETCH as u8, op::PREFETCH);
+    table[Inst::Nop.kind()] = (len::NOP as u8, op::NOP);
+    table
+};
 
 /// A decoded instruction (the disassembler's view).
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -216,6 +232,18 @@ mod tests {
         assert_eq!(decode(&[0xAB]), None);
         assert_eq!(decode(&[op::CALL, 1, 2]), None); // truncated operand
         assert_eq!(decode(&[]), None);
+    }
+
+    /// Every kind has an entry, and it is an instruction the decoder
+    /// reads back at its stated length.
+    #[test]
+    fn inst_encoding_agrees_with_the_decoder() {
+        for (kind, &(length, opcode)) in INST_ENCODING.iter().enumerate() {
+            let mut bytes = vec![0; usize::from(length)];
+            bytes[0] = opcode;
+            let d = decode(&bytes).unwrap_or_else(|| panic!("kind {kind}: {opcode:#x}"));
+            assert_eq!(d.len(), usize::from(length), "kind {kind}");
+        }
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Cluster descriptions and the layout side table.
 
 use propeller_ir::{BlockId, FunctionId};
+use std::fmt::{self, Write};
+use std::sync::Arc;
 
 /// How a basic block cluster's section is named (§3.4).
 ///
@@ -19,13 +21,24 @@ pub enum ClusterName {
 }
 
 impl ClusterName {
-    /// Renders the cluster's symbol given the owning function's name.
-    pub fn symbol(&self, func_name: &str) -> String {
-        match self {
-            ClusterName::Primary => func_name.to_string(),
-            ClusterName::Cold => format!("{func_name}.cold"),
-            ClusterName::Numbered(n) => format!("{func_name}.{n}"),
-        }
+    /// Renders the cluster's symbol given the owning function's name;
+    /// the primary cluster shares the function's.
+    pub fn symbol(&self, func_name: &Arc<str>) -> Arc<str> {
+        self.symbol_in(func_name, &mut String::new())
+    }
+
+    /// [`ClusterName::symbol`], formatting in `buf` so that a new name
+    /// costs its one allocation once `buf` has grown.
+    pub(crate) fn symbol_in(&self, func_name: &Arc<str>, buf: &mut String) -> Arc<str> {
+        let suffix: &dyn fmt::Display = match self {
+            ClusterName::Primary => return func_name.clone(),
+            ClusterName::Cold => &"cold",
+            ClusterName::Numbered(n) => n,
+        };
+        buf.clear();
+        buf.reserve(func_name.len() + 12);
+        let _ = write!(buf, "{func_name}.{suffix}");
+        Arc::from(buf.as_str())
     }
 }
 
@@ -93,8 +106,9 @@ pub struct BlockPlacement {
 /// One emitted text fragment (a whole function, or one cluster).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct FragmentLayout {
-    /// The symbol that names the fragment's section start.
-    pub section_symbol: String,
+    /// The symbol that names the fragment's section start (for the
+    /// primary cluster, the function's own name, shared).
+    pub section_symbol: Arc<str>,
     /// Placements in emission order.
     pub blocks: Vec<BlockPlacement>,
 }
@@ -104,8 +118,8 @@ pub struct FragmentLayout {
 pub struct FunctionLayout {
     /// The function.
     pub function: FunctionId,
-    /// The function's primary symbol.
-    pub func_symbol: String,
+    /// The function's primary symbol, shared with the IR.
+    pub func_symbol: Arc<str>,
     /// Fragments in output order.
     pub fragments: Vec<FragmentLayout>,
 }
@@ -132,9 +146,10 @@ mod tests {
 
     #[test]
     fn cluster_symbols() {
-        assert_eq!(ClusterName::Primary.symbol("foo"), "foo");
-        assert_eq!(ClusterName::Cold.symbol("foo"), "foo.cold");
-        assert_eq!(ClusterName::Numbered(2).symbol("foo"), "foo.2");
+        let foo: Arc<str> = "foo".into();
+        assert_eq!(&*ClusterName::Primary.symbol(&foo), "foo");
+        assert_eq!(&*ClusterName::Cold.symbol(&foo), "foo.cold");
+        assert_eq!(&*ClusterName::Numbered(2).symbol(&foo), "foo.2");
     }
 
     #[test]

@@ -1,14 +1,11 @@
 //! Module-level code generation: one distributed build action.
 
-use crate::emit::emit_function;
+use crate::emit::{emit_function, Scratch};
 use crate::error::CodegenError;
 use crate::layout::{DebugLayout, FunctionClusters};
 use crate::options::{BbSectionsMode, CodegenOptions};
 use propeller_ir::{BlockId, Function, Module, Program};
-use propeller_obj::{
-    BbAddrMap, FuncAddrMap, ObjectFile, Reloc, RelocKind, Section, SectionKind, Symbol,
-};
-use std::borrow::Cow;
+use propeller_obj::{BbAddrMapWriter, ObjectFile, Reloc, RelocKind, Section, SectionKind, Symbol};
 
 /// Aggregate statistics from one codegen action; used by the build
 /// system's cost model.
@@ -125,14 +122,35 @@ fn codegen_module_impl(
     }
 
     let mut object = ObjectFile::new(format!("{}.o", module.name));
-    let mut debug_layout = DebugLayout::default();
+    let mut debug_layout = DebugLayout {
+        functions: Vec::with_capacity(module.functions.len()),
+    };
     let mut stats = ModuleStats::default();
-    let mut addr_map = BbAddrMap::default();
+    let mut addr_map = opts
+        .wants_bb_addr_map()
+        .then(|| BbAddrMapWriter::new(Vec::new(), module.functions.len()));
     let mut fde_bytes_total = 0usize;
+    // Functions without a cluster directive are emitted in their
+    // original block order: this one plan, refilled per function.
+    let mut identity = FunctionClusters::single(Vec::new());
+    let mut scratch = Scratch::default();
 
     for f in &module.functions {
-        let (clusters, relocate) = plan_function(f, opts);
-        let emitted = emit_function(f, program, &clusters, relocate)?;
+        let directive = match &opts.bb_sections {
+            BbSectionsMode::Clusters(map) => map.get(f.id),
+            _ => None,
+        };
+        let (clusters, relocate) = match directive {
+            Some(clusters) => (clusters, true),
+            None => {
+                let blocks = &mut identity.clusters[0].blocks;
+                blocks.clear();
+                blocks.extend((0..f.num_blocks() as u32).map(BlockId));
+                (&identity, false)
+            }
+        };
+        let emitted =
+            emit_function(f, program, clusters, relocate, &mut scratch, addr_map.as_mut())?;
         stats.num_functions += 1;
         stats.num_fragments += emitted.fragments.len();
         stats.text_bytes += emitted.text_size();
@@ -140,18 +158,10 @@ fn codegen_module_impl(
         fde_bytes_total +=
             emitted.fragments.len() * (FDE_BASE_BYTES + FDE_PER_REG_BYTES * callee_saved_regs(f));
 
-        let mut ranges = Vec::with_capacity(emitted.fragments.len());
         for frag in emitted.fragments {
             let size = frag.section.size() as u32;
             let id = object.add_section(frag.section);
-            object.add_symbol(Symbol::global_func(frag.symbol.clone(), id, 0, size));
-            ranges.push((frag.symbol, frag.bb_entries));
-        }
-        if opts.wants_bb_addr_map() {
-            addr_map.functions.push(FuncAddrMap {
-                func_symbol: f.name.clone(),
-                ranges,
-            });
+            object.add_symbol(Symbol::global_func(frag.symbol, id, 0, size));
         }
         debug_layout.functions.push(emitted.layout);
     }
@@ -167,14 +177,13 @@ fn codegen_module_impl(
         object.add_section(eh);
     }
 
-    // .llvm_bb_addr_map (§3.2).
-    if opts.wants_bb_addr_map() && !addr_map.functions.is_empty() {
-        let sec = Section::new(
+    // .llvm_bb_addr_map (§3.2), written as the functions were emitted.
+    if let Some(map) = addr_map.filter(|_| !module.functions.is_empty()) {
+        object.add_section(Section::new(
             ".llvm_bb_addr_map",
             SectionKind::BbAddrMap,
-            addr_map.encode(),
-        );
-        object.add_section(sec);
+            map.finish(),
+        ));
     }
 
     // Read-only data proportional to text.
@@ -221,25 +230,13 @@ fn codegen_module_impl(
     })
 }
 
-/// Chooses the cluster partition and emission regime for a function.
-fn plan_function<'a>(
-    f: &Function,
-    opts: &'a CodegenOptions,
-) -> (Cow<'a, FunctionClusters>, bool) {
-    if let BbSectionsMode::Clusters(map) = &opts.bb_sections {
-        if let Some(clusters) = map.get(f.id) {
-            return (Cow::Borrowed(clusters), true);
-        }
-    }
-    let original = (0..f.num_blocks() as u32).map(BlockId).collect();
-    (Cow::Owned(FunctionClusters::single(original)), false)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::options::ClusterMap;
     use propeller_ir::{FunctionBuilder, Inst, ProgramBuilder, Terminator};
+    use propeller_obj::BbAddrMap;
+    use std::sync::Arc;
 
     fn build_program() -> Program {
         let mut pb = ProgramBuilder::new();
@@ -295,12 +292,12 @@ mod tests {
             .iter()
             .find(|s| s.kind == SectionKind::BbAddrMap)
             .expect("labels mode emits the map");
-        let decoded = BbAddrMap::decode(&map_sec.bytes).unwrap();
+        let decoded = BbAddrMap::decode(&map_sec.bytes, Arc::from).unwrap();
         assert_eq!(decoded.functions.len(), 2);
         let hot = decoded
             .functions
             .iter()
-            .find(|f| f.func_symbol == "hot_fn")
+            .find(|f| &*f.func_symbol == "hot_fn")
             .unwrap();
         assert_eq!(hot.num_blocks(), 3);
         // PM binary is strictly larger than baseline.
@@ -310,7 +307,7 @@ mod tests {
     #[test]
     fn clusters_mode_splits_listed_functions_only() {
         let p = build_program();
-        let hot_fn = p.functions().find(|f| f.name == "hot_fn").unwrap().id;
+        let hot_fn = p.functions().find(|f| &*f.name == "hot_fn").unwrap().id;
         let mut map = ClusterMap::new();
         map.insert(
             hot_fn,
@@ -331,7 +328,7 @@ mod tests {
             r.object
                 .sections()
                 .iter()
-                .find(|s| s.name == format!(".text.{n}"))
+                .find(|s| *s.name == format!(".text.{n}"))
                 .unwrap()
         };
         assert!(by_name("hot_fn").relaxable);
@@ -343,7 +340,7 @@ mod tests {
     fn eh_frame_grows_with_fragments() {
         let p = build_program();
         let base = codegen_module(&p.modules()[0], &p, &CodegenOptions::baseline()).unwrap();
-        let hot_fn = p.functions().find(|f| f.name == "hot_fn").unwrap().id;
+        let hot_fn = p.functions().find(|f| &*f.name == "hot_fn").unwrap().id;
         let mut map = ClusterMap::new();
         map.insert(
             hot_fn,

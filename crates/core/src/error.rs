@@ -112,7 +112,7 @@ mod tests {
         // Degradation logic can match on the nested cause…
         assert!(matches!(
             e,
-            PipelineError::Image(ImageError::MissingFunction(ref name)) if name == "hot_fn"
+            PipelineError::Image(ImageError::MissingFunction(ref name)) if &**name == "hot_fn"
         ));
         // …and the source chain is intact for error reporters.
         assert!(e.source().unwrap().to_string().contains("hot_fn"));

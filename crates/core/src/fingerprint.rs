@@ -1,7 +1,20 @@
 //! Structural hashing of IR modules for the content-addressed cache.
 
-use propeller_ir::{Inst, Module, Terminator};
+use propeller_ir::{FunctionId, Inst, Module, Terminator};
 use propeller_obj::{ContentHash, ContentHasher};
+
+/// Each instruction kind's tag byte, indexed by [`Inst::kind`]. The
+/// values are part of every cache key.
+const INST_TAG: [u8; Inst::KINDS] = {
+    let mut tag = [0; Inst::KINDS];
+    tag[Inst::Alu.kind()] = 1;
+    tag[Inst::Load.kind()] = 2;
+    tag[Inst::Store.kind()] = 3;
+    tag[Inst::Nop.kind()] = 4;
+    tag[Inst::Call(FunctionId(0)).kind()] = 5;
+    tag[Inst::Prefetch(FunctionId(0)).kind()] = 6;
+    tag
+};
 
 /// Computes a content hash over everything a codegen action reads from
 /// a module: names, block structure, instructions, terminators and
@@ -15,20 +28,10 @@ pub fn module_fingerprint(module: &Module) -> ContentHash {
             let mut block = ContentHasher::default();
             block.write(&b.freq.to_le_bytes());
             block.write(&[u8::from(b.is_landing_pad)]);
-            for i in &b.insts {
-                match i {
-                    Inst::Alu => block.write(&[1]),
-                    Inst::Load => block.write(&[2]),
-                    Inst::Store => block.write(&[3]),
-                    Inst::Nop => block.write(&[4]),
-                    Inst::Call(c) => {
-                        block.write(&[5]);
-                        block.write(&c.0.to_le_bytes());
-                    }
-                    Inst::Prefetch(t) => {
-                        block.write(&[6]);
-                        block.write(&t.0.to_le_bytes());
-                    }
+            for &i in &b.insts {
+                block.write(&[INST_TAG[i.kind()]]);
+                if let Some(target) = i.referenced_function() {
+                    block.write(&target.0.to_le_bytes());
                 }
             }
             match b.term {

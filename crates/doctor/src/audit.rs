@@ -340,7 +340,7 @@ mod tests {
         bin.layout
             .functions
             .iter()
-            .find(|f| f.func_symbol == func)
+            .find(|f| &*f.func_symbol == func)
             .unwrap()
             .blocks
             .iter()

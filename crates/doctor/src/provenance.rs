@@ -311,16 +311,10 @@ pub fn diff_docs(a: &ProvenanceDoc, b: &ProvenanceDoc) -> ProvenanceDiff {
     }
 
     // Placement moves.
-    let place_b: HashMap<&str, &SymbolPlacement> = b
-        .placements
-        .iter()
-        .map(|p| (p.symbol.as_str(), p))
-        .collect();
-    let place_a: HashMap<&str, &SymbolPlacement> = a
-        .placements
-        .iter()
-        .map(|p| (p.symbol.as_str(), p))
-        .collect();
+    let place_b: HashMap<&str, &SymbolPlacement> =
+        b.placements.iter().map(|p| (&*p.symbol, p)).collect();
+    let place_a: HashMap<&str, &SymbolPlacement> =
+        a.placements.iter().map(|p| (&*p.symbol, p)).collect();
     let cycles_of = |doc: &ProvenanceDoc, sym: &str| -> Option<u64> {
         doc.attribution
             .iter()
@@ -328,11 +322,11 @@ pub fn diff_docs(a: &ProvenanceDoc, b: &ProvenanceDoc) -> ProvenanceDiff {
             .map(|&(_, c)| c)
     };
     for pa in &a.placements {
-        match place_b.get(pa.symbol.as_str()) {
-            None => d.only_a.push(pa.symbol.clone()),
+        match place_b.get(&*pa.symbol) {
+            None => d.only_a.push(pa.symbol.to_string()),
             Some(pb) if pa.order != pb.order || pa.addr != pb.addr => {
                 d.moved.push(MovedSymbol {
-                    symbol: pa.symbol.clone(),
+                    symbol: pa.symbol.to_string(),
                     order_a: pa.order,
                     order_b: pb.order,
                     addr_a: pa.addr,
@@ -345,8 +339,8 @@ pub fn diff_docs(a: &ProvenanceDoc, b: &ProvenanceDoc) -> ProvenanceDiff {
         }
     }
     for pb in &b.placements {
-        if !place_a.contains_key(pb.symbol.as_str()) {
-            d.only_b.push(pb.symbol.clone());
+        if !place_a.contains_key(&*pb.symbol) {
+            d.only_b.push(pb.symbol.to_string());
         }
     }
     // Rank: attributed cycle delta when available, position delta
@@ -571,7 +565,7 @@ pub fn render_explain(
     for p in doc
         .placements
         .iter()
-        .filter(|p| p.symbol == func || p.symbol.starts_with(&fragment_prefix))
+        .filter(|p| &*p.symbol == func || p.symbol.starts_with(&fragment_prefix))
     {
         placed = true;
         let _ = writeln!(

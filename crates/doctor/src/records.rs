@@ -16,6 +16,7 @@ use propeller_telemetry::json::{arr, obj, FromJson, JsonValue, Reader, SchemaErr
 use propeller_wpa::exttsp::{Edge, MergeStep, Node, RejectedAlt};
 use propeller_wpa::{ClusterProvenance, EdgeKind, FunctionProvenance, FundingRecord};
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// The type of a record's field: how its value is written, and read
 /// back from what was written.
@@ -52,6 +53,17 @@ macro_rules! primitive_fields {
     )*};
 }
 primitive_fields!(String, f64, bool, u32, u64, usize, u128);
+
+/// A shared name is written as the string it holds.
+impl Field for Arc<str> {
+    fn write(&self) -> JsonValue {
+        (**self).into()
+    }
+
+    fn read(r: Reader<'_>) -> Result<Arc<str>, SchemaError> {
+        String::from_json(r).map(Arc::from)
+    }
+}
 
 /// `None` is `null`.
 impl<T: Field> Field for Option<T> {

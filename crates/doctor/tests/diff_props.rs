@@ -195,10 +195,10 @@ impl Dice {
 
     /// [`Dice::vec`] without the rows whose `name` an earlier row has:
     /// the readers reject a repeated function or symbol name.
-    fn rows<T>(&mut self, f: impl FnMut(&mut Dice) -> T, name: fn(&T) -> &String) -> Vec<T> {
+    fn rows<T>(&mut self, f: impl FnMut(&mut Dice) -> T, name: fn(&T) -> &str) -> Vec<T> {
         let mut seen = std::collections::HashSet::new();
         let mut rows = self.vec(f);
-        rows.retain(|row| seen.insert(name(row).clone()));
+        rows.retain(|row| seen.insert(name(row).to_string()));
         rows
     }
 }
@@ -340,7 +340,7 @@ fn provenance_doc(d: &mut Dice) -> ProvenanceDoc {
             }),
         },
         placements: d.rows(|d| SymbolPlacement {
-            symbol: d.name(),
+            symbol: d.name().into(),
             order: d.small(),
             addr: d.count(),
             input_size: d.count(),

@@ -61,7 +61,7 @@ impl<'a> LayoutIndex<'a> {
         let prev = funcs
             .iter()
             .enumerate()
-            .map(|(i, f)| last.insert(f.func_symbol.as_str(), i as u32))
+            .map(|(i, f)| last.insert(&*f.func_symbol, i as u32))
             .collect();
         LayoutIndex { binary, last, prev }
     }
@@ -216,7 +216,7 @@ mod tests {
         bin.layout
             .functions
             .iter()
-            .find(|f| f.func_symbol == func)
+            .find(|f| &*f.func_symbol == func)
             .unwrap()
             .blocks
             .iter()
@@ -325,7 +325,7 @@ mod tests {
         // `alpha` again, after `beta`: blocks 1 and 2 somewhere else,
         // block 2 twice, block 0 left to the first `alpha`.
         let mut again = new.layout.functions[0].clone();
-        assert_eq!(again.func_symbol, "alpha");
+        assert_eq!(&*again.func_symbol, "alpha");
         again.blocks.remove(0);
         for (i, b) in again.blocks.iter_mut().enumerate() {
             b.addr += 0x1000 * (i as u64 + 1);

@@ -26,7 +26,7 @@ pub fn translate_profile(
     let mut new_blocks: BTreeMap<(&str, u32), (u64, u32)> = BTreeMap::new();
     for f in &new_binary.layout.functions {
         for b in &f.blocks {
-            new_blocks.insert((f.func_symbol.as_str(), b.block.0), (b.addr, b.size));
+            new_blocks.insert((&*f.func_symbol, b.block.0), (b.addr, b.size));
         }
     }
     let mut stats = TranslationStats::default();

@@ -7,7 +7,7 @@ use crate::ids::{BlockId, FunctionId, ModuleId};
 use crate::inst::{Inst, Terminator};
 use crate::module::Module;
 use crate::program::Program;
-use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Incrementally constructs a [`Function`].
 ///
@@ -25,13 +25,15 @@ use std::collections::HashMap;
 /// ```
 #[derive(Clone, Debug)]
 pub struct FunctionBuilder {
-    name: String,
+    name: Arc<str>,
     blocks: Vec<BasicBlock>,
 }
 
 impl FunctionBuilder {
-    /// Starts building a function with the given symbol name.
-    pub fn new(name: impl Into<String>) -> Self {
+    /// Starts building a function with the given symbol name. A `&str`
+    /// is copied into the name's one allocation; an `Arc<str>` is
+    /// shared.
+    pub fn new(name: impl Into<Arc<str>>) -> Self {
         FunctionBuilder {
             name: name.into(),
             blocks: Vec::new(),
@@ -69,7 +71,7 @@ impl FunctionBuilder {
     }
 
     /// Decomposes the builder for [`crate::Program::push_function`].
-    pub(crate) fn into_parts(self) -> (String, Vec<BasicBlock>) {
+    pub(crate) fn into_parts(self) -> (Arc<str>, Vec<BasicBlock>) {
         (self.name, self.blocks)
     }
 }
@@ -78,8 +80,8 @@ impl FunctionBuilder {
 #[derive(Clone, Debug, Default)]
 pub struct ProgramBuilder {
     modules: Vec<Module>,
-    next_function: u32,
-    index: HashMap<FunctionId, (usize, usize)>,
+    /// `(module index, function index within module)` by function id.
+    index: Vec<(u32, u32)>,
 }
 
 impl ProgramBuilder {
@@ -101,8 +103,7 @@ impl ProgramBuilder {
     ///
     /// Panics if `module` does not exist.
     pub fn add_function(&mut self, module: ModuleId, builder: FunctionBuilder) -> FunctionId {
-        let id = FunctionId(self.next_function);
-        self.next_function += 1;
+        let id = FunctionId(self.index.len() as u32);
         let m = &mut self.modules[module.index()];
         let f = Function {
             id,
@@ -110,7 +111,7 @@ impl ProgramBuilder {
             module,
             blocks: builder.blocks,
         };
-        self.index.insert(id, (module.index(), m.functions.len()));
+        self.index.push((module.0, m.functions.len() as u32));
         m.functions.push(f);
         id
     }

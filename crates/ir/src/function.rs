@@ -4,6 +4,7 @@ use crate::block::BasicBlock;
 use crate::error::IrError;
 use crate::ids::{BlockId, FunctionId, ModuleId};
 use crate::inst::Terminator;
+use std::sync::Arc;
 
 /// A function: an entry block plus a list of basic blocks forming a CFG.
 ///
@@ -16,8 +17,11 @@ use crate::inst::Terminator;
 pub struct Function {
     /// Program-unique id.
     pub id: FunctionId,
-    /// Symbol name (unique across the program).
-    pub name: String,
+    /// Symbol name (unique across the program). Allocated once, where
+    /// the function is built, and shared by every artifact that names
+    /// the function: object symbols, relocations, layouts, the linked
+    /// binary's symbol map.
+    pub name: Arc<str>,
     /// Owning module.
     pub module: ModuleId,
     /// Blocks in original (source) order. `blocks[0]` is the entry.

@@ -28,6 +28,25 @@ pub enum Inst {
 }
 
 impl Inst {
+    /// Number of instruction kinds: every [`Inst::kind`] is below it.
+    pub const KINDS: usize = 6;
+
+    /// The variant's position in declaration order, for tables indexed
+    /// by kind. It is the enum's own tag, so reading it costs no branch:
+    /// a walk over a random instruction mix that looks its per-kind
+    /// answer up in a table does not mispredict the way a `match` on
+    /// every instruction does.
+    pub const fn kind(self) -> usize {
+        match self {
+            Inst::Alu => 0,
+            Inst::Load => 1,
+            Inst::Store => 2,
+            Inst::Call(_) => 3,
+            Inst::Prefetch(_) => 4,
+            Inst::Nop => 5,
+        }
+    }
+
     /// Returns the callee for a call instruction, if any.
     pub fn callee(self) -> Option<FunctionId> {
         match self {

@@ -52,7 +52,7 @@ mod tests {
         b.freq = freq;
         Function {
             id: FunctionId(id),
-            name: format!("f{id}"),
+            name: format!("f{id}").into(),
             module: ModuleId(0),
             blocks: vec![b],
         }

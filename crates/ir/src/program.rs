@@ -14,8 +14,9 @@ use std::collections::HashMap;
 #[derive(Clone, Debug)]
 pub struct Program {
     pub(crate) modules: Vec<Module>,
-    /// `FunctionId -> (module index, function index within module)`.
-    pub(crate) index: HashMap<FunctionId, (usize, usize)>,
+    /// `(module index, function index within module)` by function id:
+    /// ids are dense, so a lookup is one bounds-checked load.
+    pub(crate) index: Vec<(u32, u32)>,
 }
 
 impl Program {
@@ -38,9 +39,8 @@ impl Program {
 
     /// Looks up a function by id.
     pub fn function(&self, id: FunctionId) -> Option<&Function> {
-        self.index
-            .get(&id)
-            .map(|&(m, f)| &self.modules[m].functions[f])
+        let &(m, f) = self.index.get(id.index())?;
+        self.modules.get(m as usize)?.functions.get(f as usize)
     }
 
     /// Iterates over every function in module order.
@@ -78,7 +78,7 @@ impl Program {
         let id = FunctionId(self.num_functions() as u32);
         let (name, blocks) = builder.into_parts();
         let m = &mut self.modules[module.index()];
-        self.index.insert(id, (module.index(), m.functions.len()));
+        self.index.push((module.0, m.functions.len() as u32));
         m.functions.push(Function {
             id,
             name,
@@ -103,13 +103,13 @@ impl Program {
         let mut names = HashMap::new();
         for f in self.functions() {
             f.validate()?;
-            if let Some(_prev) = names.insert(f.name.clone(), f.id) {
-                return Err(IrError::DuplicateName(f.name.clone()));
+            if let Some(_prev) = names.insert(&*f.name, f.id) {
+                return Err(IrError::DuplicateName(f.name.to_string()));
             }
             for b in &f.blocks {
                 for inst in &b.insts {
                     if let Some(target) = inst.referenced_function() {
-                        if !self.index.contains_key(&target) {
+                        if self.function(target).is_none() {
                             return Err(IrError::UnknownCallee {
                                 function: f.id,
                                 callee: target,
@@ -146,8 +146,8 @@ mod tests {
         let p = two_module_program();
         assert_eq!(p.num_modules(), 2);
         assert_eq!(p.num_functions(), 2);
-        let beta = p.functions().find(|f| f.name == "beta").unwrap();
-        assert_eq!(p.function(beta.id).unwrap().name, "beta");
+        let beta = p.functions().find(|f| &*f.name == "beta").unwrap();
+        assert_eq!(&*p.function(beta.id).unwrap().name, "beta");
     }
 
     #[test]
@@ -165,7 +165,7 @@ mod tests {
         assert_eq!(id.0, 2, "next dense id after the two existing functions");
         assert_eq!(p.num_functions(), 3);
         let f = p.function(id).unwrap();
-        assert_eq!(f.name, "gamma");
+        assert_eq!(&*f.name, "gamma");
         assert_eq!(f.module, m1);
         p.validate().unwrap();
     }

@@ -3,12 +3,13 @@
 use propeller_ir::{BlockId, FunctionId};
 use propeller_obj::{BbAddrMap, SectionKind, SizeBreakdown};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// A section's final placement in the output.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct PlacedSection {
-    /// Section name.
-    pub name: String,
+    /// Section name, shared with the input section.
+    pub name: Arc<str>,
     /// Content kind.
     pub kind: SectionKind,
     /// Virtual address (loaded sections only; metadata sections carry
@@ -35,8 +36,8 @@ pub struct FinalBlock {
 pub struct FinalFunctionLayout {
     /// The function.
     pub function: FunctionId,
-    /// The function's primary symbol.
-    pub func_symbol: String,
+    /// The function's primary symbol, shared with the IR.
+    pub func_symbol: Arc<str>,
     /// Every block with its final address, in address order per
     /// fragment.
     pub blocks: Vec<FinalBlock>,
@@ -68,7 +69,7 @@ impl FinalLayout {
 pub struct SymbolPlacement {
     /// The section's primary function symbol (the section name when no
     /// primary symbol exists, e.g. cold fragments named by section).
-    pub symbol: String,
+    pub symbol: Arc<str>,
     /// Position in the final text order (0 = first placed).
     pub order: u32,
     /// Final virtual address.
@@ -117,8 +118,8 @@ pub struct LinkedBinary {
     pub text_end: u64,
     /// Placement of every output section.
     pub sections: Vec<PlacedSection>,
-    /// Global symbol addresses.
-    pub symbols: HashMap<String, u64>,
+    /// Global symbol addresses, keyed by the input symbols' own names.
+    pub symbols: HashMap<Arc<str>, u64>,
     /// Merged basic block address map.
     pub bb_addr_map: BbAddrMap,
     /// File-size accounting by kind (Figure 6).

@@ -14,6 +14,7 @@ use propeller_obj::{
 };
 use propeller_telemetry::{SpanId, Telemetry};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One input to the link: an object file plus (optionally) the codegen
 /// layout side table used to build the simulator's [`FinalLayout`].
@@ -21,7 +22,8 @@ use std::collections::HashMap;
 pub struct LinkInput {
     /// The relocatable object.
     pub object: ObjectFile,
-    /// The codegen layout table for this object's functions.
+    /// The codegen layout table for this object's functions; without
+    /// one, they are missing from the simulator's table.
     pub debug_layout: Option<DebugLayout>,
 }
 
@@ -31,15 +33,6 @@ impl LinkInput {
         LinkInput {
             object,
             debug_layout: Some(debug_layout),
-        }
-    }
-
-    /// Wraps an object without layout info (its functions will be
-    /// missing from the simulator's table).
-    pub fn opaque(object: ObjectFile) -> Self {
-        LinkInput {
-            object,
-            debug_layout: None,
         }
     }
 }
@@ -151,14 +144,15 @@ fn link_impl(
     tel: &Telemetry,
     link_id: Option<SpanId>,
 ) -> Result<LinkedBinary, LinkError> {
-    // Flatten sections and build the global symbol table. Sections stay
-    // borrowed; `primary_symbol[i]` is the function symbol naming the
-    // start of section `i`, if one does.
+    // Flatten sections and build the global symbol table. Sections and
+    // names stay borrowed: every name the output keeps is a clone of an
+    // input's `Arc`. `primary_symbol[i]` is the function symbol naming
+    // the start of section `i`, if one does.
     let n_sections = inputs.iter().map(|i| i.object.sections().len()).sum();
     let n_symbols = inputs.iter().map(|i| i.object.symbols().len()).sum();
     let mut secs: Vec<Sec> = Vec::with_capacity(n_sections);
-    let mut symtab: HashMap<&str, Target> = HashMap::with_capacity(n_symbols);
-    let mut primary_symbol: Vec<Option<&str>> = vec![None; n_sections];
+    let mut symtab: HashMap<&str, (Target, &Arc<str>)> = HashMap::with_capacity(n_symbols);
+    let mut primary_symbol: Vec<Option<&Arc<str>>> = vec![None; n_sections];
     let mut obj_has_relaxable: Vec<bool> = Vec::with_capacity(inputs.len());
     let mut input_bytes = 0u64;
     let mut total_relocs = 0usize;
@@ -194,8 +188,8 @@ fn link_impl(
                 sec: gidx as u32,
                 off: sym.offset,
             };
-            if symtab.insert(&sym.name, def).is_some() {
-                return Err(LinkError::DuplicateSymbol(sym.name.clone()));
+            if symtab.insert(&sym.name, (def, &sym.name)).is_some() {
+                return Err(LinkError::DuplicateSymbol(sym.name.to_string()));
             }
             if sym.kind == SymbolKind::Func && sym.offset == 0 {
                 primary_symbol[gidx] = Some(&sym.name);
@@ -281,8 +275,8 @@ fn link_impl(
 
     // Build the output symbol map.
     let symbols = symtab
-        .iter()
-        .map(|(&name, &def)| (name.to_string(), resolve(&secs, def)))
+        .values()
+        .map(|&(def, name)| (name.clone(), resolve(&secs, def)))
         .collect();
 
     // Merge metadata and compute the size breakdown.
@@ -300,10 +294,17 @@ fn link_impl(
                 if opts.drop_cold_bb_addr_map && !obj_has_relaxable[s.obj_idx] {
                     continue;
                 }
-                let decoded = BbAddrMap::decode(bytes).map_err(|e| LinkError::BadMetadata {
-                    object: inputs[s.obj_idx].object.name.clone(),
-                    detail: e.to_string(),
-                })?;
+                // A name the symbol table defines is shared, not copied.
+                let name = |sym: &str| {
+                    symtab
+                        .get(sym)
+                        .map_or_else(|| Arc::from(sym), |d| d.1.clone())
+                };
+                let decoded =
+                    BbAddrMap::decode(bytes, name).map_err(|e| LinkError::BadMetadata {
+                        object: inputs[s.obj_idx].object.name.clone(),
+                        detail: e.to_string(),
+                    })?;
                 bb_addr_map.merge(decoded);
             }
             SectionKind::Rela => breakdown.relocs += bytes.len(),
@@ -328,13 +329,23 @@ fn link_impl(
         for fl in &dl.functions {
             let mut blocks = Vec::with_capacity(fl.fragments.iter().map(|f| f.blocks.len()).sum());
             for frag in &fl.fragments {
-                let def = symtab.get(frag.section_symbol.as_str()).ok_or_else(|| {
+                let &(def, _) = symtab.get(&*frag.section_symbol).ok_or_else(|| {
                     LinkError::UndefinedSymbol {
-                        symbol: frag.section_symbol.clone(),
+                        symbol: frag.section_symbol.to_string(),
                         object: input.object.name.clone(),
                     }
                 })?;
-                debug_assert_eq!(def.off, 0, "fragment symbols name section starts");
+                // Placements are offsets into the fragment's section, so
+                // its symbol must name the section's start.
+                if def.off != 0 {
+                    return Err(LinkError::BadMetadata {
+                        object: input.object.name.clone(),
+                        detail: format!(
+                            "fragment symbol {:?} is at offset {} of its section, not its start",
+                            frag.section_symbol, def.off
+                        ),
+                    });
+                }
                 let sec = &secs[def.sec as usize];
                 for p in &frag.blocks {
                     let start = sec.new_offset(p.offset);
@@ -371,7 +382,7 @@ fn link_impl(
                 }
             }
             SymbolPlacement {
-                symbol: primary_symbol[i].unwrap_or(&s.input.name).to_string(),
+                symbol: primary_symbol[i].unwrap_or(&s.input.name).clone(),
                 order: pos as u32,
                 addr: s.addr,
                 input_size: s.input.bytes.len() as u64,
@@ -421,11 +432,11 @@ fn link_impl(
 /// undefined symbol; a target before its section's start, or past what
 /// an offset can hold, is corrupt metadata.
 fn resolve_reloc(
-    symtab: &HashMap<&str, Target>,
+    symtab: &HashMap<&str, (Target, &Arc<str>)>,
     r: &Reloc,
     object: &str,
 ) -> Result<Option<Target>, LinkError> {
-    let Some(def) = symtab.get(r.symbol.as_str()) else {
+    let Some(&(def, _)) = symtab.get(&*r.symbol) else {
         return Ok(None);
     };
     let off = (def.off as i64)
@@ -458,7 +469,7 @@ fn emit_section(out: &mut [u8], secs: &[Sec], sec: &Sec, obj_name: &str) -> Resu
             let target = resolve(secs, sec.target(site.reloc as usize, obj_name)?);
             let inst_addr = sec.addr + at as u64;
             let overflow = || LinkError::DisplacementOverflow {
-                symbol: symbol.clone(),
+                symbol: symbol.to_string(),
             };
             match site.state {
                 SiteState::Deleted => {}

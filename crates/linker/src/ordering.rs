@@ -1,6 +1,7 @@
 //! Symbol ordering files.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// The global layout directive: an ordered list of text-section symbols
 /// (the `ld_prof.txt` of Figure 1).
@@ -10,23 +11,23 @@ use std::collections::HashMap;
 /// This mirrors `--symbol-ordering-file` in LLD.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct SymbolOrdering {
-    names: Vec<String>,
-    index: HashMap<String, usize>,
+    names: Vec<Arc<str>>,
+    index: HashMap<Arc<str>, usize>,
 }
 
 impl SymbolOrdering {
     /// Builds an ordering from symbol names; later duplicates are
     /// ignored, matching linker behavior.
-    pub fn new(names: impl IntoIterator<Item = String>) -> Self {
+    pub fn new(names: impl IntoIterator<Item = impl Into<Arc<str>>>) -> Self {
         let mut ordering = SymbolOrdering::default();
         for n in names {
-            ordering.push(n);
+            ordering.push(n.into());
         }
         ordering
     }
 
     /// Appends one symbol (ignored if already present).
-    pub fn push(&mut self, name: String) {
+    pub fn push(&mut self, name: Arc<str>) {
         if !self.index.contains_key(&name) {
             self.index.insert(name.clone(), self.names.len());
             self.names.push(name);
@@ -49,7 +50,7 @@ impl SymbolOrdering {
     }
 
     /// The ordered names.
-    pub fn names(&self) -> &[String] {
+    pub fn names(&self) -> &[Arc<str>] {
         &self.names
     }
 
@@ -62,8 +63,8 @@ impl SymbolOrdering {
     }
 }
 
-impl FromIterator<String> for SymbolOrdering {
-    fn from_iter<T: IntoIterator<Item = String>>(iter: T) -> Self {
+impl<S: Into<Arc<str>>> FromIterator<S> for SymbolOrdering {
+    fn from_iter<T: IntoIterator<Item = S>>(iter: T) -> Self {
         Self::new(iter)
     }
 }
@@ -74,7 +75,7 @@ mod tests {
 
     #[test]
     fn ranks_follow_insertion() {
-        let o = SymbolOrdering::new(["b".into(), "a".into(), "b".into()]);
+        let o = SymbolOrdering::new(["b", "a", "b"]);
         assert_eq!(o.len(), 2);
         assert_eq!(o.rank("b"), Some(0));
         assert_eq!(o.rank("a"), Some(1));
@@ -85,7 +86,7 @@ mod tests {
     /// bytes; `ld_prof.txt` is a CI artifact, so they are pinned by hand.
     #[test]
     fn file_contents_bytes_are_pinned() {
-        let o = SymbolOrdering::new(["main".into(), "helper.1".into(), "helper.cold".into()]);
+        let o = SymbolOrdering::new(["main", "helper.1", "helper.cold"]);
         assert_eq!(o.to_file_contents(), "main\nhelper.1\nhelper.cold\n");
         assert_eq!(SymbolOrdering::default().to_file_contents(), "\n");
     }

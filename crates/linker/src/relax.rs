@@ -128,7 +128,7 @@ impl<'a> Sec<'a> {
     /// undefined-symbol error names as the referencing object.
     pub fn target(&self, reloc: usize, referrer: &str) -> Result<Target, LinkError> {
         self.targets[reloc].ok_or_else(|| LinkError::UndefinedSymbol {
-            symbol: self.input.relocs[reloc].symbol.clone(),
+            symbol: self.input.relocs[reloc].symbol.to_string(),
             object: referrer.to_string(),
         })
     }
@@ -142,7 +142,7 @@ impl<'a> Sec<'a> {
 /// byte between) identifies conditional branches.
 pub(crate) fn parse_sites(section: &Section) -> Result<Vec<Site>, LinkError> {
     let bad = |detail: String| LinkError::BadMetadata {
-        object: section.name.clone(),
+        object: section.name.to_string(),
         detail,
     };
     let mut sites = Vec::new();
@@ -456,7 +456,7 @@ mod tests {
         assert_eq!(sites[1].inst_start, 9);
         assert_eq!(sites[1].orig_len, 5);
         // Sorted by address, each still naming its own relocation.
-        assert_eq!(sec.relocs[sites[0].reloc as usize].symbol, "a");
+        assert_eq!(&*sec.relocs[sites[0].reloc as usize].symbol, "a");
         assert_eq!(sec.relocs[sites[1].reloc as usize].addend, 4);
     }
 

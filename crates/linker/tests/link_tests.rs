@@ -1,10 +1,12 @@
 //! End-to-end linker tests driving real codegen output.
 
 use propeller_codegen::{
-    codegen_module, isa::decode, isa::op, isa::Decoded, ClusterMap, CodegenOptions,
-    FunctionClusters,
+    codegen_module, isa::decode, isa::op, isa::Decoded, BlockPlacement, ClusterMap, CodegenOptions,
+    DebugLayout, FragmentLayout, FunctionClusters, FunctionLayout,
 };
-use propeller_ir::{BlockId, FunctionBuilder, Inst, Program, ProgramBuilder, Terminator};
+use propeller_ir::{
+    BlockId, FunctionBuilder, FunctionId, Inst, Program, ProgramBuilder, Terminator,
+};
 use propeller_linker::{link, LinkError, LinkInput, LinkOptions, SymbolOrdering};
 use propeller_obj::{
     ObjectFile, Reloc, RelocKind, Section, SectionId, SectionKind, Symbol, SymbolKind,
@@ -60,7 +62,7 @@ fn compile(p: &Program, opts: &CodegenOptions) -> Vec<LinkInput> {
 }
 
 fn split_hot_clusters(p: &Program) -> ClusterMap {
-    let hot = p.functions().find(|f| f.name == "hot").unwrap().id;
+    let hot = p.functions().find(|f| &*f.name == "hot").unwrap().id;
     let mut map = ClusterMap::new();
     map.insert(
         hot,
@@ -82,7 +84,7 @@ fn baseline_link_resolves_calls() {
         .layout
         .functions
         .iter()
-        .find(|f| f.func_symbol == "hot")
+        .find(|f| &*f.func_symbol == "hot")
         .unwrap();
     let fast = hot_layout
         .blocks
@@ -167,7 +169,7 @@ fn relaxation_deletes_fallthrough_jump_to_adjacent_cold_section() {
         .layout
         .functions
         .iter()
-        .find(|f| f.func_symbol == "hot")
+        .find(|f| &*f.func_symbol == "hot")
         .unwrap();
     let entry = hot_layout.blocks.iter().find(|b| b.block == BlockId(0)).unwrap();
     let cold = hot_layout.blocks.iter().find(|b| b.block == BlockId(1)).unwrap();
@@ -229,7 +231,7 @@ fn relaxation_deletes_tail_jump_when_target_follows() {
         .layout
         .functions
         .iter()
-        .find(|f| f.func_symbol == "split_fn")
+        .find(|f| &*f.func_symbol == "split_fn")
         .unwrap();
     let b0 = f.blocks.iter().find(|b| b.block == BlockId(0)).unwrap();
     let b1 = f.blocks.iter().find(|b| b.block == BlockId(1)).unwrap();
@@ -302,7 +304,7 @@ fn cold_object_maps_dropped_in_relink() {
         .bb_addr_map
         .functions
         .iter()
-        .map(|f| f.func_symbol.as_str())
+        .map(|f| &*f.func_symbol)
         .collect();
     assert_eq!(names, vec!["hot"]);
 }
@@ -369,7 +371,7 @@ fn map_report_lists_every_section() {
     let map = bin.map_report();
     assert!(map.contains("Link map for a.out"));
     for s in &bin.sections {
-        assert!(map.contains(&s.name), "missing section {} in map", s.name);
+        assert!(map.contains(&*s.name), "missing section {} in map", s.name);
     }
     assert!(map.contains("inputs"));
 }
@@ -397,13 +399,21 @@ fn two_section_object() -> ObjectFile {
     obj
 }
 
+/// An input without a layout table.
+fn opaque(object: ObjectFile) -> LinkInput {
+    LinkInput {
+        object,
+        debug_layout: None,
+    }
+}
+
 fn assert_bad_metadata(obj: ObjectFile, needle: &str) {
     for relax in [false, true] {
         let opts = LinkOptions {
             relax,
             ..LinkOptions::default()
         };
-        match link(&[LinkInput::opaque(obj.clone())], &opts) {
+        match link(&[opaque(obj.clone())], &opts) {
             Err(LinkError::BadMetadata { object, detail }) => {
                 assert_eq!(object, "hostile.o");
                 assert!(detail.contains(needle), "{detail}");
@@ -417,7 +427,7 @@ fn assert_bad_metadata(obj: ObjectFile, needle: &str) {
 fn relocation_offset_outside_its_section_is_rejected() {
     // The well-formed object links, and `b` keeps its bytes.
     let bin = link(
-        &[LinkInput::opaque(two_section_object())],
+        &[opaque(two_section_object())],
         &LinkOptions::default(),
     )
     .unwrap();
@@ -461,5 +471,38 @@ fn symbol_in_a_nonexistent_section_is_rejected() {
             kind: SymbolKind::Func,
         });
         assert_bad_metadata(obj, "ghost");
+    }
+}
+
+/// A layout fragment's placements are offsets from its section's start,
+/// so the symbol naming the fragment must sit there. Here `g` is at
+/// offset 4 of `.text.f`: the link used to succeed with `g`'s block 0
+/// placed at `f`'s address (a debug build tripped an assertion instead).
+#[test]
+fn fragment_symbol_inside_its_section_is_rejected() {
+    let mut obj = ObjectFile::new("hostile.o");
+    let text = obj.add_section(Section::new(".text.f", SectionKind::Text, vec![op::NOP; 8]));
+    obj.add_symbol(Symbol::global_func("f", text, 0, 4));
+    obj.add_symbol(Symbol::global_func("g", text, 4, 4));
+    let layout = DebugLayout {
+        functions: vec![FunctionLayout {
+            function: FunctionId(1),
+            func_symbol: "g".into(),
+            fragments: vec![FragmentLayout {
+                section_symbol: "g".into(),
+                blocks: vec![BlockPlacement {
+                    block: BlockId(0),
+                    offset: 0,
+                    size: 4,
+                }],
+            }],
+        }],
+    };
+    match link(&[LinkInput::new(obj, layout)], &LinkOptions::default()) {
+        Err(LinkError::BadMetadata { object, detail }) => {
+            assert_eq!(object, "hostile.o");
+            assert!(detail.contains("\"g\""), "{detail}");
+        }
+        other => panic!("expected BadMetadata, got {other:?}"),
     }
 }

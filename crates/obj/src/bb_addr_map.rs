@@ -5,15 +5,20 @@
 //! disassembly*: for each function it records, per contiguous text range
 //! (one per basic-block-section fragment), the offset, size and flags of
 //! every machine basic block, identified by its intra-function id.
+//!
+//! [`BbAddrMapWriter`] is the format's one encoder: codegen writes each
+//! function's record with it as the function is emitted, and
+//! [`BbAddrMap::encode`] writes a decoded map back through it.
 
 use crate::error::ObjError;
 use crate::object::{get_str, get_u8, put_str};
 use bytes::{Buf, BufMut};
+use std::sync::Arc;
 
 /// Writes a ULEB128 varint (the encoding the real
 /// `SHT_LLVM_BB_ADDR_MAP` section uses, keeping metadata overhead in
 /// the paper's 7-9% range).
-fn put_uleb(out: &mut Vec<u8>, mut v: u32) {
+fn put_uleb(out: &mut impl BufMut, mut v: u32) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -25,20 +30,62 @@ fn put_uleb(out: &mut Vec<u8>, mut v: u32) {
     }
 }
 
-/// Bytes [`put_uleb`] writes for `v`.
-fn uleb_len(v: u32) -> usize {
-    match v {
-        0..=0x7f => 1,
-        0x80..=0x3fff => 2,
-        0x4000..=0x1f_ffff => 3,
-        0x20_0000..=0xfff_ffff => 4,
-        _ => 5,
+/// A sink that only counts what is written: [`BbAddrMap::encoded_len`]
+/// runs the encoder into it.
+struct Counted(usize);
+
+impl BufMut for Counted {
+    fn put_slice(&mut self, src: &[u8]) {
+        self.0 += src.len();
     }
 }
 
-/// Bytes [`put_str`] writes for `s`: a `u32` length, then the bytes.
-fn str_len(s: &str) -> usize {
-    4 + s.len()
+/// The encoder: a function count, then per function its symbol and
+/// range count, per range its symbol (empty when it is the function's
+/// own) and entry count, then the entries. Counts come first, so the
+/// caller states each before writing what it counts.
+#[derive(Debug)]
+pub struct BbAddrMapWriter<B = Vec<u8>> {
+    out: B,
+}
+
+impl<B: BufMut> BbAddrMapWriter<B> {
+    /// Starts a section of `num_functions` function records in `out`.
+    pub fn new(mut out: B, num_functions: usize) -> Self {
+        put_uleb(&mut out, num_functions as u32);
+        BbAddrMapWriter { out }
+    }
+
+    /// Starts a function record of `num_ranges` ranges.
+    pub fn function(&mut self, func_symbol: &str, num_ranges: usize) {
+        put_str(&mut self.out, func_symbol);
+        put_uleb(&mut self.out, num_ranges as u32);
+    }
+
+    /// Starts a range of `num_entries` entries of the function
+    /// `func_symbol`, named by `range_symbol`.
+    pub fn range(&mut self, func_symbol: &str, range_symbol: &str, num_entries: usize) {
+        let stored = if range_symbol == func_symbol {
+            ""
+        } else {
+            range_symbol
+        };
+        put_str(&mut self.out, stored);
+        put_uleb(&mut self.out, num_entries as u32);
+    }
+
+    /// Writes one block's entry.
+    pub fn entry(&mut self, e: BbEntry) {
+        put_uleb(&mut self.out, e.bb_id);
+        put_uleb(&mut self.out, e.offset);
+        put_uleb(&mut self.out, e.size);
+        self.out.put_u8(e.flags.0);
+    }
+
+    /// The written bytes.
+    pub fn finish(self) -> B {
+        self.out
+    }
 }
 
 fn get_uleb(buf: &mut &[u8], context: &'static str) -> Result<u32, ObjError> {
@@ -113,10 +160,10 @@ pub struct BbEntry {
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct FuncAddrMap {
     /// The function's primary symbol name.
-    pub func_symbol: String,
+    pub func_symbol: Arc<str>,
     /// `(range symbol, blocks)` pairs. The range symbol names the text
     /// section fragment holding the blocks; offsets are relative to it.
-    pub ranges: Vec<(String, Vec<BbEntry>)>,
+    pub ranges: Vec<(Arc<str>, Vec<BbEntry>)>,
 }
 
 impl FuncAddrMap {
@@ -137,27 +184,7 @@ impl BbAddrMap {
     /// Serializes to section bytes (ULEB128-packed; range symbols equal
     /// to the function symbol are stored as an empty string).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_uleb(&mut out, self.functions.len() as u32);
-        for f in &self.functions {
-            put_str(&mut out, &f.func_symbol);
-            put_uleb(&mut out, f.ranges.len() as u32);
-            for (range_sym, entries) in &f.ranges {
-                if range_sym == &f.func_symbol {
-                    put_str(&mut out, "");
-                } else {
-                    put_str(&mut out, range_sym);
-                }
-                put_uleb(&mut out, entries.len() as u32);
-                for e in entries {
-                    put_uleb(&mut out, e.bb_id);
-                    put_uleb(&mut out, e.offset);
-                    put_uleb(&mut out, e.size);
-                    out.put_u8(e.flags.0);
-                }
-            }
-        }
-        out
+        self.write(Vec::new())
     }
 
     /// `self.encode().len()`, without building the buffer (the linker
@@ -165,43 +192,47 @@ impl BbAddrMap {
     ///
     /// [`SizeBreakdown`]: crate::SizeBreakdown
     pub fn encoded_len(&self) -> usize {
-        let mut len = uleb_len(self.functions.len() as u32);
+        self.write(Counted(0)).0
+    }
+
+    fn write<B: BufMut>(&self, out: B) -> B {
+        let mut w = BbAddrMapWriter::new(out, self.functions.len());
         for f in &self.functions {
-            len += str_len(&f.func_symbol) + uleb_len(f.ranges.len() as u32);
+            w.function(&f.func_symbol, f.ranges.len());
             for (range_sym, entries) in &f.ranges {
-                len += if range_sym == &f.func_symbol {
-                    str_len("")
-                } else {
-                    str_len(range_sym)
-                };
-                len += uleb_len(entries.len() as u32);
-                for e in entries {
-                    len += uleb_len(e.bb_id) + uleb_len(e.offset) + uleb_len(e.size) + 1;
+                w.range(&f.func_symbol, range_sym, entries.len());
+                for &e in entries {
+                    w.entry(e);
                 }
             }
         }
-        len
+        w.finish()
     }
 
-    /// Decodes section bytes.
+    /// Decodes section bytes. `name` turns each symbol read into the
+    /// shared name the map keeps: a linker passes a lookup in its symbol
+    /// table, so a defined symbol's name is not allocated again.
     ///
     /// # Errors
     ///
     /// Returns [`ObjError::Truncated`] or [`ObjError::BadString`] on a
     /// malformed section.
-    pub fn decode(mut bytes: &[u8]) -> Result<Self, ObjError> {
+    pub fn decode<'a>(
+        mut bytes: &'a [u8],
+        mut name: impl FnMut(&'a str) -> Arc<str>,
+    ) -> Result<Self, ObjError> {
         let buf = &mut bytes;
         let nfunc = get_uleb(buf, "bb_addr_map function count")? as usize;
         let mut functions = Vec::with_capacity(nfunc.min(1 << 20));
         for _ in 0..nfunc {
-            let func_symbol = get_str(buf, "bb_addr_map function symbol")?;
+            let func_symbol = name(get_str(buf, "bb_addr_map function symbol")?);
             let nranges = get_uleb(buf, "bb_addr_map range count")? as usize;
             let mut ranges = Vec::with_capacity(nranges.min(1 << 20));
             for _ in 0..nranges {
-                let mut range_sym = get_str(buf, "bb_addr_map range symbol")?;
-                if range_sym.is_empty() {
-                    range_sym = func_symbol.clone();
-                }
+                let range_sym = match get_str(buf, "bb_addr_map range symbol")? {
+                    "" => func_symbol.clone(),
+                    sym => name(sym),
+                };
                 let nentries = get_uleb(buf, "bb_addr_map entry count")? as usize;
                 let mut entries = Vec::with_capacity(nentries.min(1 << 20));
                 for _ in 0..nentries {
@@ -272,27 +303,38 @@ mod tests {
     #[test]
     fn round_trip() {
         let m = sample();
-        assert_eq!(BbAddrMap::decode(&m.encode()).unwrap(), m);
+        assert_eq!(BbAddrMap::decode(&m.encode(), Arc::from).unwrap(), m);
     }
 
     #[test]
     fn uleb_len_matches_put_uleb_at_every_width_boundary() {
+        let mut values = vec![0, u32::MAX];
         for shift in [7, 14, 21, 28] {
-            for v in [(1u32 << shift) - 1, 1 << shift] {
-                let mut out = Vec::new();
-                put_uleb(&mut out, v);
-                assert_eq!(uleb_len(v), out.len(), "v={v:#x}");
-            }
+            values.extend([(1u32 << shift) - 1, 1 << shift]);
         }
-        assert_eq!(uleb_len(0), 1);
-        assert_eq!(uleb_len(u32::MAX), 5);
+        for v in values {
+            let e = BbEntry {
+                bb_id: v,
+                offset: v,
+                size: v,
+                flags: BbFlags::default(),
+            };
+            let m = BbAddrMap {
+                functions: vec![FuncAddrMap {
+                    func_symbol: "f".into(),
+                    ranges: vec![("f".into(), vec![e])],
+                }],
+            };
+            assert_eq!(m.encoded_len(), m.encode().len(), "v={v:#x}");
+        }
     }
 
     #[test]
     fn truncation_fails_cleanly() {
         let bytes = sample().encode();
         for cut in 0..bytes.len() {
-            assert!(BbAddrMap::decode(&bytes[..cut]).is_err(), "cut={cut}");
+            let decoded = BbAddrMap::decode(&bytes[..cut], Arc::from);
+            assert!(decoded.is_err(), "cut={cut}");
         }
     }
 
@@ -316,6 +358,6 @@ mod tests {
     #[test]
     fn empty_map_round_trips() {
         let m = BbAddrMap::default();
-        assert_eq!(BbAddrMap::decode(&m.encode()).unwrap(), m);
+        assert_eq!(BbAddrMap::decode(&m.encode(), Arc::from).unwrap(), m);
     }
 }

@@ -15,6 +15,10 @@
 //! encoder/decoder in [`bb_addr_map`]. Everything else is opaque bytes
 //! produced by the codegen crate.
 //!
+//! Names (sections, symbols, relocation targets) are `Arc<str>`: a
+//! function's name is allocated once, where the function is built, and
+//! every record that names it shares that allocation.
+//!
 //! # Example
 //!
 //! ```
@@ -35,7 +39,7 @@ mod reloc;
 mod section;
 mod symbol;
 
-pub use bb_addr_map::{BbAddrMap, BbEntry, BbFlags, FuncAddrMap};
+pub use bb_addr_map::{BbAddrMap, BbAddrMapWriter, BbEntry, BbFlags, FuncAddrMap};
 pub use error::ObjError;
 pub use hash::{ContentHash, ContentHasher};
 pub use object::{ObjectFile, SizeBreakdown};

@@ -85,7 +85,7 @@ impl ObjectFile {
 
     /// Looks up a global symbol by name.
     pub fn global_symbol(&self, name: &str) -> Option<&Symbol> {
-        self.symbols.iter().find(|s| s.global && s.name == name)
+        self.symbols.iter().find(|s| s.global && &*s.name == name)
     }
 
     /// Computes the Figure 6 size breakdown for this object.
@@ -144,7 +144,7 @@ impl ObjectFile {
     }
 }
 
-pub(crate) fn put_str(out: &mut Vec<u8>, s: &str) {
+pub(crate) fn put_str(out: &mut impl BufMut, s: &str) {
     out.put_u32_le(s.len() as u32);
     out.put_slice(s.as_bytes());
 }
@@ -163,14 +163,15 @@ fn get_u32(buf: &mut &[u8], context: &'static str) -> Result<u32, ObjError> {
     Ok(buf.get_u32_le())
 }
 
-pub(crate) fn get_str(buf: &mut &[u8], context: &'static str) -> Result<String, ObjError> {
+/// Reads a string in place: the caller decides whether it needs a copy.
+pub(crate) fn get_str<'a>(buf: &mut &'a [u8], context: &'static str) -> Result<&'a str, ObjError> {
     let len = get_u32(buf, context)? as usize;
     if buf.remaining() < len {
         return Err(ObjError::Truncated { context });
     }
-    let mut data = vec![0u8; len];
-    buf.copy_to_slice(&mut data);
-    String::from_utf8(data).map_err(|_| ObjError::BadString)
+    let (data, rest) = buf.split_at(len);
+    *buf = rest;
+    std::str::from_utf8(data).map_err(|_| ObjError::BadString)
 }
 
 #[cfg(test)]

@@ -1,5 +1,7 @@
 //! Relocations.
 
+use std::sync::Arc;
+
 /// The relocation kinds the synthetic ISA needs.
 ///
 /// Basic block sections force branch targets to be resolved by the
@@ -52,15 +54,15 @@ pub struct Reloc {
     pub offset: u32,
     /// Encoding of the field.
     pub kind: RelocKind,
-    /// Name of the target symbol.
-    pub symbol: String,
+    /// Name of the target symbol, shared with the symbol's definition.
+    pub symbol: Arc<str>,
     /// Byte offset added to the symbol address.
     pub addend: i64,
 }
 
 impl Reloc {
     /// Creates a relocation.
-    pub fn new(offset: u32, kind: RelocKind, symbol: impl Into<String>, addend: i64) -> Self {
+    pub fn new(offset: u32, kind: RelocKind, symbol: impl Into<Arc<str>>, addend: i64) -> Self {
         Reloc {
             offset,
             kind,
@@ -86,7 +88,7 @@ mod tests {
     fn constructor_stores_fields() {
         let r = Reloc::new(12, RelocKind::CallPc32, "callee", -4);
         assert_eq!(r.offset, 12);
-        assert_eq!(r.symbol, "callee");
+        assert_eq!(&*r.symbol, "callee");
         assert_eq!(r.addend, -4);
     }
 }

@@ -1,6 +1,7 @@
 //! Sections.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Index of a section within one object file.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
@@ -80,7 +81,7 @@ pub struct BlockSpan {
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Section {
     /// Section name, e.g. `.text.foo.cold`.
-    pub name: String,
+    pub name: Arc<str>,
     /// Content kind.
     pub kind: SectionKind,
     /// Raw contents (pre-relocation).
@@ -101,7 +102,7 @@ pub struct Section {
 impl Section {
     /// Creates a section with default (16-byte for text, 1 otherwise)
     /// alignment and no relocations.
-    pub fn new(name: impl Into<String>, kind: SectionKind, bytes: Vec<u8>) -> Self {
+    pub fn new(name: impl Into<Arc<str>>, kind: SectionKind, bytes: Vec<u8>) -> Self {
         let align = if kind == SectionKind::Text { 16 } else { 1 };
         Section {
             name: name.into(),

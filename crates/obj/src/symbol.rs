@@ -1,6 +1,7 @@
 //! Symbols.
 
 use crate::section::SectionId;
+use std::sync::Arc;
 
 /// What a symbol names.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
@@ -27,8 +28,9 @@ impl SymbolKind {
 /// A named location within a section.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Symbol {
-    /// Symbol name, unique among globals across the link.
-    pub name: String,
+    /// Symbol name, unique among globals across the link. Shared with
+    /// the IR function or cluster it names.
+    pub name: Arc<str>,
     /// Defining section.
     pub section: SectionId,
     /// Offset within the section.
@@ -43,7 +45,7 @@ pub struct Symbol {
 
 impl Symbol {
     /// Convenience constructor for a global function symbol.
-    pub fn global_func(name: impl Into<String>, section: SectionId, offset: u32, size: u32) -> Self {
+    pub fn global_func(name: impl Into<Arc<str>>, section: SectionId, offset: u32, size: u32) -> Self {
         Symbol {
             name: name.into(),
             section,
@@ -55,7 +57,7 @@ impl Symbol {
     }
 
     /// Convenience constructor for a local label.
-    pub fn local_label(name: impl Into<String>, section: SectionId, offset: u32) -> Self {
+    pub fn local_label(name: impl Into<Arc<str>>, section: SectionId, offset: u32) -> Self {
         Symbol {
             name: name.into(),
             section,

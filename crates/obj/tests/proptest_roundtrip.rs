@@ -4,6 +4,7 @@
 
 use propeller_obj::{BbAddrMap, BbEntry, BbFlags, FuncAddrMap};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 prop_compose! {
     /// Entry fields span every ULEB128 width; every third range reuses
@@ -28,12 +29,13 @@ prop_compose! {
     ) -> BbAddrMap {
         let functions = functions
             .into_iter()
-            .map(|(func_symbol, ranges)| FuncAddrMap {
+            .map(|(func_symbol, ranges): (String, _)| FuncAddrMap {
                 ranges: ranges
                     .into_iter()
                     .enumerate()
                     .map(|(i, (sym, entries))| {
                         let sym = if i % 3 == 0 { func_symbol.clone() } else { sym };
+                        let sym: Arc<str> = sym.into();
                         let entries = entries
                             .into_iter()
                             .map(|(bb_id, offset, size, flags)| BbEntry {
@@ -46,7 +48,7 @@ prop_compose! {
                         (sym, entries)
                     })
                     .collect(),
-                func_symbol,
+                func_symbol: func_symbol.into(),
             })
             .collect();
         BbAddrMap { functions }
@@ -60,13 +62,13 @@ proptest! {
     fn bb_addr_map_round_trips_and_predicts_its_length(map in arb_bb_addr_map()) {
         let bytes = map.encode();
         prop_assert_eq!(map.encoded_len(), bytes.len());
-        prop_assert_eq!(BbAddrMap::decode(&bytes).expect("own encoding decodes"), map);
+        prop_assert_eq!(BbAddrMap::decode(&bytes, Arc::from).expect("own encoding decodes"), map);
     }
 
     #[test]
     fn decoder_never_panics_on_garbage(bytes in prop::collection::vec(any::<u8>(), 0..300)) {
         // Any result is fine; panics are not.
-        let _ = BbAddrMap::decode(&bytes);
+        let _ = BbAddrMap::decode(&bytes, Arc::from);
     }
 
     #[test]
@@ -75,7 +77,7 @@ proptest! {
         // Check a sample of prefixes (all of them would be O(n^2)).
         let step = (bytes.len() / 16).max(1);
         for cut in (0..bytes.len()).step_by(step) {
-            prop_assert!(BbAddrMap::decode(&bytes[..cut]).is_err());
+            prop_assert!(BbAddrMap::decode(&bytes[..cut], Arc::from).is_err());
         }
     }
 }

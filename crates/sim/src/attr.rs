@@ -309,7 +309,7 @@ impl<'a> AttrSink<'a> {
                 });
             }
             symbols.push(SymbolAttribution {
-                name: name.clone(),
+                name: name.to_string(),
                 total: CounterSet::default(),
                 blocks,
             });

@@ -1,10 +1,11 @@
 //! The simulator's executable view: CFG structure married to final
 //! addresses.
 
-use propeller_ir::{FunctionId, Inst, Program, Terminator};
+use propeller_ir::{Function, FunctionId, Inst, Program, Terminator};
 use propeller_linker::FinalLayout;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// A terminator in simulator form (successors as indices into
 /// [`ProgramImage::blocks`]).
@@ -51,8 +52,9 @@ pub struct SimBlock {
 /// `blocks[first_block[f]..first_block[f + 1]]`, entry first.
 #[derive(Clone, Debug)]
 pub struct ProgramImage {
-    /// Symbol names (diagnostics), by dense function index.
-    pub names: Vec<String>,
+    /// Symbol names (diagnostics), by dense function index, shared with
+    /// the IR.
+    pub names: Vec<Arc<str>>,
     /// Where each function's blocks start in `blocks`, plus one last
     /// entry: the number of blocks.
     pub first_block: Vec<u32>,
@@ -81,11 +83,11 @@ pub struct ProgramImage {
 pub enum ImageError {
     /// A function in the program has no layout (its object was linked
     /// without debug info).
-    MissingFunction(String),
+    MissingFunction(Arc<str>),
     /// A block is missing from its function's layout.
     MissingBlock {
         /// Function name.
-        function: String,
+        function: Arc<str>,
         /// Block index.
         block: u32,
     },
@@ -93,7 +95,7 @@ pub enum ImageError {
     /// combination (corrupt layout).
     BadBranchBytes {
         /// Function name.
-        function: String,
+        function: Arc<str>,
         /// Block index.
         block: u32,
         /// The leftover byte count.
@@ -104,6 +106,14 @@ pub enum ImageError {
     TooManyFunctions {
         /// How many functions the program has.
         count: usize,
+    },
+    /// A function calls or prefetches a function the program does not
+    /// have.
+    UnknownCallee {
+        /// The calling function's name.
+        function: Arc<str>,
+        /// The id it names.
+        callee: FunctionId,
     },
 }
 
@@ -126,6 +136,9 @@ impl fmt::Display for ImageError {
                 f,
                 "program has {count} functions but image indices are u32"
             ),
+            ImageError::UnknownCallee { function, callee } => {
+                write!(f, "{function} references {callee}, which the program does not have")
+            }
         }
     }
 }
@@ -174,12 +187,12 @@ impl ProgramImage {
     /// # Errors
     ///
     /// Returns [`ImageError`] if any function or block lacks layout
-    /// information, or sizes are inconsistent with the ISA.
+    /// information, sizes are inconsistent with the ISA, or a function
+    /// calls or prefetches a function the program does not have.
     ///
     /// # Panics
     ///
-    /// Panics if the program has more than `u32::MAX` blocks, or calls
-    /// a function it does not have.
+    /// Panics if the program has more than `u32::MAX` blocks.
     pub fn build(program: &Program, layout: &FinalLayout) -> Result<Self, ImageError> {
         // `first_block[i]` is where function `i`'s blocks start, both
         // in `blocks` and in the placement table below.
@@ -224,7 +237,14 @@ impl ProgramImage {
             }
         }
 
-        let dense = |id: &FunctionId| index_in(&ids, *id).expect("callee is in the program") as u32;
+        let dense = |f: &Function, id: FunctionId| {
+            index_in(&ids, id)
+                .map(|i| i as u32)
+                .ok_or_else(|| ImageError::UnknownCallee {
+                    function: f.name.clone(),
+                    callee: id,
+                })
+        };
         let mut names = Vec::with_capacity(count);
         let mut blocks = Vec::with_capacity(num_blocks);
         let mut calls = Vec::new();
@@ -262,8 +282,8 @@ impl ProgramImage {
                     let mut off = 0u32;
                     for inst in &b.insts {
                         match inst {
-                            Inst::Call(callee) => calls.push((off, dense(callee))),
-                            Inst::Prefetch(target) => prefetches.push(dense(target)),
+                            Inst::Call(callee) => calls.push((off, dense(f, *callee)?)),
+                            Inst::Prefetch(target) => prefetches.push(dense(f, *target)?),
                             _ => {}
                         }
                         off += inst_bytes(inst);
@@ -346,7 +366,7 @@ mod tests {
 
     #[derive(Clone, PartialEq, Debug)]
     struct RefFunction {
-        name: String,
+        name: Arc<str>,
         blocks: Vec<RefBlock>,
     }
 

@@ -1,12 +1,12 @@
 //! Edge-case tests for the execution engine.
 
-use propeller_codegen::{codegen_module, CodegenOptions};
+use propeller_codegen::{codegen_module, CodegenError, CodegenOptions};
 use propeller_ir::{BlockId, FunctionBuilder, FunctionId, Inst, Program, ProgramBuilder, Terminator};
-use propeller_linker::{link, LinkInput, LinkOptions};
+use propeller_linker::{link, FinalLayout, LinkInput, LinkOptions};
 use propeller_profile::SamplingConfig;
-use propeller_sim::{simulate, ProgramImage, SimOptions, UarchConfig, Workload};
+use propeller_sim::{simulate, ImageError, ProgramImage, SimOptions, UarchConfig, Workload};
 
-fn image_of(p: &Program) -> ProgramImage {
+fn layout_of(p: &Program) -> FinalLayout {
     let inputs: Vec<LinkInput> = p
         .modules()
         .iter()
@@ -15,8 +15,11 @@ fn image_of(p: &Program) -> ProgramImage {
             LinkInput::new(r.object, r.debug_layout)
         })
         .collect();
-    let bin = link(&inputs, &LinkOptions::default()).unwrap();
-    ProgramImage::build(p, &bin.layout).unwrap()
+    link(&inputs, &LinkOptions::default()).unwrap().layout
+}
+
+fn image_of(p: &Program) -> ProgramImage {
+    ProgramImage::build(p, &layout_of(p)).unwrap()
 }
 
 /// `ping` and `pong` call each other forever.
@@ -32,6 +35,28 @@ fn mutually_recursive() -> (Program, FunctionId) {
     let actual_pong = pb.add_function(m, pong);
     assert_eq!(actual_pong, pong_id);
     (pb.finish().unwrap(), ping_id)
+}
+
+/// A call to an id past the program's last function, edited in after
+/// validation, is a typed error from codegen and from the image build
+/// alike: neither may panic on it.
+#[test]
+fn a_call_past_the_last_function_is_an_error() {
+    let (mut p, _) = mutually_recursive();
+    let layout = layout_of(&p);
+    let past_end = FunctionId(p.num_functions() as u32);
+    p.modules_mut()[0].functions[0].blocks[0].insts[1] = Inst::Call(past_end);
+    assert_eq!(
+        codegen_module(&p.modules()[0], &p, &CodegenOptions::baseline()).unwrap_err(),
+        CodegenError::UnknownFunction(past_end)
+    );
+    assert_eq!(
+        ProgramImage::build(&p, &layout).unwrap_err(),
+        ImageError::UnknownCallee {
+            function: "ping".into(),
+            callee: past_end,
+        }
+    );
 }
 
 #[test]

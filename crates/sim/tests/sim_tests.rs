@@ -160,7 +160,7 @@ fn hot_cold_split_reduces_taken_branches_and_misses() {
             ),
         );
         let name = &p.function(*w).unwrap().name;
-        order.push(name.clone());
+        order.push(name.to_string());
     }
     for w in &workers {
         order.push(format!("{}.cold", p.function(*w).unwrap().name));

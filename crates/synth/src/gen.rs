@@ -7,6 +7,7 @@ use propeller_ir::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::fmt::Write;
 
 /// Generation parameters beyond the spec itself.
 #[derive(Clone, PartialEq, Debug)]
@@ -87,7 +88,9 @@ pub fn generate(spec: &BenchmarkSpec, params: &GenParams) -> GeneratedBenchmark 
         .collect();
 
     // Function `i` gets FunctionId(i): hot functions first, so callee
-    // selection can stay within the hot set by index.
+    // selection can stay within the hot set by index. Each name is
+    // formatted in `name` and then allocated once.
+    let mut name = String::new();
     for i in 0..n_funcs {
         let hot = i < n_hot;
         let module = if hot {
@@ -95,7 +98,9 @@ pub fn generate(spec: &BenchmarkSpec, params: &GenParams) -> GeneratedBenchmark 
         } else {
             modules[(i - n_hot) % n_modules]
         };
-        let mut fb = FunctionBuilder::new(format!("{}_fn{i}", spec.name));
+        name.clear();
+        let _ = write!(name, "{}_fn{i}", spec.name);
+        let mut fb = FunctionBuilder::new(name.as_str());
         let nblocks = geometric(&mut rng, avg_blocks, 400);
 
         // Pass 1: plan terminators.

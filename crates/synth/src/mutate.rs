@@ -20,6 +20,7 @@ use crate::gen::GeneratedBenchmark;
 use propeller_ir::{FunctionBuilder, Inst, Terminator};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::fmt::Write;
 
 /// Evolution parameters for one release step.
 #[derive(Copy, Clone, PartialEq, Debug)]
@@ -113,11 +114,11 @@ pub fn evolve(bench: &GeneratedBenchmark, params: &DriftParams) -> GeneratedBenc
     // existing modules (dirtying their fingerprints like real churn).
     let n_new = ((next.program.num_functions() as f64) * drift * 0.03).round() as usize;
     let n_modules = next.program.num_modules();
+    let mut name = String::new();
     for j in 0..n_new {
-        let mut fb = FunctionBuilder::new(format!(
-            "{}_r{}_new{j}",
-            bench.spec.name, params.release
-        ));
+        name.clear();
+        let _ = write!(name, "{}_r{}_new{j}", bench.spec.name, params.release);
+        let mut fb = FunctionBuilder::new(name.as_str());
         let body = rng.gen_range(2..16);
         fb.add_block(vec![Inst::Alu; body], Terminator::Ret);
         let module = next.program.modules()[rng.gen_range(0..n_modules)].id;

@@ -24,7 +24,7 @@ pub fn cluster_map_to_text(map: &ClusterMap, program: &Program) -> String {
     let mut entries: Vec<(&str, &FunctionClusters)> = map
         .iter()
         .filter_map(|(fid, clusters)| {
-            program.function(fid).map(|f| (f.name.as_str(), clusters))
+            program.function(fid).map(|f| (&*f.name, clusters))
         })
         .collect();
     entries.sort_by_key(|(name, _)| *name);
@@ -79,7 +79,7 @@ mod tests {
     #[test]
     fn writer_bytes_are_pinned() {
         let p = program();
-        let id = |name: &str| p.functions().find(|f| f.name == name).unwrap().id;
+        let id = |name: &str| p.functions().find(|f| &*f.name == name).unwrap().id;
         let mut map = ClusterMap::new();
         map.insert(
             id("beta"),

@@ -323,7 +323,7 @@ mod tests {
             .layout
             .functions
             .iter()
-            .find(|f| f.func_symbol == "alpha")
+            .find(|f| &*f.func_symbol == "alpha")
             .unwrap();
         let bb1 = alpha_layout
             .blocks
@@ -372,7 +372,7 @@ mod tests {
             .layout
             .functions
             .iter()
-            .find(|f| f.func_symbol == "alpha")
+            .find(|f| &*f.func_symbol == "alpha")
             .unwrap();
         let bb1 = alpha_layout
             .blocks
@@ -409,7 +409,7 @@ mod tests {
             .layout
             .functions
             .iter()
-            .find(|f| f.func_symbol == "alpha")
+            .find(|f| &*f.func_symbol == "alpha")
             .unwrap();
         let bb1 = alpha_layout
             .blocks
@@ -468,7 +468,7 @@ mod tests {
                 .layout
                 .functions
                 .iter()
-                .find(|f| f.func_symbol == "alpha");
+                .find(|f| &*f.func_symbol == "alpha");
             f.unwrap()
                 .blocks
                 .iter()
@@ -512,7 +512,8 @@ mod tests {
             weights,
             [("alpha", u64::MAX), ("alpha.1", u64::MAX), ("alpha.2", 7)]
         );
-        assert_eq!(out.symbol_order.names(), ["alpha.1", "alpha", "alpha.2"]);
+        let names: Vec<&str> = out.symbol_order.names().iter().map(|n| &**n).collect();
+        assert_eq!(names, ["alpha.1", "alpha", "alpha.2"]);
     }
 
     #[test]

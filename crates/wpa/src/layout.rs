@@ -10,6 +10,7 @@ use propeller_linker::{LinkedBinary, SymbolOrdering};
 use propeller_profile::{AggregatedProfile, HardwareProfile};
 use propeller_telemetry::{SpanId, Telemetry};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Statistics of one WPA run.
 #[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
@@ -177,7 +178,7 @@ impl WpaOutput {
 
 /// One planned cluster, before serialization into the outputs.
 struct PlannedCluster {
-    symbol: String,
+    symbol: Arc<str>,
     weight: u64,
     size: u64,
     cold: bool,
@@ -244,7 +245,7 @@ pub fn run_wpa_agg_traced(
     };
 
     let name_to_id: HashMap<&str, FunctionId> =
-        program.functions().map(|f| (f.name.as_str(), f.id)).collect();
+        program.functions().map(|f| (&*f.name, f.id)).collect();
     let mapper_idx: HashMap<&str, u32> = (0..mapper.num_functions() as u32)
         .map(|i| (mapper.func_symbol(i), i))
         .collect();
@@ -269,10 +270,10 @@ pub fn run_wpa_agg_traced(
 
     let intra_span = tel.span_under("wpa.intra_layout", wpa_id);
     for fmap in &binary.bb_addr_map.functions {
-        let Some(&fi) = mapper_idx.get(fmap.func_symbol.as_str()) else {
+        let Some(&fi) = mapper_idx.get(&*fmap.func_symbol) else {
             continue;
         };
-        let Some(&fid) = name_to_id.get(fmap.func_symbol.as_str()) else {
+        let Some(&fid) = name_to_id.get(&*fmap.func_symbol) else {
             continue;
         };
         let dc: &DcfgFunction = &dcfg.functions[fi as usize];
@@ -408,7 +409,7 @@ pub fn run_wpa_agg_traced(
 
         // Plan global ordering entries.
         let mut fn_prov = FunctionProvenance {
-            func_symbol: fmap.func_symbol.clone(),
+            func_symbol: fmap.func_symbol.to_string(),
             total_samples: dc.total_count(),
             hot_blocks: hot.len(),
             cold_blocks: cold.len(),
@@ -427,7 +428,7 @@ pub fn run_wpa_agg_traced(
             let size: u64 = c.blocks.iter().map(|b| size_of(b.0) as u64).sum();
             let is_cold = matches!(c.name, ClusterName::Cold);
             fn_prov.clusters.push(ClusterProvenance {
-                symbol: symbol.clone(),
+                symbol: symbol.to_string(),
                 blocks: c.blocks.iter().map(|b| b.0).collect(),
                 weight,
                 size: size.max(1),
@@ -454,7 +455,7 @@ pub fn run_wpa_agg_traced(
         if armed {
             let detail = merge_log.detail.take().unwrap_or_default();
             rich_functions.push(RichFunctionRecord {
-                func_symbol: fmap.func_symbol.clone(),
+                func_symbol: fmap.func_symbol.to_string(),
                 func_index: fi,
                 nodes,
                 edges,
@@ -477,7 +478,7 @@ pub fn run_wpa_agg_traced(
 
     // Global order.
     let global_span = tel.span_under("wpa.global_order", wpa_id);
-    let hot_symbols: Vec<String> = match opts.global {
+    let hot_symbols: Vec<Arc<str>> = match opts.global {
         GlobalOrder::HotFirst => {
             let mut idx: Vec<usize> = (0..planned.len()).collect();
             idx.sort_by(|&a, &b| {

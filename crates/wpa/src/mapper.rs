@@ -2,7 +2,7 @@
 //! address map — the step that replaces disassembly.
 
 use propeller_linker::LinkedBinary;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// A resolved sample location.
 #[derive(Copy, Clone, PartialEq, Eq, Debug)]
@@ -28,7 +28,7 @@ struct Interval {
 #[derive(Clone, Debug)]
 pub struct AddressMapper {
     intervals: Vec<Interval>,
-    func_symbols: Vec<String>,
+    func_symbols: Vec<Arc<str>>,
     /// Function indices ordered by `(symbol, index)`, sorted on the
     /// first [`AddressMapper::func_index`] call: building the mapper is
     /// on every Phase 3's path, asking for an index by name is not.
@@ -206,9 +206,9 @@ mod tests {
     fn unresolvable_range_symbols_are_counted_as_skipped() {
         let mut bin = metadata_binary();
         bin.bb_addr_map.functions.push(propeller_obj::FuncAddrMap {
-            func_symbol: "ghost".to_string(),
+            func_symbol: "ghost".into(),
             ranges: vec![(
-                "ghost.stripped".to_string(),
+                "ghost.stripped".into(),
                 vec![propeller_obj::BbEntry {
                     bb_id: 0,
                     offset: 0,

@@ -36,7 +36,7 @@ pub fn prefetch_directives(
 ) -> PrefetchMap {
     let mapper = AddressMapper::from_binary(binary);
     let name_to_id: HashMap<&str, FunctionId> =
-        program.functions().map(|f| (f.name.as_str(), f.id)).collect();
+        program.functions().map(|f| (&*f.name, f.id)).collect();
 
     // Collect candidates: (caller fn, block, target fn) -> misses.
     let mut candidates: HashMap<(FunctionId, u32, FunctionId), u64> = HashMap::new();

@@ -51,7 +51,7 @@ fn disassembler_agrees_with_codegen_layout() {
             .layout
             .functions
             .iter()
-            .find(|l| l.func_symbol == f.name)
+            .find(|l| *l.func_symbol == *f.name)
         {
             for b in &fl.blocks {
                 assert!(
@@ -81,7 +81,7 @@ fn wpa_mapper_agrees_with_linker_layout() {
             let loc = mapper
                 .lookup(b.addr)
                 .unwrap_or_else(|| panic!("unmapped block at {:#x}", b.addr));
-            assert_eq!(loc.func_symbol, fl.func_symbol);
+            assert_eq!(loc.func_symbol, &*fl.func_symbol);
             assert_eq!(loc.bb_id, b.block.0);
             assert_eq!(loc.offset_in_block, 0);
         }

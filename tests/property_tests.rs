@@ -8,6 +8,7 @@ use propeller_obj::{BbAddrMap, BbEntry, BbFlags, ContentHash, FuncAddrMap};
 use propeller_telemetry::Telemetry;
 use propeller_wpa::exttsp::{order_nodes, score_layout, Edge, ExtTspParams, Node};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Strategy: a random well-formed function of up to 8 blocks.
 fn arb_function(idx: usize) -> impl Strategy<Value = Vec<(Vec<Inst>, u8, u8, u8)>> {
@@ -104,7 +105,7 @@ proptest! {
                 )],
             }],
         };
-        prop_assert_eq!(BbAddrMap::decode(&map.encode()).unwrap(), map);
+        prop_assert_eq!(BbAddrMap::decode(&map.encode(), Arc::from).unwrap(), map);
     }
 
     #[test]
@@ -188,7 +189,7 @@ proptest! {
         }
         for f in program.functions() {
             if f.num_blocks() > 1 {
-                order.push(format!("{}.cold", f.name));
+                order.push(format!("{}.cold", f.name).into());
             }
         }
         let inputs: Vec<LinkInput> = program
@@ -245,7 +246,7 @@ proptest! {
         }
         for f in program.functions() {
             if f.num_blocks() > 1 {
-                order.push(format!("{}.cold", f.name));
+                order.push(format!("{}.cold", f.name).into());
             }
         }
         let inputs: Vec<LinkInput> = program
