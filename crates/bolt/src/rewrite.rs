@@ -8,6 +8,7 @@
 //! its size accounting.
 
 use crate::cfg::{RecCfg, RecTerm};
+use propeller_codegen::isa::len;
 use propeller_linker::{FinalLayout, LinkedBinary};
 use std::collections::HashMap;
 
@@ -51,19 +52,19 @@ fn new_block_size(
         None
     };
     let branch_bytes = match b.term {
-        RecTerm::Ret => 1,
+        RecTerm::Ret => len::RET,
         RecTerm::Fallthrough => {
             if old_fallthrough == next_in_layout {
                 0
             } else {
-                5 // must synthesize a jump to the old successor
+                len::JMP_LONG // must synthesize a jump to the old successor
             }
         }
         RecTerm::Jump(t) => {
             if succ_of_addr(t) == next_in_layout {
                 0 // jump deleted: target follows
             } else {
-                5
+                len::JMP_LONG
             }
         }
         RecTerm::Cond { taken } | RecTerm::CondJump { taken, .. } => {
@@ -73,13 +74,13 @@ fn new_block_size(
                 _ => old_fallthrough,
             };
             if ft_idx == next_in_layout || taken_idx == next_in_layout {
-                6 // single (possibly inverted) conditional
+                len::BR_LONG // single (possibly inverted) conditional
             } else {
-                11 // conditional + jump pair
+                len::BR_LONG + len::JMP_LONG // conditional + jump pair
             }
         }
     };
-    b.straight_bytes + branch_bytes
+    b.straight_bytes + branch_bytes as u64
 }
 
 /// Bytes the new text segment is aligned to: a 2 MiB hugepage, BOLT's

@@ -119,10 +119,10 @@ fn digest_of(key: ContentHash) -> u64 {
 /// artifacts are usually stored as `Arc<..>`.
 ///
 /// Every entry carries a content digest recorded at insert;
-/// [`lookup_verified`](ActionCache::lookup_verified) re-derives the
-/// expected digest from the key and treats a mismatch as corruption:
-/// the entry is invalidated and the lookup reports a miss, so callers
-/// rebuild instead of consuming a damaged artifact.
+/// [`lookup`](ActionCache::lookup) re-derives the expected digest from
+/// the key and treats a mismatch as corruption: the entry is
+/// invalidated and the lookup reports a miss, so callers rebuild
+/// instead of consuming a damaged artifact.
 #[derive(Clone, Debug)]
 pub struct ActionCache<T> {
     map: HashMap<ContentHash, Entry<T>>,
@@ -275,14 +275,6 @@ impl<T> ActionCache<T> {
 }
 
 impl<T: Clone> ActionCache<T> {
-    /// Looks up `key`, counting a hit or a miss. Digest verification
-    /// still runs (a corrupt entry is invalidated and reported as a
-    /// miss); this is [`lookup_verified`](ActionCache::lookup_verified)
-    /// without an injector.
-    pub fn lookup(&mut self, key: ContentHash) -> Option<T> {
-        self.lookup_verified(key, None).0
-    }
-
     /// Looks up `key`, verifying the stored content digest, with an
     /// optional fault injector modeling storage-level damage.
     ///
@@ -297,7 +289,7 @@ impl<T: Clone> ActionCache<T> {
     ///
     /// Anything other than [`CacheEvent::Hit`] counts as a miss in
     /// [`CacheStats`], preserving `hits + misses == lookups`.
-    pub fn lookup_verified(
+    pub fn lookup(
         &mut self,
         key: ContentHash,
         faults: Option<&FaultInjector>,
@@ -357,11 +349,11 @@ mod tests {
     fn since_yields_per_window_deltas() {
         let mut cache: ActionCache<u64> = ActionCache::new();
         cache.insert(key(1), 10);
-        let _ = cache.lookup(key(1));
-        let _ = cache.lookup(key(2));
+        let _ = cache.lookup(key(1), None);
+        let _ = cache.lookup(key(2), None);
         let before = cache.stats();
-        let _ = cache.lookup(key(1));
-        let _ = cache.lookup(key(1));
+        let _ = cache.lookup(key(1), None);
+        let _ = cache.lookup(key(1), None);
         let delta = cache.stats().since(&before);
         assert_eq!(delta.lookups, 2);
         assert_eq!(delta.hits, 2);
@@ -379,10 +371,10 @@ mod tests {
     #[test]
     fn lookup_counts_hits_and_misses() {
         let mut c = ActionCache::new();
-        assert_eq!(c.lookup(key(1)), None);
+        assert_eq!(c.lookup(key(1), None).0, None);
         c.insert(key(1), "artifact");
-        assert_eq!(c.lookup(key(1)), Some("artifact"));
-        assert_eq!(c.lookup(key(2)), None);
+        assert_eq!(c.lookup(key(1), None).0, Some("artifact"));
+        assert_eq!(c.lookup(key(2), None).0, None);
         let s = c.stats();
         assert_eq!((s.lookups, s.hits, s.misses, s.insertions), (3, 1, 2, 1));
         assert!((s.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
@@ -399,8 +391,8 @@ mod tests {
     fn verified_lookup_without_injector_matches_plain_lookup() {
         let mut c = ActionCache::new();
         c.insert(key(3), "v");
-        assert_eq!(c.lookup_verified(key(3), None), (Some("v"), CacheEvent::Hit));
-        assert_eq!(c.lookup_verified(key(4), None), (None, CacheEvent::Miss));
+        assert_eq!(c.lookup(key(3), None), (Some("v"), CacheEvent::Hit));
+        assert_eq!(c.lookup(key(4), None), (None, CacheEvent::Miss));
     }
 
     #[test]
@@ -410,12 +402,12 @@ mod tests {
         let inj = FaultInjector::new(plan, 1);
         let mut c = ActionCache::new();
         c.insert(key(5), "artifact");
-        let (v, ev) = c.lookup_verified(key(5), Some(&inj));
+        let (v, ev) = c.lookup(key(5), Some(&inj));
         assert_eq!((v, ev), (None, CacheEvent::CorruptInvalidated));
         assert!(c.is_empty(), "corrupt entry must be invalidated");
         // The rebuild re-inserts a clean entry that verifies again.
         c.insert(key(5), "rebuilt");
-        assert_eq!(c.lookup(key(5)), Some("rebuilt"));
+        assert_eq!(c.lookup(key(5), None).0, Some("rebuilt"));
         let s = c.stats();
         assert_eq!((s.lookups, s.hits, s.misses), (2, 1, 1));
         assert_eq!(inj.fired(FaultKind::CacheCorruption), 1);
@@ -428,11 +420,11 @@ mod tests {
         let inj = FaultInjector::new(plan, 2);
         let mut c = ActionCache::new();
         c.insert(key(6), 99);
-        assert_eq!(c.lookup_verified(key(6), Some(&inj)), (None, CacheEvent::Evicted));
+        assert_eq!(c.lookup(key(6), Some(&inj)), (None, CacheEvent::Evicted));
         assert!(c.is_empty());
         // Faults only roll against live entries: a lookup of an absent
         // key is a plain miss and fires nothing.
-        assert_eq!(c.lookup_verified(key(6), Some(&inj)), (None, CacheEvent::Miss));
+        assert_eq!(c.lookup(key(6), Some(&inj)), (None, CacheEvent::Miss));
         assert_eq!(inj.fired(FaultKind::CacheEviction), 1);
     }
 
@@ -445,9 +437,9 @@ mod tests {
         c.insert(key(3), "c");
         // key(1) was inserted first, so it is the one evicted.
         assert_eq!(c.len(), 2);
-        assert_eq!(c.lookup(key(1)), None);
-        assert_eq!(c.lookup(key(2)), Some("b"));
-        assert_eq!(c.lookup(key(3)), Some("c"));
+        assert_eq!(c.lookup(key(1), None).0, None);
+        assert_eq!(c.lookup(key(2), None).0, Some("b"));
+        assert_eq!(c.lookup(key(3), None).0, Some("c"));
         assert_eq!(c.pressure_evictions(), 1);
         assert_eq!(c.owner_evictions(0), 1);
     }
@@ -465,8 +457,8 @@ mod tests {
         assert_eq!(c.pressure_evictions(), 0);
         c.insert(key(3), "c");
         // Now key(1) (oldest live stamp) goes.
-        assert_eq!(c.lookup(key(1)), None);
-        assert_eq!(c.lookup(key(2)), Some("b"));
+        assert_eq!(c.lookup(key(1), None).0, None);
+        assert_eq!(c.lookup(key(2), None).0, Some("b"));
         assert_eq!(c.pressure_evictions(), 1);
     }
 
@@ -486,10 +478,10 @@ mod tests {
         let mut c = ActionCache::new();
         c.set_owner(1);
         c.insert(key(1), "a");
-        assert_eq!(c.lookup(key(1)), Some("a"));
+        assert_eq!(c.lookup(key(1), None).0, Some("a"));
         c.set_owner(2);
-        assert_eq!(c.lookup(key(1)), Some("a"));
-        assert_eq!(c.lookup(key(2)), None);
+        assert_eq!(c.lookup(key(1), None).0, Some("a"));
+        assert_eq!(c.lookup(key(2), None).0, None);
         let s1 = c.owner_stats(1);
         let s2 = c.owner_stats(2);
         assert_eq!((s1.lookups, s1.hits, s1.misses, s1.insertions), (1, 1, 0, 1));
@@ -517,7 +509,7 @@ mod tests {
         assert_eq!(evicted, 2);
         assert_eq!(c.owner_evictions(1), 2);
         assert_eq!(c.owner_evictions(2), 0);
-        assert_eq!(c.lookup(key(3)), Some("c"));
+        assert_eq!(c.lookup(key(3), None).0, Some("c"));
         // Asking for more than remains evicts what's there.
         assert_eq!(c.evict_oldest(5), 1);
         assert!(c.is_empty());
@@ -528,8 +520,8 @@ mod tests {
     fn stats_record_into_telemetry_under_prefix() {
         let mut c = ActionCache::new();
         c.insert(key(1), 10);
-        c.lookup(key(1));
-        c.lookup(key(2));
+        c.lookup(key(1), None);
+        c.lookup(key(2), None);
         let tel = propeller_telemetry::Telemetry::enabled();
         c.stats().record_metrics(&tel, "cache.ir");
         let m = tel.drain().metrics;

@@ -23,13 +23,13 @@ proptest! {
             let key = ContentHash::of_bytes(&[key]);
             match op {
                 0 => {
-                    cache.lookup(key);
+                    cache.lookup(key, None);
                 }
                 1 => {
                     cache.insert(key, value);
                 }
                 _ => {
-                    if cache.lookup(key).is_none() {
+                    if cache.lookup(key, None).0.is_none() {
                         cache.insert(key, value);
                     }
                 }

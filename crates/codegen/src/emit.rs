@@ -27,25 +27,14 @@ use crate::error::CodegenError;
 use crate::isa::{fits_short, len, op, INST_ENCODING};
 use crate::layout::{BlockPlacement, ClusterName, FragmentLayout, FunctionClusters, FunctionLayout};
 use propeller_ir::{BlockId, Function, Inst, Program, Terminator};
-use propeller_obj::{
-    BbAddrMapWriter, BbEntry, BbFlags, BlockSpan, Reloc, RelocKind, Section, SectionKind,
-};
-use std::sync::Arc;
-
-/// One emitted text fragment and the symbol naming its start.
-#[derive(Clone, PartialEq, Debug)]
-pub(crate) struct EmittedFragment {
-    /// The text section (bytes, relocations, block map).
-    pub section: Section,
-    /// Symbol naming the fragment (function name, `<fn>.cold`, ...).
-    pub symbol: Arc<str>,
-}
+use propeller_obj::{BbAddrMapWriter, BbEntry, BbFlags, Reloc, RelocKind, Section, SectionKind};
 
 /// The result of emitting one function.
 #[derive(Clone, PartialEq, Debug)]
 pub(crate) struct EmittedFunction {
-    /// Fragments in cluster order.
-    pub fragments: Vec<EmittedFragment>,
+    /// Fragments in cluster order: text sections, each defining the
+    /// symbol that names it (function name, `<fn>.cold`, ...).
+    pub fragments: Vec<Section>,
     /// Layout side table for the simulator; its fragments are parallel
     /// to `fragments`.
     pub layout: FunctionLayout,
@@ -56,7 +45,7 @@ pub(crate) struct EmittedFunction {
 impl EmittedFunction {
     /// Total text bytes across fragments.
     pub(crate) fn text_size(&self) -> usize {
-        self.fragments.iter().map(|f| f.section.size()).sum()
+        self.fragments.iter().map(Section::size).sum()
     }
 }
 
@@ -208,7 +197,6 @@ pub(crate) fn emit_function(
         if lp_nop {
             bytes.push(op::NOP);
         }
-        let mut block_map = Vec::with_capacity(cluster.len());
         let mut placements = Vec::with_capacity(cluster.len());
         for plan in cluster {
             debug_assert_eq!(bytes.len() as u32, plan.offset);
@@ -275,10 +263,6 @@ pub(crate) fn emit_function(
                     }
                 }
             }
-            block_map.push(BlockSpan {
-                offset: plan.offset,
-                size: plan.size,
-            });
             placements.push(BlockPlacement {
                 block: plan.block,
                 offset: plan.offset,
@@ -308,14 +292,14 @@ pub(crate) fn emit_function(
         name.push_str(".text.");
         name.push_str(&symbol);
         let mut section = Section::new(name.as_str(), SectionKind::Text, bytes);
+        section.symbol = Some(symbol);
         section.relocs = relocs;
-        section.block_map = block_map;
         section.relaxable = relocate_branches;
         // Non-primary cluster sections pack tightly (alignment 1) so
         // fall-through deletion across adjacent sections is possible.
         section.align = if matches!(c.name, ClusterName::Primary) { 16 } else { 1 };
         layout.fragments[ci].blocks = placements;
-        fragments.push(EmittedFragment { section, symbol });
+        fragments.push(section);
     }
 
     Ok(EmittedFunction {
@@ -492,6 +476,7 @@ mod tests {
     use propeller_ir::{FunctionBuilder, ProgramBuilder};
     use propeller_obj::{BbAddrMap, FuncAddrMap};
     use std::cell::RefCell;
+    use std::sync::Arc;
 
     thread_local! {
         /// One scratch for every emission a test thread makes, so each
@@ -585,15 +570,16 @@ mod tests {
         let e = emit(f, &p, &original_clusters(f), false).unwrap();
         assert_eq!(e.fragments.len(), 1);
         assert_eq!(e.relocated_branches, 0);
-        let sec = &e.fragments[0].section;
+        let sec = &e.fragments[0];
+        let blocks = &e.layout.fragments[0].blocks;
         // bb0: alu(3) + br_short(2) = 5
-        assert_eq!(sec.block_map[0].size, 5);
+        assert_eq!(blocks[0].size, 5);
         // bb1: call(5) + jmp_short(2) = 7
-        assert_eq!(sec.block_map[1].size, 7);
+        assert_eq!(blocks[1].size, 7);
         // bb2: 3*alu(9) + fallthrough to bb3 -> no jump
-        assert_eq!(sec.block_map[2].size, 9);
+        assert_eq!(blocks[2].size, 9);
         // bb3: ret
-        assert_eq!(sec.block_map[3].size, 1);
+        assert_eq!(blocks[3].size, 1);
         // Only the call gets a relocation.
         assert_eq!(sec.relocs.len(), 1);
         assert_eq!(sec.relocs[0].kind, RelocKind::CallPc32);
@@ -605,7 +591,7 @@ mod tests {
         let (p, fid) = fixture();
         let f = p.function(fid).unwrap();
         let e = emit(f, &p, &original_clusters(f), false).unwrap();
-        let bytes = &e.fragments[0].section.bytes;
+        let bytes = &e.fragments[0].bytes;
         // Decode bb0's branch at offset 3 (after one ALU).
         let d = decode(&bytes[3..]).unwrap();
         match d {
@@ -630,21 +616,21 @@ mod tests {
         assert_eq!(e.fragments.len(), 2);
         let hot = &e.fragments[0];
         let cold = &e.fragments[1];
-        assert_eq!(&*hot.symbol, "main_fn");
-        assert_eq!(&*cold.symbol, "main_fn.cold");
-        assert!(hot.section.relaxable);
+        assert_eq!(hot.symbol.as_deref(), Some("main_fn"));
+        assert_eq!(cold.symbol.as_deref(), Some("main_fn.cold"));
+        assert!(hot.relaxable);
         // Hot: bb0 alu(3)+br_long(6)=9; bb1 call(5)+jmp_long(5)=10 (jump
         // to bb3 is explicit because... bb3 IS next in cluster, so jump
         // omitted -> 5); bb3 ret(1).
-        assert_eq!(hot.section.block_map[0].size, 9);
-        assert_eq!(hot.section.block_map[1].size, 5);
-        assert_eq!(hot.section.block_map[2].size, 1);
+        let [hot_blocks, cold_blocks] = [0, 1].map(|i| &e.layout.fragments[i].blocks);
+        assert_eq!(hot_blocks[0].size, 9);
+        assert_eq!(hot_blocks[1].size, 5);
+        assert_eq!(hot_blocks[2].size, 1);
         // Cold: 3*alu(9) + explicit long jmp back to bb3 (5) = 14.
-        assert_eq!(cold.section.block_map[0].size, 14);
+        assert_eq!(cold_blocks[0].size, 14);
         // Cold's jump carries a reloc to the hot section symbol with the
         // addend of bb3's offset (9+5=14).
         let r = cold
-            .section
             .relocs
             .iter()
             .find(|r| r.kind == RelocKind::BranchPc32)
@@ -674,14 +660,15 @@ mod tests {
         let p = pb.finish().unwrap();
         let f = p.function(fid).unwrap();
         let e = emit(f, &p, &original_clusters(f), false).unwrap();
-        let sec = &e.fragments[0].section;
+        let sec = &e.fragments[0];
+        let blocks = &e.layout.fragments[0].blocks;
         // bb0 emits exactly one short branch (to bb2), falling through
         // to bb1.
-        assert_eq!(sec.block_map[0].size, 2);
+        assert_eq!(blocks[0].size, 2);
         let d = decode(&sec.bytes[0..]).unwrap();
         match d {
             Decoded::CondBr { disp, len } => {
-                assert_eq!(disp, sec.block_map[2].offset as i64 - len as i64);
+                assert_eq!(disp, blocks[2].offset as i64 - len as i64);
             }
             other => panic!("{other:?}"),
         }
@@ -701,9 +688,8 @@ mod tests {
         // Put the landing pad alone in a cold section: nop required.
         let clusters = FunctionClusters::hot_cold(vec![BlockId(0)], vec![BlockId(1)]);
         let e = emit(f, &p, &clusters, true).unwrap();
-        let cold = &e.fragments[1];
-        assert_eq!(cold.section.bytes[0], op::NOP);
-        assert_eq!(cold.section.block_map[0].offset, 1);
+        assert_eq!(e.fragments[1].bytes[0], op::NOP);
+        assert_eq!(e.layout.fragments[1].blocks[0].offset, 1);
         // And the bb entry reflects both the offset and the flag.
         let cold_entries = &entries(f, &p, &clusters, true)[1];
         assert_eq!(cold_entries[0].offset, 1);
@@ -769,13 +755,13 @@ mod tests {
         let p = pb.finish().unwrap();
         let f = p.function(fid).unwrap();
         let e = emit(f, &p, &original_clusters(f), false).unwrap();
-        let sec = &e.fragments[0].section;
+        let blocks = &e.layout.fragments[0].blocks;
         // bb0's branch skips 300 bytes of ALU: long form (6 bytes).
-        assert_eq!(sec.block_map[0].size, 6);
-        match decode(&sec.bytes).unwrap() {
+        assert_eq!(blocks[0].size, 6);
+        match decode(&e.fragments[0].bytes).unwrap() {
             Decoded::CondBr { disp, len } => {
                 assert_eq!(len, 6);
-                assert_eq!(disp, sec.block_map[2].offset as i64 - 6);
+                assert_eq!(disp, blocks[2].offset as i64 - 6);
             }
             other => panic!("{other:?}"),
         }
@@ -786,7 +772,7 @@ mod tests {
         let (p, fid) = fixture();
         let f = p.function(fid).unwrap();
         let e = emit(f, &p, &original_clusters(f), false).unwrap();
-        let bytes = &e.fragments[0].section.bytes;
+        let bytes = &e.fragments[0].bytes;
         let mut off = 0;
         while off < bytes.len() {
             let d = decode(&bytes[off..]).unwrap_or_else(|| panic!("undecodable at {off}"));
@@ -797,8 +783,9 @@ mod tests {
 
     /// The reference emitter's result in this module's types, with its
     /// fragments' address-map entries encoded as the function's record.
-    /// Its per-fragment `layout` copy is gone from [`EmittedFragment`];
-    /// it was always the function layout's fragment of the same index.
+    /// Its per-fragment `layout` copy must be the function layout's
+    /// fragment of the same index; its fragment `symbol` goes into the
+    /// section's.
     fn lowered(r: reference::EmittedFunction) -> (EmittedFunction, Vec<u8>) {
         for (frag, fl) in r.fragments.iter().zip(&r.layout.fragments) {
             assert_eq!(&frag.layout, fl);
@@ -815,9 +802,9 @@ mod tests {
             fragments: r
                 .fragments
                 .into_iter()
-                .map(|f| EmittedFragment {
-                    section: f.section,
-                    symbol: f.symbol.into(),
+                .map(|f| Section {
+                    symbol: Some(f.symbol.into()),
+                    ..f.section
                 })
                 .collect(),
             layout: r.layout,
@@ -1024,11 +1011,11 @@ mod tests {
             assert_eq!(new, old, "{links} links");
             // Links beyond the eighth from the end never got their
             // sweep and keep the long form.
-            let sec = &new.unwrap().0.fragments[0].section;
+            let blocks = &new.unwrap().0.layout.fragments[0].blocks;
             for link in 0..links {
                 let want = if link + 8 < links { 6 } else { 2 };
                 assert_eq!(
-                    sec.block_map[2 * link as usize].size,
+                    blocks[2 * link as usize].size,
                     want,
                     "link {link} of {links}"
                 );
@@ -1087,11 +1074,11 @@ mod tests {
         let f = p.function(fid).unwrap();
         let [new, old] = both(f, &p, &original_clusters(f), false);
         assert_eq!(new, old);
-        let sec = &new.unwrap().0.fragments[0].section;
-        assert_eq!(sec.block_map[1].size, 4, "both of `two`'s branches shrank");
+        let blocks = &new.unwrap().0.layout.fragments[0].blocks;
+        assert_eq!(blocks[1].size, 4, "both of `two`'s branches shrank");
         for k in 0..links {
             let want = if k + 1 < links { 2 } else { 6 };
-            assert_eq!(sec.block_map[4 + 2 * k as usize].size, want, "link {k}");
+            assert_eq!(blocks[4 + 2 * k as usize].size, want, "link {k}");
         }
     }
 }

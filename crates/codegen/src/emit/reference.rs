@@ -10,17 +10,17 @@ use crate::error::CodegenError;
 use crate::isa::{fits_short, len, op};
 use crate::layout::{BlockPlacement, ClusterName, FragmentLayout, FunctionClusters, FunctionLayout};
 use propeller_ir::{BlockId, Function, Inst, Program, Terminator};
-use propeller_obj::{BbEntry, BbFlags, BlockSpan, Reloc, RelocKind, Section, SectionKind};
+use propeller_obj::{BbEntry, BbFlags, Reloc, RelocKind, Section, SectionKind};
 use std::collections::HashMap;
 
 /// One emitted text fragment plus its metadata.
 #[derive(Clone, Debug)]
 pub struct EmittedFragment {
-    /// The text section (bytes, relocations, block map).
+    /// The text section (bytes, relocations).
     pub section: Section,
     /// Symbol naming the fragment (function name, `<fn>.cold`, ...).
     pub symbol: String,
-    /// Block placements, parallel to `section.block_map`.
+    /// Block placements.
     pub layout: FragmentLayout,
     /// Basic block address map entries for this fragment.
     pub bb_entries: Vec<BbEntry>,
@@ -291,7 +291,6 @@ pub fn emit_function(
         if lp_nop {
             bytes.push(op::NOP);
         }
-        let mut block_map = Vec::with_capacity(blocks.len());
         let mut placements = Vec::with_capacity(blocks.len());
         let mut bb_entries = Vec::with_capacity(blocks.len());
         for (bi, (bid, items, implicit_ft)) in blocks.iter().enumerate() {
@@ -369,10 +368,6 @@ pub fn emit_function(
                 }
             }
             let size = sizes[ci][bi];
-            block_map.push(BlockSpan {
-                offset: block_off,
-                size,
-            });
             placements.push(BlockPlacement {
                 block: *bid,
                 offset: block_off,
@@ -404,7 +399,6 @@ pub fn emit_function(
             bytes,
         );
         section.relocs = relocs;
-        section.block_map = block_map;
         section.relaxable = relocate_branches;
         // Non-primary cluster sections pack tightly (alignment 1) so
         // fall-through deletion across adjacent sections is possible.

@@ -5,7 +5,7 @@ use crate::error::CodegenError;
 use crate::layout::{DebugLayout, FunctionClusters};
 use crate::options::{BbSectionsMode, CodegenOptions};
 use propeller_ir::{BlockId, Function, Module, Program};
-use propeller_obj::{BbAddrMapWriter, ObjectFile, Reloc, RelocKind, Section, SectionKind, Symbol};
+use propeller_obj::{BbAddrMapWriter, ObjectFile, Section, SectionKind};
 
 /// Aggregate statistics from one codegen action; used by the build
 /// system's cost model.
@@ -158,10 +158,8 @@ fn codegen_module_impl(
         fde_bytes_total +=
             emitted.fragments.len() * (FDE_BASE_BYTES + FDE_PER_REG_BYTES * callee_saved_regs(f));
 
-        for frag in emitted.fragments {
-            let size = frag.section.size() as u32;
-            let id = object.add_section(frag.section);
-            object.add_symbol(Symbol::global_func(frag.symbol, id, 0, size));
+        for section in emitted.fragments {
+            object.add_section(section);
         }
         debug_layout.functions.push(emitted.layout);
     }
@@ -195,32 +193,6 @@ fn codegen_module_impl(
             SectionKind::RoData,
             bytes,
         ));
-    }
-
-    // DWARF range records (§4.3): 16 bytes and two relocations per
-    // fragment.
-    if opts.debug_ranges && stats.num_fragments > 0 {
-        let mut sec = Section::new(
-            ".debug_ranges",
-            SectionKind::DebugRanges,
-            vec![0u8; stats.num_fragments * 16],
-        );
-        let mut off = 0u32;
-        for fl in &debug_layout.functions {
-            for frag in &fl.fragments {
-                let frag_size: u32 = frag.blocks.iter().map(|b| b.size).sum();
-                sec.relocs
-                    .push(Reloc::new(off, RelocKind::Abs64, frag.section_symbol.clone(), 0));
-                sec.relocs.push(Reloc::new(
-                    off + 8,
-                    RelocKind::Abs64,
-                    frag.section_symbol.clone(),
-                    frag_size as i64,
-                ));
-                off += 16;
-            }
-        }
-        object.add_section(sec);
     }
 
     Ok(CodegenResult {
@@ -259,6 +231,14 @@ mod tests {
         pb.finish().unwrap()
     }
 
+    /// Whether one of `object`'s sections defines `symbol`.
+    fn defines(object: &ObjectFile, symbol: &str) -> bool {
+        object
+            .sections()
+            .iter()
+            .any(|s| s.symbol.as_deref() == Some(symbol))
+    }
+
     #[test]
     fn baseline_emits_function_sections_without_metadata() {
         let p = build_program();
@@ -275,7 +255,7 @@ mod tests {
             .sections()
             .iter()
             .all(|s| s.kind != SectionKind::BbAddrMap));
-        assert!(r.object.global_symbol("hot_fn").is_some());
+        assert!(defines(&r.object, "hot_fn"));
         assert_eq!(r.stats.num_functions, 2);
         assert_eq!(r.stats.relocated_branches, 0);
     }
@@ -319,8 +299,8 @@ mod tests {
             &CodegenOptions::with_clusters(map),
         )
         .unwrap();
-        assert!(r.object.global_symbol("hot_fn.cold").is_some());
-        assert!(r.object.global_symbol("leaf.cold").is_none());
+        assert!(defines(&r.object, "hot_fn.cold"));
+        assert!(!defines(&r.object, "leaf.cold"));
         // Fragments: leaf(1) + hot_fn(2).
         assert_eq!(r.stats.num_fragments, 3);
         // The split function's sections are relaxable, leaf's is not.
@@ -357,24 +337,6 @@ mod tests {
     }
 
     #[test]
-    fn debug_ranges_emit_two_relocs_per_fragment() {
-        let p = build_program();
-        let opts = CodegenOptions {
-            debug_ranges: true,
-            ..CodegenOptions::baseline()
-        };
-        let r = codegen_module(&p.modules()[0], &p, &opts).unwrap();
-        let dr = r
-            .object
-            .sections()
-            .iter()
-            .find(|s| s.kind == SectionKind::DebugRanges)
-            .unwrap();
-        assert_eq!(dr.bytes.len(), 2 * 16);
-        assert_eq!(dr.relocs.len(), 4);
-    }
-
-    #[test]
     fn unknown_function_in_cluster_map_rejected() {
         let p = build_program();
         let mut map = ClusterMap::new();
@@ -391,6 +353,6 @@ mod tests {
         let p = build_program();
         let a = codegen_module(&p.modules()[0], &p, &CodegenOptions::with_labels()).unwrap();
         let b = codegen_module(&p.modules()[0], &p, &CodegenOptions::with_labels()).unwrap();
-        assert_eq!(a.object.encode(), b.object.encode());
+        assert_eq!(a.object, b.object);
     }
 }

@@ -64,22 +64,10 @@ impl ClusterMap {
 }
 
 /// Options controlling a codegen action.
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct CodegenOptions {
     /// Basic block section emission mode.
     pub bb_sections: BbSectionsMode,
-    /// Emit DWARF `.debug_ranges`-style records, one range per text
-    /// fragment with two relocations each (§4.3).
-    pub debug_ranges: bool,
-}
-
-impl Default for CodegenOptions {
-    fn default() -> Self {
-        CodegenOptions {
-            bb_sections: BbSectionsMode::Off,
-            debug_ranges: false,
-        }
-    }
 }
 
 impl CodegenOptions {
@@ -92,7 +80,6 @@ impl CodegenOptions {
     pub fn with_labels() -> Self {
         CodegenOptions {
             bb_sections: BbSectionsMode::Labels,
-            ..Self::default()
         }
     }
 
@@ -101,7 +88,6 @@ impl CodegenOptions {
     pub fn with_clusters(map: ClusterMap) -> Self {
         CodegenOptions {
             bb_sections: BbSectionsMode::Clusters(map),
-            ..Self::default()
         }
     }
 

@@ -84,7 +84,7 @@ mod tests {
 
     /// Recorded from the commit before fingerprints were streamed
     /// (PR 18). The value is a cache key and, through
-    /// `ActionCache::lookup_verified`, a fault-injector site: one
+    /// `ActionCache::lookup`, a fault-injector site: one
     /// changed bit is a different `chaos_report.json`.
     #[test]
     fn golden_vector_over_three_pinned_programs() {

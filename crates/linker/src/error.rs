@@ -21,7 +21,7 @@ pub enum LinkError {
         symbol: String,
     },
     /// Input metadata is corrupt: an undecodable section, or a
-    /// relocation or symbol pointing outside its section or object.
+    /// relocation pointing outside its section.
     BadMetadata {
         /// The object containing the section.
         object: String,

@@ -9,9 +9,7 @@ use crate::ordering::SymbolOrdering;
 use crate::relax::{assign_addresses, parse_sites, relax, resolve, Sec, SiteState, Target};
 use propeller_codegen::isa::op;
 use propeller_codegen::DebugLayout;
-use propeller_obj::{
-    BbAddrMap, ObjectFile, Reloc, RelocKind, SectionKind, SizeBreakdown, SymbolKind,
-};
+use propeller_obj::{BbAddrMap, ObjectFile, Reloc, RelocKind, SectionKind, SizeBreakdown};
 use propeller_telemetry::{SpanId, Telemetry};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -107,7 +105,7 @@ impl Default for LinkOptions {
 ///
 /// Returns [`LinkError`] on duplicate or undefined global symbols,
 /// displacement overflow, or corrupt metadata (an undecodable address
-/// map, a relocation or symbol pointing outside its section or object).
+/// map, a relocation pointing outside its section).
 pub fn link(inputs: &[LinkInput], opts: &LinkOptions) -> Result<LinkedBinary, LinkError> {
     let refs: Vec<LinkInputRef> = inputs.iter().map(LinkInputRef::from).collect();
     link_refs_traced(&refs, opts, &Telemetry::disabled(), None)
@@ -144,15 +142,14 @@ fn link_impl(
     tel: &Telemetry,
     link_id: Option<SpanId>,
 ) -> Result<LinkedBinary, LinkError> {
-    // Flatten sections and build the global symbol table. Sections and
-    // names stay borrowed: every name the output keeps is a clone of an
-    // input's `Arc`. `primary_symbol[i]` is the function symbol naming
-    // the start of section `i`, if one does.
-    let n_sections = inputs.iter().map(|i| i.object.sections().len()).sum();
-    let n_symbols = inputs.iter().map(|i| i.object.symbols().len()).sum();
-    let mut secs: Vec<Sec> = Vec::with_capacity(n_sections);
-    let mut symtab: HashMap<&str, (Target, &Arc<str>)> = HashMap::with_capacity(n_symbols);
-    let mut primary_symbol: Vec<Option<&Arc<str>>> = vec![None; n_sections];
+    // Flatten sections and build the global symbol table: each section
+    // that names a symbol defines it at its start. Sections and names
+    // stay borrowed: every name the output keeps is a clone of an
+    // input's `Arc`.
+    let all_sections = || inputs.iter().flat_map(|i| i.object.sections());
+    let n_symbols = all_sections().filter(|s| s.symbol.is_some()).count();
+    let mut secs: Vec<Sec> = Vec::with_capacity(all_sections().count());
+    let mut symtab: HashMap<&str, (u32, &Arc<str>)> = HashMap::with_capacity(n_symbols);
     let mut obj_has_relaxable: Vec<bool> = Vec::with_capacity(inputs.len());
     let mut input_bytes = 0u64;
     let mut total_relocs = 0usize;
@@ -160,41 +157,18 @@ fn link_impl(
         let obj = input.object;
         input_bytes += obj.size_breakdown().total() as u64;
         let mut has_relaxable = false;
-        let sec_base = secs.len();
         for s in obj.sections() {
             total_relocs += s.relocs.len();
+            if let Some(name) = &s.symbol {
+                if symtab.insert(name, (secs.len() as u32, name)).is_some() {
+                    return Err(LinkError::DuplicateSymbol(name.to_string()));
+                }
+            }
             let sec = Sec::new(oi, s);
             has_relaxable |= sec.is_relaxable_text();
             secs.push(sec);
         }
         obj_has_relaxable.push(has_relaxable);
-        for sym in obj.symbols() {
-            if !sym.global {
-                continue;
-            }
-            if sym.section.index() >= obj.sections().len() {
-                return Err(LinkError::BadMetadata {
-                    object: obj.name.clone(),
-                    detail: format!(
-                        "symbol {:?} is defined in {}, but the object has {} section(s)",
-                        sym.name,
-                        sym.section,
-                        obj.sections().len()
-                    ),
-                });
-            }
-            let gidx = sec_base + sym.section.index();
-            let def = Target {
-                sec: gidx as u32,
-                off: sym.offset,
-            };
-            if symtab.insert(&sym.name, (def, &sym.name)).is_some() {
-                return Err(LinkError::DuplicateSymbol(sym.name.to_string()));
-            }
-            if sym.kind == SymbolKind::Func && sym.offset == 0 {
-                primary_symbol[gidx] = Some(&sym.name);
-            }
-        }
     }
 
     // Resolve every relocation that will be applied, once: from here on
@@ -218,7 +192,10 @@ fn link_impl(
         let _ordering_span = tel.span_under("link.ordering", link_id);
         if let Some(order) = &opts.symbol_order {
             text_order.sort_by_cached_key(|&i| {
-                let rank = primary_symbol[i]
+                let rank = secs[i]
+                    .input
+                    .symbol
+                    .as_ref()
                     .and_then(|name| order.rank(name))
                     .unwrap_or(usize::MAX);
                 (rank, i)
@@ -276,7 +253,7 @@ fn link_impl(
     // Build the output symbol map.
     let symbols = symtab
         .values()
-        .map(|&(def, name)| (name.clone(), resolve(&secs, def)))
+        .map(|&(sec, name)| (name.clone(), secs[sec as usize].addr))
         .collect();
 
     // Merge metadata and compute the size breakdown.
@@ -307,10 +284,7 @@ fn link_impl(
                     })?;
                 bb_addr_map.merge(decoded);
             }
-            SectionKind::Rela => breakdown.relocs += bytes.len(),
-            SectionKind::RoData | SectionKind::DebugRanges | SectionKind::Other => {
-                breakdown.other += bytes.len()
-            }
+            SectionKind::RoData => breakdown.other += bytes.len(),
         }
     }
     if !bb_addr_map.functions.is_empty() {
@@ -329,24 +303,15 @@ fn link_impl(
         for fl in &dl.functions {
             let mut blocks = Vec::with_capacity(fl.fragments.iter().map(|f| f.blocks.len()).sum());
             for frag in &fl.fragments {
-                let &(def, _) = symtab.get(&*frag.section_symbol).ok_or_else(|| {
+                // Placements are offsets into the section the fragment's
+                // symbol starts.
+                let &(sec, _) = symtab.get(&*frag.section_symbol).ok_or_else(|| {
                     LinkError::UndefinedSymbol {
                         symbol: frag.section_symbol.to_string(),
                         object: input.object.name.clone(),
                     }
                 })?;
-                // Placements are offsets into the fragment's section, so
-                // its symbol must name the section's start.
-                if def.off != 0 {
-                    return Err(LinkError::BadMetadata {
-                        object: input.object.name.clone(),
-                        detail: format!(
-                            "fragment symbol {:?} is at offset {} of its section, not its start",
-                            frag.section_symbol, def.off
-                        ),
-                    });
-                }
-                let sec = &secs[def.sec as usize];
+                let sec = &secs[sec as usize];
                 for p in &frag.blocks {
                     let start = sec.new_offset(p.offset);
                     let end = sec.new_offset(p.offset + p.size);
@@ -382,7 +347,7 @@ fn link_impl(
                 }
             }
             SymbolPlacement {
-                symbol: primary_symbol[i].unwrap_or(&s.input.name).clone(),
+                symbol: s.input.symbol.as_ref().unwrap_or(&s.input.name).clone(),
                 order: pos as u32,
                 addr: s.addr,
                 input_size: s.input.bytes.len() as u64,
@@ -428,28 +393,26 @@ fn link_impl(
     })
 }
 
-/// Looks up `r`'s symbol and folds in the addend. `Ok(None)` is an
-/// undefined symbol; a target before its section's start, or past what
-/// an offset can hold, is corrupt metadata.
+/// Looks up `r`'s symbol, which starts its section, and takes the
+/// addend as the offset into it. `Ok(None)` is an undefined symbol; a
+/// target before its section's start, or past what an offset can hold,
+/// is corrupt metadata.
 fn resolve_reloc(
-    symtab: &HashMap<&str, (Target, &Arc<str>)>,
+    symtab: &HashMap<&str, (u32, &Arc<str>)>,
     r: &Reloc,
     object: &str,
 ) -> Result<Option<Target>, LinkError> {
-    let Some(&(def, _)) = symtab.get(&*r.symbol) else {
+    let Some(&(sec, _)) = symtab.get(&*r.symbol) else {
         return Ok(None);
     };
-    let off = (def.off as i64)
-        .checked_add(r.addend)
-        .and_then(|off| u32::try_from(off).ok())
-        .ok_or_else(|| LinkError::BadMetadata {
-            object: object.to_string(),
-            detail: format!(
-                "relocation at {} against {:?} has addend {}, which points outside any section",
-                r.offset, r.symbol, r.addend
-            ),
-        })?;
-    Ok(Some(Target { sec: def.sec, off }))
+    let off = u32::try_from(r.addend).map_err(|_| LinkError::BadMetadata {
+        object: object.to_string(),
+        detail: format!(
+            "relocation at {} against {:?} has addend {}, which points outside any section",
+            r.offset, r.symbol, r.addend
+        ),
+    })?;
+    Ok(Some(Target { sec, off }))
 }
 
 /// Emits one loaded section into `out` — its slot in the image, exactly
@@ -474,7 +437,7 @@ fn emit_section(out: &mut [u8], secs: &[Sec], sec: &Sec, obj_name: &str) -> Resu
             match site.state {
                 SiteState::Deleted => {}
                 SiteState::Short => {
-                    let disp = target as i64 - (inst_addr as i64 + 2);
+                    let disp = target as i64 - (inst_addr as i64 + site.short_len() as i64);
                     let d8 = i8::try_from(disp).map_err(|_| overflow())?;
                     let opcode = if site.cond {
                         op::BR_SHORT
@@ -520,7 +483,7 @@ fn emit_section(out: &mut [u8], secs: &[Sec], sec: &Sec, obj_name: &str) -> Resu
                     bytes.len()
                 ),
             })?;
-        write_field(field, r.kind, target, sec.addr + pos as u64, &r.symbol)?;
+        write_field(field, target, sec.addr + pos as u64, &r.symbol)?;
     }
     Ok(())
 }
@@ -531,29 +494,18 @@ fn put(out: &mut [u8], at: &mut usize, chunk: &[u8]) {
     *at += chunk.len();
 }
 
+/// Writes the 32-bit displacement from the end of the field at
+/// `field_addr` to `target`: both relocation kinds are pc-relative.
 fn write_field(
     slice: &mut [u8],
-    kind: RelocKind,
     target: u64,
     field_addr: u64,
     symbol: &str,
 ) -> Result<(), LinkError> {
-    match kind {
-        RelocKind::CallPc32 | RelocKind::BranchPc32 => {
-            let disp = target as i64 - (field_addr as i64 + 4);
-            let d = i32::try_from(disp).map_err(|_| LinkError::DisplacementOverflow {
-                symbol: symbol.to_string(),
-            })?;
-            slice.copy_from_slice(&d.to_le_bytes());
-        }
-        RelocKind::BranchPc8 => {
-            let disp = target as i64 - (field_addr as i64 + 1);
-            let d = i8::try_from(disp).map_err(|_| LinkError::DisplacementOverflow {
-                symbol: symbol.to_string(),
-            })?;
-            slice.copy_from_slice(&[d as u8]);
-        }
-        RelocKind::Abs64 => slice.copy_from_slice(&target.to_le_bytes()),
-    }
+    let disp = target as i64 - (field_addr as i64 + slice.len() as i64);
+    let d = i32::try_from(disp).map_err(|_| LinkError::DisplacementOverflow {
+        symbol: symbol.to_string(),
+    })?;
+    slice.copy_from_slice(&d.to_le_bytes());
     Ok(())
 }

@@ -6,10 +6,10 @@
 //!
 //! Only sections emitted with basic block sections are `relaxable`:
 //! every control transfer in them carries a relocation, so the linker
-//! may move bytes freely while keeping the block map coherent.
+//! may move bytes freely while keeping the block placements coherent.
 
 use crate::error::LinkError;
-use propeller_codegen::isa::{fits_short, op};
+use propeller_codegen::isa::{fits_short, len, op};
 use propeller_obj::{RelocKind, Section, SectionKind};
 
 /// Where a relocation's `symbol + addend` points, in input coordinates:
@@ -50,11 +50,20 @@ pub(crate) enum SiteState {
 }
 
 impl Site {
+    /// Encoded length of the short form.
+    pub fn short_len(&self) -> u32 {
+        if self.cond {
+            len::BR_SHORT as u32
+        } else {
+            len::JMP_SHORT as u32
+        }
+    }
+
     /// Current encoded length under `state`.
     pub fn cur_len(&self) -> u32 {
         match self.state {
             SiteState::Long => self.orig_len,
-            SiteState::Short => 2,
+            SiteState::Short => self.short_len(),
             SiteState::Deleted => 0,
         }
     }
@@ -163,10 +172,10 @@ pub(crate) fn parse_sites(section: &Section) -> Result<Vec<Site>, LinkError> {
         }
         // In-bounds by the check above: `off - 1`/`off - 2` < `off`
         // < `bytes.len()`.
-        let (back, cond) = if off >= 1 && section.bytes[off - 1] == op::JMP_LONG {
-            (1, false)
+        let (back, cond, orig_len) = if off >= 1 && section.bytes[off - 1] == op::JMP_LONG {
+            (1, false, len::JMP_LONG)
         } else if off >= 2 && section.bytes[off - 2] == op::BR_LONG {
-            (2, true)
+            (2, true, len::BR_LONG)
         } else {
             return Err(bad(format!(
                 "branch relocation at {} has no branch opcode",
@@ -175,7 +184,7 @@ pub(crate) fn parse_sites(section: &Section) -> Result<Vec<Site>, LinkError> {
         };
         sites.push(Site {
             inst_start: r.offset - back,
-            orig_len: back + 4,
+            orig_len: orig_len as u32,
             cond,
             reloc: reloc as u32,
             state: SiteState::Long,
@@ -262,7 +271,7 @@ pub(crate) fn relax(
                     SiteState::Deleted
                 } else {
                     let site_addr = sec.addr + sec.new_offset(site.inst_start) as u64;
-                    let disp = target as i64 - (site_addr as i64 + 2);
+                    let disp = target as i64 - (site_addr as i64 + site.short_len() as i64);
                     if fits_short(disp) {
                         SiteState::Short
                     } else {
@@ -370,7 +379,7 @@ fn verify(
                 }
                 SiteState::Short => {
                     let site_addr = sec.addr + sec.new_offset(site.inst_start) as u64;
-                    let disp = target as i64 - (site_addr as i64 + 2);
+                    let disp = target as i64 - (site_addr as i64 + site.short_len() as i64);
                     if !fits_short(disp) {
                         return Ok(false);
                     }

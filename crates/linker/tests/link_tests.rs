@@ -1,16 +1,12 @@
 //! End-to-end linker tests driving real codegen output.
 
 use propeller_codegen::{
-    codegen_module, isa::decode, isa::op, isa::Decoded, BlockPlacement, ClusterMap, CodegenOptions,
-    DebugLayout, FragmentLayout, FunctionClusters, FunctionLayout,
+    codegen_module, isa::decode, isa::op, isa::Decoded, ClusterMap, CodegenOptions,
+    FunctionClusters,
 };
-use propeller_ir::{
-    BlockId, FunctionBuilder, FunctionId, Inst, Program, ProgramBuilder, Terminator,
-};
+use propeller_ir::{BlockId, FunctionBuilder, Inst, Program, ProgramBuilder, Terminator};
 use propeller_linker::{link, LinkError, LinkInput, LinkOptions, SymbolOrdering};
-use propeller_obj::{
-    ObjectFile, Reloc, RelocKind, Section, SectionId, SectionKind, Symbol, SymbolKind,
-};
+use propeller_obj::{ObjectFile, Reloc, RelocKind, Section, SectionKind};
 
 /// Two modules:
 ///  * `a.cc`: `hot` (4 blocks: entry condbr -> cold_path | fast; both ->
@@ -382,19 +378,9 @@ fn map_report_lists_every_section() {
 fn two_section_object() -> ObjectFile {
     let mut obj = ObjectFile::new("hostile.o");
     for (name, fill) in [("a", op::NOP), ("b", 0xAB)] {
-        let id = obj.add_section(Section::new(
-            format!(".text.{name}"),
-            SectionKind::Text,
-            vec![fill; 8],
-        ));
-        obj.add_symbol(Symbol {
-            name: name.into(),
-            section: id,
-            offset: 0,
-            size: 8,
-            global: true,
-            kind: SymbolKind::Func,
-        });
+        let mut text = Section::new(format!(".text.{name}"), SectionKind::Text, vec![fill; 8]);
+        text.symbol = Some(name.into());
+        obj.add_section(text);
     }
     obj
 }
@@ -440,7 +426,7 @@ fn relocation_offset_outside_its_section_is_rejected() {
         let mut obj = two_section_object();
         obj.sections_mut()[0]
             .relocs
-            .push(Reloc::new(offset, RelocKind::Abs64, "a", 0));
+            .push(Reloc::new(offset, RelocKind::CallPc32, "a", 0));
         assert_bad_metadata(obj, "outside");
     }
 }
@@ -453,56 +439,7 @@ fn relocation_target_before_its_section_is_rejected() {
         let mut obj = two_section_object();
         obj.sections_mut()[0]
             .relocs
-            .push(Reloc::new(0, RelocKind::Abs64, "b", addend));
+            .push(Reloc::new(0, RelocKind::CallPc32, "b", addend));
         assert_bad_metadata(obj, "addend");
-    }
-}
-
-#[test]
-fn symbol_in_a_nonexistent_section_is_rejected() {
-    for section in [2, 7, u32::MAX] {
-        let mut obj = two_section_object();
-        obj.add_symbol(Symbol {
-            name: "ghost".into(),
-            section: SectionId(section),
-            offset: 0,
-            size: 0,
-            global: true,
-            kind: SymbolKind::Func,
-        });
-        assert_bad_metadata(obj, "ghost");
-    }
-}
-
-/// A layout fragment's placements are offsets from its section's start,
-/// so the symbol naming the fragment must sit there. Here `g` is at
-/// offset 4 of `.text.f`: the link used to succeed with `g`'s block 0
-/// placed at `f`'s address (a debug build tripped an assertion instead).
-#[test]
-fn fragment_symbol_inside_its_section_is_rejected() {
-    let mut obj = ObjectFile::new("hostile.o");
-    let text = obj.add_section(Section::new(".text.f", SectionKind::Text, vec![op::NOP; 8]));
-    obj.add_symbol(Symbol::global_func("f", text, 0, 4));
-    obj.add_symbol(Symbol::global_func("g", text, 4, 4));
-    let layout = DebugLayout {
-        functions: vec![FunctionLayout {
-            function: FunctionId(1),
-            func_symbol: "g".into(),
-            fragments: vec![FragmentLayout {
-                section_symbol: "g".into(),
-                blocks: vec![BlockPlacement {
-                    block: BlockId(0),
-                    offset: 0,
-                    size: 4,
-                }],
-            }],
-        }],
-    };
-    match link(&[LinkInput::new(obj, layout)], &LinkOptions::default()) {
-        Err(LinkError::BadMetadata { object, detail }) => {
-            assert_eq!(object, "hostile.o");
-            assert!(detail.contains("\"g\""), "{detail}");
-        }
-        other => panic!("expected BadMetadata, got {other:?}"),
     }
 }

@@ -11,9 +11,34 @@
 //! [`BbAddrMap::encode`] writes a decoded map back through it.
 
 use crate::error::ObjError;
-use crate::object::{get_str, get_u8, put_str};
 use bytes::{Buf, BufMut};
 use std::sync::Arc;
+
+fn put_str(out: &mut impl BufMut, s: &str) {
+    out.put_u32_le(s.len() as u32);
+    out.put_slice(s.as_bytes());
+}
+
+fn get_u8(buf: &mut &[u8], context: &'static str) -> Result<u8, ObjError> {
+    if buf.remaining() < 1 {
+        return Err(ObjError::Truncated { context });
+    }
+    Ok(buf.get_u8())
+}
+
+/// Reads a string in place: the caller decides whether it needs a copy.
+fn get_str<'a>(buf: &mut &'a [u8], context: &'static str) -> Result<&'a str, ObjError> {
+    if buf.remaining() < 4 {
+        return Err(ObjError::Truncated { context });
+    }
+    let len = buf.get_u32_le() as usize;
+    if buf.remaining() < len {
+        return Err(ObjError::Truncated { context });
+    }
+    let (data, rest) = buf.split_at(len);
+    *buf = rest;
+    std::str::from_utf8(data).map_err(|_| ObjError::BadString)
+}
 
 /// Writes a ULEB128 varint (the encoding the real
 /// `SHT_LLVM_BB_ADDR_MAP` section uses, keeping metadata overhead in

@@ -3,7 +3,7 @@
 use std::error::Error;
 use std::fmt;
 
-/// An error produced while decoding or validating an object file.
+/// An error produced while decoding a `.llvm_bb_addr_map` section.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum ObjError {
     /// The byte stream ended before a complete record was read.

@@ -1,14 +1,15 @@
-//! An ELF-like relocatable object file model.
+//! The relocatable object model codegen emits and the linker reads.
 //!
 //! The linker abstraction Propeller builds on is the *section*: "a
 //! contiguous range of bytes containing either code, data, debug info,
 //! relocations, or metadata that the linker operates on as a single
-//! unit" (§4). This crate provides exactly that: [`ObjectFile`]s hold
-//! [`Section`]s, [`Symbol`]s and [`Reloc`]s and report per-kind size
-//! breakdowns (for the paper's Figure 6). [`ObjectFile::encode`] is an
-//! object's byte form, the one the codegen golden digest pins; the
-//! build system caches objects by module fingerprint and never reads
-//! those bytes back.
+//! unit" (§4). An [`ObjectFile`] is exactly a list of [`Section`]s with
+//! their [`Reloc`]s, and reports per-kind size breakdowns (for the
+//! paper's Figure 6). There is no separate symbol table: each text
+//! section names the one global symbol it defines, at its start — the
+//! function or basic-block cluster the linker orders by that name. The
+//! build system caches objects by module fingerprint; they never leave
+//! the process.
 //!
 //! The special `.llvm_bb_addr_map` metadata section (§3.2) is the one
 //! piece of output that is decoded again, by the linker: it has a typed
@@ -22,13 +23,14 @@
 //! # Example
 //!
 //! ```
-//! use propeller_obj::{ObjectFile, Section, SectionKind, Symbol};
+//! use propeller_obj::{ObjectFile, Section, SectionKind};
 //!
 //! let mut obj = ObjectFile::new("s_1.o");
-//! let text = obj.add_section(Section::new(".text.foo", SectionKind::Text, vec![0x90; 16]));
-//! obj.add_symbol(Symbol::global_func("foo", text, 0, 16));
+//! let mut text = Section::new(".text.foo", SectionKind::Text, vec![0x90; 16]);
+//! text.symbol = Some("foo".into());
+//! obj.add_section(text);
 //! assert_eq!(obj.size_breakdown().text, 16);
-//! assert!(obj.global_symbol("foo").is_some());
+//! assert_eq!(obj.sections()[0].symbol.as_deref(), Some("foo"));
 //! ```
 
 pub mod bb_addr_map;
@@ -37,12 +39,10 @@ mod hash;
 mod object;
 mod reloc;
 mod section;
-mod symbol;
 
 pub use bb_addr_map::{BbAddrMap, BbAddrMapWriter, BbEntry, BbFlags, FuncAddrMap};
 pub use error::ObjError;
 pub use hash::{ContentHash, ContentHasher};
 pub use object::{ObjectFile, SizeBreakdown};
 pub use reloc::{Reloc, RelocKind};
-pub use section::{BlockSpan, Section, SectionId, SectionKind};
-pub use symbol::{Symbol, SymbolKind};
+pub use section::{Section, SectionKind};

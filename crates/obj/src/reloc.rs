@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-/// The relocation kinds the synthetic ISA needs.
+/// The relocation kinds codegen emits.
 ///
 /// Basic block sections force branch targets to be resolved by the
 /// linker (§4.2), so conditional and unconditional branches across
@@ -11,34 +11,17 @@ use std::sync::Arc;
 /// a short one, or delete it entirely when it becomes a fall-through.
 #[derive(Copy, Clone, PartialEq, Eq, Hash, Debug)]
 pub enum RelocKind {
-    /// 32-bit pc-relative call displacement.
+    /// 32-bit pc-relative call (or prefetch) displacement.
     CallPc32,
     /// 32-bit pc-relative branch displacement (long branch form).
     BranchPc32,
-    /// 8-bit pc-relative branch displacement (short branch form; only
-    /// produced when the offset is known to fit at compile time).
-    BranchPc8,
-    /// 64-bit absolute address (metadata references into text).
-    Abs64,
 }
 
 impl RelocKind {
-    /// Width in bytes of the relocated field.
+    /// Width in bytes of the relocated field: both kinds patch a 32-bit
+    /// displacement.
     pub fn width(self) -> usize {
-        match self {
-            RelocKind::CallPc32 | RelocKind::BranchPc32 => 4,
-            RelocKind::BranchPc8 => 1,
-            RelocKind::Abs64 => 8,
-        }
-    }
-
-    pub(crate) fn tag(self) -> u8 {
-        match self {
-            RelocKind::CallPc32 => 0,
-            RelocKind::BranchPc32 => 1,
-            RelocKind::BranchPc8 => 2,
-            RelocKind::Abs64 => 3,
-        }
+        4
     }
 }
 
@@ -80,8 +63,6 @@ mod tests {
     fn widths() {
         assert_eq!(RelocKind::CallPc32.width(), 4);
         assert_eq!(RelocKind::BranchPc32.width(), 4);
-        assert_eq!(RelocKind::BranchPc8.width(), 1);
-        assert_eq!(RelocKind::Abs64.width(), 8);
     }
 
     #[test]

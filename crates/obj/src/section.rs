@@ -1,24 +1,6 @@
 //! Sections.
 
-use std::fmt;
 use std::sync::Arc;
-
-/// Index of a section within one object file.
-#[derive(Copy, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
-pub struct SectionId(pub u32);
-
-impl SectionId {
-    /// Returns the raw index.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-impl fmt::Display for SectionId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "sec{}", self.0)
-    }
-}
 
 /// What a section contains; drives linker placement and the Figure 6
 /// size breakdown.
@@ -31,15 +13,8 @@ pub enum SectionKind {
     BbAddrMap,
     /// Call-frame information (`.eh_frame`, §4.4).
     EhFrame,
-    /// Static relocations retained in the output (`.rela`, needed by
-    /// BOLT-style rewriters; §5.3).
-    Rela,
     /// Read-only data.
     RoData,
-    /// DWARF debug range records (§4.3).
-    DebugRanges,
-    /// Anything else.
-    Other,
 }
 
 impl SectionKind {
@@ -47,34 +22,6 @@ impl SectionKind {
     pub fn is_loaded(self) -> bool {
         matches!(self, SectionKind::Text | SectionKind::RoData)
     }
-
-    /// Stable tag for serialization.
-    pub(crate) fn tag(self) -> u8 {
-        match self {
-            SectionKind::Text => 0,
-            SectionKind::BbAddrMap => 1,
-            SectionKind::EhFrame => 2,
-            SectionKind::Rela => 3,
-            SectionKind::RoData => 4,
-            SectionKind::DebugRanges => 5,
-            SectionKind::Other => 6,
-        }
-    }
-}
-
-/// The span of one basic block within a text section, in file order.
-///
-/// Present on text sections emitted with basic block sections enabled;
-/// it is what lets the linker's relaxation pass move bytes while keeping
-/// block-granular metadata (incoming relocation addends, the simulator's
-/// layout table) coherent. Real toolchains recover the same information
-/// from `.llvm_bb_addr_map` plus relocations.
-#[derive(Copy, Clone, PartialEq, Eq, Debug)]
-pub struct BlockSpan {
-    /// Byte offset of the block within the section.
-    pub offset: u32,
-    /// Size of the block in bytes.
-    pub size: u32,
 }
 
 /// A named, contiguous range of bytes plus its relocations.
@@ -84,15 +31,17 @@ pub struct Section {
     pub name: Arc<str>,
     /// Content kind.
     pub kind: SectionKind,
+    /// The global symbol this section defines at its start: the
+    /// function or basic-block cluster it holds, which relocations and
+    /// the symbol ordering file name. Shared with the IR function or
+    /// cluster it names.
+    pub symbol: Option<Arc<str>>,
     /// Raw contents (pre-relocation).
     pub bytes: Vec<u8>,
     /// Relocations to apply against these bytes.
     pub relocs: Vec<crate::reloc::Reloc>,
     /// Required alignment in bytes (power of two).
     pub align: u32,
-    /// Block spans for text sections carrying basic block structure.
-    /// Empty for opaque sections.
-    pub block_map: Vec<BlockSpan>,
     /// Whether every control transfer in the section carries a
     /// relocation, making the section safe for linker relaxation
     /// (fall-through deletion and branch shrinking, §4.2).
@@ -101,16 +50,16 @@ pub struct Section {
 
 impl Section {
     /// Creates a section with default (16-byte for text, 1 otherwise)
-    /// alignment and no relocations.
+    /// alignment, no symbol and no relocations.
     pub fn new(name: impl Into<Arc<str>>, kind: SectionKind, bytes: Vec<u8>) -> Self {
         let align = if kind == SectionKind::Text { 16 } else { 1 };
         Section {
             name: name.into(),
             kind,
+            symbol: None,
             bytes,
             relocs: Vec::new(),
             align,
-            block_map: Vec::new(),
             relaxable: false,
         }
     }
@@ -143,7 +92,6 @@ mod tests {
         assert!(SectionKind::Text.is_loaded());
         assert!(SectionKind::RoData.is_loaded());
         assert!(!SectionKind::BbAddrMap.is_loaded());
-        assert!(!SectionKind::Rela.is_loaded());
         assert!(!SectionKind::EhFrame.is_loaded());
     }
 }

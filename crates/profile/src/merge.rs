@@ -9,9 +9,9 @@
 //!
 //! The merge is *exactly conservative*: the merged branch (and
 //! fall-through) totals equal the sum of the inputs' totals, so
-//! downstream hot/cold thresholds ([`WpaOptions::hot_threshold`],
-//! `min_function_samples`) keep their natural magnitudes no matter how
-//! the weights tilt. Conservation is achieved by normalizing the
+//! downstream hot/cold thresholds (`WpaOptions::block_is_sampled_hot`,
+//! `WpaOptions::min_function_samples`) keep their natural magnitudes
+//! no matter how the weights tilt. Conservation is achieved by normalizing the
 //! weighted per-edge mass back to the input total with deterministic
 //! largest-remainder rounding (remainder descending, then edge key
 //! ascending), so the result is a pure function of the inputs —
@@ -24,8 +24,6 @@
 //! conservation is exact whenever `total mass x target total` fits in
 //! 128 bits, which covers every realistic fleet by many orders of
 //! magnitude.
-//!
-//! [`WpaOptions::hot_threshold`]: https://en.wikipedia.org/wiki/Profile-guided_optimization
 
 use crate::agg::AggregatedProfile;
 use std::collections::{BTreeMap, HashMap};

@@ -50,8 +50,6 @@ pub struct WpaOptions {
     pub cold_source: ColdSource,
     /// Global section ordering.
     pub global: GlobalOrder,
-    /// Minimum sampled count for a block to be considered hot.
-    pub hot_threshold: u64,
     /// Minimum total sample count for a *function* to receive layout
     /// directives. Thinly-sampled functions have unreliable block
     /// coverage — splitting them moves merely-unsampled (not cold)
@@ -77,7 +75,6 @@ impl Default for WpaOptions {
             split: true,
             cold_source: ColdSource::default(),
             global: GlobalOrder::HotFirst,
-            hot_threshold: 1,
             min_function_samples: 32,
             interproc_split: 0,
             exttsp: ExtTspParams::default(),
@@ -104,10 +101,10 @@ impl WpaOptions {
     }
 
     /// Whether block `bb_id` of a hot function, sampled `count` times,
-    /// is hot by the hardware samples. The entry executed if anything
-    /// did, so it is hot whatever its count.
+    /// is hot by the hardware samples: one sample is enough. The entry
+    /// executed if anything did, so it is hot whatever its count.
     pub fn block_is_sampled_hot(&self, bb_id: u32, count: u64) -> bool {
-        bb_id == 0 || count >= self.hot_threshold
+        bb_id == 0 || count > 0
     }
 }
 

@@ -95,36 +95,6 @@ fn min_function_samples_gates_directives() {
 }
 
 #[test]
-fn hot_threshold_moves_blocks_to_cold() {
-    let (p, entry) = fixture();
-    let (pm, profile) = pm_and_profile(&p, entry);
-    let lenient = run_wpa(
-        &p,
-        &pm,
-        &profile,
-        &WpaOptions {
-            hot_threshold: 1,
-            ..WpaOptions::default()
-        },
-    );
-    let harsh = run_wpa(
-        &p,
-        &pm,
-        &profile,
-        &WpaOptions {
-            hot_threshold: 1_000_000,
-            ..WpaOptions::default()
-        },
-    );
-    assert!(
-        harsh.stats.hot_blocks <= lenient.stats.hot_blocks,
-        "higher threshold cannot classify more blocks hot"
-    );
-    // With an absurd threshold only forced entries stay hot.
-    assert_eq!(harsh.stats.hot_blocks, harsh.stats.hot_functions);
-}
-
-#[test]
 fn pgo_cold_source_uses_ir_frequencies() {
     let (p, entry) = fixture();
     let (pm, profile) = pm_and_profile(&p, entry);
