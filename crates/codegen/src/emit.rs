@@ -206,7 +206,7 @@ pub(crate) fn emit_function(
             let body_start = bytes.len();
             bytes.resize(body_start + plan.body as usize, 0);
             let mut at = body_start;
-            for inst in &block.insts {
+            for inst in function.insts_of(block) {
                 let (length, opcode) = INST_ENCODING[inst.kind()];
                 bytes[at] = opcode;
                 if let Some(target) = inst.referenced_function() {
@@ -323,7 +323,7 @@ fn plan_blocks(
         for &bid in &c.blocks {
             let block = &function.blocks[bid.index()];
             let (mut body, mut body_relocs) = (0u32, 0u32);
-            for &inst in &block.insts {
+            for &inst in function.insts_of(block) {
                 body += u32::from(INST_ENCODING[inst.kind()].0);
                 body_relocs += u32::from(matches!(inst, Inst::Call(_) | Inst::Prefetch(_)));
             }

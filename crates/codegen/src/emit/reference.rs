@@ -112,7 +112,7 @@ pub fn emit_function(
             let block = function.block(bid).expect("validated");
             let mut items = Vec::new();
             let mut raw = Vec::new();
-            for inst in &block.insts {
+            for inst in function.insts_of(block) {
                 match inst {
                     Inst::Alu => raw.extend_from_slice(&[op::ALU, 0, 0]),
                     Inst::Load => raw.extend_from_slice(&[op::LOAD, 0, 0, 0]),

@@ -28,7 +28,7 @@ pub fn module_fingerprint(module: &Module) -> ContentHash {
             let mut block = ContentHasher::default();
             block.write(&b.freq.to_le_bytes());
             block.write(&[u8::from(b.is_landing_pad)]);
-            for &i in &b.insts {
+            for &i in f.insts_of(b) {
                 block.write(&[INST_TAG[i.kind()]]);
                 if let Some(target) = i.referenced_function() {
                     block.write(&target.0.to_le_bytes());

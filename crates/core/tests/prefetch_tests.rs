@@ -17,7 +17,7 @@ fn dispatcher_program(n_leaves: usize, leaf_size: usize) -> (Program, FunctionId
     }
     let mut driver = FunctionBuilder::new("driver");
     driver.add_block(
-        leaves.iter().map(|l| Inst::Call(*l)).collect(),
+        leaves.iter().map(|l| Inst::Call(*l)),
         Terminator::CondBr {
             taken: BlockId(0),
             fallthrough: BlockId(1),

@@ -12,7 +12,8 @@ use std::sync::Arc;
 /// Incrementally constructs a [`Function`].
 ///
 /// Blocks receive dense ids in insertion order; the first block added is
-/// the entry.
+/// the entry. Each block's instructions are appended to the function's
+/// one array, so the blocks tile it in order.
 ///
 /// # Example
 ///
@@ -27,6 +28,7 @@ use std::sync::Arc;
 pub struct FunctionBuilder {
     name: Arc<str>,
     blocks: Vec<BasicBlock>,
+    insts: Vec<Inst>,
 }
 
 impl FunctionBuilder {
@@ -34,16 +36,32 @@ impl FunctionBuilder {
     /// is copied into the name's one allocation; an `Arc<str>` is
     /// shared.
     pub fn new(name: impl Into<Arc<str>>) -> Self {
+        Self::with_capacity(name, 0, 0)
+    }
+
+    /// Starts building a function with room for `blocks` blocks and
+    /// `insts` non-terminator instructions, so a generator that knows
+    /// its sizes does not grow either array block by block.
+    pub fn with_capacity(name: impl Into<Arc<str>>, blocks: usize, insts: usize) -> Self {
         FunctionBuilder {
             name: name.into(),
-            blocks: Vec::new(),
+            blocks: Vec::with_capacity(blocks),
+            insts: Vec::with_capacity(insts),
         }
     }
 
-    /// Appends a block, returning its id.
-    pub fn add_block(&mut self, insts: Vec<Inst>, term: Terminator) -> BlockId {
+    /// Appends a block with the given instructions and terminator,
+    /// returning its id.
+    pub fn add_block(
+        &mut self,
+        insts: impl IntoIterator<Item = Inst>,
+        term: Terminator,
+    ) -> BlockId {
         let id = BlockId(self.blocks.len() as u32);
-        self.blocks.push(BasicBlock::new(id, insts, term));
+        let start = self.insts.len();
+        self.insts.extend(insts);
+        self.blocks
+            .push(BasicBlock::new(id, start..self.insts.len(), term));
         id
     }
 
@@ -70,9 +88,16 @@ impl FunctionBuilder {
         self.blocks.len()
     }
 
-    /// Decomposes the builder for [`crate::Program::push_function`].
-    pub(crate) fn into_parts(self) -> (Arc<str>, Vec<BasicBlock>) {
-        (self.name, self.blocks)
+    /// The finished function. Its instruction array is trimmed to its
+    /// length, so no growth slack outlives the build.
+    pub(crate) fn finish(self, id: FunctionId, module: ModuleId) -> Function {
+        Function {
+            id,
+            name: self.name,
+            module,
+            blocks: self.blocks,
+            insts: self.insts.into_boxed_slice(),
+        }
     }
 }
 
@@ -105,14 +130,8 @@ impl ProgramBuilder {
     pub fn add_function(&mut self, module: ModuleId, builder: FunctionBuilder) -> FunctionId {
         let id = FunctionId(self.index.len() as u32);
         let m = &mut self.modules[module.index()];
-        let f = Function {
-            id,
-            name: builder.name,
-            module,
-            blocks: builder.blocks,
-        };
         self.index.push((module.0, m.functions.len() as u32));
-        m.functions.push(f);
+        m.functions.push(builder.finish(id, module));
         id
     }
 

@@ -18,6 +18,14 @@ pub enum IrError {
         /// The id actually stored on the block.
         found: BlockId,
     },
+    /// A block's instructions do not start where the previous block's
+    /// end, or the last block does not end the function's array.
+    UntiledBlock {
+        /// Function containing the block.
+        function: FunctionId,
+        /// The block whose span is out of place.
+        block: BlockId,
+    },
     /// A terminator names a block that does not exist.
     DanglingTarget {
         /// Function containing the branch.
@@ -58,6 +66,10 @@ impl fmt::Display for IrError {
             } => write!(
                 f,
                 "function {function}: block at index {expected} carries id {found}"
+            ),
+            IrError::UntiledBlock { function, block } => write!(
+                f,
+                "function {function}: block {block} does not continue its predecessor's instructions"
             ),
             IrError::DanglingTarget {
                 function,

@@ -101,17 +101,23 @@ pub enum Terminator {
 }
 
 impl Terminator {
-    /// Returns all successor blocks with their transfer probabilities.
-    pub fn successors(&self) -> Vec<(BlockId, f64)> {
-        match *self {
-            Terminator::Jump(t) => vec![(t, 1.0)],
+    /// Returns all successor blocks with their transfer probabilities:
+    /// the taken target first, then the fall-through. At most two, held
+    /// inline, so walking them allocates nothing.
+    pub fn successors(&self) -> impl Iterator<Item = (BlockId, f64)> {
+        let pair = match *self {
+            Terminator::Jump(t) => [Some((t, 1.0)), None],
             Terminator::CondBr {
                 taken,
                 fallthrough,
                 prob_taken,
-            } => vec![(taken, prob_taken), (fallthrough, 1.0 - prob_taken)],
-            Terminator::Ret => Vec::new(),
-        }
+            } => [
+                Some((taken, prob_taken)),
+                Some((fallthrough, 1.0 - prob_taken)),
+            ],
+            Terminator::Ret => [None, None],
+        };
+        pair.into_iter().flatten()
     }
 
     /// Returns `true` if control leaves the function here.
@@ -152,21 +158,20 @@ mod tests {
             fallthrough: BlockId(2),
             prob_taken: 0.3,
         };
-        let succs = t.successors();
-        assert_eq!(succs.len(), 2);
-        let total: f64 = succs.iter().map(|(_, p)| p).sum();
+        assert_eq!(t.successors().count(), 2);
+        let total: f64 = t.successors().map(|(_, p)| p).sum();
         assert!((total - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn jump_has_single_successor() {
-        let succs = Terminator::Jump(BlockId(5)).successors();
-        assert_eq!(succs, vec![(BlockId(5), 1.0)]);
+        let succs: Vec<_> = Terminator::Jump(BlockId(5)).successors().collect();
+        assert_eq!(succs, [(BlockId(5), 1.0)]);
     }
 
     #[test]
     fn ret_has_no_successors() {
-        assert!(Terminator::Ret.successors().is_empty());
+        assert_eq!(Terminator::Ret.successors().next(), None);
         assert!(Terminator::Ret.is_return());
     }
 

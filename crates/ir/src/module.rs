@@ -43,19 +43,15 @@ impl Module {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::BasicBlock;
-    use crate::ids::{BlockId, FunctionId};
+    use crate::builder::FunctionBuilder;
+    use crate::ids::FunctionId;
     use crate::inst::Terminator;
 
     fn tiny_function(id: u32, freq: u64) -> Function {
-        let mut b = BasicBlock::new(BlockId(0), Vec::new(), Terminator::Ret);
-        b.freq = freq;
-        Function {
-            id: FunctionId(id),
-            name: format!("f{id}").into(),
-            module: ModuleId(0),
-            blocks: vec![b],
-        }
+        let mut fb = FunctionBuilder::new(format!("f{id}"));
+        let b = fb.add_block([], Terminator::Ret);
+        fb.set_block_freq(b, freq);
+        fb.finish(FunctionId(id), ModuleId(0))
     }
 
     #[test]

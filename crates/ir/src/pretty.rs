@@ -24,7 +24,7 @@ pub fn function_to_string(f: &Function) -> String {
     for b in &f.blocks {
         let lp = if b.is_landing_pad { " ; landing pad" } else { "" };
         let _ = writeln!(out, "{}: ; freq={}{}", b.id, b.freq, lp);
-        for i in &b.insts {
+        for i in f.insts_of(b) {
             let _ = writeln!(out, "    {i}");
         }
         let _ = writeln!(out, "    {}", b.term);

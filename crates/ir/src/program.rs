@@ -76,15 +76,9 @@ impl Program {
         builder: crate::FunctionBuilder,
     ) -> FunctionId {
         let id = FunctionId(self.num_functions() as u32);
-        let (name, blocks) = builder.into_parts();
         let m = &mut self.modules[module.index()];
         self.index.push((module.0, m.functions.len() as u32));
-        m.functions.push(Function {
-            id,
-            name,
-            module,
-            blocks,
-        });
+        m.functions.push(builder.finish(id, module));
         id
     }
 
@@ -106,15 +100,13 @@ impl Program {
             if let Some(_prev) = names.insert(&*f.name, f.id) {
                 return Err(IrError::DuplicateName(f.name.to_string()));
             }
-            for b in &f.blocks {
-                for inst in &b.insts {
-                    if let Some(target) = inst.referenced_function() {
-                        if self.function(target).is_none() {
-                            return Err(IrError::UnknownCallee {
-                                function: f.id,
-                                callee: target,
-                            });
-                        }
+            for inst in f.insts() {
+                if let Some(target) = inst.referenced_function() {
+                    if self.function(target).is_none() {
+                        return Err(IrError::UnknownCallee {
+                            function: f.id,
+                            callee: target,
+                        });
                     }
                 }
             }

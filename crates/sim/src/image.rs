@@ -271,7 +271,7 @@ impl ProgramImage {
                 // Size the block first: most blocks have no 5-byte
                 // instruction, so nothing to record.
                 let (mut straight, mut bytes, mut fives) = (0u32, 0u32, 0u32);
-                for inst in &b.insts {
+                for inst in f.insts_of(b) {
                     let n = inst_bytes(inst);
                     straight += 1;
                     bytes += n;
@@ -280,7 +280,7 @@ impl ProgramImage {
                 let (call0, prefetch0) = (end_of(&calls), end_of(&prefetches));
                 if fives > 0 {
                     let mut off = 0u32;
-                    for inst in &b.insts {
+                    for inst in f.insts_of(b) {
                         match inst {
                             Inst::Call(callee) => calls.push((off, dense(f, *callee)?)),
                             Inst::Prefetch(target) => prefetches.push(dense(f, *target)?),
@@ -423,7 +423,7 @@ mod tests {
                 let mut prefetches = Vec::new();
                 let mut off = 0u32;
                 let mut straight = 0u32;
-                for inst in &b.insts {
+                for inst in f.insts_of(b) {
                     match inst {
                         // Lossless: the function count was checked
                         // against u32::MAX above.
@@ -561,7 +561,7 @@ mod tests {
                     .blocks
                     .iter()
                     .map(|b| {
-                        let size = b.insts.iter().map(inst_bytes).sum::<u32>()
+                        let size = f.insts_of(b).iter().map(inst_bytes).sum::<u32>()
                             + match b.term {
                                 Terminator::Ret => 1,
                                 Terminator::Jump(_) => 5,
@@ -646,12 +646,15 @@ mod tests {
         for m in program.modules_mut() {
             for f in &mut m.functions {
                 f.id = renamed(f.id);
-                for inst in f.blocks.iter_mut().flat_map(|b| &mut b.insts) {
-                    match inst {
-                        Inst::Call(id) | Inst::Prefetch(id) => *id = renamed(*id),
-                        _ => {}
+                f.edit_blocks(|_, body| {
+                    for inst in body {
+                        match inst {
+                            Inst::Call(id) | Inst::Prefetch(id) => *id = renamed(*id),
+                            _ => {}
+                        }
                     }
-                }
+                    true
+                });
             }
         }
         for fl in &mut layout.functions {

@@ -45,7 +45,10 @@ fn a_call_past_the_last_function_is_an_error() {
     let (mut p, _) = mutually_recursive();
     let layout = layout_of(&p);
     let past_end = FunctionId(p.num_functions() as u32);
-    p.modules_mut()[0].functions[0].blocks[0].insts[1] = Inst::Call(past_end);
+    p.modules_mut()[0].functions[0].edit_blocks(|_, body| {
+        body[1] = Inst::Call(past_end);
+        true
+    });
     assert_eq!(
         codegen_module(&p.modules()[0], &p, &CodegenOptions::baseline()).unwrap_err(),
         CodegenError::UnknownFunction(past_end)

@@ -136,7 +136,7 @@ fn hot_cold_split_reduces_taken_branches_and_misses() {
     }
     let mut driver = FunctionBuilder::new("driver");
     driver.add_block(
-        workers.iter().map(|w| Inst::Call(*w)).collect(),
+        workers.iter().map(|w| Inst::Call(*w)),
         Terminator::CondBr {
             taken: BlockId(0),
             fallthrough: BlockId(1),

@@ -89,8 +89,12 @@ pub fn generate(spec: &BenchmarkSpec, params: &GenParams) -> GeneratedBenchmark 
 
     // Function `i` gets FunctionId(i): hot functions first, so callee
     // selection can stay within the hot set by index. Each name is
-    // formatted in `name` and then allocated once.
+    // formatted in `name` and then allocated once; terminators are
+    // planned in `plans`, and each block body is drawn into `body` and
+    // then appended to its function's one array.
     let mut name = String::new();
+    let mut plans: Vec<Terminator> = Vec::new();
+    let mut body = Vec::new();
     for i in 0..n_funcs {
         let hot = i < n_hot;
         let module = if hot {
@@ -100,11 +104,15 @@ pub fn generate(spec: &BenchmarkSpec, params: &GenParams) -> GeneratedBenchmark 
         };
         name.clear();
         let _ = write!(name, "{}_fn{i}", spec.name);
-        let mut fb = FunctionBuilder::new(name.as_str());
         let nblocks = geometric(&mut rng, avg_blocks, 400);
+        // Room for half again the expected body, so the array rarely
+        // grows; finishing the function trims it to its length.
+        let expected_insts = nblocks as f64 * insts_per_block;
+        let mut fb =
+            FunctionBuilder::with_capacity(name.as_str(), nblocks, (expected_insts * 1.5) as usize);
 
         // Pass 1: plan terminators.
-        let mut plans: Vec<Terminator> = Vec::with_capacity(nblocks);
+        plans.clear();
         for b in 0..nblocks {
             let last = b == nblocks - 1;
             let term = if last {
@@ -171,12 +179,12 @@ pub fn generate(spec: &BenchmarkSpec, params: &GenParams) -> GeneratedBenchmark 
         }
 
         // Pass 3: build the blocks.
-        for (b, term) in plans.into_iter().enumerate() {
-            let mut insts = Vec::new();
+        for (b, &term) in plans.iter().enumerate() {
+            body.clear();
             let body_len = geometric(&mut rng, insts_per_block, 60);
             for _ in 0..body_len {
                 let r: f64 = rng.gen();
-                insts.push(if r < 0.60 {
+                body.push(if r < 0.60 {
                     Inst::Alu
                 } else if r < 0.85 {
                     Inst::Load
@@ -196,15 +204,15 @@ pub fn generate(spec: &BenchmarkSpec, params: &GenParams) -> GeneratedBenchmark 
                     rng.gen_range(0..n_funcs)
                 };
                 if callee != i {
-                    let pos = if insts.is_empty() {
+                    let pos = if body.is_empty() {
                         0
                     } else {
-                        rng.gen_range(0..=insts.len())
+                        rng.gen_range(0..=body.len())
                     };
-                    insts.insert(pos, Inst::Call(FunctionId(callee as u32)));
+                    body.insert(pos, Inst::Call(FunctionId(callee as u32)));
                 }
             }
-            let bid = fb.add_block(insts, term);
+            let bid = fb.add_block(body.drain(..), term);
             // Occasional landing pads in exception-using codebases.
             if spec.kind != BenchKind::Spec2017 && b > 0 && rng.gen::<f64>() < 0.01 {
                 fb.set_landing_pad(bid);
@@ -233,18 +241,7 @@ pub fn generate(spec: &BenchmarkSpec, params: &GenParams) -> GeneratedBenchmark 
             let id = f.id.index();
             if id < n_hot {
                 let entry_freq = (1_000_000.0 / (id as f64 + 1.0)).round() as u64;
-                let mut stale = f.clone();
-                for b in &mut stale.blocks {
-                    if let Terminator::CondBr { prob_taken, .. } = &mut b.term {
-                        if *prob_taken > 0.85 {
-                            *prob_taken = 0.0;
-                        }
-                    }
-                }
-                propagate_frequencies(&mut stale, entry_freq);
-                for (real, distorted) in f.blocks.iter_mut().zip(&stale.blocks) {
-                    real.freq = distorted.freq;
-                }
+                propagate_frequencies(f, entry_freq, |p| if p > 0.85 { 0.0 } else { p });
             }
         }
     }

@@ -79,13 +79,18 @@ pub fn evolve(bench: &GeneratedBenchmark, params: &DriftParams) -> GeneratedBenc
         for f in &mut module.functions {
             if !entry_ids.contains(&f.id) && f.blocks.len() > 1 && rng.gen::<f64>() < p_delete {
                 // Delete-as-stub: the symbol must survive (callers
-                // still name it), but the body is gone.
-                let entry = f.blocks[0].id;
-                f.blocks.truncate(1);
-                f.blocks[0] = propeller_ir::BasicBlock::new(entry, Vec::new(), Terminator::Ret);
+                // still name it), but the body is gone: one empty,
+                // cold `ret` block.
+                f.edit_blocks(|b, body| {
+                    body.clear();
+                    b.term = Terminator::Ret;
+                    b.is_landing_pad = false;
+                    b.freq = 0;
+                    b.id.index() == 0
+                });
                 continue;
             }
-            for b in &mut f.blocks {
+            f.edit_blocks(|b, body| {
                 if let Terminator::CondBr { prob_taken, .. } = &mut b.term {
                     if rng.gen::<f64>() < p_branch {
                         let delta: f64 = rng.gen_range(-0.5..0.5) * drift;
@@ -95,18 +100,19 @@ pub fn evolve(bench: &GeneratedBenchmark, params: &DriftParams) -> GeneratedBenc
                 if rng.gen::<f64>() < p_resize {
                     if rng.gen::<bool>() {
                         let extra = rng.gen_range(1..=4);
-                        b.insts.extend(std::iter::repeat_n(Inst::Alu, extra));
+                        body.extend(std::iter::repeat_n(Inst::Alu, extra));
                     } else {
                         // Trim only trailing plain ALU ops so call
                         // sites (and thus the call graph) survive.
                         let mut trim = rng.gen_range(1..=4usize);
-                        while trim > 0 && matches!(b.insts.last(), Some(Inst::Alu)) {
-                            b.insts.pop();
+                        while trim > 0 && matches!(body.last(), Some(Inst::Alu)) {
+                            body.pop();
                             trim -= 1;
                         }
                     }
                 }
-            }
+                true
+            });
         }
     }
 

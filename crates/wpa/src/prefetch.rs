@@ -95,11 +95,12 @@ pub fn apply_prefetches(program: &Program, directives: &PrefetchMap) -> Program 
             let Some(list) = directives.get(&f.id) else {
                 continue;
             };
-            for &(block, target) in list {
-                if let Some(b) = f.blocks.get_mut(block.index()) {
-                    b.insts.insert(0, propeller_ir::Inst::Prefetch(target));
+            f.edit_blocks(|b, body| {
+                for &(_, target) in list.iter().filter(|&&(block, _)| block == b.id) {
+                    body.insert(0, propeller_ir::Inst::Prefetch(target));
                 }
-            }
+                true
+            });
         }
     }
     augmented
@@ -172,10 +173,11 @@ mod tests {
         map.insert(caller, vec![(BlockId(0), callee)]);
         let augmented = apply_prefetches(&p, &map);
         let f = augmented.function(caller).unwrap();
-        assert_eq!(f.blocks[0].insts[0], Inst::Prefetch(callee));
+        let before = p.function(caller).unwrap();
+        assert_eq!(f.insts_of(&f.blocks[0])[0], Inst::Prefetch(callee));
         assert_eq!(
-            f.blocks[0].insts.len(),
-            p.function(caller).unwrap().blocks[0].insts.len() + 1
+            f.insts_of(&f.blocks[0]).len(),
+            before.insts_of(&before.blocks[0]).len() + 1
         );
         augmented.validate().unwrap();
     }

@@ -31,7 +31,7 @@ fn program(n_workers: usize) -> (Program, FunctionId) {
     }
     let mut driver = FunctionBuilder::new("driver");
     driver.add_block(
-        workers.iter().map(|w| Inst::Call(*w)).collect(),
+        workers.iter().map(|w| Inst::Call(*w)),
         Terminator::CondBr {
             taken: BlockId(0),
             fallthrough: BlockId(1),

@@ -52,7 +52,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let module = &mut changed.modules_mut()[0];
         let f = &mut module.functions[0];
         // A small edit: append an ALU op to the entry block.
-        f.blocks[0].insts.push(propeller_ir::Inst::Alu);
+        f.edit_blocks(|b, body| {
+            if b.id.index() == 0 {
+                body.push(propeller_ir::Inst::Alu);
+            }
+            true
+        });
         assert!(matches!(
             f.blocks[0].term,
             Terminator::Ret | Terminator::Jump(_) | Terminator::CondBr { .. }

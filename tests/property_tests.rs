@@ -2,11 +2,15 @@
 
 use propeller_codegen::isa::decode;
 use propeller_codegen::{codegen_module, CodegenOptions};
-use propeller_ir::{BlockId, FunctionBuilder, Inst, Program, ProgramBuilder, Terminator};
+use propeller_ir::{
+    BlockId, Function, FunctionBuilder, FunctionId, Inst, Program, ProgramBuilder, Terminator,
+};
 use propeller_linker::{link, LinkInput, LinkOptions, SymbolOrdering};
 use propeller_obj::{BbAddrMap, BbEntry, BbFlags, ContentHash, FuncAddrMap};
+use propeller_synth::{evolve, spec_by_name, DriftParams, GeneratedBenchmark};
 use propeller_telemetry::Telemetry;
 use propeller_wpa::exttsp::{order_nodes, score_layout, Edge, ExtTspParams, Node};
+use propeller_wpa::{apply_prefetches, PrefetchMap};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -220,6 +224,91 @@ proptest! {
         )
         .unwrap();
         prop_assert!(relaxed.stats.text_bytes <= unrelaxed.stats.text_bytes);
+    }
+}
+
+/// Whether `f`'s blocks tile its instruction array: each block's span
+/// starts where the previous one ends, and the last ends the array.
+fn blocks_tile(f: &Function) -> bool {
+    let mut at = 0;
+    for b in &f.blocks {
+        let span = f.insts_of(b);
+        if !std::ptr::eq(span.as_ptr(), f.insts()[at..].as_ptr()) {
+            return false;
+        }
+        at += span.len();
+    }
+    at == f.insts().len()
+}
+
+/// A random program as a benchmark whose one workload root is its first
+/// function, so `evolve` may stub every other one out.
+fn as_benchmark(program: Program) -> GeneratedBenchmark {
+    GeneratedBenchmark {
+        spec: spec_by_name("clang").expect("built-in spec"),
+        program,
+        entries: vec![(FunctionId(0), 1.0)],
+        scale: 1.0,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The one structural edit, told to change nothing, changes nothing.
+    #[test]
+    fn identity_edit_returns_an_equal_function(raw in prop::collection::vec(arb_function(0), 1..5)) {
+        let program = build_program(raw);
+        for f in program.functions() {
+            let mut edited = f.clone();
+            edited.edit_blocks(|_, _| true);
+            prop_assert_eq!(&edited, f);
+        }
+    }
+
+    /// Release churn and prefetch insertion both edit block bodies; the
+    /// result still tiles every function's array and validates.
+    #[test]
+    fn edits_keep_blocks_tiled_and_programs_valid(
+        raw in prop::collection::vec(arb_function(0), 1..5),
+        seed in any::<u64>(),
+        directives in prop::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 0..12),
+    ) {
+        let bench = as_benchmark(build_program(raw));
+        let evolved = evolve(&bench, &DriftParams { drift: 0.3, seed, release: 1 });
+        for f in evolved.program.functions() {
+            prop_assert!(blocks_tile(f), "{} is not tiled after evolve", f.name);
+        }
+        prop_assert!(evolved.program.validate().is_ok());
+
+        let p = &bench.program;
+        let n = p.num_functions() as u32;
+        let mut map = PrefetchMap::new();
+        let mut in_range = 0;
+        for (fi, bi, target) in directives {
+            let f = p.function(FunctionId(u32::from(fi) % n)).unwrap();
+            let block = BlockId(u32::from(bi) % (f.num_blocks() as u32 + 1));
+            in_range += usize::from(block.index() < f.num_blocks());
+            map.entry(f.id).or_default().push((block, FunctionId(u32::from(target) % n)));
+        }
+        let augmented = apply_prefetches(p, &map);
+        for f in augmented.functions() {
+            prop_assert!(blocks_tile(f), "{} is not tiled after prefetching", f.name);
+        }
+        prop_assert!(augmented.validate().is_ok());
+        prop_assert_eq!(augmented.stats().num_insts, p.stats().num_insts + in_range);
+    }
+
+    /// A release with no churn is the program it came from.
+    #[test]
+    fn zero_drift_evolve_is_the_identity(
+        raw in prop::collection::vec(arb_function(0), 1..5),
+        seed in any::<u64>(),
+    ) {
+        let bench = as_benchmark(build_program(raw));
+        let same = evolve(&bench, &DriftParams { drift: 0.0, seed, release: 1 });
+        prop_assert!(same.program.functions().eq(bench.program.functions()));
+        prop_assert_eq!(same.program.num_modules(), bench.program.num_modules());
     }
 }
 
