@@ -338,7 +338,7 @@ pub type OptionsPatch = fn(&mut PropellerOptions);
 /// the baseline (the §3.5/§4.6/§4.7 ablations): one pipeline per
 /// variant, differing only in what its patch sets, profiled at one
 /// sample per `period` branches. They share one set of build caches, so
-/// the metadata and baseline builds happen once and every variant
+/// the metadata build happens once and every variant
 /// analyses the same profile of the same `PM` binary.
 ///
 /// # Errors

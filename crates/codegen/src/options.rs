@@ -15,7 +15,9 @@ pub enum BbSectionsMode {
     /// "Labels" mode: code is laid out exactly as in [`BbSectionsMode::Off`],
     /// but the `.llvm_bb_addr_map` section is emitted so hardware
     /// profiles can later be mapped to blocks (the Phase 2 metadata
-    /// build).
+    /// build). The pipeline's baseline rests on this: the
+    /// `labels_object_is_the_plain_object_plus_the_map` property test
+    /// pins that the object is the `Off` one plus the map section.
     Labels,
     /// "Clusters" mode: functions listed in the map are split into the
     /// given basic block cluster sections (the Phase 4 optimizing

@@ -205,7 +205,6 @@ pub struct Propeller {
     fingerprints: Vec<ContentHash>,
     compiled: bool,
     pm_binary: Option<Arc<LinkedBinary>>,
-    baseline_binary: Option<Arc<LinkedBinary>>,
     /// The Phase 3 profiling run, whole: the `perf record` profile (what
     /// survived salvage, under a fault plan) beside the `perf stat`
     /// counters of the same execution — profile-quality audits compare
@@ -308,7 +307,6 @@ impl Propeller {
             fingerprints,
             compiled: false,
             pm_binary: None,
-            baseline_binary: None,
             profiling_run: None,
             wpa_output: None,
             po_binary: None,
@@ -586,18 +584,17 @@ impl Propeller {
     }
 
     /// Backends, then link — the one way this pipeline makes a binary
-    /// (§3.1 over every module for `PM` and the baseline; §3.4 for `PO`,
-    /// whose cold objects the batch finds in the cache). `plan` is
-    /// [`Propeller::codegen_batch`]'s. `charge` puts the build on the
-    /// cost model: the link action's name, plus modeled actions already
-    /// spent that produced no object. `None` builds for free — the
-    /// baseline, which exists only to be measured against.
+    /// (§3.1 over every module for `PM`; §3.4 for `PO`, whose cold
+    /// objects the batch finds in the cache). `plan` is
+    /// [`Propeller::codegen_batch`]'s. `(link_action, spent)` puts the
+    /// build on the cost model: the link action's name, plus modeled
+    /// actions already spent that produced no object.
     fn build_binary(
         &mut self,
         program: &Program,
         plan: Vec<(usize, ContentHash, Arc<CodegenOptions>)>,
         link: &LinkOptions,
-        mut charge: Option<(&str, Vec<ActionSpec>)>,
+        (link_action, mut spent): (&str, Vec<ActionSpec>),
         parent: Option<SpanId>,
     ) -> Result<(Arc<LinkedBinary>, PhaseReport), PipelineError> {
         let (artifacts, mut actions, pool) = self.codegen_batch(program, plan, parent)?;
@@ -607,21 +604,16 @@ impl Propeller {
             .collect();
         // Under a fault plan the order is part of the result: the
         // codegen actions roll before the link runs, its action after.
-        let mut report = PhaseReport::default();
-        if let Some((_, spent)) = &mut charge {
-            actions.append(spent);
-            report = self.run_actions(&actions, parent)?;
-        }
+        actions.append(&mut spent);
+        let mut report = self.run_actions(&actions, parent)?;
         let bin = link_refs_traced(&inputs, link, &self.tel, parent)?;
-        if let Some((link_action, _)) = charge {
-            let link_cost = cost::link_secs(bin.stats.input_bytes);
-            let action = ActionSpec::new(link_action, link_cost, bin.stats.modeled_peak_memory);
-            report = report.then(&self.run_actions(&[action], parent)?);
-            // Measured pool timing rides in PhaseReport only — never the
-            // run report, whose bytes must not depend on real clocks.
-            report.wall_us = pool.wall_us;
-            report.busy_us = pool.busy_us;
-        }
+        let link_cost = cost::link_secs(bin.stats.input_bytes);
+        let action = ActionSpec::new(link_action, link_cost, bin.stats.modeled_peak_memory);
+        report = report.then(&self.run_actions(&[action], parent)?);
+        // Measured pool timing rides in PhaseReport only — never the run
+        // report, whose bytes must not depend on real clocks.
+        report.wall_us = pool.wall_us;
+        report.busy_us = pool.busy_us;
         Ok((Arc::new(bin), report))
     }
 
@@ -641,7 +633,7 @@ impl Propeller {
             .map(|i| (i, self.fingerprints[i].combine(tag("labels")), cg.clone()))
             .collect();
         let link = LinkOptions { output_name: "app.pm".into(), ..LinkOptions::default() };
-        let charge = Some(("link app.pm", Vec::new()));
+        let charge = ("link app.pm", Vec::new());
         let (bin, report) =
             self.build_binary(&self.program.clone(), plan, &link, charge, span.id())?;
         self.times.phase2 = report;
@@ -654,8 +646,7 @@ impl Propeller {
     /// What every Phase 3 starts with: the `PM` binary to analyse
     /// against, and the phase's span.
     fn begin_phase3(&self, span: &'static str) -> Result<(Arc<LinkedBinary>, Span), PipelineError> {
-        let pm = self.pm_binary.clone().ok_or(PipelineError::PhaseOrder { needs: "phase 2" })?;
-        Ok((pm, self.tel.span(span)))
+        Ok((self.pm()?.clone(), self.tel.span(span)))
     }
 
     /// What every Phase 3 ends with: `wpa` becomes the layout Phase 4
@@ -834,12 +825,8 @@ impl Propeller {
                 // Phase 3 required the PM binary, so it exists here;
                 // stay typed rather than panicking if that invariant
                 // ever breaks.
-                let pm = self
-                    .pm_binary
-                    .as_ref()
-                    .ok_or(PipelineError::PhaseOrder { needs: "phase 2" })?;
                 let directives =
-                    prefetch_directives(&self.program, pm, misses, min_misses, 2);
+                    prefetch_directives(&self.program, self.pm()?, misses, min_misses, 2);
                 Arc::new(apply_prefetches(&self.program, &directives))
             }
             _ => self.program.clone(),
@@ -923,7 +910,7 @@ impl Propeller {
             drop_cold_bb_addr_map: true,
             ..LinkOptions::default()
         };
-        let charge = Some(("relink app.propeller", failed_actions));
+        let charge = ("relink app.propeller", failed_actions);
         let (bin, report) = self.build_binary(&phase4_program, plan, &link, charge, span_id)?;
         self.times.phase4 = report;
         span.set_sim_secs(report.wall_secs);
@@ -945,14 +932,9 @@ impl Propeller {
         self.phase4_relink()?;
         // The phases above just ran, so these artifacts exist; stay
         // typed rather than panicking if that invariant ever breaks.
-        let wpa = self
-            .wpa_output
-            .as_ref()
-            .ok_or(PipelineError::PhaseOrder { needs: "phase 3" })?;
-        let po = self
-            .po_binary
-            .as_ref()
-            .ok_or(PipelineError::PhaseOrder { needs: "phase 4" })?;
+        let (Some(wpa), Some(po)) = (&self.wpa_output, &self.po_binary) else {
+            return Err(PipelineError::PhaseOrder { needs: "phase 4" });
+        };
         // Counters merge by addition, so cache statistics are recorded
         // exactly once per run, not per lookup.
         self.caches.ir_stats().record_metrics(&self.tel, "cache.ir");
@@ -979,25 +961,21 @@ impl Propeller {
         })
     }
 
-    /// Builds (and caches) the plain baseline binary — the PGO+ThinLTO
-    /// equivalent all evaluations compare against.
+    /// The Phase 2 binary, or the phase-order error naming it.
+    fn pm(&self) -> Result<&Arc<LinkedBinary>, PipelineError> {
+        self.pm_binary.as_ref().ok_or(PipelineError::PhaseOrder { needs: "phase 2" })
+    }
+
+    /// The plain baseline binary — the PGO+ThinLTO equivalent all
+    /// evaluations compare against. Labels mode lays code out exactly
+    /// as the plain build does and adds only the address map, which is
+    /// not loaded, so the baseline is the `PM` binary without its map.
     ///
     /// # Errors
     ///
-    /// Propagates codegen and link failures.
-    pub fn build_baseline(&mut self) -> Result<Arc<LinkedBinary>, PipelineError> {
-        if let Some(b) = &self.baseline_binary {
-            return Ok(b.clone());
-        }
-        let span = self.tel.span("baseline.build");
-        let cg = Arc::new(CodegenOptions::baseline());
-        let plan: Vec<_> = (0..self.program.num_modules())
-            .map(|i| (i, self.fingerprints[i].combine(tag("baseline")), cg.clone()))
-            .collect();
-        let link = LinkOptions { output_name: "app.baseline".into(), ..LinkOptions::default() };
-        let (bin, _) = self.build_binary(&self.program.clone(), plan, &link, None, span.id())?;
-        self.baseline_binary = Some(bin.clone());
-        Ok(bin)
+    /// Fails if Phase 2 has not run.
+    pub fn build_baseline(&self) -> Result<Arc<LinkedBinary>, PipelineError> {
+        Ok(Arc::new(self.pm()?.without_bb_addr_map("app.baseline")))
     }
 
     /// Simulates baseline and optimized binaries under the same
@@ -1006,7 +984,7 @@ impl Propeller {
     /// # Errors
     ///
     /// Fails if Phase 4 has not run, or image construction fails.
-    pub fn evaluate(&mut self, block_budget: u64) -> Result<EvalReport, PipelineError> {
+    pub fn evaluate(&self, block_budget: u64) -> Result<EvalReport, PipelineError> {
         let (base, opt) = self.evaluate_with(block_budget, &SimOptions::default())?;
         Ok(EvalReport {
             baseline: base.counters,
@@ -1018,20 +996,20 @@ impl Propeller {
     /// the same workload runs over the baseline and optimized images,
     /// and both full [`SimReport`]s come back (counters
     /// plus whatever attribution/heat-map/flamegraph data `opts`
-    /// requested).
+    /// requested). The baseline half runs on the `PM` layout, which is
+    /// the baseline's ([`Propeller::build_baseline`]).
     ///
     /// # Errors
     ///
     /// Fails if Phase 4 has not run, or image construction fails.
     pub fn evaluate_with(
-        &mut self,
+        &self,
         block_budget: u64,
         sim_opts: &SimOptions,
     ) -> Result<(SimReport, SimReport), PipelineError> {
-        let baseline = self.build_baseline()?;
+        let pm = self.pm()?;
         let span = self.tel.span("evaluate");
-        let base =
-            self.simulate_on(&self.program, &baseline, block_budget, sim_opts, span.id())?;
+        let base = self.simulate_on(&self.program, pm, block_budget, sim_opts, span.id())?;
         let opt = self.evaluate_optimized(block_budget, sim_opts, span.id())?;
         Ok((base, opt))
     }

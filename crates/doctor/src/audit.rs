@@ -240,8 +240,11 @@ fn edge_distribution(
 /// 0.0 means the program still behaves exactly as profiled; values near
 /// 1.0 mean the layout was derived from behavior the binary no longer
 /// exhibits (stale profile, workload drift). Both profiles are reduced
-/// to `(function, src, dst)` block edges first, so the comparison is
-/// invariant to the re-layout itself.
+/// to `(function, src, dst)` block edges first, each through its own
+/// binary's address map, so moved blocks compare as themselves. What
+/// remains between the two binaries of one run is sampling: the same
+/// walk on a new layout samples other branch windows, which scores
+/// 0.04–0.31 on the measured programs (EXPERIMENTS.md).
 ///
 /// The profiles come aggregated: the fleet release loop compares the
 /// merged stale profile (collected on earlier releases, translated into

@@ -32,9 +32,9 @@
 //!    fresh-profile relink, the skew, the decision, and the per-release
 //!    cache hit rate: the speedup-vs-staleness curve the paper implies
 //!    but never plots. Both arms hold the same program, seed,
-//!    microarchitecture and budget, so the baseline is built and run
-//!    once, by production's `evaluate`, and the oracle arm measures
-//!    only its optimized binary against those counters.
+//!    microarchitecture and budget, so the baseline (production's `PM`
+//!    layout) is run once, by production's `evaluate`, and the oracle
+//!    arm measures only its optimized binary against those counters.
 //!
 //! Steps 3 (past the fresh merge) to 6 are two lanes that share only
 //! the fresh merge, the program and the entry points: *production* —

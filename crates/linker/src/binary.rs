@@ -51,17 +51,6 @@ pub struct FinalLayout {
     pub functions: Vec<FinalFunctionLayout>,
 }
 
-impl FinalLayout {
-    /// Builds an index from function id to position.
-    pub fn index(&self) -> HashMap<FunctionId, usize> {
-        self.functions
-            .iter()
-            .enumerate()
-            .map(|(i, f)| (f.function, i))
-            .collect()
-    }
-}
-
 /// One text section's final placement, in layout order — the linker's
 /// contribution to layout provenance: where each ordered symbol
 /// actually landed and what the relaxation pass did to its bytes.
@@ -103,6 +92,11 @@ pub struct LinkStats {
     pub modeled_peak_memory: u64,
 }
 
+/// [`LinkStats::modeled_peak_memory`] of a link that read `input_bytes`.
+pub(crate) fn modeled_peak_memory(input_bytes: u64) -> u64 {
+    2 * input_bytes
+}
+
 /// The output of [`crate::link`].
 #[derive(Clone, Debug)]
 pub struct LinkedBinary {
@@ -142,9 +136,40 @@ impl LinkedBinary {
         self.image.get(start..end)
     }
 
-    /// Total file size (loaded image + metadata sections).
-    pub fn file_size(&self) -> usize {
-        self.size_breakdown.total()
+    /// This binary as the same link of objects built without the map
+    /// (`BbSectionsMode::Off`) would be, named `name`. The map is not
+    /// loaded, so image, symbols, layout and placements are this
+    /// binary's; its `.llvm_bb_addr_map` sections, the merged map and
+    /// their bytes leave the accounting.
+    pub fn without_bb_addr_map(&self, name: &str) -> LinkedBinary {
+        let is_map = |s: &&PlacedSection| s.kind == SectionKind::BbAddrMap;
+        let map_bytes: u64 = self.sections.iter().filter(is_map).map(|s| s.size).sum();
+        let input_bytes = self.stats.input_bytes.saturating_sub(map_bytes);
+        LinkedBinary {
+            name: name.to_string(),
+            image: self.image.clone(),
+            sections: self
+                .sections
+                .iter()
+                .filter(|s| !is_map(s))
+                .cloned()
+                .collect(),
+            symbols: self.symbols.clone(),
+            bb_addr_map: BbAddrMap::default(),
+            size_breakdown: SizeBreakdown {
+                bb_addr_map: 0,
+                ..self.size_breakdown
+            },
+            layout: self.layout.clone(),
+            placements: self.placements.clone(),
+            stats: LinkStats {
+                input_bytes,
+                modeled_peak_memory: modeled_peak_memory(input_bytes),
+                ..self.stats
+            },
+            // What is left is `Copy`: the base and the text range.
+            ..*self
+        }
     }
 
     /// The address of a global symbol.
@@ -205,17 +230,5 @@ mod tests {
         assert_eq!(bin.read(0x1001, 2), Some(&[2, 3][..]));
         assert_eq!(bin.read(0x1003, 2), None);
         assert_eq!(bin.read(0x0fff, 1), None);
-    }
-
-    #[test]
-    fn layout_index() {
-        let layout = FinalLayout {
-            functions: vec![FinalFunctionLayout {
-                function: FunctionId(7),
-                func_symbol: "f".into(),
-                blocks: Vec::new(),
-            }],
-        };
-        assert_eq!(layout.index()[&FunctionId(7)], 0);
     }
 }

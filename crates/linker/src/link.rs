@@ -1,8 +1,8 @@
 //! The link action.
 
 use crate::binary::{
-    FinalBlock, FinalFunctionLayout, FinalLayout, LinkStats, LinkedBinary, PlacedSection,
-    SymbolPlacement,
+    modeled_peak_memory, FinalBlock, FinalFunctionLayout, FinalLayout, LinkStats, LinkedBinary,
+    PlacedSection, SymbolPlacement,
 };
 use crate::error::LinkError;
 use crate::ordering::SymbolOrdering;
@@ -277,11 +277,22 @@ fn link_impl(
                         .get(sym)
                         .map_or_else(|| Arc::from(sym), |d| d.1.clone())
                 };
-                let decoded =
+                let mut decoded =
                     BbAddrMap::decode(bytes, name).map_err(|e| LinkError::BadMetadata {
                         object: inputs[s.obj_idx].object.name.clone(),
                         detail: e.to_string(),
                     })?;
+                // Codegen wrote offsets into the input sections; where
+                // relaxation moved bytes, each entry moves as its
+                // `FinalLayout` block does below.
+                for (range, entries) in decoded.functions.iter_mut().flat_map(|f| &mut f.ranges) {
+                    if let Some(&(sec, _)) = symtab.get(&**range) {
+                        let sec = &secs[sec as usize];
+                        for e in entries {
+                            (e.offset, e.size) = sec.new_span(e.offset, e.size);
+                        }
+                    }
+                }
                 bb_addr_map.merge(decoded);
             }
             SectionKind::RoData => breakdown.other += bytes.len(),
@@ -313,12 +324,11 @@ fn link_impl(
                 })?;
                 let sec = &secs[sec as usize];
                 for p in &frag.blocks {
-                    let start = sec.new_offset(p.offset);
-                    let end = sec.new_offset(p.offset + p.size);
+                    let (start, size) = sec.new_span(p.offset, p.size);
                     blocks.push(FinalBlock {
                         block: p.block,
                         addr: sec.addr + start as u64,
-                        size: end - start,
+                        size,
                     });
                 }
             }
@@ -374,7 +384,7 @@ fn link_impl(
         padding_bytes: padding,
         deleted_jumps: deleted,
         shrunk_branches: shrunk,
-        modeled_peak_memory: 2 * input_bytes,
+        modeled_peak_memory: modeled_peak_memory(input_bytes),
     };
 
     Ok(LinkedBinary {

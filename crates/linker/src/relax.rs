@@ -121,6 +121,13 @@ impl<'a> Sec<'a> {
         orig - saved
     }
 
+    /// `(offset, size)` of the input bytes `offset..offset + size` after
+    /// relaxation.
+    pub fn new_span(&self, offset: u32, size: u32) -> (u32, u32) {
+        let start = self.new_offset(offset);
+        (start, self.new_offset(offset.saturating_add(size)) - start)
+    }
+
     /// Final size after relaxation.
     pub fn final_size(&self) -> u32 {
         self.new_offset(self.input.bytes.len() as u32)

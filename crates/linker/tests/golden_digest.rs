@@ -3,7 +3,9 @@
 //! `crates/wpa/tests/golden_digest.rs`.
 //!
 //! The constants were recorded from the commit *before* the linker was
-//! made linear and copy-free (PR 14). Each covers every field of
+//! made linear and copy-free (PR 14), except the relink column, which
+//! was re-recorded when relaxation began moving the address map's
+//! entries with their blocks. Each covers every field of
 //! [`LinkedBinary`] — image, symbols, sections, layout, placements,
 //! address map, size breakdown, stats — for one program under one of
 //! the four link shapes the pipeline and the BOLT comparison use, so a
@@ -20,7 +22,7 @@ use propeller_linker::{
 use propeller_obj::ContentHash;
 use propeller_synth::{generate, spec_by_name, GenParams};
 use propeller_telemetry::Telemetry;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// `(spec, scale, seed, funcs_per_module)` of each pinned program.
 const PROGRAMS: [(&str, f64, u64, usize); 3] = [
@@ -34,19 +36,19 @@ const GOLDEN: [[u64; 4]; 3] = [
     [
         0xe470_f3b7_62ba_8cbb,
         0xfcce_5dc3_3a31_6578,
-        0x1fb7_679d_6edb_54d7,
+        0x96b9_251b_5759_0ad8,
         0xc737_2127_66d4_160b,
     ],
     [
         0x3a87_3ce9_7694_9ce6,
         0xd667_dc15_bf9b_48df,
-        0x1f5b_f109_f7d3_9642,
+        0xf7a6_56e6_a28d_e7a6,
         0x156f_8b7f_97f0_ea80,
     ],
     [
         0xd5de_3737_f5db_ad17,
         0x8cfd_d854_8600_a31b,
-        0x8a3a_14ee_ad28_6a49,
+        0xcbda_9a98_f071_758b,
         0x6413_cd60_f77e_7166,
     ],
 ];
@@ -135,6 +137,17 @@ fn link_counted(inputs: &[LinkInput], opts: &LinkOptions) -> (LinkedBinary, u64)
     (bin, sweeps)
 }
 
+/// The Phase 4 link: `order` applied, relaxed, cold maps dropped.
+fn relink_options(order: SymbolOrdering) -> LinkOptions {
+    LinkOptions {
+        output_name: "app.propeller".into(),
+        symbol_order: Some(order),
+        relax: true,
+        drop_cold_bb_addr_map: true,
+        ..LinkOptions::default()
+    }
+}
+
 fn digest(bin: &LinkedBinary) -> u64 {
     let symbols: BTreeMap<_, _> = bin.symbols.iter().collect();
     let rest = format!(
@@ -157,7 +170,7 @@ fn digest(bin: &LinkedBinary) -> u64 {
 fn link_matches_the_digests_pinned_before_the_linear_rewrite() {
     let mut got = [[0u64; 4]; 3];
     let mut max_sweeps = 0;
-    for (row, &(spec, scale, seed, fpm)) in got.iter_mut().zip(&PROGRAMS) {
+    for (i, (row, &(spec, scale, seed, fpm))) in got.iter_mut().zip(&PROGRAMS).enumerate() {
         let p = program(spec, scale, seed, fpm);
         let (map, order) = directives(&p);
         assert!(map.len() >= 10, "{spec}: only {} clustered", map.len());
@@ -171,16 +184,7 @@ fn link_matches_the_digests_pinned_before_the_linear_rewrite() {
             &LinkOptions::default(),
         );
         let clustered = compile(&p, &CodegenOptions::with_clusters(map));
-        let (relink, sweeps) = link_counted(
-            &clustered,
-            &LinkOptions {
-                output_name: "app.propeller".into(),
-                symbol_order: Some(order.clone()),
-                relax: true,
-                drop_cold_bb_addr_map: true,
-                ..LinkOptions::default()
-            },
-        );
+        let (relink, sweeps) = link_counted(&clustered, &relink_options(order.clone()));
         let (retained, _) = link_counted(
             &clustered,
             &LinkOptions {
@@ -205,6 +209,9 @@ fn link_matches_the_digests_pinned_before_the_linear_rewrite() {
         assert!(relink.text_end < retained.text_end - retained.base + relink.base);
         assert!(!labels.bb_addr_map.functions.is_empty());
         assert!(baseline.bb_addr_map.functions.is_empty());
+        // The map is not loaded: the plain link is the labels link
+        // without it.
+        assert_eq!(digest(&labels.without_bb_addr_map("a.out")), GOLDEN[i][0]);
         max_sweeps = max_sweeps.max(sweeps);
 
         *row = [&baseline, &labels, &relink, &retained].map(digest);
@@ -214,4 +221,64 @@ fn link_matches_the_digests_pinned_before_the_linear_rewrite() {
     // changes decisions.
     assert!(max_sweeps >= 3, "no cascade: at most {max_sweeps} sweeps");
     assert_eq!(got, GOLDEN, "got {got:#018x?}");
+}
+
+/// Checks that every address-map entry of `bin` lands on its
+/// `FinalLayout` block: its range symbol's address plus its offset is
+/// the block's address, its size the block's size. Returns how many
+/// entries it checked.
+fn map_agrees_with_layout(bin: &LinkedBinary) -> usize {
+    let blocks: HashMap<(&str, u32), (u64, u32)> = bin
+        .layout
+        .functions
+        .iter()
+        .flat_map(|f| {
+            f.blocks
+                .iter()
+                .map(|b| ((&*f.func_symbol, b.block.0), (b.addr, b.size)))
+        })
+        .collect();
+    let mut checked = 0;
+    for f in &bin.bb_addr_map.functions {
+        for (range, entries) in &f.ranges {
+            let start = bin.symbol(range).expect("range symbol is defined");
+            for e in entries {
+                let block = blocks.get(&(&*f.func_symbol, e.bb_id));
+                let entry = (start + u64::from(e.offset), e.size);
+                assert_eq!(
+                    block,
+                    Some(&entry),
+                    "{}: {} block {} (range {range})",
+                    bin.name,
+                    f.func_symbol,
+                    e.bb_id
+                );
+                checked += 1;
+            }
+        }
+    }
+    checked
+}
+
+#[test]
+fn relaxed_address_map_agrees_with_final_layout() {
+    for &(spec, scale, seed, fpm) in &PROGRAMS {
+        let p = program(spec, scale, seed, fpm);
+        let (map, order) = directives(&p);
+        let (pm, _) = link_counted(
+            &compile(&p, &CodegenOptions::with_labels()),
+            &LinkOptions::default(),
+        );
+        let clustered = compile(&p, &CodegenOptions::with_clusters(map));
+        let (po, _) = link_counted(&clustered, &relink_options(order));
+        // Relaxation moved bytes inside the mapped ranges.
+        assert!(po.stats.deleted_jumps + po.stats.shrunk_branches > 0);
+        for bin in [&pm, &po] {
+            assert!(
+                map_agrees_with_layout(bin) > 0,
+                "{spec}: {} has no map",
+                bin.name
+            );
+        }
+    }
 }

@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "phase 2 (metadata build): {} actions, {:.1}s wall; PM binary {} bytes ({} bb-addr-map)",
         p2.num_actions,
         p2.wall_secs,
-        pm.file_size(),
+        pm.size_breakdown.total(),
         pm.size_breakdown.bb_addr_map,
     );
 

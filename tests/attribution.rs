@@ -48,7 +48,7 @@ fn assert_conserved(report: &propeller_sim::SimReport) {
 
 #[test]
 fn per_symbol_sums_equal_whole_program_counters() {
-    let (mut p, _) = built_pipeline("clang", 0.004, 77, PropellerOptions::default());
+    let (p, _) = built_pipeline("clang", 0.004, 77, PropellerOptions::default());
     let opts = SimOptions {
         attribution: true,
         ..SimOptions::default()
@@ -69,7 +69,7 @@ fn per_symbol_sums_equal_whole_program_counters() {
 #[test]
 fn attribution_is_deterministic_across_same_seed_runs() {
     let run = || {
-        let (mut p, _) = built_pipeline("clang", 0.003, 9, PropellerOptions::default());
+        let (p, _) = built_pipeline("clang", 0.003, 9, PropellerOptions::default());
         let opts = SimOptions {
             attribution: true,
             ..SimOptions::default()
@@ -123,7 +123,7 @@ fn pipeline_knobs_populate_phase3_collectors() {
 
 /// Collects a RunReport with an attribution section from a real run.
 fn attributed_run_report(seed: u64) -> RunReport {
-    let (mut p, summary) = built_pipeline("clang", 0.004, seed, PropellerOptions::default());
+    let (p, summary) = built_pipeline("clang", 0.004, seed, PropellerOptions::default());
     let opts = SimOptions {
         attribution: true,
         ..SimOptions::default()
@@ -185,7 +185,7 @@ proptest! {
     ) {
         let scale = scale_ticks as f64 * 1e-4; // 0.0015..0.0050
         let name = ["clang", "mysql"][pick];
-        let (mut p, _) = built_pipeline(name, scale, seed, PropellerOptions::default());
+        let (p, _) = built_pipeline(name, scale, seed, PropellerOptions::default());
         let opts = SimOptions { attribution: true, ..SimOptions::default() };
         let (base, opt) = p.evaluate_with(budget, &opts).expect("phases ran");
         assert_conserved(&base);

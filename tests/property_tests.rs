@@ -6,7 +6,9 @@ use propeller_ir::{
     BlockId, Function, FunctionBuilder, FunctionId, Inst, Program, ProgramBuilder, Terminator,
 };
 use propeller_linker::{link, LinkInput, LinkOptions, SymbolOrdering};
-use propeller_obj::{BbAddrMap, BbEntry, BbFlags, ContentHash, FuncAddrMap};
+use propeller_obj::{
+    BbAddrMap, BbEntry, BbFlags, ContentHash, FuncAddrMap, ObjectFile, SectionKind,
+};
 use propeller_synth::{evolve, spec_by_name, DriftParams, GeneratedBenchmark};
 use propeller_telemetry::Telemetry;
 use propeller_wpa::exttsp::{order_nodes, score_layout, Edge, ExtTspParams, Node};
@@ -172,6 +174,28 @@ proptest! {
         spans.sort_unstable();
         for w in spans.windows(2) {
             prop_assert!(w[0].1 <= w[1].0, "overlapping blocks {:?}", w);
+        }
+    }
+
+    /// What makes the baseline the metadata binary without its map:
+    /// labels mode emits the plain object plus the map section.
+    #[test]
+    fn labels_object_is_the_plain_object_plus_the_map(
+        raw in prop::collection::vec(arb_function(0), 1..5),
+    ) {
+        let program = build_program(raw);
+        for m in program.modules() {
+            let off = codegen_module(m, &program, &CodegenOptions::baseline()).unwrap();
+            let labels = codegen_module(m, &program, &CodegenOptions::with_labels()).unwrap();
+            let mut stripped = ObjectFile::new(labels.object.name.clone());
+            for s in labels.object.sections() {
+                if s.kind != SectionKind::BbAddrMap {
+                    stripped.add_section(s.clone());
+                }
+            }
+            prop_assert!(stripped.sections().len() < labels.object.sections().len());
+            prop_assert_eq!(&stripped, &off.object);
+            prop_assert_eq!(&labels.debug_layout, &off.debug_layout);
         }
     }
 
