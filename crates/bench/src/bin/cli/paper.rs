@@ -141,7 +141,7 @@ pub fn table5(p: &Parsed) -> Result<ExitCode, CliError> {
     let warehouse_scale = ["spanner", "search", "superroot", "bigtable"];
     for a in runs_on(p, &warehouse_scale, run_benchmark)? {
         let a = a?;
-        let ft = a.full_scale_times();
+        let ft = a.full_scale_times()?;
         let instr_build = ft.compile_frontend + ft.backends_all + ft.link;
         let opt_build = ft.backends_all + ft.link;
         let convert = ft.convert + ft.wpa;
@@ -435,7 +435,7 @@ pub fn fig9(p: &Parsed) -> Result<ExitCode, CliError> {
     ]);
     for a in runs_on(p, &all_benchmarks(), run_benchmark)? {
         let a = a?;
-        let ft = a.full_scale_times();
+        let ft = a.full_scale_times()?;
         let base = ft.backends_all + ft.link;
         let prop = ft.backends_hot + ft.relink;
         t.row(vec![

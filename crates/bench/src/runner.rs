@@ -145,7 +145,11 @@ impl BenchArtifacts {
     }
 
     /// Full-scale build/optimization wall times (Figure 9 / Table 5).
-    pub fn full_scale_times(&self) -> FullScaleTimes {
+    ///
+    /// # Errors
+    ///
+    /// [`PipelineError::PhaseOrder`] before Phase 4 has linked.
+    pub fn full_scale_times(&self) -> Result<FullScaleTimes, PipelineError> {
         let stats = self.pipeline.program().stats();
         let insts_full = self.full_scale(stats.num_insts as u64);
         let input_bytes_full =
@@ -175,17 +179,10 @@ impl BenchArtifacts {
             (modules_full as f64 * hot) as u64,
         );
         let link = cost::link_secs(input_bytes_full);
-        // The relink drops the cold objects' address-map sections, so
-        // it processes fewer bytes than the Phase 2 link (§3.4).
-        let pm_map_bytes = self.full_scale(
-            self.pipeline
-                .pm_binary()
-                .map(|b| b.size_breakdown.bb_addr_map as u64)
-                .unwrap_or(0),
-        );
-        let cold = 1.0 - hot;
-        let relink =
-            cost::link_secs(input_bytes_full.saturating_sub((pm_map_bytes as f64 * cold) as u64));
+        // The relink reads every input object whole — the hot modules'
+        // new ones with their maps, the cached cold ones — and only
+        // drops the cold maps from its output (§3.4).
+        let relink = cost::link_secs(self.full_scale(self.po()?.stats.input_bytes));
         let profile_bytes = self.pipeline.profile().map_or(0, |p| p.raw_size_bytes());
         let convert = cost::profile_conversion_secs(self.full_scale(profile_bytes));
         let wpa = cost::wpa_secs(self.full_scale(self.report.wpa.dcfg_edges as u64));
@@ -197,7 +194,7 @@ impl BenchArtifacts {
             }
             Err(_) => 0.0,
         };
-        FullScaleTimes {
+        Ok(FullScaleTimes {
             backends_all,
             backends_hot,
             link,
@@ -210,7 +207,7 @@ impl BenchArtifacts {
                 cost::compile_secs(module_insts),
                 modules_full,
             ),
-        }
+        })
     }
 }
 
@@ -390,3 +387,22 @@ pub const SPEC_BENCHMARKS: [&str; 8] = [
     "541.leela",
     "557.xz",
 ];
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use propeller_synth::spec_by_name;
+
+    #[test]
+    fn relink_is_the_link_of_every_object_the_relink_read() {
+        let spec = spec_by_name("spanner").expect("built-in spec");
+        let cfg = RunConfig { scale_mult: 0.05, seed: 3, provenance: false };
+        let a = run_benchmark(&spec, &cfg).unwrap();
+        let po = a.po().unwrap();
+        let ft = a.full_scale_times().unwrap();
+        assert_eq!(ft.relink, cost::link_secs(a.full_scale(po.stats.input_bytes)));
+        // The hot objects' new maps make it read more than the baseline.
+        assert!(po.stats.input_bytes > a.baseline.stats.input_bytes);
+        assert!(ft.relink > ft.link);
+    }
+}

@@ -474,7 +474,7 @@ mod tests {
     use super::*;
     use crate::isa::{decode, Decoded};
     use propeller_ir::{FunctionBuilder, ProgramBuilder};
-    use propeller_obj::{BbAddrMap, FuncAddrMap};
+    use propeller_obj::BbAddrMap;
     use std::cell::RefCell;
     use std::sync::Arc;
 
@@ -527,9 +527,11 @@ mod tests {
         relocate: bool,
     ) -> Vec<Vec<BbEntry>> {
         let (_, bytes) = emit_mapped(f, p, clusters, relocate).unwrap();
-        let mut map = BbAddrMap::decode(&bytes, Arc::from).unwrap();
+        let mut map = BbAddrMap::default();
+        map.decode_into(&bytes, Arc::from).unwrap();
         let record = map.functions.pop().unwrap();
-        record.ranges.into_iter().map(|(_, e)| e).collect()
+        let ranges = map.ranges_of(&record);
+        ranges.iter().map(|r| map.entries_of(r).to_vec()).collect()
     }
 
     /// Builds a program with one function shaped as:
@@ -790,14 +792,15 @@ mod tests {
         for (frag, fl) in r.fragments.iter().zip(&r.layout.fragments) {
             assert_eq!(&frag.layout, fl);
         }
-        let record = FuncAddrMap {
-            func_symbol: r.layout.func_symbol.clone(),
-            ranges: r
-                .fragments
-                .iter()
-                .map(|f| (Arc::from(f.symbol.as_str()), f.bb_entries.clone()))
-                .collect(),
-        };
+        let func_symbol = &r.layout.func_symbol;
+        let mut map = BbAddrMapWriter::new(Vec::new(), 1);
+        map.function(func_symbol, r.fragments.len());
+        for f in &r.fragments {
+            map.range(func_symbol, &f.symbol, f.bb_entries.len());
+            for &e in &f.bb_entries {
+                map.entry(e);
+            }
+        }
         let function = EmittedFunction {
             fragments: r
                 .fragments
@@ -810,10 +813,7 @@ mod tests {
             layout: r.layout,
             relocated_branches: r.relocated_branches,
         };
-        let map = BbAddrMap {
-            functions: vec![record],
-        };
-        (function, map.encode())
+        (function, map.finish())
     }
 
     fn both(

@@ -272,14 +272,17 @@ mod tests {
             .iter()
             .find(|s| s.kind == SectionKind::BbAddrMap)
             .expect("labels mode emits the map");
-        let decoded = BbAddrMap::decode(&map_sec.bytes, Arc::from).unwrap();
+        let mut decoded = BbAddrMap::default();
+        decoded.decode_into(&map_sec.bytes, Arc::from).unwrap();
         assert_eq!(decoded.functions.len(), 2);
         let hot = decoded
             .functions
             .iter()
-            .find(|f| &*f.func_symbol == "hot_fn")
+            .find(|f| &*f.symbol == "hot_fn")
             .unwrap();
-        assert_eq!(hot.num_blocks(), 3);
+        let ranges = decoded.ranges_of(hot);
+        let blocks: usize = ranges.iter().map(|r| decoded.entries_of(r).len()).sum();
+        assert_eq!(blocks, 3);
         // PM binary is strictly larger than baseline.
         assert!(pm.object.size_breakdown().total() > base.object.size_breakdown().total());
     }

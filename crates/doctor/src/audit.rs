@@ -108,8 +108,9 @@ pub fn audit_profile_with_reference(
     // evidence.
     let mut covered_bytes = 0u64;
     let mut auditable_bytes = 0u64;
-    for fmap in &binary.bb_addr_map.functions {
-        let Some(fi) = mapper.func_index(&fmap.func_symbol) else {
+    let map = &binary.bb_addr_map;
+    for fmap in &map.functions {
+        let Some(fi) = mapper.func_index(&fmap.symbol) else {
             continue;
         };
         let rc = &ref_dcfg.functions[fi as usize];
@@ -117,8 +118,8 @@ pub fn audit_profile_with_reference(
             continue;
         }
         let dc = &dcfg.functions[fi as usize];
-        for (_, entries) in &fmap.ranges {
-            for e in entries {
+        for r in map.ranges_of(fmap) {
+            for e in map.entries_of(r) {
                 let ref_count = rc.block_counts.get(&e.bb_id).copied().unwrap_or(0);
                 if !opts.block_is_sampled_hot(e.bb_id, ref_count) {
                     continue;

@@ -51,8 +51,6 @@ struct InjectorState {
     /// Per kind: how many rolls actually fired (drives `limit` caps
     /// and the ledger's exact-accounting checks).
     fired: BTreeMap<FaultKind, u64>,
-    /// Per kind: total rolls, fired or not (diagnostics).
-    rolls: BTreeMap<FaultKind, u64>,
 }
 
 /// Seeded, deterministic source of scheduled faults.
@@ -99,7 +97,6 @@ impl FaultInjector {
         let occ = st.occurrences.entry((kind, kh)).or_insert(0);
         let index = *occ;
         *occ += 1;
-        *st.rolls.entry(kind).or_insert(0) += 1;
         if spec.is_disabled() {
             return false;
         }
@@ -126,11 +123,6 @@ impl FaultInjector {
     /// ledger must account for exactly this many injected faults.
     pub fn fired(&self, kind: FaultKind) -> u64 {
         self.state.lock().fired.get(&kind).copied().unwrap_or(0)
-    }
-
-    /// Total rolls of `kind`, fired or not.
-    pub fn rolls(&self, kind: FaultKind) -> u64 {
-        self.state.lock().rolls.get(&kind).copied().unwrap_or(0)
     }
 
     /// A deterministic uniform draw in `[0, 1)` that does not touch
@@ -205,6 +197,5 @@ mod tests {
         }
         assert_eq!(inj.fired(FaultKind::ActionTimeout), 32);
         assert_eq!(inj.fired(FaultKind::TransientActionFailure), 0);
-        assert_eq!(inj.rolls(FaultKind::TransientActionFailure), 32);
     }
 }

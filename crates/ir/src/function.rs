@@ -82,11 +82,6 @@ impl Function {
         self.insts.len() + self.blocks.len()
     }
 
-    /// The function entry frequency (frequency of the entry block).
-    pub fn entry_freq(&self) -> u64 {
-        self.entry().freq
-    }
-
     /// Returns `true` if no block has a nonzero frequency.
     pub fn is_cold(&self) -> bool {
         self.blocks.iter().all(|b| b.freq == 0)
@@ -322,7 +317,7 @@ mod tests {
         let f = diamond();
         assert_eq!(f.num_blocks(), 4);
         assert_eq!(f.num_insts(), 8);
-        assert_eq!(f.entry_freq(), 100);
+        assert_eq!(f.blocks[0].freq, 100);
         assert!(!f.is_cold());
     }
 

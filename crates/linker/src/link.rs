@@ -6,7 +6,7 @@ use crate::binary::{
 };
 use crate::error::LinkError;
 use crate::ordering::SymbolOrdering;
-use crate::relax::{assign_addresses, parse_sites, relax, resolve, Sec, SiteState, Target};
+use crate::relax::{parse_sites, relax, Sec, Sections, SiteState, Target};
 use propeller_codegen::isa::op;
 use propeller_codegen::DebugLayout;
 use propeller_obj::{BbAddrMap, ObjectFile, Reloc, RelocKind, SectionKind, SizeBreakdown};
@@ -142,14 +142,18 @@ fn link_impl(
     tel: &Telemetry,
     link_id: Option<SpanId>,
 ) -> Result<LinkedBinary, LinkError> {
-    // Flatten sections and build the global symbol table: each section
-    // that names a symbol defines it at its start. Sections and names
-    // stay borrowed: every name the output keeps is a clone of an
-    // input's `Arc`.
+    // Flatten sections and build the link's one symbol table: each
+    // section that names a symbol defines it at its start. The table
+    // holds each symbol's section index until addresses are assigned,
+    // then its address, and becomes the output's symbol map; its keys,
+    // like every name the output keeps, are clones of the inputs' `Arc`s.
     let all_sections = || inputs.iter().flat_map(|i| i.object.sections());
     let n_symbols = all_sections().filter(|s| s.symbol.is_some()).count();
-    let mut secs: Vec<Sec> = Vec::with_capacity(all_sections().count());
-    let mut symtab: HashMap<&str, (u32, &Arc<str>)> = HashMap::with_capacity(n_symbols);
+    let mut sections = Sections {
+        secs: Vec::with_capacity(all_sections().count()),
+        ..Sections::default()
+    };
+    let mut symbols: HashMap<Arc<str>, u64> = HashMap::with_capacity(n_symbols);
     let mut obj_has_relaxable: Vec<bool> = Vec::with_capacity(inputs.len());
     let mut input_bytes = 0u64;
     let mut total_relocs = 0usize;
@@ -160,39 +164,47 @@ fn link_impl(
         for s in obj.sections() {
             total_relocs += s.relocs.len();
             if let Some(name) = &s.symbol {
-                if symtab.insert(name, (secs.len() as u32, name)).is_some() {
+                if symbols
+                    .insert(name.clone(), sections.secs.len() as u64)
+                    .is_some()
+                {
                     return Err(LinkError::DuplicateSymbol(name.to_string()));
                 }
             }
             let sec = Sec::new(oi, s);
             has_relaxable |= sec.is_relaxable_text();
-            secs.push(sec);
+            sections.secs.push(sec);
         }
         obj_has_relaxable.push(has_relaxable);
     }
+    let section_of = |symbol: &str| symbols.get(symbol).map(|&i| i as usize);
 
     // Resolve every relocation that will be applied, once: from here on
     // targets are indices, not names. An undefined symbol stays `None`
     // until a stage needs it, which then reports it as it always has.
-    for sec in secs.iter_mut().filter(|s| s.input.kind.is_loaded()) {
+    sections.targets.reserve_exact(total_relocs);
+    for sec in sections
+        .secs
+        .iter_mut()
+        .filter(|s| s.input.kind.is_loaded())
+    {
         let object = &inputs[sec.obj_idx].object.name;
-        // Not `collect`: through `Result` it loses the size hint and
-        // reallocates as it grows.
-        sec.targets.reserve_exact(sec.input.relocs.len());
+        let first = sections.targets.len() as u32;
         for r in &sec.input.relocs {
-            sec.targets.push(resolve_reloc(&symtab, r, object)?);
+            sections.targets.push(resolve_reloc(section_of, r, object)?);
         }
+        sec.targets = first..sections.targets.len() as u32;
     }
 
     // Text ordering: symbol-ordering-file rank first, then input order.
-    let mut text_order: Vec<usize> = (0..secs.len())
-        .filter(|&i| secs[i].input.kind == SectionKind::Text)
+    let mut text_order: Vec<usize> = (0..sections.secs.len())
+        .filter(|&i| sections.secs[i].input.kind == SectionKind::Text)
         .collect();
     {
         let _ordering_span = tel.span_under("link.ordering", link_id);
         if let Some(order) = &opts.symbol_order {
             text_order.sort_by_cached_key(|&i| {
-                let rank = secs[i]
+                let rank = sections.secs[i]
                     .input
                     .symbol
                     .as_ref()
@@ -206,10 +218,19 @@ fn link_impl(
     // Relaxation.
     let (deleted, shrunk) = if opts.relax {
         let _relax_span = tel.span_under("link.relax", link_id);
-        for s in secs.iter_mut().filter(|s| s.is_relaxable_text()) {
-            s.sites = parse_sites(s.input)?;
+        let branches = (sections.secs.iter())
+            .filter(|s| s.is_relaxable_text())
+            .flat_map(|s| &s.input.relocs)
+            .filter(|r| r.kind == RelocKind::BranchPc32)
+            .count();
+        let mut sites = Vec::with_capacity(branches);
+        for s in sections.secs.iter_mut().filter(|s| s.is_relaxable_text()) {
+            let first = sites.len() as u32;
+            parse_sites(s.input, &mut sites)?;
+            s.sites = first..sites.len() as u32;
         }
-        let (deleted, shrunk, iters) = relax(&mut secs, &text_order, opts.base)?;
+        sections.sites = sites;
+        let (deleted, shrunk, iters) = relax(&mut sections, &text_order, opts.base)?;
         if tel.is_enabled() {
             tel.counter_add("link.relax_iterations", iters);
             tel.counter_add("link.deleted_jumps", deleted);
@@ -220,14 +241,14 @@ fn link_impl(
         (0, 0)
     };
 
-    let text_end = assign_addresses(&mut secs, &text_order, opts.base);
+    let text_end = sections.assign_addresses(&text_order, opts.base);
     // The image covers [image_start, image_end): the span of the loaded
     // sections. `image_start` is the link base whenever a section sits
     // there, which alignment of the first one can prevent.
-    let loaded = || secs.iter().filter(|s| s.input.kind.is_loaded());
+    let loaded = || sections.secs.iter().filter(|s| s.input.kind.is_loaded());
     let image_start = loaded().map(|s| s.addr).min().unwrap_or(opts.base);
     let image_end = loaded()
-        .map(|s| s.addr + s.final_size() as u64)
+        .map(|s| s.addr + sections.final_size(s) as u64)
         .max()
         .unwrap_or(opts.base);
 
@@ -239,30 +260,28 @@ fn link_impl(
         // Account padding between text sections.
         let mut prev_end = opts.base;
         for &i in &text_order {
-            padding += secs[i].addr - prev_end;
-            prev_end = secs[i].addr + secs[i].final_size() as u64;
+            let sec = &sections.secs[i];
+            padding += sec.addr - prev_end;
+            prev_end = sec.addr + sections.final_size(sec) as u64;
         }
     }
     for sec in loaded() {
         let start = (sec.addr - image_start) as usize;
-        let out = &mut image[start..start + sec.final_size() as usize];
-        emit_section(out, &secs, sec, &inputs[sec.obj_idx].object.name)?;
+        let out = &mut image[start..start + sections.final_size(sec) as usize];
+        emit_section(out, &sections, sec, &inputs[sec.obj_idx].object.name)?;
     }
     drop(emit_span);
 
-    // Build the output symbol map.
-    let symbols = symtab
-        .values()
-        .map(|&(sec, name)| (name.clone(), secs[sec as usize].addr))
-        .collect();
-
     // Merge metadata and compute the size breakdown.
     let mut bb_addr_map = BbAddrMap::default();
+    // The merged map's encoded size, grown as each section is appended:
+    // what an empty map takes (its function count) to start.
+    let mut map_bytes = bb_addr_map.encoded_len();
     let mut breakdown = SizeBreakdown {
         text: (text_end - opts.base) as usize,
         ..SizeBreakdown::default()
     };
-    for s in &secs {
+    for s in &sections.secs {
         let bytes = &s.input.bytes;
         match s.input.kind {
             SectionKind::Text => {}
@@ -273,33 +292,45 @@ fn link_impl(
                 }
                 // A name the symbol table defines is shared, not copied.
                 let name = |sym: &str| {
-                    symtab
-                        .get(sym)
-                        .map_or_else(|| Arc::from(sym), |d| d.1.clone())
+                    symbols
+                        .get_key_value(sym)
+                        .map_or_else(|| Arc::from(sym), |(name, _)| name.clone())
                 };
-                let mut decoded =
-                    BbAddrMap::decode(bytes, name).map_err(|e| LinkError::BadMetadata {
-                        object: inputs[s.obj_idx].object.name.clone(),
-                        detail: e.to_string(),
-                    })?;
+                let first_range = bb_addr_map.ranges.len();
+                map_bytes +=
+                    bb_addr_map
+                        .decode_into(bytes, name)
+                        .map_err(|e| LinkError::BadMetadata {
+                            object: inputs[s.obj_idx].object.name.clone(),
+                            detail: e.to_string(),
+                        })?;
                 // Codegen wrote offsets into the input sections; where
                 // relaxation moved bytes, each entry moves as its
-                // `FinalLayout` block does below.
-                for (range, entries) in decoded.functions.iter_mut().flat_map(|f| &mut f.ranges) {
-                    if let Some(&(sec, _)) = symtab.get(&**range) {
-                        let sec = &secs[sec as usize];
-                        for e in entries {
-                            (e.offset, e.size) = sec.new_span(e.offset, e.size);
-                        }
+                // `FinalLayout` block does below. Without branch sites
+                // nothing moved.
+                if sections.sites.is_empty() {
+                    continue;
+                }
+                let BbAddrMap {
+                    ranges, entries, ..
+                } = &mut bb_addr_map;
+                for r in &ranges[first_range..] {
+                    let Some(sec) = section_of(&r.symbol) else {
+                        continue;
+                    };
+                    let sec = &sections.secs[sec];
+                    for e in &mut entries[r.entries.start as usize..r.entries.end as usize] {
+                        let before = e.encoded_len();
+                        (e.offset, e.size) = sections.new_span(sec, e.offset, e.size);
+                        map_bytes = map_bytes + e.encoded_len() - before;
                     }
                 }
-                bb_addr_map.merge(decoded);
             }
             SectionKind::RoData => breakdown.other += bytes.len(),
         }
     }
     if !bb_addr_map.functions.is_empty() {
-        breakdown.bb_addr_map = bb_addr_map.encoded_len();
+        breakdown.bb_addr_map = map_bytes;
     }
     if opts.retain_relocs {
         breakdown.relocs += total_relocs * 24;
@@ -316,15 +347,14 @@ fn link_impl(
             for frag in &fl.fragments {
                 // Placements are offsets into the section the fragment's
                 // symbol starts.
-                let &(sec, _) = symtab.get(&*frag.section_symbol).ok_or_else(|| {
-                    LinkError::UndefinedSymbol {
+                let sec =
+                    section_of(&frag.section_symbol).ok_or_else(|| LinkError::UndefinedSymbol {
                         symbol: frag.section_symbol.to_string(),
                         object: input.object.name.clone(),
-                    }
-                })?;
-                let sec = &secs[sec as usize];
+                    })?;
+                let sec = &sections.secs[sec];
                 for p in &frag.blocks {
-                    let (start, size) = sec.new_span(p.offset, p.size);
+                    let (start, size) = sections.new_span(sec, p.offset, p.size);
                     blocks.push(FinalBlock {
                         block: p.block,
                         addr: sec.addr + start as u64,
@@ -340,16 +370,21 @@ fn link_impl(
         }
     }
 
+    // Every symbol's section index becomes its address.
+    for at in symbols.values_mut() {
+        *at = sections.secs[*at as usize].addr;
+    }
+
     // Per-symbol placement provenance: where each text section landed
     // in the final order, and what relaxation did to its bytes.
     let placements = text_order
         .iter()
         .enumerate()
         .map(|(pos, &i)| {
-            let s = &secs[i];
+            let s = &sections.secs[i];
             let mut deleted_jumps = 0u32;
             let mut shrunk_branches = 0u32;
-            for site in &s.sites {
+            for site in sections.sites(s) {
                 match site.state {
                     SiteState::Deleted => deleted_jumps += 1,
                     SiteState::Short => shrunk_branches += 1,
@@ -361,20 +396,21 @@ fn link_impl(
                 order: pos as u32,
                 addr: s.addr,
                 input_size: s.input.bytes.len() as u64,
-                final_size: s.final_size() as u64,
+                final_size: sections.final_size(s) as u64,
                 deleted_jumps,
                 shrunk_branches,
             }
         })
         .collect();
 
-    let placed = secs
+    let placed = sections
+        .secs
         .iter()
         .map(|s| PlacedSection {
             name: s.input.name.clone(),
             kind: s.input.kind,
             addr: s.addr,
-            size: s.final_size() as u64,
+            size: sections.final_size(s) as u64,
         })
         .collect();
 
@@ -408,11 +444,11 @@ fn link_impl(
 /// target before its section's start, or past what an offset can hold,
 /// is corrupt metadata.
 fn resolve_reloc(
-    symtab: &HashMap<&str, (u32, &Arc<str>)>,
+    section_of: impl Fn(&str) -> Option<usize>,
     r: &Reloc,
     object: &str,
 ) -> Result<Option<Target>, LinkError> {
-    let Some(&(sec, _)) = symtab.get(&*r.symbol) else {
+    let Some(sec) = section_of(&r.symbol) else {
         return Ok(None);
     };
     let off = u32::try_from(r.addend).map_err(|_| LinkError::BadMetadata {
@@ -422,24 +458,33 @@ fn resolve_reloc(
             r.offset, r.symbol, r.addend
         ),
     })?;
-    Ok(Some(Target { sec, off }))
+    Ok(Some(Target {
+        sec: sec as u32,
+        off,
+    }))
 }
 
 /// Emits one loaded section into `out` — its slot in the image, exactly
 /// its final size — applying relocations and relaxation decisions.
-fn emit_section(out: &mut [u8], secs: &[Sec], sec: &Sec, obj_name: &str) -> Result<(), LinkError> {
+fn emit_section(
+    out: &mut [u8],
+    sections: &Sections,
+    sec: &Sec,
+    obj_name: &str,
+) -> Result<(), LinkError> {
     let bytes = &sec.input.bytes;
     let relocs = &sec.input.relocs;
-    if sec.sites.is_empty() {
+    let sites = sections.sites(sec);
+    if sites.is_empty() {
         out.copy_from_slice(bytes);
     } else {
         // Rebuild: walk original bytes around the relaxed branch sites.
         let mut at = 0usize;
         let mut cursor = 0usize;
-        for site in &sec.sites {
+        for site in sites {
             put(out, &mut at, &bytes[cursor..site.inst_start as usize]);
             let symbol = &relocs[site.reloc as usize].symbol;
-            let target = resolve(secs, sec.target(site.reloc as usize, obj_name)?);
+            let target = sections.resolve(sections.target(sec, site.reloc as usize, obj_name)?);
             let inst_addr = sec.addr + at as u64;
             let overflow = || LinkError::DisplacementOverflow {
                 symbol: symbol.to_string(),
@@ -475,11 +520,11 @@ fn emit_section(out: &mut [u8], secs: &[Sec], sec: &Sec, obj_name: &str) -> Resu
     // Patch relocations at their (possibly moved) offsets; relaxed
     // branches were rewritten above.
     for (k, r) in relocs.iter().enumerate() {
-        if r.kind == RelocKind::BranchPc32 && !sec.sites.is_empty() {
+        if r.kind == RelocKind::BranchPc32 && !sites.is_empty() {
             continue;
         }
-        let target = resolve(secs, sec.target(k, obj_name)?);
-        let pos = sec.new_offset(r.offset) as usize;
+        let target = sections.resolve(sections.target(sec, k, obj_name)?);
+        let pos = sections.new_offset(sec, r.offset) as usize;
         // Checked against the section's own slot, so a relocation
         // offset past its end cannot reach a neighbour's bytes.
         let field = out

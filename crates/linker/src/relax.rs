@@ -11,6 +11,7 @@
 use crate::error::LinkError;
 use propeller_codegen::isa::{fits_short, len, op};
 use propeller_obj::{RelocKind, Section, SectionKind};
+use std::ops::Range;
 
 /// Where a relocation's `symbol + addend` points, in input coordinates:
 /// resolved once per link, so no later stage hashes a symbol name.
@@ -32,7 +33,8 @@ pub(crate) struct Site {
     /// Conditional branch (`true`) or unconditional jump (`false`).
     pub cond: bool,
     /// Index of the branch's relocation in the section's `relocs` (and
-    /// of its resolved target in [`Sec::targets`]).
+    /// of its resolved target in the section's span of
+    /// [`Sections::targets`]).
     pub reloc: u32,
     /// Current form decision.
     pub state: SiteState,
@@ -75,22 +77,28 @@ impl Site {
 }
 
 /// A section being linked: the borrowed input plus what the link adds
-/// to it (resolved relocation targets, relaxation state, address).
+/// to it — its address, and spans of the link-wide arrays in
+/// [`Sections`] holding its resolved relocation targets and branch
+/// sites.
 #[derive(Clone, Debug)]
 pub(crate) struct Sec<'a> {
     /// Index of the owning input object.
     pub obj_idx: usize,
     /// The input section: name, kind, bytes, relocations, alignment.
     pub input: &'a Section,
-    /// The target of each of `input.relocs`, `None` where the symbol is
-    /// undefined. Filled for loaded sections only — the others'
+    /// The span of [`Sections::targets`] holding the target of each of
+    /// `input.relocs`. Filled for loaded sections only — the others'
     /// relocations are never applied.
-    pub targets: Vec<Option<Target>>,
-    /// Parsed branch sites (relaxable sections only), sorted by
-    /// `inst_start`.
-    pub sites: Vec<Site>,
+    pub targets: Range<u32>,
+    /// The span of [`Sections::sites`] holding the section's branch
+    /// sites (relaxable sections only), sorted by `inst_start`.
+    pub sites: Range<u32>,
     /// Assigned virtual address.
     pub addr: u64,
+}
+
+fn span(r: &Range<u32>) -> Range<usize> {
+    r.start as usize..r.end as usize
 }
 
 impl<'a> Sec<'a> {
@@ -99,8 +107,8 @@ impl<'a> Sec<'a> {
         Sec {
             obj_idx,
             input,
-            targets: Vec::new(),
-            sites: Vec::new(),
+            targets: 0..0,
+            sites: 0..0,
             addr: 0,
         }
     }
@@ -109,11 +117,32 @@ impl<'a> Sec<'a> {
     pub fn is_relaxable_text(&self) -> bool {
         self.input.relaxable && self.input.kind == SectionKind::Text
     }
+}
 
-    /// Maps an original offset to its post-relaxation offset.
-    pub fn new_offset(&self, orig: u32) -> u32 {
+/// Every section of the link with the link-wide arrays their spans
+/// index: two allocations for all sections' targets and sites, not two
+/// per section.
+#[derive(Debug, Default)]
+pub(crate) struct Sections<'a> {
+    /// The flattened input sections, object after object.
+    pub secs: Vec<Sec<'a>>,
+    /// Resolved relocation targets, `None` where the symbol is
+    /// undefined.
+    pub targets: Vec<Option<Target>>,
+    /// Parsed branch sites.
+    pub sites: Vec<Site>,
+}
+
+impl<'a> Sections<'a> {
+    /// `sec`'s branch sites.
+    pub(crate) fn sites(&self, sec: &Sec) -> &[Site] {
+        &self.sites[span(&sec.sites)]
+    }
+
+    /// Maps an original offset in `sec` to its post-relaxation offset.
+    pub(crate) fn new_offset(&self, sec: &Sec, orig: u32) -> u32 {
         let saved: u32 = self
-            .sites
+            .sites(sec)
             .iter()
             .take_while(|s| s.inst_start + s.orig_len <= orig)
             .map(Site::savings)
@@ -121,47 +150,93 @@ impl<'a> Sec<'a> {
         orig - saved
     }
 
-    /// `(offset, size)` of the input bytes `offset..offset + size` after
-    /// relaxation.
-    pub fn new_span(&self, offset: u32, size: u32) -> (u32, u32) {
-        let start = self.new_offset(offset);
-        (start, self.new_offset(offset.saturating_add(size)) - start)
+    /// `(offset, size)` of `sec`'s input bytes `offset..offset + size`
+    /// after relaxation.
+    pub(crate) fn new_span(&self, sec: &Sec, offset: u32, size: u32) -> (u32, u32) {
+        let start = self.new_offset(sec, offset);
+        (
+            start,
+            self.new_offset(sec, offset.saturating_add(size)) - start,
+        )
     }
 
-    /// Final size after relaxation.
-    pub fn final_size(&self) -> u32 {
-        self.new_offset(self.input.bytes.len() as u32)
+    /// `sec`'s final size after relaxation.
+    pub(crate) fn final_size(&self, sec: &Sec) -> u32 {
+        self.new_offset(sec, sec.input.bytes.len() as u32)
     }
 
-    /// Whether `site_idx` is the final instruction of the section (the
-    /// only position where a fall-through jump can be deleted).
-    pub fn is_tail(&self, site_idx: usize) -> bool {
-        let s = &self.sites[site_idx];
-        !s.cond && s.inst_start + s.orig_len == self.input.bytes.len() as u32
+    /// Whether `sec`'s site `site_idx` is the final instruction of the
+    /// section (the only position where a fall-through jump can be
+    /// deleted).
+    pub(crate) fn is_tail(&self, sec: &Sec, site_idx: usize) -> bool {
+        let s = &self.sites(sec)[site_idx];
+        !s.cond && s.inst_start + s.orig_len == sec.input.bytes.len() as u32
     }
 
-    /// The resolved target of relocation `reloc`; `referrer` is what an
-    /// undefined-symbol error names as the referencing object.
-    pub fn target(&self, reloc: usize, referrer: &str) -> Result<Target, LinkError> {
-        self.targets[reloc].ok_or_else(|| LinkError::UndefinedSymbol {
-            symbol: self.input.relocs[reloc].symbol.to_string(),
-            object: referrer.to_string(),
-        })
+    /// The resolved target of `sec`'s relocation `reloc`, `None` where
+    /// its symbol is undefined.
+    pub(crate) fn target_of(&self, sec: &Sec, reloc: usize) -> Option<Target> {
+        self.targets[span(&sec.targets)][reloc]
+    }
+
+    /// [`Sections::target_of`], with an undefined symbol an error;
+    /// `referrer` is what the error names as the referencing object.
+    pub(crate) fn target(
+        &self,
+        sec: &Sec,
+        reloc: usize,
+        referrer: &str,
+    ) -> Result<Target, LinkError> {
+        self.target_of(sec, reloc)
+            .ok_or_else(|| LinkError::UndefinedSymbol {
+                symbol: sec.input.relocs[reloc].symbol.to_string(),
+                object: referrer.to_string(),
+            })
+    }
+
+    /// The final virtual address of a resolved target.
+    pub(crate) fn resolve(&self, target: Target) -> u64 {
+        let sec = &self.secs[target.sec as usize];
+        sec.addr + self.new_offset(sec, target.off) as u64
+    }
+
+    /// Assigns addresses to text sections in `text_order`, then to
+    /// rodata. Returns one past the last text byte.
+    pub(crate) fn assign_addresses(&mut self, text_order: &[usize], base: u64) -> u64 {
+        let mut cursor = base;
+        for &i in text_order {
+            let size = self.final_size(&self.secs[i]);
+            let sec = &mut self.secs[i];
+            let align = sec.input.align.max(1) as u64;
+            cursor = cursor.div_ceil(align) * align;
+            sec.addr = cursor;
+            cursor += size as u64;
+        }
+        let text_end = cursor;
+        for s in self.secs.iter_mut() {
+            if s.input.kind == SectionKind::RoData {
+                cursor = cursor.div_ceil(16) * 16;
+                s.addr = cursor;
+                cursor += s.input.bytes.len() as u64;
+            }
+        }
+        text_end
     }
 }
 
-/// Parses branch sites out of a relaxable section's relocations.
+/// Parses branch sites out of a relaxable section's relocations onto
+/// the end of `sites`, sorted by `inst_start`.
 ///
 /// The instruction form is recovered from the bytes preceding the
 /// relocated field: a `JMP_LONG` opcode immediately precedes the field
 /// for jumps; a `BR_LONG` opcode two bytes before (with a zero condition
 /// byte between) identifies conditional branches.
-pub(crate) fn parse_sites(section: &Section) -> Result<Vec<Site>, LinkError> {
+pub(crate) fn parse_sites(section: &Section, sites: &mut Vec<Site>) -> Result<(), LinkError> {
     let bad = |detail: String| LinkError::BadMetadata {
         object: section.name.to_string(),
         detail,
     };
-    let mut sites = Vec::new();
+    let first = sites.len();
     for (reloc, r) in section.relocs.iter().enumerate() {
         if r.kind != RelocKind::BranchPc32 {
             continue;
@@ -197,6 +272,7 @@ pub(crate) fn parse_sites(section: &Section) -> Result<Vec<Site>, LinkError> {
             state: SiteState::Long,
         });
     }
+    let sites = &mut sites[first..];
     sites.sort_by_key(|s| s.inst_start);
     // Emit copies the bytes between consecutive sites; overlapping ones
     // would hand it a reversed range.
@@ -209,34 +285,7 @@ pub(crate) fn parse_sites(section: &Section) -> Result<Vec<Site>, LinkError> {
             w[0].inst_start, w[1].inst_start
         )));
     }
-    Ok(sites)
-}
-
-/// Assigns addresses to text sections in `text_order`, then to rodata.
-/// Returns one past the last text byte.
-pub(crate) fn assign_addresses(secs: &mut [Sec], text_order: &[usize], base: u64) -> u64 {
-    let mut cursor = base;
-    for &i in text_order {
-        let align = secs[i].input.align.max(1) as u64;
-        cursor = cursor.div_ceil(align) * align;
-        secs[i].addr = cursor;
-        cursor += secs[i].final_size() as u64;
-    }
-    let text_end = cursor;
-    for s in secs.iter_mut() {
-        if s.input.kind == SectionKind::RoData {
-            cursor = cursor.div_ceil(16) * 16;
-            s.addr = cursor;
-            cursor += s.input.bytes.len() as u64;
-        }
-    }
-    text_end
-}
-
-/// The final virtual address of a resolved target.
-pub(crate) fn resolve(secs: &[Sec], target: Target) -> u64 {
-    let sec = &secs[target.sec as usize];
-    sec.addr + sec.new_offset(target.off) as u64
+    Ok(())
 }
 
 /// Runs the relaxation fixpoint: fall-through jump deletion plus branch
@@ -249,35 +298,39 @@ pub(crate) fn resolve(secs: &[Sec], target: Target) -> u64 {
 /// stabilize or verify, the pass falls back to the always-correct
 /// all-long, no-deletion state.
 pub(crate) fn relax(
-    secs: &mut [Sec],
+    sections: &mut Sections,
     text_order: &[usize],
     base: u64,
 ) -> Result<(u64, u64, u64), LinkError> {
     const MAX_ITERS: usize = 64;
     // Which section follows each one in the text order.
-    let mut next_in_order: Vec<Option<usize>> = vec![None; secs.len()];
+    let mut next_in_order: Vec<Option<usize>> = vec![None; sections.secs.len()];
     for w in text_order.windows(2) {
         next_in_order[w[0]] = Some(w[1]);
     }
 
     let mut stable = false;
     let mut iters = 0u64;
+    // `(index in sections.sites, state)` of each decision that changed.
+    let mut new_states: Vec<(usize, SiteState)> = Vec::new();
     for _ in 0..MAX_ITERS {
         iters += 1;
-        assign_addresses(secs, text_order, base);
+        sections.assign_addresses(text_order, base);
         // Compute fresh decisions against current addresses.
-        let mut new_states: Vec<(usize, usize, SiteState)> = Vec::new();
         for &si in text_order {
-            let sec = &secs[si];
+            let sec = &sections.secs[si];
             if !sec.input.relaxable {
                 continue;
             }
-            for (k, site) in sec.sites.iter().enumerate() {
-                let target = resolve(secs, sec.target(site.reloc as usize, &sec.input.name)?);
-                let state = if sec.is_tail(k) && tail_deletable(secs, si, k, next_in_order[si]) {
+            for (k, site) in sections.sites(sec).iter().enumerate() {
+                let target =
+                    sections.resolve(sections.target(sec, site.reloc as usize, &sec.input.name)?);
+                let state = if sections.is_tail(sec, k)
+                    && tail_deletable(sections, si, k, next_in_order[si])
+                {
                     SiteState::Deleted
                 } else {
-                    let site_addr = sec.addr + sec.new_offset(site.inst_start) as u64;
+                    let site_addr = sec.addr + sections.new_offset(sec, site.inst_start) as u64;
                     let disp = target as i64 - (site_addr as i64 + site.short_len() as i64);
                     if fits_short(disp) {
                         SiteState::Short
@@ -286,7 +339,7 @@ pub(crate) fn relax(
                     }
                 };
                 if state != site.state {
-                    new_states.push((si, k, state));
+                    new_states.push((sec.sites.start as usize + k, state));
                 }
             }
         }
@@ -294,35 +347,31 @@ pub(crate) fn relax(
             stable = true;
             break;
         }
-        for (si, k, st) in new_states {
-            secs[si].sites[k].state = st;
+        for (i, st) in new_states.drain(..) {
+            sections.sites[i].state = st;
         }
     }
 
     if stable {
-        assign_addresses(secs, text_order, base);
-        if verify(secs, text_order, &next_in_order)? {
+        sections.assign_addresses(text_order, base);
+        if verify(sections, text_order, &next_in_order)? {
             let mut deleted = 0;
             let mut shrunk = 0;
-            for s in secs.iter() {
-                for site in &s.sites {
-                    match site.state {
-                        SiteState::Deleted => deleted += 1,
-                        SiteState::Short => shrunk += 1,
-                        SiteState::Long => {}
-                    }
+            for site in &sections.sites {
+                match site.state {
+                    SiteState::Deleted => deleted += 1,
+                    SiteState::Short => shrunk += 1,
+                    SiteState::Long => {}
                 }
             }
             return Ok((deleted, shrunk, iters));
         }
     }
     // Fallback: no relaxation (always correct).
-    for s in secs.iter_mut() {
-        for site in &mut s.sites {
-            site.state = SiteState::Long;
-        }
+    for site in &mut sections.sites {
+        site.state = SiteState::Long;
     }
-    assign_addresses(secs, text_order, base);
+    sections.assign_addresses(text_order, base);
     Ok((0, 0, iters))
 }
 
@@ -334,27 +383,32 @@ pub(crate) fn relax(
 /// The check is structural (next-section identity plus a zero-gap
 /// alignment condition) rather than comparing addresses, because the
 /// target's address itself shifts when the jump is deleted.
-fn tail_deletable(secs: &[Sec], sec_idx: usize, site_idx: usize, next_idx: Option<usize>) -> bool {
+fn tail_deletable(
+    sections: &Sections,
+    sec_idx: usize,
+    site_idx: usize,
+    next_idx: Option<usize>,
+) -> bool {
     let Some(ni) = next_idx else {
         return false;
     };
-    let sec = &secs[sec_idx];
-    let site = &sec.sites[site_idx];
-    let Some(target) = sec.targets[site.reloc as usize] else {
+    let sec = &sections.secs[sec_idx];
+    let sites = sections.sites(sec);
+    let site = &sites[site_idx];
+    let Some(target) = sections.target_of(sec, site.reloc as usize) else {
         return false;
     };
     if target.sec as usize != ni {
         return false;
     }
-    let tsec = &secs[ni];
-    if tsec.new_offset(target.off) != 0 {
+    let tsec = &sections.secs[ni];
+    if sections.new_offset(tsec, target.off) != 0 {
         return false;
     }
     // End address of this section assuming the tail jump is deleted:
     // every other site's current savings apply, plus this site's full
     // length. The next section must start exactly there (no padding).
-    let saved: u32 = sec
-        .sites
+    let saved: u32 = sites
         .iter()
         .enumerate()
         .filter(|&(i, _)| i != site_idx)
@@ -366,26 +420,28 @@ fn tail_deletable(secs: &[Sec], sec_idx: usize, site_idx: usize, next_idx: Optio
 
 /// Checks every decision against final addresses.
 fn verify(
-    secs: &[Sec],
+    sections: &Sections,
     text_order: &[usize],
     next_in_order: &[Option<usize>],
 ) -> Result<bool, LinkError> {
     for &si in text_order {
-        let sec = &secs[si];
+        let sec = &sections.secs[si];
         if !sec.input.relaxable {
             continue;
         }
-        for (k, site) in sec.sites.iter().enumerate() {
-            let target = resolve(secs, sec.target(site.reloc as usize, &sec.input.name)?);
+        for (k, site) in sections.sites(sec).iter().enumerate() {
+            let target =
+                sections.resolve(sections.target(sec, site.reloc as usize, &sec.input.name)?);
             match site.state {
                 SiteState::Deleted => {
-                    let ok = sec.is_tail(k) && tail_deletable(secs, si, k, next_in_order[si]);
+                    let ok = sections.is_tail(sec, k)
+                        && tail_deletable(sections, si, k, next_in_order[si]);
                     if !ok {
                         return Ok(false);
                     }
                 }
                 SiteState::Short => {
-                    let site_addr = sec.addr + sec.new_offset(site.inst_start) as u64;
+                    let site_addr = sec.addr + sections.new_offset(sec, site.inst_start) as u64;
                     let disp = target as i64 - (site_addr as i64 + site.short_len() as i64);
                     if !fits_short(disp) {
                         return Ok(false);
@@ -410,10 +466,16 @@ mod tests {
         s
     }
 
-    fn sec_with_sites(input: &Section, sites: Vec<Site>) -> Sec<'_> {
-        Sec {
-            sites,
+    /// A link of the one section `input`, holding `sites`.
+    fn one_section(input: &Section, sites: Vec<Site>) -> Sections<'_> {
+        let sec = Sec {
+            sites: 0..sites.len() as u32,
             ..Sec::new(0, input)
+        };
+        Sections {
+            secs: vec![sec],
+            sites,
+            ..Sections::default()
         }
     }
 
@@ -430,26 +492,27 @@ mod tests {
     #[test]
     fn new_offset_accounts_for_savings() {
         let input = text(20, 1);
-        let mut s = sec_with_sites(&input, vec![jmp_site(5, SiteState::Short)]);
+        let mut l = one_section(&input, vec![jmp_site(5, SiteState::Short)]);
+        let s = &l.secs[0];
         // Site at [5,10) shrunk to 2 bytes: savings 3.
-        assert_eq!(s.new_offset(0), 0);
-        assert_eq!(s.new_offset(5), 5);
-        assert_eq!(s.new_offset(10), 7);
-        assert_eq!(s.new_offset(20), 17);
-        assert_eq!(s.final_size(), 17);
-        s.sites[0].state = SiteState::Deleted;
-        assert_eq!(s.final_size(), 15);
-        s.sites[0].state = SiteState::Long;
-        assert_eq!(s.final_size(), 20);
+        assert_eq!(l.new_offset(s, 0), 0);
+        assert_eq!(l.new_offset(s, 5), 5);
+        assert_eq!(l.new_offset(s, 10), 7);
+        assert_eq!(l.new_offset(s, 20), 17);
+        assert_eq!(l.final_size(s), 17);
+        l.sites[0].state = SiteState::Deleted;
+        assert_eq!(l.final_size(&l.secs[0]), 15);
+        l.sites[0].state = SiteState::Long;
+        assert_eq!(l.final_size(&l.secs[0]), 20);
     }
 
     #[test]
     fn tail_detection() {
         let input = text(20, 1);
-        let s = sec_with_sites(&input, vec![jmp_site(15, SiteState::Long)]);
-        assert!(s.is_tail(0));
-        let s = sec_with_sites(&input, vec![jmp_site(5, SiteState::Long)]);
-        assert!(!s.is_tail(0));
+        let l = one_section(&input, vec![jmp_site(15, SiteState::Long)]);
+        assert!(l.is_tail(&l.secs[0], 0));
+        let l = one_section(&input, vec![jmp_site(5, SiteState::Long)]);
+        assert!(!l.is_tail(&l.secs[0], 0));
     }
 
     #[test]
@@ -463,7 +526,10 @@ mod tests {
             .push(Reloc::new(10, RelocKind::BranchPc32, "b", 4));
         sec.relocs
             .push(Reloc::new(5, RelocKind::BranchPc32, "a", 0));
-        let sites = parse_sites(&sec).unwrap();
+        // Appended after what is there.
+        let mut sites = vec![jmp_site(0, SiteState::Long)];
+        parse_sites(&sec, &mut sites).unwrap();
+        assert_eq!(sites.remove(0).inst_start, 0);
         assert_eq!(sites.len(), 2);
         assert!(sites[0].cond);
         assert_eq!(sites[0].inst_start, 3);
@@ -482,7 +548,7 @@ mod tests {
         sec.relocs
             .push(Reloc::new(4, RelocKind::BranchPc32, "a", 0));
         assert!(matches!(
-            parse_sites(&sec),
+            parse_sites(&sec, &mut Vec::new()),
             Err(LinkError::BadMetadata { .. })
         ));
     }
@@ -496,7 +562,7 @@ mod tests {
             let mut sec = Section::new(".text.x", SectionKind::Text, vec![op::JMP_LONG; 8]);
             sec.relocs
                 .push(Reloc::new(off, RelocKind::BranchPc32, "a", 0));
-            let err = parse_sites(&sec).unwrap_err();
+            let err = parse_sites(&sec, &mut Vec::new()).unwrap_err();
             match err {
                 LinkError::BadMetadata { detail, .. } => {
                     assert!(detail.contains("outside"), "{detail}");
@@ -515,7 +581,7 @@ mod tests {
             .push(Reloc::new(1, RelocKind::BranchPc32, "a", 0));
         sec.relocs
             .push(Reloc::new(3, RelocKind::BranchPc32, "b", 0));
-        match parse_sites(&sec).unwrap_err() {
+        match parse_sites(&sec, &mut Vec::new()).unwrap_err() {
             LinkError::BadMetadata { detail, .. } => {
                 assert!(detail.contains("overlap"), "{detail}")
             }
@@ -526,13 +592,13 @@ mod tests {
     #[test]
     fn assign_addresses_respects_alignment() {
         let (a, b) = (text(10, 1), text(5, 16));
-        let mut secs = vec![
-            sec_with_sites(&a, Vec::new()),
-            sec_with_sites(&b, Vec::new()),
-        ];
-        let end = assign_addresses(&mut secs, &[0, 1], 0x1000);
-        assert_eq!(secs[0].addr, 0x1000);
-        assert_eq!(secs[1].addr, 0x1010);
+        let mut l = Sections {
+            secs: vec![Sec::new(0, &a), Sec::new(0, &b)],
+            ..Sections::default()
+        };
+        let end = l.assign_addresses(&[0, 1], 0x1000);
+        assert_eq!(l.secs[0].addr, 0x1000);
+        assert_eq!(l.secs[1].addr, 0x1010);
         assert_eq!(end, 0x1015);
     }
 }

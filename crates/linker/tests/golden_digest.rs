@@ -239,18 +239,20 @@ fn map_agrees_with_layout(bin: &LinkedBinary) -> usize {
         })
         .collect();
     let mut checked = 0;
-    for f in &bin.bb_addr_map.functions {
-        for (range, entries) in &f.ranges {
+    let map = &bin.bb_addr_map;
+    for f in &map.functions {
+        for r in map.ranges_of(f) {
+            let range = &r.symbol;
             let start = bin.symbol(range).expect("range symbol is defined");
-            for e in entries {
-                let block = blocks.get(&(&*f.func_symbol, e.bb_id));
+            for e in map.entries_of(r) {
+                let block = blocks.get(&(&*f.symbol, e.bb_id));
                 let entry = (start + u64::from(e.offset), e.size);
                 assert_eq!(
                     block,
                     Some(&entry),
                     "{}: {} block {} (range {range})",
                     bin.name,
-                    f.func_symbol,
+                    f.symbol,
                     e.bb_id
                 );
                 checked += 1;

@@ -300,7 +300,7 @@ fn cold_object_maps_dropped_in_relink() {
         .bb_addr_map
         .functions
         .iter()
-        .map(|f| &*f.func_symbol)
+        .map(|f| &*f.symbol)
         .collect();
     assert_eq!(names, vec!["hot"]);
 }

@@ -11,7 +11,9 @@
 //! [`BbAddrMap::encode`] writes a decoded map back through it.
 
 use crate::error::ObjError;
-use bytes::{Buf, BufMut};
+use bytes::BufMut;
+use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 fn put_str(out: &mut impl BufMut, s: &str) {
@@ -19,23 +21,25 @@ fn put_str(out: &mut impl BufMut, s: &str) {
     out.put_slice(s.as_bytes());
 }
 
+/// Bytes `put_str` writes for `s`.
+fn str_len(s: &str) -> usize {
+    4 + s.len()
+}
+
 fn get_u8(buf: &mut &[u8], context: &'static str) -> Result<u8, ObjError> {
-    if buf.remaining() < 1 {
-        return Err(ObjError::Truncated { context });
-    }
-    Ok(buf.get_u8())
+    let (&byte, rest) = buf.split_first().ok_or(ObjError::Truncated { context })?;
+    *buf = rest;
+    Ok(byte)
 }
 
 /// Reads a string in place: the caller decides whether it needs a copy.
 fn get_str<'a>(buf: &mut &'a [u8], context: &'static str) -> Result<&'a str, ObjError> {
-    if buf.remaining() < 4 {
-        return Err(ObjError::Truncated { context });
-    }
-    let len = buf.get_u32_le() as usize;
-    if buf.remaining() < len {
-        return Err(ObjError::Truncated { context });
-    }
-    let (data, rest) = buf.split_at(len);
+    let (len, rest) = buf
+        .split_first_chunk::<4>()
+        .ok_or(ObjError::Truncated { context })?;
+    let (data, rest) = rest
+        .split_at_checked(u32::from_le_bytes(*len) as usize)
+        .ok_or(ObjError::Truncated { context })?;
     *buf = rest;
     std::str::from_utf8(data).map_err(|_| ObjError::BadString)
 }
@@ -117,10 +121,7 @@ fn get_uleb(buf: &mut &[u8], context: &'static str) -> Result<u32, ObjError> {
     let mut v: u32 = 0;
     let mut shift = 0u32;
     loop {
-        if buf.remaining() < 1 {
-            return Err(ObjError::Truncated { context });
-        }
-        let byte = buf.get_u8();
+        let byte = get_u8(buf, context)?;
         if shift >= 32 {
             return Err(ObjError::BadTag {
                 context,
@@ -133,6 +134,11 @@ fn get_uleb(buf: &mut &[u8], context: &'static str) -> Result<u32, ObjError> {
         }
         shift += 7;
     }
+}
+
+/// Bytes `put_uleb` writes for `v`: seven bits a byte, at least one.
+fn uleb_len(v: u32) -> usize {
+    (32 - (v | 1).leading_zeros()).div_ceil(7) as usize
 }
 
 /// Per-block boolean metadata carried by the address map.
@@ -179,43 +185,75 @@ pub struct BbEntry {
     pub flags: BbFlags,
 }
 
-/// The address map for one function: one entry list per contiguous text
-/// range (a whole function normally; one per cluster section after
-/// Propeller splits it).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct FuncAddrMap {
-    /// The function's primary symbol name.
-    pub func_symbol: Arc<str>,
-    /// `(range symbol, blocks)` pairs. The range symbol names the text
-    /// section fragment holding the blocks; offsets are relative to it.
-    pub ranges: Vec<(Arc<str>, Vec<BbEntry>)>,
-}
-
-impl FuncAddrMap {
-    /// Total number of blocks across all ranges.
-    pub fn num_blocks(&self) -> usize {
-        self.ranges.iter().map(|(_, v)| v.len()).sum()
+impl BbEntry {
+    /// Bytes the entry takes in an encoded section.
+    pub fn encoded_len(&self) -> usize {
+        uleb_len(self.bb_id) + uleb_len(self.offset) + uleb_len(self.size) + 1
     }
 }
 
-/// The decoded contents of one `.llvm_bb_addr_map` section.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct BbAddrMap {
-    /// Maps for every function in the object.
-    pub functions: Vec<FuncAddrMap>,
+/// One function's record: its primary symbol and its ranges, a span of
+/// [`BbAddrMap::ranges`].
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct FuncRecord {
+    /// The function's primary symbol name.
+    pub symbol: Arc<str>,
+    /// Its ranges: one contiguous text range normally, one per cluster
+    /// section after Propeller splits it.
+    pub ranges: Range<u32>,
 }
 
+/// One contiguous text range of a function: the symbol naming the text
+/// section fragment, and its blocks, a span of [`BbAddrMap::entries`]
+/// whose offsets are relative to that symbol.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct RangeRecord {
+    /// The fragment's symbol.
+    pub symbol: Arc<str>,
+    /// Its blocks, in address order.
+    pub entries: Range<u32>,
+}
+
+/// The decoded contents of one or more `.llvm_bb_addr_map` sections,
+/// as three flat arrays: functions hold spans of `ranges`, ranges spans
+/// of `entries`, so a map of any size is three allocations.
+#[derive(Clone, PartialEq, Eq, Default)]
+pub struct BbAddrMap {
+    /// Every function's record, in section order.
+    pub functions: Vec<FuncRecord>,
+    /// Every function's ranges, in function order.
+    pub ranges: Vec<RangeRecord>,
+    /// Every range's blocks, in range order.
+    pub entries: Vec<BbEntry>,
+}
+
+fn span(r: &Range<u32>) -> Range<usize> {
+    r.start as usize..r.end as usize
+}
+
+/// The fewest bytes any record takes on the wire (a symbol's length
+/// prefix; an entry's three varints and flags): a corrupt count reserves
+/// no more records than the remaining bytes could hold.
+const MIN_RECORD_LEN: usize = 4;
+
 impl BbAddrMap {
+    /// `f`'s ranges.
+    pub fn ranges_of(&self, f: &FuncRecord) -> &[RangeRecord] {
+        &self.ranges[span(&f.ranges)]
+    }
+
+    /// `r`'s blocks.
+    pub fn entries_of(&self, r: &RangeRecord) -> &[BbEntry] {
+        &self.entries[span(&r.entries)]
+    }
+
     /// Serializes to section bytes (ULEB128-packed; range symbols equal
     /// to the function symbol are stored as an empty string).
     pub fn encode(&self) -> Vec<u8> {
         self.write(Vec::new())
     }
 
-    /// `self.encode().len()`, without building the buffer (the linker
-    /// only needs the merged map's size for its [`SizeBreakdown`]).
-    ///
-    /// [`SizeBreakdown`]: crate::SizeBreakdown
+    /// `self.encode().len()`, without building the buffer.
     pub fn encoded_len(&self) -> usize {
         self.write(Counted(0)).0
     }
@@ -223,9 +261,11 @@ impl BbAddrMap {
     fn write<B: BufMut>(&self, out: B) -> B {
         let mut w = BbAddrMapWriter::new(out, self.functions.len());
         for f in &self.functions {
-            w.function(&f.func_symbol, f.ranges.len());
-            for (range_sym, entries) in &f.ranges {
-                w.range(&f.func_symbol, range_sym, entries.len());
+            let ranges = self.ranges_of(f);
+            w.function(&f.symbol, ranges.len());
+            for r in ranges {
+                let entries = self.entries_of(r);
+                w.range(&f.symbol, &r.symbol, entries.len());
                 for &e in entries {
                     w.entry(e);
                 }
@@ -234,54 +274,117 @@ impl BbAddrMap {
         w.finish()
     }
 
-    /// Decodes section bytes. `name` turns each symbol read into the
-    /// shared name the map keeps: a linker passes a lookup in its symbol
-    /// table, so a defined symbol's name is not allocated again.
+    /// Decodes one section's records onto the end of the map. `name`
+    /// turns each symbol read into the shared name the map keeps: a
+    /// linker passes a lookup in its symbol table, so a defined
+    /// symbol's name is not allocated again.
+    ///
+    /// Returns how many bytes longer [`BbAddrMap::encode`] became, so a
+    /// caller merging sections knows the merged size without encoding.
     ///
     /// # Errors
     ///
-    /// Returns [`ObjError::Truncated`] or [`ObjError::BadString`] on a
-    /// malformed section.
-    pub fn decode<'a>(
+    /// Returns [`ObjError::Truncated`], [`ObjError::BadTag`] (a varint
+    /// past 32 bits) or [`ObjError::BadString`] on a malformed section,
+    /// and leaves the map as it was.
+    pub fn decode_into<'a>(
+        &mut self,
         mut bytes: &'a [u8],
         mut name: impl FnMut(&'a str) -> Arc<str>,
-    ) -> Result<Self, ObjError> {
-        let buf = &mut bytes;
+    ) -> Result<usize, ObjError> {
+        let lens = (self.functions.len(), self.ranges.len(), self.entries.len());
+        let count_len = uleb_len(lens.0 as u32);
+        match self.append(&mut bytes, &mut name) {
+            Ok(records_len) => Ok(records_len + uleb_len(self.functions.len() as u32) - count_len),
+            Err(e) => {
+                self.functions.truncate(lens.0);
+                self.ranges.truncate(lens.1);
+                self.entries.truncate(lens.2);
+                Err(e)
+            }
+        }
+    }
+
+    /// [`BbAddrMap::decode_into`]'s body: returns the encoded length of
+    /// the appended records, as [`BbAddrMap::encode`] writes them.
+    fn append<'a>(
+        &mut self,
+        buf: &mut &'a [u8],
+        name: &mut impl FnMut(&'a str) -> Arc<str>,
+    ) -> Result<usize, ObjError> {
         let nfunc = get_uleb(buf, "bb_addr_map function count")? as usize;
-        let mut functions = Vec::with_capacity(nfunc.min(1 << 20));
+        self.functions
+            .reserve(nfunc.min(buf.len() / MIN_RECORD_LEN));
+        let mut len = 0;
         for _ in 0..nfunc {
-            let func_symbol = name(get_str(buf, "bb_addr_map function symbol")?);
-            let nranges = get_uleb(buf, "bb_addr_map range count")? as usize;
-            let mut ranges = Vec::with_capacity(nranges.min(1 << 20));
+            let func = get_str(buf, "bb_addr_map function symbol")?;
+            let symbol = name(func);
+            let nranges = get_uleb(buf, "bb_addr_map range count")?;
+            len += str_len(func) + uleb_len(nranges);
+            let first_range = self.ranges.len() as u32;
+            self.ranges
+                .reserve((nranges as usize).min(buf.len() / MIN_RECORD_LEN));
             for _ in 0..nranges {
-                let range_sym = match get_str(buf, "bb_addr_map range symbol")? {
-                    "" => func_symbol.clone(),
+                let stored = get_str(buf, "bb_addr_map range symbol")?;
+                let range_symbol = match stored {
+                    "" => symbol.clone(),
                     sym => name(sym),
                 };
-                let nentries = get_uleb(buf, "bb_addr_map entry count")? as usize;
-                let mut entries = Vec::with_capacity(nentries.min(1 << 20));
+                let nentries = get_uleb(buf, "bb_addr_map entry count")?;
+                // `encode` stores a range symbol equal to the function's
+                // as the empty string.
+                len += str_len(if stored == func { "" } else { stored }) + uleb_len(nentries);
+                let first_entry = self.entries.len() as u32;
+                self.entries
+                    .reserve((nentries as usize).min(buf.len() / MIN_RECORD_LEN));
                 for _ in 0..nentries {
-                    entries.push(BbEntry {
+                    let e = BbEntry {
                         bb_id: get_uleb(buf, "bb entry id")?,
                         offset: get_uleb(buf, "bb entry offset")?,
                         size: get_uleb(buf, "bb entry size")?,
                         flags: BbFlags(get_u8(buf, "bb entry flags")?),
-                    });
+                    };
+                    len += e.encoded_len();
+                    self.entries.push(e);
                 }
-                ranges.push((range_sym, entries));
+                self.ranges.push(RangeRecord {
+                    symbol: range_symbol,
+                    entries: first_entry..self.entries.len() as u32,
+                });
             }
-            functions.push(FuncAddrMap {
-                func_symbol,
-                ranges,
+            self.functions.push(FuncRecord {
+                symbol,
+                ranges: first_range..self.ranges.len() as u32,
             });
         }
-        Ok(BbAddrMap { functions })
+        Ok(len)
     }
+}
 
-    /// Merges another map's functions into this one (the linker
-    /// concatenates per-object maps into the output binary's map).
-    pub fn merge(&mut self, other: BbAddrMap) {
-        self.functions.extend(other.functions);
+/// The nested form — each function with its `(range symbol, entries)`
+/// pairs — that the map had before it was flattened: the linker's golden
+/// digest hashes it, so the rendering is kept exactly.
+impl fmt::Debug for BbAddrMap {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let functions = self.functions.iter().map(|func| {
+            let ranges = self.ranges_of(func);
+            let ranges = ranges.iter().map(|r| (&r.symbol, self.entries_of(r)));
+            fmt::from_fn(move |f| {
+                f.debug_struct("FuncAddrMap")
+                    .field("func_symbol", &func.symbol)
+                    .field(
+                        "ranges",
+                        &fmt::from_fn(|f| f.debug_list().entries(ranges.clone()).finish()),
+                    )
+                    .finish()
+            })
+        });
+        f.debug_struct("BbAddrMap")
+            .field(
+                "functions",
+                &fmt::from_fn(|f| f.debug_list().entries(functions.clone()).finish()),
+            )
+            .finish()
     }
 }
 
@@ -289,46 +392,78 @@ impl BbAddrMap {
 mod tests {
     use super::*;
 
-    fn sample() -> BbAddrMap {
-        BbAddrMap {
-            functions: vec![FuncAddrMap {
-                func_symbol: "foo".into(),
-                ranges: vec![
-                    (
-                        "foo".into(),
-                        vec![
-                            BbEntry {
-                                bb_id: 0,
-                                offset: 0,
-                                size: 10,
-                                flags: BbFlags::FALLTHROUGH,
-                            },
-                            BbEntry {
-                                bb_id: 2,
-                                offset: 10,
-                                size: 6,
-                                flags: BbFlags::RETURN,
-                            },
-                        ],
-                    ),
-                    (
-                        "foo.cold".into(),
-                        vec![BbEntry {
-                            bb_id: 1,
-                            offset: 0,
-                            size: 4,
-                            flags: BbFlags::LANDING_PAD | BbFlags::RETURN,
-                        }],
-                    ),
-                ],
-            }],
+    const fn entry(bb_id: u32, offset: u32, size: u32, flags: BbFlags) -> BbEntry {
+        BbEntry {
+            bb_id,
+            offset,
+            size,
+            flags,
         }
+    }
+
+    /// Appends a function of `ranges` to `m`, as the decoder would.
+    fn push(m: &mut BbAddrMap, symbol: &str, ranges: &[(&str, &[BbEntry])]) {
+        let first_range = m.ranges.len() as u32;
+        for &(range_symbol, entries) in ranges {
+            let first = m.entries.len() as u32;
+            m.entries.extend_from_slice(entries);
+            m.ranges.push(RangeRecord {
+                symbol: range_symbol.into(),
+                entries: first..m.entries.len() as u32,
+            });
+        }
+        m.functions.push(FuncRecord {
+            symbol: symbol.into(),
+            ranges: first_range..m.ranges.len() as u32,
+        });
+    }
+
+    fn sample() -> BbAddrMap {
+        let mut m = BbAddrMap::default();
+        push(
+            &mut m,
+            "foo",
+            &[
+                (
+                    "foo",
+                    &[
+                        entry(0, 0, 10, BbFlags::FALLTHROUGH),
+                        entry(2, 10, 6, BbFlags::RETURN),
+                    ],
+                ),
+                (
+                    "foo.cold",
+                    &[entry(1, 0, 4, BbFlags::LANDING_PAD | BbFlags::RETURN)],
+                ),
+            ],
+        );
+        m
+    }
+
+    fn decode(bytes: &[u8]) -> Result<BbAddrMap, ObjError> {
+        let mut m = BbAddrMap::default();
+        m.decode_into(bytes, Arc::from).map(|_| m)
     }
 
     #[test]
     fn round_trip() {
         let m = sample();
-        assert_eq!(BbAddrMap::decode(&m.encode(), Arc::from).unwrap(), m);
+        assert_eq!(decode(&m.encode()).unwrap(), m);
+    }
+
+    #[test]
+    fn debug_renders_the_nested_form() {
+        assert_eq!(
+            format!("{:?}", sample()),
+            "BbAddrMap { functions: [FuncAddrMap { func_symbol: \"foo\", ranges: [(\"foo\", \
+             [BbEntry { bb_id: 0, offset: 0, size: 10, flags: BbFlags(4) }, BbEntry { bb_id: 2, \
+             offset: 10, size: 6, flags: BbFlags(2) }]), (\"foo.cold\", [BbEntry { bb_id: 1, \
+             offset: 0, size: 4, flags: BbFlags(3) }])] }] }"
+        );
+        assert_eq!(
+            format!("{:?}", BbAddrMap::default()),
+            "BbAddrMap { functions: [] }"
+        );
     }
 
     #[test]
@@ -338,29 +473,72 @@ mod tests {
             values.extend([(1u32 << shift) - 1, 1 << shift]);
         }
         for v in values {
-            let e = BbEntry {
-                bb_id: v,
-                offset: v,
-                size: v,
-                flags: BbFlags::default(),
-            };
-            let m = BbAddrMap {
-                functions: vec![FuncAddrMap {
-                    func_symbol: "f".into(),
-                    ranges: vec![("f".into(), vec![e])],
-                }],
-            };
-            assert_eq!(m.encoded_len(), m.encode().len(), "v={v:#x}");
+            let e = entry(v, v, v, BbFlags::default());
+            let mut m = BbAddrMap::default();
+            push(&mut m, "f", &[("f", &[e])]);
+            let bytes = m.encode();
+            assert_eq!(m.encoded_len(), bytes.len(), "v={v:#x}");
+            // Function count, symbol, range count, "" and entry count.
+            assert_eq!(e.encoded_len(), bytes.len() - 1 - 5 - 1 - 4 - 1, "v={v:#x}");
         }
+    }
+
+    #[test]
+    fn decode_into_reports_how_much_the_encoding_grew() {
+        let bytes = sample().encode();
+        let mut m = BbAddrMap::default();
+        let mut len = m.encoded_len();
+        // 130 functions: the function count's varint grows a byte.
+        for _ in 0..130 {
+            len += m.decode_into(&bytes, Arc::from).unwrap();
+            assert_eq!(len, m.encoded_len());
+        }
+        // A range symbol spelled out though it equals the function's
+        // re-encodes as "", and an overlong varint as its shortest form.
+        let mut w = BbAddrMapWriter::new(Vec::new(), 1);
+        w.function("g", 1);
+        w.range("g", "h", 0);
+        let mut odd = w.finish();
+        let at = odd.len() - 6;
+        odd[at..at + 5].copy_from_slice(b"\x01\0\0\0g");
+        odd.splice(0..1, [0x81, 0x00]);
+        let mut m = BbAddrMap::default();
+        assert_eq!(m.decode_into(&odd, Arc::from).unwrap(), m.encoded_len() - 1);
+        assert_eq!(m.encoded_len(), odd.len() - 2);
     }
 
     #[test]
     fn truncation_fails_cleanly() {
         let bytes = sample().encode();
+        let mut m = sample();
         for cut in 0..bytes.len() {
-            let decoded = BbAddrMap::decode(&bytes[..cut], Arc::from);
-            assert!(decoded.is_err(), "cut={cut}");
+            assert!(
+                m.decode_into(&bytes[..cut], Arc::from).is_err(),
+                "cut={cut}"
+            );
+            assert_eq!(m, sample(), "cut={cut}");
         }
+    }
+
+    #[test]
+    fn errors_name_what_was_being_read() {
+        let bytes = sample().encode();
+        assert_eq!(
+            decode(&bytes[..3]),
+            Err(ObjError::Truncated {
+                context: "bb_addr_map function symbol"
+            })
+        );
+        assert_eq!(
+            decode(&[0xff; 6]),
+            Err(ObjError::BadTag {
+                context: "bb_addr_map function count",
+                value: 0xff
+            })
+        );
+        let mut bad = bytes.clone();
+        bad[5] = 0xff; // inside "foo"
+        assert_eq!(decode(&bad), Err(ObjError::BadString));
     }
 
     #[test]
@@ -374,15 +552,28 @@ mod tests {
 
     #[test]
     fn merge_concatenates() {
+        let bytes = sample().encode();
         let mut a = sample();
-        a.merge(sample());
+        a.decode_into(&bytes, Arc::from).unwrap();
         assert_eq!(a.functions.len(), 2);
-        assert_eq!(a.functions[0].num_blocks(), 3);
+        assert_eq!(a.functions[1].ranges, 2..4);
+        assert_eq!(a.ranges[3].entries, 5..6);
+        let blocks = |f| {
+            a.ranges_of(f)
+                .iter()
+                .map(|r| a.entries_of(r).len())
+                .sum::<usize>()
+        };
+        assert_eq!(blocks(&a.functions[1]), 3);
+        assert_eq!(
+            a.entries_of(&a.ranges[3])[0].flags,
+            sample().entries[2].flags
+        );
     }
 
     #[test]
     fn empty_map_round_trips() {
         let m = BbAddrMap::default();
-        assert_eq!(BbAddrMap::decode(&m.encode(), Arc::from).unwrap(), m);
+        assert_eq!(decode(&m.encode()).unwrap(), m);
     }
 }

@@ -40,7 +40,7 @@ mod object;
 mod reloc;
 mod section;
 
-pub use bb_addr_map::{BbAddrMap, BbAddrMapWriter, BbEntry, BbFlags, FuncAddrMap};
+pub use bb_addr_map::{BbAddrMap, BbAddrMapWriter, BbEntry, BbFlags, FuncRecord, RangeRecord};
 pub use error::ObjError;
 pub use hash::{ContentHash, ContentHasher};
 pub use object::{ObjectFile, SizeBreakdown};

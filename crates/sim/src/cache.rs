@@ -73,11 +73,6 @@ impl SetAssocCache {
         false
     }
 
-    /// The line/page granularity in bytes.
-    pub fn line_bytes(&self) -> u64 {
-        1 << self.line_shift
-    }
-
     /// Total accesses so far.
     pub fn accesses(&self) -> u64 {
         self.accesses
@@ -173,7 +168,7 @@ mod tests {
     fn capacity_constructor() {
         // 32 KiB, 8-way, 64 B lines => 64 sets.
         let c = SetAssocCache::with_capacity(32 * 1024, 8, 64);
-        assert_eq!(c.line_bytes(), 64);
+        assert_eq!(c.line_shift, 6);
         // Fill more than capacity and expect evictions.
         let mut c = c;
         for i in 0..1024u64 {

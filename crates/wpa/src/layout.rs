@@ -269,11 +269,12 @@ pub fn run_wpa_agg_traced(
     let mut rich_functions: Vec<RichFunctionRecord> = Vec::new();
 
     let intra_span = tel.span_under("wpa.intra_layout", wpa_id);
-    for fmap in &binary.bb_addr_map.functions {
-        let Some(&fi) = mapper_idx.get(&*fmap.func_symbol) else {
+    let map = &binary.bb_addr_map;
+    for fmap in &map.functions {
+        let Some(&fi) = mapper_idx.get(&*fmap.symbol) else {
             continue;
         };
-        let Some(&fid) = name_to_id.get(&*fmap.func_symbol) else {
+        let Some(&fid) = name_to_id.get(&*fmap.symbol) else {
             continue;
         };
         let dc: &DcfgFunction = &dcfg.functions[fi as usize];
@@ -284,10 +285,10 @@ pub fn run_wpa_agg_traced(
 
         // The complete block list with sizes, ascending by block id;
         // every per-block lookup below is a binary search in it.
-        let mut blocks: Vec<(u32, u32)> = fmap
-            .ranges
+        let mut blocks: Vec<(u32, u32)> = map
+            .ranges_of(fmap)
             .iter()
-            .flat_map(|(_, entries)| entries.iter().map(|e| (e.bb_id, e.size)))
+            .flat_map(|r| map.entries_of(r).iter().map(|e| (e.bb_id, e.size)))
             .collect();
         blocks.sort_unstable();
         let size_of = |b: u32| -> u32 {
@@ -409,7 +410,7 @@ pub fn run_wpa_agg_traced(
 
         // Plan global ordering entries.
         let mut fn_prov = FunctionProvenance {
-            func_symbol: fmap.func_symbol.to_string(),
+            func_symbol: fmap.symbol.to_string(),
             total_samples: dc.total_count(),
             hot_blocks: hot.len(),
             cold_blocks: cold.len(),
@@ -420,7 +421,7 @@ pub fn run_wpa_agg_traced(
             clusters: Vec::with_capacity(clusters.len()),
         };
         for c in &clusters {
-            let symbol = c.name.symbol(&fmap.func_symbol);
+            let symbol = c.name.symbol(&fmap.symbol);
             let weight = c
                 .blocks
                 .iter()
@@ -455,7 +456,7 @@ pub fn run_wpa_agg_traced(
         if armed {
             let detail = merge_log.detail.take().unwrap_or_default();
             rich_functions.push(RichFunctionRecord {
-                func_symbol: fmap.func_symbol.to_string(),
+                func_symbol: fmap.symbol.to_string(),
                 func_index: fi,
                 nodes,
                 edges,

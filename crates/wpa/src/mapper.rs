@@ -46,18 +46,19 @@ impl AddressMapper {
     /// profile-quality audits can surface the loss instead of it
     /// vanishing silently.
     pub fn from_binary(binary: &LinkedBinary) -> Self {
-        let mut intervals = Vec::new();
-        let mut func_symbols = Vec::new();
+        let map = &binary.bb_addr_map;
+        let mut intervals = Vec::with_capacity(map.entries.len());
+        let mut func_symbols = Vec::with_capacity(map.functions.len());
         let mut skipped_funcs = 0usize;
-        for f in &binary.bb_addr_map.functions {
+        for f in &map.functions {
             let func_idx = func_symbols.len() as u32;
             let mut any = false;
-            for (range_sym, entries) in &f.ranges {
-                let Some(base) = binary.symbol(range_sym) else {
+            for r in map.ranges_of(f) {
+                let Some(base) = binary.symbol(&r.symbol) else {
                     continue;
                 };
                 any = true;
-                for e in entries {
+                for e in map.entries_of(r) {
                     intervals.push(Interval {
                         start: base + e.offset as u64,
                         end: base + e.offset as u64 + e.size as u64,
@@ -67,7 +68,7 @@ impl AddressMapper {
                 }
             }
             if any {
-                func_symbols.push(f.func_symbol.clone());
+                func_symbols.push(f.symbol.clone());
             } else {
                 skipped_funcs += 1;
             }
@@ -205,17 +206,21 @@ mod tests {
     #[test]
     fn unresolvable_range_symbols_are_counted_as_skipped() {
         let mut bin = metadata_binary();
-        bin.bb_addr_map.functions.push(propeller_obj::FuncAddrMap {
-            func_symbol: "ghost".into(),
-            ranges: vec![(
-                "ghost.stripped".into(),
-                vec![propeller_obj::BbEntry {
-                    bb_id: 0,
-                    offset: 0,
-                    size: 16,
-                    flags: propeller_obj::BbFlags::default(),
-                }],
-            )],
+        let map = &mut bin.bb_addr_map;
+        let (range, entry) = (map.ranges.len() as u32, map.entries.len() as u32);
+        map.entries.push(propeller_obj::BbEntry {
+            bb_id: 0,
+            offset: 0,
+            size: 16,
+            flags: propeller_obj::BbFlags::default(),
+        });
+        map.ranges.push(propeller_obj::RangeRecord {
+            symbol: "ghost.stripped".into(),
+            entries: entry..entry + 1,
+        });
+        map.functions.push(propeller_obj::FuncRecord {
+            symbol: "ghost".into(),
+            ranges: range..range + 1,
         });
         let mapper = AddressMapper::from_binary(&bin);
         assert_eq!(mapper.num_functions(), 2, "resolvable functions kept");

@@ -7,7 +7,7 @@ use propeller_ir::{
 };
 use propeller_linker::{link, LinkInput, LinkOptions, SymbolOrdering};
 use propeller_obj::{
-    BbAddrMap, BbEntry, BbFlags, ContentHash, FuncAddrMap, ObjectFile, SectionKind,
+    BbAddrMap, BbEntry, BbFlags, ContentHash, FuncRecord, ObjectFile, RangeRecord, SectionKind,
 };
 use propeller_synth::{evolve, spec_by_name, DriftParams, GeneratedBenchmark};
 use propeller_telemetry::Telemetry;
@@ -94,24 +94,32 @@ proptest! {
     fn bb_addr_map_round_trips(entries in prop::collection::vec(
         (any::<u32>(), 0u32..1_000_000, 0u32..10_000, 0u8..8), 0..40))
     {
+        let n = entries.len() as u32;
         let map = BbAddrMap {
-            functions: vec![FuncAddrMap {
-                func_symbol: "f".into(),
-                ranges: vec![(
-                    "f".into(),
-                    entries
-                        .into_iter()
-                        .map(|(id, off, size, flags)| BbEntry {
-                            bb_id: id,
-                            offset: off,
-                            size,
-                            flags: BbFlags(flags),
-                        })
-                        .collect(),
-                )],
+            functions: vec![FuncRecord {
+                symbol: "f".into(),
+                ranges: 0..1,
             }],
+            ranges: vec![RangeRecord {
+                symbol: "f".into(),
+                entries: 0..n,
+            }],
+            entries: entries
+                .into_iter()
+                .map(|(id, off, size, flags)| BbEntry {
+                    bb_id: id,
+                    offset: off,
+                    size,
+                    flags: BbFlags(flags),
+                })
+                .collect(),
         };
-        prop_assert_eq!(BbAddrMap::decode(&map.encode(), Arc::from).unwrap(), map);
+        let bytes = map.encode();
+        let mut decoded = BbAddrMap::default();
+        let grew = decoded.decode_into(&bytes, Arc::from).unwrap();
+        prop_assert_eq!(grew + BbAddrMap::default().encoded_len(), bytes.len());
+        prop_assert_eq!(decoded.encode(), bytes);
+        prop_assert_eq!(decoded, map);
     }
 
     #[test]
@@ -248,6 +256,13 @@ proptest! {
         )
         .unwrap();
         prop_assert!(relaxed.stats.text_bytes <= unrelaxed.stats.text_bytes);
+        // The size the link sums as it appends each object's map is
+        // the merged map's encoding, whether relaxation moved entries
+        // or not.
+        for bin in [&unrelaxed, &relaxed] {
+            prop_assert!(!bin.bb_addr_map.functions.is_empty());
+            prop_assert_eq!(bin.size_breakdown.bb_addr_map, bin.bb_addr_map.encoded_len());
+        }
     }
 }
 
