@@ -4,8 +4,7 @@
 use propeller::{BuildCaches, EvalReport, PipelineError, Propeller, PropellerOptions};
 use propeller_bolt::{run_bolt, BoltError, BoltOptions, BoltOutput};
 use propeller_buildsys::{cost, MachineConfig, DISPATCH_SECS, GIB};
-use propeller_codegen::{codegen_module, CodegenOptions};
-use propeller_linker::{link, FinalLayout, LinkInput, LinkOptions, LinkedBinary};
+use propeller_linker::{FinalLayout, LinkedBinary};
 use propeller_profile::SamplingConfig;
 use propeller_sim::{simulate, CounterSet, ProgramImage, SimOptions, SimReport, UarchConfig};
 use propeller_synth::{generate, BenchKind, BenchmarkSpec, GenParams, GeneratedBenchmark};
@@ -83,8 +82,8 @@ pub struct BenchArtifacts {
     pub report: propeller::PropellerReport,
     /// The PGO+ThinLTO-equivalent baseline binary.
     pub baseline: Arc<LinkedBinary>,
-    /// Baseline with retained relocations — BOLT's required input
-    /// ("BM").
+    /// The baseline with its static relocations kept — BOLT's required
+    /// input ("BM").
     pub bm: LinkedBinary,
     /// The BOLT run (may legitimately fail).
     pub bolt: Result<BoltOutput, BoltError>,
@@ -253,8 +252,7 @@ fn simulate_on(
 ///
 /// # Errors
 ///
-/// Propagates any pipeline, codegen, link or image-construction
-/// failure.
+/// Propagates any pipeline or image-construction failure.
 pub fn run_benchmark(
     spec: &BenchmarkSpec,
     cfg: &RunConfig,
@@ -267,24 +265,11 @@ pub fn run_benchmark(
     let report = pipeline.run_all()?;
     let baseline = pipeline.build_baseline()?;
     let profile = pipeline.profile().ok_or(PipelineError::PhaseOrder { needs: "phase 3" })?;
-    // BM: the baseline relinked with --emit-relocs for BOLT.
-    let program = pipeline.program();
-    let inputs = program
-        .modules()
-        .iter()
-        .map(|m| {
-            let r = codegen_module(m, program, &CodegenOptions::baseline())?;
-            Ok(LinkInput::new(r.object, r.debug_layout))
-        })
-        .collect::<Result<Vec<_>, PipelineError>>()?;
-    let bm = link(
-        &inputs,
-        &LinkOptions {
-            output_name: "app.bm".into(),
-            retain_relocs: true,
-            ..LinkOptions::default()
-        },
-    )?;
+    // BM: the baseline as linked with --emit-relocs, for BOLT.
+    let pm = pipeline
+        .pm_binary()
+        .ok_or(PipelineError::PhaseOrder { needs: "phase 2" })?;
+    let bm = pm.without_bb_addr_map("app.bm").with_static_relocs();
     let bolt = run_bolt(
         &bm,
         profile,
@@ -293,13 +278,11 @@ pub fn run_benchmark(
         },
     );
 
-    let counters_of = |layout: &FinalLayout| {
-        simulate_on(&pipeline, layout, &uarch, &SimOptions::default()).map(|r| r.counters)
-    };
-    let base_counters = counters_of(&baseline.layout)?;
-    let po = pipeline.po_binary().ok_or(PipelineError::PhaseOrder { needs: "phase 4" })?;
-    let prop_counters = counters_of(&po.layout)?;
-    let bolt_counters = runnable(&bolt).map(|b| counters_of(&b.layout)).transpose()?;
+    let eval = pipeline.evaluate(EVAL_BUDGET)?;
+    let bolt_counters = runnable(&bolt)
+        .map(|b| simulate_on(&pipeline, &b.layout, &uarch, &SimOptions::default()))
+        .transpose()?
+        .map(|r| r.counters);
 
     Ok(BenchArtifacts {
         spec: spec.clone(),
@@ -309,8 +292,8 @@ pub fn run_benchmark(
         baseline,
         bm,
         bolt,
-        base_counters,
-        prop_counters,
+        base_counters: eval.baseline,
+        prop_counters: eval.optimized,
         bolt_counters,
         uarch,
     })

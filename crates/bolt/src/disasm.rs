@@ -138,12 +138,10 @@ mod tests {
         let r = codegen_module(&p.modules()[0], &p, &CodegenOptions::baseline()).unwrap();
         link(
             &[LinkInput::new(r.object, r.debug_layout)],
-            &LinkOptions {
-                retain_relocs: true,
-                ..LinkOptions::default()
-            },
+            &LinkOptions::default(),
         )
         .unwrap()
+        .with_static_relocs()
     }
 
     #[test]

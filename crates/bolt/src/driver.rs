@@ -126,12 +126,15 @@ fn convert_profile(
     prof
 }
 
-/// Runs the monolithic post-link optimizer over a linked binary.
+/// Runs the monolithic post-link optimizer over a linked binary. Its
+/// input must keep its static relocations, as a link with
+/// `--emit-relocs` does: [`LinkedBinary::with_static_relocs`] of the
+/// plain link ("BM", §5.3).
 ///
 /// # Errors
 ///
-/// Returns [`BoltError::MissingRelocations`] if the binary was linked
-/// without `--emit-relocs`-style static relocations, or
+/// Returns [`BoltError::MissingRelocations`] if the binary keeps no
+/// static relocations (its `size_breakdown.relocs` is 0), or
 /// [`BoltError::NoFunctions`] if function discovery found nothing.
 pub fn run_bolt(
     binary: &LinkedBinary,

@@ -49,14 +49,7 @@ fn bolt_requires_relocations() {
 #[test]
 fn bolt_improves_layout_like_propeller() {
     let (p, entries) = fixture();
-    let bm = build(
-        &p,
-        &CodegenOptions::baseline(),
-        &LinkOptions {
-            retain_relocs: true,
-            ..LinkOptions::default()
-        },
-    );
+    let bm = build(&p, &CodegenOptions::baseline(), &LinkOptions::default()).with_static_relocs();
     let img = ProgramImage::build(&p, &bm.layout).unwrap();
     let workload = Workload::new(entries.clone(), 250_000);
     let prof_run = simulate(
@@ -94,14 +87,7 @@ fn bolt_improves_layout_like_propeller() {
 #[test]
 fn bolt_binary_is_much_larger_than_input() {
     let (p, entries) = fixture();
-    let bm = build(
-        &p,
-        &CodegenOptions::baseline(),
-        &LinkOptions {
-            retain_relocs: true,
-            ..LinkOptions::default()
-        },
-    );
+    let bm = build(&p, &CodegenOptions::baseline(), &LinkOptions::default()).with_static_relocs();
     let img = ProgramImage::build(&p, &bm.layout).unwrap();
     let profile = simulate(
         &img,
@@ -130,14 +116,7 @@ fn bolt_binary_is_much_larger_than_input() {
 #[test]
 fn integrity_checked_binaries_crash_at_startup() {
     let (p, entries) = fixture();
-    let bm = build(
-        &p,
-        &CodegenOptions::baseline(),
-        &LinkOptions {
-            retain_relocs: true,
-            ..LinkOptions::default()
-        },
-    );
+    let bm = build(&p, &CodegenOptions::baseline(), &LinkOptions::default()).with_static_relocs();
     let img = ProgramImage::build(&p, &bm.layout).unwrap();
     let profile = simulate(
         &img,

@@ -103,12 +103,10 @@ fn non_simple_function_excluded_from_rewriting() {
     let r = codegen_module(&p.modules()[0], &p, &CodegenOptions::baseline()).unwrap();
     let mut bin = link(
         &[LinkInput::new(r.object, r.debug_layout)],
-        &LinkOptions {
-            retain_relocs: true,
-            ..LinkOptions::default()
-        },
+        &LinkOptions::default(),
     )
-    .unwrap();
+    .unwrap()
+    .with_static_relocs();
     // Smash an opcode in bbb_corrupt.
     let addr = bin.symbol("bbb_corrupt").unwrap();
     let off = (addr - bin.base + 3) as usize;

@@ -132,14 +132,6 @@ pub struct DebugLayout {
     pub functions: Vec<FunctionLayout>,
 }
 
-impl DebugLayout {
-    /// Merges another module's layout into this one (used when linking
-    /// several objects into a program-wide table).
-    pub fn merge(&mut self, other: DebugLayout) {
-        self.functions.extend(other.functions);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,7 +1,7 @@
 //! Linked binary artifacts.
 
 use propeller_ir::{BlockId, FunctionId};
-use propeller_obj::{BbAddrMap, SectionKind, SizeBreakdown};
+use propeller_obj::{BbAddrMap, SectionKind, SizeBreakdown, RELA_ENTRY_BYTES};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -78,6 +78,9 @@ pub struct SymbolPlacement {
 pub struct LinkStats {
     /// Total bytes of all input objects.
     pub input_bytes: u64,
+    /// Relocation records in the input objects: what an `--emit-relocs`
+    /// link writes to its output ([`LinkedBinary::with_static_relocs`]).
+    pub relocations: u64,
     /// Bytes of text in the output (including inter-section padding).
     pub text_bytes: u64,
     /// Nop padding bytes inserted between text sections.
@@ -170,6 +173,16 @@ impl LinkedBinary {
             // What is left is `Copy`: the base and the text range.
             ..*self
         }
+    }
+
+    /// This binary as the same link with `--emit-relocs` would be: the
+    /// input objects' relocation records ([`LinkStats::relocations`])
+    /// are kept in the file, so `size_breakdown.relocs` counts them.
+    /// This is the binary BOLT rewrites ("BM", §5.3); nothing else
+    /// changes, since the records are not loaded.
+    pub fn with_static_relocs(mut self) -> LinkedBinary {
+        self.size_breakdown.relocs = self.stats.relocations as usize * RELA_ENTRY_BYTES;
+        self
     }
 
     /// The address of a global symbol.

@@ -14,15 +14,15 @@ use propeller_telemetry::{SpanId, Telemetry};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// One input to the link: an object file plus (optionally) the codegen
-/// layout side table used to build the simulator's [`FinalLayout`].
+/// One input to the link: an object file plus the codegen layout side
+/// table used to build the simulator's [`FinalLayout`].
 #[derive(Clone, Debug)]
 pub struct LinkInput {
     /// The relocatable object.
     pub object: ObjectFile,
-    /// The codegen layout table for this object's functions; without
-    /// one, they are missing from the simulator's table.
-    pub debug_layout: Option<DebugLayout>,
+    /// The codegen layout table for this object's functions; a function
+    /// it does not list is missing from the simulator's table.
+    pub debug_layout: DebugLayout,
 }
 
 impl LinkInput {
@@ -30,7 +30,7 @@ impl LinkInput {
     pub fn new(object: ObjectFile, debug_layout: DebugLayout) -> Self {
         LinkInput {
             object,
-            debug_layout: Some(debug_layout),
+            debug_layout,
         }
     }
 }
@@ -43,7 +43,7 @@ pub struct LinkInputRef<'a> {
     /// The relocatable object.
     pub object: &'a ObjectFile,
     /// The codegen layout table for this object's functions.
-    pub debug_layout: Option<&'a DebugLayout>,
+    pub debug_layout: &'a DebugLayout,
 }
 
 impl<'a> LinkInputRef<'a> {
@@ -51,7 +51,7 @@ impl<'a> LinkInputRef<'a> {
     pub fn new(object: &'a ObjectFile, debug_layout: &'a DebugLayout) -> Self {
         LinkInputRef {
             object,
-            debug_layout: Some(debug_layout),
+            debug_layout,
         }
     }
 }
@@ -60,7 +60,7 @@ impl<'a> From<&'a LinkInput> for LinkInputRef<'a> {
     fn from(input: &'a LinkInput) -> Self {
         LinkInputRef {
             object: &input.object,
-            debug_layout: input.debug_layout.as_ref(),
+            debug_layout: &input.debug_layout,
         }
     }
 }
@@ -79,9 +79,6 @@ pub struct LinkOptions {
     /// relaxable text ("Any address map metadata sections in the cold
     /// native objects are dropped by the linker", §3.4).
     pub drop_cold_bb_addr_map: bool,
-    /// Retain static relocations in the output as a `.rela` section
-    /// (the "BM" metadata binary BOLT-style rewriters require, §5.3).
-    pub retain_relocs: bool,
     /// Base virtual address.
     pub base: u64,
 }
@@ -93,7 +90,6 @@ impl Default for LinkOptions {
             symbol_order: None,
             relax: false,
             drop_cold_bb_addr_map: false,
-            retain_relocs: false,
             base: 0x40_0000,
         }
     }
@@ -332,17 +328,11 @@ fn link_impl(
     if !bb_addr_map.functions.is_empty() {
         breakdown.bb_addr_map = map_bytes;
     }
-    if opts.retain_relocs {
-        breakdown.relocs += total_relocs * 24;
-    }
 
     // Final per-block layout.
     let mut layout = FinalLayout::default();
     for input in inputs {
-        let Some(dl) = input.debug_layout else {
-            continue;
-        };
-        for fl in &dl.functions {
+        for fl in &input.debug_layout.functions {
             let mut blocks = Vec::with_capacity(fl.fragments.iter().map(|f| f.blocks.len()).sum());
             for frag in &fl.fragments {
                 // Placements are offsets into the section the fragment's
@@ -416,6 +406,7 @@ fn link_impl(
 
     let stats = LinkStats {
         input_bytes,
+        relocations: total_relocs as u64,
         text_bytes: (text_end - opts.base),
         padding_bytes: padding,
         deleted_jumps: deleted,

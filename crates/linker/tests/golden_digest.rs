@@ -5,7 +5,9 @@
 //! The constants were recorded from the commit *before* the linker was
 //! made linear and copy-free (PR 14), except the relink column, which
 //! was re-recorded when relaxation began moving the address map's
-//! entries with their blocks. Each covers every field of
+//! entries with their blocks; every column was re-recorded when
+//! [`LinkStats`](propeller_linker::LinkStats) gained `relocations`, a
+//! field its `Debug` text prints. Each covers every field of
 //! [`LinkedBinary`] — image, symbols, sections, layout, placements,
 //! address map, size breakdown, stats — for one program under one of
 //! the four link shapes the pipeline and the BOLT comparison use, so a
@@ -31,25 +33,26 @@ const PROGRAMS: [(&str, f64, u64, usize); 3] = [
     ("505.mcf", 1.0, 3, 9),
 ];
 
-/// `[baseline, labels, relink, retain_relocs]` per program.
+/// `[baseline, labels, relink, bm]` per program, `bm` being the
+/// clustered link's `with_static_relocs`.
 const GOLDEN: [[u64; 4]; 3] = [
     [
-        0xe470_f3b7_62ba_8cbb,
-        0xfcce_5dc3_3a31_6578,
-        0x96b9_251b_5759_0ad8,
-        0xc737_2127_66d4_160b,
+        0xdcb1_796e_b53a_4aef,
+        0xcd63_717f_35cd_8c6e,
+        0x7f4e_c825_8244_a525,
+        0xe221_e1e7_efc3_4300,
     ],
     [
-        0x3a87_3ce9_7694_9ce6,
-        0xd667_dc15_bf9b_48df,
-        0xf7a6_56e6_a28d_e7a6,
-        0x156f_8b7f_97f0_ea80,
+        0x4360_cf25_f438_db5f,
+        0x7b2e_c64f_c020_63ac,
+        0x6c35_313d_1633_85ec,
+        0x04ac_51cc_caca_e5a2,
     ],
     [
-        0xd5de_3737_f5db_ad17,
-        0x8cfd_d854_8600_a31b,
-        0xcbda_9a98_f071_758b,
-        0x6413_cd60_f77e_7166,
+        0x7c03_42ed_608e_35cd,
+        0x3e2c_5e8f_91d8_5d41,
+        0x3b0d_8e14_088f_96d9,
+        0x7296_8262_0cd1_c8e4,
     ],
 ];
 
@@ -185,16 +188,16 @@ fn link_matches_the_digests_pinned_before_the_linear_rewrite() {
         );
         let clustered = compile(&p, &CodegenOptions::with_clusters(map));
         let (relink, sweeps) = link_counted(&clustered, &relink_options(order.clone()));
-        let (retained, _) = link_counted(
+        let (bm, _) = link_counted(
             &clustered,
             &LinkOptions {
                 output_name: "app.bm".into(),
                 symbol_order: Some(order),
-                retain_relocs: true,
                 base: 0x1_0000,
                 ..LinkOptions::default()
             },
         );
+        let bm = bm.with_static_relocs();
 
         // The relink must exercise what the rewrite touches: deleted
         // tail jumps, shrunk branches, and a fixed point that needed
@@ -206,7 +209,7 @@ fn link_matches_the_digests_pinned_before_the_linear_rewrite() {
             relink.stats
         );
         assert!(sweeps > 1, "{spec}: relaxation took {sweeps} sweep(s)");
-        assert!(relink.text_end < retained.text_end - retained.base + relink.base);
+        assert!(relink.text_end < bm.text_end - bm.base + relink.base);
         assert!(!labels.bb_addr_map.functions.is_empty());
         assert!(baseline.bb_addr_map.functions.is_empty());
         // The map is not loaded: the plain link is the labels link
@@ -214,7 +217,7 @@ fn link_matches_the_digests_pinned_before_the_linear_rewrite() {
         assert_eq!(digest(&labels.without_bb_addr_map("a.out")), GOLDEN[i][0]);
         max_sweeps = max_sweeps.max(sweeps);
 
-        *row = [&baseline, &labels, &relink, &retained].map(digest);
+        *row = [&baseline, &labels, &relink, &bm].map(digest);
     }
     // At least one program's shrinks cascade: a sweep's savings pull
     // further branches into short range, so the sweep after it still

@@ -1,7 +1,7 @@
 //! End-to-end linker tests driving real codegen output.
 
 use propeller_codegen::{
-    codegen_module, isa::decode, isa::op, isa::Decoded, ClusterMap, CodegenOptions,
+    codegen_module, isa::decode, isa::op, isa::Decoded, ClusterMap, CodegenOptions, DebugLayout,
     FunctionClusters,
 };
 use propeller_ir::{BlockId, FunctionBuilder, Inst, Program, ProgramBuilder, Terminator};
@@ -306,18 +306,11 @@ fn cold_object_maps_dropped_in_relink() {
 }
 
 #[test]
-fn retained_relocs_grow_file_size() {
+fn static_relocs_grow_file_size() {
     let p = fixture();
     let inputs = compile(&p, &CodegenOptions::baseline());
     let plain = link(&inputs, &LinkOptions::default()).unwrap();
-    let bm = link(
-        &inputs,
-        &LinkOptions {
-            retain_relocs: true,
-            ..LinkOptions::default()
-        },
-    )
-    .unwrap();
+    let bm = plain.clone().with_static_relocs();
     assert!(bm.size_breakdown.relocs > plain.size_breakdown.relocs);
     assert!(bm.size_breakdown.total() > plain.size_breakdown.total());
 }
@@ -385,12 +378,9 @@ fn two_section_object() -> ObjectFile {
     obj
 }
 
-/// An input without a layout table.
+/// An input whose layout table lists no function.
 fn opaque(object: ObjectFile) -> LinkInput {
-    LinkInput {
-        object,
-        debug_layout: None,
-    }
+    LinkInput::new(object, DebugLayout::default())
 }
 
 fn assert_bad_metadata(obj: ObjectFile, needle: &str) {

@@ -44,5 +44,5 @@ pub use bb_addr_map::{BbAddrMap, BbAddrMapWriter, BbEntry, BbFlags, FuncRecord, 
 pub use error::ObjError;
 pub use hash::{ContentHash, ContentHasher};
 pub use object::{ObjectFile, SizeBreakdown};
-pub use reloc::{Reloc, RelocKind};
+pub use reloc::{Reloc, RelocKind, RELA_ENTRY_BYTES};
 pub use section::{Section, SectionKind};

@@ -2,6 +2,10 @@
 
 use std::sync::Arc;
 
+/// Bytes one relocation record takes in a file: the ELF64 RELA record
+/// (offset, info, addend).
+pub const RELA_ENTRY_BYTES: usize = 24;
+
 /// The relocation kinds codegen emits.
 ///
 /// Basic block sections force branch targets to be resolved by the

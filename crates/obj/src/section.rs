@@ -69,10 +69,10 @@ impl Section {
         self.bytes.len()
     }
 
-    /// In-file cost of the section's relocation records, using the
-    /// ELF64 RELA record size (24 bytes per record).
+    /// In-file cost of the section's relocation records
+    /// ([`crate::RELA_ENTRY_BYTES`] each).
     pub fn reloc_bytes(&self) -> usize {
-        self.relocs.len() * 24
+        self.relocs.len() * crate::RELA_ENTRY_BYTES
     }
 }
 

@@ -8,9 +8,7 @@
 
 use propeller::{Propeller, PropellerOptions};
 use propeller_bolt::{run_bolt, BoltOptions};
-use propeller_codegen::{codegen_module, CodegenOptions};
 use propeller_examples::print_comparison;
-use propeller_linker::{link, LinkInput, LinkOptions};
 use propeller_sim::{simulate, ProgramImage, SimOptions, UarchConfig, Workload};
 use propeller_synth::{generate, spec_by_name, GenParams};
 
@@ -28,25 +26,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let eval = pipeline.evaluate(400_000)?;
     print_comparison("Propeller", &eval.baseline, &eval.optimized);
 
-    // BOLT flow: relink the baseline with --emit-relocs, feed it the
+    // BOLT flow: the baseline as linked with --emit-relocs — the
+    // metadata binary without its map, relocations kept — fed the
     // *same* profile.
-    let inputs: Vec<LinkInput> = g
-        .program
-        .modules()
-        .iter()
-        .map(|m| {
-            let r = codegen_module(m, &g.program, &CodegenOptions::baseline())?;
-            Ok(LinkInput::new(r.object, r.debug_layout))
-        })
-        .collect::<Result<_, propeller_codegen::CodegenError>>()?;
-    let bm = link(
-        &inputs,
-        &LinkOptions {
-            output_name: "mysqld.bm".into(),
-            retain_relocs: true,
-            ..LinkOptions::default()
-        },
-    )?;
+    let bm = pipeline
+        .pm_binary()
+        .expect("phase 2 ran")
+        .without_bb_addr_map("mysqld.bm")
+        .with_static_relocs();
     let bolt = run_bolt(&bm, &profile, &BoltOptions::default())?;
     println!(
         "\nBOLT: {} functions discovered, {} optimized, {} insts decoded",

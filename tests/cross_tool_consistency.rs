@@ -28,14 +28,7 @@ fn build(g: &GeneratedBenchmark, cg: &CodegenOptions, lk: &LinkOptions) -> Linke
 #[test]
 fn disassembler_agrees_with_codegen_layout() {
     let g = small_benchmark("541.leela", 0.25, 19);
-    let bin = build(
-        &g,
-        &CodegenOptions::baseline(),
-        &LinkOptions {
-            retain_relocs: true,
-            ..LinkOptions::default()
-        },
-    );
+    let bin = build(&g, &CodegenOptions::baseline(), &LinkOptions::default()).with_static_relocs();
     let funcs = discover_functions(&bin);
     assert!(!funcs.is_empty());
     let mut simple = 0;
@@ -91,14 +84,9 @@ fn wpa_mapper_agrees_with_linker_layout() {
 #[test]
 fn both_optimizers_reduce_taken_branches_on_same_profile() {
     let g = small_benchmark("525.x264", 0.3, 29);
-    let bm = build(
-        &g,
-        &CodegenOptions::baseline(),
-        &LinkOptions {
-            retain_relocs: true,
-            ..LinkOptions::default()
-        },
-    );
+    // BM is the PM (labels) binary without its map, relocations kept.
+    let pm = build(&g, &CodegenOptions::with_labels(), &LinkOptions::default());
+    let bm = pm.without_bb_addr_map("app.bm").with_static_relocs();
     let img = ProgramImage::build(&g.program, &bm.layout).unwrap();
     let workload = Workload::new(g.entries.clone(), 250_000);
     let profile = simulate(
@@ -123,9 +111,8 @@ fn both_optimizers_reduce_taken_branches_on_same_profile() {
         simulate(&bolt_img, &workload, &UarchConfig::default(), &SimOptions::default()).counters;
 
     // Propeller path (same profile!). WPA reads the BB address map,
-    // which lives in the PM (labels) binary; its text layout is
-    // address-identical to BM, so the profile maps onto both.
-    let pm = build(&g, &CodegenOptions::with_labels(), &LinkOptions::default());
+    // which lives in the PM binary; BM's text is PM's, so the profile
+    // maps onto both.
     assert_eq!(pm.symbol("x264_fn0"), bm.symbol("x264_fn0"));
     let wpa = propeller_wpa::run_wpa(&g.program, &pm, &profile, &propeller_wpa::WpaOptions::default());
     let po = build(
@@ -156,15 +143,8 @@ fn bolt_memory_scales_with_text_propeller_with_hot_code() {
     // the (much smaller) hot portion.
     let measure = |scale: f64| {
         let g = small_benchmark("mysql", scale, 31);
-        let bm = build(
-            &g,
-            &CodegenOptions::baseline(),
-            &LinkOptions {
-                retain_relocs: true,
-                ..LinkOptions::default()
-            },
-        );
         let pm = build(&g, &CodegenOptions::with_labels(), &LinkOptions::default());
+        let bm = pm.without_bb_addr_map("app.bm").with_static_relocs();
         let img = ProgramImage::build(&g.program, &pm.layout).unwrap();
         let profile = simulate(
             &img,

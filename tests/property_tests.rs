@@ -1,14 +1,17 @@
 //! Property-based tests over the core data structures and invariants.
 
+use propeller_bolt::{run_bolt, BoltError, BoltOptions};
 use propeller_codegen::isa::decode;
 use propeller_codegen::{codegen_module, CodegenOptions};
 use propeller_ir::{
     BlockId, Function, FunctionBuilder, FunctionId, Inst, Program, ProgramBuilder, Terminator,
 };
-use propeller_linker::{link, LinkInput, LinkOptions, SymbolOrdering};
+use propeller_linker::{link, LinkInput, LinkOptions, LinkedBinary, SymbolOrdering};
 use propeller_obj::{
     BbAddrMap, BbEntry, BbFlags, ContentHash, FuncRecord, ObjectFile, RangeRecord, SectionKind,
+    RELA_ENTRY_BYTES,
 };
+use propeller_profile::HardwareProfile;
 use propeller_synth::{evolve, spec_by_name, DriftParams, GeneratedBenchmark};
 use propeller_telemetry::Telemetry;
 use propeller_wpa::exttsp::{order_nodes, score_layout, Edge, ExtTspParams, Node};
@@ -667,6 +670,64 @@ proptest! {
         prop_assert_eq!(
             armed_report, unarmed_report,
             "arming provenance changed run_report.json"
+        );
+    }
+}
+
+/// Links every module of `g` compiled under `cg` with default options.
+fn link_all(g: &GeneratedBenchmark, cg: &CodegenOptions) -> (Vec<LinkInput>, LinkedBinary) {
+    let inputs: Vec<LinkInput> = g
+        .program
+        .modules()
+        .iter()
+        .map(|m| {
+            let r = codegen_module(m, &g.program, cg).unwrap();
+            LinkInput::new(r.object, r.debug_layout)
+        })
+        .collect();
+    let bin = link(&inputs, &LinkOptions::default()).unwrap();
+    (inputs, bin)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// BOLT's input ("BM") is the metadata binary without its map, with
+    /// the relocations an `--emit-relocs` link keeps: the plain link's
+    /// image, symbols, sections, layout and placements, plus one RELA
+    /// record per relocation of the input objects.
+    #[test]
+    fn bm_is_the_plain_link_with_its_relocations_kept(
+        bench_idx in 0usize..3,
+        seed in 0u64..10_000,
+    ) {
+        let (bench, scale) = [("541.leela", 0.25), ("505.mcf", 1.0), ("clang", 0.004)][bench_idx];
+        let g = propeller_integration_tests::small_benchmark(bench, scale, seed);
+        let (plain_inputs, plain) = link_all(&g, &CodegenOptions::baseline());
+        let (_, labels) = link_all(&g, &CodegenOptions::with_labels());
+        let bm = labels.without_bb_addr_map("app.bm").with_static_relocs();
+        prop_assert_eq!(&bm.image, &plain.image);
+        prop_assert_eq!(&bm.symbols, &plain.symbols);
+        prop_assert_eq!(&bm.sections, &plain.sections);
+        prop_assert_eq!(&bm.layout, &plain.layout);
+        prop_assert_eq!(&bm.placements, &plain.placements);
+
+        let records: usize = plain_inputs
+            .iter()
+            .flat_map(|i| i.object.sections())
+            .map(|s| s.relocs.len())
+            .sum();
+        prop_assert!(records > 0);
+        prop_assert_eq!(bm.size_breakdown.relocs, RELA_ENTRY_BYTES * records);
+        prop_assert_eq!(plain.stats.relocations, records as u64);
+        prop_assert_eq!(plain.size_breakdown.relocs, 0);
+
+        let profile = HardwareProfile::new("app.bm");
+        prop_assert!(run_bolt(&bm, &profile, &BoltOptions::default()).is_ok());
+        let baseline = labels.without_bb_addr_map("app.baseline");
+        prop_assert_eq!(
+            run_bolt(&baseline, &profile, &BoltOptions::default()).err(),
+            Some(BoltError::MissingRelocations)
         );
     }
 }
