@@ -213,7 +213,7 @@ pub fn fig5(p: &Parsed) -> Result<ExitCode, CliError> {
     ]);
     for a in runs_on(p, &all_benchmarks(), run_benchmark)? {
         let a = a?;
-        let base_link = a.full_scale(a.baseline.stats.modeled_peak_memory);
+        let base_link = a.full_scale(a.bm.stats.modeled_peak_memory);
         let relink = a.full_scale(a.po()?.stats.modeled_peak_memory);
         let bolt = a
             .bolt
@@ -257,7 +257,11 @@ pub fn fig6(p: &Parsed) -> Result<ExitCode, CliError> {
     }
     for a in runs_on(p, &all_benchmarks(), run_benchmark)? {
         let a = a?;
-        let total = a.baseline.size_breakdown.total();
+        let base = SizeBreakdown {
+            relocs: 0,
+            ..a.bm.size_breakdown
+        };
+        let total = base.total();
         let mut t = Table::new(&[
             "binary",
             "text",
@@ -267,7 +271,7 @@ pub fn fig6(p: &Parsed) -> Result<ExitCode, CliError> {
             "other",
             "total",
         ]);
-        t.row(row_of("Base", &a.baseline.size_breakdown, total));
+        t.row(row_of("Base", &base, total));
         t.row(row_of("PM", &a.pm()?.size_breakdown, total));
         t.row(row_of("PO", &a.po()?.size_breakdown, total));
         t.row(row_of("BM", &a.bm.size_breakdown, total));
@@ -311,7 +315,7 @@ pub fn fig7(p: &Parsed) -> Result<ExitCode, CliError> {
             let map = require(run.heatmap, "the heat map", "the simulation requested it")?;
             Ok::<_, CliError>((run.counters, map))
         };
-        let (base_c, base_h) = heat(&a.baseline.layout)?;
+        let (base_c, base_h) = heat(&a.bm.layout)?;
         let (prop_c, prop_h) = heat(&a.po()?.layout)?;
         let (base_rows, prop_rows) = (base_h.active_rows(), prop_h.active_rows());
         println!("Figure 7(a): baseline (PGO+ThinLTO), active rows = {base_rows}");
@@ -406,7 +410,7 @@ pub fn fig8(p: &Parsed) -> Result<ExitCode, CliError> {
                 let run = a.simulate_layout(layout, &small_pages, &SimOptions::default());
                 run.map(|r| r.counters)
             };
-            let base = sim4k(&a.baseline.layout)?;
+            let base = sim4k(&a.bm.layout)?;
             let mut t = Table::new(&HEADER);
             row(&mut t, "Propeller", &sim4k(&a.po()?.layout)?, &base);
             if let Some(bolt) = a.bolt_runnable() {

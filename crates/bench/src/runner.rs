@@ -80,10 +80,10 @@ pub struct BenchArtifacts {
     pub pipeline: Propeller,
     /// Pipeline summary.
     pub report: propeller::PropellerReport,
-    /// The PGO+ThinLTO-equivalent baseline binary.
-    pub baseline: Arc<LinkedBinary>,
-    /// The baseline with its static relocations kept — BOLT's required
-    /// input ("BM").
+    /// The PGO+ThinLTO-equivalent baseline with its static relocations
+    /// kept — BOLT's required input ("BM"). The baseline itself is this
+    /// binary without `size_breakdown.relocs`: same layout, stats and
+    /// text range.
     pub bm: LinkedBinary,
     /// The BOLT run (may legitimately fail).
     pub bolt: Result<BoltOutput, BoltError>,
@@ -138,7 +138,7 @@ impl BenchArtifacts {
     /// The three comparable layouts as `(label, layout)` — baseline
     /// always, Propeller always, BOLT when its output runs.
     pub fn comparable_layouts(&self) -> Result<Vec<(&'static str, &FinalLayout)>, PipelineError> {
-        let mut out = vec![("baseline", &self.baseline.layout), ("propeller", &self.po()?.layout)];
+        let mut out = vec![("baseline", &self.bm.layout), ("propeller", &self.po()?.layout)];
         out.extend(self.bolt_runnable().map(|b| ("bolt", &b.layout)));
         Ok(out)
     }
@@ -152,8 +152,8 @@ impl BenchArtifacts {
         let stats = self.pipeline.program().stats();
         let insts_full = self.full_scale(stats.num_insts as u64);
         let input_bytes_full =
-            self.full_scale(self.baseline.stats.input_bytes);
-        let text_full = self.full_scale(self.baseline.text_end - self.baseline.text_start);
+            self.full_scale(self.bm.stats.input_bytes);
+        let text_full = self.full_scale(self.bm.text_end - self.bm.text_start);
         let hot = self.report.hot_module_fraction;
         // Per-module work is scale-invariant (module size is fixed);
         // module count scales. Distributed wall time is bounded by the
@@ -263,9 +263,9 @@ pub fn run_benchmark(
     let uarch = opts.uarch;
     let mut pipeline = Propeller::new(gen.program, gen.entries, opts);
     let report = pipeline.run_all()?;
-    let baseline = pipeline.build_baseline()?;
     let profile = pipeline.profile().ok_or(PipelineError::PhaseOrder { needs: "phase 3" })?;
-    // BM: the baseline as linked with --emit-relocs, for BOLT.
+    // BM: the baseline (PM without its address map) as linked with
+    // --emit-relocs, for BOLT.
     let pm = pipeline
         .pm_binary()
         .ok_or(PipelineError::PhaseOrder { needs: "phase 2" })?;
@@ -289,7 +289,6 @@ pub fn run_benchmark(
         scale,
         pipeline,
         report,
-        baseline,
         bm,
         bolt,
         base_counters: eval.baseline,
@@ -385,7 +384,7 @@ mod tests {
         let ft = a.full_scale_times().unwrap();
         assert_eq!(ft.relink, cost::link_secs(a.full_scale(po.stats.input_bytes)));
         // The hot objects' new maps make it read more than the baseline.
-        assert!(po.stats.input_bytes > a.baseline.stats.input_bytes);
+        assert!(po.stats.input_bytes > a.bm.stats.input_bytes);
         assert!(ft.relink > ft.link);
     }
 }

@@ -74,9 +74,10 @@ pub struct PropellerOptions {
     /// profile edges funded each CFG edge weight. Off by default;
     /// arming never changes the layout or any default report.
     pub provenance: bool,
-    /// Worker threads for real local work: the codegen fan-out of
-    /// Phases 2/4 and the Ext-TSP gain evaluation. Defaults to the
-    /// machine's available parallelism; `1` forces the exact serial
+    /// Worker threads of the codegen pool of Phases 2/4 (fleet's own
+    /// `jobs` sets this and also widens its machine collection and
+    /// lanes); Ext-TSP runs on one thread at every value. Defaults to
+    /// the machine's available parallelism; `1` forces the exact serial
     /// legacy path. Every output is bit-identical at every value —
     /// results are always reduced in submission order.
     pub jobs: usize,
@@ -283,9 +284,6 @@ impl Propeller {
     ) -> Self {
         let program = program.into();
         let mut opts = opts;
-        // One knob drives every parallel stage: the Ext-TSP gain
-        // evaluation honors the same worker count as the codegen pool.
-        opts.wpa.exttsp.jobs = opts.jobs;
         // One knob arms every provenance collector.
         opts.wpa.provenance = opts.provenance;
         let injector = if opts.faults.is_none() {

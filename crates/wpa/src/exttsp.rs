@@ -96,11 +96,9 @@ pub struct ExtTspParams {
     /// merges; longer chains only concatenate (the scalability knob of
     /// §4.7).
     pub chain_split_threshold: usize,
-    /// Worker threads for merge-gain evaluation. Gains for a batch of
-    /// candidate pairs are computed in parallel but reduced in the
-    /// serial submission order, so the heap sequence — and therefore
-    /// the final layout — is bit-identical at every value. `1` (the
-    /// default) evaluates inline.
+    /// Read by nothing: merge gains are evaluated on one thread. The
+    /// field stays only because the frozen `benchmark/src/staged.rs`
+    /// still assigns it; delete it together with that line.
     pub jobs: usize,
 }
 
@@ -507,10 +505,9 @@ struct MergeScratch {
 }
 
 thread_local! {
-    /// The [`MergeScratch`] of the thread evaluating gains — the serial
-    /// loop's, or one fan-out worker's — reused across pairs and runs,
-    /// so evaluation allocates only while its buffers grow past the
-    /// largest pair the thread has seen.
+    /// The [`MergeScratch`] gain evaluation reuses across pairs and
+    /// across [`order_nodes`] calls, so evaluation allocates only while
+    /// its buffers grow past the largest pair the thread has seen.
     static SCRATCH: std::cell::RefCell<MergeScratch> = const {
         std::cell::RefCell::new(MergeScratch {
             pair: Vec::new(),
@@ -692,78 +689,12 @@ fn best_queued_alternative(opt: &Optimizer<'_>, heap: &BinaryHeap<HeapEntry>) ->
     })
 }
 
-/// Estimated work units (≈ 5 ns each) every worker thread of a gain
-/// batch must have before the batch is fanned out. [`eval_pairs`]
-/// charges a pair `20 + 6·(|x| + |y|)`: a least-squares fit over the
-/// 1 908 batches of ≥ 200 blocks in the benchmark's `refresh_interproc`
-/// gave ≈ 104 ns per pair plus ≈ 27 ns per block of the two chains.
-/// Measured on a 2-vCPU VM, where spawning and joining two scoped
-/// threads costs ≈ 60 µs: batches of 2¹⁷–2¹⁹ units (1–3 ms inline) ran
-/// about 25 % slower split over two workers than inline, and from 2¹⁹
-/// up (3–6 ms) only broke even; at 2¹⁶ per thread the default-scale
-/// `ablation-interproc` fanned out nine batches of its 782-section
-/// layout and took 65 ms at `jobs = 2` against 63 ms at `jobs = 1`.
-const WORK_PER_THREAD: u64 = 1 << 18;
-
 #[cfg(test)]
 thread_local! {
-    /// Batches this thread fanned out, so tests can tell the parallel
-    /// path was really taken.
-    static FAN_OUTS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
     /// `(candidates, full scorings)` of the merge variants this thread
     /// evaluated: variants past `entry_ok`, and those the bound could
     /// not rule out.
     static SCORINGS: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
-}
-
-/// Evaluates [`Optimizer::best_merge`] for every ordered pair in
-/// `pairs`, returning results in `pairs` order. With `jobs > 1` and
-/// enough estimated work per worker (from the chain lengths alone, so
-/// the decision is a function of the input) the pair list is cut into
-/// contiguous chunks evaluated on scoped worker threads and the
-/// per-chunk results are concatenated in chunk order — `best_merge` is
-/// read-only, so the output is byte-for-byte the same as the serial
-/// evaluation regardless of thread interleaving.
-fn eval_pairs(
-    opt: &Optimizer<'_>,
-    pairs: &[(usize, usize)],
-    jobs: usize,
-) -> Vec<Option<(f64, usize)>> {
-    let work = |&(x, y): &(usize, usize)| -> u64 {
-        20 + 6 * (opt.chain(x).blocks.len() + opt.chain(y).blocks.len()) as u64
-    };
-    let workers = if jobs > 1 {
-        let affordable = pairs.iter().map(work).sum::<u64>() / WORK_PER_THREAD;
-        jobs.min(pairs.len())
-            .min(usize::try_from(affordable).unwrap_or(usize::MAX))
-    } else {
-        1
-    };
-    if workers <= 1 {
-        return pairs.iter().map(|&(x, y)| opt.best_merge(x, y)).collect();
-    }
-    #[cfg(test)]
-    FAN_OUTS.with(|c| c.set(c.get() + 1));
-    let chunk = pairs.len().div_ceil(workers);
-    let mut out = Vec::with_capacity(pairs.len());
-    std::thread::scope(|s| {
-        let handles: Vec<_> = pairs
-            .chunks(chunk)
-            .map(|c| {
-                s.spawn(move || {
-                    c.iter()
-                        .map(|&(x, y)| opt.best_merge(x, y))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            // `best_merge` only panics on a dead chain, which callers
-            // never pass; a panic here is a bug worth propagating.
-            out.extend(h.join().expect("gain evaluation does not panic"));
-        }
-    });
-    out
 }
 
 /// One committed chain merge, in commit order — the provenance trail
@@ -987,36 +918,33 @@ pub fn order_nodes(
     let mut opt = Optimizer::new(&graph, entry_idx, params);
 
     let mut heap = BinaryHeap::new();
-    // Evaluates a batch of pairs and pushes the results in submission
-    // order — the heap sees the exact sequence the serial code would
-    // have pushed, so the pop order (and every tie-break) is
-    // independent of `params.jobs`.
-    let push_evaluated =
-        |opt: &Optimizer, heap: &mut BinaryHeap<HeapEntry>, ordered: &[(usize, usize)]| {
-            let evals = eval_pairs(opt, ordered, params.jobs);
-            for (&(x, y), ev) in ordered.iter().zip(evals) {
-                if let Some((gain, split)) = ev {
-                    heap.push(HeapEntry {
-                        gain,
-                        x,
-                        y,
-                        vx: opt.chain(x).version,
-                        vy: opt.chain(y).version,
-                        split,
-                    });
-                }
-            }
-        };
+    let mut evaluations = 0u64;
+    // Callers evaluate in the reference's order, `(x, y)` then `(y, x)`:
+    // which of two entries equal under `HeapEntry`'s key (a stale copy
+    // beside a fresh one) pops first depends on the push sequence, and
+    // so does `evaluations`.
+    let mut evaluate = |opt: &Optimizer, heap: &mut BinaryHeap<HeapEntry>, x, y| {
+        evaluations += 1;
+        if let Some((gain, split)) = opt.best_merge(x, y) {
+            heap.push(HeapEntry {
+                gain,
+                x,
+                y,
+                vx: opt.chain(x).version,
+                vy: opt.chain(y).version,
+                split,
+            });
+        }
+    };
     let detail_on = log.as_deref().is_some_and(|l| l.detail.is_some());
     // Neighbor lists ascend, so this is every adjacent unordered pair
     // in ascending `(x, y)` order, both directions each.
-    let ordered: Vec<(usize, usize)> = (0..nodes.len())
-        .flat_map(|x| opt.neighbors[x].iter().map(move |&y| (x, y)))
-        .filter(|&(x, y)| x < y)
-        .flat_map(|(x, y)| [(x, y), (y, x)])
-        .collect();
-    let mut evaluations = ordered.len() as u64;
-    push_evaluated(&opt, &mut heap, &ordered);
+    for x in 0..nodes.len() {
+        for &y in opt.neighbors[x].iter().filter(|&&y| x < y) {
+            evaluate(&opt, &mut heap, x, y);
+            evaluate(&opt, &mut heap, y, x);
+        }
+    }
 
     let mut merges = 0u64;
     while let Some(entry) = heap.pop() {
@@ -1029,8 +957,7 @@ pub fn order_nodes(
         }
         if opt.chain(x).version != entry.vx || opt.chain(y).version != entry.vy {
             // Stale: recompute and requeue.
-            evaluations += 1;
-            push_evaluated(&opt, &mut heap, &[(x, y)]);
+            evaluate(&opt, &mut heap, x, y);
             continue;
         }
         // The rejected alternative must be read before `apply` bumps
@@ -1061,12 +988,10 @@ pub fn order_nodes(
                 });
             }
         }
-        let ordered: Vec<(usize, usize)> = opt.neighbors[x]
-            .iter()
-            .flat_map(|&n| [(x, n), (n, x)])
-            .collect();
-        evaluations += ordered.len() as u64;
-        push_evaluated(&opt, &mut heap, &ordered);
+        for &n in &opt.neighbors[x] {
+            evaluate(&opt, &mut heap, x, n);
+            evaluate(&opt, &mut heap, n, x);
+        }
     }
     if let Some(detail) = log.as_deref_mut().and_then(|l| l.detail.as_mut()) {
         detail.evaluations = evaluations;
@@ -1470,47 +1395,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_gain_evaluation_is_bit_identical_to_serial() {
-        // Large enough that re-evaluations around long chains clear
-        // `WORK_PER_THREAD` for several workers, with long-range
-        // shortcuts so chains meet many others.
-        let n = 1200u32;
-        let ns: Vec<Node> = (0..n)
-            .map(|i| Node {
-                id: i,
-                size: 12 + (i % 9),
-                count: (i as u64 * 41) % 120,
-            })
-            .collect();
-        let es: Vec<Edge> = (0..n - 1)
-            .map(|i| edge(i, i + 1, ((i as u64 * 17) % 60) + 1))
-            .chain((0..n / 2).map(|i| edge((i * 5) % n, (i * 7 + 3) % n, 35)))
-            .chain((0..n / 4).map(|i| edge((i * 11 + 1) % n, (i * 2) % n, 50)))
-            .collect();
-        let tel = Telemetry::disabled();
-        let serial = ExtTspParams::default();
-        let mut log1 = MergeLog::with_detail();
-        let a = order_nodes(&ns, &es, 0, &serial, &tel, Some(&mut log1));
-        assert_eq!(FAN_OUTS.get(), 0, "jobs = 1 never spawns");
-        for jobs in [2, 3, 8] {
-            let parallel = ExtTspParams { jobs, ..serial };
-            let before = FAN_OUTS.get();
-            let mut log2 = MergeLog::with_detail();
-            let b = order_nodes(&ns, &es, 0, &parallel, &tel, Some(&mut log2));
-            assert!(
-                FAN_OUTS.get() > before,
-                "the gate never opened at jobs={jobs}"
-            );
-            assert_eq!(a, b, "layout diverged at jobs={jobs}");
-            assert_eq!(
-                log_bits(&log1),
-                log_bits(&log2),
-                "merge log diverged at jobs={jobs}"
-            );
-        }
-    }
-
-    #[test]
     fn the_bound_leaves_few_variants_to_full_scoring_on_a_sparse_section_graph() {
         // Shaped like the benchmark's inter-procedural problem (166
         // sections, 212 edges), where 3 922 of 44 404 candidate variants
@@ -1573,19 +1457,6 @@ mod tests {
             full * 100 <= candidates * 15,
             "{full} of {candidates} variants fully scored"
         );
-    }
-
-    #[test]
-    fn small_batches_stay_inline_at_any_job_count() {
-        let ns = nodes(&[(0, 20, 100), (1, 20, 5), (2, 20, 95), (3, 20, 100)]);
-        let es = vec![edge(0, 1, 5), edge(0, 2, 95), edge(1, 3, 5), edge(2, 3, 95)];
-        let params = ExtTspParams {
-            jobs: 8,
-            ..ExtTspParams::default()
-        };
-        let before = FAN_OUTS.get();
-        order_nodes(&ns, &es, 0, &params, &Telemetry::disabled(), None);
-        assert_eq!(FAN_OUTS.get(), before);
     }
 
     #[test]
@@ -1676,7 +1547,7 @@ mod tests {
             raw_edges in proptest::collection::vec(
                 (proptest::any::<u16>(), proptest::any::<u16>(), 1u64..2000), 0..160),
             entry_pick in proptest::any::<u16>(),
-            knobs in 0usize..6,
+            knobs in 0usize..3,
             weights in 0usize..4,
             windows in (0usize..2, 1u64..=64, 1u64..=64),
             grow in (
@@ -1710,8 +1581,7 @@ mod tests {
             }
             let (ns, es, entry) = random_problem(&raw_nodes, &raw_edges, entry_pick);
             let mut params = ExtTspParams {
-                chain_split_threshold: if big { 128 } else { [0, 3, 128][knobs % 3] },
-                jobs: [1, 4][knobs / 3],
+                chain_split_threshold: if big { 128 } else { [0, 3, 128][knobs] },
                 ..ExtTspParams::default()
             };
             if windows.0 == 1 {

@@ -245,9 +245,8 @@ pub(super) fn order_nodes_logged(
             });
         }
     };
-    // Pushes a batch of evaluated pairs in submission order — the heap
-    // sees the exact sequence the serial code would have pushed, so the
-    // pop order (and every tie-break) is independent of `params.jobs`.
+    // Pushes a batch of evaluated pairs in submission order, the order
+    // `super::order_nodes` pushes them in one by one.
     let push_evaluated = |opt: &Optimizer,
                           heap: &mut BinaryHeap<HeapEntry>,
                           ordered: &[(usize, usize)],

@@ -14,7 +14,6 @@ use propeller_obj::ContentHash;
 use propeller_profile::SamplingConfig;
 use propeller_sim::{simulate, ProgramImage, SimOptions, UarchConfig, Workload};
 use propeller_synth::{generate, spec_by_name, GenParams};
-use propeller_wpa::exttsp::ExtTspParams;
 use propeller_wpa::{cluster_map_to_text, run_wpa, WpaOptions, WpaOutput};
 
 const GOLDEN_DEFAULT: u64 = 0x8287_db20_77ba_992d;
@@ -118,12 +117,4 @@ fn run_wpa_matches_the_digests_pinned_before_the_exttsp_rewrite() {
         (GOLDEN_DEFAULT, GOLDEN_INTERPROC),
         "got default {d:#018x}, interproc {i:#018x}"
     );
-
-    // The digest is independent of the gain-evaluation worker count.
-    let mut par = WpaOptions::interprocedural();
-    par.exttsp = ExtTspParams {
-        jobs: 4,
-        ..par.exttsp
-    };
-    assert_eq!(digest(&fx, &run(&par)), GOLDEN_INTERPROC);
 }
