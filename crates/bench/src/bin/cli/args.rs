@@ -155,9 +155,7 @@ impl Parsed {
             "--faults" => {
                 self.service.faults = Some(FaultPlan::parse(&v).map_err(CliError::BadFaultSpec)?)
             }
-            "--jobs" => {
-                self.service.jobs = Some(num_in(flag, &v, "at least 1", 1..)?)
-            }
+            "--jobs" => self.service.jobs = Some(num_in(flag, &v, "at least 1", 1..)?),
             "--out" => self.outputs.out = Some(v),
             "--trace-out" => self.outputs.trace_out = Some(v),
             "--flamegraph-out" => self.outputs.flamegraph_out = Some(v),

@@ -63,7 +63,12 @@ const DIR_AND_TRACE: &str = "[--out DIR] [--trace-out FILE]";
 
 /// A paper-artifact row: `<name> [bench ...]`, scaled by `--scale MULT`.
 const fn artifact(synopsis: &'static str, about: &'static str, run: Run) -> Command {
-    Command { synopsis, flags: &[PROGRAM_MULT], about, run }
+    Command {
+        synopsis,
+        flags: &[PROGRAM_MULT],
+        about,
+        run,
+    }
 }
 
 pub const COMMANDS: &[Command] = &[

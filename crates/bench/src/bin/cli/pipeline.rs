@@ -380,7 +380,9 @@ fn event_flag(p: &Parsed) -> Result<Option<Event>, CliError> {
 
 pub fn compare(p: &Parsed) -> Result<ExitCode, CliError> {
     let a = run_bench(p, false)?;
-    let bolt_speedup = a.bolt_counters.map(|c| c.speedup_pct_over(&a.base_counters));
+    let bolt_speedup = a
+        .bolt_counters
+        .map(|c| c.speedup_pct_over(&a.base_counters));
     if p.json {
         let eval = EvalReport {
             baseline: a.base_counters,

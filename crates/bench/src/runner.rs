@@ -42,7 +42,14 @@ pub fn scaled(spec: &BenchmarkSpec, mult: f64) -> f64 {
 
 /// Generates `spec`'s synthetic program at an absolute `scale`.
 pub fn generate_at(spec: &BenchmarkSpec, scale: f64, seed: u64) -> GeneratedBenchmark {
-    generate(spec, &GenParams { scale, seed, ..GenParams::for_spec(spec) })
+    generate(
+        spec,
+        &GenParams {
+            scale,
+            seed,
+            ..GenParams::for_spec(spec)
+        },
+    )
 }
 
 /// Pipeline options of a harness run: the machine the paper built
@@ -107,12 +114,16 @@ impl BenchArtifacts {
 
     /// The Phase 2 metadata binary.
     pub fn pm(&self) -> Result<&LinkedBinary, PipelineError> {
-        self.pipeline.pm_binary().ok_or(PipelineError::PhaseOrder { needs: "phase 2" })
+        self.pipeline
+            .pm_binary()
+            .ok_or(PipelineError::PhaseOrder { needs: "phase 2" })
     }
 
     /// The Phase 4 optimized binary.
     pub fn po(&self) -> Result<&LinkedBinary, PipelineError> {
-        self.pipeline.po_binary().ok_or(PipelineError::PhaseOrder { needs: "phase 4" })
+        self.pipeline
+            .po_binary()
+            .ok_or(PipelineError::PhaseOrder { needs: "phase 4" })
     }
 
     /// Simulates a layout on the evaluation workload under `uarch` with
@@ -138,7 +149,10 @@ impl BenchArtifacts {
     /// The three comparable layouts as `(label, layout)` — baseline
     /// always, Propeller always, BOLT when its output runs.
     pub fn comparable_layouts(&self) -> Result<Vec<(&'static str, &FinalLayout)>, PipelineError> {
-        let mut out = vec![("baseline", &self.bm.layout), ("propeller", &self.po()?.layout)];
+        let mut out = vec![
+            ("baseline", &self.bm.layout),
+            ("propeller", &self.po()?.layout),
+        ];
         out.extend(self.bolt_runnable().map(|b| ("bolt", &b.layout)));
         Ok(out)
     }
@@ -151,8 +165,7 @@ impl BenchArtifacts {
     pub fn full_scale_times(&self) -> Result<FullScaleTimes, PipelineError> {
         let stats = self.pipeline.program().stats();
         let insts_full = self.full_scale(stats.num_insts as u64);
-        let input_bytes_full =
-            self.full_scale(self.bm.stats.input_bytes);
+        let input_bytes_full = self.full_scale(self.bm.stats.input_bytes);
         let text_full = self.full_scale(self.bm.text_end - self.bm.text_start);
         let hot = self.report.hot_module_fraction;
         // Per-module work is scale-invariant (module size is fixed);
@@ -263,7 +276,9 @@ pub fn run_benchmark(
     let uarch = opts.uarch;
     let mut pipeline = Propeller::new(gen.program, gen.entries, opts);
     let report = pipeline.run_all()?;
-    let profile = pipeline.profile().ok_or(PipelineError::PhaseOrder { needs: "phase 3" })?;
+    let profile = pipeline
+        .profile()
+        .ok_or(PipelineError::PhaseOrder { needs: "phase 3" })?;
     // BM: the baseline (PM without its address map) as linked with
     // --emit-relocs, for BOLT.
     let pm = pipeline
@@ -355,8 +370,14 @@ pub fn run_variants(
 }
 
 /// The benchmarks most artifacts iterate over, in the paper's order.
-pub const DEFAULT_BENCHMARKS: [&str; 6] =
-    ["clang", "mysql", "spanner", "search", "bigtable", "superroot"];
+pub const DEFAULT_BENCHMARKS: [&str; 6] = [
+    "clang",
+    "mysql",
+    "spanner",
+    "search",
+    "bigtable",
+    "superroot",
+];
 
 /// The SPEC2017 subset.
 pub const SPEC_BENCHMARKS: [&str; 8] = [
@@ -378,11 +399,18 @@ mod tests {
     #[test]
     fn relink_is_the_link_of_every_object_the_relink_read() {
         let spec = spec_by_name("spanner").expect("built-in spec");
-        let cfg = RunConfig { scale_mult: 0.05, seed: 3, provenance: false };
+        let cfg = RunConfig {
+            scale_mult: 0.05,
+            seed: 3,
+            provenance: false,
+        };
         let a = run_benchmark(&spec, &cfg).unwrap();
         let po = a.po().unwrap();
         let ft = a.full_scale_times().unwrap();
-        assert_eq!(ft.relink, cost::link_secs(a.full_scale(po.stats.input_bytes)));
+        assert_eq!(
+            ft.relink,
+            cost::link_secs(a.full_scale(po.stats.input_bytes))
+        );
         // The hot objects' new maps make it read more than the baseline.
         assert!(po.stats.input_bytes > a.bm.stats.input_bytes);
         assert!(ft.relink > ft.link);

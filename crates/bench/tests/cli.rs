@@ -154,7 +154,11 @@ fn malformed_artifacts_are_parse_errors() {
     // A repeated name used to be resolved silently: the metrics map kept
     // the last value, and the second placement of `f` read as a move.
     let text = String::from_utf8(baseline.clone()).expect("utf-8 baseline");
-    let repeated = text.replacen("\"metrics\": {", "\"metrics\": {\"eval.speedup_pct\": 1,", 1);
+    let repeated = text.replacen(
+        "\"metrics\": {",
+        "\"metrics\": {\"eval.speedup_pct\": 1,",
+        1,
+    );
     let repeated_metric = file("repeated_metric.json", repeated.as_bytes());
     let placement = |order| {
         format!(
@@ -175,12 +179,21 @@ fn malformed_artifacts_are_parse_errors() {
     for (argv, cause) in [
         (["diff", &good, &cut], "JSON error at byte 2000"),
         (["diff", &good, &empty], "missing `run_report.benchmark`"),
-        (["diff", &ill_typed, &good], "expected a string at `run_report.benchmark`"),
+        (
+            ["diff", &ill_typed, &good],
+            "expected a string at `run_report.benchmark`",
+        ),
         (["layout-diff", &cut, &cut], "JSON error at byte 2000"),
-        (["layout-diff", &good, &good], "missing `layout_provenance.functions`"),
+        (
+            ["layout-diff", &good, &good],
+            "missing `layout_provenance.functions`",
+        ),
         (["diff", &good, &deep], "nesting deeper than 128"),
         (["layout-diff", &deep, &deep], "nesting deeper than 128"),
-        (["diff", &good, &repeated_metric], "repeated member name \"eval.speedup_pct\""),
+        (
+            ["diff", &good, &repeated_metric],
+            "repeated member name \"eval.speedup_pct\"",
+        ),
         (
             ["layout-diff", &repeated_symbol, &repeated_symbol],
             "expected a name no earlier row has at `layout_provenance.placements[1].symbol`",
@@ -189,8 +202,14 @@ fn malformed_artifacts_are_parse_errors() {
         let out = cli(&argv);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{argv:?}: {stderr}");
-        assert!(stderr.starts_with("error: cannot parse "), "{argv:?}: {stderr}");
-        assert!(stderr.contains("  caused by: ") && stderr.contains(cause), "{argv:?}: {stderr}");
+        assert!(
+            stderr.starts_with("error: cannot parse "),
+            "{argv:?}: {stderr}"
+        );
+        assert!(
+            stderr.contains("  caused by: ") && stderr.contains(cause),
+            "{argv:?}: {stderr}"
+        );
     }
     assert!(cli(&["diff", &good, &good]).status.success());
 }
@@ -222,10 +241,16 @@ fn unread_flags_and_out_of_range_numbers_are_usage_errors() {
     let baseline = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../ci/bench_baseline.json");
     let text = String::from_utf8(read(baseline.clone())).expect("utf-8 baseline");
     let speedup = "\"eval.speedup_pct\": 2.8832914387810327";
-    assert!(text.contains(speedup), "the baseline's speedup moved; update this test");
+    assert!(
+        text.contains(speedup),
+        "the baseline's speedup moved; update this test"
+    );
     let regressed = dir.join("regressed.json");
-    std::fs::write(&regressed, text.replace(speedup, "\"eval.speedup_pct\": 0.01"))
-        .expect("write regressed report");
+    std::fs::write(
+        &regressed,
+        text.replace(speedup, "\"eval.speedup_pct\": 0.01"),
+    )
+    .expect("write regressed report");
     let good = baseline.to_str().expect("utf-8 path");
     let bad = regressed.to_str().expect("utf-8 path");
     let gated = cli(&["diff", good, bad]);
@@ -255,8 +280,26 @@ fn unread_flags_and_out_of_range_numbers_are_usage_errors() {
         &["traffic", "clang", "--requests", "0"],
         &["slo", "clang", "--requests", "0"],
         &["traffic", "clang", "--requests", "3", "--mean-gap", "1e308"],
-        &["traffic", "clang", "--requests", "2", "--out", never, "--slots", "0"],
-        &["traffic", "clang", "--requests", "2", "--out", never, "--tenants", "0"],
+        &[
+            "traffic",
+            "clang",
+            "--requests",
+            "2",
+            "--out",
+            never,
+            "--slots",
+            "0",
+        ],
+        &[
+            "traffic",
+            "clang",
+            "--requests",
+            "2",
+            "--out",
+            never,
+            "--tenants",
+            "0",
+        ],
         &["serve", "clang", "--slots", "0"],
     ] {
         let t0 = std::time::Instant::now();
@@ -265,20 +308,42 @@ fn unread_flags_and_out_of_range_numbers_are_usage_errors() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{argv:?}: {stderr}");
         let named = format!("{} {}: need ", argv[argv.len() - 2], argv[argv.len() - 1]);
-        assert!(stderr.starts_with(&named) && stderr.contains("usage:"), "{argv:?}: {stderr}");
-        assert!(out.stdout.is_empty(), "{argv:?} started work before rejecting its input");
+        assert!(
+            stderr.starts_with(&named) && stderr.contains("usage:"),
+            "{argv:?}: {stderr}"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "{argv:?} started work before rejecting its input"
+        );
         assert!(took.as_secs_f64() < 1.0, "{argv:?} took {took:?}");
     }
-    assert!(!Path::new(never).exists(), "a rejected invocation wrote its --out directory");
+    assert!(
+        !Path::new(never).exists(),
+        "a rejected invocation wrote its --out directory"
+    );
 
     // Two clauses for one kind used to keep only the last: this ran clean.
     let t0 = std::time::Instant::now();
-    let out = cli(&["run", "clang", "--scale", "0.002", "--faults", "transient=0.9,transient=0"]);
+    let out = cli(&[
+        "run",
+        "clang",
+        "--scale",
+        "0.002",
+        "--faults",
+        "transient=0.9,transient=0",
+    ]);
     let took = t0.elapsed();
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(out.stdout.is_empty(), "a repeated --faults key started work: {stderr}");
-    assert!(took.as_secs_f64() < 1.0, "a repeated --faults key took {took:?}");
+    assert!(
+        out.stdout.is_empty(),
+        "a repeated --faults key started work: {stderr}"
+    );
+    assert!(
+        took.as_secs_f64() < 1.0,
+        "a repeated --faults key took {took:?}"
+    );
     assert_eq!(
         stderr,
         "invalid --faults spec: bad fault clause \"transient=0\": \"transient\" is already \
@@ -305,8 +370,20 @@ fn zero_interval_and_zero_window_are_typed_errors_before_any_work() {
     let base = scratch("zero_step");
     let out_dir = base.join("out");
     let shape = [
-        "clang", "--requests", "10", "--tenants", "3", "--slots", "2", "--queue", "6", "--seed",
-        "12648430", "--mean-gap", "60", "--out",
+        "clang",
+        "--requests",
+        "10",
+        "--tenants",
+        "3",
+        "--slots",
+        "2",
+        "--queue",
+        "6",
+        "--seed",
+        "12648430",
+        "--mean-gap",
+        "60",
+        "--out",
     ];
     let rejected = |cmd: &str, flag: &str, value: &str| {
         let mut argv = vec![cmd];
@@ -317,7 +394,10 @@ fn zero_interval_and_zero_window_are_typed_errors_before_any_work() {
         let took = t0.elapsed();
         assert_eq!(out.status.code(), Some(1), "{argv:?}");
         assert!(took.as_secs_f64() < 1.0, "{argv:?} took {took:?}");
-        assert!(!out_dir.exists(), "{argv:?} ran the service before rejecting its input");
+        assert!(
+            !out_dir.exists(),
+            "{argv:?} ran the service before rejecting its input"
+        );
         String::from_utf8_lossy(&out.stderr).into_owned()
     };
     for bad in ["0", "-1", "nan", "inf"] {
@@ -333,7 +413,10 @@ fn zero_interval_and_zero_window_are_typed_errors_before_any_work() {
         std::fs::write(&config, text).expect("write slo config");
         let stderr = rejected("slo", "--config", config.to_str().expect("utf-8 path"));
         assert!(stderr.contains("error: cannot parse"), "{stderr}");
-        assert!(stderr.contains("slo config line 4: `window_secs`"), "{stderr}");
+        assert!(
+            stderr.contains("slo config line 4: `window_secs`"),
+            "{stderr}"
+        );
     }
     // A target of 1.5 used to run the whole service and report a -50%
     // error budget; a repeated key silently kept its last value.
@@ -367,9 +450,18 @@ fn zero_interval_and_zero_window_are_typed_errors_before_any_work() {
     let out = cli(&argv);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(out.stdout.is_empty() && !out_dir.exists(), "output before the refusal");
-    assert!(stderr.starts_with("--interval 0.01: need at most 10000 rows"), "{stderr}");
-    assert!(stderr.contains("got 51761 over the 517.6 s modeled makespan"), "{stderr}");
+    assert!(
+        out.stdout.is_empty() && !out_dir.exists(),
+        "output before the refusal"
+    );
+    assert!(
+        stderr.starts_with("--interval 0.01: need at most 10000 rows"),
+        "{stderr}"
+    );
+    assert!(
+        stderr.contains("got 51761 over the 517.6 s modeled makespan"),
+        "{stderr}"
+    );
 }
 
 /// The paper's evaluation end to end: every artifact row on one small
@@ -379,19 +471,79 @@ fn zero_interval_and_zero_window_are_typed_errors_before_any_work() {
 fn every_paper_artifact_row_runs() {
     // (row, benchmark, title, first header cell, table rows).
     let rows: [(&str, &str, &str, &str, usize); 13] = [
-        ("table2", "505.mcf", "Table 2: benchmark characteristics", "Benchmark", 1),
-        ("table3", "505.mcf", "Table 3: performance improvements", "Benchmark", 1),
+        (
+            "table2",
+            "505.mcf",
+            "Table 2: benchmark characteristics",
+            "Benchmark",
+            1,
+        ),
+        (
+            "table3",
+            "505.mcf",
+            "Table 3: performance improvements",
+            "Benchmark",
+            1,
+        ),
         ("table5", "505.mcf", "Table 5: build phases", "Benchmark", 1),
         ("fig4", "505.mcf", "Figure 4: peak memory", "Benchmark", 1),
         ("fig5", "505.mcf", "Figure 5: peak memory", "Benchmark", 1),
-        ("fig6", "505.mcf", "Figure 6 [505.mcf]: section sizes", "binary", 5),
-        ("fig8", "505.mcf", "Figure 8 [505.mcf]: counters normalized", "binary", 2),
-        ("fig9", "505.mcf", "Figure 9: optimization run time", "Benchmark", 1),
-        ("spec-table", "505.mcf", "SPEC2017 integer benchmarks", "Benchmark", 1),
-        ("ablation-prefetch", "505.mcf", "§3.5 ablation: software prefetch", "Benchmark", 1),
-        ("ablation-split", "clang", "§4.6 ablation: function splitting on clang", "config", 4),
-        ("ablation-interproc", "clang", "§4.7 ablation: inter-procedural layout on", "config", 3),
-        ("fig7", "clang", "Figure 7(a): baseline (PGO+ThinLTO), active rows = ", "", 0),
+        (
+            "fig6",
+            "505.mcf",
+            "Figure 6 [505.mcf]: section sizes",
+            "binary",
+            5,
+        ),
+        (
+            "fig8",
+            "505.mcf",
+            "Figure 8 [505.mcf]: counters normalized",
+            "binary",
+            2,
+        ),
+        (
+            "fig9",
+            "505.mcf",
+            "Figure 9: optimization run time",
+            "Benchmark",
+            1,
+        ),
+        (
+            "spec-table",
+            "505.mcf",
+            "SPEC2017 integer benchmarks",
+            "Benchmark",
+            1,
+        ),
+        (
+            "ablation-prefetch",
+            "505.mcf",
+            "§3.5 ablation: software prefetch",
+            "Benchmark",
+            1,
+        ),
+        (
+            "ablation-split",
+            "clang",
+            "§4.6 ablation: function splitting on clang",
+            "config",
+            4,
+        ),
+        (
+            "ablation-interproc",
+            "clang",
+            "§4.7 ablation: inter-procedural layout on",
+            "config",
+            3,
+        ),
+        (
+            "fig7",
+            "clang",
+            "Figure 7(a): baseline (PGO+ThinLTO), active rows = ",
+            "",
+            0,
+        ),
     ];
     for (row, bench, title, header, table_rows) in rows {
         let argv = [row, bench, "--scale", "0.05"];
@@ -400,18 +552,30 @@ fn every_paper_artifact_row_runs() {
         assert_eq!(out.status.code(), Some(0), "{argv:?}: {stderr}");
         let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
         let mut lines = stdout.lines();
-        assert!(lines.next().is_some_and(|line| line.starts_with(title)), "{argv:?}:\n{stdout}");
+        assert!(
+            lines.next().is_some_and(|line| line.starts_with(title)),
+            "{argv:?}:\n{stdout}"
+        );
         if row == "fig7" {
             // Three 40-row heat maps, not a table.
             for panel in ["Figure 7(b): + Propeller", "propeller band is "] {
-                assert!(stdout.contains(panel), "{argv:?} lacks {panel:?}:\n{stdout}");
+                assert!(
+                    stdout.contains(panel),
+                    "{argv:?} lacks {panel:?}:\n{stdout}"
+                );
             }
             assert!(stdout.lines().count() > 2 * 40, "{argv:?}:\n{stdout}");
             continue;
         }
         assert_eq!(lines.next(), Some(""), "{argv:?}:\n{stdout}");
-        assert!(lines.next().is_some_and(|line| line.starts_with(header)), "{argv:?}:\n{stdout}");
-        assert!(lines.next().is_some_and(|line| line.starts_with("---")), "{argv:?}:\n{stdout}");
+        assert!(
+            lines.next().is_some_and(|line| line.starts_with(header)),
+            "{argv:?}:\n{stdout}"
+        );
+        assert!(
+            lines.next().is_some_and(|line| line.starts_with("---")),
+            "{argv:?}:\n{stdout}"
+        );
         let body = lines.take_while(|line| !line.is_empty()).count();
         assert_eq!(body, table_rows, "{argv:?}:\n{stdout}");
     }
@@ -579,7 +743,11 @@ fn artifacts_decided_by_builtin_constants_are_pinned() {
     // Retry backoff seconds under the default policy, and which
     // scenarios fall below the profile floor to the identity layout.
     let (dir, _) = run_ok(&base, "chaos", &["chaos", "--seed", "77"]);
-    pin("chaos_report.json", &read(dir.join("chaos_report.json")), CHAOS_REPORT_DIGEST);
+    pin(
+        "chaos_report.json",
+        &read(dir.join("chaos_report.json")),
+        CHAOS_REPORT_DIGEST,
+    );
 
     // Skew under the default age decay; at threshold 0.7 release 1
     // reuses and release 2 relinks against the merged stale profile.
@@ -601,11 +769,20 @@ fn artifacts_decided_by_builtin_constants_are_pinned() {
             "0.7",
         ],
     );
-    assert!(stdout.contains(" reuse ") && stdout.contains(" relink "), "{stdout}");
-    pin("fleet_report.json", &read(dir.join("fleet_report.json")), FLEET_REPORT_DIGEST);
+    assert!(
+        stdout.contains(" reuse ") && stdout.contains(" relink "),
+        "{stdout}"
+    );
+    pin(
+        "fleet_report.json",
+        &read(dir.join("fleet_report.json")),
+        FLEET_REPORT_DIGEST,
+    );
 
     // `bolt.speedup_pct`: block reordering, splitting and hfsort all on.
-    let out = cli(&["compare", "clang", "--scale", "0.12", "--seed", "77", "--json"]);
+    let out = cli(&[
+        "compare", "clang", "--scale", "0.12", "--seed", "77", "--json",
+    ]);
     assert!(out.status.success());
     pin("compare --json", &out.stdout, COMPARE_JSON_DIGEST);
 }
@@ -619,21 +796,33 @@ fn every_subcommand_is_run_by_a_ci_gate() {
     let gates = String::from_utf8(read(repo.join("ci/gates.sh"))).expect("utf-8 gates.sh");
     let workflow = String::from_utf8(read(repo.join(".github/workflows/ci.yml"))).expect("utf-8");
     let groups = |text: &str, prefix: &str, split: char| -> Vec<String> {
-        let line = text.lines().find_map(|line| line.trim().strip_prefix(prefix));
+        let line = text
+            .lines()
+            .find_map(|line| line.trim().strip_prefix(prefix));
         let list = line.unwrap_or_else(|| panic!("no `{prefix}` line"));
         let list = list.trim().trim_matches(['(', ')', '[', ']']);
-        list.split(split).map(|group| group.trim().to_string()).collect()
+        list.split(split)
+            .map(|group| group.trim().to_string())
+            .collect()
     };
-    assert_eq!(groups(&gates, "GATE_GROUPS=", ' '), groups(&workflow, "group:", ','));
+    assert_eq!(
+        groups(&gates, "GATE_GROUPS=", ' '),
+        groups(&workflow, "group:", ',')
+    );
     let started: Vec<&str> = gates
         .lines()
         .filter_map(|line| {
             let mut words = line.split_whitespace();
-            (words.next() == Some("inv")).then(|| words.nth(2)).flatten()
+            (words.next() == Some("inv"))
+                .then(|| words.nth(2))
+                .flatten()
         })
         .collect();
     for (name, _, _) in SUBCOMMANDS {
-        assert!(started.contains(&name), "no `inv` line in ci/gates.sh runs `{name}`");
+        assert!(
+            started.contains(&name),
+            "no `inv` line in ci/gates.sh runs `{name}`"
+        );
     }
 }
 

@@ -72,9 +72,7 @@ impl RecCfg {
 
     /// Index of the block starting exactly at `addr`.
     pub fn block_starting_at(&self, addr: u64) -> Option<usize> {
-        self.blocks
-            .binary_search_by_key(&addr, |b| b.addr)
-            .ok()
+        self.blocks.binary_search_by_key(&addr, |b| b.addr).ok()
     }
 }
 
@@ -106,10 +104,9 @@ pub fn reconstruct(d: &DisassembledFunction) -> Option<RecCfg> {
                     leaders.insert(next);
                 }
             }
-            Decoded::Ret
-                if next < end => {
-                    leaders.insert(next);
-                }
+            Decoded::Ret if next < end => {
+                leaders.insert(next);
+            }
             _ => {}
         }
     }
@@ -148,9 +145,12 @@ pub fn reconstruct(d: &DisassembledFunction) -> Option<RecCfg> {
             [] => (RecTerm::Fallthrough, 0u64),
             [(_, Decoded::Ret)] => (RecTerm::Ret, 1),
             [(a, j @ Decoded::Jump { len, .. })] => (RecTerm::Jump(resolve(*a, j)), *len as u64),
-            [(a, c @ Decoded::CondBr { len, .. })] => {
-                (RecTerm::Cond { taken: resolve(*a, c) }, *len as u64)
-            }
+            [(a, c @ Decoded::CondBr { len, .. })] => (
+                RecTerm::Cond {
+                    taken: resolve(*a, c),
+                },
+                *len as u64,
+            ),
             [(a, c @ Decoded::CondBr { len: cl, .. }), (b, j @ Decoded::Jump { len: jl, .. })] => (
                 RecTerm::CondJump {
                     taken: resolve(*a, c),
@@ -165,9 +165,12 @@ pub fn reconstruct(d: &DisassembledFunction) -> Option<RecCfg> {
                 match last {
                     Decoded::Ret => (RecTerm::Ret, 1),
                     Decoded::Jump { len, .. } => (RecTerm::Jump(resolve(*a, last)), *len as u64),
-                    Decoded::CondBr { len, .. } => {
-                        (RecTerm::Cond { taken: resolve(*a, last) }, *len as u64)
-                    }
+                    Decoded::CondBr { len, .. } => (
+                        RecTerm::Cond {
+                            taken: resolve(*a, last),
+                        },
+                        *len as u64,
+                    ),
                     Decoded::Straight { .. } | Decoded::Call { .. } => (RecTerm::Fallthrough, 0),
                 }
             }

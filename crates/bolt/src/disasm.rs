@@ -57,10 +57,7 @@ pub fn discover_functions(binary: &LinkedBinary) -> Vec<DiscoveredFunction> {
         if i + 1 < syms.len() && syms[i + 1].1 == addr {
             continue;
         }
-        let end = syms
-            .get(i + 1)
-            .map(|&(_, a)| a)
-            .unwrap_or(binary.text_end);
+        let end = syms.get(i + 1).map(|&(_, a)| a).unwrap_or(binary.text_end);
         out.push(DiscoveredFunction {
             name: name.to_string(),
             addr,
@@ -163,7 +160,10 @@ mod tests {
         assert!(d.simple);
         // 2x ALU + condbr + load + ret (+ possible alignment nops).
         assert!(d.insts.len() >= 5);
-        assert!(matches!(d.insts.last().unwrap().inst, Decoded::Ret | Decoded::Straight { .. }));
+        assert!(matches!(
+            d.insts.last().unwrap().inst,
+            Decoded::Ret | Decoded::Straight { .. }
+        ));
     }
 
     #[test]

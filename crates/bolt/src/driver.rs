@@ -110,9 +110,13 @@ fn convert_profile(
         }
     }
     for (&(lo, hi), &w) in &agg.fallthroughs {
-        let Some(fi) = func_at(funcs, lo) else { continue };
+        let Some(fi) = func_at(funcs, lo) else {
+            continue;
+        };
         let Some(cfg) = &cfgs[fi] else { continue };
-        let Some(mut b) = cfg.block_at(lo) else { continue };
+        let Some(mut b) = cfg.block_at(lo) else {
+            continue;
+        };
         let mut prev: Option<usize> = None;
         while b < cfg.blocks.len() && cfg.blocks[b].addr <= hi {
             *prof.counts[fi].entry(b).or_insert(0) += w;

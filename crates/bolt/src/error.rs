@@ -19,7 +19,10 @@ impl fmt::Display for BoltError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             BoltError::MissingRelocations => {
-                write!(f, "input binary retains no static relocations; rebuild with --emit-relocs")
+                write!(
+                    f,
+                    "input binary retains no static relocations; rebuild with --emit-relocs"
+                )
             }
             BoltError::NoFunctions => write!(f, "no function symbols found in text"),
         }

@@ -39,11 +39,7 @@ pub struct RewriteStats {
 
 /// New encoded size of a reconstructed block given its successor
 /// adjacency in the new layout.
-fn new_block_size(
-    cfg: &RecCfg,
-    block: usize,
-    next_in_layout: Option<usize>,
-) -> u64 {
+fn new_block_size(cfg: &RecCfg, block: usize, next_in_layout: Option<usize>) -> u64 {
     let b = &cfg.blocks[block];
     let succ_of_addr = |addr: u64| cfg.block_starting_at(addr);
     let old_fallthrough = if block + 1 < cfg.blocks.len() {

@@ -72,9 +72,21 @@ fn bolt_improves_layout_like_propeller() {
     assert!(out.stats.insts_decoded > 0);
 
     // The BOLT-optimized layout must beat the baseline.
-    let base = simulate(&img, &workload, &UarchConfig::default(), &SimOptions::default()).counters;
+    let base = simulate(
+        &img,
+        &workload,
+        &UarchConfig::default(),
+        &SimOptions::default(),
+    )
+    .counters;
     let opt_img = ProgramImage::build(&p, &out.layout).unwrap();
-    let opt = simulate(&opt_img, &workload, &UarchConfig::default(), &SimOptions::default()).counters;
+    let opt = simulate(
+        &opt_img,
+        &workload,
+        &UarchConfig::default(),
+        &SimOptions::default(),
+    )
+    .counters;
     assert!(
         opt.taken_branches < base.taken_branches,
         "taken {} -> {}",

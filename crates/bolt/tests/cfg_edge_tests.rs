@@ -54,7 +54,10 @@ fn cond_plus_jump_pair_reconstructed() {
     };
     assert!(cfg.block_starting_at(ft).is_some());
     assert_ne!(taken, ft);
-    assert_eq!(jmp_block.straight_bytes, 0, "the jump block is only the jump");
+    assert_eq!(
+        jmp_block.straight_bytes, 0,
+        "the jump block is only the jump"
+    );
     // The Cond block's straight bytes are the single ALU.
     assert_eq!(cfg.blocks[0].straight_bytes, 3);
 }
@@ -122,8 +125,8 @@ fn non_simple_function_excluded_from_rewriting() {
         };
         5
     ]));
-    let out = propeller_bolt::run_bolt(&bin, &profile, &propeller_bolt::BoltOptions::default())
-        .unwrap();
+    let out =
+        propeller_bolt::run_bolt(&bin, &profile, &propeller_bolt::BoltOptions::default()).unwrap();
     assert_eq!(out.stats.simple_functions, 1);
     // bbb_corrupt's block stays at its original address.
     let orig = bin

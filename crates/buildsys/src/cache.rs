@@ -229,7 +229,15 @@ impl<T> ActionCache<T> {
         self.owner_stats.entry(self.owner).or_default().insertions += 1;
         let stamp = self.next_stamp;
         self.next_stamp += 1;
-        self.map.insert(key, Entry { value, digest: digest_of(key), owner: self.owner, stamp });
+        self.map.insert(
+            key,
+            Entry {
+                value,
+                digest: digest_of(key),
+                owner: self.owner,
+                stamp,
+            },
+        );
         self.order.push_back((stamp, key));
         self.enforce_capacity();
     }
@@ -484,8 +492,14 @@ mod tests {
         assert_eq!(c.lookup(key(2), None).0, None);
         let s1 = c.owner_stats(1);
         let s2 = c.owner_stats(2);
-        assert_eq!((s1.lookups, s1.hits, s1.misses, s1.insertions), (1, 1, 0, 1));
-        assert_eq!((s2.lookups, s2.hits, s2.misses, s2.insertions), (2, 1, 1, 0));
+        assert_eq!(
+            (s1.lookups, s1.hits, s1.misses, s1.insertions),
+            (1, 1, 0, 1)
+        );
+        assert_eq!(
+            (s2.lookups, s2.hits, s2.misses, s2.insertions),
+            (2, 1, 1, 0)
+        );
         // Owner slices sum to the global stats.
         let g = c.stats();
         assert_eq!(g.lookups, s1.lookups + s2.lookups);

@@ -75,7 +75,9 @@ pub enum MachineConfig {
 impl MachineConfig {
     /// The default distributed build: 12 GiB per-action limit.
     pub fn distributed() -> Self {
-        MachineConfig::Distributed { ram_limit: 12 * GIB }
+        MachineConfig::Distributed {
+            ram_limit: 12 * GIB,
+        }
     }
 
     /// A workstation build.
@@ -350,7 +352,12 @@ impl Executor {
             critical_path = critical_path.max(latency);
             serial_latency += latency;
             if tel.is_enabled() {
-                tel.emit_span(format!("action:{}", a.name), parent, latency, a.peak_rss_bytes);
+                tel.emit_span(
+                    format!("action:{}", a.name),
+                    parent,
+                    latency,
+                    a.peak_rss_bytes,
+                );
                 tel.observe("executor.action_rss_bytes", a.peak_rss_bytes as f64);
             }
         }
@@ -370,7 +377,10 @@ impl Executor {
         };
         if tel.is_enabled() {
             tel.counter_add("executor.actions", actions.len() as u64);
-            tel.gauge_max("executor.max_action_rss_bytes", report.max_action_memory as f64);
+            tel.gauge_max(
+                "executor.max_action_rss_bytes",
+                report.max_action_memory as f64,
+            );
             if res.retries > 0 {
                 tel.counter_add("executor.action_retries", res.retries);
             }
@@ -397,8 +407,13 @@ mod tests {
     #[test]
     fn distributed_wall_is_dispatch_plus_critical_path() {
         let ex = Executor::new(MachineConfig::Distributed { ram_limit: GIB });
-        let (r, _) = ex.run_phase(&phase(), &Telemetry::disabled(), None).unwrap();
-        assert!((r.wall_secs - (DISPATCH_SECS + 4.0)).abs() < 1e-12, "dispatch + max(1,4,2)");
+        let (r, _) = ex
+            .run_phase(&phase(), &Telemetry::disabled(), None)
+            .unwrap();
+        assert!(
+            (r.wall_secs - (DISPATCH_SECS + 4.0)).abs() < 1e-12,
+            "dispatch + max(1,4,2)"
+        );
         assert!((r.cpu_secs - 7.0).abs() < 1e-12);
         assert_eq!(r.num_actions, 3);
         assert_eq!(r.max_action_memory, 300);
@@ -407,7 +422,9 @@ mod tests {
     #[test]
     fn workstation_wall_is_serial_sum() {
         let ex = Executor::new(MachineConfig::workstation());
-        let (r, _) = ex.run_phase(&phase(), &Telemetry::disabled(), None).unwrap();
+        let (r, _) = ex
+            .run_phase(&phase(), &Telemetry::disabled(), None)
+            .unwrap();
         assert!((r.wall_secs - 7.0).abs() < 1e-12, "1 + 4 + 2 serially");
     }
 
@@ -466,7 +483,9 @@ mod tests {
         let trace = tel.drain();
         let children = trace.children(parent);
         assert_eq!(children.len(), 3);
-        assert!(children.iter().any(|s| s.name == "action:b" && s.sim_secs == 4.0));
+        assert!(children
+            .iter()
+            .any(|s| s.name == "action:b" && s.sim_secs == 4.0));
         assert_eq!(trace.metrics.counter("executor.actions"), 3);
         assert_eq!(trace.metrics.gauges["executor.max_action_rss_bytes"], 300.0);
     }
@@ -484,7 +503,10 @@ mod tests {
     fn resilient_without_faults_is_the_closed_form() {
         let tel = Telemetry::enabled();
         for (machine, wall_secs) in [
-            (MachineConfig::Distributed { ram_limit: GIB }, DISPATCH_SECS + 4.0),
+            (
+                MachineConfig::Distributed { ram_limit: GIB },
+                DISPATCH_SECS + 4.0,
+            ),
             (MachineConfig::workstation(), 1.0 + 4.0 + 2.0),
         ] {
             let ex = Executor::new(machine);
@@ -521,7 +543,10 @@ mod tests {
     #[test]
     fn always_transient_retries_and_charges_wasted_work() {
         use propeller_faults::FaultPlan;
-        let inj = Arc::new(FaultInjector::new(FaultPlan::parse("transient=1").unwrap(), 3));
+        let inj = Arc::new(FaultInjector::new(
+            FaultPlan::parse("transient=1").unwrap(),
+            3,
+        ));
         let ex = Executor::new(MachineConfig::workstation()).with_faults(inj.clone());
         let actions = [ActionSpec::new("a", 1.0, 100)];
         let (r, res) = ex
@@ -546,7 +571,10 @@ mod tests {
     #[test]
     fn always_timeout_burns_deadline_not_cpu() {
         use propeller_faults::FaultPlan;
-        let inj = Arc::new(FaultInjector::new(FaultPlan::parse("timeout=1:1").unwrap(), 3));
+        let inj = Arc::new(FaultInjector::new(
+            FaultPlan::parse("timeout=1:1").unwrap(),
+            3,
+        ));
         let ex = Executor::new(MachineConfig::workstation()).with_faults(inj.clone());
         let actions = [ActionSpec::new("a", 1.0, 100)];
         let (r, res) = ex
@@ -566,7 +594,8 @@ mod tests {
         let run = |seed| {
             let ex = Executor::new(MachineConfig::distributed())
                 .with_faults(Arc::new(FaultInjector::new(plan.clone(), seed)));
-            ex.run_phase(&phase(), &Telemetry::disabled(), None).unwrap()
+            ex.run_phase(&phase(), &Telemetry::disabled(), None)
+                .unwrap()
         };
         assert_eq!(run(7), run(7));
     }
@@ -591,7 +620,11 @@ mod tests {
     fn exactly_at_limit_is_admitted() {
         let ex = Executor::new(MachineConfig::distributed());
         assert!(ex
-            .run_phase(&[ActionSpec::new("edge", 1.0, 12 * GIB)], &Telemetry::disabled(), None)
+            .run_phase(
+                &[ActionSpec::new("edge", 1.0, 12 * GIB)],
+                &Telemetry::disabled(),
+                None
+            )
             .is_ok());
     }
 
@@ -615,9 +648,13 @@ mod tests {
     #[test]
     fn pool_handles_empty_and_single_item_batches() {
         let ex = Executor::new(MachineConfig::distributed()).with_jobs(8);
-        let (empty, _) = ex.execute_indexed("noop", &[] as &[u32], |_, _, &x| x).unwrap();
+        let (empty, _) = ex
+            .execute_indexed("noop", &[] as &[u32], |_, _, &x| x)
+            .unwrap();
         assert!(empty.is_empty());
-        let (one, _) = ex.execute_indexed("one", &[7u32], |w, _, &x| (w, x)).unwrap();
+        let (one, _) = ex
+            .execute_indexed("one", &[7u32], |w, _, &x| (w, x))
+            .unwrap();
         // A single item runs on the calling thread as lane 0.
         assert_eq!(one, vec![(0, 7)]);
     }

@@ -25,7 +25,9 @@
 
 use crate::error::CodegenError;
 use crate::isa::{fits_short, len, op, INST_ENCODING};
-use crate::layout::{BlockPlacement, ClusterName, FragmentLayout, FunctionClusters, FunctionLayout};
+use crate::layout::{
+    BlockPlacement, ClusterName, FragmentLayout, FunctionClusters, FunctionLayout,
+};
 use propeller_ir::{BlockId, Function, Inst, Program, Terminator};
 use propeller_obj::{BbAddrMapWriter, BbEntry, BbFlags, Reloc, RelocKind, Section, SectionKind};
 
@@ -252,7 +254,10 @@ pub(crate) fn emit_function(
                             ));
                             bytes.extend_from_slice(&[0; 4]);
                         } else {
-                            debug_assert_eq!(tci as usize, ci, "resolved branches are intra-section");
+                            debug_assert_eq!(
+                                tci as usize, ci,
+                                "resolved branches are intra-section"
+                            );
                             let disp32 = i32::try_from(disp).map_err(|_| {
                                 CodegenError::DisplacementOverflow {
                                     function: function.id,
@@ -297,7 +302,11 @@ pub(crate) fn emit_function(
         section.relaxable = relocate_branches;
         // Non-primary cluster sections pack tightly (alignment 1) so
         // fall-through deletion across adjacent sections is possible.
-        section.align = if matches!(c.name, ClusterName::Primary) { 16 } else { 1 };
+        section.align = if matches!(c.name, ClusterName::Primary) {
+            16
+        } else {
+            1
+        };
         layout.fragments[ci].blocks = placements;
         fragments.push(section);
     }
@@ -341,7 +350,9 @@ fn plan_blocks(
                 Terminator::Jump(t) if next_in_cluster(t) => ([None, None], true),
                 Terminator::Jump(t) => ([long(false, t), None], false),
                 Terminator::CondBr {
-                    taken, fallthrough: ft, ..
+                    taken,
+                    fallthrough: ft,
+                    ..
                 } => {
                     if next_in_cluster(ft) {
                         ([long(true, taken), None], true)
@@ -610,10 +621,8 @@ mod tests {
         let (p, fid) = fixture();
         let f = p.function(fid).unwrap();
         // Split: hot cluster [0,1,3], cold cluster [2].
-        let clusters = FunctionClusters::hot_cold(
-            vec![BlockId(0), BlockId(1), BlockId(3)],
-            vec![BlockId(2)],
-        );
+        let clusters =
+            FunctionClusters::hot_cold(vec![BlockId(0), BlockId(1), BlockId(3)], vec![BlockId(2)]);
         let e = emit(f, &p, &clusters, true).unwrap();
         assert_eq!(e.fragments.len(), 2);
         let hot = &e.fragments[0];
@@ -909,7 +918,11 @@ mod tests {
         let names = match k {
             1 => vec![ClusterName::Primary],
             2 => vec![ClusterName::Primary, ClusterName::Cold],
-            _ => vec![ClusterName::Primary, ClusterName::Numbered(1), ClusterName::Cold],
+            _ => vec![
+                ClusterName::Primary,
+                ClusterName::Numbered(1),
+                ClusterName::Cold,
+            ],
         };
         let mut clusters: Vec<crate::layout::Cluster> = names
             .into_iter()
@@ -919,7 +932,9 @@ mod tests {
             })
             .collect();
         for (i, &w) in raw.iter().enumerate() {
-            clusters[(w >> 41) as usize % k].blocks.push(BlockId(i as u32));
+            clusters[(w >> 41) as usize % k]
+                .blocks
+                .push(BlockId(i as u32));
         }
         if shape & 1 == 1 {
             for c in &mut clusters {

@@ -8,7 +8,9 @@
 
 use crate::error::CodegenError;
 use crate::isa::{fits_short, len, op};
-use crate::layout::{BlockPlacement, ClusterName, FragmentLayout, FunctionClusters, FunctionLayout};
+use crate::layout::{
+    BlockPlacement, ClusterName, FragmentLayout, FunctionClusters, FunctionLayout,
+};
 use propeller_ir::{BlockId, Function, Inst, Program, Terminator};
 use propeller_obj::{BbEntry, BbFlags, Reloc, RelocKind, Section, SectionKind};
 use std::collections::HashMap;
@@ -160,7 +162,9 @@ pub fn emit_function(
                     }
                 }
                 Terminator::CondBr {
-                    taken, fallthrough: ft, ..
+                    taken,
+                    fallthrough: ft,
+                    ..
                 } => {
                     if next_in_cluster(ft) {
                         items.push(Item::Branch {
@@ -246,17 +250,15 @@ pub fn emit_function(
                             Item::Call { .. } => len::CALL as u32,
                             Item::Prefetch { .. } => len::PREFETCH as u32,
                             Item::Ret => len::RET as u32,
-                            Item::Branch { cond, .. } => {
-                                branch_len(*cond, forms[&(bi, ii)]) as u32
-                            }
+                            Item::Branch { cond, .. } => branch_len(*cond, forms[&(bi, ii)]) as u32,
                         };
                         if let Item::Branch { cond, target } = item {
                             if forms[&(bi, ii)] == Form::Long {
                                 // Target must be intra-cluster in the
                                 // resolved regime (single cluster).
                                 let (_, tpos) = pos[target];
-                                let short_end = cursor as i64
-                                    + branch_len(*cond, Form::Short) as i64;
+                                let short_end =
+                                    cursor as i64 + branch_len(*cond, Form::Short) as i64;
                                 let disp = offs[tpos] as i64 - short_end;
                                 if fits_short(disp) {
                                     forms.insert((bi, ii), Form::Short);
@@ -341,8 +343,7 @@ pub fn emit_function(
                         } else {
                             debug_assert_eq!(tci, ci, "resolved branches are intra-section");
                             let inst_len = branch_len(*cond, form) as i64;
-                            let disp =
-                                offsets[tci][tpos] as i64 - (bytes.len() as i64 + inst_len);
+                            let disp = offsets[tci][tpos] as i64 - (bytes.len() as i64 + inst_len);
                             match form {
                                 Form::Short => {
                                     debug_assert!(fits_short(disp));
@@ -393,11 +394,7 @@ pub fn emit_function(
         }
         let symbol = cluster_symbols[ci].clone();
         let is_primary = matches!(clusters.clusters[ci].name, ClusterName::Primary);
-        let mut section = Section::new(
-            format!(".text.{symbol}"),
-            SectionKind::Text,
-            bytes,
-        );
+        let mut section = Section::new(format!(".text.{symbol}"), SectionKind::Text, bytes);
         section.relocs = relocs;
         section.relaxable = relocate_branches;
         // Non-primary cluster sections pack tightly (alignment 1) so

@@ -142,12 +142,18 @@ pub fn decode(bytes: &[u8]) -> Option<Decoded> {
     let opcode = *bytes.first()?;
     let need = |n: usize| if bytes.len() >= n { Some(n) } else { None };
     Some(match opcode {
-        op::ALU => Decoded::Straight { len: need(len::ALU)? },
-        op::LOAD => Decoded::Straight { len: need(len::LOAD)? },
+        op::ALU => Decoded::Straight {
+            len: need(len::ALU)?,
+        },
+        op::LOAD => Decoded::Straight {
+            len: need(len::LOAD)?,
+        },
         op::STORE => Decoded::Straight {
             len: need(len::STORE)?,
         },
-        op::NOP => Decoded::Straight { len: need(len::NOP)? },
+        op::NOP => Decoded::Straight {
+            len: need(len::NOP)?,
+        },
         op::PREFETCH => Decoded::Straight {
             len: need(len::PREFETCH)?,
         },

@@ -28,6 +28,9 @@ mod module;
 mod options;
 
 pub use error::CodegenError;
-pub use layout::{BlockPlacement, Cluster, ClusterName, DebugLayout, FragmentLayout, FunctionClusters, FunctionLayout};
+pub use layout::{
+    BlockPlacement, Cluster, ClusterName, DebugLayout, FragmentLayout, FunctionClusters,
+    FunctionLayout,
+};
 pub use module::{codegen_module, codegen_module_traced, CodegenResult, ModuleStats};
 pub use options::{BbSectionsMode, ClusterMap, CodegenOptions};

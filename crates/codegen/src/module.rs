@@ -149,8 +149,14 @@ fn codegen_module_impl(
                 (&identity, false)
             }
         };
-        let emitted =
-            emit_function(f, program, clusters, relocate, &mut scratch, addr_map.as_mut())?;
+        let emitted = emit_function(
+            f,
+            program,
+            clusters,
+            relocate,
+            &mut scratch,
+            addr_map.as_mut(),
+        )?;
         stats.num_functions += 1;
         stats.num_fragments += emitted.fragments.len();
         stats.text_bytes += emitted.text_size();
@@ -296,12 +302,7 @@ mod tests {
             hot_fn,
             FunctionClusters::hot_cold(vec![BlockId(0), BlockId(2)], vec![BlockId(1)]),
         );
-        let r = codegen_module(
-            &p.modules()[0],
-            &p,
-            &CodegenOptions::with_clusters(map),
-        )
-        .unwrap();
+        let r = codegen_module(&p.modules()[0], &p, &CodegenOptions::with_clusters(map)).unwrap();
         assert!(defines(&r.object, "hot_fn.cold"));
         assert!(!defines(&r.object, "leaf.cold"));
         // Fragments: leaf(1) + hot_fn(2).
@@ -329,12 +330,8 @@ mod tests {
             hot_fn,
             FunctionClusters::hot_cold(vec![BlockId(0), BlockId(2)], vec![BlockId(1)]),
         );
-        let split = codegen_module(
-            &p.modules()[0],
-            &p,
-            &CodegenOptions::with_clusters(map),
-        )
-        .unwrap();
+        let split =
+            codegen_module(&p.modules()[0], &p, &CodegenOptions::with_clusters(map)).unwrap();
         let eh = |r: &CodegenResult| r.object.size_breakdown().eh_frame;
         assert!(eh(&split) > eh(&base), "extra fragment => extra FDE");
     }

@@ -117,10 +117,7 @@ mod tests {
     fn cluster_map_access() {
         let mut m = ClusterMap::new();
         assert!(m.is_empty());
-        m.insert(
-            FunctionId(1),
-            FunctionClusters::single(vec![BlockId(0)]),
-        );
+        m.insert(FunctionId(1), FunctionClusters::single(vec![BlockId(0)]));
         assert_eq!(m.len(), 1);
         assert!(m.get(FunctionId(1)).is_some());
         assert!(m.get(FunctionId(2)).is_none());

@@ -77,7 +77,10 @@ fn codegen_allocates_per_function_not_per_block() {
     );
 
     let tel = Telemetry::disabled();
-    for cg in [CodegenOptions::with_labels(), CodegenOptions::with_clusters(map)] {
+    for cg in [
+        CodegenOptions::with_labels(),
+        CodegenOptions::with_clusters(map),
+    ] {
         let calls = calls_during(|| codegen_module(module, &p, &cg).expect("codegen"));
         let per_block = calls as f64 / blocks as f64;
         assert!(
@@ -87,9 +90,8 @@ fn codegen_allocates_per_function_not_per_block() {
             std::mem::discriminant(&cg.bb_sections)
         );
         // A disabled telemetry handle costs a branch, not a span name.
-        let traced = calls_during(|| {
-            codegen_module_traced(module, &p, &cg, &tel, None).expect("codegen")
-        });
+        let traced =
+            calls_during(|| codegen_module_traced(module, &p, &cg, &tel, None).expect("codegen"));
         assert_eq!(traced, calls, "the disabled handle allocated");
     }
 }

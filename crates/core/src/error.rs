@@ -120,7 +120,9 @@ mod tests {
 
     #[test]
     fn internal_variant_names_the_invariant() {
-        let e = PipelineError::Internal { what: "profiler returned no profile" };
+        let e = PipelineError::Internal {
+            what: "profiler returned no profile",
+        };
         assert!(e.to_string().contains("no profile"));
     }
 }

@@ -94,7 +94,11 @@ mod tests {
             0x9ee6_e0b9_84ea_c149,
             0xb72b_6d22_fea5_8428,
         ];
-        let pinned = [("clang", 0.004, 13, 12), ("mysql", 0.004, 7, 5), ("505.mcf", 1.0, 3, 9)];
+        let pinned = [
+            ("clang", 0.004, 13, 12),
+            ("mysql", 0.004, 7, 5),
+            ("505.mcf", 1.0, 3, 9),
+        ];
         let got = pinned.map(|(spec, scale, seed, funcs_per_module)| {
             let params = GenParams {
                 scale,

@@ -264,11 +264,7 @@ const INSTS_PER_WORKER: u64 = 1 << 16;
 impl Propeller {
     /// Creates a pipeline over `program` with the given workload entry
     /// points and fresh build caches.
-    pub fn new(
-        program: Program,
-        entries: Vec<(FunctionId, f64)>,
-        opts: PropellerOptions,
-    ) -> Self {
+    pub fn new(program: Program, entries: Vec<(FunctionId, f64)>, opts: PropellerOptions) -> Self {
         Self::with_caches(program, entries, opts, BuildCaches::new())
     }
 
@@ -456,8 +452,7 @@ impl Propeller {
         let mut actions = Vec::new();
         let mut events = Vec::new();
         for (m, &fp) in self.program.modules().iter().zip(&self.fingerprints) {
-            let (artifact, event) =
-                self.caches.ir.lock().lookup(fp, injector.as_deref());
+            let (artifact, event) = self.caches.ir.lock().lookup(fp, injector.as_deref());
             events.push(event);
             if artifact.is_none() {
                 // Miss (incl. a corrupt or evicted entry that was just
@@ -630,7 +625,10 @@ impl Propeller {
         let plan: Vec<_> = (0..self.program.num_modules())
             .map(|i| (i, self.fingerprints[i].combine(tag("labels")), cg.clone()))
             .collect();
-        let link = LinkOptions { output_name: "app.pm".into(), ..LinkOptions::default() };
+        let link = LinkOptions {
+            output_name: "app.pm".into(),
+            ..LinkOptions::default()
+        };
         let charge = ("link app.pm", Vec::new());
         let (bin, report) =
             self.build_binary(&self.program.clone(), plan, &link, charge, span.id())?;
@@ -707,8 +705,7 @@ impl Propeller {
         let mut survival = 1.0f64;
         if let Some(inj) = &self.injector {
             let stats = degrade_profile(profile, inj);
-            let (salvaged, stats) =
-                salvage_profile(profile, pm.text_start..pm.text_end, stats);
+            let (salvaged, stats) = salvage_profile(profile, pm.text_start..pm.text_end, stats);
             stats.record_into(&mut self.ledger);
             survival = stats.survival_rate();
             *profile = salvaged;
@@ -817,7 +814,10 @@ impl Propeller {
         // then regenerate hot modules from the augmented IR (the
         // paper's "summary-based directive" driving the distributed
         // codegen actions).
-        let call_misses = self.profiling_run.as_ref().and_then(|run| run.call_misses.as_ref());
+        let call_misses = self
+            .profiling_run
+            .as_ref()
+            .and_then(|run| run.call_misses.as_ref());
         let phase4_program: Arc<Program> = match (self.opts.prefetch, call_misses) {
             (Some(min_misses), Some(misses)) => {
                 // Phase 3 required the PM binary, so it exists here;
@@ -831,12 +831,18 @@ impl Propeller {
         };
         // Without prefetch insertion Phase 4 regenerates from the very
         // program `with_caches` fingerprinted.
-        let phase4_fingerprints: Cow<[ContentHash]> =
-            if Arc::ptr_eq(&phase4_program, &self.program) {
-                Cow::Borrowed(&self.fingerprints)
-            } else {
-                Cow::Owned(phase4_program.modules().iter().map(module_fingerprint).collect())
-            };
+        let phase4_fingerprints: Cow<[ContentHash]> = if Arc::ptr_eq(&phase4_program, &self.program)
+        {
+            Cow::Borrowed(&self.fingerprints)
+        } else {
+            Cow::Owned(
+                phase4_program
+                    .modules()
+                    .iter()
+                    .map(module_fingerprint)
+                    .collect(),
+            )
+        };
 
         // A module is hot iff any of its functions has directives.
         let mut hot_modules = 0usize;
@@ -863,11 +869,9 @@ impl Propeller {
                 });
             let (key, cg) = match directive_hash {
                 Some(dh) => {
-                    let permanent_failure = injector
-                        .as_deref()
-                        .is_some_and(|inj| {
-                            inj.fires(FaultKind::PermanentCodegenFailure, &module.name)
-                        });
+                    let permanent_failure = injector.as_deref().is_some_and(|inj| {
+                        inj.fires(FaultKind::PermanentCodegenFailure, &module.name)
+                    });
                     if permanent_failure {
                         // Per-object graceful degradation: the hot
                         // re-codegen cannot succeed on any worker, so
@@ -879,8 +883,7 @@ impl Propeller {
                         // rebuilds it (a counted cache rebuild).
                         failed_actions.push(ActionSpec::new(
                             format!("codegen {} (permanent failure)", module.name),
-                            f64::from(MAX_ATTEMPTS)
-                                * cost::codegen_secs(module_insts(module)),
+                            f64::from(MAX_ATTEMPTS) * cost::codegen_secs(module_insts(module)),
                             64 << 20,
                         ));
                         self.ledger.objects_fallen_back += 1;
@@ -961,7 +964,9 @@ impl Propeller {
 
     /// The Phase 2 binary, or the phase-order error naming it.
     fn pm(&self) -> Result<&Arc<LinkedBinary>, PipelineError> {
-        self.pm_binary.as_ref().ok_or(PipelineError::PhaseOrder { needs: "phase 2" })
+        self.pm_binary
+            .as_ref()
+            .ok_or(PipelineError::PhaseOrder { needs: "phase 2" })
     }
 
     /// The plain baseline binary — the PGO+ThinLTO equivalent all

@@ -21,7 +21,10 @@ pub struct PhaseTimes {
 impl PhaseTimes {
     /// Total wall-clock seconds across phases.
     pub fn total_wall_secs(&self) -> f64 {
-        self.phase1.wall_secs + self.phase2.wall_secs + self.phase3.wall_secs + self.phase4.wall_secs
+        self.phase1.wall_secs
+            + self.phase2.wall_secs
+            + self.phase3.wall_secs
+            + self.phase4.wall_secs
     }
 
     /// These times with the *measured* pool timings (`wall_us`,

@@ -42,7 +42,9 @@ fn four_phases_run_and_improve_performance() {
     // Taken branches drop (the §5.4 effect).
     assert!(eval.optimized.taken_branches < eval.baseline.taken_branches);
     // The optimized half alone is the same run.
-    let alone = p.evaluate_optimized(200_000, &SimOptions::default(), None).unwrap();
+    let alone = p
+        .evaluate_optimized(200_000, &SimOptions::default(), None)
+        .unwrap();
     assert_eq!(alone.counters, eval.optimized);
 }
 
@@ -159,16 +161,26 @@ fn a_cache_snapshot_serves_hits_and_never_writes_through() {
     // A second pipeline over the same program on a snapshot: Phases 1-2
     // are all hits, Phase 4 inserts its hot modules — into the copy.
     let snapshot = caches.snapshot();
-    let mut second =
-        Propeller::with_caches(program, g.entries, PropellerOptions::default(), snapshot.clone());
+    let mut second = Propeller::with_caches(
+        program,
+        g.entries,
+        PropellerOptions::default(),
+        snapshot.clone(),
+    );
     second.phase1_compile().unwrap();
     second.phase2_build_metadata().unwrap();
     let warm = snapshot.object_stats().since(&before.1);
-    assert_eq!((warm.lookups, warm.hits, warm.insertions), (modules, modules, 0));
+    assert_eq!(
+        (warm.lookups, warm.hits, warm.insertions),
+        (modules, modules, 0)
+    );
     second.phase3_profile_and_analyze().unwrap();
     second.phase4_relink().unwrap();
     second.evaluate(20_000).unwrap();
     assert!(snapshot.object_stats().insertions > before.1.insertions);
     assert!(snapshot.len().1 > before.2 .1);
-    assert_eq!((caches.ir_stats(), caches.object_stats(), caches.len()), before);
+    assert_eq!(
+        (caches.ir_stats(), caches.object_stats(), caches.len()),
+        before
+    );
 }

@@ -1,7 +1,9 @@
 //! End-to-end tests of the §3.5 software prefetch pass.
 
 use propeller::{Propeller, PropellerOptions};
-use propeller_ir::{BlockId, FunctionBuilder, FunctionId, Inst, Program, ProgramBuilder, Terminator};
+use propeller_ir::{
+    BlockId, FunctionBuilder, FunctionId, Inst, Program, ProgramBuilder, Terminator,
+};
 
 /// A dispatcher that round-robins over many large leaf functions: the
 /// combined footprint exceeds L1i, so every call misses at the callee

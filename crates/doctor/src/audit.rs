@@ -98,8 +98,7 @@ pub fn audit_profile_with_reference(
     let agg = AggregatedProfile::from_profile(profile);
     let mapper = AddressMapper::from_binary(binary);
     let dcfg = Dcfg::build(&mapper, &agg);
-    let ref_dcfg = reference
-        .map(|r| Dcfg::build(&mapper, &AggregatedProfile::from_profile(r)));
+    let ref_dcfg = reference.map(|r| Dcfg::build(&mapper, &AggregatedProfile::from_profile(r)));
     let ref_dcfg = ref_dcfg.as_ref().unwrap_or(&dcfg);
 
     // Coverage: ask WPA's own hot tests which text bytes the reference
@@ -290,8 +289,7 @@ pub fn audit_pipeline(pipeline: &Propeller) -> Result<ProfileAudit, String> {
     });
     let mut audit = audit_profile_with_reference(pm, profile, None, &opts.wpa, expected);
     if let (Some(po), Some(program)) = (pipeline.po_binary(), pipeline.phase4_program()) {
-        let image =
-            ProgramImage::build(program, &po.layout).map_err(|e| e.to_string())?;
+        let image = ProgramImage::build(program, &po.layout).map_err(|e| e.to_string())?;
         let (po_profile, _) = collect_profile(
             &image,
             &pipeline.workload(opts.profile_budget),
@@ -367,8 +365,14 @@ mod tests {
         let mut prof = HardwareProfile::new("t");
         for _ in 0..n {
             prof.samples.push(LbrSample::new(vec![
-                LbrRecord { from: b0 + 2, to: b1 },
-                LbrRecord { from: b1 + 1, to: b0 },
+                LbrRecord {
+                    from: b0 + 2,
+                    to: b1,
+                },
+                LbrRecord {
+                    from: b1 + 1,
+                    to: b0,
+                },
             ]));
         }
         prof
@@ -398,27 +402,23 @@ mod tests {
         let mut reference = alpha_profile(&bin, 4);
         for _ in 0..4 {
             reference.samples.push(LbrSample::new(vec![
-                LbrRecord { from: b0 + 2, to: b2 },
-                LbrRecord { from: b2 + 3, to: b0 },
+                LbrRecord {
+                    from: b0 + 2,
+                    to: b2,
+                },
+                LbrRecord {
+                    from: b2 + 3,
+                    to: b0,
+                },
             ]));
         }
         // ...but the audited (degraded) collection only witnessed bb1.
         let degraded = alpha_profile(&bin, 4);
-        let full = audit_profile_with_reference(
-            &bin,
-            &reference,
-            Some(&reference),
-            &loose_opts(),
-            None,
-        );
+        let full =
+            audit_profile_with_reference(&bin, &reference, Some(&reference), &loose_opts(), None);
         assert_eq!(full.sample_coverage, 1.0);
-        let audit = audit_profile_with_reference(
-            &bin,
-            &degraded,
-            Some(&reference),
-            &loose_opts(),
-            None,
-        );
+        let audit =
+            audit_profile_with_reference(&bin, &degraded, Some(&reference), &loose_opts(), None);
         assert!(audit.auditable_bytes > audit.covered_bytes);
         assert!(
             audit.sample_coverage > 0.0 && audit.sample_coverage < 1.0,
@@ -426,8 +426,7 @@ mod tests {
             audit.sample_coverage
         );
         assert!(
-            (audit.sample_coverage
-                - audit.covered_bytes as f64 / audit.auditable_bytes as f64)
+            (audit.sample_coverage - audit.covered_bytes as f64 / audit.auditable_bytes as f64)
                 .abs()
                 < 1e-12
         );
@@ -487,7 +486,10 @@ mod tests {
         let mut prof = HardwareProfile::new("t");
         // Well-formed: lands at bb0, runs to bb1, within alpha.
         prof.samples.push(LbrSample::new(vec![
-            LbrRecord { from: b1 + 100, to: b0 },
+            LbrRecord {
+                from: b1 + 100,
+                to: b0,
+            },
             LbrRecord { from: b1, to: b0 },
         ]));
         // Malformed: inverted range (hi < lo).
@@ -512,12 +514,21 @@ mod tests {
         let mut drifted = HardwareProfile::new("t");
         for _ in 0..8 {
             drifted.samples.push(LbrSample::new(vec![
-                LbrRecord { from: b0 + 2, to: b2 },
-                LbrRecord { from: b2 + 1, to: b0 },
+                LbrRecord {
+                    from: b0 + 2,
+                    to: b2,
+                },
+                LbrRecord {
+                    from: b2 + 1,
+                    to: b0,
+                },
             ]));
         }
         let skew = layout_skew(&bin, &agg(&prof), &bin, &agg(&drifted));
-        assert!(skew > 0.5, "disjoint edge sets should skew hard, got {skew}");
+        assert!(
+            skew > 0.5,
+            "disjoint edge sets should skew hard, got {skew}"
+        );
         assert!(skew <= 1.0);
     }
 }

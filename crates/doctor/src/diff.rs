@@ -134,7 +134,13 @@ impl DiffReport {
         }
         let mut out = String::new();
         if self.plans_differ() {
-            let show = |p: &str| if p.is_empty() { "<none>".to_string() } else { p.to_string() };
+            let show = |p: &str| {
+                if p.is_empty() {
+                    "<none>".to_string()
+                } else {
+                    p.to_string()
+                }
+            };
             let _ = writeln!(
                 out,
                 "  fault plans differ (baseline: {}, candidate: {}) — runs are \
@@ -254,7 +260,14 @@ fn delta_of(
         Direction::LowerBetter => b > a && delta_pct > tolerance_pct,
         Direction::Informational => false,
     };
-    Some(MetricDelta { key: key.to_string(), a, b, delta_pct, direction, regression })
+    Some(MetricDelta {
+        key: key.to_string(),
+        a,
+        b,
+        delta_pct,
+        direction,
+        regression,
+    })
 }
 
 /// Lower-better when the two runs are comparable, informational
@@ -298,7 +311,9 @@ fn diff_metric_maps(
 
 fn diff_layouts(a: &[FunctionProvenance], b: &[FunctionProvenance]) -> Vec<LayoutChange> {
     let index = |fs: &[FunctionProvenance]| -> BTreeMap<String, FunctionProvenance> {
-        fs.iter().map(|f| (f.func_symbol.clone(), f.clone())).collect()
+        fs.iter()
+            .map(|f| (f.func_symbol.clone(), f.clone()))
+            .collect()
     };
     let fa = index(a);
     let fb = index(b);
@@ -572,7 +587,10 @@ mod tests {
         let d = diff_reports(&a, &b, 0.0);
         assert!(d.plans_differ());
         assert!(!d.has_regression());
-        assert!(d.deltas.iter().all(|m| m.direction == Direction::Informational));
+        assert!(d
+            .deltas
+            .iter()
+            .all(|m| m.direction == Direction::Informational));
         assert!(d
             .degradation_deltas
             .iter()
@@ -612,15 +630,29 @@ mod tests {
     fn per_symbol_cycle_growth_regresses() {
         // Aggregate metrics identical — only one hot function silently
         // got slower. The per-symbol gate still catches it.
-        let a = with_attr(report_with(&[("eval.speedup_pct", 5.0)]), &[("hot_a", 1000), ("hot_b", 500)]);
-        let b = with_attr(report_with(&[("eval.speedup_pct", 5.0)]), &[("hot_a", 1200), ("hot_b", 480)]);
+        let a = with_attr(
+            report_with(&[("eval.speedup_pct", 5.0)]),
+            &[("hot_a", 1000), ("hot_b", 500)],
+        );
+        let b = with_attr(
+            report_with(&[("eval.speedup_pct", 5.0)]),
+            &[("hot_a", 1200), ("hot_b", 480)],
+        );
         let d = diff_reports(&a, &b, 0.5);
         assert!(d.has_regression());
-        let hot_a = d.attribution_deltas.iter().find(|x| x.key == "hot_a").unwrap();
+        let hot_a = d
+            .attribution_deltas
+            .iter()
+            .find(|x| x.key == "hot_a")
+            .unwrap();
         assert!(hot_a.regression);
         assert_eq!(hot_a.direction, Direction::LowerBetter);
         // hot_b improved — reported, not a regression.
-        let hot_b = d.attribution_deltas.iter().find(|x| x.key == "hot_b").unwrap();
+        let hot_b = d
+            .attribution_deltas
+            .iter()
+            .find(|x| x.key == "hot_b")
+            .unwrap();
         assert!(!hot_b.regression);
         assert!(d.render().contains("cycles[hot_a"));
         // Within tolerance: 20% growth passes a 25% gate.
@@ -693,7 +725,11 @@ mod tests {
         // A report `collect` wrote carries exactly the declared keys.
         let baseline = RunReport::parse(include_str!("../../../ci/bench_baseline.json"))
             .expect("the bench baseline parses");
-        assert!(baseline.metrics.keys().map(String::as_str).eq(pinned.map(|(k, _)| k)));
+        assert!(baseline
+            .metrics
+            .keys()
+            .map(String::as_str)
+            .eq(pinned.map(|(k, _)| k)));
     }
 
     #[test]

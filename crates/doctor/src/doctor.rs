@@ -256,8 +256,7 @@ pub fn wall_clock_findings(times: &propeller::PhaseTimes, jobs: usize) -> Vec<Fi
             severity: Severity::Ok,
             metric: "wall.unmeasured".into(),
             value: 0.0,
-            message: "no phase measured real pool work (modeled-only run or all cache hits)"
-                .into(),
+            message: "no phase measured real pool work (modeled-only run or all cache hits)".into(),
         });
     }
     out
@@ -360,7 +359,10 @@ mod tests {
         a.sample_coverage = 0.85;
         let f = diagnose(&a);
         assert_eq!(
-            f.iter().find(|f| f.metric == "doctor.sample_coverage").unwrap().severity,
+            f.iter()
+                .find(|f| f.metric == "doctor.sample_coverage")
+                .unwrap()
+                .severity,
             Severity::Warn
         );
         a.sample_coverage = 0.5;
@@ -399,7 +401,9 @@ mod tests {
         assert_eq!(f.len(), 4);
         assert_eq!(worst(&f), Severity::Warn);
         assert!(f.iter().all(|f| f.severity != Severity::Fail));
-        assert!(f.iter().any(|f| f.metric == "faults.layout_identity_fallback"));
+        assert!(f
+            .iter()
+            .any(|f| f.metric == "faults.layout_identity_fallback"));
         assert!(render(&f).contains("identity layout"));
     }
 

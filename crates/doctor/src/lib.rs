@@ -41,11 +41,11 @@ pub use audit::{
     audit_pipeline, audit_profile_with_reference, layout_skew, ExpectedLoad, ProfileAudit,
 };
 pub use diff::{diff_reports, DiffReport, Direction, LayoutChange, MetricDelta};
-pub use policy::{RelinkDecision, RelinkPolicy};
 pub use doctor::{
     degradation_findings, diagnose, render, wall_clock_findings, worst, Finding, Severity,
 };
 pub use perf::{render_annotate, render_perf_report, AttributionSection, SymbolCounters};
+pub use policy::{RelinkDecision, RelinkPolicy};
 pub use provenance::{
     diff_docs, provenance_findings, render_explain, render_layout_diff, MovedSymbol,
     ProvenanceDiff, ProvenanceDoc, ProvenanceFunction,

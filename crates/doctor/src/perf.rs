@@ -66,7 +66,9 @@ impl AttributionSection {
     pub fn to_json(&self) -> JsonValue {
         arr(&self.symbols, |s| {
             let events = Event::ALL.map(|e| (e.name(), e.get(&s.counters).into()));
-            obj([("symbol", s.symbol.as_str().into())].into_iter().chain(events))
+            obj([("symbol", s.symbol.as_str().into())]
+                .into_iter()
+                .chain(events))
         })
     }
 }
@@ -167,11 +169,7 @@ pub fn render_perf_report(
         }
         out.push('\n');
     }
-    let _ = write!(
-        out,
-        "{:<24} {:>14} {:>7.2}%",
-        "TOTAL", base_total, 100.0
-    );
+    let _ = write!(out, "{:<24} {:>14} {:>7.2}%", "TOTAL", base_total, 100.0);
     for (_, attr) in variants {
         let ot = event.get(&attr.totals());
         let _ = write!(out, " {:>14} {:>+8.2}%", ot, delta_pct(base_total, ot));
@@ -229,7 +227,13 @@ pub fn render_annotate(
     let _ = writeln!(
         out,
         "  {:>12} {:>6} {:>10} {:>10} {:>8} {:>8} {:>8}  cluster",
-        "addr", "block", event.name(), "cycles", "l1i", "itlb", "baclears"
+        "addr",
+        "block",
+        event.name(),
+        "cycles",
+        "l1i",
+        "itlb",
+        "baclears"
     );
     // Laid-out order: the final addresses the linker assigned.
     let mut order: Vec<usize> = (0..sym.blocks.len()).collect();
@@ -238,9 +242,7 @@ pub fn render_annotate(
         let b = &sym.blocks[bi];
         let cluster = prov
             .and_then(|p| cluster_of(p, bi as u32))
-            .map(|(i, s, cold)| {
-                format!("#{i} {s}{}", if cold { " [cold]" } else { "" })
-            })
+            .map(|(i, s, cold)| format!("#{i} {s}{}", if cold { " [cold]" } else { "" }))
             .unwrap_or_default();
         let _ = writeln!(
             out,
@@ -300,10 +302,7 @@ mod tests {
 
     #[test]
     fn section_json_round_trips() {
-        let s = AttributionSection::from_attribution(
-            &attr(&[("a", 100, 3), ("b", 40, 1)]),
-            10,
-        );
+        let s = AttributionSection::from_attribution(&attr(&[("a", 100, 3), ("b", 40, 1)]), 10);
         let back = parse(&s.to_json().to_string_pretty()).unwrap();
         assert_eq!(back, s);
     }
@@ -312,7 +311,10 @@ mod tests {
     fn section_json_rejects_malformed_rows() {
         let err = |text| parse(text).unwrap_err().to_string();
         assert_eq!(err("3"), "expected an array at `attribution`");
-        assert_eq!(err(r#"[{"symbol": "x"}]"#), "missing `attribution[0].cycles`");
+        assert_eq!(
+            err(r#"[{"symbol": "x"}]"#),
+            "missing `attribution[0].cycles`"
+        );
         assert_eq!(
             err(r#"[{"symbol": "x", "cycles": 1.9}]"#),
             "expected an integer in 0..=18446744073709551615 at `attribution[0].cycles`"
@@ -343,8 +345,7 @@ mod tests {
     fn perf_report_appends_variant_only_symbols() {
         let base = attr(&[("alpha", 1000, 0)]);
         let bolt = attr(&[("gamma", 700, 0)]);
-        let table =
-            render_perf_report(Event::Cycles, 3, ("baseline", &base), &[("bolt", &bolt)]);
+        let table = render_perf_report(Event::Cycles, 3, ("baseline", &base), &[("bolt", &bolt)]);
         assert!(table.contains("gamma"));
     }
 

@@ -78,14 +78,20 @@ impl ProvenanceDoc {
         pipeline: &Propeller,
         merge_sources: Option<MergeProvenance>,
     ) -> ProvenanceDoc {
-        let rich = pipeline.wpa_output().and_then(|w| w.rich.clone()).unwrap_or_default();
+        let rich = pipeline
+            .wpa_output()
+            .and_then(|w| w.rich.clone())
+            .unwrap_or_default();
         ProvenanceDoc {
             benchmark: benchmark.to_string(),
             scale,
             seed,
             functions: rich.functions,
             funding: rich.funding,
-            placements: pipeline.po_binary().map(|b| b.placements.clone()).unwrap_or_default(),
+            placements: pipeline
+                .po_binary()
+                .map(|b| b.placements.clone())
+                .unwrap_or_default(),
             merge_sources,
             attribution: Vec::new(),
         }
@@ -147,12 +153,18 @@ impl ProvenanceDoc {
             ("funding", self.funding.records.write()),
             ("placements", self.placements.write()),
         ])
-        .with("merge_sources", self.merge_sources.as_ref().map(Field::write))
+        .with(
+            "merge_sources",
+            self.merge_sources.as_ref().map(Field::write),
+        )
         .with(
             "attribution",
             (!self.attribution.is_empty()).then(|| {
                 arr(&self.attribution, |(symbol, cycles)| {
-                    obj([("symbol", symbol.as_str().into()), ("cycles", cycles.into())])
+                    obj([
+                        ("symbol", symbol.as_str().into()),
+                        ("cycles", cycles.into()),
+                    ])
                 })
             }),
         )
@@ -483,7 +495,11 @@ pub fn render_explain(
         out,
         "  edge funding ({} profile records{}):",
         relevant.len(),
-        if block.is_some() { " touching the block" } else { "" }
+        if block.is_some() {
+            " touching the block"
+        } else {
+            ""
+        }
     );
     for r in &relevant {
         let _ = writeln!(
@@ -670,13 +686,33 @@ mod tests {
                 func_symbol: "hot_a".into(),
                 func_index: 3,
                 nodes: vec![
-                    Node { id: 0, size: 16, count: 100 },
-                    Node { id: 1, size: 16, count: 90 },
-                    Node { id: 2, size: 16, count: 80 },
+                    Node {
+                        id: 0,
+                        size: 16,
+                        count: 100,
+                    },
+                    Node {
+                        id: 1,
+                        size: 16,
+                        count: 90,
+                    },
+                    Node {
+                        id: 2,
+                        size: 16,
+                        count: 80,
+                    },
                 ],
                 edges: vec![
-                    Edge { src: 0, dst: 2, weight: 100 },
-                    Edge { src: 2, dst: 1, weight: 90 },
+                    Edge {
+                        src: 0,
+                        dst: 2,
+                        weight: 100,
+                    },
+                    Edge {
+                        src: 2,
+                        dst: 1,
+                        weight: 90,
+                    },
                 ],
                 steps: vec![
                     MergeStep {
@@ -691,7 +727,13 @@ mod tests {
                             split: Some(1),
                         }),
                     },
-                    MergeStep { x: 0, y: 1, gain: 80.0, split: None, rejected: None },
+                    MergeStep {
+                        x: 0,
+                        y: 1,
+                        gain: 80.0,
+                        split: None,
+                        rejected: None,
+                    },
                 ],
                 evaluations: 9,
                 used_input_order: false,
@@ -761,7 +803,9 @@ mod tests {
         let text = sample_doc().to_json_string();
         let err = |from: &str, to: &str| {
             assert!(text.contains(from), "{from} not in {text}");
-            ProvenanceDoc::parse(&text.replacen(from, to, 1)).unwrap_err().to_string()
+            ProvenanceDoc::parse(&text.replacen(from, to, 1))
+                .unwrap_err()
+                .to_string()
         };
         // Used to wrap to function 0 through `as u32`.
         assert_eq!(
@@ -777,7 +821,10 @@ mod tests {
             "expected an integer in 0..=18446744073709551615 at \
              `layout_provenance.placements[0].addr`"
         );
-        assert_eq!(err("\"placements\"", "\"placed\""), "missing `layout_provenance.placements`");
+        assert_eq!(
+            err("\"placements\"", "\"placed\""),
+            "missing `layout_provenance.placements`"
+        );
     }
 
     #[test]
@@ -789,7 +836,10 @@ mod tests {
         assert!(bad.validate_replay().is_err());
         let mut not_perm = doc;
         not_perm.functions[0].order = vec![0, 2, 2];
-        assert!(not_perm.validate_replay().unwrap_err().contains("permutation"));
+        assert!(not_perm
+            .validate_replay()
+            .unwrap_err()
+            .contains("permutation"));
     }
 
     #[test]
@@ -804,8 +854,13 @@ mod tests {
     fn diff_names_the_first_diverging_decision_and_ranks_moves() {
         let a = sample_doc();
         let mut b = sample_doc();
-        b.functions[0].steps[1] =
-            MergeStep { x: 0, y: 1, gain: 75.0, split: Some(2), rejected: None };
+        b.functions[0].steps[1] = MergeStep {
+            x: 0,
+            y: 1,
+            gain: 75.0,
+            split: Some(2),
+            rejected: None,
+        };
         b.placements[0].order = 4;
         b.placements[0].addr = 0x40_2000;
         b.placements.push(SymbolPlacement {
@@ -821,7 +876,10 @@ mod tests {
         let div = d.first_divergence.as_deref().unwrap();
         assert!(div.contains("hot_a"), "{div}");
         assert!(div.contains("step 1"), "{div}");
-        assert!(div.contains("gain 80.000") && div.contains("gain 75.000"), "{div}");
+        assert!(
+            div.contains("gain 80.000") && div.contains("gain 75.000"),
+            "{div}"
+        );
         assert_eq!(d.moved.len(), 1);
         assert_eq!(d.moved[0].symbol, "hot_a");
         assert_eq!(d.only_b, vec!["new_sym".to_string()]);
@@ -862,11 +920,20 @@ mod tests {
         let text = render_explain(&doc, "hot_a", None, None).unwrap();
         assert!(text.contains("sample mass: 270"), "{text}");
         assert!(text.contains("gain    120.000"), "{text}");
-        assert!(text.contains("best rejected: 1<-2 split@1 gain 40.000"), "{text}");
-        assert!(text.contains("no other positive-gain candidate queued"), "{text}");
+        assert!(
+            text.contains("best rejected: 1<-2 split@1 gain 40.000"),
+            "{text}"
+        );
+        assert!(
+            text.contains("no other positive-gain candidate queued"),
+            "{text}"
+        );
         assert!(text.contains("0x400000"), "{text}");
         assert!(text.contains("emitted hot order: [0 2 1]"), "{text}");
-        assert!(text.contains("2 jumps deleted, 1 branches shrunk"), "{text}");
+        assert!(
+            text.contains("2 jumps deleted, 1 branches shrunk"),
+            "{text}"
+        );
         assert!(render_explain(&doc, "absent", None, None).is_err());
     }
 
@@ -881,7 +948,10 @@ mod tests {
         assert!(text.contains("step   1"), "{text}");
         // The funding ledger only holds the 0->2 record, which does
         // not touch block 1.
-        assert!(text.contains("0 profile records touching the block"), "{text}");
+        assert!(
+            text.contains("0 profile records touching the block"),
+            "{text}"
+        );
     }
 
     #[test]

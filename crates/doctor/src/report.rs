@@ -125,7 +125,10 @@ impl RunReport {
         put(MAPPER_SKIPPED_FUNCS, w.skipped_funcs as f64);
         put(MAPPER_ADDR_LOOKUPS, w.addr_lookups as f64);
         put(MAPPER_UNMAPPED_ADDRS, w.addr_unmapped as f64);
-        put(CACHE_IR_HIT_RATE, hit_rate(summary.ir_cache.hits, summary.ir_cache.lookups));
+        put(
+            CACHE_IR_HIT_RATE,
+            hit_rate(summary.ir_cache.hits, summary.ir_cache.lookups),
+        );
         put(
             CACHE_OBJ_HIT_RATE,
             hit_rate(summary.object_cache.hits, summary.object_cache.lookups),
@@ -140,8 +143,14 @@ impl RunReport {
             put(EVAL_OPT_CYCLES, opt.cycles as f64);
             put(EVAL_BASE_IPC, base.ipc());
             put(EVAL_OPT_IPC, opt.ipc());
-            put(EVAL_L1I_MISS_DELTA_PCT, opt.delta_pct(base, |c| c.l1i_misses));
-            put(EVAL_ITLB_MISS_DELTA_PCT, opt.delta_pct(base, |c| c.itlb_misses));
+            put(
+                EVAL_L1I_MISS_DELTA_PCT,
+                opt.delta_pct(base, |c| c.l1i_misses),
+            );
+            put(
+                EVAL_ITLB_MISS_DELTA_PCT,
+                opt.delta_pct(base, |c| c.itlb_misses),
+            );
             put(EVAL_BACLEARS_DELTA_PCT, opt.delta_pct(base, |c| c.baclears));
         }
         if let Some(a) = audit {
@@ -167,7 +176,8 @@ impl RunReport {
         // provenance must leave run_report.json bit-identical to an
         // unarmed run (the bench-gate baseline is unarmed).
         let telemetry = telemetry.map(|mut snap| {
-            snap.counters.retain(|k, _| !k.starts_with("wpa.provenance."));
+            snap.counters
+                .retain(|k, _| !k.starts_with("wpa.provenance."));
             snap
         });
         RunReport {
@@ -207,7 +217,10 @@ impl RunReport {
             (!self.fault_plan.is_empty()).then(|| self.fault_plan.as_str().into()),
         )
         .with("degradation", self.degradation.to_json())
-        .with("telemetry", self.telemetry.as_ref().map(MetricsSnapshot::to_json))
+        .with(
+            "telemetry",
+            self.telemetry.as_ref().map(MetricsSnapshot::to_json),
+        )
         .with(
             "attribution",
             self.attribution
@@ -386,11 +399,17 @@ mod tests {
         assert_eq!(err(missing_metrics), "missing `run_report.metrics`");
         let bad_metric = r#"{"benchmark": "x", "scale": 1, "seed": 0,
             "metrics": {"m": "not a number"}, "wall": {}, "layout": []}"#;
-        assert_eq!(err(bad_metric), "expected a number at `run_report.metrics.m`");
+        assert_eq!(
+            err(bad_metric),
+            "expected a number at `run_report.metrics.m`"
+        );
         // Present but ill-typed is not "missing".
         let ill_typed = r#"{"benchmark": 3, "scale": 1, "seed": 0,
             "metrics": {}, "wall": {}, "layout": []}"#;
-        assert_eq!(err(ill_typed), "expected a string at `run_report.benchmark`");
+        assert_eq!(
+            err(ill_typed),
+            "expected a string at `run_report.benchmark`"
+        );
     }
 
     #[test]
@@ -398,7 +417,9 @@ mod tests {
         let text = sample_report().to_json_string();
         let err = |from: &str, to: &str| {
             assert!(text.contains(from), "{from} not in {text}");
-            RunReport::parse(&text.replacen(from, to, 1)).unwrap_err().to_string()
+            RunReport::parse(&text.replacen(from, to, 1))
+                .unwrap_err()
+                .to_string()
         };
         // `1.9` used to read as 1, `1e30` as u64::MAX, and a block id
         // of 2^32 wrapped to 0.
@@ -412,7 +433,10 @@ mod tests {
              `run_report.layout[0].clusters[0].weight`"
         );
         assert_eq!(
-            err("\"blocks\": [\n            0,", "\"blocks\": [\n            4294967296,"),
+            err(
+                "\"blocks\": [\n            0,",
+                "\"blocks\": [\n            4294967296,"
+            ),
             "expected an integer in 0..=4294967295 at `run_report.layout[0].clusters[0].blocks[0]`"
         );
         assert_eq!(

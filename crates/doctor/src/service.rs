@@ -33,7 +33,12 @@ pub fn service_findings(ledger: &ServiceLedger) -> Vec<Finding> {
             });
         }
         for (metric, value, message) in tenant_pressure(name, row) {
-            out.push(Finding { severity: Severity::Warn, metric, value, message });
+            out.push(Finding {
+                severity: Severity::Warn,
+                metric,
+                value,
+                message,
+            });
         }
     }
     if !ledger.accounts_exactly() {
@@ -67,22 +72,34 @@ fn tenant_pressure(name: &str, row: &TenantLedger) -> Vec<(String, f64, String)>
     warn(
         "deadline_timeouts",
         row.deadline_timeouts,
-        format!("tenant {name}: {} queued job(s) aged past the deadline before a slot opened", row.deadline_timeouts),
+        format!(
+            "tenant {name}: {} queued job(s) aged past the deadline before a slot opened",
+            row.deadline_timeouts
+        ),
     );
     warn(
         "queue_drops",
         row.queue_drops,
-        format!("tenant {name}: {} queued entr(ies) were dropped by injected faults", row.queue_drops),
+        format!(
+            "tenant {name}: {} queued entr(ies) were dropped by injected faults",
+            row.queue_drops
+        ),
     );
     warn(
         "cancelled_by_fault",
         row.cancelled_by_fault,
-        format!("tenant {name}: {} job(s) were cancelled mid-flight by injected faults", row.cancelled_by_fault),
+        format!(
+            "tenant {name}: {} job(s) were cancelled mid-flight by injected faults",
+            row.cancelled_by_fault
+        ),
     );
     warn(
         "degraded_jobs",
         row.degraded_jobs,
-        format!("tenant {name}: {} completed job(s) shipped with a non-clean degradation ledger", row.degraded_jobs),
+        format!(
+            "tenant {name}: {} completed job(s) shipped with a non-clean degradation ledger",
+            row.degraded_jobs
+        ),
     );
     warn(
         "identity_fallbacks",

@@ -131,7 +131,9 @@ impl SloConfig {
         dead.max_fail = Some(0.25);
         let mut hit = SloObjective::named("cache_hit_rate", "*");
         hit.min_warn = Some(0.10);
-        SloConfig { objectives: vec![p99, depth, rej, dead, hit] }
+        SloConfig {
+            objectives: vec![p99, depth, rej, dead, hit],
+        }
     }
 
     /// Parse the TOML subset the `slo` subcommand accepts:
@@ -145,7 +147,10 @@ impl SloConfig {
         let mut seen: Vec<&str> = Vec::new();
         for (idx, raw) in text.lines().enumerate() {
             let lineno = idx + 1;
-            let err = |message: String| SloParseError { line: lineno, message };
+            let err = |message: String| SloParseError {
+                line: lineno,
+                message,
+            };
             let line = raw.trim();
             if line.is_empty() || line.starts_with('#') {
                 continue;
@@ -580,8 +585,14 @@ min_warn = 0.5
         // Inverted bounds used to parse: a value between them graded
         // FAIL without crossing the WARN line.
         for (bounds, message) in [
-            ("max_warn = 10\nmax_fail = 1", "`max_warn` 10 is above `max_fail` 1"),
-            ("min_fail = 0.9\nmin_warn = 0.5", "`min_warn` 0.5 is below `min_fail` 0.9"),
+            (
+                "max_warn = 10\nmax_fail = 1",
+                "`max_warn` 10 is above `max_fail` 1",
+            ),
+            (
+                "min_fail = 0.9\nmin_warn = 0.5",
+                "`min_warn` 0.5 is below `min_fail` 0.9",
+            ),
         ] {
             let text = format!("[[objective]]\nmetric = \"cache_hit_rate\"\n{bounds}");
             let err = SloConfig::parse(&text).unwrap_err();
@@ -659,21 +670,42 @@ min_warn = 0.5
         let message = |max_warn, max_fail| {
             let mut obj = SloObjective::named("queue_depth_max", "*");
             (obj.max_warn, obj.max_fail) = (Some(max_warn), Some(max_fail));
-            let report = evaluate_slo(&ts, &ledger, &SloConfig { objectives: vec![obj] });
+            let report = evaluate_slo(
+                &ts,
+                &ledger,
+                &SloConfig {
+                    objectives: vec![obj],
+                },
+            );
             let f = &report.findings[0];
             (f.severity, f.message.clone())
         };
         // Used to read "(warn above 1)" on the FAIL line.
-        let fail = (Severity::Fail, "tenant t0: queue_depth_max = 5.0000 (fail above 4)".into());
+        let fail = (
+            Severity::Fail,
+            "tenant t0: queue_depth_max = 5.0000 (fail above 4)".into(),
+        );
         assert_eq!(message(1.0, 4.0), fail);
-        let warn = (Severity::Warn, "tenant t0: queue_depth_max = 5.0000 (warn above 1)".into());
+        let warn = (
+            Severity::Warn,
+            "tenant t0: queue_depth_max = 5.0000 (warn above 1)".into(),
+        );
         assert_eq!(message(1.0, 10.0), warn);
         // Hit rate 15/20 = 0.75 under a 0.8 floor.
         let mut hit = SloObjective::named("cache_hit_rate", "*");
         (hit.min_warn, hit.min_fail) = (Some(0.9), Some(0.8));
-        let report = evaluate_slo(&ts, &ledger, &SloConfig { objectives: vec![hit] });
+        let report = evaluate_slo(
+            &ts,
+            &ledger,
+            &SloConfig {
+                objectives: vec![hit],
+            },
+        );
         let message = &report.findings[0].message;
-        assert_eq!(message, "tenant t0: cache_hit_rate = 0.7500 (fail below 0.8)");
+        assert_eq!(
+            message,
+            "tenant t0: cache_hit_rate = 0.7500 (fail below 0.8)"
+        );
     }
 
     #[test]
@@ -694,7 +726,13 @@ min_warn = 0.5
         obj.max_fail = Some(60_000.0);
         obj.window_secs = Some(30.0);
         obj.target = Some(0.99);
-        let report = evaluate_slo(&ts, &ledger, &SloConfig { objectives: vec![obj] });
+        let report = evaluate_slo(
+            &ts,
+            &ledger,
+            &SloConfig {
+                objectives: vec![obj],
+            },
+        );
         let burn = report
             .findings
             .iter()
@@ -718,7 +756,13 @@ min_warn = 0.5
         let ts = TimeSeries::new();
         let mut obj = SloObjective::named("rejection_rate", "*");
         obj.max_warn = Some(0.5);
-        let report = evaluate_slo(&ts, &ledger, &SloConfig { objectives: vec![obj] });
+        let report = evaluate_slo(
+            &ts,
+            &ledger,
+            &SloConfig {
+                objectives: vec![obj],
+            },
+        );
         let metrics: Vec<&str> = report.findings.iter().map(|f| f.metric.as_str()).collect();
         assert_eq!(metrics, ["slo.t0.rejection_rate", "slo.t1.rejection_rate"]);
     }
@@ -731,8 +775,11 @@ min_warn = 0.5
             &SloConfig::default_service(),
         );
         assert_eq!(report.verdict(), Severity::Ok);
-        let report =
-            evaluate_slo(&TimeSeries::new(), &ServiceLedger::default(), &SloConfig::default());
+        let report = evaluate_slo(
+            &TimeSeries::new(),
+            &ServiceLedger::default(),
+            &SloConfig::default(),
+        );
         assert_eq!(report.verdict(), Severity::Ok);
         assert!(report.findings[0].metric.contains("none"));
         // JSON is well-formed and deterministic.

@@ -11,8 +11,8 @@
 //! gate shows up here without running the pipeline.
 
 use propeller_doctor::{
-    AttributionSection, Finding, ProvenanceDoc, ProvenanceFunction, RunReport, Severity,
-    SloReport, SymbolCounters,
+    AttributionSection, Finding, ProvenanceDoc, ProvenanceFunction, RunReport, Severity, SloReport,
+    SymbolCounters,
 };
 use propeller_faults::LayoutMode;
 use propeller_linker::SymbolPlacement;
@@ -20,7 +20,7 @@ use propeller_profile::{MergeProvenance, SourceContribution};
 use propeller_sim::CounterSet;
 use propeller_telemetry::{Histogram, MetricsRegistry, MetricsSnapshot};
 use propeller_wpa::exttsp::{Edge, MergeStep, Node, RejectedAlt};
-use propeller_wpa::{ClusterProvenance, EdgeFunding, EdgeKind, FundingRecord, FunctionProvenance};
+use propeller_wpa::{ClusterProvenance, EdgeFunding, EdgeKind, FunctionProvenance, FundingRecord};
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
@@ -123,7 +123,11 @@ fn run_report_bytes() {
 
     let mut with_telemetry = clean_report();
     with_telemetry.telemetry = Some(metrics(true));
-    pin("telemetry", &with_telemetry.to_json_string(), 0x1d61_2df6_d604_e1c5);
+    pin(
+        "telemetry",
+        &with_telemetry.to_json_string(),
+        0x1d61_2df6_d604_e1c5,
+    );
 
     let mut attributed = clean_report();
     attributed.attribution = Some(AttributionSection {
@@ -152,7 +156,11 @@ fn run_report_bytes() {
             },
         ],
     });
-    pin("attributed", &attributed.to_json_string(), 0x4f98_96fb_c64f_de50);
+    pin(
+        "attributed",
+        &attributed.to_json_string(),
+        0x4f98_96fb_c64f_de50,
+    );
 
     // An empty attribution section is omitted like an absent one.
     let mut empty_attr = clean_report();
@@ -170,13 +178,33 @@ fn provenance_doc() -> ProvenanceDoc {
                 func_symbol: "hot_a".into(),
                 func_index: 3,
                 nodes: vec![
-                    Node { id: 0, size: 16, count: 100 },
-                    Node { id: 1, size: 8, count: 40 },
-                    Node { id: 2, size: 24, count: 90 },
+                    Node {
+                        id: 0,
+                        size: 16,
+                        count: 100,
+                    },
+                    Node {
+                        id: 1,
+                        size: 8,
+                        count: 40,
+                    },
+                    Node {
+                        id: 2,
+                        size: 24,
+                        count: 90,
+                    },
                 ],
                 edges: vec![
-                    Edge { src: 0, dst: 2, weight: 90 },
-                    Edge { src: 2, dst: 1, weight: 40 },
+                    Edge {
+                        src: 0,
+                        dst: 2,
+                        weight: 90,
+                    },
+                    Edge {
+                        src: 2,
+                        dst: 1,
+                        weight: 40,
+                    },
                 ],
                 steps: vec![
                     MergeStep {
@@ -184,9 +212,20 @@ fn provenance_doc() -> ProvenanceDoc {
                         y: 2,
                         gain: 90.0,
                         split: None,
-                        rejected: Some(RejectedAlt { x: 2, y: 1, gain: 40.0, split: Some(1) }),
+                        rejected: Some(RejectedAlt {
+                            x: 2,
+                            y: 1,
+                            gain: 40.0,
+                            split: Some(1),
+                        }),
                     },
-                    MergeStep { x: 0, y: 1, gain: 38.5, split: Some(2), rejected: None },
+                    MergeStep {
+                        x: 0,
+                        y: 1,
+                        gain: 38.5,
+                        split: Some(2),
+                        rejected: None,
+                    },
                 ],
                 evaluations: 5,
                 used_input_order: false,
@@ -197,7 +236,11 @@ fn provenance_doc() -> ProvenanceDoc {
             ProvenanceFunction {
                 func_symbol: "lone_b".into(),
                 func_index: 9,
-                nodes: vec![Node { id: 4, size: 32, count: 1 }],
+                nodes: vec![Node {
+                    id: 4,
+                    size: 32,
+                    count: 1,
+                }],
                 edges: vec![],
                 steps: vec![],
                 evaluations: 0,
@@ -254,8 +297,20 @@ fn provenance_doc_bytes() {
         decay_num: 1,
         decay_den: 2,
         sources: vec![
-            SourceContribution { index: 0, weight: 17, age: 2, effective: 68, branch_total: 1234 },
-            SourceContribution { index: 1, weight: 3, age: 0, effective: 1 << 70, branch_total: 0 },
+            SourceContribution {
+                index: 0,
+                weight: 17,
+                age: 2,
+                effective: 68,
+                branch_total: 1234,
+            },
+            SourceContribution {
+                index: 1,
+                weight: 3,
+                age: 0,
+                effective: 1 << 70,
+                branch_total: 0,
+            },
         ],
     });
     full.attribution = vec![("hot_a".into(), 9000), ("lone_b".into(), 0)];
@@ -287,12 +342,28 @@ fn slo_report_bytes() {
         ],
     };
     pin("slo", &report.to_json_string(), 0x8f77_9449_3adb_9ddc);
-    pin("slo-empty", &SloReport { findings: vec![] }.to_json_string(), 0xb3f5_db60_39aa_1c4a);
+    pin(
+        "slo-empty",
+        &SloReport { findings: vec![] }.to_json_string(),
+        0xb3f5_db60_39aa_1c4a,
+    );
 }
 
 #[test]
 fn metrics_snapshot_bytes() {
-    pin("observed", &metrics(true).to_json().to_string_pretty(), 0x50c4_26b2_5a47_afd9);
-    pin("unobserved", &metrics(false).to_json().to_string_pretty(), 0xc222_6395_8015_929f);
-    pin("empty", &MetricsSnapshot::default().to_json().to_string_pretty(), 0x3fcd_afe8_ee69_ada5);
+    pin(
+        "observed",
+        &metrics(true).to_json().to_string_pretty(),
+        0x50c4_26b2_5a47_afd9,
+    );
+    pin(
+        "unobserved",
+        &metrics(false).to_json().to_string_pretty(),
+        0xc222_6395_8015_929f,
+    );
+    pin(
+        "empty",
+        &MetricsSnapshot::default().to_json().to_string_pretty(),
+        0x3fcd_afe8_ee69_ada5,
+    );
 }

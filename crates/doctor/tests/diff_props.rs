@@ -11,8 +11,7 @@
 //! a sane value, never a panic and never a silently defaulted member.
 
 use propeller_doctor::{
-    diff_reports, AttributionSection, ProvenanceDoc, ProvenanceFunction, RunReport,
-    SymbolCounters,
+    diff_reports, AttributionSection, ProvenanceDoc, ProvenanceFunction, RunReport, SymbolCounters,
 };
 use propeller_faults::{splitmix64, DegradationLedger, LayoutMode};
 use propeller_linker::SymbolPlacement;
@@ -21,7 +20,7 @@ use propeller_sim::CounterSet;
 use propeller_telemetry::json::{read_doc, FromJson};
 use propeller_telemetry::{JsonValue, MetricsRegistry, MetricsSnapshot, SchemaError};
 use propeller_wpa::exttsp::{Edge, MergeStep, Node, RejectedAlt};
-use propeller_wpa::{ClusterProvenance, EdgeFunding, EdgeKind, FundingRecord, FunctionProvenance};
+use propeller_wpa::{ClusterProvenance, EdgeFunding, EdgeKind, FunctionProvenance, FundingRecord};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 
@@ -41,11 +40,7 @@ const KEYS: [&str; 8] = [
 /// Builds a report from drawn raw material. Metric values span
 /// negatives, zero, and large magnitudes; unit-interval draws from the
 /// vendored `any::<f64>()` are rescaled to cover them.
-fn report_of(
-    metrics: &[(u8, f64)],
-    wall: &[(u8, f64)],
-    funcs: &[(u8, u8, bool)],
-) -> RunReport {
+fn report_of(metrics: &[(u8, f64)], wall: &[(u8, f64)], funcs: &[(u8, u8, bool)]) -> RunReport {
     let mut r = RunReport {
         benchmark: "prop".into(),
         scale: 0.5,
@@ -57,8 +52,7 @@ fn report_of(
         r.metrics.insert(key.to_string(), (v - 0.5) * 2e6);
     }
     for (k, v) in wall {
-        r.wall
-            .insert(format!("phase{}.wall_secs", k % 5), v * 1e3);
+        r.wall.insert(format!("phase{}.wall_secs", k % 5), v * 1e3);
     }
     for (i, (blocks, order, cold)) in funcs.iter().enumerate() {
         let symbol = format!("fn{i}");
@@ -184,7 +178,14 @@ impl Dice {
 
     fn name(&mut self) -> String {
         const POOL: [&str; 8] = [
-            "hot_a", "clang_fn92.cold", "t0", "tenant \"b\"", "µ-kernel\n", "a\\b", "", "x.y[3]",
+            "hot_a",
+            "clang_fn92.cold",
+            "t0",
+            "tenant \"b\"",
+            "µ-kernel\n",
+            "a\\b",
+            "",
+            "x.y[3]",
         ];
         format!("{}{}", POOL[self.below(8) as usize], self.below(3))
     }
@@ -234,7 +235,8 @@ fn metrics(d: &mut Dice) -> MetricsSnapshot {
     }
     let mut snap = reg.snapshot();
     if d.flag() {
-        snap.histograms.insert("never.observed".into(), Default::default());
+        snap.histograms
+            .insert("never.observed".into(), Default::default());
     }
     snap
 }
@@ -267,7 +269,11 @@ fn run_report(d: &mut Dice) -> RunReport {
         benchmark: d.name(),
         scale: d.real(),
         seed: d.count(),
-        fault_plan: if d.flag() { String::new() } else { "transient=0.5".into() },
+        fault_plan: if d.flag() {
+            String::new()
+        } else {
+            "transient=0.5".into()
+        },
         degradation: degradation(d),
         telemetry: d.flag().then(|| metrics(d)),
         // An empty section is written as an absent one.
@@ -278,24 +284,27 @@ fn run_report(d: &mut Dice) -> RunReport {
         r.metrics.insert(d.name(), d.real());
         r.wall.insert(d.name(), d.real());
     }
-    r.layout.functions = d.rows(|d| FunctionProvenance {
-        func_symbol: d.name(),
-        total_samples: d.count(),
-        hot_blocks: d.small() as usize,
-        cold_blocks: d.small() as usize,
-        merge_gains: d.vec(Dice::real),
-        layout_score: d.real(),
-        input_score: d.real(),
-        used_input_order: d.flag(),
-        clusters: d.vec(|d| ClusterProvenance {
-            symbol: d.name(),
-            blocks: d.vec(Dice::small),
-            weight: d.count(),
-            size: d.count(),
-            cold: d.flag(),
-            symbol_order_pos: d.flag().then(|| d.small() as usize),
-        }),
-    }, |f| &f.func_symbol);
+    r.layout.functions = d.rows(
+        |d| FunctionProvenance {
+            func_symbol: d.name(),
+            total_samples: d.count(),
+            hot_blocks: d.small() as usize,
+            cold_blocks: d.small() as usize,
+            merge_gains: d.vec(Dice::real),
+            layout_score: d.real(),
+            input_score: d.real(),
+            used_input_order: d.flag(),
+            clusters: d.vec(|d| ClusterProvenance {
+                symbol: d.name(),
+                blocks: d.vec(Dice::small),
+                weight: d.count(),
+                size: d.count(),
+                cold: d.flag(),
+                symbol_order_pos: d.flag().then(|| d.small() as usize),
+            }),
+        },
+        |f| &f.func_symbol,
+    );
     r
 }
 
@@ -305,49 +314,67 @@ fn provenance_doc(d: &mut Dice) -> ProvenanceDoc {
         benchmark: d.name(),
         scale: d.real(),
         seed: d.count(),
-        functions: d.rows(|d| ProvenanceFunction {
-            func_symbol: d.name(),
-            func_index: d.small(),
-            nodes: d.vec(|d| Node { id: d.small(), size: d.small(), count: d.count() }),
-            edges: d.vec(|d| Edge { src: d.small(), dst: d.small(), weight: d.count() }),
-            steps: d.vec(|d| MergeStep {
-                x: d.small() as usize,
-                y: d.small() as usize,
-                gain: d.real(),
-                split: split(d),
-                rejected: d.flag().then(|| RejectedAlt {
+        functions: d.rows(
+            |d| ProvenanceFunction {
+                func_symbol: d.name(),
+                func_index: d.small(),
+                nodes: d.vec(|d| Node {
+                    id: d.small(),
+                    size: d.small(),
+                    count: d.count(),
+                }),
+                edges: d.vec(|d| Edge {
+                    src: d.small(),
+                    dst: d.small(),
+                    weight: d.count(),
+                }),
+                steps: d.vec(|d| MergeStep {
                     x: d.small() as usize,
                     y: d.small() as usize,
                     gain: d.real(),
                     split: split(d),
+                    rejected: d.flag().then(|| RejectedAlt {
+                        x: d.small() as usize,
+                        y: d.small() as usize,
+                        gain: d.real(),
+                        split: split(d),
+                    }),
                 }),
-            }),
-            evaluations: d.count(),
-            used_input_order: d.flag(),
-            final_score: d.real(),
-            input_score: d.real(),
-            order: d.vec(Dice::small),
-        }, |f| &f.func_symbol),
+                evaluations: d.count(),
+                used_input_order: d.flag(),
+                final_score: d.real(),
+                input_score: d.real(),
+                order: d.vec(Dice::small),
+            },
+            |f| &f.func_symbol,
+        ),
         funding: EdgeFunding {
             records: d.vec(|d| FundingRecord {
                 func: d.small(),
                 src: d.small(),
                 dst: d.small(),
-                kind: if d.flag() { EdgeKind::Branch } else { EdgeKind::Fallthrough },
+                kind: if d.flag() {
+                    EdgeKind::Branch
+                } else {
+                    EdgeKind::Fallthrough
+                },
                 from: d.count(),
                 to: d.count(),
                 weight: d.count(),
             }),
         },
-        placements: d.rows(|d| SymbolPlacement {
-            symbol: d.name().into(),
-            order: d.small(),
-            addr: d.count(),
-            input_size: d.count(),
-            final_size: d.count(),
-            deleted_jumps: d.small(),
-            shrunk_branches: d.small(),
-        }, |p| &p.symbol),
+        placements: d.rows(
+            |d| SymbolPlacement {
+                symbol: d.name().into(),
+                order: d.small(),
+                addr: d.count(),
+                input_size: d.count(),
+                final_size: d.count(),
+                deleted_jumps: d.small(),
+                shrunk_branches: d.small(),
+            },
+            |p| &p.symbol,
+        ),
         merge_sources: d.flag().then(|| MergeProvenance {
             max_age: d.small(),
             decay_num: d.small(),
@@ -357,7 +384,11 @@ fn provenance_doc(d: &mut Dice) -> ProvenanceDoc {
                 weight: d.count(),
                 age: d.small(),
                 // A u128: beyond 2^53 only powers of two stay exact.
-                effective: if d.flag() { u128::from(d.count()) } else { 1 << d.below(120) },
+                effective: if d.flag() {
+                    u128::from(d.count())
+                } else {
+                    1 << d.below(120)
+                },
                 branch_total: d.count(),
             }),
         }),
@@ -428,8 +459,13 @@ fn paths(v: &JsonValue, members: bool, at: &mut Vec<Seg>, out: &mut Vec<Vec<Seg>
         at.pop();
     };
     match v {
-        JsonValue::Obj(m) => m.iter().for_each(|(k, c)| visit(Seg::Key(k.clone()), c, true)),
-        JsonValue::Arr(a) => a.iter().enumerate().for_each(|(i, c)| visit(Seg::Idx(i), c, false)),
+        JsonValue::Obj(m) => m
+            .iter()
+            .for_each(|(k, c)| visit(Seg::Key(k.clone()), c, true)),
+        JsonValue::Arr(a) => a
+            .iter()
+            .enumerate()
+            .for_each(|(i, c)| visit(Seg::Idx(i), c, false)),
         _ => {}
     }
 }
@@ -469,8 +505,16 @@ fn keys(path: &[Seg]) -> Vec<&str> {
 /// name-keyed maps.
 fn required(path: &[Seg]) -> bool {
     const OMITTABLE: [&str; 10] = [
-        "fault_plan", "degradation", "telemetry", "attribution", "merge_sources", "min", "max",
-        "split", "rejected", "order_pos",
+        "fault_plan",
+        "degradation",
+        "telemetry",
+        "attribution",
+        "merge_sources",
+        "min",
+        "max",
+        "split",
+        "rejected",
+        "order_pos",
     ];
     const NAME_KEYED: [&str; 5] = ["metrics", "wall", "counters", "gauges", "histograms"];
     let keys = keys(path);
@@ -484,7 +528,11 @@ fn survives(a: &Artifact, damaged: &str) -> Result<bool, TestCaseError> {
     match (a.reparse)(damaged) {
         Err(_) => Ok(false),
         Ok(text) => {
-            prop_assert!(JsonValue::parse(&text).is_ok(), "{}: reserialized {text}", a.name);
+            prop_assert!(
+                JsonValue::parse(&text).is_ok(),
+                "{}: reserialized {text}",
+                a.name
+            );
             Ok(true)
         }
     }

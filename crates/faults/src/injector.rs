@@ -74,7 +74,11 @@ pub struct FaultInjector {
 
 impl FaultInjector {
     pub fn new(plan: FaultPlan, seed: u64) -> FaultInjector {
-        FaultInjector { plan, seed, state: Mutex::new(InjectorState::default()) }
+        FaultInjector {
+            plan,
+            seed,
+            state: Mutex::new(InjectorState::default()),
+        }
     }
 
     pub fn plan(&self) -> &FaultPlan {
@@ -154,9 +158,17 @@ mod tests {
         let a = FaultInjector::new(plan.clone(), 42);
         let b = FaultInjector::new(plan.clone(), 42);
         let c = FaultInjector::new(plan, 43);
-        let keys = ["compile m0", "compile m1", "codegen m2", "link", "compile m0"];
+        let keys = [
+            "compile m0",
+            "compile m1",
+            "codegen m2",
+            "link",
+            "compile m0",
+        ];
         let seq = |inj: &FaultInjector| {
-            keys.iter().map(|k| inj.fires(FaultKind::TransientActionFailure, k)).collect::<Vec<_>>()
+            keys.iter()
+                .map(|k| inj.fires(FaultKind::TransientActionFailure, k))
+                .collect::<Vec<_>>()
         };
         let sa = seq(&a);
         assert_eq!(sa, seq(&b));

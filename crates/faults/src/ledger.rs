@@ -162,12 +162,23 @@ const LAYOUT_ENTRY: &str = "layout_identity_fallback";
 
 impl Member for LayoutMode {
     fn entry(&self) -> Option<(&'static str, f64)> {
-        Some((LAYOUT_ENTRY, if *self == LayoutMode::IdentityFallback { 1.0 } else { 0.0 }))
+        Some((
+            LAYOUT_ENTRY,
+            if *self == LayoutMode::IdentityFallback {
+                1.0
+            } else {
+                0.0
+            },
+        ))
     }
 
     fn read_entry(&mut self, name: &str, v: f64) {
         if name == LAYOUT_ENTRY {
-            *self = if v != 0.0 { LayoutMode::IdentityFallback } else { LayoutMode::Optimized };
+            *self = if v != 0.0 {
+                LayoutMode::IdentityFallback
+            } else {
+                LayoutMode::Optimized
+            };
         }
     }
 
@@ -311,7 +322,11 @@ impl DegradationLedger {
                 out.push_str(&format!("  {name:<24} {v}\n"));
             }
         }
-        out.push_str(&format!("  {:<24} {}\n", "layout_mode", self.layout_mode.as_str()));
+        out.push_str(&format!(
+            "  {:<24} {}\n",
+            "layout_mode",
+            self.layout_mode.as_str()
+        ));
         out
     }
 }
@@ -363,7 +378,10 @@ mod tests {
 
     #[test]
     fn any_counter_or_fallback_dirties_the_ledger() {
-        let l = DegradationLedger { action_retries: 1, ..DegradationLedger::default() };
+        let l = DegradationLedger {
+            action_retries: 1,
+            ..DegradationLedger::default()
+        };
         assert!(!l.is_clean());
         let l = DegradationLedger {
             layout_mode: LayoutMode::IdentityFallback,
@@ -396,7 +414,11 @@ mod tests {
     /// `entries`' names, each with a distinct nonzero value, so a sum
     /// that skips or crosses a counter cannot pass.
     fn numbered(entries: Vec<(&'static str, f64)>, base: f64) -> Vec<(&'static str, f64)> {
-        entries.into_iter().enumerate().map(|(i, (name, _))| (name, base + i as f64)).collect()
+        entries
+            .into_iter()
+            .enumerate()
+            .map(|(i, (name, _))| (name, base + i as f64))
+            .collect()
     }
 
     #[test]
@@ -415,7 +437,11 @@ mod tests {
         sum.absorb(&other);
         let summed = |got: Vec<(&str, f64)>, a: Vec<(&str, f64)>, b: Vec<(&str, f64)>| {
             for ((name, got), ((_, a), (_, b))) in got.into_iter().zip(a.into_iter().zip(b)) {
-                let want = if name == "layout_identity_fallback" { 0.0 } else { a + b };
+                let want = if name == "layout_identity_fallback" {
+                    0.0
+                } else {
+                    a + b
+                };
                 assert_eq!(got, want, "{name}");
             }
         };
@@ -427,8 +453,14 @@ mod tests {
         // Tenant rows used to be summed through `f64`, which rounds
         // 2^53 + 1 plus 1 down to 2^53.
         let big = (1u64 << 53) + 1;
-        let mut sum = TenantLedger { cache_lookups: big, ..TenantLedger::default() };
-        sum.absorb(&TenantLedger { cache_lookups: 1, ..TenantLedger::default() });
+        let mut sum = TenantLedger {
+            cache_lookups: big,
+            ..TenantLedger::default()
+        };
+        sum.absorb(&TenantLedger {
+            cache_lookups: 1,
+            ..TenantLedger::default()
+        });
         assert_eq!(sum.cache_lookups, big + 1);
     }
 
@@ -489,7 +521,10 @@ mod tests {
 
     #[test]
     fn render_lists_nonzero_counters_only() {
-        let l = DegradationLedger { cache_rebuilds: 2, ..DegradationLedger::default() };
+        let l = DegradationLedger {
+            cache_rebuilds: 2,
+            ..DegradationLedger::default()
+        };
         let text = l.render();
         assert!(text.contains("cache_rebuilds"));
         assert!(!text.contains("action_retries"));
@@ -499,7 +534,10 @@ mod tests {
     #[test]
     fn telemetry_recording_uses_prefix() {
         let tel = propeller_telemetry::Telemetry::enabled();
-        let l = DegradationLedger { action_retries: 2, ..DegradationLedger::default() };
+        let l = DegradationLedger {
+            action_retries: 2,
+            ..DegradationLedger::default()
+        };
         l.record_metrics(&tel, "faults");
         let m = tel.drain().metrics;
         assert_eq!(m.counter("faults.action_retries"), 2);

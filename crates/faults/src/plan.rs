@@ -100,22 +100,34 @@ pub struct FaultSpec {
 impl FaultSpec {
     /// A site that never fires.
     pub const fn never() -> FaultSpec {
-        FaultSpec { probability: 0.0, limit: None }
+        FaultSpec {
+            probability: 0.0,
+            limit: None,
+        }
     }
 
     /// Fire on every roll (until `limit`, if any).
     pub const fn always() -> FaultSpec {
-        FaultSpec { probability: 1.0, limit: None }
+        FaultSpec {
+            probability: 1.0,
+            limit: None,
+        }
     }
 
     /// Fire with probability `p`, unbounded.
     pub const fn p(probability: f64) -> FaultSpec {
-        FaultSpec { probability, limit: None }
+        FaultSpec {
+            probability,
+            limit: None,
+        }
     }
 
     /// Fire with probability `p`, at most `n` times total.
     pub const fn count(probability: f64, n: u64) -> FaultSpec {
-        FaultSpec { probability, limit: Some(n) }
+        FaultSpec {
+            probability,
+            limit: Some(n),
+        }
     }
 
     /// True when this spec can never fire.
@@ -155,7 +167,9 @@ impl FaultPlan {
     /// True when any service-level kind ([`FaultKind::SERVICE`]) can
     /// fire. The relink service arms its scheduler injector iff so.
     pub fn has_service_faults(&self) -> bool {
-        FaultKind::SERVICE.iter().any(|&k| !self.spec(k).is_disabled())
+        FaultKind::SERVICE
+            .iter()
+            .any(|&k| !self.spec(k).is_disabled())
     }
 
     /// The spec scheduled for `kind`.
@@ -166,7 +180,11 @@ impl FaultPlan {
     /// Schedules `spec` for `kind`; a spec that can never fire is
     /// stored as [`FaultSpec::never`].
     pub fn set(&mut self, kind: FaultKind, spec: FaultSpec) {
-        self.specs[kind as usize] = if spec.is_disabled() { FaultSpec::never() } else { spec };
+        self.specs[kind as usize] = if spec.is_disabled() {
+            FaultSpec::never()
+        } else {
+            spec
+        };
     }
 
     /// A plan that destroys the entire profile: every LBR record is
@@ -188,7 +206,10 @@ impl FaultPlan {
         let mut plan = FaultPlan::none();
         let mut seen = Vec::new();
         for clause in spec.split(',').map(str::trim).filter(|c| !c.is_empty()) {
-            let bad = |message: String| FaultPlanParseError { clause: clause.to_string(), message };
+            let bad = |message: String| FaultPlanParseError {
+                clause: clause.to_string(),
+                message,
+            };
             let (key, value) = clause
                 .split_once('=')
                 .ok_or_else(|| bad("expected key=probability[:limit]".to_string()))?;
@@ -206,13 +227,17 @@ impl FaultPlan {
                 Some((p, l)) => (p.trim(), Some(l.trim())),
                 None => (value.trim(), None),
             };
-            let probability: f64 =
-                prob_str.parse().map_err(|_| bad(format!("bad probability {prob_str:?}")))?;
+            let probability: f64 = prob_str
+                .parse()
+                .map_err(|_| bad(format!("bad probability {prob_str:?}")))?;
             if !(0.0..=1.0).contains(&probability) {
                 return Err(bad(format!("probability {probability} outside [0, 1]")));
             }
             let limit = limit_str
-                .map(|l| l.parse().map_err(|_| bad(format!("bad occurrence limit {l:?}"))))
+                .map(|l| {
+                    l.parse()
+                        .map_err(|_| bad(format!("bad occurrence limit {l:?}")))
+                })
                 .transpose()?;
             plan.set(kind, FaultSpec { probability, limit });
         }
@@ -269,9 +294,18 @@ mod tests {
     fn parse_roundtrip() {
         let spec = "transient=0.3,corrupt-cache=0.1:2,permanent-codegen=1";
         let plan = FaultPlan::parse(spec).unwrap();
-        assert_eq!(plan.spec(FaultKind::TransientActionFailure), FaultSpec::p(0.3));
-        assert_eq!(plan.spec(FaultKind::CacheCorruption), FaultSpec::count(0.1, 2));
-        assert_eq!(plan.spec(FaultKind::PermanentCodegenFailure), FaultSpec::always());
+        assert_eq!(
+            plan.spec(FaultKind::TransientActionFailure),
+            FaultSpec::p(0.3)
+        );
+        assert_eq!(
+            plan.spec(FaultKind::CacheCorruption),
+            FaultSpec::count(0.1, 2)
+        );
+        assert_eq!(
+            plan.spec(FaultKind::PermanentCodegenFailure),
+            FaultSpec::always()
+        );
         let canonical = plan.to_spec_string();
         assert_eq!(FaultPlan::parse(&canonical).unwrap(), plan);
     }
@@ -306,7 +340,12 @@ mod tests {
     fn plans_are_equal_iff_their_canonical_strings_are() {
         // A disabled clause with a limit used to be kept as written: a plan
         // unequal to `none()` whose canonical string was still "".
-        for spec in ["transient=0:5", "timeout=0.5:0", "corrupt-lbr=-0", "cancel-job=0:0"] {
+        for spec in [
+            "transient=0:5",
+            "timeout=0.5:0",
+            "corrupt-lbr=-0",
+            "cancel-job=0:0",
+        ] {
             let plan = FaultPlan::parse(spec).unwrap();
             assert_eq!(plan.to_spec_string(), "", "{spec}");
             assert_eq!(plan, FaultPlan::none(), "{spec}");
@@ -322,16 +361,27 @@ mod tests {
     fn service_kinds_parse_and_roundtrip() {
         let spec = "burst-amplify=0.2,cancel-job=0.1:3,drop-queue=0.25,evict-storm=1";
         let plan = FaultPlan::parse(spec).unwrap();
-        assert_eq!(plan.spec(FaultKind::TenantBurstAmplification), FaultSpec::p(0.2));
-        assert_eq!(plan.spec(FaultKind::JobCancellation), FaultSpec::count(0.1, 3));
+        assert_eq!(
+            plan.spec(FaultKind::TenantBurstAmplification),
+            FaultSpec::p(0.2)
+        );
+        assert_eq!(
+            plan.spec(FaultKind::JobCancellation),
+            FaultSpec::count(0.1, 3)
+        );
         assert_eq!(plan.spec(FaultKind::QueueDrop), FaultSpec::p(0.25));
-        assert_eq!(plan.spec(FaultKind::CacheEvictionStorm), FaultSpec::always());
+        assert_eq!(
+            plan.spec(FaultKind::CacheEvictionStorm),
+            FaultSpec::always()
+        );
         assert!(plan.has_service_faults());
         assert!(!plan.is_none());
         let canonical = plan.to_spec_string();
         assert_eq!(FaultPlan::parse(&canonical).unwrap(), plan);
         // A pipeline-only plan has no service faults and vice versa.
-        assert!(!FaultPlan::parse("transient=0.5").unwrap().has_service_faults());
+        assert!(!FaultPlan::parse("transient=0.5")
+            .unwrap()
+            .has_service_faults());
         for kind in FaultKind::SERVICE {
             assert!(FaultKind::ALL.contains(&kind));
         }

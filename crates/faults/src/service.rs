@@ -198,13 +198,26 @@ impl ServiceLedger {
         let mut out = String::new();
         out.push_str(&format!(
             "service ledger: bench={} seed={} slots={} queue={} deadline={}s plan={:?}\n",
-            self.benchmark, self.seed, self.slots, self.queue_capacity, self.deadline_secs,
+            self.benchmark,
+            self.seed,
+            self.slots,
+            self.queue_capacity,
+            self.deadline_secs,
             self.plan
         ));
         out.push_str(&format!(
             "{:<10} {:>5} {:>6} {:>5} {:>6} {:>6} {:>6} {:>7} {:>6} {:>8} {:>9}\n",
-            "tenant", "subm", "clones", "done", "rej", "cancel", "t/out", "retries", "drops",
-            "hit-rate", "busy-secs"
+            "tenant",
+            "subm",
+            "clones",
+            "done",
+            "rej",
+            "cancel",
+            "t/out",
+            "retries",
+            "drops",
+            "hit-rate",
+            "busy-secs"
         ));
         let mut rows: Vec<(&str, &TenantLedger)> =
             self.tenants.iter().map(|(n, t)| (n.as_str(), t)).collect();
@@ -231,7 +244,10 @@ impl ServiceLedger {
                 t.busy_secs,
             ));
         }
-        out.push_str(&format!("makespan: {:.1} modeled secs\n", self.makespan_secs));
+        out.push_str(&format!(
+            "makespan: {:.1} modeled secs\n",
+            self.makespan_secs
+        ));
         out
     }
 }
@@ -322,7 +338,9 @@ mod tests {
             tenants: BTreeMap::new(),
         };
         ledger.tenants.insert("t0".to_string(), sample_tenant());
-        ledger.tenants.insert("t1".to_string(), TenantLedger::default());
+        ledger
+            .tenants
+            .insert("t1".to_string(), TenantLedger::default());
         let text = ledger.to_json_string();
         // Canonical: the JSON reader writes the document back unchanged.
         let doc = JsonValue::parse(&text).unwrap();
@@ -332,7 +350,12 @@ mod tests {
 
     #[test]
     fn clean_tenant_row_detection() {
-        let mut t = TenantLedger { submitted: 3, admitted: 3, completed: 3, ..Default::default() };
+        let mut t = TenantLedger {
+            submitted: 3,
+            admitted: 3,
+            completed: 3,
+            ..Default::default()
+        };
         assert!(t.is_clean());
         t.queue_drops = 1;
         assert!(!t.is_clean());

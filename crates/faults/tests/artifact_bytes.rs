@@ -66,7 +66,10 @@ fn ledger(tenants: &[(&str, TenantLedger)]) -> ServiceLedger {
         queue_capacity: 8,
         deadline_secs: 600.0,
         makespan_secs: 1234.5,
-        tenants: tenants.iter().map(|(n, t)| (n.to_string(), t.clone())).collect(),
+        tenants: tenants
+            .iter()
+            .map(|(n, t)| (n.to_string(), t.clone()))
+            .collect(),
     }
 }
 
@@ -88,9 +91,17 @@ fn service_ledger_bytes() {
     );
     pin(
         "degraded",
-        &ledger(&[("t0", degraded_tenant()), ("t1", clean), ("t2", degraded_tenant())])
-            .to_json_string(),
+        &ledger(&[
+            ("t0", degraded_tenant()),
+            ("t1", clean),
+            ("t2", degraded_tenant()),
+        ])
+        .to_json_string(),
         0xabae_3ba1_0b74_fe73,
     );
-    pin("empty", &ServiceLedger::default().to_json_string(), 0xfc68_97e9_c54b_d40f);
+    pin(
+        "empty",
+        &ServiceLedger::default().to_json_string(),
+        0xfc68_97e9_c54b_d40f,
+    );
 }

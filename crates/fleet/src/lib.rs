@@ -197,8 +197,7 @@ impl ReleaseRecord {
         ])
         .with(
             "divergences",
-            (!self.divergences.is_empty())
-                .then(|| arr(&self.divergences, |d| d.as_str().into())),
+            (!self.divergences.is_empty()).then(|| arr(&self.divergences, |d| d.as_str().into())),
         )
         .with("degradation", self.degradation.to_json())
     }
@@ -381,7 +380,8 @@ fn two_lanes<P, O: Send>(
         format!("{lane} lane of release {release} panicked: {message}")
     };
     let production = || {
-        catch_unwind(AssertUnwindSafe(production)).unwrap_or_else(|p| Err(panicked("production", p)))
+        catch_unwind(AssertUnwindSafe(production))
+            .unwrap_or_else(|p| Err(panicked("production", p)))
     };
     let oracle =
         || catch_unwind(AssertUnwindSafe(oracle)).unwrap_or_else(|p| Err(panicked("oracle", p)));
@@ -391,7 +391,10 @@ fn two_lanes<P, O: Send>(
     }
     let (shipped, ideal) = std::thread::scope(|s| {
         let ideal = s.spawn(oracle);
-        (production(), ideal.join().expect("a lane catches its own panic"))
+        (
+            production(),
+            ideal.join().expect("a lane catches its own panic"),
+        )
     });
     Ok((shipped?, ideal?))
 }
@@ -623,7 +626,9 @@ pub fn run_fleet(
                 oracle.phase3_analyze_merged(&fresh_agg, fresh_bytes)?;
                 oracle.phase4_relink()?;
                 let sim = SimOptions::default();
-                Ok(oracle.evaluate_optimized(opts.eval_budget, &sim, None)?.counters)
+                Ok(oracle
+                    .evaluate_optimized(opts.eval_budget, &sim, None)?
+                    .counters)
             };
             relink().map_err(|e| e.to_string())
         };
@@ -721,18 +726,24 @@ mod tests {
             assert_eq!(both, Err("production failed".to_string()), "jobs {jobs}");
             let oracle = two_lanes(jobs, 3, || Ok(()), || fail("oracle"));
             assert_eq!(oracle, Err("oracle failed".to_string()), "jobs {jobs}");
-            let panicked = two_lanes(jobs, 3, || Ok(()), || -> Result<(), String> {
-                panic!("no layout for {}", "main")
-            });
+            let panicked = two_lanes(
+                jobs,
+                3,
+                || Ok(()),
+                || -> Result<(), String> { panic!("no layout for {}", "main") },
+            );
             assert_eq!(
                 panicked,
                 Err("oracle lane of release 3 panicked: no layout for main".to_string()),
                 "jobs {jobs}"
             );
             // A panic is production's error like any other: it wins.
-            let panicked = two_lanes(jobs, 3, || -> Result<(), String> { panic!("boom") }, || {
-                fail("oracle")
-            });
+            let panicked = two_lanes(
+                jobs,
+                3,
+                || -> Result<(), String> { panic!("boom") },
+                || fail("oracle"),
+            );
             assert_eq!(
                 panicked,
                 Err("production lane of release 3 panicked: boom".to_string()),
@@ -813,7 +824,13 @@ mod tests {
             machines: 1,
             skew_threshold: 0.4,
             history_window: 2,
-            records: vec![row(0, 0.9), row(1, 0.5), row(2, 0.1), row(3, 0.1), row(4, 0.1)],
+            records: vec![
+                row(0, 0.9),
+                row(1, 0.5),
+                row(2, 0.1),
+                row(3, 0.1),
+                row(4, 0.1),
+            ],
         };
         assert!(report.steady_after_warmup(2));
         assert!(!report.steady_after_warmup(0));
@@ -858,7 +875,13 @@ mod tests {
         assert_eq!(skew[2].t_us, 2_000_000);
         assert_eq!(skew[2].value, 0.2);
         // Drops are a cumulative counter: 0, 3, 7.
-        let drops = ts.get("fleet.dropped_records").expect("drops series").ordered();
-        assert_eq!(drops.iter().map(|p| p.value as u64).collect::<Vec<_>>(), [0, 3, 7]);
+        let drops = ts
+            .get("fleet.dropped_records")
+            .expect("drops series")
+            .ordered();
+        assert_eq!(
+            drops.iter().map(|p| p.value as u64).collect::<Vec<_>>(),
+            [0, 3, 7]
+        );
     }
 }

@@ -233,8 +233,14 @@ mod tests {
         let b1 = block_addr(&bin, "alpha", 1);
         let mut prof = HardwareProfile::new("old");
         prof.samples.push(LbrSample::new(vec![
-            LbrRecord { from: b0 + 2, to: b1 },
-            LbrRecord { from: b1 + 1, to: b0 },
+            LbrRecord {
+                from: b0 + 2,
+                to: b1,
+            },
+            LbrRecord {
+                from: b1 + 1,
+                to: b0,
+            },
         ]));
         let (t, stats) = translate_profile(&prof, &mapper, &bin);
         assert_eq!(stats.records_dropped, 0);
@@ -255,12 +261,20 @@ mod tests {
         // One record wholly inside beta (dropped), one inside alpha
         // (survives, possibly at a shifted address).
         prof.samples.push(LbrSample::new(vec![
-            LbrRecord { from: beta0, to: beta0 + 1 },
-            LbrRecord { from: alpha0, to: alpha0 + 1 },
+            LbrRecord {
+                from: beta0,
+                to: beta0 + 1,
+            },
+            LbrRecord {
+                from: alpha0,
+                to: alpha0 + 1,
+            },
         ]));
         // A sample made only of beta records vanishes entirely.
-        prof.samples
-            .push(LbrSample::new(vec![LbrRecord { from: beta0, to: beta0 }]));
+        prof.samples.push(LbrSample::new(vec![LbrRecord {
+            from: beta0,
+            to: beta0,
+        }]));
         let (t, stats) = translate_profile(&prof, &mapper, &new);
         assert_eq!(stats.records_in, 3);
         assert_eq!(stats.records_dropped, 2);
@@ -291,7 +305,11 @@ mod tests {
     /// input: the whole result equal, through the wrapper and through
     /// one `Translator` serving every profile, as the loop uses it.
     #[track_caller]
-    fn assert_matches_reference(profiles: &[HardwareProfile], old: &LinkedBinary, new: &LinkedBinary) {
+    fn assert_matches_reference(
+        profiles: &[HardwareProfile],
+        old: &LinkedBinary,
+        new: &LinkedBinary,
+    ) {
         let mapper = AddressMapper::from_binary(old);
         let index = LayoutIndex::new(new);
         let mut shared = Translator::new(&mapper, &index);
@@ -309,9 +327,18 @@ mod tests {
         for b in bin.layout.functions.iter().flat_map(|f| &f.blocks) {
             let last = b.addr + u64::from(b.size.saturating_sub(1));
             prof.samples.push(LbrSample::new(vec![
-                LbrRecord { from: b.addr, to: last },
-                LbrRecord { from: last + 1, to: b.addr },
-                LbrRecord { from: last, to: last },
+                LbrRecord {
+                    from: b.addr,
+                    to: last,
+                },
+                LbrRecord {
+                    from: last + 1,
+                    to: b.addr,
+                },
+                LbrRecord {
+                    from: last,
+                    to: last,
+                },
             ]));
         }
         prof.samples.push(LbrSample::new(Vec::new()));
@@ -341,7 +368,11 @@ mod tests {
         let (t, _) = translate_profile(&prof, &mapper, &new);
         let b2 = block_addr(&old, "alpha", 2);
         let moved = t.samples[2].records[0].from;
-        assert_eq!(moved, block_addr(&new, "alpha", 2) + 0x2000 + 0x40, "old {b2:#x}");
+        assert_eq!(
+            moved,
+            block_addr(&new, "alpha", 2) + 0x2000 + 0x40,
+            "old {b2:#x}"
+        );
         assert_eq!(t.samples[0].records[0].from, block_addr(&new, "alpha", 0));
     }
 
@@ -376,7 +407,10 @@ mod tests {
         prof.samples.push(LbrSample::new(Vec::new()));
         assert_matches_reference(std::slice::from_ref(&prof), &bin, &bin);
         let (t, stats) = translate_profile(&prof, &mapper, &bin);
-        assert_eq!((t.samples.len(), stats.samples_dropped, stats.records_in), (0, 1, 0));
+        assert_eq!(
+            (t.samples.len(), stats.samples_dropped, stats.records_in),
+            (0, 1, 0)
+        );
     }
 
     #[test]
@@ -386,11 +420,13 @@ mod tests {
         // A corrupt layout: ids far past the function's block count, one
         // of them shadowing nothing, one renumbering a real block.
         new.layout.functions[0].blocks[1].block = BlockId(u32::MAX);
-        new.layout.functions[1].blocks.push(propeller_linker::FinalBlock {
-            block: BlockId(u32::MAX - 1),
-            addr: 0x10,
-            size: 4,
-        });
+        new.layout.functions[1]
+            .blocks
+            .push(propeller_linker::FinalBlock {
+                block: BlockId(u32::MAX - 1),
+                addr: 0x10,
+                size: 4,
+            });
         let prof = every_block(&old);
         assert_matches_reference(std::slice::from_ref(&prof), &old, &new);
         let mapper = AddressMapper::from_binary(&old);
@@ -399,12 +435,22 @@ mod tests {
         // an end in it drops, one wholly inside another block survives.
         let b1 = old.layout.functions[0].blocks[1];
         let in_b1 = |r: &LbrRecord| {
-            [r.from, r.to].iter().any(|a| (b1.addr..b1.addr + u64::from(b1.size)).contains(a))
+            [r.from, r.to]
+                .iter()
+                .any(|a| (b1.addr..b1.addr + u64::from(b1.size)).contains(a))
         };
-        let touching = prof.samples.iter().flat_map(|s| &s.records).filter(|r| in_b1(r)).count();
+        let touching = prof
+            .samples
+            .iter()
+            .flat_map(|s| &s.records)
+            .filter(|r| in_b1(r))
+            .count();
         assert!(touching >= 3);
         let (_, clean) = translate_profile(&prof, &mapper, &old);
-        assert_eq!(stats.records_dropped, clean.records_dropped + touching as u64);
+        assert_eq!(
+            stats.records_dropped,
+            clean.records_dropped + touching as u64
+        );
         assert_eq!(t.samples.len(), 3, "only block 1's own sample vanishes");
     }
 

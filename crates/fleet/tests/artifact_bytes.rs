@@ -59,7 +59,11 @@ fn report(records: Vec<ReleaseRecord>) -> FleetReport {
 
 #[test]
 fn fleet_report_bytes() {
-    pin("plain", &report(vec![record(0), record(1), record(2)]).to_json_string(), 0x63e3_3e76_1955_8986);
+    pin(
+        "plain",
+        &report(vec![record(0), record(1), record(2)]).to_json_string(),
+        0x63e3_3e76_1955_8986,
+    );
 
     let mut cited = record(1);
     cited.decision = "reuse".into();
@@ -74,6 +78,14 @@ fn fleet_report_bytes() {
     let mut both = record(3);
     both.divergences = vec!["moved: a #0 -> #1".into()];
     both.degradation.functions_marked_cold = 11;
-    pin("annotated", &report(vec![record(0), cited, degraded, both]).to_json_string(), 0x2e32_2481_d429_6508);
-    pin("no-records", &report(Vec::new()).to_json_string(), 0xb2d0_ab0f_a0f7_9192);
+    pin(
+        "annotated",
+        &report(vec![record(0), cited, degraded, both]).to_json_string(),
+        0x2e32_2481_d429_6508,
+    );
+    pin(
+        "no-records",
+        &report(Vec::new()).to_json_string(),
+        0xb2d0_ab0f_a0f7_9192,
+    );
 }

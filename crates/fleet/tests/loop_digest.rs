@@ -28,8 +28,7 @@ const GOLDEN_ZERO_DRIFT: u64 = 0xdc2d_3d3c_a403_956d;
 
 /// Every fault kind the fleet's production arm can meet: the two LBR
 /// kinds cannot fire, `phase3_analyze_merged` takes no raw profile.
-const HEAVY_FAULTS: &str =
-    "transient=0.5,corrupt-cache=0.5,evict-cache=0.3,permanent-codegen=0.3";
+const HEAVY_FAULTS: &str = "transient=0.5,corrupt-cache=0.5,evict-cache=0.3,permanent-codegen=0.3";
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, b| {
@@ -61,7 +60,15 @@ fn benchmark_opts() -> FleetOptions {
 fn run_pinned(opts: &FleetOptions) -> (FleetReport, u64) {
     let spec = spec_by_name("clang").expect("clang is a built-in spec");
     let run = |jobs| {
-        run_fleet(&spec, SCALE, &FleetOptions { jobs, ..opts.clone() }).expect("fleet runs")
+        run_fleet(
+            &spec,
+            SCALE,
+            &FleetOptions {
+                jobs,
+                ..opts.clone()
+            },
+        )
+        .expect("fleet runs")
     };
     let one = run(1);
     let bytes = one.to_json_string();
@@ -88,7 +95,9 @@ fn provenance_ledger_bytes() {
         ..benchmark_opts()
     });
     assert!(
-        report.records[1..].iter().all(|r| !r.divergences.is_empty()),
+        report.records[1..]
+            .iter()
+            .all(|r| !r.divergences.is_empty()),
         "an armed release cites no divergence"
     );
     assert_eq!(got, GOLDEN_PROVENANCE, "got {got:#018x}");

@@ -99,12 +99,18 @@ fn translation_allocates_per_sample_and_never_by_block_id() {
     );
     let mapper = AddressMapper::from_binary(&old_bin);
     let samples = profile.samples.len() as u64;
-    assert!(profile.num_records() as u64 > 10 * samples, "{samples} samples");
+    assert!(
+        profile.num_records() as u64 > 10 * samples,
+        "{samples} samples"
+    );
 
     let ((translated, stats), calls, _) =
         asked_during(|| translate_profile(&profile, &mapper, &new_bin));
     assert!(stats.survival_rate() > 0.9, "{stats:?}");
-    assert_eq!(translated.samples.len() as u64 + stats.samples_dropped, samples);
+    assert_eq!(
+        translated.samples.len() as u64 + stats.samples_dropped,
+        samples
+    );
     assert!(
         calls <= samples + 64,
         "{calls} allocator calls for {samples} samples of {} records",

@@ -227,10 +227,7 @@ mod tests {
     fn validate_rejects_dangling_target() {
         let mut f = diamond();
         f.blocks[1].term = Terminator::Jump(BlockId(99));
-        assert!(matches!(
-            f.validate(),
-            Err(IrError::DanglingTarget { .. })
-        ));
+        assert!(matches!(f.validate(), Err(IrError::DanglingTarget { .. })));
     }
 
     #[test]

@@ -22,7 +22,11 @@ pub fn function_to_string(f: &Function) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "define {} ({}) {{", f.name, f.id);
     for b in &f.blocks {
-        let lp = if b.is_landing_pad { " ; landing pad" } else { "" };
+        let lp = if b.is_landing_pad {
+            " ; landing pad"
+        } else {
+            ""
+        };
         let _ = writeln!(out, "{}: ; freq={}{}", b.id, b.freq, lp);
         for i in f.insts_of(b) {
             let _ = writeln!(out, "    {i}");

@@ -84,7 +84,9 @@ fn link_shares_names_instead_of_copying_them() {
     // address map for the objects left cold.
     let mut map = ClusterMap::new();
     let mut order = Vec::new();
-    let split = p.functions().filter(|f| f.id.0 % 2 == 0 && f.num_blocks() > 1);
+    let split = p
+        .functions()
+        .filter(|f| f.id.0 % 2 == 0 && f.num_blocks() > 1);
     for f in split {
         let (hot, cold) = (0..f.num_blocks() as u32)
             .map(BlockId)

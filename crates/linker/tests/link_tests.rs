@@ -62,10 +62,7 @@ fn split_hot_clusters(p: &Program) -> ClusterMap {
     let mut map = ClusterMap::new();
     map.insert(
         hot,
-        FunctionClusters::hot_cold(
-            vec![BlockId(0), BlockId(2), BlockId(3)],
-            vec![BlockId(1)],
-        ),
+        FunctionClusters::hot_cold(vec![BlockId(0), BlockId(2), BlockId(3)], vec![BlockId(1)]),
     );
     map
 }
@@ -167,8 +164,16 @@ fn relaxation_deletes_fallthrough_jump_to_adjacent_cold_section() {
         .iter()
         .find(|f| &*f.func_symbol == "hot")
         .unwrap();
-    let entry = hot_layout.blocks.iter().find(|b| b.block == BlockId(0)).unwrap();
-    let cold = hot_layout.blocks.iter().find(|b| b.block == BlockId(1)).unwrap();
+    let entry = hot_layout
+        .blocks
+        .iter()
+        .find(|b| b.block == BlockId(0))
+        .unwrap();
+    let cold = hot_layout
+        .blocks
+        .iter()
+        .find(|b| b.block == BlockId(1))
+        .unwrap();
     let bytes = bin.read(entry.addr, entry.size as usize).unwrap();
     // Skip the load (4 bytes), decode the branch.
     match decode(&bytes[4..]).unwrap() {
@@ -337,7 +342,9 @@ fn relaxed_image_decodes_cleanly() {
     // Every byte of text decodes as a valid instruction stream.
     let mut addr = bin.text_start;
     while addr < bin.text_end {
-        let bytes = bin.read(addr, (bin.text_end - addr).min(8) as usize).unwrap();
+        let bytes = bin
+            .read(addr, (bin.text_end - addr).min(8) as usize)
+            .unwrap();
         let d = decode(bytes).unwrap_or_else(|| panic!("undecodable at {addr:#x}"));
         addr += d.len() as u64;
     }
@@ -402,11 +409,7 @@ fn assert_bad_metadata(obj: ObjectFile, needle: &str) {
 #[test]
 fn relocation_offset_outside_its_section_is_rejected() {
     // The well-formed object links, and `b` keeps its bytes.
-    let bin = link(
-        &[opaque(two_section_object())],
-        &LinkOptions::default(),
-    )
-    .unwrap();
+    let bin = link(&[opaque(two_section_object())], &LinkOptions::default()).unwrap();
     assert_eq!(bin.read(bin.symbol("b").unwrap(), 8).unwrap(), [0xAB; 8]);
 
     // 16 would land the field on `.text.b`'s slot in the image (it used

@@ -87,7 +87,8 @@ mod tests {
         let mut obj = ObjectFile::new("s_1.o");
         let mut text = Section::new(".text.foo", SectionKind::Text, vec![1, 2, 3, 4]);
         text.symbol = Some("foo".into());
-        text.relocs.push(Reloc::new(0, RelocKind::CallPc32, "bar", -4));
+        text.relocs
+            .push(Reloc::new(0, RelocKind::CallPc32, "bar", -4));
         obj.add_section(text);
         obj.add_section(Section::new(
             ".llvm_bb_addr_map",

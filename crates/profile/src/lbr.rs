@@ -101,7 +101,8 @@ mod tests {
             LbrRecord { from: 1, to: 2 },
             LbrRecord { from: 3, to: 4 },
         ]));
-        p.samples.push(LbrSample::new(vec![LbrRecord { from: 5, to: 6 }]));
+        p.samples
+            .push(LbrSample::new(vec![LbrRecord { from: 5, to: 6 }]));
         assert_eq!(p.num_records(), 3);
         assert_eq!(p.raw_size_bytes(), 3 * 16 + 2 * 64);
     }

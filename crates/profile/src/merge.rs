@@ -342,10 +342,7 @@ mod tests {
             src(&[((5, 6), 123_456)], 1, 5),
         ];
         let m = merge_profiles(&sources, &MergeOptions::default());
-        let want: u64 = sources
-            .iter()
-            .map(|s| s.agg.total_branch_count())
-            .sum();
+        let want: u64 = sources.iter().map(|s| s.agg.total_branch_count()).sum();
         assert_eq!(m.total_branch_count(), want);
     }
 

@@ -80,8 +80,10 @@ const CORRUPT_OFFSET: u64 = 1 << 60;
 /// the profile in collection order, so damage is deterministic for a
 /// fixed `(seed, plan)`.
 pub fn degrade_profile(profile: &mut HardwareProfile, inj: &FaultInjector) -> SalvageStats {
-    let mut stats =
-        SalvageStats { records_in: profile.num_records() as u64, ..SalvageStats::default() };
+    let mut stats = SalvageStats {
+        records_in: profile.num_records() as u64,
+        ..SalvageStats::default()
+    };
     for (si, sample) in profile.samples.iter_mut().enumerate() {
         let site = format!("s{si}");
         if !sample.records.is_empty() && inj.fires(FaultKind::SampleTruncation, &site) {
@@ -142,7 +144,10 @@ mod tests {
         for &n in records_per_sample {
             let mut recs = Vec::new();
             for _ in 0..n {
-                recs.push(LbrRecord { from: addr, to: addr + 8 });
+                recs.push(LbrRecord {
+                    from: addr,
+                    to: addr + 8,
+                });
                 addr += 16;
             }
             p.samples.push(LbrSample::new(recs));

@@ -139,7 +139,11 @@ pub struct ServiceReport {
 #[derive(Debug)]
 pub enum ServeError {
     UnknownBenchmark(String),
-    Pipeline { job: u64, tenant: u32, source: PipelineError },
+    Pipeline {
+        job: u64,
+        tenant: u32,
+        source: PipelineError,
+    },
 }
 
 impl fmt::Display for ServeError {
@@ -149,7 +153,10 @@ impl fmt::Display for ServeError {
                 write!(f, "unknown benchmark {name:?} (try `propeller_cli list`)")
             }
             ServeError::Pipeline { job, tenant, .. } => {
-                write!(f, "relink job {job} (tenant t{tenant}) failed in the pipeline")
+                write!(
+                    f,
+                    "relink job {job} (tenant t{tenant}) failed in the pipeline"
+                )
             }
         }
     }
@@ -173,7 +180,12 @@ pub fn job_seed(service_seed: u64, tenant: u32, program_seed: u64) -> u64 {
 }
 
 enum Ev {
-    Arrive { req: JobRequest, attempt: u32, is_clone: bool, submit_us: u64 },
+    Arrive {
+        req: JobRequest,
+        attempt: u32,
+        is_clone: bool,
+        submit_us: u64,
+    },
     Finish,
 }
 
@@ -253,9 +265,10 @@ impl RelinkService {
         opts.slots = opts.slots.max(1);
         let spec = spec_by_name(benchmark)
             .ok_or_else(|| ServeError::UnknownBenchmark(benchmark.to_string()))?;
-        let scheduler_inj = opts.faults.has_service_faults().then(|| {
-            FaultInjector::new(opts.faults.clone(), mix(opts.seed ^ 0x5E12_F417))
-        });
+        let scheduler_inj = opts
+            .faults
+            .has_service_faults()
+            .then(|| FaultInjector::new(opts.faults.clone(), mix(opts.seed ^ 0x5E12_F417)));
         let caches = BuildCaches::new();
         caches.set_capacity(opts.cache_capacity);
         let ceiling_bytes = PropellerOptions::default().machine.ram_limit();
@@ -371,7 +384,15 @@ impl RelinkService {
     pub fn submit(&mut self, req: JobRequest) {
         let t = req.arrival_us.max(self.now_us);
         self.book(req.tenant, TenantCounter::Submitted, t);
-        self.push_event(t, Ev::Arrive { submit_us: t, req, attempt: 0, is_clone: false });
+        self.push_event(
+            t,
+            Ev::Arrive {
+                submit_us: t,
+                req,
+                attempt: 0,
+                is_clone: false,
+            },
+        );
     }
 
     /// The plan in force for `tenant`'s pipeline jobs.
@@ -390,7 +411,12 @@ impl RelinkService {
             self.now_us = self.now_us.max(item.t_us);
             self.makespan_us = self.makespan_us.max(self.now_us);
             match item.ev {
-                Ev::Arrive { req, attempt, is_clone, submit_us } => {
+                Ev::Arrive {
+                    req,
+                    attempt,
+                    is_clone,
+                    submit_us,
+                } => {
                     self.on_arrive(req, attempt, is_clone, submit_us)?;
                 }
                 Ev::Finish => {
@@ -415,12 +441,12 @@ impl RelinkService {
         // Burst amplification rolls once per original arrival, before
         // admission, so even a rejected arrival can amplify.
         if attempt == 0 && !is_clone {
-            let fires = self
-                .scheduler_inj
-                .as_ref()
-                .is_some_and(|inj|
-
-                    inj.fires(FaultKind::TenantBurstAmplification, &format!("arrive j{}", req.id)));
+            let fires = self.scheduler_inj.as_ref().is_some_and(|inj| {
+                inj.fires(
+                    FaultKind::TenantBurstAmplification,
+                    &format!("arrive j{}", req.id),
+                )
+            });
             if fires {
                 for k in 0..BURST_CLONES {
                     let clone_id = self.next_clone_id;
@@ -433,12 +459,15 @@ impl RelinkService {
                         ..req.clone()
                     };
                     self.book(req.tenant, TenantCounter::BurstClones, t);
-                    self.push_event(t, Ev::Arrive {
-                        submit_us: t,
-                        req: clone,
-                        attempt: 0,
-                        is_clone: true,
-                    });
+                    self.push_event(
+                        t,
+                        Ev::Arrive {
+                            submit_us: t,
+                            req: clone,
+                            attempt: 0,
+                            is_clone: true,
+                        },
+                    );
                 }
             }
         }
@@ -462,7 +491,10 @@ impl RelinkService {
             // is ever scheduled; the client observes the loss exactly
             // like a refusal and retries with backoff.
             let dropped = self.scheduler_inj.as_ref().is_some_and(|inj| {
-                inj.fires(FaultKind::QueueDrop, &format!("enqueue j{}#a{attempt}", req.id))
+                inj.fires(
+                    FaultKind::QueueDrop,
+                    &format!("enqueue j{}#a{attempt}", req.id),
+                )
             });
             if !dropped {
                 let tenant = req.tenant;
@@ -484,15 +516,23 @@ impl RelinkService {
             let base = RETRY_BASE_SECS * RETRY_MULTIPLIER.powi(attempt as i32);
             let u = match &self.scheduler_inj {
                 Some(inj) => inj.unit(&format!("backoff j{}", req.id), u64::from(attempt)),
-                None => unit_f64(mix(
-                    self.opts.seed ^ mix(req.id + 0xBACC) ^ mix(u64::from(attempt) + 1),
-                )),
+                None => unit_f64(mix(self.opts.seed
+                    ^ mix(req.id + 0xBACC)
+                    ^ mix(u64::from(attempt) + 1))),
             };
             let backoff = base * (1.0 + RETRY_JITTER_FRAC * u);
             self.book(req.tenant, TenantCounter::Retries, now);
             self.tenant_mut(req.tenant).retry_backoff_secs += backoff;
             let t = self.now_us + (backoff * 1e6) as u64;
-            self.push_event(t, Ev::Arrive { submit_us, req, attempt: attempt + 1, is_clone });
+            self.push_event(
+                t,
+                Ev::Arrive {
+                    submit_us,
+                    req,
+                    attempt: attempt + 1,
+                    is_clone,
+                },
+            );
         } else {
             self.book(req.tenant, TenantCounter::RejectedQueue, now);
         }
@@ -612,7 +652,11 @@ impl RelinkService {
             self.opts.profile_budget,
             self.caches.clone(),
         )
-        .map_err(|source| ServeError::Pipeline { job: req.id, tenant, source })?;
+        .map_err(|source| ServeError::Pipeline {
+            job: req.id,
+            tenant,
+            source,
+        })?;
         let duration = pipeline.times().total_wall_secs();
         let peak = [
             pipeline.times().phase1.max_action_memory,
@@ -629,7 +673,8 @@ impl RelinkService {
         if let Some(inj) = pipeline.fault_injector() {
             let job = req.id;
             let unbooked = ledger.unbooked_faults(inj).into_iter();
-            self.violations.extend(unbooked.map(|what| format!("job {job} (t{tenant}): {what}")));
+            self.violations
+                .extend(unbooked.map(|what| format!("job {job} (t{tenant}): {what}")));
         }
         let digest = ContentHash::of_bytes(&image).0;
         // Publish-time observability: the job's completion and latency
@@ -669,9 +714,11 @@ impl RelinkService {
         // namespaced above the buildsys worker band so tenant t never
         // shares a tid with pipeline worker t+1.
         if self.tel.is_enabled() {
-            self.tel.with_worker(TENANT_LANE_BASE + u64::from(tenant), || {
-                self.tel.emit_span(format!("t{tenant}/job{}", req.id), None, duration, peak)
-            });
+            self.tel
+                .with_worker(TENANT_LANE_BASE + u64::from(tenant), || {
+                    self.tel
+                        .emit_span(format!("t{tenant}/job{}", req.id), None, duration, peak)
+                });
         }
         self.completed.push(CompletedJob {
             id: req.id,
@@ -753,7 +800,11 @@ pub fn batch_binary(
     let what = (job.program_seed, &job.plan, job.job_seed);
     relink(&spec, scale, what, jobs, profile_budget, BuildCaches::new())
         .map(|(_, image)| image)
-        .map_err(|source| ServeError::Pipeline { job: job.id, tenant: job.tenant, source })
+        .map_err(|source| ServeError::Pipeline {
+            job: job.id,
+            tenant: job.tenant,
+            source,
+        })
 }
 
 /// Batch equivalence over a drained service: one [`batch_binary`] per
@@ -769,7 +820,12 @@ pub fn verify_batch<'r>(
 ) -> Result<(usize, Vec<&'r CompletedJob>), ServeError> {
     let mut by_sig: BTreeMap<_, Vec<&CompletedJob>> = BTreeMap::new();
     for job in &report.completed {
-        let sig = (job.tenant, job.program_seed, job.job_seed, job.plan.to_spec_string());
+        let sig = (
+            job.tenant,
+            job.program_seed,
+            job.job_seed,
+            job.plan.to_spec_string(),
+        );
         by_sig.entry(sig).or_default().push(job);
     }
     let mut divergent = Vec::new();
@@ -792,7 +848,11 @@ fn relink(
     profile_budget: u64,
     caches: BuildCaches,
 ) -> Result<(Propeller, Vec<u8>), PipelineError> {
-    let params = GenParams { scale, seed: program_seed, ..GenParams::for_spec(spec) };
+    let params = GenParams {
+        scale,
+        seed: program_seed,
+        ..GenParams::for_spec(spec)
+    };
     let gen = generate(spec, &params);
     let opts = PropellerOptions {
         faults: plan.clone(),
@@ -803,7 +863,9 @@ fn relink(
     };
     let mut pipeline = Propeller::with_caches(gen.program, gen.entries, opts, caches);
     pipeline.run_all()?;
-    let shipped = pipeline.po_binary().ok_or(PipelineError::PhaseOrder { needs: "phase 4" })?;
+    let shipped = pipeline
+        .po_binary()
+        .ok_or(PipelineError::PhaseOrder { needs: "phase 4" })?;
     let image = shipped.image.clone();
     Ok((pipeline, image))
 }

@@ -204,7 +204,12 @@ fn run_once(
 
 /// Check one run's internal invariants: exact accounting and
 /// one-for-one booking of every fired service-level fault.
-fn check_run(name: &str, tag: &str, svc: &RelinkService, report: &ServiceReport) -> Result<(), String> {
+fn check_run(
+    name: &str,
+    tag: &str,
+    svc: &RelinkService,
+    report: &ServiceReport,
+) -> Result<(), String> {
     if !report.violations.is_empty() {
         return Err(format!(
             "{name} [{tag}]: per-job exact-accounting violations: {}",
@@ -219,9 +224,17 @@ fn check_run(name: &str, tag: &str, svc: &RelinkService, report: &ServiceReport)
     }
     let totals = report.ledger.totals();
     let books = [
-        (FaultKind::JobCancellation, totals.cancelled_by_fault, "cancelled_by_fault"),
+        (
+            FaultKind::JobCancellation,
+            totals.cancelled_by_fault,
+            "cancelled_by_fault",
+        ),
         (FaultKind::QueueDrop, totals.queue_drops, "queue_drops"),
-        (FaultKind::CacheEvictionStorm, totals.eviction_storms, "eviction_storms"),
+        (
+            FaultKind::CacheEvictionStorm,
+            totals.eviction_storms,
+            "eviction_storms",
+        ),
     ];
     for (kind, booked, label) in books {
         let fired = svc.scheduler_fired(kind);
@@ -259,7 +272,11 @@ pub fn run_soak(
 ) -> Result<Vec<SoakOutcome>, String> {
     let mut outcomes = Vec::new();
     for scn in scenarios {
-        let jobs_matrix = if jobs_matrix.is_empty() { &[1][..] } else { jobs_matrix };
+        let jobs_matrix = if jobs_matrix.is_empty() {
+            &[1][..]
+        } else {
+            jobs_matrix
+        };
         let mut runs = Vec::new();
         for &jobs in jobs_matrix {
             let (svc, report) = run_once(scn, scale, jobs, profile_budget)?;
@@ -287,7 +304,12 @@ pub fn run_soak(
         // matrix too, not just the accounting.
         let digests: Vec<BTreeMap<u64, u64>> = runs
             .iter()
-            .map(|(_, r)| r.completed.iter().map(|j| (j.id, j.binary_digest)).collect())
+            .map(|(_, r)| {
+                r.completed
+                    .iter()
+                    .map(|j| (j.id, j.binary_digest))
+                    .collect()
+            })
             .collect();
         for (i, d) in digests[1..].iter().enumerate() {
             if d != &digests[0] {
@@ -332,7 +354,10 @@ mod tests {
     /// matrix runs in `tests/` and CI).
     #[test]
     fn clean_scenario_passes_jobs_matrix() {
-        let scn = vec![SoakScenario { requests: 4, ..SoakScenario::base("clean") }];
+        let scn = vec![SoakScenario {
+            requests: 4,
+            ..SoakScenario::base("clean")
+        }];
         let outcomes = run_soak(&scn, 0.002, 30_000, &[1, 2], true).unwrap();
         assert_eq!(outcomes.len(), 1);
         assert!(outcomes[0].completed > 0);

@@ -139,7 +139,11 @@ pub fn gen_traffic(cfg: &TrafficConfig) -> Vec<JobRequest> {
             tenant,
             arrival_us: t_us,
             program_seed: program_seed_for(cfg, tenant),
-            declared_peak_bytes: if oversize { OVERSIZE_PEAK_BYTES } else { NORMAL_PEAK_BYTES },
+            declared_peak_bytes: if oversize {
+                OVERSIZE_PEAK_BYTES
+            } else {
+                NORMAL_PEAK_BYTES
+            },
             cancel_after_secs: cancel.then_some(cfg.cancel_after_secs),
         });
     }
@@ -159,13 +163,20 @@ mod tests {
         assert_eq!(a.len(), cfg.requests);
         assert!(a.windows(2).all(|w| w[0].arrival_us <= w[1].arrival_us));
         // A different seed moves at least one arrival.
-        let c = gen_traffic(&TrafficConfig { seed: cfg.seed + 1, ..cfg });
+        let c = gen_traffic(&TrafficConfig {
+            seed: cfg.seed + 1,
+            ..cfg
+        });
         assert_ne!(a, c);
     }
 
     #[test]
     fn hot_tenant_gets_the_largest_share() {
-        let cfg = TrafficConfig { requests: 200, tenants: 4, ..TrafficConfig::default() };
+        let cfg = TrafficConfig {
+            requests: 200,
+            tenants: 4,
+            ..TrafficConfig::default()
+        };
         let traffic = gen_traffic(&cfg);
         let mut counts = vec![0usize; 4];
         for r in &traffic {
@@ -176,15 +187,24 @@ mod tests {
 
     #[test]
     fn oversize_and_cancel_markers_appear() {
-        let cfg = TrafficConfig { requests: 30, ..TrafficConfig::default() };
+        let cfg = TrafficConfig {
+            requests: 30,
+            ..TrafficConfig::default()
+        };
         let traffic = gen_traffic(&cfg);
-        assert!(traffic.iter().any(|r| r.declared_peak_bytes == OVERSIZE_PEAK_BYTES));
+        assert!(traffic
+            .iter()
+            .any(|r| r.declared_peak_bytes == OVERSIZE_PEAK_BYTES));
         assert!(traffic.iter().any(|r| r.cancel_after_secs.is_some()));
     }
 
     #[test]
     fn tenants_fold_onto_program_variants() {
-        let cfg = TrafficConfig { tenants: 4, program_variants: 2, ..TrafficConfig::default() };
+        let cfg = TrafficConfig {
+            tenants: 4,
+            program_variants: 2,
+            ..TrafficConfig::default()
+        };
         assert_eq!(program_seed_for(&cfg, 0), program_seed_for(&cfg, 2));
         assert_eq!(program_seed_for(&cfg, 1), program_seed_for(&cfg, 3));
         assert_ne!(program_seed_for(&cfg, 0), program_seed_for(&cfg, 1));

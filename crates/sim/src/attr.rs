@@ -287,7 +287,12 @@ impl<'a> AttrSink<'a> {
         let mut hottest: Option<(usize, usize)> = None;
         let mut hottest_cycles = 0.0f64;
         let image = self.image;
-        for (fi, (name, w)) in image.names.iter().zip(image.first_block.windows(2)).enumerate() {
+        for (fi, (name, w)) in image
+            .names
+            .iter()
+            .zip(image.first_block.windows(2))
+            .enumerate()
+        {
             let span = w[0] as usize..w[1] as usize;
             let mut blocks = Vec::with_capacity(span.len());
             let placed = &image.blocks[span.clone()];
@@ -341,14 +346,14 @@ impl<'a> AttrSink<'a> {
             let weight = up_to.saturating_sub(assigned);
             assigned += weight;
             stacks.push((
-                key.iter().map(|&f| symbols[f as usize].name.clone()).collect(),
+                key.iter()
+                    .map(|&f| symbols[f as usize].name.clone())
+                    .collect(),
                 weight,
             ));
         }
         if assigned != total.cycles && !stacks.is_empty() {
-            let hot = (0..stacks.len())
-                .max_by_key(|&i| stacks[i].1)
-                .unwrap_or(0);
+            let hot = (0..stacks.len()).max_by_key(|&i| stacks[i].1).unwrap_or(0);
             let w = &mut stacks[hot].1;
             *w = (*w as i64 + (total.cycles as i64 - assigned as i64)).max(0) as u64;
         }
@@ -410,7 +415,12 @@ mod tests {
             blocks: vec![],
         };
         let a = AttributedCounters {
-            symbols: vec![sym("zeta", 10), sym("alpha", 10), sym("mid", 50), sym("cold", 0)],
+            symbols: vec![
+                sym("zeta", 10),
+                sym("alpha", 10),
+                sym("mid", 50),
+                sym("cold", 0),
+            ],
         };
         assert_eq!(a.top_by(Event::Cycles, 10), vec![2, 1, 0]);
         assert_eq!(a.top_by(Event::Cycles, 1), vec![2]);

@@ -28,7 +28,10 @@ impl SetAssocCache {
     /// `assoc` is zero.
     pub fn new(sets: usize, assoc: usize, line_bytes: u64) -> Self {
         assert!(sets.is_power_of_two(), "sets must be a power of two");
-        assert!(line_bytes.is_power_of_two(), "line size must be a power of two");
+        assert!(
+            line_bytes.is_power_of_two(),
+            "line size must be a power of two"
+        );
         assert!(assoc > 0, "associativity must be positive");
         SetAssocCache {
             line_shift: line_bytes.trailing_zeros(),
@@ -137,7 +140,11 @@ mod tests {
         let mut new = SetAssocCache::new(1, 4, 1);
         let mut old = new.clone();
         for addr in [7, u64::MAX, 9, u64::MAX, 7, 11, 12, 13, u64::MAX, 7] {
-            assert_eq!(new.access(addr), reference_access(&mut old, addr), "{addr:#x}");
+            assert_eq!(
+                new.access(addr),
+                reference_access(&mut old, addr),
+                "{addr:#x}"
+            );
             assert_eq!(new.ways, old.ways, "{addr:#x}");
         }
     }

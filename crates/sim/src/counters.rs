@@ -72,11 +72,7 @@ impl CounterSet {
     /// Percent change of `metric(self)` relative to `metric(baseline)`,
     /// normalized per instruction (negative = reduction). Reports 0.0
     /// when the baseline count is zero or either run is empty.
-    pub fn delta_pct(
-        &self,
-        baseline: &CounterSet,
-        metric: impl Fn(&CounterSet) -> u64,
-    ) -> f64 {
+    pub fn delta_pct(&self, baseline: &CounterSet, metric: impl Fn(&CounterSet) -> u64) -> f64 {
         if self.is_empty() || baseline.is_empty() {
             return 0.0;
         }
@@ -138,7 +134,7 @@ mod tests {
             ..CounterSet::default()
         };
         let opt = CounterSet {
-            insts: 2000, // twice the work...
+            insts: 2000,     // twice the work...
             l1i_misses: 100, // ...same misses => 50% reduction per inst
             ..CounterSet::default()
         };

@@ -62,13 +62,7 @@ impl Frontend {
             cfg.itlb.l1_entries_4k
         };
         let heatmap = opts.heatmap.map(|(rows, cols)| {
-            HeatMap::new(
-                text.0,
-                text.1.max(text.0 + 1),
-                rows,
-                cols,
-                budget * 2,
-            )
+            HeatMap::new(text.0, text.1.max(text.0 + 1), rows, cols, budget * 2)
         });
         Frontend {
             l1i: SetAssocCache::with_capacity(cfg.l1i.capacity, cfg.l1i.assoc, cfg.l1i.line),
@@ -140,10 +134,9 @@ impl Frontend {
         if !self.itlb.access(addr) {
             self.stlb.access(addr);
         }
-        if !self.l1i.access(addr)
-            && !self.l2.access(addr) {
-                self.l3.access(addr);
-            }
+        if !self.l1i.access(addr) && !self.l2.access(addr) {
+            self.l3.access(addr);
+        }
     }
 
     /// Retires `n` instructions.
@@ -214,7 +207,12 @@ struct Frame {
 impl Frame {
     /// A frame about to enter block `b` of function `f`.
     fn at(f: u32, b: u32) -> Self {
-        Frame { f, b, call_idx: 0, entered: false }
+        Frame {
+            f,
+            b,
+            call_idx: 0,
+            entered: false,
+        }
     }
 }
 
@@ -596,6 +594,10 @@ mod tests {
         fe.prefetch(0x140);
         assert_eq!(fe.last_line, None);
         assert!(!fe.fetch(0x140, 1));
-        assert_eq!(fe.l1i.accesses(), 4, "the prefetch and the fetch after it both access");
+        assert_eq!(
+            fe.l1i.accesses(),
+            4,
+            "the prefetch and the fetch after it both access"
+        );
     }
 }

@@ -49,8 +49,8 @@ impl HeatMap {
         }
         let span = self.addr_end - self.addr_start;
         let row = ((addr - self.addr_start) * self.addr_buckets as u64 / span) as usize;
-        let col = ((self.total_events / self.events_per_column) as usize)
-            .min(self.time_buckets - 1);
+        let col =
+            ((self.total_events / self.events_per_column) as usize).min(self.time_buckets - 1);
         self.cells[row * self.time_buckets + col] += 1;
         self.total_events += 1;
     }

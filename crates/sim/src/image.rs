@@ -132,12 +132,14 @@ impl fmt::Display for ImageError {
                 f,
                 "block bb{block} of {function} has {bytes} leftover branch bytes"
             ),
-            ImageError::TooManyFunctions { count } => write!(
-                f,
-                "program has {count} functions but image indices are u32"
-            ),
+            ImageError::TooManyFunctions { count } => {
+                write!(f, "program has {count} functions but image indices are u32")
+            }
             ImageError::UnknownCallee { function, callee } => {
-                write!(f, "{function} references {callee}, which the program does not have")
+                write!(
+                    f,
+                    "{function} references {callee}, which the program does not have"
+                )
             }
         }
     }
@@ -203,7 +205,10 @@ impl ProgramImage {
             num_blocks += f.blocks.len();
         }
         first_block.push(num_blocks as u32);
-        assert!(u32::try_from(num_blocks).is_ok(), "image block indices are u32");
+        assert!(
+            u32::try_from(num_blocks).is_ok(),
+            "image block indices are u32"
+        );
         let span = |i: usize| first_block[i] as usize..first_block[i + 1] as usize;
         let count = first_block.len() - 1;
         // Validate the width once at the boundary: every dense function
@@ -434,8 +439,8 @@ mod tests {
                     straight += 1;
                     off += inst_bytes(inst);
                 }
-                let trailing = size as i64 - off as i64
-                    - i64::from(matches!(b.term, Terminator::Ret));
+                let trailing =
+                    size as i64 - off as i64 - i64::from(matches!(b.term, Terminator::Ret));
                 let branch_insts =
                     branch_count(trailing).ok_or_else(|| ImageError::BadBranchBytes {
                         function: f.name.clone(),
@@ -460,8 +465,7 @@ mod tests {
                     addr,
                     size,
                     straight_insts: straight,
-                    branch_insts: branch_insts
-                        + u32::from(matches!(b.term, Terminator::Ret)),
+                    branch_insts: branch_insts + u32::from(matches!(b.term, Terminator::Ret)),
                     calls,
                     term,
                 });

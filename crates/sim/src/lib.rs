@@ -27,9 +27,7 @@ mod heatmap;
 mod image;
 mod rng;
 
-pub use attr::{
-    AttributedCounters, BlockAttribution, Event, FoldedStacks, SymbolAttribution,
-};
+pub use attr::{AttributedCounters, BlockAttribution, Event, FoldedStacks, SymbolAttribution};
 pub use cache::SetAssocCache;
 pub use config::{CacheConfig, Penalties, TlbConfig, UarchConfig, Workload};
 pub use counters::{CounterSet, SimReport};

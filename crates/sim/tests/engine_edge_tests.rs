@@ -1,7 +1,9 @@
 //! Edge-case tests for the execution engine.
 
 use propeller_codegen::{codegen_module, CodegenError, CodegenOptions};
-use propeller_ir::{BlockId, FunctionBuilder, FunctionId, Inst, Program, ProgramBuilder, Terminator};
+use propeller_ir::{
+    BlockId, FunctionBuilder, FunctionId, Inst, Program, ProgramBuilder, Terminator,
+};
 use propeller_linker::{link, FinalLayout, LinkInput, LinkOptions};
 use propeller_profile::SamplingConfig;
 use propeller_sim::{simulate, ImageError, ProgramImage, SimOptions, UarchConfig, Workload};

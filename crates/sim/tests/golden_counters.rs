@@ -138,10 +138,35 @@ fn digest(r: &SimReport) -> u64 {
 fn shapes() -> [(&'static str, SimOptions); 4] {
     let sampling = Some(SamplingConfig::default());
     [
-        ("sampling", SimOptions { sampling, ..SimOptions::default() }),
-        ("heat-map", SimOptions { heatmap: Some((64, 32)), ..SimOptions::default() }),
-        ("call-miss", SimOptions { collect_call_misses: true, ..SimOptions::default() }),
-        ("attributed", SimOptions { sampling, attribution: true, ..SimOptions::default() }),
+        (
+            "sampling",
+            SimOptions {
+                sampling,
+                ..SimOptions::default()
+            },
+        ),
+        (
+            "heat-map",
+            SimOptions {
+                heatmap: Some((64, 32)),
+                ..SimOptions::default()
+            },
+        ),
+        (
+            "call-miss",
+            SimOptions {
+                collect_call_misses: true,
+                ..SimOptions::default()
+            },
+        ),
+        (
+            "attributed",
+            SimOptions {
+                sampling,
+                attribution: true,
+                ..SimOptions::default()
+            },
+        ),
     ]
 }
 
@@ -163,10 +188,18 @@ fn pin(
         assert_eq!(r.counters, counters, "{name}/{shape}");
         *slot = digest(&r);
         if let Some(attr) = &r.attribution {
-            assert_eq!(attr.totals(), counters, "{name}: attribution does not sum up");
+            assert_eq!(
+                attr.totals(),
+                counters,
+                "{name}: attribution does not sum up"
+            );
         }
         if let Some(p) = &r.profile {
-            assert!(p.num_records() > 1_000, "{name}/{shape}: {} records", p.num_records());
+            assert!(
+                p.num_records() > 1_000,
+                "{name}/{shape}: {} records",
+                p.num_records()
+            );
         }
     }
     assert_eq!(got, digests, "{name}: got {got:#018x?}");
@@ -175,7 +208,11 @@ fn pin(
 #[test]
 fn fleet_program_on_its_metadata_layout() {
     let bench = fleet_program();
-    let img = image(&bench.program, &CodegenOptions::with_labels(), &LinkOptions::default());
+    let img = image(
+        &bench.program,
+        &CodegenOptions::with_labels(),
+        &LinkOptions::default(),
+    );
     pin(
         "fleet",
         &img,
@@ -208,7 +245,11 @@ fn fleet_program_on_its_metadata_layout() {
 #[test]
 fn mysql_on_the_baseline_layout_and_a_two_way_core() {
     let bench = small("mysql", 0.004, 11);
-    let img = image(&bench.program, &CodegenOptions::baseline(), &LinkOptions::default());
+    let img = image(
+        &bench.program,
+        &CodegenOptions::baseline(),
+        &LinkOptions::default(),
+    );
     pin(
         "mysql",
         &img,

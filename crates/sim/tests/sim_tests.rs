@@ -1,10 +1,12 @@
 //! End-to-end simulator tests over real codegen + linker output.
 
 use propeller_codegen::{codegen_module, ClusterMap, CodegenOptions, FunctionClusters};
-use propeller_ir::{BlockId, FunctionBuilder, FunctionId, Inst, Program, ProgramBuilder, Terminator};
+use propeller_ir::{
+    BlockId, FunctionBuilder, FunctionId, Inst, Program, ProgramBuilder, Terminator,
+};
 use propeller_linker::{link, LinkInput, LinkOptions, SymbolOrdering};
-use propeller_sim::{simulate, ProgramImage, SimOptions, UarchConfig, Workload};
 use propeller_profile::SamplingConfig;
+use propeller_sim::{simulate, ProgramImage, SimOptions, UarchConfig, Workload};
 
 /// `driver` loops `iters` times; each iteration calls `work`, which has
 /// a hot path and a rarely-taken cold path full of padding.
@@ -154,10 +156,7 @@ fn hot_cold_split_reduces_taken_branches_and_misses() {
     for w in &workers {
         map.insert(
             *w,
-            FunctionClusters::hot_cold(
-                vec![BlockId(0), BlockId(2), BlockId(3)],
-                vec![BlockId(1)],
-            ),
+            FunctionClusters::hot_cold(vec![BlockId(0), BlockId(2), BlockId(3)], vec![BlockId(1)]),
         );
         let name = &p.function(*w).unwrap().name;
         order.push(name.to_string());
@@ -176,8 +175,20 @@ fn hot_cold_split_reduces_taken_branches_and_misses() {
     );
 
     let w = workload(driver, 300_000);
-    let base = simulate(&baseline, &w, &UarchConfig::default(), &SimOptions::default()).counters;
-    let opt = simulate(&optimized, &w, &UarchConfig::default(), &SimOptions::default()).counters;
+    let base = simulate(
+        &baseline,
+        &w,
+        &UarchConfig::default(),
+        &SimOptions::default(),
+    )
+    .counters;
+    let opt = simulate(
+        &optimized,
+        &w,
+        &UarchConfig::default(),
+        &SimOptions::default(),
+    )
+    .counters;
 
     assert!(
         opt.taken_branches < base.taken_branches,
@@ -253,7 +264,12 @@ fn hugepages_reduce_itlb_misses_on_large_text() {
     let image = build_image(&p, &CodegenOptions::baseline(), &LinkOptions::default());
     let w = workload(driver, 100_000);
     let small_pages = simulate(&image, &w, &UarchConfig::default(), &SimOptions::default());
-    let huge_pages = simulate(&image, &w, &UarchConfig::with_hugepages(), &SimOptions::default());
+    let huge_pages = simulate(
+        &image,
+        &w,
+        &UarchConfig::with_hugepages(),
+        &SimOptions::default(),
+    );
     assert!(
         huge_pages.counters.itlb_misses < small_pages.counters.itlb_misses / 2,
         "huge={} small={}",

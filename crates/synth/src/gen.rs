@@ -275,7 +275,10 @@ mod tests {
     #[test]
     fn generated_programs_validate() {
         for spec in all_specs().iter().take(3) {
-            let g = generate(spec, &small_params(1, f64::max(0.002, spec.default_scale / 8.0)));
+            let g = generate(
+                spec,
+                &small_params(1, f64::max(0.002, spec.default_scale / 8.0)),
+            );
             g.program.validate().unwrap();
         }
     }

@@ -21,6 +21,6 @@ mod gen;
 mod mutate;
 mod spec;
 
-pub use gen::{generate, GeneratedBenchmark, GenParams};
+pub use gen::{generate, GenParams, GeneratedBenchmark};
 pub use mutate::{evolve, DriftParams};
 pub use spec::{all_specs, spec_by_name, BenchKind, BenchmarkSpec};

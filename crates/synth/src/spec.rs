@@ -65,7 +65,17 @@ impl BenchmarkSpec {
 /// with the eight SPEC2017 integer benchmarks expanded
 /// (520.omnetpp is excluded: "fails to build with clang", §5.4).
 pub fn all_specs() -> Vec<BenchmarkSpec> {
-    let wsc = |name, metric, text_mb: u64, funcs_k: u64, blocks_m: f64, cold, hot, hp, crash, ram, scale| {
+    let wsc = |name,
+               metric,
+               text_mb: u64,
+               funcs_k: u64,
+               blocks_m: f64,
+               cold,
+               hot,
+               hp,
+               crash,
+               ram,
+               scale| {
         BenchmarkSpec {
             name,
             kind: BenchKind::WarehouseScale,
@@ -124,10 +134,58 @@ pub fn all_specs() -> Vec<BenchmarkSpec> {
             action_ram_gib: 12,
             default_scale: 1.0 / 20.0,
         },
-        wsc("spanner", "Latency", 175, 562, 7.8, 0.83, 0.08, false, true, 12, 1.0 / 100.0),
-        wsc("search", "QPS", 413, 1_700, 18.0, 0.95, 0.03, true, false, 12, 1.0 / 200.0),
-        wsc("bigtable", "QPS", 93, 368, 4.2, 0.88, 0.06, false, true, 12, 1.0 / 50.0),
-        wsc("superroot", "QPS", 598, 2_700, 30.0, 0.82, 0.07, false, true, 24, 1.0 / 300.0),
+        wsc(
+            "spanner",
+            "Latency",
+            175,
+            562,
+            7.8,
+            0.83,
+            0.08,
+            false,
+            true,
+            12,
+            1.0 / 100.0,
+        ),
+        wsc(
+            "search",
+            "QPS",
+            413,
+            1_700,
+            18.0,
+            0.95,
+            0.03,
+            true,
+            false,
+            12,
+            1.0 / 200.0,
+        ),
+        wsc(
+            "bigtable",
+            "QPS",
+            93,
+            368,
+            4.2,
+            0.88,
+            0.06,
+            false,
+            true,
+            12,
+            1.0 / 50.0,
+        ),
+        wsc(
+            "superroot",
+            "QPS",
+            598,
+            2_700,
+            30.0,
+            0.82,
+            0.07,
+            false,
+            true,
+            24,
+            1.0 / 300.0,
+        ),
         spec("500.perlbench", 2048, 2_500, 75_000, 0.40, 0.30),
         spec("502.gcc", 4096, 12_000, 107_000, 0.21, 0.35),
         spec("505.mcf", 34, 80, 1_000, 0.88, 0.50),
@@ -175,7 +233,11 @@ mod tests {
             assert!(s.blocks > s.funcs, "{}", s.name);
             assert!((0.0..=1.0).contains(&s.cold_object_fraction), "{}", s.name);
             assert!((0.0..1.0).contains(&s.hot_function_fraction), "{}", s.name);
-            assert!(s.bytes_per_block() > 10.0 && s.bytes_per_block() < 64.0, "{}", s.name);
+            assert!(
+                s.bytes_per_block() > 10.0 && s.bytes_per_block() < 64.0,
+                "{}",
+                s.name
+            );
             assert!(s.default_scale > 0.0 && s.default_scale <= 1.0);
         }
     }

@@ -57,7 +57,10 @@ fn span_event(s: &SpanRecord) -> JsonValue {
         // actions a 1us sliver so they stay visible.
         ("dur", s.dur_us.max(1).into()),
         ("pid", 1u32.into()),
-        ("tid", s.worker.map_or(s.thread, |w| WORKER_LANE_BASE + w).into()),
+        (
+            "tid",
+            s.worker.map_or(s.thread, |w| WORKER_LANE_BASE + w).into(),
+        ),
         ("args", args),
     ])
 }
@@ -75,9 +78,13 @@ fn counter_event(name: &str, ts: u64, value: JsonValue) -> JsonValue {
 
 /// A metadata (`"ph": "M"`) event naming the process, or lane `tid`.
 fn name_event(what: &str, tid: Option<u64>, name: &str) -> JsonValue {
-    obj([("name", what.into()), ("ph", "M".into()), ("pid", 1u32.into())])
-        .with("tid", tid.map(Into::into))
-        .with("args", Some(obj([("name", name.into())])))
+    obj([
+        ("name", what.into()),
+        ("ph", "M".into()),
+        ("pid", 1u32.into()),
+    ])
+    .with("tid", tid.map(Into::into))
+    .with("args", Some(obj([("name", name.into())])))
 }
 
 /// Renders a drained trace as a Chrome Trace Event Format JSON
@@ -90,14 +97,21 @@ fn name_event(what: &str, tid: Option<u64>, name: &str) -> JsonValue {
 pub fn to_chrome_trace(trace: &TraceData, series: &TimeSeries) -> String {
     let mut events = trace_events(trace);
     for (name, s) in series.iter() {
-        events.extend(s.ordered().iter().map(|p| counter_event(name, p.t_us, p.value.into())));
+        events.extend(
+            s.ordered()
+                .iter()
+                .map(|p| counter_event(name, p.t_us, p.value.into())),
+        );
     }
     render_trace(events)
 }
 
 fn render_trace(events: Vec<JsonValue>) -> String {
     let lines: Vec<String> = events.iter().map(JsonValue::to_string_compact).collect();
-    format!("{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n{}\n]}}\n", lines.join(",\n"))
+    format!(
+        "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n{}\n]}}\n",
+        lines.join(",\n")
+    )
 }
 
 fn trace_events(trace: &TraceData) -> Vec<JsonValue> {
@@ -107,10 +121,19 @@ fn trace_events(trace: &TraceData) -> Vec<JsonValue> {
     workers.sort_unstable();
     workers.dedup();
     for w in workers {
-        events.push(name_event("thread_name", Some(WORKER_LANE_BASE + w), &lane_name(w)));
+        events.push(name_event(
+            "thread_name",
+            Some(WORKER_LANE_BASE + w),
+            &lane_name(w),
+        ));
     }
     events.extend(trace.spans.iter().map(span_event));
-    let ts = trace.spans.iter().map(|s| s.start_us + s.dur_us).max().unwrap_or(0);
+    let ts = trace
+        .spans
+        .iter()
+        .map(|s| s.start_us + s.dur_us)
+        .max()
+        .unwrap_or(0);
     for (name, v) in &trace.metrics.counters {
         events.push(counter_event(name, ts, v.into()));
     }
@@ -170,11 +193,15 @@ mod tests {
         // Worker 2 keeps its historical tid; tenant 1 must NOT share
         // it (the pre-fix behaviour), landing in the tenant band.
         assert!(json.contains("\"tid\":1002"));
-        assert!(json.contains(&format!("\"tid\":{}", WORKER_LANE_BASE + TENANT_LANE_BASE + 1)));
-        let tenant_on_worker_lane = json
-            .match_indices("\"tid\":1002")
-            .count();
-        assert_eq!(tenant_on_worker_lane, 2, "worker 2's lane: metadata + its one span");
+        assert!(json.contains(&format!(
+            "\"tid\":{}",
+            WORKER_LANE_BASE + TENANT_LANE_BASE + 1
+        )));
+        let tenant_on_worker_lane = json.match_indices("\"tid\":1002").count();
+        assert_eq!(
+            tenant_on_worker_lane, 2,
+            "worker 2's lane: metadata + its one span"
+        );
     }
 
     #[test]
@@ -192,10 +219,14 @@ mod tests {
         assert!(json.contains("\"name\":\"rejected.t0\",\"ph\":\"C\",\"ts\":2000000"));
         // Byte-stable for identical inputs.
         let again = to_chrome_trace(&Telemetry::enabled().drain(), &ts);
-        let counters: Vec<&str> =
-            json.lines().filter(|l| l.contains("\"ph\":\"C\"")).collect();
-        let counters2: Vec<&str> =
-            again.lines().filter(|l| l.contains("\"ph\":\"C\"")).collect();
+        let counters: Vec<&str> = json
+            .lines()
+            .filter(|l| l.contains("\"ph\":\"C\""))
+            .collect();
+        let counters2: Vec<&str> = again
+            .lines()
+            .filter(|l| l.contains("\"ph\":\"C\""))
+            .collect();
         assert_eq!(counters, counters2);
     }
 
@@ -232,12 +263,22 @@ mod tests {
         let mut trace = TraceData {
             spans: vec![
                 span(1, None, "phase \"2\"", 250, 1.5, None),
-                span(2, Some(SpanId(1)), "action:link app.pm", 0, 0.1 + 0.2, Some(1)),
+                span(
+                    2,
+                    Some(SpanId(1)),
+                    "action:link app.pm",
+                    0,
+                    0.1 + 0.2,
+                    Some(1),
+                ),
             ],
             ..TraceData::default()
         };
         trace.metrics.counters.insert("cache.obj.hits".into(), 40);
-        trace.metrics.gauges.insert("faults.retry_backoff_secs".into(), 2.25);
+        trace
+            .metrics
+            .gauges
+            .insert("faults.retry_backoff_secs".into(), 2.25);
         let mut series = TimeSeries::new();
         series.gauge("queue_depth.t0", 1_500_000, 3.0);
         assert_eq!(

@@ -57,9 +57,7 @@ impl JsonValue {
     /// Looks up a member of an object (`None` for non-objects).
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
         match self {
-            JsonValue::Obj(members) => {
-                members.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-            }
+            JsonValue::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
@@ -122,11 +120,7 @@ impl JsonValue {
 
     fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
         let (nl, pad, pad_in) = match indent {
-            Some(w) => (
-                "\n",
-                " ".repeat(w * depth),
-                " ".repeat(w * (depth + 1)),
-            ),
+            Some(w) => ("\n", " ".repeat(w * depth), " ".repeat(w * (depth + 1))),
             None => ("", String::new(), String::new()),
         };
         match self {
@@ -407,7 +401,9 @@ impl<'a> Reader<'a> {
     }
 
     fn members(self) -> Result<&'a [(String, JsonValue)], SchemaError> {
-        self.0.as_obj().ok_or_else(|| SchemaError::expected("an object"))
+        self.0
+            .as_obj()
+            .ok_or_else(|| SchemaError::expected("an object"))
     }
 }
 
@@ -432,13 +428,16 @@ pub trait FromJson: Sized {
 
 impl FromJson for String {
     fn from_json(r: Reader<'_>) -> Result<String, SchemaError> {
-        r.0.as_str().map(str::to_string).ok_or_else(|| SchemaError::expected("a string"))
+        r.0.as_str()
+            .map(str::to_string)
+            .ok_or_else(|| SchemaError::expected("a string"))
     }
 }
 
 impl FromJson for f64 {
     fn from_json(r: Reader<'_>) -> Result<f64, SchemaError> {
-        r.0.as_f64().ok_or_else(|| SchemaError::expected("a number"))
+        r.0.as_f64()
+            .ok_or_else(|| SchemaError::expected("a number"))
     }
 }
 
@@ -511,10 +510,7 @@ impl<'a> Parser<'a> {
     }
 
     fn skip_ws(&mut self) {
-        while matches!(
-            self.bytes.get(self.pos),
-            Some(b' ' | b'\t' | b'\n' | b'\r')
-        ) {
+        while matches!(self.bytes.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
@@ -753,7 +749,12 @@ mod tests {
     fn preserves_member_order() {
         let text = r#"{"z": 1, "a": 2, "m": 3}"#;
         let v = JsonValue::parse(text).unwrap();
-        let keys: Vec<&str> = v.as_obj().unwrap().iter().map(|(k, _)| k.as_str()).collect();
+        let keys: Vec<&str> = v
+            .as_obj()
+            .unwrap()
+            .iter()
+            .map(|(k, _)| k.as_str())
+            .collect();
         assert_eq!(keys, ["z", "a", "m"]);
     }
 
@@ -762,14 +763,24 @@ mod tests {
         let v = JsonValue::parse(r#"{"s": "x", "n": 7, "a": [1]}"#).unwrap();
         assert_eq!(v.get("s").and_then(JsonValue::as_str), Some("x"));
         assert_eq!(v.get("n").and_then(JsonValue::as_f64), Some(7.0));
-        assert_eq!(v.get("a").and_then(JsonValue::as_arr).map(<[_]>::len), Some(1));
+        assert_eq!(
+            v.get("a").and_then(JsonValue::as_arr).map(<[_]>::len),
+            Some(1)
+        );
         assert_eq!(v.get("missing"), None);
     }
 
     #[test]
     fn rejects_malformed_input() {
         for bad in [
-            "", "{", "[1,", "\"abc", "{\"a\" 1}", "tru", "1 2", "{'a':1}",
+            "",
+            "{",
+            "[1,",
+            "\"abc",
+            "{\"a\" 1}",
+            "tru",
+            "1 2",
+            "{'a':1}",
             "[1]]",
         ] {
             assert!(JsonValue::parse(bad).is_err(), "{bad:?} should fail");
@@ -777,7 +788,10 @@ mod tests {
         // A repeated name used to parse: a map read kept the last value
         // and a member read the first.
         let err = JsonValue::parse(r#"{"m": {"k": 5, "k": 1}}"#).unwrap_err();
-        assert_eq!((err.offset, err.message.as_str()), (15, r#"repeated member name "k""#));
+        assert_eq!(
+            (err.offset, err.message.as_str()),
+            (15, r#"repeated member name "k""#)
+        );
         assert!(JsonValue::parse(r#"[{"k": 5}, {"k": 1}]"#).is_ok());
     }
 
@@ -805,12 +819,18 @@ mod tests {
         let nest = |n: usize| "[".repeat(n) + &"]".repeat(n);
         assert!(JsonValue::parse(&nest(MAX_DEPTH)).is_ok());
         let err = JsonValue::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
-        assert_eq!((err.offset, err.message.as_str()), (MAX_DEPTH, "nesting deeper than 128"));
+        assert_eq!(
+            (err.offset, err.message.as_str()),
+            (MAX_DEPTH, "nesting deeper than 128")
+        );
         // Used to overflow the stack and abort the process.
         let err = JsonValue::parse(&"[".repeat(50_000)).unwrap_err();
         assert_eq!(err.message, "nesting deeper than 128");
         let objects = r#"{"a":"#.repeat(MAX_DEPTH + 1);
-        assert!(JsonValue::parse(&objects).unwrap_err().message.contains("nesting"));
+        assert!(JsonValue::parse(&objects)
+            .unwrap_err()
+            .message
+            .contains("nesting"));
         // Depth counts open containers, not containers seen.
         let wide = format!("[{}]", vec!["[[]]"; 1000].join(","));
         assert!(JsonValue::parse(&wide).is_ok());
@@ -884,7 +904,10 @@ mod tests {
             read(text, |r| r.get::<BTreeMap<String, f64>>("m")),
             Ok(BTreeMap::from([("k".to_string(), 1.5)]))
         );
-        assert_eq!(read(text, |r| r.opt::<String>("s")), Ok(Some("x".to_string())));
+        assert_eq!(
+            read(text, |r| r.opt::<String>("s")),
+            Ok(Some("x".to_string()))
+        );
         assert_eq!(read(text, |r| r.opt::<String>("null")), Ok(None));
         assert_eq!(read(text, |r| r.opt::<String>("nope")), Ok(None));
         assert_eq!(read(text, |r| r.get::<Option<u32>>("nope")), Ok(None));
@@ -895,14 +918,35 @@ mod tests {
         let u64_err = "expected an integer in 0..=18446744073709551615 at ";
         assert_eq!(err(|r| r.get("s")), format!("{u64_err}`doc.s`"));
         let u32_err = "expected an integer in 0..=4294967295 at ";
-        assert_eq!(err(|r| r.get::<u32>("f").map(u64::from)), format!("{u32_err}`doc.f`"));
-        assert_eq!(err(|r| r.get::<u32>("neg").map(u64::from)), format!("{u32_err}`doc.neg`"));
-        assert_eq!(err(|r| r.get::<u32>("wide").map(u64::from)), format!("{u32_err}`doc.wide`"));
+        assert_eq!(
+            err(|r| r.get::<u32>("f").map(u64::from)),
+            format!("{u32_err}`doc.f`")
+        );
+        assert_eq!(
+            err(|r| r.get::<u32>("neg").map(u64::from)),
+            format!("{u32_err}`doc.neg`")
+        );
+        assert_eq!(
+            err(|r| r.get::<u32>("wide").map(u64::from)),
+            format!("{u32_err}`doc.wide`")
+        );
         assert!(err(|r| r.get("huge")).starts_with("expected an integer"));
-        assert_eq!(err(|r| r.get::<String>("n").map(|_| 0)), "expected a string at `doc.n`");
-        assert_eq!(err(|r| r.get::<f64>("s").map(|_| 0)), "expected a number at `doc.s`");
-        assert_eq!(err(|r| r.get::<bool>("n").map(|_| 0)), "expected a boolean at `doc.n`");
-        assert_eq!(err(|r| r.get::<Vec<u64>>("m").map(|_| 0)), "expected an array at `doc.m`");
+        assert_eq!(
+            err(|r| r.get::<String>("n").map(|_| 0)),
+            "expected a string at `doc.n`"
+        );
+        assert_eq!(
+            err(|r| r.get::<f64>("s").map(|_| 0)),
+            "expected a number at `doc.s`"
+        );
+        assert_eq!(
+            err(|r| r.get::<bool>("n").map(|_| 0)),
+            "expected a boolean at `doc.n`"
+        );
+        assert_eq!(
+            err(|r| r.get::<Vec<u64>>("m").map(|_| 0)),
+            "expected an array at `doc.m`"
+        );
         assert_eq!(
             err(|r| r.get::<BTreeMap<String, f64>>("a").map(|_| 0)),
             "expected an object at `doc.a`"
@@ -932,7 +976,10 @@ mod tests {
             "missing `doc.layout[1].clusters[0].weight`"
         );
         let k = |r: Reader<'_>| r.get::<u64>("k");
-        assert_eq!(read("[1, 2]", k).unwrap_err(), "expected an object at `doc`");
+        assert_eq!(
+            read("[1, 2]", k).unwrap_err(),
+            "expected an object at `doc`"
+        );
         assert_eq!(
             read("[1, 2", k).unwrap_err(),
             "JSON error at byte 5: expected `,` or `]`"

@@ -313,10 +313,7 @@ impl TraceData {
 
     /// Direct children of `id`, in start order.
     pub fn children(&self, id: SpanId) -> Vec<&SpanRecord> {
-        self.spans
-            .iter()
-            .filter(|s| s.parent == Some(id))
-            .collect()
+        self.spans.iter().filter(|s| s.parent == Some(id)).collect()
     }
 
     /// The first span named `name`, if any.

@@ -321,7 +321,10 @@ mod tests {
         for i in 1..HISTOGRAM_BUCKETS {
             assert!(Histogram::bucket_bound(i) > Histogram::bucket_bound(i - 1));
         }
-        assert_eq!(Histogram::bucket_bound(HISTOGRAM_BUCKETS - 1), f64::INFINITY);
+        assert_eq!(
+            Histogram::bucket_bound(HISTOGRAM_BUCKETS - 1),
+            f64::INFINITY
+        );
     }
 
     #[test]
@@ -416,9 +419,13 @@ mod tests {
         assert_eq!(err.to_string(), "missing `metrics.gauges`");
         // Counters are counts: what `as u64` used to truncate is refused.
         for bad in ["1.9", "-1", "1e30", "\"7\""] {
-            let text = format!(r#"{{"counters": {{"c": {bad}}}, "gauges": {{}}, "histograms": {{}}}}"#);
+            let text =
+                format!(r#"{{"counters": {{"c": {bad}}}, "gauges": {{}}, "histograms": {{}}}}"#);
             let err = parse(&text).unwrap_err().to_string();
-            assert!(err.contains("integer") && err.ends_with("`metrics.counters.c`"), "{err}");
+            assert!(
+                err.contains("integer") && err.ends_with("`metrics.counters.c`"),
+                "{err}"
+            );
         }
     }
 

@@ -79,7 +79,10 @@ pub struct Series {
 
 impl Series {
     fn new(kind: SeriesKind) -> Self {
-        Series { kind, points: Vec::new() }
+        Series {
+            kind,
+            points: Vec::new(),
+        }
     }
 
     /// The series kind.
@@ -108,10 +111,7 @@ impl Series {
 
     /// Largest recorded value (`None` when empty).
     pub fn max_value(&self) -> Option<f64> {
-        self.points
-            .iter()
-            .map(|p| p.value)
-            .max_by(f64::total_cmp)
+        self.points.iter().map(|p| p.value).max_by(f64::total_cmp)
     }
 
     /// Largest point timestamp (`None` when empty).
@@ -203,7 +203,10 @@ impl TimeSeries {
     /// *and* an observation in the log2 histogram of the same name.
     pub fn event(&mut self, name: &str, t_us: u64, value: f64) {
         self.push(name, SeriesKind::Event, t_us, value);
-        self.hists.entry(name.to_string()).or_default().observe(value);
+        self.hists
+            .entry(name.to_string())
+            .or_default()
+            .observe(value);
     }
 
     /// The named series, if any point was recorded under `name`.

@@ -23,9 +23,7 @@ use propeller_ir::Program;
 pub fn cluster_map_to_text(map: &ClusterMap, program: &Program) -> String {
     let mut entries: Vec<(&str, &FunctionClusters)> = map
         .iter()
-        .filter_map(|(fid, clusters)| {
-            program.function(fid).map(|f| (&*f.name, clusters))
-        })
+        .filter_map(|(fid, clusters)| program.function(fid).map(|f| (&*f.name, clusters)))
         .collect();
     entries.sort_by_key(|(name, _)| *name);
     let mut out = String::new();
@@ -71,7 +69,10 @@ mod tests {
     }
 
     fn cluster(name: ClusterName, blocks: &[u32]) -> Cluster {
-        Cluster { name, blocks: blocks.iter().copied().map(BlockId).collect() }
+        Cluster {
+            name,
+            blocks: blocks.iter().copied().map(BlockId).collect(),
+        }
     }
 
     /// The parser this file once had was the only check of these bytes;
@@ -83,7 +84,9 @@ mod tests {
         let mut map = ClusterMap::new();
         map.insert(
             id("beta"),
-            FunctionClusters { clusters: vec![cluster(ClusterName::Primary, &[0])] },
+            FunctionClusters {
+                clusters: vec![cluster(ClusterName::Primary, &[0])],
+            },
         );
         map.insert(
             id("alpha"),

@@ -668,7 +668,10 @@ impl MergeScratch {
 /// the result is independent of the heap's internal arrangement — and
 /// the heap itself is never touched, so arming provenance cannot
 /// perturb the merge sequence.
-fn best_queued_alternative(opt: &Optimizer<'_>, heap: &BinaryHeap<HeapEntry>) -> Option<RejectedAlt> {
+fn best_queued_alternative(
+    opt: &Optimizer<'_>,
+    heap: &BinaryHeap<HeapEntry>,
+) -> Option<RejectedAlt> {
     let mut best: Option<&HeapEntry> = None;
     for e in heap.iter() {
         if e.gain <= 1e-9 || opt.chains[e.x].is_none() || opt.chains[e.y].is_none() {
@@ -817,7 +820,9 @@ impl ChainReplay {
             .ok_or_else(|| format!("receiving chain {x} is out of range or already dead"))?
             .len();
         if x == y || live(y).is_none() {
-            return Err(format!("absorbed chain {y} is out of range or already dead"));
+            return Err(format!(
+                "absorbed chain {y} is out of range or already dead"
+            ));
         }
         let k = step.split.unwrap_or(len);
         if k > len {
@@ -1050,7 +1055,14 @@ mod tests {
 
     /// [`order_nodes`] at the default parameters, untraced and unlogged.
     fn default_order(ns: &[Node], es: &[Edge], entry: u32) -> Vec<u32> {
-        order_nodes(ns, es, entry, &ExtTspParams::default(), &Telemetry::disabled(), None)
+        order_nodes(
+            ns,
+            es,
+            entry,
+            &ExtTspParams::default(),
+            &Telemetry::disabled(),
+            None,
+        )
     }
 
     fn nodes(sizes: &[(u32, u32, u64)]) -> Vec<Node> {
@@ -1068,12 +1080,7 @@ mod tests {
     fn hot_path_becomes_fallthrough_chain() {
         // 0 -> 2 hot, 0 -> 1 cold, both -> 3. Original order 0,1,2,3.
         let ns = nodes(&[(0, 20, 100), (1, 20, 5), (2, 20, 95), (3, 20, 100)]);
-        let es = vec![
-            edge(0, 1, 5),
-            edge(0, 2, 95),
-            edge(1, 3, 5),
-            edge(2, 3, 95),
-        ];
+        let es = vec![edge(0, 1, 5), edge(0, 2, 95), edge(1, 3, 5), edge(2, 3, 95)];
         let order = default_order(&ns, &es, 0);
         assert_eq!(order[0], 0);
         // 2 must directly follow 0; 3 follows 2.
@@ -1164,22 +1171,10 @@ mod tests {
     #[test]
     fn merge_log_records_commits_and_scores() {
         let ns = nodes(&[(0, 20, 100), (1, 20, 5), (2, 20, 95), (3, 20, 100)]);
-        let es = vec![
-            edge(0, 1, 5),
-            edge(0, 2, 95),
-            edge(1, 3, 5),
-            edge(2, 3, 95),
-        ];
+        let es = vec![edge(0, 1, 5), edge(0, 2, 95), edge(1, 3, 5), edge(2, 3, 95)];
         let p = ExtTspParams::default();
         let mut log = MergeLog::default();
-        let order = order_nodes(
-            &ns,
-            &es,
-            0,
-            &p,
-            &Telemetry::disabled(),
-            Some(&mut log),
-        );
+        let order = order_nodes(&ns, &es, 0, &p, &Telemetry::disabled(), Some(&mut log));
         assert!(!log.merges.is_empty());
         assert!(log.merges.iter().all(|m| m.gain > 0.0));
         assert!((log.final_score - score_layout(&order, &ns, &es, &p)).abs() < 1e-9);
@@ -1250,7 +1245,13 @@ mod tests {
         // Two disjoint, perfectly symmetric hot pairs: (1,2) and (3,4)
         // have identical merge gains, so the tie-break alone decides
         // which commits first — it must be the smaller chain ids.
-        let ns = nodes(&[(0, 10, 1), (1, 10, 50), (2, 10, 50), (3, 10, 50), (4, 10, 50)]);
+        let ns = nodes(&[
+            (0, 10, 1),
+            (1, 10, 50),
+            (2, 10, 50),
+            (3, 10, 50),
+            (4, 10, 50),
+        ]);
         let es = vec![edge(1, 2, 40), edge(3, 4, 40), edge(0, 1, 1), edge(0, 3, 1)];
         let mut log = MergeLog::with_detail();
         order_nodes(
@@ -1334,8 +1335,7 @@ mod tests {
             Some(&mut log),
         );
         assert!(!log.used_input_order);
-        let replayed =
-            replay_merges(&ns, 0, &log.detail.as_ref().unwrap().steps).expect("replay");
+        let replayed = replay_merges(&ns, 0, &log.detail.as_ref().unwrap().steps).expect("replay");
         assert_eq!(replayed, order);
         let mut sorted = replayed.clone();
         sorted.sort_unstable();

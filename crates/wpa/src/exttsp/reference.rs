@@ -5,12 +5,19 @@
 //! neighbor sets collected and sorted on every merge. Serial only.
 //! Do not optimise this file — its value is that it is the old code.
 
-use super::{edge_score, Edge, ExtTspParams, HeapEntry, MergeLog, MergeRecord, MergeStep, Node, RejectedAlt};
+use super::{
+    edge_score, Edge, ExtTspParams, HeapEntry, MergeLog, MergeRecord, MergeStep, Node, RejectedAlt,
+};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap, HashSet};
 
 /// The old `score_layout` (panics on an `order` id absent from `nodes`).
-pub(super) fn score_layout(order: &[u32], nodes: &[Node], edges: &[Edge], params: &ExtTspParams) -> f64 {
+pub(super) fn score_layout(
+    order: &[u32],
+    nodes: &[Node],
+    edges: &[Edge],
+    params: &ExtTspParams,
+) -> f64 {
     let size_of: HashMap<u32, u64> = nodes.iter().map(|n| (n.id, n.size as u64)).collect();
     let mut pos: HashMap<u32, u64> = HashMap::with_capacity(order.len());
     let mut cursor = 0u64;
@@ -158,7 +165,10 @@ impl<'a> Optimizer<'a> {
 /// the result is independent of the heap's internal arrangement — and
 /// the heap itself is never touched, so arming provenance cannot
 /// perturb the merge sequence.
-fn best_queued_alternative(opt: &Optimizer<'_>, heap: &BinaryHeap<HeapEntry>) -> Option<RejectedAlt> {
+fn best_queued_alternative(
+    opt: &Optimizer<'_>,
+    heap: &BinaryHeap<HeapEntry>,
+) -> Option<RejectedAlt> {
     let mut best: Option<&HeapEntry> = None;
     for e in heap.iter() {
         if e.gain <= 1e-9 || opt.chains[e.x].is_none() || opt.chains[e.y].is_none() {

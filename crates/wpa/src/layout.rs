@@ -169,7 +169,11 @@ impl WpaOutput {
         WpaOutput {
             cluster_map: ClusterMap::new(),
             symbol_order: SymbolOrdering::default(),
-            stats: WpaStats { hot_functions: 0, hot_blocks: 0, ..stats },
+            stats: WpaStats {
+                hot_functions: 0,
+                hot_blocks: 0,
+                ..stats
+            },
             provenance: LayoutProvenance::default(),
             rich: None,
         }
@@ -236,7 +240,11 @@ pub fn run_wpa_agg_traced(
         AddressMapper::from_binary(binary)
     };
     let armed = opts.provenance;
-    let mut funding = if armed { Some(EdgeFunding::default()) } else { None };
+    let mut funding = if armed {
+        Some(EdgeFunding::default())
+    } else {
+        None
+    };
     let dcfg = {
         let mut s = tel.span_under("wpa.dynamic_cfg", wpa_id);
         let dcfg = Dcfg::build_logged(&mapper, agg, funding.as_mut());
@@ -302,11 +310,9 @@ pub fn run_wpa_agg_traced(
         // stale compile-time PGO frequencies for the §4.6 comparison.
         let pgo_hot: Option<Vec<bool>> = match opts.cold_source {
             crate::options::ColdSource::HardwareSamples => None,
-            crate::options::ColdSource::PgoFrequencies => {
-                program.function(fid).map(|f| {
-                    f.blocks.iter().map(|b| b.freq > 0).collect::<Vec<bool>>()
-                })
-            }
+            crate::options::ColdSource::PgoFrequencies => program
+                .function(fid)
+                .map(|f| f.blocks.iter().map(|b| b.freq > 0).collect::<Vec<bool>>()),
         };
         let is_hot = |b: u32| -> bool {
             match &pgo_hot {

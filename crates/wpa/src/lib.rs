@@ -19,9 +19,9 @@
 //! optionally across functions, §4.7), split cold blocks into `.cold`
 //! sections (§4.6), and emit the directives.
 
-pub mod exttsp;
 mod cc_prof;
 mod dcfg;
+pub mod exttsp;
 mod layout;
 mod mapper;
 mod options;
@@ -30,10 +30,9 @@ mod prefetch;
 pub use cc_prof::cluster_map_to_text;
 pub use dcfg::{Dcfg, DcfgFunction, EdgeFunding, EdgeKind, FundingRecord};
 pub use layout::{
-    run_wpa, run_wpa_agg_traced, ClusterProvenance, FunctionProvenance,
-    LayoutProvenance, RichFunctionRecord, RichProvenance, WpaOutput,
-    WpaStats,
+    run_wpa, run_wpa_agg_traced, ClusterProvenance, FunctionProvenance, LayoutProvenance,
+    RichFunctionRecord, RichProvenance, WpaOutput, WpaStats,
 };
 pub use mapper::{AddressMapper, MappedLoc};
-pub use prefetch::{apply_prefetches, prefetch_directives, PrefetchMap};
 pub use options::{ColdSource, GlobalOrder, IntraOrder, WpaOptions};
+pub use prefetch::{apply_prefetches, prefetch_directives, PrefetchMap};

@@ -169,7 +169,10 @@ mod tests {
         let mut pb = ProgramBuilder::new();
         let m = pb.add_module("m.cc");
         let mut f = FunctionBuilder::new("alpha");
-        f.add_block(vec![Inst::Alu; 3], Terminator::Jump(propeller_ir::BlockId(1)));
+        f.add_block(
+            vec![Inst::Alu; 3],
+            Terminator::Jump(propeller_ir::BlockId(1)),
+        );
         f.add_block(vec![Inst::Load], Terminator::Ret);
         pb.add_function(m, f);
         let mut g = FunctionBuilder::new("beta");

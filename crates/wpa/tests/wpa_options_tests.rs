@@ -1,7 +1,9 @@
 //! Tests for WPA's thresholding and cold-source options.
 
 use propeller_codegen::{codegen_module, CodegenOptions};
-use propeller_ir::{BlockId, FunctionBuilder, FunctionId, Inst, Program, ProgramBuilder, Terminator};
+use propeller_ir::{
+    BlockId, FunctionBuilder, FunctionId, Inst, Program, ProgramBuilder, Terminator,
+};
 use propeller_linker::{link, LinkInput, LinkOptions, LinkedBinary};
 use propeller_profile::SamplingConfig;
 use propeller_sim::{simulate, ProgramImage, SimOptions, UarchConfig, Workload};
@@ -110,7 +112,10 @@ fn pgo_cold_source_uses_ir_frequencies() {
     // Every block of the fixture has nonzero PGO frequency, so nothing
     // is split cold: no `.cold` symbols in the ordering.
     assert!(
-        pgo.symbol_order.names().iter().all(|n| !n.ends_with(".cold")),
+        pgo.symbol_order
+            .names()
+            .iter()
+            .all(|n| !n.ends_with(".cold")),
         "{:?}",
         pgo.symbol_order.names()
     );

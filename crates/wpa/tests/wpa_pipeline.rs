@@ -2,7 +2,9 @@
 //! run WPA, apply its directives, and verify the optimized binary wins.
 
 use propeller_codegen::{codegen_module, CodegenOptions};
-use propeller_ir::{BlockId, FunctionBuilder, FunctionId, Inst, Program, ProgramBuilder, Terminator};
+use propeller_ir::{
+    BlockId, FunctionBuilder, FunctionId, Inst, Program, ProgramBuilder, Terminator,
+};
 use propeller_linker::{link, LinkInput, LinkOptions, LinkedBinary};
 use propeller_profile::SamplingConfig;
 use propeller_sim::{simulate, ProgramImage, SimOptions, UarchConfig, Workload};
@@ -120,8 +122,20 @@ fn end_to_end_propeller_pipeline_improves_layout() {
     let w = Workload::new(vec![(driver, 1.0)], 200_000);
     let base_img = ProgramImage::build(&p, &pm.layout).unwrap();
     let opt_img = ProgramImage::build(&p, &po.layout).unwrap();
-    let base = simulate(&base_img, &w, &UarchConfig::default(), &SimOptions::default()).counters;
-    let opt = simulate(&opt_img, &w, &UarchConfig::default(), &SimOptions::default()).counters;
+    let base = simulate(
+        &base_img,
+        &w,
+        &UarchConfig::default(),
+        &SimOptions::default(),
+    )
+    .counters;
+    let opt = simulate(
+        &opt_img,
+        &w,
+        &UarchConfig::default(),
+        &SimOptions::default(),
+    )
+    .counters;
 
     assert!(
         opt.taken_branches < base.taken_branches,
@@ -199,9 +213,11 @@ fn interprocedural_mode_emits_numbered_clusters() {
         .symbol_order
         .names()
         .iter()
-        .filter(|n| n.chars().rev().take_while(|c| c.is_ascii_digit()).count() > 0
-            && n.contains('.')
-            && !n.ends_with(".cold"))
+        .filter(|n| {
+            n.chars().rev().take_while(|c| c.is_ascii_digit()).count() > 0
+                && n.contains('.')
+                && !n.ends_with(".cold")
+        })
         .count();
     assert!(numbered > 0, "expected numbered cluster symbols");
     // And the result still links + runs.

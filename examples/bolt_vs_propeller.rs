@@ -20,7 +20,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("mysql-shaped workload: {}", g.program.stats());
 
     // Propeller flow.
-    let mut pipeline = Propeller::new(g.program.clone(), g.entries.clone(), PropellerOptions::default());
+    let mut pipeline = Propeller::new(
+        g.program.clone(),
+        g.entries.clone(),
+        PropellerOptions::default(),
+    );
     pipeline.run_all()?;
     let profile = pipeline.profile().expect("profiled").clone();
     let eval = pipeline.evaluate(400_000)?;
@@ -49,14 +53,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut workload = Workload::new(g.entries.clone(), 400_000);
     workload.seed = 0x5eed;
     let img = ProgramImage::build(&g.program, &bolt.layout)?;
-    let bolt_counters =
-        simulate(&img, &workload, &UarchConfig::default(), &SimOptions::default()).counters;
+    let bolt_counters = simulate(
+        &img,
+        &workload,
+        &UarchConfig::default(),
+        &SimOptions::default(),
+    )
+    .counters;
     println!();
     print_comparison("BOLT", &eval.baseline, &bolt_counters);
 
     println!(
         "\nmemory: Propeller WPA peak {} bytes vs BOLT perf2bolt peak {} bytes ({:.1}x)",
-        pipeline.wpa_output().expect("wpa").stats.modeled_peak_memory,
+        pipeline
+            .wpa_output()
+            .expect("wpa")
+            .stats
+            .modeled_peak_memory,
         bolt.stats.profile_conversion_peak_memory,
         bolt.stats.profile_conversion_peak_memory as f64
             / pipeline

@@ -27,14 +27,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let opts = PropellerOptions {
-        machine: MachineConfig::Distributed { ram_limit: spec.action_ram_gib * GIB },
+        machine: MachineConfig::Distributed {
+            ram_limit: spec.action_ram_gib * GIB,
+        },
         ..PropellerOptions::default()
     };
     // The build caches persist across releases, like the production
     // distributed build system's artifact store.
     let caches = BuildCaches::new();
-    let mut pipeline =
-        Propeller::with_caches(g.program.clone(), g.entries.clone(), opts.clone(), caches.clone());
+    let mut pipeline = Propeller::with_caches(
+        g.program.clone(),
+        g.entries.clone(),
+        opts.clone(),
+        caches.clone(),
+    );
     let report = pipeline.run_all()?;
     println!(
         "\nrelease #1: {} hot modules regenerated ({}% of objects), cache {} hits / {} misses",

@@ -26,7 +26,9 @@ fn run_with(plan: FaultPlan, seed: u64) -> (Propeller, PropellerReport, EvalRepo
     };
     let mut p = Propeller::new(g.program, g.entries, opts);
     let report = p.run_all().expect("pipeline must survive any fault plan");
-    let eval = p.evaluate(120_000).expect("degraded binary must still evaluate");
+    let eval = p
+        .evaluate(120_000)
+        .expect("degraded binary must still evaluate");
     (p, report, eval)
 }
 
@@ -111,7 +113,11 @@ fn same_seed_and_plan_replays_identically() {
 #[test]
 fn zero_fault_plan_is_bit_identical_to_no_fault_layer() {
     let g = small_benchmark("clang", 0.002, 11);
-    let mut vanilla = Propeller::new(g.program.clone(), g.entries.clone(), PropellerOptions::default());
+    let mut vanilla = Propeller::new(
+        g.program.clone(),
+        g.entries.clone(),
+        PropellerOptions::default(),
+    );
     let rv = vanilla.run_all().unwrap();
     let ev = vanilla.evaluate(120_000).unwrap();
     // An explicit all-disabled plan must take the exact legacy path.
@@ -123,7 +129,10 @@ fn zero_fault_plan_is_bit_identical_to_no_fault_layer() {
     let rg = gated.run_all().unwrap();
     let eg = gated.evaluate(120_000).unwrap();
     assert!(rg.degradation.is_clean());
-    assert!(gated.fault_injector().is_none(), "empty plans arm no injector");
+    assert!(
+        gated.fault_injector().is_none(),
+        "empty plans arm no injector"
+    );
     assert_eq!(rv, rg);
     assert_eq!(ev, eg);
     let jv = RunReport::collect("clang", 0.002, 11, &vanilla, &rv, Some(&ev), None, None);
@@ -157,7 +166,10 @@ fn below_floor_partial_loss_demotes_the_surviving_hot_set() {
     let (p, report, eval) = run_with(plan, 5);
     let l = &report.degradation;
     assert_eq!(l.layout_mode, LayoutMode::IdentityFallback);
-    assert!(l.functions_marked_cold > 0, "hot set must be demoted, not trusted");
+    assert!(
+        l.functions_marked_cold > 0,
+        "hot set must be demoted, not trusted"
+    );
     assert_eq!(eval.optimized.blocks, eval.baseline.blocks);
     assert_exact_accounting(&p, &report);
     assert_layout_is_permutation(&p);
@@ -168,7 +180,10 @@ fn permanent_codegen_failure_ships_cached_baseline_objects() {
     let plan = FaultPlan::parse("permanent-codegen=1").unwrap();
     let (p, report, eval) = run_with(plan, 3);
     let l = &report.degradation;
-    assert!(l.objects_fallen_back > 0, "every hot module must have fallen back");
+    assert!(
+        l.objects_fallen_back > 0,
+        "every hot module must have fallen back"
+    );
     // Fallback objects come from the phase-2 labels cache, so the
     // binary still links and retires the baseline's trace.
     assert_eq!(eval.optimized.blocks, eval.baseline.blocks);
@@ -188,7 +203,9 @@ fn arb_plan() -> impl Strategy<Value = FaultPlan> {
             }
         };
         let mut plan = FaultPlan::none();
-        let pipeline_kinds = FaultKind::ALL.into_iter().filter(|k| !FaultKind::SERVICE.contains(k));
+        let pipeline_kinds = FaultKind::ALL
+            .into_iter()
+            .filter(|k| !FaultKind::SERVICE.contains(k));
         for (kind, knob) in pipeline_kinds.zip(knobs) {
             plan.set(kind, spec(knob));
         }

@@ -38,8 +38,7 @@ fn disassembler_agrees_with_codegen_layout() {
         simple += 1;
         // Every linker-reported block start must land on an
         // instruction boundary of the disassembly.
-        let starts: std::collections::HashSet<u64> =
-            d.insts.iter().map(|i| i.addr).collect();
+        let starts: std::collections::HashSet<u64> = d.insts.iter().map(|i| i.addr).collect();
         if let Some(fl) = bin
             .layout
             .functions
@@ -102,19 +101,35 @@ fn both_optimizers_reduce_taken_branches_on_same_profile() {
     )
     .profile
     .unwrap();
-    let base = simulate(&img, &workload, &UarchConfig::default(), &SimOptions::default()).counters;
+    let base = simulate(
+        &img,
+        &workload,
+        &UarchConfig::default(),
+        &SimOptions::default(),
+    )
+    .counters;
 
     // BOLT path.
     let bolt = run_bolt(&bm, &profile, &BoltOptions::default()).unwrap();
     let bolt_img = ProgramImage::build(&g.program, &bolt.layout).unwrap();
-    let bolt_c =
-        simulate(&bolt_img, &workload, &UarchConfig::default(), &SimOptions::default()).counters;
+    let bolt_c = simulate(
+        &bolt_img,
+        &workload,
+        &UarchConfig::default(),
+        &SimOptions::default(),
+    )
+    .counters;
 
     // Propeller path (same profile!). WPA reads the BB address map,
     // which lives in the PM binary; BM's text is PM's, so the profile
     // maps onto both.
     assert_eq!(pm.symbol("x264_fn0"), bm.symbol("x264_fn0"));
-    let wpa = propeller_wpa::run_wpa(&g.program, &pm, &profile, &propeller_wpa::WpaOptions::default());
+    let wpa = propeller_wpa::run_wpa(
+        &g.program,
+        &pm,
+        &profile,
+        &propeller_wpa::WpaOptions::default(),
+    );
     let po = build(
         &g,
         &CodegenOptions::with_clusters(wpa.cluster_map),
@@ -125,8 +140,13 @@ fn both_optimizers_reduce_taken_branches_on_same_profile() {
         },
     );
     let po_img = ProgramImage::build(&g.program, &po.layout).unwrap();
-    let prop_c =
-        simulate(&po_img, &workload, &UarchConfig::default(), &SimOptions::default()).counters;
+    let prop_c = simulate(
+        &po_img,
+        &workload,
+        &UarchConfig::default(),
+        &SimOptions::default(),
+    )
+    .counters;
 
     assert!(prop_c.taken_branches < base.taken_branches);
     assert!(bolt_c.taken_branches < base.taken_branches);
@@ -160,8 +180,12 @@ fn bolt_memory_scales_with_text_propeller_with_hot_code() {
         .profile
         .unwrap();
         let bolt = run_bolt(&bm, &profile, &BoltOptions::default()).unwrap();
-        let wpa =
-            propeller_wpa::run_wpa(&g.program, &pm, &profile, &propeller_wpa::WpaOptions::default());
+        let wpa = propeller_wpa::run_wpa(
+            &g.program,
+            &pm,
+            &profile,
+            &propeller_wpa::WpaOptions::default(),
+        );
         (
             bolt.stats.profile_conversion_peak_memory,
             wpa.stats.modeled_peak_memory,

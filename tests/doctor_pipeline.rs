@@ -64,8 +64,7 @@ fn truncated_profile_is_flagged_low_coverage() {
     let mut truncated = full.clone();
     truncated.samples.truncate(full.samples.len() / 2);
 
-    let healthy =
-        audit_profile_with_reference(pm, full, Some(full), &p.options().wpa, expected);
+    let healthy = audit_profile_with_reference(pm, full, Some(full), &p.options().wpa, expected);
     assert_eq!(healthy.sample_coverage, 1.0);
 
     let audit =
@@ -85,7 +84,11 @@ fn truncated_profile_is_flagged_low_coverage() {
         .iter()
         .find(|f| f.metric == "doctor.sample_coverage")
         .unwrap();
-    assert_ne!(coverage.severity, Severity::Ok, "low coverage must be flagged");
+    assert_ne!(
+        coverage.severity,
+        Severity::Ok,
+        "low coverage must be flagged"
+    );
     assert_ne!(worst(&findings), Severity::Ok);
 }
 
@@ -100,8 +103,7 @@ fn bogus_sample_addresses_raise_the_unmapped_counters() {
             to: 0xbeef_0000 + i,
         }]));
     }
-    let audit =
-        audit_profile_with_reference(pm, &poisoned, None, &p.options().wpa, None);
+    let audit = audit_profile_with_reference(pm, &poisoned, None, &p.options().wpa, None);
     assert!(audit.addr_unmapped > 0, "bogus addresses must be counted");
     assert!(audit.unmapped_rate > 0.0);
     // The clean profile on the same binary maps everything.
@@ -117,7 +119,16 @@ fn run_reports_diff_as_a_regression_gate() {
         let report = p.run_all().unwrap();
         let eval = p.evaluate(100_000).unwrap();
         let audit = audit_pipeline(&p).unwrap();
-        RunReport::collect("557.xz", 0.4, seed, &p, &report, Some(&eval), Some(&audit), None)
+        RunReport::collect(
+            "557.xz",
+            0.4,
+            seed,
+            &p,
+            &report,
+            Some(&eval),
+            Some(&audit),
+            None,
+        )
     };
     let a = collect(13);
     // Same seed, same pipeline: the gate must stay silent even at zero
@@ -133,7 +144,10 @@ fn run_reports_diff_as_a_regression_gate() {
     let b = collect(14);
     let cross = diff_reports(&a, &b, 0.0);
     assert!(!cross.is_empty());
-    assert!(!a.layout.functions.is_empty(), "provenance must be recorded");
+    assert!(
+        !a.layout.functions.is_empty(),
+        "provenance must be recorded"
+    );
     // And the serialized artifact carries the same information.
     let parsed = RunReport::parse(&a.to_json_string()).unwrap();
     assert!(diff_reports(&a, &parsed, 0.0).is_empty());

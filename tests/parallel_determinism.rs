@@ -83,7 +83,10 @@ fn artifacts_at(
     let report = p.run_all().expect("pipeline completes at every job count");
     let eval = p.evaluate(120_000).expect("phases ran");
     let audit = propeller_doctor::audit_pipeline(&p).expect("audit runs");
-    let metrics = p.telemetry().is_enabled().then(|| p.telemetry().drain().metrics);
+    let metrics = p
+        .telemetry()
+        .is_enabled()
+        .then(|| p.telemetry().drain().metrics);
     let run_report = |metrics| {
         let (eval, audit) = (Some(&eval), Some(&audit));
         RunReport::collect(bench, scale, seed, &p, &report, eval, audit, metrics).to_json_string()
@@ -92,11 +95,18 @@ fn artifacts_at(
     // nothing would pass every identity check below.
     let wpa = p.wpa_output().expect("phase 3 ran");
     assert_eq!(wpa.rich.is_some(), observers.arms(Observers::PROVENANCE));
-    assert_eq!(p.profile_attribution().is_some(), observers.arms(Observers::ATTRIBUTION));
-    assert_eq!(p.profile_heatmap().is_some(), observers.arms(Observers::HEATMAP));
+    assert_eq!(
+        p.profile_attribution().is_some(),
+        observers.arms(Observers::ATTRIBUTION)
+    );
+    assert_eq!(
+        p.profile_heatmap().is_some(),
+        observers.arms(Observers::HEATMAP)
+    );
     if wpa.rich.is_some() {
         let doc = ProvenanceDoc::collect(bench, scale, seed, &p, None);
-        doc.validate_replay().expect("the armed records replay to the emitted layout");
+        doc.validate_replay()
+            .expect("the armed records replay to the emitted layout");
     }
     Artifacts {
         report_json: run_report(metrics),
@@ -115,9 +125,15 @@ fn assert_pure(disarmed: &Artifacts, armed: &Artifacts, observers: Observers, jo
     let what = format!("{observers:?} at --jobs {jobs} against the all-disarmed --jobs 1 run");
     assert_eq!(disarmed.image, armed.image, "PO image: {what}");
     assert_eq!(disarmed.cc_prof, armed.cc_prof, "cc_prof.txt: {what}");
-    assert_eq!(disarmed.symbol_order, armed.symbol_order, "ld_prof.txt: {what}");
+    assert_eq!(
+        disarmed.symbol_order, armed.symbol_order,
+        "ld_prof.txt: {what}"
+    );
     assert_eq!(disarmed.ledger, armed.ledger, "degradation ledger: {what}");
-    assert_eq!(disarmed.bare_report_json, armed.bare_report_json, "run_report.json: {what}");
+    assert_eq!(
+        disarmed.bare_report_json, armed.bare_report_json,
+        "run_report.json: {what}"
+    );
 }
 
 /// Asserts `b` is bit-identical to the serial reference `a`, and that
@@ -140,7 +156,10 @@ fn assert_identical(a: &Artifacts, b: &Artifacts, jobs: usize) {
         a.symbol_order, b.symbol_order,
         "symbol order differs between --jobs 1 and --jobs {jobs}"
     );
-    assert_eq!(a.cc_prof, b.cc_prof, "cc_prof.txt differs between --jobs 1 and --jobs {jobs}");
+    assert_eq!(
+        a.cc_prof, b.cc_prof,
+        "cc_prof.txt differs between --jobs 1 and --jobs {jobs}"
+    );
     let mut serial: Vec<&str> = a.symbol_order.lines().collect();
     let mut parallel: Vec<&str> = b.symbol_order.lines().collect();
     serial.sort_unstable();
@@ -256,12 +275,21 @@ fn codegen_lanes(scale: f64, jobs: usize) -> (usize, usize) {
 #[test]
 fn codegen_fans_out_only_when_the_batch_pays_for_the_threads() {
     let (lanes, insts) = codegen_lanes(0.002, 8);
-    assert!(insts < 1 << 17, "{insts} instructions afford a second worker");
+    assert!(
+        insts < 1 << 17,
+        "{insts} instructions afford a second worker"
+    );
     assert_eq!(lanes, 1, "a {insts}-instruction batch was fanned out");
 
     let (lanes, insts) = codegen_lanes(POOLED_SCALE, 8);
-    assert!(insts >= 1 << 17, "only {insts} instructions at {POOLED_SCALE}");
-    assert!(lanes >= 2, "a {insts}-instruction batch ran on {lanes} lane(s)");
+    assert!(
+        insts >= 1 << 17,
+        "only {insts} instructions at {POOLED_SCALE}"
+    );
+    assert!(
+        lanes >= 2,
+        "a {insts}-instruction batch ran on {lanes} lane(s)"
+    );
     let (lanes, _) = codegen_lanes(POOLED_SCALE, 1);
     assert_eq!(lanes, 1, "jobs = 1 is the inline path");
 }

@@ -637,8 +637,7 @@ fn provenance_run(
     };
     let mut p = Propeller::new(gen.program, gen.entries, opts);
     let report = p.run_all().expect("pipeline completes");
-    let run_report =
-        RunReport::collect(bench, scale, seed, &p, &report, None, None, None);
+    let run_report = RunReport::collect(bench, scale, seed, &p, &report, None, None, None);
     let doc = ProvenanceDoc::collect(bench, scale, seed, &p, None);
     (doc, run_report.to_json_string())
 }

@@ -18,7 +18,13 @@ use propeller_telemetry::Telemetry;
 
 /// Runs the full pipeline and returns it plus its `run_report.json`
 /// contents (telemetry snapshot embedded, like the CLI writes it).
-fn run_pipeline(bench: &str, scale: f64, seed: u64, jobs: usize, armed: bool) -> (Propeller, String) {
+fn run_pipeline(
+    bench: &str,
+    scale: f64,
+    seed: u64,
+    jobs: usize,
+    armed: bool,
+) -> (Propeller, String) {
     let gen = small_benchmark(bench, scale, seed);
     let opts = PropellerOptions {
         jobs,
@@ -71,7 +77,10 @@ fn provenance_document_is_bit_identical_across_job_counts() {
     let (p8, _) = run_pipeline(BENCH, SCALE, SEED, 8, true);
     let a = doc_for(&p1, BENCH, SCALE, SEED).to_json_string();
     let b = doc_for(&p8, BENCH, SCALE, SEED).to_json_string();
-    assert_eq!(a, b, "layout_provenance.json differs between --jobs 1 and --jobs 8");
+    assert_eq!(
+        a, b,
+        "layout_provenance.json differs between --jobs 1 and --jobs 8"
+    );
 }
 
 #[test]
@@ -79,7 +88,8 @@ fn replaying_merge_steps_reconstructs_the_emitted_order() {
     let (p, _) = run_pipeline(BENCH, SCALE, SEED, 1, true);
     let doc = doc_for(&p, BENCH, SCALE, SEED);
     assert!(!doc.functions.is_empty(), "armed run recorded no functions");
-    doc.validate_replay().expect("replay reconstructs every emitted order");
+    doc.validate_replay()
+        .expect("replay reconstructs every emitted order");
     // The record is not vacuous: at least one function committed merges
     // and queued a rejected alternative behind an accepted step.
     assert!(
@@ -112,7 +122,11 @@ fn placements_are_a_dense_order_with_increasing_addresses() {
     assert!(!doc.placements.is_empty(), "linker recorded no placements");
     for (i, pl) in doc.placements.iter().enumerate() {
         assert_eq!(pl.order as usize, i, "placement order is not dense");
-        assert!(pl.final_size <= pl.input_size, "relaxation grew {}", pl.symbol);
+        assert!(
+            pl.final_size <= pl.input_size,
+            "relaxation grew {}",
+            pl.symbol
+        );
         if i > 0 {
             assert!(
                 pl.addr > doc.placements[i - 1].addr,
@@ -135,13 +149,19 @@ fn explain_names_mass_merges_rejections_and_address() {
         .expect("some function committed merges");
     let text = render_explain(&doc, &f.func_symbol, None, None).expect("explains");
     assert!(text.contains("sample mass"), "missing sample mass: {text}");
-    assert!(text.contains("edge funding"), "missing edge funding: {text}");
+    assert!(
+        text.contains("edge funding"),
+        "missing edge funding: {text}"
+    );
     assert!(text.contains("gain"), "missing merge gains: {text}");
     assert!(
         text.contains("best rejected") || text.contains("no other positive-gain"),
         "missing the rejected alternative: {text}"
     );
-    assert!(text.contains("placed:") && text.contains("0x"), "missing final address: {text}");
+    assert!(
+        text.contains("placed:") && text.contains("0x"),
+        "missing final address: {text}"
+    );
 }
 
 #[test]

@@ -38,13 +38,21 @@ fn chaos_soak_matrix_passes() {
     assert_eq!(totals.retries, 0);
     assert_eq!(totals.degraded_jobs, 0);
     // The profile-loss scenario must degrade ONLY tenant 0.
-    let loss = outcomes.iter().find(|o| o.name == "tenant-profile-loss").unwrap();
+    let loss = outcomes
+        .iter()
+        .find(|o| o.name == "tenant-profile-loss")
+        .unwrap();
     let t0 = &loss.ledger.tenants["t0"];
-    assert!(t0.completed == 0 || t0.identity_fallbacks == t0.completed,
-        "t0 lost 100% of its profile; every completion must fall back");
+    assert!(
+        t0.completed == 0 || t0.identity_fallbacks == t0.completed,
+        "t0 lost 100% of its profile; every completion must fall back"
+    );
     for (name, row) in &loss.ledger.tenants {
         if name != "t0" {
-            assert_eq!(row.degraded_jobs, 0, "{name} leaked degradation from t0's plan");
+            assert_eq!(
+                row.degraded_jobs, 0,
+                "{name} leaked degradation from t0's plan"
+            );
         }
     }
     // Oversize arrivals in the kitchen sink must be refused at
@@ -68,7 +76,10 @@ fn oversize_jobs_are_rejected_at_admission() {
     let mut svc = RelinkService::new(
         "clang",
         SCALE,
-        ServeOptions { profile_budget: BUDGET, ..ServeOptions::default() },
+        ServeOptions {
+            profile_budget: BUDGET,
+            ..ServeOptions::default()
+        },
     )
     .unwrap();
     let report = svc.run(&gen_traffic(&cfg)).unwrap();
@@ -92,13 +103,20 @@ fn single_tenant_run_accounts_exactly() {
     let mut svc = RelinkService::new(
         "clang",
         SCALE,
-        ServeOptions { profile_budget: BUDGET, ..ServeOptions::default() },
+        ServeOptions {
+            profile_budget: BUDGET,
+            ..ServeOptions::default()
+        },
     )
     .unwrap();
     let report = svc.run(&gen_traffic(&cfg)).unwrap();
     assert_eq!(report.ledger.tenants.len(), 1);
     assert!(report.ledger.tenants.contains_key("t0"));
-    assert!(report.ledger.accounts_exactly(), "{}", report.ledger.render());
+    assert!(
+        report.ledger.accounts_exactly(),
+        "{}",
+        report.ledger.render()
+    );
     assert!(report.violations.is_empty());
 }
 
@@ -142,7 +160,10 @@ fn burst_at_exact_queue_capacity_fits_without_rejections() {
         .and_then(|ts| ts.get("queue_depth.total"))
         .and_then(|s| s.max_value())
         .expect("queue depth recorded");
-    assert_eq!(depth, 5.0, "the burst must fill the queue to exactly capacity");
+    assert_eq!(
+        depth, 5.0,
+        "the burst must fill the queue to exactly capacity"
+    );
 }
 
 /// `cancel_every` larger than the whole plan never marks a request
@@ -164,7 +185,10 @@ fn cancel_stride_beyond_plan_cancels_nothing() {
     let mut svc = RelinkService::new(
         "clang",
         SCALE,
-        ServeOptions { profile_budget: BUDGET, ..ServeOptions::default() },
+        ServeOptions {
+            profile_budget: BUDGET,
+            ..ServeOptions::default()
+        },
     )
     .unwrap();
     let report = svc.run(&traffic).unwrap();
@@ -231,7 +255,8 @@ fn run_service(
         },
     )
     .unwrap();
-    svc.run(&traffic).unwrap_or_else(|e| panic!("service run failed: {e}"))
+    svc.run(&traffic)
+        .unwrap_or_else(|e| panic!("service run failed: {e}"))
 }
 
 proptest! {

@@ -24,7 +24,11 @@ fn traffic_cfg() -> TrafficConfig {
     }
 }
 
-fn run_armed(jobs: usize, faults: &str, trace: bool) -> (propeller_serve::ServiceReport, TimeSeries, Telemetry) {
+fn run_armed(
+    jobs: usize,
+    faults: &str,
+    trace: bool,
+) -> (propeller_serve::ServiceReport, TimeSeries, Telemetry) {
     let mut svc = RelinkService::new(
         "clang",
         SCALE,
@@ -55,8 +59,16 @@ fn timeline_and_slo_are_byte_identical_across_jobs_and_replays() {
     let (r1, t1, _) = run_armed(1, "", false);
     let (r8, t8, _) = run_armed(8, "", false);
     let (rr, tr, _) = run_armed(1, "", false); // replay
-    assert_eq!(t1.to_csv(), t8.to_csv(), "timeline CSV diverged across --jobs");
-    assert_eq!(t1.to_csv(), tr.to_csv(), "timeline CSV diverged across replays");
+    assert_eq!(
+        t1.to_csv(),
+        t8.to_csv(),
+        "timeline CSV diverged across --jobs"
+    );
+    assert_eq!(
+        t1.to_csv(),
+        tr.to_csv(),
+        "timeline CSV diverged across replays"
+    );
     assert_eq!(t1.sampled_csv(10_000_000), t8.sampled_csv(10_000_000));
     let cfg = SloConfig::default_service();
     let s1 = evaluate_slo(&t1, &r1.ledger, &cfg);
@@ -85,7 +97,10 @@ fn arming_the_timeline_changes_no_ledger_byte() {
     )
     .expect("service");
     let unarmed = svc.run(&gen_traffic(&traffic_cfg())).expect("run");
-    assert!(svc.timeline().is_none(), "timeline must be disarmed by default");
+    assert!(
+        svc.timeline().is_none(),
+        "timeline must be disarmed by default"
+    );
     assert_eq!(
         armed.ledger.to_json_string(),
         unarmed.ledger.to_json_string(),
@@ -103,7 +118,11 @@ fn slo_under_chaos_degrades_gracefully() {
         "burst-amplify=0.5,cancel-job=0.4,drop-queue=0.5,evict-storm=0.3,transient=0.3",
         false,
     );
-    assert!(report.ledger.accounts_exactly(), "{}", report.ledger.render());
+    assert!(
+        report.ledger.accounts_exactly(),
+        "{}",
+        report.ledger.render()
+    );
     let slo = evaluate_slo(&timeline, &report.ledger, &SloConfig::default_service());
     assert!(!slo.findings.is_empty());
     // Chaos may WARN (that is the point) but the default objectives
@@ -122,7 +141,10 @@ fn tenant_spans_render_in_their_own_lane_band() {
     let (_, _timeline, tel) = run_armed(2, "", true);
     let trace = tel.drain();
     assert!(
-        trace.spans.iter().any(|s| s.worker.is_some_and(|w| w >= TENANT_LANE_BASE)),
+        trace
+            .spans
+            .iter()
+            .any(|s| s.worker.is_some_and(|w| w >= TENANT_LANE_BASE)),
         "tenant job spans must be stamped in the tenant lane band"
     );
     let json = to_chrome_trace(&trace, &TimeSeries::new());
