@@ -1,4 +1,4 @@
-//! Lowering a function's blocks into encoded text sections.
+//! Lowering a module's functions into encoded text sections.
 //!
 //! Two emission regimes exist, chosen per function:
 //!
@@ -11,55 +11,81 @@
 //!   jumps are kept explicit, and the section is marked `relaxable` so
 //!   the linker may later delete redundant jumps and shrink branches.
 //!
-//! Emission is three passes over flat tables — nothing is hashed and
-//! nothing is allocated per block, and the tables live in a [`Scratch`]
-//! that a module's functions reuse:
+//! A module is planned whole before a byte is written, into a [`Plan`]'s
+//! flat tables — nothing is hashed and nothing is allocated per block or
+//! per function:
 //!
-//! 1. **plan**: one [`BlockPlan`] per block in emission order — body
-//!    size, up to two branch slots, return / fall-through flags;
-//! 2. **resolve**: offsets and sizes are assigned over that slice, and
-//!    in the resolved regime long branches shrink to a fixpoint;
-//! 3. **emit**: bytes are written straight from the IR into a buffer of
-//!    the now-known size, and each block's `.llvm_bb_addr_map` entry
-//!    straight into the module's map.
+//! 1. **plan** ([`Plan::plan_function`]): one [`FragPlan`] per cluster
+//!    and one [`BlockPlan`] per block in emission order — body size, up
+//!    to two branch slots with their targets resolved, return /
+//!    fall-through flags;
+//! 2. **resolve**: offsets and sizes are assigned over each fragment's
+//!    blocks, and in the resolved regime long branches shrink to a
+//!    fixpoint. The module's text size, relocation count and address map
+//!    length are then known exactly;
+//! 3. **write** ([`Plan::write_text`], [`Plan::write_map`],
+//!    [`Plan::layout`]): bytes are written straight from the IR into the
+//!    object's one byte array, reserved at its final size, and the
+//!    address map and layout side table from the same tables.
 
 use crate::error::CodegenError;
 use crate::isa::{fits_short, len, op, INST_ENCODING};
 use crate::layout::{
-    BlockPlacement, ClusterName, FragmentLayout, FunctionClusters, FunctionLayout,
+    BlockPlacement, ClusterName, DebugLayout, FragmentLayout, FunctionClusters, FunctionLayout,
 };
 use propeller_ir::{BlockId, Function, Inst, Program, Terminator};
-use propeller_obj::{BbAddrMapWriter, BbEntry, BbFlags, Reloc, RelocKind, Section, SectionKind};
+use propeller_obj::bb_addr_map::BufMut;
+use propeller_obj::{
+    BbAddrMapWriter, BbEntry, BbFlags, ObjectFile, Reloc, RelocKind, Section, SectionKind,
+};
+use std::ops::Range;
+use std::sync::Arc;
 
-/// The result of emitting one function.
-#[derive(Clone, PartialEq, Debug)]
-pub(crate) struct EmittedFunction {
-    /// Fragments in cluster order: text sections, each defining the
-    /// symbol that names it (function name, `<fn>.cold`, ...).
-    pub fragments: Vec<Section>,
-    /// Layout side table for the simulator; its fragments are parallel
-    /// to `fragments`.
-    pub layout: FunctionLayout,
-    /// Number of branch sites that required static relocations.
-    pub relocated_branches: usize,
-}
-
-impl EmittedFunction {
-    /// Total text bytes across fragments.
-    pub(crate) fn text_size(&self) -> usize {
-        self.fragments.iter().map(Section::size).sum()
-    }
-}
-
-/// The per-function tables of [`emit_function`], kept across a
-/// module's functions so that each reuses the last one's capacity.
+/// The flat tables one module is planned into, kept across modules (in
+/// a thread-local, see `module.rs`) so that planning reuses the last
+/// module's capacity.
 #[derive(Default)]
-pub(crate) struct Scratch {
-    pos: Vec<Pos>,
+pub(crate) struct Plan {
+    /// Every planned function, in module order.
+    funcs: Vec<FuncPlan>,
+    /// Every function's fragments, in function order.
+    frags: Vec<FragPlan>,
+    /// Every fragment's blocks, in emission order.
     plans: Vec<BlockPlan>,
+    /// The function being planned: each block's placement, indexed by
+    /// block id.
+    pos: Vec<Pos>,
     /// Where a cluster or section name is formatted before its one
     /// allocation.
     name: String,
+    /// Text bytes of every fragment.
+    pub text_bytes: usize,
+    /// Relocations of every fragment.
+    pub num_relocs: usize,
+    /// Branch sites that carry static relocations.
+    pub relocated_branches: usize,
+}
+
+/// One planned function: its fragments and regime.
+struct FuncPlan {
+    /// A span of [`Plan::frags`].
+    frags: Range<u32>,
+    /// Emitted in the relocated regime.
+    relocate: bool,
+}
+
+/// One planned fragment: a cluster's text section.
+struct FragPlan {
+    /// The symbol naming the section (function name, `<fn>.cold`, ...).
+    symbol: Arc<str>,
+    /// Its blocks: a span of [`Plan::plans`].
+    plans: Range<u32>,
+    /// Whether it leads with the §4.5 landing-pad nop.
+    lp_nop: bool,
+    /// Whether it is its function's primary cluster.
+    primary: bool,
+    /// Encoded size in bytes.
+    len: u32,
 }
 
 /// A branch form decision.
@@ -83,8 +109,11 @@ fn branch_len(cond: bool, form: Form) -> usize {
 #[derive(Copy, Clone)]
 struct Branch {
     cond: bool,
-    target: BlockId,
     form: Form,
+    /// The target block's index in [`Plan::plans`].
+    target: u32,
+    /// The target's fragment's index in [`Plan::frags`].
+    frag: u32,
 }
 
 /// Everything size assignment and emission need to know about one
@@ -108,227 +137,307 @@ struct BlockPlan {
     size: u32,
 }
 
-/// Where a block was placed: `(cluster index, index into the plans)`.
+/// Where a block was placed: `(index into the fragments, index into the
+/// plans)`.
 type Pos = (u32, u32);
 
-/// Emits `function` according to `clusters`, writing its
-/// `.llvm_bb_addr_map` record into `addr_map` when one is given.
-///
-/// `relocate_branches` selects the relocated regime; it is required
-/// (and asserted) whenever more than one cluster exists.
-///
-/// # Errors
-///
-/// Returns [`CodegenError::BadClusterPartition`] /
-/// [`CodegenError::UnknownBlock`] if `clusters` is not a permutation of
-/// the function's blocks, and [`CodegenError::UnknownFunction`] if the
-/// function calls or prefetches a function the program does not have.
-/// A failed function may have written part of its record to `addr_map`.
-pub(crate) fn emit_function(
-    function: &Function,
-    program: &Program,
-    clusters: &FunctionClusters,
-    relocate_branches: bool,
-    scratch: &mut Scratch,
-    mut addr_map: Option<&mut BbAddrMapWriter>,
-) -> Result<EmittedFunction, CodegenError> {
-    assert!(
-        relocate_branches || clusters.clusters.len() <= 1,
-        "multi-cluster emission requires relocated branches"
-    );
-    let Scratch { pos, plans, name } = scratch;
-    place_blocks(function, clusters, pos)?;
-    plan_blocks(function, clusters, pos, plans);
-
-    // Size assignment, cluster by cluster. In the relocated regime all
-    // branches stay long; in the resolved regime (a single cluster)
-    // they shrink to a fixpoint.
-    let mut start = 0;
-    for c in &clusters.clusters {
-        let cluster = &mut plans[start..start + c.blocks.len()];
-        let lp_nop = needs_landing_pad_nop(function, &c.blocks);
-        assign(cluster, lp_nop);
-        if !relocate_branches {
-            shrink_branches(cluster, pos, lp_nop);
-        }
-        start += c.blocks.len();
-    }
-
-    // The layout's fragments double as the cluster symbol table that
-    // section-crossing relocations name.
-    let mut layout = FunctionLayout {
-        function: function.id,
-        func_symbol: function.name.clone(),
-        fragments: clusters
-            .clusters
-            .iter()
-            .map(|c| FragmentLayout {
-                section_symbol: c.name.symbol_in(&function.name, name),
-                blocks: Vec::new(),
-            })
-            .collect(),
-    };
-    if let Some(map) = addr_map.as_deref_mut() {
-        map.function(&function.name, clusters.clusters.len());
-    }
-
-    // Byte emission with final offsets known for all clusters.
-    let mut fragments = Vec::with_capacity(clusters.clusters.len());
-    let mut relocated_branches = 0usize;
-    let mut start = 0;
-    for (ci, c) in clusters.clusters.iter().enumerate() {
-        let cluster = &plans[start..start + c.blocks.len()];
-        start += c.blocks.len();
-        let symbol = layout.fragments[ci].section_symbol.clone();
-        if let Some(map) = addr_map.as_deref_mut() {
-            map.range(&function.name, &symbol, cluster.len());
-        }
-        let lp_nop = needs_landing_pad_nop(function, &c.blocks);
-        let text_len = cluster
-            .last()
-            .map_or(u32::from(lp_nop), |p| p.offset + p.size);
-        let num_relocs: u32 = cluster
-            .iter()
-            .map(|p| {
-                let branches = p.branches.iter().flatten().count() as u32;
-                p.body_relocs + if relocate_branches { branches } else { 0 }
-            })
-            .sum();
-        let mut bytes: Vec<u8> = Vec::with_capacity(text_len as usize);
-        let mut relocs: Vec<Reloc> = Vec::with_capacity(num_relocs as usize);
-        if lp_nop {
-            bytes.push(op::NOP);
-        }
-        let mut placements = Vec::with_capacity(cluster.len());
-        for plan in cluster {
-            debug_assert_eq!(bytes.len() as u32, plan.offset);
-            let block = &function.blocks[plan.block.index()];
-            // Straight-line code: opcodes from the table into the body's
-            // zeroed slice; calls and prefetches get their relocation.
-            let body_start = bytes.len();
-            bytes.resize(body_start + plan.body as usize, 0);
-            let mut at = body_start;
-            for inst in function.insts_of(block) {
-                let (length, opcode) = INST_ENCODING[inst.kind()];
-                bytes[at] = opcode;
-                if let Some(target) = inst.referenced_function() {
-                    let callee = program
-                        .function(target)
-                        .ok_or(CodegenError::UnknownFunction(target))?;
-                    relocs.push(Reloc::new(
-                        at as u32 + 1,
-                        RelocKind::CallPc32,
-                        callee.name.clone(),
-                        0,
-                    ));
-                }
-                at += usize::from(length);
-            }
-            if plan.ret {
-                bytes.push(op::RET);
-            }
-            for br in plan.branches.iter().flatten() {
-                let (tci, tpos) = pos[br.target.index()];
-                let target_offset = plans[tpos as usize].offset;
-                let inst_end = bytes.len() as i64 + branch_len(br.cond, br.form) as i64;
-                let disp = target_offset as i64 - inst_end;
-                match br.form {
-                    Form::Short => {
-                        debug_assert!(!relocate_branches && fits_short(disp));
-                        bytes.push(if br.cond { op::BR_SHORT } else { op::JMP_SHORT });
-                        bytes.push(disp as i8 as u8);
-                    }
-                    Form::Long => {
-                        if br.cond {
-                            bytes.extend_from_slice(&[op::BR_LONG, 0]);
-                        } else {
-                            bytes.push(op::JMP_LONG);
-                        }
-                        if relocate_branches {
-                            relocated_branches += 1;
-                            relocs.push(Reloc::new(
-                                bytes.len() as u32,
-                                RelocKind::BranchPc32,
-                                layout.fragments[tci as usize].section_symbol.clone(),
-                                target_offset as i64,
-                            ));
-                            bytes.extend_from_slice(&[0; 4]);
-                        } else {
-                            debug_assert_eq!(
-                                tci as usize, ci,
-                                "resolved branches are intra-section"
-                            );
-                            let disp32 = i32::try_from(disp).map_err(|_| {
-                                CodegenError::DisplacementOverflow {
-                                    function: function.id,
-                                }
-                            })?;
-                            bytes.extend_from_slice(&disp32.to_le_bytes());
-                        }
-                    }
-                }
-            }
-            placements.push(BlockPlacement {
-                block: plan.block,
-                offset: plan.offset,
-                size: plan.size,
-            });
-            if let Some(map) = addr_map.as_deref_mut() {
-                let mut flags = BbFlags::default();
-                if block.is_landing_pad {
-                    flags = flags | BbFlags::LANDING_PAD;
-                }
-                if plan.ret {
-                    flags = flags | BbFlags::RETURN;
-                }
-                if plan.fallthrough {
-                    flags = flags | BbFlags::FALLTHROUGH;
-                }
-                map.entry(BbEntry {
-                    bb_id: plan.block.0,
-                    offset: plan.offset,
-                    size: plan.size,
-                    flags,
-                });
-            }
-        }
-        debug_assert_eq!(bytes.len() as u32, text_len);
-        name.clear();
-        name.push_str(".text.");
-        name.push_str(&symbol);
-        let mut section = Section::new(name.as_str(), SectionKind::Text, bytes);
-        section.symbol = Some(symbol);
-        section.relocs = relocs;
-        section.relaxable = relocate_branches;
-        // Non-primary cluster sections pack tightly (alignment 1) so
-        // fall-through deletion across adjacent sections is possible.
-        section.align = if matches!(c.name, ClusterName::Primary) {
-            16
-        } else {
-            1
-        };
-        layout.fragments[ci].blocks = placements;
-        fragments.push(section);
-    }
-
-    Ok(EmittedFunction {
-        fragments,
-        layout,
-        relocated_branches,
-    })
+fn span(r: &Range<u32>) -> Range<usize> {
+    r.start as usize..r.end as usize
 }
 
-/// Plans every block into `plans`, in emission order: sizes its body
-/// and decides which branches its terminator needs given what follows
-/// it in its cluster. All branches start long.
+impl Plan {
+    /// Forgets every planned function, keeping the tables' capacity.
+    pub(crate) fn clear(&mut self) {
+        self.funcs.clear();
+        self.frags.clear();
+        self.plans.clear();
+        self.text_bytes = 0;
+        self.num_relocs = 0;
+        self.relocated_branches = 0;
+    }
+
+    /// Fragments planned so far.
+    pub(crate) fn num_fragments(&self) -> usize {
+        self.frags.len()
+    }
+
+    /// `prefix` then `rest`, formatted in the plan's name buffer.
+    pub(crate) fn name(&mut self, prefix: &str, rest: &str) -> Arc<str> {
+        join_in(&mut self.name, prefix, rest)
+    }
+
+    /// Plans `function` according to `clusters`, after the functions
+    /// already planned.
+    ///
+    /// `relocate_branches` selects the relocated regime; it is required
+    /// (and asserted) whenever more than one cluster exists.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodegenError::BadClusterPartition`] /
+    /// [`CodegenError::UnknownBlock`] if `clusters` is not a permutation
+    /// of the function's blocks. A failed function may leave part of
+    /// its plan behind: [`Plan::clear`] before planning again.
+    pub(crate) fn plan_function(
+        &mut self,
+        function: &Function,
+        clusters: &FunctionClusters,
+        relocate_branches: bool,
+    ) -> Result<(), CodegenError> {
+        assert!(
+            relocate_branches || clusters.clusters.len() <= 1,
+            "multi-cluster emission requires relocated branches"
+        );
+        let first_frag = self.frags.len() as u32;
+        place_blocks(
+            function,
+            clusters,
+            (first_frag, self.plans.len() as u32),
+            &mut self.pos,
+        )?;
+        let mut start = self.plans.len() as u32;
+        for c in &clusters.clusters {
+            let end = start + c.blocks.len() as u32;
+            self.frags.push(FragPlan {
+                symbol: c.name.symbol_in(&function.name, &mut self.name),
+                plans: start..end,
+                lp_nop: needs_landing_pad_nop(function, &c.blocks),
+                primary: matches!(c.name, ClusterName::Primary),
+                len: 0,
+            });
+            start = end;
+        }
+        plan_blocks(function, clusters, &self.pos, &mut self.plans);
+
+        // Size assignment, cluster by cluster. In the relocated regime
+        // all branches stay long; in the resolved regime (a single
+        // cluster) they shrink to a fixpoint.
+        for frag in &mut self.frags[first_frag as usize..] {
+            let range = span(&frag.plans);
+            assign(&mut self.plans[range.clone()], frag.lp_nop);
+            if !relocate_branches {
+                shrink_branches(&mut self.plans, range.clone(), frag.lp_nop);
+            }
+            let cluster = &self.plans[range];
+            frag.len = cluster
+                .last()
+                .map_or(u32::from(frag.lp_nop), |p| p.offset + p.size);
+            self.text_bytes += frag.len as usize;
+            for p in cluster {
+                self.num_relocs += p.body_relocs as usize;
+                if relocate_branches {
+                    let branches = p.branches.iter().flatten().count();
+                    self.num_relocs += branches;
+                    self.relocated_branches += branches;
+                }
+            }
+        }
+        self.funcs.push(FuncPlan {
+            frags: first_frag..self.frags.len() as u32,
+            relocate: relocate_branches,
+        });
+        Ok(())
+    }
+
+    /// Writes every planned fragment's text into `object`, one section
+    /// each, in plan order; `functions` are the planned functions, in
+    /// the order they were planned.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CodegenError::UnknownFunction`] if a function calls or
+    /// prefetches a function the program does not have, and
+    /// [`CodegenError::DisplacementOverflow`] if a resolved branch does
+    /// not reach its target; `object` then holds part of the text.
+    pub(crate) fn write_text(
+        &mut self,
+        functions: &[Function],
+        program: &Program,
+        object: &mut ObjectFile,
+    ) -> Result<(), CodegenError> {
+        let Plan {
+            funcs,
+            frags,
+            plans,
+            name,
+            ..
+        } = self;
+        debug_assert_eq!(funcs.len(), functions.len());
+        for (func, function) in funcs.iter().zip(functions) {
+            for fi in span(&func.frags) {
+                let frag = &frags[fi];
+                let (bytes, relocs) = object.content_mut();
+                let base = bytes.len();
+                if frag.lp_nop {
+                    bytes.push(op::NOP);
+                }
+                for plan in &plans[span(&frag.plans)] {
+                    debug_assert_eq!((bytes.len() - base) as u32, plan.offset);
+                    let block = &function.blocks[plan.block.index()];
+                    // Straight-line code: opcodes from the table into
+                    // the body's zeroed slice; calls and prefetches get
+                    // their relocation.
+                    let body_start = bytes.len();
+                    bytes.resize(body_start + plan.body as usize, 0);
+                    let mut at = body_start;
+                    for inst in function.insts_of(block) {
+                        let (length, opcode) = INST_ENCODING[inst.kind()];
+                        bytes[at] = opcode;
+                        if let Some(target) = inst.referenced_function() {
+                            let callee = program
+                                .function(target)
+                                .ok_or(CodegenError::UnknownFunction(target))?;
+                            relocs.push(Reloc::new(
+                                (at - base) as u32 + 1,
+                                RelocKind::CallPc32,
+                                callee.name.clone(),
+                                0,
+                            ));
+                        }
+                        at += usize::from(length);
+                    }
+                    if plan.ret {
+                        bytes.push(op::RET);
+                    }
+                    for br in plan.branches.iter().flatten() {
+                        let target_offset = plans[br.target as usize].offset;
+                        let here = (bytes.len() - base) as i64;
+                        let disp =
+                            target_offset as i64 - (here + branch_len(br.cond, br.form) as i64);
+                        match br.form {
+                            Form::Short => {
+                                debug_assert!(!func.relocate && fits_short(disp));
+                                bytes.push(if br.cond { op::BR_SHORT } else { op::JMP_SHORT });
+                                bytes.push(disp as i8 as u8);
+                            }
+                            Form::Long => {
+                                if br.cond {
+                                    bytes.extend_from_slice(&[op::BR_LONG, 0]);
+                                } else {
+                                    bytes.push(op::JMP_LONG);
+                                }
+                                if func.relocate {
+                                    relocs.push(Reloc::new(
+                                        (bytes.len() - base) as u32,
+                                        RelocKind::BranchPc32,
+                                        frags[br.frag as usize].symbol.clone(),
+                                        target_offset as i64,
+                                    ));
+                                    bytes.extend_from_slice(&[0; 4]);
+                                } else {
+                                    debug_assert_eq!(
+                                        br.frag as usize, fi,
+                                        "resolved branches are intra-section"
+                                    );
+                                    let disp32 = i32::try_from(disp).map_err(|_| {
+                                        CodegenError::DisplacementOverflow {
+                                            function: function.id,
+                                        }
+                                    })?;
+                                    bytes.extend_from_slice(&disp32.to_le_bytes());
+                                }
+                            }
+                        }
+                    }
+                }
+                debug_assert_eq!((bytes.len() - base) as u32, frag.len);
+                let mut section =
+                    Section::new(join_in(name, ".text.", &frag.symbol), SectionKind::Text);
+                section.symbol = Some(frag.symbol.clone());
+                section.relaxable = func.relocate;
+                // Non-primary cluster sections pack tightly (alignment
+                // 1) so fall-through deletion across adjacent sections
+                // is possible.
+                section.align = if frag.primary { 16 } else { 1 };
+                object.push_section(section);
+            }
+        }
+        Ok(())
+    }
+
+    /// Writes the planned functions' `.llvm_bb_addr_map` records into
+    /// `out` — a section of exactly those functions — and returns it;
+    /// `functions` as for [`Plan::write_text`]. Over a
+    /// [`propeller_obj::Counted`] sink this measures the section.
+    pub(crate) fn write_map<B: BufMut>(&self, functions: &[Function], out: B) -> B {
+        let mut map = BbAddrMapWriter::new(out, functions.len());
+        for (func, function) in self.funcs.iter().zip(functions) {
+            let frags = &self.frags[span(&func.frags)];
+            map.function(&function.name, frags.len());
+            for frag in frags {
+                let cluster = &self.plans[span(&frag.plans)];
+                map.range(&function.name, &frag.symbol, cluster.len());
+                for plan in cluster {
+                    let mut flags = BbFlags::default();
+                    if function.blocks[plan.block.index()].is_landing_pad {
+                        flags = flags | BbFlags::LANDING_PAD;
+                    }
+                    if plan.ret {
+                        flags = flags | BbFlags::RETURN;
+                    }
+                    if plan.fallthrough {
+                        flags = flags | BbFlags::FALLTHROUGH;
+                    }
+                    map.entry(BbEntry {
+                        bb_id: plan.block.0,
+                        offset: plan.offset,
+                        size: plan.size,
+                        flags,
+                    });
+                }
+            }
+        }
+        map.finish()
+    }
+
+    /// The planned functions' layout side table; `functions` as for
+    /// [`Plan::write_text`]. Its fragments and placements are the
+    /// plan's, one for one.
+    pub(crate) fn layout(&self, functions: &[Function]) -> DebugLayout {
+        DebugLayout {
+            functions: (self.funcs.iter().zip(functions))
+                .map(|(func, function)| FunctionLayout {
+                    function: function.id,
+                    func_symbol: function.name.clone(),
+                    fragments: func.frags.clone(),
+                })
+                .collect(),
+            fragments: (self.frags.iter())
+                .map(|frag| FragmentLayout {
+                    section_symbol: frag.symbol.clone(),
+                    blocks: frag.plans.clone(),
+                })
+                .collect(),
+            blocks: (self.plans.iter())
+                .map(|p| BlockPlacement {
+                    block: p.block,
+                    offset: p.offset,
+                    size: p.size,
+                })
+                .collect(),
+        }
+    }
+}
+
+/// `prefix` then `rest`, formatted in `buf` so that the name costs its
+/// one allocation once `buf` has grown.
+fn join_in(buf: &mut String, prefix: &str, rest: &str) -> Arc<str> {
+    buf.clear();
+    buf.push_str(prefix);
+    buf.push_str(rest);
+    Arc::from(buf.as_str())
+}
+
+/// Plans every block of `function` onto `plans`, in emission order:
+/// sizes its body and decides which branches its terminator needs given
+/// what follows it in its cluster. All branches start long.
 fn plan_blocks(
     function: &Function,
     clusters: &FunctionClusters,
     pos: &[Pos],
     plans: &mut Vec<BlockPlan>,
 ) {
-    plans.clear();
-    for (ci, c) in clusters.clusters.iter().enumerate() {
+    for c in &clusters.clusters {
         for &bid in &c.blocks {
             let block = &function.blocks[bid.index()];
             let (mut body, mut body_relocs) = (0u32, 0u32);
@@ -336,13 +445,16 @@ fn plan_blocks(
                 body += u32::from(INST_ENCODING[inst.kind()].0);
                 body_relocs += u32::from(matches!(inst, Inst::Call(_) | Inst::Prefetch(_)));
             }
-            let next = (ci as u32, plans.len() as u32 + 1);
+            let (frag, _) = pos[bid.index()];
+            let next = (frag, plans.len() as u32 + 1);
             let next_in_cluster = |target: BlockId| pos[target.index()] == next;
-            let long = |cond, target| {
+            let long = |cond, target: BlockId| {
+                let (frag, target) = pos[target.index()];
                 Some(Branch {
                     cond,
-                    target,
                     form: Form::Long,
+                    target,
+                    frag,
                 })
             };
             let (branches, fallthrough) = match block.term {
@@ -393,26 +505,25 @@ fn assign(cluster: &mut [BlockPlan], lp_nop: bool) {
     }
 }
 
-/// Shrinks the resolvable long branches of the function's only cluster
-/// (so a [`Pos`] plan index indexes `cluster`) to a fixpoint, in at
-/// most 8 sweeps. Within a sweep every position —
-/// a branch's own and its target's — is the one the last [`assign`]
-/// gave it: a shrink only takes effect in the next sweep's layout.
-fn shrink_branches(cluster: &mut [BlockPlan], pos: &[Pos], lp_nop: bool) {
+/// Shrinks the resolvable long branches of a function's only cluster,
+/// `plans[cluster]` (so every branch targets a plan inside it), to a
+/// fixpoint, in at most 8 sweeps. Within a sweep every position — a
+/// branch's own and its target's — is the one the last [`assign`] gave
+/// it: a shrink only takes effect in the next sweep's layout.
+fn shrink_branches(plans: &mut [BlockPlan], cluster: Range<usize>, lp_nop: bool) {
     for _ in 0..8 {
         let mut changed = false;
-        for i in 0..cluster.len() {
-            let mut cursor = cluster[i].offset + cluster[i].body;
+        for i in cluster.clone() {
+            let mut cursor = plans[i].offset + plans[i].body;
             for slot in 0..2 {
-                let Some(br) = cluster[i].branches[slot] else {
+                let Some(br) = plans[i].branches[slot] else {
                     break;
                 };
                 if br.form == Form::Long {
-                    let (_, tpos) = pos[br.target.index()];
                     let short_end = cursor as i64 + branch_len(br.cond, Form::Short) as i64;
-                    let disp = cluster[tpos as usize].offset as i64 - short_end;
+                    let disp = plans[br.target as usize].offset as i64 - short_end;
                     if fits_short(disp) {
-                        cluster[i].branches[slot] = Some(Branch {
+                        plans[i].branches[slot] = Some(Branch {
                             form: Form::Short,
                             ..br
                         });
@@ -425,7 +536,7 @@ fn shrink_branches(cluster: &mut [BlockPlan], pos: &[Pos], lp_nop: bool) {
         if !changed {
             break;
         }
-        assign(cluster, lp_nop);
+        assign(&mut plans[cluster.clone()], lp_nop);
     }
 }
 
@@ -439,17 +550,20 @@ fn needs_landing_pad_nop(function: &Function, blocks: &[BlockId]) -> bool {
 }
 
 /// Checks that `clusters` is a permutation of the function's blocks and
-/// fills `pos` with each block's placement, indexed by block id.
+/// fills `pos` with each block's placement, indexed by block id: its
+/// cluster's and its own index counted from `first`, the function's
+/// first fragment and first plan.
 fn place_blocks(
     function: &Function,
     clusters: &FunctionClusters,
+    first: Pos,
     pos: &mut Vec<Pos>,
 ) -> Result<(), CodegenError> {
     const UNPLACED: Pos = (u32::MAX, u32::MAX);
     let n = function.num_blocks();
     pos.clear();
     pos.resize(n, UNPLACED);
-    let mut placed = 0u32;
+    let mut placed = first.1;
     for (ci, c) in clusters.clusters.iter().enumerate() {
         for &b in &c.blocks {
             if b.index() >= n {
@@ -464,7 +578,7 @@ fn place_blocks(
                     block: b,
                 });
             }
-            pos[b.index()] = (ci as u32, placed);
+            pos[b.index()] = (first.0 + ci as u32, placed);
             placed += 1;
         }
     }
@@ -480,6 +594,62 @@ fn place_blocks(
 #[cfg(test)]
 mod reference;
 
+/// The owned shapes the reference emitter returns: what a section and a
+/// function's layout were before objects and layouts became flat
+/// arrays — a section owning its bytes and relocations, and a layout
+/// owning its fragments and their placements.
+#[cfg(test)]
+mod owned {
+    use crate::layout::BlockPlacement;
+    use propeller_ir::FunctionId;
+    use propeller_obj::{Reloc, SectionKind};
+    use std::sync::Arc;
+
+    /// A section with its contents.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub struct Section {
+        pub name: Arc<str>,
+        pub kind: SectionKind,
+        pub symbol: Option<Arc<str>>,
+        pub bytes: Vec<u8>,
+        pub relocs: Vec<Reloc>,
+        pub align: u32,
+        pub relaxable: bool,
+    }
+
+    impl Section {
+        /// A section with default (16-byte for text, 1 otherwise)
+        /// alignment, no symbol and no relocations.
+        pub fn new(name: impl Into<Arc<str>>, kind: SectionKind, bytes: Vec<u8>) -> Self {
+            let align = if kind == SectionKind::Text { 16 } else { 1 };
+            Section {
+                name: name.into(),
+                kind,
+                symbol: None,
+                bytes,
+                relocs: Vec::new(),
+                align,
+                relaxable: false,
+            }
+        }
+    }
+
+    /// One fragment with its placements.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub struct FragmentLayout {
+        pub section_symbol: Arc<str>,
+        pub blocks: Vec<BlockPlacement>,
+    }
+
+    /// One function with its fragments.
+    #[derive(Clone, PartialEq, Eq, Debug)]
+    pub struct FunctionLayout {
+        pub function: FunctionId,
+        pub func_symbol: Arc<str>,
+        pub fragments: Vec<FragmentLayout>,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -487,46 +657,76 @@ mod tests {
     use propeller_ir::{FunctionBuilder, ProgramBuilder};
     use propeller_obj::BbAddrMap;
     use std::cell::RefCell;
-    use std::sync::Arc;
 
     thread_local! {
-        /// One scratch for every emission a test thread makes, so each
+        /// One plan for every emission a test thread makes, so each
         /// starts from whatever the last one left behind.
-        static SCRATCH: RefCell<Scratch> = RefCell::default();
+        static PLAN: RefCell<Plan> = RefCell::default();
     }
 
-    /// [`emit_function`] with this thread's scratch.
-    fn emit_into(
-        f: &Function,
-        p: &Program,
-        clusters: &FunctionClusters,
-        relocate: bool,
-        map: Option<&mut BbAddrMapWriter>,
-    ) -> Result<EmittedFunction, CodegenError> {
-        SCRATCH.with(|s| emit_function(f, p, clusters, relocate, &mut s.borrow_mut(), map))
+    /// One function emitted alone: its text sections in an object of
+    /// their own, its layout table, and how many branches it relocated.
+    #[derive(PartialEq, Debug)]
+    struct Emitted {
+        object: ObjectFile,
+        layout: DebugLayout,
+        relocated_branches: usize,
     }
 
-    /// Emits without an address map.
-    fn emit(
-        f: &Function,
-        p: &Program,
-        clusters: &FunctionClusters,
-        relocate: bool,
-    ) -> Result<EmittedFunction, CodegenError> {
-        emit_into(f, p, clusters, relocate, None)
+    impl Emitted {
+        /// Fragment `i`'s section and bytes.
+        fn text(&self, i: usize) -> (&Section, &[u8]) {
+            let section = &self.object.sections()[i];
+            (section, self.object.bytes_of(section))
+        }
+
+        /// Fragment `i`'s relocations.
+        fn relocs(&self, i: usize) -> &[Reloc] {
+            self.object.relocs_of(&self.object.sections()[i])
+        }
+
+        /// Fragment `i`'s placements.
+        fn blocks(&self, i: usize) -> &[BlockPlacement] {
+            self.layout.blocks_of(&self.layout.fragments[i])
+        }
     }
 
-    /// Emits `f` as the only function of an address map, returning the
-    /// map's bytes alongside.
+    /// Plans and writes `f` as the only function of a module with this
+    /// thread's plan, returning its address map's bytes alongside.
     fn emit_mapped(
         f: &Function,
         p: &Program,
         clusters: &FunctionClusters,
         relocate: bool,
-    ) -> Result<(EmittedFunction, Vec<u8>), CodegenError> {
-        let mut map = BbAddrMapWriter::new(Vec::new(), 1);
-        let e = emit_into(f, p, clusters, relocate, Some(&mut map))?;
-        Ok((e, map.finish()))
+    ) -> Result<(Emitted, Vec<u8>), CodegenError> {
+        PLAN.with_borrow_mut(|plan| {
+            plan.clear();
+            plan.plan_function(f, clusters, relocate)?;
+            let functions = std::slice::from_ref(f);
+            let mut object = ObjectFile::with_capacity(
+                "m.o",
+                plan.num_fragments(),
+                plan.text_bytes,
+                plan.num_relocs,
+            );
+            plan.write_text(functions, p, &mut object)?;
+            let emitted = Emitted {
+                object,
+                layout: plan.layout(functions),
+                relocated_branches: plan.relocated_branches,
+            };
+            Ok((emitted, plan.write_map(functions, Vec::new())))
+        })
+    }
+
+    /// Emits without looking at the address map.
+    fn emit(
+        f: &Function,
+        p: &Program,
+        clusters: &FunctionClusters,
+        relocate: bool,
+    ) -> Result<Emitted, CodegenError> {
+        emit_mapped(f, p, clusters, relocate).map(|(e, _)| e)
     }
 
     /// Each fragment's address-map entries, as decoded from the record
@@ -581,10 +781,10 @@ mod tests {
         let (p, fid) = fixture();
         let f = p.function(fid).unwrap();
         let e = emit(f, &p, &original_clusters(f), false).unwrap();
-        assert_eq!(e.fragments.len(), 1);
+        assert_eq!(e.object.sections().len(), 1);
         assert_eq!(e.relocated_branches, 0);
-        let sec = &e.fragments[0];
-        let blocks = &e.layout.fragments[0].blocks;
+        let (sec, _) = e.text(0);
+        let blocks = e.blocks(0);
         // bb0: alu(3) + br_short(2) = 5
         assert_eq!(blocks[0].size, 5);
         // bb1: call(5) + jmp_short(2) = 7
@@ -594,8 +794,8 @@ mod tests {
         // bb3: ret
         assert_eq!(blocks[3].size, 1);
         // Only the call gets a relocation.
-        assert_eq!(sec.relocs.len(), 1);
-        assert_eq!(sec.relocs[0].kind, RelocKind::CallPc32);
+        assert_eq!(e.relocs(0).len(), 1);
+        assert_eq!(e.relocs(0)[0].kind, RelocKind::CallPc32);
         assert!(!sec.relaxable);
     }
 
@@ -604,7 +804,7 @@ mod tests {
         let (p, fid) = fixture();
         let f = p.function(fid).unwrap();
         let e = emit(f, &p, &original_clusters(f), false).unwrap();
-        let bytes = &e.fragments[0].bytes;
+        let (_, bytes) = e.text(0);
         // Decode bb0's branch at offset 3 (after one ALU).
         let d = decode(&bytes[3..]).unwrap();
         match d {
@@ -624,16 +824,16 @@ mod tests {
         let clusters =
             FunctionClusters::hot_cold(vec![BlockId(0), BlockId(1), BlockId(3)], vec![BlockId(2)]);
         let e = emit(f, &p, &clusters, true).unwrap();
-        assert_eq!(e.fragments.len(), 2);
-        let hot = &e.fragments[0];
-        let cold = &e.fragments[1];
+        assert_eq!(e.object.sections().len(), 2);
+        let (hot, _) = e.text(0);
+        let (cold, _) = e.text(1);
         assert_eq!(hot.symbol.as_deref(), Some("main_fn"));
         assert_eq!(cold.symbol.as_deref(), Some("main_fn.cold"));
         assert!(hot.relaxable);
         // Hot: bb0 alu(3)+br_long(6)=9; bb1 call(5)+jmp_long(5)=10 (jump
         // to bb3 is explicit because... bb3 IS next in cluster, so jump
         // omitted -> 5); bb3 ret(1).
-        let [hot_blocks, cold_blocks] = [0, 1].map(|i| &e.layout.fragments[i].blocks);
+        let [hot_blocks, cold_blocks] = [0, 1].map(|i| e.blocks(i));
         assert_eq!(hot_blocks[0].size, 9);
         assert_eq!(hot_blocks[1].size, 5);
         assert_eq!(hot_blocks[2].size, 1);
@@ -641,8 +841,8 @@ mod tests {
         assert_eq!(cold_blocks[0].size, 14);
         // Cold's jump carries a reloc to the hot section symbol with the
         // addend of bb3's offset (9+5=14).
-        let r = cold
-            .relocs
+        let r = e
+            .relocs(1)
             .iter()
             .find(|r| r.kind == RelocKind::BranchPc32)
             .unwrap();
@@ -671,12 +871,12 @@ mod tests {
         let p = pb.finish().unwrap();
         let f = p.function(fid).unwrap();
         let e = emit(f, &p, &original_clusters(f), false).unwrap();
-        let sec = &e.fragments[0];
-        let blocks = &e.layout.fragments[0].blocks;
+        let (_, bytes) = e.text(0);
+        let blocks = e.blocks(0);
         // bb0 emits exactly one short branch (to bb2), falling through
         // to bb1.
         assert_eq!(blocks[0].size, 2);
-        let d = decode(&sec.bytes[0..]).unwrap();
+        let d = decode(bytes).unwrap();
         match d {
             Decoded::CondBr { disp, len } => {
                 assert_eq!(disp, blocks[2].offset as i64 - len as i64);
@@ -699,8 +899,8 @@ mod tests {
         // Put the landing pad alone in a cold section: nop required.
         let clusters = FunctionClusters::hot_cold(vec![BlockId(0)], vec![BlockId(1)]);
         let e = emit(f, &p, &clusters, true).unwrap();
-        assert_eq!(e.fragments[1].bytes[0], op::NOP);
-        assert_eq!(e.layout.fragments[1].blocks[0].offset, 1);
+        assert_eq!(e.text(1).1[0], op::NOP);
+        assert_eq!(e.blocks(1)[0].offset, 1);
         // And the bb entry reflects both the offset and the flag.
         let cold_entries = &entries(f, &p, &clusters, true)[1];
         assert_eq!(cold_entries[0].offset, 1);
@@ -766,10 +966,10 @@ mod tests {
         let p = pb.finish().unwrap();
         let f = p.function(fid).unwrap();
         let e = emit(f, &p, &original_clusters(f), false).unwrap();
-        let blocks = &e.layout.fragments[0].blocks;
+        let blocks = e.blocks(0);
         // bb0's branch skips 300 bytes of ALU: long form (6 bytes).
         assert_eq!(blocks[0].size, 6);
-        match decode(&e.fragments[0].bytes).unwrap() {
+        match decode(e.text(0).1).unwrap() {
             Decoded::CondBr { disp, len } => {
                 assert_eq!(len, 6);
                 assert_eq!(disp, blocks[2].offset as i64 - 6);
@@ -783,7 +983,7 @@ mod tests {
         let (p, fid) = fixture();
         let f = p.function(fid).unwrap();
         let e = emit(f, &p, &original_clusters(f), false).unwrap();
-        let bytes = &e.fragments[0].bytes;
+        let (_, bytes) = e.text(0);
         let mut off = 0;
         while off < bytes.len() {
             let d = decode(&bytes[off..]).unwrap_or_else(|| panic!("undecodable at {off}"));
@@ -792,12 +992,13 @@ mod tests {
         assert_eq!(off, bytes.len());
     }
 
-    /// The reference emitter's result in this module's types, with its
-    /// fragments' address-map entries encoded as the function's record.
-    /// Its per-fragment `layout` copy must be the function layout's
-    /// fragment of the same index; its fragment `symbol` goes into the
-    /// section's.
-    fn lowered(r: reference::EmittedFunction) -> (EmittedFunction, Vec<u8>) {
+    /// The reference emitter's result in this module's types: its
+    /// sections' contents appended to one object, its layout flattened,
+    /// and its fragments' address-map entries encoded as the function's
+    /// record. Its per-fragment `layout` copy must be the function
+    /// layout's fragment of the same index; its fragment `symbol` goes
+    /// into the section's.
+    fn lowered(r: reference::EmittedFunction) -> (Emitted, Vec<u8>) {
         for (frag, fl) in r.fragments.iter().zip(&r.layout.fragments) {
             assert_eq!(&frag.layout, fl);
         }
@@ -810,16 +1011,34 @@ mod tests {
                 map.entry(e);
             }
         }
-        let function = EmittedFunction {
-            fragments: r
-                .fragments
-                .into_iter()
-                .map(|f| Section {
-                    symbol: Some(f.symbol.into()),
-                    ..f.section
-                })
-                .collect(),
-            layout: r.layout,
+        let mut object = ObjectFile::new("m.o");
+        for f in r.fragments {
+            let (bytes, relocs) = object.content_mut();
+            bytes.extend_from_slice(&f.section.bytes);
+            relocs.extend_from_slice(&f.section.relocs);
+            let mut section = Section::new(f.section.name, f.section.kind);
+            section.symbol = Some(f.symbol.into());
+            section.align = f.section.align;
+            section.relaxable = f.section.relaxable;
+            object.push_section(section);
+        }
+        let mut layout = DebugLayout::default();
+        for frag in r.layout.fragments {
+            let first = layout.blocks.len() as u32;
+            layout.blocks.extend_from_slice(&frag.blocks);
+            layout.fragments.push(FragmentLayout {
+                section_symbol: frag.section_symbol,
+                blocks: first..layout.blocks.len() as u32,
+            });
+        }
+        layout.functions.push(FunctionLayout {
+            function: r.layout.function,
+            func_symbol: r.layout.func_symbol,
+            fragments: 0..layout.fragments.len() as u32,
+        });
+        let function = Emitted {
+            object,
+            layout,
             relocated_branches: r.relocated_branches,
         };
         (function, map.finish())
@@ -830,7 +1049,7 @@ mod tests {
         p: &Program,
         clusters: &FunctionClusters,
         relocate: bool,
-    ) -> [Result<(EmittedFunction, Vec<u8>), CodegenError>; 2] {
+    ) -> [Result<(Emitted, Vec<u8>), CodegenError>; 2] {
         [
             emit_mapped(f, p, clusters, relocate),
             reference::emit_function(f, p, clusters, relocate).map(lowered),
@@ -1026,7 +1245,8 @@ mod tests {
             assert_eq!(new, old, "{links} links");
             // Links beyond the eighth from the end never got their
             // sweep and keep the long form.
-            let blocks = &new.unwrap().0.layout.fragments[0].blocks;
+            let new = new.unwrap().0;
+            let blocks = new.blocks(0);
             for link in 0..links {
                 let want = if link + 8 < links { 6 } else { 2 };
                 assert_eq!(
@@ -1089,7 +1309,8 @@ mod tests {
         let f = p.function(fid).unwrap();
         let [new, old] = both(f, &p, &original_clusters(f), false);
         assert_eq!(new, old);
-        let blocks = &new.unwrap().0.layout.fragments[0].blocks;
+        let new = new.unwrap().0;
+        let blocks = new.blocks(0);
         assert_eq!(blocks[1].size, 4, "both of `two`'s branches shrank");
         for k in 0..links {
             let want = if k + 1 < links { 2 } else { 6 };

@@ -6,13 +6,12 @@
 //! copy nobody read. Do not optimise this file — its value is that it
 //! is the old code.
 
+use super::owned::{FragmentLayout, FunctionLayout, Section};
 use crate::error::CodegenError;
 use crate::isa::{fits_short, len, op};
-use crate::layout::{
-    BlockPlacement, ClusterName, FragmentLayout, FunctionClusters, FunctionLayout,
-};
+use crate::layout::{BlockPlacement, ClusterName, FunctionClusters};
 use propeller_ir::{BlockId, Function, Inst, Program, Terminator};
-use propeller_obj::{BbEntry, BbFlags, Reloc, RelocKind, Section, SectionKind};
+use propeller_obj::{BbEntry, BbFlags, Reloc, RelocKind, SectionKind};
 use std::collections::HashMap;
 
 /// One emitted text fragment plus its metadata.

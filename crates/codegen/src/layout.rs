@@ -2,6 +2,7 @@
 
 use propeller_ir::{BlockId, FunctionId};
 use std::fmt::{self, Write};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// How a basic block cluster's section is named (§3.4).
@@ -109,8 +110,9 @@ pub struct FragmentLayout {
     /// The symbol that names the fragment's section start (for the
     /// primary cluster, the function's own name, shared).
     pub section_symbol: Arc<str>,
-    /// Placements in emission order.
-    pub blocks: Vec<BlockPlacement>,
+    /// Its placements in emission order: a span of
+    /// [`DebugLayout::blocks`].
+    pub blocks: Range<u32>,
 }
 
 /// Layout of one function across its fragments.
@@ -120,16 +122,75 @@ pub struct FunctionLayout {
     pub function: FunctionId,
     /// The function's primary symbol, shared with the IR.
     pub func_symbol: Arc<str>,
-    /// Fragments in output order.
-    pub fragments: Vec<FragmentLayout>,
+    /// Its fragments in output order: a span of
+    /// [`DebugLayout::fragments`].
+    pub fragments: Range<u32>,
 }
 
 /// The codegen side table the execution simulator uses as its "debug
 /// info": where every block of every function landed.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+///
+/// Three flat arrays, the shape of [`propeller_obj::BbAddrMap`]:
+/// functions hold spans of `fragments`, fragments spans of `blocks`, so
+/// a module's table is three allocations.
+#[derive(Clone, PartialEq, Eq, Default)]
 pub struct DebugLayout {
     /// Per-function layouts, in module function order.
     pub functions: Vec<FunctionLayout>,
+    /// Every function's fragments, in function order.
+    pub fragments: Vec<FragmentLayout>,
+    /// Every fragment's placements, in fragment order.
+    pub blocks: Vec<BlockPlacement>,
+}
+
+fn span(r: &Range<u32>) -> Range<usize> {
+    r.start as usize..r.end as usize
+}
+
+impl DebugLayout {
+    /// `f`'s fragments.
+    pub fn fragments_of(&self, f: &FunctionLayout) -> &[FragmentLayout] {
+        &self.fragments[span(&f.fragments)]
+    }
+
+    /// `frag`'s placements.
+    pub fn blocks_of(&self, frag: &FragmentLayout) -> &[BlockPlacement] {
+        &self.blocks[span(&frag.blocks)]
+    }
+}
+
+/// The nested form — each function with its fragments, each fragment
+/// with its placements — that the table had before it was flattened:
+/// codegen's golden digest hashes it, so the rendering is kept exactly.
+impl fmt::Debug for DebugLayout {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let functions = self.functions.iter().map(|func| {
+            let fragments = self.fragments_of(func).iter().map(|frag| {
+                fmt::from_fn(move |f| {
+                    f.debug_struct("FragmentLayout")
+                        .field("section_symbol", &frag.section_symbol)
+                        .field("blocks", &self.blocks_of(frag))
+                        .finish()
+                })
+            });
+            fmt::from_fn(move |f| {
+                f.debug_struct("FunctionLayout")
+                    .field("function", &func.function)
+                    .field("func_symbol", &func.func_symbol)
+                    .field(
+                        "fragments",
+                        &fmt::from_fn(|f| f.debug_list().entries(fragments.clone()).finish()),
+                    )
+                    .finish()
+            })
+        });
+        f.debug_struct("DebugLayout")
+            .field(
+                "functions",
+                &fmt::from_fn(|f| f.debug_list().entries(functions.clone()).finish()),
+            )
+            .finish()
+    }
 }
 
 #[cfg(test)]

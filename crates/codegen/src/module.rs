@@ -1,11 +1,13 @@
 //! Module-level code generation: one distributed build action.
 
-use crate::emit::{emit_function, Scratch};
+use crate::emit::Plan;
 use crate::error::CodegenError;
 use crate::layout::{DebugLayout, FunctionClusters};
 use crate::options::{BbSectionsMode, CodegenOptions};
 use propeller_ir::{BlockId, Function, Module, Program};
-use propeller_obj::{BbAddrMapWriter, ObjectFile, Section, SectionKind};
+use propeller_obj::{Counted, ObjectFile, Section, SectionKind};
+use std::cell::RefCell;
+use std::sync::Arc;
 
 /// Aggregate statistics from one codegen action; used by the build
 /// system's cost model.
@@ -104,6 +106,26 @@ pub fn codegen_module_traced(
     result
 }
 
+/// What [`codegen_module`] keeps across calls on one thread, so that a
+/// module allocates nothing per block or per function: the module plan,
+/// whose tables grow to the largest module the thread has compiled and
+/// are then reused, and the identity partition that functions without a
+/// cluster directive are planned by.
+struct Scratch {
+    plan: Plan,
+    identity: FunctionClusters,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch {
+        plan: Plan::default(),
+        identity: FunctionClusters::single(Vec::new()),
+    });
+    /// The names every object's `.eh_frame` and `.llvm_bb_addr_map`
+    /// sections share.
+    static SECTION_NAMES: [Arc<str>; 2] = [".eh_frame".into(), ".llvm_bb_addr_map".into()];
+}
+
 fn codegen_module_impl(
     module: &Module,
     program: &Program,
@@ -120,22 +142,28 @@ fn codegen_module_impl(
             }
         }
     }
+    SCRATCH.with_borrow_mut(|scratch| {
+        scratch.plan.clear();
+        let result = write_module(module, program, opts, scratch);
+        // The plan holds cluster names: drop them with the call.
+        scratch.plan.clear();
+        result
+    })
+}
 
-    let mut object = ObjectFile::new(format!("{}.o", module.name));
-    let mut debug_layout = DebugLayout {
-        functions: Vec::with_capacity(module.functions.len()),
-    };
-    let mut stats = ModuleStats::default();
-    let mut addr_map = opts
-        .wants_bb_addr_map()
-        .then(|| BbAddrMapWriter::new(Vec::new(), module.functions.len()));
+/// Plans every function of `module` into the scratch's plan, then
+/// writes the object into arrays reserved at their final sizes, and the
+/// layout table and statistics from the same tables.
+fn write_module(
+    module: &Module,
+    program: &Program,
+    opts: &CodegenOptions,
+    scratch: &mut Scratch,
+) -> Result<CodegenResult, CodegenError> {
+    let Scratch { plan, identity } = scratch;
+    let functions = module.functions.as_slice();
     let mut fde_bytes_total = 0usize;
-    // Functions without a cluster directive are emitted in their
-    // original block order: this one plan, refilled per function.
-    let mut identity = FunctionClusters::single(Vec::new());
-    let mut scratch = Scratch::default();
-
-    for f in &module.functions {
+    for f in functions {
         let directive = match &opts.bb_sections {
             BbSectionsMode::Clusters(map) => map.get(f.id),
             _ => None,
@@ -143,67 +171,81 @@ fn codegen_module_impl(
         let (clusters, relocate) = match directive {
             Some(clusters) => (clusters, true),
             None => {
+                // Emitted in the original block order.
                 let blocks = &mut identity.clusters[0].blocks;
                 blocks.clear();
                 blocks.extend((0..f.num_blocks() as u32).map(BlockId));
-                (&identity, false)
+                (&*identity, false)
             }
         };
-        let emitted = emit_function(
-            f,
-            program,
-            clusters,
-            relocate,
-            &mut scratch,
-            addr_map.as_mut(),
-        )?;
-        stats.num_functions += 1;
-        stats.num_fragments += emitted.fragments.len();
-        stats.text_bytes += emitted.text_size();
-        stats.relocated_branches += emitted.relocated_branches;
+        plan.plan_function(f, clusters, relocate)?;
         fde_bytes_total +=
-            emitted.fragments.len() * (FDE_BASE_BYTES + FDE_PER_REG_BYTES * callee_saved_regs(f));
-
-        for section in emitted.fragments {
-            object.add_section(section);
-        }
-        debug_layout.functions.push(emitted.layout);
+            clusters.clusters.len() * (FDE_BASE_BYTES + FDE_PER_REG_BYTES * callee_saved_regs(f));
     }
+    let stats = ModuleStats {
+        num_functions: functions.len(),
+        num_fragments: plan.num_fragments(),
+        text_bytes: plan.text_bytes,
+        relocated_branches: plan.relocated_branches,
+    };
 
-    // .eh_frame: one CIE plus one FDE per fragment (§4.4). Contents are
-    // opaque; only the size matters to the evaluation.
-    if stats.num_fragments > 0 {
-        let eh = Section::new(
-            ".eh_frame",
-            SectionKind::EhFrame,
-            vec![0u8; CIE_BYTES + fde_bytes_total],
-        );
-        object.add_section(eh);
-    }
-
-    // .llvm_bb_addr_map (§3.2), written as the functions were emitted.
-    if let Some(map) = addr_map.filter(|_| !module.functions.is_empty()) {
-        object.add_section(Section::new(
-            ".llvm_bb_addr_map",
-            SectionKind::BbAddrMap,
-            map.finish(),
-        ));
-    }
-
-    // Read-only data proportional to text.
+    // Every section's size is known before one is written: one CIE
+    // plus one FDE per fragment (§4.4), the address map (§3.2) as its
+    // encoder measures it, and read-only data proportional to text.
+    let eh_size = if stats.num_fragments > 0 {
+        CIE_BYTES + fde_bytes_total
+    } else {
+        0
+    };
+    let wants_map = opts.wants_bb_addr_map() && !functions.is_empty();
+    let map_size = if wants_map {
+        plan.write_map(functions, Counted(0)).0
+    } else {
+        0
+    };
     let ro_size = (stats.text_bytes as f64 * RODATA_FRACTION).round() as usize;
-    if ro_size > 0 {
-        let bytes: Vec<u8> = (0..ro_size).map(|i| (i as u8).wrapping_mul(31)).collect();
-        object.add_section(Section::new(
-            format!(".rodata.{}", module.name),
-            SectionKind::RoData,
-            bytes,
-        ));
+    let num_sections = stats.num_fragments
+        + usize::from(eh_size > 0)
+        + usize::from(wants_map)
+        + usize::from(ro_size > 0);
+    let mut name = String::with_capacity(module.name.len() + 2);
+    name.push_str(&module.name);
+    name.push_str(".o");
+    let mut object = ObjectFile::with_capacity(
+        name,
+        num_sections,
+        stats.text_bytes + eh_size + map_size + ro_size,
+        plan.num_relocs,
+    );
+
+    plan.write_text(functions, program, &mut object)?;
+    let [eh_frame, bb_addr_map] = SECTION_NAMES.with(|names| names.clone());
+    // .eh_frame: contents are opaque; only the size matters to the
+    // evaluation.
+    if eh_size > 0 {
+        let bytes = object.content_mut().0;
+        bytes.resize(bytes.len() + eh_size, 0);
+        object.push_section(Section::new(eh_frame, SectionKind::EhFrame));
     }
+    if wants_map {
+        let bytes = object.content_mut().0;
+        *bytes = plan.write_map(functions, std::mem::take(bytes));
+        object.push_section(Section::new(bb_addr_map, SectionKind::BbAddrMap));
+    }
+    if ro_size > 0 {
+        let bytes = object.content_mut().0;
+        bytes.extend((0..ro_size).map(|i| (i as u8).wrapping_mul(31)));
+        let name = plan.name(".rodata.", &module.name);
+        object.push_section(Section::new(name, SectionKind::RoData));
+    }
+    debug_assert_eq!(
+        object.bytes().len(),
+        stats.text_bytes + eh_size + map_size + ro_size
+    );
 
     Ok(CodegenResult {
         object,
-        debug_layout,
+        debug_layout: plan.layout(functions),
         stats,
     })
 }
@@ -279,7 +321,9 @@ mod tests {
             .find(|s| s.kind == SectionKind::BbAddrMap)
             .expect("labels mode emits the map");
         let mut decoded = BbAddrMap::default();
-        decoded.decode_into(&map_sec.bytes, Arc::from).unwrap();
+        decoded
+            .decode_into(pm.object.bytes_of(map_sec), Arc::from)
+            .unwrap();
         assert_eq!(decoded.functions.len(), 2);
         let hot = decoded
             .functions

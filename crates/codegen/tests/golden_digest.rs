@@ -64,13 +64,14 @@ fn encode(object: &ObjectFile, layout: &DebugLayout) -> Vec<u8> {
     let mut spans = layout
         .functions
         .iter()
-        .flat_map(|f| &f.fragments)
-        .map(|frag| &frag.blocks);
+        .flat_map(|f| layout.fragments_of(f))
+        .map(|frag| layout.blocks_of(frag));
     let mut out = Vec::new();
     out.extend_from_slice(&u32_le(0x504f_424a)); // "POBJ"
     put_str(&mut out, &object.name);
     out.extend_from_slice(&u32_le(object.sections().len() as u32));
     for s in object.sections() {
+        let (bytes, relocs) = (object.bytes_of(s), object.relocs_of(s));
         put_str(&mut out, &s.name);
         out.push(match s.kind {
             SectionKind::Text => 0,
@@ -79,10 +80,10 @@ fn encode(object: &ObjectFile, layout: &DebugLayout) -> Vec<u8> {
             SectionKind::RoData => 4,
         });
         out.extend_from_slice(&u32_le(s.align));
-        out.extend_from_slice(&u32_le(s.bytes.len() as u32));
-        out.extend_from_slice(&s.bytes);
-        out.extend_from_slice(&u32_le(s.relocs.len() as u32));
-        for r in &s.relocs {
+        out.extend_from_slice(&u32_le(bytes.len() as u32));
+        out.extend_from_slice(bytes);
+        out.extend_from_slice(&u32_le(relocs.len() as u32));
+        for r in relocs {
             out.extend_from_slice(&u32_le(r.offset));
             out.push(match r.kind {
                 RelocKind::CallPc32 => 0,
@@ -92,10 +93,7 @@ fn encode(object: &ObjectFile, layout: &DebugLayout) -> Vec<u8> {
             out.extend_from_slice(&r.addend.to_le_bytes());
         }
         let blocks = match s.kind {
-            SectionKind::Text => spans
-                .next()
-                .expect("a fragment per text section")
-                .as_slice(),
+            SectionKind::Text => spans.next().expect("a fragment per text section"),
             _ => &[],
         };
         out.extend_from_slice(&u32_le(blocks.len() as u32));

@@ -12,8 +12,9 @@
 //!   hot-block order;
 //! * the linker's **placement record** — where each ordered symbol
 //!   landed, at what address, and what relaxation did to its bytes;
-//! * under fleet merges, which [`ProfileSource`]s contributed at what
-//!   decayed weight ([`propeller_profile::MergeProvenance`]).
+//! * under fleet merges, which
+//!   [`ProfileSource`](propeller_profile::ProfileSource)s contributed
+//!   at what decayed weight ([`propeller_profile::MergeProvenance`]).
 //!
 //! The document serializes to `layout_provenance.json` in a fixed
 //! member order and contains nothing run-environment-dependent (no

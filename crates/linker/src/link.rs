@@ -153,12 +153,18 @@ fn link_impl(
     let mut obj_has_relaxable: Vec<bool> = Vec::with_capacity(inputs.len());
     let mut input_bytes = 0u64;
     let mut total_relocs = 0usize;
-    for (oi, input) in inputs.iter().enumerate() {
+    // What the merged address map will hold: each kept object's map
+    // has one record per layout function, one range per fragment and
+    // one entry per placement. A wrong count only costs capacity.
+    let (mut map_functions, mut map_ranges, mut map_entries) = (0, 0, 0);
+    for input in inputs {
         let obj = input.object;
         input_bytes += obj.size_breakdown().total() as u64;
         let mut has_relaxable = false;
+        let mut has_map = false;
         for s in obj.sections() {
             total_relocs += s.relocs.len();
+            has_map |= s.kind == SectionKind::BbAddrMap;
             if let Some(name) = &s.symbol {
                 if symbols
                     .insert(name.clone(), sections.secs.len() as u64)
@@ -167,11 +173,17 @@ fn link_impl(
                     return Err(LinkError::DuplicateSymbol(name.to_string()));
                 }
             }
-            let sec = Sec::new(oi, s);
+            let sec = Sec::new(obj, s);
             has_relaxable |= sec.is_relaxable_text();
             sections.secs.push(sec);
         }
         obj_has_relaxable.push(has_relaxable);
+        if has_map && (has_relaxable || !opts.drop_cold_bb_addr_map) {
+            let layout = input.debug_layout;
+            map_functions += layout.functions.len();
+            map_ranges += layout.fragments.len();
+            map_entries += layout.blocks.len();
+        }
     }
     let section_of = |symbol: &str| symbols.get(symbol).map(|&i| i as usize);
 
@@ -184,10 +196,11 @@ fn link_impl(
         .iter_mut()
         .filter(|s| s.input.kind.is_loaded())
     {
-        let object = &inputs[sec.obj_idx].object.name;
         let first = sections.targets.len() as u32;
-        for r in &sec.input.relocs {
-            sections.targets.push(resolve_reloc(section_of, r, object)?);
+        for r in sec.relocs() {
+            sections
+                .targets
+                .push(resolve_reloc(section_of, r, &sec.obj.name)?);
         }
         sec.targets = first..sections.targets.len() as u32;
     }
@@ -216,13 +229,13 @@ fn link_impl(
         let _relax_span = tel.span_under("link.relax", link_id);
         let branches = (sections.secs.iter())
             .filter(|s| s.is_relaxable_text())
-            .flat_map(|s| &s.input.relocs)
+            .flat_map(|s| s.relocs())
             .filter(|r| r.kind == RelocKind::BranchPc32)
             .count();
         let mut sites = Vec::with_capacity(branches);
         for s in sections.secs.iter_mut().filter(|s| s.is_relaxable_text()) {
             let first = sites.len() as u32;
-            parse_sites(s.input, &mut sites)?;
+            parse_sites(s.obj, s.input, &mut sites)?;
             s.sites = first..sites.len() as u32;
         }
         sections.sites = sites;
@@ -264,12 +277,15 @@ fn link_impl(
     for sec in loaded() {
         let start = (sec.addr - image_start) as usize;
         let out = &mut image[start..start + sections.final_size(sec) as usize];
-        emit_section(out, &sections, sec, &inputs[sec.obj_idx].object.name)?;
+        emit_section(out, &sections, sec)?;
     }
     drop(emit_span);
 
     // Merge metadata and compute the size breakdown.
     let mut bb_addr_map = BbAddrMap::default();
+    bb_addr_map.functions.reserve_exact(map_functions);
+    bb_addr_map.ranges.reserve_exact(map_ranges);
+    bb_addr_map.entries.reserve_exact(map_entries);
     // The merged map's encoded size, grown as each section is appended:
     // what an empty map takes (its function count) to start.
     let mut map_bytes = bb_addr_map.encoded_len();
@@ -277,52 +293,54 @@ fn link_impl(
         text: (text_end - opts.base) as usize,
         ..SizeBreakdown::default()
     };
-    for s in &sections.secs {
-        let bytes = &s.input.bytes;
-        match s.input.kind {
-            SectionKind::Text => {}
-            SectionKind::EhFrame => breakdown.eh_frame += bytes.len(),
-            SectionKind::BbAddrMap => {
-                if opts.drop_cold_bb_addr_map && !obj_has_relaxable[s.obj_idx] {
-                    continue;
-                }
-                // A name the symbol table defines is shared, not copied.
-                let name = |sym: &str| {
-                    symbols
-                        .get_key_value(sym)
-                        .map_or_else(|| Arc::from(sym), |(name, _)| name.clone())
-                };
-                let first_range = bb_addr_map.ranges.len();
-                map_bytes +=
-                    bb_addr_map
-                        .decode_into(bytes, name)
-                        .map_err(|e| LinkError::BadMetadata {
-                            object: inputs[s.obj_idx].object.name.clone(),
-                            detail: e.to_string(),
-                        })?;
-                // Codegen wrote offsets into the input sections; where
-                // relaxation moved bytes, each entry moves as its
-                // `FinalLayout` block does below. Without branch sites
-                // nothing moved.
-                if sections.sites.is_empty() {
-                    continue;
-                }
-                let BbAddrMap {
-                    ranges, entries, ..
-                } = &mut bb_addr_map;
-                for r in &ranges[first_range..] {
-                    let Some(sec) = section_of(&r.symbol) else {
+    for (input, &obj_relaxable) in inputs.iter().zip(&obj_has_relaxable) {
+        let obj = input.object;
+        for s in obj.sections() {
+            let bytes = obj.bytes_of(s);
+            match s.kind {
+                SectionKind::Text => {}
+                SectionKind::EhFrame => breakdown.eh_frame += bytes.len(),
+                SectionKind::BbAddrMap => {
+                    if opts.drop_cold_bb_addr_map && !obj_relaxable {
                         continue;
+                    }
+                    // A name the symbol table defines is shared, not copied.
+                    let name = |sym: &str| {
+                        symbols
+                            .get_key_value(sym)
+                            .map_or_else(|| Arc::from(sym), |(name, _)| name.clone())
                     };
-                    let sec = &sections.secs[sec];
-                    for e in &mut entries[r.entries.start as usize..r.entries.end as usize] {
-                        let before = e.encoded_len();
-                        (e.offset, e.size) = sections.new_span(sec, e.offset, e.size);
-                        map_bytes = map_bytes + e.encoded_len() - before;
+                    let first_range = bb_addr_map.ranges.len();
+                    map_bytes += bb_addr_map.decode_into(bytes, name).map_err(|e| {
+                        LinkError::BadMetadata {
+                            object: obj.name.clone(),
+                            detail: e.to_string(),
+                        }
+                    })?;
+                    // Codegen wrote offsets into the input sections; where
+                    // relaxation moved bytes, each entry moves as its
+                    // `FinalLayout` block does below. Without branch sites
+                    // nothing moved.
+                    if sections.sites.is_empty() {
+                        continue;
+                    }
+                    let BbAddrMap {
+                        ranges, entries, ..
+                    } = &mut bb_addr_map;
+                    for r in &ranges[first_range..] {
+                        let Some(sec) = section_of(&r.symbol) else {
+                            continue;
+                        };
+                        let sec = &sections.secs[sec];
+                        for e in &mut entries[r.entries.start as usize..r.entries.end as usize] {
+                            let before = e.encoded_len();
+                            (e.offset, e.size) = sections.new_span(sec, e.offset, e.size);
+                            map_bytes = map_bytes + e.encoded_len() - before;
+                        }
                     }
                 }
+                SectionKind::RoData => breakdown.other += bytes.len(),
             }
-            SectionKind::RoData => breakdown.other += bytes.len(),
         }
     }
     if !bb_addr_map.functions.is_empty() {
@@ -330,20 +348,47 @@ fn link_impl(
     }
 
     // Final per-block layout.
-    let mut layout = FinalLayout::default();
+    let mut layout = FinalLayout {
+        functions: Vec::with_capacity(inputs.iter().map(|i| i.debug_layout.functions.len()).sum()),
+    };
+    // The span of `sections.secs` holding the current input's sections.
+    let mut own = 0..0;
     for input in inputs {
-        for fl in &input.debug_layout.functions {
-            let mut blocks = Vec::with_capacity(fl.fragments.iter().map(|f| f.blocks.len()).sum());
-            for frag in &fl.fragments {
+        own = own.end..own.end + input.object.sections().len();
+        let debug_layout = input.debug_layout;
+        let bad = |detail: String| LinkError::BadMetadata {
+            object: input.object.name.clone(),
+            detail,
+        };
+        for fl in &debug_layout.functions {
+            let fragments = debug_layout.fragments_of(fl);
+            let mut blocks = Vec::with_capacity(fragments.iter().map(|f| f.blocks.len()).sum());
+            for frag in fragments {
                 // Placements are offsets into the section the fragment's
-                // symbol starts.
-                let sec =
-                    section_of(&frag.section_symbol).ok_or_else(|| LinkError::UndefinedSymbol {
-                        symbol: frag.section_symbol.to_string(),
-                        object: input.object.name.clone(),
-                    })?;
+                // symbol starts, which must be one of this object's.
+                let symbol = &frag.section_symbol;
+                let sec = section_of(symbol).ok_or_else(|| LinkError::UndefinedSymbol {
+                    symbol: symbol.to_string(),
+                    object: input.object.name.clone(),
+                })?;
+                if !own.contains(&sec) {
+                    return Err(bad(format!(
+                        "its layout places blocks at {symbol:?}, which {} defines",
+                        sections.secs[sec].obj.name
+                    )));
+                }
                 let sec = &sections.secs[sec];
-                for p in &frag.blocks {
+                let sec_len = sec.bytes().len() as u64;
+                for p in debug_layout.blocks_of(frag) {
+                    if u64::from(p.offset) + u64::from(p.size) > sec_len {
+                        return Err(bad(format!(
+                            "its layout places block {} at {}..{} of {symbol:?}, past the \
+                             {sec_len}-byte section's end",
+                            p.block.0,
+                            p.offset,
+                            u64::from(p.offset) + u64::from(p.size)
+                        )));
+                    }
                     let (start, size) = sections.new_span(sec, p.offset, p.size);
                     blocks.push(FinalBlock {
                         block: p.block,
@@ -385,7 +430,7 @@ fn link_impl(
                 symbol: s.input.symbol.as_ref().unwrap_or(&s.input.name).clone(),
                 order: pos as u32,
                 addr: s.addr,
-                input_size: s.input.bytes.len() as u64,
+                input_size: s.bytes().len() as u64,
                 final_size: sections.final_size(s) as u64,
                 deleted_jumps,
                 shrunk_branches,
@@ -457,14 +502,9 @@ fn resolve_reloc(
 
 /// Emits one loaded section into `out` — its slot in the image, exactly
 /// its final size — applying relocations and relaxation decisions.
-fn emit_section(
-    out: &mut [u8],
-    sections: &Sections,
-    sec: &Sec,
-    obj_name: &str,
-) -> Result<(), LinkError> {
-    let bytes = &sec.input.bytes;
-    let relocs = &sec.input.relocs;
+fn emit_section(out: &mut [u8], sections: &Sections, sec: &Sec) -> Result<(), LinkError> {
+    let bytes = sec.bytes();
+    let relocs = sec.relocs();
     let sites = sections.sites(sec);
     if sites.is_empty() {
         out.copy_from_slice(bytes);
@@ -475,7 +515,7 @@ fn emit_section(
         for site in sites {
             put(out, &mut at, &bytes[cursor..site.inst_start as usize]);
             let symbol = &relocs[site.reloc as usize].symbol;
-            let target = sections.resolve(sections.target(sec, site.reloc as usize, obj_name)?);
+            let target = sections.resolve(sections.target(sec, site.reloc as usize)?);
             let inst_addr = sec.addr + at as u64;
             let overflow = || LinkError::DisplacementOverflow {
                 symbol: symbol.to_string(),
@@ -514,14 +554,14 @@ fn emit_section(
         if r.kind == RelocKind::BranchPc32 && !sites.is_empty() {
             continue;
         }
-        let target = sections.resolve(sections.target(sec, k, obj_name)?);
+        let target = sections.resolve(sections.target(sec, k)?);
         let pos = sections.new_offset(sec, r.offset) as usize;
         // Checked against the section's own slot, so a relocation
         // offset past its end cannot reach a neighbour's bytes.
         let field = out
             .get_mut(pos..pos.saturating_add(r.kind.width()))
             .ok_or_else(|| LinkError::BadMetadata {
-                object: obj_name.to_string(),
+                object: sec.obj.name.clone(),
                 detail: format!(
                     "relocation at {} in {} points outside the {}-byte section",
                     r.offset,

@@ -10,7 +10,7 @@
 
 use crate::error::LinkError;
 use propeller_codegen::isa::{fits_short, len, op};
-use propeller_obj::{RelocKind, Section, SectionKind};
+use propeller_obj::{ObjectFile, Reloc, RelocKind, Section, SectionKind};
 use std::ops::Range;
 
 /// Where a relocation's `symbol + addend` points, in input coordinates:
@@ -32,8 +32,8 @@ pub(crate) struct Site {
     pub orig_len: u32,
     /// Conditional branch (`true`) or unconditional jump (`false`).
     pub cond: bool,
-    /// Index of the branch's relocation in the section's `relocs` (and
-    /// of its resolved target in the section's span of
+    /// Index of the branch's relocation among the section's relocations
+    /// (and of its resolved target in the section's span of
     /// [`Sections::targets`]).
     pub reloc: u32,
     /// Current form decision.
@@ -82,13 +82,14 @@ impl Site {
 /// sites.
 #[derive(Clone, Debug)]
 pub(crate) struct Sec<'a> {
-    /// Index of the owning input object.
-    pub obj_idx: usize,
-    /// The input section: name, kind, bytes, relocations, alignment.
+    /// The owning input object, which holds the section's contents.
+    pub obj: &'a ObjectFile,
+    /// The input section: name, kind, alignment, and the spans of
+    /// `obj`'s arrays holding its bytes and relocations.
     pub input: &'a Section,
     /// The span of [`Sections::targets`] holding the target of each of
-    /// `input.relocs`. Filled for loaded sections only — the others'
-    /// relocations are never applied.
+    /// the section's relocations. Filled for loaded sections only — the
+    /// others' relocations are never applied.
     pub targets: Range<u32>,
     /// The span of [`Sections::sites`] holding the section's branch
     /// sites (relaxable sections only), sorted by `inst_start`.
@@ -102,10 +103,11 @@ fn span(r: &Range<u32>) -> Range<usize> {
 }
 
 impl<'a> Sec<'a> {
-    /// Wraps an input section; targets, sites and address come later.
-    pub fn new(obj_idx: usize, input: &'a Section) -> Self {
+    /// Wraps `obj`'s section `input`; targets, sites and address come
+    /// later.
+    pub fn new(obj: &'a ObjectFile, input: &'a Section) -> Self {
         Sec {
-            obj_idx,
+            obj,
             input,
             targets: 0..0,
             sites: 0..0,
@@ -116,6 +118,16 @@ impl<'a> Sec<'a> {
     /// Whether the relaxation pass may rewrite this section.
     pub fn is_relaxable_text(&self) -> bool {
         self.input.relaxable && self.input.kind == SectionKind::Text
+    }
+
+    /// The section's raw contents.
+    pub fn bytes(&self) -> &'a [u8] {
+        self.obj.bytes_of(self.input)
+    }
+
+    /// The section's relocations.
+    pub fn relocs(&self) -> &'a [Reloc] {
+        self.obj.relocs_of(self.input)
     }
 }
 
@@ -162,7 +174,7 @@ impl<'a> Sections<'a> {
 
     /// `sec`'s final size after relaxation.
     pub(crate) fn final_size(&self, sec: &Sec) -> u32 {
-        self.new_offset(sec, sec.input.bytes.len() as u32)
+        self.new_offset(sec, sec.bytes().len() as u32)
     }
 
     /// Whether `sec`'s site `site_idx` is the final instruction of the
@@ -170,7 +182,7 @@ impl<'a> Sections<'a> {
     /// deleted).
     pub(crate) fn is_tail(&self, sec: &Sec, site_idx: usize) -> bool {
         let s = &self.sites(sec)[site_idx];
-        !s.cond && s.inst_start + s.orig_len == sec.input.bytes.len() as u32
+        !s.cond && s.inst_start + s.orig_len == sec.bytes().len() as u32
     }
 
     /// The resolved target of `sec`'s relocation `reloc`, `None` where
@@ -179,18 +191,13 @@ impl<'a> Sections<'a> {
         self.targets[span(&sec.targets)][reloc]
     }
 
-    /// [`Sections::target_of`], with an undefined symbol an error;
-    /// `referrer` is what the error names as the referencing object.
-    pub(crate) fn target(
-        &self,
-        sec: &Sec,
-        reloc: usize,
-        referrer: &str,
-    ) -> Result<Target, LinkError> {
+    /// [`Sections::target_of`], with an undefined symbol an error
+    /// naming `sec`'s object as the referrer.
+    pub(crate) fn target(&self, sec: &Sec, reloc: usize) -> Result<Target, LinkError> {
         self.target_of(sec, reloc)
             .ok_or_else(|| LinkError::UndefinedSymbol {
-                symbol: sec.input.relocs[reloc].symbol.to_string(),
-                object: referrer.to_string(),
+                symbol: sec.relocs()[reloc].symbol.to_string(),
+                object: sec.obj.name.clone(),
             })
     }
 
@@ -217,27 +224,32 @@ impl<'a> Sections<'a> {
             if s.input.kind == SectionKind::RoData {
                 cursor = cursor.div_ceil(16) * 16;
                 s.addr = cursor;
-                cursor += s.input.bytes.len() as u64;
+                cursor += s.bytes().len() as u64;
             }
         }
         text_end
     }
 }
 
-/// Parses branch sites out of a relaxable section's relocations onto
-/// the end of `sites`, sorted by `inst_start`.
+/// Parses branch sites out of `obj`'s relaxable section `section`'s
+/// relocations onto the end of `sites`, sorted by `inst_start`.
 ///
 /// The instruction form is recovered from the bytes preceding the
 /// relocated field: a `JMP_LONG` opcode immediately precedes the field
 /// for jumps; a `BR_LONG` opcode two bytes before (with a zero condition
 /// byte between) identifies conditional branches.
-pub(crate) fn parse_sites(section: &Section, sites: &mut Vec<Site>) -> Result<(), LinkError> {
+pub(crate) fn parse_sites(
+    obj: &ObjectFile,
+    section: &Section,
+    sites: &mut Vec<Site>,
+) -> Result<(), LinkError> {
     let bad = |detail: String| LinkError::BadMetadata {
-        object: section.name.to_string(),
-        detail,
+        object: obj.name.clone(),
+        detail: format!("{}: {detail}", section.name),
     };
+    let bytes = obj.bytes_of(section);
     let first = sites.len();
-    for (reloc, r) in section.relocs.iter().enumerate() {
+    for (reloc, r) in obj.relocs_of(section).iter().enumerate() {
         if r.kind != RelocKind::BranchPc32 {
             continue;
         }
@@ -245,18 +257,18 @@ pub(crate) fn parse_sites(section: &Section, sites: &mut Vec<Site>) -> Result<()
         // A field reaching past the section would make the opcode peeks
         // below, and the byte walk at emit, index out of bounds —
         // corrupt metadata must surface as a typed error, not a panic.
-        if off.saturating_add(r.kind.width()) > section.bytes.len() {
+        if off.saturating_add(r.kind.width()) > bytes.len() {
             return Err(bad(format!(
                 "branch relocation at {} points outside the {}-byte section",
                 r.offset,
-                section.bytes.len()
+                bytes.len()
             )));
         }
         // In-bounds by the check above: `off - 1`/`off - 2` < `off`
         // < `bytes.len()`.
-        let (back, cond, orig_len) = if off >= 1 && section.bytes[off - 1] == op::JMP_LONG {
+        let (back, cond, orig_len) = if off >= 1 && bytes[off - 1] == op::JMP_LONG {
             (1, false, len::JMP_LONG)
-        } else if off >= 2 && section.bytes[off - 2] == op::BR_LONG {
+        } else if off >= 2 && bytes[off - 2] == op::BR_LONG {
             (2, true, len::BR_LONG)
         } else {
             return Err(bad(format!(
@@ -323,8 +335,7 @@ pub(crate) fn relax(
                 continue;
             }
             for (k, site) in sections.sites(sec).iter().enumerate() {
-                let target =
-                    sections.resolve(sections.target(sec, site.reloc as usize, &sec.input.name)?);
+                let target = sections.resolve(sections.target(sec, site.reloc as usize)?);
                 let state = if sections.is_tail(sec, k)
                     && tail_deletable(sections, si, k, next_in_order[si])
                 {
@@ -414,7 +425,7 @@ fn tail_deletable(
         .filter(|&(i, _)| i != site_idx)
         .map(|(_, s)| s.savings())
         .sum();
-    let end = sec.addr + (sec.input.bytes.len() as u32 - saved - site.orig_len) as u64;
+    let end = sec.addr + (sec.bytes().len() as u32 - saved - site.orig_len) as u64;
     end.is_multiple_of(tsec.input.align.max(1) as u64)
 }
 
@@ -430,8 +441,7 @@ fn verify(
             continue;
         }
         for (k, site) in sections.sites(sec).iter().enumerate() {
-            let target =
-                sections.resolve(sections.target(sec, site.reloc as usize, &sec.input.name)?);
+            let target = sections.resolve(sections.target(sec, site.reloc as usize)?);
             match site.state {
                 SiteState::Deleted => {
                     let ok = sections.is_tail(sec, k)
@@ -457,20 +467,39 @@ fn verify(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use propeller_obj::Reloc;
 
-    fn text(size: usize, align: u32) -> Section {
-        let mut s = Section::new(".text.t", SectionKind::Text, vec![0; size]);
-        s.align = align;
-        s.relaxable = true;
-        s
+    /// An object `x.o` of one text section `.text.x` holding `bytes`
+    /// and `relocs`.
+    fn object(bytes: &[u8], relocs: &[Reloc]) -> ObjectFile {
+        let mut obj = ObjectFile::new("x.o");
+        let (content, relocations) = obj.content_mut();
+        content.extend_from_slice(bytes);
+        relocations.extend_from_slice(relocs);
+        obj.push_section(Section::new(".text.x", SectionKind::Text));
+        obj
     }
 
-    /// A link of the one section `input`, holding `sites`.
-    fn one_section(input: &Section, sites: Vec<Site>) -> Sections<'_> {
+    /// An object of one relaxable text section of `size` zero bytes.
+    fn text(size: usize, align: u32) -> ObjectFile {
+        let mut obj = ObjectFile::new("t.o");
+        obj.content_mut().0.resize(size, 0);
+        let mut s = Section::new(".text.t", SectionKind::Text);
+        s.align = align;
+        s.relaxable = true;
+        obj.push_section(s);
+        obj
+    }
+
+    /// `obj`'s one section, wrapped.
+    fn sec(obj: &ObjectFile) -> Sec<'_> {
+        Sec::new(obj, &obj.sections()[0])
+    }
+
+    /// A link of `obj`'s one section, holding `sites`.
+    fn one_section(obj: &ObjectFile, sites: Vec<Site>) -> Sections<'_> {
         let sec = Sec {
             sites: 0..sites.len() as u32,
-            ..Sec::new(0, input)
+            ..sec(obj)
         };
         Sections {
             secs: vec![sec],
@@ -515,20 +544,27 @@ mod tests {
         assert!(!l.is_tail(&l.secs[0], 0));
     }
 
+    /// [`parse_sites`] of `obj`'s one section.
+    fn parse(obj: &ObjectFile, sites: &mut Vec<Site>) -> Result<(), LinkError> {
+        parse_sites(obj, &obj.sections()[0], sites)
+    }
+
     #[test]
     fn parse_sites_recovers_forms() {
         let mut bytes = vec![op::ALU, 0, 0];
         bytes.extend_from_slice(&[op::BR_LONG, 0, 0, 0, 0, 0]); // cond at 3
         bytes.extend_from_slice(&[op::JMP_LONG, 0, 0, 0, 0]); // jmp at 9
-        let mut sec = Section::new(".text.x", SectionKind::Text, bytes);
-        sec.relocs.push(Reloc::new(4, RelocKind::CallPc32, "c", 0)); // ignored
-        sec.relocs
-            .push(Reloc::new(10, RelocKind::BranchPc32, "b", 4));
-        sec.relocs
-            .push(Reloc::new(5, RelocKind::BranchPc32, "a", 0));
+        let obj = object(
+            &bytes,
+            &[
+                Reloc::new(4, RelocKind::CallPc32, "c", 0), // ignored
+                Reloc::new(10, RelocKind::BranchPc32, "b", 4),
+                Reloc::new(5, RelocKind::BranchPc32, "a", 0),
+            ],
+        );
         // Appended after what is there.
         let mut sites = vec![jmp_site(0, SiteState::Long)];
-        parse_sites(&sec, &mut sites).unwrap();
+        parse(&obj, &mut sites).unwrap();
         assert_eq!(sites.remove(0).inst_start, 0);
         assert_eq!(sites.len(), 2);
         assert!(sites[0].cond);
@@ -538,19 +574,22 @@ mod tests {
         assert_eq!(sites[1].inst_start, 9);
         assert_eq!(sites[1].orig_len, 5);
         // Sorted by address, each still naming its own relocation.
-        assert_eq!(&*sec.relocs[sites[0].reloc as usize].symbol, "a");
-        assert_eq!(sec.relocs[sites[1].reloc as usize].addend, 4);
+        let relocs = obj.relocs();
+        assert_eq!(&*relocs[sites[0].reloc as usize].symbol, "a");
+        assert_eq!(relocs[sites[1].reloc as usize].addend, 4);
     }
 
     #[test]
     fn parse_sites_rejects_garbage() {
-        let mut sec = Section::new(".text.x", SectionKind::Text, vec![0u8; 8]);
-        sec.relocs
-            .push(Reloc::new(4, RelocKind::BranchPc32, "a", 0));
-        assert!(matches!(
-            parse_sites(&sec, &mut Vec::new()),
-            Err(LinkError::BadMetadata { .. })
-        ));
+        let obj = object(&[0u8; 8], &[Reloc::new(4, RelocKind::BranchPc32, "a", 0)]);
+        // The object is named as the object, the section in the detail.
+        match parse(&obj, &mut Vec::new()) {
+            Err(LinkError::BadMetadata { object, detail }) => {
+                assert_eq!(object, "x.o");
+                assert!(detail.contains(".text.x"), "{detail}");
+            }
+            other => panic!("expected BadMetadata, got {other:?}"),
+        }
     }
 
     #[test]
@@ -559,10 +598,11 @@ mod tests {
         // bytes used to index out of bounds (the opcode peek, or emit's
         // byte walk); it must come back as typed corrupt-metadata.
         for off in [5u32, 8, 9, 100, u32::MAX] {
-            let mut sec = Section::new(".text.x", SectionKind::Text, vec![op::JMP_LONG; 8]);
-            sec.relocs
-                .push(Reloc::new(off, RelocKind::BranchPc32, "a", 0));
-            let err = parse_sites(&sec, &mut Vec::new()).unwrap_err();
+            let obj = object(
+                &[op::JMP_LONG; 8],
+                &[Reloc::new(off, RelocKind::BranchPc32, "a", 0)],
+            );
+            let err = parse(&obj, &mut Vec::new()).unwrap_err();
             match err {
                 LinkError::BadMetadata { detail, .. } => {
                     assert!(detail.contains("outside"), "{detail}");
@@ -576,12 +616,14 @@ mod tests {
     fn parse_sites_rejects_overlapping_branches() {
         // Two "jumps" two bytes apart: the second opcode sits inside
         // the first one's displacement field.
-        let mut sec = Section::new(".text.x", SectionKind::Text, vec![op::JMP_LONG; 12]);
-        sec.relocs
-            .push(Reloc::new(1, RelocKind::BranchPc32, "a", 0));
-        sec.relocs
-            .push(Reloc::new(3, RelocKind::BranchPc32, "b", 0));
-        match parse_sites(&sec, &mut Vec::new()).unwrap_err() {
+        let obj = object(
+            &[op::JMP_LONG; 12],
+            &[
+                Reloc::new(1, RelocKind::BranchPc32, "a", 0),
+                Reloc::new(3, RelocKind::BranchPc32, "b", 0),
+            ],
+        );
+        match parse(&obj, &mut Vec::new()).unwrap_err() {
             LinkError::BadMetadata { detail, .. } => {
                 assert!(detail.contains("overlap"), "{detail}")
             }
@@ -593,7 +635,7 @@ mod tests {
     fn assign_addresses_respects_alignment() {
         let (a, b) = (text(10, 1), text(5, 16));
         let mut l = Sections {
-            secs: vec![Sec::new(0, &a), Sec::new(0, &b)],
+            secs: vec![sec(&a), sec(&b)],
             ..Sections::default()
         };
         let end = l.assign_addresses(&[0, 1], 0x1000);

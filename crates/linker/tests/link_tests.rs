@@ -373,14 +373,20 @@ fn map_report_lists_every_section() {
 }
 
 /// One object, two 8-byte non-relaxable text sections `.text.a` / `.text.b`
-/// (16-aligned, so `b` sits 16 bytes after `a`) defining `a` and `b`.
-/// `b`'s bytes are a recognisable pattern no relocation should touch.
-fn two_section_object() -> ObjectFile {
+/// (16-aligned, so `b` sits 16 bytes after `a`) defining `a` and `b`,
+/// `a` carrying `relocs`. `b`'s bytes are a recognisable pattern no
+/// relocation should touch.
+fn two_section_object(relocs: &[Reloc]) -> ObjectFile {
     let mut obj = ObjectFile::new("hostile.o");
     for (name, fill) in [("a", op::NOP), ("b", 0xAB)] {
-        let mut text = Section::new(format!(".text.{name}"), SectionKind::Text, vec![fill; 8]);
+        let (bytes, section_relocs) = obj.content_mut();
+        bytes.extend_from_slice(&[fill; 8]);
+        if name == "a" {
+            section_relocs.extend_from_slice(relocs);
+        }
+        let mut text = Section::new(format!(".text.{name}"), SectionKind::Text);
         text.symbol = Some(name.into());
-        obj.add_section(text);
+        obj.push_section(text);
     }
     obj
 }
@@ -409,19 +415,63 @@ fn assert_bad_metadata(obj: ObjectFile, needle: &str) {
 #[test]
 fn relocation_offset_outside_its_section_is_rejected() {
     // The well-formed object links, and `b` keeps its bytes.
-    let bin = link(&[opaque(two_section_object())], &LinkOptions::default()).unwrap();
+    let bin = link(&[opaque(two_section_object(&[]))], &LinkOptions::default()).unwrap();
     assert_eq!(bin.read(bin.symbol("b").unwrap(), 8).unwrap(), [0xAB; 8]);
 
     // 16 would land the field on `.text.b`'s slot in the image (it used
     // to be written there without complaint); 5 straddles the section
     // end; 1000 is past the image (it used to panic).
     for offset in [16, 5, 1000, u32::MAX] {
-        let mut obj = two_section_object();
-        obj.sections_mut()[0]
-            .relocs
-            .push(Reloc::new(offset, RelocKind::CallPc32, "a", 0));
+        let obj = two_section_object(&[Reloc::new(offset, RelocKind::CallPc32, "a", 0)]);
         assert_bad_metadata(obj, "outside");
     }
+}
+
+/// Links `inputs` with and without relaxation, expecting both to reject
+/// the layout table of `object` with a detail containing every needle.
+fn assert_bad_layout(inputs: &[LinkInput], object: &str, needles: &[&str]) {
+    for relax in [false, true] {
+        let opts = LinkOptions {
+            relax,
+            ..LinkOptions::default()
+        };
+        match link(inputs, &opts) {
+            Err(LinkError::BadMetadata {
+                object: got,
+                detail,
+            }) => {
+                assert_eq!(got, object);
+                for needle in needles {
+                    assert!(detail.contains(needle), "{needle} not in {detail}");
+                }
+            }
+            other => panic!("expected BadMetadata, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn layout_naming_another_objects_section_is_rejected() {
+    // `a.cc.o` listed with `b.cc.o`'s layout table: its placements
+    // would put blocks at `helper`'s and `frosty`'s addresses (the
+    // link used to succeed that way).
+    let p = fixture();
+    let mut inputs = compile(&p, &CodegenOptions::with_clusters(split_hot_clusters(&p)));
+    inputs[0].debug_layout = std::mem::take(&mut inputs[1].debug_layout);
+    assert_bad_layout(&inputs, "a.cc.o", &["\"helper\"", "b.cc.o"]);
+}
+
+#[test]
+fn placement_past_its_sections_end_is_rejected() {
+    // `hot`'s last placement moved one byte on, so it ends past
+    // `.text.hot` (the link used to succeed, the block reaching into
+    // whatever follows).
+    let p = fixture();
+    let mut inputs = compile(&p, &CodegenOptions::with_labels());
+    let layout = &mut inputs[0].debug_layout;
+    let last = layout.blocks.last_mut().expect("hot has blocks");
+    last.offset += 1;
+    assert_bad_layout(&inputs, "a.cc.o", &["\"hot\"", "past"]);
 }
 
 #[test]
@@ -429,10 +479,7 @@ fn relocation_target_before_its_section_is_rejected() {
     // `b - 1` and `b + i64::MIN`: negative section offsets, which a
     // release build used to wrap into a huge address.
     for addend in [-1, i64::MIN, i64::MAX] {
-        let mut obj = two_section_object();
-        obj.sections_mut()[0]
-            .relocs
-            .push(Reloc::new(0, RelocKind::CallPc32, "b", addend));
+        let obj = two_section_object(&[Reloc::new(0, RelocKind::CallPc32, "b", addend)]);
         assert_bad_metadata(obj, "addend");
     }
 }

@@ -5,11 +5,13 @@
 //! relocations, or metadata that the linker operates on as a single
 //! unit" (§4). An [`ObjectFile`] is exactly a list of [`Section`]s with
 //! their [`Reloc`]s, and reports per-kind size breakdowns (for the
-//! paper's Figure 6). There is no separate symbol table: each text
-//! section names the one global symbol it defines, at its start — the
-//! function or basic-block cluster the linker orders by that name. The
-//! build system caches objects by module fingerprint; they never leave
-//! the process.
+//! paper's Figure 6). Its sections' contents are one byte array and one
+//! relocation array, each section a span of both, read through
+//! [`ObjectFile::bytes_of`] and [`ObjectFile::relocs_of`]. There is no
+//! separate symbol table: each text section names the one global symbol
+//! it defines, at its start — the function or basic-block cluster the
+//! linker orders by that name. The build system caches objects by
+//! module fingerprint; they never leave the process.
 //!
 //! The special `.llvm_bb_addr_map` metadata section (§3.2) is the one
 //! piece of output that is decoded again, by the linker: it has a typed
@@ -25,12 +27,15 @@
 //! ```
 //! use propeller_obj::{ObjectFile, Section, SectionKind};
 //!
-//! let mut obj = ObjectFile::new("s_1.o");
-//! let mut text = Section::new(".text.foo", SectionKind::Text, vec![0x90; 16]);
+//! let mut obj = ObjectFile::with_capacity("s_1.o", 1, 16, 0);
+//! obj.content_mut().0.extend_from_slice(&[0x90; 16]);
+//! let mut text = Section::new(".text.foo", SectionKind::Text);
 //! text.symbol = Some("foo".into());
-//! obj.add_section(text);
+//! obj.push_section(text);
 //! assert_eq!(obj.size_breakdown().text, 16);
-//! assert_eq!(obj.sections()[0].symbol.as_deref(), Some("foo"));
+//! let text = &obj.sections()[0];
+//! assert_eq!(text.symbol.as_deref(), Some("foo"));
+//! assert_eq!(obj.bytes_of(text), [0x90; 16]);
 //! ```
 
 pub mod bb_addr_map;
@@ -40,7 +45,9 @@ mod object;
 mod reloc;
 mod section;
 
-pub use bb_addr_map::{BbAddrMap, BbAddrMapWriter, BbEntry, BbFlags, FuncRecord, RangeRecord};
+pub use bb_addr_map::{
+    BbAddrMap, BbAddrMapWriter, BbEntry, BbFlags, Counted, FuncRecord, RangeRecord,
+};
 pub use error::ObjError;
 pub use hash::{ContentHash, ContentHasher};
 pub use object::{ObjectFile, SizeBreakdown};

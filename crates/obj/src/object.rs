@@ -1,6 +1,8 @@
 //! Object files: the sections one codegen action emits.
 
+use crate::reloc::Reloc;
 use crate::section::{Section, SectionKind};
+use std::ops::Range;
 
 /// A relocatable object file.
 ///
@@ -8,11 +10,19 @@ use crate::section::{Section, SectionKind};
 /// system under the module's fingerprint, and consumed by the linker.
 /// It is nothing but its sections: every global symbol is a text
 /// section's [`Section::symbol`], defined at that section's start.
+///
+/// The sections' contents are one byte array and one relocation array,
+/// which the section headers tile in order: an object of any size is
+/// three allocations plus its names. Content is appended through
+/// [`ObjectFile::content_mut`], and [`ObjectFile::push_section`] closes
+/// what was appended since the last section into the next one.
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct ObjectFile {
     /// Originating file name, e.g. `"s_1.o"`.
     pub name: String,
     sections: Vec<Section>,
+    bytes: Vec<u8>,
+    relocs: Vec<Reloc>,
 }
 
 /// Per-kind byte totals for an object or binary (Figure 6 categories).
@@ -37,17 +47,63 @@ impl SizeBreakdown {
     }
 }
 
+fn span(r: &Range<u32>) -> Range<usize> {
+    r.start as usize..r.end as usize
+}
+
+fn end(len: usize) -> u32 {
+    u32::try_from(len).expect("an object holds less than 4 GiB")
+}
+
 impl ObjectFile {
     /// Creates an empty object file.
     pub fn new(name: impl Into<String>) -> Self {
+        ObjectFile::with_capacity(name, 0, 0, 0)
+    }
+
+    /// Creates an empty object file with room for `sections` headers,
+    /// `bytes` bytes and `relocs` relocations: a writer that knows its
+    /// sizes up front fills it without reallocating.
+    pub fn with_capacity(
+        name: impl Into<String>,
+        sections: usize,
+        bytes: usize,
+        relocs: usize,
+    ) -> Self {
         ObjectFile {
             name: name.into(),
-            sections: Vec::new(),
+            sections: Vec::with_capacity(sections),
+            bytes: Vec::with_capacity(bytes),
+            relocs: Vec::with_capacity(relocs),
         }
     }
 
-    /// Appends a section.
-    pub fn add_section(&mut self, section: Section) {
+    /// The byte and relocation arrays, to append the next section's
+    /// content to; relocation offsets are relative to that section's
+    /// start. What earlier sections hold must be left as it is.
+    pub fn content_mut(&mut self) -> (&mut Vec<u8>, &mut Vec<Reloc>) {
+        (&mut self.bytes, &mut self.relocs)
+    }
+
+    /// Appends `section`, whose content is everything appended through
+    /// [`ObjectFile::content_mut`] since the previous section; the spans
+    /// `section` carries are replaced.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an earlier section's content was cut short.
+    pub fn push_section(&mut self, mut section: Section) {
+        let (bytes, relocs) = self
+            .sections
+            .last()
+            .map_or((0, 0), |s| (s.bytes.end, s.relocs.end));
+        assert!(
+            bytes as usize <= self.bytes.len() && relocs as usize <= self.relocs.len(),
+            "the content of section {} was truncated",
+            self.sections.len() - 1
+        );
+        section.bytes = bytes..end(self.bytes.len());
+        section.relocs = relocs..end(self.relocs.len());
         self.sections.push(section);
     }
 
@@ -56,9 +112,24 @@ impl ObjectFile {
         &self.sections
     }
 
-    /// Mutable access to sections.
-    pub fn sections_mut(&mut self) -> &mut [Section] {
-        &mut self.sections
+    /// `section`'s raw contents.
+    pub fn bytes_of(&self, section: &Section) -> &[u8] {
+        &self.bytes[span(&section.bytes)]
+    }
+
+    /// `section`'s relocations.
+    pub fn relocs_of(&self, section: &Section) -> &[Reloc] {
+        &self.relocs[span(&section.relocs)]
+    }
+
+    /// Every section's contents, in section order.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Every section's relocations, in section order.
+    pub fn relocs(&self) -> &[Reloc] {
+        &self.relocs
     }
 
     /// Computes the Figure 6 size breakdown for this object.
@@ -81,20 +152,18 @@ impl ObjectFile {
 mod tests {
     use super::*;
     use crate::hash::ContentHash;
-    use crate::reloc::{Reloc, RelocKind};
+    use crate::reloc::RelocKind;
 
     fn sample() -> ObjectFile {
-        let mut obj = ObjectFile::new("s_1.o");
-        let mut text = Section::new(".text.foo", SectionKind::Text, vec![1, 2, 3, 4]);
+        let mut obj = ObjectFile::with_capacity("s_1.o", 2, 14, 1);
+        let (bytes, relocs) = obj.content_mut();
+        bytes.extend_from_slice(&[1, 2, 3, 4]);
+        relocs.push(Reloc::new(0, RelocKind::CallPc32, "bar", -4));
+        let mut text = Section::new(".text.foo", SectionKind::Text);
         text.symbol = Some("foo".into());
-        text.relocs
-            .push(Reloc::new(0, RelocKind::CallPc32, "bar", -4));
-        obj.add_section(text);
-        obj.add_section(Section::new(
-            ".llvm_bb_addr_map",
-            SectionKind::BbAddrMap,
-            vec![9; 10],
-        ));
+        obj.push_section(text);
+        obj.content_mut().0.extend_from_slice(&[9; 10]);
+        obj.push_section(Section::new(".llvm_bb_addr_map", SectionKind::BbAddrMap));
         obj
     }
 
@@ -108,13 +177,36 @@ mod tests {
     }
 
     #[test]
+    fn sections_tile_the_arrays_in_order() {
+        let obj = sample();
+        let [text, map] = obj.sections() else {
+            panic!("two sections");
+        };
+        assert_eq!(obj.bytes_of(text), [1, 2, 3, 4]);
+        assert_eq!(obj.relocs_of(text).len(), 1);
+        assert_eq!(obj.bytes_of(map), [9; 10]);
+        assert!(obj.relocs_of(map).is_empty());
+        assert_eq!((text.bytes.end, map.bytes.start), (4, 4));
+        assert_eq!(obj.bytes().len(), 14);
+    }
+
+    #[test]
+    #[should_panic(expected = "truncated")]
+    fn cutting_a_pushed_section_short_is_caught() {
+        let mut obj = sample();
+        obj.content_mut().0.truncate(3);
+        obj.push_section(Section::new(".rodata", SectionKind::RoData));
+    }
+
+    #[test]
     fn content_hash_changes_with_content() {
         let hash = |obj: &ObjectFile| {
-            ContentHash::of_parts(obj.sections().iter().map(|s| s.bytes.as_slice()))
+            ContentHash::of_parts(obj.sections().iter().map(|s| obj.bytes_of(s)))
         };
         let a = sample();
-        let mut b = sample();
-        b.sections_mut()[0].bytes[0] = 0xEE;
+        let mut b = ObjectFile::new("s_1.o");
+        b.content_mut().0.extend_from_slice(&[0xEE, 2, 3, 4]);
+        b.push_section(Section::new(".text.foo", SectionKind::Text));
         assert_ne!(hash(&a), hash(&b));
         assert_eq!(hash(&a), hash(&sample()));
     }

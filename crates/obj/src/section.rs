@@ -1,5 +1,6 @@
 //! Sections.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 /// What a section contains; drives linker placement and the Figure 6
@@ -25,6 +26,11 @@ impl SectionKind {
 }
 
 /// A named, contiguous range of bytes plus its relocations.
+///
+/// The header only: the content is a span of the owning
+/// [`crate::ObjectFile`]'s byte array and a span of its relocation
+/// array, read through [`crate::ObjectFile::bytes_of`] and
+/// [`crate::ObjectFile::relocs_of`].
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Section {
     /// Section name, e.g. `.text.foo.cold`.
@@ -36,31 +42,34 @@ pub struct Section {
     /// the symbol ordering file name. Shared with the IR function or
     /// cluster it names.
     pub symbol: Option<Arc<str>>,
-    /// Raw contents (pre-relocation).
-    pub bytes: Vec<u8>,
-    /// Relocations to apply against these bytes.
-    pub relocs: Vec<crate::reloc::Reloc>,
     /// Required alignment in bytes (power of two).
     pub align: u32,
     /// Whether every control transfer in the section carries a
     /// relocation, making the section safe for linker relaxation
     /// (fall-through deletion and branch shrinking, §4.2).
     pub relaxable: bool,
+    /// Raw contents (pre-relocation): a span of the object's bytes, set
+    /// by [`crate::ObjectFile::push_section`].
+    pub bytes: Range<u32>,
+    /// Relocations to apply against those bytes, at offsets relative to
+    /// the section's start: a span of the object's relocations, set by
+    /// [`crate::ObjectFile::push_section`].
+    pub relocs: Range<u32>,
 }
 
 impl Section {
-    /// Creates a section with default (16-byte for text, 1 otherwise)
-    /// alignment, no symbol and no relocations.
-    pub fn new(name: impl Into<Arc<str>>, kind: SectionKind, bytes: Vec<u8>) -> Self {
+    /// A header with default (16-byte for text, 1 otherwise)
+    /// alignment, no symbol and no content yet.
+    pub fn new(name: impl Into<Arc<str>>, kind: SectionKind) -> Self {
         let align = if kind == SectionKind::Text { 16 } else { 1 };
         Section {
             name: name.into(),
             kind,
             symbol: None,
-            bytes,
-            relocs: Vec::new(),
             align,
             relaxable: false,
+            bytes: 0..0,
+            relocs: 0..0,
         }
     }
 
@@ -82,9 +91,10 @@ mod tests {
 
     #[test]
     fn text_sections_align_16() {
-        let s = Section::new(".text.f", SectionKind::Text, vec![0; 5]);
+        let s = Section::new(".text.f", SectionKind::Text);
         assert_eq!(s.align, 16);
-        assert_eq!(s.size(), 5);
+        assert_eq!(s.size(), 0);
+        assert_eq!(Section::new(".rodata", SectionKind::RoData).align, 1);
     }
 
     #[test]

@@ -7,16 +7,17 @@
 //!
 //! - [`traffic`]: a seeded generator producing Zipf-shared multi-tenant
 //!   arrivals with bursts, cancellations, and oversize jobs.
-//! - [`service`]: the discrete-event scheduler — admission control
-//!   against the per-action memory ceiling, bounded queues with
-//!   round-robin tenant fairness, deadline timeouts, seeded-jitter
-//!   client retry, and the four service-level fault kinds — running
-//!   every admitted job through the real 4-phase pipeline against one
-//!   shared content-addressed cache.
-//! - [`soak`]: the chaos soak matrix proving the two service
-//!   contracts: shipped binaries are byte-identical to equivalent
-//!   batch runs, and the [`ServiceLedger`] is exact and byte-identical
-//!   across `--jobs` counts and replays.
+//! - `service` ([`RelinkService`]): the discrete-event scheduler —
+//!   admission control against the per-action memory ceiling, bounded
+//!   queues with round-robin tenant fairness, deadline timeouts,
+//!   seeded-jitter client retry, and the four service-level fault
+//!   kinds — running every admitted job through the real 4-phase
+//!   pipeline against one shared content-addressed cache.
+//! - `soak` ([`run_soak`]): the chaos soak matrix proving the two
+//!   service contracts: shipped binaries are byte-identical to
+//!   equivalent batch runs, and the
+//!   [`ServiceLedger`](propeller_faults::ServiceLedger) is exact and
+//!   byte-identical across `--jobs` counts and replays.
 //!
 //! Everything scheduled is in modeled sim-seconds — no wall-clock
 //! sleeps anywhere — so a traffic run is bit-replayable.

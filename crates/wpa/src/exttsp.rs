@@ -17,25 +17,25 @@
 //! every split of `x` while `|x| ≤ chain_split_threshold`), and fully
 //! scoring one walks every block of both chains: `O(|x| + |y| + deg)`
 //! (`deg` = outgoing edges of the two chains). That walk is plain array
-//! reads — every node carries its [`Place`] (chain, index and byte
+//! reads — every node carries its `Place` (chain, index and byte
 //! offset in that chain), so `X1·Y·X2` is scored where its three slices
 //! lie, with shifted offsets, no position map and no sequence copy —
 //! and each chain caches its own score, so the `base` a gain is
 //! measured against costs two loads.
 //!
-//! Most variants cannot win, and [`Optimizer::best_merge`] proves that
+//! Most variants cannot win, and `Optimizer::best_merge` proves that
 //! before scoring them. Relative to `base`, merging changes only two
 //! kinds of terms: edges between `x` and `y` (usually one to three),
 //! and edges inside `x` that cross the split, whose distance grows by
 //! `|Y|` bytes so that their score can only shrink. One walk per pair
-//! ([`MergeScratch::load`]) collects the first kind and a prefix sum of
+//! (`MergeScratch::load`) collects the first kind and a prefix sum of
 //! the second kind's losses over `k`; each variant then gets an upper
 //! bound on its gain in `O(#x↔y edges)`, and only a variant whose bound
 //! could beat the running best is fully scored. A pair therefore costs
 //! `O(|x| + |y| + deg + |x| · #x↔y edges)` plus a few full scorings
 //! (on the benchmark's inter-procedural problem, one variant in ten).
 //! The bound is exact in `f64`, so the decisions — and every gain — are
-//! the ones the unfiltered scan makes; see [`MergeScratch::load`].
+//! the ones the unfiltered scan makes; see `MergeScratch::load`.
 //!
 //! # The floating-point order is part of the contract
 //!

@@ -198,15 +198,64 @@ proptest! {
         for m in program.modules() {
             let off = codegen_module(m, &program, &CodegenOptions::baseline()).unwrap();
             let labels = codegen_module(m, &program, &CodegenOptions::with_labels()).unwrap();
+            // Rebuilt from the kept sections' contents: the map shifts
+            // `.rodata`'s span, not its bytes.
             let mut stripped = ObjectFile::new(labels.object.name.clone());
             for s in labels.object.sections() {
                 if s.kind != SectionKind::BbAddrMap {
-                    stripped.add_section(s.clone());
+                    let (bytes, relocs) = stripped.content_mut();
+                    bytes.extend_from_slice(labels.object.bytes_of(s));
+                    relocs.extend_from_slice(labels.object.relocs_of(s));
+                    stripped.push_section(s.clone());
                 }
             }
             prop_assert!(stripped.sections().len() < labels.object.sections().len());
             prop_assert_eq!(&stripped, &off.object);
             prop_assert_eq!(&labels.debug_layout, &off.debug_layout);
+        }
+    }
+
+    /// An object is its sections over one byte array and one relocation
+    /// array: in every mode the sections' spans tile both arrays in
+    /// section order, and the size breakdown counts exactly what the
+    /// spans hold plus a RELA record per relocation.
+    #[test]
+    fn object_sections_tile_their_arrays(
+        raw in prop::collection::vec(arb_function(0), 1..5),
+        split in any::<u64>(),
+    ) {
+        let program = build_program(raw);
+        // Each function's blocks go hot or cold by one bit of `split`
+        // each, the entry always hot.
+        let mut map = propeller_codegen::ClusterMap::new();
+        for f in program.functions() {
+            let (hot, cold) = (0..f.num_blocks() as u32)
+                .map(BlockId)
+                .partition(|b| b.0 == 0 || (split >> (b.0 % 64)) & 1 == 1);
+            map.insert(f.id, propeller_codegen::FunctionClusters::hot_cold(hot, cold));
+        }
+        for cg in [
+            CodegenOptions::baseline(),
+            CodegenOptions::with_labels(),
+            CodegenOptions::with_clusters(map),
+        ] {
+            for m in program.modules() {
+                let obj = codegen_module(m, &program, &cg).unwrap().object;
+                let (mut bytes, mut relocs) = (0, 0);
+                for s in obj.sections() {
+                    prop_assert_eq!((s.bytes.start, s.relocs.start), (bytes, relocs), "{}", s.name);
+                    prop_assert!(s.bytes.start <= s.bytes.end && s.relocs.start <= s.relocs.end);
+                    (bytes, relocs) = (s.bytes.end, s.relocs.end);
+                }
+                prop_assert_eq!(bytes as usize, obj.bytes().len());
+                prop_assert_eq!(relocs as usize, obj.relocs().len());
+                let content: usize = obj.sections().iter().map(|s| obj.bytes_of(s).len()).sum();
+                let records: usize = obj.sections().iter().map(|s| obj.relocs_of(s).len()).sum();
+                prop_assert_eq!(
+                    obj.size_breakdown().total(),
+                    content + RELA_ENTRY_BYTES * records
+                );
+            }
         }
     }
 
