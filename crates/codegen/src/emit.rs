@@ -31,10 +31,10 @@
 use crate::error::CodegenError;
 use crate::isa::{fits_short, len, op, INST_ENCODING};
 use crate::layout::{
-    BlockPlacement, ClusterName, DebugLayout, FragmentLayout, FunctionClusters, FunctionLayout,
+    span, BlockPlacement, ClusterName, DebugLayout, FragmentLayout, FunctionClusters,
+    FunctionLayout,
 };
 use propeller_ir::{BlockId, Function, Inst, Program, Terminator};
-use propeller_obj::bb_addr_map::BufMut;
 use propeller_obj::{
     BbAddrMapWriter, BbEntry, BbFlags, ObjectFile, Reloc, RelocKind, Section, SectionKind,
 };
@@ -140,10 +140,6 @@ struct BlockPlan {
 /// Where a block was placed: `(index into the fragments, index into the
 /// plans)`.
 type Pos = (u32, u32);
-
-fn span(r: &Range<u32>) -> Range<usize> {
-    r.start as usize..r.end as usize
-}
 
 impl Plan {
     /// Forgets every planned function, keeping the tables' capacity.
@@ -355,11 +351,10 @@ impl Plan {
         Ok(())
     }
 
-    /// Writes the planned functions' `.llvm_bb_addr_map` records into
-    /// `out` — a section of exactly those functions — and returns it;
-    /// `functions` as for [`Plan::write_text`]. Over a
-    /// [`propeller_obj::Counted`] sink this measures the section.
-    pub(crate) fn write_map<B: BufMut>(&self, functions: &[Function], out: B) -> B {
+    /// Appends the planned functions' `.llvm_bb_addr_map` section — the
+    /// records of exactly those functions — to `out` and returns it;
+    /// `functions` as for [`Plan::write_text`].
+    pub(crate) fn write_map(&self, functions: &[Function], out: Vec<u8>) -> Vec<u8> {
         let mut map = BbAddrMapWriter::new(out, functions.len());
         for (func, function) in self.funcs.iter().zip(functions) {
             let frags = &self.frags[span(&func.frags)];

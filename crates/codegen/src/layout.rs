@@ -143,7 +143,8 @@ pub struct DebugLayout {
     pub blocks: Vec<BlockPlacement>,
 }
 
-fn span(r: &Range<u32>) -> Range<usize> {
+/// `r` as an index range.
+pub(crate) fn span(r: &Range<u32>) -> Range<usize> {
     r.start as usize..r.end as usize
 }
 

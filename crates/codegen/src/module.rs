@@ -5,7 +5,7 @@ use crate::error::CodegenError;
 use crate::layout::{DebugLayout, FunctionClusters};
 use crate::options::{BbSectionsMode, CodegenOptions};
 use propeller_ir::{BlockId, Function, Module, Program};
-use propeller_obj::{Counted, ObjectFile, Section, SectionKind};
+use propeller_obj::{ObjectFile, Section, SectionKind};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -107,18 +107,20 @@ pub fn codegen_module_traced(
 }
 
 /// What [`codegen_module`] keeps across calls on one thread, so that a
-/// module allocates nothing per block or per function: the module plan,
-/// whose tables grow to the largest module the thread has compiled and
-/// are then reused, and the identity partition that functions without a
-/// cluster directive are planned by.
+/// module allocates nothing per block or per function: the module plan
+/// and the encoded address map, which grow to the largest module the
+/// thread has compiled and are then reused, and the identity partition
+/// that functions without a cluster directive are planned by.
 struct Scratch {
     plan: Plan,
+    map: Vec<u8>,
     identity: FunctionClusters,
 }
 
 thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch {
         plan: Plan::default(),
+        map: Vec::new(),
         identity: FunctionClusters::single(Vec::new()),
     });
     /// The names every object's `.eh_frame` and `.llvm_bb_addr_map`
@@ -160,7 +162,11 @@ fn write_module(
     opts: &CodegenOptions,
     scratch: &mut Scratch,
 ) -> Result<CodegenResult, CodegenError> {
-    let Scratch { plan, identity } = scratch;
+    let Scratch {
+        plan,
+        map,
+        identity,
+    } = scratch;
     let functions = module.functions.as_slice();
     let mut fde_bytes_total = 0usize;
     for f in functions {
@@ -190,19 +196,19 @@ fn write_module(
     };
 
     // Every section's size is known before one is written: one CIE
-    // plus one FDE per fragment (§4.4), the address map (§3.2) as its
-    // encoder measures it, and read-only data proportional to text.
+    // plus one FDE per fragment (§4.4), the address map (§3.2), encoded
+    // from the plan, and read-only data proportional to text.
     let eh_size = if stats.num_fragments > 0 {
         CIE_BYTES + fde_bytes_total
     } else {
         0
     };
     let wants_map = opts.wants_bb_addr_map() && !functions.is_empty();
-    let map_size = if wants_map {
-        plan.write_map(functions, Counted(0)).0
-    } else {
-        0
-    };
+    map.clear();
+    if wants_map {
+        *map = plan.write_map(functions, std::mem::take(map));
+    }
+    let map_size = map.len();
     let ro_size = (stats.text_bytes as f64 * RODATA_FRACTION).round() as usize;
     let num_sections = stats.num_fragments
         + usize::from(eh_size > 0)
@@ -228,8 +234,7 @@ fn write_module(
         object.push_section(Section::new(eh_frame, SectionKind::EhFrame));
     }
     if wants_map {
-        let bytes = object.content_mut().0;
-        *bytes = plan.write_map(functions, std::mem::take(bytes));
+        object.content_mut().0.extend_from_slice(map);
         object.push_section(Section::new(bb_addr_map, SectionKind::BbAddrMap));
     }
     if ro_size > 0 {
@@ -239,7 +244,7 @@ fn write_module(
         object.push_section(Section::new(name, SectionKind::RoData));
     }
     debug_assert_eq!(
-        object.bytes().len(),
+        object.sections().last().map_or(0, |s| s.bytes.end as usize),
         stats.text_bytes + eh_size + map_size + ro_size
     );
 

@@ -73,6 +73,13 @@ fn codegen_allocates_per_fragment_not_per_function() {
     let modules = p.modules();
     let blocks: usize = modules.iter().map(|m| m.num_blocks()).sum();
     assert!(blocks >= 2000, "only {blocks} blocks");
+    assert!(
+        modules
+            .iter()
+            .flat_map(|m| &m.functions)
+            .any(|f| map.get(f.id).is_some()),
+        "no function of the program has directives"
+    );
 
     let tel = Telemetry::disabled();
     let modes = [

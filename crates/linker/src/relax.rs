@@ -574,7 +574,7 @@ mod tests {
         assert_eq!(sites[1].inst_start, 9);
         assert_eq!(sites[1].orig_len, 5);
         // Sorted by address, each still naming its own relocation.
-        let relocs = obj.relocs();
+        let relocs = obj.relocs_of(&obj.sections()[0]);
         assert_eq!(&*relocs[sites[0].reloc as usize].symbol, "a");
         assert_eq!(relocs[sites[1].reloc as usize].addend, 4);
     }

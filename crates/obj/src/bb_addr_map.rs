@@ -6,15 +6,12 @@
 //! (one per basic-block-section fragment), the offset, size and flags of
 //! every machine basic block, identified by its intra-function id.
 //!
-//! [`BbAddrMapWriter`] is the format's one encoder: codegen runs it over
-//! a [`Counted`] sink to size a module's section, then writes the
-//! section with it, and [`BbAddrMap::encode`] writes a decoded map back
-//! through it.
+//! [`BbAddrMapWriter`] is the format's one encoder: codegen writes a
+//! module's section with it from the module's plan, and
+//! [`BbAddrMap::encode`] writes a decoded map back through it.
 
 use crate::error::ObjError;
-/// The sink trait [`BbAddrMapWriter`] writes to, re-exported so that a
-/// caller generic over the sink can name it.
-pub use bytes::BufMut;
+use bytes::BufMut;
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
@@ -63,10 +60,8 @@ fn put_uleb(out: &mut impl BufMut, mut v: u32) {
 }
 
 /// A sink that only counts what is written: [`BbAddrMap::encoded_len`]
-/// runs the encoder into it, and a writer that must size its buffer
-/// before writing a section can run [`BbAddrMapWriter`] into it first.
-#[derive(Copy, Clone, PartialEq, Eq, Debug, Default)]
-pub struct Counted(pub usize);
+/// runs the encoder into it.
+struct Counted(usize);
 
 impl BufMut for Counted {
     fn put_slice(&mut self, src: &[u8]) {
@@ -232,7 +227,8 @@ pub struct BbAddrMap {
     pub entries: Vec<BbEntry>,
 }
 
-fn span(r: &Range<u32>) -> Range<usize> {
+/// `r` as an index range.
+pub(crate) fn span(r: &Range<u32>) -> Range<usize> {
     r.start as usize..r.end as usize
 }
 

@@ -1,8 +1,8 @@
 //! Object files: the sections one codegen action emits.
 
+use crate::bb_addr_map::span;
 use crate::reloc::Reloc;
 use crate::section::{Section, SectionKind};
-use std::ops::Range;
 
 /// A relocatable object file.
 ///
@@ -45,10 +45,6 @@ impl SizeBreakdown {
     pub fn total(&self) -> usize {
         self.text + self.eh_frame + self.bb_addr_map + self.relocs + self.other
     }
-}
-
-fn span(r: &Range<u32>) -> Range<usize> {
-    r.start as usize..r.end as usize
 }
 
 fn end(len: usize) -> u32 {
@@ -122,16 +118,6 @@ impl ObjectFile {
         &self.relocs[span(&section.relocs)]
     }
 
-    /// Every section's contents, in section order.
-    pub fn bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-
-    /// Every section's relocations, in section order.
-    pub fn relocs(&self) -> &[Reloc] {
-        &self.relocs
-    }
-
     /// Computes the Figure 6 size breakdown for this object.
     pub fn size_breakdown(&self) -> SizeBreakdown {
         let mut b = SizeBreakdown::default();
@@ -154,10 +140,12 @@ mod tests {
     use crate::hash::ContentHash;
     use crate::reloc::RelocKind;
 
-    fn sample() -> ObjectFile {
+    /// A text section of 4 bytes, the first `first`, with one
+    /// relocation, then a 10-byte address map.
+    fn sample_with(first: u8) -> ObjectFile {
         let mut obj = ObjectFile::with_capacity("s_1.o", 2, 14, 1);
         let (bytes, relocs) = obj.content_mut();
-        bytes.extend_from_slice(&[1, 2, 3, 4]);
+        bytes.extend_from_slice(&[first, 2, 3, 4]);
         relocs.push(Reloc::new(0, RelocKind::CallPc32, "bar", -4));
         let mut text = Section::new(".text.foo", SectionKind::Text);
         text.symbol = Some("foo".into());
@@ -165,6 +153,10 @@ mod tests {
         obj.content_mut().0.extend_from_slice(&[9; 10]);
         obj.push_section(Section::new(".llvm_bb_addr_map", SectionKind::BbAddrMap));
         obj
+    }
+
+    fn sample() -> ObjectFile {
+        sample_with(1)
     }
 
     #[test]
@@ -186,8 +178,7 @@ mod tests {
         assert_eq!(obj.relocs_of(text).len(), 1);
         assert_eq!(obj.bytes_of(map), [9; 10]);
         assert!(obj.relocs_of(map).is_empty());
-        assert_eq!((text.bytes.end, map.bytes.start), (4, 4));
-        assert_eq!(obj.bytes().len(), 14);
+        assert_eq!((text.bytes.end, map.bytes.start, map.bytes.end), (4, 4, 14));
     }
 
     #[test]
@@ -204,9 +195,7 @@ mod tests {
             ContentHash::of_parts(obj.sections().iter().map(|s| obj.bytes_of(s)))
         };
         let a = sample();
-        let mut b = ObjectFile::new("s_1.o");
-        b.content_mut().0.extend_from_slice(&[0xEE, 2, 3, 4]);
-        b.push_section(Section::new(".text.foo", SectionKind::Text));
+        let b = sample_with(0xEE);
         assert_ne!(hash(&a), hash(&b));
         assert_eq!(hash(&a), hash(&sample()));
     }
