@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Surface counter for ROADMAP item 4's gate ("public API item count and
-# total LOC both go down"). Prints five numbers over crates/*/src and
-# fails when option_fields, test_only_fn or twins exceeds its budget in
-# ci/surface_budget.txt, so a new option, a new entry point only its
-# own tests call, or a new twin needs the budget edited in the same
-# diff.
+# total LOC both go down"). Prints six numbers over crates/*/src and
+# fails when option_fields, test_only_fn, twins or range_fields exceeds
+# its budget in ci/surface_budget.txt, so a new option, a new entry
+# point only its own tests call, a new twin or a new hand-made span
+# needs the budget edited in the same diff.
 #
 #   option_fields  pub fields of pub structs named
 #                  *Options|*Config|*Params|*Policy|*Model
@@ -18,8 +18,12 @@
 #                  (listed on stderr): a second entry point for one
 #                  body. A twin under another name (`link` and
 #                  `link_refs_traced`) is not counted.
+#   range_fields   fields of type `Range<u32>` in the non-test structs
+#                  (listed on stderr): a span of a flat table kept by
+#                  hand instead of a `propeller_obj::Span` from a
+#                  `Table`.
 #
-# pub_fn, loc and test_only_fn read the non-test text: each file stops
+# pub_fn, loc, test_only_fn and range_fields read the non-test text: each file stops
 # at the #[cfg(test)] that opens its `mod tests {` block and skips any
 # other #[cfg(test)]-guarded item or statement (through its `;`, or its
 # closing brace when it has a body); all four skip every reference.rs
@@ -92,6 +96,17 @@ twin_list=$(sed -nE 's/^[[:space:]]*pub fn ([A-Za-z_][A-Za-z0-9_]*).*/\1/p' <<<"
         }' | LC_ALL=C sort)
 twins=$(grep -c . <<<"$twin_list" || true)
 
+# `NAME: Range<u32>` lines between a `struct NAME ... {` line and the
+# line that closes it.
+range_list=$(awk '
+    /(^|[[:space:]])struct [A-Za-z0-9_]+.*\{[[:space:]]*$/ { in_struct = 1; next }
+    in_struct && /^[[:space:]]*\}/ { in_struct = 0 }
+    in_struct && /^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?[a-z_][a-z0-9_]*:[[:space:]]*(std::ops::)?Range<u32>/ {
+        sub(/^[[:space:]]+/, ""); print
+    }
+' <<<"$text")
+range_fields=$(grep -c . <<<"$range_list" || true)
+
 budget() {
     sed -nE "s/^$1=([0-9]+)$/\1/p" ci/surface_budget.txt
 }
@@ -100,6 +115,7 @@ echo "pub_fn=$pub_fn"
 echo "loc=$loc"
 echo "test_only_fn=$test_only_fn"
 echo "twins=$twins"
+echo "range_fields=$range_fields"
 if [ "$test_only_fn" -gt 0 ]; then
     # shellcheck disable=SC2086
     echo "surface: called only by their own tests:" $test_only >&2
@@ -107,6 +123,9 @@ fi
 if [ "$twins" -gt 0 ]; then
     # shellcheck disable=SC2086
     echo "surface: twin entry points:" $twin_list >&2
+fi
+if [ "$range_fields" -gt 0 ]; then
+    echo "surface: Range<u32> fields:" $range_list >&2
 fi
 status=0
 if [ "$option_fields" -gt "$(budget option_fields)" ]; then
@@ -122,6 +141,11 @@ fi
 if [ "$twins" -gt "$(budget twins)" ]; then
     echo "surface: twins $twins exceeds the budget of $(budget twins) in ci/surface_budget.txt" >&2
     echo "surface: fold the twin into its base entry point, callers passing what it defaulted" >&2
+    status=1
+fi
+if [ "$range_fields" -gt "$(budget range_fields)" ]; then
+    echo "surface: range_fields $range_fields exceeds the budget of $(budget range_fields) in ci/surface_budget.txt" >&2
+    echo "surface: make the array a propeller_obj::Table and take the span from Table::close" >&2
     status=1
 fi
 exit "$status"

@@ -30,15 +30,12 @@
 
 use crate::error::CodegenError;
 use crate::isa::{fits_short, len, op, INST_ENCODING};
-use crate::layout::{
-    span, BlockPlacement, ClusterName, DebugLayout, FragmentLayout, FunctionClusters,
-    FunctionLayout,
-};
+use crate::layout::{BlockPlacement, ClusterName, DebugLayout, FunctionClusters};
 use propeller_ir::{BlockId, Function, Inst, Program, Terminator};
 use propeller_obj::{
-    BbAddrMapWriter, BbEntry, BbFlags, ObjectFile, Reloc, RelocKind, Section, SectionKind,
+    BbAddrMapWriter, BbEntry, BbFlags, ObjectFile, Reloc, RelocKind, Section, SectionKind, Span,
+    Table,
 };
-use std::ops::Range;
 use std::sync::Arc;
 
 /// The flat tables one module is planned into, kept across modules (in
@@ -49,9 +46,9 @@ pub(crate) struct Plan {
     /// Every planned function, in module order.
     funcs: Vec<FuncPlan>,
     /// Every function's fragments, in function order.
-    frags: Vec<FragPlan>,
+    frags: Table<FragPlan>,
     /// Every fragment's blocks, in emission order.
-    plans: Vec<BlockPlan>,
+    plans: Table<BlockPlan>,
     /// The function being planned: each block's placement, indexed by
     /// block id.
     pos: Vec<Pos>,
@@ -69,7 +66,7 @@ pub(crate) struct Plan {
 /// One planned function: its fragments and regime.
 struct FuncPlan {
     /// A span of [`Plan::frags`].
-    frags: Range<u32>,
+    frags: Span<FragPlan>,
     /// Emitted in the relocated regime.
     relocate: bool,
 }
@@ -79,7 +76,7 @@ struct FragPlan {
     /// The symbol naming the section (function name, `<fn>.cold`, ...).
     symbol: Arc<str>,
     /// Its blocks: a span of [`Plan::plans`].
-    plans: Range<u32>,
+    plans: Span<BlockPlan>,
     /// Whether it leads with the §4.5 landing-pad nop.
     lp_nop: bool,
     /// Whether it is its function's primary cluster.
@@ -184,37 +181,33 @@ impl Plan {
             relocate_branches || clusters.clusters.len() <= 1,
             "multi-cluster emission requires relocated branches"
         );
-        let first_frag = self.frags.len() as u32;
         place_blocks(
             function,
             clusters,
-            (first_frag, self.plans.len() as u32),
+            (self.frags.len() as u32, self.plans.len() as u32),
             &mut self.pos,
         )?;
-        let mut start = self.plans.len() as u32;
         for c in &clusters.clusters {
-            let end = start + c.blocks.len() as u32;
+            plan_blocks(function, &c.blocks, &self.pos, &mut self.plans);
             self.frags.push(FragPlan {
                 symbol: c.name.symbol_in(&function.name, &mut self.name),
-                plans: start..end,
+                plans: self.plans.close(),
                 lp_nop: needs_landing_pad_nop(function, &c.blocks),
                 primary: matches!(c.name, ClusterName::Primary),
                 len: 0,
             });
-            start = end;
         }
-        plan_blocks(function, clusters, &self.pos, &mut self.plans);
+        let frags = self.frags.close();
 
         // Size assignment, cluster by cluster. In the relocated regime
         // all branches stay long; in the resolved regime (a single
         // cluster) they shrink to a fixpoint.
-        for frag in &mut self.frags[first_frag as usize..] {
-            let range = span(&frag.plans);
-            assign(&mut self.plans[range.clone()], frag.lp_nop);
+        for frag in &mut self.frags[frags] {
+            assign(&mut self.plans[frag.plans], frag.lp_nop);
             if !relocate_branches {
-                shrink_branches(&mut self.plans, range.clone(), frag.lp_nop);
+                shrink_branches(&mut self.plans, frag.plans, frag.lp_nop);
             }
-            let cluster = &self.plans[range];
+            let cluster = &self.plans[frag.plans];
             frag.len = cluster
                 .last()
                 .map_or(u32::from(frag.lp_nop), |p| p.offset + p.size);
@@ -229,7 +222,7 @@ impl Plan {
             }
         }
         self.funcs.push(FuncPlan {
-            frags: first_frag..self.frags.len() as u32,
+            frags,
             relocate: relocate_branches,
         });
         Ok(())
@@ -260,22 +253,21 @@ impl Plan {
         } = self;
         debug_assert_eq!(funcs.len(), functions.len());
         for (func, function) in funcs.iter().zip(functions) {
-            for fi in span(&func.frags) {
+            for fi in func.frags.range() {
                 let frag = &frags[fi];
                 let (bytes, relocs) = object.content_mut();
                 let base = bytes.len();
                 if frag.lp_nop {
                     bytes.push(op::NOP);
                 }
-                for plan in &plans[span(&frag.plans)] {
+                for plan in &plans[frag.plans] {
                     debug_assert_eq!((bytes.len() - base) as u32, plan.offset);
                     let block = &function.blocks[plan.block.index()];
                     // Straight-line code: opcodes from the table into
                     // the body's zeroed slice; calls and prefetches get
                     // their relocation.
-                    let body_start = bytes.len();
-                    bytes.resize(body_start + plan.body as usize, 0);
-                    let mut at = body_start;
+                    let mut at = bytes.len();
+                    bytes.extend(std::iter::repeat_n(0, plan.body as usize));
                     for inst in function.insts_of(block) {
                         let (length, opcode) = INST_ENCODING[inst.kind()];
                         bytes[at] = opcode;
@@ -357,10 +349,10 @@ impl Plan {
     pub(crate) fn write_map(&self, functions: &[Function], out: Vec<u8>) -> Vec<u8> {
         let mut map = BbAddrMapWriter::new(out, functions.len());
         for (func, function) in self.funcs.iter().zip(functions) {
-            let frags = &self.frags[span(&func.frags)];
+            let frags = &self.frags[func.frags];
             map.function(&function.name, frags.len());
             for frag in frags {
-                let cluster = &self.plans[span(&frag.plans)];
+                let cluster = &self.plans[frag.plans];
                 map.range(&function.name, &frag.symbol, cluster.len());
                 for plan in cluster {
                     let mut flags = BbFlags::default();
@@ -389,28 +381,22 @@ impl Plan {
     /// [`Plan::write_text`]. Its fragments and placements are the
     /// plan's, one for one.
     pub(crate) fn layout(&self, functions: &[Function]) -> DebugLayout {
-        DebugLayout {
-            functions: (self.funcs.iter().zip(functions))
-                .map(|(func, function)| FunctionLayout {
-                    function: function.id,
-                    func_symbol: function.name.clone(),
-                    fragments: func.frags.clone(),
-                })
-                .collect(),
-            fragments: (self.frags.iter())
-                .map(|frag| FragmentLayout {
-                    section_symbol: frag.symbol.clone(),
-                    blocks: frag.plans.clone(),
-                })
-                .collect(),
-            blocks: (self.plans.iter())
-                .map(|p| BlockPlacement {
-                    block: p.block,
-                    offset: p.offset,
-                    size: p.size,
-                })
-                .collect(),
+        let mut layout =
+            DebugLayout::with_capacity(self.funcs.len(), self.frags.len(), self.plans.len());
+        for (func, function) in self.funcs.iter().zip(functions) {
+            for frag in &self.frags[func.frags] {
+                for p in &self.plans[frag.plans] {
+                    layout.push_block(BlockPlacement {
+                        block: p.block,
+                        offset: p.offset,
+                        size: p.size,
+                    });
+                }
+                layout.close_fragment(frag.symbol.clone());
+            }
+            layout.close_function(function.id, function.name.clone());
         }
+        layout
     }
 }
 
@@ -423,66 +409,60 @@ fn join_in(buf: &mut String, prefix: &str, rest: &str) -> Arc<str> {
     Arc::from(buf.as_str())
 }
 
-/// Plans every block of `function` onto `plans`, in emission order:
-/// sizes its body and decides which branches its terminator needs given
-/// what follows it in its cluster. All branches start long.
-fn plan_blocks(
-    function: &Function,
-    clusters: &FunctionClusters,
-    pos: &[Pos],
-    plans: &mut Vec<BlockPlan>,
-) {
-    for c in &clusters.clusters {
-        for &bid in &c.blocks {
-            let block = &function.blocks[bid.index()];
-            let (mut body, mut body_relocs) = (0u32, 0u32);
-            for &inst in function.insts_of(block) {
-                body += u32::from(INST_ENCODING[inst.kind()].0);
-                body_relocs += u32::from(matches!(inst, Inst::Call(_) | Inst::Prefetch(_)));
-            }
-            let (frag, _) = pos[bid.index()];
-            let next = (frag, plans.len() as u32 + 1);
-            let next_in_cluster = |target: BlockId| pos[target.index()] == next;
-            let long = |cond, target: BlockId| {
-                let (frag, target) = pos[target.index()];
-                Some(Branch {
-                    cond,
-                    form: Form::Long,
-                    target,
-                    frag,
-                })
-            };
-            let (branches, fallthrough) = match block.term {
-                Terminator::Ret => ([None, None], false),
-                Terminator::Jump(t) if next_in_cluster(t) => ([None, None], true),
-                Terminator::Jump(t) => ([long(false, t), None], false),
-                Terminator::CondBr {
-                    taken,
-                    fallthrough: ft,
-                    ..
-                } => {
-                    if next_in_cluster(ft) {
-                        ([long(true, taken), None], true)
-                    } else if next_in_cluster(taken) {
-                        // Invert the condition so the hot path falls
-                        // through.
-                        ([long(true, ft), None], true)
-                    } else {
-                        ([long(true, taken), long(false, ft)], false)
-                    }
-                }
-            };
-            plans.push(BlockPlan {
-                block: bid,
-                body,
-                body_relocs,
-                branches,
-                ret: block.term.is_return(),
-                fallthrough,
-                offset: 0,
-                size: 0,
-            });
+/// Plans the `blocks` of one cluster of `function` onto `plans`, in
+/// emission order: sizes each body and decides which branches its
+/// terminator needs given what follows it in the cluster. All branches
+/// start long.
+fn plan_blocks(function: &Function, blocks: &[BlockId], pos: &[Pos], plans: &mut Table<BlockPlan>) {
+    for &bid in blocks {
+        let block = &function.blocks[bid.index()];
+        let (mut body, mut body_relocs) = (0u32, 0u32);
+        for &inst in function.insts_of(block) {
+            body += u32::from(INST_ENCODING[inst.kind()].0);
+            body_relocs += u32::from(matches!(inst, Inst::Call(_) | Inst::Prefetch(_)));
         }
+        let (frag, _) = pos[bid.index()];
+        let next = (frag, plans.len() as u32 + 1);
+        let next_in_cluster = |target: BlockId| pos[target.index()] == next;
+        let long = |cond, target: BlockId| {
+            let (frag, target) = pos[target.index()];
+            Some(Branch {
+                cond,
+                form: Form::Long,
+                target,
+                frag,
+            })
+        };
+        let (branches, fallthrough) = match block.term {
+            Terminator::Ret => ([None, None], false),
+            Terminator::Jump(t) if next_in_cluster(t) => ([None, None], true),
+            Terminator::Jump(t) => ([long(false, t), None], false),
+            Terminator::CondBr {
+                taken,
+                fallthrough: ft,
+                ..
+            } => {
+                if next_in_cluster(ft) {
+                    ([long(true, taken), None], true)
+                } else if next_in_cluster(taken) {
+                    // Invert the condition so the hot path falls
+                    // through.
+                    ([long(true, ft), None], true)
+                } else {
+                    ([long(true, taken), long(false, ft)], false)
+                }
+            }
+        };
+        plans.push(BlockPlan {
+            block: bid,
+            body,
+            body_relocs,
+            branches,
+            ret: block.term.is_return(),
+            fallthrough,
+            offset: 0,
+            size: 0,
+        });
     }
 }
 
@@ -505,10 +485,10 @@ fn assign(cluster: &mut [BlockPlan], lp_nop: bool) {
 /// fixpoint, in at most 8 sweeps. Within a sweep every position — a
 /// branch's own and its target's — is the one the last [`assign`] gave
 /// it: a shrink only takes effect in the next sweep's layout.
-fn shrink_branches(plans: &mut [BlockPlan], cluster: Range<usize>, lp_nop: bool) {
+fn shrink_branches(plans: &mut [BlockPlan], cluster: Span<BlockPlan>, lp_nop: bool) {
     for _ in 0..8 {
         let mut changed = false;
-        for i in cluster.clone() {
+        for i in cluster.range() {
             let mut cursor = plans[i].offset + plans[i].body;
             for slot in 0..2 {
                 let Some(br) = plans[i].branches[slot] else {
@@ -531,7 +511,7 @@ fn shrink_branches(plans: &mut [BlockPlan], cluster: Range<usize>, lp_nop: bool)
         if !changed {
             break;
         }
-        assign(&mut plans[cluster.clone()], lp_nop);
+        assign(&mut plans[cluster], lp_nop);
     }
 }
 
@@ -682,7 +662,7 @@ mod tests {
 
         /// Fragment `i`'s placements.
         fn blocks(&self, i: usize) -> &[BlockPlacement] {
-            self.layout.blocks_of(&self.layout.fragments[i])
+            self.layout.blocks_of(&self.layout.fragments()[i])
         }
     }
 
@@ -735,8 +715,8 @@ mod tests {
         let (_, bytes) = emit_mapped(f, p, clusters, relocate).unwrap();
         let mut map = BbAddrMap::default();
         map.decode_into(&bytes, Arc::from).unwrap();
-        let record = map.functions.pop().unwrap();
-        let ranges = map.ranges_of(&record);
+        let record = map.functions().last().unwrap();
+        let ranges = map.ranges_of(record);
         ranges.iter().map(|r| map.entries_of(r).to_vec()).collect()
     }
 
@@ -1019,18 +999,12 @@ mod tests {
         }
         let mut layout = DebugLayout::default();
         for frag in r.layout.fragments {
-            let first = layout.blocks.len() as u32;
-            layout.blocks.extend_from_slice(&frag.blocks);
-            layout.fragments.push(FragmentLayout {
-                section_symbol: frag.section_symbol,
-                blocks: first..layout.blocks.len() as u32,
-            });
+            for p in frag.blocks {
+                layout.push_block(p);
+            }
+            layout.close_fragment(frag.section_symbol);
         }
-        layout.functions.push(FunctionLayout {
-            function: r.layout.function,
-            func_symbol: r.layout.func_symbol,
-            fragments: 0..layout.fragments.len() as u32,
-        });
+        layout.close_function(r.layout.function, r.layout.func_symbol);
         let function = Emitted {
             object,
             layout,

@@ -1,8 +1,8 @@
 //! Cluster descriptions and the layout side table.
 
 use propeller_ir::{BlockId, FunctionId};
+use propeller_obj::{Span, Table};
 use std::fmt::{self, Write};
-use std::ops::Range;
 use std::sync::Arc;
 
 /// How a basic block cluster's section is named (§3.4).
@@ -112,7 +112,7 @@ pub struct FragmentLayout {
     pub section_symbol: Arc<str>,
     /// Its placements in emission order: a span of
     /// [`DebugLayout::blocks`].
-    pub blocks: Range<u32>,
+    pub blocks: Span<BlockPlacement>,
 }
 
 /// Layout of one function across its fragments.
@@ -124,39 +124,84 @@ pub struct FunctionLayout {
     pub func_symbol: Arc<str>,
     /// Its fragments in output order: a span of
     /// [`DebugLayout::fragments`].
-    pub fragments: Range<u32>,
+    pub fragments: Span<FragmentLayout>,
 }
 
 /// The codegen side table the execution simulator uses as its "debug
 /// info": where every block of every function landed.
 ///
-/// Three flat arrays, the shape of [`propeller_obj::BbAddrMap`]:
-/// functions hold spans of `fragments`, fragments spans of `blocks`, so
-/// a module's table is three allocations.
+/// Three flat tables, built as a [`propeller_obj::BbAddrMap`] is:
+/// [`DebugLayout::push_block`], then [`DebugLayout::close_fragment`] and
+/// [`DebugLayout::close_function`]. Functions hold spans of the
+/// fragments, fragments spans of the placements, so a module's table is
+/// three allocations and every span lies inside its arrays.
 #[derive(Clone, PartialEq, Eq, Default)]
 pub struct DebugLayout {
-    /// Per-function layouts, in module function order.
-    pub functions: Vec<FunctionLayout>,
-    /// Every function's fragments, in function order.
-    pub fragments: Vec<FragmentLayout>,
-    /// Every fragment's placements, in fragment order.
-    pub blocks: Vec<BlockPlacement>,
-}
-
-/// `r` as an index range.
-pub(crate) fn span(r: &Range<u32>) -> Range<usize> {
-    r.start as usize..r.end as usize
+    functions: Table<FunctionLayout>,
+    fragments: Table<FragmentLayout>,
+    blocks: Table<BlockPlacement>,
 }
 
 impl DebugLayout {
+    /// An empty table with room for `functions` functions, `fragments`
+    /// fragments and `blocks` placements.
+    pub fn with_capacity(functions: usize, fragments: usize, blocks: usize) -> Self {
+        DebugLayout {
+            functions: Table::with_capacity(functions),
+            fragments: Table::with_capacity(fragments),
+            blocks: Table::with_capacity(blocks),
+        }
+    }
+
+    /// Per-function layouts, in module function order.
+    pub fn functions(&self) -> &[FunctionLayout] {
+        &self.functions
+    }
+
+    /// Every function's fragments, in function order.
+    pub fn fragments(&self) -> &[FragmentLayout] {
+        &self.fragments
+    }
+
+    /// Every fragment's placements, in fragment order.
+    pub fn blocks(&self) -> &[BlockPlacement] {
+        &self.blocks
+    }
+
     /// `f`'s fragments.
     pub fn fragments_of(&self, f: &FunctionLayout) -> &[FragmentLayout] {
-        &self.fragments[span(&f.fragments)]
+        &self.fragments[f.fragments]
     }
 
     /// `frag`'s placements.
     pub fn blocks_of(&self, frag: &FragmentLayout) -> &[BlockPlacement] {
-        &self.blocks[span(&frag.blocks)]
+        &self.blocks[frag.blocks]
+    }
+
+    /// Appends a placement to the fragment being built.
+    pub fn push_block(&mut self, p: BlockPlacement) {
+        self.blocks.push(p);
+    }
+
+    /// Closes the placements pushed since the last fragment into a
+    /// fragment whose section `section_symbol` starts.
+    pub fn close_fragment(&mut self, section_symbol: Arc<str>) {
+        let blocks = self.blocks.close();
+        self.fragments.push(FragmentLayout {
+            section_symbol,
+            blocks,
+        });
+    }
+
+    /// Closes the fragments closed since the last function into
+    /// `function`'s layout.
+    pub fn close_function(&mut self, function: FunctionId, func_symbol: Arc<str>) {
+        let fragments = self.fragments.close();
+        self.functions.push(FunctionLayout {
+            function,
+            func_symbol,
+            fragments,
+        });
     }
 }
 

@@ -133,15 +133,14 @@ fn codegen_module_impl(
     program: &Program,
     opts: &CodegenOptions,
 ) -> Result<CodegenResult, CodegenError> {
+    // Directives for other modules are fine (the caller may pass a
+    // whole-program map), but every id must name a function of the
+    // program. Ids are dense, so checking the largest checks them all.
     if let BbSectionsMode::Clusters(map) = &opts.bb_sections {
-        for (fid, _) in map.iter() {
-            // Directives for other modules are fine (the caller may pass
-            // a whole-program map); directives for unknown functions are
-            // not detectable here, so only validate the ones we own via
-            // emission below. Ensure ids at least exist in the program.
-            if program.function(fid).is_none() {
-                return Err(CodegenError::UnknownFunction(fid));
-            }
+        if let Some(fid) = map.max_function {
+            program
+                .function(fid)
+                .ok_or(CodegenError::UnknownFunction(fid))?;
         }
     }
     SCRATCH.with_borrow_mut(|scratch| {
@@ -230,7 +229,7 @@ fn write_module(
     // evaluation.
     if eh_size > 0 {
         let bytes = object.content_mut().0;
-        bytes.resize(bytes.len() + eh_size, 0);
+        bytes.extend(std::iter::repeat_n(0, eh_size));
         object.push_section(Section::new(eh_frame, SectionKind::EhFrame));
     }
     if wants_map {
@@ -244,7 +243,7 @@ fn write_module(
         object.push_section(Section::new(name, SectionKind::RoData));
     }
     debug_assert_eq!(
-        object.sections().last().map_or(0, |s| s.bytes.end as usize),
+        object.sections().last().map_or(0, |s| s.bytes.range().end),
         stats.text_bytes + eh_size + map_size + ro_size
     );
 
@@ -329,9 +328,9 @@ mod tests {
         decoded
             .decode_into(pm.object.bytes_of(map_sec), Arc::from)
             .unwrap();
-        assert_eq!(decoded.functions.len(), 2);
+        assert_eq!(decoded.functions().len(), 2);
         let hot = decoded
-            .functions
+            .functions()
             .iter()
             .find(|f| &*f.symbol == "hot_fn")
             .unwrap();
@@ -389,12 +388,19 @@ mod tests {
     fn unknown_function_in_cluster_map_rejected() {
         let p = build_program();
         let mut map = ClusterMap::new();
-        map.insert(
-            propeller_ir::FunctionId(99),
-            FunctionClusters::single(vec![BlockId(0)]),
-        );
+        for id in [99, 7, 140, 12] {
+            map.insert(
+                propeller_ir::FunctionId(id),
+                FunctionClusters::single(vec![BlockId(0)]),
+            );
+        }
+        // Of several unknown ids, the largest is reported, whatever
+        // order the map iterates in.
         let err = codegen_module(&p.modules()[0], &p, &CodegenOptions::with_clusters(map));
-        assert!(matches!(err, Err(CodegenError::UnknownFunction(_))));
+        assert_eq!(
+            err.err(),
+            Some(CodegenError::UnknownFunction(propeller_ir::FunctionId(140)))
+        );
     }
 
     #[test]

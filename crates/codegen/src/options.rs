@@ -31,6 +31,9 @@ pub enum BbSectionsMode {
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct ClusterMap {
     map: HashMap<FunctionId, FunctionClusters>,
+    /// The largest id with directives: program ids are dense, so it
+    /// names a function of the program exactly when every id does.
+    pub(crate) max_function: Option<FunctionId>,
 }
 
 impl ClusterMap {
@@ -42,6 +45,7 @@ impl ClusterMap {
     /// Sets the cluster partition for a function.
     pub fn insert(&mut self, function: FunctionId, clusters: FunctionClusters) {
         self.map.insert(function, clusters);
+        self.max_function = self.max_function.max(Some(function));
     }
 
     /// The partition for `function`, if directives exist.

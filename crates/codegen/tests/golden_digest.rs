@@ -62,7 +62,7 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
 fn encode(object: &ObjectFile, layout: &DebugLayout) -> Vec<u8> {
     let u32_le = |v: u32| v.to_le_bytes();
     let mut spans = layout
-        .functions
+        .functions()
         .iter()
         .flat_map(|f| layout.fragments_of(f))
         .map(|frag| layout.blocks_of(frag));

@@ -108,7 +108,7 @@ pub fn audit_profile_with_reference(
     let mut covered_bytes = 0u64;
     let mut auditable_bytes = 0u64;
     let map = &binary.bb_addr_map;
-    for fmap in &map.functions {
+    for fmap in map.functions() {
         let Some(fi) = mapper.func_index(&fmap.symbol) else {
             continue;
         };

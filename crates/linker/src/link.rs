@@ -9,7 +9,7 @@ use crate::ordering::SymbolOrdering;
 use crate::relax::{parse_sites, relax, Sec, Sections, SiteState, Target};
 use propeller_codegen::isa::op;
 use propeller_codegen::DebugLayout;
-use propeller_obj::{BbAddrMap, ObjectFile, Reloc, RelocKind, SectionKind, SizeBreakdown};
+use propeller_obj::{BbAddrMap, ObjectFile, Reloc, RelocKind, SectionKind, SizeBreakdown, Table};
 use propeller_telemetry::{SpanId, Telemetry};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -180,9 +180,9 @@ fn link_impl(
         obj_has_relaxable.push(has_relaxable);
         if has_map && (has_relaxable || !opts.drop_cold_bb_addr_map) {
             let layout = input.debug_layout;
-            map_functions += layout.functions.len();
-            map_ranges += layout.fragments.len();
-            map_entries += layout.blocks.len();
+            map_functions += layout.functions().len();
+            map_ranges += layout.fragments().len();
+            map_entries += layout.blocks().len();
         }
     }
     let section_of = |symbol: &str| symbols.get(symbol).map(|&i| i as usize);
@@ -190,19 +190,18 @@ fn link_impl(
     // Resolve every relocation that will be applied, once: from here on
     // targets are indices, not names. An undefined symbol stays `None`
     // until a stage needs it, which then reports it as it always has.
-    sections.targets.reserve_exact(total_relocs);
+    sections.targets = Table::with_capacity(total_relocs);
     for sec in sections
         .secs
         .iter_mut()
         .filter(|s| s.input.kind.is_loaded())
     {
-        let first = sections.targets.len() as u32;
         for r in sec.relocs() {
             sections
                 .targets
                 .push(resolve_reloc(section_of, r, &sec.obj.name)?);
         }
-        sec.targets = first..sections.targets.len() as u32;
+        sec.targets = sections.targets.close();
     }
 
     // Text ordering: symbol-ordering-file rank first, then input order.
@@ -232,13 +231,10 @@ fn link_impl(
             .flat_map(|s| s.relocs())
             .filter(|r| r.kind == RelocKind::BranchPc32)
             .count();
-        let mut sites = Vec::with_capacity(branches);
+        sections.sites = Table::with_capacity(branches);
         for s in sections.secs.iter_mut().filter(|s| s.is_relaxable_text()) {
-            let first = sites.len() as u32;
-            parse_sites(s.obj, s.input, &mut sites)?;
-            s.sites = first..sites.len() as u32;
+            s.sites = parse_sites(s.obj, s.input, &mut sections.sites)?;
         }
-        sections.sites = sites;
         let (deleted, shrunk, iters) = relax(&mut sections, &text_order, opts.base)?;
         if tel.is_enabled() {
             tel.counter_add("link.relax_iterations", iters);
@@ -282,10 +278,7 @@ fn link_impl(
     drop(emit_span);
 
     // Merge metadata and compute the size breakdown.
-    let mut bb_addr_map = BbAddrMap::default();
-    bb_addr_map.functions.reserve_exact(map_functions);
-    bb_addr_map.ranges.reserve_exact(map_ranges);
-    bb_addr_map.entries.reserve_exact(map_entries);
+    let mut bb_addr_map = BbAddrMap::with_capacity(map_functions, map_ranges, map_entries);
     // The merged map's encoded size, grown as each section is appended:
     // what an empty map takes (its function count) to start.
     let mut map_bytes = bb_addr_map.encoded_len();
@@ -310,7 +303,7 @@ fn link_impl(
                             .get_key_value(sym)
                             .map_or_else(|| Arc::from(sym), |(name, _)| name.clone())
                     };
-                    let first_range = bb_addr_map.ranges.len();
+                    let first_range = bb_addr_map.ranges().len();
                     map_bytes += bb_addr_map.decode_into(bytes, name).map_err(|e| {
                         LinkError::BadMetadata {
                             object: obj.name.clone(),
@@ -324,15 +317,13 @@ fn link_impl(
                     if sections.sites.is_empty() {
                         continue;
                     }
-                    let BbAddrMap {
-                        ranges, entries, ..
-                    } = &mut bb_addr_map;
-                    for r in &ranges[first_range..] {
+                    for r in first_range..bb_addr_map.ranges().len() {
+                        let r = &bb_addr_map.ranges()[r];
                         let Some(sec) = section_of(&r.symbol) else {
                             continue;
                         };
                         let sec = &sections.secs[sec];
-                        for e in &mut entries[r.entries.start as usize..r.entries.end as usize] {
+                        for e in bb_addr_map.entries_mut(r.entries) {
                             let before = e.encoded_len();
                             (e.offset, e.size) = sections.new_span(sec, e.offset, e.size);
                             map_bytes = map_bytes + e.encoded_len() - before;
@@ -343,14 +334,14 @@ fn link_impl(
             }
         }
     }
-    if !bb_addr_map.functions.is_empty() {
+    if !bb_addr_map.functions().is_empty() {
         breakdown.bb_addr_map = map_bytes;
     }
 
     // Final per-block layout.
-    let mut layout = FinalLayout {
-        functions: Vec::with_capacity(inputs.iter().map(|i| i.debug_layout.functions.len()).sum()),
-    };
+    let mut layout = FinalLayout::default();
+    let n_functions = inputs.iter().map(|i| i.debug_layout.functions().len());
+    layout.functions.reserve_exact(n_functions.sum());
     // The span of `sections.secs` holding the current input's sections.
     let mut own = 0..0;
     for input in inputs {
@@ -360,7 +351,7 @@ fn link_impl(
             object: input.object.name.clone(),
             detail,
         };
-        for fl in &debug_layout.functions {
+        for fl in debug_layout.functions() {
             let fragments = debug_layout.fragments_of(fl);
             let mut blocks = Vec::with_capacity(fragments.iter().map(|f| f.blocks.len()).sum());
             for frag in fragments {

@@ -10,8 +10,7 @@
 
 use crate::error::LinkError;
 use propeller_codegen::isa::{fits_short, len, op};
-use propeller_obj::{ObjectFile, Reloc, RelocKind, Section, SectionKind};
-use std::ops::Range;
+use propeller_obj::{ObjectFile, Reloc, RelocKind, Section, SectionKind, Span, Table};
 
 /// Where a relocation's `symbol + addend` points, in input coordinates:
 /// resolved once per link, so no later stage hashes a symbol name.
@@ -90,16 +89,12 @@ pub(crate) struct Sec<'a> {
     /// The span of [`Sections::targets`] holding the target of each of
     /// the section's relocations. Filled for loaded sections only — the
     /// others' relocations are never applied.
-    pub targets: Range<u32>,
+    pub targets: Span<Option<Target>>,
     /// The span of [`Sections::sites`] holding the section's branch
     /// sites (relaxable sections only), sorted by `inst_start`.
-    pub sites: Range<u32>,
+    pub sites: Span<Site>,
     /// Assigned virtual address.
     pub addr: u64,
-}
-
-fn span(r: &Range<u32>) -> Range<usize> {
-    r.start as usize..r.end as usize
 }
 
 impl<'a> Sec<'a> {
@@ -109,8 +104,8 @@ impl<'a> Sec<'a> {
         Sec {
             obj,
             input,
-            targets: 0..0,
-            sites: 0..0,
+            targets: Span::default(),
+            sites: Span::default(),
             addr: 0,
         }
     }
@@ -140,15 +135,15 @@ pub(crate) struct Sections<'a> {
     pub secs: Vec<Sec<'a>>,
     /// Resolved relocation targets, `None` where the symbol is
     /// undefined.
-    pub targets: Vec<Option<Target>>,
+    pub targets: Table<Option<Target>>,
     /// Parsed branch sites.
-    pub sites: Vec<Site>,
+    pub sites: Table<Site>,
 }
 
 impl<'a> Sections<'a> {
     /// `sec`'s branch sites.
     pub(crate) fn sites(&self, sec: &Sec) -> &[Site] {
-        &self.sites[span(&sec.sites)]
+        &self.sites[sec.sites]
     }
 
     /// Maps an original offset in `sec` to its post-relaxation offset.
@@ -188,7 +183,7 @@ impl<'a> Sections<'a> {
     /// The resolved target of `sec`'s relocation `reloc`, `None` where
     /// its symbol is undefined.
     pub(crate) fn target_of(&self, sec: &Sec, reloc: usize) -> Option<Target> {
-        self.targets[span(&sec.targets)][reloc]
+        self.targets[sec.targets][reloc]
     }
 
     /// [`Sections::target_of`], with an undefined symbol an error
@@ -232,7 +227,8 @@ impl<'a> Sections<'a> {
 }
 
 /// Parses branch sites out of `obj`'s relaxable section `section`'s
-/// relocations onto the end of `sites`, sorted by `inst_start`.
+/// relocations onto `sites`, sorted by `inst_start`, and returns their
+/// span.
 ///
 /// The instruction form is recovered from the bytes preceding the
 /// relocated field: a `JMP_LONG` opcode immediately precedes the field
@@ -241,14 +237,13 @@ impl<'a> Sections<'a> {
 pub(crate) fn parse_sites(
     obj: &ObjectFile,
     section: &Section,
-    sites: &mut Vec<Site>,
-) -> Result<(), LinkError> {
+    sites: &mut Table<Site>,
+) -> Result<Span<Site>, LinkError> {
     let bad = |detail: String| LinkError::BadMetadata {
         object: obj.name.clone(),
         detail: format!("{}: {detail}", section.name),
     };
     let bytes = obj.bytes_of(section);
-    let first = sites.len();
     for (reloc, r) in obj.relocs_of(section).iter().enumerate() {
         if r.kind != RelocKind::BranchPc32 {
             continue;
@@ -284,7 +279,8 @@ pub(crate) fn parse_sites(
             state: SiteState::Long,
         });
     }
-    let sites = &mut sites[first..];
+    let span = sites.close();
+    let sites = &mut sites[span];
     sites.sort_by_key(|s| s.inst_start);
     // Emit copies the bytes between consecutive sites; overlapping ones
     // would hand it a reversed range.
@@ -297,7 +293,7 @@ pub(crate) fn parse_sites(
             w[0].inst_start, w[1].inst_start
         )));
     }
-    Ok(())
+    Ok(span)
 }
 
 /// Runs the relaxation fixpoint: fall-through jump deletion plus branch
@@ -350,7 +346,7 @@ pub(crate) fn relax(
                     }
                 };
                 if state != site.state {
-                    new_states.push((sec.sites.start as usize + k, state));
+                    new_states.push((sec.sites.range().start + k, state));
                 }
             }
         }
@@ -368,7 +364,7 @@ pub(crate) fn relax(
         if verify(sections, text_order, &next_in_order)? {
             let mut deleted = 0;
             let mut shrunk = 0;
-            for site in &sections.sites {
+            for site in sections.sites.iter() {
                 match site.state {
                     SiteState::Deleted => deleted += 1,
                     SiteState::Short => shrunk += 1,
@@ -379,7 +375,7 @@ pub(crate) fn relax(
         }
     }
     // Fallback: no relaxation (always correct).
-    for site in &mut sections.sites {
+    for site in sections.sites.iter_mut() {
         site.state = SiteState::Long;
     }
     sections.assign_addresses(text_order, base);
@@ -482,7 +478,7 @@ mod tests {
     /// An object of one relaxable text section of `size` zero bytes.
     fn text(size: usize, align: u32) -> ObjectFile {
         let mut obj = ObjectFile::new("t.o");
-        obj.content_mut().0.resize(size, 0);
+        obj.content_mut().0.extend(std::iter::repeat_n(0, size));
         let mut s = Section::new(".text.t", SectionKind::Text);
         s.align = align;
         s.relaxable = true;
@@ -497,15 +493,13 @@ mod tests {
 
     /// A link of `obj`'s one section, holding `sites`.
     fn one_section(obj: &ObjectFile, sites: Vec<Site>) -> Sections<'_> {
-        let sec = Sec {
-            sites: 0..sites.len() as u32,
+        let mut l = Sections::default();
+        l.sites.extend(sites);
+        l.secs.push(Sec {
+            sites: l.sites.close(),
             ..sec(obj)
-        };
-        Sections {
-            secs: vec![sec],
-            sites,
-            ..Sections::default()
-        }
+        });
+        l
     }
 
     fn jmp_site(inst_start: u32, state: SiteState) -> Site {
@@ -545,7 +539,7 @@ mod tests {
     }
 
     /// [`parse_sites`] of `obj`'s one section.
-    fn parse(obj: &ObjectFile, sites: &mut Vec<Site>) -> Result<(), LinkError> {
+    fn parse(obj: &ObjectFile, sites: &mut Table<Site>) -> Result<Span<Site>, LinkError> {
         parse_sites(obj, &obj.sections()[0], sites)
     }
 
@@ -563,10 +557,13 @@ mod tests {
             ],
         );
         // Appended after what is there.
-        let mut sites = vec![jmp_site(0, SiteState::Long)];
-        parse(&obj, &mut sites).unwrap();
-        assert_eq!(sites.remove(0).inst_start, 0);
-        assert_eq!(sites.len(), 2);
+        let mut sites = Table::default();
+        sites.push(jmp_site(0, SiteState::Long));
+        sites.close();
+        let span = parse(&obj, &mut sites).unwrap();
+        assert_eq!(span.range(), 1..3);
+        assert_eq!(sites[0].inst_start, 0);
+        let sites = &sites[span];
         assert!(sites[0].cond);
         assert_eq!(sites[0].inst_start, 3);
         assert_eq!(sites[0].orig_len, 6);
@@ -583,7 +580,7 @@ mod tests {
     fn parse_sites_rejects_garbage() {
         let obj = object(&[0u8; 8], &[Reloc::new(4, RelocKind::BranchPc32, "a", 0)]);
         // The object is named as the object, the section in the detail.
-        match parse(&obj, &mut Vec::new()) {
+        match parse(&obj, &mut Table::default()) {
             Err(LinkError::BadMetadata { object, detail }) => {
                 assert_eq!(object, "x.o");
                 assert!(detail.contains(".text.x"), "{detail}");
@@ -602,7 +599,7 @@ mod tests {
                 &[op::JMP_LONG; 8],
                 &[Reloc::new(off, RelocKind::BranchPc32, "a", 0)],
             );
-            let err = parse(&obj, &mut Vec::new()).unwrap_err();
+            let err = parse(&obj, &mut Table::default()).unwrap_err();
             match err {
                 LinkError::BadMetadata { detail, .. } => {
                     assert!(detail.contains("outside"), "{detail}");
@@ -623,7 +620,7 @@ mod tests {
                 Reloc::new(3, RelocKind::BranchPc32, "b", 0),
             ],
         );
-        match parse(&obj, &mut Vec::new()).unwrap_err() {
+        match parse(&obj, &mut Table::default()).unwrap_err() {
             LinkError::BadMetadata { detail, .. } => {
                 assert!(detail.contains("overlap"), "{detail}")
             }

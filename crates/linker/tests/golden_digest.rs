@@ -210,8 +210,8 @@ fn link_matches_the_digests_pinned_before_the_linear_rewrite() {
         );
         assert!(sweeps > 1, "{spec}: relaxation took {sweeps} sweep(s)");
         assert!(relink.text_end < bm.text_end - bm.base + relink.base);
-        assert!(!labels.bb_addr_map.functions.is_empty());
-        assert!(baseline.bb_addr_map.functions.is_empty());
+        assert!(!labels.bb_addr_map.functions().is_empty());
+        assert!(baseline.bb_addr_map.functions().is_empty());
         // The map is not loaded: the plain link is the labels link
         // without it.
         assert_eq!(digest(&labels.without_bb_addr_map("a.out")), GOLDEN[i][0]);
@@ -243,7 +243,7 @@ fn map_agrees_with_layout(bin: &LinkedBinary) -> usize {
         .collect();
     let mut checked = 0;
     let map = &bin.bb_addr_map;
-    for f in &map.functions {
+    for f in map.functions() {
         for r in map.ranges_of(f) {
             let range = &r.symbol;
             let start = bin.symbol(range).expect("range symbol is defined");

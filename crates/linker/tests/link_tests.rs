@@ -1,8 +1,8 @@
 //! End-to-end linker tests driving real codegen output.
 
 use propeller_codegen::{
-    codegen_module, isa::decode, isa::op, isa::Decoded, ClusterMap, CodegenOptions, DebugLayout,
-    FunctionClusters,
+    codegen_module, isa::decode, isa::op, isa::Decoded, BlockPlacement, ClusterMap, CodegenOptions,
+    DebugLayout, FunctionClusters,
 };
 use propeller_ir::{BlockId, FunctionBuilder, Inst, Program, ProgramBuilder, Terminator};
 use propeller_linker::{link, LinkError, LinkInput, LinkOptions, SymbolOrdering};
@@ -269,13 +269,13 @@ fn bb_addr_map_merged_or_stripped() {
     let p = fixture();
     let inputs = compile(&p, &CodegenOptions::with_labels());
     let kept = link(&inputs, &LinkOptions::default()).unwrap();
-    assert_eq!(kept.bb_addr_map.functions.len(), 3);
+    assert_eq!(kept.bb_addr_map.functions().len(), 3);
     assert!(kept.size_breakdown.bb_addr_map > 0);
 
     // A baseline binary carries no map: its objects never emit one.
     let inputs = compile(&p, &CodegenOptions::baseline());
     let baseline = link(&inputs, &LinkOptions::default()).unwrap();
-    assert!(baseline.bb_addr_map.functions.is_empty());
+    assert!(baseline.bb_addr_map.functions().is_empty());
     assert_eq!(baseline.size_breakdown.bb_addr_map, 0);
 }
 
@@ -303,7 +303,7 @@ fn cold_object_maps_dropped_in_relink() {
     // Only module a's map survives (helper+frosty dropped).
     let names: Vec<_> = bin
         .bb_addr_map
-        .functions
+        .functions()
         .iter()
         .map(|f| &*f.symbol)
         .collect();
@@ -468,9 +468,22 @@ fn placement_past_its_sections_end_is_rejected() {
     // whatever follows).
     let p = fixture();
     let mut inputs = compile(&p, &CodegenOptions::with_labels());
-    let layout = &mut inputs[0].debug_layout;
-    let last = layout.blocks.last_mut().expect("hot has blocks");
-    last.offset += 1;
+    let layout = &inputs[0].debug_layout;
+    let mut moved = DebugLayout::default();
+    let mut left = layout.blocks().len();
+    assert!(left > 0, "hot has blocks");
+    for f in layout.functions() {
+        for frag in layout.fragments_of(f) {
+            for &p in layout.blocks_of(frag) {
+                left -= 1;
+                let offset = p.offset + u32::from(left == 0);
+                moved.push_block(BlockPlacement { offset, ..p });
+            }
+            moved.close_fragment(frag.section_symbol.clone());
+        }
+        moved.close_function(f.function, f.func_symbol.clone());
+    }
+    inputs[0].debug_layout = moved;
     assert_bad_layout(&inputs, "a.cc.o", &["\"hot\"", "past"]);
 }
 

@@ -11,9 +11,9 @@
 //! [`BbAddrMap::encode`] writes a decoded map back through it.
 
 use crate::error::ObjError;
+use crate::span::{Span, Table};
 use bytes::BufMut;
 use std::fmt;
-use std::ops::Range;
 use std::sync::Arc;
 
 fn put_str(out: &mut impl BufMut, s: &str) {
@@ -200,7 +200,7 @@ pub struct FuncRecord {
     pub symbol: Arc<str>,
     /// Its ranges: one contiguous text range normally, one per cluster
     /// section after Propeller splits it.
-    pub ranges: Range<u32>,
+    pub ranges: Span<RangeRecord>,
 }
 
 /// One contiguous text range of a function: the symbol naming the text
@@ -211,41 +211,84 @@ pub struct RangeRecord {
     /// The fragment's symbol.
     pub symbol: Arc<str>,
     /// Its blocks, in address order.
-    pub entries: Range<u32>,
+    pub entries: Span<BbEntry>,
 }
 
 /// The decoded contents of one or more `.llvm_bb_addr_map` sections,
-/// as three flat arrays: functions hold spans of `ranges`, ranges spans
-/// of `entries`, so a map of any size is three allocations.
+/// as three flat [`Table`]s: functions hold spans of the ranges, ranges
+/// spans of the entries, so a map of any size is three allocations.
+///
+/// A map is built by appending — [`BbAddrMap::push_entry`], then
+/// [`BbAddrMap::close_range`] and [`BbAddrMap::close_function`], which
+/// is also how [`BbAddrMap::decode_into`] builds it — so every span it
+/// holds lies inside its arrays.
 #[derive(Clone, PartialEq, Eq, Default)]
 pub struct BbAddrMap {
-    /// Every function's record, in section order.
-    pub functions: Vec<FuncRecord>,
-    /// Every function's ranges, in function order.
-    pub ranges: Vec<RangeRecord>,
-    /// Every range's blocks, in range order.
-    pub entries: Vec<BbEntry>,
+    functions: Table<FuncRecord>,
+    ranges: Table<RangeRecord>,
+    entries: Table<BbEntry>,
 }
-
-/// `r` as an index range.
-pub(crate) fn span(r: &Range<u32>) -> Range<usize> {
-    r.start as usize..r.end as usize
-}
-
-/// The fewest bytes any record takes on the wire (a symbol's length
-/// prefix; an entry's three varints and flags): a corrupt count reserves
-/// no more records than the remaining bytes could hold.
-const MIN_RECORD_LEN: usize = 4;
 
 impl BbAddrMap {
+    /// An empty map with room for `functions` records, `ranges` ranges
+    /// and `entries` entries: a caller that knows the merged size fills
+    /// it without reallocating.
+    pub fn with_capacity(functions: usize, ranges: usize, entries: usize) -> Self {
+        BbAddrMap {
+            functions: Table::with_capacity(functions),
+            ranges: Table::with_capacity(ranges),
+            entries: Table::with_capacity(entries),
+        }
+    }
+
+    /// Every function's record, in section order.
+    pub fn functions(&self) -> &[FuncRecord] {
+        &self.functions
+    }
+
+    /// Every function's ranges, in function order.
+    pub fn ranges(&self) -> &[RangeRecord] {
+        &self.ranges
+    }
+
+    /// Every range's blocks, in range order.
+    pub fn entries(&self) -> &[BbEntry] {
+        &self.entries
+    }
+
     /// `f`'s ranges.
     pub fn ranges_of(&self, f: &FuncRecord) -> &[RangeRecord] {
-        &self.ranges[span(&f.ranges)]
+        &self.ranges[f.ranges]
     }
 
     /// `r`'s blocks.
     pub fn entries_of(&self, r: &RangeRecord) -> &[BbEntry] {
-        &self.entries[span(&r.entries)]
+        &self.entries[r.entries]
+    }
+
+    /// A range's blocks, to move in place (a linker relaxing the text
+    /// they describe).
+    pub fn entries_mut(&mut self, entries: Span<BbEntry>) -> &mut [BbEntry] {
+        &mut self.entries[entries]
+    }
+
+    /// Appends a block to the range being built.
+    pub fn push_entry(&mut self, e: BbEntry) {
+        self.entries.push(e);
+    }
+
+    /// Closes the blocks pushed since the last range into a range named
+    /// `symbol`, appended to the function being built.
+    pub fn close_range(&mut self, symbol: Arc<str>) {
+        let entries = self.entries.close();
+        self.ranges.push(RangeRecord { symbol, entries });
+    }
+
+    /// Closes the ranges closed since the last function into a record
+    /// for the function `symbol`.
+    pub fn close_function(&mut self, symbol: Arc<str>) {
+        let ranges = self.ranges.close();
+        self.functions.push(FuncRecord { symbol, ranges });
     }
 
     /// Serializes to section bytes (ULEB128-packed; range symbols equal
@@ -261,7 +304,7 @@ impl BbAddrMap {
 
     fn write<B: BufMut>(&self, out: B) -> B {
         let mut w = BbAddrMapWriter::new(out, self.functions.len());
-        for f in &self.functions {
+        for f in self.functions.iter() {
             let ranges = self.ranges_of(f);
             w.function(&f.symbol, ranges.len());
             for r in ranges {
@@ -282,6 +325,9 @@ impl BbAddrMap {
     ///
     /// Returns how many bytes longer [`BbAddrMap::encode`] became, so a
     /// caller merging sections knows the merged size without encoding.
+    /// The records are appended through the map's builder, which reserves
+    /// nothing: a caller merging sections sizes the map up front with
+    /// [`BbAddrMap::with_capacity`].
     ///
     /// # Errors
     ///
@@ -293,14 +339,18 @@ impl BbAddrMap {
         mut bytes: &'a [u8],
         mut name: impl FnMut(&'a str) -> Arc<str>,
     ) -> Result<usize, ObjError> {
-        let lens = (self.functions.len(), self.ranges.len(), self.entries.len());
-        let count_len = uleb_len(lens.0 as u32);
+        let marks = (
+            self.functions.mark(),
+            self.ranges.mark(),
+            self.entries.mark(),
+        );
+        let count_len = uleb_len(self.functions.len() as u32);
         match self.append(&mut bytes, &mut name) {
             Ok(records_len) => Ok(records_len + uleb_len(self.functions.len() as u32) - count_len),
             Err(e) => {
-                self.functions.truncate(lens.0);
-                self.ranges.truncate(lens.1);
-                self.entries.truncate(lens.2);
+                self.functions.rollback(marks.0);
+                self.ranges.rollback(marks.1);
+                self.entries.rollback(marks.2);
                 Err(e)
             }
         }
@@ -313,18 +363,13 @@ impl BbAddrMap {
         buf: &mut &'a [u8],
         name: &mut impl FnMut(&'a str) -> Arc<str>,
     ) -> Result<usize, ObjError> {
-        let nfunc = get_uleb(buf, "bb_addr_map function count")? as usize;
-        self.functions
-            .reserve(nfunc.min(buf.len() / MIN_RECORD_LEN));
+        let nfunc = get_uleb(buf, "bb_addr_map function count")?;
         let mut len = 0;
         for _ in 0..nfunc {
             let func = get_str(buf, "bb_addr_map function symbol")?;
             let symbol = name(func);
             let nranges = get_uleb(buf, "bb_addr_map range count")?;
             len += str_len(func) + uleb_len(nranges);
-            let first_range = self.ranges.len() as u32;
-            self.ranges
-                .reserve((nranges as usize).min(buf.len() / MIN_RECORD_LEN));
             for _ in 0..nranges {
                 let stored = get_str(buf, "bb_addr_map range symbol")?;
                 let range_symbol = match stored {
@@ -335,9 +380,6 @@ impl BbAddrMap {
                 // `encode` stores a range symbol equal to the function's
                 // as the empty string.
                 len += str_len(if stored == func { "" } else { stored }) + uleb_len(nentries);
-                let first_entry = self.entries.len() as u32;
-                self.entries
-                    .reserve((nentries as usize).min(buf.len() / MIN_RECORD_LEN));
                 for _ in 0..nentries {
                     let e = BbEntry {
                         bb_id: get_uleb(buf, "bb entry id")?,
@@ -346,17 +388,11 @@ impl BbAddrMap {
                         flags: BbFlags(get_u8(buf, "bb entry flags")?),
                     };
                     len += e.encoded_len();
-                    self.entries.push(e);
+                    self.push_entry(e);
                 }
-                self.ranges.push(RangeRecord {
-                    symbol: range_symbol,
-                    entries: first_entry..self.entries.len() as u32,
-                });
+                self.close_range(range_symbol);
             }
-            self.functions.push(FuncRecord {
-                symbol,
-                ranges: first_range..self.ranges.len() as u32,
-            });
+            self.close_function(symbol);
         }
         Ok(len)
     }
@@ -402,42 +438,14 @@ mod tests {
         }
     }
 
-    /// Appends a function of `ranges` to `m`, as the decoder would.
-    fn push(m: &mut BbAddrMap, symbol: &str, ranges: &[(&str, &[BbEntry])]) {
-        let first_range = m.ranges.len() as u32;
-        for &(range_symbol, entries) in ranges {
-            let first = m.entries.len() as u32;
-            m.entries.extend_from_slice(entries);
-            m.ranges.push(RangeRecord {
-                symbol: range_symbol.into(),
-                entries: first..m.entries.len() as u32,
-            });
-        }
-        m.functions.push(FuncRecord {
-            symbol: symbol.into(),
-            ranges: first_range..m.ranges.len() as u32,
-        });
-    }
-
     fn sample() -> BbAddrMap {
         let mut m = BbAddrMap::default();
-        push(
-            &mut m,
-            "foo",
-            &[
-                (
-                    "foo",
-                    &[
-                        entry(0, 0, 10, BbFlags::FALLTHROUGH),
-                        entry(2, 10, 6, BbFlags::RETURN),
-                    ],
-                ),
-                (
-                    "foo.cold",
-                    &[entry(1, 0, 4, BbFlags::LANDING_PAD | BbFlags::RETURN)],
-                ),
-            ],
-        );
+        m.push_entry(entry(0, 0, 10, BbFlags::FALLTHROUGH));
+        m.push_entry(entry(2, 10, 6, BbFlags::RETURN));
+        m.close_range("foo".into());
+        m.push_entry(entry(1, 0, 4, BbFlags::LANDING_PAD | BbFlags::RETURN));
+        m.close_range("foo.cold".into());
+        m.close_function("foo".into());
         m
     }
 
@@ -476,7 +484,9 @@ mod tests {
         for v in values {
             let e = entry(v, v, v, BbFlags::default());
             let mut m = BbAddrMap::default();
-            push(&mut m, "f", &[("f", &[e])]);
+            m.push_entry(e);
+            m.close_range("f".into());
+            m.close_function("f".into());
             let bytes = m.encode();
             assert_eq!(m.encoded_len(), bytes.len(), "v={v:#x}");
             // Function count, symbol, range count, "" and entry count.
@@ -556,19 +566,19 @@ mod tests {
         let bytes = sample().encode();
         let mut a = sample();
         a.decode_into(&bytes, Arc::from).unwrap();
-        assert_eq!(a.functions.len(), 2);
-        assert_eq!(a.functions[1].ranges, 2..4);
-        assert_eq!(a.ranges[3].entries, 5..6);
+        assert_eq!(a.functions().len(), 2);
+        assert_eq!(a.functions()[1].ranges.range(), 2..4);
+        assert_eq!(a.ranges()[3].entries.range(), 5..6);
         let blocks = |f| {
             a.ranges_of(f)
                 .iter()
                 .map(|r| a.entries_of(r).len())
                 .sum::<usize>()
         };
-        assert_eq!(blocks(&a.functions[1]), 3);
+        assert_eq!(blocks(&a.functions()[1]), 3);
         assert_eq!(
-            a.entries_of(&a.ranges[3])[0].flags,
-            sample().entries[2].flags
+            a.entries_of(&a.ranges()[3])[0].flags,
+            sample().entries()[2].flags
         );
     }
 

@@ -6,8 +6,10 @@
 //! unit" (§4). An [`ObjectFile`] is exactly a list of [`Section`]s with
 //! their [`Reloc`]s, and reports per-kind size breakdowns (for the
 //! paper's Figure 6). Its sections' contents are one byte array and one
-//! relocation array, each section a span of both, read through
-//! [`ObjectFile::bytes_of`] and [`ObjectFile::relocs_of`]. There is no
+//! relocation array, each section a [`Span`] of both, read through
+//! [`ObjectFile::bytes_of`] and [`ObjectFile::relocs_of`]. Every flat
+//! table of the toolchain is built the same way, as a [`Table`] whose
+//! spans come only from closing what was appended. There is no
 //! separate symbol table: each text section names the one global symbol
 //! it defines, at its start — the function or basic-block cluster the
 //! linker orders by that name. The build system caches objects by
@@ -44,6 +46,7 @@ mod hash;
 mod object;
 mod reloc;
 mod section;
+mod span;
 
 pub use bb_addr_map::{BbAddrMap, BbAddrMapWriter, BbEntry, BbFlags, FuncRecord, RangeRecord};
 pub use error::ObjError;
@@ -51,3 +54,4 @@ pub use hash::{ContentHash, ContentHasher};
 pub use object::{ObjectFile, SizeBreakdown};
 pub use reloc::{Reloc, RelocKind, RELA_ENTRY_BYTES};
 pub use section::{Section, SectionKind};
+pub use span::{Span, Table};

@@ -1,8 +1,8 @@
 //! Object files: the sections one codegen action emits.
 
-use crate::bb_addr_map::span;
 use crate::reloc::Reloc;
 use crate::section::{Section, SectionKind};
+use crate::span::Table;
 
 /// A relocatable object file.
 ///
@@ -11,9 +11,9 @@ use crate::section::{Section, SectionKind};
 /// It is nothing but its sections: every global symbol is a text
 /// section's [`Section::symbol`], defined at that section's start.
 ///
-/// The sections' contents are one byte array and one relocation array,
-/// which the section headers tile in order: an object of any size is
-/// three allocations plus its names. Content is appended through
+/// The sections' contents are one byte [`Table`] and one relocation
+/// [`Table`], which the section headers tile in order: an object of any
+/// size is three allocations plus its names. Content is appended through
 /// [`ObjectFile::content_mut`], and [`ObjectFile::push_section`] closes
 /// what was appended since the last section into the next one.
 #[derive(Clone, PartialEq, Debug, Default)]
@@ -21,8 +21,8 @@ pub struct ObjectFile {
     /// Originating file name, e.g. `"s_1.o"`.
     pub name: String,
     sections: Vec<Section>,
-    bytes: Vec<u8>,
-    relocs: Vec<Reloc>,
+    bytes: Table<u8>,
+    relocs: Table<Reloc>,
 }
 
 /// Per-kind byte totals for an object or binary (Figure 6 categories).
@@ -47,10 +47,6 @@ impl SizeBreakdown {
     }
 }
 
-fn end(len: usize) -> u32 {
-    u32::try_from(len).expect("an object holds less than 4 GiB")
-}
-
 impl ObjectFile {
     /// Creates an empty object file.
     pub fn new(name: impl Into<String>) -> Self {
@@ -69,37 +65,24 @@ impl ObjectFile {
         ObjectFile {
             name: name.into(),
             sections: Vec::with_capacity(sections),
-            bytes: Vec::with_capacity(bytes),
-            relocs: Vec::with_capacity(relocs),
+            bytes: Table::with_capacity(bytes),
+            relocs: Table::with_capacity(relocs),
         }
     }
 
-    /// The byte and relocation arrays, to append the next section's
+    /// The byte and relocation tables, to append the next section's
     /// content to; relocation offsets are relative to that section's
-    /// start. What earlier sections hold must be left as it is.
-    pub fn content_mut(&mut self) -> (&mut Vec<u8>, &mut Vec<Reloc>) {
+    /// start.
+    pub fn content_mut(&mut self) -> (&mut Table<u8>, &mut Table<Reloc>) {
         (&mut self.bytes, &mut self.relocs)
     }
 
     /// Appends `section`, whose content is everything appended through
     /// [`ObjectFile::content_mut`] since the previous section; the spans
     /// `section` carries are replaced.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an earlier section's content was cut short.
     pub fn push_section(&mut self, mut section: Section) {
-        let (bytes, relocs) = self
-            .sections
-            .last()
-            .map_or((0, 0), |s| (s.bytes.end, s.relocs.end));
-        assert!(
-            bytes as usize <= self.bytes.len() && relocs as usize <= self.relocs.len(),
-            "the content of section {} was truncated",
-            self.sections.len() - 1
-        );
-        section.bytes = bytes..end(self.bytes.len());
-        section.relocs = relocs..end(self.relocs.len());
+        section.bytes = self.bytes.close();
+        section.relocs = self.relocs.close();
         self.sections.push(section);
     }
 
@@ -110,12 +93,12 @@ impl ObjectFile {
 
     /// `section`'s raw contents.
     pub fn bytes_of(&self, section: &Section) -> &[u8] {
-        &self.bytes[span(&section.bytes)]
+        &self.bytes[section.bytes]
     }
 
     /// `section`'s relocations.
     pub fn relocs_of(&self, section: &Section) -> &[Reloc] {
-        &self.relocs[span(&section.relocs)]
+        &self.relocs[section.relocs]
     }
 
     /// Computes the Figure 6 size breakdown for this object.
@@ -178,15 +161,7 @@ mod tests {
         assert_eq!(obj.relocs_of(text).len(), 1);
         assert_eq!(obj.bytes_of(map), [9; 10]);
         assert!(obj.relocs_of(map).is_empty());
-        assert_eq!((text.bytes.end, map.bytes.start, map.bytes.end), (4, 4, 14));
-    }
-
-    #[test]
-    #[should_panic(expected = "truncated")]
-    fn cutting_a_pushed_section_short_is_caught() {
-        let mut obj = sample();
-        obj.content_mut().0.truncate(3);
-        obj.push_section(Section::new(".rodata", SectionKind::RoData));
+        assert_eq!((text.bytes.range(), map.bytes.range()), (0..4, 4..14));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Sections.
 
-use std::ops::Range;
+use crate::reloc::Reloc;
+use crate::span::Span;
 use std::sync::Arc;
 
 /// What a section contains; drives linker placement and the Figure 6
@@ -50,11 +51,11 @@ pub struct Section {
     pub relaxable: bool,
     /// Raw contents (pre-relocation): a span of the object's bytes, set
     /// by [`crate::ObjectFile::push_section`].
-    pub bytes: Range<u32>,
+    pub bytes: Span<u8>,
     /// Relocations to apply against those bytes, at offsets relative to
     /// the section's start: a span of the object's relocations, set by
     /// [`crate::ObjectFile::push_section`].
-    pub relocs: Range<u32>,
+    pub relocs: Span<Reloc>,
 }
 
 impl Section {
@@ -68,8 +69,8 @@ impl Section {
             symbol: None,
             align,
             relaxable: false,
-            bytes: 0..0,
-            relocs: 0..0,
+            bytes: Span::default(),
+            relocs: Span::default(),
         }
     }
 

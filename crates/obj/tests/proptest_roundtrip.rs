@@ -4,39 +4,29 @@
 //! decoded alone, and rejects garbage, truncations and corruptions
 //! without panicking or touching what was decoded before.
 
-use propeller_obj::{BbAddrMap, BbEntry, BbFlags, FuncRecord, RangeRecord};
+use propeller_obj::{BbAddrMap, BbEntry, BbFlags};
 use proptest::prelude::*;
 use std::sync::Arc;
 
 /// `(symbol, [(range symbol, [(bb_id, offset, size, flags)])])`.
 type Nested = Vec<(String, Vec<(String, Vec<(u32, u32, u32, u8)>)>)>;
 
-/// The map of `functions`, flattened as the decoder lays it out.
+/// The map of `functions`, built as the decoder builds it.
 fn flat(functions: Nested) -> BbAddrMap {
     let mut m = BbAddrMap::default();
     for (symbol, ranges) in functions {
-        let first_range = m.ranges.len() as u32;
         for (range_symbol, entries) in ranges {
-            let first = m.entries.len() as u32;
-            m.entries.extend(
-                entries
-                    .into_iter()
-                    .map(|(bb_id, offset, size, flags)| BbEntry {
-                        bb_id,
-                        offset,
-                        size,
-                        flags: BbFlags(flags),
-                    }),
-            );
-            m.ranges.push(RangeRecord {
-                symbol: range_symbol.into(),
-                entries: first..m.entries.len() as u32,
-            });
+            for (bb_id, offset, size, flags) in entries {
+                m.push_entry(BbEntry {
+                    bb_id,
+                    offset,
+                    size,
+                    flags: BbFlags(flags),
+                });
+            }
+            m.close_range(range_symbol.into());
         }
-        m.functions.push(FuncRecord {
-            symbol: symbol.into(),
-            ranges: first_range..m.ranges.len() as u32,
-        });
+        m.close_function(symbol.into());
     }
     m
 }
@@ -47,7 +37,7 @@ type Decoded = Vec<(Arc<str>, Vec<(Arc<str>, Vec<BbEntry>)>)>;
 /// `m`'s functions in the form concatenation is defined on, free of
 /// the spans' positions.
 fn nested(m: &BbAddrMap) -> Decoded {
-    m.functions
+    m.functions()
         .iter()
         .map(|f| {
             let ranges = m.ranges_of(f);
@@ -175,7 +165,7 @@ proptest! {
                 corrupt[at] = value;
                 match m.decode_into(&corrupt, Arc::from) {
                     Ok(_) => {
-                        prop_assert_eq!(&nested(&m)[..before.functions.len()], &nested(&before)[..]);
+                        prop_assert_eq!(&nested(&m)[..before.functions().len()], &nested(&before)[..]);
                         m = before.clone();
                     }
                     Err(_) => prop_assert_eq!(&m, &before, "byte {} = {:#x}", at, value),

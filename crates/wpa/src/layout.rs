@@ -265,7 +265,7 @@ pub fn run_wpa_agg_traced(
     let mut cluster_of_block: HashMap<(u32, u32), usize> = HashMap::new();
     let mut cold_clusters: Vec<PlannedCluster> = Vec::new();
     let mut stats = WpaStats {
-        functions_seen: binary.bb_addr_map.functions.len(),
+        functions_seen: binary.bb_addr_map.functions().len(),
         dcfg_edges: dcfg.num_edges(),
         profile_bytes,
         skipped_funcs: mapper.num_skipped_functions(),
@@ -278,7 +278,7 @@ pub fn run_wpa_agg_traced(
 
     let intra_span = tel.span_under("wpa.intra_layout", wpa_id);
     let map = &binary.bb_addr_map;
-    for fmap in &map.functions {
+    for fmap in map.functions() {
         let Some(&fi) = mapper_idx.get(&*fmap.symbol) else {
             continue;
         };

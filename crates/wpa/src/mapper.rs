@@ -47,10 +47,10 @@ impl AddressMapper {
     /// vanishing silently.
     pub fn from_binary(binary: &LinkedBinary) -> Self {
         let map = &binary.bb_addr_map;
-        let mut intervals = Vec::with_capacity(map.entries.len());
-        let mut func_symbols = Vec::with_capacity(map.functions.len());
+        let mut intervals = Vec::with_capacity(map.entries().len());
+        let mut func_symbols = Vec::with_capacity(map.functions().len());
         let mut skipped_funcs = 0usize;
-        for f in &map.functions {
+        for f in map.functions() {
             let func_idx = func_symbols.len() as u32;
             let mut any = false;
             for r in map.ranges_of(f) {
@@ -210,21 +210,14 @@ mod tests {
     fn unresolvable_range_symbols_are_counted_as_skipped() {
         let mut bin = metadata_binary();
         let map = &mut bin.bb_addr_map;
-        let (range, entry) = (map.ranges.len() as u32, map.entries.len() as u32);
-        map.entries.push(propeller_obj::BbEntry {
+        map.push_entry(propeller_obj::BbEntry {
             bb_id: 0,
             offset: 0,
             size: 16,
             flags: propeller_obj::BbFlags::default(),
         });
-        map.ranges.push(propeller_obj::RangeRecord {
-            symbol: "ghost.stripped".into(),
-            entries: entry..entry + 1,
-        });
-        map.functions.push(propeller_obj::FuncRecord {
-            symbol: "ghost".into(),
-            ranges: range..range + 1,
-        });
+        map.close_range("ghost.stripped".into());
+        map.close_function("ghost".into());
         let mapper = AddressMapper::from_binary(&bin);
         assert_eq!(mapper.num_functions(), 2, "resolvable functions kept");
         assert_eq!(mapper.num_skipped_functions(), 1);
@@ -235,8 +228,16 @@ mod tests {
     fn func_index_is_the_first_position_of_the_symbol() {
         let mut bin = metadata_binary();
         // The address map names `alpha` a second time, after `beta`.
-        let again = bin.bb_addr_map.functions[0].clone();
-        bin.bb_addr_map.functions.push(again);
+        let map = &mut bin.bb_addr_map;
+        let alpha = map.functions()[0].clone();
+        for r in alpha.ranges.range() {
+            let range = map.ranges()[r].clone();
+            for e in range.entries.range() {
+                map.push_entry(map.entries()[e]);
+            }
+            map.close_range(range.symbol);
+        }
+        map.close_function(alpha.symbol);
         let mapper = AddressMapper::from_binary(&bin);
         assert_eq!(mapper.num_functions(), 3);
         assert_eq!(mapper.func_index("alpha"), Some(0), "first of two");

@@ -8,8 +8,7 @@ use propeller_ir::{
 };
 use propeller_linker::{link, LinkInput, LinkOptions, LinkedBinary, SymbolOrdering};
 use propeller_obj::{
-    BbAddrMap, BbEntry, BbFlags, ContentHash, FuncRecord, ObjectFile, RangeRecord, SectionKind,
-    RELA_ENTRY_BYTES,
+    BbAddrMap, BbEntry, BbFlags, ContentHash, ObjectFile, SectionKind, RELA_ENTRY_BYTES,
 };
 use propeller_profile::HardwareProfile;
 use propeller_synth::{evolve, spec_by_name, DriftParams, GeneratedBenchmark};
@@ -97,26 +96,17 @@ proptest! {
     fn bb_addr_map_round_trips(entries in prop::collection::vec(
         (any::<u32>(), 0u32..1_000_000, 0u32..10_000, 0u8..8), 0..40))
     {
-        let n = entries.len() as u32;
-        let map = BbAddrMap {
-            functions: vec![FuncRecord {
-                symbol: "f".into(),
-                ranges: 0..1,
-            }],
-            ranges: vec![RangeRecord {
-                symbol: "f".into(),
-                entries: 0..n,
-            }],
-            entries: entries
-                .into_iter()
-                .map(|(id, off, size, flags)| BbEntry {
-                    bb_id: id,
-                    offset: off,
-                    size,
-                    flags: BbFlags(flags),
-                })
-                .collect(),
-        };
+        let mut map = BbAddrMap::default();
+        for (id, off, size, flags) in entries {
+            map.push_entry(BbEntry {
+                bb_id: id,
+                offset: off,
+                size,
+                flags: BbFlags(flags),
+            });
+        }
+        map.close_range("f".into());
+        map.close_function("f".into());
         let bytes = map.encode();
         let mut decoded = BbAddrMap::default();
         let grew = decoded.decode_into(&bytes, Arc::from).unwrap();
@@ -243,9 +233,9 @@ proptest! {
                 let obj = codegen_module(m, &program, &cg).unwrap().object;
                 let (mut bytes, mut relocs) = (0, 0);
                 for s in obj.sections() {
-                    prop_assert_eq!((s.bytes.start, s.relocs.start), (bytes, relocs), "{}", s.name);
-                    prop_assert!(s.bytes.start <= s.bytes.end && s.relocs.start <= s.relocs.end);
-                    (bytes, relocs) = (s.bytes.end, s.relocs.end);
+                    let (b, r) = (s.bytes.range(), s.relocs.range());
+                    prop_assert_eq!((b.start, r.start), (bytes, relocs), "{}", s.name);
+                    (bytes, relocs) = (b.end, r.end);
                 }
                 // Rebuilt from its sections' contents alone, the object is
                 // equal to itself only if nothing lies past the last span.
@@ -320,7 +310,7 @@ proptest! {
         // the merged map's encoding, whether relaxation moved entries
         // or not.
         for bin in [&unrelaxed, &relaxed] {
-            prop_assert!(!bin.bb_addr_map.functions.is_empty());
+            prop_assert!(!bin.bb_addr_map.functions().is_empty());
             prop_assert_eq!(bin.size_breakdown.bb_addr_map, bin.bb_addr_map.encoded_len());
         }
     }
